@@ -11,8 +11,50 @@ import (
 
 	"pipemare"
 	"pipemare/internal/faults"
+	"pipemare/internal/trace"
 	"pipemare/internal/transport"
 )
+
+// churnInputs are the two inputs the R=3 membership-churn cases run over:
+// the faulted link is the tail follower's, or — traced — the follower at
+// position 1, so the survivor above it shifts down a position and the
+// member admitted next takes the position the survivor held at the
+// start. Tracing is what tells the members apart afterwards: each has
+// single-writer tracks of its own, so a newcomer mistaken for the
+// survivor is two goroutines appending to one track.
+var churnInputs = []struct {
+	name   string
+	link   int // index into the follower dialers: replica link+1
+	traced bool
+}{{"tail", 1, false}, {"non-tail-traced", 0, true}}
+
+// requireOwnTracks asserts that a traced serial-commit run gave each of
+// the follower members pids its own timelines: a wire track and a
+// collectives track that carry events, and no collectives track holding
+// more broadcasts than the run had optimizer steps — every follower
+// receives exactly one per step it is active for, so more means two
+// members wrote one track.
+func requireOwnTracks(t *testing.T, name string, rec *pipemare.TraceRecorder, steps int, pids ...int) {
+	t.Helper()
+	seen := map[[2]int]bool{}
+	for _, tk := range rec.Tracks() {
+		seen[[2]int{tk.Pid, tk.Tid}] = len(tk.Events()) > 0
+		broadcasts := 0
+		for _, ev := range tk.Events() {
+			if ev.Name == trace.NameBroadcast {
+				broadcasts++
+			}
+		}
+		if broadcasts > steps {
+			t.Fatalf("%s: replica %d's collectives track holds %d broadcasts in a %d-step run: two members share it", name, tk.Pid, broadcasts, steps)
+		}
+	}
+	for _, pid := range pids {
+		if !seen[[2]int{pid, trace.TidCollectives}] || !seen[[2]int{pid, trace.TidWire}] {
+			t.Fatalf("%s: replica %d has no collectives or wire events of its own", name, pid)
+		}
+	}
+}
 
 // startJoiner runs pipemare.JoinFollower in a goroutine over a fresh
 // loopback pair and returns the join listener (hand it to
@@ -93,54 +135,66 @@ func TestStragglerDemoteRejoinZeroDeviation(t *testing.T) {
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 30) }
 	base := ftBase()
 	ref := runCurve(t, build, 4, 1, base...)
-	dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
-	// Stall the leader's read of replica 2's very first chunk reply: the
-	// reply exists — the worker is healthy, just slow — so after the
-	// demotion the drain recovers it and the member turns ready standby.
-	dialers[1] = &faults.Dialer{Inner: dialers[1], Script: faults.NewScript(
-		faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 1,
-			Op: faults.Delay, Delay: 100 * time.Millisecond})}
-	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
-		pipemare.WithFaultTolerance(), pipemare.WithElastic(),
-		pipemare.WithStragglerPolicy(pipemare.StragglerDemote, 20*time.Millisecond, 2),
-		pipemare.WithTransport(dialers...),
-		pipemare.WithObserver(func(epochs int, run *pipemare.Run) {
-			if epochs == 1 {
-				// Give the demoted member's 100ms drain time to finish, so
-				// the rejoin lands at an epoch-2 boundary.
-				time.Sleep(400 * time.Millisecond)
+	for _, in := range churnInputs {
+		name := "demote-rejoin/" + in.name
+		dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
+		// Stall the leader's read of the follower's very first chunk reply:
+		// the reply exists — the worker is healthy, just slow — so after the
+		// demotion the drain recovers it and the member turns ready standby.
+		dialers[in.link] = &faults.Dialer{Inner: dialers[in.link], Script: faults.NewScript(
+			faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 1,
+				Op: faults.Delay, Delay: 100 * time.Millisecond})}
+		opts := append(append([]pipemare.Option{}, base...),
+			pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
+			pipemare.WithFaultTolerance(), pipemare.WithElastic(),
+			pipemare.WithStragglerPolicy(pipemare.StragglerDemote, 20*time.Millisecond, 2),
+			pipemare.WithTransport(dialers...),
+			pipemare.WithObserver(func(epochs int, run *pipemare.Run) {
+				if epochs == 1 {
+					// Give the demoted member's 100ms drain time to finish, so
+					// the rejoin lands at an epoch-2 boundary.
+					time.Sleep(400 * time.Millisecond)
+				}
+			}))
+		var rec *pipemare.TraceRecorder
+		if in.traced {
+			rec = pipemare.NewTraceRecorder()
+			opts = append(opts, pipemare.WithTrace(rec))
+		}
+		tr, err := pipemare.New(build(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *pipemare.Run
+		err = runWithin(t, 60*time.Second, name, func() error {
+			r, err := tr.Run(context.Background(), 4)
+			got = r
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: straggler demotion did not keep the run alive: %v", name, err)
+		}
+		joins, demotions, handoffNs := tr.ElasticStats()
+		if demotions != 1 || joins != 1 || handoffNs <= 0 {
+			t.Fatalf("%s: elastic stats (%d joins, %d demotions, %dns handoff), want the demoted member back via 1 rejoin",
+				name, joins, demotions, handoffNs)
+		}
+		if tr.Replicas() != 3 {
+			t.Fatalf("%s: %d replicas after demote+rejoin, want 3", name, tr.Replicas())
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, werr := range wait() {
+			if werr != nil {
+				t.Fatalf("%s: worker %d: %v", name, i+1, werr)
 			}
-		}))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got *pipemare.Run
-	err = runWithin(t, 60*time.Second, "demote-rejoin", func() error {
-		r, err := tr.Run(context.Background(), 4)
-		got = r
-		return err
-	})
-	if err != nil {
-		t.Fatalf("straggler demotion did not keep the run alive: %v", err)
-	}
-	joins, demotions, handoffNs := tr.ElasticStats()
-	if demotions != 1 || joins != 1 || handoffNs <= 0 {
-		t.Fatalf("elastic stats (%d joins, %d demotions, %dns handoff), want the demoted member back via 1 rejoin",
-			joins, demotions, handoffNs)
-	}
-	if tr.Replicas() != 3 {
-		t.Fatalf("%d replicas after demote+rejoin, want 3", tr.Replicas())
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, werr := range wait() {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i+1, werr)
+		}
+		requireIdentical(t, name, ref, got)
+		if in.traced {
+			requireOwnTracks(t, name, rec, 16, 1, 2)
 		}
 	}
-	requireIdentical(t, "demote-rejoin", ref, got)
 }
 
 // TestChurnCompositions pins membership changes composing with each
@@ -151,55 +205,69 @@ func TestChurnCompositions(t *testing.T) {
 	base := ftBase()
 	ref := runCurve(t, build, 4, 1, base...)
 
-	// A fatal fault evicting replica 2 at its 2nd chunk while a joiner is
+	// A fatal fault evicting a follower at its 2nd chunk while a joiner is
 	// already parked for step 8: the reduce tree shrinks to R=2, then
-	// grows back to R=3 when the parked joiner is admitted.
-	t.Run("evict-during-pending-join", func(t *testing.T) {
-		dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
-		dialers[1] = &faults.Dialer{Inner: dialers[1], Script: faults.NewScript(
-			faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 2, Op: faults.Kill})}
-		jlis, jwait := startJoiner(t, build,
-			append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(8)))
-		tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
-			pipemare.WithFaultTolerance(), pipemare.WithElastic(),
-			pipemare.WithTransport(dialers...))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.AcceptJoins(jlis); err != nil {
-			t.Fatal(err)
-		}
-		var got *pipemare.Run
-		err = runWithin(t, 60*time.Second, "evict+join", func() error {
-			r, err := tr.Run(context.Background(), 4)
-			got = r
-			return err
+	// grows back to R=3 when the parked joiner is admitted — as a fourth
+	// member, whatever position it takes.
+	for _, in := range churnInputs {
+		t.Run("evict-during-pending-join/"+in.name, func(t *testing.T) {
+			dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
+			dialers[in.link] = &faults.Dialer{Inner: dialers[in.link], Script: faults.NewScript(
+				faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 2, Op: faults.Kill})}
+			jlis, jwait := startJoiner(t, build,
+				append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(8)))
+			opts := append(append([]pipemare.Option{}, base...),
+				pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
+				pipemare.WithFaultTolerance(), pipemare.WithElastic(),
+				pipemare.WithTransport(dialers...))
+			var rec *pipemare.TraceRecorder
+			if in.traced {
+				rec = pipemare.NewTraceRecorder()
+				opts = append(opts, pipemare.WithTrace(rec))
+			}
+			tr, err := pipemare.New(build(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.AcceptJoins(jlis); err != nil {
+				t.Fatal(err)
+			}
+			var got *pipemare.Run
+			err = runWithin(t, 60*time.Second, "evict+join", func() error {
+				r, err := tr.Run(context.Background(), 4)
+				got = r
+				return err
+			})
+			if err != nil {
+				t.Fatalf("run did not survive eviction with a parked joiner: %v", err)
+			}
+			if tr.Replicas() != 3 {
+				t.Fatalf("%d replicas after evict+join, want 3 (one out, one in)", tr.Replicas())
+			}
+			if joins, _, _ := tr.ElasticStats(); joins != 1 {
+				t.Fatalf("%d joins, want 1", joins)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := jwait(); err != nil {
+				t.Fatalf("joiner: %v", err)
+			}
+			errs := wait()
+			if errs[1-in.link] != nil {
+				t.Fatalf("surviving worker: %v", errs[1-in.link])
+			}
+			if errs[in.link] == nil {
+				t.Fatal("killed worker's serve loop ended without error")
+			}
+			requireIdentical(t, "evict-during-pending-join", ref, got)
+			if in.traced {
+				// The survivor keeps id 2; the joiner is member 3, not a
+				// second replica 2.
+				requireOwnTracks(t, "evict-during-pending-join", rec, 16, 2, 3)
+			}
 		})
-		if err != nil {
-			t.Fatalf("run did not survive eviction with a parked joiner: %v", err)
-		}
-		if tr.Replicas() != 3 {
-			t.Fatalf("%d replicas after evict+join, want 3 (one out, one in)", tr.Replicas())
-		}
-		if joins, _, _ := tr.ElasticStats(); joins != 1 {
-			t.Fatalf("%d joins, want 1", joins)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := jwait(); err != nil {
-			t.Fatalf("joiner: %v", err)
-		}
-		errs := wait()
-		if errs[0] != nil {
-			t.Fatalf("surviving worker: %v", errs[0])
-		}
-		if errs[1] == nil {
-			t.Fatal("killed worker's serve loop ended without error")
-		}
-		requireIdentical(t, "evict-during-pending-join", ref, got)
-	})
+	}
 
 	// A join admitted at a boundary that also writes a checkpoint every
 	// step: admission runs strictly after the write, and both keep the

@@ -46,33 +46,6 @@ func TestFacadeTrainsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTrainEpochsStillWorks keeps the deprecated curve-chaining entry
-// point covered now that the NewTrainer shim is gone: trainers built with
-// New must still honour TrainEpochs.
-func TestTrainEpochsStillWorks(t *testing.T) {
-	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
-		Train: 128, Test: 64, Noise: 0.4, Seed: 1})
-	task := model.NewResNetMLP(images, 12, 5, 2)
-	tr, err := pipemare.New(task,
-		pipemare.WithMethod(pipemare.PipeMare),
-		pipemare.WithBatchSize(32), pipemare.WithMicrobatchSize(8),
-		pipemare.WithT1(20), pipemare.WithT2(0.5), pipemare.WithSeed(1),
-		pipemare.WithOptimizer(func(ps []*nn.Param) pipemare.Optimizer {
-			return optim.NewSGD(ps, 0.9, 0)
-		}),
-		pipemare.WithSchedule(optim.Constant(0.05)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := tr.TrainEpochs(10, nil)
-	if run.Diverged {
-		t.Fatal("training diverged")
-	}
-	if run.Best() < 70 {
-		t.Fatalf("best accuracy %.1f%%", run.Best())
-	}
-}
-
 // TestObserverIndexSafeAcrossChunkedRuns pins that the observer's epoch
 // argument always indexes the curve it is handed, even when Run is called
 // repeatedly with fresh curves.

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 	"pipemare/internal/trace"
 	"pipemare/internal/transport"
@@ -346,14 +345,13 @@ func (t *Trainer) RestoreLatest(dir string) (int, error) {
 }
 
 // syncRestoredFollowers pushes the restored leader state to every
-// follower: epoch and step clocks, full per-stage state (with moments
-// under the fault-tolerant layout), and the weight-version rings. It
-// also computes how many of the restored epoch's minibatches are already
-// committed, for run() to skip.
+// follower (replica.Group.Resync: epoch and step clocks, full per-stage
+// state, and the weight-version rings). It also computes how many of the
+// restored epoch's minibatches are already committed, for run() to skip.
 func (t *Trainer) syncRestoredFollowers() error {
-	for i, m := range t.followers {
-		if err := t.syncMember(m, i+1); err != nil {
-			return err
+	if t.group != nil {
+		if err := t.group.Resync(t.store.History); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	perEpoch := t.task.NumTrain() / t.cfg.BatchSize
@@ -369,31 +367,6 @@ func (t *Trainer) syncRestoredFollowers() error {
 		return fmt.Errorf("core: checkpoint clocks inconsistent: step %d, epoch %d, %d minibatches per epoch", t.step, t.epoch, perEpoch)
 	}
 	t.resumeSkip = skip
-	return nil
-}
-
-// syncMember pushes the leader's complete live state to one member —
-// epoch and step clocks, full per-stage state (with moments under the
-// fault-tolerant layout), and the weight-version rings. It is the whole
-// state a replica trains from, which makes it both the restore
-// re-synchronization and the live handoff a mid-run joiner (or a
-// rejoining standby) receives: a member that has seen syncMember is
-// indistinguishable from one that trained alongside the leader from the
-// start. r is the member's replica index, for error attribution.
-func (t *Trainer) syncMember(m replica.Member, r int) error {
-	m.SyncEpoch()
-	m.SyncFromLeader()
-	if vr, ok := m.(replica.VersionRestorer); ok {
-		for s := 0; s < t.clock.P; s++ {
-			base, snaps := t.store.History(s)
-			vr.RestoreVersions(s, base, snaps)
-		}
-	}
-	if er, ok := m.(replica.Erring); ok {
-		if err := er.Err(); err != nil {
-			return fmt.Errorf("core: syncing state to replica %d: %w", r, err)
-		}
-	}
 	return nil
 }
 

@@ -45,6 +45,7 @@ import (
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 	"pipemare/internal/trace"
+	"pipemare/internal/transport"
 )
 
 // Method selects the pipeline-parallel training method.
@@ -253,10 +254,10 @@ type Config struct {
 }
 
 // ReplicaEnv is what a Config.Followers factory needs to connect a
-// follower: the leader's member surface (initial state, clocks) and the
+// follower: the leader's state surface (initial state, clocks) and the
 // resolved replication topology the remote side must agree with.
 type ReplicaEnv struct {
-	Leader   replica.Leader
+	Leader   transport.LeaderState
 	Replicas int
 	Stages   int
 	Sharded  bool
@@ -335,16 +336,15 @@ type Trainer struct {
 	flows      map[int]*flight
 	freeFlows  []*flight
 
-	// Data-parallel replication state: a leader trainer owns its follower
-	// members — in-process follower trainers, or remote proxies from
-	// Config.Followers; a follower trainer holds a pointer back to its
-	// leader for the post-step weight broadcast (or epoch-clock sync
-	// under the sharded commit). plan assigns each stage's optimizer
-	// commit to a replica owner when the sharded step is on.
-	followers  []replica.Member
+	// Data-parallel replication state: a leader trainer builds one replica
+	// group over its follower members — in-process follower trainers, or
+	// remote proxies from Config.Followers — and the group alone knows who
+	// is in the run from then on (nil for a single replica); a follower
+	// trainer holds a pointer back to its leader for the post-step weight
+	// broadcast (or epoch-clock sync under the sharded commit).
+	group      *replica.Group
 	leader     *Trainer
 	sharded    bool
-	plan       engine.CommitPlan
 	stageState [][]*tensor.Tensor // per-stage gather layout (masters, T2 δ, corrected, FT moments)
 
 	// Fault-tolerance state: stateful is the optimizer's moment surface
@@ -370,13 +370,12 @@ type Trainer struct {
 	// Elastic-membership state: parked joiner connections awaiting the
 	// next minibatch boundary (fed by AcceptJoins goroutines, drained on
 	// the run goroutine), the listeners and cancel that release them, and
-	// the admission counters.
+	// the handoff clock.
 	joinMu     sync.Mutex
 	pending    []pendingJoin
 	joinLis    []io.Closer
 	joinCtx    context.Context
 	joinCancel context.CancelFunc
-	joins      int   // members admitted mid-run (fresh joins and rejoins)
 	handoffNs  int64 // cumulative wall time spent in state handoffs
 }
 
@@ -440,22 +439,9 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 			return nil, fmt.Errorf("core: task %T does not implement Replicable; %d-replica training needs CloneTask (or a Followers factory)", task, replicas)
 		}
 	}
-	sharded := false
-	switch cfg.ShardedStep {
-	case ShardedStepAuto:
-		_, ok := opt.(optim.ShardCloner)
-		sharded = replicas > 1 && ok
-	case ShardedStepOn:
-		if replicas < 2 {
-			return nil, fmt.Errorf("core: the sharded optimizer step needs at least 2 replicas, got %d (it shards the commit across replicas)", replicas)
-		}
-		if _, ok := opt.(optim.ShardCloner); !ok {
-			return nil, fmt.Errorf("core: optimizer %T does not support state sharding (optim.ShardCloner); use ShardedStepOff for the leader-serial commit", opt)
-		}
-		sharded = true
-	case ShardedStepOff:
-	default:
-		return nil, fmt.Errorf("core: unknown sharded-step mode %d", int(cfg.ShardedStep))
+	sharded, err := resolveSharded(cfg.ShardedStep, opt, replicas)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.CheckpointDir != "" && cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1
@@ -547,7 +533,6 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	}
 	t.flows = make(map[int]*flight)
 	t.sharded = sharded
-	t.plan = engine.NewCommitPlan(p, replicas)
 	// Per-stage state layout for the sharded-commit gather (StageState):
 	// fixed after construction, so build it once instead of per commit.
 	// Under the fault-tolerant layout the stage's optimizer moments ride
@@ -579,43 +564,61 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 		}
 		t.stageState[s] = buf
 	}
-	if replicas > 1 && cfg.Followers != nil {
-		env := ReplicaEnv{
-			Leader: host{t}, Replicas: replicas, Stages: p,
-			Sharded: sharded, Method: cfg.Method, T2: cfg.T2D > 0,
-			GroupCosts:    costs,
-			FaultTolerant: cfg.FaultTolerant,
-		}
-		for r := 1; r < replicas; r++ {
-			m, err := cfg.Followers(r, env)
-			if err != nil {
+	if replicas == 1 {
+		return t, nil
+	}
+	env := ReplicaEnv{
+		Leader: host{t}, Replicas: replicas, Stages: p,
+		Sharded: sharded, Method: cfg.Method, T2: cfg.T2D > 0,
+		GroupCosts:    costs,
+		FaultTolerant: cfg.FaultTolerant,
+	}
+	var followers []replica.Member
+	for r := 1; r < replicas; r++ {
+		var m replica.Member
+		if cfg.Followers != nil {
+			if m, err = cfg.Followers(r, env); err != nil {
 				return nil, fmt.Errorf("core: connecting replica %d: %w", r, err)
 			}
 			if m == nil {
 				return nil, fmt.Errorf("core: follower factory returned nil member for replica %d", r)
 			}
-			t.followers = append(t.followers, m)
+		} else {
+			f, err := t.newFollower(task.(Replicable), r)
+			if err != nil {
+				return nil, err
+			}
+			m = host{f}
 		}
-		return t, nil
+		followers = append(followers, m)
 	}
-	for r := 1; r < replicas; r++ {
-		f, err := t.newFollower(task.(Replicable), r)
-		if err != nil {
-			return nil, err
-		}
-		t.followers = append(t.followers, host{f})
+	t.group, err = replica.NewGroup(host{t}, followers, sharded, momentShare)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return t, nil
 }
 
-// shardOf maps replica r's stage shard to its optimizer parameter range
-// under the current partition (empty when the replica owns no stages).
-func (t *Trainer) shardOf(r int) optim.Shard {
-	lo, hi := t.plan.Shard(r)
-	if lo == hi {
-		return optim.Shard{}
+// resolveSharded resolves a ShardedStepMode against the optimizer and the
+// replica count: whether the commit is sharded, or why the mode cannot be
+// honoured.
+func resolveSharded(mode ShardedStepMode, opt optim.Optimizer, replicas int) (bool, error) {
+	_, can := opt.(optim.ShardCloner)
+	switch mode {
+	case ShardedStepAuto:
+		return replicas > 1 && can, nil
+	case ShardedStepOn:
+		if replicas < 2 {
+			return false, fmt.Errorf("core: the sharded optimizer step needs at least 2 replicas, got %d (it shards the commit across replicas)", replicas)
+		}
+		if !can {
+			return false, fmt.Errorf("core: optimizer %T does not support state sharding (optim.ShardCloner); use ShardedStepOff for the leader-serial commit", opt)
+		}
+		return true, nil
+	case ShardedStepOff:
+		return false, nil
 	}
-	return optim.Shard{Lo: t.stageLo[lo], Hi: t.stageHi[hi-1]}
+	return false, fmt.Errorf("core: unknown sharded-step mode %d", int(mode))
 }
 
 // buildPartition splits the task's weight groups into p stages under the
@@ -724,11 +727,8 @@ func measuredGroupCosts(st StageTask, groups []pipeline.ParamGroup, microbatchSi
 
 // newFollower clones the leader's task, copies the leader's current
 // (initial) weights into the clone — so the follower's version store
-// seeds with the same version-0 snapshot — and builds the follower
-// trainer. Under the sharded commit the follower's optimizer is a
-// state-sharded sibling of the leader's (optim.ShardCloner) holding
-// moment buffers only for the stages the follower owns; otherwise the
-// follower is never stepped and gets a stateless placeholder.
+// seeds with the same version-0 snapshot — and builds the in-process
+// follower trainer for replica r.
 func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 	ct := rep.CloneTask()
 	var cps []*nn.Param
@@ -746,36 +746,15 @@ func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 		cp.Data.CopyFrom(t.params[i].Data)
 	}
 	fcfg := t.cfg
-	fcfg.Replicas = 0
-	fcfg.ShardedStep = ShardedStepOff
-	fcfg.Engine = engine.NewReference() // follower engines are never used
-	fcfg.Followers = nil
-	fcfg.CheckpointDir = "" // only the leader checkpoints
-	fcfg.Elastic = false    // only the leader admits joiners
-	fcfg.StragglerDeadline, fcfg.StragglerMisses = 0, 0
-	fcfg.TraceReplica = r // the shared recorder attributes this follower's events to replica r
 	if fcfg.Partition != pipeline.PartitionEven {
 		// Followers must land on the leader's exact partition: reuse its
 		// (possibly measured) cost vector instead of re-estimating, so a
 		// noisy profile pass cannot skew a follower's stage boundaries.
 		fcfg.GroupCosts = t.groupCosts
 	}
-	var fopt optim.Optimizer
-	switch {
-	case t.cfg.FaultTolerant:
-		// Fault tolerance mirrors the full moment state onto every replica
-		// so any survivor can own any stage after an eviction.
-		fopt = t.opt.(optim.ShardCloner).CloneShard(cps, optim.FullShard(len(cps)))
-	case t.sharded:
-		fopt = t.opt.(optim.ShardCloner).CloneShard(cps, t.shardOf(r))
-	default:
-		// Leader-serial commit: the follower never steps, so it holds no
-		// moment state at all (an empty shard).
-		fopt = optim.NewSGDShard(cps, 0, 0, optim.Shard{})
-	}
-	f, err := New(ct, fopt, t.sched, fcfg)
+	f, err := buildFollower(ct, t.opt, t.sched, fcfg, r, t.cfg.Replicas, t.sharded)
 	if err != nil {
-		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
+		return nil, err
 	}
 	f.leader = t
 	return f, nil
@@ -783,14 +762,14 @@ func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 
 // NewFollower builds the standalone worker-process counterpart of the
 // in-process followers New builds for Replicas > 1: a follower trainer
-// for replica r of cfg.Replicas, returned as its member surface, ready
-// to be served to a remote leader (internal/transport). The caller
+// for replica r of cfg.Replicas, returned as its local member surface,
+// ready to be served to a remote leader (internal/transport). The caller
 // supplies a task, optimizer and schedule constructed exactly as the
 // leader's — same seeds, same options — which the transport handshake
 // verifies end to end with a checksum over the initial per-stage state.
 // Unlike the in-process path the task is used directly, not cloned: the
 // worker process owns it.
-func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r int) (replica.Member, error) {
+func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r int) (replica.Local, error) {
 	R := cfg.Replicas
 	if R < 2 {
 		return nil, fmt.Errorf("core: a follower needs Replicas >= 2, got %d", R)
@@ -798,61 +777,73 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 	if r < 1 || r >= R {
 		return nil, fmt.Errorf("core: follower replica %d out of range [1, %d)", r, R)
 	}
-	sharded := false
-	switch cfg.ShardedStep {
-	case ShardedStepAuto:
-		_, sharded = opt.(optim.ShardCloner)
-	case ShardedStepOn:
-		if _, ok := opt.(optim.ShardCloner); !ok {
-			return nil, fmt.Errorf("core: optimizer %T does not support state sharding (optim.ShardCloner); use ShardedStepOff for the leader-serial commit", opt)
-		}
-		sharded = true
-	case ShardedStepOff:
-	default:
-		return nil, fmt.Errorf("core: unknown sharded-step mode %d", int(cfg.ShardedStep))
+	sharded, err := resolveSharded(cfg.ShardedStep, opt, R)
+	if err != nil {
+		return nil, err
 	}
+	f, err := buildFollower(task, opt, sched, cfg, r, R, sharded)
+	if err != nil {
+		return nil, err
+	}
+	return host{f}, nil
+}
+
+// followerConfig derives follower r's configuration from the run's: a
+// follower is a single-replica trainer that never drives itself — its
+// chunks run through the replicated engine's (or the serve loop's) inner
+// engine — and leaves checkpointing, admission and straggler policy to
+// the leader. The shared recorder attributes its events to replica r.
+func followerConfig(cfg Config, r int) Config {
+	cfg.Replicas = 0
+	cfg.ShardedStep = ShardedStepOff
+	cfg.Engine = engine.NewReference()
+	cfg.Followers = nil
+	cfg.CheckpointDir = ""
+	cfg.Elastic = false
+	cfg.StragglerDeadline, cfg.StragglerMisses = 0, 0
+	cfg.TraceReplica = r
+	return cfg
+}
+
+// buildFollower builds the follower trainer for replica r of replicas
+// over task, with the optimizer state its role needs, cloned from the
+// run's optimizer opt: full moments under fault tolerance (mirrored onto
+// every replica so any survivor can own any stage), the moments of its
+// own stage shard under the plain sharded commit, and none under the
+// leader-serial commit, where a follower never steps.
+func buildFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r, replicas int, sharded bool) (*Trainer, error) {
 	var ps []*nn.Param
 	for _, g := range task.Groups() {
 		ps = append(ps, g.Params...)
 	}
-	fcfg := cfg
-	fcfg.Replicas = 0
-	fcfg.ShardedStep = ShardedStepOff
-	fcfg.Engine = engine.NewReference() // chunks run through the serve loop's engine
-	fcfg.Followers = nil
-	fcfg.CheckpointDir = "" // only the leader checkpoints
-	fcfg.Elastic = false    // only the leader admits joiners
-	fcfg.StragglerDeadline, fcfg.StragglerMisses = 0, 0
-	fcfg.TraceReplica = r // a worker-process recorder labels its events with its replica index
+	sc, shardable := opt.(optim.ShardCloner)
 	fopt := optim.Optimizer(optim.NewSGDShard(ps, 0, 0, optim.Shard{}))
 	if cfg.FaultTolerant {
 		// The fault-tolerant stage-state layout aliases the live moment
 		// tensors, so the real (full-state) optimizer must exist before the
 		// trainer is built — it cannot be swapped in afterwards.
-		sc, ok := opt.(optim.ShardCloner)
-		if !ok {
+		if !shardable {
 			return nil, fmt.Errorf("core: fault-tolerant follower needs a shardable optimizer (optim.ShardCloner), got %T", opt)
 		}
 		fopt = sc.CloneShard(ps, optim.FullShard(len(ps)))
 	}
-	f, err := New(task, fopt, sched, fcfg)
+	f, err := New(task, fopt, sched, followerConfig(cfg, r))
 	if err != nil {
-		return nil, fmt.Errorf("core: building follower %d: %w", r, err)
+		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
 	}
 	if sharded && !cfg.FaultTolerant {
-		// Same shard geometry as the leader's plan for R replicas, mapped
-		// through this follower's (identical) stage boundaries. Without the
-		// fault-tolerant layout no stage state aliases the optimizer, so
-		// swapping it in after construction is safe.
-		plan := engine.NewCommitPlan(f.clock.P, R)
-		lo, hi := plan.Shard(r)
+		// The shard geometry of the initial commit plan over all replicas,
+		// mapped through this follower's (identical) stage boundaries.
+		// Without the fault-tolerant layout no stage state aliases the
+		// optimizer, so swapping it in after construction is safe.
+		lo, hi := engine.NewCommitPlan(f.clock.P, replicas).Shard(r)
 		sh := optim.Shard{}
 		if lo != hi {
 			sh = optim.Shard{Lo: f.stageLo[lo], Hi: f.stageHi[hi-1]}
 		}
-		f.opt = opt.(optim.ShardCloner).CloneShard(ps, sh)
+		f.opt = sc.CloneShard(ps, sh)
 	}
-	return host{f}, nil
+	return f, nil
 }
 
 // gammaFromD mirrors quad.GammaFromD for τ_bkwd = 0 without importing the
@@ -924,15 +915,20 @@ func (t *Trainer) StageImbalance() float64 { return pipeline.Imbalance(t.StageCo
 // Engine returns the execution engine driving this trainer.
 func (t *Trainer) Engine() engine.Engine { return t.eng }
 
-// Replicas returns the data-parallel replica count R (1 when replication
-// is off).
-func (t *Trainer) Replicas() int { return len(t.followers) + 1 }
+// Replicas returns the current data-parallel replica count R: the active
+// members of the replica group (1 when replication is off).
+func (t *Trainer) Replicas() int {
+	if t.group == nil {
+		return 1
+	}
+	return t.group.Replicas()
+}
 
 // Close releases the trainer's follower members: a remote transport
 // proxy says goodbye to its worker process and closes the connection;
 // in-process followers hold nothing to release. It also stops the join
 // accept loops, releases parked joiners, and closes any demoted
-// standbys the engine still holds. Close is idempotent — the second and
+// standbys the group still holds. Close is idempotent — the second and
 // later calls return nil — and joins every member's close error rather
 // than stopping at the first.
 func (t *Trainer) Close() error {
@@ -956,17 +952,8 @@ func (t *Trainer) Close() error {
 	for _, pj := range pend {
 		pj.conn.Close()
 	}
-	if cs, ok := t.eng.(standbyCloser); ok {
-		if err := cs.CloseStandbys(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	for _, m := range t.followers {
-		if c, ok := m.(io.Closer); ok {
-			if err := c.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
+	if t.group != nil {
+		errs = append(errs, t.group.Close())
 	}
 	return errors.Join(errs...)
 }
@@ -1323,13 +1310,11 @@ func recompCorrect[T tensor.Elem](buf, snap, delta []T, coef float64) {
 	}
 }
 
-// --- replica surface (replica.Leader / replica.Member) ---
+// --- replica surface (replica.Leader / replica.Local) ---
 
-// Replicas returns the total replica count R (replica.Leader).
-func (h host) Replicas() int { return len(h.t.followers) + 1 }
-
-// Follower returns follower r's member surface (replica.Leader).
-func (h host) Follower(r int) replica.Member { return h.t.followers[r-1] }
+// Group returns the trainer's replica group (replica.Leader): nil for a
+// single-replica trainer, and for a follower.
+func (h host) Group() *replica.Group { return h.t.group }
 
 // Step returns the optimizer step clock (transport.LeaderState).
 func (h host) Step() int { return h.t.step }
@@ -1355,16 +1340,6 @@ func (t *Trainer) setStep(step int) {
 // SetEpoch aligns the epoch clock — the remote-worker counterpart of
 // SyncEpoch (transport.ClockSetter).
 func (h host) SetEpoch(epoch int) { h.t.epoch = epoch }
-
-// ShardedStep reports whether the optimizer commit is sharded across the
-// replicas (replica.Leader).
-func (h host) ShardedStep() bool { return h.t.sharded }
-
-// CommitShards returns the stage→replica owner plan (replica.Leader) —
-// the same plan the followers' optimizer moment shards were allocated
-// from (shardOf), so the replica layer steps exactly the state each
-// member holds.
-func (h host) CommitShards() engine.CommitPlan { return h.t.plan }
 
 // TakeStageGrads moves the stage's accumulated gradients into bufs and
 // zeroes the accumulators, so the next microbatch accumulates from zero
@@ -1499,31 +1474,6 @@ func (h host) SyncFromLeader() {
 	}
 }
 
-// FaultTolerant reports whether this trainer runs the fault-tolerant
-// stage-state layout (replica.FaultTolerer) — the precondition for
-// evicting a failed member under the sharded commit.
-func (h host) FaultTolerant() bool { return h.t.momentShare }
-
-// EvictFollower removes follower replica r from the trainer and rebuilds
-// the commit plan over the survivors (replica.Evictor). The replica
-// group drives this — it splices its own member list and re-chunks in
-// lockstep.
-func (h host) EvictFollower(r int) {
-	t := h.t
-	t.followers = append(t.followers[:r-1], t.followers[r:]...)
-	t.plan = engine.NewCommitPlan(t.clock.P, len(t.followers)+1)
-}
-
-// JoinFollower appends an admitted member as the last follower and
-// rebuilds the commit plan over R+1 replicas (replica.Joiner) — the
-// exact mirror of EvictFollower. The replica group drives this from its
-// Admit, growing its member list in lockstep.
-func (h host) JoinFollower(m replica.Member) {
-	t := h.t
-	t.followers = append(t.followers, m)
-	t.plan = engine.NewCommitPlan(t.clock.P, len(t.followers)+1)
-}
-
 // RestoreVersions replaces a stage's weight-version ring
 // (replica.VersionRestorer) — the restore path for the historical
 // versions the asynchronous methods read.
@@ -1531,14 +1481,12 @@ func (h host) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	h.t.store.RestoreStage(stage, base, snaps)
 }
 
-// The trainer's host satisfies the full replica surface.
-var _ replica.Leader = host{}
-
+// The trainer's host satisfies the full replica surface, and the state
+// surface a remote follower's proxy reads the leader through.
 var (
-	_ replica.FaultTolerer    = host{}
-	_ replica.Evictor         = host{}
-	_ replica.Joiner          = host{}
+	_ replica.Leader          = host{}
 	_ replica.VersionRestorer = host{}
+	_ transport.LeaderState   = host{}
 )
 
 // Run trains for the given number of epochs under ctx, recording one entry
@@ -1623,9 +1571,7 @@ func (t *Trainer) run(ctx context.Context, epochs int, run *metrics.Run) (*metri
 			// checkpoint hook — so membership changes never race a
 			// collective or a checkpoint write, and a post-join curve is a
 			// pure function of the handed-off state.
-			if err := t.admitBoundary(); err != nil {
-				return run, err
-			}
+			t.admitBoundary()
 		}
 		ctl := t.ctlTrack()
 		t0 := t.cfg.Trace.Now()
@@ -1639,15 +1585,4 @@ func (t *Trainer) run(ctx context.Context, epochs int, run *metrics.Run) (*metri
 		}
 	}
 	return run, nil
-}
-
-// TrainEpochs trains for the given number of epochs, recording one entry
-// per epoch in run. Training stops early on divergence. It returns run for
-// chaining.
-//
-// Deprecated: use Run (or RunInto), which is context-aware and reports
-// engine errors.
-func (t *Trainer) TrainEpochs(epochs int, run *metrics.Run) *metrics.Run {
-	run, _ = t.run(context.Background(), epochs, run)
-	return run
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,7 +92,7 @@ func probeTrainer(t *testing.T, method Method, groups, stages, batch, micro, epo
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.TrainEpochs(epochs, nil)
+	tr.Run(context.Background(), epochs)
 	return task, tr
 }
 
@@ -264,7 +265,7 @@ func TestWarmupEpochsRunSynchronously(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.TrainEpochs(2, nil)
+	tr.Run(context.Background(), 2)
 	clock := pipeline.Clock{P: stages, N: batch / micro}
 	microsPerEpoch := 4 * (batch / micro)
 	for s := 0; s < microsPerEpoch; s++ { // first epoch: synchronous
@@ -327,7 +328,7 @@ func TestPartitionCostModeBalancesMonolithicTaskBySize(t *testing.T) {
 		t.Fatalf("imbalance accessor inconsistent: %g", im)
 	}
 	// The trainer still trains under the skewed partition.
-	tr.TrainEpochs(1, nil)
+	tr.Run(context.Background(), 1)
 }
 
 func TestPartitionEvenKeepsHistoricalSplit(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"pipemare/internal/replica"
@@ -14,10 +13,11 @@ import (
 // Elastic membership: mid-run scale-up. AcceptJoins parks joining
 // worker connections; run() drains the park at minibatch boundaries —
 // the only points with no optimizer state in flight — and admits each
-// joiner with a live state handoff (the same syncMember push a
-// checkpoint restore uses), then grows the reduce tree and commit plan
-// to R+1 through the replica group. The same boundary also readmits
-// demoted stragglers whose late replies have drained. Because a member
+// joiner with a live state handoff (the same replica.Group.Handoff push
+// a checkpoint restore uses), then activates it in the replica group,
+// which grows the reduce tree and commit plan to R+1. The same boundary
+// also readmits demoted stragglers whose late replies have drained —
+// the group's standbys — by the same two steps. Because a member
 // that has seen the handoff is indistinguishable from one that trained
 // from the start, and the curves are replica-count invariant, a
 // post-join curve is bit-identical to a fresh (R+1)-replica run from
@@ -33,20 +33,6 @@ const welcomeTimeout = 30 * time.Second
 type pendingJoin struct {
 	conn transport.MsgConn
 	spec transport.JoinSpec
-}
-
-// admitter is the engine surface the admission path drives — the
-// replicated engine implements it: Admit grows the running replica
-// group, TakeReadyStandbys returns demoted members whose late replies
-// have drained and that are ready to rejoin.
-type admitter interface {
-	Admit(m replica.Member) error
-	TakeReadyStandbys() []replica.Member
-}
-
-// standbyCloser releases standbys the engine still holds at Close.
-type standbyCloser interface {
-	CloseStandbys() error
 }
 
 // AcceptJoins starts accepting mid-run join connections on lis: each
@@ -105,12 +91,18 @@ func (t *Trainer) acceptJoins(ctx context.Context, lis transport.Listener) {
 // drained standbys first (they already hold a connection and a built
 // follower), then admit parked joiners. Both run on the run goroutine,
 // so membership changes serialize against collectives and checkpoints
-// by construction.
-func (t *Trainer) admitBoundary() error {
-	if err := t.rejoinStandbys(); err != nil {
-		return err
+// by construction. A standby that fails its handoff is closed and gone;
+// the run continues over the current members either way.
+func (t *Trainer) admitBoundary() {
+	if t.group == nil {
+		return
 	}
-	return t.admitJoins()
+	for _, id := range t.group.ReadyStandbys() {
+		if t.admit(id) == nil {
+			t.ctlTrack().Instant(trace.NameRejoin, -1, -1, 0)
+		}
+	}
+	t.admitJoins()
 }
 
 // admitJoins drains the parked-joiner queue: for each joiner whose
@@ -118,24 +110,22 @@ func (t *Trainer) admitBoundary() error {
 // the Welcome spec, perform the live state handoff, and grow the
 // replica group. A capability mismatch rejects that joiner without
 // failing the run; joiners ahead of their JoinAt step stay parked.
-func (t *Trainer) admitJoins() error {
+func (t *Trainer) admitJoins() {
 	t.joinMu.Lock()
 	pend := t.pending
 	t.pending = nil
 	t.joinMu.Unlock()
-	if len(pend) == 0 {
-		return nil
-	}
 	var parked []pendingJoin
 	for _, pj := range pend {
 		if pj.spec.JoinAt > t.step {
 			parked = append(parked, pj)
 			continue
 		}
-		if err := t.admitOne(pj); err != nil {
-			// The joiner was told why (RejectJoin) and its connection is
-			// closed; the run itself continues over the current members.
-			continue
+		// A joiner that is not admitted was told why (RejectJoin) and its
+		// connection is closed; the run itself continues over the current
+		// members.
+		if t.admitOne(pj) == nil {
+			t.ctlTrack().Instant(trace.NameJoin, -1, -1, 0)
 		}
 	}
 	if len(parked) > 0 {
@@ -143,13 +133,11 @@ func (t *Trainer) admitJoins() error {
 		t.pending = append(parked, t.pending...)
 		t.joinMu.Unlock()
 	}
-	return nil
 }
 
 // admitOne admits a single parked joiner end to end: capability check,
-// Welcome, handoff, group growth. On any failure the connection is
-// closed and an error returned; the caller decides whether the run
-// cares.
+// Welcome, handoff, activation. On any failure the connection is closed
+// and an error returned; the caller decides whether the run cares.
 func (t *Trainer) admitOne(pj pendingJoin) error {
 	reject := func(format string, args ...any) error {
 		err := fmt.Errorf(format, args...)
@@ -158,10 +146,6 @@ func (t *Trainer) admitOne(pj pendingJoin) error {
 		cancel()
 		pj.conn.Close()
 		return fmt.Errorf("core: rejecting joiner: %w", err)
-	}
-	adm, ok := t.eng.(admitter)
-	if !ok {
-		return reject("engine %q cannot grow its replica group", t.eng.Name())
 	}
 	if pj.spec.Stages != t.clock.P {
 		return reject("joiner has %d stages, leader has %d", pj.spec.Stages, t.clock.P)
@@ -172,12 +156,17 @@ func (t *Trainer) admitOne(pj pendingJoin) error {
 	if pj.spec.T2 != (t.delta != nil) {
 		return reject("joiner T2 %t, leader T2 %t", pj.spec.T2, t.delta != nil)
 	}
-	newR := len(t.followers) + 1 // the joiner's replica index
-	if newR+1 > t.clock.N {
-		return reject("%d replicas would exceed the %d microbatches per minibatch", newR+1, t.clock.N)
+	pos := t.group.Replicas() // the joiner's group position: the tail
+	if pos+1 > t.clock.N {
+		return reject("%d replicas would exceed the %d microbatches per minibatch", pos+1, t.clock.N)
 	}
+	// The wire carries the position — a worker checks it against the
+	// replica count — while the leader knows the member by the stable id
+	// the group gives it when it is parked, which no earlier member ever
+	// held: its trace tracks and error text stay its own when the position
+	// it takes was someone else's before.
 	spec := transport.Spec{
-		Replica: newR, Replicas: newR + 1, Stages: t.clock.P,
+		Replica: pos, Replicas: pos + 1, Stages: t.clock.P,
 		Method: int(t.cfg.Method), T2: t.delta != nil, Sharded: t.sharded,
 		Step: t.step, Epoch: t.epoch,
 		// No state checksum: the joiner's initial state is irrelevant —
@@ -191,61 +180,39 @@ func (t *Trainer) admitOne(pj pendingJoin) error {
 	cancel()
 	if err != nil {
 		pj.conn.Close()
-		return fmt.Errorf("core: welcoming joiner as replica %d: %w", newR, err)
+		return fmt.Errorf("core: %w", err)
 	}
 	m.SetTracer(t.cfg.Trace)
 	if t.cfg.StragglerMisses > 0 {
 		m.SetStragglerDeadline(t.cfg.StragglerDeadline, t.cfg.StragglerMisses)
 	}
-	if err := t.handoffAndAdmit(adm, m, newR); err != nil {
+	id, err := t.group.Park(m)
+	if err != nil {
 		m.Close()
 		return err
 	}
-	t.ctlTrack().Instant(trace.NameJoin, -1, -1, 0)
-	return nil
+	return t.admit(id)
 }
 
-// handoffAndAdmit performs the timed live state handoff to an admitted
-// member and grows the engine's replica group (which appends the member
-// to the followers and rebuilds the commit plan through replica.Joiner).
-// Shared by fresh joins and standby rejoins.
-func (t *Trainer) handoffAndAdmit(adm admitter, m replica.Member, r int) error {
+// admit performs the timed live state handoff to standby id — a parked
+// joiner or a drained straggler — and applies the boundary's one
+// membership transition: into the active group when the handoff
+// succeeded (growing the reduce tree and commit plan by one), out of the
+// run, closed, when it did not.
+func (t *Trainer) admit(id int) error {
 	start := time.Now()
 	t0 := t.cfg.Trace.Now()
-	if err := t.syncMember(m, r); err != nil {
-		return fmt.Errorf("core: handoff to replica %d: %w", r, err)
+	to := replica.Active
+	err := t.group.Handoff(id, t.store.History)
+	if err != nil {
+		err = fmt.Errorf("core: handoff: %w", err)
+		to = replica.Gone
+	} else {
+		t.ctlTrack().Span(trace.NameHandoff, t0, -1, -1, 0)
+		t.handoffNs += time.Since(start).Nanoseconds()
 	}
-	t.ctlTrack().Span(trace.NameHandoff, t0, -1, -1, 0)
-	t.handoffNs += time.Since(start).Nanoseconds()
-	if err := adm.Admit(m); err != nil {
-		return fmt.Errorf("core: admitting replica %d: %w", r, err)
-	}
-	t.joins++
-	return nil
-}
-
-// rejoinStandbys readmits demoted stragglers whose late replies have
-// drained, through the same handoff path a fresh joiner takes: their
-// state is stale by however many steps they sat out, so everything is
-// re-pushed. A standby that fails its handoff is closed and dropped.
-func (t *Trainer) rejoinStandbys() error {
-	adm, ok := t.eng.(admitter)
-	if !ok {
-		return nil
-	}
-	for _, m := range adm.TakeReadyStandbys() {
-		if sb, ok := m.(replica.Standby); ok {
-			sb.Rearm()
-		}
-		if err := t.handoffAndAdmit(adm, m, len(t.followers)+1); err != nil {
-			if cl, ok := m.(io.Closer); ok {
-				cl.Close()
-			}
-			continue
-		}
-		t.ctlTrack().Instant(trace.NameRejoin, -1, -1, 0)
-	}
-	return nil
+	t.group.Transition(id, to)
+	return err
 }
 
 // ElasticStats reports the elastic-membership counters: members
@@ -253,8 +220,8 @@ func (t *Trainer) rejoinStandbys() error {
 // demoted to standby, and the cumulative wall time spent in state
 // handoffs.
 func (t *Trainer) ElasticStats() (joins, demotions int, handoffNs int64) {
-	if es, ok := t.eng.(interface{ ElasticStats() (int, int) }); ok {
-		_, demotions = es.ElasticStats()
+	if t.group != nil {
+		joins, demotions, _ = t.group.Stats()
 	}
-	return t.joins, demotions, t.handoffNs
+	return joins, demotions, t.handoffNs
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,7 +38,7 @@ func fuzzTrainer(f testing.TB) *Trainer {
 // train.
 func FuzzRestoreFrom(f *testing.F) {
 	seedTr := fuzzTrainer(f)
-	seedTr.TrainEpochs(1, nil)
+	seedTr.Run(context.Background(), 1)
 	path, err := seedTr.WriteCheckpoint(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -62,7 +63,7 @@ func FuzzRestoreFrom(f *testing.F) {
 		tr := fuzzTrainer(t)
 		if err := tr.RestoreFrom(p); err != nil {
 			// A rejected restore must leave the trainer trainable.
-			tr.TrainEpochs(1, nil)
+			tr.Run(context.Background(), 1)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"pipemare/internal/core"
@@ -29,7 +30,7 @@ func TestGPipeTrainerTrainsRealModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := tr.TrainEpochs(12, nil)
+	run, _ := tr.Run(context.Background(), 12)
 	if run.Diverged {
 		t.Fatal("GPipe diverged")
 	}
@@ -55,7 +56,7 @@ func TestPipeMareT1TrainsRealModelAtFineGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := tr.TrainEpochs(15, nil)
+	run, _ := tr.Run(context.Background(), 15)
 	if run.Diverged {
 		t.Fatal("PipeMare with T1 diverged")
 	}
@@ -79,7 +80,7 @@ func TestDivergenceIsDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := tr.TrainEpochs(5, &metrics.Run{})
+	run, _ := tr.RunInto(context.Background(), 5, &metrics.Run{})
 	if !run.Diverged || !tr.Diverged() {
 		t.Fatal("divergence must be detected and recorded")
 	}

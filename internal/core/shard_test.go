@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"pipemare/internal/engine"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
+	"pipemare/internal/replica"
 )
 
 // repTask is a minimal Replicable task for exercising the replica-sharded
@@ -42,6 +44,30 @@ func repParams(t *repTask) []*nn.Param {
 	return ps
 }
 
+// captureFollowers returns a Config.Followers factory that builds the
+// in-process followers New would have built itself, recording each
+// follower trainer in out — the replica group keeps its members to itself.
+func captureFollowers(task Replicable, out *[]*Trainer) func(int, ReplicaEnv) (replica.Member, error) {
+	return func(r int, env ReplicaEnv) (replica.Member, error) {
+		f, err := env.Leader.(host).t.newFollower(task, r)
+		if err != nil {
+			return nil, err
+		}
+		*out = append(*out, f)
+		return host{f}, nil
+	}
+}
+
+// stageShard maps replica r's stage shard under the initial R-way commit
+// plan to its optimizer parameter range.
+func stageShard(tr *Trainer, replicas, r int) optim.Shard {
+	lo, hi := engine.NewCommitPlan(tr.Stages(), replicas).Shard(r)
+	if lo == hi {
+		return optim.Shard{}
+	}
+	return optim.Shard{Lo: tr.stageLo[lo], Hi: tr.stageHi[hi-1]}
+}
+
 // TestFollowersHoldOnlyTheirOptimizerShard pins the memory half of the
 // sharded commit: under the (auto-enabled) sharded step, follower r's
 // optimizer holds moment state exactly for the parameter range of its
@@ -50,8 +76,10 @@ func repParams(t *repTask) []*nn.Param {
 func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 	const groups, stages, replicas = 10, 5, 3
 	task := newRepTask(groups, 64)
+	var followers []*Trainer
 	tr, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), Config{
 		Stages: stages, BatchSize: 16, MicrobatchSize: 4, Replicas: replicas, Seed: 1,
+		Followers: captureFollowers(task, &followers),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +93,10 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 			covered[i]++
 		}
 	}
-	markShard(tr.shardOf(0)) // the leader's own shard
-	for r, m := range tr.followers {
-		f := m.(host).t
+	markShard(stageShard(tr, replicas, 0)) // the leader's own shard
+	for r, f := range followers {
 		got := f.opt.(interface{ StateRange() optim.Shard }).StateRange()
-		want := tr.shardOf(r + 1)
+		want := stageShard(tr, replicas, r+1)
 		if got != want {
 			t.Fatalf("follower %d holds state for %+v, want its stage shard's params %+v", r+1, got, want)
 		}
@@ -84,14 +111,15 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 	// More replicas than stages: the surplus replicas own nothing and
 	// hold no state.
 	task2 := newRepTask(4, 64)
-	tr2, err := New(task2, optim.NewSGD(repParams(task2), 0.9, 0), optim.Constant(0.1), Config{
+	var followers2 []*Trainer
+	if _, err := New(task2, optim.NewSGD(repParams(task2), 0.9, 0), optim.Constant(0.1), Config{
 		Stages: 2, BatchSize: 16, MicrobatchSize: 4, Replicas: 4, Seed: 1,
-	})
-	if err != nil {
+		Followers: captureFollowers(task2, &followers2),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for r := 2; r <= 3; r++ {
-		if sh := tr2.followers[r-1].(host).t.opt.(interface{ StateRange() optim.Shard }).StateRange(); sh.Len() != 0 {
+		if sh := followers2[r-1].opt.(interface{ StateRange() optim.Shard }).StateRange(); sh.Len() != 0 {
 			t.Fatalf("surplus replica %d holds state for %+v, want nothing", r, sh)
 		}
 	}
@@ -101,9 +129,10 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 // followers never step, so they hold no moment state at all.
 func TestShardedStepOffKeepsFollowersStateless(t *testing.T) {
 	task := newRepTask(6, 64)
+	var followers []*Trainer
 	tr, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), Config{
 		Stages: 3, BatchSize: 16, MicrobatchSize: 4, Replicas: 2, Seed: 1,
-		ShardedStep: ShardedStepOff,
+		ShardedStep: ShardedStepOff, Followers: captureFollowers(task, &followers),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +140,7 @@ func TestShardedStepOffKeepsFollowersStateless(t *testing.T) {
 	if tr.ShardedStep() {
 		t.Fatal("ShardedStepOff did not disable sharding")
 	}
-	f := tr.followers[0].(host).t
-	if sh := f.opt.(interface{ StateRange() optim.Shard }).StateRange(); sh.Len() != 0 {
+	if sh := followers[0].opt.(interface{ StateRange() optim.Shard }).StateRange(); sh.Len() != 0 {
 		t.Fatalf("leader-serial follower holds moment state %+v, want none", sh)
 	}
 }

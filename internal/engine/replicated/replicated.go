@@ -1,9 +1,13 @@
 // Package replicated implements the multi-replica data-parallel execution
-// engine: R pipeline replicas — the leader trainer plus the follower
-// trainers it owns (Config.Replicas, pipemare.WithReplicas) — each run a
-// contiguous share of every minibatch's microbatches through their own
-// inner engine (Reference or the concurrent stage-worker engine, so
-// pipeline overlap composes with replication), concurrently. One shared
+// engine: R pipeline replicas — the active members of the leader
+// trainer's replica.Group (Config.Replicas, pipemare.WithReplicas) —
+// each run a contiguous share of every minibatch's microbatches through
+// their own inner engine (Reference or the concurrent stage-worker
+// engine, so pipeline overlap composes with replication), concurrently.
+// The group says who the members are, runs their chunks and collectives,
+// and applies membership changes; this package is the engine.Engine over
+// it: the per-Run lifecycle, one minibatch attempt, and the recovery loop
+// that turns a replica.MemberError into one Group.Transition. One shared
 // optimizer step commits after a deterministic tree all-reduce of the
 // followers' per-microbatch gradients: leader-serial with a full-state
 // broadcast when the sharded step is off, or — the default for R > 1 —
@@ -25,9 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 	"time"
 
 	"pipemare/internal/engine"
@@ -36,29 +38,23 @@ import (
 )
 
 // Engine is the replicated data-parallel engine. It implements
-// engine.Engine, engine.Lifecycle and replica.Aware. When its host is not
-// a replica leader (or leads a single replica), it degenerates to its
-// inner engine. An Engine instance must not be shared by concurrently
-// running trainers.
+// engine.Engine, engine.Lifecycle and replica.Aware. It keeps no
+// membership of its own: the host's replica.Group says who is in the run
+// and holds each in-process member's inner engine; this engine drives one
+// minibatch attempt at a time over it and owns the recovery loop. When
+// its host leads no group (a single replica), it degenerates to its inner
+// engine. An Engine instance must not be shared by concurrently running
+// trainers.
 type Engine struct {
 	inner func() engine.Engine
 	name  string
 
 	h       engine.Host
-	group   *replica.Group
-	engines []engine.Engine
+	group   *replica.Group // the host's group; nil in the degenerate case
+	solo    engine.Engine  // the degenerate case's inner engine
 	running bool
 
-	evictions  int   // members evicted over the engine's lifetime
-	recoveryNs int64 // wall time spent recovering from those failures
-	joins      int   // members admitted mid-run (joins and standby rejoins)
-	demotions  int   // stragglers demoted to standby
-
-	// standbys holds demoted stragglers: alive, out of the group, each
-	// draining its late in-flight reply. The list survives Stop — a
-	// standby's connection outlives the run that demoted it — and is
-	// released only by CloseStandbys (Trainer.Close) or readmission.
-	standbys []replica.Member
+	recoveryNs int64 // wall time spent recovering from member failures
 
 	// ctl is the leader's control track (nil when tracing is off).
 	// Eviction and replay instants are emitted from Minibatch, which runs
@@ -92,8 +88,8 @@ func (e *Engine) Name() string { return e.name }
 // DrivesReplicas marks the engine replica-aware (replica.Aware).
 func (e *Engine) DrivesReplicas() {}
 
-// Start builds the replica group for the host and starts one inner engine
-// per replica.
+// Start borrows the host's replica group and starts one inner engine per
+// in-process member.
 func (e *Engine) Start(h engine.Host) {
 	if e.running {
 		if e.h == h {
@@ -101,51 +97,38 @@ func (e *Engine) Start(h engine.Host) {
 		}
 		e.Stop()
 	}
-	e.h = h
+	e.h, e.group = h, nil
 	rec, rep := trace.FromCarrier(h)
 	e.ctl = rec.Track(rep, trace.TidControl, "control")
-	lead, ok := h.(replica.Leader)
-	r := 1
-	if ok {
-		r = lead.Replicas()
+	if lead, ok := h.(replica.Leader); ok {
+		e.group = lead.Group()
 	}
-	if r == 1 {
+	if e.group != nil {
+		e.group.Start(e.inner)
+	} else {
 		// Degenerate single-replica case: the inner engine drives the host
 		// directly, commit included.
-		e.group = nil
-		e.engines = []engine.Engine{e.inner()}
-		if lc, ok := e.engines[0].(engine.Lifecycle); ok {
+		e.solo = e.inner()
+		if lc, ok := e.solo.(engine.Lifecycle); ok {
 			lc.Start(h)
-		}
-	} else {
-		e.group = replica.NewGroup(lead)
-		e.engines = make([]engine.Engine, r)
-		for i := range e.engines {
-			// Remote members run their chunks through the inner engine of
-			// their own worker process; no local engine drives them.
-			if c, ok := e.group.Member(i).(*replica.Compute); ok && c.Remote() {
-				continue
-			}
-			e.engines[i] = e.inner()
-			if lc, ok := e.engines[i].(engine.Lifecycle); ok {
-				lc.Start(e.group.Member(i))
-			}
 		}
 	}
 	e.running = true
 }
 
-// Stop stops the inner engines and releases the replica group.
+// Stop stops the inner engines. The group itself — and any standby parked
+// in it — belongs to the trainer and outlives the run; the engine keeps
+// its pointer only so FaultStats still answers after the run.
 func (e *Engine) Stop() {
 	if !e.running {
 		return
 	}
-	for _, in := range e.engines {
-		if lc, ok := in.(engine.Lifecycle); ok {
-			lc.Stop()
-		}
+	if e.group != nil {
+		e.group.Stop()
+	} else if lc, ok := e.solo.(engine.Lifecycle); ok {
+		lc.Stop()
 	}
-	e.engines, e.group, e.h, e.ctl = nil, nil, nil, nil
+	e.solo, e.h, e.ctl = nil, nil, nil
 	e.running = false
 }
 
@@ -155,53 +138,42 @@ func (e *Engine) Stop() {
 // optimizer step through the group — leader-serial + broadcast, or the
 // replica-sharded owner protocol when the leader enables it.
 //
-// A fatal but evictable member failure (replica.MemberError — a dead
-// remote follower under the serial commit, or any commit mode when the
-// leader trains fault-tolerantly) does not abort the run: the member is
-// evicted, the group re-chunks over the survivors, and the interrupted
-// minibatch replays when its result was lost with the member. The
-// replayed minibatch — and the whole curve after it — is bit-identical
-// to a fresh (R−1)-replica run from the same state, because per-
-// minibatch results are replica-count-invariant (package replica).
+// A member failure the run can survive (replica.MemberError — a dead or
+// straggling remote follower under the serial commit, or any commit mode
+// when the leader trains fault-tolerantly) does not abort it: the group
+// takes the member out — closed and gone when it died, parked as a
+// standby with its connection open when it was merely slow, to rejoin
+// through the trainer's boundary hook once its late reply drains — and
+// the interrupted minibatch replays when its result was lost with the
+// member. The replayed minibatch — and the whole curve after it — is
+// bit-identical to a fresh (R−1)-replica run from the same state, because
+// per-minibatch results are replica-count-invariant (package replica).
 func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
 	if !e.running || e.h != h {
 		e.Start(h)
 	}
 	if e.group == nil {
-		return e.engines[0].Minibatch(ctx, h, micros)
+		return e.solo.Minibatch(ctx, h, micros)
 	}
 	var recoverStart time.Time
 	for {
 		loss, err := e.runOnce(ctx, micros)
-		if err == nil && !recoverStart.IsZero() {
-			e.recoveryNs += time.Since(recoverStart).Nanoseconds()
-		}
-		var se *replica.StragglerError
-		if errors.As(err, &se) {
-			// The member is alive but too slow: demote it to standby —
-			// same group surgery as eviction, but the connection stays
-			// open and the member drains its late reply so it can rejoin
-			// through the admission path once it catches up.
-			if recoverStart.IsZero() {
-				recoverStart = time.Now()
-			}
-			e.demotions++
-			e.ctl.Instant(trace.NameDemote, -1, -1, 0)
-			e.demote(se.Replica)
-			e.group.ResetGrads()
-			e.ctl.Instant(trace.NameReplay, -1, -1, 0)
-			continue
-		}
 		var me *replica.MemberError
 		if !errors.As(err, &me) {
+			if err == nil && !recoverStart.IsZero() {
+				e.recoveryNs += time.Since(recoverStart).Nanoseconds()
+			}
 			return loss, err
 		}
 		if recoverStart.IsZero() {
 			recoverStart = time.Now()
 		}
-		e.evictions++
-		e.ctl.Instant(trace.NameEvict, -1, -1, 0)
-		e.evict(me.Replica)
+		if me.To == replica.Standby {
+			e.ctl.Instant(trace.NameDemote, -1, -1, 0)
+		} else {
+			e.ctl.Instant(trace.NameEvict, -1, -1, 0)
+		}
+		e.group.Transition(me.ID, me.To)
 		if !me.Replay {
 			// The commit completed before the failure surfaced (serial
 			// commit: the leader stepped and every survivor synced
@@ -216,76 +188,12 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 
 // runOnce drives one attempt at the minibatch over the current group.
 func (e *Engine) runOnce(ctx context.Context, micros [][]int) (float64, error) {
-	chunks := e.group.Begin(ctx, micros)
-	r := e.group.Replicas()
-	errs := make([]error, r)
-	var wg sync.WaitGroup
-	wg.Add(r)
-	for i := 0; i < r; i++ {
-		i := i
-		go func() {
-			defer wg.Done()
-			host := e.group.Member(i)
-			if c, ok := host.(*replica.Compute); ok && c.Remote() {
-				// Remote replica: ship the chunk; the worker's inner engine
-				// drives the pipeline and returns losses + gradient exports.
-				errs[i] = c.Run(ctx, chunks[i])
-				return
-			}
-			_, errs[i] = e.engines[i].Minibatch(ctx, host, chunks[i])
-		}()
-	}
-	wg.Wait()
-
-	// Every replica has drained and restored its master weights (the
-	// inner-engine contract); follower stage accumulators are clean
-	// because every follower backward slot exports-and-zeroes. A
-	// divergence anywhere matches the serial run — the bad microbatch's
-	// loss is computed from identical weights and samples there too — and
-	// the leader's partial accumulation is dropped by the trainer. A
-	// member failure is only evictable when no other member failed
-	// non-evictably (a cancel or leader failure always aborts).
-	var ctxErr error
-	var straggleErr error
-	evictPos, stragglePos := -1, -1
-	for i, err := range errs {
-		switch {
-		case errors.Is(err, engine.ErrDiverged):
-			return math.Inf(1), engine.ErrDiverged
-		case err != nil && errors.Is(err, replica.ErrStraggler) && e.group.CanEvict(i, err):
-			// Demotable, not evictable: the member did not latch a fault
-			// — its late reply is still in flight. The eligibility
-			// conditions are eviction's (never the leader, never without
-			// fault tolerance under a sharded commit), because a demoted
-			// member leaves the commit plan exactly like an evicted one.
-			if stragglePos < 0 {
-				stragglePos, straggleErr = i, err
-			}
-		case err != nil && e.group.CanEvict(i, err):
-			if evictPos < 0 {
-				evictPos = i
-			}
-		case err != nil && ctxErr == nil:
-			ctxErr = err
+	if err := e.group.RunChunks(ctx, micros); err != nil {
+		if errors.Is(err, engine.ErrDiverged) {
+			return math.Inf(1), err
 		}
+		return 0, err
 	}
-	if ctxErr != nil {
-		return 0, ctxErr
-	}
-	if stragglePos >= 0 {
-		// Demotions are handled one per attempt: a second straggler's
-		// RunChunk fails fast (ErrStraggler again, no I/O — the drain
-		// guard) on the replay and demotes then. A concurrent evictable
-		// fatal likewise resurfaces on the replay through its sticky
-		// error and evicts then.
-		return 0, &replica.StragglerError{Replica: stragglePos, Err: straggleErr}
-	}
-	if evictPos >= 0 {
-		// The member died with its chunk: its losses and gradient exports
-		// are gone, so the whole minibatch replays after eviction.
-		return 0, &replica.MemberError{Replica: evictPos, Replay: true, Err: errs[evictPos]}
-	}
-
 	e.group.Reduce()
 	loss := e.group.LossSum() / float64(len(micros))
 	if err := e.group.Commit(len(micros)); err != nil {
@@ -294,108 +202,13 @@ func (e *Engine) runOnce(ctx context.Context, micros [][]int) (float64, error) {
 	return loss, nil
 }
 
-// evict removes group member pos: its local inner engine (if any) stops,
-// and the group closes the member, re-chunks, and rebuilds the leader's
-// commit plan over the survivors.
-func (e *Engine) evict(pos int) {
-	if in := e.engines[pos]; in != nil {
-		if lc, ok := in.(engine.Lifecycle); ok {
-			lc.Stop()
-		}
-	}
-	e.engines = append(e.engines[:pos], e.engines[pos+1:]...)
-	e.group.Evict(pos)
-}
-
-// FaultStats reports how many members this engine has evicted and the
-// cumulative wall time spent recovering (eviction, gradient reset, and
-// minibatch replays until training resumed).
+// FaultStats reports how many members the group this engine last drove
+// has evicted and the cumulative wall time this engine spent recovering
+// (the transition, gradient reset, and minibatch replays until training
+// resumed).
 func (e *Engine) FaultStats() (evictions int, recoveryNs int64) {
-	return e.evictions, e.recoveryNs
-}
-
-// ElasticStats reports how many members this engine has admitted mid-run
-// (joins plus standby rejoins) and how many stragglers it has demoted.
-func (e *Engine) ElasticStats() (joins, demotions int) {
-	return e.joins, e.demotions
-}
-
-// demote moves group member pos to the standby pool: same splice as
-// evict, but the member is not closed — it keeps draining its late
-// reply and can rejoin via Admit once Ready.
-func (e *Engine) demote(pos int) {
-	m, ok := e.group.Demote(pos)
-	if !ok {
-		return
+	if e.group != nil {
+		_, _, evictions = e.group.Stats()
 	}
-	if in := e.engines[pos]; in != nil {
-		if lc, ok := in.(engine.Lifecycle); ok {
-			lc.Stop()
-		}
-	}
-	e.engines = append(e.engines[:pos], e.engines[pos+1:]...)
-	e.standbys = append(e.standbys, m)
-}
-
-// Admit grows the running group by one member at a minibatch boundary.
-// The member must already hold the leader's full state (the trainer
-// performs the handoff first) and must run its chunks out of process
-// (replica.Runner) — no local inner engine drives it. The trainer calls
-// Admit between minibatches, on the run goroutine, so no collective is
-// in flight.
-func (e *Engine) Admit(m replica.Member) error {
-	if !e.running || e.group == nil {
-		return errors.New("replicated: admit: no running replica group")
-	}
-	if _, ok := m.(replica.Runner); !ok {
-		return fmt.Errorf("replicated: admit: member %T cannot run chunks remotely", m)
-	}
-	e.engines = append(e.engines, nil)
-	e.group.Admit(m)
-	e.joins++
-	return nil
-}
-
-// TakeReadyStandbys removes and returns the demoted members that have
-// finished draining and can rejoin. Standbys whose drain failed are
-// closed and dropped — their connection is broken, so readmission is
-// impossible.
-func (e *Engine) TakeReadyStandbys() []replica.Member {
-	var ready []replica.Member
-	kept := e.standbys[:0]
-	for _, m := range e.standbys {
-		if er, ok := m.(replica.Erring); ok && er.Err() != nil {
-			if cl, ok := m.(io.Closer); ok {
-				cl.Close()
-			}
-			continue
-		}
-		if sb, ok := m.(replica.Standby); ok && sb.Ready() {
-			ready = append(ready, m)
-			continue
-		}
-		kept = append(kept, m)
-	}
-	e.standbys = kept
-	if len(kept) == 0 {
-		e.standbys = nil
-	}
-	return ready
-}
-
-// CloseStandbys closes every parked standby — the demoted members no
-// longer reachable through the leader's follower list. Trainer.Close
-// calls it so a run that ends with members still in standby leaks no
-// connections.
-func (e *Engine) CloseStandbys() error {
-	var errs []error
-	for _, m := range e.standbys {
-		if cl, ok := m.(io.Closer); ok {
-			if err := cl.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	e.standbys = nil
-	return errors.Join(errs...)
+	return evictions, e.recoveryNs
 }

@@ -118,17 +118,26 @@ func (m *stubMember) SyncFromLeader() {
 	m.synced++
 }
 
-// stubLeader owns one follower and enables the sharded commit, so the
-// cancellation test exercises the sharded protocol's gate.
+// stubLeader leads a group of itself and one follower under the sharded
+// commit, so the cancellation test exercises the sharded protocol's gate.
 type stubLeader struct {
 	*stubMember
 	follower *stubMember
+	group    *replica.Group
 }
 
-func (l *stubLeader) Replicas() int                   { return 2 }
-func (l *stubLeader) Follower(int) replica.Member     { return l.follower }
-func (l *stubLeader) ShardedStep() bool               { return true }
-func (l *stubLeader) CommitShards() engine.CommitPlan { return engine.NewCommitPlan(l.p, 2) }
+func newStubLeader(t *testing.T, p int) *stubLeader {
+	t.Helper()
+	l := &stubLeader{stubMember: &stubMember{p: p}, follower: &stubMember{p: p}}
+	g, err := replica.NewGroup(l.stubMember, []replica.Member{l.follower}, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.group = g
+	return l
+}
+
+func (l *stubLeader) Group() *replica.Group { return l.group }
 
 var _ replica.Leader = (*stubLeader)(nil)
 
@@ -150,7 +159,7 @@ func (b blockingEngine) Minibatch(ctx context.Context, h engine.Host, micros [][
 // returns, the fan-in completes, and neither the tree reduce's commit nor
 // the sharded gather runs — instead of deadlocking the followers.
 func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
-	lead := &stubLeader{stubMember: &stubMember{p: 2}, follower: &stubMember{p: 2}}
+	lead := newStubLeader(t, 2)
 	entered := make(chan struct{})
 	calls := 0
 	e := replicated.New(replicated.WithInner(func() engine.Engine {

@@ -36,11 +36,25 @@
 //
 // The fold order is therefore a pure left fold over microbatches 0..N−1
 // regardless of R or tree shape — exactly the serial engine's order.
+//
+// # Members and membership
+//
+// The package also owns what a replica member is and who is in the run.
+// Member is the small contract every replica honours wherever it lives;
+// a member is then either Local (its pipeline runs in this process,
+// through a Compute wrapper and an inner engine) or Remote (it sits
+// behind a connection and can therefore fail, straggle, stand by and
+// leave). Group holds the one membership table — a record per member
+// with a stable id — and Group.Transition is the one operation that
+// changes it: eviction, demotion, join and rejoin are its edges
+// (membership.go).
 package replica
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"pipemare/internal/engine"
@@ -48,23 +62,27 @@ import (
 	"pipemare/internal/trace"
 )
 
-// Member is one replica's trainer-side surface: the engine.Host that
-// drives its pipeline plus the gradient/weight/state exchange operations
-// the replica layer needs. It is implemented by internal/core.Trainer's
-// host.
+// Member is what the group asks of every replica, wherever it runs — the
+// eleven operations the wire protocol carries (internal/transport): the
+// scatter and gather halves of the sharded commit, the five commit
+// phases, and the two leader-originated syncs. internal/core's host
+// implements it in process and transport.RemoteMember over a connection;
+// nothing here drives a pipeline slot, so a remote member has no slot
+// methods to refuse.
 type Member interface {
-	engine.Host
-	// TakeStageGrads moves the stage's accumulated parameter gradients
-	// into bufs (allocating buffers when bufs is nil) and zeroes the
-	// stage's accumulators. It must only be called from the goroutine
-	// that owns the stage's slots.
-	TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor
-	// FoldStageGrads adds previously exported buffers into the stage's
-	// accumulators with exactly one add per element.
-	FoldStageGrads(stage int, bufs []*tensor.Tensor)
+	// Stages returns P, the number of pipeline stages.
+	Stages() int
 	// SetStageGrads overwrites the stage's gradient accumulators with
 	// bufs (a pure copy) — the scatter half of the sharded commit.
 	SetStageGrads(stage int, bufs []*tensor.Tensor)
+	// PrepareStage, ScaleStage, BeginStep, StepStage and FinishStage are
+	// the commit phases of engine.Host, run by a stage's owner against its
+	// own parameter copies and optimizer state.
+	PrepareStage(stage, nMicro int) float64
+	ScaleStage(stage int, scale float64)
+	BeginStep()
+	StepStage(stage int)
+	FinishStage(stage int)
 	// StageState returns the stage's live post-step state tensors
 	// (masters, then T2 δ and corrected when enabled) in a fixed layout;
 	// the returned tensors are read-only for the gather.
@@ -84,24 +102,67 @@ type Member interface {
 	SyncFromLeader()
 }
 
-// Leader extends Member for the replica that owns the followers (the
-// trainer the user built with WithReplicas(R)).
-type Leader interface {
+// Local is a member whose pipeline lives in this process: the
+// engine.Host an inner engine drives through a Compute wrapper, plus the
+// two gradient moves that never cross the wire. internal/core's host is
+// the implementation — for the leader, for in-process followers, and for
+// the follower a worker process serves.
+type Local interface {
 	Member
-	// Replicas returns the total replica count R (1 when replication is
-	// off).
-	Replicas() int
-	// Follower returns follower r's member surface, 1 ≤ r < Replicas().
-	Follower(r int) Member
-	// ShardedStep reports whether the optimizer commit is sharded across
-	// the replicas (the ZeRO-style owner protocol) instead of running
-	// leader-serial with a full broadcast.
-	ShardedStep() bool
-	// CommitShards returns the stage→replica owner plan of the sharded
-	// commit — the same plan the leader allocated its followers' optimizer
-	// moment shards from, so commit ownership and state ownership cannot
-	// drift apart.
-	CommitShards() engine.CommitPlan
+	engine.Host
+	// TakeStageGrads moves the stage's accumulated parameter gradients
+	// into bufs (allocating buffers when bufs is nil) and zeroes the
+	// stage's accumulators. It must only be called from the goroutine
+	// that owns the stage's slots.
+	TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor
+	// FoldStageGrads adds previously exported buffers into the stage's
+	// accumulators with exactly one add per element.
+	FoldStageGrads(stage int, bufs []*tensor.Tensor)
+}
+
+// Remote is a member hosted behind a connection
+// (transport.RemoteMember). Its chunk runs out of process: the group
+// ships it in one RunChunk call — the worker drives it through its own
+// inner engine — and gets back exactly the losses and per-(microbatch,
+// stage) gradient exports a local follower's Compute would have
+// captured. Its collectives block on I/O, so BindContext binds each
+// minibatch's context to them; its failures are sticky — the first
+// transport error latches, every later operation fails fast, and Err
+// reports it after each collective phase; and it can sit out of the
+// group as a standby: Ready reports that a demoted member's late
+// in-flight reply has drained, Rearm resets its straggler accounting
+// before readmission. SetID tells the proxy the stable id the group gave
+// its record, once, as the record enters the table — the label of its
+// wire track and error text. Only a Remote can leave the group (see
+// Group.Transition): an in-process member has no clean failure point.
+type Remote interface {
+	Member
+	io.Closer
+	SetID(id int)
+	RunChunk(ctx context.Context, start int, async bool, micros [][]int) (losses []float64, grads [][][]*tensor.Tensor, err error)
+	BindContext(ctx context.Context)
+	Err() error
+	Ready() bool
+	Rearm()
+}
+
+// VersionRestorer is implemented by members that can replace a stage's
+// weight-version ring wholesale — the checkpoint-restore and handoff
+// surface. base is the ring's oldest version number; snaps are the
+// versions oldest to newest. Restoring the ring (not just the latest
+// weights) keeps historical-version installs after a resume bit-identical
+// to the checkpointed run's.
+type VersionRestorer interface {
+	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
+}
+
+// Leader is the host of a trainer that leads a replica group — what a
+// replicated engine looks for on the engine.Host it is started with.
+type Leader interface {
+	Local
+	// Group returns the trainer's replica group, nil when it trains a
+	// single replica.
+	Group() *Group
 }
 
 // Aware marks execution engines that understand the replica surface and
@@ -112,78 +173,64 @@ type Aware interface {
 	DrivesReplicas()
 }
 
-// Runner is implemented by members whose microbatch chunk executes out
-// of process (transport.RemoteMember): the replicated engine ships the
-// whole chunk in one call — the worker drives it through its own inner
-// engine — instead of driving the member's pipeline slots locally. The
-// returned losses and per-(microbatch, stage) gradient exports are
-// exactly what a local follower's Compute wrapper would have captured.
-type Runner interface {
-	RunChunk(ctx context.Context, start int, async bool, micros [][]int) (losses []float64, grads [][][]*tensor.Tensor, err error)
-}
-
-// Erring is implemented by members whose collective operations can fail
-// after the fact — remote members latch the first transport error and
-// fail every later operation fast. Group checks it after each collective
-// phase, so an I/O failure surfaces as a wrapped error from Commit or
-// Broadcast instead of a hang or a corrupted step.
-type Erring interface {
-	Err() error
-}
-
-// ContextBinder is implemented by members whose collective operations
-// block on I/O: Group binds the minibatch context at Begin so a cancel
-// mid-collective unwinds every blocked read and write.
-type ContextBinder interface {
-	BindContext(ctx context.Context)
-}
-
 // Group coordinates one leader and its followers for a replicated
-// execution engine: it owns the per-replica compute wrappers, splits each
-// minibatch into contiguous per-replica chunks, and runs the reduce and
-// commit phases — either the leader-serial commit with a full-state
-// broadcast, or (when the leader reports ShardedStep) the replica-sharded
-// commit protocol of Commit.
+// execution engine, and is the one place that knows who is in the run: it
+// holds the membership table (membership.go), splits each minibatch into
+// contiguous per-replica chunks, runs every member's chunk, and runs the
+// reduce and commit phases — either the leader-serial commit with a
+// full-state broadcast, or the replica-sharded commit protocol of Commit.
+// A trainer builds its Group once and keeps it for life; the replicated
+// engine borrows it for each Run.
 type Group struct {
-	lead    Leader
-	members []*Compute        // members[0] wraps the leader
-	plan    engine.CommitPlan // stage→replica owners (sharded commit)
-	serial  engine.CommitPlan // single-owner plan (leader-serial commit)
-	sharded bool
-	ft      bool // leader trains fault-tolerantly (full moments everywhere)
+	lead Local
+	p    int
+
+	// members is the membership table. members[:active] are the active
+	// members in group position order — members[0] is the leader — and
+	// members[active:] are the standbys. Only Transition reorders it.
+	members []*member
+	active  int
+	nextID  int
+
+	plan      engine.CommitPlan // stage→position owners over the active members (sharded commit)
+	serial    engine.CommitPlan // single-owner plan (leader-serial commit)
+	shardable bool              // the trainer resolved the sharded commit on
+	sharded   bool              // shardable and more than one active member
+	ft        bool              // full moments everywhere: a sharded group may lose a member
+
+	inner func() engine.Engine // inner-engine factory; non-nil between Start and Stop
 
 	scatter [][]*tensor.Tensor // per-stage staging for the grad scatter
 	sumSqs  []float64          // per-stage clip-norm partials
 
-	// rec and ctracks carry the leader's trace recorder (nil when tracing
-	// is off). ctracks[i] is member i's collectives track: the orchestrator
-	// goroutine writes ctracks[0] (reduce, scatter, gather) and each
-	// eachMember/Broadcast goroutine writes only its own member's track,
-	// with the phases' WaitGroup barriers ordering the handoffs.
-	rec     *trace.Recorder
-	ctracks []*trace.Track
+	// rec is the leader's trace recorder (nil when tracing is off). Each
+	// member record carries its own collectives track: the orchestrator
+	// goroutine writes the leader's (reduce, scatter, gather) and each
+	// eachMember/Broadcast goroutine writes only its own member's, with
+	// the phases' WaitGroup barriers ordering the handoffs.
+	rec *trace.Recorder
+
+	joins, demotions, evictions int
 }
 
-// NewGroup builds the coordination group for a leader and its followers.
-func NewGroup(lead Leader) *Group {
-	r := lead.Replicas()
-	g := &Group{lead: lead, members: make([]*Compute, r)}
-	g.members[0] = newCompute(lead, true)
-	for i := 1; i < r; i++ {
-		g.members[i] = newCompute(lead.Follower(i), false)
-	}
-	g.plan = lead.CommitShards()
-	g.serial = engine.NewCommitPlan(lead.Stages(), 1)
-	g.sharded = r > 1 && lead.ShardedStep()
-	if ftl, ok := lead.(FaultTolerer); ok {
-		g.ft = ftl.FaultTolerant()
-	}
+// NewGroup builds the group for a leader and its initial followers, which
+// take ids and positions 1..len(followers). sharded is the trainer's
+// resolved commit mode; faultTolerant reports the mirrored-moment layout
+// that lets a sharded group survive losing an owner.
+func NewGroup(lead Local, followers []Member, sharded, faultTolerant bool) (*Group, error) {
+	p := lead.Stages()
+	g := &Group{lead: lead, p: p, shardable: sharded, ft: faultTolerant,
+		serial:  engine.NewCommitPlan(p, 1),
+		scatter: make([][]*tensor.Tensor, p), sumSqs: make([]float64, p)}
 	g.rec, _ = trace.FromCarrier(lead)
-	g.ctracks = make([]*trace.Track, r)
-	for i := range g.ctracks {
-		g.ctracks[i] = g.rec.Track(i, trace.TidCollectives, "collectives")
+	for _, m := range append([]Member{lead}, followers...) {
+		rec, err := g.enter(m)
+		if err != nil {
+			return nil, err
+		}
+		g.move(rec, Active)
 	}
-	return g
+	return g, nil
 }
 
 // tensorsBytes sums the payload size a tensor list moves (element count
@@ -196,52 +243,100 @@ func tensorsBytes(ts []*tensor.Tensor) int64 {
 	return n
 }
 
-// Replicas returns R.
-func (g *Group) Replicas() int { return len(g.members) }
+// Replicas returns R, the number of active members.
+func (g *Group) Replicas() int { return g.active }
 
-// Member returns replica r's compute wrapper — the engine.Host an inner
-// engine drives for that replica's share of a minibatch.
-func (g *Group) Member(r int) engine.Host { return g.members[r] }
+// Start gives every active in-process member its own inner engine from
+// the factory, started over the member's compute wrapper; members that
+// become active before Stop get one too.
+func (g *Group) Start(inner func() engine.Engine) {
+	g.inner = inner
+	for _, m := range g.members[:g.active] {
+		m.setEngine(inner)
+	}
+}
 
-// Begin prepares the group for one minibatch: it splits the N microbatch
+// Stop stops and releases the inner engines: Start with no factory.
+func (g *Group) Stop() { g.Start(nil) }
+
+// begin prepares the group for one minibatch: it splits the N microbatch
 // index sets into R contiguous, ordered chunks (sizes differing by at
 // most one), snapshots the leader's epoch phase (async) and microbatch
 // base, resets the per-replica loss and gradient staging, and binds ctx
 // into remote members so cancellation reaches their blocking I/O. It
 // returns the chunk for each replica.
-func (g *Group) Begin(ctx context.Context, micros [][]int) [][][]int {
-	r := len(g.members)
+func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
+	r := g.active
 	n := len(micros)
 	base := g.lead.MicroBase()
 	async := g.lead.Async()
 	chunks := make([][][]int, r)
 	lo := 0
-	for i := 0; i < r; i++ {
+	for i, m := range g.members[:r] {
 		sz := n / r
 		if i < n%r {
 			sz++
 		}
 		chunks[i] = micros[lo : lo+sz]
-		g.members[i].begin(base+lo, sz, async)
-		if cb, ok := g.members[i].member.(ContextBinder); ok {
-			cb.BindContext(ctx)
+		m.chunk.begin(base+lo, sz, async)
+		if m.remote != nil {
+			m.remote.BindContext(ctx)
 		}
 		lo += sz
 	}
 	return chunks
 }
 
-// Err returns the first latched member failure (replica I/O errors are
-// sticky), wrapped with the replica index, or nil.
-func (g *Group) Err() error {
-	for i, c := range g.members {
-		if e, ok := c.member.(Erring); ok {
-			if err := e.Err(); err != nil {
-				return fmt.Errorf("replica %d: %w", i, err)
+// RunChunks runs one attempt at the minibatch's compute phase: begin,
+// then every active member's chunk concurrently — in-process members
+// through their inner engine, remote members in one RunChunk round trip.
+//
+// When it returns nil every replica has drained and restored its master
+// weights (the inner-engine contract), and follower stage accumulators
+// are clean because every follower backward slot exports-and-zeroes. A
+// divergence anywhere matches the serial run — the bad microbatch's loss
+// is computed from identical weights and samples there too — and the
+// leader's partial accumulation is dropped by the trainer. A member
+// failure comes back as *MemberError only when no other member failed in
+// a way that aborts the run (a cancel or a leader failure always does).
+// A straggler outranks a dead member, and either is handled one per
+// attempt: the other resurfaces on the replay — a second straggler's
+// RunChunk fails fast while it drains, a dead member through its sticky
+// error. The member left with its chunk, so the replay flag is set.
+func (g *Group) RunChunks(ctx context.Context, micros [][]int) error {
+	chunks := g.begin(ctx, micros)
+	errs := make([]error, g.active)
+	var wg sync.WaitGroup
+	wg.Add(g.active)
+	for i, m := range g.members[:g.active] {
+		go func() {
+			defer wg.Done()
+			errs[i] = m.run(ctx, chunks[i])
+		}()
+	}
+	wg.Wait()
+	var fault *MemberError
+	var abort error
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, engine.ErrDiverged) {
+			return engine.ErrDiverged
+		}
+		var me *MemberError
+		if !errors.As(g.classify(g.members[i], err, true), &me) {
+			if abort == nil {
+				abort = err
 			}
+		} else if fault == nil || (me.To == Standby && fault.To != Standby) {
+			fault = me
 		}
 	}
-	return nil
+	if abort != nil || fault == nil {
+		return abort
+	}
+	return fault
 }
 
 // Reduce performs the deterministic tree all-reduce: a binary-tree gather
@@ -251,7 +346,7 @@ func (g *Group) Err() error {
 // are folded concurrently; within a stage the order is fixed, so the
 // result is bit-identical to serial single-replica accumulation.
 func (g *Group) Reduce() {
-	r := len(g.members)
+	r := g.active
 	t0 := g.rec.Now()
 	// Tree gather: at round d, member m (m ≡ 0 mod 2d) absorbs member
 	// m+d's ordered list. Chunks are contiguous, so concatenation in
@@ -260,7 +355,8 @@ func (g *Group) Reduce() {
 	for i := 1; i < r; i++ {
 		// Full-slice expression: appends during the gather must reallocate
 		// rather than scribble over the member's pooled staging entries.
-		lists[i] = g.members[i].grads[:g.members[i].n:g.members[i].n]
+		c := g.members[i].chunk
+		lists[i] = c.grads[:c.n:c.n]
 	}
 	for d := 1; d < r; d *= 2 {
 		for m := 0; m+d < r; m += 2 * d {
@@ -269,11 +365,9 @@ func (g *Group) Reduce() {
 		}
 	}
 	// Root fold, one goroutine per stage (stages touch disjoint params).
-	p := g.lead.Stages()
 	var wg sync.WaitGroup
-	wg.Add(p)
-	for st := 0; st < p; st++ {
-		st := st
+	wg.Add(g.p)
+	for st := 0; st < g.p; st++ {
 		go func() {
 			defer wg.Done()
 			for _, micro := range lists[0] {
@@ -289,7 +383,7 @@ func (g *Group) Reduce() {
 				bytes += tensorsBytes(stage)
 			}
 		}
-		g.ctracks[0].Span(trace.NameReduce, t0, -1, -1, bytes)
+		g.members[0].track.Span(trace.NameReduce, t0, -1, -1, bytes)
 	}
 }
 
@@ -298,35 +392,37 @@ func (g *Group) Reduce() {
 // leader's). It returns the first follower I/O failure.
 func (g *Group) Broadcast() error {
 	var wg sync.WaitGroup
-	for j, m := range g.members[1:] {
-		m, tk := m, g.ctracks[j+1]
+	for _, m := range g.members[1:g.active] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t0 := tk.Now()
-			m.member.SyncFromLeader()
-			tk.Span(trace.NameBroadcast, t0, -1, -1, 0)
+			t0 := m.track.Now()
+			m.SyncFromLeader()
+			m.track.Span(trace.NameBroadcast, t0, -1, -1, 0)
 		}()
 	}
 	wg.Wait()
-	return g.Err()
+	if m, err := g.firstFault(); m != nil {
+		return fmt.Errorf("replica %d: %w", m.id, err)
+	}
+	return nil
 }
 
 // Commit commits one shared optimizer step for the minibatch Reduce just
 // folded into the leader: the leader-serial commit followed by the full
 // Broadcast when sharding is off, or the replica-sharded owner protocol.
-// A member failure surfaces as *MemberError when eviction can handle it
-// (CanEvict) and as a plain wrapped error otherwise; the group must not
-// commit again after a non-evictable error.
+// A member failure surfaces as *MemberError when the member can leave the
+// group (see classify) and as a plain wrapped error otherwise; the group
+// must not commit again after a plain error.
 func (g *Group) Commit(nMicro int) error {
 	if !g.sharded {
 		g.serial.Commit(g.lead, nMicro)
 		g.Broadcast()
-		if pos, err := g.firstFault(); pos >= 0 {
+		if m, err := g.firstFault(); m != nil {
 			// The leader has stepped and every healthy follower synced from
-			// it independently, so a dead broadcast target evicts without
+			// it independently, so a dead broadcast target leaves without
 			// replay: the minibatch's loss and step are already final.
-			return g.classify(pos, err, false)
+			return g.classify(m, err, false)
 		}
 		return nil
 	}
@@ -364,43 +460,40 @@ func (g *Group) Commit(nMicro int) error {
 //     leader broadcast) and pushes its version queue exactly once per
 //     stage, so every replica's version history replays identically.
 func (g *Group) shardedCommit(nMicro int) error {
-	p := g.lead.Stages()
+	p := g.p
+	ltk := g.members[0].track
 	// Scatter: move the leader's reduced gradients to their owners and
 	// align follower epoch clocks. TakeStageGrads zeroes the leader's
 	// accumulator, so gradient ownership moves wholesale.
 	t0 := g.rec.Now()
 	var scatterBytes int64
-	for _, m := range g.members[1:] {
-		m.member.SyncEpoch()
-	}
-	if g.scatter == nil {
-		g.scatter = make([][]*tensor.Tensor, p)
-		g.sumSqs = make([]float64, p)
+	for _, m := range g.members[1:g.active] {
+		m.SyncEpoch()
 	}
 	for st := 0; st < p; st++ {
 		if o := g.plan.OwnerOf(st); o != 0 {
 			g.scatter[st] = g.lead.TakeStageGrads(st, g.scatter[st])
-			g.members[o].member.SetStageGrads(st, g.scatter[st])
+			g.members[o].SetStageGrads(st, g.scatter[st])
 			if g.rec != nil {
 				scatterBytes += tensorsBytes(g.scatter[st])
 			}
 		}
 	}
-	g.ctracks[0].Span(trace.NameScatter, t0, -1, -1, scatterBytes)
+	ltk.Span(trace.NameScatter, t0, -1, -1, scatterBytes)
 	// Prepare: owners average their shard's gradients and report the
 	// per-stage clip partials.
-	g.eachMember(func(i int, m Member, lo, hi int) {
+	g.eachMember(func(_ int, m *member, lo, hi int) {
 		t0 := g.rec.Now()
 		for st := lo; st < hi; st++ {
 			g.sumSqs[st] = m.PrepareStage(st, nMicro)
 		}
-		g.ctracks[i].Span(trace.NameCommitPrepare, t0, lo, -1, 0)
+		m.track.Span(trace.NameCommitPrepare, t0, lo, -1, 0)
 	})
-	if pos, err := g.firstFault(); pos >= 0 {
-		// No member has advanced its step clock yet, so an evictable
-		// failure up to Prepare replays the whole minibatch over the
-		// survivors (ResetGrads first — the scatter moved gradients).
-		return g.classify(pos, err, true)
+	if m, err := g.firstFault(); m != nil {
+		// No member has advanced its step clock yet, so a failure up to
+		// Prepare replays the whole minibatch over the survivors
+		// (ResetGrads first — the scatter moved gradients).
+		return g.classify(m, err, true)
 	}
 	sumSq := 0.0
 	for _, s := range g.sumSqs {
@@ -411,26 +504,25 @@ func (g *Group) shardedCommit(nMicro int) error {
 	// members alike, keeping the R trainers' step counters and Adam
 	// clocks in lockstep), then owners scale, step and finish their
 	// shards.
-	g.eachMember(func(i int, m Member, lo, hi int) {
-		tk := g.ctracks[i]
+	g.eachMember(func(_ int, m *member, lo, hi int) {
 		m.BeginStep()
 		if scale != 1 {
 			t0 := g.rec.Now()
 			for st := lo; st < hi; st++ {
 				m.ScaleStage(st, scale)
 			}
-			tk.Span(trace.NameCommitScale, t0, lo, -1, 0)
+			m.track.Span(trace.NameCommitScale, t0, lo, -1, 0)
 		}
 		t0 := g.rec.Now()
 		for st := lo; st < hi; st++ {
 			m.StepStage(st)
 		}
-		tk.Span(trace.NameCommitStep, t0, lo, -1, 0)
+		m.track.Span(trace.NameCommitStep, t0, lo, -1, 0)
 		t0 = g.rec.Now()
 		for st := lo; st < hi; st++ {
 			m.FinishStage(st)
 		}
-		tk.Span(trace.NameCommitFinish, t0, lo, -1, 0)
+		m.track.Span(trace.NameCommitFinish, t0, lo, -1, 0)
 	})
 	// Gather: the inverted broadcast — every member imports each stage
 	// from the owner's post-step state, in stage order, pushing its own
@@ -442,40 +534,40 @@ func (g *Group) shardedCommit(nMicro int) error {
 	states := make([][]*tensor.Tensor, p)
 	var gatherBytes int64
 	for st := 0; st < p; st++ {
-		states[st] = g.members[g.plan.OwnerOf(st)].member.StageState(st)
+		states[st] = g.members[g.plan.OwnerOf(st)].StageState(st)
 		if g.rec != nil {
 			gatherBytes += tensorsBytes(states[st])
 		}
 	}
-	g.eachMember(func(i int, m Member, _, _ int) {
+	g.eachMember(func(i int, m *member, _, _ int) {
 		for st := 0; st < p; st++ {
 			if g.plan.OwnerOf(st) != i && states[st] != nil {
 				m.ImportStageState(st, states[st])
 			}
 		}
 	})
-	g.ctracks[0].Span(trace.NameGather, t0, -1, -1, gatherBytes)
-	if pos, err := g.firstFault(); pos >= 0 {
+	ltk.Span(trace.NameGather, t0, -1, -1, gatherBytes)
+	if m, err := g.firstFault(); m != nil {
 		// Step clocks have advanced and a dead owner's stepped shard is
 		// unrecoverable mid-commit: survivors hold a mix of pre- and
 		// post-step stages. Only a checkpoint restore recovers this.
-		return fmt.Errorf("replica %d: %w", pos, err)
+		return fmt.Errorf("replica %d: %w", m.id, err)
 	}
 	return nil
 }
 
-// eachMember runs fn concurrently for every member with its owner shard,
-// waiting for all: one goroutine per replica, each touching only its own
-// trainer's state (plus read-only peers during the gather).
-func (g *Group) eachMember(fn func(i int, m Member, lo, hi int)) {
+// eachMember runs fn concurrently for every active member with its
+// position and owner shard, waiting for all: one goroutine per replica,
+// each touching only its own trainer's state (plus read-only peers during
+// the gather).
+func (g *Group) eachMember(fn func(i int, m *member, lo, hi int)) {
 	var wg sync.WaitGroup
-	wg.Add(len(g.members))
-	for i, c := range g.members {
-		i, c := i, c
+	wg.Add(g.active)
+	for i, m := range g.members[:g.active] {
 		go func() {
 			defer wg.Done()
 			lo, hi := g.plan.Shard(i)
-			fn(i, c.member, lo, hi)
+			fn(i, m, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -486,28 +578,24 @@ func (g *Group) eachMember(fn func(i int, m Member, lo, hi int)) {
 // serial order — and returns the sum (the caller divides by N).
 func (g *Group) LossSum() float64 {
 	sum := 0.0
-	for _, m := range g.members {
-		for _, l := range m.losses[:m.n] {
+	for _, m := range g.members[:g.active] {
+		for _, l := range m.chunk.losses[:m.chunk.n] {
 			sum += l
 		}
 	}
 	return sum
 }
 
-// Compute is the per-replica host wrapper a replicated engine hands to
-// that replica's inner engine. It delegates the pipeline slots to the
-// replica's member surface, overrides the minibatch framing (global
-// microbatch base, leader's epoch phase), captures per-microbatch losses,
-// exports per-(microbatch, stage) gradients on followers, and turns the
-// commit phase into a no-op — the commit belongs to the replicated engine
-// after the all-reduce.
-type Compute struct {
-	member Member
-	leader bool
-	p      int
+// chunk is one member's share of the minibatch in flight: where it
+// starts, and the losses and gradient exports it produced — captured by
+// a Compute wrapper for an in-process member, decoded from the RunChunk
+// reply for a remote one — where Reduce and LossSum read them.
+type chunk struct {
+	p       int
+	exports bool // followers stage per-microbatch gradients; the leader accumulates in place
 
-	// Per-minibatch state, written by begin before the inner engine runs
-	// and read by its workers (happens-before via the engine's channels).
+	// Per-minibatch state, written by begin before the chunk runs and read
+	// by the inner engine's workers (happens-before via its channels).
 	start  int // global microbatch counter of the chunk start
 	n      int // chunk length
 	async  bool
@@ -516,15 +604,46 @@ type Compute struct {
 	grads  [][][]*tensor.Tensor // [k][stage][param] exported grads (followers)
 }
 
-func newCompute(m Member, leader bool) *Compute {
-	return &Compute{member: m, leader: leader, p: m.Stages()}
+// begin resets the staging for a chunk of n microbatches starting at
+// global counter start.
+func (c *chunk) begin(start, n int, async bool) {
+	c.start, c.n, c.async = start, n, async
+	for len(c.losses) < n {
+		c.losses = append(c.losses, 0)
+		c.taken = append(c.taken, false)
+	}
+	for k := 0; k < n; k++ {
+		c.losses[k] = 0
+		c.taken[k] = false
+	}
+	if c.exports {
+		for len(c.grads) < n {
+			c.grads = append(c.grads, make([][]*tensor.Tensor, c.p))
+		}
+	}
+}
+
+// Compute is the per-replica host wrapper a replicated engine hands to
+// that replica's inner engine. It delegates the pipeline slots to the
+// replica's local member, overrides the minibatch framing (global
+// microbatch base, leader's epoch phase), captures per-microbatch losses,
+// exports per-(microbatch, stage) gradients on followers, and turns the
+// commit phase into a no-op — the commit belongs to the replicated engine
+// after the all-reduce.
+type Compute struct {
+	loc Local
+	chunk
+}
+
+func newCompute(m Local, leader bool) *Compute {
+	return &Compute{loc: m, chunk: chunk{p: m.Stages(), exports: !leader}}
 }
 
 // NewCompute wraps a follower member for chunk execution outside a
 // Group — the worker-process side of the remote protocol, where the
 // serve loop drives its local follower through an inner engine and ships
 // the captured losses and gradient exports back (transport.ServeConn).
-func NewCompute(m Member) *Compute { return newCompute(m, false) }
+func NewCompute(m Local) *Compute { return newCompute(m, false) }
 
 // BeginChunk resets the wrapper for a chunk of n microbatches starting
 // at global microbatch counter start, under the leader's epoch phase.
@@ -537,62 +656,11 @@ func (c *Compute) Losses() []float64 { return c.losses[:c.n] }
 // Grads returns the chunk's exported per-(microbatch, stage) gradients.
 func (c *Compute) Grads() [][][]*tensor.Tensor { return c.grads[:c.n] }
 
-// Remote reports whether the wrapped member runs its chunks out of
-// process (implements Runner) — in which case the replicated engine
-// calls Run instead of driving an inner engine over this wrapper.
-func (c *Compute) Remote() bool {
-	_, ok := c.member.(Runner)
-	return ok
-}
-
-// Run ships the chunk to a remote member and stores the returned losses
-// and gradient exports where Reduce and LossSum read them — the remote
-// counterpart of an inner engine driving the wrapper's slots locally.
-func (c *Compute) Run(ctx context.Context, micros [][]int) error {
-	r, ok := c.member.(Runner)
-	if !ok {
-		return fmt.Errorf("replica: member %T cannot run chunks remotely", c.member)
-	}
-	losses, grads, err := r.RunChunk(ctx, c.start, c.async, micros)
-	if err != nil {
-		return err
-	}
-	if len(losses) != c.n || len(grads) != c.n {
-		return fmt.Errorf("replica: remote chunk returned %d losses and %d gradient exports, want %d", len(losses), len(grads), c.n)
-	}
-	copy(c.losses[:c.n], losses)
-	for k := range grads {
-		c.grads[k] = grads[k]
-	}
-	return nil
-}
-
-// begin resets the wrapper for a chunk of n microbatches starting at
-// global counter start.
-func (c *Compute) begin(start, n int, async bool) {
-	c.start, c.n, c.async = start, n, async
-	for len(c.losses) < n {
-		c.losses = append(c.losses, 0)
-		c.taken = append(c.taken, false)
-	}
-	for k := 0; k < n; k++ {
-		c.losses[k] = 0
-		c.taken[k] = false
-	}
-	if !c.leader {
-		for len(c.grads) < n {
-			c.grads = append(c.grads, make([][]*tensor.Tensor, c.p))
-		}
-	}
-}
-
 // Tracer implements trace.Carrier by delegating to the wrapped member
 // (the follower trainer's host), so an inner engine driving this
 // replica's pipeline finds the shared recorder and the replica's index.
-// Remote members carry no local recorder — their compute happens in the
-// worker process.
 func (c *Compute) Tracer() (*trace.Recorder, int) {
-	return trace.FromCarrier(c.member)
+	return trace.FromCarrier(c.loc)
 }
 
 // Stages returns P.
@@ -604,35 +672,35 @@ func (c *Compute) Stages() int { return c.p }
 func (c *Compute) Async() bool { return c.async }
 
 // Recompute delegates to the replica (same configuration as the leader).
-func (c *Compute) Recompute() bool { return c.member.Recompute() }
+func (c *Compute) Recompute() bool { return c.loc.Recompute() }
 
 // MicroBase returns the global microbatch counter of this replica's
 // chunk, so every slot sees the same global s as a single-replica run.
 func (c *Compute) MicroBase() int { return c.start }
 
 // Splittable delegates to the replica's task.
-func (c *Compute) Splittable() bool { return c.member.Splittable() }
+func (c *Compute) Splittable() bool { return c.loc.Splittable() }
 
 // InstallForward delegates to the replica.
-func (c *Compute) InstallForward(s, stage int) { c.member.InstallForward(s, stage) }
+func (c *Compute) InstallForward(s, stage int) { c.loc.InstallForward(s, stage) }
 
 // InstallBackward delegates to the replica.
-func (c *Compute) InstallBackward(s, stage int) { c.member.InstallBackward(s, stage) }
+func (c *Compute) InstallBackward(s, stage int) { c.loc.InstallBackward(s, stage) }
 
 // InstallRecompute delegates to the replica.
-func (c *Compute) InstallRecompute(s, stage int) { c.member.InstallRecompute(s, stage) }
+func (c *Compute) InstallRecompute(s, stage int) { c.loc.InstallRecompute(s, stage) }
 
 // Restore delegates to the replica.
-func (c *Compute) Restore(stage int) { c.member.Restore(stage) }
+func (c *Compute) Restore(stage int) { c.loc.Restore(stage) }
 
 // BeginMicro delegates to the replica.
-func (c *Compute) BeginMicro(s int, mb []int) { c.member.BeginMicro(s, mb) }
+func (c *Compute) BeginMicro(s int, mb []int) { c.loc.BeginMicro(s, mb) }
 
 // StageForward delegates to the replica and records the microbatch's loss
 // at the last stage of its first forward climb (a recompute climb returns
 // the loss again; first-write-wins keeps the original).
 func (c *Compute) StageForward(s, stage int) float64 {
-	loss := c.member.StageForward(s, stage)
+	loss := c.loc.StageForward(s, stage)
 	if stage == c.p-1 {
 		if k := s - c.start; !c.taken[k] {
 			c.losses[k] = loss
@@ -648,27 +716,27 @@ func (c *Compute) StageForward(s, stage int) float64 {
 // again accumulates from zero). Monolithic tasks run their whole backward
 // in stage 0's slot, so that slot exports every stage.
 func (c *Compute) StageBackward(s, stage int) {
-	c.member.StageBackward(s, stage)
-	if c.leader {
+	c.loc.StageBackward(s, stage)
+	if !c.exports {
 		return
 	}
 	k := s - c.start
-	if c.member.Splittable() {
-		c.grads[k][stage] = c.member.TakeStageGrads(stage, c.grads[k][stage])
+	if c.loc.Splittable() {
+		c.grads[k][stage] = c.loc.TakeStageGrads(stage, c.grads[k][stage])
 		return
 	}
 	if stage == 0 {
 		for st := 0; st < c.p; st++ {
-			c.grads[k][st] = c.member.TakeStageGrads(st, c.grads[k][st])
+			c.grads[k][st] = c.loc.TakeStageGrads(st, c.grads[k][st])
 		}
 	}
 }
 
 // EndMicro delegates to the replica.
-func (c *Compute) EndMicro(s int) { c.member.EndMicro(s) }
+func (c *Compute) EndMicro(s int) { c.loc.EndMicro(s) }
 
 // BadLoss delegates to the replica (identical loss cap across replicas).
-func (c *Compute) BadLoss(loss float64) bool { return c.member.BadLoss(loss) }
+func (c *Compute) BadLoss(loss float64) bool { return c.loc.BadLoss(loss) }
 
 // PrepareStage is a no-op: the commit phase runs once, on the leader,
 // after the all-reduce.

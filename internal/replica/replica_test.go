@@ -6,13 +6,12 @@ import (
 	"sync"
 	"testing"
 
-	"pipemare/internal/engine"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 )
 
-// fakeMember is a minimal replica surface with one scalar "parameter" per
-// stage. StageBackward "accumulates" the gradient s+1 for microbatch s, so
+// fakeMember is a minimal in-process replica with one scalar "parameter"
+// per stage. StageBackward "accumulates" the gradient s+1 for microbatch s, so
 // exported buffers carry the global microbatch identity, and the leader's
 // FoldStageGrads records the sequence of values it receives — making the
 // fold ORDER directly observable, the property the tree reduction must
@@ -150,21 +149,29 @@ func (f *fakeMember) SyncFromLeader() {
 	f.synced++
 }
 
-// fakeLead is a fakeMember that owns followers.
+var _ replica.Local = (*fakeMember)(nil)
+
+// fakeLead is a leader fakeMember and the in-process followers its group
+// is built over.
 type fakeLead struct {
 	*fakeMember
 	followers []*fakeMember
 	sharded   bool
 }
 
-func (f *fakeLead) Replicas() int                 { return len(f.followers) + 1 }
-func (f *fakeLead) Follower(r int) replica.Member { return f.followers[r-1] }
-func (f *fakeLead) ShardedStep() bool             { return f.sharded }
-func (f *fakeLead) CommitShards() engine.CommitPlan {
-	return engine.NewCommitPlan(f.p, f.Replicas())
+// group builds the replica group over the leader and its followers.
+func (f *fakeLead) group(t *testing.T) *replica.Group {
+	t.Helper()
+	var ms []replica.Member
+	for _, m := range f.followers {
+		ms = append(ms, m)
+	}
+	g, err := replica.NewGroup(f.fakeMember, ms, f.sharded, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
-
-var _ replica.Leader = (*fakeLead)(nil)
 
 // driveChunk simulates an inner engine running replica r's chunk through
 // its compute wrapper: a forward climb and a backward descent per
@@ -195,7 +202,7 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	for i := 1; i < r; i++ {
 		lead.followers = append(lead.followers, newFakeMember(p))
 	}
-	g := replica.NewGroup(lead)
+	g := lead.group(t)
 	if g.Replicas() != r {
 		t.Fatalf("group has %d replicas, want %d", g.Replicas(), r)
 	}
@@ -210,14 +217,14 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 		if len(chunks[i]) != want {
 			t.Fatalf("chunk %d has %d microbatches, want %d", i, len(chunks[i]), want)
 		}
-		if base := g.Member(i).MicroBase(); base != start {
+		if base := g.Compute(i).MicroBase(); base != start {
 			t.Fatalf("replica %d starts at global microbatch %d, want %d", i, base, start)
 		}
 		start += want
 	}
 
 	for i := 0; i < r; i++ {
-		driveChunk(g.Member(i).(*replica.Compute), chunks[i], p)
+		driveChunk(g.Compute(i), chunks[i], p)
 	}
 	g.Reduce()
 
@@ -271,7 +278,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 	for i := 1; i < r; i++ {
 		lead.followers = append(lead.followers, newFakeMember(p))
 	}
-	g := replica.NewGroup(lead)
+	g := lead.group(t)
 	// Stand in for Reduce: the leader holds the fully reduced minibatch
 	// gradient, one distinct scalar per stage.
 	for st := 0; st < p; st++ {
@@ -338,7 +345,7 @@ func TestGroupSerialCommitBroadcasts(t *testing.T) {
 	const p, r = 3, 2
 	lead := &fakeLead{fakeMember: newFakeMember(p)}
 	lead.followers = append(lead.followers, newFakeMember(p))
-	g := replica.NewGroup(lead)
+	g := lead.group(t)
 	if err := g.Commit(2); err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +372,9 @@ func TestGroupSerialCommitBroadcasts(t *testing.T) {
 func TestComputeSuppressesCommit(t *testing.T) {
 	lead := &fakeLead{fakeMember: newFakeMember(2)}
 	lead.followers = append(lead.followers, newFakeMember(2))
-	g := replica.NewGroup(lead)
+	g := lead.group(t)
 	g.Begin(context.Background(), [][]int{{0}, {1}})
-	c := g.Member(0).(*replica.Compute)
+	c := g.Compute(0)
 	if got := c.PrepareStage(0, 2); got != 0 {
 		t.Fatalf("PrepareStage returned %g, want inert 0", got)
 	}

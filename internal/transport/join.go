@@ -76,18 +76,18 @@ func RejectJoin(ctx context.Context, conn MsgConn, reason string) {
 }
 
 // Welcome admits a parked joiner at a minibatch boundary: it sends the
-// full Spec (the joiner's new replica identity, topology, clocks,
-// commit mode) and waits for MsgJoinOK, returning the member proxy ready
-// for the state handoff. The caller rebuilds the group over R+1 members
-// only after the handoff succeeds.
+// full Spec (the joiner's group position, topology, clocks, commit mode)
+// and waits for MsgJoinOK, returning the member proxy ready for the
+// state handoff. The caller parks it in the replica group — which gives
+// it its stable id — and activates it only after the handoff succeeds.
 func Welcome(ctx context.Context, conn MsgConn, spec Spec, lead LeaderState) (*RemoteMember, error) {
 	m := newMember(conn, spec, lead)
 	resp, err := m.roundTrip(ctx, Msg{Type: MsgWelcome, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
 	if err != nil {
-		return nil, fmt.Errorf("transport: welcoming replica %d: %w", spec.Replica, err)
+		return nil, fmt.Errorf("transport: welcoming a joiner at position %d: %w", spec.Replica, err)
 	}
 	if resp.Type != MsgJoinOK {
-		return nil, fmt.Errorf("transport: welcoming replica %d: unexpected reply type %d", spec.Replica, resp.Type)
+		return nil, fmt.Errorf("transport: welcoming a joiner at position %d: unexpected reply type %d", spec.Replica, resp.Type)
 	}
 	return m, nil
 }
@@ -129,20 +129,14 @@ func ServeJoin(ctx context.Context, conn MsgConn, cap JoinSpec, build Builder, i
 	if err != nil {
 		return reject("building follower: %w", err)
 	}
-	if got := member.Stages(); got != spec.Stages {
-		return reject("follower has %d stages, leader has %d", got, spec.Stages)
-	}
 	// No checksum: the joiner's state is fully replaced by the handoff.
 	// The clocks still align here so the follower is consistent the
 	// moment the serve loop starts.
-	if cs, ok := member.(ClockSetter); ok {
-		cs.SetStep(spec.Step)
-		cs.SetEpoch(spec.Epoch)
-	} else if spec.Step != 0 || spec.Epoch != 0 {
-		return reject("leader clocks (step %d, epoch %d) cannot be applied: member has no clock setters", spec.Step, spec.Epoch)
+	if err := s.adopt(member, spec, false); err != nil {
+		return reject("%w", err)
 	}
 	if err := s.reply(ctx, Msg{Type: MsgJoinOK, Stage: -1}); err != nil {
 		return fmt.Errorf("transport: join: %w", err)
 	}
-	return s.serve(ctx, member)
+	return s.serve(ctx)
 }

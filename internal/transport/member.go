@@ -25,11 +25,10 @@ type LeaderState interface {
 
 // RemoteMember is the leader-side proxy for a follower replica hosted in
 // another process (or another goroutine, over the loopback transport).
-// It implements replica.Member — the collective surface replica.Group
-// drives for the reduce, sharded commit and broadcast — plus
-// replica.Runner, so the replicated engine ships the follower's
-// microbatch chunk to the worker as one message instead of driving the
-// pipeline slots over the wire.
+// It implements replica.Remote: the collective surface replica.Group
+// drives for the reduce, sharded commit and broadcast, plus RunChunk, so
+// the group ships the follower's microbatch chunk to the worker as one
+// message — the worker's pipeline slots are not reachable from here.
 //
 // Transport failures are sticky: the first I/O error poisons the member,
 // every subsequent operation fails fast, and replica.Group surfaces the
@@ -37,7 +36,8 @@ type LeaderState interface {
 // reply, not a fault.
 type RemoteMember struct {
 	conn    MsgConn
-	replica int
+	replica int // the group position announced in the handshake (the wire's Replica field)
+	id      int // the member's stable leader-side id (SetID): trace pid, error text, jitter seed
 	stages  int
 	lead    LeaderState
 	hb      time.Duration // heartbeat interval (0 disables the liveness window)
@@ -53,7 +53,7 @@ type RemoteMember struct {
 	// counts expired deadline windows across chunks, resetting whenever a
 	// chunk replies within its first window. ready reports that a demoted
 	// member's late in-flight reply has been drained and discarded, so
-	// the standby can rejoin (replica.Standby).
+	// the standby can rejoin.
 	sdl      time.Duration
 	sk       int
 	misses   int
@@ -65,10 +65,11 @@ type RemoteMember struct {
 	states  [][]*tensor.Tensor // per-stage StageState decode buffers
 	scratch []byte
 
-	// tk is the member's wire track (nil when tracing is off). Every
-	// post-handshake round-trip runs under m.mu, so the track has a
-	// single writer by construction.
-	tk *trace.Track
+	// tk is the member's wire track on rec (both nil when tracing is
+	// off). Every post-handshake round-trip runs under m.mu, so the track
+	// has a single writer by construction.
+	rec *trace.Recorder
+	tk  *trace.Track
 }
 
 // NewRemoteMember dials nothing — conn is already established — but runs
@@ -89,18 +90,34 @@ func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec, lead LeaderSt
 
 // newMember builds the proxy without running any handshake — shared by
 // NewRemoteMember (the MsgHello path) and the join admission path, whose
-// handshake (MsgWelcome/MsgJoinOK) the caller runs itself.
+// handshake (MsgWelcome/MsgJoinOK) the caller runs itself. Until the
+// replica group assigns the proxy its stable id (SetID), the announced
+// position labels handshake errors.
 func newMember(conn MsgConn, spec Spec, lead LeaderState) *RemoteMember {
-	return &RemoteMember{
+	m := &RemoteMember{
 		conn:    conn,
 		replica: spec.Replica,
 		stages:  spec.Stages,
 		lead:    lead,
 		hb:      spec.Heartbeat,
 		ctx:     context.Background(),
-		jit:     uint64(spec.Replica)*0x9E3779B97F4A7C15 + 1,
 		states:  make([][]*tensor.Tensor, spec.Stages),
 	}
+	m.SetID(spec.Replica)
+	return m
+}
+
+// SetID implements replica.Remote: the group owns member ids and hands
+// the proxy its own when its record enters the table. Unlike the group
+// position on the wire, which a departed member may have held before, the
+// id labels this proxy's wire track and errors for good and seeds its
+// retry jitter.
+func (m *RemoteMember) SetID(id int) {
+	m.mu.Lock()
+	m.id = id
+	m.jit = uint64(id)*0x9E3779B97F4A7C15 + 1
+	m.tk = m.rec.Track(id, trace.TidWire, "wire")
+	m.mu.Unlock()
 }
 
 // SetStragglerDeadline arms the straggler policy on this member: a chunk
@@ -114,30 +131,30 @@ func (m *RemoteMember) SetStragglerDeadline(d time.Duration, k int) {
 }
 
 // Ready reports that a demoted member has drained its late in-flight
-// reply and can rejoin (replica.Standby). A member whose drain failed is
-// never ready; its sticky error tells the standby pool to drop it.
+// reply and can rejoin. A member whose drain failed is never ready; its
+// sticky error tells the group to drop it.
 func (m *RemoteMember) Ready() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.ready && !m.draining && m.err == nil
 }
 
-// Rearm resets the straggler accounting before readmission
-// (replica.Standby).
+// Rearm resets the straggler accounting before readmission.
 func (m *RemoteMember) Rearm() {
 	m.mu.Lock()
 	m.misses, m.ready = 0, false
 	m.mu.Unlock()
 }
 
-// SetTracer attaches a trace recorder: every subsequent round-trip is
-// recorded as a span on the member's wire track (with the message's
-// payload bytes both ways), transient-send retries and consumed
-// heartbeat pings as instants. Call it once, right after the handshake,
-// before the member is handed to the replica group.
+// SetTracer attaches a trace recorder: once the member has entered the
+// replica group — which opens its wire track under the id it assigns
+// (SetID) — every round-trip is recorded as a span on that track (with
+// the message's payload bytes both ways), transient-send retries and
+// consumed heartbeat pings as instants. Call it once, right after the
+// handshake, before the member is handed to the group.
 func (m *RemoteMember) SetTracer(rec *trace.Recorder) {
 	m.mu.Lock()
-	m.tk = rec.Track(m.replica, trace.TidWire, "wire")
+	m.rec = rec
 	m.mu.Unlock()
 }
 
@@ -189,7 +206,7 @@ func (m *RemoteMember) BindContext(ctx context.Context) {
 	m.mu.Unlock()
 }
 
-// Err returns the sticky transport error, if any (replica.Erring).
+// Err returns the sticky transport error, if any.
 func (m *RemoteMember) Err() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -276,7 +293,7 @@ func (m *RemoteMember) recvReply(ctx context.Context) (Msg, error) {
 		}
 		if err != nil {
 			if m.hb > 0 && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-				return Msg{}, fmt.Errorf("%w: replica %d silent for %v", ErrPeerTimeout, m.replica, m.hb*heartbeatMisses)
+				return Msg{}, fmt.Errorf("%w: replica %d silent for %v", ErrPeerTimeout, m.id, m.hb*heartbeatMisses)
 			}
 			return Msg{}, err
 		}
@@ -321,11 +338,11 @@ func (m *RemoteMember) call(req Msg, want byte) (Msg, error) {
 		if errors.Is(err, engine.ErrDiverged) {
 			return Msg{}, err
 		}
-		m.err = fmt.Errorf("transport: replica %d: %w", m.replica, err)
+		m.err = fmt.Errorf("transport: replica %d: %w", m.id, err)
 		return Msg{}, m.err
 	}
 	if resp.Type != want {
-		m.err = fmt.Errorf("transport: replica %d: reply type %d to request %d, want %d", m.replica, resp.Type, req.Type, want)
+		m.err = fmt.Errorf("transport: replica %d: reply type %d to request %d, want %d", m.id, resp.Type, req.Type, want)
 		return Msg{}, m.err
 	}
 	return resp, nil
@@ -348,7 +365,7 @@ func decodeWireErr(data []byte) error {
 // chunk's global microbatch base, the leader's epoch phase, and the
 // sample indices. The worker drives the chunk through its own inner
 // engine and replies with the per-microbatch losses and the exported
-// per-(microbatch, stage) gradients (replica.Runner).
+// per-(microbatch, stage) gradients.
 func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micros [][]int) ([]float64, [][][]*tensor.Tensor, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -360,7 +377,7 @@ func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micr
 		// wire and the drainer owns the connection's read side: fail fast
 		// with another straggle instead of racing it. Rearm clears this
 		// state at readmission.
-		return nil, nil, fmt.Errorf("%w: replica %d still draining a late chunk", replica.ErrStraggler, m.replica)
+		return nil, nil, fmt.Errorf("%w: replica %d still draining a late chunk", replica.ErrStraggler, m.id)
 	}
 	b := appendU32(m.scratch[:0], uint32(start))
 	b = appendBool(b, async)
@@ -377,16 +394,16 @@ func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micr
 		if errors.Is(err, engine.ErrDiverged) || errors.Is(err, replica.ErrStraggler) {
 			return nil, nil, err
 		}
-		m.err = fmt.Errorf("transport: replica %d: run chunk: %w", m.replica, err)
+		m.err = fmt.Errorf("transport: replica %d: run chunk: %w", m.id, err)
 		return nil, nil, m.err
 	}
 	if resp.Type != MsgChunkDone {
-		m.err = fmt.Errorf("transport: replica %d: reply type %d to run chunk", m.replica, resp.Type)
+		m.err = fmt.Errorf("transport: replica %d: reply type %d to run chunk", m.id, resp.Type)
 		return nil, nil, m.err
 	}
 	losses, grads, err := m.decodeChunkDone(resp.Data, len(micros))
 	if err != nil {
-		m.err = fmt.Errorf("transport: replica %d: %w", m.replica, err)
+		m.err = fmt.Errorf("transport: replica %d: %w", m.id, err)
 		return nil, nil, m.err
 	}
 	return losses, grads, nil
@@ -455,7 +472,7 @@ func (m *RemoteMember) chunkRoundTrip(ctx context.Context, req Msg) (Msg, error)
 				m.ready = false
 				m.draining = true
 				go m.drain(ch)
-				return Msg{}, fmt.Errorf("%w: replica %d missed %d consecutive %v deadlines", replica.ErrStraggler, m.replica, m.sk, m.sdl)
+				return Msg{}, fmt.Errorf("%w: replica %d missed %d consecutive %v deadlines", replica.ErrStraggler, m.id, m.sk, m.sdl)
 			}
 		}
 	}
@@ -471,14 +488,14 @@ type wireReply struct {
 // the payload — the interrupted minibatch replays over the survivors, so
 // the late result must not be used — and marks the standby ready. A
 // drain that ends in a transport error latches it instead, so the
-// standby pool drops the member.
+// group drops the standby.
 func (m *RemoteMember) drain(ch chan wireReply) {
 	r := <-ch
 	m.mu.Lock()
 	m.draining = false
 	if r.err != nil {
 		if m.err == nil {
-			m.err = fmt.Errorf("transport: replica %d: drain: %w", m.replica, r.err)
+			m.err = fmt.Errorf("transport: replica %d: drain: %w", m.id, r.err)
 		}
 	} else {
 		m.ready = true
@@ -515,7 +532,10 @@ func (m *RemoteMember) decodeChunkDone(data []byte, wantK int) ([]float64, [][][
 	return m.losses, m.grads[:k:k], nil
 }
 
-// --- collective surface (replica.Member beyond the Host slots) ---
+// --- collective surface (replica.Member) ---
+
+// Stages returns P.
+func (m *RemoteMember) Stages() int { return m.stages }
 
 func (m *RemoteMember) stageMsg(typ byte, stage int, data []byte) Msg {
 	return Msg{Type: typ, Stage: int32(stage), Data: data}
@@ -622,84 +642,12 @@ func (m *RemoteMember) SyncFromLeader() {
 func (m *RemoteMember) fail(err error) {
 	m.mu.Lock()
 	if m.err == nil {
-		m.err = fmt.Errorf("transport: replica %d: %w", m.replica, err)
+		m.err = fmt.Errorf("transport: replica %d: %w", m.id, err)
 	}
 	m.mu.Unlock()
 }
 
-// --- engine.Host surface ---
-//
-// The pipeline slots of a remote member run in the worker process,
-// driven by its own inner engine via MsgRunChunk; the replicated engine
-// never drives them through this proxy. Stages is real (replica.Compute
-// reads it at wrap time); the slot methods refuse loudly.
-
-// Stages returns P.
-func (m *RemoteMember) Stages() int { return m.stages }
-
-// TakeStageGrads is leader-local in every collective; a remote call is a
-// protocol bug.
-func (m *RemoteMember) TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor {
-	panic("transport: TakeStageGrads on a remote member")
-}
-
-// FoldStageGrads is leader-local in every collective; a remote call is a
-// protocol bug.
-func (m *RemoteMember) FoldStageGrads(stage int, bufs []*tensor.Tensor) {
-	panic("transport: FoldStageGrads on a remote member")
-}
-
-func (m *RemoteMember) remoteSlot(name string) string {
-	return "transport: " + name + " on a remote member (its pipeline runs in the worker process)"
-}
-
-// Async panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Async() bool { panic(m.remoteSlot("Async")) }
-
-// Recompute panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Recompute() bool { panic(m.remoteSlot("Recompute")) }
-
-// MicroBase panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) MicroBase() int { panic(m.remoteSlot("MicroBase")) }
-
-// Splittable panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Splittable() bool { panic(m.remoteSlot("Splittable")) }
-
-// InstallForward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) InstallForward(s, stage int) { panic(m.remoteSlot("InstallForward")) }
-
-// InstallBackward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) InstallBackward(s, stage int) { panic(m.remoteSlot("InstallBackward")) }
-
-// InstallRecompute panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) InstallRecompute(s, stage int) { panic(m.remoteSlot("InstallRecompute")) }
-
-// Restore panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Restore(stage int) { panic(m.remoteSlot("Restore")) }
-
-// BeginMicro panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) BeginMicro(s int, mb []int) { panic(m.remoteSlot("BeginMicro")) }
-
-// StageForward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) StageForward(s, stage int) float64 { panic(m.remoteSlot("StageForward")) }
-
-// StageBackward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) StageBackward(s, stage int) { panic(m.remoteSlot("StageBackward")) }
-
-// EndMicro panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) EndMicro(s int) { panic(m.remoteSlot("EndMicro")) }
-
-// BadLoss panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) BadLoss(loss float64) bool { panic(m.remoteSlot("BadLoss")) }
-
-// ClipScale is leader-local in every collective; a remote call is a
-// protocol bug.
-func (m *RemoteMember) ClipScale(sumSq float64) float64 { panic(m.remoteSlot("ClipScale")) }
-
 var (
-	_ replica.Member          = (*RemoteMember)(nil)
-	_ replica.Runner          = (*RemoteMember)(nil)
-	_ replica.Erring          = (*RemoteMember)(nil)
+	_ replica.Remote          = (*RemoteMember)(nil)
 	_ replica.VersionRestorer = (*RemoteMember)(nil)
-	_ replica.Standby         = (*RemoteMember)(nil)
 )

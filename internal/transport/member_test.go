@@ -132,8 +132,8 @@ func (m *wireMember) SetStep(step int)   { m.mu.Lock(); m.step = step; m.mu.Unlo
 func (m *wireMember) SetEpoch(epoch int) { m.mu.Lock(); m.epoch = epoch; m.mu.Unlock() }
 
 var (
-	_ replica.Member = (*wireMember)(nil)
-	_ ClockSetter    = (*wireMember)(nil)
+	_ replica.Local = (*wireMember)(nil)
+	_ ClockSetter   = (*wireMember)(nil)
 )
 
 // leadState is the leader-side state the remote proxy reads for syncs.
@@ -154,7 +154,7 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return worker, nil }, nil)
+		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return worker, nil }, nil)
 	}()
 	conn, err := dial.Dial(ctx)
 	if err != nil {
@@ -265,7 +265,7 @@ func TestHandshakeRejectsMismatchedState(t *testing.T) {
 	worker := newWireMember(p)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return worker, nil }, nil)
+	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return worker, nil }, nil)
 	conn, err := dial.Dial(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestHandshakeRejectsStageMismatch(t *testing.T) {
 	defer lis.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return newWireMember(3), nil }, nil)
+	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(3), nil }, nil)
 	conn, err := dial.Dial(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +415,7 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return newWireMember(2), nil }, nil)
+		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(2), nil }, nil)
 	}()
 	conn, err := dial.Dial(ctx)
 	if err != nil {

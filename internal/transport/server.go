@@ -17,7 +17,7 @@ import (
 // It runs after MsgHello, so a spec-dependent configuration (replica id,
 // replica count, commit mode, pinned partition costs) needs no worker
 // flags.
-type Builder func(spec Spec) (replica.Member, error)
+type Builder func(spec Spec) (replica.Local, error)
 
 // ClockSetter is the clock-alignment surface the serve loop writes:
 // MsgSync sets the follower's step clock after a full-state broadcast,
@@ -48,20 +48,18 @@ func ServeConn(ctx context.Context, conn MsgConn, build Builder, inner engine.En
 		inner = engine.NewReference()
 	}
 	s := &server{conn: conn, inner: inner}
-	member, err := s.handshake(ctx, build)
-	if err != nil {
+	if err := s.handshake(ctx, build); err != nil {
 		return err
 	}
-	return s.serve(ctx, member)
+	return s.serve(ctx)
 }
 
 // serve runs the post-handshake session body — shared by the MsgHello
-// path (ServeConn) and the join path (ServeJoin): wrap the member for
-// chunk execution, start the inner engine's lifecycle, and enter the
-// request loop.
-func (s *server) serve(ctx context.Context, member replica.Member) error {
-	s.member = member
-	s.comp = replica.NewCompute(member)
+// path (ServeConn) and the join path (ServeJoin): wrap the adopted
+// member for chunk execution, start the inner engine's lifecycle, and
+// enter the request loop.
+func (s *server) serve(ctx context.Context) error {
+	s.comp = replica.NewCompute(s.member)
 	if lc, ok := s.inner.(engine.Lifecycle); ok {
 		lc.Start(s.comp)
 		defer lc.Stop()
@@ -72,7 +70,9 @@ func (s *server) serve(ctx context.Context, member replica.Member) error {
 type server struct {
 	conn   MsgConn
 	inner  engine.Engine
-	member replica.Member
+	member replica.Local
+	clock  ClockSetter             // nil when the member cannot have its clocks set
+	rings  replica.VersionRestorer // nil when the member cannot restore version rings
 	comp   *replica.Compute
 
 	replica uint16
@@ -92,27 +92,52 @@ func (s *server) replyErr(ctx context.Context, code uint32, text string) error {
 	return s.reply(ctx, Msg{Type: MsgErr, Stage: -1, Data: data})
 }
 
+// adopt takes the follower built for the leader's spec into the session:
+// it verifies the stage count (and, for a handshake that carries one, the
+// initial-state checksum), resolves once which optional surfaces the
+// member has, and aligns its clocks.
+func (s *server) adopt(member replica.Local, spec Spec, checksum bool) error {
+	if got := member.Stages(); got != spec.Stages {
+		return fmt.Errorf("follower has %d stages, leader has %d", got, spec.Stages)
+	}
+	if checksum {
+		if got := StateChecksum(member, spec.Stages); got != spec.Checksum {
+			return fmt.Errorf("initial state checksum %#08x differs from leader's %#08x (seed, task or partition mismatch)", got, spec.Checksum)
+		}
+	}
+	s.member = member
+	s.clock, _ = member.(ClockSetter)
+	s.rings, _ = member.(replica.VersionRestorer)
+	if s.clock != nil {
+		s.clock.SetStep(spec.Step)
+		s.clock.SetEpoch(spec.Epoch)
+	} else if spec.Step != 0 || spec.Epoch != 0 {
+		return fmt.Errorf("leader clocks (step %d, epoch %d) cannot be applied: member has no clock setters", spec.Step, spec.Epoch)
+	}
+	return nil
+}
+
 // handshake reads MsgHello, builds the follower from the spec, verifies
 // topology and the initial-state checksum, aligns the clocks, and
 // acknowledges. A mismatch is reported to the leader and returned.
-func (s *server) handshake(ctx context.Context, build Builder) (replica.Member, error) {
+func (s *server) handshake(ctx context.Context, build Builder) error {
 	req, err := s.conn.Recv(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("transport: handshake: %w", err)
+		return fmt.Errorf("transport: handshake: %w", err)
 	}
 	if req.Type != MsgHello {
-		return nil, fmt.Errorf("transport: handshake: first message type %d, want hello", req.Type)
+		return fmt.Errorf("transport: handshake: first message type %d, want hello", req.Type)
 	}
 	s.replica = req.Replica
 	spec, err := decodeSpec(req.Data)
 	if err != nil {
 		s.replyErr(ctx, errGeneric, err.Error())
-		return nil, fmt.Errorf("transport: handshake: %w", err)
+		return fmt.Errorf("transport: handshake: %w", err)
 	}
-	reject := func(format string, args ...any) (replica.Member, error) {
+	reject := func(format string, args ...any) error {
 		err := fmt.Errorf(format, args...)
 		s.replyErr(ctx, errGeneric, err.Error())
-		return nil, fmt.Errorf("transport: handshake: %w", err)
+		return fmt.Errorf("transport: handshake: %w", err)
 	}
 	if spec.Replica < 1 || spec.Replica >= spec.Replicas {
 		return reject("replica %d out of range for %d replicas", spec.Replica, spec.Replicas)
@@ -122,22 +147,13 @@ func (s *server) handshake(ctx context.Context, build Builder) (replica.Member, 
 	if err != nil {
 		return reject("building follower: %w", err)
 	}
-	if got := member.Stages(); got != spec.Stages {
-		return reject("follower has %d stages, leader has %d", got, spec.Stages)
-	}
-	if got := StateChecksum(member, spec.Stages); got != spec.Checksum {
-		return reject("initial state checksum %#08x differs from leader's %#08x (seed, task or partition mismatch)", got, spec.Checksum)
-	}
-	if cs, ok := member.(ClockSetter); ok {
-		cs.SetStep(spec.Step)
-		cs.SetEpoch(spec.Epoch)
-	} else if spec.Step != 0 || spec.Epoch != 0 {
-		return reject("leader clocks (step %d, epoch %d) cannot be applied: member has no clock setters", spec.Step, spec.Epoch)
+	if err := s.adopt(member, spec, true); err != nil {
+		return reject("%w", err)
 	}
 	if err := s.reply(ctx, Msg{Type: MsgHelloOK, Stage: -1}); err != nil {
-		return nil, fmt.Errorf("transport: handshake: %w", err)
+		return fmt.Errorf("transport: handshake: %w", err)
 	}
-	return member, nil
+	return nil
 }
 
 // loop is the request/response serve loop. Member operations run under a
@@ -229,33 +245,30 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 		if err := c.done(); err != nil {
 			return Msg{}, err
 		}
-		vr, ok := s.member.(replica.VersionRestorer)
-		if !ok {
+		if s.rings == nil {
 			return Msg{}, fmt.Errorf("member cannot restore version rings")
 		}
-		vr.RestoreVersions(stage, base, snaps)
+		s.rings.RestoreVersions(stage, base, snaps)
 		return ack, nil
 	case MsgSyncEpoch:
 		epoch := c.i32()
 		if err := c.done(); err != nil {
 			return Msg{}, err
 		}
-		cs, ok := s.member.(ClockSetter)
-		if !ok {
+		if s.clock == nil {
 			return Msg{}, fmt.Errorf("member has no epoch clock setter")
 		}
-		cs.SetEpoch(epoch)
+		s.clock.SetEpoch(epoch)
 		return ack, nil
 	case MsgSync:
 		step := c.i32()
 		if err := c.done(); err != nil {
 			return Msg{}, err
 		}
-		cs, ok := s.member.(ClockSetter)
-		if !ok {
+		if s.clock == nil {
 			return Msg{}, fmt.Errorf("member has no step clock setter")
 		}
-		cs.SetStep(step)
+		s.clock.SetStep(step)
 		return ack, nil
 	}
 	return Msg{}, fmt.Errorf("unknown request type %d", req.Type)

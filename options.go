@@ -648,10 +648,7 @@ func remoteFollowers(dialers []transport.Dialer, timeout, heartbeat, stragglerDe
 		timeout = 30 * time.Second
 	}
 	return func(r int, env core.ReplicaEnv) (replica.Member, error) {
-		lead, ok := env.Leader.(transport.LeaderState)
-		if !ok {
-			return nil, fmt.Errorf("pipemare: leader %T lacks the transport state surface", env.Leader)
-		}
+		lead := env.Leader
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		conn, err := dialers[r-1].Dial(ctx)
