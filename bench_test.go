@@ -1,13 +1,10 @@
 package pipemare_test
 
 import (
-	"context"
 	"io"
 	"math/rand"
 	"testing"
 
-	"pipemare"
-	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/experiments"
 	"pipemare/internal/tensor"
 )
@@ -54,73 +51,6 @@ func BenchmarkFig17(b *testing.B)      { benchExperiment(b, "fig17") }
 func BenchmarkFig18(b *testing.B)      { benchExperiment(b, "fig18") }
 func BenchmarkFig19(b *testing.B)      { benchExperiment(b, "fig19") }
 func BenchmarkAppendixA3(b *testing.B) { benchExperiment(b, "appendixA3") }
-
-// Engine benchmarks: Reference vs the concurrent stage-worker engine on
-// the transformer workload at P ∈ {4, 8} (one epoch per iteration). The
-// speedup tracks the stage-parallel commit phase and the parallel dense
-// kernels, so it grows with GOMAXPROCS; on a single core the two engines
-// should be within noise of each other.
-
-func benchEngineTransformer(b *testing.B, stages int, eng pipemare.Engine) {
-	b.Helper()
-	tr, err := experiments.NewEngineBenchTrainer(stages, eng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// One warm epoch so the per-microbatch machine pools and tape arenas
-	// reach steady state; allocs/op then tracks the true hot-path churn.
-	if _, err := tr.Run(context.Background(), 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Run(context.Background(), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineReferenceP4(b *testing.B) {
-	benchEngineTransformer(b, 4, pipemare.NewReferenceEngine())
-}
-func BenchmarkEngineConcurrentP4(b *testing.B) {
-	benchEngineTransformer(b, 4, concurrent.New())
-}
-func BenchmarkEngineReferenceP8(b *testing.B) {
-	benchEngineTransformer(b, 8, pipemare.NewReferenceEngine())
-}
-func BenchmarkEngineConcurrentP8(b *testing.B) {
-	benchEngineTransformer(b, 8, concurrent.New())
-}
-
-// Replicated data-parallel benchmarks: R pipeline replicas split each
-// minibatch's 8 microbatches and run concurrently (Reference inners, so
-// the scaling isolates the replication axis from pipeline overlap). On
-// GOMAXPROCS ≥ 4 the epoch time should drop as R grows; on a single core
-// the replicas time-slice and R≈1 throughput is expected.
-
-func benchEngineReplicated(b *testing.B, stages, replicas int) {
-	b.Helper()
-	tr, err := experiments.NewReplicatedBenchTrainer(stages, replicas, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := tr.Run(context.Background(), 1); err != nil { // warm
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Run(context.Background(), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineReplicatedR1P4(b *testing.B) { benchEngineReplicated(b, 4, 1) }
-func BenchmarkEngineReplicatedR2P4(b *testing.B) { benchEngineReplicated(b, 4, 2) }
-func BenchmarkEngineReplicatedR4P4(b *testing.B) { benchEngineReplicated(b, 4, 4) }
 
 // Substrate micro-benchmarks: the kernels the simulator spends its time
 // in, for allocation and throughput tracking with -benchmem.

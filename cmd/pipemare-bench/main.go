@@ -1,6 +1,8 @@
 // Command pipemare-bench regenerates the tables and figures of the
-// PipeMare paper's evaluation. Run with no arguments to list experiments,
-// with experiment names to run them, or with "all" for everything.
+// PipeMare paper's evaluation, smoke-tests distributed training end to
+// end, and records traced epochs. Run with no arguments to list
+// experiments, with experiment names to run them, or with "all" for
+// everything. Performance is measured by `bash benchmark/run.sh`, not here.
 //
 //	pipemare-bench               # list experiments
 //	pipemare-bench table1 fig3a  # run selected experiments (quick scale)
@@ -10,23 +12,24 @@
 //	pipemare-bench -engine concurrent -workers 2 table2  # cap scheduler workers
 //	pipemare-bench -partition cost table2      # cost-balanced stage split
 //	pipemare-bench -replicas 2 table2          # 2 data-parallel replicas
-//	pipemare-bench -json         # engine perf record, merged into BENCH_engine.json
-//	pipemare-bench -json -transport loopback   # replicated rows over the wire protocol
-//	pipemare-bench -json -transport tcp        # spawn pipemare-worker processes, real sockets
-//	pipemare-bench -json -transport loopback -join join@2  # mid-run replica join, handoff-cost row
+//	pipemare-bench -dtype float32 table2       # train in float32
+//	pipemare-bench -smoke -transport loopback  # R=2 over the wire protocol, one process
+//	pipemare-bench -smoke -transport tcp -worker ./pipemare-worker  # leader + worker processes
+//	pipemare-bench -smoke -transport tcp -worker ./pipemare-worker -crash-worker 3 [-join-worker]  # kill -9 [+ rejoin]
+//	pipemare-bench -smoke -join-listen :9500   # train long enough to join by hand
 //	pipemare-bench -trace out.json -engine concurrent -replicas 2  # record a traced epoch, report bubble fraction + MFU
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"pipemare"
@@ -34,153 +37,161 @@ import (
 	"pipemare/internal/experiments"
 )
 
-// dtypeName is the resolved -dtype flag value, threaded into every
-// benchRecord and every spawned worker process so the recorded rows and
-// the remote followers agree on the element type the run trained in.
-var dtypeName = "float64"
+// config is the validated command line.
+type config struct {
+	full        bool
+	inner       func() pipemare.Engine // -engine concurrent; nil for reference
+	workers     int
+	partition   pipemare.PartitionMode
+	replicas    int
+	transport   string
+	workerBin   string
+	smoke       bool
+	traceOut    string
+	dtype       pipemare.DType
+	crashWorker int
+	joinWorker  bool
+	joinListen  string
+	selected    []experiments.Experiment // none: list them
+}
 
-func main() {
-	full := flag.Bool("full", false, "run at reference (paper) scale instead of quick scale")
-	engineName := flag.String("engine", "reference", "execution engine for training runs: reference | concurrent")
-	workers := flag.Int("workers", 0, "scheduler workers for the concurrent engine (0 = min(P, GOMAXPROCS))")
-	partitionName := flag.String("partition", "even", "stage partition mode: even | cost | profile")
-	replicas := flag.Int("replicas", 1, "data-parallel pipeline replicas per training run (curves are bit-identical to -replicas 1)")
-	jsonOut := flag.Bool("json", false, "benchmark the engines on the transformer workload and merge the records into BENCH_engine.json")
-	transportName := flag.String("transport", "inproc", "where replicated followers live for -json or -smoke: inproc | loopback | tcp (tcp spawns pipemare-worker processes)")
-	workerBin := flag.String("worker", "pipemare-worker", "pipemare-worker binary for -transport tcp (resolved via PATH)")
-	smoke := flag.Bool("smoke", false, "train the benchmark workload R=2 for one epoch over -transport and exit (CI distributed smoke test)")
-	traceOut := flag.String("trace", "", "record one traced training epoch, write Chrome trace-event JSON (Perfetto-loadable) to this file, and print the bubble-fraction/MFU report; honors -engine, -workers, -replicas and -transport")
-	dtypeFlag := flag.String("dtype", "float64", "element type model state trains in: float64 | float32; each dtype records under its own BENCH_engine.json merge key")
-	faultsSpec := flag.String("faults", "", `inject scripted faults into a -json replicated row and record the recovery overhead: comma-separated op@N[:dur] rules, e.g. "drop@2,kill@5" (see parseFaults); needs -transport loopback or tcp`)
-	joinSpec := flag.String("join", "", `admit a replica mid-run into a -json replicated row and record the handoff overhead: a join@N rule, e.g. "join@2" joins at leader step 2 (see parseJoin); needs -transport loopback or tcp`)
-	crashWorker := flag.Int("crash-worker", 0, "with -smoke -transport tcp: spawn the worker with -crash-after N so it exit(137)s at its Nth chunk, and require the leader to evict it and finish (0 disables)")
-	joinWorker := flag.Bool("join-worker", false, "with -smoke -transport tcp -crash-worker N: also spawn a replacement pipemare-worker -join; the killed replica must be evicted, the replacement admitted mid-epoch via the live handoff, and the final loss must match an uninterrupted in-process run")
-	joinListen := flag.String("join-listen", "", "with -smoke: accept mid-run joiners on this TCP address and train long enough to join by hand — run 'pipemare-worker -join <addr>' from another terminal while the smoke trains")
-	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -workers must be >= 0, got %d\n", *workers)
-		os.Exit(2)
+// parseFlags parses and cross-validates the command line; the flag
+// package's own messages (unknown flag, -h) go to errOut.
+func parseFlags(args []string, errOut io.Writer) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("pipemare-bench", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.BoolVar(&c.full, "full", false, "run at reference (paper) scale instead of quick scale")
+	engineName := fs.String("engine", "reference", "execution engine for training runs: reference | concurrent")
+	fs.IntVar(&c.workers, "workers", 0, "scheduler workers for the concurrent engine (0 = min(P, GOMAXPROCS))")
+	partitionName := fs.String("partition", "even", "stage partition mode: even | cost | profile")
+	fs.IntVar(&c.replicas, "replicas", 1, "data-parallel pipeline replicas per training run (curves are bit-identical to -replicas 1)")
+	fs.StringVar(&c.transport, "transport", "inproc", "where replicated followers live for -smoke or -trace: inproc | loopback | tcp (tcp spawns pipemare-worker processes)")
+	fs.StringVar(&c.workerBin, "worker", "pipemare-worker", "pipemare-worker binary for -transport tcp (resolved via PATH)")
+	fs.BoolVar(&c.smoke, "smoke", false, "train the benchmark workload R=2 for one epoch over -transport and exit (CI distributed smoke test)")
+	fs.StringVar(&c.traceOut, "trace", "", "record one traced training epoch, write Chrome trace-event JSON (Perfetto-loadable) to this file, and print the bubble-fraction/MFU report; honors -engine, -workers, -replicas and -transport")
+	dtypeName := fs.String("dtype", "float64", "element type model state trains in: float64 | float32")
+	fs.IntVar(&c.crashWorker, "crash-worker", 0, "with -smoke -transport tcp: spawn the worker with -crash-after N so it exit(137)s at its Nth chunk, and require the leader to evict it and finish (0 disables)")
+	fs.BoolVar(&c.joinWorker, "join-worker", false, "with -smoke -transport tcp -crash-worker N: also spawn a replacement pipemare-worker -join; the killed replica must be evicted, the replacement admitted mid-epoch via the live handoff, and the final loss must match an uninterrupted in-process run")
+	fs.StringVar(&c.joinListen, "join-listen", "", "with -smoke: accept mid-run joiners on this TCP address and train long enough to join by hand — run 'pipemare-worker -join <addr>' from another terminal while the smoke trains")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	switch *transportName {
+	if c.workers < 0 {
+		return nil, fmt.Errorf("-workers must be >= 0, got %d", c.workers)
+	}
+	switch c.transport {
 	case "inproc", "loopback", "tcp":
 	default:
-		fmt.Fprintf(os.Stderr, "pipemare-bench: unknown transport %q (want inproc, loopback or tcp)\n", *transportName)
-		os.Exit(2)
+		return nil, fmt.Errorf("unknown transport %q (want inproc, loopback or tcp)", c.transport)
 	}
-	switch *dtypeFlag {
+	switch *dtypeName {
 	case "float64":
 	case "float32":
-		experiments.DType = pipemare.Float32
+		c.dtype = pipemare.Float32
 	default:
-		fmt.Fprintf(os.Stderr, "pipemare-bench: unknown dtype %q (want float64 or float32)\n", *dtypeFlag)
-		os.Exit(2)
+		return nil, fmt.Errorf("unknown dtype %q (want float64 or float32)", *dtypeName)
 	}
-	dtypeName = *dtypeFlag
-	if *transportName != "inproc" && !*jsonOut && !*smoke && *traceOut == "" {
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -transport %s applies to -json, -smoke or -trace\n", *transportName)
-		os.Exit(2)
-	}
-	if *faultsSpec != "" && (!*jsonOut || *transportName == "inproc") {
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -faults applies to -json with -transport loopback or tcp\n")
-		os.Exit(2)
-	}
-	if *joinSpec != "" && (!*jsonOut || *transportName == "inproc") {
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -join applies to -json with -transport loopback or tcp\n")
-		os.Exit(2)
-	}
-	if *crashWorker != 0 && (!*smoke || *transportName != "tcp" || *crashWorker < 0) {
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -crash-worker takes a positive chunk ordinal and applies to -smoke -transport tcp\n")
-		os.Exit(2)
-	}
-	if *joinWorker && *crashWorker == 0 {
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -join-worker applies to -smoke -transport tcp with -crash-worker N\n")
-		os.Exit(2)
-	}
-	if *joinListen != "" && (!*smoke || *joinWorker) {
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -join-listen applies to -smoke, without -join-worker\n")
-		os.Exit(2)
-	}
-	if *smoke {
-		if err := smokeRun(*transportName, *workerBin, *crashWorker, *joinWorker, *joinListen); err != nil {
-			fmt.Fprintf(os.Stderr, "pipemare-bench: smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var inner func() pipemare.Engine
 	switch *engineName {
 	case "reference":
 	case "concurrent":
-		inner = func() pipemare.Engine { return concurrent.New(concurrent.WithWorkers(*workers)) }
+		c.inner = func() pipemare.Engine { return concurrent.New(concurrent.WithWorkers(c.workers)) }
 	default:
-		fmt.Fprintf(os.Stderr, "pipemare-bench: unknown engine %q (want reference or concurrent)\n", *engineName)
-		os.Exit(2)
+		return nil, fmt.Errorf("unknown engine %q (want reference or concurrent)", *engineName)
 	}
 	switch *partitionName {
 	case "even":
 	case "cost":
-		experiments.Partition = pipemare.PartitionCost
+		c.partition = pipemare.PartitionCost
 	case "profile":
-		experiments.Partition = pipemare.PartitionProfile
+		c.partition = pipemare.PartitionProfile
 	default:
-		fmt.Fprintf(os.Stderr, "pipemare-bench: unknown partition mode %q (want even, cost or profile)\n", *partitionName)
+		return nil, fmt.Errorf("unknown partition mode %q (want even, cost or profile)", *partitionName)
+	}
+	// Every replica needs at least one microbatch per minibatch; the
+	// smallest workload recipe runs N = 8 microbatches (batch 64,
+	// microbatch size 8).
+	if c.replicas < 1 || c.replicas > 8 {
+		return nil, fmt.Errorf("-replicas must be in [1, 8], got %d", c.replicas)
+	}
+	if c.transport != "inproc" && !c.smoke && c.traceOut == "" {
+		return nil, fmt.Errorf("-transport %s applies to -smoke or -trace", c.transport)
+	}
+	if c.crashWorker != 0 && (!c.smoke || c.transport != "tcp" || c.crashWorker < 0) {
+		return nil, errors.New("-crash-worker takes a positive chunk ordinal and applies to -smoke -transport tcp")
+	}
+	if c.joinWorker && c.crashWorker == 0 {
+		return nil, errors.New("-join-worker applies to -smoke -transport tcp with -crash-worker N")
+	}
+	if c.joinListen != "" && (!c.smoke || c.joinWorker) {
+		return nil, errors.New("-join-listen applies to -smoke, without -join-worker")
+	}
+	if names := fs.Args(); len(names) == 1 && names[0] == "all" {
+		c.selected = experiments.All()
+	} else {
+		for _, name := range names {
+			e, ok := experiments.Lookup(name)
+			if !ok {
+				return nil, fmt.Errorf("unknown experiment %q (run without arguments to list)", name)
+			}
+			c.selected = append(c.selected, e)
+		}
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pipemare-bench: %v\n", err)
 		os.Exit(2)
 	}
-	switch {
-	case *replicas < 1 || *replicas > 8:
-		// Every replica needs at least one microbatch per minibatch; the
-		// smallest workload recipe runs N = 8 microbatches (batch 64,
-		// microbatch size 8).
-		fmt.Fprintf(os.Stderr, "pipemare-bench: -replicas must be in [1, 8], got %d\n", *replicas)
-		os.Exit(2)
-	case *replicas > 1:
+	if err := run(c); err != nil {
+		fmt.Fprintf(os.Stderr, "pipemare-bench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run hands the experiments package the engine, partition, replica count
+// and dtype every workload trains with, then does the one thing the
+// command line asked for: the smoke, the traced epoch, or experiments.
+func run(c *config) error {
+	experiments.DType = c.dtype
+	if c.smoke {
+		if err := smokeRun(c.transport, c.workerBin, c.crashWorker, c.joinWorker, c.joinListen); err != nil {
+			return fmt.Errorf("smoke: %w", err)
+		}
+		return nil
+	}
+	experiments.Partition = c.partition
+	experiments.EngineFactory = c.inner
+	if c.replicas > 1 {
 		// Replication wraps the chosen engine as the per-replica inner.
-		experiments.Replicas = *replicas
-		experiments.EngineFactory = func() pipemare.Engine { return pipemare.NewReplicatedEngine(inner) }
-	case inner != nil:
-		experiments.EngineFactory = inner
+		experiments.Replicas = c.replicas
+		experiments.EngineFactory = func() pipemare.Engine { return pipemare.NewReplicatedEngine(c.inner) }
 	}
-	if *traceOut != "" {
-		if err := traceRun(*traceOut, inner, *replicas, *transportName, *workerBin); err != nil {
-			fmt.Fprintf(os.Stderr, "pipemare-bench: trace: %v\n", err)
-			os.Exit(1)
+	if c.traceOut != "" {
+		if err := traceRun(c.traceOut, c.inner, c.replicas, c.transport, c.workerBin); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
-		return
+		return nil
 	}
-	if *jsonOut {
-		if err := benchEngines("BENCH_engine.json", *workers, *transportName, *workerBin, *faultsSpec, *joinSpec); err != nil {
-			fmt.Fprintf(os.Stderr, "pipemare-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	scale := experiments.Quick
-	if *full {
-		scale = experiments.Full
-	}
-	args := flag.Args()
-	if len(args) == 0 {
+	if len(c.selected) == 0 {
 		fmt.Println("usage: pipemare-bench [-full] <experiment>... | all")
 		fmt.Println("\navailable experiments:")
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-11s %s\n", e.Name, e.Title)
 		}
-		return
+		return nil
 	}
-	var selected []experiments.Experiment
-	if len(args) == 1 && args[0] == "all" {
-		selected = experiments.All()
-	} else {
-		for _, name := range args {
-			e, ok := experiments.Lookup(name)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "pipemare-bench: unknown experiment %q (run without arguments to list)\n", name)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
+	scale := experiments.Quick
+	if c.full {
+		scale = experiments.Full
 	}
-	for i, e := range selected {
+	for i, e := range c.selected {
 		if i > 0 {
 			fmt.Println()
 		}
@@ -189,136 +200,14 @@ func main() {
 		e.Run(os.Stdout, scale)
 		fmt.Printf("--- %s done in %.1fs ---\n", e.Name, time.Since(start).Seconds())
 	}
-}
-
-// benchEngines times one training epoch of the transformer workload under
-// the Reference engine and the work-stealing concurrent engine at
-// P ∈ {4, 8} × partition ∈ {even, cost}, plus the replicated engine at
-// P = 4 with R ∈ {2, 4} Reference-inner replicas under both commit modes
-// (leader-serial vs replica-sharded — the pair that shows the commit tail
-// moving off the leader), then merges the measurements into the perf
-// record so the engine trajectory is tracked across PRs without
-// clobbering rows from other runs (see benchfile.go for the merge key).
-//
-// transportName places the replicated rows' followers: "inproc" keeps
-// them in the leader's process, "loopback" serves them over the wire
-// protocol on in-process pipes, and "tcp" spawns one workerBin process
-// per follower and dials real sockets — what the wire costs shows up as
-// the gap between the inproc and loopback/tcp rows at the same key.
-// A non-empty faultsSpec adds one fault-injected recovery row (see
-// benchFaults) under its own merge key, and a non-empty joinSpec adds
-// one mid-run-join churn row (see benchJoin) likewise.
-func benchEngines(path string, workers int, transportName, workerBin, faultsSpec, joinSpec string) error {
-	out := loadBenchFile(path)
-	out.GoMaxProcs = runtime.GOMAXPROCS(0)
-	out.NumCPU = runtime.NumCPU()
-	refNsAt := map[int]int64{}
-	for _, p := range []int{4, 8} {
-		w := workers
-		if w == 0 {
-			w = out.GoMaxProcs
-		}
-		if w > p {
-			w = p
-		}
-		refNs, _, err := timeEpochs(p, 1, pipemare.NewReferenceEngine(), pipemare.PartitionEven)
-		if err != nil {
-			return err
-		}
-		refNsAt[p] = refNs
-		bubble, mfu, err := tracedMetrics(p, 1, pipemare.NewReferenceEngine(), pipemare.PartitionEven)
-		if err != nil {
-			return err
-		}
-		out.upsert(benchRecord{Engine: "reference", Stages: p, Replicas: 1,
-			Partition: "even", Transport: "inproc", Dtype: dtypeName, NsPerEpoch: refNs,
-			BubbleFraction: bubble, MFU: mfu})
-		for _, mode := range []pipemare.PartitionMode{pipemare.PartitionEven, pipemare.PartitionCost} {
-			eng := concurrent.New(concurrent.WithWorkers(workers))
-			ns, imbalance, err := timeEpochs(p, 1, eng, mode)
-			if err != nil {
-				return err
-			}
-			bubble, mfu, err := tracedMetrics(p, 1, concurrent.New(concurrent.WithWorkers(workers)), mode)
-			if err != nil {
-				return err
-			}
-			speedup := float64(refNs) / float64(ns)
-			out.upsert(benchRecord{Engine: "concurrent", Stages: p, Replicas: 1,
-				Partition: mode.String(), Workers: w, Transport: "inproc", Dtype: dtypeName, NsPerEpoch: ns,
-				Speedup: speedup, OverlapEfficiency: speedup / float64(p),
-				StageImbalance: imbalance, BubbleFraction: bubble, MFU: mfu})
-			fmt.Printf("P=%d %s W=%d: reference %.2fs/epoch, concurrent %.2fs/epoch (speedup %.2fx, overlap efficiency %.2f, stage imbalance %.2f)\n",
-				p, mode, w, float64(refNs)/1e9, float64(ns)/1e9, speedup, speedup/float64(p), imbalance)
-		}
-	}
-	for _, r := range []int{2, 4} {
-		const p = 4
-		for _, commit := range []string{"serial", "sharded"} {
-			dialers, release, err := startFollowers(transportName, workerBin, p, r-1)
-			if err != nil {
-				return err
-			}
-			extra := []pipemare.Option{pipemare.WithShardedStep(commit == "sharded")}
-			if len(dialers) > 0 {
-				extra = append(extra, pipemare.WithTransport(dialers...))
-			}
-			// nil engine: the default replicated engine over Reference inners.
-			ns, _, err := timeEpochs(p, r, nil, pipemare.PartitionEven, extra...)
-			if err != nil {
-				return err
-			}
-			if err := release(); err != nil {
-				return fmt.Errorf("%s follower: %w", transportName, err)
-			}
-			// The traced re-run needs its own followers: the timed run's were
-			// consumed by the Close above.
-			tdialers, trelease, err := startFollowers(transportName, workerBin, p, r-1)
-			if err != nil {
-				return err
-			}
-			textra := []pipemare.Option{pipemare.WithShardedStep(commit == "sharded")}
-			if len(tdialers) > 0 {
-				textra = append(textra, pipemare.WithTransport(tdialers...))
-			}
-			bubble, mfu, err := tracedMetrics(p, r, nil, pipemare.PartitionEven, textra...)
-			if err != nil {
-				return err
-			}
-			if err := trelease(); err != nil {
-				return fmt.Errorf("%s follower: %w", transportName, err)
-			}
-			speedup := float64(refNsAt[p]) / float64(ns)
-			out.upsert(benchRecord{Engine: "replicated(reference)", Stages: p, Replicas: r,
-				Partition: "even", Commit: commit, Transport: transportName, Dtype: dtypeName, NsPerEpoch: ns,
-				Speedup: speedup, ScalingEfficiency: speedup / float64(r),
-				BubbleFraction: bubble, MFU: mfu})
-			fmt.Printf("P=%d R=%d %s commit (%s): replicated %.2fs/epoch (speedup %.2fx, scaling efficiency %.2f)\n",
-				p, r, commit, transportName, float64(ns)/1e9, speedup, speedup/float64(r))
-		}
-	}
-	if faultsSpec != "" {
-		if err := benchFaults(&out, faultsSpec, transportName, workerBin); err != nil {
-			return err
-		}
-	}
-	if joinSpec != "" {
-		if err := benchJoin(&out, joinSpec, transportName, workerBin); err != nil {
-			return err
-		}
-	}
-	if err := out.write(path); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 
 // traceRun trains the benchmark workload (P=4) for one traced epoch —
-// replicas > 1 wraps the chosen engine in the replicated engine, like a
-// timing run — writes the recording as Chrome trace-event JSON to path,
-// and prints the derived utilization report (per-stage busy time, bubble
-// fraction, MFU) against the measured wall clock.
+// replicas > 1 wraps the chosen engine in the replicated engine — writes
+// the recording as Chrome trace-event JSON to path, and prints the
+// derived utilization report (per-stage busy time, bubble fraction, MFU)
+// against the measured wall clock.
 func traceRun(path string, inner func() pipemare.Engine, replicas int, transportName, workerBin string) error {
 	const stages = 4
 	dialers, release, err := startFollowers(transportName, workerBin, stages, replicas-1)
@@ -370,33 +259,6 @@ func traceRun(path string, inner func() pipemare.Engine, replicas int, transport
 	return nil
 }
 
-// tracedMetrics re-runs one epoch of a -json row's configuration with
-// tracing on and returns its bubble fraction and MFU. The traced run is
-// separate from the timed run so recording overhead — small as it is —
-// never lands in NsPerEpoch; rows living over a transport get fresh
-// followers from the caller via extra.
-func tracedMetrics(stages, replicas int, eng pipemare.Engine, mode pipemare.PartitionMode, extra ...pipemare.Option) (bubble, mfu float64, err error) {
-	rec := pipemare.NewTraceRecorder()
-	opts := append([]pipemare.Option{pipemare.WithTrace(rec)}, extra...)
-	if mode != pipemare.PartitionEven {
-		opts = append(opts, pipemare.WithPartition(mode))
-	}
-	tr, err := experiments.NewReplicatedBenchTrainer(stages, replicas, eng, opts...)
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := tr.Run(context.Background(), 1); err != nil {
-		tr.Close()
-		return 0, 0, err
-	}
-	costs := tr.StageCosts()
-	if err := tr.Close(); err != nil {
-		return 0, 0, err
-	}
-	rep := pipemare.BuildTraceReport(rec, costs)
-	return rep.BubbleFraction, rep.MFU, nil
-}
-
 // smokeRun trains the benchmark workload for one epoch with R=2 replicas
 // over the chosen transport — the CI end-to-end check that a leader and a
 // real worker process complete training together. It prints the final
@@ -427,30 +289,34 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 	epochs := 1
 	var jlis pipemare.Listener
 	joinDone := make(chan error, 1)
+	joinAddr := joinListen
 	if joinWorker {
-		epochs = 2
-		l, err := pipemare.ListenTCP("127.0.0.1:0")
+		joinAddr = "127.0.0.1:0"
+	}
+	if joinAddr != "" {
+		l, err := pipemare.ListenTCP(joinAddr)
 		if err != nil {
 			return err
 		}
 		jlis = l
-		cmd := exec.Command(workerBin,
-			"-join", jlis.Addr(), "-join-at", fmt.Sprint(crashWorker+2), "-stages", "4")
+	}
+	switch {
+	case joinWorker:
+		epochs = 2
+		cmd := exec.Command(workerBin, "-join", jlis.Addr(), "-join-at", fmt.Sprint(crashWorker+2),
+			"-stages", "4", "-dtype", experiments.DType.String())
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("spawning join worker: %w", err)
 		}
-		go func() { joinDone <- cmd.Wait() }()
-	}
-	if joinListen != "" {
+		go func() { joinDone <- cmd.Wait(); close(joinDone) }()
+		// On an early error return the joiner may still be dialling or
+		// parked: kill and reap it. On success it has already exited.
+		defer func() { cmd.Process.Kill(); <-joinDone }()
+	case jlis != nil:
 		epochs = 10
-		l, err := pipemare.ListenTCP(joinListen)
-		if err != nil {
-			return err
-		}
-		jlis = l
-		fmt.Printf("accepting joiners on %s (pipemare-worker -join %s)\n", l.Addr(), l.Addr())
+		fmt.Printf("accepting joiners on %s (pipemare-worker -join %s)\n", jlis.Addr(), jlis.Addr())
 	}
 	var workerArgs []string
 	if crashWorker > 0 {
@@ -486,11 +352,12 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 	if err := tr.Close(); err != nil {
 		return err
 	}
-	relErr := release()
+	// A killed worker's exit(137) is the point of the crash smokes; any
+	// other follower must have ended its session cleanly.
+	if err := release(); err != nil && crashWorker == 0 {
+		return fmt.Errorf("%s follower: %w", transportName, err)
+	}
 	if joinListen != "" {
-		if relErr != nil {
-			return fmt.Errorf("%s follower: %w", transportName, relErr)
-		}
 		joins, demotions, handoffNs := tr.ElasticStats()
 		fmt.Printf("smoke ok: R=%d at exit over %s (%d joined mid-run, %d demoted, handoff %.1fms), train loss %.6f\n",
 			tr.Replicas(), transportName, joins, demotions, float64(handoffNs)/1e6, run.Loss[run.Epochs()-1])
@@ -528,8 +395,6 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 		return nil
 	}
 	if crashWorker > 0 {
-		// The killed worker's exit(137) is the point of the exercise; what
-		// must hold is that the leader evicted it and trained on.
 		if got := tr.Replicas(); got != 1 {
 			return fmt.Errorf("killed worker was not evicted: %d replicas survive, want 1", got)
 		}
@@ -537,121 +402,74 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 			transportName, crashWorker, run.Loss[run.Epochs()-1])
 		return nil
 	}
-	if relErr != nil {
-		return fmt.Errorf("%s follower: %w", transportName, relErr)
-	}
 	fmt.Printf("smoke ok: R=2 over %s, train loss %.6f\n", transportName, run.Loss[run.Epochs()-1])
 	return nil
 }
 
-// startFollowers launches n follower endpoints for one timing run and
-// returns the dialers for WithTransport plus a release function to call
-// after Trainer.Close: it reaps the followers and returns the first
-// session error. "inproc" returns no dialers — the trainer builds its
-// followers in-process as before. workerArgs are passed through to each
-// spawned tcp worker (e.g. -crash-after for the kill -9 smoke).
+// startFollowers launches n follower endpoints for one run and returns
+// the dialers for WithTransport plus a release function to call after
+// Trainer.Close: it reaps the followers and returns the first session
+// error. "inproc" returns no dialers — the trainer builds its followers
+// in-process. workerArgs are passed through to each spawned tcp worker
+// (e.g. -crash-after for the kill -9 smoke).
 func startFollowers(transportName, workerBin string, stages, n int, workerArgs ...string) ([]pipemare.Dialer, func() error, error) {
-	switch transportName {
-	case "inproc":
-		return nil, func() error { return nil }, nil
-	case "loopback":
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		var dialers []pipemare.Dialer
-		for i := 0; i < n; i++ {
+	var dialers []pipemare.Dialer
+	var waits []func() error // one per follower: how its session ended
+	release := func() error {
+		var first error
+		for _, wait := range waits {
+			if err := wait(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	if transportName == "inproc" {
+		n = 0
+	}
+	for i := 0; i < n; i++ {
+		if transportName == "loopback" {
 			lis, dial := pipemare.Loopback()
-			dialers = append(dialers, dial)
-			wg.Add(1)
-			go func(i int, lis pipemare.Listener) {
-				defer wg.Done()
-				errs[i] = pipemare.ServeFollower(context.Background(), lis,
-					experiments.EngineBenchTask(), experiments.EngineBenchOptions(stages)...)
-			}(i, lis)
-		}
-		return dialers, func() error {
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-	case "tcp":
-		var dialers []pipemare.Dialer
-		var cmds []*exec.Cmd
-		release := func() error {
-			var first error
-			for _, cmd := range cmds {
-				if err := cmd.Wait(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		}
-		for i := 0; i < n; i++ {
-			args := append([]string{"-addr", "127.0.0.1:0", "-stages", fmt.Sprint(stages), "-dtype", dtypeName}, workerArgs...)
-			cmd := exec.Command(workerBin, args...)
-			cmd.Stderr = os.Stderr
-			stdout, err := cmd.StdoutPipe()
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := cmd.Start(); err != nil {
-				return nil, nil, fmt.Errorf("spawning %s: %w", workerBin, err)
-			}
-			cmds = append(cmds, cmd)
-			sc := bufio.NewScanner(stdout)
-			addr := ""
-			for sc.Scan() {
-				if a, ok := strings.CutPrefix(sc.Text(), "listening "); ok {
-					addr = a
-					break
-				}
-			}
-			if addr == "" {
-				cmd.Process.Kill()
-				release()
-				return nil, nil, fmt.Errorf("%s exited without announcing its address", workerBin)
-			}
-			// Drain the remaining worker output in the background so the
-			// child never blocks on a full pipe.
+			done := make(chan error, 1)
 			go func() {
-				for sc.Scan() {
-				}
+				done <- pipemare.ServeFollower(context.Background(), lis,
+					experiments.EngineBenchTask(), experiments.EngineBenchOptions(stages)...)
 			}()
-			dialers = append(dialers, pipemare.DialTCP(addr))
+			waits = append(waits, func() error { return <-done })
+			dialers = append(dialers, dial)
+			continue
 		}
-		return dialers, release, nil
+		args := append([]string{"-addr", "127.0.0.1:0", "-stages", fmt.Sprint(stages), "-dtype", experiments.DType.String()}, workerArgs...)
+		cmd := exec.Command(workerBin, args...)
+		cmd.Stderr = os.Stderr
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := cmd.Start(); err != nil {
+			return nil, nil, fmt.Errorf("spawning %s: %w", workerBin, err)
+		}
+		waits = append(waits, cmd.Wait)
+		sc := bufio.NewScanner(stdout)
+		addr := ""
+		for sc.Scan() {
+			if a, ok := strings.CutPrefix(sc.Text(), "listening "); ok {
+				addr = a
+				break
+			}
+		}
+		if addr == "" {
+			cmd.Process.Kill()
+			release()
+			return nil, nil, fmt.Errorf("%s exited without announcing its address", workerBin)
+		}
+		// Drain the remaining worker output in the background so the
+		// child never blocks on a full pipe.
+		go func() {
+			for sc.Scan() {
+			}
+		}()
+		dialers = append(dialers, pipemare.DialTCP(addr))
 	}
-	return nil, nil, fmt.Errorf("unknown transport %q", transportName)
-}
-
-// timeEpochs builds the benchmark trainer (the same workload as the root
-// BenchmarkEngine* benchmarks) under the given partition mode and returns
-// ns per epoch — one warm epoch, then the mean of two timed epochs — plus
-// the trainer's stage imbalance (max/mean per-stage cost). The trainer is
-// closed before returning, releasing any remote followers.
-func timeEpochs(stages, replicas int, eng pipemare.Engine, mode pipemare.PartitionMode, extra ...pipemare.Option) (int64, float64, error) {
-	if mode != pipemare.PartitionEven {
-		extra = append(extra, pipemare.WithPartition(mode))
-	}
-	tr, err := experiments.NewReplicatedBenchTrainer(stages, replicas, eng, extra...)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer tr.Close()
-	if _, err := tr.Run(context.Background(), 1); err != nil { // warm
-		return 0, 0, err
-	}
-	const epochs = 2
-	start := time.Now()
-	if _, err := tr.Run(context.Background(), epochs); err != nil {
-		return 0, 0, err
-	}
-	ns, imbalance := time.Since(start).Nanoseconds()/epochs, tr.StageImbalance()
-	if err := tr.Close(); err != nil {
-		return 0, 0, err
-	}
-	return ns, imbalance, nil
+	return dialers, release, nil
 }

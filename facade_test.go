@@ -103,9 +103,6 @@ func TestFacadeHelpers(t *testing.T) {
 	if got := pipemare.FwdDelay(1, 8, 4); math.Abs(got-15.0/4) > 1e-15 {
 		t.Fatalf("FwdDelay = %g", got)
 	}
-	if got := pipemare.Lemma1Bound(0, 1); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("Lemma1Bound(0,1) = %g, want 2", got)
-	}
 	if pipemare.GPipe.String() != "GPipe" || pipemare.PipeMare.String() != "PipeMare" || pipemare.PipeDream.String() != "PipeDream" {
 		t.Fatal("method constants wrong")
 	}

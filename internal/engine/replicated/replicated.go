@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/replica"
@@ -53,8 +52,6 @@ type Engine struct {
 	group   *replica.Group // the host's group; nil in the degenerate case
 	solo    engine.Engine  // the degenerate case's inner engine
 	running bool
-
-	recoveryNs int64 // wall time spent recovering from member failures
 
 	// ctl is the leader's control track (nil when tracing is off).
 	// Eviction and replay instants are emitted from Minibatch, which runs
@@ -117,8 +114,7 @@ func (e *Engine) Start(h engine.Host) {
 }
 
 // Stop stops the inner engines. The group itself — and any standby parked
-// in it — belongs to the trainer and outlives the run; the engine keeps
-// its pointer only so FaultStats still answers after the run.
+// in it — belongs to the trainer and outlives the run.
 func (e *Engine) Stop() {
 	if !e.running {
 		return
@@ -128,7 +124,7 @@ func (e *Engine) Stop() {
 	} else if lc, ok := e.solo.(engine.Lifecycle); ok {
 		lc.Stop()
 	}
-	e.solo, e.h, e.ctl = nil, nil, nil
+	e.solo, e.h, e.group, e.ctl = nil, nil, nil, nil
 	e.running = false
 }
 
@@ -155,18 +151,11 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 	if e.group == nil {
 		return e.solo.Minibatch(ctx, h, micros)
 	}
-	var recoverStart time.Time
 	for {
 		loss, err := e.runOnce(ctx, micros)
 		var me *replica.MemberError
 		if !errors.As(err, &me) {
-			if err == nil && !recoverStart.IsZero() {
-				e.recoveryNs += time.Since(recoverStart).Nanoseconds()
-			}
 			return loss, err
-		}
-		if recoverStart.IsZero() {
-			recoverStart = time.Now()
 		}
 		if me.To == replica.Standby {
 			e.ctl.Instant(trace.NameDemote, -1, -1, 0)
@@ -178,7 +167,6 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 			// The commit completed before the failure surfaced (serial
 			// commit: the leader stepped and every survivor synced
 			// independently) — the minibatch stands, no replay.
-			e.recoveryNs += time.Since(recoverStart).Nanoseconds()
 			return loss, nil
 		}
 		e.group.ResetGrads()
@@ -200,15 +188,4 @@ func (e *Engine) runOnce(ctx context.Context, micros [][]int) (float64, error) {
 		return loss, fmt.Errorf("replicated: commit: %w", err)
 	}
 	return loss, nil
-}
-
-// FaultStats reports how many members the group this engine last drove
-// has evicted and the cumulative wall time this engine spent recovering
-// (the transition, gradient reset, and minibatch replays until training
-// resumed).
-func (e *Engine) FaultStats() (evictions int, recoveryNs int64) {
-	if e.group != nil {
-		_, _, evictions = e.group.Stats()
-	}
-	return evictions, e.recoveryNs
 }

@@ -302,24 +302,10 @@ func (w Workload) Target(results ...RunResult) float64 {
 	return math.Max(best-w.TargetSlack, 0)
 }
 
-// EngineBenchWorkload describes the fixed transformer configuration shared
-// by the root BenchmarkEngine{Reference,Concurrent}P{4,8} benchmarks and
-// the BENCH_engine.json perf record (pipemare-bench -json), so the two
-// cannot drift apart.
-const EngineBenchWorkload = "transformer dim=128 enc=2 dec=2 batch=32 micro=8"
-
-// NewEngineBenchTrainer builds the engine-benchmark trainer: the PipeMare
-// method on the EngineBenchWorkload transformer at the given stage count,
-// under the given execution engine. Extra options (e.g. WithPartition)
-// are appended after the workload recipe.
-func NewEngineBenchTrainer(stages int, eng pipemare.Engine, extra ...pipemare.Option) (*pipemare.Trainer, error) {
-	return NewReplicatedBenchTrainer(stages, 1, eng, extra...)
-}
-
-// EngineBenchTask builds the EngineBenchWorkload transformer. Leader and
-// worker processes both call it, so a remote bench run starts from
-// bit-identical weights on every replica (the transport handshake
-// verifies this with a state checksum).
+// EngineBenchTask builds the engine-benchmark transformer (dim 128, 2+2
+// layers, batch 32, 8 microbatches). Leader and worker processes both
+// call it, so a remote run starts from bit-identical weights on every
+// replica (the transport handshake verifies this with a state checksum).
 func EngineBenchTask() core.Task {
 	ds := data.NewTranslation(data.TranslationConfig{
 		Vocab: 13, SrcLen: 6, Train: 256, Test: 32, Seed: 2})
@@ -327,7 +313,7 @@ func EngineBenchTask() core.Task {
 		Dim: 128, Heads: 4, EncLayers: 2, DecLayers: 2, Seed: 1})
 }
 
-// EngineBenchOptions returns the EngineBenchWorkload training recipe —
+// EngineBenchOptions returns the EngineBenchTask training recipe —
 // the option set shared by the leader trainer and `pipemare-worker`
 // follower processes (which pass it to ServeFollower).
 func EngineBenchOptions(stages int) []pipemare.Option {
@@ -348,10 +334,11 @@ func EngineBenchOptions(stages int) []pipemare.Option {
 	return opts
 }
 
-// NewReplicatedBenchTrainer is NewEngineBenchTrainer with a data-parallel
-// replica count, for the BenchmarkEngineReplicated* benchmarks and the
-// replicas dimension of BENCH_engine.json. replicas must not exceed the
-// workload's 8 microbatches.
+// NewReplicatedBenchTrainer builds the PipeMare-method trainer on
+// EngineBenchTask at the given stage and data-parallel replica counts,
+// under eng (nil: the default for that replica count). Extra options
+// (e.g. WithTransport) are appended after the recipe. replicas must not
+// exceed the workload's 8 microbatches.
 func NewReplicatedBenchTrainer(stages, replicas int, eng pipemare.Engine, extra ...pipemare.Option) (*pipemare.Trainer, error) {
 	opts := EngineBenchOptions(stages)
 	if replicas > 1 {

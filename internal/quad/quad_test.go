@@ -56,7 +56,8 @@ func TestCharPolyDiscrepancyReducesToPlain(t *testing.T) {
 func TestLemma1BoundMatchesExactThreshold(t *testing.T) {
 	// Property: the numerically found max stable α equals the closed form
 	// (2/λ)·sin(π/(4τ+2)) for a grid of delays and curvatures.
-	for _, tau := range []int{1, 2, 3, 5, 8, 13, 21, 34, 64} {
+	// τ = 0 is plain SGD, whose threshold is 2/λ.
+	for _, tau := range []int{0, 1, 2, 3, 5, 8, 13, 21, 34, 64} {
 		for _, lambda := range []float64{0.5, 1.0, 3.0} {
 			bound := Lemma1Bound(tau, lambda)
 			got, err := MaxStableAlpha(func(a float64) poly.Poly {

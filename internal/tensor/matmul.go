@@ -42,8 +42,8 @@ import (
 // The kernels do not skip zero A elements (the old naive loops did). For
 // finite inputs the skip is arithmetically invisible (x + 0·b == x, and a
 // +0 accumulator stays +0), so this is bitwise identical on every value
-// the trainers produce; the NaiveMatMul* reference kernels below use the
-// same no-skip semantics.
+// the trainers produce; the test oracle (matmul_test.go) uses the same
+// no-skip semantics.
 
 const (
 	mrTile  = 4   // register-tile rows
@@ -389,91 +389,6 @@ func microTail[T Elem](c []T, ldc int, ap, bp []T, kc, mr, nr int) {
 				acc += ap[p*mrTile+ir] * bp[p*nrTile+jr]
 			}
 			c[ir*ldc+jr] = acc
-		}
-	}
-}
-
-// --- naive reference kernels ---
-//
-// The pre-blocking streaming loops, kept as the test-only ground truth
-// the blocked kernels are pinned bit-equal to, and as the baseline the
-// multicore CI speedup assertion measures against. Serial by design.
-
-// NaiveMatMulInto computes dst += a @ b with the pre-blocking serial ikj
-// loop (no zero-skip, matching the blocked kernel's semantics exactly).
-func NaiveMatMulInto(dst, a, b *Tensor) {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	checkDtypes(dst, a, b, "NaiveMatMul")
-	if dst.dt == Float32 {
-		naiveMM(F32(dst), F32(a), F32(b), m, n, k)
-	} else {
-		naiveMM(F64(dst), F64(a), F64(b), m, n, k)
-	}
-}
-
-func naiveMM[T Elem](dst, a, b []T, m, n, k int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			brow := b[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// NaiveMatMulT1Into computes dst += aᵀ @ b with the pre-blocking serial
-// pij loop.
-func NaiveMatMulT1Into(dst, a, b *Tensor) {
-	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	checkDtypes(dst, a, b, "NaiveMatMulT1")
-	if dst.dt == Float32 {
-		naiveMMT1(F32(dst), F32(a), F32(b), m, n, k)
-	} else {
-		naiveMMT1(F64(dst), F64(a), F64(b), m, n, k)
-	}
-}
-
-func naiveMMT1[T Elem](dst, a, b []T, m, n, k int) {
-	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			orow := dst[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// NaiveMatMulT2Into computes dst = a @ bᵀ with the pre-blocking serial
-// dot-product loop.
-func NaiveMatMulT2Into(dst, a, b *Tensor) {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	checkDtypes(dst, a, b, "NaiveMatMulT2")
-	if dst.dt == Float32 {
-		naiveMMT2(F32(dst), F32(a), F32(b), m, n, k)
-	} else {
-		naiveMMT2(F64(dst), F64(a), F64(b), m, n, k)
-	}
-}
-
-func naiveMMT2[T Elem](dst, a, b []T, m, n, k int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s T
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
 		}
 	}
 }

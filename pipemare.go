@@ -50,7 +50,6 @@ import (
 	"pipemare/internal/metrics"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
-	"pipemare/internal/quad"
 	"pipemare/internal/tensor"
 )
 
@@ -131,7 +130,3 @@ func NewReplicatedEngine(inner func() Engine) Engine {
 
 // FwdDelay returns τ_fwd = (2(P−i)+1)/N for 1-indexed stage i (Table 1).
 func FwdDelay(stage1, p, n int) float64 { return pipeline.FwdDelay(stage1, p, n) }
-
-// Lemma1Bound returns the maximal stable step size (2/λ)·sin(π/(4τ+2)) of
-// fixed-delay asynchronous SGD on a quadratic with curvature λ.
-func Lemma1Bound(tau int, lambda float64) float64 { return quad.Lemma1Bound(tau, lambda) }

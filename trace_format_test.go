@@ -2,16 +2,10 @@ package pipemare_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"os"
 	"testing"
-	"time"
 
 	"pipemare"
-	"pipemare/internal/data"
-	"pipemare/internal/model"
-	"pipemare/internal/optim"
 )
 
 // TestChromeTraceFormat runs a real R=2 × P=4 sharded-commit training
@@ -88,60 +82,5 @@ func TestChromeTraceFormat(t *testing.T) {
 		if !names[want] {
 			t.Errorf("export is missing %q events", want)
 		}
-	}
-}
-
-// TestTraceOverhead gates the <5% ns/epoch overhead bound behind
-// PIPEMARE_TRACE_OVERHEAD=1: it is a timing assertion, meaningful only
-// on the dedicated CI observability job (and far too flaky for ordinary
-// developer machines running a parallel test load).
-func TestTraceOverhead(t *testing.T) {
-	if os.Getenv("PIPEMARE_TRACE_OVERHEAD") != "1" {
-		t.Skip("set PIPEMARE_TRACE_OVERHEAD=1 to measure tracing overhead")
-	}
-	// A realistically-sized model: the event count per epoch is fixed by
-	// the schedule (stages × microbatches × minibatches), so per-slot
-	// compute must dominate the ~100ns event cost for the bound to
-	// measure recording overhead rather than the workload's smallness.
-	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
-		Train: 96, Test: 32, Noise: 0.4, Seed: 6})
-	build := func() pipemare.Task { return model.NewResNetMLP(images, 128, 4, 8) }
-	base := append(methodOpts(pipemare.PipeMare),
-		pipemare.WithStages(4),
-		pipemare.WithBatchSize(32), pipemare.WithMicrobatches(8),
-		pipemare.WithSchedule(optim.Constant(0.05)))
-	epoch := func(extra ...pipemare.Option) time.Duration {
-		tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...), extra...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Run(context.Background(), 1); err != nil { // warm
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := tr.Run(context.Background(), 4); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start) / 4
-	}
-	// Best-of-3 per arm damps scheduler noise without hiding a real
-	// per-event cost, which would hit every run equally.
-	best := func(f func() time.Duration) time.Duration {
-		d := f()
-		for i := 0; i < 2; i++ {
-			if n := f(); n < d {
-				d = n
-			}
-		}
-		return d
-	}
-	off := best(func() time.Duration { return epoch() })
-	on := best(func() time.Duration {
-		return epoch(pipemare.WithTrace(pipemare.NewTraceRecorder()))
-	})
-	overhead := float64(on-off) / float64(off)
-	t.Logf("trace off %v/epoch, on %v/epoch: overhead %.2f%%", off, on, 100*overhead)
-	if overhead > 0.05 {
-		t.Fatalf("tracing overhead %.2f%% exceeds the 5%% bound (off %v, on %v)", 100*overhead, off, on)
 	}
 }
