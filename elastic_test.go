@@ -71,6 +71,36 @@ func startJoiner(t *testing.T, build func() pipemare.Task, opts []pipemare.Optio
 	return lis, func() error { return <-done }
 }
 
+// parkSignal wraps a join listener to tell a test when its joiner is
+// parked: the trainer's accept loop parks one joiner before it calls
+// Accept again, so the second token on calls means the first is parked.
+type parkSignal struct {
+	pipemare.Listener
+	calls chan struct{} // buffered; one token per Accept call
+}
+
+func (l parkSignal) Accept(ctx context.Context) (transport.MsgConn, error) {
+	select {
+	case l.calls <- struct{}{}:
+	default:
+	}
+	return l.Listener.Accept(ctx)
+}
+
+// acceptAndPark hands lis to the trainer's AcceptJoins and returns once
+// the joiner dialing it is parked, so a following Run admits (or rejects)
+// it at the boundary its JoinAt names on any scheduler — not at whichever
+// boundary the joiner's goroutine happened to reach the leader by.
+func acceptAndPark(t *testing.T, tr *pipemare.Trainer, lis pipemare.Listener) {
+	t.Helper()
+	calls := make(chan struct{}, 2)
+	if err := tr.AcceptJoins(parkSignal{lis, calls}); err != nil {
+		t.Fatalf("accept joins: %v", err)
+	}
+	<-calls
+	<-calls
+}
+
 // TestJoinMatchesFreshLargerRun is the headline elastic-membership pin,
 // in both commit modes: a third replica joining an R=2 loopback run at
 // step 2 — weights, T2 state, optimizer moments, version rings and
@@ -95,9 +125,7 @@ func TestJoinMatchesFreshLargerRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := tr.AcceptJoins(jlis); err != nil {
-			t.Fatalf("%s: accept joins: %v", name, err)
-		}
+		acceptAndPark(t, tr, jlis)
 		got, err := tr.Run(context.Background(), 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -229,9 +257,7 @@ func TestChurnCompositions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.AcceptJoins(jlis); err != nil {
-				t.Fatal(err)
-			}
+			acceptAndPark(t, tr, jlis)
 			var got *pipemare.Run
 			err = runWithin(t, 60*time.Second, "evict+join", func() error {
 				r, err := tr.Run(context.Background(), 4)
@@ -284,9 +310,7 @@ func TestChurnCompositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.AcceptJoins(jlis); err != nil {
-			t.Fatal(err)
-		}
+		acceptAndPark(t, tr, jlis)
 		got, err := tr.Run(context.Background(), 4)
 		if err != nil {
 			t.Fatal(err)
@@ -398,9 +422,7 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lis := range []pipemare.Listener{badLis, lateLis} {
-		if err := tr.AcceptJoins(lis); err != nil {
-			t.Fatal(err)
-		}
+		acceptAndPark(t, tr, lis)
 	}
 	got, err := tr.Run(context.Background(), 2)
 	if err != nil {

@@ -14,10 +14,13 @@ import (
 
 // Checkpointing serializes the leader's complete training state to a
 // file of wire frames (the transport's framed codec: magic, version and
-// CRC per frame), so restore is as bit-exact as a collective: master
-// weights, T2 δ and corrected buffers, the full optimizer moment state,
-// the per-stage weight-version rings the asynchronous methods read
-// historical versions from, and the step/epoch/microbatch clocks.
+// CRC per frame), so restore is as bit-exact as a collective. The file is
+// the state handoff written down: after the clocks, one section per stage
+// whose payload is the stage's state list (layoutStages) encoded exactly
+// as MsgSetState carries it under the fault-tolerant layout, then one
+// section per stage whose payload is the MsgSetRing payload of the
+// stage's weight-version ring — the historical versions the asynchronous
+// methods read.
 //
 // The batch order is a pure function of (seed, epoch) — run() draws a
 // fresh RNG per epoch — so no RNG state needs to be saved: a restored
@@ -27,16 +30,18 @@ import (
 // Checkpoint section types (frame Header.Type within a checkpoint file —
 // a namespace separate from the live wire protocol).
 const (
-	ckptMeta  = 1 // format version, clocks, and layout counts
-	ckptStage = 2 // one stage's masters, T2 state, and moments
-	ckptRing  = 3 // one stage's weight-version ring
+	ckptMeta  = 1 // format version, clocks and stage count
+	ckptStage = 2 // one stage's state: the MsgSetState payload
+	ckptRing  = 3 // one stage's weight-version ring: the MsgSetRing payload
 	ckptEnd   = 4 // end marker: the file was written completely
 )
 
-// ckptFormat is the checkpoint format version. Version 2 switched the
-// tensor encoding to carry a per-tensor dtype tag (float32 support), so
-// version-1 files are rejected rather than mis-decoded.
-const ckptFormat = 2
+// ckptFormat is the checkpoint format version. Version 2 added the
+// per-tensor dtype tag (float32 support); version 3 made each section's
+// payload the wire message's (one counted tensor list per stage instead
+// of one per kind of state). Files of another version are rejected
+// rather than mis-decoded.
+const ckptFormat = 3
 
 // ckptPattern matches checkpoint files in a directory; the step number
 // is zero-padded so lexical order is step order.
@@ -74,42 +79,24 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	momentCount := 0
 	optClock := 0
 	if t.stateful != nil {
-		momentCount = t.stateful.MomentCount()
 		optClock = t.stateful.Clock()
 	}
 	meta := transport.AppendU32(nil, ckptFormat)
-	meta = transport.AppendU32(meta, uint32(t.step))
-	meta = transport.AppendU32(meta, uint32(t.epoch))
-	meta = transport.AppendU32(meta, uint32(t.micro))
-	meta = transport.AppendU32(meta, uint32(t.clock.P))
-	meta = transport.AppendU32(meta, uint32(len(t.params)))
-	meta = transport.AppendBool(meta, t.delta != nil)
-	meta = transport.AppendU32(meta, uint32(momentCount))
-	meta = transport.AppendU32(meta, uint32(optClock))
-	buf := transport.AppendMessage(nil, transport.Header{Type: ckptMeta, Stage: -1}, meta)
-	for s := 0; s < t.clock.P; s++ {
-		lo, hi := t.stageLo[s], t.stageHi[s]
-		p := transport.AppendTensors(nil, t.masters[lo:hi])
-		if t.delta != nil {
-			p = transport.AppendTensors(p, t.delta[lo:hi])
-			p = transport.AppendTensors(p, t.corrected[lo:hi])
-		}
-		for i := lo; momentCount > 0 && i < hi; i++ {
-			p = transport.AppendTensors(p, t.stateful.MomentTensors(i))
-		}
-		buf = transport.AppendMessage(buf, transport.Header{Type: ckptStage, Stage: int32(s)}, p)
+	for _, v := range []int{t.step, t.epoch, t.micro, t.clock.P, optClock} {
+		meta = transport.AppendU32(meta, uint32(v))
 	}
-	for s := 0; s < t.clock.P; s++ {
+	buf := transport.AppendMessage(nil, transport.Header{Type: ckptMeta, Stage: -1}, meta)
+	var payload []byte
+	for s, state := range t.state {
+		payload = transport.AppendTensors(payload[:0], state)
+		buf = transport.AppendMessage(buf, transport.Header{Type: ckptStage, Stage: int32(s)}, payload)
+	}
+	for s := range t.state {
 		base, snaps := t.store.History(s)
-		p := transport.AppendU32(nil, uint32(base))
-		p = transport.AppendU32(p, uint32(len(snaps)))
-		for _, sn := range snaps {
-			p = transport.AppendTensors(p, sn)
-		}
-		buf = transport.AppendMessage(buf, transport.Header{Type: ckptRing, Stage: int32(s)}, p)
+		payload = transport.AppendRing(payload[:0], base, snaps)
+		buf = transport.AppendMessage(buf, transport.Header{Type: ckptRing, Stage: int32(s)}, payload)
 	}
 	buf = transport.AppendMessage(buf, transport.Header{Type: ckptEnd, Stage: -1}, nil)
 
@@ -135,8 +122,9 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 	return path, nil
 }
 
-// ckptState is a fully parsed checkpoint, staged off to the side so a
-// corrupt file is rejected before a single live tensor is touched.
+// ckptState is a fully parsed and validated checkpoint, staged off to the
+// side so a file that does not fit this trainer is rejected before a
+// single live tensor is touched.
 type ckptState struct {
 	step, epoch, micro int
 	optClock           int
@@ -145,147 +133,82 @@ type ckptState struct {
 	ringSnaps          [][][]*tensor.Tensor
 }
 
-// parseCheckpoint decodes and validates b against this trainer's layout.
+// parseCheckpoint decodes b and validates every section against this
+// trainer's stage layout; what it returns, apply can install without
+// failing.
 func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
-	h, payload, rest, err := transport.NextMessage(b)
+	// section reads the next section, which must have the given type and
+	// stage.
+	section := func(typ byte, stage int) (*transport.Cursor, error) {
+		m, rest, err := transport.NextMessage(b)
+		if err != nil {
+			return nil, err
+		}
+		if m.Type != typ || int(m.Stage) != stage {
+			return nil, fmt.Errorf("section is type %d stage %d, want type %d stage %d (truncated or reordered checkpoint)", m.Type, m.Stage, typ, stage)
+		}
+		b = rest
+		return transport.NewCursor(m.Data), nil
+	}
+	c, err := section(ckptMeta, -1)
 	if err != nil {
 		return nil, err
 	}
-	if h.Type != ckptMeta {
-		return nil, fmt.Errorf("first section is type %d, want meta", h.Type)
+	if format := c.I32(); format != ckptFormat {
+		return nil, fmt.Errorf("format version %d, want %d", format, ckptFormat)
 	}
-	c := transport.NewCursor(payload)
-	format := c.I32()
 	st := &ckptState{step: c.I32(), epoch: c.I32(), micro: c.I32()}
-	stages, params := c.I32(), c.I32()
-	t2 := c.Bool()
-	momentCount := c.I32()
+	p := c.I32()
 	st.optClock = c.I32()
 	if err := c.Done(); err != nil {
 		return nil, fmt.Errorf("meta: %w", err)
 	}
-	if format != ckptFormat {
-		return nil, fmt.Errorf("format version %d, want %d", format, ckptFormat)
+	if p != t.clock.P {
+		return nil, fmt.Errorf("checkpoint has %d stages, trainer has %d", p, t.clock.P)
 	}
-	if stages != t.clock.P || params != len(t.params) {
-		return nil, fmt.Errorf("checkpoint has %d stages / %d params, trainer has %d / %d", stages, params, t.clock.P, len(t.params))
-	}
-	if t2 != (t.delta != nil) {
-		return nil, fmt.Errorf("checkpoint T2 state %v, trainer %v", t2, t.delta != nil)
-	}
-	wantMoments := 0
-	if t.stateful != nil {
-		wantMoments = t.stateful.MomentCount()
-	}
-	if momentCount != wantMoments {
-		return nil, fmt.Errorf("checkpoint has %d moment tensors per param, optimizer has %d (different optimizer?)", momentCount, wantMoments)
-	}
-	st.stages = make([][]*tensor.Tensor, stages)
-	st.ringBase = make([]int, stages)
-	st.ringSnaps = make([][][]*tensor.Tensor, stages)
-	for s := 0; s < stages; s++ {
-		h, payload, rest, err = transport.NextMessage(rest)
-		if err != nil {
+	st.stages = make([][]*tensor.Tensor, p)
+	st.ringBase = make([]int, p)
+	st.ringSnaps = make([][][]*tensor.Tensor, p)
+	for s := range st.stages {
+		if c, err = section(ckptStage, s); err != nil {
 			return nil, err
 		}
-		if h.Type != ckptStage || int(h.Stage) != s {
-			return nil, fmt.Errorf("section %d is type %d stage %d, want stage section %d", s, h.Type, h.Stage, s)
-		}
-		lo, hi := t.stageLo[s], t.stageHi[s]
-		c := transport.NewCursor(payload)
-		buf := c.TensorsInto(nil)
-		if t.delta != nil {
-			buf = append(buf, c.TensorsInto(nil)...)
-			buf = append(buf, c.TensorsInto(nil)...)
-		}
-		for i := lo; momentCount > 0 && i < hi; i++ {
-			buf = append(buf, c.TensorsInto(nil)...)
-		}
+		st.stages[s] = c.TensorsInto(nil)
 		if err := c.Done(); err != nil {
 			return nil, fmt.Errorf("stage %d: %w", s, err)
 		}
-		want := hi - lo
-		if t.delta != nil {
-			want *= 3
-		}
-		want += (hi - lo) * momentCount
-		if len(buf) != want {
-			return nil, fmt.Errorf("stage %d has %d tensors, want %d", s, len(buf), want)
-		}
-		st.stages[s] = buf
-	}
-	for s := 0; s < stages; s++ {
-		h, payload, rest, err = transport.NextMessage(rest)
-		if err != nil {
+		if err := checkStage(s, t.state[s], st.stages[s]); err != nil {
 			return nil, err
 		}
-		if h.Type != ckptRing || int(h.Stage) != s {
-			return nil, fmt.Errorf("section is type %d stage %d, want ring section %d", h.Type, h.Stage, s)
+	}
+	for s := range st.stages {
+		if c, err = section(ckptRing, s); err != nil {
+			return nil, err
 		}
-		c := transport.NewCursor(payload)
-		st.ringBase[s] = c.I32()
-		n := c.Count(4)
-		snaps := make([][]*tensor.Tensor, 0, n)
-		for i := 0; i < n; i++ {
-			snaps = append(snaps, c.TensorsInto(nil))
-		}
+		st.ringBase[s], st.ringSnaps[s] = c.Ring()
 		if err := c.Done(); err != nil {
 			return nil, fmt.Errorf("ring %d: %w", s, err)
 		}
-		st.ringSnaps[s] = snaps
+		if len(st.ringSnaps[s]) == 0 {
+			return nil, fmt.Errorf("ring %d holds no weight version", s)
+		}
+		for _, snap := range st.ringSnaps[s] {
+			if err := checkStage(s, t.masters[t.stageLo[s]:t.stageHi[s]], snap); err != nil {
+				return nil, fmt.Errorf("ring: %w", err)
+			}
+		}
 	}
-	h, _, _, err = transport.NextMessage(rest)
-	if err != nil {
+	if _, err := section(ckptEnd, -1); err != nil {
 		return nil, err
-	}
-	if h.Type != ckptEnd {
-		return nil, fmt.Errorf("missing end marker (truncated checkpoint)")
 	}
 	return st, nil
 }
 
 // apply installs a parsed checkpoint into the live trainer state.
-func (t *Trainer) apply(st *ckptState) error {
-	for s := 0; s < t.clock.P; s++ {
-		lo, hi := t.stageLo[s], t.stageHi[s]
-		k := 0
-		take := func(dst *tensor.Tensor) error {
-			src := st.stages[s][k]
-			k++
-			if !dst.SameShape(src) {
-				return fmt.Errorf("core: checkpoint stage %d tensor %d shape %v, want %v", s, k-1, src.Shape, dst.Shape)
-			}
-			if dst.DType() != src.DType() {
-				return fmt.Errorf("core: checkpoint stage %d tensor %d dtype %v, want %v", s, k-1, src.DType(), dst.DType())
-			}
-			dst.CopyFrom(src)
-			return nil
-		}
-		for i := lo; i < hi; i++ {
-			if err := take(t.masters[i]); err != nil {
-				return err
-			}
-		}
-		if t.delta != nil {
-			for i := lo; i < hi; i++ {
-				if err := take(t.delta[i]); err != nil {
-					return err
-				}
-			}
-			for i := lo; i < hi; i++ {
-				if err := take(t.corrected[i]); err != nil {
-					return err
-				}
-			}
-		}
-		if t.stateful != nil {
-			for i := lo; i < hi; i++ {
-				for _, mt := range t.stateful.MomentTensors(i) {
-					if err := take(mt); err != nil {
-						return err
-					}
-				}
-			}
+func (t *Trainer) apply(st *ckptState) {
+	for s, state := range t.state {
+		for k, dst := range state {
+			dst.CopyFrom(st.stages[s][k])
 		}
 		t.store.RestoreStage(s, st.ringBase[s], st.ringSnaps[s])
 	}
@@ -296,7 +219,6 @@ func (t *Trainer) apply(st *ckptState) error {
 	t.epoch = st.epoch
 	t.micro = st.micro
 	t.diverged = false
-	return nil
 }
 
 // RestoreFrom restores the trainer from one checkpoint file. The file is
@@ -311,9 +233,7 @@ func (t *Trainer) RestoreFrom(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: restoring %s: %w", path, err)
 	}
-	if err := t.apply(st); err != nil {
-		return err
-	}
+	t.apply(st)
 	t.ctlTrack().Instant(trace.NameCkptRestore, -1, -1, 0)
 	return t.syncRestoredFollowers()
 }

@@ -253,24 +253,13 @@ type Config struct {
 	TraceReplica int
 }
 
-// ReplicaEnv is what a Config.Followers factory needs to connect a
-// follower: the leader's state surface (initial state, clocks) and the
-// resolved replication topology the remote side must agree with.
+// ReplicaEnv is what a Config.Followers factory needs to connect follower
+// r: the leader's replica surface, and the handshake spec a remote side
+// must agree with (Trainer.spec) — replica r's position, the resolved
+// topology, the leader's clocks and the checksum of its initial state.
 type ReplicaEnv struct {
-	Leader   transport.LeaderState
-	Replicas int
-	Stages   int
-	Sharded  bool
-	Method   Method
-	T2       bool
-	// GroupCosts is the per-group cost vector the leader's partitioner
-	// balanced, so a measured (profile) partition pins identically on a
-	// remote worker.
-	GroupCosts []float64
-	// FaultTolerant propagates the leader's resolved fault-tolerance mode
-	// so a remote follower builds the same (moment-extended) stage-state
-	// layout.
-	FaultTolerant bool
+	Leader replica.Leader
+	Spec   transport.Spec
 }
 
 // ShardedStepMode selects the replica-sharded optimizer commit
@@ -339,18 +328,22 @@ type Trainer struct {
 	// Data-parallel replication state: a leader trainer builds one replica
 	// group over its follower members — in-process follower trainers, or
 	// remote proxies from Config.Followers — and the group alone knows who
-	// is in the run from then on (nil for a single replica); a follower
-	// trainer holds a pointer back to its leader for the post-step weight
-	// broadcast (or epoch-clock sync under the sharded commit).
-	group      *replica.Group
-	leader     *Trainer
-	sharded    bool
-	stageState [][]*tensor.Tensor // per-stage gather layout (masters, T2 δ, corrected, FT moments)
+	// is in the run from then on (nil for a single replica). A follower
+	// trainer holds nothing of its leader: state and clocks arrive through
+	// the member surface.
+	group   *replica.Group
+	sharded bool
+
+	// state is what each stage is, as one list per stage (layoutStages):
+	// everything a checkpoint's stage section holds and restores. gather
+	// is the prefix of it the replicas exchange (StageState /
+	// ImportStageState): without the moments, unless momentShare.
+	state, gather [][]*tensor.Tensor
 
 	// Fault-tolerance state: stateful is the optimizer's moment surface
 	// when it spans the full parameter range (nil otherwise); momentShare
-	// marks the fault-tolerant stage-state layout (moments ride along in
-	// stageState, so gathers and broadcasts mirror them onto every
+	// marks the fault-tolerant stage-state layout (the moments ride along
+	// in the gather view, so gathers and broadcasts mirror them onto every
 	// replica).
 	stateful    optim.Stateful
 	momentShare bool
@@ -533,55 +526,27 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	}
 	t.flows = make(map[int]*flight)
 	t.sharded = sharded
-	// Per-stage state layout for the sharded-commit gather (StageState):
-	// fixed after construction, so build it once instead of per commit.
-	// Under the fault-tolerant layout the stage's optimizer moments ride
-	// at the end (aliasing the live optimizer tensors), so every gather
-	// and broadcast mirrors them onto all replicas.
-	t.stageState = make([][]*tensor.Tensor, p)
-	for s := 0; s < p; s++ {
-		lo, hi := t.stageLo[s], t.stageHi[s]
-		n := hi - lo
-		if t.delta != nil {
-			n *= 3
-		}
-		buf := make([]*tensor.Tensor, 0, n)
-		for i := lo; i < hi; i++ {
-			buf = append(buf, t.masters[i])
-		}
-		if t.delta != nil {
-			for i := lo; i < hi; i++ {
-				buf = append(buf, t.delta[i])
-			}
-			for i := lo; i < hi; i++ {
-				buf = append(buf, t.corrected[i])
-			}
-		}
-		if t.momentShare {
-			for i := lo; i < hi; i++ {
-				buf = append(buf, t.stateful.MomentTensors(i)...)
-			}
-		}
-		t.stageState[s] = buf
-	}
+	t.layoutStages()
 	if replicas == 1 {
 		return t, nil
 	}
-	env := ReplicaEnv{
-		Leader: host{t}, Replicas: replicas, Stages: p,
-		Sharded: sharded, Method: cfg.Method, T2: cfg.T2D > 0,
-		GroupCosts:    costs,
-		FaultTolerant: cfg.FaultTolerant,
+	env := ReplicaEnv{Leader: host{t}}
+	if cfg.Followers != nil {
+		env.Spec = t.spec(0, replicas, true) // one state checksum for all R−1 handshakes
 	}
 	var followers []replica.Member
 	for r := 1; r < replicas; r++ {
 		var m replica.Member
 		if cfg.Followers != nil {
+			env.Spec.Replica = r
 			if m, err = cfg.Followers(r, env); err != nil {
 				return nil, fmt.Errorf("core: connecting replica %d: %w", r, err)
 			}
 			if m == nil {
 				return nil, fmt.Errorf("core: follower factory returned nil member for replica %d", r)
+			}
+			if rm, ok := m.(*transport.RemoteMember); ok {
+				t.arm(rm)
 			}
 		} else {
 			f, err := t.newFollower(task.(Replicable), r)
@@ -597,6 +562,88 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return t, nil
+}
+
+// layoutStages enumerates what a pipeline stage is, once, in the order
+// every mover of stage state — gather, broadcast, handoff, checkpoint,
+// restore — ships it: the master weights, then the T2 discrepancy state (δ
+// and the corrected backward weights) when T2 is on, then the optimizer's
+// live moment tensors whenever the full moment state is resident. The
+// lists alias the live tensors and are fixed after construction. The
+// gather view stops before the moments unless the fault-tolerant layout
+// shares them.
+func (t *Trainer) layoutStages() {
+	t.state = make([][]*tensor.Tensor, t.clock.P)
+	t.gather = make([][]*tensor.Tensor, t.clock.P)
+	for s := range t.state {
+		lo, hi := t.stageLo[s], t.stageHi[s]
+		list := append([]*tensor.Tensor(nil), t.masters[lo:hi]...)
+		if t.delta != nil {
+			list = append(list, t.delta[lo:hi]...)
+			list = append(list, t.corrected[lo:hi]...)
+		}
+		shared := len(list)
+		if t.stateful != nil {
+			for i := lo; i < hi; i++ {
+				list = append(list, t.stateful.MomentTensors(i)...)
+			}
+		}
+		if t.momentShare {
+			shared = len(list)
+		}
+		t.state[s], t.gather[s] = list, list[:shared:shared]
+	}
+}
+
+// checkStage reports whether src can be copied over the stage's tensors
+// dst, tensor for tensor: the count first, then each tensor's shape and
+// dtype, naming the stage and the index. Importers run it before they
+// touch anything live.
+func checkStage(stage int, dst, src []*tensor.Tensor) error {
+	if len(src) != len(dst) {
+		return fmt.Errorf("stage %d state has %d tensors, want %d", stage, len(src), len(dst))
+	}
+	for k, d := range dst {
+		if !d.SameShape(src[k]) {
+			return fmt.Errorf("stage %d tensor %d shape %v, want %v", stage, k, src[k].Shape, d.Shape)
+		}
+		if d.DType() != src[k].DType() {
+			return fmt.Errorf("stage %d tensor %d dtype %v, want %v", stage, k, src[k].DType(), d.DType())
+		}
+	}
+	return nil
+}
+
+// spec is the one builder of the handshake spec: what the leader
+// announces to the remote member taking group position `position` of
+// `replicas` — in MsgHello with the checksum of the leader's current
+// per-stage state, which a dial-time follower must reproduce, and in
+// MsgWelcome without one, because a joiner's state is replaced wholesale
+// by the handoff. The wire carries the position (a worker checks it
+// against the replica count); the stable id the group gives the member is
+// leader-side only.
+func (t *Trainer) spec(position, replicas int, checksum bool) transport.Spec {
+	s := transport.Spec{
+		Replica: position, Replicas: replicas, Stages: t.clock.P,
+		Method: int(t.cfg.Method), T2: t.delta != nil, Sharded: t.sharded,
+		Step: t.step, Epoch: t.epoch,
+		GroupCosts: t.groupCosts,
+		FT:         t.cfg.FaultTolerant,
+		Heartbeat:  t.cfg.Heartbeat,
+	}
+	if checksum {
+		s.Checksum = transport.StateChecksum(host{t}, t.clock.P)
+	}
+	return s
+}
+
+// arm applies the run's tracing and straggler policy to a remote member's
+// proxy, after its handshake and before it enters the replica group.
+func (t *Trainer) arm(m *transport.RemoteMember) {
+	m.SetTracer(t.cfg.Trace) // nil-safe: a nil recorder leaves the wire track off
+	if t.cfg.StragglerMisses > 0 {
+		m.SetStragglerDeadline(t.cfg.StragglerDeadline, t.cfg.StragglerMisses)
+	}
 }
 
 // resolveSharded resolves a ShardedStepMode against the optimizer and the
@@ -752,12 +799,7 @@ func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 		// noisy profile pass cannot skew a follower's stage boundaries.
 		fcfg.GroupCosts = t.groupCosts
 	}
-	f, err := buildFollower(ct, t.opt, t.sched, fcfg, r, t.cfg.Replicas, t.sharded)
-	if err != nil {
-		return nil, err
-	}
-	f.leader = t
-	return f, nil
+	return buildFollower(ct, t.opt, t.sched, fcfg, r, t.cfg.Replicas, t.sharded)
 }
 
 // NewFollower builds the standalone worker-process counterpart of the
@@ -1125,9 +1167,11 @@ func (h host) BeginMicro(s int, mb []int) {
 		if t.prog != nil {
 			fl.m = nn.NewMachine(t.prog.NumRegs)
 			// Slot machines allocate activations from their own tape
-			// arena, which must match the model dtype.
-			if len(t.params) > 0 {
-				fl.m.Tape.SetDType(t.params[0].Data.DType())
+			// arena, which must match the model dtype. Read it from a
+			// master: a scheduler worker's InstallForward may be swapping
+			// params[0].Data at this moment, nothing ever swaps a master.
+			if len(t.masters) > 0 {
+				fl.m.Tape.SetDType(t.masters[0].DType())
 			}
 		}
 	}
@@ -1316,14 +1360,14 @@ func recompCorrect[T tensor.Elem](buf, snap, delta []T, coef float64) {
 // single-replica trainer, and for a follower.
 func (h host) Group() *replica.Group { return h.t.group }
 
-// Step returns the optimizer step clock (transport.LeaderState).
+// Step returns the optimizer step clock (replica.Leader).
 func (h host) Step() int { return h.t.step }
 
-// Epoch returns the epoch clock (transport.LeaderState).
+// Epoch returns the epoch clock (replica.Leader).
 func (h host) Epoch() int { return h.t.epoch }
 
-// SetStep aligns the step clock — the remote-worker counterpart of the
-// SyncFromLeader step copy (transport.ClockSetter).
+// SetStep aligns the step clock with the leader's (replica.Member) — the
+// tail of a full-state push.
 func (h host) SetStep(step int) { h.t.setStep(step) }
 
 // setStep moves the optimizer step clock, keeping the optimizer's own
@@ -1337,8 +1381,9 @@ func (t *Trainer) setStep(step int) {
 	}
 }
 
-// SetEpoch aligns the epoch clock — the remote-worker counterpart of
-// SyncEpoch (transport.ClockSetter).
+// SetEpoch aligns the epoch clock with the leader's (replica.Member), so
+// the commit-phase learning rates (T1 annealing, T3 warmup phase) are
+// computed from the same epoch everywhere.
 func (h host) SetEpoch(epoch int) { h.t.epoch = epoch }
 
 // TakeStageGrads moves the stage's accumulated gradients into bufs and
@@ -1383,111 +1428,41 @@ func (h host) SetStageGrads(stage int, bufs []*tensor.Tensor) {
 	}
 }
 
-// StageState returns the stage's live post-step state tensors — the
-// master weights, then (when T2 is enabled) the δ velocity accumulators
-// and corrected backward weights — in a fixed layout the gather copies
-// from. Callers must treat the slice and its tensors as read-only.
+// StageState returns the stage's live post-step state tensors in the
+// gather view of the stage layout (layoutStages). Callers must treat the
+// slice and its tensors as read-only.
 func (h host) StageState(stage int) []*tensor.Tensor {
-	return h.t.stageState[stage]
+	return h.t.gather[stage]
 }
 
 // ImportStageState copies a stage's post-step state from src (an owner's
-// StageState layout) into this replica and pushes the stage's next weight
-// version — the gather half of the sharded commit, mirroring the version
-// push the owner's FinishStage did so every replica's version queue
-// replays the same history.
+// StageState) into this replica and pushes the stage's next weight
+// version — the gather half of the sharded commit and one stage of a
+// full-state push, mirroring the version push the owner's FinishStage did
+// so every replica's version queue replays the same history. A src of
+// another layout panics before anything is copied (the serve loop turns
+// that into an error reply).
 func (h host) ImportStageState(stage int, src []*tensor.Tensor) {
 	t := h.t
-	lo, hi := t.stageLo[stage], t.stageHi[stage]
-	want := hi - lo
-	if t.delta != nil {
-		want *= 3
+	dst := t.gather[stage]
+	if err := checkStage(stage, dst, src); err != nil {
+		panic("core: " + err.Error())
 	}
-	if t.momentShare {
-		want += (hi - lo) * t.stateful.MomentCount()
-	}
-	if len(src) != want {
-		panic(fmt.Sprintf("core: stage %d state has %d tensors, want %d", stage, len(src), want))
-	}
-	k := 0
-	for i := lo; i < hi; i++ {
-		t.masters[i].CopyFrom(src[k])
-		k++
-	}
-	if t.delta != nil {
-		for i := lo; i < hi; i++ {
-			t.delta[i].CopyFrom(src[k])
-			k++
-		}
-		for i := lo; i < hi; i++ {
-			t.corrected[i].CopyFrom(src[k])
-			k++
-		}
-	}
-	if t.momentShare {
-		for i := lo; i < hi; i++ {
-			for _, mt := range t.stateful.MomentTensors(i) {
-				mt.CopyFrom(src[k])
-				k++
-			}
-		}
+	for k, d := range dst {
+		d.CopyFrom(src[k])
 	}
 	t.store.PushStage(stage)
 }
 
-// SyncEpoch aligns a follower's epoch clock with its leader's so the
-// commit-phase learning rates (T1 annealing, T3 warmup phase) are
-// computed from the same epoch everywhere. The leader is its own clock.
-func (h host) SyncEpoch() {
-	if h.t.leader != nil {
-		h.t.epoch = h.t.leader.epoch
-	}
-}
-
-// SyncFromLeader imports the leader's post-step master weights and T2
-// state, then pushes this replica's next per-stage weight version — the
-// follower half of the broadcast protocol, mirroring what FinishStage
-// did on the leader so both version queues stay aligned.
-func (h host) SyncFromLeader() {
-	t := h.t
-	ld := t.leader
-	for i := range t.masters {
-		t.masters[i].CopyFrom(ld.masters[i])
-	}
-	if t.delta != nil {
-		for i := range t.delta {
-			t.delta[i].CopyFrom(ld.delta[i])
-			t.corrected[i].CopyFrom(ld.corrected[i])
-		}
-	}
-	if t.momentShare && ld.momentShare {
-		for i := range t.masters {
-			src := ld.stateful.MomentTensors(i)
-			for j, mt := range t.stateful.MomentTensors(i) {
-				mt.CopyFrom(src[j])
-			}
-		}
-	}
-	t.setStep(ld.step)
-	for st := range t.part.Stages {
-		t.store.PushStage(st)
-	}
-}
-
 // RestoreVersions replaces a stage's weight-version ring
-// (replica.VersionRestorer) — the restore path for the historical
-// versions the asynchronous methods read.
+// (replica.Member) — the restore path for the historical versions the
+// asynchronous methods read.
 func (h host) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	h.t.store.RestoreStage(stage, base, snaps)
 }
 
-// The trainer's host satisfies the full replica surface, and the state
-// surface a remote follower's proxy reads the leader through.
-var (
-	_ replica.Leader          = host{}
-	_ replica.VersionRestorer = host{}
-	_ transport.LeaderState   = host{}
-)
+// The trainer's host satisfies the full replica surface.
+var _ replica.Leader = host{}
 
 // Run trains for the given number of epochs under ctx, recording one entry
 // per epoch. Epochs accumulate across calls: warmup (T3) and divergence

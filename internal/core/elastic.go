@@ -160,32 +160,14 @@ func (t *Trainer) admitOne(pj pendingJoin) error {
 	if pos+1 > t.clock.N {
 		return reject("%d replicas would exceed the %d microbatches per minibatch", pos+1, t.clock.N)
 	}
-	// The wire carries the position — a worker checks it against the
-	// replica count — while the leader knows the member by the stable id
-	// the group gives it when it is parked, which no earlier member ever
-	// held: its trace tracks and error text stay its own when the position
-	// it takes was someone else's before.
-	spec := transport.Spec{
-		Replica: pos, Replicas: pos + 1, Stages: t.clock.P,
-		Method: int(t.cfg.Method), T2: t.delta != nil, Sharded: t.sharded,
-		Step: t.step, Epoch: t.epoch,
-		// No state checksum: the joiner's initial state is irrelevant —
-		// every tensor it will train from arrives in the handoff below.
-		GroupCosts: t.groupCosts,
-		FT:         t.cfg.FaultTolerant,
-		Heartbeat:  t.cfg.Heartbeat,
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), welcomeTimeout)
-	m, err := transport.Welcome(ctx, pj.conn, spec, host{t})
+	m, err := transport.Welcome(ctx, pj.conn, t.spec(pos, pos+1, false))
 	cancel()
 	if err != nil {
 		pj.conn.Close()
 		return fmt.Errorf("core: %w", err)
 	}
-	m.SetTracer(t.cfg.Trace)
-	if t.cfg.StragglerMisses > 0 {
-		m.SetStragglerDeadline(t.cfg.StragglerDeadline, t.cfg.StragglerMisses)
-	}
+	t.arm(m)
 	id, err := t.group.Park(m)
 	if err != nil {
 		m.Close()

@@ -53,7 +53,7 @@ type stubMember struct {
 	mu sync.Mutex
 
 	commits int // PrepareStage + BeginStep + StepStage calls
-	synced  int // SyncFromLeader (serial broadcast)
+	synced  int // SetStep (the tail of the serial broadcast)
 	imports int // ImportStageState (sharded gather)
 }
 
@@ -76,7 +76,11 @@ func (m *stubMember) ScaleStage(int, float64)             {}
 func (m *stubMember) FinishStage(int)                     {}
 func (m *stubMember) StageState(int) []*tensor.Tensor     { return []*tensor.Tensor{tensor.New(1)} }
 func (m *stubMember) SetStageGrads(int, []*tensor.Tensor) {}
-func (m *stubMember) SyncEpoch()                          {}
+func (m *stubMember) SetEpoch(int)                        {}
+func (m *stubMember) Step() int                           { return 0 }
+func (m *stubMember) Epoch() int                          { return 0 }
+
+func (m *stubMember) RestoreVersions(int, int, [][]*tensor.Tensor) {}
 
 func (m *stubMember) PrepareStage(_, _ int) float64 {
 	m.mu.Lock()
@@ -112,7 +116,7 @@ func (m *stubMember) ImportStageState(int, []*tensor.Tensor) {
 	m.imports++
 }
 
-func (m *stubMember) SyncFromLeader() {
+func (m *stubMember) SetStep(int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.synced++
@@ -129,7 +133,7 @@ type stubLeader struct {
 func newStubLeader(t *testing.T, p int) *stubLeader {
 	t.Helper()
 	l := &stubLeader{stubMember: &stubMember{p: p}, follower: &stubMember{p: p}}
-	g, err := replica.NewGroup(l.stubMember, []replica.Member{l.follower}, true, false)
+	g, err := replica.NewGroup(l, []replica.Member{l.follower}, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

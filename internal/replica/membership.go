@@ -66,12 +66,11 @@ type member struct {
 	id    int
 	state State
 
-	remote   Remote          // nil for an in-process member
-	versions VersionRestorer // nil when the member cannot restore version rings
-	comp     *Compute        // in-process: the host wrapper its inner engine drives
-	eng      engine.Engine   // in-process: the inner engine, between Start and Stop
-	chunk    *chunk          // this member's share of the minibatch in flight
-	track    *trace.Track    // collectives track (nil when tracing is off)
+	remote Remote        // nil for an in-process member
+	comp   *Compute      // in-process: the host wrapper its inner engine drives
+	eng    engine.Engine // in-process: the inner engine, between Start and Stop
+	chunk  *chunk        // this member's share of the minibatch in flight
+	track  *trace.Track  // collectives track (nil when tracing is off)
 }
 
 // ErrStraggler marks a member failure caused by a missed collective
@@ -106,7 +105,6 @@ func (e *MemberError) Unwrap() error { return e.Err }
 // it is.
 func (g *Group) enter(m Member) (*member, error) {
 	rec := &member{Member: m, id: g.nextID, state: Standby}
-	rec.versions, _ = m.(VersionRestorer)
 	switch v := m.(type) {
 	case Remote:
 		rec.remote = v
@@ -285,25 +283,14 @@ func (g *Group) ResetGrads() {
 	}
 }
 
-// Handoff pushes the leader's complete live state to member id — epoch
-// and step clocks, full per-stage state (with moments under the
-// fault-tolerant layout), and the weight-version rings, which rings
-// returns per stage (base version, snapshots oldest to newest). It is the
-// whole state a replica trains from, which makes it both the
-// checkpoint-restore re-synchronization and the live handoff a joiner or
-// a rejoining standby receives: a member that has seen Handoff is
-// indistinguishable from one that trained alongside the leader from the
-// start.
+// Handoff makes a full push of the leader's live state to member id; rings
+// returns each stage's weight-version ring (base version, snapshots oldest
+// to newest). It is both the checkpoint-restore re-synchronization and the
+// live handoff a joiner or a rejoining standby receives: a member that has
+// seen it is indistinguishable from one that trained alongside the leader.
 func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor)) error {
 	m := g.members[g.index(id)]
-	m.SyncEpoch()
-	m.SyncFromLeader()
-	if m.versions != nil {
-		for st := 0; st < g.p; st++ {
-			base, snaps := rings(st)
-			m.versions.RestoreVersions(st, base, snaps)
-		}
-	}
+	g.push(m, rings)
 	if err := m.err(); err != nil {
 		return fmt.Errorf("replica: syncing state to replica %d: %w", id, err)
 	}

@@ -30,7 +30,6 @@ type fakeRemote struct {
 	ready  bool
 	closed bool
 	rearms int
-	rings  int // RestoreVersions calls
 }
 
 func newFakeRemote(p int) *fakeRemote {
@@ -74,9 +73,9 @@ func (f *fakeRemote) PrepareStage(stage, nMicro int) float64 {
 	return f.Member.PrepareStage(stage, nMicro)
 }
 
-func (f *fakeRemote) SyncFromLeader() {
+func (f *fakeRemote) SetStep(step int) {
 	if !f.die("sync") {
-		f.Member.SyncFromLeader()
+		f.Member.SetStep(step)
 	}
 }
 
@@ -84,12 +83,6 @@ func (f *fakeRemote) ImportStageState(stage int, src []*tensor.Tensor) {
 	if !f.die("import") {
 		f.Member.ImportStageState(stage, src)
 	}
-}
-
-func (f *fakeRemote) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	f.mu.Lock()
-	f.rings++
-	f.mu.Unlock()
 }
 
 func (f *fakeRemote) BindContext(context.Context) {}
@@ -122,10 +115,7 @@ func (f *fakeRemote) Close() error {
 	return nil
 }
 
-var (
-	_ replica.Remote          = (*fakeRemote)(nil)
-	_ replica.VersionRestorer = (*fakeRemote)(nil)
-)
+var _ replica.Remote = (*fakeRemote)(nil)
 
 // driveEngine is an inner engine that drives a compute wrapper's slots
 // the way driveChunk does, or fails with err when it is set.
@@ -222,7 +212,7 @@ func TestMembershipTransitions(t *testing.T) {
 		{name: "standby broken while parked", event: func(f *fixture) error {
 			f.g.Transition(2, replica.Standby)
 			f.remote[2].failAt = "sync"
-			f.remote[2].SyncFromLeader()
+			f.remote[2].SetStep(0)
 			if ids := f.g.ReadyStandbys(); len(ids) != 0 {
 				return fmt.Errorf("broken standby reported ready: %v", ids)
 			}
@@ -242,8 +232,14 @@ func TestMembershipTransitions(t *testing.T) {
 			if err := admit(f, id); err != nil {
 				return err
 			}
-			if m := f.remote[id].Member.(*fakeMember); m.epochSyncs != 1 || m.synced != 1 || f.remote[id].rings != p {
-				return fmt.Errorf("handoff pushed %d epoch syncs, %d full syncs, %d rings; want 1, 1, %d", m.epochSyncs, m.synced, f.remote[id].rings, p)
+			m := f.remote[id].Member.(*fakeMember)
+			if m.epochSyncs != 1 || m.synced != 1 || m.rings != p {
+				return fmt.Errorf("handoff pushed %d epoch syncs, %d full syncs, %d rings; want 1, 1, %d", m.epochSyncs, m.synced, m.rings, p)
+			}
+			for st, n := range m.imported {
+				if n != 1 {
+					return fmt.Errorf("handoff imported stage %d %d times, want once", st, n)
+				}
 			}
 			return nil
 		}, subject: 4, wantState: replica.Active, wantActive: 4},

@@ -62,13 +62,13 @@ import (
 	"pipemare/internal/trace"
 )
 
-// Member is what the group asks of every replica, wherever it runs — the
-// eleven operations the wire protocol carries (internal/transport): the
-// scatter and gather halves of the sharded commit, the five commit
-// phases, and the two leader-originated syncs. internal/core's host
-// implements it in process and transport.RemoteMember over a connection;
-// nothing here drives a pipeline slot, so a remote member has no slot
-// methods to refuse.
+// Member is what the group asks of every replica, wherever it runs. Every
+// method but Stages is exactly one request on the wire (the table is in
+// DESIGN.md §5), and none reads the leader: what a member needs of the
+// leader's state arrives as an argument. internal/core's host implements
+// it in process and transport.RemoteMember over a connection; nothing
+// here drives a pipeline slot, so a remote member has no slot methods to
+// refuse.
 type Member interface {
 	// Stages returns P, the number of pipeline stages.
 	Stages() int
@@ -84,22 +84,24 @@ type Member interface {
 	StepStage(stage int)
 	FinishStage(stage int)
 	// StageState returns the stage's live post-step state tensors
-	// (masters, then T2 δ and corrected when enabled) in a fixed layout;
-	// the returned tensors are read-only for the gather.
+	// (masters, then T2 δ and corrected when enabled, then the optimizer
+	// moments under the fault-tolerant layout) in a fixed layout; the
+	// returned tensors are read-only for the gather.
 	StageState(stage int) []*tensor.Tensor
 	// ImportStageState copies a stage's post-step state from the owner's
 	// StageState layout and pushes the replica's next weight version for
-	// that stage — the gather half of the sharded commit.
+	// that stage — the gather half of the sharded commit, a stage of a push.
 	ImportStageState(stage int, src []*tensor.Tensor)
-	// SyncEpoch aligns a follower's epoch clock with its leader's so the
-	// commit-phase learning rates (T1/T3 phase) agree on every owner.
-	SyncEpoch()
-	// SyncFromLeader imports the leader replica's post-step state —
-	// master weights and technique (T2) accumulators — and pushes the
-	// replica's next per-stage weight version, keeping the follower's
-	// version queue aligned with the leader's. It is the full-state
-	// broadcast of the leader-serial (non-sharded) commit.
-	SyncFromLeader()
+	// SetEpoch and SetStep align the member's clocks with the leader's: the
+	// epoch so the commit-phase learning rates (T1/T3 phase) agree on every
+	// owner, the optimizer step as the tail of a state push.
+	SetEpoch(epoch int)
+	SetStep(step int)
+	// RestoreVersions replaces a stage's weight-version ring wholesale
+	// (base is its oldest version number, snaps the versions oldest to
+	// newest), so historical-version installs after a restore or a
+	// handoff are bit-identical to the leader's.
+	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
 }
 
 // Local is a member whose pipeline lives in this process: the
@@ -146,16 +148,6 @@ type Remote interface {
 	Rearm()
 }
 
-// VersionRestorer is implemented by members that can replace a stage's
-// weight-version ring wholesale — the checkpoint-restore and handoff
-// surface. base is the ring's oldest version number; snaps are the
-// versions oldest to newest. Restoring the ring (not just the latest
-// weights) keeps historical-version installs after a resume bit-identical
-// to the checkpointed run's.
-type VersionRestorer interface {
-	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
-}
-
 // Leader is the host of a trainer that leads a replica group — what a
 // replicated engine looks for on the engine.Host it is started with.
 type Leader interface {
@@ -163,6 +155,9 @@ type Leader interface {
 	// Group returns the trainer's replica group, nil when it trains a
 	// single replica.
 	Group() *Group
+	// Step and Epoch read the clocks a member's SetStep and SetEpoch get.
+	Step() int
+	Epoch() int
 }
 
 // Aware marks execution engines that understand the replica surface and
@@ -182,7 +177,7 @@ type Aware interface {
 // A trainer builds its Group once and keeps it for life; the replicated
 // engine borrows it for each Run.
 type Group struct {
-	lead Local
+	lead Leader
 	p    int
 
 	// members is the membership table. members[:active] are the active
@@ -217,7 +212,7 @@ type Group struct {
 // take ids and positions 1..len(followers). sharded is the trainer's
 // resolved commit mode; faultTolerant reports the mirrored-moment layout
 // that lets a sharded group survive losing an owner.
-func NewGroup(lead Local, followers []Member, sharded, faultTolerant bool) (*Group, error) {
+func NewGroup(lead Leader, followers []Member, sharded, faultTolerant bool) (*Group, error) {
 	p := lead.Stages()
 	g := &Group{lead: lead, p: p, shardable: sharded, ft: faultTolerant,
 		serial:  engine.NewCommitPlan(p, 1),
@@ -387,25 +382,43 @@ func (g *Group) Reduce() {
 	}
 }
 
+// push is the one state push from the leader to member m, a member call —
+// for a remote member a wire request — at a time: every stage's post-step
+// state in the gather layout, then the step clock; a full push (rings
+// non-nil) sends the epoch clock first and each stage's weight-version
+// ring last, which is everything a replica trains from. A member whose
+// connection fails latches the error and ignores the rest.
+func (g *Group) push(m *member, rings func(stage int) (int, [][]*tensor.Tensor)) {
+	if rings != nil {
+		m.SetEpoch(g.lead.Epoch())
+	}
+	for st := 0; st < g.p; st++ {
+		m.ImportStageState(st, g.lead.StageState(st))
+	}
+	m.SetStep(g.lead.Step())
+	if rings != nil {
+		for st := 0; st < g.p; st++ {
+			base, snaps := rings(st)
+			m.RestoreVersions(st, base, snaps)
+		}
+	}
+}
+
 // Broadcast pushes the leader's post-step state to every follower
 // (concurrently: followers write disjoint state and only read the
-// leader's). It returns the first follower I/O failure.
-func (g *Group) Broadcast() error {
+// leader's). A follower I/O failure stays latched on the member.
+func (g *Group) Broadcast() {
 	var wg sync.WaitGroup
 	for _, m := range g.members[1:g.active] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			t0 := m.track.Now()
-			m.SyncFromLeader()
+			g.push(m, nil)
 			m.track.Span(trace.NameBroadcast, t0, -1, -1, 0)
 		}()
 	}
 	wg.Wait()
-	if m, err := g.firstFault(); m != nil {
-		return fmt.Errorf("replica %d: %w", m.id, err)
-	}
-	return nil
 }
 
 // Commit commits one shared optimizer step for the minibatch Reduce just
@@ -449,7 +462,7 @@ func (g *Group) Commit(nMicro int) error {
 //     reduced gradients (scattered), moment state (stepped only by the
 //     owner, every step, from identical inputs), step clocks (every
 //     member advances once per commit), τ delays and schedules (identical
-//     by construction), the epoch phase (SyncEpoch) — is bitwise equal to
+//     by construction), the epoch phase (SetEpoch) — is bitwise equal to
 //     the leader's, so the owner performs bitwise the arithmetic the
 //     leader would have.
 //  3. Cross-stage reductions keep stage order. The clip-norm partials are
@@ -468,7 +481,7 @@ func (g *Group) shardedCommit(nMicro int) error {
 	t0 := g.rec.Now()
 	var scatterBytes int64
 	for _, m := range g.members[1:g.active] {
-		m.SyncEpoch()
+		m.SetEpoch(g.lead.Epoch())
 	}
 	for st := 0; st < p; st++ {
 		if o := g.plan.OwnerOf(st); o != 0 {

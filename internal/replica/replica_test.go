@@ -20,7 +20,7 @@ type fakeMember struct {
 	p      int
 	mu     sync.Mutex
 	acc    []float64 // per-stage accumulator
-	synced int       // SyncFromLeader calls
+	synced int       // SetStep calls: one per full-state push from the leader
 	folds  [][]float64
 
 	// Sharded-commit recording: per-stage commit-phase call counts and
@@ -31,7 +31,8 @@ type fakeMember struct {
 	finished   []int
 	imported   []int
 	beginSteps int
-	epochSyncs int
+	epochSyncs int // SetEpoch calls
+	rings      int // RestoreVersions calls
 }
 
 func newFakeMember(p int) *fakeMember {
@@ -137,19 +138,30 @@ func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	f.state[stage] = src[0].Data[0]
 }
 
-func (f *fakeMember) SyncEpoch() {
+func (f *fakeMember) SetEpoch(int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.epochSyncs++
 }
 
-func (f *fakeMember) SyncFromLeader() {
+func (f *fakeMember) SetStep(int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.synced++
 }
 
-var _ replica.Local = (*fakeMember)(nil)
+func (f *fakeMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.rings++
+}
+
+// A fakeMember can lead a group: its clocks read zero.
+func (f *fakeMember) Group() *replica.Group { return nil }
+func (f *fakeMember) Step() int             { return 0 }
+func (f *fakeMember) Epoch() int            { return 0 }
+
+var _ replica.Leader = (*fakeMember)(nil)
 
 // fakeLead is a leader fakeMember and the in-process followers its group
 // is built over.
@@ -251,9 +263,7 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 		t.Fatalf("loss sum %g, want %g", got, wantLoss)
 	}
 
-	if err := g.Broadcast(); err != nil {
-		t.Fatal(err)
-	}
+	g.Broadcast()
 	if lead.synced != 0 {
 		t.Fatal("the leader must not sync from itself")
 	}
@@ -271,7 +281,7 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 // owner; the leader's reduced gradient reaches the owner by pure copy
 // (and leaves the leader's accumulator empty); every member advances its
 // step clock exactly once; every non-owner imports exactly the owner's
-// post-step state; and no full SyncFromLeader broadcast runs.
+// post-step state; and no full-state broadcast runs.
 func TestGroupShardedCommitProtocol(t *testing.T) {
 	const p, r = 5, 3
 	lead := &fakeLead{fakeMember: newFakeMember(p), sharded: true}
@@ -321,7 +331,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 			t.Fatalf("member %d advanced its step clock %d times, want exactly 1", i, m.beginSteps)
 		}
 		if m.synced != 0 {
-			t.Fatalf("member %d ran the full SyncFromLeader broadcast under the sharded commit", i)
+			t.Fatalf("member %d received the full-state broadcast under the sharded commit", i)
 		}
 	}
 	for i, m := range lead.followers {
@@ -340,7 +350,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 
 // TestGroupSerialCommitBroadcasts pins the non-sharded path: the whole
 // commit runs on the leader and every follower receives the full-state
-// broadcast.
+// broadcast: each stage imported once, then the step clock set once.
 func TestGroupSerialCommitBroadcasts(t *testing.T) {
 	const p, r = 3, 2
 	lead := &fakeLead{fakeMember: newFakeMember(p)}
@@ -361,6 +371,14 @@ func TestGroupSerialCommitBroadcasts(t *testing.T) {
 	f := lead.followers[0]
 	if f.synced != 1 {
 		t.Fatalf("follower synced %d times, want the full broadcast once", f.synced)
+	}
+	for st := 0; st < p; st++ {
+		if f.imported[st] != 1 || f.state[st] != lead.state[st] {
+			t.Fatalf("follower imported stage %d %d times (state %g), want the leader's %g once", st, f.imported[st], f.state[st], lead.state[st])
+		}
+	}
+	if f.epochSyncs != 0 || f.rings != 0 {
+		t.Fatalf("the per-step broadcast pushed %d epoch clocks and %d rings, want neither", f.epochSyncs, f.rings)
 	}
 	if f.beginSteps != 0 || f.prepared[0] != 0 {
 		t.Fatal("follower must stay inert under the leader-serial commit")

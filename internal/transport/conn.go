@@ -137,25 +137,13 @@ func (c *Conn) Send(ctx context.Context, m Msg) error {
 		return err
 	}
 	defer stop()
-	h := Header{Type: m.Type, Replica: m.Replica, Stage: m.Stage}
-	data := m.Data
-	for {
-		chunk := data
-		if len(chunk) > maxChunk {
-			chunk = chunk[:maxChunk]
-		}
-		data = data[len(chunk):]
-		h.Flags = 0
-		if len(data) > 0 {
-			h.Flags = flagMore
-		}
+	err = splitMessage(Header{Type: m.Type, Replica: m.Replica, Stage: m.Stage}, m.Data, func(h Header, chunk []byte) error {
 		c.buf = AppendFrame(c.buf[:0], h, chunk)
-		if _, err := c.w.Write(c.buf); err != nil {
-			return mapErr(ctx, fmt.Errorf("transport: write frame: %w", err))
-		}
-		if len(data) == 0 {
-			break
-		}
+		_, err := c.w.Write(c.buf)
+		return err
+	})
+	if err != nil {
+		return mapErr(ctx, fmt.Errorf("transport: write frame: %w", err))
 	}
 	if err := c.w.Flush(); err != nil {
 		return mapErr(ctx, fmt.Errorf("transport: flush: %w", err))
@@ -173,27 +161,10 @@ func (c *Conn) Recv(ctx context.Context) (Msg, error) {
 		return Msg{}, err
 	}
 	defer stop()
-	var m Msg
-	first := true
-	for {
+	return joinMessage(func() (Header, []byte, error) {
 		h, payload, err := c.readFrame()
-		if err != nil {
-			return Msg{}, mapErr(ctx, err)
-		}
-		if first {
-			m = Msg{Type: h.Type, Replica: h.Replica, Stage: h.Stage}
-			first = false
-		} else if h.Type != m.Type || h.Replica != m.Replica || h.Stage != m.Stage {
-			return Msg{}, fmt.Errorf("transport: chunk header mismatch: type %d/%d", h.Type, m.Type)
-		}
-		if len(m.Data)+len(payload) > maxMsg {
-			return Msg{}, fmt.Errorf("transport: message exceeds %d bytes", maxMsg)
-		}
-		m.Data = append(m.Data, payload...)
-		if !h.More() {
-			return m, nil
-		}
-	}
+		return h, payload, mapErr(ctx, err)
+	})
 }
 
 var _ MsgConn = (*Conn)(nil)

@@ -189,3 +189,75 @@ func DecodeFrame(b []byte) (Header, []byte, []byte, error) {
 	}
 	return h, b[headerLen : headerLen+n], b[total:], nil
 }
+
+// splitMessage cuts one message's payload into frames of at most maxChunk
+// bytes, the more-flag set on all but the last, and hands each to emit —
+// the one chunk loop behind Conn.Send and AppendMessage.
+func splitMessage(h Header, payload []byte, emit func(Header, []byte) error) error {
+	for {
+		chunk := payload
+		if len(chunk) > maxChunk {
+			chunk = chunk[:maxChunk]
+		}
+		payload = payload[len(chunk):]
+		h.Flags = 0
+		if len(payload) > 0 {
+			h.Flags = flagMore
+		}
+		if err := emit(h, chunk); err != nil {
+			return err
+		}
+		if len(payload) == 0 {
+			return nil
+		}
+	}
+}
+
+// joinMessage reassembles one message from the frames next yields — the
+// one reassembler behind Conn.Recv and NextMessage. It copies each frame's
+// payload out before asking for the next, so next may reuse its buffer,
+// and never holds more than the message so far plus one frame.
+func joinMessage(next func() (Header, []byte, error)) (Msg, error) {
+	var m Msg
+	for first := true; ; first = false {
+		h, payload, err := next()
+		if err != nil {
+			return Msg{}, err
+		}
+		if first {
+			m = Msg{Type: h.Type, Replica: h.Replica, Stage: h.Stage}
+		} else if h.Type != m.Type || h.Replica != m.Replica || h.Stage != m.Stage {
+			return Msg{}, fmt.Errorf("transport: chunk header mismatch: type %d/%d", h.Type, m.Type)
+		}
+		if len(m.Data)+len(payload) > maxMsg {
+			return Msg{}, fmt.Errorf("transport: message exceeds %d bytes", maxMsg)
+		}
+		m.Data = append(m.Data, payload...)
+		if !h.More() {
+			return m, nil
+		}
+	}
+}
+
+// AppendMessage appends one message to dst as wire frames, chunked
+// exactly as Conn.Send chunks it, so a checkpoint file is byte-for-byte a
+// valid frame stream (magic, version, CRC per frame).
+func AppendMessage(dst []byte, h Header, payload []byte) []byte {
+	splitMessage(h, payload, func(h Header, chunk []byte) error {
+		dst = AppendFrame(dst, h, chunk)
+		return nil
+	})
+	return dst
+}
+
+// NextMessage decodes the next message from a frame stream produced by
+// AppendMessage, reassembling chunked frames and verifying each frame's
+// magic, version, bounds and CRC. It returns the message and the
+// remainder of b after it.
+func NextMessage(b []byte) (Msg, []byte, error) {
+	m, err := joinMessage(func() (h Header, payload []byte, err error) {
+		h, payload, b, err = DecodeFrame(b)
+		return h, payload, err
+	})
+	return m, b, err
+}

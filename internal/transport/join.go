@@ -13,11 +13,11 @@ import (
 // state in flight — then either rejects (MsgErr) or admits: it sends the
 // full Spec (MsgWelcome), the worker builds its follower and confirms
 // (MsgJoinOK), and the leader performs the live state handoff over the
-// ordinary collective surface (SyncEpoch, SyncFromLeader, MsgSetRing)
-// before growing the reduce tree. Unlike the MsgHello handshake, the
-// Welcome spec carries no state checksum: the joiner's initial state is
-// irrelevant because every tensor it will train from arrives in the
-// handoff.
+// ordinary member surface (MsgSyncEpoch, a MsgSetState per stage, MsgSync,
+// a MsgSetRing per stage) before growing the reduce tree. Unlike the
+// MsgHello handshake, the Welcome spec carries no state checksum: the
+// joiner's initial state is irrelevant because every tensor it will train
+// from arrives in the handoff.
 
 // JoinSpec is what a joiner announces in MsgJoin: the task shape it was
 // built for. The leader rejects a mismatch (wrong stage count, method or
@@ -31,22 +31,22 @@ type JoinSpec struct {
 }
 
 func (s JoinSpec) encode() []byte {
-	b := appendU32(nil, uint32(s.Stages))
-	b = appendU32(b, uint32(s.Method))
-	b = appendBool(b, s.T2)
-	b = appendU32(b, uint32(s.JoinAt))
+	b := AppendU32(nil, uint32(s.Stages))
+	b = AppendU32(b, uint32(s.Method))
+	b = AppendBool(b, s.T2)
+	b = AppendU32(b, uint32(s.JoinAt))
 	return b
 }
 
 func decodeJoinSpec(data []byte) (JoinSpec, error) {
-	c := &cursor{b: data}
+	c := NewCursor(data)
 	s := JoinSpec{
-		Stages: c.i32(),
-		Method: c.i32(),
-		T2:     c.boolean(),
-		JoinAt: c.i32(),
+		Stages: c.I32(),
+		Method: c.I32(),
+		T2:     c.Bool(),
+		JoinAt: c.I32(),
 	}
-	if err := c.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return JoinSpec{}, fmt.Errorf("bad join request: %w", err)
 	}
 	return s, nil
@@ -70,9 +70,7 @@ func AcceptJoin(ctx context.Context, conn MsgConn) (JoinSpec, error) {
 // mismatch, replica cap reached) and why. Best effort; the caller closes
 // the connection either way.
 func RejectJoin(ctx context.Context, conn MsgConn, reason string) {
-	data := appendU32(nil, errGeneric)
-	data = append(data, reason...)
-	conn.Send(ctx, Msg{Type: MsgErr, Stage: -1, Data: data})
+	conn.Send(ctx, Msg{Type: MsgErr, Stage: -1, Data: appendWireErr(nil, errGeneric, reason)})
 }
 
 // Welcome admits a parked joiner at a minibatch boundary: it sends the
@@ -80,8 +78,8 @@ func RejectJoin(ctx context.Context, conn MsgConn, reason string) {
 // and waits for MsgJoinOK, returning the member proxy ready for the
 // state handoff. The caller parks it in the replica group — which gives
 // it its stable id — and activates it only after the handoff succeeds.
-func Welcome(ctx context.Context, conn MsgConn, spec Spec, lead LeaderState) (*RemoteMember, error) {
-	m := newMember(conn, spec, lead)
+func Welcome(ctx context.Context, conn MsgConn, spec Spec) (*RemoteMember, error) {
+	m := newMember(conn, spec)
 	resp, err := m.roundTrip(ctx, Msg{Type: MsgWelcome, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
 	if err != nil {
 		return nil, fmt.Errorf("transport: welcoming a joiner at position %d: %w", spec.Replica, err)
@@ -120,20 +118,15 @@ func ServeJoin(ctx context.Context, conn MsgConn, cap JoinSpec, build Builder, i
 		inner = engine.NewReference()
 	}
 	s := &server{conn: conn, inner: inner, replica: uint16(spec.Replica), hb: spec.Heartbeat}
-	reject := func(format string, args ...any) error {
-		err := fmt.Errorf(format, args...)
-		s.replyErr(ctx, errGeneric, err.Error())
-		return fmt.Errorf("transport: join: %w", err)
-	}
 	member, err := build(spec)
 	if err != nil {
-		return reject("building follower: %w", err)
+		return s.reject(ctx, "join", fmt.Errorf("building follower: %w", err))
 	}
 	// No checksum: the joiner's state is fully replaced by the handoff.
 	// The clocks still align here so the follower is consistent the
 	// moment the serve loop starts.
 	if err := s.adopt(member, spec, false); err != nil {
-		return reject("%w", err)
+		return s.reject(ctx, "join", err)
 	}
 	if err := s.reply(ctx, Msg{Type: MsgJoinOK, Stage: -1}); err != nil {
 		return fmt.Errorf("transport: join: %w", err)

@@ -13,22 +13,14 @@ import (
 	"pipemare/internal/trace"
 )
 
-// LeaderState is what RemoteMember reads from the local leader replica
-// to serve the leader-originated syncs: the per-stage post-step state
-// for the full broadcast, and the step/epoch clocks. The trainer's host
-// (internal/core) satisfies it.
-type LeaderState interface {
-	StateSource
-	Step() int
-	Epoch() int
-}
-
 // RemoteMember is the leader-side proxy for a follower replica hosted in
 // another process (or another goroutine, over the loopback transport).
 // It implements replica.Remote: the collective surface replica.Group
 // drives for the reduce, sharded commit and broadcast, plus RunChunk, so
 // the group ships the follower's microbatch chunk to the worker as one
 // message — the worker's pipeline slots are not reachable from here.
+// Every replica.Member method but Stages is exactly one request and its
+// reply; the proxy holds the connection and nothing of the leader's.
 //
 // Transport failures are sticky: the first I/O error poisons the member,
 // every subsequent operation fails fast, and replica.Group surfaces the
@@ -39,7 +31,6 @@ type RemoteMember struct {
 	replica int // the group position announced in the handshake (the wire's Replica field)
 	id      int // the member's stable leader-side id (SetID): trace pid, error text, jitter seed
 	stages  int
-	lead    LeaderState
 	hb      time.Duration // heartbeat interval (0 disables the liveness window)
 
 	mu     sync.Mutex
@@ -74,10 +65,9 @@ type RemoteMember struct {
 
 // NewRemoteMember dials nothing — conn is already established — but runs
 // the handshake: it announces spec, waits for the worker's verdict, and
-// returns the proxy on MsgHelloOK. lead is the local leader replica the
-// proxy reads when serving SyncEpoch/SyncFromLeader.
-func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec, lead LeaderState) (*RemoteMember, error) {
-	m := newMember(conn, spec, lead)
+// returns the proxy on MsgHelloOK.
+func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec) (*RemoteMember, error) {
+	m := newMember(conn, spec)
 	resp, err := m.roundTrip(ctx, Msg{Type: MsgHello, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
 	if err != nil {
 		return nil, fmt.Errorf("transport: handshake with replica %d: %w", spec.Replica, err)
@@ -93,12 +83,11 @@ func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec, lead LeaderSt
 // handshake (MsgWelcome/MsgJoinOK) the caller runs itself. Until the
 // replica group assigns the proxy its stable id (SetID), the announced
 // position labels handshake errors.
-func newMember(conn MsgConn, spec Spec, lead LeaderState) *RemoteMember {
+func newMember(conn MsgConn, spec Spec) *RemoteMember {
 	m := &RemoteMember{
 		conn:    conn,
 		replica: spec.Replica,
 		stages:  spec.Stages,
-		lead:    lead,
 		hb:      spec.Heartbeat,
 		ctx:     context.Background(),
 		states:  make([][]*tensor.Tensor, spec.Stages),
@@ -158,40 +147,30 @@ func (m *RemoteMember) SetTracer(rec *trace.Recorder) {
 	m.mu.Unlock()
 }
 
-// wireName maps a request type to its interned wire-span name.
+// wireNames are the interned wire-span names, indexed by request type.
+var wireNames = [...]string{
+	MsgHello:     "wire:hello",
+	MsgRunChunk:  "wire:chunk",
+	MsgSetGrads:  "wire:set-grads",
+	MsgPrepare:   "wire:prepare",
+	MsgBeginStep: "wire:begin-step",
+	MsgScale:     "wire:scale",
+	MsgStep:      "wire:step",
+	MsgFinish:    "wire:finish",
+	MsgGetState:  "wire:get-state",
+	MsgSetState:  "wire:set-state",
+	MsgSyncEpoch: "wire:sync-epoch",
+	MsgSync:      "wire:sync",
+	MsgSetRing:   "wire:set-ring",
+	MsgWelcome:   "wire:welcome",
+}
+
+// wireName maps a request type to its wire-span name.
 func wireName(typ byte) string {
-	switch typ {
-	case MsgHello:
-		return "wire:hello"
-	case MsgRunChunk:
-		return "wire:chunk"
-	case MsgSetGrads:
-		return "wire:set-grads"
-	case MsgPrepare:
-		return "wire:prepare"
-	case MsgBeginStep:
-		return "wire:begin-step"
-	case MsgScale:
-		return "wire:scale"
-	case MsgStep:
-		return "wire:step"
-	case MsgFinish:
-		return "wire:finish"
-	case MsgGetState:
-		return "wire:get-state"
-	case MsgSetState:
-		return "wire:set-state"
-	case MsgSyncEpoch:
-		return "wire:sync-epoch"
-	case MsgSync:
-		return "wire:sync"
-	case MsgSetRing:
-		return "wire:set-ring"
-	case MsgWelcome:
-		return "wire:welcome"
-	default:
-		return "wire:other"
+	if int(typ) < len(wireNames) && wireNames[typ] != "" {
+		return wireNames[typ]
 	}
+	return "wire:other"
 }
 
 // BindContext binds the context every subsequent wire operation uses for
@@ -243,36 +222,40 @@ func (m *RemoteMember) Close() error {
 	return m.conn.Close()
 }
 
+// send writes one request. Transient failures — the request provably
+// never left this process — retry with bounded exponential backoff and
+// deterministic per-member jitter; a resend after such a failure is
+// invisible to the peer, so the curve is untouched.
+func (m *RemoteMember) send(ctx context.Context, req Msg) error {
+	for attempt := 0; ; attempt++ {
+		err := m.conn.Send(ctx, req)
+		if err == nil || !IsTransient(err) || attempt >= retryAttempts {
+			return err
+		}
+		m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(len(req.Data)))
+		if err := m.backoff(ctx, attempt); err != nil {
+			return err
+		}
+	}
+}
+
 // roundTrip sends one request and reads its reply without the sticky
-// error machinery (the handshake uses it directly). Transient send
-// failures — the request provably never left this process — retry with
-// bounded exponential backoff and deterministic per-member jitter; a
-// resend after such a failure is invisible to the peer, so the curve is
-// untouched. Any failure after the request is on the wire is final: the
-// peer's state is unknown.
+// error machinery (the handshake uses it directly). Any failure after the
+// request is on the wire is final: the peer's state is unknown.
 func (m *RemoteMember) roundTrip(ctx context.Context, req Msg) (Msg, error) {
 	t0 := m.tk.Now()
-	for attempt := 0; ; attempt++ {
-		if err := m.conn.Send(ctx, req); err != nil {
-			if IsTransient(err) && attempt < retryAttempts {
-				m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(len(req.Data)))
-				if serr := m.backoff(ctx, attempt); serr != nil {
-					return Msg{}, serr
-				}
-				continue
-			}
-			return Msg{}, err
-		}
-		resp, err := m.recvReply(ctx)
-		if err != nil {
-			return Msg{}, err
-		}
-		if resp.Type == MsgErr {
-			return Msg{}, decodeWireErr(resp.Data)
-		}
-		m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(len(req.Data)+len(resp.Data)))
-		return resp, nil
+	if err := m.send(ctx, req); err != nil {
+		return Msg{}, err
 	}
+	resp, err := m.recvReply(ctx)
+	if err != nil {
+		return Msg{}, err
+	}
+	if resp.Type == MsgErr {
+		return Msg{}, decodeWireErr(resp.Data)
+	}
+	m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(len(req.Data)+len(resp.Data)))
+	return resp, nil
 }
 
 // recvReply reads the next reply, consuming interleaved heartbeat pings.
@@ -348,9 +331,15 @@ func (m *RemoteMember) call(req Msg, want byte) (Msg, error) {
 	return resp, nil
 }
 
+// appendWireErr encodes a MsgErr payload: the error code, then the text.
+func appendWireErr(dst []byte, code uint32, text string) []byte {
+	return append(AppendU32(dst, code), text...)
+}
+
+// decodeWireErr turns a MsgErr payload back into an error.
 func decodeWireErr(data []byte) error {
-	c := &cursor{b: data}
-	code := c.u32()
+	c := NewCursor(data)
+	code := c.U32()
 	text := string(c.b)
 	if c.err != nil {
 		return fmt.Errorf("malformed error reply")
@@ -379,13 +368,13 @@ func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micr
 		// state at readmission.
 		return nil, nil, fmt.Errorf("%w: replica %d still draining a late chunk", replica.ErrStraggler, m.id)
 	}
-	b := appendU32(m.scratch[:0], uint32(start))
-	b = appendBool(b, async)
-	b = appendU32(b, uint32(len(micros)))
+	b := AppendU32(m.scratch[:0], uint32(start))
+	b = AppendBool(b, async)
+	b = AppendU32(b, uint32(len(micros)))
 	for _, mb := range micros {
-		b = appendU32(b, uint32(len(mb)))
+		b = AppendU32(b, uint32(len(mb)))
 		for _, i := range mb {
-			b = appendU32(b, uint32(i))
+			b = AppendU32(b, uint32(i))
 		}
 	}
 	m.scratch = b
@@ -429,18 +418,7 @@ func (m *RemoteMember) chunkRoundTrip(ctx context.Context, req Msg) (Msg, error)
 		return m.roundTrip(ctx, req)
 	}
 	t0 := m.tk.Now()
-	for attempt := 0; ; attempt++ {
-		err := m.conn.Send(ctx, req)
-		if err == nil {
-			break
-		}
-		if IsTransient(err) && attempt < retryAttempts {
-			m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(len(req.Data)))
-			if serr := m.backoff(ctx, attempt); serr != nil {
-				return Msg{}, serr
-			}
-			continue
-		}
+	if err := m.send(ctx, req); err != nil {
 		return Msg{}, err
 	}
 	ch := make(chan wireReply, 1)
@@ -504,17 +482,17 @@ func (m *RemoteMember) drain(ch chan wireReply) {
 }
 
 func (m *RemoteMember) decodeChunkDone(data []byte, wantK int) ([]float64, [][][]*tensor.Tensor, error) {
-	c := &cursor{b: data}
-	nl := c.count(8)
+	c := NewCursor(data)
+	nl := c.Count(8)
 	if cap(m.losses) < nl {
 		m.losses = make([]float64, nl)
 	}
 	m.losses = m.losses[:nl]
 	for i := range m.losses {
-		m.losses[i] = c.f64()
+		m.losses[i] = c.F64()
 	}
-	k := c.count(1)
-	p := c.count(1)
+	k := c.Count(1)
+	p := c.Count(1)
 	if c.err == nil && (nl != wantK || k != wantK || p != m.stages) {
 		return nil, nil, fmt.Errorf("chunk reply shape %d losses/%d micros/%d stages, want %d/%d/%d", nl, k, p, wantK, wantK, m.stages)
 	}
@@ -523,10 +501,10 @@ func (m *RemoteMember) decodeChunkDone(data []byte, wantK int) ([]float64, [][][
 	}
 	for i := 0; i < k; i++ {
 		for st := 0; st < p; st++ {
-			m.grads[i][st] = c.tensorsInto(m.grads[i][st])
+			m.grads[i][st] = c.TensorsInto(m.grads[i][st])
 		}
 	}
-	if err := c.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return nil, nil, err
 	}
 	return m.losses, m.grads[:k:k], nil
@@ -544,20 +522,20 @@ func (m *RemoteMember) stageMsg(typ byte, stage int, data []byte) Msg {
 // SetStageGrads scatters the leader's reduced gradients for one stage to
 // this owner as a pure copy over the wire.
 func (m *RemoteMember) SetStageGrads(stage int, bufs []*tensor.Tensor) {
-	m.call(m.stageMsg(MsgSetGrads, stage, appendTensors(nil, bufs)), MsgAck)
+	m.call(m.stageMsg(MsgSetGrads, stage, AppendTensors(nil, bufs)), MsgAck)
 }
 
 // PrepareStage runs the stage's gradient averaging on the worker and
 // returns its clip-norm partial (0 after a transport failure — the
 // commit unwinds through Group's error check, not through the sum).
 func (m *RemoteMember) PrepareStage(stage, nMicro int) float64 {
-	resp, err := m.call(m.stageMsg(MsgPrepare, stage, appendU32(nil, uint32(nMicro))), MsgPrepared)
+	resp, err := m.call(m.stageMsg(MsgPrepare, stage, AppendU32(nil, uint32(nMicro))), MsgPrepared)
 	if err != nil {
 		return 0
 	}
-	c := &cursor{b: resp.Data}
-	v := c.f64()
-	if err := c.done(); err != nil {
+	c := NewCursor(resp.Data)
+	v := c.F64()
+	if err := c.Done(); err != nil {
 		m.fail(err)
 		return 0
 	}
@@ -571,7 +549,7 @@ func (m *RemoteMember) BeginStep() {
 
 // ScaleStage applies the clip factor to the stage's gradients remotely.
 func (m *RemoteMember) ScaleStage(stage int, scale float64) {
-	m.call(m.stageMsg(MsgScale, stage, appendF64(nil, scale)), MsgAck)
+	m.call(m.stageMsg(MsgScale, stage, AppendF64(nil, scale)), MsgAck)
 }
 
 // StepStage applies the optimizer update for the stage remotely.
@@ -593,9 +571,9 @@ func (m *RemoteMember) StageState(stage int) []*tensor.Tensor {
 	if err != nil {
 		return nil
 	}
-	c := &cursor{b: resp.Data}
-	m.states[stage] = c.tensorsInto(m.states[stage])
-	if err := c.done(); err != nil {
+	c := NewCursor(resp.Data)
+	m.states[stage] = c.TensorsInto(m.states[stage])
+	if err := c.Done(); err != nil {
 		m.fail(err)
 		return nil
 	}
@@ -605,38 +583,27 @@ func (m *RemoteMember) StageState(stage int) []*tensor.Tensor {
 // ImportStageState ships an owner's post-step stage state to the worker,
 // which imports it and pushes its version queue.
 func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
-	m.call(m.stageMsg(MsgSetState, stage, appendTensors(nil, src)), MsgAck)
+	m.call(m.stageMsg(MsgSetState, stage, AppendTensors(nil, src)), MsgAck)
 }
 
 // RestoreVersions ships a stage's weight-version ring to the worker
-// (checkpoint restore): the ring's base version number and its
+// (checkpoint restore, handoff): the ring's base version number and its
 // snapshots, oldest to newest. The worker replaces its ring wholesale,
-// so historical-version installs after a restore are bit-identical to
-// the checkpointed run's (replica.VersionRestorer).
+// so historical-version installs afterwards are bit-identical to the
+// leader's.
 func (m *RemoteMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	b := appendU32(nil, uint32(base))
-	b = appendU32(b, uint32(len(snaps)))
-	for _, snap := range snaps {
-		b = appendTensors(b, snap)
-	}
-	m.call(m.stageMsg(MsgSetRing, stage, b), MsgAck)
+	m.call(m.stageMsg(MsgSetRing, stage, AppendRing(nil, base, snaps)), MsgAck)
 }
 
-// SyncEpoch pushes the leader's epoch clock to the worker.
-func (m *RemoteMember) SyncEpoch() {
-	m.call(Msg{Type: MsgSyncEpoch, Stage: -1, Data: appendU32(nil, uint32(m.lead.Epoch()))}, MsgAck)
+// SetEpoch pushes the leader's epoch clock to the worker.
+func (m *RemoteMember) SetEpoch(epoch int) {
+	m.call(Msg{Type: MsgSyncEpoch, Stage: -1, Data: AppendU32(nil, uint32(epoch))}, MsgAck)
 }
 
-// SyncFromLeader is the full-state broadcast of the leader-serial
-// commit: every stage's leader state ships to the worker (chunked for
-// large tensors), then the step clock aligns.
-func (m *RemoteMember) SyncFromLeader() {
-	for st := 0; st < m.stages; st++ {
-		if _, err := m.call(m.stageMsg(MsgSetState, st, appendTensors(nil, m.lead.StageState(st))), MsgAck); err != nil {
-			return
-		}
-	}
-	m.call(Msg{Type: MsgSync, Stage: -1, Data: appendU32(nil, uint32(m.lead.Step()))}, MsgAck)
+// SetStep pushes the leader's step clock to the worker — the tail of a
+// full-state push, after the per-stage MsgSetState imports.
+func (m *RemoteMember) SetStep(step int) {
+	m.call(Msg{Type: MsgSync, Stage: -1, Data: AppendU32(nil, uint32(step))}, MsgAck)
 }
 
 func (m *RemoteMember) fail(err error) {
@@ -647,7 +614,4 @@ func (m *RemoteMember) fail(err error) {
 	m.mu.Unlock()
 }
 
-var (
-	_ replica.Remote          = (*RemoteMember)(nil)
-	_ replica.VersionRestorer = (*RemoteMember)(nil)
-)
+var _ replica.Remote = (*RemoteMember)(nil)

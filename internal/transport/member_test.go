@@ -13,19 +13,19 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// wireMember is a full fake replica.Member (plus ClockSetter) with one
-// scalar parameter per stage, for exercising the member/server protocol
-// without a trainer: forward returns a distinct loss per microbatch,
-// backward accumulates s+1, state is a per-stage scalar.
+// wireMember is a full fake replica.Local with one scalar parameter per
+// stage, for exercising the member/server protocol without a trainer:
+// forward returns a distinct loss per microbatch, backward accumulates
+// s+1, state is a per-stage scalar.
 type wireMember struct {
 	p  int
 	mu sync.Mutex
 
-	acc    []float64
-	state  []*tensor.Tensor
-	step   int
-	epoch  int
-	synced int
+	acc   []float64
+	state []*tensor.Tensor
+	step  int
+	epoch int
+	rings map[int]int // stage → base + snapshot count of the ring last restored
 
 	prepared []int
 	stepped  []int
@@ -120,29 +120,19 @@ func (m *wireMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.state[stage].CopyFrom(src[0])
 }
 
-func (m *wireMember) SyncEpoch() {}
-
-func (m *wireMember) SyncFromLeader() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.synced++
-}
-
 func (m *wireMember) SetStep(step int)   { m.mu.Lock(); m.step = step; m.mu.Unlock() }
 func (m *wireMember) SetEpoch(epoch int) { m.mu.Lock(); m.epoch = epoch; m.mu.Unlock() }
 
-var (
-	_ replica.Local = (*wireMember)(nil)
-	_ ClockSetter   = (*wireMember)(nil)
-)
-
-// leadState is the leader-side state the remote proxy reads for syncs.
-type leadState struct {
-	*wireMember
+func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.rings == nil {
+		m.rings = map[int]int{}
+	}
+	m.rings[stage] = base + len(snaps)
 }
 
-func (l leadState) Step() int  { return 7 }
-func (l leadState) Epoch() int { return 3 }
+var _ replica.Local = (*wireMember)(nil)
 
 // startPair serves a wireMember over loopback and returns the connected
 // leader-side proxy plus the worker's member for inspection.
@@ -161,8 +151,8 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 		t.Fatal(err)
 	}
 	spec := Spec{Replica: 1, Replicas: 2, Stages: p, Step: 7, Epoch: 3,
-		Checksum: StateChecksum(leadState{leader}, p)}
-	m, err := NewRemoteMember(ctx, conn, spec, leadState{leader})
+		Checksum: StateChecksum(leader, p)}
+	m, err := NewRemoteMember(ctx, conn, spec)
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
@@ -182,7 +172,7 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 // the same arguments and results as a direct call.
 func TestRemoteMemberProtocol(t *testing.T) {
 	const p = 3
-	m, worker, _, stop := startPair(t, p)
+	m, worker, leader, stop := startPair(t, p)
 	defer stop()
 
 	// Handshake applied the leader's clocks.
@@ -233,19 +223,30 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	}
 	worker.mu.Unlock()
 
-	// Epoch sync and the full leader-state broadcast.
-	m.SyncEpoch()
-	m.SyncFromLeader()
-	worker.mu.Lock()
-	if worker.epoch != 3 {
-		t.Fatalf("worker epoch %d after SyncEpoch, want 3", worker.epoch)
+	// The full leader-state push, as replica.Group makes it: the epoch
+	// clock, every stage's state, the step clock, every stage's ring.
+	m.SetEpoch(4)
+	for s := 0; s < p; s++ {
+		m.ImportStageState(s, leader.StageState(s))
 	}
-	if worker.step != 7 {
-		t.Fatalf("worker step %d after broadcast, want the leader's 7", worker.step)
+	m.SetStep(9)
+	snap := []*tensor.Tensor{tensor.New(1)}
+	for s := 0; s < p; s++ {
+		m.RestoreVersions(s, 5+s, [][]*tensor.Tensor{snap, snap})
+	}
+	worker.mu.Lock()
+	if worker.epoch != 4 {
+		t.Fatalf("worker epoch %d after SetEpoch, want 4", worker.epoch)
+	}
+	if worker.step != 9 {
+		t.Fatalf("worker step %d after the push, want the leader's 9", worker.step)
 	}
 	for s := 0; s < p; s++ {
 		if worker.state[s].Data[0] != float64(100*s) {
-			t.Fatalf("broadcast stage %d state %g, want the leader's %d", s, worker.state[s].Data[0], 100*s)
+			t.Fatalf("pushed stage %d state %g, want the leader's %d", s, worker.state[s].Data[0], 100*s)
+		}
+		if worker.rings[s] != 5+s+2 {
+			t.Fatalf("stage %d ring ends at version %d, want base %d + 2 snapshots", s, worker.rings[s], 5+s)
 		}
 	}
 	worker.mu.Unlock()
@@ -273,8 +274,8 @@ func TestHandshakeRejectsMismatchedState(t *testing.T) {
 	defer conn.Close()
 	leader := newWireMember(p)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: p,
-		Checksum: StateChecksum(leadState{leader}, p) + 1} // poisoned
-	if _, err := NewRemoteMember(ctx, conn, spec, leadState{leader}); err == nil ||
+		Checksum: StateChecksum(leader, p) + 1} // poisoned
+	if _, err := NewRemoteMember(ctx, conn, spec); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("handshake err = %v, want a checksum mismatch", err)
 	}
@@ -295,8 +296,8 @@ func TestHandshakeRejectsStageMismatch(t *testing.T) {
 	defer conn.Close()
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
-	if _, err := NewRemoteMember(ctx, conn, spec, leadState{leader}); err == nil ||
+		Checksum: StateChecksum(leader, 2)}
+	if _, err := NewRemoteMember(ctx, conn, spec); err == nil ||
 		!strings.Contains(err.Error(), "stages") {
 		t.Fatalf("handshake err = %v, want a stage mismatch", err)
 	}
@@ -332,8 +333,8 @@ func TestCancelMidCollectiveUnwinds(t *testing.T) {
 	}
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
-	m, err := NewRemoteMember(ctx, conn, spec, leadState{leader})
+		Checksum: StateChecksum(leader, 2)}
+	m, err := NewRemoteMember(ctx, conn, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +388,8 @@ func TestWorkerDeathMidChunkIsAnError(t *testing.T) {
 	}
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
-	m, err := NewRemoteMember(ctx, conn, spec, leadState{leader})
+		Checksum: StateChecksum(leader, 2)}
+	m, err := NewRemoteMember(ctx, conn, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 	defer conn.Close()
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
+		Checksum: StateChecksum(leader, 2)}
 	if err := conn.Send(ctx, Msg{Type: MsgHello, Replica: 1, Stage: -1, Data: spec.encode()}); err != nil {
 		t.Fatal(err)
 	}

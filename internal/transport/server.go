@@ -8,7 +8,6 @@ import (
 
 	"pipemare/internal/engine"
 	"pipemare/internal/replica"
-	"pipemare/internal/tensor"
 )
 
 // Builder constructs (or verifies) the worker's local follower member
@@ -18,15 +17,6 @@ import (
 // replica count, commit mode, pinned partition costs) needs no worker
 // flags.
 type Builder func(spec Spec) (replica.Local, error)
-
-// ClockSetter is the clock-alignment surface the serve loop writes:
-// MsgSync sets the follower's step clock after a full-state broadcast,
-// and MsgSyncEpoch aligns its epoch clock before a sharded commit. The
-// trainer's member (internal/core) satisfies it.
-type ClockSetter interface {
-	SetStep(step int)
-	SetEpoch(epoch int)
-}
 
 // Serve accepts one leader connection on lis and serves it until the
 // leader says goodbye, the connection drops, or ctx ends. inner is the
@@ -71,8 +61,6 @@ type server struct {
 	conn   MsgConn
 	inner  engine.Engine
 	member replica.Local
-	clock  ClockSetter             // nil when the member cannot have its clocks set
-	rings  replica.VersionRestorer // nil when the member cannot restore version rings
 	comp   *replica.Compute
 
 	replica uint16
@@ -87,15 +75,19 @@ func (s *server) reply(ctx context.Context, m Msg) error {
 }
 
 func (s *server) replyErr(ctx context.Context, code uint32, text string) error {
-	data := appendU32(nil, code)
-	data = append(data, text...)
-	return s.reply(ctx, Msg{Type: MsgErr, Stage: -1, Data: data})
+	return s.reply(ctx, Msg{Type: MsgErr, Stage: -1, Data: appendWireErr(nil, code, text)})
+}
+
+// reject refuses the session in the named phase (handshake, join): the
+// leader is told why, and the same reason is returned.
+func (s *server) reject(ctx context.Context, phase string, err error) error {
+	s.replyErr(ctx, errGeneric, err.Error())
+	return fmt.Errorf("transport: %s: %w", phase, err)
 }
 
 // adopt takes the follower built for the leader's spec into the session:
 // it verifies the stage count (and, for a handshake that carries one, the
-// initial-state checksum), resolves once which optional surfaces the
-// member has, and aligns its clocks.
+// initial-state checksum) and aligns its clocks.
 func (s *server) adopt(member replica.Local, spec Spec, checksum bool) error {
 	if got := member.Stages(); got != spec.Stages {
 		return fmt.Errorf("follower has %d stages, leader has %d", got, spec.Stages)
@@ -106,14 +98,8 @@ func (s *server) adopt(member replica.Local, spec Spec, checksum bool) error {
 		}
 	}
 	s.member = member
-	s.clock, _ = member.(ClockSetter)
-	s.rings, _ = member.(replica.VersionRestorer)
-	if s.clock != nil {
-		s.clock.SetStep(spec.Step)
-		s.clock.SetEpoch(spec.Epoch)
-	} else if spec.Step != 0 || spec.Epoch != 0 {
-		return fmt.Errorf("leader clocks (step %d, epoch %d) cannot be applied: member has no clock setters", spec.Step, spec.Epoch)
-	}
+	member.SetStep(spec.Step)
+	member.SetEpoch(spec.Epoch)
 	return nil
 }
 
@@ -131,24 +117,18 @@ func (s *server) handshake(ctx context.Context, build Builder) error {
 	s.replica = req.Replica
 	spec, err := decodeSpec(req.Data)
 	if err != nil {
-		s.replyErr(ctx, errGeneric, err.Error())
-		return fmt.Errorf("transport: handshake: %w", err)
-	}
-	reject := func(format string, args ...any) error {
-		err := fmt.Errorf(format, args...)
-		s.replyErr(ctx, errGeneric, err.Error())
-		return fmt.Errorf("transport: handshake: %w", err)
+		return s.reject(ctx, "handshake", err)
 	}
 	if spec.Replica < 1 || spec.Replica >= spec.Replicas {
-		return reject("replica %d out of range for %d replicas", spec.Replica, spec.Replicas)
+		return s.reject(ctx, "handshake", fmt.Errorf("replica %d out of range for %d replicas", spec.Replica, spec.Replicas))
 	}
 	s.hb = spec.Heartbeat
 	member, err := build(spec)
 	if err != nil {
-		return reject("building follower: %w", err)
+		return s.reject(ctx, "handshake", fmt.Errorf("building follower: %w", err))
 	}
 	if err := s.adopt(member, spec, true); err != nil {
-		return reject("%w", err)
+		return s.reject(ctx, "handshake", err)
 	}
 	if err := s.reply(ctx, Msg{Type: MsgHelloOK, Stage: -1}); err != nil {
 		return fmt.Errorf("transport: handshake: %w", err)
@@ -191,30 +171,30 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 	}()
 	ack := Msg{Type: MsgAck, Stage: req.Stage}
 	stage := int(req.Stage)
-	c := &cursor{b: req.Data}
+	c := NewCursor(req.Data)
 	switch req.Type {
 	case MsgRunChunk:
 		return s.runChunk(ctx, c)
 	case MsgSetGrads:
-		bufs := c.tensorsInto(nil)
-		if err := c.done(); err != nil {
+		bufs := c.TensorsInto(nil)
+		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
 		s.member.SetStageGrads(stage, bufs)
 		return ack, nil
 	case MsgPrepare:
-		nMicro := c.i32()
-		if err := c.done(); err != nil {
+		nMicro := c.I32()
+		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
 		sumSq := s.member.PrepareStage(stage, nMicro)
-		return Msg{Type: MsgPrepared, Stage: req.Stage, Data: appendF64(s.scratch[:0], sumSq)}, nil
+		return Msg{Type: MsgPrepared, Stage: req.Stage, Data: AppendF64(s.scratch[:0], sumSq)}, nil
 	case MsgBeginStep:
 		s.member.BeginStep()
 		return ack, nil
 	case MsgScale:
-		scale := c.f64()
-		if err := c.done(); err != nil {
+		scale := c.F64()
+		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
 		s.member.ScaleStage(stage, scale)
@@ -227,48 +207,34 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 		return ack, nil
 	case MsgGetState:
 		state := s.member.StageState(stage)
-		return Msg{Type: MsgState, Stage: req.Stage, Data: appendTensors(s.scratch[:0], state)}, nil
+		return Msg{Type: MsgState, Stage: req.Stage, Data: AppendTensors(s.scratch[:0], state)}, nil
 	case MsgSetState:
-		bufs := c.tensorsInto(nil)
-		if err := c.done(); err != nil {
+		bufs := c.TensorsInto(nil)
+		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
 		s.member.ImportStageState(stage, bufs)
 		return ack, nil
 	case MsgSetRing:
-		base := c.i32()
-		nSnaps := c.count(4)
-		snaps := make([][]*tensor.Tensor, nSnaps)
-		for i := range snaps {
-			snaps[i] = c.tensorsInto(nil)
-		}
-		if err := c.done(); err != nil {
+		base, snaps := c.Ring()
+		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		if s.rings == nil {
-			return Msg{}, fmt.Errorf("member cannot restore version rings")
-		}
-		s.rings.RestoreVersions(stage, base, snaps)
+		s.member.RestoreVersions(stage, base, snaps)
 		return ack, nil
 	case MsgSyncEpoch:
-		epoch := c.i32()
-		if err := c.done(); err != nil {
+		epoch := c.I32()
+		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		if s.clock == nil {
-			return Msg{}, fmt.Errorf("member has no epoch clock setter")
-		}
-		s.clock.SetEpoch(epoch)
+		s.member.SetEpoch(epoch)
 		return ack, nil
 	case MsgSync:
-		step := c.i32()
-		if err := c.done(); err != nil {
+		step := c.I32()
+		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		if s.clock == nil {
-			return Msg{}, fmt.Errorf("member has no step clock setter")
-		}
-		s.clock.SetStep(step)
+		s.member.SetStep(step)
 		return ack, nil
 	}
 	return Msg{}, fmt.Errorf("unknown request type %d", req.Type)
@@ -279,25 +245,25 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 // exported gradients back. A diverged chunk replies errDiverged — a
 // normal outcome the leader maps back to engine.ErrDiverged — without
 // ending the session.
-func (s *server) runChunk(ctx context.Context, c *cursor) (Msg, error) {
-	start := c.i32()
-	async := c.boolean()
-	k := c.count(4)
+func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
+	start := c.I32()
+	async := c.Bool()
+	k := c.Count(4)
 	if cap(s.micros) < k {
 		s.micros = make([][]int, k)
 	}
 	micros := s.micros[:k]
 	for i := range micros {
-		n := c.count(4)
+		n := c.Count(4)
 		if cap(micros[i]) < n {
 			micros[i] = make([]int, n)
 		}
 		micros[i] = micros[i][:n]
 		for j := range micros[i] {
-			micros[i][j] = c.i32()
+			micros[i][j] = c.I32()
 		}
 	}
-	if err := c.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return Msg{}, err
 	}
 	s.comp.BeginChunk(start, k, async)
@@ -316,22 +282,22 @@ func (s *server) runChunk(ctx context.Context, c *cursor) (Msg, error) {
 	stopPing()
 	if err != nil {
 		if errors.Is(err, engine.ErrDiverged) {
-			data := appendU32(s.scratch[:0], errDiverged)
+			data := AppendU32(s.scratch[:0], errDiverged)
 			return Msg{Type: MsgErr, Stage: -1, Data: data}, nil
 		}
 		return Msg{}, fmt.Errorf("chunk failed: %w", err)
 	}
 	losses := s.comp.Losses()
 	grads := s.comp.Grads()
-	b := appendU32(s.scratch[:0], uint32(len(losses)))
+	b := AppendU32(s.scratch[:0], uint32(len(losses)))
 	for _, l := range losses {
-		b = appendF64(b, l)
+		b = AppendF64(b, l)
 	}
-	b = appendU32(b, uint32(len(grads)))
-	b = appendU32(b, uint32(s.member.Stages()))
+	b = AppendU32(b, uint32(len(grads)))
+	b = AppendU32(b, uint32(s.member.Stages()))
 	for _, micro := range grads {
 		for _, stage := range micro {
-			b = appendTensors(b, stage)
+			b = AppendTensors(b, stage)
 		}
 	}
 	s.scratch = b

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"hash/crc32"
-	"math"
 	"time"
 
 	"pipemare/internal/tensor"
@@ -42,95 +41,71 @@ type Spec struct {
 }
 
 func (s Spec) encode() []byte {
-	b := appendU32(nil, uint32(s.Replica))
-	b = appendU32(b, uint32(s.Replicas))
-	b = appendU32(b, uint32(s.Stages))
-	b = appendU32(b, uint32(s.Method))
-	b = appendBool(b, s.T2)
-	b = appendBool(b, s.Sharded)
-	b = appendU32(b, uint32(s.Step))
-	b = appendU32(b, uint32(s.Epoch))
-	b = appendU32(b, s.Checksum)
-	b = appendU32(b, uint32(len(s.GroupCosts)))
+	b := AppendU32(nil, uint32(s.Replica))
+	b = AppendU32(b, uint32(s.Replicas))
+	b = AppendU32(b, uint32(s.Stages))
+	b = AppendU32(b, uint32(s.Method))
+	b = AppendBool(b, s.T2)
+	b = AppendBool(b, s.Sharded)
+	b = AppendU32(b, uint32(s.Step))
+	b = AppendU32(b, uint32(s.Epoch))
+	b = AppendU32(b, s.Checksum)
+	b = AppendU32(b, uint32(len(s.GroupCosts)))
 	for _, c := range s.GroupCosts {
-		b = appendF64(b, c)
+		b = AppendF64(b, c)
 	}
-	b = appendBool(b, s.FT)
-	b = appendU64(b, uint64(s.Heartbeat))
+	b = AppendBool(b, s.FT)
+	b = AppendU64(b, uint64(s.Heartbeat))
 	return b
 }
 
 func decodeSpec(data []byte) (Spec, error) {
-	c := &cursor{b: data}
+	c := NewCursor(data)
 	s := Spec{
-		Replica:  c.i32(),
-		Replicas: c.i32(),
-		Stages:   c.i32(),
-		Method:   c.i32(),
-		T2:       c.boolean(),
-		Sharded:  c.boolean(),
-		Step:     c.i32(),
-		Epoch:    c.i32(),
-		Checksum: c.u32(),
+		Replica:  c.I32(),
+		Replicas: c.I32(),
+		Stages:   c.I32(),
+		Method:   c.I32(),
+		T2:       c.Bool(),
+		Sharded:  c.Bool(),
+		Step:     c.I32(),
+		Epoch:    c.I32(),
+		Checksum: c.U32(),
 	}
-	n := c.count(8)
+	n := c.Count(8)
 	if n > 0 {
 		s.GroupCosts = make([]float64, n)
 		for i := range s.GroupCosts {
-			s.GroupCosts[i] = c.f64()
+			s.GroupCosts[i] = c.F64()
 		}
 	}
-	s.FT = c.boolean()
-	s.Heartbeat = time.Duration(c.u64())
-	if err := c.done(); err != nil {
+	s.FT = c.Bool()
+	s.Heartbeat = time.Duration(c.U64())
+	if err := c.Done(); err != nil {
 		return Spec{}, fmt.Errorf("bad hello: %w", err)
 	}
 	return s, nil
 }
 
-// StateSource is the per-stage state surface the checksum (and the
-// leader-serial broadcast) reads. replica.Member satisfies it.
+// StateSource is the per-stage state surface the checksum reads.
+// replica.Member satisfies it.
 type StateSource interface {
 	StageState(stage int) []*tensor.Tensor
 }
 
-// StateChecksum hashes a member's per-stage state — dtype, shapes and
-// raw float bits, stage by stage — with CRC-32. Leader and worker compute
-// it over their respective initial states during the handshake; equality
-// means the two processes built bitwise-identical replicas. The dtype tag
-// is part of the hash, so a float32 leader paired with a float64 worker
-// (or vice versa) fails the handshake before any state flows.
+// StateChecksum hashes a member's per-stage state — a CRC-32 over the
+// AppendTensors encoding of each stage in turn, so dtype tags, shapes and
+// raw float bits all count. Leader and worker compute it over their
+// respective initial states during the handshake; equality means the two
+// processes built bitwise-identical replicas, and a float32 leader paired
+// with a float64 worker (or vice versa) fails the handshake before any
+// state flows.
 func StateChecksum(m StateSource, stages int) uint32 {
 	crc := uint32(0)
-	var scratch [8]byte
-	u32 := func(v uint32) {
-		scratch[0], scratch[1], scratch[2], scratch[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-		crc = crc32.Update(crc, crcTable, scratch[:4])
-	}
+	var buf []byte
 	for st := 0; st < stages; st++ {
-		ts := m.StageState(st)
-		u32(uint32(len(ts)))
-		for _, t := range ts {
-			scratch[0] = byte(t.DType())
-			crc = crc32.Update(crc, crcTable, scratch[:1])
-			u32(uint32(len(t.Shape)))
-			for _, d := range t.Shape {
-				u32(uint32(d))
-			}
-			if t.DType() == tensor.Float32 {
-				for _, v := range t.Data32 {
-					u32(math.Float32bits(v))
-				}
-			} else {
-				for _, v := range t.Data {
-					bits := math.Float64bits(v)
-					for i := 0; i < 8; i++ {
-						scratch[i] = byte(bits >> (56 - 8*i))
-					}
-					crc = crc32.Update(crc, crcTable, scratch[:8])
-				}
-			}
-		}
+		buf = AppendTensors(buf[:0], m.StageState(st))
+		crc = crc32.Update(crc, crcTable, buf)
 	}
 	return crc
 }

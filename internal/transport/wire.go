@@ -7,44 +7,54 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// Payload encoding: big-endian fixed-width integers and raw IEEE-754
-// float bits, composed with a panic-free cursor so malformed payloads
-// surface as errors (FuzzDecodeFrame covers the frame layer; the message
-// decoders below never index past their input).
+// Payload codec: big-endian fixed-width integers and raw IEEE-754 float
+// bits, composed with a panic-free cursor so malformed payloads surface
+// as errors (FuzzDecodeFrame covers the frame layer, FuzzCursor the
+// decoders below, which never index past their input). There is one
+// encoder and one decoder, exported because the wire is not their only
+// user: a checkpoint section (internal/core) is a message payload, byte
+// for byte, and the benchmark times them directly.
 
-func appendU32(dst []byte, v uint32) []byte {
+// AppendU32 appends a big-endian uint32.
+func AppendU32(dst []byte, v uint32) []byte {
 	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-func appendU64(dst []byte, v uint64) []byte {
+// AppendU64 appends a big-endian uint64.
+func AppendU64(dst []byte, v uint64) []byte {
 	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-func appendF64(dst []byte, v float64) []byte {
-	return appendU64(dst, math.Float64bits(v))
+// AppendF64 appends the raw IEEE-754 bits of v.
+func AppendF64(dst []byte, v float64) []byte {
+	return AppendU64(dst, math.Float64bits(v))
 }
 
-func appendBool(dst []byte, v bool) []byte {
+// AppendBool appends one byte, 1 for true.
+func AppendBool(dst []byte, v bool) []byte {
 	if v {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
 }
 
-// cursor reads a payload left to right, latching the first error.
-type cursor struct {
+// Cursor reads a payload left to right, latching the first error.
+type Cursor struct {
 	b   []byte
 	err error
 }
 
-func (c *cursor) fail(format string, args ...any) {
+// NewCursor reads b.
+func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
+
+func (c *Cursor) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("transport: "+format, args...)
 	}
 }
 
-func (c *cursor) take(n int) []byte {
+func (c *Cursor) take(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
@@ -57,7 +67,7 @@ func (c *cursor) take(n int) []byte {
 	return out
 }
 
-func (c *cursor) u8() byte {
+func (c *Cursor) u8() byte {
 	b := c.take(1)
 	if b == nil {
 		return 0
@@ -65,9 +75,11 @@ func (c *cursor) u8() byte {
 	return b[0]
 }
 
-func (c *cursor) boolean() bool { return c.u8() != 0 }
+// Bool decodes one byte as a bool.
+func (c *Cursor) Bool() bool { return c.u8() != 0 }
 
-func (c *cursor) u32() uint32 {
+// U32 decodes a big-endian uint32.
+func (c *Cursor) U32() uint32 {
 	b := c.take(4)
 	if b == nil {
 		return 0
@@ -75,7 +87,8 @@ func (c *cursor) u32() uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-func (c *cursor) u64() uint64 {
+// U64 decodes a big-endian uint64.
+func (c *Cursor) U64() uint64 {
 	b := c.take(8)
 	if b == nil {
 		return 0
@@ -84,16 +97,17 @@ func (c *cursor) u64() uint64 {
 		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
 
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
+// F64 decodes raw IEEE-754 bits.
+func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
 
-// i32 decodes a u32 written by appendU32(uint32(v)) back to a signed int.
-func (c *cursor) i32() int { return int(int32(c.u32())) }
+// I32 decodes a u32 written by AppendU32(uint32(v)) back to a signed int.
+func (c *Cursor) I32() int { return int(int32(c.U32())) }
 
-// count decodes a u32 element count, bounding it so a corrupt length
+// Count decodes a u32 element count, bounding it so a corrupt length
 // cannot force a huge allocation: each element needs at least min bytes
 // of remaining payload.
-func (c *cursor) count(min int) int {
-	n := int(c.u32())
+func (c *Cursor) Count(min int) int {
+	n := int(c.U32())
 	if c.err != nil {
 		return 0
 	}
@@ -107,7 +121,8 @@ func (c *cursor) count(min int) int {
 	return n
 }
 
-func (c *cursor) done() error {
+// Done errors unless the payload decoded exactly.
+func (c *Cursor) Done() error {
 	if c.err != nil {
 		return c.err
 	}
@@ -117,24 +132,24 @@ func (c *cursor) done() error {
 	return nil
 }
 
-// appendTensor encodes a tensor: a dtype tag byte, rank, dims, then the
+// AppendTensor encodes a tensor: a dtype tag byte, rank, dims, then the
 // raw IEEE-754 bits of the contiguous data at the dtype's width. The tag
 // is what lets a float32 run checkpoint and all-reduce without ever
 // widening to float64 on the wire.
-func appendTensor(dst []byte, t *tensor.Tensor) []byte {
+func AppendTensor(dst []byte, t *tensor.Tensor) []byte {
 	dt := t.DType()
 	dst = append(dst, byte(dt))
-	dst = appendU32(dst, uint32(len(t.Shape)))
+	dst = AppendU32(dst, uint32(len(t.Shape)))
 	for _, d := range t.Shape {
-		dst = appendU32(dst, uint32(d))
+		dst = AppendU32(dst, uint32(d))
 	}
 	if dt == tensor.Float32 {
 		for _, v := range t.Data32 {
-			dst = appendU32(dst, math.Float32bits(v))
+			dst = AppendU32(dst, math.Float32bits(v))
 		}
 	} else {
 		for _, v := range t.Data {
-			dst = appendF64(dst, v)
+			dst = AppendF64(dst, v)
 		}
 	}
 	return dst
@@ -142,7 +157,7 @@ func appendTensor(dst []byte, t *tensor.Tensor) []byte {
 
 // tensorInto decodes one tensor, reusing buf when its shape and dtype
 // match (the steady-state path for per-stage gradient and state traffic).
-func (c *cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
+func (c *Cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 	tag := c.u8()
 	if c.err != nil {
 		return nil
@@ -153,11 +168,11 @@ func (c *cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 	}
 	dt := tensor.DType(tag)
 	es := dt.Size()
-	rank := c.count(4)
+	rank := c.Count(4)
 	shape := make([]int, rank)
 	size := 1
 	for i := range shape {
-		d := int(c.u32())
+		d := int(c.U32())
 		if c.err != nil {
 			return nil
 		}
@@ -178,11 +193,11 @@ func (c *cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 	}
 	if dt == tensor.Float32 {
 		for i := 0; i < size; i++ {
-			dst.Data32[i] = math.Float32frombits(c.u32())
+			dst.Data32[i] = math.Float32frombits(c.U32())
 		}
 	} else {
 		for i := 0; i < size; i++ {
-			dst.Data[i] = c.f64()
+			dst.Data[i] = c.F64()
 		}
 	}
 	if c.err != nil {
@@ -203,18 +218,18 @@ func sameShape(a, b []int) bool {
 	return true
 }
 
-// appendTensors encodes a counted list of tensors.
-func appendTensors(dst []byte, ts []*tensor.Tensor) []byte {
-	dst = appendU32(dst, uint32(len(ts)))
+// AppendTensors encodes a counted list of tensors.
+func AppendTensors(dst []byte, ts []*tensor.Tensor) []byte {
+	dst = AppendU32(dst, uint32(len(ts)))
 	for _, t := range ts {
-		dst = appendTensor(dst, t)
+		dst = AppendTensor(dst, t)
 	}
 	return dst
 }
 
-// tensorsInto decodes a counted tensor list, reusing bufs elementwise.
-func (c *cursor) tensorsInto(bufs []*tensor.Tensor) []*tensor.Tensor {
-	n := c.count(4)
+// TensorsInto decodes a counted tensor list, reusing bufs elementwise.
+func (c *Cursor) TensorsInto(bufs []*tensor.Tensor) []*tensor.Tensor {
+	n := c.Count(4)
 	if c.err != nil {
 		return nil
 	}
@@ -231,4 +246,26 @@ func (c *cursor) tensorsInto(bufs []*tensor.Tensor) []*tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// AppendRing encodes a stage's weight-version ring — the MsgSetRing
+// payload and a checkpoint's ring section: the ring's oldest version
+// number, then its snapshots, oldest to newest.
+func AppendRing(dst []byte, base int, snaps [][]*tensor.Tensor) []byte {
+	dst = AppendU32(dst, uint32(base))
+	dst = AppendU32(dst, uint32(len(snaps)))
+	for _, snap := range snaps {
+		dst = AppendTensors(dst, snap)
+	}
+	return dst
+}
+
+// Ring decodes an AppendRing payload.
+func (c *Cursor) Ring() (base int, snaps [][]*tensor.Tensor) {
+	base = c.I32()
+	snaps = make([][]*tensor.Tensor, c.Count(4))
+	for i := range snaps {
+		snaps[i] = c.TensorsInto(nil)
+	}
+	return base, snaps
 }

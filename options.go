@@ -11,7 +11,6 @@ import (
 	"pipemare/internal/optim"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
-	"pipemare/internal/trace"
 	"pipemare/internal/transport"
 )
 
@@ -572,11 +571,10 @@ func New(task Task, opts ...Option) (*Trainer, error) {
 		if !s.heartbeatSet && s.cfg.FaultTolerant {
 			hb = transport.DefaultHeartbeat
 		}
-		// The core join path reuses the resolved cadence when welcoming
-		// mid-run joiners (WithElastic), so record it on the config.
+		// The trainer announces the resolved cadence in every spec it
+		// builds: to the followers dialed here and to mid-run joiners.
 		s.cfg.Heartbeat = hb
-		s.cfg.Followers = remoteFollowers(s.dialers, s.dialTimeout, hb,
-			s.cfg.StragglerDeadline, s.cfg.StragglerMisses, s.cfg.Trace)
+		s.cfg.Followers = remoteFollowers(s.dialers, s.dialTimeout)
 	}
 	tr, err := core.New(task, opt, s.sched, s.cfg)
 	if err != nil {
@@ -641,37 +639,23 @@ func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 
 // remoteFollowers returns the core follower factory for WithTransport:
 // dial worker r's endpoint (with the backoff the dialer implements),
-// announce the resolved replication spec, and wrap the connection as the
-// leader-side member proxy.
-func remoteFollowers(dialers []transport.Dialer, timeout, heartbeat, stragglerDeadline time.Duration, stragglerMisses int, rec *trace.Recorder) func(int, core.ReplicaEnv) (replica.Member, error) {
+// announce the spec the trainer resolved for it, and wrap the connection
+// as the leader-side member proxy.
+func remoteFollowers(dialers []transport.Dialer, timeout time.Duration) func(int, core.ReplicaEnv) (replica.Member, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
 	return func(r int, env core.ReplicaEnv) (replica.Member, error) {
-		lead := env.Leader
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		conn, err := dialers[r-1].Dial(ctx)
 		if err != nil {
 			return nil, err
 		}
-		spec := transport.Spec{
-			Replica: r, Replicas: env.Replicas, Stages: env.Stages,
-			Method: int(env.Method), T2: env.T2, Sharded: env.Sharded,
-			Step: lead.Step(), Epoch: lead.Epoch(),
-			Checksum:   transport.StateChecksum(lead, env.Stages),
-			GroupCosts: env.GroupCosts,
-			FT:         env.FaultTolerant,
-			Heartbeat:  heartbeat,
-		}
-		m, err := transport.NewRemoteMember(ctx, conn, spec, lead)
+		m, err := transport.NewRemoteMember(ctx, conn, env.Spec)
 		if err != nil {
 			conn.Close()
 			return nil, err
-		}
-		m.SetTracer(rec) // nil-safe: a nil recorder leaves the wire track off
-		if stragglerMisses > 0 {
-			m.SetStragglerDeadline(stragglerDeadline, stragglerMisses)
 		}
 		return m, nil
 	}
