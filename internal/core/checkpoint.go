@@ -74,38 +74,19 @@ func (t *Trainer) CheckpointStats() (writes int, ns int64) {
 // WriteCheckpoint serializes the trainer's state to a new step-stamped
 // file in dir (created if missing), written to a temp file and renamed
 // so a crash mid-write never leaves a truncated file under the
-// checkpoint name. It returns the file's path.
+// checkpoint name. Each section streams to the file a frame at a time,
+// encoded from the live tensors (transport.FrameWriter): the file never
+// exists in memory. It returns the file's path.
 func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	optClock := 0
-	if t.stateful != nil {
-		optClock = t.stateful.Clock()
-	}
-	meta := transport.AppendU32(nil, ckptFormat)
-	for _, v := range []int{t.step, t.epoch, t.micro, t.clock.P, optClock} {
-		meta = transport.AppendU32(meta, uint32(v))
-	}
-	buf := transport.AppendMessage(nil, transport.Header{Type: ckptMeta, Stage: -1}, meta)
-	var payload []byte
-	for s, state := range t.state {
-		payload = transport.AppendTensors(payload[:0], state)
-		buf = transport.AppendMessage(buf, transport.Header{Type: ckptStage, Stage: int32(s)}, payload)
-	}
-	for s := range t.state {
-		base, snaps := t.store.History(s)
-		payload = transport.AppendRing(payload[:0], base, snaps)
-		buf = transport.AppendMessage(buf, transport.Header{Type: ckptRing, Stage: int32(s)}, payload)
-	}
-	buf = transport.AppendMessage(buf, transport.Header{Type: ckptEnd, Stage: -1}, nil)
-
 	f, err := os.CreateTemp(dir, ".ckpt-*.tmp")
 	if err != nil {
 		return "", err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(buf); err != nil {
+	if err := t.writeSections(transport.NewFrameWriter(f)); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", err
@@ -120,6 +101,33 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 		return "", err
 	}
 	return path, nil
+}
+
+// writeSections writes the checkpoint's sections, in file order.
+func (t *Trainer) writeSections(fw *transport.FrameWriter) error {
+	optClock := 0
+	if t.stateful != nil {
+		optClock = t.stateful.Clock()
+	}
+	meta := transport.AppendU32(nil, ckptFormat)
+	for _, v := range []int{t.step, t.epoch, t.micro, t.clock.P, optClock} {
+		meta = transport.AppendU32(meta, uint32(v))
+	}
+	if err := fw.WriteMsg(transport.Msg{Type: ckptMeta, Stage: -1, Data: meta}); err != nil {
+		return err
+	}
+	for s, state := range t.state {
+		if err := fw.WriteMsg(transport.Msg{Type: ckptStage, Stage: int32(s), Lists: [][]*tensor.Tensor{state}}); err != nil {
+			return err
+		}
+	}
+	for s := range t.state {
+		base, snaps := t.store.History(s)
+		if err := fw.WriteMsg(transport.RingMsg(ckptRing, s, base, snaps)); err != nil {
+			return err
+		}
+	}
+	return fw.WriteMsg(transport.Msg{Type: ckptEnd, Stage: -1})
 }
 
 // ckptState is a fully parsed and validated checkpoint, staged off to the

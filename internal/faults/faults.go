@@ -198,12 +198,13 @@ func (c *Conn) Recv(ctx context.Context) (transport.Msg, error) {
 	return m, nil
 }
 
-// corrupt deterministically damages a message: the payload loses its
-// last byte (or the type becomes invalid when there is none), so the
-// peer's decoder reports a clean error.
+// corrupt deterministically damages a message: the payload — tensor
+// lists a send still carries unencoded included — loses its last byte
+// (or the type becomes invalid when there is none), so the peer's decoder
+// reports a clean error.
 func corrupt(m transport.Msg) transport.Msg {
-	if len(m.Data) > 0 {
-		m.Data = m.Data[:len(m.Data)-1]
+	if p := m.Payload(); len(p) > 0 {
+		m.Data, m.Lists = p[:len(p)-1], nil
 	} else {
 		m.Type = 0xFF
 	}

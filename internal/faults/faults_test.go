@@ -1,8 +1,14 @@
 package faults
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"testing"
+	"time"
+
+	"pipemare/internal/tensor"
+	"pipemare/internal/transport"
 )
 
 // TestScriptMatchWindows drives Script.match with a fixed message
@@ -102,3 +108,79 @@ func TestScriptRulesCountIndependently(t *testing.T) {
 }
 
 func op(o Op) *Op { return &o }
+
+// linked returns the two ends of one loopback connection, the dialing end
+// wrapped with the script.
+func linked(t *testing.T, ctx context.Context, script *Script) (near, far transport.MsgConn) {
+	t.Helper()
+	lis, dial := transport.Loopback()
+	t.Cleanup(func() { lis.Close() })
+	accepted := make(chan transport.MsgConn, 1)
+	go func() {
+		c, _ := lis.Accept(ctx)
+		accepted <- c
+	}()
+	near, err := (&Dialer{Inner: dial, Script: script}).Dial(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if far = <-accepted; far == nil {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { near.Close(); far.Close() })
+	return near, far
+}
+
+// TestCorruptReachesTensorLists pins Corrupt on a send whose payload is
+// still tensors: the injector must damage the payload the frames will
+// carry — not the empty Data of a list-carrying message — so the peer
+// receives one byte less than was sent and its decoder reports a clean
+// error, exactly as when the sender staged the payload itself.
+func TestCorruptReachesTensorLists(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	near, far := linked(t, ctx, NewScript(Rule{Dir: Send, Type: transport.MsgSetGrads, Nth: 2, Op: Corrupt}))
+	grads := []*tensor.Tensor{tensor.Full(1.5, 3, 2), tensor.Full(-2, 70000)} // spans three frames
+	sent := transport.Msg{Type: transport.MsgSetGrads, Stage: 1, Lists: [][]*tensor.Tensor{grads}}
+	go func() {
+		near.Send(ctx, sent)
+		near.Send(ctx, sent)
+	}()
+	for i, wantDamage := range []bool{false, true} {
+		got, err := far.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := transport.NewCursor(got.Data)
+		c.TensorsInto(nil)
+		err = c.Done()
+		switch {
+		case !wantDamage && (err != nil || !bytes.Equal(got.Data, sent.Payload())):
+			t.Fatalf("send %d passed through damaged: %v", i, err)
+		case wantDamage && (err == nil || len(got.Data) != sent.PayloadLen()-1 || got.Type != sent.Type):
+			t.Fatalf("send %d: corrupt left %d of %d payload bytes, decode error %v", i, len(got.Data), sent.PayloadLen(), err)
+		}
+	}
+}
+
+// TestDelayedRecvKeepsData pins the injector against the receive
+// contract: a message's Data lives in the connection's buffer until the
+// next Recv, and a Delay rule only holds the message across its own
+// sleep — it never reads ahead — so what it finally returns is intact.
+func TestDelayedRecvKeepsData(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	near, far := linked(t, ctx, NewScript(Rule{Dir: Recv, Op: Delay, Delay: 30 * time.Millisecond}))
+	first := bytes.Repeat([]byte{0xAB}, 300000)
+	go func() {
+		far.Send(ctx, transport.Msg{Type: transport.MsgState, Data: first})
+		far.Send(ctx, transport.Msg{Type: transport.MsgState, Data: bytes.Repeat([]byte{0xCD}, 300000)})
+	}()
+	got, err := near.Recv(ctx) // delayed while the second message waits on the pipe
+	if err != nil || !bytes.Equal(got.Data, first) {
+		t.Fatalf("delayed message damaged: err %v", err)
+	}
+	if got, err = near.Recv(ctx); err != nil || got.Data[0] != 0xCD || len(got.Data) != len(first) {
+		t.Fatalf("second message: err %v", err)
+	}
+}

@@ -72,11 +72,16 @@ func FuzzCursor(f *testing.F) {
 	s := mixedState()
 	f.Add(AppendTensors(nil, s[0]))
 	f.Add(AppendTensors(nil, nil))
-	f.Add(AppendRing(nil, 3, [][]*tensor.Tensor{s[1], s[2]}))
+	f.Add(RingMsg(MsgSetRing, 0, 3, [][]*tensor.Tensor{s[1], s[2]}).Payload())
 	f.Add(Spec{Replica: 1, Replicas: 2, Stages: 4, Method: 2, T2: true, Sharded: true, Step: 7, Epoch: 1,
 		Checksum: parentChecksum, GroupCosts: []float64{1, 2.5, 3, 4}, FT: true, Heartbeat: time.Second}.encode())
 	f.Add(JoinSpec{Stages: 4, Method: 2, T2: true, JoinAt: 9}.encode())
 	f.Add([]byte{})
+	// Payloads that cross the wire in several frames: a tensor larger than
+	// one, and a chunk reply's shape — plain prefix, then list after list.
+	big := tensor.NewOf(tensor.Float32, maxChunk/4+3)
+	f.Add(AppendTensors(nil, []*tensor.Tensor{big, s[0][0]}))
+	f.Add(Msg{Data: AppendU32(AppendF64(AppendU32(nil, 1), 2.5), 1), Lists: [][]*tensor.Tensor{s[1], {big}, nil}}.Payload())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

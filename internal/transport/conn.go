@@ -5,18 +5,58 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"time"
+
+	"pipemare/internal/tensor"
 )
 
-// Msg is one reassembled protocol message: a frame header's routing
-// fields plus the concatenated payload of its chunks.
+// Msg is one protocol message: a frame header's routing fields plus the
+// payload its frames carry.
+//
+// A received message has its whole payload in Data. Data then lives in the
+// connection's reassembly buffer and is valid until the next Recv on that
+// connection (NextMessage, which parses a file, returns a buffer of its
+// own).
+//
+// A message to send may keep the tensor part of its payload out of Data:
+// the payload is Data followed by the AppendTensors encoding of each of
+// Lists in turn, and Send encodes the lists from tensor storage straight
+// into its frames. The tensors are read until Send returns. Whoever looks
+// at a message between its maker and the framing layer — a fault injector,
+// a recorder, a byte count — reads it through PayloadLen and Payload, not
+// len(Data).
 type Msg struct {
 	Type    byte
 	Replica uint16
 	Stage   int32
 	Data    []byte
+	Lists   [][]*tensor.Tensor
+}
+
+// PayloadLen is the length of the payload m's frames carry.
+func (m Msg) PayloadLen() int {
+	n := len(m.Data)
+	for _, ts := range m.Lists {
+		n += tensorsLen(ts)
+	}
+	return n
+}
+
+// Payload materialises m's payload: Data itself when m carries no lists,
+// otherwise a new buffer holding Data and the encoded lists.
+func (m Msg) Payload() []byte {
+	if len(m.Lists) == 0 {
+		return m.Data
+	}
+	b := append(make([]byte, 0, m.PayloadLen()), m.Data...)
+	for _, ts := range m.Lists {
+		b = AppendTensors(b, ts)
+	}
+	return b
 }
 
 // MsgConn is the message-level connection surface: everything above the
@@ -40,18 +80,22 @@ type MsgConn interface {
 // every blocking read and write (see Send/Recv).
 //
 // A Conn is not safe for concurrent use; callers (RemoteMember, the
-// serve loop) serialize access.
+// serve loop) serialize access. It owns one buffer per direction and no
+// other: the FrameWriter's frame scratch (each frame is built there, from
+// the message's bytes and tensors, and leaves in one write), and the
+// reassembly buffer every received frame's payload is read straight into.
 type Conn struct {
-	nc  net.Conn
-	r   *bufio.Reader
-	w   *bufio.Writer
-	buf []byte // frame scratch
+	nc   net.Conn
+	r    *bufio.Reader
+	fw   *FrameWriter
+	rbuf []byte                       // reassembly buffer: the last received message's Data
+	ends [headerLen + trailerLen]byte // the header and trailer of the frame being read
 }
 
 // NewConn frames messages over nc. nc must honor SetDeadline (net.Pipe
 // and TCP connections both do).
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, r: bufio.NewReaderSize(nc, 64<<10), w: bufio.NewWriterSize(nc, 64<<10)}
+	return &Conn{nc: nc, r: bufio.NewReaderSize(nc, 64<<10), fw: NewFrameWriter(nc)}
 }
 
 // Close closes the underlying connection, unblocking any in-flight read
@@ -128,25 +172,17 @@ func mapErr(ctx context.Context, err error) error {
 }
 
 // Send writes one message, splitting payloads larger than the chunk size
-// into consecutive frames with the more-flag set on all but the last.
-// The write is context-aware: cancellation or a context deadline unwinds
-// a blocked write.
+// into consecutive frames with the more-flag set on all but the last
+// (FrameWriter). The write is context-aware: cancellation or a context
+// deadline unwinds a blocked write.
 func (c *Conn) Send(ctx context.Context, m Msg) error {
 	stop, err := c.arm(ctx)
 	if err != nil {
 		return err
 	}
 	defer stop()
-	err = splitMessage(Header{Type: m.Type, Replica: m.Replica, Stage: m.Stage}, m.Data, func(h Header, chunk []byte) error {
-		c.buf = AppendFrame(c.buf[:0], h, chunk)
-		_, err := c.w.Write(c.buf)
-		return err
-	})
-	if err != nil {
+	if err := c.fw.WriteMsg(m); err != nil {
 		return mapErr(ctx, fmt.Errorf("transport: write frame: %w", err))
-	}
-	if err := c.w.Flush(); err != nil {
-		return mapErr(ctx, fmt.Errorf("transport: flush: %w", err))
 	}
 	return nil
 }
@@ -155,42 +191,61 @@ func (c *Conn) Send(ctx context.Context, m Msg) error {
 // frame's magic, version, bounds and CRC. The read is context-aware:
 // cancellation or a context deadline unwinds a blocked read. Malformed
 // input returns an error, never a panic.
+//
+// The message's Data is the connection's reassembly buffer, valid until
+// the next Recv on this connection. Every consumer is done with a message
+// before it reads the next: RemoteMember decodes a reply under its lock
+// before the next request goes out (the straggler drainer only discards
+// the late reply, and the member takes no chunk until it has);
+// server.dispatch decodes a request before replying; the handshake and
+// join decoders run on the one message they read; faults.Conn holds a
+// message only across its own delay.
 func (c *Conn) Recv(ctx context.Context) (Msg, error) {
 	stop, err := c.arm(ctx)
 	if err != nil {
 		return Msg{}, err
 	}
 	defer stop()
-	return joinMessage(func() (Header, []byte, error) {
-		h, payload, err := c.readFrame()
-		return h, payload, mapErr(ctx, err)
+	m, err := joinMessage(c.rbuf[:0], func(dst []byte) (Header, []byte, error) {
+		h, data, err := c.readFrame(dst)
+		return h, data, mapErr(ctx, err)
 	})
+	if err != nil {
+		return Msg{}, err
+	}
+	if cap(m.Data) != cap(c.rbuf) {
+		// The largest message so far grew the buffer by amortised steps;
+		// retain only what it needed.
+		m.Data = slices.Clone(m.Data)
+	}
+	c.rbuf = m.Data
+	return m, nil
 }
 
 var _ MsgConn = (*Conn)(nil)
 
-// readFrame reads and validates one frame from the stream.
-func (c *Conn) readFrame() (Header, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+// readFrame reads and validates one frame from the stream, its payload
+// straight onto the end of dst.
+func (c *Conn) readFrame(dst []byte) (Header, []byte, error) {
+	hdr, trailer := c.ends[:headerLen], c.ends[headerLen:]
+	if _, err := io.ReadFull(c.r, hdr); err != nil {
 		return Header{}, nil, fmt.Errorf("transport: read frame header: %w", err)
 	}
-	_, n, err := parseHeader(hdr[:])
+	h, n, err := parseHeader(hdr)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	need := n + trailerLen
-	if cap(c.buf) < headerLen+need {
-		c.buf = make([]byte, headerLen+need)
-	}
-	c.buf = c.buf[:headerLen+need]
-	copy(c.buf, hdr[:])
-	if _, err := io.ReadFull(c.r, c.buf[headerLen:]); err != nil {
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	payload := dst[len(dst)-n:]
+	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return Header{}, nil, fmt.Errorf("transport: read frame payload: %w", err)
 	}
-	hh, payload, _, err := DecodeFrame(c.buf)
-	if err != nil {
+	if _, err := io.ReadFull(c.r, trailer); err != nil {
+		return Header{}, nil, fmt.Errorf("transport: read frame payload: %w", err)
+	}
+	crc := crc32.Update(crc32.Checksum(hdr, crcTable), crcTable, payload)
+	if err := checkCRC(crc, trailer); err != nil {
 		return Header{}, nil, err
 	}
-	return hh, payload, nil
+	return h, dst, nil
 }

@@ -27,7 +27,11 @@
 //
 // Tensor payloads larger than maxChunk split into consecutive frames
 // with the more-flag set on all but the last; the receiver reassembles
-// them into one message. Malformed input — bad magic, unknown version,
+// them into one message. A sender never stages a whole payload: each
+// frame is encoded from the message's tensors straight into one reused
+// frame scratch (FrameWriter), and a receiver reads each frame's payload
+// straight into the one reassembly buffer its connection owns (Conn.Recv:
+// Msg.Data is valid until the next Recv). Malformed input — bad magic, unknown version,
 // oversized length prefixes, truncated payloads, CRC mismatches — is
 // reported as an error, never a panic (FuzzDecodeFrame pins this).
 //
@@ -44,6 +48,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 )
@@ -127,21 +132,40 @@ var crcTable = crc32.IEEETable
 
 // AppendFrame appends one encoded frame (header, payload, CRC trailer)
 // to dst and returns the extended slice. The payload must not exceed
-// maxChunk; message chunking is the caller's job (Conn.Send).
+// maxChunk; message chunking is the caller's job (AppendMessage, or the
+// FrameWriter behind Conn.Send).
 func AppendFrame(dst []byte, h Header, payload []byte) []byte {
-	if len(payload) > maxChunk {
-		panic(fmt.Sprintf("transport: frame payload %d exceeds max chunk %d", len(payload), maxChunk))
-	}
 	start := len(dst)
-	dst = append(dst,
+	dst = appendHeader(dst, h, len(payload))
+	dst = append(dst, payload...)
+	return appendCRC(dst, start)
+}
+
+// appendHeader appends the 16-byte header of a frame carrying n payload
+// bytes.
+func appendHeader(dst []byte, h Header, n int) []byte {
+	if n > maxChunk {
+		panic(fmt.Sprintf("transport: frame payload %d exceeds max chunk %d", n, maxChunk))
+	}
+	return append(dst,
 		frameMagic0, frameMagic1, Version, h.Type, h.Flags, 0,
 		byte(h.Replica>>8), byte(h.Replica),
 		byte(uint32(h.Stage)>>24), byte(uint32(h.Stage)>>16), byte(uint32(h.Stage)>>8), byte(uint32(h.Stage)),
-		byte(uint32(len(payload))>>24), byte(uint32(len(payload))>>16), byte(uint32(len(payload))>>8), byte(uint32(len(payload))),
+		byte(uint32(n)>>24), byte(uint32(n)>>16), byte(uint32(n)>>8), byte(uint32(n)),
 	)
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start:], crcTable)
-	return append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
+}
+
+// appendCRC closes the frame that starts at dst[start] with its trailer.
+func appendCRC(dst []byte, start int) []byte {
+	return AppendU32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// checkCRC compares a frame's computed CRC with its trailer.
+func checkCRC(got uint32, trailer []byte) error {
+	if want := binary.BigEndian.Uint32(trailer); got != want {
+		return fmt.Errorf("transport: frame CRC mismatch: got %#08x, want %#08x", got, want)
+	}
+	return nil
 }
 
 // parseHeader validates and decodes a 16-byte frame header, returning
@@ -182,45 +206,21 @@ func DecodeFrame(b []byte) (Header, []byte, []byte, error) {
 	if len(b) < total {
 		return Header{}, nil, nil, fmt.Errorf("transport: truncated frame: have %d bytes, frame needs %d", len(b), total)
 	}
-	body := b[:headerLen+n]
-	want := uint32(b[headerLen+n])<<24 | uint32(b[headerLen+n+1])<<16 | uint32(b[headerLen+n+2])<<8 | uint32(b[headerLen+n+3])
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return Header{}, nil, nil, fmt.Errorf("transport: frame CRC mismatch: got %#08x, want %#08x", got, want)
+	if err := checkCRC(crc32.Checksum(b[:headerLen+n], crcTable), b[headerLen+n:total]); err != nil {
+		return Header{}, nil, nil, err
 	}
 	return h, b[headerLen : headerLen+n], b[total:], nil
 }
 
-// splitMessage cuts one message's payload into frames of at most maxChunk
-// bytes, the more-flag set on all but the last, and hands each to emit —
-// the one chunk loop behind Conn.Send and AppendMessage.
-func splitMessage(h Header, payload []byte, emit func(Header, []byte) error) error {
-	for {
-		chunk := payload
-		if len(chunk) > maxChunk {
-			chunk = chunk[:maxChunk]
-		}
-		payload = payload[len(chunk):]
-		h.Flags = 0
-		if len(payload) > 0 {
-			h.Flags = flagMore
-		}
-		if err := emit(h, chunk); err != nil {
-			return err
-		}
-		if len(payload) == 0 {
-			return nil
-		}
-	}
-}
-
 // joinMessage reassembles one message from the frames next yields — the
-// one reassembler behind Conn.Recv and NextMessage. It copies each frame's
-// payload out before asking for the next, so next may reuse its buffer,
-// and never holds more than the message so far plus one frame.
-func joinMessage(next func() (Header, []byte, error)) (Msg, error) {
+// one reassembler behind Conn.Recv and NextMessage. next appends its
+// frame's payload to the message so far and returns the extended slice,
+// so a connection can read each frame straight into its reassembly
+// buffer; the message is returned in that slice.
+func joinMessage(dst []byte, next func(dst []byte) (Header, []byte, error)) (Msg, error) {
 	var m Msg
 	for first := true; ; first = false {
-		h, payload, err := next()
+		h, data, err := next(dst)
 		if err != nil {
 			return Msg{}, err
 		}
@@ -229,35 +229,46 @@ func joinMessage(next func() (Header, []byte, error)) (Msg, error) {
 		} else if h.Type != m.Type || h.Replica != m.Replica || h.Stage != m.Stage {
 			return Msg{}, fmt.Errorf("transport: chunk header mismatch: type %d/%d", h.Type, m.Type)
 		}
-		if len(m.Data)+len(payload) > maxMsg {
+		if len(data) > maxMsg {
 			return Msg{}, fmt.Errorf("transport: message exceeds %d bytes", maxMsg)
 		}
-		m.Data = append(m.Data, payload...)
+		dst = data
 		if !h.More() {
+			m.Data = dst
 			return m, nil
 		}
 	}
 }
 
-// AppendMessage appends one message to dst as wire frames, chunked
-// exactly as Conn.Send chunks it, so a checkpoint file is byte-for-byte a
-// valid frame stream (magic, version, CRC per frame).
+// AppendMessage appends one message to dst as wire frames — at most
+// maxChunk payload bytes each, the more-flag set on all but the last:
+// exactly the frames Conn.Send and a FrameWriter cut a message into, so a
+// checkpoint file is byte-for-byte a valid frame stream (magic, version,
+// CRC per frame).
 func AppendMessage(dst []byte, h Header, payload []byte) []byte {
-	splitMessage(h, payload, func(h Header, chunk []byte) error {
+	for {
+		chunk := payload[:min(len(payload), maxChunk)]
+		payload = payload[len(chunk):]
+		h.Flags = 0
+		if len(payload) > 0 {
+			h.Flags = flagMore
+		}
 		dst = AppendFrame(dst, h, chunk)
-		return nil
-	})
-	return dst
+		if len(payload) == 0 {
+			return dst
+		}
+	}
 }
 
 // NextMessage decodes the next message from a frame stream produced by
-// AppendMessage, reassembling chunked frames and verifying each frame's
-// magic, version, bounds and CRC. It returns the message and the
-// remainder of b after it.
+// AppendMessage or a FrameWriter, reassembling chunked frames and
+// verifying each frame's magic, version, bounds and CRC. It returns the
+// message, in a buffer of its own, and the remainder of b after it.
 func NextMessage(b []byte) (Msg, []byte, error) {
-	m, err := joinMessage(func() (h Header, payload []byte, err error) {
+	m, err := joinMessage(nil, func(dst []byte) (h Header, data []byte, err error) {
+		var payload []byte
 		h, payload, b, err = DecodeFrame(b)
-		return h, payload, err
+		return h, append(dst, payload...), err
 	})
 	return m, b, err
 }

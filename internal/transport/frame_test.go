@@ -120,6 +120,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	corrupt := AppendFrame(nil, Header{Type: MsgErr}, []byte{9})
 	corrupt[len(corrupt)-1] ^= 0xff
 	f.Add(corrupt)
+	// Multi-frame messages: the first frame carries the more-flag and the
+	// rest of the message follows it.
+	f.Add(AppendMessage(nil, Header{Type: MsgChunkDone, Replica: 1, Stage: -1}, make([]byte, maxChunk+9)))
+	f.Add(AppendFrame(AppendFrame(nil, Header{Type: MsgState, Flags: flagMore, Stage: 2}, []byte("first")), Header{Type: MsgState, Stage: 2}, []byte("last")))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, payload, rest, err := DecodeFrame(b)
 		if err != nil {

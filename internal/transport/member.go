@@ -232,7 +232,7 @@ func (m *RemoteMember) send(ctx context.Context, req Msg) error {
 		if err == nil || !IsTransient(err) || attempt >= retryAttempts {
 			return err
 		}
-		m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(len(req.Data)))
+		m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(req.PayloadLen()))
 		if err := m.backoff(ctx, attempt); err != nil {
 			return err
 		}
@@ -254,7 +254,7 @@ func (m *RemoteMember) roundTrip(ctx context.Context, req Msg) (Msg, error) {
 	if resp.Type == MsgErr {
 		return Msg{}, decodeWireErr(resp.Data)
 	}
-	m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(len(req.Data)+len(resp.Data)))
+	m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+resp.PayloadLen()))
 	return resp, nil
 }
 
@@ -441,7 +441,7 @@ func (m *RemoteMember) chunkRoundTrip(ctx context.Context, req Msg) (Msg, error)
 			if r.msg.Type == MsgErr {
 				return Msg{}, decodeWireErr(r.msg.Data)
 			}
-			m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(len(req.Data)+len(r.msg.Data)))
+			m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+r.msg.PayloadLen()))
 			return r.msg, nil
 		case <-t.C:
 			late = true
@@ -519,10 +519,16 @@ func (m *RemoteMember) stageMsg(typ byte, stage int, data []byte) Msg {
 	return Msg{Type: typ, Stage: int32(stage), Data: data}
 }
 
+// listMsg is a stage request whose payload is one tensor list, encoded
+// from the tensors as it is framed.
+func (m *RemoteMember) listMsg(typ byte, stage int, ts []*tensor.Tensor) Msg {
+	return Msg{Type: typ, Stage: int32(stage), Lists: [][]*tensor.Tensor{ts}}
+}
+
 // SetStageGrads scatters the leader's reduced gradients for one stage to
 // this owner as a pure copy over the wire.
 func (m *RemoteMember) SetStageGrads(stage int, bufs []*tensor.Tensor) {
-	m.call(m.stageMsg(MsgSetGrads, stage, AppendTensors(nil, bufs)), MsgAck)
+	m.call(m.listMsg(MsgSetGrads, stage, bufs), MsgAck)
 }
 
 // PrepareStage runs the stage's gradient averaging on the worker and
@@ -583,7 +589,7 @@ func (m *RemoteMember) StageState(stage int) []*tensor.Tensor {
 // ImportStageState ships an owner's post-step stage state to the worker,
 // which imports it and pushes its version queue.
 func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
-	m.call(m.stageMsg(MsgSetState, stage, AppendTensors(nil, src)), MsgAck)
+	m.call(m.listMsg(MsgSetState, stage, src), MsgAck)
 }
 
 // RestoreVersions ships a stage's weight-version ring to the worker
@@ -592,7 +598,7 @@ func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
 // so historical-version installs afterwards are bit-identical to the
 // leader's.
 func (m *RemoteMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	m.call(m.stageMsg(MsgSetRing, stage, AppendRing(nil, base, snaps)), MsgAck)
+	m.call(RingMsg(MsgSetRing, stage, base, snaps), MsgAck)
 }
 
 // SetEpoch pushes the leader's epoch clock to the worker.

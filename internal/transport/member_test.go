@@ -25,7 +25,8 @@ type wireMember struct {
 	state []*tensor.Tensor
 	step  int
 	epoch int
-	rings map[int]int // stage → base + snapshot count of the ring last restored
+	stall time.Duration // how long each chunk's first forward takes (a straggler)
+	rings map[int]int   // stage → base + snapshot count of the ring last restored
 
 	prepared []int
 	stepped  []int
@@ -53,6 +54,12 @@ func (m *wireMember) InstallRecompute(s, st int)   {}
 func (m *wireMember) Restore(stage int)            {}
 func (m *wireMember) BeginMicro(s int, mb []int)   {}
 func (m *wireMember) StageForward(s, stage int) float64 {
+	if s == 0 && stage == 0 {
+		m.mu.Lock()
+		stall := m.stall
+		m.mu.Unlock()
+		time.Sleep(stall)
+	}
 	if stage == m.p-1 {
 		return float64(100 + s)
 	}

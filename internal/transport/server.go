@@ -8,6 +8,7 @@ import (
 
 	"pipemare/internal/engine"
 	"pipemare/internal/replica"
+	"pipemare/internal/tensor"
 )
 
 // Builder constructs (or verifies) the worker's local follower member
@@ -66,7 +67,12 @@ type server struct {
 	replica uint16
 	hb      time.Duration // heartbeat interval from the leader's spec (0 = off)
 	micros  [][]int       // RunChunk decode buffer
-	scratch []byte        // reply encode buffer
+	scratch []byte        // reply prefix buffer (a reply's tensors are framed from storage)
+	// Per-stage decode targets of MsgSetGrads and MsgSetState: the member
+	// copies out of them before the call returns, so each step's tensors
+	// land in the last step's.
+	grads, states [][]*tensor.Tensor
+	lists         [][]*tensor.Tensor // a reply's tensor lists (MsgChunkDone: micro-major)
 }
 
 func (s *server) reply(ctx context.Context, m Msg) error {
@@ -98,6 +104,8 @@ func (s *server) adopt(member replica.Local, spec Spec, checksum bool) error {
 		}
 	}
 	s.member = member
+	s.grads = make([][]*tensor.Tensor, spec.Stages)
+	s.states = make([][]*tensor.Tensor, spec.Stages)
 	member.SetStep(spec.Step)
 	member.SetEpoch(spec.Epoch)
 	return nil
@@ -176,11 +184,11 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 	case MsgRunChunk:
 		return s.runChunk(ctx, c)
 	case MsgSetGrads:
-		bufs := c.TensorsInto(nil)
+		s.grads[stage] = c.TensorsInto(s.grads[stage])
 		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		s.member.SetStageGrads(stage, bufs)
+		s.member.SetStageGrads(stage, s.grads[stage])
 		return ack, nil
 	case MsgPrepare:
 		nMicro := c.I32()
@@ -207,13 +215,14 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 		return ack, nil
 	case MsgGetState:
 		state := s.member.StageState(stage)
-		return Msg{Type: MsgState, Stage: req.Stage, Data: AppendTensors(s.scratch[:0], state)}, nil
+		s.lists = append(s.lists[:0], state)
+		return Msg{Type: MsgState, Stage: req.Stage, Lists: s.lists}, nil
 	case MsgSetState:
-		bufs := c.TensorsInto(nil)
+		s.states[stage] = c.TensorsInto(s.states[stage])
 		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		s.member.ImportStageState(stage, bufs)
+		s.member.ImportStageState(stage, s.states[stage])
 		return ack, nil
 	case MsgSetRing:
 		base, snaps := c.Ring()
@@ -295,13 +304,12 @@ func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
 	}
 	b = AppendU32(b, uint32(len(grads)))
 	b = AppendU32(b, uint32(s.member.Stages()))
-	for _, micro := range grads {
-		for _, stage := range micro {
-			b = AppendTensors(b, stage)
-		}
-	}
 	s.scratch = b
-	return Msg{Type: MsgChunkDone, Stage: -1, Data: b}, nil
+	s.lists = s.lists[:0]
+	for _, micro := range grads {
+		s.lists = append(s.lists, micro...)
+	}
+	return Msg{Type: MsgChunkDone, Stage: -1, Data: b, Lists: s.lists}, nil
 }
 
 // ping streams heartbeats at the spec'd interval until ctx ends.

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"pipemare/internal/tensor"
 )
@@ -135,28 +137,76 @@ func (c *Cursor) Done() error {
 // AppendTensor encodes a tensor: a dtype tag byte, rank, dims, then the
 // raw IEEE-754 bits of the contiguous data at the dtype's width. The tag
 // is what lets a float32 run checkpoint and all-reduce without ever
-// widening to float64 on the wire.
+// widening to float64 on the wire. dst grows once, by the exact encoded
+// size, and the elements convert as one block.
 func AppendTensor(dst []byte, t *tensor.Tensor) []byte {
-	dt := t.DType()
-	dst = append(dst, byte(dt))
+	dst = slices.Grow(dst, tensorLen(t))
+	dst = appendTensorHeader(dst, t)
+	n := len(dst)
+	dst = dst[:n+t.Bytes()]
+	putElems(dst[n:], t, 0)
+	return dst
+}
+
+// tensorLen is the encoded size of t.
+func tensorLen(t *tensor.Tensor) int { return 5 + 4*len(t.Shape) + t.Bytes() }
+
+// tensorsLen is the encoded size of a counted tensor list.
+func tensorsLen(ts []*tensor.Tensor) int {
+	n := 4
+	for _, t := range ts {
+		n += tensorLen(t)
+	}
+	return n
+}
+
+// appendTensorHeader appends what precedes a tensor's elements: dtype
+// tag, rank, dims.
+func appendTensorHeader(dst []byte, t *tensor.Tensor) []byte {
+	dst = append(dst, byte(t.DType()))
 	dst = AppendU32(dst, uint32(len(t.Shape)))
 	for _, d := range t.Shape {
 		dst = AppendU32(dst, uint32(d))
 	}
-	if dt == tensor.Float32 {
-		for _, v := range t.Data32 {
-			dst = AppendU32(dst, math.Float32bits(v))
-		}
-	} else {
-		for _, v := range t.Data {
-			dst = AppendF64(dst, v)
-		}
-	}
 	return dst
 }
 
+// putElems encodes the len(dst)/width elements of t starting at element
+// off into dst, big-endian — the one element loop behind AppendTensor and
+// the frame encoder (stream.go).
+func putElems(dst []byte, t *tensor.Tensor, off int) {
+	if t.DType() == tensor.Float32 {
+		for _, v := range t.Data32[off : off+len(dst)/4] {
+			binary.BigEndian.PutUint32(dst, math.Float32bits(v))
+			dst = dst[4:]
+		}
+		return
+	}
+	for _, v := range t.Data[off : off+len(dst)/8] {
+		binary.BigEndian.PutUint64(dst, math.Float64bits(v))
+		dst = dst[8:]
+	}
+}
+
+// getElems decodes src, a whole element block, into t's storage.
+func getElems(t *tensor.Tensor, src []byte) {
+	if t.DType() == tensor.Float32 {
+		for i := range t.Data32[:len(src)/4] {
+			t.Data32[i] = math.Float32frombits(binary.BigEndian.Uint32(src))
+			src = src[4:]
+		}
+		return
+	}
+	for i := range t.Data[:len(src)/8] {
+		t.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(src))
+		src = src[8:]
+	}
+}
+
 // tensorInto decodes one tensor, reusing buf when its shape and dtype
-// match (the steady-state path for per-stage gradient and state traffic).
+// match (the steady-state path for per-stage gradient and state traffic;
+// it allocates nothing). Every bound is checked before the element block
+// is taken in one piece.
 func (c *Cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 	tag := c.u8()
 	if c.err != nil {
@@ -169,9 +219,10 @@ func (c *Cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 	dt := tensor.DType(tag)
 	es := dt.Size()
 	rank := c.Count(4)
-	shape := make([]int, rank)
+	dims := c.b // the rank dims, should buf not fit them
+	reuse := buf != nil && buf.DType() == dt && len(buf.Shape) == rank
 	size := 1
-	for i := range shape {
+	for i := 0; i < rank; i++ {
 		d := int(c.U32())
 		if c.err != nil {
 			return nil
@@ -180,7 +231,7 @@ func (c *Cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 			c.fail("tensor dim %d out of range", d)
 			return nil
 		}
-		shape[i] = d
+		reuse = reuse && buf.Shape[i] == d
 		size *= d
 	}
 	if size > len(c.b)/es {
@@ -188,38 +239,21 @@ func (c *Cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 		return nil
 	}
 	dst := buf
-	if dst == nil || dst.DType() != dt || !sameShape(dst.Shape, shape) {
+	if !reuse {
+		shape := make([]int, rank)
+		for i := range shape {
+			shape[i] = int(binary.BigEndian.Uint32(dims[4*i:]))
+		}
 		dst = tensor.NewOf(dt, shape...)
 	}
-	if dt == tensor.Float32 {
-		for i := 0; i < size; i++ {
-			dst.Data32[i] = math.Float32frombits(c.U32())
-		}
-	} else {
-		for i := 0; i < size; i++ {
-			dst.Data[i] = c.F64()
-		}
-	}
-	if c.err != nil {
-		return nil
-	}
+	getElems(dst, c.take(size*es))
 	return dst
 }
 
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AppendTensors encodes a counted list of tensors.
+// AppendTensors encodes a counted list of tensors, growing dst once for
+// the whole list.
 func AppendTensors(dst []byte, ts []*tensor.Tensor) []byte {
+	dst = slices.Grow(dst, tensorsLen(ts))
 	dst = AppendU32(dst, uint32(len(ts)))
 	for _, t := range ts {
 		dst = AppendTensor(dst, t)
@@ -248,19 +282,16 @@ func (c *Cursor) TensorsInto(bufs []*tensor.Tensor) []*tensor.Tensor {
 	return out
 }
 
-// AppendRing encodes a stage's weight-version ring — the MsgSetRing
-// payload and a checkpoint's ring section: the ring's oldest version
-// number, then its snapshots, oldest to newest.
-func AppendRing(dst []byte, base int, snaps [][]*tensor.Tensor) []byte {
-	dst = AppendU32(dst, uint32(base))
-	dst = AppendU32(dst, uint32(len(snaps)))
-	for _, snap := range snaps {
-		dst = AppendTensors(dst, snap)
-	}
-	return dst
+// RingMsg builds the message that carries a stage's weight-version ring —
+// MsgSetRing on the wire, a ring section in a checkpoint: the ring's
+// oldest version number and the snapshot count as the plain prefix, then
+// the snapshots, oldest to newest, as the message's tensor lists.
+func RingMsg(typ byte, stage, base int, snaps [][]*tensor.Tensor) Msg {
+	prefix := AppendU32(AppendU32(nil, uint32(base)), uint32(len(snaps)))
+	return Msg{Type: typ, Stage: int32(stage), Data: prefix, Lists: snaps}
 }
 
-// Ring decodes an AppendRing payload.
+// Ring decodes a RingMsg payload.
 func (c *Cursor) Ring() (base int, snaps [][]*tensor.Tensor) {
 	base = c.I32()
 	snaps = make([][]*tensor.Tensor, c.Count(4))

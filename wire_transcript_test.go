@@ -26,7 +26,7 @@ type wireLog struct {
 }
 
 func (l *wireLog) add(m transport.Msg) {
-	m.Data = append([]byte(nil), m.Data...)
+	m.Data, m.Lists = bytes.Clone(m.Payload()), nil
 	l.mu.Lock()
 	l.msgs = append(l.msgs, m)
 	l.mu.Unlock()
