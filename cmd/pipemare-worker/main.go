@@ -76,9 +76,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Installed before "listening" is printed: a spawner that scrapes the
+	// line may send its stop the moment it appears.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	if *joinAddr != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
 		opts = append(opts,
 			pipemare.WithJoinAt(*joinAt),
 			pipemare.WithDialTimeout(*dialTimeout))
@@ -111,8 +114,6 @@ func main() {
 		})}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if err := pipemare.ServeFollower(ctx, served, experiments.EngineBenchTask(), opts...); err != nil {
 		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
 			// SIGTERM/SIGINT drain: an orchestrator asked us to stop; the

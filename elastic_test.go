@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -506,6 +507,64 @@ func TestCloseDuringCollectiveUnwinds(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline+1 {
 		t.Fatalf("%d goroutines after close, baseline %d — a watcher leaked", n, baseline)
+	}
+}
+
+// TestCloseDuringAcceptJoinsReleasesEveryJoiner races Close against the
+// accept loops it has to unwind: joiners dial a join listener in a loop
+// while the trainer closes — and a second AcceptJoins is issued beside the
+// Close — and every joiner must come back (its parked or just-accepted
+// connection was closed, or the listener refused the dial), with no race
+// between Close's write of the closed flag and the accept paths' reads.
+func TestCloseDuringAcceptJoinsReleasesEveryJoiner(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 35) }
+	base := ftBase()
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithReplicas(2), pipemare.WithShardedStep(false), pipemare.WithElastic())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, dial := pipemare.Loopback()
+	if err := tr.AcceptJoins(lis); err != nil {
+		t.Fatal(err)
+	}
+	var joiners sync.WaitGroup
+	for j := 0; j < 3; j++ {
+		joiners.Add(1)
+		go func() {
+			defer joiners.Done()
+			for {
+				// A joiner the leader parked blocks here until the leader
+				// closes its connection; one the closed listener refuses
+				// ends the loop.
+				err := pipemare.JoinFollower(context.Background(), dial, build(),
+					append(append([]pipemare.Option{}, base...), pipemare.WithDialTimeout(5*time.Second))...)
+				if err == nil || strings.Contains(err.Error(), "loopback closed") {
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let some joiners park
+	late, _ := pipemare.Loopback()
+	accepted := make(chan error, 1)
+	go func() { accepted <- tr.AcceptJoins(late) }()
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close beside the accept loops: %v", err)
+	}
+	if err := <-accepted; err != nil && !strings.Contains(err.Error(), "closed trainer") {
+		t.Fatalf("AcceptJoins beside Close: %v", err)
+	}
+	late.Close() // a listener Close never saw (AcceptJoins lost the race) is the caller's
+	released := make(chan struct{})
+	go func() { joiners.Wait(); close(released) }()
+	select {
+	case <-released:
+	case <-time.After(20 * time.Second):
+		t.Fatal("a joiner is still parked on a connection the closed trainer left open")
+	}
+	if err := tr.AcceptJoins(lis); err == nil {
+		t.Fatal("AcceptJoins on a closed trainer succeeded")
 	}
 }
 

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"pipemare/internal/engine"
+	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
+	"pipemare/internal/tensor"
 )
 
 // probeTask is a fake task with one scalar parameter per group whose
@@ -19,9 +23,13 @@ type probeTask struct {
 	groups   []pipeline.ParamGroup
 	params   []*nn.Param
 	numTrain int
+	tr       *Trainer // set once built, to sample the T2 state a slot ran under
+	badCall  int      // 1-based Forward call whose loss diverges (0: never)
 
-	fwdSeen [][]float64 // fwdSeen[s][g]: forward weight seen at microbatch s
+	fwdSeen [][]float64 // fwdSeen[c][g]: forward weight seen at the c-th Forward call
 	bwdSeen [][]float64 // bwdSeen[s][g]: backward weight seen at microbatch s
+	actSeen [][]float64 // actSeen[s][g]: forward weight in place at microbatch s's Backward
+	delta   [][]float64 // delta[c][g]: T2 δ at the c-th Forward call (T2 runs only)
 }
 
 func newProbeTask(groups, numTrain int) *probeTask {
@@ -37,21 +45,28 @@ func newProbeTask(groups, numTrain int) *probeTask {
 func (t *probeTask) Groups() []pipeline.ParamGroup { return t.groups }
 func (t *probeTask) NumTrain() int                 { return t.numTrain }
 
-func (t *probeTask) Forward(idx []int) float64 {
+func (t *probeTask) row(at func(i int, p *nn.Param) float64) []float64 {
 	row := make([]float64, len(t.params))
 	for i, p := range t.params {
-		row[i] = p.Data.Data[0]
+		row[i] = at(i, p)
 	}
-	t.fwdSeen = append(t.fwdSeen, row)
+	return row
+}
+
+func (t *probeTask) Forward(idx []int) float64 {
+	t.fwdSeen = append(t.fwdSeen, t.row(func(_ int, p *nn.Param) float64 { return p.Data.Data[0] }))
+	if t.tr != nil && t.tr.delta != nil {
+		t.delta = append(t.delta, t.row(func(i int, _ *nn.Param) float64 { return t.tr.delta[i].Data[0] }))
+	}
+	if len(t.fwdSeen) == t.badCall {
+		return math.Inf(1)
+	}
 	return 0.1
 }
 
 func (t *probeTask) Backward() {
-	row := make([]float64, len(t.params))
-	for i, p := range t.params {
-		row[i] = p.BwdData().Data[0]
-	}
-	t.bwdSeen = append(t.bwdSeen, row)
+	t.bwdSeen = append(t.bwdSeen, t.row(func(_ int, p *nn.Param) float64 { return p.BwdData().Data[0] }))
+	t.actSeen = append(t.actSeen, t.row(func(_ int, p *nn.Param) float64 { return p.Data.Data[0] }))
 }
 
 func (t *probeTask) EvalTest() float64 { return 0 }
@@ -75,88 +90,296 @@ func (c *countingOptimizer) StepRange(lo, hi int, _ []float64) {
 func (c *countingOptimizer) Params() []*nn.Param { return c.ps }
 func (c *countingOptimizer) StateCopies() int    { return 3 }
 
-func probeTrainer(t *testing.T, method Method, groups, stages, batch, micro, epochs int, t2d float64) (*probeTask, *Trainer) {
+// runProbe trains task under cfg and returns its trainer and timing clock.
+func runProbe(t *testing.T, task *probeTask, cfg Config, epochs int) (*Trainer, pipeline.Clock) {
 	t.Helper()
-	task := newProbeTask(groups, 4*batch)
-	opt := &countingOptimizer{ps: func() []*nn.Param {
-		var ps []*nn.Param
-		for _, g := range task.groups {
-			ps = append(ps, g.Params...)
-		}
-		return ps
-	}()}
-	tr, err := New(task, opt, optim.Constant(0.1), Config{
-		Method: method, Stages: stages, BatchSize: batch, MicrobatchSize: micro,
-		T2D: t2d, Seed: 7,
-	})
+	cfg.Seed = 7
+	tr, err := New(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Run(context.Background(), epochs)
+	task.tr = tr
+	if _, err := tr.Run(context.Background(), epochs); err != nil {
+		t.Fatal(err)
+	}
+	return tr, pipeline.Clock{P: tr.Stages(), N: tr.Microbatches()}
+}
+
+func probeTrainer(t *testing.T, method Method, groups, stages, batch, micro, epochs int, t2d float64) (*probeTask, *Trainer) {
+	t.Helper()
+	task := newProbeTask(groups, 4*batch)
+	tr, _ := runProbe(t, task, Config{Method: method, Stages: stages, BatchSize: batch, MicrobatchSize: micro, T2D: t2d}, epochs)
 	return task, tr
 }
 
+// probeEngines is the grid the version rule must not depend on: Reference,
+// and the concurrent engine at W ∈ {1, 2, P}. Which version a slot reads
+// is the trainer's rule (Trainer.install), whatever schedules the slots.
+func probeEngines(p int) map[string]func() engine.Engine {
+	grid := map[string]func() engine.Engine{"reference": func() engine.Engine { return engine.NewReference() }}
+	for _, w := range []int{1, 2, p} {
+		grid[fmt.Sprintf("concurrent/W=%d", w)] = func() engine.Engine { return concurrent.New(concurrent.WithWorkers(w)) }
+	}
+	return grid
+}
+
+// forEachEngine runs a one-group-per-stage probe under cfg on every engine
+// of the grid and hands each finished run to check.
+func forEachEngine(t *testing.T, cfg Config, epochs int, check func(t *testing.T, task *probeTask, tr *Trainer, clock pipeline.Clock)) {
+	t.Helper()
+	for name, eng := range probeEngines(cfg.Stages) {
+		t.Run(name, func(t *testing.T) {
+			cfg := cfg
+			cfg.Engine = eng()
+			task := newProbeTask(cfg.Stages, 4*cfg.BatchSize)
+			tr, clock := runProbe(t, task, cfg, epochs)
+			check(t, task, tr, clock)
+		})
+	}
+}
+
 func TestPipeMareForwardSeesDelayedVersions(t *testing.T) {
-	const (
-		groups = 6
-		stages = 6
-		batch  = 8
-		micro  = 2 // N = 4
-	)
-	task, tr := probeTrainer(t, PipeMare, groups, stages, batch, micro, 3, 0)
-	clock := pipeline.Clock{P: tr.Stages(), N: tr.Microbatches()}
-	for s, row := range task.fwdSeen {
-		for g, got := range row {
-			stage1 := g + 1 // one group per stage
-			want := float64(clock.FwdVersion(s, stage1))
-			if got != want {
-				t.Fatalf("microbatch %d stage %d: forward saw version %g, want %g", s, stage1, got, want)
+	cfg := Config{Method: PipeMare, Stages: 6, BatchSize: 8, MicrobatchSize: 2} // N = 4
+	forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, _ *Trainer, clock pipeline.Clock) {
+		for s, row := range task.fwdSeen {
+			for g, got := range row {
+				stage1 := g + 1 // one group per stage
+				want := float64(clock.FwdVersion(s, stage1))
+				if got != want {
+					t.Fatalf("microbatch %d stage %d: forward saw version %g, want %g", s, stage1, got, want)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestPipeMareBackwardSeesMaster(t *testing.T) {
-	task, tr := probeTrainer(t, PipeMare, 5, 5, 8, 2, 3, 0)
-	clock := pipeline.Clock{P: tr.Stages(), N: tr.Microbatches()}
-	for s, row := range task.bwdSeen {
-		want := float64(clock.BwdVersion(s))
-		for g, got := range row {
-			if got != want {
-				t.Fatalf("microbatch %d group %d: backward saw %g, want master version %g (τ_bkwd = 0)", s, g, got, want)
+	cfg := Config{Method: PipeMare, Stages: 5, BatchSize: 8, MicrobatchSize: 2}
+	forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, _ *Trainer, clock pipeline.Clock) {
+		for s, row := range task.bwdSeen {
+			want := float64(clock.BwdVersion(s))
+			for g, got := range row {
+				if got != want {
+					t.Fatalf("microbatch %d group %d: backward saw %g, want master version %g (τ_bkwd = 0)", s, g, got, want)
+				}
+				if act := task.actSeen[s][g]; act != task.fwdSeen[s][g] {
+					t.Fatalf("microbatch %d group %d: backward ran over forward version %g, the forward slot read %g", s, g, act, task.fwdSeen[s][g])
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestPipeDreamBackwardSeesStashedForwardWeights(t *testing.T) {
-	task, tr := probeTrainer(t, PipeDream, 5, 5, 8, 2, 3, 0)
-	clock := pipeline.Clock{P: tr.Stages(), N: tr.Microbatches()}
-	for s := range task.bwdSeen {
-		for g := range task.bwdSeen[s] {
-			stage1 := g + 1
-			want := float64(clock.FwdVersion(s, stage1))
-			if task.bwdSeen[s][g] != want {
-				t.Fatalf("microbatch %d stage %d: backward saw %g, want stashed forward version %g", s, stage1, task.bwdSeen[s][g], want)
-			}
-			if task.bwdSeen[s][g] != task.fwdSeen[s][g] {
-				t.Fatal("PipeDream must use identical forward and backward weights")
+	cfg := Config{Method: PipeDream, Stages: 5, BatchSize: 8, MicrobatchSize: 2}
+	forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, _ *Trainer, clock pipeline.Clock) {
+		for s := range task.bwdSeen {
+			for g := range task.bwdSeen[s] {
+				stage1 := g + 1
+				want := float64(clock.FwdVersion(s, stage1))
+				if task.bwdSeen[s][g] != want {
+					t.Fatalf("microbatch %d stage %d: backward saw %g, want stashed forward version %g", s, stage1, task.bwdSeen[s][g], want)
+				}
+				if task.bwdSeen[s][g] != task.fwdSeen[s][g] {
+					t.Fatal("PipeDream must use identical forward and backward weights")
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestGPipeSeesCurrentWeightsEverywhere(t *testing.T) {
-	task, tr := probeTrainer(t, GPipe, 5, 5, 8, 2, 3, 0)
-	clock := pipeline.Clock{P: tr.Stages(), N: tr.Microbatches()}
-	for s := range task.fwdSeen {
-		want := float64(clock.BwdVersion(s)) // = committed updates before s
-		for g := range task.fwdSeen[s] {
-			if task.fwdSeen[s][g] != want || task.bwdSeen[s][g] != want {
-				t.Fatalf("microbatch %d: GPipe saw fwd %g bwd %g, want synchronous %g",
-					s, task.fwdSeen[s][g], task.bwdSeen[s][g], want)
+	cfg := Config{Method: GPipe, Stages: 5, BatchSize: 8, MicrobatchSize: 2}
+	forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, _ *Trainer, clock pipeline.Clock) {
+		for s := range task.fwdSeen {
+			want := float64(clock.BwdVersion(s)) // = committed updates before s
+			for g := range task.fwdSeen[s] {
+				if task.fwdSeen[s][g] != want || task.bwdSeen[s][g] != want {
+					t.Fatalf("microbatch %d: GPipe saw fwd %g bwd %g, want synchronous %g",
+						s, task.fwdSeen[s][g], task.bwdSeen[s][g], want)
+				}
 			}
 		}
+	})
+}
+
+// TestRecomputeSeesRecomputeVersions is the Appendix D row of the version
+// rule: with recompute segments on, a microbatch's first climb reads the
+// Table 1 forward versions, and its recompute climb and its backward slot
+// both run over recompVersion(s, stage, segEnd) — T2-corrected by
+// (τ_fwd − τ_recomp)·δ when T2 is on — while the backward weights stay the
+// method's (PipeMare: the master, or its T2-corrected copy; PipeDream: the
+// recompute snapshot itself).
+func TestRecomputeSeesRecomputeVersions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		method Method
+		t2d    float64
+	}{{"PipeMare", PipeMare, 0}, {"PipeMare+T2", PipeMare, 0.135}, {"PipeDream", PipeDream, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Method: tc.method, Stages: 6, BatchSize: 8, MicrobatchSize: 2, T2D: tc.t2d, RecomputeSegments: 2}
+			forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, tr *Trainer, clock pipeline.Clock) {
+				if len(task.fwdSeen) != 2*len(task.bwdSeen) {
+					t.Fatalf("%d forward passes for %d microbatches, want a first and a recompute climb each", len(task.fwdSeen), len(task.bwdSeen))
+				}
+				stale := false
+				for s := range task.bwdSeen {
+					for g := range task.params {
+						st1, e1 := g+1, tr.segEnd1[g]
+						if got, want := task.fwdSeen[2*s][g], float64(clock.FwdVersion(s, st1)); got != want {
+							t.Fatalf("microbatch %d stage %d: first climb saw %g, want forward version %g", s, st1, got, want)
+						}
+						want := float64(tr.recompVersion(s, st1, e1))
+						stale = stale || want != float64(clock.BwdVersion(s))
+						if tc.t2d > 0 {
+							tauR := float64(2*(e1-st1)+1) / float64(clock.N)
+							want -= (tr.taus[g] - tauR) * task.delta[2*s+1][g]
+						}
+						if got := task.fwdSeen[2*s+1][g]; math.Abs(got-want) > 1e-12 {
+							t.Fatalf("microbatch %d stage %d: recompute climb saw %g, want recompute version %g", s, st1, got, want)
+						}
+						if got := task.actSeen[s][g]; got != task.fwdSeen[2*s+1][g] {
+							t.Fatalf("microbatch %d stage %d: backward ran over %g, the recompute climb read %g", s, st1, got, task.fwdSeen[2*s+1][g])
+						}
+						bwd := float64(clock.BwdVersion(s))
+						switch {
+						case tc.method == PipeDream:
+							bwd = task.actSeen[s][g]
+						case tc.t2d > 0:
+							bwd -= tr.taus[g] * task.delta[2*s+1][g]
+						}
+						if got := task.bwdSeen[s][g]; math.Abs(got-bwd) > 1e-12 {
+							t.Fatalf("microbatch %d stage %d: backward weights %g, want %g", s, st1, got, bwd)
+						}
+					}
+				}
+				if !stale {
+					t.Fatal("no recompute slot ever read a stale version: the probe checks nothing")
+				}
+			})
+		})
+	}
+}
+
+// TestSlotCallsInstallTheVersionsTheyRead drives the slot surface by hand,
+// one call at a time, and checks after each call what the stage's
+// parameters point at: a slot installs before it computes, its own stage
+// only, and Restore undoes it. (The probes above check the same rule
+// through whole runs; this is the call-level contract engines rely on.)
+func TestSlotCallsInstallTheVersionsTheyRead(t *testing.T) {
+	for _, segs := range []int{0, 2} {
+		task := newProbeTask(4, 32)
+		tr, clock := runProbe(t, task, Config{Method: PipeMare, Stages: 4, BatchSize: 8, MicrobatchSize: 2, T2D: 0.135, RecomputeSegments: segs}, 2)
+		h := host{tr}
+		h.SetAsync(true)
+		s := h.MicroBase()
+		installed := func(call string, stage int, wantData *tensor.Tensor) {
+			t.Helper()
+			for st, pm := range task.params {
+				switch {
+				case st != stage:
+				case pm.Data != wantData && wantData != nil:
+					t.Fatalf("segments=%d: %s(%d, %d) left the stage on the wrong forward weights", segs, call, s, stage)
+				case pm.Bwd != tr.corrected[st]:
+					t.Fatalf("segments=%d: %s(%d, %d) left the stage without its T2-corrected backward weights", segs, call, s, stage)
+				}
+			}
+		}
+		// poison stands where a stage's weights would be had its slot
+		// computed before installing: the probe records what compute saw.
+		poison := tensor.Full(-1, 1)
+		saw := func(call string, rows [][]float64, g int) {
+			t.Helper()
+			if rows[len(rows)-1][g] == -1 {
+				t.Fatalf("segments=%d: %s computed before it installed", segs, call)
+			}
+		}
+		h.BeginMicro(s, []int{0, 1})
+		for st := 0; st < 4; st++ {
+			if task.params[st].Data != tr.masters[st] || task.params[st].Bwd != nil {
+				t.Fatalf("segments=%d: stage %d installed before its own forward slot", segs, st)
+			}
+			task.params[st].Data = poison
+			h.StageForward(s, st)
+			installed("StageForward", st, tr.store.Get(st, clock.FwdVersion(s, st+1))[0])
+		}
+		saw("StageForward", task.fwdSeen, 3)
+		if h.Recompute() != (segs > 0) {
+			t.Fatalf("segments=%d: Recompute() = %v under an asynchronous chunk", segs, h.Recompute())
+		}
+		for st := 0; st < 4 && segs > 0; st++ {
+			task.params[st].Data = poison
+			h.StageRecompute(s, st)
+			installed("StageRecompute", st, nil) // a fresh corrected buffer: its value is the probes' business
+			if task.params[st].Data == poison {
+				t.Fatalf("segments=%d: StageRecompute(%d, %d) installed nothing", segs, s, st)
+			}
+		}
+		if segs > 0 {
+			saw("StageRecompute", task.fwdSeen, 3)
+		}
+		for st := 3; st >= 0; st-- {
+			task.params[st].Data, task.params[st].Bwd = poison, poison // as if another chain's slot had re-pointed the stage
+			h.StageBackward(s, st)
+			want := tr.store.Get(st, clock.FwdVersion(s, st+1))[0]
+			if segs > 0 {
+				want = nil
+			}
+			installed("StageBackward", st, want)
+		}
+		saw("StageBackward", task.bwdSeen, 0)
+		saw("StageBackward", task.actSeen, 0)
+		h.EndMicro(s)
+		for st := 0; st < 4; st++ {
+			h.Restore(st)
+			if task.params[st].Data != tr.masters[st] || task.params[st].Bwd != nil {
+				t.Fatalf("segments=%d: Restore(%d) left a version installed", segs, st)
+			}
+		}
+		h.SetAsync(false)
+		if h.Recompute() {
+			t.Fatalf("segments=%d: Recompute() true under a synchronous chunk", segs)
+		}
+		h.BeginMicro(s, []int{0, 1})
+		for st := 0; st < 4; st++ {
+			h.StageForward(s, st)
+			if task.params[st].Data != tr.masters[st] || task.params[st].Bwd != nil {
+				t.Fatalf("segments=%d: a synchronous forward slot installed a version at stage %d", segs, st)
+			}
+		}
+		h.EndMicro(s)
+	}
+}
+
+// TestDivergedMinibatchIsNotCommitted pins what follows a bad loss, for
+// every engine: the chains stop, no commit phase runs for that minibatch —
+// the step clock, the masters and the version rings stay where the last
+// good minibatch left them — and its partial gradients are dropped.
+func TestDivergedMinibatchIsNotCommitted(t *testing.T) {
+	const stages, n, good = 4, 4, 5 // the 6th minibatch's 3rd microbatch diverges
+	for name, eng := range probeEngines(stages) {
+		t.Run(name, func(t *testing.T) {
+			task := newProbeTask(stages, 64)
+			task.badCall = good*n + 3
+			tr, _ := runProbe(t, task, Config{Method: PipeMare, Stages: stages, BatchSize: 8, MicrobatchSize: 2, Engine: eng()}, 3)
+			if !tr.Diverged() {
+				t.Fatal("the bad loss went unnoticed")
+			}
+			if tr.step != good {
+				t.Fatalf("step clock at %d after divergence in minibatch %d, want %d: the bad minibatch was committed", tr.step, good+1, good)
+			}
+			for g, pm := range task.params {
+				if pm.Data != tr.masters[g] || pm.Bwd != nil || pm.Data.Data[0] != good || tr.store.Latest(g) != good {
+					t.Fatalf("stage %d left at weight %g (version %d), want the restored master at %d", g, pm.Data.Data[0], tr.store.Latest(g), good)
+				}
+				if pm.Grad.SumSq() != 0 {
+					t.Fatalf("stage %d kept a partial gradient after divergence", g)
+				}
+			}
+			if len(task.bwdSeen) != good*n+2 {
+				t.Fatalf("%d backward passes, want %d: a chain ran on past the bad loss", len(task.bwdSeen), good*n+2)
+			}
+		})
 	}
 }
 

@@ -46,10 +46,11 @@ func (t *Trainer) AcceptJoins(lis transport.Listener) error {
 	if !t.cfg.Elastic {
 		return fmt.Errorf("core: AcceptJoins needs the elastic option (Config.Elastic)")
 	}
+	t.joinMu.Lock()
 	if t.closed {
+		t.joinMu.Unlock()
 		return fmt.Errorf("core: AcceptJoins on a closed trainer")
 	}
-	t.joinMu.Lock()
 	if t.joinCtx == nil {
 		t.joinCtx, t.joinCancel = context.WithCancel(context.Background())
 	}

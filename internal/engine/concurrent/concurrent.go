@@ -1,10 +1,9 @@
 // Package concurrent implements the work-stealing stage-scheduler engine:
 // W workers (WithWorkers, default min(P, GOMAXPROCS)) drain per-stage run
 // queues of microbatch slot jobs on the §2 slot schedule — a forward token
-// climbs stage 1→P installing each stage's delayed weights and running
-// that stage's forward segment, an optional recompute token climbs again
-// with the Appendix D recompute versions, and a backward token descends
-// P→1 re-installing each stage's weights and running its backward segment.
+// climbs stage 1→P running each stage's forward slot, an optional
+// recompute token climbs again (Appendix D), and a backward token descends
+// P→1 running each stage's backward slot.
 //
 // A stage is a serialization domain, never a pinned goroutine: each stage
 // owns a FIFO job queue, and an idle worker claims an entire *stage* (the
@@ -22,23 +21,20 @@
 // i+1 from stage i's in-order drain), the claiming worker runs them in
 // FIFO order, and the active flag forbids two workers inside one stage —
 // so per-stage per-parameter gradient accumulation is serial in s exactly
-// as in the serial Reference engine. Weight installs happen per slot
-// immediately before the segment that reads them; the commit phase runs
-// through an engine.CommitPlan that shards the P stages contiguously
-// across the W workers — every phase, optimizer step (Host.StepStage)
-// included, is shard-parallel and the stage-partial norms are reduced in
+// as in the serial Reference engine. Each slot call installs the weights
+// it reads (engine.Host); the workers also serve as the engine.Pool the
+// trainer's commit shards across, with the stage-partial norms reduced in
 // stage order; and microbatch losses are summed in microbatch order from
 // the result collector. Training curves are therefore bit-identical to Reference for
 // every W ∈ {1..P} — pinned by the equivalence tests at the repository
 // root. Monolithic tasks (Host.Splittable() == false) cap the pipeline at
 // one chain in flight; compute runs in the boundary stages' slots and the
-// parallelism comes from the stage-parallel commit phase and the
-// row-parallel dense kernels (tensor.SetWorkers).
+// parallelism comes from the shard-parallel commit and the row-parallel
+// dense kernels (tensor.SetWorkers).
 package concurrent
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -52,27 +48,20 @@ import (
 type jobKind int
 
 const (
-	jobFwd     jobKind = iota // climb: install forward+backward weights, run the stage's forward segment
-	jobRecomp                 // climb: install recompute versions, rerun the stage's forward segment
-	jobBwd                    // descend: re-install, run the stage's backward segment
-	jobRestore                // broadcast: restore master weights
-	jobPrepare                // commit shard: average grads, T2 snapshot, partial norms
-	jobScale                  // commit shard: apply the global clip factor
-	jobStep                   // commit shard: optimizer update for the stages' param ranges
-	jobFinish                 // commit shard: T2 update, version push, zero grads
+	jobFwd    jobKind = iota // climb: run the stage's forward slot
+	jobRecomp                // climb: run the stage's recompute slot
+	jobBwd                   // descend: run the stage's backward slot
+	jobCall                  // run fn(k) on the claiming worker and ack (a commit shard)
 )
 
 type job struct {
-	kind   jobKind
-	s      int // global microbatch counter
-	k      int // index within the minibatch (loss ordering)
-	async  bool
-	rec    bool // recompute path active for this microbatch
-	loss   float64
-	bad    bool
-	scale  float64
-	nMicro int
-	lo, hi int // commit jobs: the plan shard [lo, hi) of stages to process
+	kind jobKind
+	s    int  // global microbatch counter
+	k    int  // index within the minibatch (loss ordering); jobCall: fn's argument
+	rec  bool // the chain makes the recompute climb
+	loss float64
+	bad  bool
+	fn   func(i int, tk *trace.Track)
 }
 
 // stageQueue is one stage's FIFO run queue. active marks the stage as
@@ -98,7 +87,6 @@ type Engine struct {
 	p        int
 	nw       int // workers actually started
 	inflight int // microbatch chains allowed in flight (P, or 1 when monolithic)
-	plan     engine.CommitPlan
 	queues   []stageQueue
 	ready    chan int // stages with queued work and no claiming worker
 	results  chan job
@@ -108,7 +96,6 @@ type Engine struct {
 	running  bool
 
 	losses []float64 // per-minibatch scratch, reused across calls
-	sumSqs []float64
 
 	// rec and tracks carry the run's trace recorder (nil when tracing is
 	// off — every emission no-ops). tracks[w] is worker w's span buffer:
@@ -158,9 +145,6 @@ func New(opts ...Option) *Engine {
 // Name identifies the engine.
 func (e *Engine) Name() string { return "concurrent" }
 
-// Workers returns the configured worker count (0 = auto).
-func (e *Engine) Workers() int { return e.workers }
-
 // Start spawns the scheduler workers and raises the kernel parallelism for
 // the duration of the run.
 func (e *Engine) Start(h engine.Host) {
@@ -180,21 +164,14 @@ func (e *Engine) Start(h engine.Host) {
 	if e.nw == 0 {
 		e.nw = runtime.GOMAXPROCS(0)
 	}
-	if e.nw > e.p {
-		e.nw = e.p
-	}
-	if e.nw < 1 {
-		e.nw = 1
-	}
-	e.plan = engine.NewCommitPlan(e.p, e.nw)
+	e.nw = min(e.nw, e.p)
 	e.queues = make([]stageQueue, e.p)
 	// Each stage is "ready" at most once (the active flag), so capacity P
 	// makes every send non-blocking.
 	e.ready = make(chan int, e.p)
 	e.results = make(chan job, e.inflight)
-	e.acks = make(chan struct{}, e.p)
+	e.acks = make(chan struct{}, e.nw)
 	e.losses = make([]float64, 0, e.inflight)
-	e.sumSqs = make([]float64, e.p)
 	rec, rep := trace.FromCarrier(h)
 	e.rec = rec
 	e.tracks = make([]*trace.Track, e.nw)
@@ -210,9 +187,9 @@ func (e *Engine) Start(h engine.Host) {
 }
 
 // Stop joins the workers and restores the kernel parallelism. All queues
-// are empty between minibatches (Minibatch drains every chain and commit
-// phase before returning), so closing the ready channel releases every
-// worker.
+// are empty between minibatches (Minibatch drains every chain, ParallelFor
+// every call, before returning), so closing the ready channel releases
+// every worker.
 func (e *Engine) Stop() {
 	if !e.running {
 		return
@@ -221,7 +198,7 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 	tensor.LowerWorkers()
 	e.queues, e.ready, e.results, e.acks = nil, nil, nil, nil
-	e.losses, e.sumSqs = nil, nil
+	e.losses = nil
 	e.rec, e.tracks = nil, nil
 	e.h = nil
 	e.running = false
@@ -246,9 +223,8 @@ func (e *Engine) enqueue(stage int, jb job) {
 }
 
 // worker claims ready stages and drains them until the engine stops. w
-// is the worker's index — its identity for commit-plan sharding stayed
-// implicit, but its trace track needs it explicitly (goroutines have no
-// usable id).
+// is the worker's index: its trace track needs it explicitly (goroutines
+// have no usable id).
 func (e *Engine) worker(w int) {
 	defer e.wg.Done()
 	for i := range e.ready {
@@ -280,8 +256,8 @@ func (e *Engine) drain(w, i int) {
 	}
 }
 
-// process executes one slot job of stage i on worker w, emitting one
-// trace span per executed compute slot or commit shard phase.
+// process executes one job of stage i on worker w, emitting one trace span
+// per executed compute slot.
 func (e *Engine) process(w, i int, jb job) {
 	last := e.p - 1
 	tk := e.tracks[w]
@@ -289,10 +265,6 @@ func (e *Engine) process(w, i int, jb job) {
 	case jobFwd:
 		if !e.aborted.Load() {
 			t0 := e.rec.Now()
-			if jb.async {
-				e.h.InstallForward(jb.s, i)
-				e.h.InstallBackward(jb.s, i)
-			}
 			jb.loss = e.h.StageForward(jb.s, i)
 			tk.Span(trace.NameFwd, t0, i, jb.s, 0)
 		}
@@ -300,12 +272,11 @@ func (e *Engine) process(w, i int, jb job) {
 			e.enqueue(i+1, jb)
 			return
 		}
-		e.crest(w, i, jb)
+		e.crest(w, jb)
 	case jobRecomp:
 		if !e.aborted.Load() {
 			t0 := e.rec.Now()
-			e.h.InstallRecompute(jb.s, i)
-			e.h.StageForward(jb.s, i)
+			e.h.StageRecompute(jb.s, i)
 			tk.Span(trace.NameRecompute, t0, i, jb.s, 0)
 		}
 		if i < last {
@@ -315,39 +286,8 @@ func (e *Engine) process(w, i int, jb job) {
 		e.bwd(w, i, jb)
 	case jobBwd:
 		e.bwd(w, i, jb)
-	case jobRestore:
-		e.h.Restore(i)
-		e.acks <- struct{}{}
-	case jobPrepare:
-		// Commit-shard jobs run on the claiming worker of their first
-		// stage but touch every stage of the shard: all chains have
-		// drained, so no other job can reference those stages.
-		t0 := e.rec.Now()
-		for st := jb.lo; st < jb.hi; st++ {
-			e.sumSqs[st] = e.h.PrepareStage(st, jb.nMicro)
-		}
-		tk.Span(trace.NameCommitPrepare, t0, jb.lo, -1, 0)
-		e.acks <- struct{}{}
-	case jobScale:
-		t0 := e.rec.Now()
-		for st := jb.lo; st < jb.hi; st++ {
-			e.h.ScaleStage(st, jb.scale)
-		}
-		tk.Span(trace.NameCommitScale, t0, jb.lo, -1, 0)
-		e.acks <- struct{}{}
-	case jobStep:
-		t0 := e.rec.Now()
-		for st := jb.lo; st < jb.hi; st++ {
-			e.h.StepStage(st)
-		}
-		tk.Span(trace.NameCommitStep, t0, jb.lo, -1, 0)
-		e.acks <- struct{}{}
-	case jobFinish:
-		t0 := e.rec.Now()
-		for st := jb.lo; st < jb.hi; st++ {
-			e.h.FinishStage(st)
-		}
-		tk.Span(trace.NameCommitFinish, t0, jb.lo, -1, 0)
+	case jobCall:
+		jb.fn(jb.k, tk)
 		e.acks <- struct{}{}
 	}
 }
@@ -355,53 +295,32 @@ func (e *Engine) process(w, i int, jb job) {
 // crest handles the top of a forward climb at the last stage: the loss
 // check, then either the divergence abort, the recompute climb, or the
 // start of the backward descent.
-func (e *Engine) crest(w, i int, jb job) {
-	if e.aborted.Load() {
-		// A previous microbatch diverged: this chain ends without a
-		// backward pass; its loss is ignored by the collector.
-		e.h.EndMicro(jb.s)
-		e.results <- jb
-		return
-	}
-	if e.h.BadLoss(jb.loss) {
+func (e *Engine) crest(w int, jb job) {
+	if !e.aborted.Load() && e.h.BadLoss(jb.loss) {
 		jb.bad = true
 		e.aborted.Store(true)
+	}
+	if e.aborted.Load() {
+		// This microbatch diverged, or an earlier one did: the chain ends
+		// without a backward pass; the collector ignores its loss.
 		e.h.EndMicro(jb.s)
 		e.results <- jb
 		return
 	}
-	if jb.async && jb.rec {
-		if e.p == 1 {
-			// Single stage: run the recompute slot inline, then backward.
-			t0 := e.rec.Now()
-			e.h.InstallRecompute(jb.s, 0)
-			e.h.StageForward(jb.s, 0)
-			e.tracks[w].Span(trace.NameRecompute, t0, 0, jb.s, 0)
-			e.bwd(w, 0, jb)
-			return
-		}
+	if jb.rec {
+		// With P = 1 this is the queue being drained; the drain picks it up.
 		jb.kind = jobRecomp
 		e.enqueue(0, jb)
 		return
 	}
-	e.bwd(w, i, jb)
+	e.bwd(w, e.p-1, jb)
 }
 
 // bwd runs stage i's backward slot for the chain and passes it down; at
-// stage 0 the chain completes. Each slot re-installs the weights its
-// backward reads — other chains' forward slots may have re-pointed the
-// stage's parameters since this microbatch's forward ran.
+// stage 0 the chain completes.
 func (e *Engine) bwd(w, i int, jb job) {
 	if !e.aborted.Load() {
 		t0 := e.rec.Now()
-		if jb.async {
-			if jb.rec {
-				e.h.InstallRecompute(jb.s, i)
-			} else {
-				e.h.InstallForward(jb.s, i)
-			}
-			e.h.InstallBackward(jb.s, i)
-		}
 		e.h.StageBackward(jb.s, i)
 		e.tracks[w].Span(trace.NameBwd, t0, i, jb.s, 0)
 	}
@@ -415,15 +334,11 @@ func (e *Engine) bwd(w, i int, jb job) {
 }
 
 // Minibatch executes the N microbatch chains with up to `inflight` of them
-// overlapping across the stage queues, then runs the stage-parallel commit
-// phase — including the sharded optimizer step, so no phase of a minibatch
-// is serial in P.
+// overlapping across the stage queues, and restores every stage once they
+// have drained.
 func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
-	if !e.running || e.h != h {
-		e.Start(h)
-	}
+	e.Start(h) // a no-op when already running over h
 	e.aborted.Store(false)
-	async := h.Async()
 	rec := h.Recompute()
 	base := h.MicroBase()
 	n := len(micros)
@@ -442,7 +357,7 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 				break
 			}
 			h.BeginMicro(base+dispatched, micros[dispatched])
-			e.enqueue(0, job{kind: jobFwd, s: base + dispatched, k: dispatched, async: async, rec: rec})
+			e.enqueue(0, job{kind: jobFwd, s: base + dispatched, k: dispatched, rec: rec})
 			dispatched++
 		}
 		if completed == dispatched {
@@ -458,66 +373,39 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 		}
 	}
 
-	// Every chain has drained. Restore all stages to the master weights
-	// before committing (or before handing a divergence/cancellation back
-	// to the trainer, which restores-by-contract too).
-	e.broadcast(job{kind: jobRestore})
+	// Every chain has drained — each slot happens-before its chain's
+	// result — so the stages are restored right here, whether the
+	// minibatch goes on to its commit or back to the trainer as a
+	// divergence or cancellation.
+	for i := 0; i < e.p; i++ {
+		h.Restore(i)
+	}
 	if ctxErr != nil {
 		return 0, ctxErr
 	}
 	if badK >= 0 {
-		return math.Inf(1), engine.ErrDiverged
+		return 0, engine.ErrDiverged
 	}
 	lossSum := 0.0
 	for _, l := range losses[:n] {
 		lossSum += l
 	}
-
-	// Commit via the commit plan: the P stages shard contiguously across
-	// the W workers (one owner-shard job per worker and phase, instead of
-	// P per-stage jobs), with a barrier between phases — shard-parallel
-	// prepare, the stage-ordered clip reduction, the step-clock advance,
-	// the sharded optimizer step, then shard-parallel finalization.
-	e.shardcast(job{kind: jobPrepare, nMicro: n})
-	sumSq := 0.0
-	for _, s := range e.sumSqs {
-		sumSq += s
-	}
-	if scale := h.ClipScale(sumSq); scale != 1 {
-		e.shardcast(job{kind: jobScale, scale: scale})
-	}
-	h.BeginStep()
-	e.shardcast(job{kind: jobStep})
-	e.shardcast(job{kind: jobFinish})
 	return lossSum / float64(n), nil
 }
 
-// broadcast sends one job to every stage queue and waits for all acks.
-func (e *Engine) broadcast(jb job) {
-	for i := 0; i < e.p; i++ {
-		e.enqueue(i, jb)
-	}
-	for i := 0; i < e.p; i++ {
-		<-e.acks
-	}
-}
+// Shards returns the number of workers: the shard count of a commit run on
+// them (engine.Pool). Valid once the engine has started.
+func (e *Engine) Shards() int { return e.nw }
 
-// shardcast sends one commit-phase job per owner shard of the commit plan
-// (enqueued on the shard's first stage) and waits for all acks — the
-// within-pipeline instantiation of the stage→owner commit sharding the
-// replica layer uses across machines.
-func (e *Engine) shardcast(jb job) {
-	owners := 0
-	for r := 0; r < e.plan.Owners(); r++ {
-		lo, hi := e.plan.Shard(r)
-		if lo == hi {
-			continue
-		}
-		jb.lo, jb.hi = lo, hi
-		e.enqueue(lo, jb)
-		owners++
+// ParallelFor runs fn(i, tk) for every shard i as one job on stage queue
+// i — any idle worker claims it, passing its own track — and waits for all
+// acks (engine.Pool). It must only be called with every chain drained,
+// between minibatches.
+func (e *Engine) ParallelFor(fn func(i int, tk *trace.Track)) {
+	for i := 0; i < e.nw; i++ {
+		e.enqueue(i, job{kind: jobCall, k: i, fn: fn})
 	}
-	for ; owners > 0; owners-- {
+	for i := 0; i < e.nw; i++ {
 		<-e.acks
 	}
 }

@@ -15,25 +15,16 @@ import (
 type stubHost struct{ p int }
 
 func (s *stubHost) Stages() int                   { return s.p }
-func (s *stubHost) Async() bool                   { return false }
 func (s *stubHost) Recompute() bool               { return false }
 func (s *stubHost) MicroBase() int                { return 0 }
 func (s *stubHost) Splittable() bool              { return true }
-func (s *stubHost) InstallForward(_, _ int)       {}
-func (s *stubHost) InstallBackward(_, _ int)      {}
-func (s *stubHost) InstallRecompute(_, _ int)     {}
 func (s *stubHost) Restore(int)                   {}
 func (s *stubHost) BeginMicro(int, []int)         {}
 func (s *stubHost) StageForward(_, _ int) float64 { return 0 }
+func (s *stubHost) StageRecompute(_, _ int)       {}
 func (s *stubHost) StageBackward(_, _ int)        {}
 func (s *stubHost) EndMicro(int)                  {}
 func (s *stubHost) BadLoss(float64) bool          { return false }
-func (s *stubHost) PrepareStage(_, _ int) float64 { return 0 }
-func (s *stubHost) ClipScale(float64) float64     { return 1 }
-func (s *stubHost) ScaleStage(int, float64)       {}
-func (s *stubHost) BeginStep()                    {}
-func (s *stubHost) StepStage(int)                 {}
-func (s *stubHost) FinishStage(int)               {}
 
 func TestOptionsAndName(t *testing.T) {
 	if New().Name() != "concurrent" {
@@ -149,16 +140,13 @@ func (h *exclusionHost) enter(stage int) {
 }
 func (h *exclusionHost) leave(stage int) { h.inSlot[stage].Add(-1) }
 
-func (h *exclusionHost) Stages() int                { return h.p }
-func (h *exclusionHost) Async() bool                { return true }
-func (h *exclusionHost) Recompute() bool            { return false }
-func (h *exclusionHost) MicroBase() int             { return 0 }
-func (h *exclusionHost) Splittable() bool           { return true }
-func (h *exclusionHost) InstallForward(s, st int)   { h.enter(st); h.leave(st) }
-func (h *exclusionHost) InstallBackward(s, st int)  { h.enter(st); h.leave(st) }
-func (h *exclusionHost) InstallRecompute(s, st int) {}
-func (h *exclusionHost) Restore(st int)             { h.enter(st); h.leave(st) }
-func (h *exclusionHost) BeginMicro(int, []int)      {}
+func (h *exclusionHost) Stages() int             { return h.p }
+func (h *exclusionHost) Recompute() bool         { return false }
+func (h *exclusionHost) MicroBase() int          { return 0 }
+func (h *exclusionHost) Splittable() bool        { return true }
+func (h *exclusionHost) Restore(st int)          { h.enter(st); h.leave(st) }
+func (h *exclusionHost) BeginMicro(int, []int)   {}
+func (h *exclusionHost) StageRecompute(_, _ int) {}
 
 func (h *exclusionHost) StageForward(s, st int) float64 {
 	h.enter(st)
@@ -185,22 +173,6 @@ func (h *exclusionHost) StageBackward(s, st int) {
 
 func (h *exclusionHost) EndMicro(int)         {}
 func (h *exclusionHost) BadLoss(float64) bool { return false }
-func (h *exclusionHost) PrepareStage(st, n int) float64 {
-	h.enter(st)
-	defer h.leave(st)
-	return 0
-}
-func (h *exclusionHost) ClipScale(float64) float64    { return 1 }
-func (h *exclusionHost) ScaleStage(st int, f float64) {}
-func (h *exclusionHost) BeginStep()                   {}
-func (h *exclusionHost) StepStage(st int) {
-	h.enter(st)
-	h.leave(st)
-}
-func (h *exclusionHost) FinishStage(st int) {
-	h.enter(st)
-	h.leave(st)
-}
 
 // TestStageSlotsNeverOverlap pins the scheduler's core invariant under
 // maximal contention: many workers, many stages, deep overlap — yet no

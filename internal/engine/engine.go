@@ -1,11 +1,13 @@
 // Package engine defines the pluggable execution-engine abstraction of the
 // PipeMare reproduction. A trainer (internal/core.Trainer) owns the weight
-// partition, version stores and technique state, and exposes them to an
-// Engine through the Host interface as per-microbatch-slot operations:
-// install-forward, install-backward, install-recompute, the per-stage
-// forward/backward compute slots, and the per-stage commit phases of an
-// optimizer step. An Engine decides *how* those operations are scheduled
-// onto goroutines.
+// partition, version stores and technique state, and exposes the slot
+// schedule to an Engine through the Host interface: one call per
+// microbatch slot — forward, recompute-forward, backward — each of which
+// installs the weight versions it reads before it computes. An Engine
+// decides *how* those slots are scheduled onto goroutines, and nothing
+// else: which version a slot reads is the trainer's business, and what one
+// update does is the commit executor's (Commit, commit.go), which the
+// trainer runs after the engine has drained a minibatch's chains.
 //
 // Two engines exist: Reference (this package) executes every slot on the
 // calling goroutine — it is the original single-goroutine simulator and the
@@ -20,7 +22,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"math"
 
 	"pipemare/internal/trace"
 )
@@ -30,69 +31,52 @@ import (
 // weights have been restored when it is returned.
 var ErrDiverged = errors.New("engine: training diverged")
 
-// Host is the trainer-side surface an Engine drives. It is implemented by
+// Host is the slot schedule an Engine drives, implemented by
 // internal/core.Trainer. Stage indices are 0-based; s is the global
 // microbatch counter of the timing model (package pipeline).
 //
 // A microbatch's slots form a chain: BeginMicro, the forward slots of
-// stages 0..P−1 in order, optionally a second (recompute) forward climb,
-// the backward slots of stages P−1..0 in order, then EndMicro. The loss is
-// returned by the last stage's forward slot.
+// stages 0..P−1 in order, when Recompute reports true the recompute slots
+// of stages 0..P−1 in order, the backward slots of stages P−1..0 in order,
+// then EndMicro. The loss is returned by the last stage's forward slot.
 //
-// Concurrency contract: the Install*, Restore, PrepareStage, ScaleStage,
-// StepStage and FinishStage methods touch only the named stage's
-// parameters and state, so an engine may call them for different stages
-// concurrently. StageForward and StageBackward read the named stage's
-// installed weights and the microbatch's private activation state, so
-// calls are safe to overlap when both the stage AND the microbatch differ;
-// all slots of one stage must be serialized (ordered) with each other and
-// with that stage's installs/restores, and a microbatch's chain must run
-// in chain order. When Splittable reports false the substrate is
-// monolithic: the forward compute happens entirely inside the last stage's
-// forward slot and the backward inside stage 0's backward slot, so at most
-// one microbatch may be in flight at a time. BeginMicro/EndMicro and
-// ClipScale/BeginStep must be ordered (happen-before) with respect to the
-// slots they bracket; BeginStep must happen-before every StepStage of the
-// commit, and every StepStage before that stage's FinishStage.
+// Concurrency contract: a slot call touches only the named stage's
+// parameters and the microbatch's private activation state, so calls are
+// safe to overlap when both the stage AND the microbatch differ; all slots
+// of one stage must be serialized (ordered) with each other and with that
+// stage's Restore, and a microbatch's chain must run in chain order. When
+// Splittable reports false the substrate is monolithic: the forward
+// compute happens entirely inside the last stage's forward (or recompute)
+// slot and the backward inside stage 0's backward slot, so at most one
+// microbatch may be in flight at a time. BeginMicro/EndMicro must be
+// ordered (happen-before) with respect to the slots they bracket, and
+// every stage must be restored after the last chain before Minibatch
+// returns.
 type Host interface {
 	// Stages returns P, the number of pipeline stages.
 	Stages() int
-	// Async reports whether the current epoch runs asynchronously
-	// (false for GPipe and during T3 warmup epochs: no installs happen).
-	Async() bool
-	// Recompute reports whether the Appendix D recompute delay path is on.
+	// Splittable reports whether the task executes as true per-stage
+	// segments (the engine may overlap up to P microbatches) or as a
+	// monolithic substrate (one microbatch in flight at a time).
+	Splittable() bool
+	// Recompute reports whether the chains of the minibatch being executed
+	// make the Appendix D recompute climb.
 	Recompute() bool
 	// MicroBase returns the global microbatch counter at the start of the
 	// minibatch being executed; microbatch k of the minibatch has
 	// s = MicroBase()+k.
 	MicroBase() int
-	// Splittable reports whether the task executes as true per-stage
-	// segments (the engine may overlap up to P microbatches) or as a
-	// monolithic substrate (one microbatch in flight at a time).
-	Splittable() bool
-
-	// InstallForward points the stage's parameters at the delayed snapshot
-	// its forward slot sees at global microbatch s (Table 1 delays).
-	InstallForward(s, stage int)
-	// InstallBackward sets the stage's backward weights for microbatch s:
-	// the live master (or T2-corrected) weights for PipeMare, nothing for
-	// PipeDream (backward falls back to the stashed forward snapshot).
-	InstallBackward(s, stage int)
-	// InstallRecompute points the stage's parameters at the version its
-	// recompute pass reads (Appendix D), T2-corrected when enabled.
-	InstallRecompute(s, stage int)
-	// Restore points the stage's parameters back at the live master
-	// weights and clears the backward decoupling.
-	Restore(stage int)
 
 	// BeginMicro opens microbatch s over the given sample indices,
 	// acquiring its in-flight state.
 	BeginMicro(s int, mb []int)
-	// StageForward runs the stage's forward slot for microbatch s. The
-	// last stage returns the microbatch's mean loss (other stages return
-	// 0). Calling the chain a second time after the last stage reruns the
-	// forward pass from scratch (the recompute climb).
+	// StageForward runs the stage's forward slot for microbatch s on the
+	// weights that slot reads. The last stage returns the microbatch's mean
+	// loss (other stages return 0).
 	StageForward(s, stage int) float64
+	// StageRecompute runs the stage's recompute slot: the forward segment
+	// again, from scratch at stage 0, on the recompute-delayed weights.
+	StageRecompute(s, stage int)
 	// StageBackward runs the stage's backward slot for microbatch s,
 	// accumulating the stage's parameter gradients.
 	StageBackward(s, stage int)
@@ -101,36 +85,17 @@ type Host interface {
 	// BadLoss reports whether a loss is non-finite or above the cap.
 	BadLoss(loss float64) bool
 
-	// PrepareStage averages the stage's accumulated gradients over nMicro
-	// microbatches, snapshots the stage's pre-step weights for the T2
-	// velocity estimate, and returns the sum of squared (averaged)
-	// gradients for global norm clipping.
-	PrepareStage(stage, nMicro int) float64
-	// ClipScale converts the global gradient sum-of-squares into the
-	// clipping factor (1 when clipping is off or the norm is within
-	// bounds).
-	ClipScale(sumSq float64) float64
-	// ScaleStage multiplies the stage's gradients by the clip factor.
-	ScaleStage(stage int, scale float64)
-	// BeginStep advances the trainer's and the optimizer's step clocks for
-	// the update being committed. It runs exactly once per commit, after
-	// every stage is scaled and before any StepStage.
-	BeginStep()
-	// StepStage computes the stage's per-parameter learning rates (T1 —
-	// pure in the stage's parameter range given the step clock) and
-	// applies the optimizer update to that range. Distinct stages may
-	// step concurrently.
-	StepStage(stage int)
-	// FinishStage completes the step for one stage: updates the T2
-	// velocity accumulator and corrected weights, pushes the stage's new
-	// weight version, and zeroes the stage's gradients.
-	FinishStage(stage int)
+	// Restore points the stage's parameters back at the live master
+	// weights.
+	Restore(stage int)
 }
 
-// Engine executes one minibatch — the micros slice holds the N microbatch
-// index sets — against a Host, returning the mean microbatch loss. On
-// divergence it restores the master weights and returns ErrDiverged; on
-// context cancellation it restores the master weights and returns ctx.Err().
+// Engine executes one minibatch's microbatch chains — the micros slice
+// holds the N microbatch index sets — against a Host, returning the mean
+// microbatch loss with every stage restored to its master weights and the
+// gradients of the N backward passes accumulated; committing them is the
+// caller's next step (Commit). On divergence it returns ErrDiverged, on
+// context cancellation ctx.Err(), the stages restored either way.
 type Engine interface {
 	Name() string
 	Minibatch(ctx context.Context, h Host, micros [][]int) (float64, error)
@@ -157,52 +122,40 @@ func NewReference() Reference { return Reference{} }
 // Name identifies the engine.
 func (Reference) Name() string { return "reference" }
 
-// Minibatch executes the N microbatch chains and the commit phase serially.
+// Minibatch executes the N microbatch chains serially.
 func (Reference) Minibatch(ctx context.Context, h Host, micros [][]int) (float64, error) {
 	p := h.Stages()
-	async := h.Async()
 	rec := h.Recompute()
 	base := h.MicroBase()
 	tr, rep := trace.FromCarrier(h)
 	tk := tr.Track(rep, trace.TidWorkerBase, "worker 0")
+	defer func() {
+		for st := 0; st < p; st++ {
+			h.Restore(st)
+		}
+	}()
 	lossSum := 0.0
 	for k, mb := range micros {
 		if err := ctx.Err(); err != nil {
-			restoreAll(h, p)
 			return 0, err
 		}
 		s := base + k
-		if async {
-			for st := 0; st < p; st++ {
-				h.InstallForward(s, st)
-				h.InstallBackward(s, st)
-			}
-		}
 		h.BeginMicro(s, mb)
 		loss := 0.0
 		for st := 0; st < p; st++ {
 			t0 := tr.Now()
-			l := h.StageForward(s, st)
+			loss = h.StageForward(s, st)
 			tk.Span(trace.NameFwd, t0, st, s, 0)
-			if st == p-1 {
-				loss = l
-			}
 		}
 		lossSum += loss
 		if h.BadLoss(loss) {
 			h.EndMicro(s)
-			restoreAll(h, p)
-			return math.Inf(1), ErrDiverged
+			return 0, ErrDiverged
 		}
-		if async && rec {
-			for st := 0; st < p; st++ {
-				h.InstallRecompute(s, st)
-			}
-			// Recompute climb: regenerate activations with the recompute-
-			// delayed weights before backprop (Appendix D).
+		if rec {
 			for st := 0; st < p; st++ {
 				t0 := tr.Now()
-				h.StageForward(s, st)
+				h.StageRecompute(s, st)
 				tk.Span(trace.NameRecompute, t0, st, s, 0)
 			}
 		}
@@ -212,14 +165,6 @@ func (Reference) Minibatch(ctx context.Context, h Host, micros [][]int) (float64
 			tk.Span(trace.NameBwd, t0, st, s, 0)
 		}
 		h.EndMicro(s)
-		restoreAll(h, p)
 	}
-	NewCommitPlan(p, 1).Commit(h, len(micros))
 	return lossSum / float64(len(micros)), nil
-}
-
-func restoreAll(h Host, p int) {
-	for st := 0; st < p; st++ {
-		h.Restore(st)
-	}
 }

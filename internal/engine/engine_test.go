@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,24 +15,24 @@ import (
 	"pipemare/internal/engine/replicated"
 )
 
-// fakeHost checks the Host ordering contract at call time: installs must
-// precede the stage's forward slot, a microbatch's slots must run in chain
-// order (forward climbing 0..P−1, backward descending P−1..0, bracketed by
-// BeginMicro/EndMicro), restores must complete before the commit phases,
-// and the commit phases must run in prepare → scale → step → finish order.
-// It is safe for concurrent use so the same harness validates both
-// engines, and it records the peak number of in-flight microbatches so
-// tests can pin the overlap behaviour.
+// fakeHost checks the Host ordering contract at call time: a microbatch's
+// slots must run in chain order (forward climbing 0..P−1, the recompute
+// climb exactly when Recompute reports it, backward descending P−1..0,
+// bracketed by BeginMicro/EndMicro), and every stage must be restored
+// after its last slot. It is safe for concurrent use so the same harness
+// validates both engines, and it records the peak number of in-flight
+// microbatches so tests can pin the overlap behaviour. Where each check
+// of the pre-split fakeHost went: installs-before-compute is core's
+// (TestSlotsInstallBeforeTheyCompute and the version-rule probes), the
+// commit-phase order is the executor's (commit_test.go).
 type fakeHost struct {
 	mu    sync.Mutex
 	p     int
-	async bool
 	rec   bool
 	split bool
 	badAt int // microbatch index whose loss is "bad" (-1: never)
 
-	fwdInst  []bool // per stage: forward/recompute weights installed since last restore
-	restored []bool
+	dirty []bool // per stage: a slot ran since the last Restore
 
 	open        map[int]*microState
 	maxInFlight int
@@ -37,25 +40,19 @@ type fakeHost struct {
 	losses      []float64 // last-stage losses in arrival order
 	sawBwd      bool
 
-	prepared, scaled, finished int
-	stepBegun                  bool
-	stepped                    []bool // per stage: StepStage ran this commit
-
 	errs []string
 }
 
 type microState struct {
 	k       int
-	fwdNext int // next stage whose forward slot should run
+	fwdNext int // next stage whose forward (or recompute) slot should run
 	climbs  int // completed forward climbs
 	bwdNext int // next stage whose backward slot should run (-1: descent not started)
 }
 
-func newFakeHost(p int, async, rec, split bool, badAt int) *fakeHost {
-	return &fakeHost{p: p, async: async, rec: rec, split: split, badAt: badAt,
-		fwdInst: make([]bool, p), restored: make([]bool, p),
-		stepped: make([]bool, p),
-		open:    map[int]*microState{}}
+func newFakeHost(p int, rec, split bool, badAt int) *fakeHost {
+	return &fakeHost{p: p, rec: rec, split: split, badAt: badAt,
+		dirty: make([]bool, p), open: map[int]*microState{}}
 }
 
 func (f *fakeHost) errf(format string, args ...any) {
@@ -63,42 +60,14 @@ func (f *fakeHost) errf(format string, args ...any) {
 }
 
 func (f *fakeHost) Stages() int      { return f.p }
-func (f *fakeHost) Async() bool      { return f.async }
 func (f *fakeHost) Recompute() bool  { return f.rec }
 func (f *fakeHost) MicroBase() int   { return 0 }
 func (f *fakeHost) Splittable() bool { return f.split }
 
-func (f *fakeHost) InstallForward(s, stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.async {
-		f.errf("InstallForward during a synchronous epoch")
-	}
-	f.fwdInst[stage] = true
-}
-
-func (f *fakeHost) InstallBackward(s, stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.fwdInst[stage] {
-		f.errf("InstallBackward(stage %d) before InstallForward", stage)
-	}
-}
-
-func (f *fakeHost) InstallRecompute(s, stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.rec {
-		f.errf("InstallRecompute with recompute disabled")
-	}
-	f.fwdInst[stage] = true
-}
-
 func (f *fakeHost) Restore(stage int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.restored[stage] = true
-	f.fwdInst[stage] = false
+	f.dirty[stage] = false
 }
 
 func (f *fakeHost) BeginMicro(s int, mb []int) {
@@ -113,34 +82,51 @@ func (f *fakeHost) BeginMicro(s int, mb []int) {
 	}
 }
 
-func (f *fakeHost) StageForward(s, stage int) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ms := f.open[s]
+// climb advances microbatch s's forward or recompute climb by one stage
+// and reports whether the stage is the last.
+func (f *fakeHost) climb(kind string, s, stage, wantClimbs int) (ms *microState, top bool) {
+	ms = f.open[s]
 	if ms == nil {
-		f.errf("StageForward(%d, %d) without BeginMicro", s, stage)
-		return 0
+		f.errf("%s slot (%d, %d) without BeginMicro", kind, s, stage)
+		return nil, false
 	}
-	if f.async && !f.fwdInst[stage] {
-		f.errf("forward slot (%d, %d) before the stage's install", s, stage)
+	f.dirty[stage] = true
+	if ms.climbs != wantClimbs {
+		f.errf("%s slot (%d, %d) after %d completed climbs, want %d", kind, s, stage, ms.climbs, wantClimbs)
 	}
 	if ms.fwdNext != stage {
-		f.errf("forward slot (%d, %d) out of chain order (want stage %d)", s, stage, ms.fwdNext)
+		f.errf("%s slot (%d, %d) out of chain order (want stage %d)", kind, s, stage, ms.fwdNext)
 	}
 	ms.fwdNext++
 	if stage == f.p-1 {
 		ms.fwdNext = 0
 		ms.climbs++
+		return ms, true
+	}
+	return ms, false
+}
+
+func (f *fakeHost) StageForward(s, stage int) float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, top := f.climb("forward", s, stage, 0); top {
 		loss := 1.0
-		if ms.climbs == 1 {
-			if s == f.badAt {
-				loss = 1e12
-			}
-			f.losses = append(f.losses, loss)
+		if s == f.badAt {
+			loss = 1e12
 		}
+		f.losses = append(f.losses, loss)
 		return loss
 	}
 	return 0
+}
+
+func (f *fakeHost) StageRecompute(s, stage int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.rec {
+		f.errf("recompute slot (%d, %d) with recompute off", s, stage)
+	}
+	f.climb("recompute", s, stage, 1)
 }
 
 func (f *fakeHost) StageBackward(s, stage int) {
@@ -151,9 +137,10 @@ func (f *fakeHost) StageBackward(s, stage int) {
 		f.errf("StageBackward(%d, %d) without BeginMicro", s, stage)
 		return
 	}
+	f.dirty[stage] = true
 	if ms.bwdNext == -1 {
 		wantClimbs := 1
-		if f.async && f.rec {
+		if f.rec {
 			wantClimbs = 2
 		}
 		if ms.climbs != wantClimbs {
@@ -183,75 +170,19 @@ func (f *fakeHost) EndMicro(s int) {
 
 func (f *fakeHost) BadLoss(loss float64) bool { return loss > 1e6 }
 
-func (f *fakeHost) PrepareStage(stage, nMicro int) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.restored[stage] {
-		f.errf("PrepareStage(%d) before Restore", stage)
+// quiesced reports what must hold when Minibatch returns, whatever it
+// returns — the precondition of the commit that follows: no microbatch in
+// flight and every stage restored since its last slot.
+func (f *fakeHost) quiesced(t *testing.T) {
+	t.Helper()
+	if len(f.open) != 0 {
+		t.Fatalf("%d microbatches left in flight when Minibatch returned", len(f.open))
 	}
-	if len(f.open) > 0 {
-		f.errf("PrepareStage(%d) with %d microbatches still in flight", stage, len(f.open))
+	for st, d := range f.dirty {
+		if d {
+			t.Fatalf("stage %d not restored after its last slot", st)
+		}
 	}
-	if !f.sawBwd {
-		f.errf("PrepareStage(%d) with no backward slot in the minibatch", stage)
-	}
-	f.prepared++
-	return float64(stage + 1) // distinct partials: checks the reduction
-}
-
-func (f *fakeHost) ClipScale(sumSq float64) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	want := float64(f.p*(f.p+1)) / 2
-	if sumSq != want {
-		f.errf("ClipScale sum %g, want stage-ordered %g", sumSq, want)
-	}
-	return 0.5
-}
-
-func (f *fakeHost) ScaleStage(stage int, scale float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.prepared != f.p {
-		f.errf("ScaleStage(%d) before every PrepareStage", stage)
-	}
-	if scale != 0.5 {
-		f.errf("ScaleStage scale %g, want 0.5", scale)
-	}
-	f.scaled++
-}
-
-func (f *fakeHost) BeginStep() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.prepared != f.p || f.scaled != f.p {
-		f.errf("BeginStep before prepare/scale completed (%d/%d)", f.prepared, f.scaled)
-	}
-	if f.stepBegun {
-		f.errf("BeginStep called twice in one commit")
-	}
-	f.stepBegun = true
-}
-
-func (f *fakeHost) StepStage(stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.stepBegun {
-		f.errf("StepStage(%d) before BeginStep", stage)
-	}
-	if f.stepped[stage] {
-		f.errf("StepStage(%d) called twice in one commit", stage)
-	}
-	f.stepped[stage] = true
-}
-
-func (f *fakeHost) FinishStage(stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.stepped[stage] {
-		f.errf("FinishStage(%d) before its StepStage", stage)
-	}
-	f.finished++
 }
 
 func engines() map[string]engine.Engine {
@@ -275,29 +206,45 @@ func micros(n, sz int) [][]int {
 	return out
 }
 
+// TestHostIsTheSlotScheduleAndNothingElse pins the interface's width:
+// what a slot reads (the installs) and what an update does (the commit
+// phases) are the trainer's and the commit executor's, not an engine's.
+func TestHostIsTheSlotScheduleAndNothingElse(t *testing.T) {
+	h := reflect.TypeOf((*engine.Host)(nil)).Elem()
+	if h.NumMethod() > 11 {
+		t.Fatalf("engine.Host has %d methods, want at most 11", h.NumMethod())
+	}
+	banned := "Async PrepareStage ClipScale ScaleStage BeginStep StepStage FinishStage"
+	for i := 0; i < h.NumMethod(); i++ {
+		if name := h.Method(i).Name; strings.HasPrefix(name, "Install") || slices.Contains(strings.Fields(banned), name) {
+			t.Fatalf("engine.Host declares %s", name)
+		}
+	}
+}
+
 func TestEnginesHonourHostOrderingContract(t *testing.T) {
 	for name, eng := range engines() {
 		for _, split := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/split=%v", name, split), func(t *testing.T) {
-				f := newFakeHost(5, true, true, split, -1)
-				loss, err := eng.Minibatch(context.Background(), f, micros(4, 2))
+				for _, rec := range []bool{true, false} {
+					f := newFakeHost(5, rec, split, -1)
+					loss, err := eng.Minibatch(context.Background(), f, micros(4, 2))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if loss != 1.0 {
+						t.Fatalf("mean loss %g, want 1", loss)
+					}
+					if len(f.errs) > 0 {
+						t.Fatalf("recompute=%v: ordering violations: %v", rec, f.errs)
+					}
+					if len(f.losses) != 4 || f.completed != 4 || !f.sawBwd {
+						t.Fatalf("losses %d, completed %d, backward %v, want 4/4/true", len(f.losses), f.completed, f.sawBwd)
+					}
+					f.quiesced(t)
+				}
 				if lc, ok := eng.(engine.Lifecycle); ok {
 					lc.Stop()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if loss != 1.0 {
-					t.Fatalf("mean loss %g, want 1", loss)
-				}
-				if len(f.errs) > 0 {
-					t.Fatalf("ordering violations: %v", f.errs)
-				}
-				if len(f.losses) != 4 || f.completed != 4 {
-					t.Fatalf("losses %d, completed %d, want 4/4", len(f.losses), f.completed)
-				}
-				if f.finished != f.p {
-					t.Fatalf("finished %d stages, want %d", f.finished, f.p)
 				}
 			})
 		}
@@ -313,7 +260,7 @@ func TestConcurrentEngineOverlapsMicrobatches(t *testing.T) {
 		want  int
 	}{{true, 4}, {false, 1}} {
 		eng := concurrent.New()
-		f := newFakeHost(4, true, false, tc.split, -1)
+		f := newFakeHost(4, false, tc.split, -1)
 		if _, err := eng.Minibatch(context.Background(), f, micros(8, 2)); err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +273,7 @@ func TestConcurrentEngineOverlapsMicrobatches(t *testing.T) {
 		}
 	}
 	// The reference engine is serial regardless.
-	f := newFakeHost(4, true, false, true, -1)
+	f := newFakeHost(4, false, true, -1)
 	if _, err := engine.NewReference().Minibatch(context.Background(), f, micros(8, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +286,7 @@ func TestEnginesReportDivergence(t *testing.T) {
 	for name, eng := range engines() {
 		for _, split := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/split=%v", name, split), func(t *testing.T) {
-				f := newFakeHost(3, true, false, split, 1)
+				f := newFakeHost(3, false, split, 1)
 				_, err := eng.Minibatch(context.Background(), f, micros(4, 2))
 				if lc, ok := eng.(engine.Lifecycle); ok {
 					lc.Stop()
@@ -350,22 +297,13 @@ func TestEnginesReportDivergence(t *testing.T) {
 				if len(f.errs) > 0 {
 					t.Fatalf("ordering violations: %v", f.errs)
 				}
-				for st, ok := range f.restored {
-					if !ok {
-						t.Fatalf("stage %d not restored after divergence", st)
-					}
-				}
-				if f.stepBegun || f.prepared > 0 {
-					t.Fatal("no commit phase may run after divergence")
-				}
 				// The bad microbatch is index 1: exactly 2 losses were
-				// computed (later in-flight chains are aborted).
+				// computed (later in-flight chains are aborted), and its
+				// chain never reached a backward slot.
 				if len(f.losses) != 2 {
 					t.Fatalf("computed losses = %d, want 2", len(f.losses))
 				}
-				if len(f.open) != 0 {
-					t.Fatalf("%d microbatches left in flight after divergence", len(f.open))
-				}
+				f.quiesced(t)
 			})
 		}
 	}
@@ -376,7 +314,7 @@ func TestEnginesHonourContextCancellation(t *testing.T) {
 	cancel()
 	for name, eng := range engines() {
 		t.Run(name, func(t *testing.T) {
-			f := newFakeHost(2, false, false, true, -1)
+			f := newFakeHost(2, false, true, -1)
 			_, err := eng.Minibatch(ctx, f, micros(2, 2))
 			if lc, ok := eng.(engine.Lifecycle); ok {
 				lc.Stop()
@@ -387,9 +325,7 @@ func TestEnginesHonourContextCancellation(t *testing.T) {
 			if len(f.losses) != 0 {
 				t.Fatal("no forward slot may run after cancellation")
 			}
-			if len(f.open) != 0 {
-				t.Fatalf("%d microbatches left in flight after cancellation", len(f.open))
-			}
+			f.quiesced(t)
 		})
 	}
 }

@@ -62,9 +62,8 @@ func (m *stubMember) Async() bool                         { return false }
 func (m *stubMember) Recompute() bool                     { return false }
 func (m *stubMember) MicroBase() int                      { return 0 }
 func (m *stubMember) Splittable() bool                    { return true }
-func (m *stubMember) InstallForward(_, _ int)             {}
-func (m *stubMember) InstallBackward(_, _ int)            {}
-func (m *stubMember) InstallRecompute(_, _ int)           {}
+func (m *stubMember) SetAsync(bool)                       {}
+func (m *stubMember) StageRecompute(_, _ int)             {}
 func (m *stubMember) Restore(int)                         {}
 func (m *stubMember) BeginMicro(int, []int)               {}
 func (m *stubMember) StageForward(_, _ int) float64       { return 0.5 }

@@ -80,7 +80,7 @@ type member struct {
 var ErrStraggler = errors.New("replica: collective deadline missed")
 
 // MemberError reports a member failure the run can survive by taking the
-// member out of the group. The replicated engine catches it, applies
+// member out of the group. The trainer's step catches it, applies
 // Transition(ID, To) and — when Replay is set — reruns the interrupted
 // minibatch over the survivors.
 type MemberError struct {
@@ -142,8 +142,8 @@ func (g *Group) index(id int) int {
 // tail of the reduce tree and starts one; Gone closes its connection.
 // Every edge re-derives the commit plan over the resulting active
 // members. It must be called with no collective in flight — from the
-// replicated engine's recovery loop between attempts, or from the
-// trainer's minibatch-boundary hook. The leader never moves.
+// trainer's recovery loop between attempts, or from its
+// minibatch-boundary hook. The leader never moves.
 func (g *Group) Transition(id int, to State) {
 	i := g.index(id)
 	if i <= 0 {

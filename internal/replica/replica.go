@@ -5,9 +5,10 @@
 // per-microbatch gradients into the leader replica before one shared
 // optimizer step — the PipeDream-style hybrid of pipeline and data
 // parallelism. The step itself commits in one of two modes (Group.Commit):
-// leader-serial, with the post-step state broadcast back to the followers,
-// or — the default for R > 1 — replica-sharded ZeRO / PipeDream-2BW
-// style: an engine.CommitPlan assigns each stage to a replica owner, the
+// leader-serial (engine.Commit on the leader), with the post-step state
+// broadcast back to the followers, or — the default for R > 1 —
+// replica-sharded ZeRO / PipeDream-2BW style: an engine.CommitPlan assigns
+// each stage to a replica owner, the
 // leader's reduced gradients scatter to their owners, every owner steps
 // its shard against its local shard of the optimizer state, and the
 // stepped weights all-gather back (the inverted broadcast), so the commit
@@ -76,8 +77,8 @@ type Member interface {
 	// bufs (a pure copy) — the scatter half of the sharded commit.
 	SetStageGrads(stage int, bufs []*tensor.Tensor)
 	// PrepareStage, ScaleStage, BeginStep, StepStage and FinishStage are
-	// the commit phases of engine.Host, run by a stage's owner against its
-	// own parameter copies and optimizer state.
+	// the commit phases of engine.Committer, run by a stage's owner against
+	// its own parameter copies and optimizer state.
 	PrepareStage(stage, nMicro int) float64
 	ScaleStage(stage int, scale float64)
 	BeginStep()
@@ -106,12 +107,17 @@ type Member interface {
 
 // Local is a member whose pipeline lives in this process: the
 // engine.Host an inner engine drives through a Compute wrapper, plus the
-// two gradient moves that never cross the wire. internal/core's host is
-// the implementation — for the leader, for in-process followers, and for
-// the follower a worker process serves.
+// chunk's epoch phase and the two gradient moves that never cross the wire.
+// internal/core's host is the implementation — for the leader, for
+// in-process followers, and for the follower a worker process serves.
 type Local interface {
 	Member
 	engine.Host
+	// SetAsync sets the epoch phase of the chunk the member is about to
+	// run: whether its slots install delayed weights. It arrives with the
+	// chunk because a follower never advances its own epoch clock — the
+	// leader's view is authoritative for all replicas.
+	SetAsync(async bool)
 	// TakeStageGrads moves the stage's accumulated parameter gradients
 	// into bufs (allocating buffers when bufs is nil) and zeroes the
 	// stage's accumulators. It must only be called from the goroutine
@@ -149,7 +155,8 @@ type Remote interface {
 }
 
 // Leader is the host of a trainer that leads a replica group — what a
-// replicated engine looks for on the engine.Host it is started with.
+// replicated engine looks for on the engine.Host it is started with. With
+// ClipScale it is the engine.Committer of the leader-serial commit.
 type Leader interface {
 	Local
 	// Group returns the trainer's replica group, nil when it trains a
@@ -158,6 +165,13 @@ type Leader interface {
 	// Step and Epoch read the clocks a member's SetStep and SetEpoch get.
 	Step() int
 	Epoch() int
+	// Async reports whether the current epoch runs asynchronously (false
+	// for GPipe and during T3 warmup epochs): the phase every member's
+	// chunk is framed with.
+	Async() bool
+	// ClipScale converts the global gradient sum-of-squares into the
+	// clipping factor (engine.Committer).
+	ClipScale(sumSq float64) float64
 }
 
 // Aware marks execution engines that understand the replica surface and
@@ -188,7 +202,6 @@ type Group struct {
 	nextID  int
 
 	plan      engine.CommitPlan // stage→position owners over the active members (sharded commit)
-	serial    engine.CommitPlan // single-owner plan (leader-serial commit)
 	shardable bool              // the trainer resolved the sharded commit on
 	sharded   bool              // shardable and more than one active member
 	ft        bool              // full moments everywhere: a sharded group may lose a member
@@ -215,7 +228,6 @@ type Group struct {
 func NewGroup(lead Leader, followers []Member, sharded, faultTolerant bool) (*Group, error) {
 	p := lead.Stages()
 	g := &Group{lead: lead, p: p, shardable: sharded, ft: faultTolerant,
-		serial:  engine.NewCommitPlan(p, 1),
 		scatter: make([][]*tensor.Tensor, p), sumSqs: make([]float64, p)}
 	g.rec, _ = trace.FromCarrier(lead)
 	for _, m := range append([]Member{lead}, followers...) {
@@ -273,9 +285,11 @@ func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
 			sz++
 		}
 		chunks[i] = micros[lo : lo+sz]
-		m.chunk.begin(base+lo, sz, async)
 		if m.remote != nil {
+			m.chunk.begin(base+lo, sz, async)
 			m.remote.BindContext(ctx)
+		} else {
+			m.comp.BeginChunk(base+lo, sz, async)
 		}
 		lo += sz
 	}
@@ -429,7 +443,7 @@ func (g *Group) Broadcast() {
 // must not commit again after a plain error.
 func (g *Group) Commit(nMicro int) error {
 	if !g.sharded {
-		g.serial.Commit(g.lead, nMicro)
+		engine.Commit(g.lead, nMicro, nil)
 		g.Broadcast()
 		if m, err := g.firstFault(); m != nil {
 			// The leader has stepped and every healthy follower synced from
@@ -613,7 +627,6 @@ type chunk struct {
 	n      int // chunk length
 	async  bool
 	losses []float64
-	taken  []bool
 	grads  [][][]*tensor.Tensor // [k][stage][param] exported grads (followers)
 }
 
@@ -623,11 +636,6 @@ func (c *chunk) begin(start, n int, async bool) {
 	c.start, c.n, c.async = start, n, async
 	for len(c.losses) < n {
 		c.losses = append(c.losses, 0)
-		c.taken = append(c.taken, false)
-	}
-	for k := 0; k < n; k++ {
-		c.losses[k] = 0
-		c.taken[k] = false
 	}
 	if c.exports {
 		for len(c.grads) < n {
@@ -637,19 +645,19 @@ func (c *chunk) begin(start, n int, async bool) {
 }
 
 // Compute is the per-replica host wrapper a replicated engine hands to
-// that replica's inner engine. It delegates the pipeline slots to the
-// replica's local member, overrides the minibatch framing (global
+// that replica's inner engine. Every slot call is the replica's own
+// (the embedded engine.Host); the wrapper frames the chunk (global
 // microbatch base, leader's epoch phase), captures per-microbatch losses,
-// exports per-(microbatch, stage) gradients on followers, and turns the
-// commit phase into a no-op — the commit belongs to the replicated engine
-// after the all-reduce.
+// and on followers exports per-(microbatch, stage) gradients. It has no commit surface: an inner engine runs chains only,
+// and the one commit belongs to the group after the all-reduce.
 type Compute struct {
+	engine.Host
 	loc Local
 	chunk
 }
 
 func newCompute(m Local, leader bool) *Compute {
-	return &Compute{loc: m, chunk: chunk{p: m.Stages(), exports: !leader}}
+	return &Compute{Host: m, loc: m, chunk: chunk{p: m.Stages(), exports: !leader}}
 }
 
 // NewCompute wraps a follower member for chunk execution outside a
@@ -659,8 +667,16 @@ func newCompute(m Local, leader bool) *Compute {
 func NewCompute(m Local) *Compute { return newCompute(m, false) }
 
 // BeginChunk resets the wrapper for a chunk of n microbatches starting
-// at global microbatch counter start, under the leader's epoch phase.
-func (c *Compute) BeginChunk(start, n int, async bool) { c.begin(start, n, async) }
+// at global microbatch counter start, and puts the replica in the leader's
+// epoch phase.
+func (c *Compute) BeginChunk(start, n int, async bool) {
+	c.loc.SetAsync(async)
+	c.begin(start, n, async)
+}
+
+// MicroBase returns the global microbatch counter of this replica's
+// chunk, so every slot sees the same global s as a single-replica run.
+func (c *Compute) MicroBase() int { return c.start }
 
 // Losses returns the chunk's captured per-microbatch losses, in chunk
 // order.
@@ -676,58 +692,21 @@ func (c *Compute) Tracer() (*trace.Recorder, int) {
 	return trace.FromCarrier(c.loc)
 }
 
-// Stages returns P.
-func (c *Compute) Stages() int { return c.p }
-
-// Async reports the leader's epoch phase: followers never advance their
-// own epoch clock, so the leader's view is authoritative for all
-// replicas.
-func (c *Compute) Async() bool { return c.async }
-
-// Recompute delegates to the replica (same configuration as the leader).
-func (c *Compute) Recompute() bool { return c.loc.Recompute() }
-
-// MicroBase returns the global microbatch counter of this replica's
-// chunk, so every slot sees the same global s as a single-replica run.
-func (c *Compute) MicroBase() int { return c.start }
-
-// Splittable delegates to the replica's task.
-func (c *Compute) Splittable() bool { return c.loc.Splittable() }
-
-// InstallForward delegates to the replica.
-func (c *Compute) InstallForward(s, stage int) { c.loc.InstallForward(s, stage) }
-
-// InstallBackward delegates to the replica.
-func (c *Compute) InstallBackward(s, stage int) { c.loc.InstallBackward(s, stage) }
-
-// InstallRecompute delegates to the replica.
-func (c *Compute) InstallRecompute(s, stage int) { c.loc.InstallRecompute(s, stage) }
-
-// Restore delegates to the replica.
-func (c *Compute) Restore(stage int) { c.loc.Restore(stage) }
-
-// BeginMicro delegates to the replica.
-func (c *Compute) BeginMicro(s int, mb []int) { c.loc.BeginMicro(s, mb) }
-
-// StageForward delegates to the replica and records the microbatch's loss
-// at the last stage of its first forward climb (a recompute climb returns
-// the loss again; first-write-wins keeps the original).
+// StageForward runs the replica's forward slot and records the
+// microbatch's loss at the last stage.
 func (c *Compute) StageForward(s, stage int) float64 {
 	loss := c.loc.StageForward(s, stage)
 	if stage == c.p-1 {
-		if k := s - c.start; !c.taken[k] {
-			c.losses[k] = loss
-			c.taken[k] = true
-		}
+		c.losses[s-c.start] = loss
 	}
 	return loss
 }
 
-// StageBackward delegates to the replica and, on followers, immediately
-// exports the stage's just-accumulated gradient into the per-microbatch
-// staging area (zeroing the stage accumulator, so the next microbatch
-// again accumulates from zero). Monolithic tasks run their whole backward
-// in stage 0's slot, so that slot exports every stage.
+// StageBackward runs the replica's backward slot and, on followers,
+// immediately exports the stage's just-accumulated gradient into the
+// per-microbatch staging area (zeroing the stage accumulator, so the next
+// microbatch again accumulates from zero). Monolithic tasks run their
+// whole backward in stage 0's slot, so that slot exports every stage.
 func (c *Compute) StageBackward(s, stage int) {
 	c.loc.StageBackward(s, stage)
 	if !c.exports {
@@ -744,28 +723,3 @@ func (c *Compute) StageBackward(s, stage int) {
 		}
 	}
 }
-
-// EndMicro delegates to the replica.
-func (c *Compute) EndMicro(s int) { c.loc.EndMicro(s) }
-
-// BadLoss delegates to the replica (identical loss cap across replicas).
-func (c *Compute) BadLoss(loss float64) bool { return c.loc.BadLoss(loss) }
-
-// PrepareStage is a no-op: the commit phase runs once, on the leader,
-// after the all-reduce.
-func (c *Compute) PrepareStage(stage, nMicro int) float64 { return 0 }
-
-// ClipScale is a no-op (see PrepareStage).
-func (c *Compute) ClipScale(sumSq float64) float64 { return 1 }
-
-// ScaleStage is a no-op (see PrepareStage).
-func (c *Compute) ScaleStage(stage int, scale float64) {}
-
-// BeginStep is a no-op (see PrepareStage).
-func (c *Compute) BeginStep() {}
-
-// StepStage is a no-op (see PrepareStage).
-func (c *Compute) StepStage(stage int) {}
-
-// FinishStage is a no-op (see PrepareStage).
-func (c *Compute) FinishStage(stage int) {}

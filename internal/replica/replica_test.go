@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pipemare/internal/engine"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 )
@@ -32,6 +33,7 @@ type fakeMember struct {
 	imported   []int
 	beginSteps int
 	epochSyncs int // SetEpoch calls
+	asyncSet   int // SetAsync calls
 	rings      int // RestoreVersions calls
 }
 
@@ -41,16 +43,15 @@ func newFakeMember(p int) *fakeMember {
 		finished: make([]int, p), imported: make([]int, p)}
 }
 
-func (f *fakeMember) Stages() int                  { return f.p }
-func (f *fakeMember) Async() bool                  { return true }
-func (f *fakeMember) Recompute() bool              { return false }
-func (f *fakeMember) MicroBase() int               { return 0 }
-func (f *fakeMember) Splittable() bool             { return true }
-func (f *fakeMember) InstallForward(s, stage int)  {}
-func (f *fakeMember) InstallBackward(s, stage int) {}
-func (f *fakeMember) InstallRecompute(s, st int)   {}
-func (f *fakeMember) Restore(stage int)            {}
-func (f *fakeMember) BeginMicro(s int, mb []int)   {}
+func (f *fakeMember) Stages() int                 { return f.p }
+func (f *fakeMember) Async() bool                 { return true }
+func (f *fakeMember) Recompute() bool             { return false }
+func (f *fakeMember) MicroBase() int              { return 0 }
+func (f *fakeMember) Splittable() bool            { return true }
+func (f *fakeMember) SetAsync(async bool)         { f.asyncSet++ }
+func (f *fakeMember) StageRecompute(s, stage int) {}
+func (f *fakeMember) Restore(stage int)           {}
+func (f *fakeMember) BeginMicro(s int, mb []int)  {}
 func (f *fakeMember) StageForward(s, stage int) float64 {
 	if stage == f.p-1 {
 		return float64(100 + s) // distinct per-microbatch losses
@@ -385,22 +386,26 @@ func TestGroupSerialCommitBroadcasts(t *testing.T) {
 	}
 }
 
-// TestComputeSuppressesCommit pins that a compute wrapper's commit phase
-// is inert: the replicated engine owns the real commit on the leader.
+// TestComputeSuppressesCommit pins that a compute wrapper has no commit
+// surface at all — an inner engine runs chains, and the one commit is the
+// group's, on the leader — and that its framing is the leader's: the
+// chunk's global microbatch base, and the epoch phase pushed into the
+// member.
 func TestComputeSuppressesCommit(t *testing.T) {
 	lead := &fakeLead{fakeMember: newFakeMember(2)}
 	lead.followers = append(lead.followers, newFakeMember(2))
 	g := lead.group(t)
 	g.Begin(context.Background(), [][]int{{0}, {1}})
-	c := g.Compute(0)
-	if got := c.PrepareStage(0, 2); got != 0 {
-		t.Fatalf("PrepareStage returned %g, want inert 0", got)
+	for r := 0; r < 2; r++ {
+		var h engine.Host = g.Compute(r)
+		if _, ok := h.(engine.Committer); ok {
+			t.Fatalf("replica %d's compute wrapper exposes the commit phases", r)
+		}
+		if h.MicroBase() != r {
+			t.Fatalf("replica %d's chunk starts at %d, want %d", r, h.MicroBase(), r)
+		}
 	}
-	if got := c.ClipScale(123); got != 1 {
-		t.Fatalf("ClipScale returned %g, want inert 1", got)
+	if got := lead.followers[0].asyncSet; got != 1 {
+		t.Fatalf("follower was put in the leader's epoch phase %d times for one chunk, want 1", got)
 	}
-	c.ScaleStage(0, 0.5)
-	c.BeginStep()
-	c.StepStage(0)
-	c.FinishStage(0)
 }

@@ -43,16 +43,14 @@ func newWireMember(p int) *wireMember {
 	return m
 }
 
-func (m *wireMember) Stages() int                  { return m.p }
-func (m *wireMember) Async() bool                  { return true }
-func (m *wireMember) Recompute() bool              { return false }
-func (m *wireMember) MicroBase() int               { return 0 }
-func (m *wireMember) Splittable() bool             { return true }
-func (m *wireMember) InstallForward(s, stage int)  {}
-func (m *wireMember) InstallBackward(s, stage int) {}
-func (m *wireMember) InstallRecompute(s, st int)   {}
-func (m *wireMember) Restore(stage int)            {}
-func (m *wireMember) BeginMicro(s int, mb []int)   {}
+func (m *wireMember) Stages() int                 { return m.p }
+func (m *wireMember) Recompute() bool             { return false }
+func (m *wireMember) MicroBase() int              { return 0 }
+func (m *wireMember) Splittable() bool            { return true }
+func (m *wireMember) SetAsync(async bool)         {}
+func (m *wireMember) StageRecompute(s, stage int) {}
+func (m *wireMember) Restore(stage int)           {}
+func (m *wireMember) BeginMicro(s int, mb []int)  {}
 func (m *wireMember) StageForward(s, stage int) float64 {
 	if s == 0 && stage == 0 {
 		m.mu.Lock()

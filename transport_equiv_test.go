@@ -2,6 +2,7 @@ package pipemare_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/model"
 	"pipemare/internal/optim"
+	"pipemare/internal/transport"
 )
 
 // startWorkers launches one ServeFollower goroutine per follower replica
@@ -180,6 +182,49 @@ func TestTransportWorkerDeathSurfacesCleanly(t *testing.T) {
 	}
 	wait()
 	tr.Close()
+}
+
+// failDialer is a worker endpoint nothing listens on.
+type failDialer struct{}
+
+func (failDialer) Dial(context.Context) (transport.MsgConn, error) {
+	return nil, errors.New("no worker here")
+}
+
+// TestTransportFailedBuildReleasesConnectedFollowers pins what a leader
+// that cannot be built owes the workers it already reached: with two
+// followers of which the second cannot be dialled, New fails — and says
+// goodbye to the first, whose ServeFollower returns nil promptly instead
+// of sitting in Recv until the leader process dies.
+func TestTransportFailedBuildReleasesConnectedFollowers(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
+	base := []pipemare.Option{
+		pipemare.WithMethod(pipemare.PipeMare),
+		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
+		pipemare.WithSeed(3),
+		pipemare.WithSchedule(optim.Constant(0.05)),
+	}
+	dialers, kill, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
+	defer kill()
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithTransport(dialers[0], failDialer{}))...)
+	if err == nil {
+		tr.Close()
+		t.Fatal("New succeeded although replica 2 could not be dialled")
+	}
+	if !strings.Contains(err.Error(), "replica 2") {
+		t.Fatalf("New error %q does not name the unreachable replica", err)
+	}
+	served := make(chan []error, 1)
+	go func() { served <- wait() }()
+	select {
+	case errs := <-served:
+		if errs[0] != nil {
+			t.Fatalf("worker 1 ended with %v, want a clean goodbye", errs[0])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker 1 still serving a leader that was never built")
+	}
 }
 
 // TestWithTransportValidation pins the option's error paths.
