@@ -35,6 +35,7 @@ import (
 	"pipemare"
 	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/experiments"
+	"pipemare/internal/tensor"
 )
 
 // config is the validated command line.
@@ -85,19 +86,20 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 	default:
 		return nil, fmt.Errorf("unknown transport %q (want inproc, loopback or tcp)", c.transport)
 	}
-	switch *dtypeName {
-	case "float64":
-	case "float32":
-		c.dtype = pipemare.Float32
-	default:
-		return nil, fmt.Errorf("unknown dtype %q (want float64 or float32)", *dtypeName)
+	dt, err := tensor.ParseDType(*dtypeName)
+	if err != nil {
+		return nil, err
 	}
+	c.dtype = dt
 	switch *engineName {
 	case "reference":
 	case "concurrent":
 		c.inner = func() pipemare.Engine { return concurrent.New(concurrent.WithWorkers(c.workers)) }
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want reference or concurrent)", *engineName)
+	}
+	if c.workers > 0 && c.inner == nil {
+		return nil, errors.New("-workers applies to -engine concurrent")
 	}
 	switch *partitionName {
 	case "even":

@@ -35,6 +35,8 @@ func TestParseFlags(t *testing.T) {
 		{"nosuchexperiment", false},
 		{"all table1", false},
 		{"-workers -1", false},
+		{"-workers 2", false},
+		{"-workers 2 -engine reference", false},
 		{"-engine bogus", false},
 		{"-partition bogus", false},
 		{"-dtype bfloat16", false},

@@ -42,6 +42,7 @@ import (
 	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/experiments"
 	"pipemare/internal/faults"
+	"pipemare/internal/tensor"
 	"pipemare/internal/transport"
 )
 
@@ -57,14 +58,12 @@ func main() {
 	dtypeName := flag.String("dtype", "float64", "element type model state trains in: float64 | float32; must match the leader's -dtype (the handshake checksum rejects a mismatch)")
 	flag.Parse()
 
-	switch *dtypeName {
-	case "float64":
-	case "float32":
-		experiments.DType = pipemare.Float32
-	default:
-		fmt.Fprintf(os.Stderr, "pipemare-worker: unknown dtype %q (want float64 or float32)\n", *dtypeName)
+	dt, err := tensor.ParseDType(*dtypeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pipemare-worker: %v\n", err)
 		os.Exit(2)
 	}
+	experiments.DType = dt
 
 	opts := experiments.EngineBenchOptions(*stages)
 	switch *engineName {
@@ -73,6 +72,10 @@ func main() {
 		opts = append(opts, pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(*workers))))
 	default:
 		fmt.Fprintf(os.Stderr, "pipemare-worker: unknown engine %q (want reference or concurrent)\n", *engineName)
+		os.Exit(2)
+	}
+	if *workers > 0 && *engineName != "concurrent" {
+		fmt.Fprintln(os.Stderr, "pipemare-worker: -workers applies to -engine concurrent")
 		os.Exit(2)
 	}
 

@@ -13,10 +13,11 @@ import (
 )
 
 // TestWorkerProcess drives the built binary the way an orchestrator does:
-// bad -engine / -dtype values are refused with exit 2 before anything
-// listens; a good invocation announces "listening <addr>" on a loopback
-// port, and an ordinary stop (SIGTERM) while it waits for its leader
-// drains it — "drained (signal)", exit 0 — rather than failing it.
+// bad -engine / -dtype values, and a -workers the reference engine would
+// ignore, are refused with exit 2 before anything listens; a good
+// invocation announces "listening <addr>" on a loopback port, and an
+// ordinary stop (SIGTERM) while it waits for its leader drains it —
+// "drained (signal)", exit 0 — rather than failing it.
 func TestWorkerProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns pipemare-worker")
@@ -25,7 +26,10 @@ func TestWorkerProcess(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", worker, "pipemare/cmd/pipemare-worker").CombinedOutput(); err != nil {
 		t.Fatalf("building pipemare-worker: %v\n%s", err, out)
 	}
-	for _, flags := range [][]string{{"-engine", "bogus"}, {"-dtype", "bogus"}} {
+	for _, tc := range []struct{ flags, names string }{
+		{"-engine bogus", "bogus"}, {"-dtype bogus", "bogus"}, {"-workers 2", "-workers"},
+	} {
+		flags := strings.Fields(tc.flags)
 		var stderr bytes.Buffer
 		cmd := exec.Command(worker, flags...)
 		cmd.Stderr = &stderr
@@ -33,8 +37,8 @@ func TestWorkerProcess(t *testing.T) {
 		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Fatalf("pipemare-worker %v: %v, want exit status 2", flags, err)
 		}
-		if !strings.Contains(stderr.String(), "bogus") {
-			t.Fatalf("pipemare-worker %v: stderr %q does not name the bad value", flags, stderr.String())
+		if !strings.Contains(stderr.String(), tc.names) {
+			t.Fatalf("pipemare-worker %v: stderr %q does not name %q", flags, stderr.String(), tc.names)
 		}
 	}
 

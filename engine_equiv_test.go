@@ -246,7 +246,7 @@ func TestEnginesEquivalentOnSplitDivergence(t *testing.T) {
 // the same engine instance must restart cleanly across Run calls and
 // trainers.
 func TestConcurrentEngineSurvivesRepeatedRuns(t *testing.T) {
-	eng := concurrent.New(concurrent.WithKernelWorkers(2), concurrent.WithWorkers(2))
+	eng := concurrent.New(concurrent.WithWorkers(2))
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
 	tr, err := pipemare.New(build(),
 		pipemare.WithMethod(pipemare.PipeMare), pipemare.WithT1(8),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"strings"
@@ -103,8 +104,11 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 				t.Fatal(err)
 			}
 			copy(meta.Data, transport.AppendU32(nil, 2))
-			raw = append(transport.AppendMessage(nil, transport.Header{Type: meta.Type, Stage: meta.Stage}, meta.Data), rest...)
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
+			var reframed bytes.Buffer
+			if err := transport.NewFrameWriter(&reframed).WriteMsg(meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(reframed.Bytes(), rest...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return path

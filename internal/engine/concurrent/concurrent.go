@@ -28,9 +28,9 @@
 // the result collector. Training curves are therefore bit-identical to Reference for
 // every W ∈ {1..P} — pinned by the equivalence tests at the repository
 // root. Monolithic tasks (Host.Splittable() == false) cap the pipeline at
-// one chain in flight; compute runs in the boundary stages' slots and the
-// parallelism comes from the shard-parallel commit and the row-parallel
-// dense kernels (tensor.SetWorkers).
+// one chain in flight; compute runs in the boundary stages' slots, the
+// kernels under a slot are serial leaf calls, and the shard-parallel
+// commit is the only parallelism such a task gets.
 package concurrent
 
 import (
@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"pipemare/internal/engine"
-	"pipemare/internal/tensor"
 	"pipemare/internal/trace"
 )
 
@@ -80,8 +79,7 @@ type stageQueue struct {
 // beginning of a run and stops them when the run returns. An Engine
 // instance must not be shared by concurrently running trainers.
 type Engine struct {
-	kernelWorkers int
-	workers       int // requested W; 0 = min(P, GOMAXPROCS)
+	workers int // requested W; 0 = min(P, GOMAXPROCS)
 
 	h        engine.Host
 	p        int
@@ -109,17 +107,6 @@ type Engine struct {
 // Option configures the engine.
 type Option func(*Engine)
 
-// WithKernelWorkers sets how many goroutines the dense tensor kernels may
-// use while the engine is running (default: GOMAXPROCS).
-func WithKernelWorkers(n int) Option {
-	return func(e *Engine) {
-		if n < 1 {
-			n = 1
-		}
-		e.kernelWorkers = n
-	}
-}
-
 // WithWorkers sets W, the number of scheduler workers draining the stage
 // queues (default: min(P, GOMAXPROCS)). Any W produces bit-identical
 // curves; W only changes how many stages make progress simultaneously, so
@@ -135,7 +122,7 @@ func WithWorkers(n int) Option {
 
 // New returns a work-stealing stage-scheduler engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{kernelWorkers: runtime.GOMAXPROCS(0)}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
@@ -145,8 +132,7 @@ func New(opts ...Option) *Engine {
 // Name identifies the engine.
 func (e *Engine) Name() string { return "concurrent" }
 
-// Start spawns the scheduler workers and raises the kernel parallelism for
-// the duration of the run.
+// Start spawns the scheduler workers.
 func (e *Engine) Start(h engine.Host) {
 	if e.running {
 		if e.h == h {
@@ -182,21 +168,18 @@ func (e *Engine) Start(h engine.Host) {
 	for i := 0; i < e.nw; i++ {
 		go e.worker(i)
 	}
-	tensor.RaiseWorkers(e.kernelWorkers)
 	e.running = true
 }
 
-// Stop joins the workers and restores the kernel parallelism. All queues
-// are empty between minibatches (Minibatch drains every chain, ParallelFor
-// every call, before returning), so closing the ready channel releases
-// every worker.
+// Stop joins the workers. All queues are empty between minibatches
+// (Minibatch drains every chain, ParallelFor every call, before
+// returning), so closing the ready channel releases every worker.
 func (e *Engine) Stop() {
 	if !e.running {
 		return
 	}
 	close(e.ready)
 	e.wg.Wait()
-	tensor.LowerWorkers()
 	e.queues, e.ready, e.results, e.acks = nil, nil, nil, nil
 	e.losses = nil
 	e.rec, e.tracks = nil, nil

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pipemare/internal/tensor"
 )
 
 // stubHost is the minimal Host needed to start workers.
@@ -30,50 +28,12 @@ func TestOptionsAndName(t *testing.T) {
 	if New().Name() != "concurrent" {
 		t.Fatal("engine name wrong")
 	}
-	e := New(WithKernelWorkers(0))
-	if e.kernelWorkers != 1 {
-		t.Fatalf("WithKernelWorkers(0) must clamp to 1, got %d", e.kernelWorkers)
-	}
-	if e := New(WithKernelWorkers(6)); e.kernelWorkers != 6 {
-		t.Fatalf("kernel workers = %d, want 6", e.kernelWorkers)
-	}
 }
 
 func TestStopWithoutStartIsANoOp(t *testing.T) {
 	e := New()
 	e.Stop() // must not panic or wedge
 	e.Stop()
-}
-
-func TestStartStopRestoresKernelWorkers(t *testing.T) {
-	prev := tensor.SetWorkers(3)
-	defer tensor.SetWorkers(prev)
-	e := New(WithKernelWorkers(7))
-	e.Start(&stubHost{p: 3})
-	if tensor.Workers() != 7 {
-		t.Fatalf("Start must raise kernel workers to 7, got %d", tensor.Workers())
-	}
-	e.Stop()
-	if tensor.Workers() != 3 {
-		t.Fatalf("Stop must restore kernel workers to 3, got %d", tensor.Workers())
-	}
-}
-
-func TestOverlappingEnginesKeepKernelWorkersRaised(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-	a := New(WithKernelWorkers(8))
-	b := New(WithKernelWorkers(8))
-	a.Start(&stubHost{p: 2})
-	b.Start(&stubHost{p: 2})
-	a.Stop() // b still running: its kernels must stay parallel
-	if tensor.Workers() != 8 {
-		t.Fatalf("after first Stop: Workers() = %d, want 8", tensor.Workers())
-	}
-	b.Stop()
-	if tensor.Workers() != 1 {
-		t.Fatalf("after last Stop: Workers() = %d, want 1", tensor.Workers())
-	}
 }
 
 func TestWithWorkersOption(t *testing.T) {
@@ -183,7 +143,7 @@ func TestStageSlotsNeverOverlap(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, workers := range []int{1, 2, 4, 8} {
 		h := newExclusionHost(6)
-		e := New(WithWorkers(workers), WithKernelWorkers(1))
+		e := New(WithWorkers(workers))
 		micros := make([][]int, 24)
 		for i := range micros {
 			micros[i] = []int{i}

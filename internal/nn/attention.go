@@ -37,59 +37,35 @@ func NewAttnCore(d, heads, qLen, kLen int, causal bool) *AttnCore {
 	return &AttnCore{Heads: heads, D: d, QLen: qLen, KLen: kLen, Causal: causal}
 }
 
-// attnFlopsPerPair approximates the scalar work of one (batch, head) pair
-// for the parallel work gate: two QLen×KLen×dk matmuls plus the softmax.
-func (a *AttnCore) attnFlopsPerPair() int {
-	dk := a.D / a.Heads
-	return a.QLen * a.KLen * (4*dk + 16)
-}
-
-// Forward computes softmax(q·kᵀ/√dk)·v per (batch, head). The (batch, head)
-// pairs are independent — each writes a disjoint probs row and a disjoint
-// (head-column) block of y — so they are split across the tensor worker
-// pool with one scratch set per chunk; every output element is produced by
-// exactly one pair, so the parallel result is bit-identical to the serial
-// loop.
+// Forward computes softmax(q·kᵀ/√dk)·v per (batch, head): each pair writes
+// its own probs row and its own (head-column) block of y, through one
+// scratch set from the tape.
 func (a *AttnCore) Forward(t *Tape, q, k, v *tensor.Tensor) *tensor.Tensor {
 	batch := q.Shape[0] / a.QLen
 	dk := a.D / a.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	y := t.NewTensor(batch*a.QLen, a.D)
 	probs := t.NewTensor(batch*a.Heads, a.QLen*a.KLen)
-	pairs := batch * a.Heads
-	w := tensor.PlanRows(pairs, pairs*a.attnFlopsPerPair())
-	// Scratch per chunk, allocated from the tape on the calling goroutine.
-	type fwdScratch struct{ s, qh, kh, vh, yh *tensor.Tensor }
-	scr := make([]fwdScratch, w)
-	for c := range scr {
-		scr[c] = fwdScratch{
-			s:  t.NewTensor(a.QLen, a.KLen),
-			qh: t.NewTensor(a.QLen, dk),
-			kh: t.NewTensor(a.KLen, dk),
-			vh: t.NewTensor(a.KLen, dk),
-			yh: t.NewTensor(a.QLen, dk),
+	s := t.NewTensor(a.QLen, a.KLen)
+	qh, kh, vh := t.NewTensor(a.QLen, dk), t.NewTensor(a.KLen, dk), t.NewTensor(a.KLen, dk)
+	yh := t.NewTensor(a.QLen, dk)
+	for idx := 0; idx < batch*a.Heads; idx++ {
+		b, h := idx/a.Heads, idx%a.Heads
+		a.sliceHead(qh, q, b, h, a.QLen)
+		a.sliceHead(kh, k, b, h, a.KLen)
+		a.sliceHead(vh, v, b, h, a.KLen)
+		tensor.MatMulT2Into(s, qh, kh)
+		if s.DType() == tensor.Float32 {
+			attnScaleMask(tensor.F32(s), scale, a.Causal, a.QLen, a.KLen)
+		} else {
+			attnScaleMask(tensor.F64(s), scale, a.Causal, a.QLen, a.KLen)
 		}
+		p := probs.RowView(idx, a.QLen, a.KLen)
+		tensor.SoftmaxRowsInto(p, s)
+		yh.Zero()
+		tensor.MatMulInto(yh, p, vh)
+		a.scatterHead(y, yh, b, h, a.QLen)
 	}
-	tensor.ParallelChunks(w, pairs, func(c, lo, hi int) {
-		s, qh, kh, vh, yh := scr[c].s, scr[c].qh, scr[c].kh, scr[c].vh, scr[c].yh
-		for idx := lo; idx < hi; idx++ {
-			b, h := idx/a.Heads, idx%a.Heads
-			a.sliceHead(qh, q, b, h, a.QLen)
-			a.sliceHead(kh, k, b, h, a.KLen)
-			a.sliceHead(vh, v, b, h, a.KLen)
-			tensor.MatMulT2Into(s, qh, kh)
-			if s.DType() == tensor.Float32 {
-				attnScaleMask(tensor.F32(s), scale, a.Causal, a.QLen, a.KLen)
-			} else {
-				attnScaleMask(tensor.F64(s), scale, a.Causal, a.QLen, a.KLen)
-			}
-			p := probs.RowView(idx, a.QLen, a.KLen)
-			tensor.SoftmaxRowsInto(p, s)
-			yh.Zero()
-			tensor.MatMulInto(yh, p, vh)
-			a.scatterHead(y, yh, b, h, a.QLen)
-		}
-	})
 	t.Push(attnState{batch, q, k, v, probs})
 	return y
 }
@@ -112,9 +88,7 @@ func attnScaleMask[T tensor.Elem](s []T, scale float64, causal bool, qLen, kLen 
 }
 
 // Backward backpropagates dy through the attention core, returning the
-// gradients with respect to q, k and v. Like Forward, the (batch, head)
-// pairs write disjoint blocks of dQ/dK/dV and are split across the tensor
-// worker pool with per-chunk scratch, bit-identical to the serial loop.
+// gradients with respect to q, k and v.
 func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
 	st := t.Pop().(attnState)
 	dkh := a.D / a.Heads
@@ -122,50 +96,34 @@ func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tens
 	dQ := t.NewTensor(st.batch*a.QLen, a.D)
 	dK := t.NewTensor(st.batch*a.KLen, a.D)
 	dV := t.NewTensor(st.batch*a.KLen, a.D)
-	pairs := st.batch * a.Heads
-	w := tensor.PlanRows(pairs, 2*pairs*a.attnFlopsPerPair())
-	type bwdScratch struct{ qh, kh, vh, dyh, dvh, dp, ds, dqh, dkhT *tensor.Tensor }
-	scr := make([]bwdScratch, w)
-	for c := range scr {
-		scr[c] = bwdScratch{
-			qh:   t.NewTensor(a.QLen, dkh),
-			kh:   t.NewTensor(a.KLen, dkh),
-			vh:   t.NewTensor(a.KLen, dkh),
-			dyh:  t.NewTensor(a.QLen, dkh),
-			dvh:  t.NewTensor(a.KLen, dkh),
-			dp:   t.NewTensor(a.QLen, a.KLen),
-			ds:   t.NewTensor(a.QLen, a.KLen),
-			dqh:  t.NewTensor(a.QLen, dkh),
-			dkhT: t.NewTensor(a.KLen, dkh),
+	qh, kh, vh := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh), t.NewTensor(a.KLen, dkh)
+	dyh, dvh := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh)
+	dp, ds := t.NewTensor(a.QLen, a.KLen), t.NewTensor(a.QLen, a.KLen)
+	dqh, dkhT := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh)
+	for idx := 0; idx < st.batch*a.Heads; idx++ {
+		b, h := idx/a.Heads, idx%a.Heads
+		p := st.probs.RowView(idx, a.QLen, a.KLen)
+		a.sliceHead(qh, st.q, b, h, a.QLen)
+		a.sliceHead(kh, st.k, b, h, a.KLen)
+		a.sliceHead(vh, st.v, b, h, a.KLen)
+		a.sliceHead(dyh, dy, b, h, a.QLen)
+		dvh.Zero()
+		tensor.MatMulT1Into(dvh, p, dyh)
+		tensor.MatMulT2Into(dp, dyh, vh)
+		// Softmax backward: ds = p ⊙ (dp − rowsum(dp ⊙ p)).
+		if p.DType() == tensor.Float32 {
+			attnSoftmaxBwd(tensor.F32(ds), tensor.F32(dp), tensor.F32(p), a.QLen, a.KLen, scale)
+		} else {
+			attnSoftmaxBwd(tensor.F64(ds), tensor.F64(dp), tensor.F64(p), a.QLen, a.KLen, scale)
 		}
+		dqh.Zero()
+		tensor.MatMulInto(dqh, ds, kh)
+		dkhT.Zero()
+		tensor.MatMulT1Into(dkhT, ds, qh)
+		a.scatterHead(dQ, dqh, b, h, a.QLen)
+		a.scatterHead(dK, dkhT, b, h, a.KLen)
+		a.scatterHead(dV, dvh, b, h, a.KLen)
 	}
-	tensor.ParallelChunks(w, pairs, func(c, lo, hi int) {
-		s := scr[c]
-		for idx := lo; idx < hi; idx++ {
-			b, h := idx/a.Heads, idx%a.Heads
-			p := st.probs.RowView(idx, a.QLen, a.KLen)
-			a.sliceHead(s.qh, st.q, b, h, a.QLen)
-			a.sliceHead(s.kh, st.k, b, h, a.KLen)
-			a.sliceHead(s.vh, st.v, b, h, a.KLen)
-			a.sliceHead(s.dyh, dy, b, h, a.QLen)
-			s.dvh.Zero()
-			tensor.MatMulT1Into(s.dvh, p, s.dyh)
-			tensor.MatMulT2Into(s.dp, s.dyh, s.vh)
-			// Softmax backward: ds = p ⊙ (dp − rowsum(dp ⊙ p)).
-			if p.DType() == tensor.Float32 {
-				attnSoftmaxBwd(tensor.F32(s.ds), tensor.F32(s.dp), tensor.F32(p), a.QLen, a.KLen, scale)
-			} else {
-				attnSoftmaxBwd(tensor.F64(s.ds), tensor.F64(s.dp), tensor.F64(p), a.QLen, a.KLen, scale)
-			}
-			s.dqh.Zero()
-			tensor.MatMulInto(s.dqh, s.ds, s.kh)
-			s.dkhT.Zero()
-			tensor.MatMulT1Into(s.dkhT, s.ds, s.qh)
-			a.scatterHead(dQ, s.dqh, b, h, a.QLen)
-			a.scatterHead(dK, s.dkhT, b, h, a.KLen)
-			a.scatterHead(dV, s.dvh, b, h, a.KLen)
-		}
-	})
 	return dQ, dK, dV
 }
 

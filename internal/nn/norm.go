@@ -29,14 +29,8 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 	return ln
 }
 
-// lnFlopsPerElem approximates the per-element cost of a layernorm row for
-// the parallel work gate.
-const lnFlopsPerElem = 8
-
-// Forward normalizes each row and applies the affine transform. Rows are
-// independent, so they are split across goroutines bit-identically when
-// kernel parallelism is enabled. Statistics accumulate in float64 for both
-// dtypes; float32 rounds once at each store.
+// Forward normalizes each row and applies the affine transform. Statistics
+// accumulate in float64 for both dtypes; float32 rounds once at each store.
 func (ln *LayerNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	n, d := x.Shape[0], x.Shape[1]
 	xhat := t.NewTensor(n, d)
@@ -54,34 +48,29 @@ func (ln *LayerNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 }
 
 func lnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, n, d int, eps float64) {
-	tensor.ParallelRows(n, lnFlopsPerElem*n*d, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x[i*d : (i+1)*d]
-			mu := 0.0
-			for _, v := range row {
-				mu += float64(v)
-			}
-			mu /= float64(d)
-			va := 0.0
-			for _, v := range row {
-				va += (float64(v) - mu) * (float64(v) - mu)
-			}
-			va /= float64(d)
-			is := 1 / math.Sqrt(va+eps)
-			invStd[i] = is
-			for j, v := range row {
-				xh := (float64(v) - mu) * is
-				xhat[i*d+j] = T(xh)
-				out[i*d+j] = T(float64(gain[j])*xh + float64(bias[j]))
-			}
+	for i := 0; i < n; i++ {
+		row := x[i*d : (i+1)*d]
+		mu := 0.0
+		for _, v := range row {
+			mu += float64(v)
 		}
-	})
+		mu /= float64(d)
+		va := 0.0
+		for _, v := range row {
+			va += (float64(v) - mu) * (float64(v) - mu)
+		}
+		va /= float64(d)
+		is := 1 / math.Sqrt(va+eps)
+		invStd[i] = is
+		for j, v := range row {
+			xh := (float64(v) - mu) * is
+			xhat[i*d+j] = T(xh)
+			out[i*d+j] = T(float64(gain[j])*xh + float64(bias[j]))
+		}
+	}
 }
 
-// Backward accumulates dγ, dβ and returns dx using the backward gain. The
-// dγ/dβ column sums are split across feature columns and the dx rows
-// across samples; each output element accumulates in the serial order, so
-// the parallel result is bit-identical.
+// Backward accumulates dγ, dβ and returns dx using the backward gain.
 func (ln *LayerNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	st := t.Pop().(lnState)
 	n, d := dy.Shape[0], dy.Shape[1]
@@ -99,39 +88,35 @@ func (ln *LayerNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 }
 
 func lnBwd[T tensor.Elem](out, dy, xhat, gainB, gGrad, bGrad []T, invStd []float64, n, d int) {
-	// dγ_j = Σ_i dy_ij·xhat_ij and dβ_j = Σ_i dy_ij: columns are
-	// independent, rows accumulate in ascending order per column. The sums
-	// form in float64 and land on the gradient with one add per element.
-	tensor.ParallelRows(d, 4*n*d, func(jLo, jHi int) {
-		for j := jLo; j < jHi; j++ {
-			sg, sb := 0.0, 0.0
-			for i := 0; i < n; i++ {
-				g := float64(dy[i*d+j])
-				sg += g * float64(xhat[i*d+j])
-				sb += g
-			}
-			gGrad[j] += T(sg)
-			bGrad[j] += T(sb)
+	// dγ_j = Σ_i dy_ij·xhat_ij and dβ_j = Σ_i dy_ij: rows accumulate in
+	// ascending order per column. The sums form in float64 and land on
+	// the gradient with one add per element.
+	for j := 0; j < d; j++ {
+		sg, sb := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			g := float64(dy[i*d+j])
+			sg += g * float64(xhat[i*d+j])
+			sb += g
 		}
-	})
-	tensor.ParallelRows(n, lnFlopsPerElem*n*d, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m1, m2 := 0.0, 0.0
-			for j := 0; j < d; j++ {
-				dx := float64(dy[i*d+j]) * float64(gainB[j])
-				m1 += dx
-				m2 += dx * float64(xhat[i*d+j])
-			}
-			m1 /= float64(d)
-			m2 /= float64(d)
-			is := invStd[i]
-			for j := 0; j < d; j++ {
-				xh := float64(xhat[i*d+j])
-				dx := float64(dy[i*d+j]) * float64(gainB[j])
-				out[i*d+j] = T(is * (dx - m1 - xh*m2))
-			}
+		gGrad[j] += T(sg)
+		bGrad[j] += T(sb)
+	}
+	for i := 0; i < n; i++ {
+		m1, m2 := 0.0, 0.0
+		for j := 0; j < d; j++ {
+			dx := float64(dy[i*d+j]) * float64(gainB[j])
+			m1 += dx
+			m2 += dx * float64(xhat[i*d+j])
 		}
-	})
+		m1 /= float64(d)
+		m2 /= float64(d)
+		is := invStd[i]
+		for j := 0; j < d; j++ {
+			xh := float64(xhat[i*d+j])
+			dx := float64(dy[i*d+j]) * float64(gainB[j])
+			out[i*d+j] = T(is * (dx - m1 - xh*m2))
+		}
+	}
 }
 
 // Params returns the gain and bias.
@@ -165,9 +150,7 @@ func NewGroupNorm(name string, c, groups int) *GroupNorm {
 	return gn
 }
 
-// Forward normalizes each (sample, group) block. Samples are independent,
-// so the batch is split across goroutines bit-identically when kernel
-// parallelism is enabled.
+// Forward normalizes each (sample, group) block.
 func (gn *GroupNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	xhat := t.NewTensor(b, c, h, w)
@@ -189,36 +172,34 @@ func (gn *GroupNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 func gnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, b, c, h, w, groups int, eps float64) {
 	cg := c / groups
 	blk := cg * h * w
-	tensor.ParallelRows(b, lnFlopsPerElem*b*c*h*w, func(nLo, nHi int) {
-		for n := nLo; n < nHi; n++ {
-			for g := 0; g < groups; g++ {
-				base := (n*c + g*cg) * h * w
-				mu := 0.0
-				for i := 0; i < blk; i++ {
-					mu += float64(x[base+i])
-				}
-				mu /= float64(blk)
-				va := 0.0
-				for i := 0; i < blk; i++ {
-					d := float64(x[base+i]) - mu
-					va += d * d
-				}
-				va /= float64(blk)
-				is := 1 / math.Sqrt(va+eps)
-				invStd[n*groups+g] = is
-				for ch := 0; ch < cg; ch++ {
-					gamma := float64(gain[g*cg+ch])
-					beta := float64(bias[g*cg+ch])
-					cbase := base + ch*h*w
-					for i := 0; i < h*w; i++ {
-						xh := (float64(x[cbase+i]) - mu) * is
-						xhat[cbase+i] = T(xh)
-						out[cbase+i] = T(gamma*xh + beta)
-					}
+	for n := 0; n < b; n++ {
+		for g := 0; g < groups; g++ {
+			base := (n*c + g*cg) * h * w
+			mu := 0.0
+			for i := 0; i < blk; i++ {
+				mu += float64(x[base+i])
+			}
+			mu /= float64(blk)
+			va := 0.0
+			for i := 0; i < blk; i++ {
+				d := float64(x[base+i]) - mu
+				va += d * d
+			}
+			va /= float64(blk)
+			is := 1 / math.Sqrt(va+eps)
+			invStd[n*groups+g] = is
+			for ch := 0; ch < cg; ch++ {
+				gamma := float64(gain[g*cg+ch])
+				beta := float64(bias[g*cg+ch])
+				cbase := base + ch*h*w
+				for i := 0; i < h*w; i++ {
+					xh := (float64(x[cbase+i]) - mu) * is
+					xhat[cbase+i] = T(xh)
+					out[cbase+i] = T(gamma*xh + beta)
 				}
 			}
 		}
-	})
+	}
 }
 
 // Backward accumulates dγ, dβ and returns dx using the backward gain. The

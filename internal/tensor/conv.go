@@ -5,9 +5,8 @@ import "fmt"
 // Im2Col lowers a batched image tensor x with shape (B, C, H, W) into a
 // matrix of shape (B*OH*OW, C*KH*KW) where each row holds one receptive
 // field, so that convolution becomes a single MatMul with the reshaped
-// kernel. Stride and same-style zero padding are supported. Output rows
-// are independent, so they are split across goroutines (bit-identically)
-// when kernel parallelism is enabled. The output has x's dtype.
+// kernel. Stride and same-style zero padding are supported. The output
+// has x's dtype.
 func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	if x.Rank() != 4 {
 		panic("tensor: Im2Col requires a rank-4 (B,C,H,W) tensor")
@@ -28,39 +27,33 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 }
 
 func im2col[T Elem](out, x []T, b, c, h, w, kh, kw, oh, ow, stride, pad int) {
-	rows := b * oh * ow
-	parallelRows(rows, rows*c*kh*kw, func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			n := row / (oh * ow)
-			oy := (row / ow) % oh
-			ox := row % ow
-			dst := out[row*c*kh*kw : (row+1)*c*kh*kw]
-			col := 0
-			for ch := 0; ch < c; ch++ {
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							dst[col] = x[((n*c+ch)*h+iy)*w+ix]
-						} else {
-							dst[col] = 0
-						}
-						col++
+	for row := 0; row < b*oh*ow; row++ {
+		n := row / (oh * ow)
+		oy := (row / ow) % oh
+		ox := row % ow
+		dst := out[row*c*kh*kw : (row+1)*c*kh*kw]
+		col := 0
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				iy := oy*stride - pad + ky
+				for kx := 0; kx < kw; kx++ {
+					ix := ox*stride - pad + kx
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						dst[col] = x[((n*c+ch)*h+iy)*w+ix]
+					} else {
+						dst[col] = 0
 					}
+					col++
 				}
 			}
 		}
-	})
+	}
 }
 
 // Col2Im is the adjoint of Im2Col: it scatters the lowered matrix cols of
 // shape (B*OH*OW, C*KH*KW) back into an image tensor of shape (B, C, H, W),
 // accumulating overlapping contributions. It is used for the convolution
-// input gradient. Overlapping patches of one image accumulate into shared
-// pixels, so the deterministic parallel split is per image: each goroutine
-// owns a contiguous range of batch indices and scatters its images in the
-// exact serial patch order. The output has cols's dtype.
+// input gradient. The output has cols's dtype.
 func Col2Im(cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
 	oh := (h+2*pad-kh)/stride + 1
 	ow := (w+2*pad-kw)/stride + 1
@@ -77,30 +70,28 @@ func Col2Im(cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
 }
 
 func col2im[T Elem](out, cols []T, b, c, h, w, kh, kw, oh, ow, stride, pad int) {
-	parallelRows(b, b*oh*ow*c*kh*kw, func(nLo, nHi int) {
-		for n := nLo; n < nHi; n++ {
-			row := n * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					src := cols[row*c*kh*kw : (row+1)*c*kh*kw]
-					col := 0
-					for ch := 0; ch < c; ch++ {
-						for ky := 0; ky < kh; ky++ {
-							iy := oy*stride - pad + ky
-							for kx := 0; kx < kw; kx++ {
-								ix := ox*stride - pad + kx
-								if iy >= 0 && iy < h && ix >= 0 && ix < w {
-									out[((n*c+ch)*h+iy)*w+ix] += src[col]
-								}
-								col++
+	row := 0
+	for n := 0; n < b; n++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				src := cols[row*c*kh*kw : (row+1)*c*kh*kw]
+				col := 0
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < kh; ky++ {
+						iy := oy*stride - pad + ky
+						for kx := 0; kx < kw; kx++ {
+							ix := ox*stride - pad + kx
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								out[((n*c+ch)*h+iy)*w+ix] += src[col]
 							}
+							col++
 						}
 					}
-					row++
 				}
+				row++
 			}
 		}
-	})
+	}
 }
 
 // ConvOutSize returns the spatial output size of a convolution along one axis.

@@ -81,7 +81,9 @@ func NewOf(dt DType, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// The message formats a copy so that shape itself does not
+			// escape: callers' variadic shape lists stay on their stacks.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -96,19 +98,6 @@ func NewOf(dt DType, shape ...int) *Tensor {
 
 // NewLike returns a zero-filled tensor with t's dtype and shape.
 func NewLike(t *Tensor) *Tensor { return NewOf(t.dt, t.Shape...) }
-
-// FromSlice32 wraps data in a float32 tensor of the given shape. The
-// slice is used directly (not copied).
-func FromSlice32(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (=%d)", len(data), shape, n))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data32: data, dt: Float32}
-}
 
 // DType returns t's element type.
 func (t *Tensor) DType() DType { return t.dt }

@@ -15,8 +15,8 @@ import (
 //
 // Blocking: jc over columns (NC) → pc over the inner dimension (KC,
 // packing a kc×nc panel of B into NR-interleaved scratch) → ic over the
-// worker's row range (MC, packing an mc×kc panel of A into MR-interleaved
-// scratch) → 4×8 register tiles. Packed panels make the microkernel's
+// rows (MC, packing an mc×kc panel of A into MR-interleaved scratch) →
+// 4×8 register tiles. Packed panels make the microkernel's
 // loads unit-stride and bounds-check-free. On amd64 with AVX the full
 // tile runs as a hand-written SIMD kernel (microkernel_amd64.s) that
 // vectorizes across the 8 independent output columns using separate
@@ -36,8 +36,8 @@ import (
 // within a panel, and the store/reload between panels is exact. Packing
 // copies values without arithmetic. The ragged-edge tail kernel walks the
 // same packed panels in the same ascending-p order, and padding lanes are
-// never stored. Hence blocked ≡ naive ≡ any ParallelRows row split,
-// bitwise, per dtype — the property the engine equivalence suite pins.
+// never stored. Hence blocked ≡ naive, bitwise, per dtype — the property
+// the engine equivalence suite pins.
 //
 // The kernels do not skip zero A elements (the old naive loops did). For
 // finite inputs the skip is arithmetically invisible (x + 0·b == x, and a
@@ -59,7 +59,7 @@ const (
 	directMaxWork = 32 * 1024
 )
 
-// packScratch holds the reusable packed A/B panels for one worker.
+// packScratch holds the reusable packed A/B panels for one gemm call.
 type packScratch[T Elem] struct {
 	a []T
 	b []T
@@ -179,9 +179,7 @@ func checkDtypes(dst, a, b *Tensor, op string) {
 
 // gemm accumulates the m×n product into dst. aT reads A as its transpose
 // (A stored k×m); bT reads B as its transpose (B stored n×k). overwrite
-// zeroes each worker's dst rows before accumulating (the T2 contract).
-// Output rows are independent, so they are split across goroutines with
-// bit-identical results.
+// zeroes dst before accumulating (the T2 contract).
 func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
 	lda := k
 	if aT {
@@ -191,22 +189,20 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
 	if bT {
 		ldb = k
 	}
-	parallelRows(m, 2*m*n*k, func(lo, hi int) {
-		if overwrite {
-			zero(dst[lo*n : hi*n])
-		}
-		if m*n*k <= directMaxWork {
-			mmDirect(dst, a, b, n, k, lo, hi, lda, ldb, aT, bT)
-			return
-		}
-		mmBlocked(dst, a, b, n, k, lo, hi, lda, ldb, aT, bT)
-	})
+	if overwrite {
+		zero(dst)
+	}
+	if m*n*k <= directMaxWork {
+		mmDirect(dst, a, b, m, n, k, lda, ldb, aT, bT)
+		return
+	}
+	mmBlocked(dst, a, b, m, n, k, lda, ldb, aT, bT)
 }
 
 // mmDirect is the unpacked small-shape path: ascending-p per-element
 // accumulation, bitwise identical to mmBlocked.
-func mmDirect[T Elem](dst, a, b []T, n, k, lo, hi, lda, ldb int, aT, bT bool) {
-	for i := lo; i < hi; i++ {
+func mmDirect[T Elem](dst, a, b []T, m, n, k, lda, ldb int, aT, bT bool) {
+	for i := 0; i < m; i++ {
 		orow := dst[i*n : (i+1)*n]
 		if bT {
 			arow := a // placate the compiler when aT
@@ -244,10 +240,9 @@ func mmDirect[T Elem](dst, a, b []T, n, k, lo, hi, lda, ldb int, aT, bT bool) {
 	}
 }
 
-// mmBlocked runs the packed/blocked loop nest over the worker's row range
-// [lo,hi). Each worker packs its own panels (duplicated O(k·n) packing
-// work across workers, bought back many times over by the tiled compute).
-func mmBlocked[T Elem](dst, a, b []T, n, k, lo, hi, lda, ldb int, aT, bT bool) {
+// mmBlocked runs the packed/blocked loop nest: each B panel is packed once
+// and reused by every A panel under it.
+func mmBlocked[T Elem](dst, a, b []T, m, n, k, lda, ldb int, aT, bT bool) {
 	s := getPack[T]()
 	for jc := 0; jc < n; jc += ncBlock {
 		nc := min(ncBlock, n-jc)
@@ -256,8 +251,8 @@ func mmBlocked[T Elem](dst, a, b []T, n, k, lo, hi, lda, ldb int, aT, bT bool) {
 			kc := min(kcBlock, k-pc)
 			bp := s.b[:kc*ncPad]
 			packB(bp, b, ldb, jc, nc, pc, kc, bT)
-			for ic := lo; ic < hi; ic += mcBlock {
-				mc := min(mcBlock, hi-ic)
+			for ic := 0; ic < m; ic += mcBlock {
+				mc := min(mcBlock, m-ic)
 				ap := s.a[:kc*roundUp(mc, mrTile)]
 				packA(ap, a, lda, ic, mc, pc, kc, aT)
 				for jr := 0; jr < nc; jr += nrTile {

@@ -102,27 +102,63 @@ func TestMatMulAccumulates(t *testing.T) {
 	}
 }
 
-// TestParallelBlockedBitIdentical extends the serial-vs-parallel
-// determinism pin to both dtypes on blocked-path shapes.
-func TestParallelBlockedBitIdentical(t *testing.T) {
-	defer SetWorkers(1)
+// TestIntoVariantsMatchAllocating pins that the Into kernels (used by the
+// activation-tape arenas) agree with their allocating counterparts.
+func TestIntoVariantsMatchAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	a, b := randOf(rng, Float64, 17, 9), randOf(rng, Float64, 9, 13)
+	at, bt := Transpose(a), Transpose(b)
+
+	for _, c := range []struct {
+		name string
+		want *Tensor
+		into func(dst *Tensor)
+	}{
+		{"MatMulInto", MatMul(a, b), func(d *Tensor) { MatMulInto(d, a, b) }},
+		{"MatMulT1Into", MatMulT1(at, b), func(d *Tensor) { MatMulT1Into(d, at, b) }},
+		{"MatMulT2Into", MatMulT2(a, bt), func(d *Tensor) { MatMulT2Into(d, a, bt) }},
+		{"SoftmaxRowsInto", SoftmaxRows(a), func(d *Tensor) { SoftmaxRowsInto(d.Reshape(17, 9), a) }},
+	} {
+		dst := New(c.want.Shape...)
+		c.into(dst)
+		bitEqual(t, c.name, dst, c.want)
+	}
+}
+
+// TestKernelsAreLeafCalls pins that a kernel call is a plain loop on the
+// calling goroutine: no closure, goroutine or WaitGroup under it, so no
+// allocation — on the direct and the blocked matmul path (whose pack
+// scratch comes from a warm pool) and in the softmax, per dtype. The
+// pipeline's stage workers are the only parallelism; a row split growing
+// back under the kernels shows up here as its escaping closures.
+func TestKernelsAreLeafCalls(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	rng := rand.New(rand.NewSource(13))
 	for _, dt := range []DType{Float64, Float32} {
-		rng := rand.New(rand.NewSource(11))
-		for _, d := range [][3]int{{65, 66, 67}, {130, 96, 129}} {
+		for _, d := range [][3]int{{8, 16, 16}, {64, 128, 128}} { // direct, blocked
 			m, k, n := d[0], d[1], d[2]
-			a := randOf(rng, dt, m, k)
-			b := randOf(rng, dt, k, n)
+			a, b := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
 			at, bt := Transpose(a), Transpose(b)
-
-			SetWorkers(1)
-			s1, s2, s3 := MatMul(a, b), MatMulT1(at, b), MatMulT2(a, bt)
-			SetWorkers(8)
-			p1, p2, p3 := MatMul(a, b), MatMulT1(at, b), MatMulT2(a, bt)
-			SetWorkers(1)
-
-			bitEqual(t, dt.String()+" parallel MatMul", p1, s1)
-			bitEqual(t, dt.String()+" parallel MatMulT1", p2, s2)
-			bitEqual(t, dt.String()+" parallel MatMulT2", p3, s3)
+			dst := NewOf(dt, m, n)
+			for _, c := range []struct {
+				name string
+				call func()
+			}{
+				{"MatMulInto", func() { MatMulInto(dst, a, b) }},
+				{"MatMulT1Into", func() { MatMulT1Into(dst, at, b) }},
+				{"MatMulT2Into", func() { MatMulT2Into(dst, a, bt) }},
+			} {
+				if allocs := testing.AllocsPerRun(50, c.call); allocs != 0 {
+					t.Errorf("%s %s %dx%dx%d allocated %.1f times per call, want 0", dt, c.name, m, k, n, allocs)
+				}
+			}
+		}
+		x := randOf(rng, dt, 64, 128)
+		y := NewLike(x)
+		if allocs := testing.AllocsPerRun(50, func() { SoftmaxRowsInto(y, x) }); allocs != 0 {
+			t.Errorf("%s SoftmaxRowsInto allocated %.1f times per call, want 0", dt, allocs)
 		}
 	}
 }
@@ -158,20 +194,6 @@ func TestIm2ColDtypes(t *testing.T) {
 			t.Fatalf("Col2Im element %d: %v vs %v", i, i64.FlatAt(i), i32.FlatAt(i))
 		}
 	}
-}
-
-// TestSoftmaxRowsFloat32Deterministic pins that the float32 softmax is
-// identical between serial and parallel execution.
-func TestSoftmaxRowsFloat32Deterministic(t *testing.T) {
-	defer SetWorkers(1)
-	rng := rand.New(rand.NewSource(9))
-	a := randOf(rng, Float32, 200, 65)
-	SetWorkers(1)
-	s := SoftmaxRows(a)
-	SetWorkers(8)
-	p := SoftmaxRows(a)
-	SetWorkers(1)
-	bitEqual(t, "softmax32", p, s)
 }
 
 // TestAt2Set2 pins the fast paths against the variadic originals and

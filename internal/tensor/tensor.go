@@ -1,8 +1,8 @@
 // Package tensor implements dense row-major tensors of float64 or
 // float32 elements and the numerical kernels (matmul, convolution via
 // im2col, reductions, softmax) used by the neural-network substrate.
-// Float64 is the zero-value default; NewOf/NewLike/FromSlice32 build
-// float32 tensors, and every kernel dispatches on the dtype to a generic
+// Float64 is the zero-value default; NewOf/NewLike build float32
+// tensors, and every kernel dispatches on the dtype to a generic
 // implementation, so the two precisions share one deterministic code
 // path. The package is deliberately small: the PipeMare reproduction
 // needs correctness and determinism first — but the matmul family is a
@@ -364,22 +364,6 @@ func divScalar[T Elem](d []T, s T) {
 	}
 }
 
-// Apply returns f applied elementwise to a; float32 tensors round f's
-// float64 result back to float32.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := NewLike(a)
-	if a.dt == Float32 {
-		for i, v := range a.Data32 {
-			out.Data32[i] = float32(f(float64(v)))
-		}
-	} else {
-		for i, v := range a.Data {
-			out.Data[i] = f(v)
-		}
-	}
-	return out
-}
-
 func checkSame(a, b *Tensor, op string) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.Shape, b.Shape))
@@ -522,16 +506,10 @@ func SoftmaxRows(a *Tensor) *Tensor {
 	return out
 }
 
-// softmaxFlopsPerElem approximates the per-element cost of a softmax row
-// (exp dominates) for the parallel work gate.
-const softmaxFlopsPerElem = 16
-
 // SoftmaxRowsInto computes the row-wise softmax of a into dst (same
-// shape and dtype). Rows are independent, so they are split across
-// goroutines with bit-identical results when kernel parallelism is
-// enabled. Exponentials are evaluated in float64 for both dtypes and the
-// row sum accumulates in float64; float32 rounds at each store — fixed
-// arithmetic per element, hence deterministic per dtype.
+// shape and dtype). Exponentials are evaluated in float64 for both dtypes
+// and the row sum accumulates in float64; float32 rounds at each store —
+// fixed arithmetic per element, hence deterministic per dtype.
 func SoftmaxRowsInto(dst, a *Tensor) {
 	if a.Rank() != 2 {
 		panic("tensor: SoftmaxRows requires a rank-2 tensor")
@@ -549,28 +527,26 @@ func SoftmaxRowsInto(dst, a *Tensor) {
 }
 
 func softmaxRows[T Elem](out, in []T, m, n int) {
-	parallelRows(m, softmaxFlopsPerElem*m*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := in[i*n : (i+1)*n]
-			orow := out[i*n : (i+1)*n]
-			mx := row[0]
-			for _, v := range row[1:] {
-				if v > mx {
-					mx = v
-				}
-			}
-			s := 0.0
-			for j, v := range row {
-				e := math.Exp(float64(v - mx))
-				orow[j] = T(e)
-				s += e
-			}
-			inv := 1 / s
-			for j := range orow {
-				orow[j] = T(float64(orow[j]) * inv)
+	for i := 0; i < m; i++ {
+		row := in[i*n : (i+1)*n]
+		orow := out[i*n : (i+1)*n]
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
 			}
 		}
-	})
+		s := 0.0
+		for j, v := range row {
+			e := math.Exp(float64(v - mx))
+			orow[j] = T(e)
+			s += e
+		}
+		inv := 1 / s
+		for j := range orow {
+			orow[j] = T(float64(orow[j]) * inv)
+		}
+	}
 }
 
 // LogSumExpRows returns the log-sum-exp of each row of a 2-D tensor,
@@ -590,20 +566,18 @@ func LogSumExpRows(a *Tensor) []float64 {
 }
 
 func logSumExpRows[T Elem](out []float64, in []T, m, n int) {
-	parallelRows(m, softmaxFlopsPerElem*m*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := in[i*n : (i+1)*n]
-			mx := row[0]
-			for _, v := range row[1:] {
-				if v > mx {
-					mx = v
-				}
+	for i := 0; i < m; i++ {
+		row := in[i*n : (i+1)*n]
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
 			}
-			s := 0.0
-			for _, v := range row {
-				s += math.Exp(float64(v - mx))
-			}
-			out[i] = float64(mx) + math.Log(s)
 		}
-	})
+		s := 0.0
+		for _, v := range row {
+			s += math.Exp(float64(v - mx))
+		}
+		out[i] = float64(mx) + math.Log(s)
+	}
 }

@@ -132,8 +132,8 @@ var crcTable = crc32.IEEETable
 
 // AppendFrame appends one encoded frame (header, payload, CRC trailer)
 // to dst and returns the extended slice. The payload must not exceed
-// maxChunk; message chunking is the caller's job (AppendMessage, or the
-// FrameWriter behind Conn.Send).
+// maxChunk; message chunking is the caller's job (the FrameWriter behind
+// Conn.Send).
 func AppendFrame(dst []byte, h Header, payload []byte) []byte {
 	start := len(dst)
 	dst = appendHeader(dst, h, len(payload))
@@ -240,30 +240,10 @@ func joinMessage(dst []byte, next func(dst []byte) (Header, []byte, error)) (Msg
 	}
 }
 
-// AppendMessage appends one message to dst as wire frames — at most
-// maxChunk payload bytes each, the more-flag set on all but the last:
-// exactly the frames Conn.Send and a FrameWriter cut a message into, so a
-// checkpoint file is byte-for-byte a valid frame stream (magic, version,
-// CRC per frame).
-func AppendMessage(dst []byte, h Header, payload []byte) []byte {
-	for {
-		chunk := payload[:min(len(payload), maxChunk)]
-		payload = payload[len(chunk):]
-		h.Flags = 0
-		if len(payload) > 0 {
-			h.Flags = flagMore
-		}
-		dst = AppendFrame(dst, h, chunk)
-		if len(payload) == 0 {
-			return dst
-		}
-	}
-}
-
-// NextMessage decodes the next message from a frame stream produced by
-// AppendMessage or a FrameWriter, reassembling chunked frames and
-// verifying each frame's magic, version, bounds and CRC. It returns the
-// message, in a buffer of its own, and the remainder of b after it.
+// NextMessage decodes the next message from a frame stream produced by a
+// FrameWriter, reassembling chunked frames and verifying each frame's
+// magic, version, bounds and CRC. It returns the message, in a buffer of
+// its own, and the remainder of b after it.
 func NextMessage(b []byte) (Msg, []byte, error) {
 	m, err := joinMessage(nil, func(dst []byte) (h Header, data []byte, err error) {
 		var payload []byte

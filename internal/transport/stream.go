@@ -11,9 +11,10 @@ import (
 // each frame's payload straight from the message — its plain bytes, then
 // its tensor lists out of tensor storage — into one reused frame scratch:
 // no whole-payload buffer exists on the way out. Conn.Send is one; a
-// checkpoint file is written through another. The frames are exactly
-// AppendMessage's over the message's Payload: every non-final frame
-// carries maxChunk payload bytes.
+// checkpoint file is written through another, so the file is byte-for-byte
+// a valid frame stream (magic, version, CRC per frame). A message is cut
+// into frames of at most maxChunk payload bytes: every non-final frame
+// carries exactly maxChunk and has the more-flag set.
 type FrameWriter struct {
 	w   io.Writer
 	buf []byte // the frame being built: header, payload, CRC

@@ -218,6 +218,25 @@ func rawSender(t *testing.T, tcp bool) (MsgConn, func() []byte) {
 	return conn, func() []byte { conn.Close(); return <-got }
 }
 
+// AppendMessage is the whole-payload oracle for the frame cut: it appends
+// one message to dst as wire frames — at most maxChunk payload bytes each,
+// the more-flag set on all but the last — from a materialised payload,
+// which is what the streamed FrameWriter must reproduce byte for byte.
+func AppendMessage(dst []byte, h Header, payload []byte) []byte {
+	for {
+		chunk := payload[:min(len(payload), maxChunk)]
+		payload = payload[len(chunk):]
+		h.Flags = 0
+		if len(payload) > 0 {
+			h.Flags = flagMore
+		}
+		dst = AppendFrame(dst, h, chunk)
+		if len(payload) == 0 {
+			return dst
+		}
+	}
+}
+
 // TestStreamedSendMatchesAppendMessage pins the streamed send to the
 // staged one it replaced: for every alignment of the element grid against
 // the frame boundaries (the prefix length shifts it through all eight
