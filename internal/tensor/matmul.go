@@ -5,39 +5,53 @@ import (
 	"sync"
 )
 
-// The matmul family is implemented as one cache-blocked, register-tiled
-// GEMM (GotoBLAS-style loop nest) shared by all three transpose
-// variants:
+// The matmul family is one cache-blocked, register-tiled GEMM shared by
+// all three transpose variants and every shape:
 //
 //	MatMulInto    dst += a · b     (dst zero on entry by contract)
 //	MatMulT1Into  dst += aᵀ · b    (dst zero on entry by contract)
 //	MatMulT2Into  dst  = a · bᵀ    (dst overwritten: zeroed, then +=)
 //
-// Blocking: jc over columns (NC) → pc over the inner dimension (KC,
-// packing a kc×nc panel of B into NR-interleaved scratch) → ic over the
-// rows (MC, packing an mc×kc panel of A into MR-interleaved scratch) →
-// 4×8 register tiles. Packed panels make the microkernel's
-// loads unit-stride and bounds-check-free. On amd64 with AVX the full
-// tile runs as a hand-written SIMD kernel (microkernel_amd64.s) that
-// vectorizes across the 8 independent output columns using separate
-// multiply and add instructions — NOT fused multiply-add — so each
-// output element performs exactly the same rounding steps as the scalar
-// Go fallback and the naive reference loop: the SIMD path is a layout
-// change, not a numeric one, and results are bit-identical on every
-// machine. (gc does not auto-vectorize, and math.FMA would both change
-// the rounding and crawl on pre-FMA hardware, so this is the only way to
-// beat the scalar FLOP ceiling without giving up determinism.)
+// Loop nest: jc over columns (NC) → pc over the inner dimension (KC) → ic
+// over the rows (MC) → 4×8 register tiles. The microkernel takes strides,
+// so the operands are read where they lie: A is never copied (aᵀ is the
+// same walk with the row and step strides swapped), and a row-major B is
+// read straight out of the tensor. B is copied into an NR-interleaved
+// scratch panel only when the copy does work the strides cannot:
+//
+//   - it is stored transposed (T2, i.e. Linear.Forward's x·Wᵀ): the 8
+//     values of a step lie k apart, and the copy is the transposition;
+//   - m ≥ mcBlock, so at least mcBlock/mrTile = 32 row tiles reuse each
+//     panel: one pass over B then buys unit-stride reads for all of them
+//     (a 512-wide float64 B has a 4 KiB row stride, every step of a tile
+//     in the same L1 set; 512³ loses a quarter of its rate without this).
+//
+// The threshold is a reuse count, not a work gate: PipeMare's slots are
+// short products (a microbatch of a few rows through a weight), where a
+// panel copy has two or seven tiles to amortise over and costs more than
+// the multiply. Full tiles go to the microkernel — on amd64 with AVX a
+// hand-written SIMD kernel (microkernel_amd64.s) that vectorizes across
+// the 8 independent output columns using separate multiply and add
+// instructions, NOT fused multiply-add; elsewhere its Go twin — and
+// ragged tiles to one strided scalar tail. (gc does not auto-vectorize,
+// and math.FMA would both change the rounding and crawl on pre-FMA
+// hardware, so this is the only way to beat the scalar FLOP ceiling
+// without giving up determinism.)
 //
 // Determinism: every output element accumulates its a[i,p]·b[p,j]
-// contributions one floating-point add at a time in strictly ascending-p
-// order, starting from the element's current dst value. Blocking only
-// changes *when* each chain segment runs, never its order: the kc panels
-// partition p in ascending runs, register accumulators carry the chain
-// within a panel, and the store/reload between panels is exact. Packing
-// copies values without arithmetic. The ragged-edge tail kernel walks the
-// same packed panels in the same ascending-p order, and padding lanes are
-// never stored. Hence blocked ≡ naive, bitwise, per dtype — the property
-// the engine equivalence suite pins.
+// contributions one rounded multiply and one floating-point add at a time
+// in strictly ascending-p order, starting from the element's current dst
+// value. Blocking only changes *when* each chain segment runs, never its
+// order: the kc panels partition p in ascending runs, register
+// accumulators carry the chain within a panel, and the store/reload
+// between panels is exact. Copying B moves values without arithmetic.
+// Every multiply-add in this file is written acc += T(a*b): the explicit
+// conversion rounds the product, which forbids the compiler from fusing
+// it into the add (gc does on arm64, ppc64le, s390x and riscv64), so the
+// Go kernels round exactly as the assembly does. Hence blocked ≡ naive,
+// bitwise, per dtype, on every GOARCH and with or without AVX — for this
+// file; DESIGN §12 lists the element-wise kernels elsewhere that gc still
+// fuses off amd64.
 //
 // The kernels do not skip zero A elements (the old naive loops did). For
 // finite inputs the skip is arithmetically invisible (x + 0·b == x, and a
@@ -48,20 +62,13 @@ import (
 const (
 	mrTile  = 4   // register-tile rows
 	nrTile  = 8   // register-tile columns (one or two SIMD vectors)
-	mcBlock = 128 // A-panel rows (per pack)
+	mcBlock = 128 // row block; from this many rows on, B is copied
 	kcBlock = 256 // inner-dimension panel
-	ncBlock = 512 // B-panel columns (per pack)
-
-	// Shapes with m·n·k at or below this run the direct (unpacked)
-	// loops: packing overhead beats the cache win on tiny operands.
-	// The gate depends only on the shape, and direct and blocked are
-	// bitwise identical anyway, so it cannot break determinism.
-	directMaxWork = 32 * 1024
+	ncBlock = 512 // column panel (the widest B copy)
 )
 
-// packScratch holds the reusable packed A/B panels for one gemm call.
+// packScratch holds the reusable packed B panel for one gemm call.
 type packScratch[T Elem] struct {
-	a []T
 	b []T
 }
 
@@ -73,10 +80,7 @@ func getPack[T Elem]() *packScratch[T] {
 	if s, ok := packPools[dtypeOf[T]()].Get().(*packScratch[T]); ok {
 		return s
 	}
-	return &packScratch[T]{
-		a: make([]T, kcBlock*mcBlock),
-		b: make([]T, kcBlock*ncBlock),
-	}
+	return &packScratch[T]{b: make([]T, kcBlock*ncBlock)}
 }
 
 func putPack[T Elem](s *packScratch[T]) {
@@ -181,169 +185,97 @@ func checkDtypes(dst, a, b *Tensor, op string) {
 // (A stored k×m); bT reads B as its transpose (B stored n×k). overwrite
 // zeroes dst before accumulating (the T2 contract).
 func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
-	lda := k
+	ars, aps := k, 1 // A element (i, p) is a[i*ars+p*aps]
 	if aT {
-		lda = m
+		ars, aps = 1, m
+	}
+	if overwrite {
+		zero(dst)
 	}
 	ldb := n
 	if bT {
 		ldb = k
 	}
-	if overwrite {
-		zero(dst)
+	var s *packScratch[T] // nil: B is read in place
+	if bT || m >= mcBlock {
+		s = getPack[T]()
 	}
-	if m*n*k <= directMaxWork {
-		mmDirect(dst, a, b, m, n, k, lda, ldb, aT, bT)
-		return
-	}
-	mmBlocked(dst, a, b, m, n, k, lda, ldb, aT, bT)
-}
-
-// mmDirect is the unpacked small-shape path: ascending-p per-element
-// accumulation, bitwise identical to mmBlocked.
-func mmDirect[T Elem](dst, a, b []T, m, n, k, lda, ldb int, aT, bT bool) {
-	for i := 0; i < m; i++ {
-		orow := dst[i*n : (i+1)*n]
-		if bT {
-			arow := a // placate the compiler when aT
-			if !aT {
-				arow = a[i*lda : i*lda+k]
-			}
-			for j := range orow {
-				brow := b[j*ldb : j*ldb+k]
-				acc := orow[j]
-				if aT {
-					for p := 0; p < k; p++ {
-						acc += a[p*lda+i] * brow[p]
-					}
-				} else {
-					for p := 0; p < k; p++ {
-						acc += arow[p] * brow[p]
-					}
-				}
-				orow[j] = acc
-			}
-			continue
-		}
-		for p := 0; p < k; p++ {
-			var av T
-			if aT {
-				av = a[p*lda+i]
-			} else {
-				av = a[i*lda+p]
-			}
-			brow := b[p*ldb : p*ldb+n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// mmBlocked runs the packed/blocked loop nest: each B panel is packed once
-// and reused by every A panel under it.
-func mmBlocked[T Elem](dst, a, b []T, m, n, k, lda, ldb int, aT, bT bool) {
-	s := getPack[T]()
 	for jc := 0; jc < n; jc += ncBlock {
 		nc := min(ncBlock, n-jc)
-		ncPad := roundUp(nc, nrTile)
 		for pc := 0; pc < k; pc += kcBlock {
 			kc := min(kcBlock, k-pc)
-			bp := s.b[:kc*ncPad]
-			packB(bp, b, ldb, jc, nc, pc, kc, bT)
+			// The tile at column jr reads its B rows from bp[jr*bjs:],
+			// bps apart: in place, or in the NR-interleaved copy.
+			bp, bjs, bps := b[pc*n+jc:], 1, n
+			if s != nil {
+				bp, bjs, bps = s.b, kc, nrTile
+				packB(bp, b, ldb, jc, nc, pc, kc, bT)
+			}
 			for ic := 0; ic < m; ic += mcBlock {
-				mc := min(mcBlock, m-ic)
-				ap := s.a[:kc*roundUp(mc, mrTile)]
-				packA(ap, a, lda, ic, mc, pc, kc, aT)
+				iEnd := min(ic+mcBlock, m)
 				for jr := 0; jr < nc; jr += nrTile {
 					nr := min(nrTile, nc-jr)
-					bpp := bp[(jr/nrTile)*kc*nrTile:]
-					for ir := 0; ir < mc; ir += mrTile {
-						mr := min(mrTile, mc-ir)
-						app := ap[(ir/mrTile)*kc*mrTile:]
-						c := dst[(ic+ir)*n+jc+jr:]
+					bt := bp[jr*bjs:]
+					for ir := ic; ir < iEnd; ir += mrTile {
+						mr := min(mrTile, iEnd-ir)
+						c, at := dst[ir*n+jc+jr:], a[ir*ars+pc*aps:]
 						if mr == mrTile && nr == nrTile {
-							microFull(c, n, app, bpp, kc)
+							microFull(c, n, at, ars, aps, bt, bps, kc)
 						} else {
-							microTail(c, n, app, bpp, kc, mr, nr)
+							microTail(c, n, at, ars, aps, bt, bps, kc, mr, nr)
 						}
 					}
 				}
 			}
 		}
 	}
-	putPack(s)
-}
-
-func roundUp(x, m int) int { return (x + m - 1) / m * m }
-
-// packA copies the mc×kc panel of A at (i0, p0) into MR-interleaved
-// groups: group g holds rows i0+g·MR … interleaved p-major, so the
-// microkernel reads its MR A values contiguously per p. Rows past mc are
-// zero-padded; those lanes are only ever touched by micro4x4 on full
-// tiles, which never exist in a padded group.
-func packA[T Elem](ap, a []T, lda, i0, mc, p0, kc int, aT bool) {
-	idx := 0
-	for ir0 := 0; ir0 < mc; ir0 += mrTile {
-		rows := min(mrTile, mc-ir0)
-		for p := 0; p < kc; p++ {
-			for r := 0; r < mrTile; r++ {
-				var v T
-				if r < rows {
-					if aT {
-						v = a[(p0+p)*lda+i0+ir0+r]
-					} else {
-						v = a[(i0+ir0+r)*lda+p0+p]
-					}
-				}
-				ap[idx] = v
-				idx++
-			}
-		}
+	if s != nil {
+		putPack(s)
 	}
 }
 
 // packB copies the kc×nc panel of B at (p0, j0) into NR-interleaved
-// groups, mirroring packA for columns.
+// groups: group g holds columns j0+g·NR … p-major, NR values per step, so
+// a tile reads it with unit step stride. A row-major B (stored k×n) moves
+// a row of the group at a time; a transposed one (stored n×k) walks each
+// of the group's columns along its contiguous source row. The lanes past
+// nc in a ragged last group are never read.
 func packB[T Elem](bp, b []T, ldb, j0, nc, p0, kc int, bT bool) {
-	idx := 0
-	for jr0 := 0; jr0 < nc; jr0 += nrTile {
-		cols := min(nrTile, nc-jr0)
-		for p := 0; p < kc; p++ {
-			for c := 0; c < nrTile; c++ {
-				var v T
-				if c < cols {
-					if bT {
-						v = b[(j0+jr0+c)*ldb+p0+p]
-					} else {
-						v = b[(p0+p)*ldb+j0+jr0+c]
-					}
-				}
-				bp[idx] = v
-				idx++
+	for jr := 0; jr < nc; jr += nrTile {
+		cols := min(nrTile, nc-jr)
+		g := bp[jr*kc : (jr+nrTile)*kc]
+		if !bT {
+			for p := 0; p < kc; p++ {
+				copy(g[p*nrTile:p*nrTile+cols], b[(p0+p)*ldb+j0+jr:])
+			}
+			continue
+		}
+		for c := 0; c < cols; c++ {
+			col := b[(j0+jr+c)*ldb+p0:][:kc]
+			for p, v := range col {
+				g[p*nrTile+c] = v
 			}
 		}
 	}
 }
 
-// microFull runs a full 4×8 tile: the AVX kernel on amd64 when available,
-// otherwise a row-at-a-time generic kernel whose 8 accumulators fit the
-// scalar register file. Both accumulate each element in ascending-p order
-// with separate multiply and add, so they are bitwise interchangeable.
-func microFull[T Elem](c []T, ldc int, ap, bp []T, kc int) {
-	if kc == 0 {
-		return
-	}
+// microFull runs a full 4×8 tile over kc ≥ 1 steps: the AVX kernel on
+// amd64 when available, otherwise its Go twin, a row at a time so the 8
+// accumulators fit the scalar register file. Both read A as
+// a[r*ars+p*aps] and B as b[p*bps … +7] and accumulate each element in
+// ascending-p order with a separate, unfused multiply and add, so they
+// are bitwise interchangeable.
+func microFull[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) {
 	if haveSIMD {
-		// The tile spans c[0 … 3*ldc+7]; the packed panels hold kc
-		// MR/NR-groups. Checked here so the assembly needs no bounds logic.
+		// Everything the tile touches, checked here so the assembly needs
+		// no bounds logic.
 		_ = c[3*ldc+7]
-		_ = ap[4*kc-1]
-		_ = bp[8*kc-1]
+		_ = a[3*ars+(kc-1)*aps]
+		_ = b[(kc-1)*bps+7]
 		if dtypeOf[T]() == Float64 {
-			kern4x8f64(ptr(c), ldc, ptr(ap), ptr(bp), kc)
+			kern4x8f64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
 		} else {
-			kern4x8f32(ptr(c), ldc, ptr(ap), ptr(bp), kc)
+			kern4x8f32(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
 		}
 		return
 	}
@@ -351,39 +283,44 @@ func microFull[T Elem](c []T, ldc int, ap, bp []T, kc int) {
 		crow := c[ir*ldc : ir*ldc+8]
 		c0, c1, c2, c3 := crow[0], crow[1], crow[2], crow[3]
 		c4, c5, c6, c7 := crow[4], crow[5], crow[6], crow[7]
-		a, b := ap[ir:], bp
+		ai, bi := ir*ars, 0
 		for p := 0; p < kc; p++ {
-			av := a[0]
-			bv := b[0:8]
-			c0 += av * bv[0]
-			c1 += av * bv[1]
-			c2 += av * bv[2]
-			c3 += av * bv[3]
-			c4 += av * bv[4]
-			c5 += av * bv[5]
-			c6 += av * bv[6]
-			c7 += av * bv[7]
-			if p < kc-1 {
-				a = a[4:]
-				b = b[8:]
-			}
+			av, bv := a[ai], b[bi:bi+8]
+			c0 += T(av * bv[0])
+			c1 += T(av * bv[1])
+			c2 += T(av * bv[2])
+			c3 += T(av * bv[3])
+			c4 += T(av * bv[4])
+			c5 += T(av * bv[5])
+			c6 += T(av * bv[6])
+			c7 += T(av * bv[7])
+			ai += aps
+			bi += bps
 		}
 		crow[0], crow[1], crow[2], crow[3] = c0, c1, c2, c3
 		crow[4], crow[5], crow[6], crow[7] = c4, c5, c6, c7
 	}
 }
 
-// microTail handles ragged tiles (mr<4 or nr<4): each real element walks
-// its packed lane in the same ascending-p order as a micro4x4 lane, so
-// the two are bitwise interchangeable. Padded lanes are never read.
-func microTail[T Elem](c []T, ldc int, ap, bp []T, kc, mr, nr int) {
+// microTail handles a ragged tile (mr<4 or nr<8) over the same strided
+// operands, a row-axpy per step: each element still takes its terms one
+// unfused multiply and add at a time in ascending p, so it is bitwise
+// interchangeable with a microFull lane. A shape with no full tile is
+// computed here whole.
+//
+// Not inlined: inside gemm its loop counters spill to the stack, which
+// costs a third of its speed.
+//
+//go:noinline
+func microTail[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc, mr, nr int) {
 	for ir := 0; ir < mr; ir++ {
-		for jr := 0; jr < nr; jr++ {
-			acc := c[ir*ldc+jr]
-			for p := 0; p < kc; p++ {
-				acc += ap[p*mrTile+ir] * bp[p*nrTile+jr]
+		crow := c[ir*ldc : ir*ldc+nr]
+		for p := 0; p < kc; p++ {
+			av := a[ir*ars+p*aps]
+			brow := b[p*bps:][:len(crow)]
+			for q, bv := range brow {
+				crow[q] += T(av * bv)
 			}
-			c[ir*ldc+jr] = acc
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -37,30 +39,45 @@ func bitEqual(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
-// matmulGrid holds shapes that exercise the direct small path, the
-// blocked path, full register tiles, and ragged tails in every dimension
-// (m, n, k not multiples of the 4×8 tile or the KC/MC/NC blocks).
+// matmulGrid holds (m, k, n) shapes that put every branch of the loop nest
+// on both sides of its boundary: full 4×8 tiles and ragged tails in m and
+// n, shapes with no full tile at all, k across the KC panel boundary (the
+// store/reload of a tile between two p-panels), n across the NC boundary,
+// and m on both sides of mcBlock, where a row-major B goes from being read
+// in place to being copied into the panel.
 var matmulGrid = [][3]int{
 	{1, 1, 1},
-	{3, 5, 7},
-	{4, 8, 16},     // exact tiles, small path
-	{17, 9, 33},    // ragged, small path
-	{64, 64, 64},   // exact tiles, blocked path
-	{65, 66, 67},   // ragged everywhere, blocked path
-	{48, 130, 96},  // n ragged vs NR
-	{130, 33, 258}, // m, k ragged; k spans two KC panels at KC=256? (k=33) — n=258 spans tiles
-	{257, 70, 300}, // m spans two MC blocks with a ragged tail
+	{3, 5, 7},       // no full tile: the tail is the whole product
+	{4, 8, 16},      // exact tiles
+	{8, 16, 16},     // the residual MLP's product
+	{17, 9, 33},     // ragged in m and n
+	{1, 40, 24},     // m < MR with n ≥ NR
+	{3, 257, 16},    // m < MR, k spans two KC panels
+	{12, 33, 1},     // n < NR with m ≥ MR
+	{9, 20, 7},      // n < NR with m ≥ MR
+	{28, 128, 128},  // a transformer microbatch through a projection
+	{64, 64, 64},    // exact tiles
+	{65, 66, 67},    // ragged everywhere
+	{48, 130, 96},   // k ragged
+	{130, 33, 258},  // m past mcBlock with a ragged tail; n ragged vs NR
+	{257, 70, 300},  // m spans three row blocks
+	{20, 257, 40},   // k one past KC
+	{13, 513, 19},   // k spans three KC panels, ragged everywhere
+	{127, 300, 24},  // m just under mcBlock, two KC panels: B in place
+	{128, 300, 24},  // m at mcBlock: B copied
+	{132, 513, 520}, // every block boundary at once, B copied
+	{10, 30, 520},   // n spans two NC panels, B in place
 }
 
-// TestBlockedMatchesNaive pins the tentpole's correctness contract per
-// dtype: the cache-blocked, register-tiled (and on amd64, SIMD) kernels
-// produce bit-identical results to the pre-blocking naive loops, on
-// shapes including ragged tails.
-func TestBlockedMatchesNaive(t *testing.T) {
+// checkGridAgainstNaive runs the three variants over matmulGrid in both
+// dtypes and requires each result to equal the naive oracle's bit for bit.
+func checkGridAgainstNaive(t *testing.T) {
+	t.Helper()
 	for _, dt := range []DType{Float64, Float32} {
 		rng := rand.New(rand.NewSource(7))
 		for _, d := range matmulGrid {
 			m, k, n := d[0], d[1], d[2]
+			name := fmt.Sprintf("%s %dx%dx%d ", dt, m, k, n)
 			a := randOf(rng, dt, m, k)
 			b := randOf(rng, dt, k, n)
 			at := Transpose(a)
@@ -69,36 +86,54 @@ func TestBlockedMatchesNaive(t *testing.T) {
 			got := MatMul(a, b)
 			want := NewOf(dt, m, n)
 			NaiveMatMulInto(want, a, b)
-			bitEqual(t, dt.String()+" MatMul", got, want)
+			bitEqual(t, name+"MatMul", got, want)
 
 			got = MatMulT1(at, b)
 			want = NewOf(dt, m, n)
 			NaiveMatMulT1Into(want, at, b)
-			bitEqual(t, dt.String()+" MatMulT1", got, want)
+			bitEqual(t, name+"MatMulT1", got, want)
 
 			got = MatMulT2(a, bt)
 			want = NewOf(dt, m, n)
 			NaiveMatMulT2Into(want, a, bt)
-			bitEqual(t, dt.String()+" MatMulT2", got, want)
+			bitEqual(t, name+"MatMulT2", got, want)
 		}
 	}
 }
 
+// TestBlockedMatchesNaive pins the kernels' correctness contract per
+// dtype: the cache-blocked, register-tiled (and on amd64, SIMD) loop nest
+// produces bit-identical results to the naive loops on every shape class
+// of matmulGrid.
+func TestBlockedMatchesNaive(t *testing.T) { checkGridAgainstNaive(t) }
+
 // TestMatMulAccumulates pins the += contract of MatMulInto/MatMulT1Into
 // (dst need only be zero by convention; the kernel must accumulate into
-// whatever is there, which the engines' tape reuse relies on).
+// whatever is there, which the engines' tape reuse relies on), on a ragged
+// shape and on one whose k crosses the KC panel boundary, where the tile
+// is stored and reloaded between panels.
 func TestMatMulAccumulates(t *testing.T) {
 	for _, dt := range []DType{Float64, Float32} {
 		rng := rand.New(rand.NewSource(3))
-		a := randOf(rng, dt, 65, 66)
-		b := randOf(rng, dt, 66, 67)
-		seed := randOf(rng, dt, 65, 67)
+		for _, d := range [][3]int{{65, 66, 67}, {21, 300, 35}} {
+			m, k, n := d[0], d[1], d[2]
+			a := randOf(rng, dt, m, k)
+			b := randOf(rng, dt, k, n)
+			seed := randOf(rng, dt, m, n)
 
-		got := seed.Clone()
-		MatMulInto(got, a, b)
-		want := seed.Clone()
-		NaiveMatMulInto(want, a, b)
-		bitEqual(t, dt.String()+" accumulate", got, want)
+			got := seed.Clone()
+			MatMulInto(got, a, b)
+			want := seed.Clone()
+			NaiveMatMulInto(want, a, b)
+			bitEqual(t, fmt.Sprintf("%s %dx%dx%d accumulate", dt, m, k, n), got, want)
+
+			at := Transpose(a)
+			got = seed.Clone()
+			MatMulT1Into(got, at, b)
+			want = seed.Clone()
+			NaiveMatMulT1Into(want, at, b)
+			bitEqual(t, fmt.Sprintf("%s %dx%dx%d accumulate T1", dt, m, k, n), got, want)
+		}
 	}
 }
 
@@ -127,29 +162,43 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 
 // TestKernelsAreLeafCalls pins that a kernel call is a plain loop on the
 // calling goroutine: no closure, goroutine or WaitGroup under it, so no
-// allocation — on the direct and the blocked matmul path (whose pack
-// scratch comes from a warm pool) and in the softmax, per dtype. The
-// pipeline's stage workers are the only parallelism; a row split growing
-// back under the kernels shows up here as its escaping closures.
+// allocation — at the shapes the workloads run and in the softmax, per
+// dtype. It also pins who copies B: a short row-major product (8×16·16×16,
+// 28×128·128×128, NN and T1) reads both operands in place and never touches
+// the panel pool; T2, and NN from mcBlock rows on, take their panel from
+// the warm pool. The pipeline's stage workers are the only parallelism; a
+// row split growing back under the kernels shows up here as its escaping
+// closures.
 func TestKernelsAreLeafCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
+	// One P, so a panel this goroutine Puts is the one its next Get finds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(13))
 	for _, dt := range []DType{Float64, Float32} {
-		for _, d := range [][3]int{{8, 16, 16}, {64, 128, 128}} { // direct, blocked
+		for _, d := range [][3]int{{8, 16, 16}, {28, 128, 128}, {128, 128, 128}} {
 			m, k, n := d[0], d[1], d[2]
 			a, b := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
 			at, bt := Transpose(a), Transpose(b)
 			dst := NewOf(dt, m, n)
 			for _, c := range []struct {
-				name string
-				call func()
+				name   string
+				pooled bool // copies B into the pooled panel
+				call   func()
 			}{
-				{"MatMulInto", func() { MatMulInto(dst, a, b) }},
-				{"MatMulT1Into", func() { MatMulT1Into(dst, at, b) }},
-				{"MatMulT2Into", func() { MatMulT2Into(dst, a, bt) }},
+				{"MatMulInto", m >= mcBlock, func() { MatMulInto(dst, a, b) }},
+				{"MatMulT1Into", m >= mcBlock, func() { MatMulT1Into(dst, at, b) }},
+				{"MatMulT2Into", true, func() { MatMulT2Into(dst, a, bt) }},
 			} {
+				for packPools[dt].Get() != nil { // drain the pool
+				}
+				c.call()
+				if warm := packPools[dt].Get(); (warm != nil) != c.pooled {
+					t.Errorf("%s %s %dx%dx%d: B panel taken from the pool = %v, want %v", dt, c.name, m, k, n, warm != nil, c.pooled)
+				} else if warm != nil {
+					packPools[dt].Put(warm)
+				}
 				if allocs := testing.AllocsPerRun(50, c.call); allocs != 0 {
 					t.Errorf("%s %s %dx%dx%d allocated %.1f times per call, want 0", dt, c.name, m, k, n, allocs)
 				}
@@ -224,29 +273,42 @@ func TestAt2Set2(t *testing.T) {
 	}
 }
 
-func benchMatMul(b *testing.B, dt DType, n int) {
-	rng := rand.New(rand.NewSource(1))
-	x := randOf(rng, dt, n, n)
-	y := randOf(rng, dt, n, n)
-	dst := NewOf(dt, n, n)
-	// Bytes per op: the three operand arrays once each (the useful
-	// traffic float32 halves); GFLOP/s is the kernel throughput metric.
-	b.SetBytes(int64(3 * n * n * dt.Size()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Zero()
-		MatMulInto(dst, x, y)
+// BenchmarkMatMulShapes measures the three variants at the shapes the
+// trainers run — a P=107 residual-MLP slot (8×16·16×16), a transformer
+// microbatch through a projection and the two feed-forward halves (28 rows),
+// an im2col-shaped conv product (tall, thin) — and at three cubes, the guard
+// that the large-shape peak holds. Sub-benchmark names read m x k x n.
+func BenchmarkMatMulShapes(b *testing.B) {
+	shapes := [][3]int{
+		{8, 16, 16}, {28, 128, 128}, {28, 128, 512}, {28, 512, 128}, {512, 27, 16},
+		{128, 128, 128}, {256, 256, 256}, {512, 512, 512},
 	}
-	flops := 2 * float64(n) * float64(n) * float64(n)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	rng := rand.New(rand.NewSource(1))
+	for _, dt := range []DType{Float64, Float32} {
+		for _, d := range shapes {
+			m, k, n := d[0], d[1], d[2]
+			x, y := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
+			xt, yt := Transpose(x), Transpose(y)
+			dst := NewOf(dt, m, n)
+			for _, c := range []struct {
+				name string
+				call func()
+			}{
+				{"NN", func() { MatMulInto(dst, x, y) }},
+				{"T1", func() { MatMulT1Into(dst, xt, y) }},
+				{"T2", func() { MatMulT2Into(dst, x, yt) }},
+			} {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", dt, m, k, n, c.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						c.call()
+					}
+					flops := 2 * float64(m) * float64(k) * float64(n)
+					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
 }
-
-func BenchmarkMatMul64_128(b *testing.B) { benchMatMul(b, Float64, 128) }
-func BenchmarkMatMul64_256(b *testing.B) { benchMatMul(b, Float64, 256) }
-func BenchmarkMatMul64_512(b *testing.B) { benchMatMul(b, Float64, 512) }
-func BenchmarkMatMul32_128(b *testing.B) { benchMatMul(b, Float32, 128) }
-func BenchmarkMatMul32_256(b *testing.B) { benchMatMul(b, Float32, 256) }
-func BenchmarkMatMul32_512(b *testing.B) { benchMatMul(b, Float32, 512) }
 
 func benchNaive(b *testing.B, dt DType, n int) {
 	rng := rand.New(rand.NewSource(1))

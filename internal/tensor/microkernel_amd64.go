@@ -11,8 +11,8 @@ import "unsafe"
 //
 // Using or not using the SIMD path never changes results: the kernels
 // perform the same scalar-order multiply-then-add per output element as
-// the generic fallback (no FMA), so a cluster mixing AVX and non-AVX
-// hosts still agrees bitwise.
+// the generic fallback (no FMA, and the fallback forbids the compiler's
+// fusion), so a cluster mixing AVX and non-AVX hosts still agrees bitwise.
 var haveSIMD = detectAVX()
 
 func detectAVX() bool {
@@ -36,17 +36,18 @@ func cpuid(op, op2 uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0.
 func xgetbv() (eax, edx uint32)
 
-// kern4x8f64 accumulates a full 4×8 float64 tile at c (row stride ldc
-// elements) over kc packed panel steps: ap is MR=4-interleaved, bp is
-// NR=8-interleaved. Bounds are pre-checked by the caller.
+// kern4x8f64 accumulates a full 4×8 float64 tile at c (row stride ldc)
+// over kc steps, reading both operands where they lie: step p takes the
+// four A values a[r·ars + p·aps] and the B row b[p·bps … +7]. Strides are
+// in elements; bounds are pre-checked by the caller.
 //
 //go:noescape
-func kern4x8f64(c unsafe.Pointer, ldc int, ap, bp unsafe.Pointer, kc int)
+func kern4x8f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
 
 // kern4x8f32 is the float32 twin of kern4x8f64.
 //
 //go:noescape
-func kern4x8f32(c unsafe.Pointer, ldc int, ap, bp unsafe.Pointer, kc int)
+func kern4x8f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
 
 // ptr returns the base address of a non-empty slice for the assembly
 // kernels.

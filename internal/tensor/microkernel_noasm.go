@@ -4,15 +4,16 @@ package tensor
 
 import "unsafe"
 
-// Non-amd64 builds always take the generic microkernel; results are
-// bit-identical, only slower.
+// Non-amd64 builds always take the generic microkernel. Its products are
+// bit-identical to the assembly's: every multiply-add in matmul.go is
+// written acc += T(a*b), which the compiler may not fuse into an FMA.
 const haveSIMD = false
 
-func kern4x8f64(c unsafe.Pointer, ldc int, ap, bp unsafe.Pointer, kc int) {
+func kern4x8f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func kern4x8f32(c unsafe.Pointer, ldc int, ap, bp unsafe.Pointer, kc int) {
+func kern4x8f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
