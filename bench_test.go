@@ -59,22 +59,24 @@ func BenchmarkMatMul64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(64, 64)
 	y := tensor.New(64, 64)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
+	for i := 0; i < x.Size(); i++ {
+		x.SetFlat(i, rng.NormFloat64())
+		y.SetFlat(i, rng.NormFloat64())
 	}
+	dst := tensor.New(64, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		dst.Zero()
+		tensor.MatMulInto(dst, x, y)
 	}
 }
 
 func BenchmarkIm2ColConv(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(8, 8, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+	for i := 0; i < x.Size(); i++ {
+		x.SetFlat(i, rng.NormFloat64())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,37 +14,41 @@ import (
 	"pipemare/internal/model"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
+	"pipemare/internal/tensor"
 )
 
 // quadTask is a multi-stage quadratic model: group g holds a small weight
 // vector w_g and the loss on sample i is Σ_g ½·λ_g·‖w_g − t_i[g]‖², the
-// pipeline analogue of the §3 quadratic stability model. Parameter
-// gradients use the *installed* forward weights, so the task exercises the
-// trainer's weight-version machinery exactly like a real network.
+// pipeline analogue of the §3 quadratic stability model. It compiles to
+// one op per group, whose forward reads the weights its own stage's slot
+// installed and whose backward accumulates λ_g times the residual that
+// forward saw — so the task exercises the trainer's weight-version
+// machinery exactly like a real network, with as many microbatches in
+// flight as the engine keeps.
 type quadTask struct {
 	groups []pipemare.ParamGroup
 	params []*nn.Param
+	prog   *nn.Program
 	lambda []float64
 	train  [][]float64 // train[i][g]: target of group g on sample i
 	test   [][]float64
 
-	fwd [][2]float64 // per-group mean residuals cached by Forward
-
-	nGroups, nTrain, nTest int // ctor args, kept for CloneTask
-	seed                   int64
+	nTrain, nTest int // ctor args, kept for CloneTask
+	seed          int64
 }
 
 func newQuadTask(groups, train, test int, seed int64) *quadTask {
 	rng := rand.New(rand.NewSource(seed))
-	t := &quadTask{fwd: make([][2]float64, groups),
-		nGroups: groups, nTrain: train, nTest: test, seed: seed}
+	t := &quadTask{prog: &nn.Program{}, nTrain: train, nTest: test, seed: seed}
 	for g := 0; g < groups; g++ {
 		p := nn.NewParam("q", 2)
-		p.Data.Data[0] = rng.NormFloat64()
-		p.Data.Data[1] = rng.NormFloat64()
+		p.Data.SetFlat(0, rng.NormFloat64())
+		p.Data.SetFlat(1, rng.NormFloat64())
 		t.params = append(t.params, p)
 		t.groups = append(t.groups, pipemare.ParamGroup{Name: "q", Params: []*nn.Param{p}})
 		t.lambda = append(t.lambda, 0.5+rng.Float64())
+		t.prog.Ops = append(t.prog.Ops, quadOp{t, g})
+		t.prog.GroupOf = append(t.prog.GroupOf, g)
 	}
 	gen := func(n int) [][]float64 {
 		out := make([][]float64, n)
@@ -62,38 +66,51 @@ func newQuadTask(groups, train, test int, seed int64) *quadTask {
 
 func (t *quadTask) Groups() []pipemare.ParamGroup { return t.groups }
 func (t *quadTask) NumTrain() int                 { return len(t.train) }
+func (t *quadTask) Program() *nn.Program          { return t.prog }
 
-// CloneTask makes quadTask Replicable: it is a monolithic (non-StageTask)
-// task, so it exercises the replicated engine's monolithic fallback.
+// BindMicro hands the machine the microbatch's sample indices; the ops
+// look their targets up themselves.
+func (t *quadTask) BindMicro(m *nn.Machine, idx []int) {
+	m.Labels = append(m.Labels[:0], idx...)
+}
+
+// CloneTask makes quadTask Replicable.
 func (t *quadTask) CloneTask() pipemare.Task {
-	return newQuadTask(t.nGroups, t.nTrain, t.nTest, t.seed)
+	return newQuadTask(len(t.groups), t.nTrain, t.nTest, t.seed)
 }
 
-func (t *quadTask) lossOn(set [][]float64, idx []int, record bool) float64 {
-	loss := 0.0
-	for g, p := range t.params {
-		r0, r1 := 0.0, 0.0
-		for _, i := range idx {
-			d0 := p.Data.Data[0] - set[i][g]
-			d1 := p.Data.Data[1] - set[i][g]
-			loss += 0.5 * t.lambda[g] * (d0*d0 + d1*d1) / float64(len(idx))
-			r0 += d0 / float64(len(idx))
-			r1 += d1 / float64(len(idx))
-		}
-		if record {
-			t.fwd[g] = [2]float64{r0, r1}
-		}
+// addLoss adds group g's share of the mean loss over the indexed samples
+// of set to *loss, term by term, and returns the group's mean residuals.
+func (t *quadTask) addLoss(loss *float64, g int, set [][]float64, idx []int) (r [2]float64) {
+	w := tensor.F64(t.params[g].Data)
+	for _, i := range idx {
+		d0 := w[0] - set[i][g]
+		d1 := w[1] - set[i][g]
+		*loss += 0.5 * t.lambda[g] * (d0*d0 + d1*d1) / float64(len(idx))
+		r[0] += d0 / float64(len(idx))
+		r[1] += d1 / float64(len(idx))
 	}
-	return loss
+	return r
 }
 
-func (t *quadTask) Forward(idx []int) float64 { return t.lossOn(t.train, idx, true) }
+// quadOp is group g's op.
+type quadOp struct {
+	t *quadTask
+	g int
+}
 
-func (t *quadTask) Backward() {
-	for g, p := range t.params {
-		p.Grad.Data[0] += t.lambda[g] * t.fwd[g][0]
-		p.Grad.Data[1] += t.lambda[g] * t.fwd[g][1]
-	}
+// Forward adds the group's loss over the installed forward weights and
+// saves the residuals for the backward slot.
+func (o quadOp) Forward(m *nn.Machine) {
+	m.Tape.Push(o.t.addLoss(&m.Loss, o.g, o.t.train, m.Labels))
+}
+
+// Backward accumulates the group's gradient from the saved residuals.
+func (o quadOp) Backward(m *nn.Machine) {
+	r := m.Tape.Pop().([2]float64)
+	grad := tensor.F64(o.t.params[o.g].Grad)
+	grad[0] += o.t.lambda[o.g] * r[0]
+	grad[1] += o.t.lambda[o.g] * r[1]
 }
 
 func (t *quadTask) EvalTest() float64 {
@@ -101,7 +118,11 @@ func (t *quadTask) EvalTest() float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	return 100 / (1 + t.lossOn(t.test, idx, false))
+	loss := 0.0
+	for g := range t.params {
+		t.addLoss(&loss, g, t.test, idx)
+	}
+	return 100 / (1 + loss)
 }
 
 // trainPair runs the same configuration under the Reference and concurrent
@@ -490,7 +511,7 @@ func TestProfilePartitionMode(t *testing.T) {
 
 // replicaGrid returns the (replicas, inner-engine) combinations the
 // grid-shaped replicated equivalence tests (MatchesReference,
-// MonolithicFallback, DivergenceAcrossReplicas) cover. CI narrows the
+// DivergenceAcrossReplicas) cover. CI narrows the
 // grid per matrix job via PIPEMARE_REPLICAS / PIPEMARE_REPLICA_INNER;
 // locally the full grid runs.
 func replicaGrid() (rs []int, inners []string) {
@@ -594,28 +615,6 @@ func TestReplicatedEngineMatchesReferenceOnTransformer(t *testing.T) {
 		pipemare.WithReplicas(2), pipemare.WithEngine(inner))
 	got := runCurve(t, build, 2, 2, opts...)
 	requireIdentical(t, "replicated-transformer/R=2/concurrent-W=2", ref, got)
-}
-
-// TestReplicatedEngineMonolithicFallback pins the monolithic path: a task
-// that does not implement StageTask still trains under R > 1 — each
-// replica runs its chunk one microbatch at a time (forward in the last
-// stage's slot, backward in stage 0's, where all stages export) — and the
-// curves still match single-replica Reference bit for bit.
-func TestReplicatedEngineMonolithicFallback(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(6, 64, 16, 5) }
-	base := append(methodOpts(pipemare.PipeMare),
-		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
-		pipemare.WithSchedule(optim.Constant(0.05)))
-	ref := runCurve(t, build, 6, 1, base...)
-	rs, inners := replicaGrid()
-	for _, r := range rs {
-		for _, inner := range inners {
-			opts := append(append([]pipemare.Option{}, base...),
-				pipemare.WithReplicas(r), pipemare.WithEngine(replicatedEngine(inner)))
-			got := runCurve(t, build, 6, r, opts...)
-			requireIdentical(t, fmt.Sprintf("monolithic/R=%d/%s", r, inner), ref, got)
-		}
-	}
 }
 
 // TestReplicatedEngineDivergenceAcrossReplicas pins the abort path under

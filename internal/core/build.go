@@ -122,13 +122,7 @@ func buildPartition(task Task, groups []pipeline.ParamGroup, p int, cfg Config) 
 			}
 			costs = append([]float64(nil), cfg.GroupCosts...)
 		case cfg.Partition == pipeline.PartitionProfile:
-			if st, ok := task.(StageTask); ok {
-				costs = measuredGroupCosts(st, groups, cfg.MicrobatchSize)
-			} else {
-				// Monolithic tasks cannot attribute wall time to groups;
-				// fall back to the analytic proxy.
-				costs = analyticGroupCosts(task, groups)
-			}
+			costs = measuredGroupCosts(task, groups, cfg.MicrobatchSize)
 		default:
 			costs = analyticGroupCosts(task, groups)
 		}
@@ -142,20 +136,12 @@ func buildPartition(task Task, groups []pipeline.ParamGroup, p int, cfg Config) 
 }
 
 // analyticGroupCosts is the static cost estimate the cost mode balances:
-// the program's per-op FLOP/byte model for stage-split tasks, or scalar
-// weight counts as a proxy for monolithic tasks.
+// the program's per-op FLOP/byte model, summed per weight group.
 func analyticGroupCosts(task Task, groups []pipeline.ParamGroup) []float64 {
-	if st, ok := task.(StageTask); ok {
-		cs := st.Program().GroupCosts(len(groups))
-		out := make([]float64, len(cs))
-		for i, c := range cs {
-			out[i] = c.Weight()
-		}
-		return out
-	}
-	out := make([]float64, len(groups))
-	for i, g := range groups {
-		out[i] = float64(g.Size())
+	cs := task.Program().GroupCosts(len(groups))
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		out[i] = c.Weight()
 	}
 	return out
 }
@@ -168,9 +154,9 @@ func analyticGroupCosts(task Task, groups []pipeline.ParamGroup) []float64 {
 // noisy, so two builds may profile slightly different costs (and thus
 // partitions); use Config.GroupCosts to pin a measured cost vector when
 // exact reproducibility across trainers is required.
-func measuredGroupCosts(st StageTask, groups []pipeline.ParamGroup, microbatchSize int) []float64 {
+func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize int) []float64 {
 	const profileRuns = 3
-	prog := st.Program()
+	prog := task.Program()
 	m := nn.NewMachine(prog.NumRegs)
 	if len(groups) > 0 && len(groups[0].Params) > 0 {
 		m.Tape.SetDType(groups[0].Params[0].Data.DType())
@@ -182,7 +168,7 @@ func measuredGroupCosts(st StageTask, groups []pipeline.ParamGroup, microbatchSi
 	costs := make([]float64, len(groups))
 	run := func(c []float64) {
 		m.ResetRun()
-		st.BindMicro(m, idx)
+		task.BindMicro(m, idx)
 		if c == nil {
 			prog.ForwardRange(m, 0, len(prog.Ops))
 			prog.BackwardRange(m, 0, len(prog.Ops))

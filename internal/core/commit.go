@@ -194,9 +194,9 @@ func t2Update[T tensor.Elem](d, c, cur, prev []T, gamma, tau float64) {
 	g := T(gamma)
 	tt := T(tau)
 	for j := range d {
-		d[j] = g*d[j] + (1-g)*(cur[j]-prev[j])
+		d[j] = T(g*d[j]) + T((1-g)*(cur[j]-prev[j]))
 	}
 	for j := range c {
-		c[j] = cur[j] - tt*d[j]
+		c[j] = cur[j] - T(tt*d[j])
 	}
 }

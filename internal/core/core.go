@@ -19,11 +19,10 @@
 // machines, each installing the weight versions it reads — and the
 // configured engine.Engine drives one minibatch's chains at a time through
 // it; the trainer then commits the update (engine.Commit over its
-// engine.Committer surface, or the replica group's commit). Tasks
-// implementing StageTask execute as true per-stage segments (so engines
-// can overlap microbatches across stages); plain Tasks run monolithically
-// inside the last stage's forward slot and stage 0's backward slot.
-// Config.Engine selects the engine; nil means the serial Reference engine.
+// engine.Committer surface, or the replica group's commit). A Task is a
+// stage program: every slot executes its stage's op range, so engines can
+// overlap microbatches across stages. Config.Engine selects the engine;
+// nil means the serial Reference engine.
 //
 // The package is laid out by role: this file holds the configuration, the
 // Trainer and its construction; build.go the stage layout, the partition
@@ -79,21 +78,24 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Task abstracts a model + loss over an indexed training set. Forward and
-// Backward are split so the trainer can install different weight versions
-// between them.
+// Task abstracts a model + loss over an indexed training set as a stage
+// program: the network compiles to an op program aligned with its weight
+// groups, so any stage partition of the groups induces contiguous op
+// ranges, each stage's forward and backward slot runs its own range on the
+// weight version that slot reads, and the boundary activations live in
+// per-microbatch machines.
 type Task interface {
 	// Groups returns the model's parameters in topological order, grouped
 	// so that weights that must share a stage stay together.
 	Groups() []pipeline.ParamGroup
 	// NumTrain returns the training-set size.
 	NumTrain() int
-	// Forward computes the mean loss on the given sample indices, caching
-	// activations for Backward.
-	Forward(idx []int) float64
-	// Backward backpropagates from the last Forward, accumulating
-	// parameter gradients.
-	Backward()
+	// Program returns the compiled op program. Ops must be grouped in the
+	// same order as Groups().
+	Program() *nn.Program
+	// BindMicro loads the indexed samples (inputs and labels) into a
+	// freshly reset machine.
+	BindMicro(m *nn.Machine, idx []int)
 	// EvalTest returns the task metric on the held-out set (accuracy in
 	// percent, or BLEU) using the current forward weights.
 	EvalTest() float64
@@ -109,24 +111,6 @@ type Replicable interface {
 	// CloneTask returns a fresh task instance over the same dataset with
 	// the same architecture.
 	CloneTask() Task
-}
-
-// StageTask is a Task whose network compiles to an op program aligned with
-// its weight groups, so the trainer can execute it as per-stage segments:
-// any stage partition of the groups induces contiguous op ranges, and the
-// boundary activations live in per-microbatch machines. Tasks implementing
-// StageTask let the concurrent engine overlap several microbatches across
-// pipeline stages; plain Tasks fall back to monolithic execution (the
-// whole forward runs in the last stage's slot, the whole backward in the
-// first stage's).
-type StageTask interface {
-	Task
-	// Program returns the compiled op program. Ops must be grouped in the
-	// same order as Groups().
-	Program() *nn.Program
-	// BindMicro loads the indexed samples (inputs and labels) into a
-	// freshly reset machine.
-	BindMicro(m *nn.Machine, idx []int)
 }
 
 // Config configures a training run.
@@ -319,11 +303,10 @@ type Trainer struct {
 	// per-param recompute-corrected buffers.
 	segEnd1 []int
 
-	// Stage-split execution state (nil program for monolithic tasks): the
-	// op ranges each stage owns and the in-flight microbatch machines. The
-	// flows map is the only trainer state shared between engine goroutines
-	// outside the per-stage ownership contract, hence its own mutex.
-	stageTask  StageTask
+	// Stage execution state: the task's program, the op ranges each stage
+	// owns and the in-flight microbatch machines. The flows map is the only
+	// trainer state shared between engine goroutines outside the per-stage
+	// ownership contract, hence its own mutex.
 	prog       *nn.Program
 	opLo, opHi []int
 	flowMu     sync.Mutex
@@ -378,8 +361,8 @@ type Trainer struct {
 	handoffNs  int64 // cumulative wall time spent in state handoffs
 }
 
-// flight is one in-flight microbatch: its sample indices and, for
-// stage-split tasks, its machine (registers, gradients, activation tape).
+// flight is one in-flight microbatch: its sample indices and its machine
+// (registers, gradients, activation tape).
 type flight struct {
 	mb []int
 	m  *nn.Machine
@@ -522,13 +505,9 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	if cfg.RecomputeSegments > 0 {
 		t.segEnd1 = segmentEnds(p, cfg.RecomputeSegments)
 	}
-	if st, ok := task.(StageTask); ok {
-		prog := st.Program()
-		lo, hi, err := prog.StageRanges(part.StageOf, p)
-		if err != nil {
-			return nil, err
-		}
-		t.stageTask, t.prog, t.opLo, t.opHi = st, prog, lo, hi
+	t.prog = task.Program()
+	if t.opLo, t.opHi, err = t.prog.StageRanges(part.StageOf, p); err != nil {
+		return nil, err
 	}
 	t.flows = make(map[int]*flight)
 	t.sharded = sharded

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"pipemare/internal/engine"
@@ -14,62 +15,131 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// probeTask is a fake task with one scalar parameter per group whose
-// Forward/Backward record the weight values the trainer installed. Paired
-// with countingOptimizer (each update adds exactly +1 to every weight),
-// the observed value of a weight IS its version number, so the trainer's
-// version bookkeeping can be checked against the Clock formulas exactly.
+// stubProgram compiles one op per weight group: the smallest program whose
+// stage partition is the group partition.
+func stubProgram(groups int, op func(g int) nn.Op) *nn.Program {
+	prog := &nn.Program{}
+	for g := 0; g < groups; g++ {
+		prog.Ops = append(prog.Ops, op(g))
+		prog.GroupOf = append(prog.GroupOf, g)
+	}
+	return prog
+}
+
+// probeTask is a fake task with one scalar parameter per group and one op
+// per group that records the weight values its own slot found installed.
+// Paired with countingOptimizer (each update adds exactly +1 to every
+// weight), the observed value of a weight IS its version number, so the
+// trainer's version bookkeeping can be checked against the Clock formulas
+// exactly — per (microbatch, stage), at the moment that stage's slot ran,
+// with as many chains in flight as the engine keeps.
 type probeTask struct {
 	groups   []pipeline.ParamGroup
 	params   []*nn.Param
+	prog     *nn.Program
 	numTrain int
-	tr       *Trainer // set once built, to sample the T2 state a slot ran under
-	badCall  int      // 1-based Forward call whose loss diverges (0: never)
+	tr       *Trainer // set once built: names the microbatch a machine carries, and samples the T2 state
+	badMicro int      // microbatch whose loss diverges (-1: never)
+	inFlight int      // most microbatches ever found in flight at a bind
 
-	fwdSeen [][]float64 // fwdSeen[c][g]: forward weight seen at the c-th Forward call
-	bwdSeen [][]float64 // bwdSeen[s][g]: backward weight seen at microbatch s
-	actSeen [][]float64 // actSeen[s][g]: forward weight in place at microbatch s's Backward
-	delta   [][]float64 // delta[c][g]: T2 δ at the c-th Forward call (T2 runs only)
+	// Records are indexed [microbatch s][group], not appended: the ops run
+	// on whichever engine worker holds their stage. A cell is NaN until
+	// its slot has run; mu guards only the growth of the tables.
+	mu       sync.Mutex
+	fwdSeen  [][]float64 // forward weight the forward slot read
+	recSeen  [][]float64 // forward weight the recompute slot read
+	bwdSeen  [][]float64 // backward weight the backward slot read
+	actSeen  [][]float64 // forward weight in place at the backward slot
+	fwdDelta [][]float64 // T2 δ at the forward slot (T2 runs only)
+	recDelta [][]float64 // T2 δ at the recompute slot
 }
 
 func newProbeTask(groups, numTrain int) *probeTask {
-	t := &probeTask{numTrain: numTrain}
-	for g := 0; g < groups; g++ {
-		p := nn.NewParam("probe", 1)
+	return sizedProbeTask(numTrain, make([]int, groups)...)
+}
+
+// sizedProbeTask builds a probe task whose group g holds a weight vector
+// of max(sizes[g], 1) scalars; the probes read element 0.
+func sizedProbeTask(numTrain int, sizes ...int) *probeTask {
+	t := &probeTask{numTrain: numTrain, badMicro: -1}
+	for _, sz := range sizes {
+		p := nn.NewParam("probe", max(sz, 1))
 		t.params = append(t.params, p)
 		t.groups = append(t.groups, pipeline.ParamGroup{Name: "g", Params: []*nn.Param{p}})
 	}
+	t.prog = stubProgram(len(sizes), func(g int) nn.Op { return probeOp{t, g} })
 	return t
 }
 
 func (t *probeTask) Groups() []pipeline.ParamGroup { return t.groups }
 func (t *probeTask) NumTrain() int                 { return t.numTrain }
+func (t *probeTask) Program() *nn.Program          { return t.prog }
+func (t *probeTask) EvalTest() float64             { return 0 }
 
-func (t *probeTask) row(at func(i int, p *nn.Param) float64) []float64 {
-	row := make([]float64, len(t.params))
-	for i, p := range t.params {
-		row[i] = at(i, p)
+// BindMicro labels the machine with the microbatch it carries, found in
+// the trainer's in-flight table (the samples themselves are irrelevant).
+func (t *probeTask) BindMicro(m *nn.Machine, _ []int) {
+	if t.tr == nil {
+		panic("probeTask: set tr to the trainer built over the task before it runs")
 	}
-	return row
+	t.tr.flowMu.Lock()
+	defer t.tr.flowMu.Unlock()
+	t.inFlight = max(t.inFlight, len(t.tr.flows))
+	for s, fl := range t.tr.flows {
+		if fl.m == m {
+			m.Labels = append(m.Labels[:0], s)
+			return
+		}
+	}
+	panic("probeTask: machine bound outside a microbatch")
 }
 
-func (t *probeTask) Forward(idx []int) float64 {
-	t.fwdSeen = append(t.fwdSeen, t.row(func(_ int, p *nn.Param) float64 { return p.Data.Data[0] }))
-	if t.tr != nil && t.tr.delta != nil {
-		t.delta = append(t.delta, t.row(func(i int, _ *nn.Param) float64 { return t.tr.delta[i].Data[0] }))
+// cell returns row s of a record table, growing the table to reach it.
+func (t *probeTask) cell(tab *[][]float64, s int) []float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for len(*tab) <= s {
+		row := make([]float64, len(t.params))
+		for g := range row {
+			row[g] = math.NaN()
+		}
+		*tab = append(*tab, row)
 	}
-	if len(t.fwdSeen) == t.badCall {
-		return math.Inf(1)
-	}
-	return 0.1
+	return (*tab)[s]
 }
 
-func (t *probeTask) Backward() {
-	t.bwdSeen = append(t.bwdSeen, t.row(func(_ int, p *nn.Param) float64 { return p.BwdData().Data[0] }))
-	t.actSeen = append(t.actSeen, t.row(func(_ int, p *nn.Param) float64 { return p.Data.Data[0] }))
+// probeOp is group g's op: it computes nothing and records what it read.
+type probeOp struct {
+	t *probeTask
+	g int
 }
 
-func (t *probeTask) EvalTest() float64 { return 0 }
+// Forward records the installed forward weight (and T2 δ) of its group. A
+// microbatch's first visit is its forward slot, the second its recompute
+// slot.
+func (o probeOp) Forward(m *nn.Machine) {
+	t, g, s := o.t, o.g, m.Labels[0]
+	row, delta := t.cell(&t.fwdSeen, s), &t.fwdDelta
+	if !math.IsNaN(row[g]) {
+		row, delta = t.cell(&t.recSeen, s), &t.recDelta
+	}
+	row[g] = t.params[g].Data.FlatAt(0)
+	if t.tr.delta != nil {
+		t.cell(delta, s)[g] = t.tr.delta[g].FlatAt(0)
+	}
+	m.Loss = 0.1
+	if s == t.badMicro {
+		m.Loss = math.Inf(1)
+	}
+}
+
+// Backward records the backward weight its slot read and the forward
+// weight it ran over.
+func (o probeOp) Backward(m *nn.Machine) {
+	t, g, s := o.t, o.g, m.Labels[0]
+	t.cell(&t.bwdSeen, s)[g] = t.params[g].BwdData().FlatAt(0)
+	t.cell(&t.actSeen, s)[g] = t.params[g].Data.FlatAt(0)
+}
 
 // countingOptimizer adds exactly 1 to every weight per step, making weight
 // values equal version numbers.
@@ -82,8 +152,9 @@ func (c *countingOptimizer) Step(lrs []float64) {
 func (c *countingOptimizer) Advance() {}
 func (c *countingOptimizer) StepRange(lo, hi int, _ []float64) {
 	for _, p := range c.ps[lo:hi] {
-		for i := range p.Data.Data {
-			p.Data.Data[i]++
+		d := tensor.F64(p.Data)
+		for i := range d {
+			d[i]++
 		}
 	}
 }
@@ -133,6 +204,9 @@ func forEachEngine(t *testing.T, cfg Config, epochs int, check func(t *testing.T
 			cfg.Engine = eng()
 			task := newProbeTask(cfg.Stages, 4*cfg.BatchSize)
 			tr, clock := runProbe(t, task, cfg, epochs)
+			if serial := name == "reference"; serial != (task.inFlight == 1) {
+				t.Fatalf("at most %d microbatches in flight: the probe must see Reference's one chain, and overlapping chains under the concurrent engine", task.inFlight)
+			}
 			check(t, task, tr, clock)
 		})
 	}
@@ -219,34 +293,34 @@ func TestRecomputeSeesRecomputeVersions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Method: tc.method, Stages: 6, BatchSize: 8, MicrobatchSize: 2, T2D: tc.t2d, RecomputeSegments: 2}
 			forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, tr *Trainer, clock pipeline.Clock) {
-				if len(task.fwdSeen) != 2*len(task.bwdSeen) {
-					t.Fatalf("%d forward passes for %d microbatches, want a first and a recompute climb each", len(task.fwdSeen), len(task.bwdSeen))
+				if len(task.fwdSeen) != len(task.bwdSeen) || len(task.recSeen) != len(task.bwdSeen) {
+					t.Fatalf("%d forward and %d recompute climbs for %d microbatches, want one of each", len(task.fwdSeen), len(task.recSeen), len(task.bwdSeen))
 				}
 				stale := false
 				for s := range task.bwdSeen {
 					for g := range task.params {
 						st1, e1 := g+1, tr.segEnd1[g]
-						if got, want := task.fwdSeen[2*s][g], float64(clock.FwdVersion(s, st1)); got != want {
+						if got, want := task.fwdSeen[s][g], float64(clock.FwdVersion(s, st1)); got != want {
 							t.Fatalf("microbatch %d stage %d: first climb saw %g, want forward version %g", s, st1, got, want)
 						}
 						want := float64(tr.recompVersion(s, st1, e1))
 						stale = stale || want != float64(clock.BwdVersion(s))
 						if tc.t2d > 0 {
 							tauR := float64(2*(e1-st1)+1) / float64(clock.N)
-							want -= (tr.taus[g] - tauR) * task.delta[2*s+1][g]
+							want -= (tr.taus[g] - tauR) * task.recDelta[s][g]
 						}
-						if got := task.fwdSeen[2*s+1][g]; math.Abs(got-want) > 1e-12 {
+						if got := task.recSeen[s][g]; math.Abs(got-want) > 1e-12 {
 							t.Fatalf("microbatch %d stage %d: recompute climb saw %g, want recompute version %g", s, st1, got, want)
 						}
-						if got := task.actSeen[s][g]; got != task.fwdSeen[2*s+1][g] {
-							t.Fatalf("microbatch %d stage %d: backward ran over %g, the recompute climb read %g", s, st1, got, task.fwdSeen[2*s+1][g])
+						if got := task.actSeen[s][g]; got != task.recSeen[s][g] {
+							t.Fatalf("microbatch %d stage %d: backward ran over %g, the recompute climb read %g", s, st1, got, task.recSeen[s][g])
 						}
 						bwd := float64(clock.BwdVersion(s))
 						switch {
 						case tc.method == PipeDream:
 							bwd = task.actSeen[s][g]
 						case tc.t2d > 0:
-							bwd -= tr.taus[g] * task.delta[2*s+1][g]
+							bwd -= tr.taus[g] * task.recDelta[s][g]
 						}
 						if got := task.bwdSeen[s][g]; math.Abs(got-bwd) > 1e-12 {
 							t.Fatalf("microbatch %d stage %d: backward weights %g, want %g", s, st1, got, bwd)
@@ -286,12 +360,14 @@ func TestSlotCallsInstallTheVersionsTheyRead(t *testing.T) {
 			}
 		}
 		// poison stands where a stage's weights would be had its slot
-		// computed before installing: the probe records what compute saw.
-		poison := tensor.Full(-1, 1)
-		saw := func(call string, rows [][]float64, g int) {
+		// computed before installing: the stage's probe op records what
+		// its compute saw.
+		poison := tensor.New(1)
+		poison.Fill(-1)
+		saw := func(call string, rows [][]float64, stage int) {
 			t.Helper()
-			if rows[len(rows)-1][g] == -1 {
-				t.Fatalf("segments=%d: %s computed before it installed", segs, call)
+			if got := rows[s][stage]; got == -1 || math.IsNaN(got) {
+				t.Fatalf("segments=%d: %s(%d, %d) computed over %g: before it installed, or not at all", segs, call, s, stage, got)
 			}
 		}
 		h.BeginMicro(s, []int{0, 1})
@@ -302,8 +378,8 @@ func TestSlotCallsInstallTheVersionsTheyRead(t *testing.T) {
 			task.params[st].Data = poison
 			h.StageForward(s, st)
 			installed("StageForward", st, tr.store.Get(st, clock.FwdVersion(s, st+1))[0])
+			saw("StageForward", task.fwdSeen, st)
 		}
-		saw("StageForward", task.fwdSeen, 3)
 		if h.Recompute() != (segs > 0) {
 			t.Fatalf("segments=%d: Recompute() = %v under an asynchronous chunk", segs, h.Recompute())
 		}
@@ -314,9 +390,7 @@ func TestSlotCallsInstallTheVersionsTheyRead(t *testing.T) {
 			if task.params[st].Data == poison {
 				t.Fatalf("segments=%d: StageRecompute(%d, %d) installed nothing", segs, s, st)
 			}
-		}
-		if segs > 0 {
-			saw("StageRecompute", task.fwdSeen, 3)
+			saw("StageRecompute", task.recSeen, st)
 		}
 		for st := 3; st >= 0; st-- {
 			task.params[st].Data, task.params[st].Bwd = poison, poison // as if another chain's slot had re-pointed the stage
@@ -326,9 +400,9 @@ func TestSlotCallsInstallTheVersionsTheyRead(t *testing.T) {
 				want = nil
 			}
 			installed("StageBackward", st, want)
+			saw("StageBackward", task.bwdSeen, st)
+			saw("StageBackward", task.actSeen, st)
 		}
-		saw("StageBackward", task.bwdSeen, 0)
-		saw("StageBackward", task.actSeen, 0)
 		h.EndMicro(s)
 		for st := 0; st < 4; st++ {
 			h.Restore(st)
@@ -360,7 +434,7 @@ func TestDivergedMinibatchIsNotCommitted(t *testing.T) {
 	for name, eng := range probeEngines(stages) {
 		t.Run(name, func(t *testing.T) {
 			task := newProbeTask(stages, 64)
-			task.badCall = good*n + 3
+			task.badMicro = good*n + 2
 			tr, _ := runProbe(t, task, Config{Method: PipeMare, Stages: stages, BatchSize: 8, MicrobatchSize: 2, Engine: eng()}, 3)
 			if !tr.Diverged() {
 				t.Fatal("the bad loss went unnoticed")
@@ -369,8 +443,8 @@ func TestDivergedMinibatchIsNotCommitted(t *testing.T) {
 				t.Fatalf("step clock at %d after divergence in minibatch %d, want %d: the bad minibatch was committed", tr.step, good+1, good)
 			}
 			for g, pm := range task.params {
-				if pm.Data != tr.masters[g] || pm.Bwd != nil || pm.Data.Data[0] != good || tr.store.Latest(g) != good {
-					t.Fatalf("stage %d left at weight %g (version %d), want the restored master at %d", g, pm.Data.Data[0], tr.store.Latest(g), good)
+				if pm.Data != tr.masters[g] || pm.Bwd != nil || pm.Data.FlatAt(0) != good || tr.store.Latest(g) != good {
+					t.Fatalf("stage %d left at weight %g (version %d), want the restored master at %d", g, pm.Data.FlatAt(0), tr.store.Latest(g), good)
 				}
 				if pm.Grad.SumSq() != 0 {
 					t.Fatalf("stage %d kept a partial gradient after divergence", g)
@@ -480,16 +554,10 @@ func TestWarmupEpochsRunSynchronously(t *testing.T) {
 	// (forward sees the live master everywhere).
 	const stages, batch, micro = 5, 8, 2
 	task := newProbeTask(stages, 4*batch)
-	opt := &countingOptimizer{ps: task.params}
-	tr, err := New(task, opt, optim.Constant(0.1), Config{
+	_, clock := runProbe(t, task, Config{
 		Method: PipeMare, Stages: stages, BatchSize: batch, MicrobatchSize: micro,
-		WarmupEpochs: 1, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Run(context.Background(), 2)
-	clock := pipeline.Clock{P: stages, N: batch / micro}
+		WarmupEpochs: 1,
+	}, 2)
 	microsPerEpoch := 4 * (batch / micro)
 	for s := 0; s < microsPerEpoch; s++ { // first epoch: synchronous
 		want := float64(clock.BwdVersion(s))
@@ -508,54 +576,8 @@ func TestWarmupEpochsRunSynchronously(t *testing.T) {
 
 // --- cost-balanced partitioning ---
 
-// sizedProbeTask builds a probe task whose group g holds a weight vector
-// of sizes[g] scalars, so the monolithic cost proxy (weight counts) is
-// skewed on purpose.
-func sizedProbeTask(numTrain int, sizes ...int) *probeTask {
-	t := &probeTask{numTrain: numTrain}
-	for _, sz := range sizes {
-		p := nn.NewParam("probe", sz)
-		t.params = append(t.params, p)
-		t.groups = append(t.groups, pipeline.ParamGroup{Name: "g", Params: []*nn.Param{p}})
-	}
-	return t
-}
-
-func TestPartitionCostModeBalancesMonolithicTaskBySize(t *testing.T) {
-	// One huge group among tiny ones: even-by-count pairs it with a
-	// neighbour, cost mode isolates it.
-	task := sizedProbeTask(64, 1, 1, 100, 1, 1, 1)
-	opt := &countingOptimizer{ps: task.params}
-	tr, err := New(task, opt, optim.Constant(0.1), Config{
-		Stages: 3, BatchSize: 8, MicrobatchSize: 2,
-		Partition: pipeline.PartitionCost,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.PartitionMode() != pipeline.PartitionCost {
-		t.Fatalf("mode = %v", tr.PartitionMode())
-	}
-	gc := tr.GroupCosts()
-	if len(gc) != 6 || gc[2] != 100 {
-		t.Fatalf("group costs = %v, want size proxy with 100 at index 2", gc)
-	}
-	// The heavy group must sit alone on its stage.
-	heavy := tr.Partition().StageOf[2]
-	for g, s := range tr.Partition().StageOf {
-		if g != 2 && s == heavy {
-			t.Fatalf("group %d shares stage %d with the heavy group: %v", g, s, tr.Partition().StageOf)
-		}
-	}
-	if im := tr.StageImbalance(); im != pipeline.Imbalance(tr.StageCosts()) {
-		t.Fatalf("imbalance accessor inconsistent: %g", im)
-	}
-	// The trainer still trains under the skewed partition.
-	tr.Run(context.Background(), 1)
-}
-
 func TestPartitionEvenKeepsHistoricalSplit(t *testing.T) {
-	task := sizedProbeTask(64, 1, 1, 100, 1, 1, 1)
+	task := newProbeTask(6, 64)
 	opt := &countingOptimizer{ps: task.params}
 	tr, err := New(task, opt, optim.Constant(0.1), Config{
 		Stages: 3, BatchSize: 8, MicrobatchSize: 2,

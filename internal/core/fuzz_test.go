@@ -27,6 +27,7 @@ func fuzzTrainer(f testing.TB) *Trainer {
 	if err != nil {
 		f.Fatal(err)
 	}
+	task.tr = tr
 	return tr
 }
 

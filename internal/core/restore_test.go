@@ -20,9 +20,7 @@ func restoreProbe(t *testing.T, dt tensor.DType, fill float64, sizes ...int) *Tr
 	t.Helper()
 	task := sizedProbeTask(32, sizes...)
 	for g, p := range task.params {
-		for i := range p.Data.Data {
-			p.Data.Data[i] = fill + float64(g)
-		}
+		p.Data.Fill(fill + float64(g))
 		p.CastTo(dt)
 	}
 	tr, err := New(task, optim.NewAdamW(task.params, 0.9, 0.98, 1e-9, 1e-2), optim.Constant(0.1), Config{
@@ -31,6 +29,7 @@ func restoreProbe(t *testing.T, dt tensor.DType, fill float64, sizes ...int) *Tr
 	if err != nil {
 		t.Fatal(err)
 	}
+	task.tr = tr
 	return tr
 }
 
@@ -124,7 +123,7 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 			}
 			if string(liveState(tr)) != string(before) {
 				t.Fatalf("the rejected restore changed live state (masters[0] now %v, stage-0 ring latest %d, step %d)",
-					tr.masters[0].Data, tr.store.Latest(0), tr.step)
+					tr.masters[0], tr.store.Latest(0), tr.step)
 			}
 			if _, err := trained(tr).Run(ctx, 1); err != nil || tr.step != 8 {
 				t.Fatalf("after the rejected restore: step %d, err %v; want 8 steps trained", tr.step, err)

@@ -12,29 +12,36 @@ import (
 )
 
 // repTask is a minimal Replicable task for exercising the replica-sharded
-// trainer construction: one multi-scalar parameter per group, inert
-// forward/backward.
+// trainer construction: one multi-scalar parameter per group, one inert op
+// per group.
 type repTask struct {
 	groups   []pipeline.ParamGroup
+	prog     *nn.Program
 	numTrain int
-	nGroups  int
 }
 
 func newRepTask(groups, numTrain int) *repTask {
-	t := &repTask{numTrain: numTrain, nGroups: groups}
+	t := &repTask{numTrain: numTrain}
 	for g := 0; g < groups; g++ {
 		p := nn.NewParam("rep", 2)
 		t.groups = append(t.groups, pipeline.ParamGroup{Name: "g", Params: []*nn.Param{p}})
 	}
+	t.prog = stubProgram(groups, func(int) nn.Op { return inertOp{} })
 	return t
 }
 
+// inertOp reports a constant loss and leaves the gradients alone.
+type inertOp struct{}
+
+func (inertOp) Forward(m *nn.Machine) { m.Loss = 0.1 }
+func (inertOp) Backward(*nn.Machine)  {}
+
 func (t *repTask) Groups() []pipeline.ParamGroup { return t.groups }
 func (t *repTask) NumTrain() int                 { return t.numTrain }
-func (t *repTask) Forward(idx []int) float64     { return 0.1 }
-func (t *repTask) Backward()                     {}
+func (t *repTask) Program() *nn.Program          { return t.prog }
+func (t *repTask) BindMicro(*nn.Machine, []int)  {}
 func (t *repTask) EvalTest() float64             { return 0 }
-func (t *repTask) CloneTask() Task               { return newRepTask(t.nGroups, t.numTrain) }
+func (t *repTask) CloneTask() Task               { return newRepTask(len(t.groups), t.numTrain) }
 
 func repParams(t *repTask) []*nn.Param {
 	var ps []*nn.Param

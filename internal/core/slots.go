@@ -22,9 +22,6 @@ func (h host) Tracer() (*trace.Recorder, int) { return h.t.cfg.Trace, h.t.cfg.Tr
 // Stages returns P.
 func (h host) Stages() int { return h.t.clock.P }
 
-// Splittable reports whether the task runs as per-stage segments.
-func (h host) Splittable() bool { return h.t.prog != nil }
-
 // Recompute reports whether the chunk's chains make the Appendix D
 // recompute climb: the path is configured and the epoch asynchronous.
 func (h host) Recompute() bool { return h.t.async && h.t.segEnd1 != nil }
@@ -119,16 +116,13 @@ func (h host) BeginMicro(s int, mb []int) {
 		fl = t.freeFlows[n-1]
 		t.freeFlows = t.freeFlows[:n-1]
 	} else {
-		fl = &flight{}
-		if t.prog != nil {
-			fl.m = nn.NewMachine(t.prog.NumRegs)
-			// Slot machines allocate activations from their own tape
-			// arena, which must match the model dtype. Read it from a
-			// master: a scheduler worker's install may be swapping
-			// params[0].Data at this moment, nothing ever swaps a master.
-			if len(t.masters) > 0 {
-				fl.m.Tape.SetDType(t.masters[0].DType())
-			}
+		fl = &flight{m: nn.NewMachine(t.prog.NumRegs)}
+		// Slot machines allocate activations from their own tape arena,
+		// which must match the model dtype. Read it from a master: a
+		// scheduler worker's install may be swapping params[0].Data at
+		// this moment, nothing ever swaps a master.
+		if len(t.masters) > 0 {
+			fl.m.Tape.SetDType(t.masters[0].DType())
 		}
 	}
 	fl.mb = mb
@@ -162,46 +156,28 @@ func (h host) StageRecompute(s, stage int) {
 	h.forward(s, stage)
 }
 
-// forward runs the stage's forward segment. Stage-split tasks execute the
-// stage's op range on the microbatch's machine (stage 0 resets the machine
-// and binds the samples, so a second climb restarts the forward pass);
-// monolithic tasks run their whole forward in the last stage's slot, by
-// which point every stage's weights have been installed.
+// forward runs the stage's forward segment: its op range on the
+// microbatch's machine (stage 0 resets the machine and binds the samples,
+// so a second climb restarts the forward pass).
 func (h host) forward(s, stage int) float64 {
 	t := h.t
 	fl := h.flight(s)
-	last := t.clock.P - 1
-	if t.prog == nil {
-		if stage == last {
-			return t.task.Forward(fl.mb)
-		}
-		return 0
-	}
 	if stage == 0 {
 		fl.m.ResetRun()
-		t.stageTask.BindMicro(fl.m, fl.mb)
+		t.task.BindMicro(fl.m, fl.mb)
 	}
 	t.prog.ForwardRange(fl.m, t.opLo[stage], t.opHi[stage])
-	if stage == last {
+	if stage == t.clock.P-1 {
 		return fl.m.Loss
 	}
 	return 0
 }
 
 // StageBackward runs the stage's backward slot for microbatch s.
-// Monolithic tasks run their whole backward in stage 0's slot, by which
-// point every stage's backward weights have been (re-)installed.
 func (h host) StageBackward(s, stage int) {
 	t := h.t
 	t.install(s, stage, slotBwd)
-	fl := h.flight(s)
-	if t.prog == nil {
-		if stage == 0 {
-			t.task.Backward()
-		}
-		return
-	}
-	t.prog.BackwardRange(fl.m, t.opLo[stage], t.opHi[stage])
+	t.prog.BackwardRange(h.flight(s).m, t.opLo[stage], t.opHi[stage])
 }
 
 // EndMicro closes microbatch s and recycles its machine.

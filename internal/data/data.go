@@ -44,23 +44,25 @@ func NewImages(cfg ImagesConfig) *Images {
 	d := &Images{Classes: cfg.Classes, C: cfg.C, H: cfg.H, W: cfg.W}
 	px := cfg.C * cfg.H * cfg.W
 	d.templates = tensor.New(cfg.Classes, px)
-	for i := range d.templates.Data {
-		d.templates.Data[i] = rng.NormFloat64()
+	tmpl := tensor.F64(d.templates)
+	for i := range tmpl {
+		tmpl[i] = rng.NormFloat64()
 	}
 	gen := func(n int) (*tensor.Tensor, []int) {
-		x := tensor.New(n, cfg.C, cfg.H, cfg.W)
+		xt := tensor.New(n, cfg.C, cfg.H, cfg.W)
+		x := tensor.F64(xt)
 		y := make([]int, n)
 		for i := 0; i < n; i++ {
 			c := rng.Intn(cfg.Classes)
 			y[i] = c
 			for j := 0; j < px; j++ {
-				x.Data[i*px+j] = d.templates.Data[c*px+j] + cfg.Noise*rng.NormFloat64()
+				x[i*px+j] = tmpl[c*px+j] + float64(cfg.Noise*rng.NormFloat64())
 			}
 			if cfg.LabelFlip > 0 && rng.Float64() < cfg.LabelFlip {
 				y[i] = rng.Intn(cfg.Classes)
 			}
 		}
-		return x, y
+		return xt, y
 	}
 	d.TrainX, d.TrainY = gen(cfg.Train)
 	d.TestX, d.TestY = gen(cfg.Test)
@@ -122,15 +124,15 @@ func NewTranslation(cfg TranslationConfig) *Translation {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := &Translation{Vocab: cfg.Vocab, SrcLen: cfg.SrcLen, TgtLen: cfg.SrcLen + 1}
 	gen := func(n int) (*tensor.Tensor, *tensor.Tensor, [][]int) {
-		src := tensor.New(n, cfg.SrcLen)
-		dst := tensor.New(n, d.TgtLen)
+		srcT, dstT := tensor.New(n, cfg.SrcLen), tensor.New(n, d.TgtLen)
+		src, dst := tensor.F64(srcT), tensor.F64(dstT)
 		lbl := make([][]int, n)
 		content := cfg.Vocab - 3
 		for i := 0; i < n; i++ {
 			toks := make([]int, cfg.SrcLen)
 			for j := range toks {
 				toks[j] = 3 + rng.Intn(content)
-				src.Data[i*cfg.SrcLen+j] = float64(toks[j])
+				src[i*cfg.SrcLen+j] = float64(toks[j])
 			}
 			shift := toks[0] - 3
 			out := make([]int, cfg.SrcLen)
@@ -138,15 +140,15 @@ func NewTranslation(cfg TranslationConfig) *Translation {
 				s := toks[cfg.SrcLen-1-j]
 				out[j] = 3 + ((s-3)+shift)%content
 			}
-			dst.Data[i*d.TgtLen] = BOS
+			dst[i*d.TgtLen] = BOS
 			lbl[i] = make([]int, d.TgtLen)
 			for j := 0; j < cfg.SrcLen; j++ {
-				dst.Data[i*d.TgtLen+j+1] = float64(out[j])
+				dst[i*d.TgtLen+j+1] = float64(out[j])
 				lbl[i][j] = out[j]
 			}
 			lbl[i][cfg.SrcLen] = EOS
 		}
-		return src, dst, lbl
+		return srcT, dstT, lbl
 	}
 	d.TrainSrc, d.TrainDst, d.TrainLbl = gen(cfg.Train)
 	d.TestSrc, d.TestDst, d.TestLbl = gen(cfg.Test)
@@ -187,9 +189,9 @@ func NewRegression(n, d int, scales []float64, noise float64, seed int64) *Regre
 		t := 0.0
 		for j := 0; j < d; j++ {
 			r.X[i][j] = rng.NormFloat64() * scales[j]
-			t += r.X[i][j] * w[j]
+			t += float64(r.X[i][j] * w[j])
 		}
-		r.Y[i] = t + noise*rng.NormFloat64()
+		r.Y[i] = t + float64(noise*rng.NormFloat64())
 	}
 	return r
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pipemare/internal/tensor"
 )
 
 func TestImagesShapesAndDeterminism(t *testing.T) {
@@ -13,8 +15,9 @@ func TestImagesShapesAndDeterminism(t *testing.T) {
 	if a.TrainX.Shape[0] != 20 || a.TrainX.Shape[1] != 3 {
 		t.Fatalf("train shape %v", a.TrainX.Shape)
 	}
-	for i := range a.TrainX.Data {
-		if a.TrainX.Data[i] != b.TrainX.Data[i] {
+	bx := tensor.F64(b.TrainX)
+	for i, v := range tensor.F64(a.TrainX) {
+		if v != bx[i] {
 			t.Fatal("same seed must give identical data")
 		}
 	}
@@ -28,8 +31,8 @@ func TestImagesShapesAndDeterminism(t *testing.T) {
 		t.Fatalf("flat shape %v", flat.Shape)
 	}
 	// Flat view shares data.
-	flat.Data[0] = 99
-	if a.TrainX.Data[0] != 99 {
+	tensor.F64(flat)[0] = 99
+	if tensor.F64(a.TrainX)[0] != 99 {
 		t.Fatal("FlatTrain must be a view")
 	}
 }
@@ -45,7 +48,7 @@ func TestImagesSeparableAtLowNoise(t *testing.T) {
 		for c := 0; c < 5; c++ {
 			s := 0.0
 			for j := 0; j < px; j++ {
-				diff := d.TestX.Data[i*px+j] - d.templates.Data[c*px+j]
+				diff := tensor.F64(d.TestX)[i*px+j] - tensor.F64(d.templates)[c*px+j]
 				s += diff * diff
 			}
 			if s < best {
@@ -68,7 +71,7 @@ func TestTranslationStructure(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		// Decoder input starts with BOS.
-		if int(d.TrainDst.At(i, 0)) != BOS {
+		if int(d.TrainDst.FlatAt(i*d.TgtLen)) != BOS {
 			t.Fatal("decoder input must start with BOS")
 		}
 		// Labels end with EOS.
@@ -77,7 +80,7 @@ func TestTranslationStructure(t *testing.T) {
 		}
 		// Teacher forcing alignment: dst[j+1] == lbl[j] for content tokens.
 		for j := 0; j < 6; j++ {
-			if int(d.TrainDst.At(i, j+1)) != d.TrainLbl[i][j] {
+			if int(d.TrainDst.FlatAt(i*d.TgtLen+j+1)) != d.TrainLbl[i][j] {
 				t.Fatal("decoder input must be shifted labels")
 			}
 		}
@@ -92,7 +95,7 @@ func TestTranslationTransformIsDeterministicFunctionOfSource(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		src := make([]int, 5)
 		for j := range src {
-			src[j] = int(d.TrainSrc.At(i, j))
+			src[j] = int(d.TrainSrc.FlatAt(i*5 + j))
 		}
 		shift := src[0] - 3
 		for j := 0; j < 5; j++ {

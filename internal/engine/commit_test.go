@@ -33,7 +33,7 @@ var clipPartials = []float64{1e16, 1, -1e16, 1, 1, 3}
 
 func newFakeCommitter() *fakeCommitter {
 	p := len(clipPartials)
-	return &fakeCommitter{fakeHost: newFakeHost(p, false, true, -1), rec: trace.New(),
+	return &fakeCommitter{fakeHost: newFakeHost(p, false, -1), rec: trace.New(),
 		prepared: make([]int, p), scaled: make([]int, p), stepped: make([]int, p), finished: make([]int, p)}
 }
 

@@ -12,8 +12,8 @@
 // therefore load-balance across stages automatically — with P ≫ cores the
 // engine no longer pays for P mostly-idle goroutines, and a cost-balanced
 // partition (pipeline.PartitionGroupsByCost) keeps the per-stage queues
-// comparably heavy. With a stage-split task (core.StageTask), up to P
-// microbatch chains are in flight at once — a real fill/drain pipeline.
+// comparably heavy. Up to P microbatch chains are in flight at once — a
+// real fill/drain pipeline.
 //
 // Determinism is preserved for every worker count because scheduling
 // freedom never reorders a serialization domain: jobs enter a stage's
@@ -27,10 +27,7 @@
 // stage order; and microbatch losses are summed in microbatch order from
 // the result collector. Training curves are therefore bit-identical to Reference for
 // every W ∈ {1..P} — pinned by the equivalence tests at the repository
-// root. Monolithic tasks (Host.Splittable() == false) cap the pipeline at
-// one chain in flight; compute runs in the boundary stages' slots, the
-// kernels under a slot are serial leaf calls, and the shard-parallel
-// commit is the only parallelism such a task gets.
+// root.
 package concurrent
 
 import (
@@ -81,17 +78,16 @@ type stageQueue struct {
 type Engine struct {
 	workers int // requested W; 0 = min(P, GOMAXPROCS)
 
-	h        engine.Host
-	p        int
-	nw       int // workers actually started
-	inflight int // microbatch chains allowed in flight (P, or 1 when monolithic)
-	queues   []stageQueue
-	ready    chan int // stages with queued work and no claiming worker
-	results  chan job
-	acks     chan struct{}
-	aborted  atomic.Bool // set on the first bad loss: later chains skip compute
-	wg       sync.WaitGroup
-	running  bool
+	h       engine.Host
+	p       int // stages, and the number of microbatch chains allowed in flight
+	nw      int // workers actually started
+	queues  []stageQueue
+	ready   chan int // stages with queued work and no claiming worker
+	results chan job
+	acks    chan struct{}
+	aborted atomic.Bool // set on the first bad loss: later chains skip compute
+	wg      sync.WaitGroup
+	running bool
 
 	losses []float64 // per-minibatch scratch, reused across calls
 
@@ -142,10 +138,6 @@ func (e *Engine) Start(h engine.Host) {
 	}
 	e.h = h
 	e.p = h.Stages()
-	e.inflight = 1
-	if h.Splittable() {
-		e.inflight = e.p
-	}
 	e.nw = e.workers
 	if e.nw == 0 {
 		e.nw = runtime.GOMAXPROCS(0)
@@ -155,9 +147,9 @@ func (e *Engine) Start(h engine.Host) {
 	// Each stage is "ready" at most once (the active flag), so capacity P
 	// makes every send non-blocking.
 	e.ready = make(chan int, e.p)
-	e.results = make(chan job, e.inflight)
+	e.results = make(chan job, e.p)
 	e.acks = make(chan struct{}, e.nw)
-	e.losses = make([]float64, 0, e.inflight)
+	e.losses = make([]float64, 0, e.p)
 	rec, rep := trace.FromCarrier(h)
 	e.rec = rec
 	e.tracks = make([]*trace.Track, e.nw)
@@ -316,7 +308,7 @@ func (e *Engine) bwd(w, i int, jb job) {
 	e.results <- jb
 }
 
-// Minibatch executes the N microbatch chains with up to `inflight` of them
+// Minibatch executes the N microbatch chains with up to P of them
 // overlapping across the stage queues, and restores every stage once they
 // have drained.
 func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
@@ -334,7 +326,7 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 	badK := -1
 	var ctxErr error
 	for {
-		for dispatched < n && dispatched-completed < e.inflight && badK < 0 && ctxErr == nil {
+		for dispatched < n && dispatched-completed < e.p && badK < 0 && ctxErr == nil {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				break

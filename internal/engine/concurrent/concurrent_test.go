@@ -15,7 +15,6 @@ type stubHost struct{ p int }
 func (s *stubHost) Stages() int                   { return s.p }
 func (s *stubHost) Recompute() bool               { return false }
 func (s *stubHost) MicroBase() int                { return 0 }
-func (s *stubHost) Splittable() bool              { return true }
 func (s *stubHost) Restore(int)                   {}
 func (s *stubHost) BeginMicro(int, []int)         {}
 func (s *stubHost) StageForward(_, _ int) float64 { return 0 }
@@ -103,7 +102,6 @@ func (h *exclusionHost) leave(stage int) { h.inSlot[stage].Add(-1) }
 func (h *exclusionHost) Stages() int             { return h.p }
 func (h *exclusionHost) Recompute() bool         { return false }
 func (h *exclusionHost) MicroBase() int          { return 0 }
-func (h *exclusionHost) Splittable() bool        { return true }
 func (h *exclusionHost) Restore(st int)          { h.enter(st); h.leave(st) }
 func (h *exclusionHost) BeginMicro(int, []int)   {}
 func (h *exclusionHost) StageRecompute(_, _ int) {}

@@ -44,21 +44,14 @@ var ErrDiverged = errors.New("engine: training diverged")
 // parameters and the microbatch's private activation state, so calls are
 // safe to overlap when both the stage AND the microbatch differ; all slots
 // of one stage must be serialized (ordered) with each other and with that
-// stage's Restore, and a microbatch's chain must run in chain order. When
-// Splittable reports false the substrate is monolithic: the forward
-// compute happens entirely inside the last stage's forward (or recompute)
-// slot and the backward inside stage 0's backward slot, so at most one
-// microbatch may be in flight at a time. BeginMicro/EndMicro must be
+// stage's Restore, and a microbatch's chain must run in chain order — an
+// engine may keep up to P chains in flight. BeginMicro/EndMicro must be
 // ordered (happen-before) with respect to the slots they bracket, and
 // every stage must be restored after the last chain before Minibatch
 // returns.
 type Host interface {
 	// Stages returns P, the number of pipeline stages.
 	Stages() int
-	// Splittable reports whether the task executes as true per-stage
-	// segments (the engine may overlap up to P microbatches) or as a
-	// monolithic substrate (one microbatch in flight at a time).
-	Splittable() bool
 	// Recompute reports whether the chains of the minibatch being executed
 	// make the Appendix D recompute climb.
 	Recompute() bool

@@ -61,7 +61,6 @@ func (m *stubMember) Stages() int                         { return m.p }
 func (m *stubMember) Async() bool                         { return false }
 func (m *stubMember) Recompute() bool                     { return false }
 func (m *stubMember) MicroBase() int                      { return 0 }
-func (m *stubMember) Splittable() bool                    { return true }
 func (m *stubMember) SetAsync(bool)                       {}
 func (m *stubMember) StageRecompute(_, _ int)             {}
 func (m *stubMember) Restore(int)                         {}

@@ -140,7 +140,9 @@ func TestCorruptReachesTensorLists(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	near, far := linked(t, ctx, NewScript(Rule{Dir: Send, Type: transport.MsgSetGrads, Nth: 2, Op: Corrupt}))
-	grads := []*tensor.Tensor{tensor.Full(1.5, 3, 2), tensor.Full(-2, 70000)} // spans three frames
+	grads := []*tensor.Tensor{tensor.New(3, 2), tensor.New(70000)} // spans three frames
+	grads[0].Fill(1.5)
+	grads[1].Fill(-2)
 	sent := transport.Msg{Type: transport.MsgSetGrads, Stage: 1, Lists: [][]*tensor.Tensor{grads}}
 	go func() {
 		near.Send(ctx, sent)

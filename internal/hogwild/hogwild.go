@@ -23,8 +23,8 @@ import (
 type Task interface {
 	Groups() []pipeline.ParamGroup
 	NumTrain() int
-	Forward(idx []int) float64
-	Backward()
+	Program() *nn.Program
+	BindMicro(m *nn.Machine, idx []int)
 	EvalTest() float64
 }
 
@@ -49,6 +49,8 @@ type Trainer struct {
 
 	part   *pipeline.Partition
 	store  *pipeline.VersionStore
+	prog   *nn.Program
+	mach   *nn.Machine // the one minibatch in flight: no microbatching, no overlap
 	params []*nn.Param
 	stage1 []int
 	means  []float64 // per-stage mean delay
@@ -92,9 +94,14 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	t := &Trainer{
 		task: task, opt: opt, sched: sched, cfg: cfg,
 		part: part,
+		prog: task.Program(),
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	t.params = part.Params()
+	t.mach = nn.NewMachine(t.prog.NumRegs)
+	if len(t.params) > 0 {
+		t.mach.Tape.SetDType(t.params[0].Data.DType())
+	}
 	for s, ps := range part.Stages {
 		for range ps {
 			t.stage1 = append(t.stage1, s+1)
@@ -157,7 +164,10 @@ func (t *Trainer) TrainEpochs(epochs int, run *metrics.Run) *metrics.Run {
 				}
 				pm.Data = snapOf(t.store.Get(st, v), t.part.Stages[st], pm)
 			}
-			loss := t.task.Forward(batch)
+			t.mach.ResetRun()
+			t.task.BindMicro(t.mach, batch)
+			t.prog.ForwardRange(t.mach, 0, len(t.prog.Ops))
+			loss := t.mach.Loss
 			if math.IsNaN(loss) || loss > t.cfg.LossCap {
 				for i, pm := range t.params {
 					pm.Data = masters[i]
@@ -167,7 +177,7 @@ func (t *Trainer) TrainEpochs(epochs int, run *metrics.Run) *metrics.Run {
 				t.diverged = true
 				return run
 			}
-			t.task.Backward()
+			t.prog.BackwardRange(t.mach, 0, len(t.prog.Ops))
 			for i, pm := range t.params {
 				pm.Data = masters[i]
 			}

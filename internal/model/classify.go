@@ -4,11 +4,9 @@
 // translation substitute (see DESIGN.md §1 for the substitution table).
 //
 // Every task compiles its network to an nn.Program whose ops are aligned
-// with the task's weight groups, so the trainer can execute it as
-// per-stage segments (core.StageTask) and the concurrent engine can keep
-// several microbatches in flight across pipeline stages at once. The
-// monolithic Forward/Backward methods run the same program end to end on a
-// private machine.
+// with the task's weight groups, so the trainer executes it as per-stage
+// segments (core.Task) and the concurrent engine keeps several
+// microbatches in flight across pipeline stages at once.
 package model
 
 import (
@@ -33,7 +31,7 @@ type Classification struct {
 	rLogits nn.Reg
 	lossAt  int // op index of the loss op
 
-	trainM, evalM *nn.Machine
+	evalM *nn.Machine
 
 	trainX, testX *tensor.Tensor // (N, D) or (N, C, H, W) features
 	trainY, testY []int
@@ -54,7 +52,6 @@ func newClassification(b *progBuilder, rIn, rLogits nn.Reg, ce *nn.CrossEntropy,
 	} else {
 		c.trainX, c.testX = d.TrainX, d.TestX
 	}
-	c.trainM = nn.NewMachine(c.prog.NumRegs)
 	c.evalM = nn.NewMachine(c.prog.NumRegs)
 	return c
 }
@@ -155,14 +152,14 @@ func (c *Classification) CloneTask() core.Task {
 // the optimizer sizes its moments off the parameter dtype.
 func (c *Classification) SetDType(dt tensor.DType) {
 	c.dt = dt
-	setProgDType(dt, c.groups, c.prog, c.trainM, c.evalM)
+	setProgDType(dt, c.groups, c.prog, c.evalM)
 }
 
-// Program returns the compiled op program (core.StageTask).
+// Program returns the compiled op program (core.Task).
 func (c *Classification) Program() *nn.Program { return c.prog }
 
 // BindMicro loads the indexed samples and labels into a machine
-// (core.StageTask). The machine must have been reset.
+// (core.Task). The machine must have been reset.
 func (c *Classification) BindMicro(m *nn.Machine, idx []int) {
 	m.SetVal(c.rIn, gatherRowsTape(&m.Tape, c.trainX, idx))
 	m.Labels = m.Labels[:0]
@@ -173,19 +170,6 @@ func (c *Classification) BindMicro(m *nn.Machine, idx []int) {
 
 // NumTrain returns the training-set size.
 func (c *Classification) NumTrain() int { return len(c.trainY) }
-
-// Forward computes the mean cross-entropy loss on the indexed samples.
-func (c *Classification) Forward(idx []int) float64 {
-	c.trainM.ResetRun()
-	c.BindMicro(c.trainM, idx)
-	c.prog.ForwardRange(c.trainM, 0, len(c.prog.Ops))
-	return c.trainM.Loss
-}
-
-// Backward backpropagates from the last Forward.
-func (c *Classification) Backward() {
-	c.prog.BackwardRange(c.trainM, 0, len(c.prog.Ops))
-}
 
 // EvalTest returns test accuracy in percent.
 func (c *Classification) EvalTest() float64 {
@@ -212,15 +196,4 @@ func (c *Classification) EvalTest() float64 {
 		}
 	}
 	return 100 * float64(correct) / float64(n)
-}
-
-// gatherRows selects rows (first axis) of x at the given indices.
-func gatherRows(x *tensor.Tensor, idx []int) *tensor.Tensor {
-	rowLen := x.Size() / x.Shape[0]
-	shape := append([]int{len(idx)}, x.Shape[1:]...)
-	out := tensor.New(shape...)
-	for i, ix := range idx {
-		copy(out.Data[i*rowLen:(i+1)*rowLen], x.Data[ix*rowLen:(ix+1)*rowLen])
-	}
-	return out
 }

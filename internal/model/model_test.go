@@ -8,6 +8,7 @@ import (
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
+	"pipemare/internal/tensor"
 )
 
 func smallImages() *data.Images {
@@ -22,6 +23,39 @@ func learnableTranslation() *data.Translation {
 	return data.NewTranslation(data.TranslationConfig{Vocab: 13, SrcLen: 6, Train: 1024, Test: 64, Seed: 2})
 }
 
+// pass drives a task's program over one machine the way a two-stage
+// pipeline's slots do: forward over the two op ranges in order, backward
+// over them in reverse, the boundary activations crossing in the
+// machine's registers.
+type pass struct {
+	task programTask
+	m    *nn.Machine
+}
+
+type programTask interface {
+	Program() *nn.Program
+	BindMicro(m *nn.Machine, idx []int)
+}
+
+func passOver(task programTask) pass { return pass{task, nn.NewMachine(task.Program().NumRegs)} }
+
+func (p pass) forward(idx []int) float64 {
+	prog := p.task.Program()
+	n := len(prog.Ops)
+	p.m.ResetRun()
+	p.task.BindMicro(p.m, idx)
+	prog.ForwardRange(p.m, 0, n/2)
+	prog.ForwardRange(p.m, n/2, n)
+	return p.m.Loss
+}
+
+func (p pass) backward() {
+	prog := p.task.Program()
+	n := len(prog.Ops)
+	prog.BackwardRange(p.m, n/2, n)
+	prog.BackwardRange(p.m, 0, n/2)
+}
+
 func TestResNetMLPGroupCount(t *testing.T) {
 	c := NewResNetMLP(smallImages(), 12, 5, 3)
 	// stem + 2 per block + head.ln + head.fc.
@@ -34,8 +68,8 @@ func TestResNetMLPGroupCount(t *testing.T) {
 		if len(g.Params) == 0 || g.Name == "" {
 			t.Fatalf("bad group %+v", g)
 		}
-		if g.Size() <= 0 {
-			t.Fatalf("group %s has size %d", g.Name, g.Size())
+		if n := nn.TotalSize(g.Params); n <= 0 {
+			t.Fatalf("group %s has size %d", g.Name, n)
 		}
 	}
 }
@@ -50,7 +84,8 @@ func TestConvNetGroupCount(t *testing.T) {
 
 func TestClassificationForwardBackwardShapes(t *testing.T) {
 	c := NewResNetMLP(smallImages(), 12, 3, 4)
-	loss := c.Forward([]int{0, 1, 2, 3})
+	run := passOver(c)
+	loss := run.forward([]int{0, 1, 2, 3})
 	if math.IsNaN(loss) || loss <= 0 {
 		t.Fatalf("initial loss = %g", loss)
 	}
@@ -58,7 +93,7 @@ func TestClassificationForwardBackwardShapes(t *testing.T) {
 	if loss > 3 {
 		t.Fatalf("initial loss %g implausibly high", loss)
 	}
-	c.Backward()
+	run.backward()
 	var ps []*nn.Param
 	for _, g := range c.Groups() {
 		ps = append(ps, g.Params...)
@@ -76,10 +111,11 @@ func TestResNetMLPTrainsSynchronously(t *testing.T) {
 		ps = append(ps, g.Params...)
 	}
 	opt := optim.NewSGD(ps, 0.9, 0)
+	run := passOver(c)
 	for epoch := 0; epoch < 15; epoch++ {
 		for _, b := range data.Batches(c.NumTrain(), 32, nil) {
-			c.Forward(b)
-			c.Backward()
+			run.forward(b)
+			run.backward()
 			opt.Step(optim.UniformLR(0.05, len(ps)))
 			nn.ZeroGrads(ps)
 		}
@@ -97,10 +133,11 @@ func TestConvNetTrainsSynchronously(t *testing.T) {
 		ps = append(ps, g.Params...)
 	}
 	opt := optim.NewSGD(ps, 0.9, 0)
+	run := passOver(c)
 	for epoch := 0; epoch < 10; epoch++ {
 		for _, b := range data.Batches(c.NumTrain(), 32, nil) {
-			c.Forward(b)
-			c.Backward()
+			run.forward(b)
+			run.backward()
 			opt.Step(optim.UniformLR(0.05, len(ps)))
 			nn.ZeroGrads(ps)
 		}
@@ -118,12 +155,13 @@ func TestTranslationGroupsAndInitialLoss(t *testing.T) {
 	if got := len(tr.Groups()); got != want {
 		t.Fatalf("groups = %d, want %d", got, want)
 	}
-	loss := tr.Forward([]int{0, 1, 2, 3})
+	run := passOver(tr)
+	loss := run.forward([]int{0, 1, 2, 3})
 	// Initial loss ≈ ln(V) = ln(11) ≈ 2.4.
 	if loss < 1 || loss > 4 {
 		t.Fatalf("initial translation loss = %g, want ≈ ln(11)", loss)
 	}
-	tr.Backward()
+	run.backward()
 	var ps []*nn.Param
 	for _, g := range tr.Groups() {
 		ps = append(ps, g.Params...)
@@ -143,10 +181,9 @@ func TestTranslationNumericalGradient(t *testing.T) {
 	for _, g := range tr.Groups() {
 		ps = append(ps, g.Params...)
 	}
-	tr.Forward(idx)
-	nn.ZeroGrads(ps)
-	tr.Forward(idx)
-	tr.Backward()
+	run := passOver(tr)
+	run.forward(idx)
+	run.backward()
 	const eps = 1e-5
 	// Probe params spread across the network: src emb, an encoder FF, a
 	// cross-attention projection, the output projection.
@@ -154,15 +191,15 @@ func TestTranslationNumericalGradient(t *testing.T) {
 	for _, pi := range probes {
 		p := ps[pi]
 		for _, j := range []int{0, p.Size() / 2} {
-			orig := p.Data.Data[j]
-			p.Data.Data[j] = orig + eps
-			lp := tr.Forward(idx)
-			p.Data.Data[j] = orig - eps
-			lm := tr.Forward(idx)
-			p.Data.Data[j] = orig
+			orig := p.Data.FlatAt(j)
+			p.Data.SetFlat(j, orig+eps)
+			lp := run.forward(idx)
+			p.Data.SetFlat(j, orig-eps)
+			lm := run.forward(idx)
+			p.Data.SetFlat(j, orig)
 			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-p.Grad.Data[j]) > 1e-4*(1+math.Abs(num)) {
-				t.Fatalf("param %s[%d]: grad %g, numeric %g", p.Name, j, p.Grad.Data[j], num)
+			if got := p.Grad.FlatAt(j); math.Abs(num-got) > 1e-4*(1+math.Abs(num)) {
+				t.Fatalf("param %s[%d]: grad %g, numeric %g", p.Name, j, got, num)
 			}
 		}
 	}
@@ -180,10 +217,11 @@ func TestTranslationLearnsAndBLEUImproves(t *testing.T) {
 	sched := optim.WarmupInvSqrt{Peak: 5e-3, Init: 1e-6, Warmup: 50}
 	step := 0
 	var loss float64
+	run := passOver(tr)
 	for epoch := 0; epoch < 25; epoch++ {
 		for _, b := range data.Batches(tr.NumTrain(), 64, nil) {
-			loss = tr.Forward(b)
-			tr.Backward()
+			loss = run.forward(b)
+			run.backward()
 			nn.ClipGradNorm(ps, 5)
 			opt.Step(optim.UniformLR(sched.LR(step), len(ps)))
 			nn.ZeroGrads(ps)
@@ -209,14 +247,23 @@ func TestTrimEOS(t *testing.T) {
 }
 
 func TestGatherRows(t *testing.T) {
-	d := smallImages()
-	x := gatherRows(d.FlatTrain(), []int{3, 0})
-	if x.Shape[0] != 2 || x.Shape[1] != 16 {
-		t.Fatalf("gather shape %v", x.Shape)
-	}
-	for j := 0; j < 16; j++ {
-		if x.At(0, j) != d.FlatTrain().At(3, j) {
-			t.Fatal("gather row mismatch")
+	src := smallImages().FlatTrain()
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		var tape nn.Tape
+		tape.SetDType(dt)
+		x := gatherRowsTape(&tape, src, []int{3, 0})
+		if x.DType() != dt || x.Shape[0] != 2 || x.Shape[1] != 16 {
+			t.Fatalf("%s gather: dtype %s, shape %v", dt, x.DType(), x.Shape)
+		}
+		for j := 0; j < 16; j++ {
+			// A float32 tape rounds each gathered element once.
+			want0, want1 := src.FlatAt(3*16+j), src.FlatAt(j)
+			if dt == tensor.Float32 {
+				want0, want1 = float64(float32(want0)), float64(float32(want1))
+			}
+			if x.FlatAt(j) != want0 || x.FlatAt(16+j) != want1 {
+				t.Fatalf("%s gather row mismatch at column %d", dt, j)
+			}
 		}
 	}
 }

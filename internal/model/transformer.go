@@ -32,7 +32,7 @@ type Translation struct {
 	encEnd                    int // op index where the decoder section starts
 	lossAt                    int // op index of the loss op
 
-	trainM, encM, decM *nn.Machine
+	encM, decM *nn.Machine
 
 	d  int
 	dt tensor.DType
@@ -106,7 +106,6 @@ func NewTranslation(ds *data.Translation, cfg TransformerConfig) *Translation {
 	t.groups = b.groups
 	t.prog = b.build()
 	t.lossAt = len(t.prog.Ops) - 1
-	t.trainM = nn.NewMachine(t.prog.NumRegs)
 	t.encM = nn.NewMachine(t.prog.NumRegs)
 	t.decM = nn.NewMachine(t.prog.NumRegs)
 	return t
@@ -177,14 +176,14 @@ func (t *Translation) CloneTask() core.Task {
 // the optimizer sizes its moments off the parameter dtype.
 func (t *Translation) SetDType(dt tensor.DType) {
 	t.dt = dt
-	setProgDType(dt, t.groups, t.prog, t.trainM, t.encM, t.decM)
+	setProgDType(dt, t.groups, t.prog, t.encM, t.decM)
 }
 
-// Program returns the compiled op program (core.StageTask).
+// Program returns the compiled op program (core.Task).
 func (t *Translation) Program() *nn.Program { return t.prog }
 
 // BindMicro loads the indexed training pairs into a machine
-// (core.StageTask). The machine must have been reset.
+// (core.Task). The machine must have been reset.
 func (t *Translation) BindMicro(m *nn.Machine, idx []int) {
 	m.SetVal(t.rSrc, gatherRowsTape(&m.Tape, t.ds.TrainSrc, idx))
 	m.SetVal(t.rDst, gatherRowsTape(&m.Tape, t.ds.TrainDst, idx))
@@ -196,21 +195,6 @@ func (t *Translation) BindMicro(m *nn.Machine, idx []int) {
 
 // NumTrain returns the training-set size.
 func (t *Translation) NumTrain() int { return t.ds.TrainSrc.Shape[0] }
-
-// Forward computes the teacher-forced cross-entropy on the indexed
-// training pairs.
-func (t *Translation) Forward(idx []int) float64 {
-	t.trainM.ResetRun()
-	t.BindMicro(t.trainM, idx)
-	t.prog.ForwardRange(t.trainM, 0, len(t.prog.Ops))
-	return t.trainM.Loss
-}
-
-// Backward backpropagates from the last Forward through the decoder, the
-// cross-attention memory path, and the encoder.
-func (t *Translation) Backward() {
-	t.prog.BackwardRange(t.trainM, 0, len(t.prog.Ops))
-}
 
 // EvalTest greedy-decodes the test set and returns corpus BLEU against the
 // reference translations (content tokens up to EOS). The encoder section
@@ -235,22 +219,23 @@ func (t *Translation) EvalTest() float64 {
 		t.prog.ForwardRange(t.encM, 0, t.encEnd)
 		mem := t.encM.Val(t.rMem)
 		b := len(idx)
-		dst := tensor.New(b, t.ds.TgtLen)
+		dstT := tensor.New(b, t.ds.TgtLen)
+		dst := tensor.F64(dstT)
 		for i := 0; i < b; i++ {
-			dst.Data[i*t.ds.TgtLen] = data.BOS
+			dst[i*t.ds.TgtLen] = data.BOS
 		}
 		pred := make([][]int, b)
 		for step := 0; step < t.ds.TgtLen; step++ {
 			t.decM.ResetRun()
 			t.decM.SetVal(t.rMem, mem)
-			t.decM.SetVal(t.rDst, dst)
+			t.decM.SetVal(t.rDst, dstT)
 			t.prog.ForwardRange(t.decM, t.encEnd, t.lossAt)
 			logits := t.decM.Val(t.rLogits)
 			for i := 0; i < b; i++ {
 				tok := logits.ArgMaxRow(i*t.ds.TgtLen + step)
 				pred[i] = append(pred[i], tok)
 				if step+1 < t.ds.TgtLen {
-					dst.Data[i*t.ds.TgtLen+step+1] = float64(tok)
+					dst[i*t.ds.TgtLen+step+1] = float64(tok)
 				}
 			}
 		}

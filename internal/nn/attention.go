@@ -133,7 +133,7 @@ func attnSoftmaxBwd[T tensor.Elem](ds, dp, p []T, qLen, kLen int, scale float64)
 	for i := 0; i < qLen; i++ {
 		dot := 0.0
 		for j := 0; j < kLen; j++ {
-			dot += float64(dp[i*kLen+j]) * float64(p[i*kLen+j])
+			dot += float64(float64(dp[i*kLen+j]) * float64(p[i*kLen+j]))
 		}
 		for j := 0; j < kLen; j++ {
 			ds[i*kLen+j] = T(float64(p[i*kLen+j]) * (float64(dp[i*kLen+j]) - dot) * scale)
@@ -178,11 +178,12 @@ func scatterHead[T tensor.Elem](dst, src []T, b, h, seqLen, d, dk int) {
 	}
 }
 
-// MultiHeadAttention composes query/key/value/output projections around an
-// AttnCore. Activations are (B*T, D) matrices with a fixed sequence length
-// per side, matching the synthetic translation task. The projections are
-// Linear layers, so the decoupled-weight machinery applies to them
-// automatically.
+// MultiHeadAttention bundles the query/key/value/output projections and
+// the AttnCore of one attention block; a model compiles each of the five
+// into its own op (the projections are distinct weight groups). Activations
+// are (B*T, D) matrices with a fixed sequence length per side, matching the
+// synthetic translation task. The projections are Linear layers, so the
+// decoupled-weight machinery applies to them automatically.
 type MultiHeadAttention struct {
 	Wq, Wk, Wv, Wo *Linear
 	Core           *AttnCore
@@ -200,61 +201,3 @@ func NewMultiHeadAttention(name string, d, heads, qLen, kLen int, causal bool, r
 		Core: NewAttnCore(d, heads, qLen, kLen, causal),
 	}
 }
-
-// ForwardQKV runs attention with queries from xq and keys/values from xkv.
-// xq has shape (B*QLen, D) and xkv has shape (B*KLen, D).
-func (m *MultiHeadAttention) ForwardQKV(t *Tape, xq, xkv *tensor.Tensor) *tensor.Tensor {
-	q := m.Wq.Forward(t, xq)
-	k := m.Wk.Forward(t, xkv)
-	v := m.Wv.Forward(t, xkv)
-	y := m.Core.Forward(t, q, k, v)
-	return m.Wo.Forward(t, y)
-}
-
-// BackwardQKV backpropagates dy through the attention block, returning the
-// gradients with respect to xq and xkv.
-func (m *MultiHeadAttention) BackwardQKV(t *Tape, dy *tensor.Tensor) (dxq, dxkv *tensor.Tensor) {
-	dYall := m.Wo.Backward(t, dy)
-	dq, dk, dv := m.Core.Backward(t, dYall)
-	// Pop order is the reverse of the pushes: Wv, then Wk, then Wq.
-	dxv := m.Wv.Backward(t, dv)
-	dxk := m.Wk.Backward(t, dk)
-	dxq = m.Wq.Backward(t, dq)
-	tensor.AddInto(dxk, dxv) // dxk is freshly owned: fold in place
-	return dxq, dxk
-}
-
-// Params returns all projection parameters in q, k, v, o order.
-func (m *MultiHeadAttention) Params() []*Param {
-	var ps []*Param
-	for _, l := range []*Linear{m.Wq, m.Wk, m.Wv, m.Wo} {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
-// SelfAttention adapts MultiHeadAttention to the Layer interface with
-// queries, keys and values all drawn from the same input.
-type SelfAttention struct {
-	MHA *MultiHeadAttention
-}
-
-// NewSelfAttention returns a self-attention layer.
-func NewSelfAttention(name string, d, heads, seqLen int, causal bool, rng *rand.Rand) *SelfAttention {
-	return &SelfAttention{MHA: NewMultiHeadAttention(name, d, heads, seqLen, seqLen, causal, rng)}
-}
-
-// Forward runs self-attention on x.
-func (s *SelfAttention) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
-	return s.MHA.ForwardQKV(t, x, x)
-}
-
-// Backward sums the query-side and key/value-side input gradients.
-func (s *SelfAttention) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	dxq, dxkv := s.MHA.BackwardQKV(t, dy)
-	tensor.AddInto(dxq, dxkv) // dxq is freshly owned: fold in place
-	return dxq
-}
-
-// Params returns the projection parameters.
-func (s *SelfAttention) Params() []*Param { return s.MHA.Params() }

@@ -23,7 +23,7 @@ type Cost struct {
 // balances. Bytes are scaled by the approximate FLOPs-per-byte balance of
 // the dense kernels, so a bandwidth-bound op (embedding gather) and a
 // compute-bound op (matmul) land on a comparable axis.
-func (c Cost) Weight() float64 { return c.FLOPs + c.Bytes/4 }
+func (c Cost) Weight() float64 { return c.FLOPs + float64(c.Bytes/4) }
 
 // add folds another estimate in.
 func (c *Cost) add(o Cost) { c.FLOPs += o.FLOPs; c.Bytes += o.Bytes }
@@ -53,9 +53,9 @@ func (l *Linear) EstimateCost() Cost {
 	out := float64(l.W.Data.Shape[0])
 	in := float64(l.W.Data.Shape[1])
 	es := elemBytes(l.W)
-	c := Cost{FLOPs: 6 * in * out, Bytes: 3 * es * in * out}
+	c := Cost{FLOPs: float64(6 * in * out), Bytes: 3 * es * in * out}
 	if l.B != nil {
-		c.FLOPs += 2 * out
+		c.FLOPs += float64(2 * out)
 	}
 	return c
 }
@@ -112,7 +112,7 @@ func (a *AttnCore) EstimateCost() Cost {
 		es = 8
 	}
 	return Cost{
-		FLOPs: 12*k*d + 10*k*float64(a.Heads),
+		FLOPs: float64(12*k*d) + float64(10*k*float64(a.Heads)),
 		Bytes: 6 * es * k * d,
 	}
 }

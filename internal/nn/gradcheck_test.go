@@ -9,119 +9,152 @@ import (
 )
 
 // projLoss is the scalar test loss L = Σ y ⊙ r for a fixed random r, whose
-// gradient with respect to y is exactly r.
+// gradient with respect to y is exactly r. The sum runs in float64 over
+// the stored (per-dtype rounded) elements.
 func projLoss(y, r *tensor.Tensor) float64 {
 	s := 0.0
-	for i := range y.Data {
-		s += y.Data[i] * r.Data[i]
+	for i, n := 0, y.Size(); i < n; i++ {
+		s += y.FlatAt(i) * r.FlatAt(i)
 	}
 	return s
 }
 
-func randTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
+// randTensor draws a float64 tensor and casts it to dt, so both dtypes see
+// the same draw sequence.
+func randTensor(rng *rand.Rand, dt tensor.DType, shape ...int) *tensor.Tensor {
 	t := tensor.New(shape...)
-	for i := range t.Data {
-		t.Data[i] = rng.NormFloat64()
+	for i, n := 0, t.Size(); i < n; i++ {
+		t.SetFlat(i, rng.NormFloat64())
 	}
+	t.CastTo(dt)
 	return t
 }
 
-// fwd runs a layer forward on a throwaway tape (for loss probes whose
-// activations are consumed immediately).
-func fwd(l Layer, x *tensor.Tensor) *tensor.Tensor {
-	return l.Forward(NewTape(), x)
+// newTape returns an empty tape whose arena hands out dt tensors.
+func newTape(dt tensor.DType) *Tape {
+	tp := &Tape{}
+	tp.SetDType(dt)
+	return tp
+}
+
+// gradTol is the finite-difference step and the relative tolerance of a
+// gradient check in one dtype. Float32 outputs carry ~1e-7 of rounding
+// each, so the step is wide enough for the difference quotient to rise
+// above it and the tolerance covers what is left; float64 checks take
+// their tolerance per op.
+type gradTol struct {
+	dt       tensor.DType
+	eps, tol float64
+}
+
+func gradTols(tol64 float64) []gradTol {
+	return []gradTol{{tensor.Float64, 1e-5, tol64}, {tensor.Float32, 1.0 / 1024, 1e-2}}
+}
+
+// checkGrad compares the analytic gradient g of a scalar loss with respect
+// to x against central differences of loss(), perturbing every stride-th
+// coordinate of x in place. The quotient divides by the step x actually
+// took, which in float32 is not exactly 2·eps.
+func checkGrad(t *testing.T, label string, x, g *tensor.Tensor, stride int, gt gradTol, loss func() float64) {
+	t.Helper()
+	for i := 0; i < x.Size(); i += stride {
+		orig := x.FlatAt(i)
+		x.SetFlat(i, orig+gt.eps)
+		hi, lp := x.FlatAt(i), loss()
+		x.SetFlat(i, orig-gt.eps)
+		lo, lm := x.FlatAt(i), loss()
+		x.SetFlat(i, orig)
+		num := (lp - lm) / (hi - lo)
+		if got := g.FlatAt(i); math.Abs(num-got) > gt.tol*(1+math.Abs(num)) {
+			t.Fatalf("%s grad [%d] = %g, numeric %g", label, i, got, num)
+		}
+	}
 }
 
 // checkLayerGrad verifies a layer's input and parameter gradients against
-// central finite differences of the projection loss.
-func checkLayerGrad(t *testing.T, name string, l Layer, x *tensor.Tensor, rng *rand.Rand, tol float64) {
+// central finite differences of the projection loss, in both dtypes. mk
+// builds the layer and its input in float64 from a seeded rng; the float32
+// run casts both, so it checks the rounded image of the same problem.
+// inputGrad is false for layers whose input is not differentiable.
+func checkLayerGrad(t *testing.T, seed int64, tol64 float64, inputGrad bool, mk func(rng *rand.Rand) (Layer, *tensor.Tensor)) {
 	t.Helper()
-	y := fwd(l, x)
-	r := randTensor(rng, y.Shape...)
-	ZeroGrads(l.Params())
-	tp := NewTape()
-	l.Forward(tp, x)
-	dx := l.Backward(tp, r).Clone() // clone: the tape arena owns the original
-	if tp.Depth() != 0 {
-		t.Fatalf("%s: tape depth %d after forward+backward, want 0", name, tp.Depth())
-	}
-
-	const eps = 1e-5
-	// Input gradient.
-	for i := 0; i < len(x.Data); i += 1 + len(x.Data)/50 { // sample ≤ ~50 coords
-		orig := x.Data[i]
-		x.Data[i] = orig + eps
-		lp := projLoss(fwd(l, x), r)
-		x.Data[i] = orig - eps
-		lm := projLoss(fwd(l, x), r)
-		x.Data[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if diff := math.Abs(num - dx.Data[i]); diff > tol*(1+math.Abs(num)) {
-			t.Fatalf("%s: input grad [%d] = %g, numeric %g", name, i, dx.Data[i], num)
-		}
-	}
-	// Parameter gradients.
-	for _, p := range l.Params() {
-		for i := 0; i < len(p.Data.Data); i += 1 + len(p.Data.Data)/40 {
-			orig := p.Data.Data[i]
-			p.Data.Data[i] = orig + eps
-			lp := projLoss(fwd(l, x), r)
-			p.Data.Data[i] = orig - eps
-			lm := projLoss(fwd(l, x), r)
-			p.Data.Data[i] = orig
-			num := (lp - lm) / (2 * eps)
-			if diff := math.Abs(num - p.Grad.Data[i]); diff > tol*(1+math.Abs(num)) {
-				t.Fatalf("%s: param %s grad [%d] = %g, numeric %g", name, p.Name, i, p.Grad.Data[i], num)
+	for _, gt := range gradTols(tol64) {
+		t.Run(gt.dt.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			l, x := mk(rng)
+			x.CastTo(gt.dt)
+			for _, p := range l.Params() {
+				p.CastTo(gt.dt)
 			}
-		}
+			tp := newTape(gt.dt)
+			r := randTensor(rng, gt.dt, l.Forward(tp, x).Shape...)
+			tp.Reset()
+			l.Forward(tp, x)
+			dx := l.Backward(tp, r).Clone() // clone: the tape arena owns the original
+			if len(tp.stack) != 0 {
+				t.Fatalf("%d records left on the tape after forward+backward", len(tp.stack))
+			}
+			loss := func() float64 { return projLoss(l.Forward(newTape(gt.dt), x), r) }
+			if inputGrad {
+				checkGrad(t, "input", x, dx, 1+x.Size()/50, gt, loss) // sample ≤ ~50 coords
+			}
+			for _, p := range l.Params() {
+				checkGrad(t, "param "+p.Name, p.Data, p.Grad, 1+p.Size()/40, gt, loss)
+			}
+		})
 	}
 }
 
 func TestLinearGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	l := NewLinear("fc", 7, 5, true, rng)
-	checkLayerGrad(t, "Linear", l, randTensor(rng, 4, 7), rng, 1e-6)
+	checkLayerGrad(t, 1, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewLinear("fc", 7, 5, true, rng), randTensor(rng, tensor.Float64, 4, 7)
+	})
 }
 
 func TestLinearNoBiasGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	l := NewLinear("fc", 6, 3, false, rng)
-	if len(l.Params()) != 1 {
-		t.Fatalf("no-bias linear has %d params, want 1", len(l.Params()))
-	}
-	checkLayerGrad(t, "LinearNoBias", l, randTensor(rng, 3, 6), rng, 1e-6)
+	checkLayerGrad(t, 2, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		l := NewLinear("fc", 6, 3, false, rng)
+		if len(l.Params()) != 1 {
+			t.Fatalf("no-bias linear has %d params, want 1", len(l.Params()))
+		}
+		return l, randTensor(rng, tensor.Float64, 3, 6)
+	})
 }
 
 func TestConv2dGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c := NewConv2d("conv", 2, 3, 3, 1, 1, true, rng)
-	checkLayerGrad(t, "Conv2d", c, randTensor(rng, 2, 2, 5, 5), rng, 1e-6)
+	checkLayerGrad(t, 3, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewConv2d("conv", 2, 3, 3, 1, 1, true, rng), randTensor(rng, tensor.Float64, 2, 2, 5, 5)
+	})
 }
 
 func TestConv2dStridedGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	c := NewConv2d("conv", 2, 4, 3, 2, 1, true, rng)
-	checkLayerGrad(t, "Conv2dStrided", c, randTensor(rng, 1, 2, 6, 6), rng, 1e-6)
+	checkLayerGrad(t, 4, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewConv2d("conv", 2, 4, 3, 2, 1, true, rng), randTensor(rng, tensor.Float64, 1, 2, 6, 6)
+	})
 }
 
 func TestReLUGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	checkLayerGrad(t, "ReLU", NewReLU(), randTensor(rng, 4, 9), rng, 1e-6)
+	checkLayerGrad(t, 5, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewReLU(), randTensor(rng, tensor.Float64, 4, 9)
+	})
 }
 
 func TestGELUGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	checkLayerGrad(t, "GELU", NewGELU(), randTensor(rng, 4, 9), rng, 1e-6)
+	checkLayerGrad(t, 6, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewGELU(), randTensor(rng, tensor.Float64, 4, 9)
+	})
 }
 
 func TestLayerNormGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	checkLayerGrad(t, "LayerNorm", NewLayerNorm("ln", 8), randTensor(rng, 5, 8), rng, 1e-5)
+	checkLayerGrad(t, 7, 1e-5, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewLayerNorm("ln", 8), randTensor(rng, tensor.Float64, 5, 8)
+	})
 }
 
 func TestGroupNormGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	checkLayerGrad(t, "GroupNorm", NewGroupNorm("gn", 4, 2), randTensor(rng, 2, 4, 3, 3), rng, 1e-5)
+	checkLayerGrad(t, 8, 1e-5, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewGroupNorm("gn", 4, 2), randTensor(rng, tensor.Float64, 2, 4, 3, 3)
+	})
 }
 
 // TestLayerKernelsAreLeafCalls is the nn half of the tensor package's
@@ -141,11 +174,9 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
 		in := make([]*tensor.Tensor, 4)
 		for i := range in {
-			in[i] = randTensor(rng, batch*seq, d)
-			in[i].CastTo(dt)
+			in[i] = randTensor(rng, dt, batch*seq, d)
 		}
-		tp := NewTape()
-		tp.SetDType(dt)
+		tp := newTape(dt)
 		ln := NewLayerNorm("ln", d)
 		ln.Gain.CastTo(dt)
 		ln.Bias.CastTo(dt)
@@ -167,168 +198,82 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 	}
 }
 
-func TestResidualGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	inner := NewSequential(NewLinear("fc1", 6, 6, true, rng), NewReLU())
-	checkLayerGrad(t, "Residual", NewResidual(inner), randTensor(rng, 3, 6), rng, 1e-6)
-}
-
-func TestSequentialGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	s := NewSequential(
-		NewLinear("fc1", 5, 8, true, rng),
-		NewReLU(),
-		NewLayerNorm("ln", 8),
-		NewLinear("fc2", 8, 4, true, rng),
-	)
-	checkLayerGrad(t, "Sequential", s, randTensor(rng, 3, 5), rng, 1e-5)
-}
-
-func TestSelfAttentionGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	sa := NewSelfAttention("attn", 8, 2, 4, false, rng)
-	checkLayerGrad(t, "SelfAttention", sa, randTensor(rng, 2*4, 8), rng, 1e-5)
-}
-
-func TestCausalSelfAttentionGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	sa := NewSelfAttention("attn", 8, 2, 4, true, rng)
-	checkLayerGrad(t, "CausalSelfAttention", sa, randTensor(rng, 2*4, 8), rng, 1e-5)
-}
-
-func TestCrossAttentionGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := NewMultiHeadAttention("xattn", 8, 2, 3, 5, false, rng)
-	xq := randTensor(rng, 2*3, 8)
-	xkv := randTensor(rng, 2*5, 8)
-	y := m.ForwardQKV(NewTape(), xq, xkv)
-	r := randTensor(rng, y.Shape...)
-	ZeroGrads(m.Params())
-	tp := NewTape()
-	m.ForwardQKV(tp, xq, xkv)
-	dxqT, dxkvT := m.BackwardQKV(tp, r)
-	dxq, dxkv := dxqT.Clone(), dxkvT.Clone()
-
-	const eps = 1e-5
-	check := func(x, dx *tensor.Tensor, label string) {
-		for i := 0; i < len(x.Data); i += 3 {
-			orig := x.Data[i]
-			x.Data[i] = orig + eps
-			lp := projLoss(m.ForwardQKV(NewTape(), xq, xkv), r)
-			x.Data[i] = orig - eps
-			lm := projLoss(m.ForwardQKV(NewTape(), xq, xkv), r)
-			x.Data[i] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-dx.Data[i]) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("cross-attention %s grad [%d] = %g, numeric %g", label, i, dx.Data[i], num)
+// checkAttnCoreGrad verifies the weightless attention core — what the
+// models' q/k/v/o projections are compiled around — against central
+// differences with respect to each of its three inputs, in both dtypes.
+func checkAttnCoreGrad(t *testing.T, seed int64, qLen, kLen int, causal bool) {
+	t.Helper()
+	const batch, d, heads = 2, 8, 2
+	for _, gt := range gradTols(1e-5) {
+		t.Run(gt.dt.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			core := NewAttnCore(d, heads, qLen, kLen, causal)
+			q := randTensor(rng, gt.dt, batch*qLen, d)
+			k := randTensor(rng, gt.dt, batch*kLen, d)
+			v := randTensor(rng, gt.dt, batch*kLen, d)
+			r := randTensor(rng, gt.dt, batch*qLen, d)
+			tp := newTape(gt.dt)
+			core.Forward(tp, q, k, v)
+			dq, dk, dv := core.Backward(tp, r)
+			if len(tp.stack) != 0 {
+				t.Fatalf("%d records left on the tape after forward+backward", len(tp.stack))
 			}
-		}
+			loss := func() float64 { return projLoss(core.Forward(newTape(gt.dt), q, k, v), r) }
+			checkGrad(t, "query", q, dq, 3, gt, loss)
+			checkGrad(t, "key", k, dk, 3, gt, loss)
+			checkGrad(t, "value", v, dv, 3, gt, loss)
+		})
 	}
-	check(xq, dxq, "query")
-	check(xkv, dxkv, "kv")
 }
 
+func TestSelfAttentionGradient(t *testing.T)       { checkAttnCoreGrad(t, 11, 4, 4, false) }
+func TestCausalSelfAttentionGradient(t *testing.T) { checkAttnCoreGrad(t, 12, 4, 4, true) }
+func TestCrossAttentionGradient(t *testing.T)      { checkAttnCoreGrad(t, 13, 3, 5, false) }
+
+// TestEmbeddingGradient checks the table gradient only — token ids are not
+// differentiable — with token 3 repeated, so its row must receive the sum
+// of both occurrences' gradients.
 func TestEmbeddingGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	e := NewEmbedding("emb", 10, 6, rng)
-	ids := tensor.FromSlice([]float64{1, 3, 3, 7}, 2, 2)
-	y := fwd(e, ids)
-	r := randTensor(rng, y.Shape...)
-	ZeroGrads(e.Params())
-	tp := NewTape()
-	e.Forward(tp, ids)
-	e.Backward(tp, r)
-	const eps = 1e-5
-	for i := 0; i < e.W.Size(); i += 2 {
-		orig := e.W.Data.Data[i]
-		e.W.Data.Data[i] = orig + eps
-		lp := projLoss(fwd(e, ids), r)
-		e.W.Data.Data[i] = orig - eps
-		lm := projLoss(fwd(e, ids), r)
-		e.W.Data.Data[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if math.Abs(num-e.W.Grad.Data[i]) > 1e-6*(1+math.Abs(num)) {
-			t.Fatalf("embedding grad [%d] = %g, numeric %g", i, e.W.Grad.Data[i], num)
+	checkLayerGrad(t, 14, 1e-6, false, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		ids := tensor.New(2, 2)
+		for i, id := range []float64{1, 3, 3, 7} {
+			ids.SetFlat(i, id)
 		}
-	}
-	// Repeated token 3 must receive the sum of both row gradients.
+		return NewEmbedding("emb", 10, 6, rng), ids
+	})
 }
 
 func TestPositionalEncodingGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	p := NewPositionalEncoding("pos", 3, 4, rng)
-	checkLayerGrad(t, "PositionalEncoding", p, randTensor(rng, 2*3, 4), rng, 1e-6)
+	checkLayerGrad(t, 15, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewPositionalEncoding("pos", 3, 4, rng), randTensor(rng, tensor.Float64, 2*3, 4)
+	})
 }
 
 func TestGlobalAvgPoolGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	checkLayerGrad(t, "GlobalAvgPool", NewGlobalAvgPool(), randTensor(rng, 2, 3, 4, 4), rng, 1e-6)
-}
-
-func TestFlattenRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	f := NewFlatten()
-	tp := NewTape()
-	x := randTensor(rng, 2, 3, 2, 2)
-	y := f.Forward(tp, x)
-	if y.Shape[0] != 2 || y.Shape[1] != 12 {
-		t.Fatalf("flatten shape %v", y.Shape)
-	}
-	dy := randTensor(rng, 2, 12)
-	dx := f.Backward(tp, dy)
-	if dx.Rank() != 4 || dx.Shape[1] != 3 {
-		t.Fatalf("flatten backward shape %v", dx.Shape)
-	}
+	checkLayerGrad(t, 16, 1e-6, true, func(rng *rand.Rand) (Layer, *tensor.Tensor) {
+		return NewGlobalAvgPool(), randTensor(rng, tensor.Float64, 2, 3, 4, 4)
+	})
 }
 
 func TestCrossEntropyGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	logits := randTensor(rng, 5, 4)
 	labels := []int{0, 3, -1, 2, 1} // row 2 ignored
-	ce := NewCrossEntropy()
-	tp := NewTape()
-	ce.Forward(tp, logits, labels)
-	grad := ce.Backward(tp).Clone()
-	const eps = 1e-6
-	for i := range logits.Data {
-		orig := logits.Data[i]
-		logits.Data[i] = orig + eps
-		lp := ce.Forward(NewTape(), logits, labels)
-		logits.Data[i] = orig - eps
-		lm := ce.Forward(NewTape(), logits, labels)
-		logits.Data[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if math.Abs(num-grad.Data[i]) > 1e-6*(1+math.Abs(num)) {
-			t.Fatalf("CE grad [%d] = %g, numeric %g", i, grad.Data[i], num)
-		}
-	}
-	// Ignored row contributes zero gradient.
-	for j := 0; j < 4; j++ {
-		if grad.At(2, j) != 0 {
-			t.Fatal("ignored row must have zero gradient")
-		}
-	}
-}
-
-func TestMSEGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	pred := randTensor(rng, 3, 4)
-	target := randTensor(rng, 3, 4)
-	m := NewMSE()
-	m.Forward(pred, target)
-	grad := m.Backward()
-	const eps = 1e-6
-	for i := range pred.Data {
-		orig := pred.Data[i]
-		pred.Data[i] = orig + eps
-		lp := m.Forward(pred, target)
-		pred.Data[i] = orig - eps
-		lm := m.Forward(pred, target)
-		pred.Data[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if math.Abs(num-grad.Data[i]) > 1e-8 {
-			t.Fatalf("MSE grad [%d] = %g, numeric %g", i, grad.Data[i], num)
-		}
+	for _, gt := range gradTols(1e-6) {
+		t.Run(gt.dt.String(), func(t *testing.T) {
+			logits := randTensor(rand.New(rand.NewSource(18)), gt.dt, 5, 4)
+			ce := NewCrossEntropy()
+			tp := newTape(gt.dt)
+			ce.Forward(tp, logits, labels)
+			grad := ce.Backward(tp)
+			checkGrad(t, "logits", logits, grad, 1, gt, func() float64 {
+				return ce.Forward(newTape(gt.dt), logits, labels)
+			})
+			// Ignored row contributes zero gradient.
+			for j := 0; j < 4; j++ {
+				if grad.FlatAt(2*4+j) != 0 {
+					t.Fatal("ignored row must have zero gradient")
+				}
+			}
+		})
 	}
 }
 
@@ -338,46 +283,46 @@ func TestDecoupledBackwardWeights(t *testing.T) {
 	// forward input — the paper's ∇f_t(u_fwd, u_bkwd).
 	rng := rand.New(rand.NewSource(20))
 	l := NewLinear("fc", 3, 2, false, rng)
-	x := randTensor(rng, 1, 3)
-	dy := randTensor(rng, 1, 2)
+	x := randTensor(rng, tensor.Float64, 1, 3)
+	dy := randTensor(rng, tensor.Float64, 1, 2)
+	near := func(what string, got, want *tensor.Tensor) {
+		t.Helper()
+		for i := 0; i < want.Size(); i++ {
+			if math.Abs(got.FlatAt(i)-want.FlatAt(i)) > 1e-12 {
+				t.Fatalf("%s[%d] = %g, want %g", what, i, got.FlatAt(i), want.FlatAt(i))
+			}
+		}
+	}
 
-	wb := randTensor(rng, 2, 3)
+	wb := randTensor(rng, tensor.Float64, 2, 3)
 	l.W.Bwd = wb
-	tp := NewTape()
+	tp := &Tape{}
 	l.Forward(tp, x)
 	ZeroGrads(l.Params())
 	dx := l.Backward(tp, dy).Clone()
 
 	// dx must equal dy @ Bwd.
-	want := tensor.MatMul(dy, wb)
-	for i := range want.Data {
-		if math.Abs(dx.Data[i]-want.Data[i]) > 1e-12 {
-			t.Fatalf("dx[%d] = %g, want %g (must use backward weights)", i, dx.Data[i], want.Data[i])
-		}
-	}
+	want := tensor.New(1, 3)
+	tensor.MatMulInto(want, dy, wb)
+	near("dx (must use backward weights)", dx, want)
 	// dW must equal dyᵀ @ x regardless of Bwd.
-	wantW := tensor.MatMulT1(dy, x)
-	for i := range wantW.Data {
-		if math.Abs(l.W.Grad.Data[i]-wantW.Data[i]) > 1e-12 {
-			t.Fatalf("dW[%d] = %g, want %g (must use saved forward input)", i, l.W.Grad.Data[i], wantW.Data[i])
-		}
-	}
+	wantW := tensor.New(2, 3)
+	tensor.MatMulT1Into(wantW, dy, x)
+	near("dW (must use saved forward input)", l.W.Grad, wantW)
 	// Clearing Bwd restores synchronous behaviour.
 	l.W.Bwd = nil
-	tp2 := NewTape()
-	l.Forward(tp2, x)
-	dxSync := l.Backward(tp2, dy)
-	wantSync := tensor.MatMul(dy, l.W.Data)
-	for i := range wantSync.Data {
-		if math.Abs(dxSync.Data[i]-wantSync.Data[i]) > 1e-12 {
-			t.Fatal("with Bwd nil the backward pass must use forward weights")
-		}
-	}
+	tp.Reset()
+	l.Forward(tp, x)
+	dxSync := l.Backward(tp, dy)
+	wantSync := tensor.New(1, 3)
+	tensor.MatMulInto(wantSync, dy, l.W.Data)
+	near("dx with Bwd nil (must use forward weights)", dxSync, wantSync)
 }
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", 2)
-	p.Grad.Data[0], p.Grad.Data[1] = 3, 4 // norm 5
+	p.Grad.SetFlat(0, 3)
+	p.Grad.SetFlat(1, 4) // norm 5
 	pre := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(pre-5) > 1e-12 {
 		t.Fatalf("pre-clip norm = %g, want 5", pre)

@@ -23,39 +23,6 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Sequential chains layers.
-type Sequential struct {
-	Layers []Layer
-}
-
-// NewSequential returns a Sequential over the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
-
-// Forward applies each layer in order.
-func (s *Sequential) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(t, x)
-	}
-	return x
-}
-
-// Backward applies each layer's backward in reverse order.
-func (s *Sequential) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dy = s.Layers[i].Backward(t, dy)
-	}
-	return dy
-}
-
-// Params returns the concatenated parameters in forward order.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
 // ReLU is the rectified linear activation.
 type ReLU struct{}
 
@@ -129,7 +96,7 @@ func (g *GELU) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 func geluFwd[T tensor.Elem](out, x []T) {
 	for i, xv := range x {
 		v := float64(xv)
-		u := geluC * (v + 0.044715*v*v*v)
+		u := geluC * (v + float64(0.044715*v*v*v))
 		out[i] = T(0.5 * v * (1 + math.Tanh(u)))
 	}
 }
@@ -149,62 +116,16 @@ func (g *GELU) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 func geluBwd[T tensor.Elem](out, dy, x []T) {
 	for i, xv := range x {
 		v := float64(xv)
-		u := geluC * (v + 0.044715*v*v*v)
+		u := geluC * (v + float64(0.044715*v*v*v))
 		th := math.Tanh(u)
-		du := geluC * (1 + 3*0.044715*v*v)
-		d := 0.5*(1+th) + 0.5*v*(1-th*th)*du
+		du := geluC * (1 + float64(3*0.044715*v*v))
+		d := float64(0.5*(1+th)) + float64(0.5*v*(1-float64(th*th))*du)
 		out[i] = T(float64(dy[i]) * d)
 	}
 }
 
 // Params returns nil: GELU has no parameters.
 func (g *GELU) Params() []*Param { return nil }
-
-// Residual wraps an inner layer as y = x + f(x). The inner layer must
-// preserve shape.
-type Residual struct {
-	Inner Layer
-}
-
-// NewResidual returns a residual wrapper around inner.
-func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
-
-// Forward computes x + Inner(x).
-func (r *Residual) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
-	return t.Add(x, r.Inner.Forward(t, x))
-}
-
-// Backward routes dy through the inner layer and adds the skip gradient.
-func (r *Residual) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	return t.Add(dy, r.Inner.Backward(t, dy))
-}
-
-// Params returns the inner layer's parameters.
-func (r *Residual) Params() []*Param { return r.Inner.Params() }
-
-// Flatten reshapes (B, ...) to (B, rest).
-type Flatten struct{}
-
-// NewFlatten returns a Flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// Forward flattens all trailing axes into one.
-func (f *Flatten) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
-	shp := t.Ints(len(x.Shape))
-	copy(shp, x.Shape)
-	t.Push(shp)
-	b := x.Shape[0]
-	return x.Reshape(b, x.Size()/b)
-}
-
-// Backward restores the original shape.
-func (f *Flatten) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	shp := t.Pop().([]int)
-	return dy.Reshape(shp...)
-}
-
-// Params returns nil: Flatten has no parameters.
-func (f *Flatten) Params() []*Param { return nil }
 
 // GlobalAvgPool averages a (B,C,H,W) tensor over its spatial axes,
 // producing (B,C).

@@ -80,25 +80,6 @@ func ceBwd[T tensor.Elem](out, probs []T, labels []int, ignore, cl int, inv floa
 	}
 }
 
-// MSE computes mean squared error over all elements of (N, D) predictions.
-type MSE struct {
-	diff *tensor.Tensor
-}
-
-// NewMSE returns an MSE loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// Forward returns mean((pred − target)²)/2.
-func (m *MSE) Forward(pred, target *tensor.Tensor) float64 {
-	m.diff = tensor.Sub(pred, target)
-	return m.diff.SumSq() / (2 * float64(m.diff.Size()))
-}
-
-// Backward returns dLoss/dpred = diff/N.
-func (m *MSE) Backward() *tensor.Tensor {
-	return tensor.Scale(m.diff, 1/float64(m.diff.Size()))
-}
-
 // ClipGradNorm rescales all gradients so their global L2 norm is at most
 // maxNorm, returning the pre-clip norm. A non-positive maxNorm is a no-op.
 func ClipGradNorm(params []*Param, maxNorm float64) float64 {

@@ -57,7 +57,7 @@ func lnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, n, d i
 		mu /= float64(d)
 		va := 0.0
 		for _, v := range row {
-			va += (float64(v) - mu) * (float64(v) - mu)
+			va += float64((float64(v) - mu) * (float64(v) - mu))
 		}
 		va /= float64(d)
 		is := 1 / math.Sqrt(va+eps)
@@ -65,7 +65,7 @@ func lnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, n, d i
 		for j, v := range row {
 			xh := (float64(v) - mu) * is
 			xhat[i*d+j] = T(xh)
-			out[i*d+j] = T(float64(gain[j])*xh + float64(bias[j]))
+			out[i*d+j] = T(float64(float64(gain[j])*xh) + float64(bias[j]))
 		}
 	}
 }
@@ -95,7 +95,7 @@ func lnBwd[T tensor.Elem](out, dy, xhat, gainB, gGrad, bGrad []T, invStd []float
 		sg, sb := 0.0, 0.0
 		for i := 0; i < n; i++ {
 			g := float64(dy[i*d+j])
-			sg += g * float64(xhat[i*d+j])
+			sg += float64(g * float64(xhat[i*d+j]))
 			sb += g
 		}
 		gGrad[j] += T(sg)
@@ -104,17 +104,17 @@ func lnBwd[T tensor.Elem](out, dy, xhat, gainB, gGrad, bGrad []T, invStd []float
 	for i := 0; i < n; i++ {
 		m1, m2 := 0.0, 0.0
 		for j := 0; j < d; j++ {
-			dx := float64(dy[i*d+j]) * float64(gainB[j])
+			dx := float64(float64(dy[i*d+j]) * float64(gainB[j]))
 			m1 += dx
-			m2 += dx * float64(xhat[i*d+j])
+			m2 += float64(dx * float64(xhat[i*d+j]))
 		}
 		m1 /= float64(d)
 		m2 /= float64(d)
 		is := invStd[i]
 		for j := 0; j < d; j++ {
 			xh := float64(xhat[i*d+j])
-			dx := float64(dy[i*d+j]) * float64(gainB[j])
-			out[i*d+j] = T(is * (dx - m1 - xh*m2))
+			dx := float64(float64(dy[i*d+j]) * float64(gainB[j]))
+			out[i*d+j] = T(is * (dx - m1 - float64(xh*m2)))
 		}
 	}
 }
@@ -183,7 +183,7 @@ func gnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, b, c, 
 			va := 0.0
 			for i := 0; i < blk; i++ {
 				d := float64(x[base+i]) - mu
-				va += d * d
+				va += float64(d * d)
 			}
 			va /= float64(blk)
 			is := 1 / math.Sqrt(va+eps)
@@ -195,7 +195,7 @@ func gnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, b, c, 
 				for i := 0; i < h*w; i++ {
 					xh := (float64(x[cbase+i]) - mu) * is
 					xhat[cbase+i] = T(xh)
-					out[cbase+i] = T(gamma*xh + beta)
+					out[cbase+i] = T(float64(gamma*xh) + beta)
 				}
 			}
 		}
@@ -241,9 +241,9 @@ func gnBwd[T tensor.Elem](out, dy, xhat, gainB, dGain, dBias []T, invStd []float
 					xh := float64(xhat[cbase+i])
 					dGain[g*cg+ch] += T(gv * xh)
 					dBias[g*cg+ch] += T(gv)
-					dx := gv * gamma
+					dx := float64(gv * gamma)
 					m1 += dx
-					m2 += dx * xh
+					m2 += float64(dx * xh)
 				}
 			}
 			m1 /= float64(blk)
@@ -254,8 +254,8 @@ func gnBwd[T tensor.Elem](out, dy, xhat, gainB, dGain, dBias []T, invStd []float
 				cbase := base + ch*h*w
 				for i := 0; i < h*w; i++ {
 					xh := float64(xhat[cbase+i])
-					dx := float64(dy[cbase+i]) * gamma
-					out[cbase+i] = T(is * (dx - m1 - xh*m2))
+					dx := float64(float64(dy[cbase+i]) * gamma)
+					out[cbase+i] = T(is * (dx - m1 - float64(xh*m2)))
 				}
 			}
 		}

@@ -78,7 +78,7 @@ func (p *Param) String() string { return fmt.Sprintf("%s%v", p.Name, p.Data.Shap
 func (p *Param) InitXavier(rng *rand.Rand, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i, n := 0, p.Data.Size(); i < n; i++ {
-		p.Data.SetFlat(i, (2*rng.Float64()-1)*limit)
+		p.Data.SetFlat(i, (2*float64(rng.Float64())-1)*limit)
 	}
 }
 

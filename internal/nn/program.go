@@ -122,10 +122,6 @@ func (m *Machine) Val(r Reg) *tensor.Tensor { return m.regs[r] }
 // SetVal writes the value of register r.
 func (m *Machine) SetVal(r Reg, v *tensor.Tensor) { m.regs[r] = v }
 
-// Grad returns the accumulated gradient of register r (nil when no reader
-// contributed one, e.g. for non-differentiable token inputs).
-func (m *Machine) Grad(r Reg) *tensor.Tensor { return m.grads[r] }
-
 // AddGradOwned folds g into register r's gradient, taking ownership: when
 // r has no gradient yet, g itself becomes the accumulator (and may be
 // mutated by later contributions). Callers must pass a tensor nothing else

@@ -51,8 +51,8 @@ func runChain(prog *Program, m *Machine, rIn Reg, x *tensor.Tensor, labels []int
 func TestInterleavedMachinesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	prog, rIn, ps := buildChain(rng)
-	xA := randTensor(rng, 3, 6)
-	xB := randTensor(rng, 3, 6)
+	xA := randTensor(rng, tensor.Float64, 3, 6)
+	xB := randTensor(rng, tensor.Float64, 3, 6)
 	lbA, lbB := []int{0, 2, 1}, []int{3, 1, 0}
 
 	// Serial: microbatch A fully, then B.
@@ -62,7 +62,7 @@ func TestInterleavedMachinesMatchSerial(t *testing.T) {
 	lossB := runChain(prog, mB, rIn, xB, lbB)
 	serialGrads := make([][]float64, len(ps))
 	for i, p := range ps {
-		serialGrads[i] = append([]float64(nil), p.Grad.Data...)
+		serialGrads[i] = append([]float64(nil), tensor.F64(p.Grad)...)
 	}
 
 	// Interleaved: A and B alternate per-op "stages" on fresh machines,
@@ -99,8 +99,8 @@ func TestInterleavedMachinesMatchSerial(t *testing.T) {
 		t.Fatalf("interleaved losses (%v, %v) != serial (%v, %v)", mA2.Loss, mB2.Loss, lossA, lossB)
 	}
 	for i, p := range ps {
-		for j := range p.Grad.Data {
-			if p.Grad.Data[j] != serialGrads[i][j] {
+		for j, g := range tensor.F64(p.Grad) {
+			if g != serialGrads[i][j] {
 				t.Fatalf("param %s grad[%d] differs interleaved vs serial", p.Name, j)
 			}
 		}
@@ -114,7 +114,7 @@ func TestInterleavedMachinesMatchSerial(t *testing.T) {
 func TestMachineRerunIsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	prog, rIn, ps := buildChain(rng)
-	x := randTensor(rng, 4, 6)
+	x := randTensor(rng, tensor.Float64, 4, 6)
 	lb := []int{1, 0, 3, 2}
 	m := NewMachine(prog.NumRegs)
 	ZeroGrads(ps)
@@ -193,7 +193,7 @@ func TestMeasureGroupCosts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prog, rIn, ps := buildChain(rng)
 	m := NewMachine(prog.NumRegs)
-	x := randTensor(rng, 3, 6)
+	x := randTensor(rng, tensor.Float64, 3, 6)
 	m.ResetRun()
 	xm := m.Tape.NewTensor(x.Shape...)
 	xm.CopyFrom(x)
@@ -211,7 +211,7 @@ func TestMeasureGroupCosts(t *testing.T) {
 	}
 	nonZero := false
 	for _, p := range ps {
-		for _, g := range p.Grad.Data {
+		for _, g := range tensor.F64(p.Grad) {
 			if g != 0 {
 				nonZero = true
 			}

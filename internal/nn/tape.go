@@ -32,15 +32,9 @@ type Tape struct {
 	ipos int
 }
 
-// NewTape returns an empty tape (float64 arena by default).
-func NewTape() *Tape { return &Tape{} }
-
 // SetDType switches the dtype of tensors handed out by NewTensor. Arena
 // tensors of the other dtype are dropped on their next positional reuse.
 func (t *Tape) SetDType(dt tensor.DType) { t.dt = dt }
-
-// DType returns the arena element type.
-func (t *Tape) DType() tensor.DType { return t.dt }
 
 // Push saves v for the matching Pop in the layer's Backward.
 func (t *Tape) Push(v any) { t.stack = append(t.stack, v) }
@@ -53,9 +47,6 @@ func (t *Tape) Pop() any {
 	t.stack = t.stack[:n]
 	return v
 }
-
-// Depth returns the number of values currently on the tape (diagnostics).
-func (t *Tape) Depth() int { return len(t.stack) }
 
 // NewTensor returns a zeroed tensor of the given shape backed by the
 // tape's arena. The tensor is valid until the next Reset; it must not

@@ -179,8 +179,8 @@ func (s *SGD) StepRange(lo, hi int, lrs []float64) {
 // rounds once at each store.
 func sgdStep[T tensor.Elem](w, g, v []T, momentum, wd, lr float64) {
 	for j := range w {
-		gr := float64(g[j]) + wd*float64(w[j])
-		vj := momentum*float64(v[j]) - lr*gr
+		gr := float64(g[j]) + float64(wd*float64(w[j]))
+		vj := float64(momentum*float64(v[j])) - float64(lr*gr)
 		v[j] = T(vj)
 		w[j] = T(float64(w[j]) + vj)
 	}
@@ -293,13 +293,13 @@ func (a *AdamW) StepRange(lo, hi int, lrs []float64) {
 func adamwStep[T tensor.Elem](w, g, m, v []T, b1, b2, eps, wd, lr, bc1, bc2 float64) {
 	for j := range w {
 		gr := float64(g[j])
-		mj := b1*float64(m[j]) + (1-b1)*gr
-		vj := b2*float64(v[j]) + (1-b2)*gr*gr
+		mj := float64(b1*float64(m[j])) + float64((1-b1)*gr)
+		vj := float64(b2*float64(v[j])) + float64((1-b2)*gr*gr)
 		m[j] = T(mj)
 		v[j] = T(vj)
 		mh := mj / bc1
 		vh := vj / bc2
-		w[j] = T(float64(w[j]) - lr*(mh/(math.Sqrt(vh)+eps)+wd*float64(w[j])))
+		w[j] = T(float64(w[j]) - float64(lr*(mh/(math.Sqrt(vh)+eps)+float64(wd*float64(w[j])))))
 	}
 }
 
@@ -369,7 +369,7 @@ func (w WarmupInvSqrt) LR(step int) float64 {
 	}
 	if step < w.Warmup {
 		frac := float64(step) / float64(w.Warmup)
-		return w.Init + (w.Peak-w.Init)*frac
+		return w.Init + float64((w.Peak-w.Init)*frac)
 	}
 	return w.Peak * math.Sqrt(float64(w.Warmup)/float64(step))
 }

@@ -11,7 +11,7 @@ import (
 
 func quadParam(w0 float64) *nn.Param {
 	p := nn.NewParam("w", 1)
-	p.Data.Data[0] = w0
+	p.Data.SetFlat(0, w0)
 	return p
 }
 
@@ -20,11 +20,11 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	p := quadParam(5)
 	opt := NewSGD([]*nn.Param{p}, 0, 0)
 	for i := 0; i < 200; i++ {
-		p.Grad.Data[0] = p.Data.Data[0]
+		p.Grad.SetFlat(0, p.Data.FlatAt(0))
 		opt.Step(UniformLR(0.1, 1))
 	}
-	if math.Abs(p.Data.Data[0]) > 1e-6 {
-		t.Fatalf("SGD did not converge: w = %g", p.Data.Data[0])
+	if math.Abs(p.Data.FlatAt(0)) > 1e-6 {
+		t.Fatalf("SGD did not converge: w = %g", p.Data.FlatAt(0))
 	}
 }
 
@@ -32,15 +32,15 @@ func TestSGDMomentumSingleSteps(t *testing.T) {
 	// With β=0.5, lr=1, g=1 constant: v₁=-1, w₁=w₀-1; v₂=-1.5, w₂=w₀-2.5.
 	p := quadParam(0)
 	opt := NewSGD([]*nn.Param{p}, 0.5, 0)
-	p.Grad.Data[0] = 1
+	p.Grad.SetFlat(0, 1)
 	opt.Step(UniformLR(1, 1))
-	if p.Data.Data[0] != -1 {
-		t.Fatalf("after step 1 w = %g, want -1", p.Data.Data[0])
+	if p.Data.FlatAt(0) != -1 {
+		t.Fatalf("after step 1 w = %g, want -1", p.Data.FlatAt(0))
 	}
-	p.Grad.Data[0] = 1
+	p.Grad.SetFlat(0, 1)
 	opt.Step(UniformLR(1, 1))
-	if p.Data.Data[0] != -2.5 {
-		t.Fatalf("after step 2 w = %g, want -2.5", p.Data.Data[0])
+	if p.Data.FlatAt(0) != -2.5 {
+		t.Fatalf("after step 2 w = %g, want -2.5", p.Data.FlatAt(0))
 	}
 }
 
@@ -48,10 +48,10 @@ func TestSGDWeightDecay(t *testing.T) {
 	// With zero gradient, decay wd=0.1 and lr=1: w ← w − wd·w = 0.9w.
 	p := quadParam(2)
 	opt := NewSGD([]*nn.Param{p}, 0, 0.1)
-	p.Grad.Data[0] = 0
+	p.Grad.SetFlat(0, 0)
 	opt.Step(UniformLR(1, 1))
-	if math.Abs(p.Data.Data[0]-1.8) > 1e-12 {
-		t.Fatalf("w = %g, want 1.8", p.Data.Data[0])
+	if math.Abs(p.Data.FlatAt(0)-1.8) > 1e-12 {
+		t.Fatalf("w = %g, want 1.8", p.Data.FlatAt(0))
 	}
 }
 
@@ -59,10 +59,10 @@ func TestAdamWFirstStepIsSignedLR(t *testing.T) {
 	// Bias-corrected Adam's first update is −lr·g/(|g|+ε·corr) ≈ −lr·sign(g).
 	p := quadParam(0)
 	opt := NewAdamW([]*nn.Param{p}, 0.9, 0.999, 1e-12, 0)
-	p.Grad.Data[0] = 7
+	p.Grad.SetFlat(0, 7)
 	opt.Step(UniformLR(0.01, 1))
-	if math.Abs(p.Data.Data[0]+0.01) > 1e-8 {
-		t.Fatalf("first Adam step = %g, want ≈ -0.01", p.Data.Data[0])
+	if math.Abs(p.Data.FlatAt(0)+0.01) > 1e-8 {
+		t.Fatalf("first Adam step = %g, want ≈ -0.01", p.Data.FlatAt(0))
 	}
 }
 
@@ -70,11 +70,11 @@ func TestAdamWConvergesOnQuadratic(t *testing.T) {
 	p := quadParam(3)
 	opt := NewAdamW([]*nn.Param{p}, 0.9, 0.98, 1e-9, 0)
 	for i := 0; i < 2000; i++ {
-		p.Grad.Data[0] = p.Data.Data[0]
+		p.Grad.SetFlat(0, p.Data.FlatAt(0))
 		opt.Step(UniformLR(0.05, 1))
 	}
-	if math.Abs(p.Data.Data[0]) > 1e-2 {
-		t.Fatalf("AdamW did not converge: w = %g", p.Data.Data[0])
+	if math.Abs(p.Data.FlatAt(0)) > 1e-2 {
+		t.Fatalf("AdamW did not converge: w = %g", p.Data.FlatAt(0))
 	}
 }
 
@@ -82,10 +82,10 @@ func TestAdamWDecoupledDecay(t *testing.T) {
 	// With zero gradient, AdamW still shrinks weights by lr·wd·w.
 	p := quadParam(1)
 	opt := NewAdamW([]*nn.Param{p}, 0.9, 0.98, 1e-9, 0.5)
-	p.Grad.Data[0] = 0
+	p.Grad.SetFlat(0, 0)
 	opt.Step(UniformLR(0.1, 1))
-	if math.Abs(p.Data.Data[0]-0.95) > 1e-9 {
-		t.Fatalf("w = %g, want 0.95", p.Data.Data[0])
+	if math.Abs(p.Data.FlatAt(0)-0.95) > 1e-9 {
+		t.Fatalf("w = %g, want 0.95", p.Data.FlatAt(0))
 	}
 }
 
@@ -205,31 +205,33 @@ func TestOptimizersTrainTinyNetwork(t *testing.T) {
 		{"adamw", func(ps []*nn.Param) Optimizer { return NewAdamW(ps, 0.9, 0.98, 1e-9, 0) }},
 	} {
 		rng := rand.New(rand.NewSource(42))
-		net := nn.NewSequential(
-			nn.NewLinear("fc1", 3, 16, true, rng),
-			nn.NewReLU(),
-			nn.NewLinear("fc2", 16, 1, true, rng),
-		)
-		opt := mk.make(net.Params())
-		mse := nn.NewMSE()
-		x := make([]float64, 24*3)
-		y := make([]float64, 24)
-		for i := 0; i < 24; i++ {
+		fc1, act, fc2 := nn.NewLinear("fc1", 3, 16, true, rng), nn.NewReLU(), nn.NewLinear("fc2", 16, 1, true, rng)
+		ps := append(fc1.Params(), fc2.Params()...)
+		opt := mk.make(ps)
+		x, y := tensor.New(24, 3), make([]float64, 24)
+		for i := range y {
 			a, b, c := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-			x[i*3], x[i*3+1], x[i*3+2] = a, b, c
+			x.SetFlat(i*3, a)
+			x.SetFlat(i*3+1, b)
+			x.SetFlat(i*3+2, c)
 			y[i] = 2*a - b + 0.5*c
 		}
 		var final float64
-		tp := nn.NewTape()
+		var tp nn.Tape
 		for it := 0; it < 600; it++ {
 			tp.Reset()
-			xt := nnTensor(x, 24, 3)
-			yt := nnTensor(y, 24, 1)
-			out := net.Forward(tp, xt)
-			final = mse.Forward(out, yt)
-			nn.ZeroGrads(net.Params())
-			net.Backward(tp, mse.Backward())
-			opt.Step(UniformLR(0.01, len(net.Params())))
+			out := fc2.Forward(&tp, act.Forward(&tp, fc1.Forward(&tp, x)))
+			// Half the mean squared error, and its gradient.
+			dy := tensor.NewLike(out)
+			final = 0
+			for i, want := range y {
+				d := out.FlatAt(i) - want
+				final += d * d / float64(2*len(y))
+				dy.SetFlat(i, d/float64(len(y)))
+			}
+			nn.ZeroGrads(ps)
+			fc1.Backward(&tp, act.Backward(&tp, fc2.Backward(&tp, dy)))
+			opt.Step(UniformLR(0.01, len(ps)))
 		}
 		if final > 0.02 {
 			t.Errorf("%s: final loss %g too high", mk.name, final)
@@ -237,17 +239,12 @@ func TestOptimizersTrainTinyNetwork(t *testing.T) {
 	}
 }
 
-// nnTensor builds a tensor from a flat slice for the smoke test.
-func nnTensor(data []float64, shape ...int) *tensor.Tensor {
-	return tensor.FromSlice(append([]float64(nil), data...), shape...)
-}
-
 // shardParams builds n scalar params with distinct weights and gradients.
 func shardParams(n int) []*nn.Param {
 	ps := make([]*nn.Param, n)
 	for i := range ps {
 		ps[i] = quadParam(float64(i + 1))
-		ps[i].Grad.Data[0] = 0.5 * float64(i+1)
+		ps[i].Grad.SetFlat(0, 0.5*float64(i+1))
 	}
 	return ps
 }
@@ -290,9 +287,9 @@ func TestShardedStepMatchesFullStep(t *testing.T) {
 				parts[j].StepRange(sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
 			}
 			for i := range ref {
-				if ref[i].Data.Data[0] != split[i].Data.Data[0] {
+				if ref[i].Data.FlatAt(0) != split[i].Data.FlatAt(0) {
 					t.Fatalf("%s step %d param %d: full %v != sharded %v",
-						b.name, step, i, ref[i].Data.Data[0], split[i].Data.Data[0])
+						b.name, step, i, ref[i].Data.FlatAt(0), split[i].Data.FlatAt(0))
 				}
 			}
 		}
@@ -334,8 +331,8 @@ func TestShardCloneMatchesOriginal(t *testing.T) {
 	clone.Advance()
 	clone.StepRange(sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
 	for i := sh.Lo; i < sh.Hi; i++ {
-		if ps[i].Data.Data[0] != clonePs[i].Data.Data[0] {
-			t.Fatalf("param %d: original %v != clone %v", i, ps[i].Data.Data[0], clonePs[i].Data.Data[0])
+		if ps[i].Data.FlatAt(0) != clonePs[i].Data.FlatAt(0) {
+			t.Fatalf("param %d: original %v != clone %v", i, ps[i].Data.FlatAt(0), clonePs[i].Data.FlatAt(0))
 		}
 	}
 	var _ ShardCloner = NewSGD(ps, 0, 0) // both optimizers support sharding

@@ -34,9 +34,6 @@ type ParamGroup struct {
 	Params []*nn.Param
 }
 
-// Size returns the number of scalar weights in the group.
-func (g ParamGroup) Size() int { return nn.TotalSize(g.Params) }
-
 // Partition is an assignment of param groups to P contiguous stages.
 type Partition struct {
 	P      int
@@ -77,8 +74,8 @@ const (
 	// model weights evenly into P stages" (the historical default).
 	PartitionEven PartitionMode = iota
 	// PartitionCost balances the analytic per-group compute cost
-	// (nn.Program.GroupCosts, or scalar weight counts for monolithic
-	// tasks) across stages, minimizing the bottleneck stage.
+	// (nn.Program.GroupCosts) across stages, minimizing the bottleneck
+	// stage.
 	PartitionCost
 	// PartitionProfile balances measured per-group wall time from a
 	// one-microbatch profiling pass (nn.Program.MeasureGroupCosts).

@@ -177,25 +177,25 @@ func TestClockLastStageNearZeroDelay(t *testing.T) {
 
 func TestVersionStorePushGet(t *testing.T) {
 	p := nn.NewParam("w", 2)
-	p.Data.Data[0] = 1
+	p.Data.SetFlat(0, 1)
 	stages := [][]*nn.Param{{p}}
 	vs := NewVersionStore(stages, 10)
 	if vs.Latest(0) != 0 {
 		t.Fatalf("latest = %d, want 0", vs.Latest(0))
 	}
 	for v := 1; v <= 5; v++ {
-		p.Data.Data[0] = float64(v + 1)
+		p.Data.SetFlat(0, float64(v+1))
 		vs.Push()
 	}
 	for v := 0; v <= 5; v++ {
-		got := vs.Get(0, v)[0].Data[0]
+		got := vs.Get(0, v)[0].FlatAt(0)
 		if got != float64(v+1) {
 			t.Fatalf("version %d = %g, want %d", v, got, v+1)
 		}
 	}
 	// Snapshots are copies: mutating the live param must not change them.
-	p.Data.Data[0] = 99
-	if vs.Get(0, 5)[0].Data[0] == 99 {
+	p.Data.SetFlat(0, 99)
+	if vs.Get(0, 5)[0].FlatAt(0) == 99 {
 		t.Fatal("snapshots must be deep copies")
 	}
 }
@@ -204,18 +204,18 @@ func TestVersionStorePruning(t *testing.T) {
 	p := nn.NewParam("w", 1)
 	vs := NewVersionStore([][]*nn.Param{{p}}, 3)
 	for v := 1; v <= 10; v++ {
-		p.Data.Data[0] = float64(v)
+		p.Data.SetFlat(0, float64(v))
 		vs.Push()
 	}
 	if vs.Latest(0) != 10 {
 		t.Fatalf("latest = %d", vs.Latest(0))
 	}
 	// Requests below the window clamp to the oldest retained version (8).
-	if got := vs.Get(0, 0)[0].Data[0]; got != 8 {
+	if got := vs.Get(0, 0)[0].FlatAt(0); got != 8 {
 		t.Fatalf("clamped old version = %g, want 8", got)
 	}
 	// Requests beyond the newest clamp to the latest.
-	if got := vs.Get(0, 99)[0].Data[0]; got != 10 {
+	if got := vs.Get(0, 99)[0].FlatAt(0); got != 10 {
 		t.Fatalf("clamped new version = %g, want 10", got)
 	}
 }

@@ -59,7 +59,7 @@ func (f *fakeRemote) RunChunk(ctx context.Context, start int, async bool, micros
 		grads[k] = make([][]*tensor.Tensor, f.p)
 		for st := range grads[k] {
 			g := tensor.New(1)
-			g.Data[0] = float64(start + k + 1)
+			g.SetFlat(0, float64(start+k+1))
 			grads[k][st] = []*tensor.Tensor{g}
 		}
 	}

@@ -705,21 +705,11 @@ func (c *Compute) StageForward(s, stage int) float64 {
 // StageBackward runs the replica's backward slot and, on followers,
 // immediately exports the stage's just-accumulated gradient into the
 // per-microbatch staging area (zeroing the stage accumulator, so the next
-// microbatch again accumulates from zero). Monolithic tasks run their
-// whole backward in stage 0's slot, so that slot exports every stage.
+// microbatch again accumulates from zero).
 func (c *Compute) StageBackward(s, stage int) {
 	c.loc.StageBackward(s, stage)
-	if !c.exports {
-		return
-	}
-	k := s - c.start
-	if c.loc.Splittable() {
+	if c.exports {
+		k := s - c.start
 		c.grads[k][stage] = c.loc.TakeStageGrads(stage, c.grads[k][stage])
-		return
-	}
-	if stage == 0 {
-		for st := 0; st < c.p; st++ {
-			c.grads[k][st] = c.loc.TakeStageGrads(st, c.grads[k][st])
-		}
 	}
 }

@@ -47,7 +47,6 @@ func (f *fakeMember) Stages() int                 { return f.p }
 func (f *fakeMember) Async() bool                 { return true }
 func (f *fakeMember) Recompute() bool             { return false }
 func (f *fakeMember) MicroBase() int              { return 0 }
-func (f *fakeMember) Splittable() bool            { return true }
 func (f *fakeMember) SetAsync(async bool)         { f.asyncSet++ }
 func (f *fakeMember) StageRecompute(s, stage int) {}
 func (f *fakeMember) Restore(stage int)           {}
@@ -107,7 +106,7 @@ func (f *fakeMember) TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.
 	if bufs == nil {
 		bufs = []*tensor.Tensor{tensor.New(1)}
 	}
-	bufs[0].Data[0] = f.acc[stage]
+	bufs[0].SetFlat(0, f.acc[stage])
 	f.acc[stage] = 0
 	return bufs
 }
@@ -115,20 +114,20 @@ func (f *fakeMember) TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.
 func (f *fakeMember) FoldStageGrads(stage int, bufs []*tensor.Tensor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.folds[stage] = append(f.folds[stage], bufs[0].Data[0])
+	f.folds[stage] = append(f.folds[stage], bufs[0].FlatAt(0))
 }
 
 func (f *fakeMember) SetStageGrads(stage int, bufs []*tensor.Tensor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.acc[stage] = bufs[0].Data[0]
+	f.acc[stage] = bufs[0].FlatAt(0)
 }
 
 func (f *fakeMember) StageState(stage int) []*tensor.Tensor {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	t := tensor.New(1)
-	t.Data[0] = f.state[stage]
+	t.SetFlat(0, f.state[stage])
 	return []*tensor.Tensor{t}
 }
 
@@ -136,7 +135,7 @@ func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.imported[stage]++
-	f.state[stage] = src[0].Data[0]
+	f.state[stage] = src[0].FlatAt(0)
 }
 
 func (f *fakeMember) SetEpoch(int) {

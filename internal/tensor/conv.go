@@ -19,9 +19,9 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	}
 	out := NewOf(x.dt, b*oh*ow, c*kh*kw)
 	if x.dt == Float32 {
-		im2col(out.Data32, x.Data32, b, c, h, w, kh, kw, oh, ow, stride, pad)
+		im2col(out.data32, x.data32, b, c, h, w, kh, kw, oh, ow, stride, pad)
 	} else {
-		im2col(out.Data, x.Data, b, c, h, w, kh, kw, oh, ow, stride, pad)
+		im2col(out.data, x.data, b, c, h, w, kh, kw, oh, ow, stride, pad)
 	}
 	return out
 }
@@ -62,9 +62,9 @@ func Col2Im(cols *Tensor, b, c, h, w, kh, kw, stride, pad int) *Tensor {
 	}
 	out := NewOf(cols.dt, b, c, h, w)
 	if cols.dt == Float32 {
-		col2im(out.Data32, cols.Data32, b, c, h, w, kh, kw, oh, ow, stride, pad)
+		col2im(out.data32, cols.data32, b, c, h, w, kh, kw, oh, ow, stride, pad)
 	} else {
-		col2im(out.Data, cols.Data, b, c, h, w, kh, kw, oh, ow, stride, pad)
+		col2im(out.data, cols.data, b, c, h, w, kh, kw, oh, ow, stride, pad)
 	}
 	return out
 }

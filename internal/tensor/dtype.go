@@ -64,7 +64,7 @@ func F64(t *Tensor) []float64 {
 	if t.dt != Float64 {
 		panic("tensor: float64 access to a " + t.dt.String() + " tensor")
 	}
-	return t.Data
+	return t.data
 }
 
 // F32 returns t's float32 backing slice, panicking when t is not a
@@ -73,7 +73,7 @@ func F32(t *Tensor) []float32 {
 	if t.dt != Float32 {
 		panic("tensor: float32 access to a " + t.dt.String() + " tensor")
 	}
-	return t.Data32
+	return t.data32
 }
 
 // NewOf returns a zero-filled tensor of the given dtype and shape.
@@ -89,9 +89,9 @@ func NewOf(dt DType, shape ...int) *Tensor {
 	}
 	t := &Tensor{Shape: append([]int(nil), shape...), dt: dt}
 	if dt == Float32 {
-		t.Data32 = make([]float32, n)
+		t.data32 = make([]float32, n)
 	} else {
-		t.Data = make([]float64, n)
+		t.data = make([]float64, n)
 	}
 	return t
 }
@@ -109,17 +109,17 @@ func (t *Tensor) Bytes() int { return t.Size() * t.dt.Size() }
 // scalar escape hatch for token ids, labels and metric reads.
 func (t *Tensor) FlatAt(i int) float64 {
 	if t.dt == Float32 {
-		return float64(t.Data32[i])
+		return float64(t.data32[i])
 	}
-	return t.Data[i]
+	return t.data[i]
 }
 
 // SetFlat stores v (rounded for float32 tensors) at flat element i.
 func (t *Tensor) SetFlat(i int, v float64) {
 	if t.dt == Float32 {
-		t.Data32[i] = float32(v)
+		t.data32[i] = float32(v)
 	} else {
-		t.Data[i] = v
+		t.data[i] = v
 	}
 }
 
@@ -129,16 +129,16 @@ func (t *Tensor) SetFlat(i int, v float64) {
 func CopyRange(dst *Tensor, do int, src *Tensor, so, n int) {
 	switch {
 	case dst.dt == src.dt && dst.dt == Float32:
-		copy(dst.Data32[do:do+n], src.Data32[so:so+n])
+		copy(dst.data32[do:do+n], src.data32[so:so+n])
 	case dst.dt == src.dt:
-		copy(dst.Data[do:do+n], src.Data[so:so+n])
+		copy(dst.data[do:do+n], src.data[so:so+n])
 	case dst.dt == Float32:
-		d, s := dst.Data32[do:do+n], src.Data[so:so+n]
+		d, s := dst.data32[do:do+n], src.data[so:so+n]
 		for i := range d {
 			d[i] = float32(s[i])
 		}
 	default:
-		d, s := dst.Data[do:do+n], src.Data32[so:so+n]
+		d, s := dst.data[do:do+n], src.data32[so:so+n]
 		for i := range d {
 			d[i] = float64(s[i])
 		}
@@ -153,16 +153,16 @@ func (t *Tensor) CastTo(dt DType) {
 		return
 	}
 	if dt == Float32 {
-		d := make([]float32, len(t.Data))
-		for i, v := range t.Data {
+		d := make([]float32, len(t.data))
+		for i, v := range t.data {
 			d[i] = float32(v)
 		}
-		t.Data, t.Data32, t.dt = nil, d, Float32
+		t.data, t.data32, t.dt = nil, d, Float32
 	} else {
-		d := make([]float64, len(t.Data32))
-		for i, v := range t.Data32 {
+		d := make([]float64, len(t.data32))
+		for i, v := range t.data32 {
 			d[i] = float64(v)
 		}
-		t.Data32, t.Data, t.dt = nil, d, Float64
+		t.data32, t.data, t.dt = nil, d, Float64
 	}
 }

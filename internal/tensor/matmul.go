@@ -87,13 +87,6 @@ func putPack[T Elem](s *packScratch[T]) {
 	packPools[dtypeOf[T]()].Put(s)
 }
 
-// MatMul returns a @ b for rank-2 tensors a (m×k) and b (k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	out := NewOf(a.dt, a.Shape[0], b.Shape[1])
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes a @ b into dst, which must be an m×n tensor whose
 // elements are zero (freshly allocated or zeroed; tape arenas hand out
 // zeroed buffers). All three tensors must share a dtype.
@@ -117,13 +110,6 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 }
 
-// MatMulT1 returns aᵀ @ b for a (k×m) and b (k×n): result is m×n.
-func MatMulT1(a, b *Tensor) *Tensor {
-	out := NewOf(a.dt, a.Shape[1], b.Shape[1])
-	MatMulT1Into(out, a, b)
-	return out
-}
-
 // MatMulT1Into computes aᵀ @ b into dst, an m×n tensor whose elements must
 // be zero on entry. All three tensors must share a dtype.
 func MatMulT1Into(dst, a, b *Tensor) {
@@ -144,13 +130,6 @@ func MatMulT1Into(dst, a, b *Tensor) {
 	} else {
 		gemm(F64(dst), F64(a), F64(b), m, n, k, true, false, false)
 	}
-}
-
-// MatMulT2 returns a @ bᵀ for a (m×k) and b (n×k): result is m×n.
-func MatMulT2(a, b *Tensor) *Tensor {
-	out := NewOf(a.dt, a.Shape[0], b.Shape[0])
-	MatMulT2Into(out, a, b)
-	return out
 }
 
 // MatMulT2Into computes a @ bᵀ into dst, an m×n tensor. Every element of

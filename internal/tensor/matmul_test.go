@@ -22,19 +22,32 @@ func randOf(rng *rand.Rand, dt DType, shape ...int) *Tensor {
 	return t
 }
 
+// transposed returns aᵀ for a rank-2 tensor: the operand the T1 and T2
+// kernels are handed in place of a.
+func transposed(a *Tensor) *Tensor {
+	m, n := a.Shape[0], a.Shape[1]
+	out := NewOf(a.dt, n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.SetFlat(j*m+i, a.FlatAt(i*n+j))
+		}
+	}
+	return out
+}
+
 func bitEqual(t *testing.T, name string, got, want *Tensor) {
 	t.Helper()
 	if got.DType() != want.DType() || !got.SameShape(want) {
 		t.Fatalf("%s: shape/dtype mismatch %v vs %v", name, got, want)
 	}
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.Data[i], want.Data[i])
+	for i := range got.data {
+		if got.data[i] != want.data[i] {
+			t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.data[i], want.data[i])
 		}
 	}
-	for i := range got.Data32 {
-		if got.Data32[i] != want.Data32[i] {
-			t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.Data32[i], want.Data32[i])
+	for i := range got.data32 {
+		if got.data32[i] != want.data32[i] {
+			t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.data32[i], want.data32[i])
 		}
 	}
 }
@@ -80,21 +93,23 @@ func checkGridAgainstNaive(t *testing.T) {
 			name := fmt.Sprintf("%s %dx%dx%d ", dt, m, k, n)
 			a := randOf(rng, dt, m, k)
 			b := randOf(rng, dt, k, n)
-			at := Transpose(a)
-			bt := Transpose(b)
+			at := transposed(a)
+			bt := transposed(b)
 
-			got := MatMul(a, b)
-			want := NewOf(dt, m, n)
+			got, want := NewOf(dt, m, n), NewOf(dt, m, n)
+			MatMulInto(got, a, b)
 			NaiveMatMulInto(want, a, b)
 			bitEqual(t, name+"MatMul", got, want)
 
-			got = MatMulT1(at, b)
-			want = NewOf(dt, m, n)
+			got, want = NewOf(dt, m, n), NewOf(dt, m, n)
+			MatMulT1Into(got, at, b)
 			NaiveMatMulT1Into(want, at, b)
 			bitEqual(t, name+"MatMulT1", got, want)
 
-			got = MatMulT2(a, bt)
-			want = NewOf(dt, m, n)
+			// T2 overwrites: both sides start from the same garbage.
+			got = randOf(rng, dt, m, n)
+			want = got.Clone()
+			MatMulT2Into(got, a, bt)
 			NaiveMatMulT2Into(want, a, bt)
 			bitEqual(t, name+"MatMulT2", got, want)
 		}
@@ -127,36 +142,13 @@ func TestMatMulAccumulates(t *testing.T) {
 			NaiveMatMulInto(want, a, b)
 			bitEqual(t, fmt.Sprintf("%s %dx%dx%d accumulate", dt, m, k, n), got, want)
 
-			at := Transpose(a)
+			at := transposed(a)
 			got = seed.Clone()
 			MatMulT1Into(got, at, b)
 			want = seed.Clone()
 			NaiveMatMulT1Into(want, at, b)
 			bitEqual(t, fmt.Sprintf("%s %dx%dx%d accumulate T1", dt, m, k, n), got, want)
 		}
-	}
-}
-
-// TestIntoVariantsMatchAllocating pins that the Into kernels (used by the
-// activation-tape arenas) agree with their allocating counterparts.
-func TestIntoVariantsMatchAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a, b := randOf(rng, Float64, 17, 9), randOf(rng, Float64, 9, 13)
-	at, bt := Transpose(a), Transpose(b)
-
-	for _, c := range []struct {
-		name string
-		want *Tensor
-		into func(dst *Tensor)
-	}{
-		{"MatMulInto", MatMul(a, b), func(d *Tensor) { MatMulInto(d, a, b) }},
-		{"MatMulT1Into", MatMulT1(at, b), func(d *Tensor) { MatMulT1Into(d, at, b) }},
-		{"MatMulT2Into", MatMulT2(a, bt), func(d *Tensor) { MatMulT2Into(d, a, bt) }},
-		{"SoftmaxRowsInto", SoftmaxRows(a), func(d *Tensor) { SoftmaxRowsInto(d.Reshape(17, 9), a) }},
-	} {
-		dst := New(c.want.Shape...)
-		c.into(dst)
-		bitEqual(t, c.name, dst, c.want)
 	}
 }
 
@@ -180,7 +172,7 @@ func TestKernelsAreLeafCalls(t *testing.T) {
 		for _, d := range [][3]int{{8, 16, 16}, {28, 128, 128}, {128, 128, 128}} {
 			m, k, n := d[0], d[1], d[2]
 			a, b := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
-			at, bt := Transpose(a), Transpose(b)
+			at, bt := transposed(a), transposed(b)
 			dst := NewOf(dt, m, n)
 			for _, c := range []struct {
 				name   string
@@ -245,34 +237,6 @@ func TestIm2ColDtypes(t *testing.T) {
 	}
 }
 
-// TestAt2Set2 pins the fast paths against the variadic originals and
-// asserts they do not allocate (the variadic forms box their index slice
-// on hot paths like gradcheck).
-func TestAt2Set2(t *testing.T) {
-	for _, dt := range []DType{Float64, Float32} {
-		x := NewOf(dt, 5, 7)
-		rng := rand.New(rand.NewSource(2))
-		for i := 0; i < 5; i++ {
-			for j := 0; j < 7; j++ {
-				v := float64(rng.Intn(100))
-				x.Set2(v, i, j)
-				if got := x.At(i, j); got != v {
-					t.Fatalf("%s Set2/At mismatch at (%d,%d): %v vs %v", dt, i, j, got, v)
-				}
-				if got := x.At2(i, j); got != v {
-					t.Fatalf("%s At2 mismatch at (%d,%d): %v vs %v", dt, i, j, got, v)
-				}
-			}
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			x.Set2(x.At2(1, 2)+1, 3, 4)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s At2/Set2 allocated %.1f times per op, want 0", dt, allocs)
-		}
-	}
-}
-
 // BenchmarkMatMulShapes measures the three variants at the shapes the
 // trainers run — a P=107 residual-MLP slot (8×16·16×16), a transformer
 // microbatch through a projection and the two feed-forward halves (28 rows),
@@ -288,7 +252,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		for _, d := range shapes {
 			m, k, n := d[0], d[1], d[2]
 			x, y := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
-			xt, yt := Transpose(x), Transpose(y)
+			xt, yt := transposed(x), transposed(y)
 			dst := NewOf(dt, m, n)
 			for _, c := range []struct {
 				name string
@@ -326,26 +290,6 @@ func benchNaive(b *testing.B, dt DType, n int) {
 
 func BenchmarkNaiveMatMul64_256(b *testing.B) { benchNaive(b, Float64, 256) }
 func BenchmarkNaiveMatMul32_256(b *testing.B) { benchNaive(b, Float32, 256) }
-
-func BenchmarkAt2(b *testing.B) {
-	x := New(64, 64)
-	b.ReportAllocs()
-	s := 0.0
-	for i := 0; i < b.N; i++ {
-		s += x.At2(i%64, (i+1)%64)
-	}
-	_ = s
-}
-
-func BenchmarkAtVariadic(b *testing.B) {
-	x := New(64, 64)
-	b.ReportAllocs()
-	s := 0.0
-	for i := 0; i < b.N; i++ {
-		s += x.At(i%64, (i+1)%64)
-	}
-	_ = s
-}
 
 // --- naive reference kernels ---
 //

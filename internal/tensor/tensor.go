@@ -18,14 +18,14 @@ import (
 )
 
 // Tensor is a dense row-major tensor. Exactly one backing slice is
-// non-nil: Data for Float64 tensors (the zero-value default, so legacy
-// code reading .Data directly keeps working), Data32 for Float32 ones.
-// The zero value is an empty float64 tensor; use New, NewOf or the
-// factory helpers.
+// non-nil: data for Float64 tensors (the zero-value default), data32 for
+// Float32 ones; code outside the package reaches the storage through the
+// dtype-checked F64 and F32. The zero value is an empty float64 tensor;
+// use New, NewOf or NewLike.
 type Tensor struct {
 	Shape  []int
-	Data   []float64
-	Data32 []float32
+	data   []float64
+	data32 []float32
 	dt     DType
 }
 
@@ -33,39 +33,13 @@ type Tensor struct {
 // It panics if any dimension is negative (a programmer error).
 func New(shape ...int) *Tensor { return NewOf(Float64, shape...) }
 
-// FromSlice wraps data in a float64 tensor of the given shape. The slice
-// is used directly (not copied). It panics if len(data) does not match
-// the shape.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (=%d)", len(data), shape, n))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
-}
-
-// Full returns a float64 tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-	return t
-}
-
 // Size returns the total number of elements.
 func (t *Tensor) Size() int {
 	if t.dt == Float32 {
-		return len(t.Data32)
+		return len(t.data32)
 	}
-	return len(t.Data)
+	return len(t.data)
 }
-
-// Dim returns the length of axis i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // Rank returns the number of axes.
 func (t *Tensor) Rank() int { return len(t.Shape) }
@@ -73,8 +47,8 @@ func (t *Tensor) Rank() int { return len(t.Shape) }
 // Clone returns a deep copy of t (same dtype).
 func (t *Tensor) Clone() *Tensor {
 	c := NewLike(t)
-	copy(c.Data, t.Data)
-	copy(c.Data32, t.Data32)
+	copy(c.data, t.data)
+	copy(c.data32, t.data32)
 	return c
 }
 
@@ -84,8 +58,8 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 	if t.Size() != src.Size() || t.dt != src.dt {
 		panic(fmt.Sprintf("tensor: CopyFrom mismatch %v %s vs %v %s", t.Shape, t.dt, src.Shape, src.dt))
 	}
-	copy(t.Data, src.Data)
-	copy(t.Data32, src.Data32)
+	copy(t.data, src.data)
+	copy(t.data32, src.data32)
 }
 
 // RowView returns a (rows, cols) view of row r of a rank-2 tensor whose
@@ -97,9 +71,9 @@ func (t *Tensor) RowView(r, rows, cols int) *Tensor {
 	}
 	v := &Tensor{Shape: []int{rows, cols}, dt: t.dt}
 	if t.dt == Float32 {
-		v.Data32 = t.Data32[r*n : (r+1)*n]
+		v.data32 = t.data32[r*n : (r+1)*n]
 	} else {
-		v.Data = t.Data[r*n : (r+1)*n]
+		v.data = t.data[r*n : (r+1)*n]
 	}
 	return v
 }
@@ -114,66 +88,15 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != t.Size() {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (size %d) to %v", t.Shape, t.Size(), shape))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data, Data32: t.Data32, dt: t.dt}
-}
-
-// At returns the element at the given multi-index as a float64.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.FlatAt(t.offset(idx))
-}
-
-// Set assigns v to the element at the given multi-index (rounded for
-// float32 tensors).
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.SetFlat(t.offset(idx), v)
-}
-
-// At2 is the non-variadic rank-2 fast path of At: no index slice, no
-// allocation. Bounds beyond the row/column check are left to the slice
-// index.
-func (t *Tensor) At2(i, j int) float64 {
-	if len(t.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: At2 on rank-%d tensor", len(t.Shape)))
-	}
-	cols := t.Shape[1]
-	if i < 0 || i >= t.Shape[0] || j < 0 || j >= cols {
-		panic(fmt.Sprintf("tensor: At2(%d,%d) out of range for shape %v", i, j, t.Shape))
-	}
-	return t.FlatAt(i*cols + j)
-}
-
-// Set2 is the non-variadic rank-2 fast path of Set.
-func (t *Tensor) Set2(v float64, i, j int) {
-	if len(t.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: Set2 on rank-%d tensor", len(t.Shape)))
-	}
-	cols := t.Shape[1]
-	if i < 0 || i >= t.Shape[0] || j < 0 || j >= cols {
-		panic(fmt.Sprintf("tensor: Set2(%d,%d) out of range for shape %v", i, j, t.Shape))
-	}
-	t.SetFlat(i*cols+j, v)
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match rank of shape %v", idx, t.Shape))
-	}
-	off := 0
-	for i, ix := range idx {
-		if ix < 0 || ix >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + ix
-	}
-	return off
+	return &Tensor{Shape: append([]int(nil), shape...), data: t.data, data32: t.data32, dt: t.dt}
 }
 
 // Zero sets all elements of t to zero.
 func (t *Tensor) Zero() {
 	if t.dt == Float32 {
-		zero(t.Data32)
+		zero(t.data32)
 	} else {
-		zero(t.Data)
+		zero(t.data)
 	}
 }
 
@@ -186,9 +109,9 @@ func zero[T Elem](d []T) {
 // Fill sets all elements of t to v (rounded for float32 tensors).
 func (t *Tensor) Fill(v float64) {
 	if t.dt == Float32 {
-		fill(t.Data32, float32(v))
+		fill(t.data32, float32(v))
 	} else {
-		fill(t.Data, v)
+		fill(t.data, v)
 	}
 }
 
@@ -235,84 +158,13 @@ func (t *Tensor) String() string {
 
 // --- elementwise ---
 
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	checkSame(a, b, "Add")
-	out := NewLike(a)
-	if a.dt == Float32 {
-		addOut(out.Data32, a.Data32, b.Data32)
-	} else {
-		addOut(out.Data, a.Data, b.Data)
-	}
-	return out
-}
-
-func addOut[T Elem](dst, a, b []T) {
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSame(a, b, "Sub")
-	out := NewLike(a)
-	if a.dt == Float32 {
-		subOut(out.Data32, a.Data32, b.Data32)
-	} else {
-		subOut(out.Data, a.Data, b.Data)
-	}
-	return out
-}
-
-func subOut[T Elem](dst, a, b []T) {
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	checkSame(a, b, "Mul")
-	out := NewLike(a)
-	if a.dt == Float32 {
-		mulOut(out.Data32, a.Data32, b.Data32)
-	} else {
-		mulOut(out.Data, a.Data, b.Data)
-	}
-	return out
-}
-
-func mulOut[T Elem](dst, a, b []T) {
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// Scale returns s * a, with s rounded to a's dtype first.
-func Scale(a *Tensor, s float64) *Tensor {
-	out := NewLike(a)
-	if a.dt == Float32 {
-		scaleOut(out.Data32, a.Data32, float32(s))
-	} else {
-		scaleOut(out.Data, a.Data, s)
-	}
-	return out
-}
-
-func scaleOut[T Elem](dst, a []T, s T) {
-	for i := range dst {
-		dst[i] = s * a[i]
-	}
-}
-
 // AddInto accumulates src into dst (dst += src).
 func AddInto(dst, src *Tensor) {
 	checkSame(dst, src, "AddInto")
 	if dst.dt == Float32 {
-		addInto(dst.Data32, src.Data32)
+		addInto(dst.data32, src.data32)
 	} else {
-		addInto(dst.Data, src.Data)
+		addInto(dst.data, src.data)
 	}
 }
 
@@ -326,15 +178,15 @@ func addInto[T Elem](dst, src []T) {
 func Axpy(dst *Tensor, alpha float64, src *Tensor) {
 	checkSame(dst, src, "Axpy")
 	if dst.dt == Float32 {
-		axpy(dst.Data32, float32(alpha), src.Data32)
+		axpy(dst.data32, float32(alpha), src.data32)
 	} else {
-		axpy(dst.Data, alpha, src.Data)
+		axpy(dst.data, alpha, src.data)
 	}
 }
 
 func axpy[T Elem](dst []T, alpha T, src []T) {
 	for i := range dst {
-		dst[i] += alpha * src[i]
+		dst[i] += T(alpha * src[i])
 	}
 }
 
@@ -342,9 +194,15 @@ func axpy[T Elem](dst []T, alpha T, src []T) {
 // first).
 func (t *Tensor) ScaleInPlace(s float64) {
 	if t.dt == Float32 {
-		scaleOut(t.Data32, t.Data32, float32(s))
+		scaleInPlace(t.data32, float32(s))
 	} else {
-		scaleOut(t.Data, t.Data, s)
+		scaleInPlace(t.data, s)
+	}
+}
+
+func scaleInPlace[T Elem](d []T, s T) {
+	for i := range d {
+		d[i] = s * d[i]
 	}
 }
 
@@ -352,9 +210,9 @@ func (t *Tensor) ScaleInPlace(s float64) {
 // native division rounding (x/s, not x*(1/s)).
 func (t *Tensor) DivScalar(s float64) {
 	if t.dt == Float32 {
-		divScalar(t.Data32, float32(s))
+		divScalar(t.data32, float32(s))
 	} else {
-		divScalar(t.Data, s)
+		divScalar(t.data, s)
 	}
 }
 
@@ -378,78 +236,20 @@ func checkSame(a, b *Tensor, op string) {
 // clipping scalars, which stay float64 end to end (and are deterministic
 // because every engine runs this same serial-order code).
 
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	if t.dt == Float32 {
-		return sum(t.Data32)
-	}
-	return sum(t.Data)
-}
-
-func sum[T Elem](d []T) float64 {
-	s := 0.0
-	for _, v := range d {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if t.Size() == 0 {
-		return 0
-	}
-	return t.Sum() / float64(t.Size())
-}
-
-// Norm returns the Euclidean (L2) norm of all elements.
-func (t *Tensor) Norm() float64 {
-	if t.dt == Float32 {
-		return norm(t.Data32)
-	}
-	return norm(t.Data)
-}
-
-func norm[T Elem](d []T) float64 {
-	s := 0.0
-	for _, v := range d {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // SumSq returns the sum of squared elements, accumulated in float64.
 func (t *Tensor) SumSq() float64 {
 	if t.dt == Float32 {
-		return sumSq(t.Data32)
+		return sumSq(t.data32)
 	}
-	return sumSq(t.Data)
+	return sumSq(t.data)
 }
 
 func sumSq[T Elem](d []T) float64 {
 	s := 0.0
 	for _, v := range d {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	if t.dt == Float32 {
-		return maxAbs(t.Data32)
-	}
-	return maxAbs(t.Data)
-}
-
-func maxAbs[T Elem](d []T) float64 {
-	m := 0.0
-	for _, v := range d {
-		if a := math.Abs(float64(v)); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // ArgMaxRow returns the index of the largest element of row r of a 2-D tensor.
@@ -458,9 +258,9 @@ func (t *Tensor) ArgMaxRow(r int) int {
 		panic("tensor: ArgMaxRow requires a rank-2 tensor")
 	}
 	if t.dt == Float32 {
-		return argMaxRow(t.Data32, r, t.Shape[1])
+		return argMaxRow(t.data32, r, t.Shape[1])
 	}
-	return argMaxRow(t.Data, r, t.Shape[1])
+	return argMaxRow(t.data, r, t.Shape[1])
 }
 
 func argMaxRow[T Elem](d []T, r, cols int) int {
@@ -474,37 +274,7 @@ func argMaxRow[T Elem](d []T, r, cols int) int {
 	return bi
 }
 
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires a rank-2 tensor")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := NewOf(a.dt, n, m)
-	if a.dt == Float32 {
-		transpose(out.Data32, a.Data32, m, n)
-	} else {
-		transpose(out.Data, a.Data, m, n)
-	}
-	return out
-}
-
-func transpose[T Elem](dst, src []T, m, n int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst[j*m+i] = src[i*n+j]
-		}
-	}
-}
-
 // --- softmax family ---
-
-// SoftmaxRows computes row-wise softmax of a 2-D tensor.
-func SoftmaxRows(a *Tensor) *Tensor {
-	out := NewLike(a)
-	SoftmaxRowsInto(out, a)
-	return out
-}
 
 // SoftmaxRowsInto computes the row-wise softmax of a into dst (same
 // shape and dtype). Exponentials are evaluated in float64 for both dtypes
@@ -520,9 +290,9 @@ func SoftmaxRowsInto(dst, a *Tensor) {
 	}
 	checkSame(dst, a, "SoftmaxRowsInto")
 	if a.dt == Float32 {
-		softmaxRows(dst.Data32, a.Data32, m, n)
+		softmaxRows(dst.data32, a.data32, m, n)
 	} else {
-		softmaxRows(dst.Data, a.Data, m, n)
+		softmaxRows(dst.data, a.data, m, n)
 	}
 }
 
@@ -558,9 +328,9 @@ func LogSumExpRows(a *Tensor) []float64 {
 	m, n := a.Shape[0], a.Shape[1]
 	out := make([]float64, m)
 	if a.dt == Float32 {
-		logSumExpRows(out, a.Data32, m, n)
+		logSumExpRows(out, a.data32, m, n)
 	} else {
-		logSumExpRows(out, a.Data, m, n)
+		logSumExpRows(out, a.data, m, n)
 	}
 	return out
 }

@@ -9,95 +9,88 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// filled returns a float64 tensor of the given shape holding vals.
+func filled(vals []float64, shape ...int) *Tensor {
+	t := New(shape...)
+	if copy(t.data, vals) != len(t.data) {
+		panic("filled: value count does not match shape")
+	}
+	return t
+}
+
 func TestNewZeroFilled(t *testing.T) {
 	x := New(2, 3)
 	if x.Size() != 6 {
 		t.Fatalf("Size = %d, want 6", x.Size())
 	}
-	for i, v := range x.Data {
+	for i, v := range x.data {
 		if v != 0 {
 			t.Fatalf("Data[%d] = %g, want 0", i, v)
 		}
 	}
 }
 
-func TestFromSliceAndAt(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if got := x.At(1, 2); got != 6 {
-		t.Fatalf("At(1,2) = %g, want 6", got)
-	}
-	x.Set(9, 0, 1)
-	if got := x.At(0, 1); got != 9 {
-		t.Fatalf("after Set, At(0,1) = %g, want 9", got)
-	}
-}
-
-func TestFromSliceBadLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mismatched length")
-		}
-	}()
-	FromSlice([]float64{1, 2, 3}, 2, 2)
-}
-
 func TestReshapeSharesData(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	x := filled([]float64{1, 2, 3, 4}, 2, 2)
 	y := x.Reshape(4)
-	y.Data[0] = 42
-	if x.At(0, 0) != 42 {
+	y.data[0] = 42
+	if x.data[0] != 42 {
 		t.Fatal("Reshape must share underlying data")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	x := FromSlice([]float64{1, 2}, 2)
+	x := filled([]float64{1, 2}, 2)
 	y := x.Clone()
-	y.Data[0] = 5
-	if x.Data[0] != 1 {
+	y.data[0] = 5
+	if x.data[0] != 1 {
 		t.Fatal("Clone must not share data")
 	}
 }
 
 func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{4, 5, 6}, 3)
+	a := func() *Tensor { return filled([]float64{1, 2, 3}, 3) }
+	b := filled([]float64{4, 5, 6}, 3)
 	cases := []struct {
 		name string
-		got  *Tensor
+		op   func(x *Tensor)
 		want []float64
 	}{
-		{"Add", Add(a, b), []float64{5, 7, 9}},
-		{"Sub", Sub(a, b), []float64{-3, -3, -3}},
-		{"Mul", Mul(a, b), []float64{4, 10, 18}},
-		{"Scale", Scale(a, 2), []float64{2, 4, 6}},
+		{"AddInto", func(x *Tensor) { AddInto(x, b) }, []float64{5, 7, 9}},
+		{"ScaleInPlace", func(x *Tensor) { x.ScaleInPlace(2) }, []float64{2, 4, 6}},
+		{"DivScalar", func(x *Tensor) { x.DivScalar(2) }, []float64{0.5, 1, 1.5}},
+		{"Fill", func(x *Tensor) { x.Fill(7) }, []float64{7, 7, 7}},
+		{"Zero", func(x *Tensor) { x.Zero() }, []float64{0, 0, 0}},
 	}
 	for _, c := range cases {
+		got := a()
+		c.op(got)
 		for i := range c.want {
-			if c.got.Data[i] != c.want[i] {
-				t.Errorf("%s[%d] = %g, want %g", c.name, i, c.got.Data[i], c.want[i])
+			if got.data[i] != c.want[i] {
+				t.Errorf("%s[%d] = %g, want %g", c.name, i, got.data[i], c.want[i])
 			}
 		}
 	}
 }
 
 func TestAxpy(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{10, 20}, 2)
+	a := filled([]float64{1, 2}, 2)
+	b := filled([]float64{10, 20}, 2)
 	Axpy(a, 0.5, b)
-	if a.Data[0] != 6 || a.Data[1] != 12 {
-		t.Fatalf("Axpy result %v, want [6 12]", a.Data)
+	if a.data[0] != 6 || a.data[1] != 12 {
+		t.Fatalf("Axpy result %v, want [6 12]", a.data)
 	}
 }
 
 func TestMatMulKnown(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	a := filled([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := filled([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i := range want {
-		if c.Data[i] != want[i] {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+		if c.data[i] != want[i] {
+			t.Fatalf("MatMul = %v, want %v", c.data, want)
 		}
 	}
 }
@@ -106,43 +99,23 @@ func TestMatMulTransposedVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := New(4, 5)
 	b := New(5, 3)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
+	for i := range a.data {
+		a.data[i] = rng.NormFloat64()
 	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
+	for i := range b.data {
+		b.data[i] = rng.NormFloat64()
 	}
-	want := MatMul(a, b)
-	got1 := MatMulT1(Transpose(a), b)
-	got2 := MatMulT2(a, Transpose(b))
-	for i := range want.Data {
-		if !almostEq(want.Data[i], got1.Data[i], 1e-12) {
-			t.Fatalf("MatMulT1 disagrees at %d: %g vs %g", i, got1.Data[i], want.Data[i])
+	want, got1, got2 := New(4, 3), New(4, 3), New(4, 3)
+	MatMulInto(want, a, b)
+	MatMulT1Into(got1, transposed(a), b)
+	MatMulT2Into(got2, a, transposed(b))
+	for i := range want.data {
+		if !almostEq(want.data[i], got1.data[i], 1e-12) {
+			t.Fatalf("MatMulT1 disagrees at %d: %g vs %g", i, got1.data[i], want.data[i])
 		}
-		if !almostEq(want.Data[i], got2.Data[i], 1e-12) {
-			t.Fatalf("MatMulT2 disagrees at %d: %g vs %g", i, got2.Data[i], want.Data[i])
+		if !almostEq(want.data[i], got2.data[i], 1e-12) {
+			t.Fatalf("MatMulT2 disagrees at %d: %g vs %g", i, got2.data[i], want.data[i])
 		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := 1+rng.Intn(6), 1+rng.Intn(6)
-		a := New(m, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		b := Transpose(Transpose(a))
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -150,14 +123,15 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := New(3, 5)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64() * 10
+		for i := range a.data {
+			a.data[i] = rng.NormFloat64() * 10
 		}
-		s := SoftmaxRows(a)
+		s := NewLike(a)
+		SoftmaxRowsInto(s, a)
 		for i := 0; i < 3; i++ {
 			sum := 0.0
 			for j := 0; j < 5; j++ {
-				v := s.At(i, j)
+				v := s.data[i*5+j]
 				if v < 0 || v > 1 {
 					return false
 				}
@@ -175,17 +149,18 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 }
 
 func TestSoftmaxNumericallyStable(t *testing.T) {
-	a := FromSlice([]float64{1000, 1001, 999}, 1, 3)
-	s := SoftmaxRows(a)
-	for _, v := range s.Data {
+	a := filled([]float64{1000, 1001, 999}, 1, 3)
+	s := NewLike(a)
+	SoftmaxRowsInto(s, a)
+	for _, v := range s.data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("softmax overflowed: %v", s.Data)
+			t.Fatalf("softmax overflowed: %v", s.data)
 		}
 	}
 }
 
 func TestLogSumExpRows(t *testing.T) {
-	a := FromSlice([]float64{0, math.Log(2), math.Log(3)}, 1, 3)
+	a := filled([]float64{0, math.Log(2), math.Log(3)}, 1, 3)
 	got := LogSumExpRows(a)[0]
 	want := math.Log(6)
 	if !almostEq(got, want, 1e-12) {
@@ -194,23 +169,14 @@ func TestLogSumExpRows(t *testing.T) {
 }
 
 func TestReductions(t *testing.T) {
-	a := FromSlice([]float64{3, -4}, 2)
-	if a.Sum() != -1 {
-		t.Errorf("Sum = %g", a.Sum())
-	}
-	if a.Mean() != -0.5 {
-		t.Errorf("Mean = %g", a.Mean())
-	}
-	if a.Norm() != 5 {
-		t.Errorf("Norm = %g", a.Norm())
-	}
-	if a.MaxAbs() != 4 {
-		t.Errorf("MaxAbs = %g", a.MaxAbs())
+	a := filled([]float64{3, -4}, 2)
+	if a.SumSq() != 25 {
+		t.Errorf("SumSq = %g", a.SumSq())
 	}
 }
 
 func TestArgMaxRow(t *testing.T) {
-	a := FromSlice([]float64{1, 5, 2, 9, 0, 3}, 2, 3)
+	a := filled([]float64{1, 5, 2, 9, 0, 3}, 2, 3)
 	if a.ArgMaxRow(0) != 1 {
 		t.Errorf("row 0 argmax = %d", a.ArgMaxRow(0))
 	}
@@ -236,12 +202,12 @@ func naiveConv(x *Tensor, w *Tensor, stride, pad int) *Tensor {
 							for kx := 0; kx < kw; kx++ {
 								iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
 								if iy >= 0 && iy < h && ix >= 0 && ix < wd {
-									s += x.At(n, ch, iy, ix) * w.At(o, ch, ky, kx)
+									s += x.data[((n*c+ch)*h+iy)*wd+ix] * w.data[((o*c+ch)*kh+ky)*kw+kx]
 								}
 							}
 						}
 					}
-					out.Set(s, n, o, oy, ox)
+					out.data[((n*oc+o)*oh+oy)*ow+ox] = s
 				}
 			}
 		}
@@ -259,17 +225,18 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	} {
 		x := New(cfg.b, cfg.c, cfg.h, cfg.w)
 		w := New(cfg.oc, cfg.c, cfg.k, cfg.k)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
+		for i := range x.data {
+			x.data[i] = rng.NormFloat64()
 		}
-		for i := range w.Data {
-			w.Data[i] = rng.NormFloat64()
+		for i := range w.data {
+			w.data[i] = rng.NormFloat64()
 		}
 		want := naiveConv(x, w, cfg.stride, cfg.pad)
 		cols := Im2Col(x, cfg.k, cfg.k, cfg.stride, cfg.pad)
 		wm := w.Reshape(cfg.oc, cfg.c*cfg.k*cfg.k)
 		// cols: (B*OH*OW, C*K*K); result rows are (b,oy,ox) and cols oc.
-		res := MatMulT2(cols, wm)
+		res := New(cols.Shape[0], cfg.oc)
+		MatMulT2Into(res, cols, wm)
 		oh := ConvOutSize(cfg.h, cfg.k, cfg.stride, cfg.pad)
 		ow := ConvOutSize(cfg.w, cfg.k, cfg.stride, cfg.pad)
 		for n := 0; n < cfg.b; n++ {
@@ -277,9 +244,9 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 				for oy := 0; oy < oh; oy++ {
 					for ox := 0; ox < ow; ox++ {
 						row := (n*oh+oy)*ow + ox
-						got := res.At(row, o)
-						if !almostEq(got, want.At(n, o, oy, ox), 1e-9) {
-							t.Fatalf("cfg %+v mismatch at (%d,%d,%d,%d): %g vs %g", cfg, n, o, oy, ox, got, want.At(n, o, oy, ox))
+						got, want := res.data[row*cfg.oc+o], want.data[((n*cfg.oc+o)*oh+oy)*ow+ox]
+						if !almostEq(got, want, 1e-9) {
+							t.Fatalf("cfg %+v mismatch at (%d,%d,%d,%d): %g vs %g", cfg, n, o, oy, ox, got, want)
 						}
 					}
 				}
@@ -294,22 +261,22 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b, c, h, w, k, stride, pad := 2, 2, 5, 5, 3, 1, 1
 	x := New(b, c, h, w)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+	for i := range x.data {
+		x.data[i] = rng.NormFloat64()
 	}
 	cols := Im2Col(x, k, k, stride, pad)
 	y := New(cols.Shape...)
-	for i := range y.Data {
-		y.Data[i] = rng.NormFloat64()
+	for i := range y.data {
+		y.data[i] = rng.NormFloat64()
 	}
 	lhs := 0.0
-	for i := range cols.Data {
-		lhs += cols.Data[i] * y.Data[i]
+	for i := range cols.data {
+		lhs += cols.data[i] * y.data[i]
 	}
 	back := Col2Im(y, b, c, h, w, k, k, stride, pad)
 	rhs := 0.0
-	for i := range x.Data {
-		rhs += x.Data[i] * back.Data[i]
+	for i := range x.data {
+		rhs += x.data[i] * back.data[i]
 	}
 	if !almostEq(lhs, rhs, 1e-9) {
 		t.Fatalf("adjoint identity violated: %g vs %g", lhs, rhs)

@@ -21,12 +21,12 @@ func mixedState() stateList {
 	var s stateList
 	for st := 0; st < 5; st++ {
 		a := tensor.NewOf(tensor.Float64, st+1, 2)
-		for i := range a.Data {
-			a.Data[i] = float64(st*10+i) / 7
+		for i := 0; i < a.Size(); i++ {
+			a.SetFlat(i, float64(st*10+i)/7)
 		}
 		b := tensor.NewOf(tensor.Float32, 3)
-		for i := range b.Data32 {
-			b.Data32[i] = float32(st+i) / 3
+		for i, bd := 0, tensor.F32(b); i < len(bd); i++ {
+			bd[i] = float32(st+i) / 3
 		}
 		s = append(s, []*tensor.Tensor{a, b})
 	}
@@ -52,7 +52,7 @@ func TestStateChecksumIsCRCOfEncoding(t *testing.T) {
 	if got != parentChecksum {
 		t.Fatalf("StateChecksum %#08x, the previous implementation gave %#08x", got, parentChecksum)
 	}
-	s[4][1].Data32[2]++
+	tensor.F32(s[4][1])[2]++
 	if StateChecksum(s, len(s)) == got {
 		t.Fatal("checksum blind to a changed float32 element")
 	}

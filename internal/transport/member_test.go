@@ -38,7 +38,7 @@ func newWireMember(p int) *wireMember {
 		prepared: make([]int, p), stepped: make([]int, p), imported: make([]int, p)}
 	for st := range m.state {
 		m.state[st] = tensor.New(1)
-		m.state[st].Data[0] = float64(100 * st)
+		m.state[st].SetFlat(0, float64(100*st))
 	}
 	return m
 }
@@ -46,7 +46,6 @@ func newWireMember(p int) *wireMember {
 func (m *wireMember) Stages() int                 { return m.p }
 func (m *wireMember) Recompute() bool             { return false }
 func (m *wireMember) MicroBase() int              { return 0 }
-func (m *wireMember) Splittable() bool            { return true }
 func (m *wireMember) SetAsync(async bool)         {}
 func (m *wireMember) StageRecompute(s, stage int) {}
 func (m *wireMember) Restore(stage int)           {}
@@ -79,7 +78,7 @@ func (m *wireMember) TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.
 	if bufs == nil {
 		bufs = []*tensor.Tensor{tensor.New(1)}
 	}
-	bufs[0].Data[0] = m.acc[stage]
+	bufs[0].SetFlat(0, m.acc[stage])
 	m.acc[stage] = 0
 	return bufs
 }
@@ -89,7 +88,7 @@ func (m *wireMember) FoldStageGrads(stage int, bufs []*tensor.Tensor) {}
 func (m *wireMember) SetStageGrads(stage int, bufs []*tensor.Tensor) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.acc[stage] = bufs[0].Data[0]
+	m.acc[stage] = bufs[0].FlatAt(0)
 }
 
 func (m *wireMember) PrepareStage(stage, nMicro int) float64 {
@@ -107,7 +106,7 @@ func (m *wireMember) StepStage(stage int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stepped[stage]++
-	m.state[stage].Data[0] = 1000 + m.acc[stage]
+	m.state[stage].SetFlat(0, 1000+m.acc[stage])
 }
 
 func (m *wireMember) FinishStage(stage int) {}
@@ -198,7 +197,7 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	}
 	for k := 0; k < 2; k++ {
 		for st := 0; st < p; st++ {
-			if got := grads[k][st][0].Data[0]; got != float64(4+k+1) {
+			if got := grads[k][st][0].FlatAt(0); got != float64(4+k+1) {
 				t.Fatalf("grads[%d][%d] = %g, want %g", k, st, got, float64(4+k+1))
 			}
 		}
@@ -206,7 +205,7 @@ func TestRemoteMemberProtocol(t *testing.T) {
 
 	// Scatter → prepare → step → gather, as the sharded commit would.
 	g := tensor.New(1)
-	g.Data[0] = 42
+	g.SetFlat(0, 42)
 	m.SetStageGrads(1, []*tensor.Tensor{g})
 	if got := m.PrepareStage(1, 8); got != 2*8 {
 		t.Fatalf("PrepareStage partial %g, want 16", got)
@@ -216,15 +215,15 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	m.StepStage(1)
 	m.FinishStage(1)
 	st := m.StageState(1)
-	if len(st) != 1 || st[0].Data[0] != 1000+42 {
+	if len(st) != 1 || st[0].FlatAt(0) != 1000+42 {
 		t.Fatalf("StageState %v, want [1042]", st)
 	}
 	src := tensor.New(1)
-	src.Data[0] = -5
+	src.SetFlat(0, -5)
 	m.ImportStageState(2, []*tensor.Tensor{src})
 	worker.mu.Lock()
-	if worker.state[2].Data[0] != -5 || worker.imported[2] != 1 {
-		t.Fatalf("import did not land: state %g, imports %d", worker.state[2].Data[0], worker.imported[2])
+	if worker.state[2].FlatAt(0) != -5 || worker.imported[2] != 1 {
+		t.Fatalf("import did not land: state %g, imports %d", worker.state[2].FlatAt(0), worker.imported[2])
 	}
 	worker.mu.Unlock()
 
@@ -247,8 +246,8 @@ func TestRemoteMemberProtocol(t *testing.T) {
 		t.Fatalf("worker step %d after the push, want the leader's 9", worker.step)
 	}
 	for s := 0; s < p; s++ {
-		if worker.state[s].Data[0] != float64(100*s) {
-			t.Fatalf("pushed stage %d state %g, want the leader's %d", s, worker.state[s].Data[0], 100*s)
+		if worker.state[s].FlatAt(0) != float64(100*s) {
+			t.Fatalf("pushed stage %d state %g, want the leader's %d", s, worker.state[s].FlatAt(0), 100*s)
 		}
 		if worker.rings[s] != 5+s+2 {
 			t.Fatalf("stage %d ring ends at version %d, want base %d + 2 snapshots", s, worker.rings[s], 5+s)

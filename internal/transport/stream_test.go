@@ -24,10 +24,13 @@ func scalarAppendTensor(dst []byte, t *tensor.Tensor) []byte {
 	for _, d := range t.Shape {
 		dst = AppendU32(dst, uint32(d))
 	}
-	for _, v := range t.Data32 {
-		dst = AppendU32(dst, math.Float32bits(v))
+	if t.DType() == tensor.Float32 {
+		for _, v := range tensor.F32(t) {
+			dst = AppendU32(dst, math.Float32bits(v))
+		}
+		return dst
 	}
-	for _, v := range t.Data {
+	for _, v := range tensor.F64(t) {
 		dst = AppendF64(dst, v)
 	}
 	return dst
@@ -51,21 +54,26 @@ var awkward64 = []uint64{
 
 // fillBits fills t with random bit patterns, the awkward ones first.
 func fillBits(t *tensor.Tensor, rng *rand.Rand) {
-	for i := range t.Data {
-		if i < len(awkward64) {
-			t.Data[i] = math.Float64frombits(awkward64[i])
-		} else {
-			t.Data[i] = math.Float64frombits(rng.Uint64())
+	if t.DType() == tensor.Float64 {
+		d := tensor.F64(t)
+		for i := range d {
+			if i < len(awkward64) {
+				d[i] = math.Float64frombits(awkward64[i])
+			} else {
+				d[i] = math.Float64frombits(rng.Uint64())
+			}
 		}
+		return
 	}
-	for i := range t.Data32 {
+	d := tensor.F32(t)
+	for i := range d {
 		if i < len(awkward64) {
 			// The same classes at float32 width: sign, exponent and the low
 			// mantissa bit carry over.
 			b := awkward64[i]
-			t.Data32[i] = math.Float32frombits(uint32(b>>32) | uint32(b&1))
+			d[i] = math.Float32frombits(uint32(b>>32) | uint32(b&1))
 		} else {
-			t.Data32[i] = math.Float32frombits(rng.Uint32())
+			d[i] = math.Float32frombits(rng.Uint32())
 		}
 	}
 }
@@ -81,13 +89,16 @@ func sameBits(a, b *tensor.Tensor) bool {
 			return false
 		}
 	}
-	for i, v := range a.Data {
-		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
-			return false
+	if a.DType() == tensor.Float32 {
+		for i, v := range tensor.F32(a) {
+			if math.Float32bits(v) != math.Float32bits(tensor.F32(b)[i]) {
+				return false
+			}
 		}
+		return true
 	}
-	for i, v := range a.Data32 {
-		if math.Float32bits(v) != math.Float32bits(b.Data32[i]) {
+	for i, v := range tensor.F64(a) {
+		if math.Float64bits(v) != math.Float64bits(tensor.F64(b)[i]) {
 			return false
 		}
 	}
@@ -427,11 +438,11 @@ func newBulkMember(p int) *bulkMember {
 	for st := 0; st < p; st++ {
 		mk := func() []*tensor.Tensor {
 			a, b := tensor.NewOf(tensor.Float64, 200, 200+st), tensor.NewOf(tensor.Float32, 1000+st)
-			for i := range a.Data {
-				a.Data[i] = float64(i + st)
+			for i := 0; i < a.Size(); i++ {
+				a.SetFlat(i, float64(i+st))
 			}
-			for i := range b.Data32 {
-				b.Data32[i] = float32(i - st)
+			for i := 0; i < b.Size(); i++ {
+				b.SetFlat(i, float64(i-st))
 			}
 			return []*tensor.Tensor{a, b}
 		}

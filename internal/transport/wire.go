@@ -176,13 +176,13 @@ func appendTensorHeader(dst []byte, t *tensor.Tensor) []byte {
 // the frame encoder (stream.go).
 func putElems(dst []byte, t *tensor.Tensor, off int) {
 	if t.DType() == tensor.Float32 {
-		for _, v := range t.Data32[off : off+len(dst)/4] {
+		for _, v := range tensor.F32(t)[off : off+len(dst)/4] {
 			binary.BigEndian.PutUint32(dst, math.Float32bits(v))
 			dst = dst[4:]
 		}
 		return
 	}
-	for _, v := range t.Data[off : off+len(dst)/8] {
+	for _, v := range tensor.F64(t)[off : off+len(dst)/8] {
 		binary.BigEndian.PutUint64(dst, math.Float64bits(v))
 		dst = dst[8:]
 	}
@@ -191,14 +191,16 @@ func putElems(dst []byte, t *tensor.Tensor, off int) {
 // getElems decodes src, a whole element block, into t's storage.
 func getElems(t *tensor.Tensor, src []byte) {
 	if t.DType() == tensor.Float32 {
-		for i := range t.Data32[:len(src)/4] {
-			t.Data32[i] = math.Float32frombits(binary.BigEndian.Uint32(src))
+		d := tensor.F32(t)[:len(src)/4]
+		for i := range d {
+			d[i] = math.Float32frombits(binary.BigEndian.Uint32(src))
 			src = src[4:]
 		}
 		return
 	}
-	for i := range t.Data[:len(src)/8] {
-		t.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(src))
+	d := tensor.F64(t)[:len(src)/8]
+	for i := range d {
+		d[i] = math.Float64frombits(binary.BigEndian.Uint64(src))
 		src = src[8:]
 	}
 }

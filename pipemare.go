@@ -58,7 +58,12 @@ import (
 type (
 	// Method selects GPipe, PipeDream or PipeMare execution.
 	Method = core.Method
-	// Task is a model+loss bound to an indexed dataset.
+	// Task is a model+loss bound to an indexed dataset, as a stage program.
+	// Five methods: Groups (the weight groups, in forward order), NumTrain,
+	// Program (the compiled ops, grouped like Groups), BindMicro (load a
+	// microbatch's samples and labels into a machine) and EvalTest. There
+	// is no whole-model forward or backward call: each stage's slots run
+	// that stage's op range on the weight version the slot reads.
 	Task = core.Task
 	// Replicable is a Task that can clone itself for data-parallel
 	// replication (WithReplicas).
