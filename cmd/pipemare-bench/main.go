@@ -333,7 +333,7 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 		extra = append(extra, pipemare.WithTransport(dialers...))
 	}
 	if crashWorker > 0 {
-		extra = append(extra, pipemare.WithShardedStep(false), pipemare.WithFaultTolerance())
+		extra = append(extra, pipemare.WithFaultTolerance())
 	}
 	if jlis != nil {
 		extra = append(extra, pipemare.WithElastic())
@@ -377,7 +377,7 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 			return fmt.Errorf("join worker: %w", err)
 		}
 		ref, err := experiments.NewReplicatedBenchTrainer(4, 2, nil,
-			pipemare.WithShardedStep(false), pipemare.WithFaultTolerance())
+			pipemare.WithFaultTolerance())
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 // Command pipemare-worker hosts one follower replica of the engine
 // benchmark workload as a standalone process. A pipemare-bench leader
 // (run with -transport tcp) dials it, and the handshake assigns the
-// replica id, replica count and commit mode — the same invocation serves
+// replica id, replica count and fault tolerance — the same invocation serves
 // any follower slot.
 //
 //	pipemare-worker                    # listen on a free port, print it

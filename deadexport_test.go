@@ -12,26 +12,36 @@ import (
 	"testing"
 )
 
-// TestNoExportOnlyTestsCall keeps the substrate packages from growing a
-// second API that only their own tests exercise: every exported func or
-// method declared in internal/tensor, internal/nn or internal/model must
-// be referenced from some non-test file of the module (benchmark/, cmd/
-// and examples/ included) other than its own declaration. The check is
-// syntactic (no type information): a func counts as referenced by a
-// qualified pkg.Name through an import of its package, or by a bare Name
-// inside it; a method by any x.Name selector anywhere — so a dead method
-// sharing its name with a live one goes unnoticed, never the reverse.
+// TestNoExportOnlyTestsCall keeps the substrate packages — and the
+// optimizer, replica and engine packages — from growing a second API that
+// only their own tests exercise: every exported func or method declared
+// in a watched package must be referenced from some non-test file of the
+// module (benchmark/, cmd/ and examples/ included) other than its own
+// declaration. The check is syntactic (no type information): a func
+// counts as referenced by a qualified pkg.Name through an import of its
+// package, or by a bare Name inside it; a method by any x.Name selector
+// anywhere, by an interface type that declares the name (it is called
+// through the interface), or by being Error, Unwrap or String (the
+// standard library calls them) — so a dead method sharing its name with a
+// live one goes unnoticed, never the reverse.
 func TestNoExportOnlyTestsCall(t *testing.T) {
 	watched := map[string]bool{
-		"pipemare/internal/tensor": true,
-		"pipemare/internal/nn":     true,
-		"pipemare/internal/model":  true,
+		"pipemare/internal/tensor":            true,
+		"pipemare/internal/nn":                true,
+		"pipemare/internal/model":             true,
+		"pipemare/internal/optim":             true,
+		"pipemare/internal/replica":           true,
+		"pipemare/internal/engine":            true,
+		"pipemare/internal/engine/concurrent": true,
+		"pipemare/internal/engine/replicated": true,
 	}
 	type decl struct{ pkg, name, pos string }
 	var funcs, methods []decl
 	qualified := map[string]bool{} // "import/path.Name"
 	bare := map[string]bool{}      // "import/path.Name", from inside the package
-	selected := map[string]bool{}  // "Name" of any non-package selector
+	selected := map[string]bool{   // "Name" of any non-package selector or interface method
+		"Error": true, "Unwrap": true, "String": true,
+	}
 
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -94,6 +104,12 @@ func TestNoExportOnlyTestsCall(t *testing.T) {
 					}
 				}
 				selected[n.Sel.Name] = true
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						selected[name.Name] = true
+					}
+				}
 			case *ast.Ident:
 				if !declNames[n] {
 					bare[pkg+"."+n.Name] = true
@@ -120,7 +136,7 @@ func TestNoExportOnlyTestsCall(t *testing.T) {
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Fatalf("exported by internal/{tensor,nn,model} and referenced by no non-test file — delete it, or the test that is its only caller:\n  %s",
+		t.Fatalf("exported by a watched package and referenced by no non-test file — delete it, or the test that is its only caller:\n  %s",
 			strings.Join(dead, "\n  "))
 	}
 }

@@ -82,26 +82,23 @@ func TestFloat32EnginesEquivalentOnSmallDNN(t *testing.T) {
 // TestFloat32ReplicatedMatchesReference pins float32 data parallelism:
 // R = 2 replicas splitting every minibatch (CloneTask re-applies the
 // dtype, so both replicas round the shared float64 init identically)
-// must match the single-replica float32 Reference curve bit for bit,
-// under both commit modes.
+// must match the single-replica float32 Reference curve bit for bit.
 func TestFloat32ReplicatedMatchesReference(t *testing.T) {
 	build, base := dtypeTransformerBuild()
 	f32 := append(append([]pipemare.Option{}, base...), pipemare.WithDType(pipemare.Float32))
 	ref := runCurve(t, build, 2, 1, f32...)
-	for _, sharded := range []bool{false, true} {
-		opts := append(append([]pipemare.Option{}, f32...),
-			pipemare.WithReplicas(2), pipemare.WithShardedStep(sharded),
-			pipemare.WithEngine(pipemare.NewReplicatedEngine(func() pipemare.Engine {
-				return concurrent.New(concurrent.WithWorkers(2))
-			})))
-		got := runCurve(t, build, 2, 2, opts...)
-		requireIdentical(t, fmt.Sprintf("float32-replicated/sharded=%t", sharded), ref, got)
-	}
+	opts := append(append([]pipemare.Option{}, f32...),
+		pipemare.WithReplicas(2),
+		pipemare.WithEngine(pipemare.NewReplicatedEngine(func() pipemare.Engine {
+			return concurrent.New(concurrent.WithWorkers(2))
+		})))
+	got := runCurve(t, build, 2, 2, opts...)
+	requireIdentical(t, "float32-replicated", ref, got)
 }
 
 // TestFloat32TransportLoopbackMatchesReference pins the float32 wire
 // path: a leader with one remote follower behind the loopback transport
-// — every gradient, state gather and broadcast crossing the dtype-tagged
+// — every gradient and state gather crossing the dtype-tagged
 // tensor encoding, and the handshake checksum covering the dtype — must
 // train bit-identically to the in-process float32 Reference run.
 func TestFloat32TransportLoopbackMatchesReference(t *testing.T) {

@@ -2,7 +2,6 @@ package pipemare_test
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -29,25 +28,25 @@ var churnInputs = []struct {
 	traced bool
 }{{"tail", 1, false}, {"non-tail-traced", 0, true}}
 
-// requireOwnTracks asserts that a traced serial-commit run gave each of
-// the follower members pids its own timelines: a wire track and a
-// collectives track that carry events, and no collectives track holding
-// more broadcasts than the run had optimizer steps — every follower
-// receives exactly one per step it is active for, so more means two
-// members wrote one track.
+// requireOwnTracks asserts that a traced run gave each of the follower
+// members pids its own timelines: a wire track and a collectives track
+// that carry events, and no collectives track holding more commit steps
+// than the run had optimizer steps — every member's track records exactly
+// one per step it is active for, so more means two members wrote one
+// track.
 func requireOwnTracks(t *testing.T, name string, rec *pipemare.TraceRecorder, steps int, pids ...int) {
 	t.Helper()
 	seen := map[[2]int]bool{}
 	for _, tk := range rec.Tracks() {
 		seen[[2]int{tk.Pid, tk.Tid}] = len(tk.Events()) > 0
-		broadcasts := 0
+		commits := 0
 		for _, ev := range tk.Events() {
-			if ev.Name == trace.NameBroadcast {
-				broadcasts++
+			if ev.Name == trace.NameCommitStep && tk.Tid == trace.TidCollectives {
+				commits++
 			}
 		}
-		if broadcasts > steps {
-			t.Fatalf("%s: replica %d's collectives track holds %d broadcasts in a %d-step run: two members share it", name, tk.Pid, broadcasts, steps)
+		if commits > steps {
+			t.Fatalf("%s: replica %d's collectives track holds %d commit steps in a %d-step run: two members share it", name, tk.Pid, commits, steps)
 		}
 	}
 	for _, pid := range pids {
@@ -102,8 +101,8 @@ func acceptAndPark(t *testing.T, tr *pipemare.Trainer, lis pipemare.Listener) {
 	<-calls
 }
 
-// TestJoinMatchesFreshLargerRun is the headline elastic-membership pin,
-// in both commit modes: a third replica joining an R=2 loopback run at
+// TestJoinMatchesFreshLargerRun is the headline elastic-membership pin:
+// a third replica joining an R=2 loopback run at
 // step 2 — weights, T2 state, optimizer moments, version rings and
 // clocks arriving by live handoff, the reduce tree and commit plan
 // rebuilt over R=3 — must leave the curve bit-identical to the
@@ -114,43 +113,39 @@ func TestJoinMatchesFreshLargerRun(t *testing.T) {
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 29) }
 	base := ftBase()
 	ref := runCurve(t, build, 4, 1, base...)
-	for _, sharded := range []bool{false, true} {
-		name := fmt.Sprintf("join/sharded=%t", sharded)
-		dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
-		jlis, jwait := startJoiner(t, build,
-			append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(2)))
-		tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(2), pipemare.WithShardedStep(sharded),
-			pipemare.WithElastic(),
-			pipemare.WithTransport(dialers...))...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		acceptAndPark(t, tr, jlis)
-		got, err := tr.Run(context.Background(), 4)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if tr.Replicas() != 3 {
-			t.Fatalf("%s: %d replicas after the join, want 3", name, tr.Replicas())
-		}
-		if joins, demotions, handoffNs := tr.ElasticStats(); joins != 1 || demotions != 0 || handoffNs <= 0 {
-			t.Fatalf("%s: elastic stats (%d joins, %d demotions, %dns handoff), want 1 join, 0 demotions, positive handoff time",
-				name, joins, demotions, handoffNs)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
-		}
-		if err := jwait(); err != nil {
-			t.Fatalf("%s: joiner: %v", name, err)
-		}
-		for i, werr := range wait() {
-			if werr != nil {
-				t.Fatalf("%s: worker %d: %v", name, i+1, werr)
-			}
-		}
-		requireIdentical(t, name, ref, got)
+	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
+	jlis, jwait := startJoiner(t, build,
+		append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(2)))
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithReplicas(2), pipemare.WithElastic(),
+		pipemare.WithTransport(dialers...))...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	acceptAndPark(t, tr, jlis)
+	got, err := tr.Run(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Replicas() != 3 {
+		t.Fatalf("%d replicas after the join, want 3", tr.Replicas())
+	}
+	if joins, demotions, handoffNs := tr.ElasticStats(); joins != 1 || demotions != 0 || handoffNs <= 0 {
+		t.Fatalf("elastic stats (%d joins, %d demotions, %dns handoff), want 1 join, 0 demotions, positive handoff time",
+			joins, demotions, handoffNs)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := jwait(); err != nil {
+		t.Fatalf("joiner: %v", err)
+	}
+	for i, werr := range wait() {
+		if werr != nil {
+			t.Fatalf("worker %d: %v", i+1, werr)
+		}
+	}
+	requireIdentical(t, "join", ref, got)
 }
 
 // TestStragglerDemoteRejoinZeroDeviation pins the degraded reduce: a
@@ -174,7 +169,7 @@ func TestStragglerDemoteRejoinZeroDeviation(t *testing.T) {
 			faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 1,
 				Op: faults.Delay, Delay: 100 * time.Millisecond})}
 		opts := append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
+			pipemare.WithReplicas(3),
 			pipemare.WithFaultTolerance(), pipemare.WithElastic(),
 			pipemare.WithStragglerPolicy(pipemare.StragglerDemote, 20*time.Millisecond, 2),
 			pipemare.WithTransport(dialers...),
@@ -246,7 +241,7 @@ func TestChurnCompositions(t *testing.T) {
 			jlis, jwait := startJoiner(t, build,
 				append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(8)))
 			opts := append(append([]pipemare.Option{}, base...),
-				pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
+				pipemare.WithReplicas(3),
 				pipemare.WithFaultTolerance(), pipemare.WithElastic(),
 				pipemare.WithTransport(dialers...))
 			var rec *pipemare.TraceRecorder
@@ -305,7 +300,7 @@ func TestChurnCompositions(t *testing.T) {
 		jlis, jwait := startJoiner(t, build,
 			append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(2)))
 		tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(2), pipemare.WithShardedStep(false),
+			pipemare.WithReplicas(2),
 			pipemare.WithElastic(), pipemare.WithCheckpoint(dir, 1),
 			pipemare.WithTransport(dialers...))...)
 		if err != nil {
@@ -359,7 +354,7 @@ func TestChurnCompositions(t *testing.T) {
 				Op: faults.Delay, Delay: 100 * time.Millisecond},
 			faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 2, Op: faults.Kill})}
 		tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
+			pipemare.WithReplicas(3),
 			pipemare.WithFaultTolerance(), pipemare.WithElastic(),
 			pipemare.WithStragglerPolicy(pipemare.StragglerDemote, 20*time.Millisecond, 2),
 			pipemare.WithTransport(dialers...),
@@ -416,7 +411,7 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 	lateLis, lateWait := startJoiner(t, build,
 		append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(1000)))
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(2), pipemare.WithShardedStep(false),
+		pipemare.WithReplicas(2),
 		pipemare.WithElastic(),
 		pipemare.WithTransport(dialers...))...)
 	if err != nil {
@@ -456,8 +451,8 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 // trainer caught mid-collective: with the leader's chunk request to its
 // worker stalled on the wire, Close severs the connection without
 // waiting for the stuck round trip to come home, the in-flight Run
-// unwinds with an error (the sharded commit keeps the severed member
-// non-evictable, so the run cannot quietly finish solo), the second
+// unwinds with an error (without fault tolerance the severed member is
+// not evictable, so the run cannot quietly finish solo), the second
 // Close is a nil no-op, and no goroutine — serve loop, heartbeat
 // pinger — leaks.
 func TestCloseDuringCollectiveUnwinds(t *testing.T) {
@@ -469,7 +464,6 @@ func TestCloseDuringCollectiveUnwinds(t *testing.T) {
 		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 2,
 			Op: faults.Delay, Delay: 400 * time.Millisecond})}
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithShardedStep(true),
 		pipemare.WithHeartbeat(20*time.Millisecond),
 		pipemare.WithTransport(dialers...))...)
 	if err != nil {
@@ -520,7 +514,7 @@ func TestCloseDuringAcceptJoinsReleasesEveryJoiner(t *testing.T) {
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 35) }
 	base := ftBase()
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(2), pipemare.WithShardedStep(false), pipemare.WithElastic())...)
+		pipemare.WithReplicas(2), pipemare.WithElastic())...)
 	if err != nil {
 		t.Fatal(err)
 	}

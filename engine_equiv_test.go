@@ -650,13 +650,11 @@ func TestReplicatedEngineDivergenceAcrossReplicas(t *testing.T) {
 }
 
 // TestReplicatedShardedCommitMatchesReference pins the replica-sharded
-// (ZeRO-style) optimizer commit: with the sharded step explicitly
-// required, R ∈ {2, 4} replicas × both inner engines × scheduler workers
-// W ∈ {1, 2} must train the all-techniques DNN bit-identically to a
-// single-replica Reference run — every replica stepping only its stage
-// shard against its local optimizer state, with the all-gather replacing
-// the full broadcast. The leader-serial path (WithShardedStep(false))
-// stays pinned alongside so both commit modes remain ground-truth equal.
+// (ZeRO-style) optimizer commit: R ∈ {2, 4} replicas × both inner engines
+// × scheduler workers W ∈ {1, 2} must train the all-techniques DNN
+// bit-identically to a single-replica Reference run — every replica
+// stepping only its stage shard against its local optimizer state, the
+// stepped state all-gathered back.
 func TestReplicatedShardedCommitMatchesReference(t *testing.T) {
 	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
 		Train: 96, Test: 32, Noise: 0.4, Seed: 6})
@@ -682,18 +680,11 @@ func TestReplicatedShardedCommitMatchesReference(t *testing.T) {
 					})
 				}
 				opts := append(append([]pipemare.Option{}, base...),
-					pipemare.WithReplicas(r), pipemare.WithShardedStep(true),
-					pipemare.WithEngine(eng))
+					pipemare.WithReplicas(r), pipemare.WithEngine(eng))
 				got := runCurve(t, build, 3, r, opts...)
 				requireIdentical(t, fmt.Sprintf("sharded/R=%d/%s/W=%d", r, inner, w), ref, got)
 			}
 		}
-		// The leader-serial commit must stay bit-identical too.
-		serial := append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(r), pipemare.WithShardedStep(false),
-			pipemare.WithEngine(pipemare.NewReplicatedEngine(nil)))
-		got := runCurve(t, build, 3, r, serial...)
-		requireIdentical(t, fmt.Sprintf("leader-serial/R=%d", r), ref, got)
 	}
 }
 
@@ -721,7 +712,7 @@ func TestReplicatedShardedCommitDivergenceAbort(t *testing.T) {
 	rs, _ := replicaGrid()
 	for _, r := range rs {
 		opts := append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(r), pipemare.WithShardedStep(true),
+			pipemare.WithReplicas(r),
 			pipemare.WithEngine(pipemare.NewReplicatedEngine(nil)))
 		got := runCurve(t, build, 4, r, opts...)
 		requireIdentical(t, fmt.Sprintf("sharded-divergence/R=%d", r), ref, got)

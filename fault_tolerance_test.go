@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func runWithin(t *testing.T, d time.Duration, name string, f func() error) error
 }
 
 // TestEvictionMatchesFreshSmallerRun is the headline fault-tolerance
-// pin, in both commit modes: killing follower replica 2's link on its
+// pin: killing follower replica 2's link on its
 // 6th chunk (epoch 2, minibatch 2 of an R=3 loopback run) must evict
 // exactly that replica, replay the interrupted minibatch over the two
 // survivors, and finish training with a curve bit-identical to the
@@ -64,70 +65,66 @@ func TestEvictionMatchesFreshSmallerRun(t *testing.T) {
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 21) }
 	base := ftBase()
 	ref := runCurve(t, build, 4, 1, base...)
-	for _, sharded := range []bool{false, true} {
-		name := fmt.Sprintf("evict/sharded=%t", sharded)
-		dir := t.TempDir()
-		dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
-		dialers[1] = &faults.Dialer{Inner: dialers[1], Script: faults.NewScript(
-			faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 6, Op: faults.Kill})}
-		tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(3), pipemare.WithShardedStep(sharded),
-			pipemare.WithFaultTolerance(),
-			pipemare.WithCheckpoint(dir, 1),
-			pipemare.WithTransport(dialers...))...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := tr.Run(context.Background(), 4)
-		if err != nil {
-			t.Fatalf("%s: run did not survive the eviction: %v", name, err)
-		}
-		if tr.Replicas() != 2 {
-			t.Fatalf("%s: %d replicas after the fault, want 2 (one evicted)", name, tr.Replicas())
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
-		}
-		errs := wait()
-		if errs[0] != nil {
-			t.Fatalf("%s: surviving worker: %v", name, errs[0])
-		}
-		if errs[1] == nil {
-			t.Fatalf("%s: killed worker's serve loop ended without error", name)
-		}
-		requireIdentical(t, name, ref, got)
+	dir := t.TempDir()
+	dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
+	dialers[1] = &faults.Dialer{Inner: dialers[1], Script: faults.NewScript(
+		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 6, Op: faults.Kill})}
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithReplicas(3),
+		pipemare.WithFaultTolerance(),
+		pipemare.WithCheckpoint(dir, 1),
+		pipemare.WithTransport(dialers...))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tr.Run(context.Background(), 4)
+	if err != nil {
+		t.Fatalf("run did not survive the eviction: %v", err)
+	}
+	if tr.Replicas() != 2 {
+		t.Fatalf("%d replicas after the fault, want 2 (one evicted)", tr.Replicas())
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	errs := wait()
+	if errs[0] != nil {
+		t.Fatalf("surviving worker: %v", errs[0])
+	}
+	if errs[1] == nil {
+		t.Fatal("killed worker's serve loop ended without error")
+	}
+	requireIdentical(t, "evict", ref, got)
 
-		// The fault hit epoch 2, minibatch 2 — so the step-5 checkpoint
-		// (epoch 2, minibatch 1) predates it. A fresh R=2 trainer restored
-		// from that file resumes mid-epoch: it reruns minibatches 2–4 of
-		// epoch 2 and the remaining epochs. The partial epoch's averaged
-		// loss covers 3 of 4 minibatches (not comparable), but its
-		// end-of-epoch metric and parameter norm — functions of the state
-		// alone — and every later epoch must match the reference exactly.
-		tr2, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(2), pipemare.WithShardedStep(sharded),
-			pipemare.WithFaultTolerance())...)
-		if err != nil {
-			t.Fatalf("%s: fresh R=2 trainer: %v", name, err)
+	// The fault hit epoch 2, minibatch 2 — so the step-5 checkpoint
+	// (epoch 2, minibatch 1) predates it. A fresh R=2 trainer restored
+	// from that file resumes mid-epoch: it reruns minibatches 2–4 of
+	// epoch 2 and the remaining epochs. The partial epoch's averaged
+	// loss covers 3 of 4 minibatches (not comparable), but its
+	// end-of-epoch metric and parameter norm — functions of the state
+	// alone — and every later epoch must match the reference exactly.
+	tr2, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithReplicas(2), pipemare.WithFaultTolerance())...)
+	if err != nil {
+		t.Fatalf("fresh R=2 trainer: %v", err)
+	}
+	if err := tr2.RestoreFrom(filepath.Join(dir, "ckpt-00000005.pm")); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	tail, err := tr2.Run(context.Background(), 3)
+	if err != nil {
+		t.Fatalf("restored run: %v", err)
+	}
+	if tail.Epochs() != 3 {
+		t.Fatalf("restored run recorded %d epochs, want 3", tail.Epochs())
+	}
+	for e := 0; e < 3; e++ {
+		if tail.Metric[e] != ref.Metric[e+1] || tail.ParamNorm[e] != ref.ParamNorm[e+1] {
+			t.Fatalf("restored epoch %d state (metric %v, norm %v) != reference (%v, %v)",
+				e, tail.Metric[e], tail.ParamNorm[e], ref.Metric[e+1], ref.ParamNorm[e+1])
 		}
-		if err := tr2.RestoreFrom(filepath.Join(dir, "ckpt-00000005.pm")); err != nil {
-			t.Fatalf("%s: restore: %v", name, err)
-		}
-		tail, err := tr2.Run(context.Background(), 3)
-		if err != nil {
-			t.Fatalf("%s: restored run: %v", name, err)
-		}
-		if tail.Epochs() != 3 {
-			t.Fatalf("%s: restored run recorded %d epochs, want 3", name, tail.Epochs())
-		}
-		for e := 0; e < 3; e++ {
-			if tail.Metric[e] != ref.Metric[e+1] || tail.ParamNorm[e] != ref.ParamNorm[e+1] {
-				t.Fatalf("%s: restored epoch %d state (metric %v, norm %v) != reference (%v, %v)",
-					name, e, tail.Metric[e], tail.ParamNorm[e], ref.Metric[e+1], ref.ParamNorm[e+1])
-			}
-			if e > 0 && tail.Loss[e] != ref.Loss[e+1] {
-				t.Fatalf("%s: restored epoch %d loss %v != reference %v", name, e, tail.Loss[e], ref.Loss[e+1])
-			}
+		if e > 0 && tail.Loss[e] != ref.Loss[e+1] {
+			t.Fatalf("restored epoch %d loss %v != reference %v", e, tail.Loss[e], ref.Loss[e+1])
 		}
 	}
 }
@@ -147,7 +144,7 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 		faults.Rule{Dir: faults.Send, Type: transport.MsgSetState, Nth: 3, Op: faults.Drop},
 		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 5, Op: faults.Delay, Delay: 5 * time.Millisecond})}
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithShardedStep(false), pipemare.WithFaultTolerance(),
+		pipemare.WithFaultTolerance(),
 		pipemare.WithTransport(dialers...))...)
 	if err != nil {
 		t.Fatal(err)
@@ -170,65 +167,98 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 	requireIdentical(t, "transient-faults", ref, got)
 }
 
-// TestCrashMidCollectiveNeverDeadlocks kills a follower's link on the
-// 2nd message of each collective that crosses the wire — scatter,
-// sharded pre-step, step, gather, broadcast, clock sync — in every
-// commit mode, under -race. The contract is eviction (run completes
-// over the survivors) or a clean error naming the replica; never a
-// hang. The sharded commit without fault tolerance is pinned to the
-// clean-error side: the dead owner's moment shard is gone, so eviction
-// is not sound there.
+// TestCrashMidCollectiveNeverDeadlocks is the commit's fault contract,
+// message by message: it kills follower replica 1's link on the 2nd
+// message of each type the commit sends — the scatter's epoch sync and
+// gradients, prepare, the step-clock advance, scale, step, finish, the
+// gather's fetch of the owner's state and its push of the others' — at
+// R=3 and R=2, under -race. With fault tolerance every kill is an
+// eviction (R → R−1) with a curve bit-identical to single-replica
+// Reference: a death up to
+// prepare replays the minibatch, a later one has the leader finish the
+// dead owner's shard. Without it every kill is an error naming the
+// replica — the dead follower held the only copy of its moment shard —
+// and never a hang or a leaked goroutine.
 func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
-	cases := []struct {
-		name        string
-		typ         byte
-		sharded, ft bool
+	phases := []struct {
+		name string
+		typ  byte
 	}{
-		{"serial/broadcast", transport.MsgSetState, false, true},
-		{"serial/clock-sync", transport.MsgSync, false, true},
-		{"sharded/scatter", transport.MsgSetGrads, true, true},
-		{"sharded/prepare", transport.MsgPrepare, true, true},
-		{"sharded/step", transport.MsgStep, true, true},
-		{"sharded/gather", transport.MsgGetState, true, true},
-		{"sharded/broadcast", transport.MsgSetState, true, true},
-		{"sharded/scatter/no-ft", transport.MsgSetGrads, true, false},
+		{"sync-epoch", transport.MsgSyncEpoch},
+		{"scatter", transport.MsgSetGrads},
+		{"prepare", transport.MsgPrepare},
+		{"begin-step", transport.MsgBeginStep},
+		{"scale", transport.MsgScale},
+		{"step", transport.MsgStep},
+		{"finish", transport.MsgFinish},
+		{"gather", transport.MsgGetState},
+		{"broadcast", transport.MsgSetState},
 	}
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 23) }
 	base := ftBase()
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
-			dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
-				faults.Rule{Dir: faults.Send, Type: tc.typ, Nth: 2, Op: faults.Kill})}
-			opts := append(append([]pipemare.Option{}, base...),
-				pipemare.WithReplicas(3), pipemare.WithShardedStep(tc.sharded),
-				pipemare.WithTransport(dialers...))
-			if tc.ft {
-				opts = append(opts, pipemare.WithFaultTolerance())
+	ref := runCurve(t, build, 2, 1, base...)
+	for _, ph := range phases {
+		for _, r := range []int{3, 2} {
+			for _, ft := range []bool{true, false} {
+				name := "sharded/" + ph.name
+				if !ft {
+					name += "/no-ft"
+				}
+				if r != 3 {
+					name += fmt.Sprintf("/R=%d", r)
+				}
+				t.Run(name, func(t *testing.T) {
+					crashOneFollower(t, build, base, ref, ph.typ, r, ft)
+				})
 			}
-			tr, err := pipemare.New(build(), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = runWithin(t, 60*time.Second, tc.name, func() error {
-				_, err := tr.Run(context.Background(), 2)
-				return err
-			})
-			switch {
-			case err == nil && tr.Replicas() != 2:
-				t.Fatalf("run completed with %d replicas — the killed link neither evicted nor errored", tr.Replicas())
-			case err != nil && !strings.Contains(err.Error(), "replica 1"):
-				t.Fatalf("error %q does not name the failed replica", err)
-			case err != nil && tc.ft && !tc.sharded:
-				// Serial-commit failures are always evictable; an error here
-				// means the eviction path regressed.
-				t.Fatalf("serial commit aborted instead of evicting: %v", err)
-			case err == nil && !tc.ft && tc.sharded:
-				t.Fatal("sharded commit without fault tolerance evicted; the dead owner's moments were unrecoverable")
-			}
-			tr.Close()
-			wait() // the killed worker errors by design; the point is both exit
-		})
+		}
+	}
+}
+
+// crashOneFollower is one row of TestCrashMidCollectiveNeverDeadlocks: an
+// R-replica loopback run whose replica 1 link dies at the 2nd message of
+// type typ.
+func crashOneFollower(t *testing.T, build func() pipemare.Task, base []pipemare.Option, ref *pipemare.Run, typ byte, r int, ft bool) {
+	baseline := runtime.NumGoroutine()
+	dialers, _, wait := startWorkers(t, r-1, build, func() []pipemare.Option { return base })
+	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
+		faults.Rule{Dir: faults.Send, Type: typ, Nth: 2, Op: faults.Kill})}
+	opts := append(append([]pipemare.Option{}, base...),
+		pipemare.WithReplicas(r), pipemare.WithTransport(dialers...))
+	if ft {
+		opts = append(opts, pipemare.WithFaultTolerance())
+	}
+	tr, err := pipemare.New(build(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *pipemare.Run
+	err = runWithin(t, 60*time.Second, t.Name(), func() error {
+		run, err := tr.Run(context.Background(), 2)
+		got = run
+		return err
+	})
+	switch {
+	case ft && err != nil:
+		t.Fatalf("fault-tolerant run aborted instead of evicting: %v", err)
+	case ft && tr.Replicas() != r-1:
+		t.Fatalf("run completed with %d replicas — the killed link was not evicted", tr.Replicas())
+	case ft:
+		requireIdentical(t, t.Name(), ref, got)
+	case err == nil:
+		t.Fatalf("run without fault tolerance completed with %d replicas; the dead follower's moments were unrecoverable", tr.Replicas())
+	case !strings.Contains(err.Error(), "replica 1"):
+		t.Fatalf("error %q does not name the failed replica", err)
+	}
+	tr.Close()
+	wait() // the killed worker errors by design; the point is both exit
+	// Every goroutine the run spawned must be gone; poll briefly
+	// for the unwinding to settle.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after close, baseline %d — a goroutine leaked", n, baseline)
 	}
 }
 
@@ -245,8 +275,7 @@ func TestCheckpointRestoreResumesBitIdentical(t *testing.T) {
 	ref := runCurve(t, build, 6, 1, base...)
 	dir := t.TempDir()
 	tr1, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
-		pipemare.WithCheckpoint(dir, 4))...)
+		pipemare.WithReplicas(3), pipemare.WithCheckpoint(dir, 4))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +291,7 @@ func TestCheckpointRestoreResumesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr2, err := pipemare.Restore(dir, build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(2), pipemare.WithShardedStep(false),
-		pipemare.WithCheckpoint(dir, 4))...)
+		pipemare.WithReplicas(2), pipemare.WithCheckpoint(dir, 4))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +371,7 @@ func TestHeartbeatEvictsHungPeer(t *testing.T) {
 	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
 		faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 3, Op: faults.Hang})}
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithShardedStep(false), pipemare.WithFaultTolerance(),
+		pipemare.WithFaultTolerance(),
 		pipemare.WithHeartbeat(10*time.Millisecond),
 		pipemare.WithTransport(dialers...))...)
 	if err != nil {
@@ -366,6 +394,76 @@ func TestHeartbeatEvictsHungPeer(t *testing.T) {
 	wait() // the hung worker's serve loop ends in an error by design
 }
 
+// specTail decodes the last two fields of a Hello or Welcome spec — the
+// fault-tolerance flag and the heartbeat cadence — from its payload.
+func specTail(payload []byte) (ft bool, heartbeat time.Duration) {
+	c := transport.NewCursor(payload[len(payload)-9:])
+	return c.Bool(), time.Duration(c.U64())
+}
+
+// TestImpliedFaultToleranceAnnouncesDefaultHeartbeat pins that the
+// heartbeat default follows fault tolerance however it was turned on: a
+// checkpointing transport run is fault-tolerant without
+// WithFaultTolerance, so its followers must be told the 1s cadence —
+// without one, a hung peer blocks a run that could evict it.
+func TestImpliedFaultToleranceAnnouncesDefaultHeartbeat(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 45) }
+	base := ftBase()
+	log := &wireLog{}
+	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
+	dialers[0] = logDialer{dialers[0], log}
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithCheckpoint(t.TempDir(), 1), pipemare.WithTransport(dialers...))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	hellos := log.payloads(transport.MsgHello)
+	if len(hellos) != 1 {
+		t.Fatalf("the leader sent %d hellos, want 1", len(hellos))
+	}
+	if ft, hb := specTail(hellos[0]); !ft || hb != transport.DefaultHeartbeat {
+		t.Fatalf("hello announced FT=%t, heartbeat %v; want FT=true, heartbeat %v", ft, hb, transport.DefaultHeartbeat)
+	}
+}
+
+// TestInProcessElasticLeaderWelcomesWithItsHeartbeat pins that an
+// explicit WithHeartbeat reaches joiners of a leader whose initial
+// followers are in-process: the cadence is resolved once for the trainer,
+// not only when it dials followers.
+func TestInProcessElasticLeaderWelcomesWithItsHeartbeat(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 46) }
+	base := ftBase()
+	joiner := &wireLog{}
+	jlis, jwait := startJoiner(t, build, base)
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithReplicas(2), pipemare.WithElastic(),
+		pipemare.WithHeartbeat(50*time.Millisecond))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acceptAndPark(t, tr, logListener{jlis, joiner})
+	if _, err := tr.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jwait(); err != nil {
+		t.Fatalf("joiner: %v", err)
+	}
+	welcomes := joiner.payloads(transport.MsgWelcome)
+	if len(welcomes) != 1 {
+		t.Fatalf("the joiner was sent %d welcomes, want 1", len(welcomes))
+	}
+	if ft, hb := specTail(welcomes[0]); !ft || hb != 50*time.Millisecond {
+		t.Fatalf("welcome announced FT=%t, heartbeat %v; want FT=true, heartbeat 50ms", ft, hb)
+	}
+}
+
 // TestCloseIdempotent pins the Close contract: closing twice — after a
 // successful run and after a failed one — returns nil the second time
 // and never panics or double-releases followers.
@@ -385,14 +483,14 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	// Close after a failed Run: a killed link under the non-tolerant
-	// sharded commit aborts the run; the trainer must still close, and
-	// close again as a no-op.
+	// Close after a failed Run: a killed link without fault tolerance
+	// aborts the run; the trainer must still close, and close again as a
+	// no-op.
 	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
 	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
 		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 2, Op: faults.Kill})}
 	tr2, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithShardedStep(true), pipemare.WithTransport(dialers...))...)
+		pipemare.WithTransport(dialers...))...)
 	if err != nil {
 		t.Fatal(err)
 	}

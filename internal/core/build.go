@@ -14,13 +14,14 @@ import (
 )
 
 // layoutStages enumerates what a pipeline stage is, once, in the order
-// every mover of stage state — gather, broadcast, handoff, checkpoint,
-// restore — ships it: the master weights, then the T2 discrepancy state (δ
-// and the corrected backward weights) when T2 is on, then the optimizer's
-// live moment tensors whenever the full moment state is resident. The
+// every mover of stage state — gather, handoff, checkpoint, restore —
+// ships it: the master weights, then the T2 discrepancy state (δ and the
+// corrected backward weights) when T2 is on, then the optimizer's live
+// moment tensors whenever it holds those of every parameter (a follower
+// outside fault tolerance holds its shard's only). The
 // lists alias the live tensors and are fixed after construction. The
-// gather view stops before the moments unless the fault-tolerant layout
-// shares them.
+// gather view stops before the moments unless the run is fault-tolerant,
+// which mirrors them onto every replica.
 func (t *Trainer) layoutStages() {
 	t.state = make([][]*tensor.Tensor, t.clock.P)
 	t.gather = make([][]*tensor.Tensor, t.clock.P)
@@ -32,12 +33,12 @@ func (t *Trainer) layoutStages() {
 			list = append(list, t.corrected[lo:hi]...)
 		}
 		shared := len(list)
-		if t.stateful != nil {
+		if t.opt.StateRange() == optim.FullShard(len(t.params)) {
 			for i := lo; i < hi; i++ {
-				list = append(list, t.stateful.MomentTensors(i)...)
+				list = append(list, t.opt.MomentTensors(i)...)
 			}
 		}
-		if t.momentShare {
+		if t.cfg.FaultTolerant {
 			shared = len(list)
 		}
 		t.state[s], t.gather[s] = list, list[:shared:shared]
@@ -55,7 +56,7 @@ func (t *Trainer) layoutStages() {
 func (t *Trainer) spec(position, replicas int, checksum bool) transport.Spec {
 	s := transport.Spec{
 		Replica: position, Replicas: replicas, Stages: t.clock.P,
-		Method: int(t.cfg.Method), T2: t.delta != nil, Sharded: t.sharded,
+		Method: int(t.cfg.Method), T2: t.delta != nil, Sharded: true,
 		Step: t.step, Epoch: t.epoch,
 		GroupCosts: t.groupCosts,
 		FT:         t.cfg.FaultTolerant,
@@ -74,28 +75,6 @@ func (t *Trainer) arm(m *transport.RemoteMember) {
 	if t.cfg.StragglerMisses > 0 {
 		m.SetStragglerDeadline(t.cfg.StragglerDeadline, t.cfg.StragglerMisses)
 	}
-}
-
-// resolveSharded resolves a ShardedStepMode against the optimizer and the
-// replica count: whether the commit is sharded, or why the mode cannot be
-// honoured.
-func resolveSharded(mode ShardedStepMode, opt optim.Optimizer, replicas int) (bool, error) {
-	_, can := opt.(optim.ShardCloner)
-	switch mode {
-	case ShardedStepAuto:
-		return replicas > 1 && can, nil
-	case ShardedStepOn:
-		if replicas < 2 {
-			return false, fmt.Errorf("core: the sharded optimizer step needs at least 2 replicas, got %d (it shards the commit across replicas)", replicas)
-		}
-		if !can {
-			return false, fmt.Errorf("core: optimizer %T does not support state sharding (optim.ShardCloner); use ShardedStepOff for the leader-serial commit", opt)
-		}
-		return true, nil
-	case ShardedStepOff:
-		return false, nil
-	}
-	return false, fmt.Errorf("core: unknown sharded-step mode %d", int(mode))
 }
 
 // buildPartition splits the task's weight groups into p stages under the
@@ -215,7 +194,7 @@ func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 		// noisy profile pass cannot skew a follower's stage boundaries.
 		fcfg.GroupCosts = t.groupCosts
 	}
-	return buildFollower(ct, t.opt, t.sched, fcfg, r, t.cfg.Replicas, t.sharded)
+	return buildFollower(ct, t.opt, t.sched, fcfg, r, t.cfg.Replicas)
 }
 
 // NewFollower builds the standalone worker-process counterpart of the
@@ -235,11 +214,7 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 	if r < 1 || r >= R {
 		return nil, fmt.Errorf("core: follower replica %d out of range [1, %d)", r, R)
 	}
-	sharded, err := resolveSharded(cfg.ShardedStep, opt, R)
-	if err != nil {
-		return nil, err
-	}
-	f, err := buildFollower(task, opt, sched, cfg, r, R, sharded)
+	f, err := buildFollower(task, opt, sched, cfg, r, R)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +228,6 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 // the leader. The shared recorder attributes its events to replica r.
 func followerConfig(cfg Config, r int) Config {
 	cfg.Replicas = 0
-	cfg.ShardedStep = ShardedStepOff
 	cfg.Engine = engine.NewReference()
 	cfg.Followers = nil
 	cfg.CheckpointDir = ""
@@ -266,40 +240,30 @@ func followerConfig(cfg Config, r int) Config {
 // buildFollower builds the follower trainer for replica r of replicas
 // over task, with the optimizer state its role needs, cloned from the
 // run's optimizer opt: full moments under fault tolerance (mirrored onto
-// every replica so any survivor can own any stage), the moments of its
-// own stage shard under the plain sharded commit, and none under the
-// leader-serial commit, where a follower never steps.
-func buildFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r, replicas int, sharded bool) (*Trainer, error) {
+// every replica so any survivor can own any stage), else the moments of
+// its own stage shard under the initial commit plan.
+func buildFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r, replicas int) (*Trainer, error) {
 	var ps []*nn.Param
 	for _, g := range task.Groups() {
 		ps = append(ps, g.Params...)
 	}
-	sc, shardable := opt.(optim.ShardCloner)
-	fopt := optim.Optimizer(optim.NewSGDShard(ps, 0, 0, optim.Shard{}))
-	if cfg.FaultTolerant {
-		// The fault-tolerant stage-state layout aliases the live moment
-		// tensors, so the real (full-state) optimizer must exist before the
-		// trainer is built — it cannot be swapped in afterwards.
-		if !shardable {
-			return nil, fmt.Errorf("core: fault-tolerant follower needs a shardable optimizer (optim.ShardCloner), got %T", opt)
-		}
-		fopt = sc.CloneShard(ps, optim.FullShard(len(ps)))
+	// The fault-tolerant stage-state layout aliases the live moment
+	// tensors, so the full-state optimizer must exist before the trainer is
+	// built. A shard's bounds come from the follower's own (identical)
+	// stage partition, so the shard optimizer is swapped in afterwards —
+	// safe, because without fault tolerance no stage state aliases it.
+	sh := optim.FullShard(len(ps))
+	if !cfg.FaultTolerant {
+		sh = optim.Shard{}
 	}
-	f, err := New(task, fopt, sched, followerConfig(cfg, r))
+	f, err := New(task, opt.CloneShard(ps, sh), sched, followerConfig(cfg, r))
 	if err != nil {
 		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
 	}
-	if sharded && !cfg.FaultTolerant {
-		// The shard geometry of the initial commit plan over all replicas,
-		// mapped through this follower's (identical) stage boundaries.
-		// Without the fault-tolerant layout no stage state aliases the
-		// optimizer, so swapping it in after construction is safe.
-		lo, hi := engine.NewCommitPlan(f.clock.P, replicas).Shard(r)
-		sh := optim.Shard{}
-		if lo != hi {
-			sh = optim.Shard{Lo: f.stageLo[lo], Hi: f.stageHi[hi-1]}
+	if !cfg.FaultTolerant {
+		if lo, hi := engine.NewCommitPlan(f.clock.P, replicas).Shard(r); lo != hi {
+			f.opt = opt.CloneShard(ps, optim.Shard{Lo: f.stageLo[lo], Hi: f.stageHi[hi-1]})
 		}
-		f.opt = sc.CloneShard(ps, sh)
 	}
 	return f, nil
 }

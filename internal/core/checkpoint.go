@@ -105,12 +105,8 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 
 // writeSections writes the checkpoint's sections, in file order.
 func (t *Trainer) writeSections(fw *transport.FrameWriter) error {
-	optClock := 0
-	if t.stateful != nil {
-		optClock = t.stateful.Clock()
-	}
 	meta := transport.AppendU32(nil, ckptFormat)
-	for _, v := range []int{t.step, t.epoch, t.micro, t.clock.P, optClock} {
+	for _, v := range []int{t.step, t.epoch, t.micro, t.clock.P, t.opt.Clock()} {
 		meta = transport.AppendU32(meta, uint32(v))
 	}
 	if err := fw.WriteMsg(transport.Msg{Type: ckptMeta, Stage: -1, Data: meta}); err != nil {
@@ -220,10 +216,8 @@ func (t *Trainer) apply(st *ckptState) {
 		}
 		t.store.RestoreStage(s, st.ringBase[s], st.ringSnaps[s])
 	}
-	t.setStep(st.step)
-	if t.stateful != nil {
-		t.stateful.SetClock(st.optClock)
-	}
+	t.step = st.step
+	t.opt.SetClock(st.optClock)
 	t.epoch = st.epoch
 	t.micro = st.micro
 	t.diverged = false

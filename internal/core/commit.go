@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"pipemare/internal/engine"
+	"pipemare/internal/optim"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 	"pipemare/internal/trace"
@@ -35,9 +36,9 @@ func (t *Trainer) minibatch(ctx context.Context, micros [][]int) (float64, error
 		}
 		t.group.Transition(me.ID, me.To)
 		if !me.Replay {
-			// The commit completed before the failure surfaced (serial
-			// commit: the leader stepped and every survivor synced
-			// independently) — the minibatch stands, no replay.
+			// The commit completed before the failure surfaced (the member
+			// died after the prepare phase and the leader took over its
+			// shard) — the minibatch stands, no replay.
 			return loss, nil
 		}
 		t.group.ResetGrads()
@@ -81,26 +82,12 @@ func (t *Trainer) synchronous() bool {
 // for the whole commit — so distinct stages may compute their rates
 // concurrently (the shard-parallel commit).
 func (t *Trainer) ratesInto(out []float64, step, lo, hi int) {
-	base := t.sched.LR(step)
-	if t.synchronous() || t.cfg.T1K <= 0 {
-		for i := range out {
-			out[i] = base
-		}
-		return
-	}
-	async := step - t.warmupSteps()
-	if async < 0 {
-		async = 0
+	k := t.cfg.T1K
+	if t.synchronous() {
+		k = 0
 	}
 	// T1 uses the base schedule at the true step but anneals on async time.
-	p := 1 - math.Min(float64(async)/float64(t.cfg.T1K), 1)
-	for i := lo; i < hi; i++ {
-		tau := t.taus[i]
-		if tau < 1 {
-			tau = 1
-		}
-		out[i-lo] = base / math.Pow(tau, p)
-	}
+	optim.T1Rates(out, t.taus[lo:hi], t.sched.LR(step), max(step-t.warmupSteps(), 0), k)
 }
 
 // warmupSteps returns the number of optimizer steps spent in T3 warmup.

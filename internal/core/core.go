@@ -154,21 +154,13 @@ type Config struct {
 	// Replicas is the data-parallel replica count R (0 or 1 disables
 	// replication). With R > 1 the task must implement Replicable: the
 	// trainer owns R−1 follower trainers, each minibatch's microbatches
-	// are split contiguously across the replicas, and one shared
-	// optimizer step commits on this (leader) trainer after a
-	// deterministic gradient all-reduce — bit-identical to the
-	// single-replica curves. R must not exceed the microbatch count N.
+	// are split contiguously across the replicas, and after a
+	// deterministic gradient all-reduce one shared optimizer step commits
+	// sharded across them (ZeRO / PipeDream-2BW style, replica.Group.Commit):
+	// each replica steps a contiguous shard of the pipeline stages and the
+	// stepped state all-gathers back — bit-identical to the single-replica
+	// curves. R must not exceed the microbatch count N.
 	Replicas int
-
-	// ShardedStep selects whether the optimizer commit is sharded across
-	// the data-parallel replicas (ZeRO / PipeDream-2BW style): each replica
-	// owns a contiguous shard of the pipeline stages, holds the optimizer
-	// moment state only for that shard, and steps it locally after the
-	// gradient all-reduce; the stepped weights (and T2 state) then
-	// all-gather back. Curves stay bit-identical to the leader-serial
-	// commit. The default (ShardedStepAuto) shards whenever Replicas > 1
-	// and the optimizer supports it (optim.ShardCloner).
-	ShardedStep ShardedStepMode
 
 	// Engine selects the execution engine; nil means the single-goroutine
 	// Reference engine (or, with Replicas > 1, the replicated engine over
@@ -184,15 +176,13 @@ type Config struct {
 	// replication environment.
 	Followers func(r int, env ReplicaEnv) (replica.Member, error)
 
-	// FaultTolerant makes follower failures survivable under the sharded
-	// commit: every replica holds the full optimizer moment state
-	// (optim.Stateful over the full parameter range), stage state carries
-	// the moments through every gather and broadcast, and a dead owner's
-	// shard therefore survives on its peers — the precondition for
-	// deterministic eviction when the commit is sharded. Serial-commit
-	// eviction needs no extra state and works regardless. Enabled
-	// automatically when checkpointing is configured with a sharded
-	// commit (the restore path needs the mirrored moments).
+	// FaultTolerant makes follower failures survivable: every replica
+	// holds the full optimizer moment state, stage state carries the
+	// moments through every gather and handoff, and a dead owner's shard
+	// therefore survives on its peers — the precondition for deterministic
+	// eviction. With Replicas > 1 it is implied by a checkpoint (a restore
+	// redistributes the leader's full state), by Elastic and by straggler
+	// demotion (admission reshuffles stage ownership).
 	FaultTolerant bool
 
 	// Elastic enables mid-run scale-up: the leader accepts joining worker
@@ -201,8 +191,7 @@ type Config struct {
 	// and admits it with a live state handoff (masters, T2 state,
 	// optimizer moments, version rings, clocks), growing the reduce tree
 	// and commit plan to R+1. Requires Replicas >= 2 (a running replica
-	// group to grow). Under the sharded commit it implies FaultTolerant,
-	// exactly as eviction does: admission reshuffles stage ownership.
+	// group to grow) and implies FaultTolerant.
 	Elastic bool
 
 	// StragglerDeadline and StragglerMisses configure straggler demotion
@@ -216,10 +205,11 @@ type Config struct {
 	StragglerDeadline time.Duration
 	StragglerMisses   int
 
-	// Heartbeat is the resolved remote-follower liveness cadence
-	// (pipemare.WithHeartbeat); the join path reuses it when welcoming
-	// admitted members so joiners get the same liveness contract as
-	// dial-time followers.
+	// Heartbeat is the remote-follower liveness cadence
+	// (pipemare.WithHeartbeat), announced to dial-time followers and
+	// joiners alike. New resolves a negative value — the facade's "not
+	// set" — once fault tolerance is resolved: transport.DefaultHeartbeat
+	// when the run is fault-tolerant, 0 (off) otherwise.
 	Heartbeat time.Duration
 
 	// CheckpointDir, when non-empty, makes the leader serialize its full
@@ -250,21 +240,6 @@ type ReplicaEnv struct {
 	Leader replica.Leader
 	Spec   transport.Spec
 }
-
-// ShardedStepMode selects the replica-sharded optimizer commit
-// (Config.ShardedStep).
-type ShardedStepMode int
-
-const (
-	// ShardedStepAuto shards the commit when Replicas > 1 and the
-	// optimizer implements optim.ShardCloner.
-	ShardedStepAuto ShardedStepMode = iota
-	// ShardedStepOn requires the sharded commit; building the trainer
-	// fails when Replicas < 2 or the optimizer cannot shard.
-	ShardedStepOn
-	// ShardedStepOff forces the leader-serial commit + full broadcast.
-	ShardedStepOff
-)
 
 // Observer receives the curve after each completed epoch. epoch is the
 // 1-based index of the entry just recorded — run.Loss[epoch-1] is always
@@ -319,22 +294,13 @@ type Trainer struct {
 	// is in the run from then on (nil for a single replica). A follower
 	// trainer holds nothing of its leader: state and clocks arrive through
 	// the member surface.
-	group   *replica.Group
-	sharded bool
+	group *replica.Group
 
 	// state is what each stage is, as one list per stage (layoutStages):
 	// everything a checkpoint's stage section holds and restores. gather
 	// is the prefix of it the replicas exchange (StageState /
-	// ImportStageState): without the moments, unless momentShare.
+	// ImportStageState): without the moments, unless fault-tolerant.
 	state, gather [][]*tensor.Tensor
-
-	// Fault-tolerance state: stateful is the optimizer's moment surface
-	// when it spans the full parameter range (nil otherwise); momentShare
-	// marks the fault-tolerant stage-state layout (the moments ride along
-	// in the gather view, so gathers and broadcasts mirror them onto every
-	// replica).
-	stateful    optim.Stateful
-	momentShare bool
 
 	observer   Observer
 	micro      int  // global microbatch counter s
@@ -421,17 +387,8 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 			return nil, fmt.Errorf("core: task %T does not implement Replicable; %d-replica training needs CloneTask (or a Followers factory)", task, replicas)
 		}
 	}
-	sharded, err := resolveSharded(cfg.ShardedStep, opt, replicas)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.CheckpointDir != "" && cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1
-	}
-	if cfg.CheckpointDir != "" && sharded {
-		// Restoring a sharded run redistributes the leader's full state to
-		// the followers, which needs the mirrored-moment layout.
-		cfg.FaultTolerant = true
 	}
 	if cfg.StragglerMisses > 0 && cfg.StragglerDeadline <= 0 {
 		return nil, fmt.Errorf("core: straggler demotion needs a positive deadline (got %v for %d misses)", cfg.StragglerDeadline, cfg.StragglerMisses)
@@ -439,33 +396,27 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	if cfg.Elastic && replicas < 2 {
 		return nil, fmt.Errorf("core: elastic membership needs a running replica group to grow (Replicas >= 2), got %d", replicas)
 	}
-	if sharded && (cfg.Elastic || cfg.StragglerMisses > 0) {
-		// Admitting a joiner — or re-admitting a demoted straggler — under
-		// the sharded commit reshuffles stage ownership, which needs the
-		// mirrored-moment layout exactly as eviction does.
+	if replicas > 1 && (cfg.CheckpointDir != "" || cfg.Elastic || cfg.StragglerMisses > 0) {
+		// A restore redistributes the leader's full state, and admitting a
+		// joiner or readmitting a straggler reshuffles stage ownership:
+		// each needs the mirrored moments eviction does.
 		cfg.FaultTolerant = true
 	}
-	// The fault-tolerant layout needs the full moment state resident on
-	// this trainer: Stateful over the complete parameter range.
-	var stateful optim.Stateful
-	if st, ok := opt.(optim.Stateful); ok {
-		if sc, ok := opt.(optim.ShardCloner); ok {
-			if r := sc.StateRange(); r.Lo == 0 && r.Hi == len(opt.Params()) {
-				stateful = st
-			}
+	if cfg.Heartbeat < 0 {
+		cfg.Heartbeat = 0
+		if cfg.FaultTolerant {
+			cfg.Heartbeat = transport.DefaultHeartbeat
 		}
 	}
-	momentShare := cfg.FaultTolerant && stateful != nil
-	if cfg.FaultTolerant && replicas > 1 && stateful == nil {
-		return nil, fmt.Errorf("core: fault-tolerant replication needs an optimizer exposing its full moment state (optim.Stateful + optim.ShardCloner over every parameter), got %T", opt)
+	if cfg.FaultTolerant && replicas > 1 && opt.StateRange() != optim.FullShard(len(opt.Params())) {
+		// The caller's optimizer: the mirrored layout needs every moment.
+		return nil, fmt.Errorf("core: fault-tolerant replication needs an optimizer holding the moment state of every parameter, got one over %+v", opt.StateRange())
 	}
 	t := &Trainer{
 		task: task, opt: opt, sched: sched, cfg: cfg, eng: eng,
 		part: part, groupCosts: costs,
 		clock: pipeline.Clock{P: p, N: n},
 	}
-	t.stateful = stateful
-	t.momentShare = momentShare
 	t.params = part.Params()
 	t.stageLo = make([]int, p)
 	t.stageHi = make([]int, p)
@@ -510,7 +461,6 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 		return nil, err
 	}
 	t.flows = make(map[int]*flight)
-	t.sharded = sharded
 	t.layoutStages()
 	if replicas == 1 {
 		return t, nil
@@ -553,7 +503,7 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 		}
 		followers = append(followers, m)
 	}
-	t.group, err = replica.NewGroup(host{t}, followers, sharded, momentShare)
+	t.group, err = replica.NewGroup(host{t}, followers, cfg.FaultTolerant)
 	if err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}
@@ -644,10 +594,6 @@ func (t *Trainer) Close() error {
 	}
 	return errors.Join(errs...)
 }
-
-// ShardedStep reports whether the optimizer commit is sharded across the
-// replicas (always false for single-replica trainers).
-func (t *Trainer) ShardedStep() bool { return t.sharded }
 
 // Observe registers an observer invoked after every completed epoch.
 func (t *Trainer) Observe(fn Observer) { t.observer = fn }

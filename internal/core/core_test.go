@@ -142,7 +142,7 @@ func (o probeOp) Backward(m *nn.Machine) {
 }
 
 // countingOptimizer adds exactly 1 to every weight per step, making weight
-// values equal version numbers.
+// values equal version numbers. It keeps no moments and no clock.
 type countingOptimizer struct{ ps []*nn.Param }
 
 func (c *countingOptimizer) Step(lrs []float64) {
@@ -160,6 +160,13 @@ func (c *countingOptimizer) StepRange(lo, hi int, _ []float64) {
 }
 func (c *countingOptimizer) Params() []*nn.Param { return c.ps }
 func (c *countingOptimizer) StateCopies() int    { return 3 }
+func (c *countingOptimizer) CloneShard(ps []*nn.Param, _ optim.Shard) optim.Optimizer {
+	return &countingOptimizer{ps: ps}
+}
+func (c *countingOptimizer) StateRange() optim.Shard            { return optim.FullShard(len(c.ps)) }
+func (c *countingOptimizer) MomentTensors(int) []*tensor.Tensor { return nil }
+func (c *countingOptimizer) Clock() int                         { return 0 }
+func (c *countingOptimizer) SetClock(int)                       {}
 
 // runProbe trains task under cfg and returns its trainer and timing clock.
 func runProbe(t *testing.T, task *probeTask, cfg Config, epochs int) (*Trainer, pipeline.Clock) {

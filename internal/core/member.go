@@ -27,18 +27,15 @@ func (h host) Async() bool { return !h.t.synchronous() }
 func (h host) SetAsync(async bool) { h.t.async = async }
 
 // SetStep aligns the step clock with the leader's (replica.Member) — the
-// tail of a full-state push.
+// tail of a handoff (replica.Group.Handoff).
 func (h host) SetStep(step int) { h.t.setStep(step) }
 
 // setStep moves the optimizer step clock, keeping the optimizer's own
-// update counter (AdamW bias correction) in lockstep when the full
-// moment state is resident — the invariant a checkpoint restore or
-// leader sync relies on.
+// update counter (AdamW bias correction) in lockstep — the invariant a
+// checkpoint restore or leader sync relies on.
 func (t *Trainer) setStep(step int) {
 	t.step = step
-	if t.stateful != nil {
-		t.stateful.SetClock(step)
-	}
+	t.opt.SetClock(step)
 }
 
 // SetEpoch aligns the epoch clock with the leader's (replica.Member), so
@@ -79,8 +76,8 @@ func (h host) FoldStageGrads(stage int, bufs []*tensor.Tensor) {
 // SetStageGrads overwrites the stage's gradient accumulators with bufs —
 // the scatter half of the sharded commit: the leader's fully reduced
 // minibatch gradient moves to the stage's owner as a pure copy, no
-// arithmetic, so the owner's PrepareStage sees bitwise the gradient the
-// leader-serial commit would have averaged.
+// arithmetic, so the owner's PrepareStage sees bitwise the gradient a
+// single replica would have averaged.
 func (h host) SetStageGrads(stage int, bufs []*tensor.Tensor) {
 	t := h.t
 	for j, i := 0, t.stageLo[stage]; i < t.stageHi[stage]; i, j = i+1, j+1 {
@@ -98,7 +95,7 @@ func (h host) StageState(stage int) []*tensor.Tensor {
 // ImportStageState copies a stage's post-step state from src (an owner's
 // StageState) into this replica and pushes the stage's next weight
 // version — the gather half of the sharded commit and one stage of a
-// full-state push, mirroring the version push the owner's FinishStage did
+// handoff, mirroring the version push the owner's FinishStage did
 // so every replica's version queue replays the same history. A src of
 // another layout panics before anything is copied (the serve loop turns
 // that into an error reply).

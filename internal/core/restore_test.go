@@ -42,7 +42,7 @@ func liveState(tr *Trainer) []byte {
 	var b []byte
 	for i := range tr.masters {
 		b = transport.AppendTensors(b, []*tensor.Tensor{tr.masters[i], tr.delta[i], tr.corrected[i]})
-		b = transport.AppendTensors(b, tr.stateful.MomentTensors(i))
+		b = transport.AppendTensors(b, tr.opt.MomentTensors(i))
 	}
 	for s := 0; s < tr.clock.P; s++ {
 		base, snaps := tr.store.History(s)
@@ -52,7 +52,7 @@ func liveState(tr *Trainer) []byte {
 			b = transport.AppendTensors(b, snap)
 		}
 	}
-	for _, v := range []int{tr.step, tr.epoch, tr.micro, tr.stateful.Clock()} {
+	for _, v := range []int{tr.step, tr.epoch, tr.micro, tr.opt.Clock()} {
 		b = transport.AppendU32(b, uint32(v))
 	}
 	return b

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/nn"
@@ -76,7 +77,7 @@ func stageShard(tr *Trainer, replicas, r int) optim.Shard {
 }
 
 // TestFollowersHoldOnlyTheirOptimizerShard pins the memory half of the
-// sharded commit: under the (auto-enabled) sharded step, follower r's
+// sharded commit: without fault tolerance, follower r's
 // optimizer holds moment state exactly for the parameter range of its
 // stage shard — contiguous, disjoint, and jointly covering, with the
 // leader's shard, every parameter exactly once.
@@ -91,9 +92,6 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.ShardedStep() {
-		t.Fatal("auto mode did not shard the step for R=3 + SGD")
-	}
 	covered := make([]int, groups)
 	markShard := func(sh optim.Shard) {
 		for i := sh.Lo; i < sh.Hi; i++ {
@@ -102,7 +100,7 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 	}
 	markShard(stageShard(tr, replicas, 0)) // the leader's own shard
 	for r, f := range followers {
-		got := f.opt.(interface{ StateRange() optim.Shard }).StateRange()
+		got := f.opt.StateRange()
 		want := stageShard(tr, replicas, r+1)
 		if got != want {
 			t.Fatalf("follower %d holds state for %+v, want its stage shard's params %+v", r+1, got, want)
@@ -126,71 +124,41 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 2; r <= 3; r++ {
-		if sh := followers2[r-1].opt.(interface{ StateRange() optim.Shard }).StateRange(); sh.Len() != 0 {
+		if sh := followers2[r-1].opt.StateRange(); sh.Len() != 0 {
 			t.Fatalf("surplus replica %d holds state for %+v, want nothing", r, sh)
 		}
 	}
 }
 
-// TestShardedStepOffKeepsFollowersStateless pins the leader-serial path:
-// followers never step, so they hold no moment state at all.
-func TestShardedStepOffKeepsFollowersStateless(t *testing.T) {
+// TestImpliedFaultToleranceMirrorsMoments pins the one fault-tolerance
+// rule: with R > 1, a checkpoint, elastic membership or straggler demotion
+// each make every follower hold the optimizer moments of every parameter
+// (so any survivor can own any stage), without FaultTolerant being set;
+// and a fault-tolerant leader refuses an optimizer that holds only a shard.
+func TestImpliedFaultToleranceMirrorsMoments(t *testing.T) {
+	base := Config{Stages: 3, BatchSize: 16, MicrobatchSize: 4, Replicas: 2, Seed: 1}
+	for name, mut := range map[string]func(*Config){
+		"checkpoint": func(c *Config) { c.CheckpointDir = t.TempDir() },
+		"elastic":    func(c *Config) { c.Elastic = true },
+		"straggler":  func(c *Config) { c.StragglerDeadline, c.StragglerMisses = time.Second, 2 },
+	} {
+		task := newRepTask(6, 64)
+		var followers []*Trainer
+		cfg := base
+		mut(&cfg)
+		cfg.Followers = captureFollowers(task, &followers)
+		if _, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sh := followers[0].opt.StateRange(); sh != optim.FullShard(6) {
+			t.Fatalf("%s: follower holds moment state for %+v, want every parameter", name, sh)
+		}
+	}
 	task := newRepTask(6, 64)
-	var followers []*Trainer
-	tr, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), Config{
-		Stages: 3, BatchSize: 16, MicrobatchSize: 4, Replicas: 2, Seed: 1,
-		ShardedStep: ShardedStepOff, Followers: captureFollowers(task, &followers),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.ShardedStep() {
-		t.Fatal("ShardedStepOff did not disable sharding")
-	}
-	if sh := followers[0].opt.(interface{ StateRange() optim.Shard }).StateRange(); sh.Len() != 0 {
-		t.Fatalf("leader-serial follower holds moment state %+v, want none", sh)
-	}
-}
-
-// TestShardedStepValidation pins the option's error paths: requiring the
-// sharded step without replicas, or with an optimizer that cannot shard,
-// must fail at construction.
-func TestShardedStepValidation(t *testing.T) {
-	task := newRepTask(6, 64)
-	base := Config{Stages: 3, BatchSize: 16, MicrobatchSize: 4, Seed: 1}
-
 	cfg := base
-	cfg.ShardedStep = ShardedStepOn
-	if _, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), cfg); err == nil ||
-		!strings.Contains(err.Error(), "at least 2 replicas") {
-		t.Fatalf("ShardedStepOn without replicas: err = %v", err)
-	}
-
-	cfg = base
-	cfg.ShardedStep = ShardedStepOn
-	cfg.Replicas = 2
-	co := &countingOptimizer{ps: repParams(task)}
-	if _, err := New(task, co, optim.Constant(0.1), cfg); err == nil ||
-		!strings.Contains(err.Error(), "does not support state sharding") {
-		t.Fatalf("ShardedStepOn with unshardable optimizer: err = %v", err)
-	}
-
-	// Auto mode with an unshardable optimizer falls back to leader-serial
-	// instead of failing.
-	cfg = base
-	cfg.Replicas = 2
-	tr, err := New(task, &countingOptimizer{ps: repParams(task)}, optim.Constant(0.1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.ShardedStep() {
-		t.Fatal("auto mode sharded the step for an unshardable optimizer")
-	}
-
-	cfg = base
-	cfg.ShardedStep = ShardedStepMode(99)
-	if _, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), cfg); err == nil ||
-		!strings.Contains(err.Error(), "unknown sharded-step mode") {
-		t.Fatalf("unknown mode: err = %v", err)
+	cfg.FaultTolerant = true
+	if _, err := New(task, optim.NewSGDShard(repParams(task), 0.9, 0, optim.Shard{Hi: 2}), optim.Constant(0.1), cfg); err == nil ||
+		!strings.Contains(err.Error(), "every parameter") {
+		t.Fatalf("fault-tolerant leader over a shard optimizer: err = %v", err)
 	}
 }

@@ -52,9 +52,6 @@ func NewCommitPlan(p, owners int) CommitPlan {
 // Stages returns P.
 func (pl CommitPlan) Stages() int { return pl.p }
 
-// Owners returns the number of owners the plan shards across.
-func (pl CommitPlan) Owners() int { return len(pl.lo) - 1 }
-
 // Shard returns the stage range [lo, hi) owner r steps.
 func (pl CommitPlan) Shard(r int) (lo, hi int) { return pl.lo[r], pl.lo[r+1] }
 

@@ -9,20 +9,18 @@
 // lifecycle and one attempt at a minibatch's chains, ending in the
 // deterministic tree all-reduce of the followers' per-microbatch
 // gradients into the leader. The trainer then commits one shared optimizer
-// step through the group (replica.Group.Commit) — leader-serial with a
-// full-state broadcast when the sharded step is off, or — the default for
-// R > 1 — the ZeRO-style replica-sharded commit — and turns a
-// replica.MemberError from either half into one Group.Transition and a
+// step through the group — the ZeRO-style replica-sharded commit,
+// replica.Group.Commit — and turns a replica.MemberError from either half
+// into one Group.Transition and, when the minibatch's result was lost, a
 // replay.
 //
 // Training curves are bit-identical to a single-replica run of the same
-// global microbatch set under the Reference engine, for any R, either
-// inner engine and either commit mode: see package replica for the
-// determinism argument (contiguous ordered chunks, one-add-per-element
-// gradient export, all reduction arithmetic at the tree root in global
-// microbatch order, copy-only scatter/gather around location-independent
-// shard arithmetic). The equivalence is pinned by tests at the repository
-// root.
+// global microbatch set under the Reference engine, for any R and either
+// inner engine: see package replica for the determinism argument
+// (contiguous ordered chunks, one-add-per-element gradient export, all
+// reduction arithmetic at the tree root in global microbatch order,
+// copy-only scatter/gather around location-independent shard arithmetic).
+// The equivalence is pinned by tests at the repository root.
 package replicated
 
 import (

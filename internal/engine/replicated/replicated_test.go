@@ -53,8 +53,8 @@ type stubMember struct {
 	mu sync.Mutex
 
 	commits int // PrepareStage + BeginStep + StepStage calls
-	synced  int // SetStep (the tail of the serial broadcast)
-	imports int // ImportStageState (sharded gather)
+	synced  int // SetStep (the tail of a handoff)
+	imports int // ImportStageState (the gather)
 }
 
 func (m *stubMember) Stages() int                         { return m.p }
@@ -120,8 +120,8 @@ func (m *stubMember) SetStep(int) {
 	m.synced++
 }
 
-// stubLeader leads a group of itself and one follower under the sharded
-// commit, so the cancellation test exercises the sharded protocol's gate.
+// stubLeader leads a group of itself and one follower, so the
+// cancellation test exercises the commit protocol's gate.
 type stubLeader struct {
 	*stubMember
 	follower *stubMember
@@ -131,7 +131,7 @@ type stubLeader struct {
 func newStubLeader(t *testing.T, p int) *stubLeader {
 	t.Helper()
 	l := &stubLeader{stubMember: &stubMember{p: p}, follower: &stubMember{p: p}}
-	g, err := replica.NewGroup(l, []replica.Member{l.follower}, true, false)
+	g, err := replica.NewGroup(l, []replica.Member{l.follower}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func (b blockingEngine) Minibatch(ctx context.Context, h engine.Host, micros [][
 // contract: when one replica's compute blocks mid-minibatch, canceling
 // the context must unwind the whole minibatch — the blocked member
 // returns, the fan-in completes, and neither the tree reduce's commit nor
-// the sharded gather runs — instead of deadlocking the followers.
+// its gather runs — instead of deadlocking the followers.
 func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 	lead := newStubLeader(t, 2)
 	entered := make(chan struct{})
@@ -202,7 +202,7 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 			t.Fatalf("%s ran %d commit phases after cancellation, want none", name, m.commits)
 		}
 		if m.synced != 0 || m.imports != 0 {
-			t.Fatalf("%s ran broadcast/gather (%d/%d) after cancellation, want none", name, m.synced, m.imports)
+			t.Fatalf("%s ran handoff/gather (%d/%d) after cancellation, want none", name, m.synced, m.imports)
 		}
 	}
 }

@@ -198,18 +198,8 @@ func (t *Trainer) TrainEpochs(epochs int, run *metrics.Run) *metrics.Run {
 
 // learningRates applies T1 with the per-stage expected delays.
 func (t *Trainer) learningRates() []float64 {
-	base := t.sched.LR(t.step)
-	if t.cfg.T1K <= 0 {
-		return optim.UniformLR(base, len(t.params))
-	}
-	p := 1 - math.Min(float64(t.step)/float64(t.cfg.T1K), 1)
 	out := make([]float64, len(t.params))
-	for i, tau := range t.taus {
-		if tau < 1 {
-			tau = 1
-		}
-		out[i] = base / math.Pow(tau, p)
-	}
+	optim.T1Rates(out, t.taus, t.sched.LR(t.step), t.step, t.cfg.T1K)
 	return out
 }
 

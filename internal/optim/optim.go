@@ -22,19 +22,37 @@ import (
 // be disjoint; distinct ranges may then run concurrently (each parameter's
 // state is touched only by its own range), which is how the engines commit
 // the step stage-parallel. Step ≡ Advance + StepRange over everything.
+//
+// Its state is shardable and readable too — the surface the replica-sharded
+// commit, fault tolerance and checkpoints are built on. CloneShard builds
+// an optimizer of the same type and hyperparameters over params (a
+// replica's parameter copies, in the same order and shapes as Params())
+// holding moment state only for sh; StateRange reports the shard an
+// optimizer holds state for (the full range for the ordinary
+// constructors); MomentTensors returns the live moment tensors of one
+// parameter within it, in a fixed per-optimizer order; and Clock/SetClock
+// expose the step clock Advance moves (0 and a no-op for clockless
+// optimizers), so a restored optimizer resumes with bit-identical bias
+// corrections.
 type Optimizer interface {
 	Step(lrs []float64)
 	// Advance moves the step clock for the next update. It must
 	// happen-before every StepRange of that update.
 	Advance()
 	// StepRange applies the just-advanced update to params [lo, hi);
-	// lrs[i] is the learning rate of parameter lo+i.
+	// lrs[i] is the learning rate of parameter lo+i. [lo, hi) must lie
+	// within StateRange.
 	StepRange(lo, hi int, lrs []float64)
 	Params() []*nn.Param
 	// StateCopies reports how many weight-sized buffers the optimizer
 	// holds per parameter including the master weights and the gradient
 	// (3 for momentum-SGD, 4 for Adam), used by the memory model.
 	StateCopies() int
+	CloneShard(params []*nn.Param, sh Shard) Optimizer
+	StateRange() Shard
+	MomentTensors(i int) []*tensor.Tensor
+	Clock() int
+	SetClock(t int)
 }
 
 // UniformLR returns a slice of n copies of lr.
@@ -69,34 +87,6 @@ func (s Shard) Len() int {
 
 // Contains reports whether [lo, hi) lies within the shard.
 func (s Shard) Contains(lo, hi int) bool { return s.Lo <= lo && hi <= s.Hi }
-
-// ShardCloner is implemented by optimizers whose state can be sharded
-// across data-parallel replicas. CloneShard builds an optimizer of the
-// same type and hyperparameters over params — a replica's parameter
-// copies, in the same order and shapes as Params() — holding moment state
-// only for sh; its StepRange may only be called within sh. StateRange
-// reports the shard an optimizer holds state for (the full range for the
-// ordinary constructors).
-type ShardCloner interface {
-	Optimizer
-	CloneShard(params []*nn.Param, sh Shard) Optimizer
-	StateRange() Shard
-}
-
-// Stateful is implemented by optimizers whose moment state can be read
-// and written tensor-by-tensor — the fault-tolerance and checkpoint
-// surface. MomentTensors returns the live moment tensors of one
-// parameter (it must lie within StateRange), in a fixed per-optimizer
-// order; MomentCount is that order's length. Clock/SetClock expose the
-// step clock Advance moves (0 and a no-op for clockless optimizers), so
-// a restored optimizer resumes with bit-identical bias corrections.
-type Stateful interface {
-	Optimizer
-	MomentTensors(i int) []*tensor.Tensor
-	MomentCount() int
-	Clock() int
-	SetClock(t int)
-}
 
 // checkRange panics when a StepRange call leaves the optimizer's state
 // shard or disagrees with its learning-rate count.
@@ -138,7 +128,7 @@ func NewSGDShard(params []*nn.Param, momentum, weightDecay float64, sh Shard) *S
 }
 
 // CloneShard builds an SGD sibling over a replica's parameter copies with
-// state only for sh (ShardCloner).
+// state only for sh (Optimizer).
 func (s *SGD) CloneShard(params []*nn.Param, sh Shard) Optimizer {
 	return NewSGDShard(params, s.Momentum, s.WeightDecay, sh)
 }
@@ -189,16 +179,13 @@ func sgdStep[T tensor.Elem](w, g, v []T, momentum, wd, lr float64) {
 // Params returns the optimized parameters.
 func (s *SGD) Params() []*nn.Param { return s.ps }
 
-// MomentTensors returns parameter i's live velocity tensor (Stateful).
+// MomentTensors returns parameter i's live velocity tensor.
 func (s *SGD) MomentTensors(i int) []*tensor.Tensor {
 	if !s.shard.Contains(i, i+1) {
 		panic(fmt.Sprintf("optim: moment tensors of param %d outside state shard [%d, %d)", i, s.shard.Lo, s.shard.Hi))
 	}
 	return []*tensor.Tensor{s.vel[i-s.shard.Lo]}
 }
-
-// MomentCount is 1: the velocity.
-func (s *SGD) MomentCount() int { return 1 }
 
 // Clock is 0: momentum SGD keeps no step clock.
 func (s *SGD) Clock() int { return 0 }
@@ -244,7 +231,7 @@ func NewAdamWShard(params []*nn.Param, beta1, beta2, eps, weightDecay float64, s
 }
 
 // CloneShard builds an AdamW sibling over a replica's parameter copies
-// with state only for sh (ShardCloner).
+// with state only for sh (Optimizer).
 func (a *AdamW) CloneShard(params []*nn.Param, sh Shard) Optimizer {
 	return NewAdamWShard(params, a.Beta1, a.Beta2, a.Eps, a.WeightDecay, sh)
 }
@@ -307,16 +294,13 @@ func adamwStep[T tensor.Elem](w, g, m, v []T, b1, b2, eps, wd, lr, bc1, bc2 floa
 func (a *AdamW) Params() []*nn.Param { return a.ps }
 
 // MomentTensors returns parameter i's live first and second moment
-// tensors, in that order (Stateful).
+// tensors, in that order.
 func (a *AdamW) MomentTensors(i int) []*tensor.Tensor {
 	if !a.shard.Contains(i, i+1) {
 		panic(fmt.Sprintf("optim: moment tensors of param %d outside state shard [%d, %d)", i, a.shard.Lo, a.shard.Hi))
 	}
 	return []*tensor.Tensor{a.m[i-a.shard.Lo], a.v[i-a.shard.Lo]}
 }
-
-// MomentCount is 2: first and second moments.
-func (a *AdamW) MomentCount() int { return 2 }
 
 // Clock returns the Adam step clock (bias-correction exponent).
 func (a *AdamW) Clock() int { return a.t }
@@ -374,25 +358,20 @@ func (w WarmupInvSqrt) LR(step int) float64 {
 	return w.Peak * math.Sqrt(float64(w.Warmup)/float64(step))
 }
 
-// T1 is the paper's Technique 1 learning-rate rescheduler: during the first
-// K steps, divide the base rate for parameter i by its delay raised to the
-// annealing power p_k = 1 − min(k/K, 1), so early steps see α/τ and the
-// schedule relaxes back to the baseline by step K.
-type T1 struct {
-	Base Schedule
-	Taus []float64 // per-parameter forward delay in minibatch units
-	K    int       // annealing steps; ≤ 0 disables the rescheduling
-}
-
-// LRs returns the per-parameter learning rates at the given step.
-func (t *T1) LRs(step int) []float64 {
-	base := t.Base.LR(step)
-	out := make([]float64, len(t.Taus))
-	p := 0.0
-	if t.K > 0 {
-		p = 1 - math.Min(float64(step)/float64(t.K), 1)
+// T1Rates writes the paper's Technique 1 learning rates into out, one per
+// delay in taus: during the first k steps the base rate of parameter i is
+// divided by its delay raised to the annealing power p = 1 − min(step/k, 1),
+// so early steps see α/τ and the schedule relaxes back to the baseline by
+// step k. k ≤ 0 disables the rescheduling (every rate is base).
+func T1Rates(out, taus []float64, base float64, step, k int) {
+	if k <= 0 {
+		for i := range out {
+			out[i] = base
+		}
+		return
 	}
-	for i, tau := range t.Taus {
+	p := 1 - math.Min(float64(step)/float64(k), 1)
+	for i, tau := range taus {
 		if tau < 1 {
 			// τ < 1 means the delay is under one optimizer step; dividing
 			// by τ^p would *increase* the rate, so clamp at the baseline.
@@ -400,10 +379,9 @@ func (t *T1) LRs(step int) []float64 {
 		}
 		out[i] = base / math.Pow(tau, p)
 	}
-	return out
 }
 
 var (
-	_ Stateful = (*SGD)(nil)
-	_ Stateful = (*AdamW)(nil)
+	_ Optimizer = (*SGD)(nil)
+	_ Optimizer = (*AdamW)(nil)
 )

@@ -137,12 +137,19 @@ func TestWarmupInvSqrtSchedule(t *testing.T) {
 	}
 }
 
+// t1LRs is T1Rates at a constant base rate into a fresh slice.
+func t1LRs(taus []float64, base float64, step, k int) []float64 {
+	out := make([]float64, len(taus))
+	T1Rates(out, taus, base, step, k)
+	return out
+}
+
 func TestT1Rescheduler(t *testing.T) {
 	taus := []float64{16, 4, 1, 0.25}
-	t1 := &T1{Base: Constant(0.1), Taus: taus, K: 100}
+	lrsAt := func(k int) []float64 { return t1LRs(taus, 0.1, k, 100) }
 
 	// At k=0 the rate is base/τ exactly (with τ clamped at 1).
-	lrs := t1.LRs(0)
+	lrs := lrsAt(0)
 	want0 := []float64{0.1 / 16, 0.1 / 4, 0.1, 0.1}
 	for i := range want0 {
 		if math.Abs(lrs[i]-want0[i]) > 1e-12 {
@@ -151,21 +158,21 @@ func TestT1Rescheduler(t *testing.T) {
 	}
 	// At k=K and beyond the base rate is restored.
 	for _, k := range []int{100, 500} {
-		for i, lr := range t1.LRs(k) {
+		for i, lr := range lrsAt(k) {
 			if math.Abs(lr-0.1) > 1e-12 {
 				t.Errorf("LRs(%d)[%d] = %g, want 0.1", k, i, lr)
 			}
 		}
 	}
 	// Halfway: exponent p = 0.5 → rate = base/√τ.
-	lrs = t1.LRs(50)
+	lrs = lrsAt(50)
 	if math.Abs(lrs[0]-0.1/4) > 1e-12 {
 		t.Errorf("LRs(50)[0] = %g, want %g", lrs[0], 0.1/4)
 	}
 	// Monotone non-decreasing in k for τ > 1.
-	prev := t1.LRs(0)[0]
+	prev := lrsAt(0)[0]
 	for k := 1; k <= 120; k++ {
-		cur := t1.LRs(k)[0]
+		cur := lrsAt(k)[0]
 		if cur < prev-1e-15 {
 			t.Fatalf("T1 rate decreased at step %d", k)
 		}
@@ -174,8 +181,7 @@ func TestT1Rescheduler(t *testing.T) {
 }
 
 func TestT1DisabledKeepsBase(t *testing.T) {
-	t1 := &T1{Base: Constant(0.2), Taus: []float64{8, 2}, K: 0}
-	for _, lr := range t1.LRs(0) {
+	for _, lr := range t1LRs([]float64{8, 2}, 0.2, 0, 0) {
 		if lr != 0.2 {
 			t.Fatalf("K=0 must disable rescheduling, got %g", lr)
 		}
@@ -321,7 +327,7 @@ func TestShardStateFootprint(t *testing.T) {
 // parameter copies steps its shard bit-identically to the original.
 func TestShardCloneMatchesOriginal(t *testing.T) {
 	ps := shardParams(5)
-	var full ShardCloner = NewAdamW(ps, 0.9, 0.98, 1e-9, 1e-4)
+	var full Optimizer = NewAdamW(ps, 0.9, 0.98, 1e-9, 1e-4)
 	clonePs := shardParams(5)
 	sh := Shard{Lo: 1, Hi: 4}
 	clone := full.CloneShard(clonePs, sh)
@@ -335,7 +341,6 @@ func TestShardCloneMatchesOriginal(t *testing.T) {
 			t.Fatalf("param %d: original %v != clone %v", i, ps[i].Data.FlatAt(0), clonePs[i].Data.FlatAt(0))
 		}
 	}
-	var _ ShardCloner = NewSGD(ps, 0, 0) // both optimizers support sharding
 }
 
 // TestShardOutOfRangePanics pins the ownership guard: stepping outside

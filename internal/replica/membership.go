@@ -182,7 +182,6 @@ func (g *Group) move(m *member, to State) {
 	}
 	m.state = to
 	g.plan = engine.NewCommitPlan(g.p, g.active)
-	g.sharded = g.shardable && g.active > 1
 }
 
 // setEngine replaces an in-process member's inner engine: the old one
@@ -250,14 +249,14 @@ func (g *Group) firstFault() (*member, error) {
 // survive it by taking m out of the group, and into a plain wrapped
 // error — which aborts the run — when it cannot: the leader never
 // leaves, cancellation is the caller's intent rather than a fault, an
-// in-process member gives no clean failure point, and a sharded commit
-// without fault tolerance has lost the departing owner's moment shard.
-// A straggler leaves for Standby and always replays (its late result
-// must not be used); anything else leaves for Gone with the caller's
-// replay requirement.
+// in-process member gives no clean failure point, and a group without
+// fault tolerance has lost the departing member's moment shard. A
+// straggler leaves for Standby and always replays (its late result must
+// not be used); anything else leaves for Gone with the caller's replay
+// requirement.
 func (g *Group) classify(m *member, err error, replay bool) error {
 	switch {
-	case m.remote == nil || (g.sharded && !g.ft),
+	case m.remote == nil || !g.ft,
 		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return fmt.Errorf("replica %d: %w", m.id, err)
 	case errors.Is(err, ErrStraggler):
@@ -269,8 +268,8 @@ func (g *Group) classify(m *member, err error, replay bool) error {
 // ResetGrads returns every member's gradient accumulators to zero before
 // a minibatch replays. The leader needs it because its own chunk
 // accumulates in place (a replay would double-count), and a surviving
-// sharded-commit owner needs it because an interrupted scatter may have
-// parked reduced gradients in its accumulators.
+// owner needs it because an interrupted scatter may have parked reduced
+// gradients in its accumulators.
 func (g *Group) ResetGrads() {
 	for st := 0; st < g.p; st++ {
 		g.scatter[st] = g.lead.TakeStageGrads(st, g.scatter[st])
@@ -283,14 +282,26 @@ func (g *Group) ResetGrads() {
 	}
 }
 
-// Handoff makes a full push of the leader's live state to member id; rings
-// returns each stage's weight-version ring (base version, snapshots oldest
-// to newest). It is both the checkpoint-restore re-synchronization and the
-// live handoff a joiner or a rejoining standby receives: a member that has
-// seen it is indistinguishable from one that trained alongside the leader.
+// Handoff pushes the leader's live state to member id, a member call — for
+// a remote member a wire request — at a time: the epoch clock, every
+// stage's state in the gather layout, the step clock, then each stage's
+// weight-version ring (rings returns its base version and snapshots,
+// oldest to newest). It is both the checkpoint-restore re-synchronization
+// and the live handoff a joiner or a rejoining standby receives: a member
+// that has seen it is indistinguishable from one that trained alongside
+// the leader. A member whose connection fails latches the error and
+// ignores the rest.
 func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor)) error {
 	m := g.members[g.index(id)]
-	g.push(m, rings)
+	m.SetEpoch(g.lead.Epoch())
+	for st := 0; st < g.p; st++ {
+		m.ImportStageState(st, g.lead.StageState(st))
+	}
+	m.SetStep(g.lead.Step())
+	for st := 0; st < g.p; st++ {
+		base, snaps := rings(st)
+		m.RestoreVersions(st, base, snaps)
+	}
 	if err := m.err(); err != nil {
 		return fmt.Errorf("replica: syncing state to replica %d: %w", id, err)
 	}

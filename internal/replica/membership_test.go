@@ -22,7 +22,7 @@ type fakeRemote struct {
 	replica.Member
 	p      int
 	id     int    // the id the group handed over (SetID)
-	failAt string // "run", "prepare", "sync", "import" or ""
+	failAt string // "run", "prepare", "step", "state", "sync", "import" or ""
 	runErr error
 
 	mu     sync.Mutex
@@ -71,6 +71,20 @@ func (f *fakeRemote) PrepareStage(stage, nMicro int) float64 {
 		return 0
 	}
 	return f.Member.PrepareStage(stage, nMicro)
+}
+
+func (f *fakeRemote) StepStage(stage int) {
+	if !f.die("step") {
+		f.Member.StepStage(stage)
+	}
+}
+
+// StageState fails like a proxy's fetch: nil once the connection is dead.
+func (f *fakeRemote) StageState(stage int) []*tensor.Tensor {
+	if f.die("state") {
+		return nil
+	}
+	return f.Member.StageState(stage)
 }
 
 func (f *fakeRemote) SetStep(step int) {
@@ -134,21 +148,31 @@ func (e driveEngine) Minibatch(ctx context.Context, h engine.Host, micros [][]in
 func noRings(int) (int, [][]*tensor.Tensor) { return 0, nil }
 
 // TestMembershipTransitions is the membership state machine as a table:
-// from a four-member group — leader 0, in-process follower 1, remote
-// followers 2 and 3 — each event hits one member, and the case pins how
-// the group classifies it (a *MemberError naming the member, where it
-// goes and whether the minibatch replays; or a plain error that aborts
-// the run), then, after the one Transition the engine would apply, the
-// member's state, the active count and the commit plan's owner count.
-// The subject of every leaving edge is member 2 — not the tail — so the
-// survivor above it shifts down a position while keeping its id.
+// from a four-member fault-tolerant group — leader 0, in-process follower
+// 1, remote followers 2 and 3, one stage each — each event hits one
+// member, and the case pins how the group classifies it (a *MemberError
+// naming the member, where it goes and whether the minibatch replays; or
+// a plain error that aborts the run), then, after the one Transition the
+// engine would apply, the member's state, the active count and the
+// commit plan's owners. The subject of every leaving edge is member 2 —
+// not the tail — so the survivor above it shifts down a position while
+// keeping its id.
 func TestMembershipTransitions(t *testing.T) {
 	const p = 4
 	micros := [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
 	type fixture struct {
 		g      *replica.Group
 		lead   *fakeMember
+		local  *fakeMember         // the in-process follower, id 1
 		remote map[int]*fakeRemote // by member id
+	}
+	// members returns every fake member the fixture built, by id.
+	members := func(f *fixture) []*fakeMember {
+		ms := []*fakeMember{f.lead, f.local}
+		for id := 2; id < 2+len(f.remote); id++ {
+			ms = append(ms, f.remote[id].Member.(*fakeMember))
+		}
+		return ms
 	}
 	attempt := func(f *fixture) error {
 		if err := f.g.RunChunks(context.Background(), micros); err != nil {
@@ -156,6 +180,17 @@ func TestMembershipTransitions(t *testing.T) {
 		}
 		f.g.Reduce()
 		return f.g.Commit(len(micros))
+	}
+	// takenOver is attempt for a member that dies after the prepare phase:
+	// the leader must have re-stepped its stage 2 and every survivor
+	// imported the leader's result.
+	takenOver := func(f *fixture) error {
+		err := attempt(f)
+		if f.lead.stepped[2] != 1 || f.local.state[2] != f.lead.state[2] || f.local.imported[2] != 1 {
+			return fmt.Errorf("leader stepped the dead owner's stage %d times and the survivor imported it %d times (state %g, leader's %g); want once each",
+				f.lead.stepped[2], f.local.imported[2], f.local.state[2], f.lead.state[2])
+		}
+		return err
 	}
 	// admit is the trainer's boundary hook in miniature.
 	admit := func(f *fixture, id int) error {
@@ -166,28 +201,32 @@ func TestMembershipTransitions(t *testing.T) {
 		return nil
 	}
 	cases := []struct {
-		name        string
-		sharded, ft bool
-		engineErr   map[int]error // in-process member id → its inner engine's failure
-		arm         func(f *fixture)
-		event       func(f *fixture) error
-		subject     int           // member id the case is about
-		wantAbort   string        // non-empty: the event returns a plain error containing this
-		wantTo      replica.State // the MemberError's destination, when the event faults
-		wantReplay  bool
-		wantState   replica.State // subject's state after the transition
-		wantActive  int
+		name       string
+		noFT       bool
+		engineErr  map[int]error // in-process member id → its inner engine's failure
+		arm        func(f *fixture)
+		event      func(f *fixture) error
+		subject    int           // member id the case is about
+		wantAbort  string        // non-empty: the event returns a plain error containing this
+		wantTo     replica.State // the MemberError's destination, when the event faults
+		wantReplay bool
+		wantState  replica.State // subject's state after the transition
+		wantActive int
 	}{
 		{name: "fatal during run", arm: func(f *fixture) { f.remote[2].failAt = "run" }, event: attempt,
 			subject: 2, wantTo: replica.Gone, wantReplay: true, wantState: replica.Gone, wantActive: 3},
-		{name: "fatal pre-step (sharded prepare)", sharded: true, ft: true,
+		{name: "fatal pre-step (sharded prepare)",
 			arm: func(f *fixture) { f.remote[2].failAt = "prepare" }, event: attempt,
 			subject: 2, wantTo: replica.Gone, wantReplay: true, wantState: replica.Gone, wantActive: 3},
-		{name: "fatal serial post-step", arm: func(f *fixture) { f.remote[2].failAt = "sync" }, event: attempt,
+		{name: "fatal mid-step (leader takes over)",
+			arm: func(f *fixture) { f.remote[2].failAt = "step" }, event: takenOver,
 			subject: 2, wantTo: replica.Gone, wantReplay: false, wantState: replica.Gone, wantActive: 3},
-		{name: "fatal sharded post-step", sharded: true, ft: true,
+		{name: "fatal fetching its state (leader takes over)",
+			arm: func(f *fixture) { f.remote[2].failAt = "state" }, event: takenOver,
+			subject: 2, wantTo: replica.Gone, wantReplay: false, wantState: replica.Gone, wantActive: 3},
+		{name: "fatal sharded post-step",
 			arm: func(f *fixture) { f.remote[2].failAt = "import" }, event: attempt,
-			subject: 2, wantAbort: "replica 2", wantState: replica.Active, wantActive: 4},
+			subject: 2, wantTo: replica.Gone, wantReplay: false, wantState: replica.Gone, wantActive: 3},
 		{name: "straggler", arm: func(f *fixture) {
 			f.remote[2].runErr = fmt.Errorf("%w: fake", replica.ErrStraggler)
 		}, event: attempt,
@@ -263,16 +302,19 @@ func TestMembershipTransitions(t *testing.T) {
 			subject: 0, wantAbort: "leader compute failed", wantState: replica.Active, wantActive: 4},
 		{name: "refuse context.Canceled", arm: func(f *fixture) { f.remote[2].runErr = context.Canceled }, event: attempt,
 			subject: 2, wantAbort: "context canceled", wantState: replica.Active, wantActive: 4},
-		{name: "refuse sharded without fault tolerance", sharded: true,
+		{name: "refuse sharded without fault tolerance", noFT: true,
 			arm: func(f *fixture) { f.remote[2].failAt = "run" }, event: attempt,
 			subject: 2, wantAbort: "died at run", wantState: replica.Active, wantActive: 4},
+		{name: "refuse mid-step without fault tolerance", noFT: true,
+			arm: func(f *fixture) { f.remote[2].failAt = "step" }, event: attempt,
+			subject: 2, wantAbort: "replica 2", wantState: replica.Active, wantActive: 4},
 		{name: "refuse member without sticky errors", engineErr: map[int]error{1: errors.New("follower compute failed")}, event: attempt,
 			subject: 1, wantAbort: "follower compute failed", wantState: replica.Active, wantActive: 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &fixture{lead: newFakeMember(p), remote: map[int]*fakeRemote{2: newFakeRemote(p), 3: newFakeRemote(p)}}
-			g, err := replica.NewGroup(f.lead, []replica.Member{newFakeMember(p), f.remote[2], f.remote[3]}, tc.sharded, tc.ft)
+			f := &fixture{lead: newFakeMember(p), local: newFakeMember(p), remote: map[int]*fakeRemote{2: newFakeRemote(p), 3: newFakeRemote(p)}}
+			g, err := replica.NewGroup(f.lead, []replica.Member{f.local, f.remote[2], f.remote[3]}, !tc.noFT)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,9 +349,9 @@ func TestMembershipTransitions(t *testing.T) {
 			if got := g.State(tc.subject); got != tc.wantState {
 				t.Fatalf("member %d in state %d after the event, want %d", tc.subject, got, tc.wantState)
 			}
-			if g.Replicas() != tc.wantActive || g.Plan().Owners() != tc.wantActive {
-				t.Fatalf("%d active members, plan over %d owners; want %d and %d",
-					g.Replicas(), g.Plan().Owners(), tc.wantActive, tc.wantActive)
+			if g.Replicas() != tc.wantActive || g.Plan().OwnerOf(p-1) != tc.wantActive-1 {
+				t.Fatalf("%d active members, the last stage owned by position %d; want %d and %d",
+					g.Replicas(), g.Plan().OwnerOf(p-1), tc.wantActive, tc.wantActive-1)
 			}
 			if r := f.remote[tc.subject]; r != nil && r.closed != (tc.wantState == replica.Gone) {
 				t.Fatalf("member %d closed = %t in state %d: only a gone member's connection closes", tc.subject, r.closed, tc.wantState)
@@ -320,9 +362,11 @@ func TestMembershipTransitions(t *testing.T) {
 			// Whatever the edge, the group it leaves behind trains. Run the
 			// engine's recovery loop over it: a fault that lost the race to
 			// the one just handled resurfaces through its sticky error and
-			// takes its own transition, then the minibatch commits — under
-			// the serial commit, every stage stepped once, by the leader.
-			f.lead.stepped = make([]int, p)
+			// takes its own transition, then the minibatch commits — every
+			// stage stepped once, by its owner among the active members.
+			for _, m := range members(f) {
+				m.stepped = make([]int, p)
+			}
 			for _, r := range f.remote {
 				r.failAt, r.runErr = "", nil
 			}
@@ -336,9 +380,13 @@ func TestMembershipTransitions(t *testing.T) {
 				}
 				g.Transition(me.ID, me.To)
 			}
-			for st, n := range f.lead.stepped {
-				if !tc.sharded && n != 1 {
-					t.Fatalf("leader stepped stage %d %d times on the attempt after the transition, want 1", st, n)
+			for st := 0; st < p; st++ {
+				n := 0
+				for _, m := range members(f) {
+					n += m.stepped[st]
+				}
+				if n != 1 {
+					t.Fatalf("stage %d stepped %d times on the attempt after the transition, want 1", st, n)
 				}
 			}
 		})
@@ -350,7 +398,7 @@ func TestMembershipTransitions(t *testing.T) {
 func TestNewGroupRefusesUnknownMemberKind(t *testing.T) {
 	var bare struct{ replica.Member }
 	bare.Member = newFakeMember(2)
-	if _, err := replica.NewGroup(newFakeMember(2), []replica.Member{bare}, false, false); err == nil {
+	if _, err := replica.NewGroup(newFakeMember(2), []replica.Member{bare}, false); err == nil {
 		t.Fatal("NewGroup accepted a member that is neither Local nor Remote")
 	}
 }

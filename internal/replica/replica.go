@@ -4,16 +4,15 @@
 // microbatches between them, and a deterministic tree all-reduce folds the
 // per-microbatch gradients into the leader replica before one shared
 // optimizer step — the PipeDream-style hybrid of pipeline and data
-// parallelism. The step itself commits in one of two modes (Group.Commit):
-// leader-serial (engine.Commit on the leader), with the post-step state
-// broadcast back to the followers, or — the default for R > 1 —
-// replica-sharded ZeRO / PipeDream-2BW style: an engine.CommitPlan assigns
-// each stage to a replica owner, the
-// leader's reduced gradients scatter to their owners, every owner steps
-// its shard against its local shard of the optimizer state, and the
-// stepped weights all-gather back (the inverted broadcast), so the commit
-// tail no longer runs serially on the leader and followers hold no
-// redundant optimizer state.
+// parallelism. The step commits replica-sharded, ZeRO / PipeDream-2BW
+// style (Group.Commit): an engine.CommitPlan assigns each stage to a
+// replica owner, the leader's reduced gradients scatter to their owners,
+// every owner steps its shard against its local copy of the optimizer
+// state, and the stepped weights all-gather back, so the commit tail never
+// runs serially on the leader. Without fault tolerance a follower holds
+// the optimizer moments of its own shard only; with it, every replica
+// mirrors all of them, which is what lets the group lose a member at any
+// point of the commit.
 //
 // # Determinism
 //
@@ -54,7 +53,6 @@ package replica
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 
@@ -91,11 +89,12 @@ type Member interface {
 	StageState(stage int) []*tensor.Tensor
 	// ImportStageState copies a stage's post-step state from the owner's
 	// StageState layout and pushes the replica's next weight version for
-	// that stage — the gather half of the sharded commit, a stage of a push.
+	// that stage — the gather half of the sharded commit, and one stage of
+	// a handoff.
 	ImportStageState(stage int, src []*tensor.Tensor)
 	// SetEpoch and SetStep align the member's clocks with the leader's: the
 	// epoch so the commit-phase learning rates (T1/T3 phase) agree on every
-	// owner, the optimizer step as the tail of a state push.
+	// owner, the optimizer step as the tail of a handoff.
 	SetEpoch(epoch int)
 	SetStep(step int)
 	// RestoreVersions replaces a stage's weight-version ring wholesale
@@ -155,8 +154,8 @@ type Remote interface {
 }
 
 // Leader is the host of a trainer that leads a replica group — what a
-// replicated engine looks for on the engine.Host it is started with. With
-// ClipScale it is the engine.Committer of the leader-serial commit.
+// replicated engine looks for on the engine.Host it is started with, and
+// what the group reads the run's clocks, epoch phase and clip factor from.
 type Leader interface {
 	Local
 	// Group returns the trainer's replica group, nil when it trains a
@@ -186,8 +185,7 @@ type Aware interface {
 // execution engine, and is the one place that knows who is in the run: it
 // holds the membership table (membership.go), splits each minibatch into
 // contiguous per-replica chunks, runs every member's chunk, and runs the
-// reduce and commit phases — either the leader-serial commit with a
-// full-state broadcast, or the replica-sharded commit protocol of Commit.
+// reduce and the replica-sharded commit.
 // A trainer builds its Group once and keeps it for life; the replicated
 // engine borrows it for each Run.
 type Group struct {
@@ -201,10 +199,12 @@ type Group struct {
 	active  int
 	nextID  int
 
-	plan      engine.CommitPlan // stage→position owners over the active members (sharded commit)
-	shardable bool              // the trainer resolved the sharded commit on
-	sharded   bool              // shardable and more than one active member
-	ft        bool              // full moments everywhere: a sharded group may lose a member
+	plan engine.CommitPlan // stage→position owners over the active members
+	ft   bool              // full moments everywhere: the group may lose a member
+
+	// owners is the commit in flight's stage→position owner: the plan's,
+	// or the leader for the shard of a follower that died mid-step.
+	owners []int
 
 	inner func() engine.Engine // inner-engine factory; non-nil between Start and Stop
 
@@ -214,20 +214,19 @@ type Group struct {
 	// rec is the leader's trace recorder (nil when tracing is off). Each
 	// member record carries its own collectives track: the orchestrator
 	// goroutine writes the leader's (reduce, scatter, gather) and each
-	// eachMember/Broadcast goroutine writes only its own member's, with
-	// the phases' WaitGroup barriers ordering the handoffs.
+	// eachMember goroutine writes only its own member's, with the phases'
+	// WaitGroup barriers ordering the handoffs.
 	rec *trace.Recorder
 
 	joins, demotions, evictions int
 }
 
 // NewGroup builds the group for a leader and its initial followers, which
-// take ids and positions 1..len(followers). sharded is the trainer's
-// resolved commit mode; faultTolerant reports the mirrored-moment layout
-// that lets a sharded group survive losing an owner.
-func NewGroup(lead Leader, followers []Member, sharded, faultTolerant bool) (*Group, error) {
+// take ids and positions 1..len(followers). faultTolerant reports the
+// mirrored-moment layout that lets the group survive losing a member.
+func NewGroup(lead Leader, followers []Member, faultTolerant bool) (*Group, error) {
 	p := lead.Stages()
-	g := &Group{lead: lead, p: p, shardable: sharded, ft: faultTolerant,
+	g := &Group{lead: lead, p: p, ft: faultTolerant, owners: make([]int, p),
 		scatter: make([][]*tensor.Tensor, p), sumSqs: make([]float64, p)}
 	g.rec, _ = trace.FromCarrier(lead)
 	for _, m := range append([]Member{lead}, followers...) {
@@ -396,102 +395,50 @@ func (g *Group) Reduce() {
 	}
 }
 
-// push is the one state push from the leader to member m, a member call —
-// for a remote member a wire request — at a time: every stage's post-step
-// state in the gather layout, then the step clock; a full push (rings
-// non-nil) sends the epoch clock first and each stage's weight-version
-// ring last, which is everything a replica trains from. A member whose
-// connection fails latches the error and ignores the rest.
-func (g *Group) push(m *member, rings func(stage int) (int, [][]*tensor.Tensor)) {
-	if rings != nil {
-		m.SetEpoch(g.lead.Epoch())
-	}
-	for st := 0; st < g.p; st++ {
-		m.ImportStageState(st, g.lead.StageState(st))
-	}
-	m.SetStep(g.lead.Step())
-	if rings != nil {
-		for st := 0; st < g.p; st++ {
-			base, snaps := rings(st)
-			m.RestoreVersions(st, base, snaps)
-		}
-	}
-}
-
-// Broadcast pushes the leader's post-step state to every follower
-// (concurrently: followers write disjoint state and only read the
-// leader's). A follower I/O failure stays latched on the member.
-func (g *Group) Broadcast() {
-	var wg sync.WaitGroup
-	for _, m := range g.members[1:g.active] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := m.track.Now()
-			g.push(m, nil)
-			m.track.Span(trace.NameBroadcast, t0, -1, -1, 0)
-		}()
-	}
-	wg.Wait()
-}
-
 // Commit commits one shared optimizer step for the minibatch Reduce just
-// folded into the leader: the leader-serial commit followed by the full
-// Broadcast when sharding is off, or the replica-sharded owner protocol.
-// A member failure surfaces as *MemberError when the member can leave the
-// group (see classify) and as a plain wrapped error otherwise; the group
-// must not commit again after a plain error.
-func (g *Group) Commit(nMicro int) error {
-	if !g.sharded {
-		engine.Commit(g.lead, nMicro, nil)
-		g.Broadcast()
-		if m, err := g.firstFault(); m != nil {
-			// The leader has stepped and every healthy follower synced from
-			// it independently, so a dead broadcast target leaves without
-			// replay: the minibatch's loss and step are already final.
-			return g.classify(m, err, false)
-		}
-		return nil
-	}
-	return g.shardedCommit(nMicro)
-}
-
-// shardedCommit is the ZeRO / PipeDream-2BW style replica-sharded commit.
-// The commit plan assigns each stage to a replica owner (contiguous
-// shards, sizes differing by at most one); each owner runs the commit
-// phases for its shard against its own parameter copies and its local
-// shard of the optimizer state, so no replica — leader included — steps
-// more than ⌈P/R⌉ stages and followers hold no moment state outside their
-// shard.
+// folded into the leader, ZeRO / PipeDream-2BW style. The commit plan
+// assigns each stage to a replica owner (contiguous shards, sizes
+// differing by at most one); each owner runs the commit phases for its
+// shard against its own parameter copies and its own copy of the
+// optimizer state, so no replica — leader included — steps more than
+// ⌈P/R⌉ stages.
 //
-// Determinism (bit-identical to the leader-serial commit, and hence to
-// single-replica Reference):
+// Determinism (bit-identical to engine.Commit on a single replica, and
+// hence to single-replica Reference):
 //
 //  1. The scatter is a pure copy. All gradient arithmetic stayed at the
 //     tree root (Reduce); an owner's accumulator receives the leader's
 //     reduced gradient bitwise.
 //  2. Per-stage phase arithmetic is location-independent. PrepareStage,
 //     ScaleStage, StepStage and FinishStage touch only the stage's
-//     parameter range, and every input — masters (broadcast-synced),
-//     reduced gradients (scattered), moment state (stepped only by the
-//     owner, every step, from identical inputs), step clocks (every
-//     member advances once per commit), τ delays and schedules (identical
-//     by construction), the epoch phase (SetEpoch) — is bitwise equal to
-//     the leader's, so the owner performs bitwise the arithmetic the
-//     leader would have.
+//     parameter range, and every input — masters (gather-synced), reduced
+//     gradients (scattered), moment state (stepped only by the owner,
+//     every step, from identical inputs), step clocks (every member
+//     advances once per commit), τ delays and schedules (identical by
+//     construction), the epoch phase (SetEpoch) — is bitwise equal to the
+//     leader's, so the owner performs bitwise the arithmetic the leader
+//     would have.
 //  3. Cross-stage reductions keep stage order. The clip-norm partials are
-//     folded st = 0..P−1 on the orchestrator, exactly as the serial
-//     commit sums them, and the resulting scale is computed once.
+//     folded st = 0..P−1 on the orchestrator, exactly as engine.Commit
+//     sums them, and the resulting scale is computed once.
 //  4. The gather is a pure copy. Every member imports each stage it does
-//     not own from the owner's post-step state (the inverse of the old
-//     leader broadcast) and pushes its version queue exactly once per
-//     stage, so every replica's version history replays identically.
-func (g *Group) shardedCommit(nMicro int) error {
+//     not own from the owner's post-step state and pushes its version
+//     queue exactly once per stage, so every replica's version history
+//     replays identically.
+//
+// A member failure surfaces as *MemberError when the member can leave the
+// group (see classify) and as a plain wrapped error otherwise; the group
+// must not commit again after a plain error. Up to the prepare phase no
+// member has advanced a clock, so the minibatch replays. After it, a
+// fault-tolerant group finishes the step without the dead member (see
+// takeOver), and the member leaves without a replay.
+func (g *Group) Commit(nMicro int) error {
 	p := g.p
 	ltk := g.members[0].track
 	// Scatter: move the leader's reduced gradients to their owners and
 	// align follower epoch clocks. TakeStageGrads zeroes the leader's
-	// accumulator, so gradient ownership moves wholesale.
+	// accumulator, so gradient ownership moves wholesale; g.scatter keeps
+	// the reduced gradient until the next commit, for a takeover.
 	t0 := g.rec.Now()
 	var scatterBytes int64
 	for _, m := range g.members[1:g.active] {
@@ -533,54 +480,96 @@ func (g *Group) shardedCommit(nMicro int) error {
 	// shards.
 	g.eachMember(func(_ int, m *member, lo, hi int) {
 		m.BeginStep()
-		if scale != 1 {
-			t0 := g.rec.Now()
-			for st := lo; st < hi; st++ {
-				m.ScaleStage(st, scale)
-			}
-			m.track.Span(trace.NameCommitScale, t0, lo, -1, 0)
-		}
-		t0 := g.rec.Now()
-		for st := lo; st < hi; st++ {
-			m.StepStage(st)
-		}
-		m.track.Span(trace.NameCommitStep, t0, lo, -1, 0)
-		t0 = g.rec.Now()
-		for st := lo; st < hi; st++ {
-			m.FinishStage(st)
-		}
-		m.track.Span(trace.NameCommitFinish, t0, lo, -1, 0)
+		stepShard(m, lo, hi, scale)
 	})
-	// Gather: the inverted broadcast — every member imports each stage
-	// from the owner's post-step state, in stage order, pushing its own
-	// version queue. Owner states are read once, before the fan-out: for
-	// in-process owners that is the same live-tensor read as before, and
-	// for remote owners it fetches the stage exactly once into a stable
-	// buffer that the concurrent importers then only read.
+	// Gather: every member imports each stage from the owner's post-step
+	// state, in stage order, pushing its own version queue. Owner states
+	// are read once, before the fan-out: for in-process owners that is a
+	// live-tensor read, and for remote owners it fetches the stage exactly
+	// once into a stable buffer that the concurrent importers then only
+	// read.
 	t0 = g.rec.Now()
 	states := make([][]*tensor.Tensor, p)
-	var gatherBytes int64
 	for st := 0; st < p; st++ {
-		states[st] = g.members[g.plan.OwnerOf(st)].StageState(st)
-		if g.rec != nil {
-			gatherBytes += tensorsBytes(states[st])
+		g.owners[st] = g.plan.OwnerOf(st)
+		states[st] = g.members[g.owners[st]].StageState(st)
+	}
+	g.takeOver(nMicro, scale, states)
+	var gatherBytes int64
+	if g.rec != nil {
+		for _, st := range states {
+			gatherBytes += tensorsBytes(st)
 		}
 	}
 	g.eachMember(func(i int, m *member, _, _ int) {
 		for st := 0; st < p; st++ {
-			if g.plan.OwnerOf(st) != i && states[st] != nil {
+			if g.owners[st] != i && states[st] != nil {
 				m.ImportStageState(st, states[st])
 			}
 		}
 	})
 	ltk.Span(trace.NameGather, t0, -1, -1, gatherBytes)
 	if m, err := g.firstFault(); m != nil {
-		// Step clocks have advanced and a dead owner's stepped shard is
-		// unrecoverable mid-commit: survivors hold a mix of pre- and
-		// post-step stages. Only a checkpoint restore recovers this.
-		return fmt.Errorf("replica %d: %w", m.id, err)
+		// With fault tolerance every survivor now holds the post-step
+		// state of every stage — the dead member's own shard came from its
+		// fetch or from the takeover — so the minibatch stands; without
+		// it, classify refuses.
+		return g.classify(m, err, false)
 	}
 	return nil
+}
+
+// takeOver finishes, on the leader, the step of every follower of a
+// fault-tolerant group that died after the prepare phase — during scale,
+// step or finish, or while its post-step state was fetched — and makes the
+// leader its shards' owner for the rest of the gather. A member that dies
+// later, during its own import, needs nothing: its shard was fetched.
+//
+// The re-step is bitwise the one the dead owner ran (or would have run),
+// because the leader holds everything that step read: its masters, T2
+// state and mirrored moments of the shard are still pre-step (nothing has
+// been imported yet), its clocks advanced in this commit's BeginStep, the
+// reduced gradient is still in g.scatter, and the clip scale is the one
+// the orchestrator computed. Without fault tolerance the dead owner's
+// moments are gone and nothing is taken over: its stages stay unimported
+// and the commit ends in a plain error.
+func (g *Group) takeOver(nMicro int, scale float64, states [][]*tensor.Tensor) {
+	if !g.ft {
+		return
+	}
+	for i, m := range g.members[1:g.active] {
+		if m.err() == nil {
+			continue
+		}
+		lo, hi := g.plan.Shard(i + 1)
+		for st := lo; st < hi; st++ {
+			g.lead.SetStageGrads(st, g.scatter[st])
+			g.lead.PrepareStage(st, nMicro)
+		}
+		stepShard(g.members[0], lo, hi, scale)
+		for st := lo; st < hi; st++ {
+			g.owners[st] = 0
+			states[st] = g.lead.StageState(st)
+		}
+	}
+}
+
+// stepShard runs the step phases of stages [lo, hi) on m — scale (when the
+// clip scale is not 1), step, finish — each traced on m's collectives
+// track. BeginStep has already advanced m's clocks.
+func stepShard(m *member, lo, hi int, scale float64) {
+	phase := func(name string, stage func(st int)) {
+		t0 := m.track.Now()
+		for st := lo; st < hi; st++ {
+			stage(st)
+		}
+		m.track.Span(name, t0, lo, -1, 0)
+	}
+	if scale != 1 {
+		phase(trace.NameCommitScale, func(st int) { m.ScaleStage(st, scale) })
+	}
+	phase(trace.NameCommitStep, m.StepStage)
+	phase(trace.NameCommitFinish, m.FinishStage)
 }
 
 // eachMember runs fn concurrently for every active member with its

@@ -24,7 +24,7 @@ type fakeMember struct {
 	synced int       // SetStep calls: one per full-state push from the leader
 	folds  [][]float64
 
-	// Sharded-commit recording: per-stage commit-phase call counts and
+	// Commit recording: per-stage commit-phase call counts and
 	// per-stage "state" scalars for the scatter/gather assertions.
 	state      []float64 // per-stage post-step state (stepped by owner, imported elsewhere)
 	prepared   []int
@@ -168,7 +168,6 @@ var _ replica.Leader = (*fakeMember)(nil)
 type fakeLead struct {
 	*fakeMember
 	followers []*fakeMember
-	sharded   bool
 }
 
 // group builds the replica group over the leader and its followers.
@@ -178,7 +177,7 @@ func (f *fakeLead) group(t *testing.T) *replica.Group {
 	for _, m := range f.followers {
 		ms = append(ms, m)
 	}
-	g, err := replica.NewGroup(f.fakeMember, ms, f.sharded, false)
+	g, err := replica.NewGroup(f.fakeMember, ms, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,16 +261,6 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	if got := g.LossSum(); got != wantLoss {
 		t.Fatalf("loss sum %g, want %g", got, wantLoss)
 	}
-
-	g.Broadcast()
-	if lead.synced != 0 {
-		t.Fatal("the leader must not sync from itself")
-	}
-	for i, f := range lead.followers {
-		if f.synced != 1 {
-			t.Fatalf("follower %d synced %d times, want 1", i+1, f.synced)
-		}
-	}
 }
 
 // TestGroupShardedCommitProtocol drives the replica-sharded commit over
@@ -281,10 +270,10 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 // owner; the leader's reduced gradient reaches the owner by pure copy
 // (and leaves the leader's accumulator empty); every member advances its
 // step clock exactly once; every non-owner imports exactly the owner's
-// post-step state; and no full-state broadcast runs.
+// post-step state; and no full-state push runs.
 func TestGroupShardedCommitProtocol(t *testing.T) {
 	const p, r = 5, 3
-	lead := &fakeLead{fakeMember: newFakeMember(p), sharded: true}
+	lead := &fakeLead{fakeMember: newFakeMember(p)}
 	for i := 1; i < r; i++ {
 		lead.followers = append(lead.followers, newFakeMember(p))
 	}
@@ -331,7 +320,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 			t.Fatalf("member %d advanced its step clock %d times, want exactly 1", i, m.beginSteps)
 		}
 		if m.synced != 0 {
-			t.Fatalf("member %d received the full-state broadcast under the sharded commit", i)
+			t.Fatalf("member %d received a full-state push during the commit", i)
 		}
 	}
 	for i, m := range lead.followers {
@@ -345,43 +334,6 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 		if lead.acc[st] != 0 {
 			t.Fatalf("leader still holds %g gradient for scattered stage %d", lead.acc[st], st)
 		}
-	}
-}
-
-// TestGroupSerialCommitBroadcasts pins the non-sharded path: the whole
-// commit runs on the leader and every follower receives the full-state
-// broadcast: each stage imported once, then the step clock set once.
-func TestGroupSerialCommitBroadcasts(t *testing.T) {
-	const p, r = 3, 2
-	lead := &fakeLead{fakeMember: newFakeMember(p)}
-	lead.followers = append(lead.followers, newFakeMember(p))
-	g := lead.group(t)
-	if err := g.Commit(2); err != nil {
-		t.Fatal(err)
-	}
-	for st := 0; st < p; st++ {
-		if lead.prepared[st] != 1 || lead.stepped[st] != 1 || lead.finished[st] != 1 {
-			t.Fatalf("leader stage %d prepare/step/finish = %d/%d/%d, want 1/1/1",
-				st, lead.prepared[st], lead.stepped[st], lead.finished[st])
-		}
-	}
-	if lead.beginSteps != 1 {
-		t.Fatalf("leader advanced its step clock %d times, want 1", lead.beginSteps)
-	}
-	f := lead.followers[0]
-	if f.synced != 1 {
-		t.Fatalf("follower synced %d times, want the full broadcast once", f.synced)
-	}
-	for st := 0; st < p; st++ {
-		if f.imported[st] != 1 || f.state[st] != lead.state[st] {
-			t.Fatalf("follower imported stage %d %d times (state %g), want the leader's %g once", st, f.imported[st], f.state[st], lead.state[st])
-		}
-	}
-	if f.epochSyncs != 0 || f.rings != 0 {
-		t.Fatalf("the per-step broadcast pushed %d epoch clocks and %d rings, want neither", f.epochSyncs, f.rings)
-	}
-	if f.beginSteps != 0 || f.prepared[0] != 0 {
-		t.Fatal("follower must stay inert under the leader-serial commit")
 	}
 }
 

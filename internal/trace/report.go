@@ -16,7 +16,7 @@ type Report struct {
 
 	ComputeNs    int64 // Σ fwd+bwd+recompute span durations
 	CommitNs     int64 // Σ commit:* span durations
-	CollectiveNs int64 // Σ reduce/scatter/gather/broadcast span durations
+	CollectiveNs int64 // Σ reduce/scatter/gather span durations
 	WireNs       int64 // Σ wire-track span durations
 	ControlNs    int64 // Σ control-track span durations (eval, checkpoint writes)
 	BytesMoved   int64 // Σ bytes over collective + wire spans
@@ -108,8 +108,7 @@ func BuildReport(r *Recorder, stageCosts []float64) Report {
 			case t.Tid == TidWire:
 				rep.WireNs += ev.Dur
 				rep.BytesMoved += ev.Bytes
-			case ev.Name == NameReduce || ev.Name == NameScatter ||
-				ev.Name == NameGather || ev.Name == NameBroadcast:
+			case ev.Name == NameReduce || ev.Name == NameScatter || ev.Name == NameGather:
 				rep.CollectiveNs += ev.Dur
 				rep.BytesMoved += ev.Bytes
 			default: // commit:* and anything commit-like on a compute track

@@ -46,7 +46,7 @@ import (
 // so exporters and the Report can classify events by track alone.
 const (
 	TidWorkerBase  = 0   // compute worker w of a replica → tid w
-	TidCollectives = 100 // replica collectives: reduce/scatter/gather/broadcast, sharded commit phases
+	TidCollectives = 100 // replica collectives: reduce/scatter/gather, sharded commit phases
 	TidWire        = 200 // transport round-trips to this replica's remote member
 	TidControl     = 300 // run control: epoch marks, eval, checkpoint, faults
 )
@@ -63,9 +63,12 @@ const (
 	NameCommitStep    = "commit:step"
 	NameCommitFinish  = "commit:finish"
 
-	NameReduce    = "reduce"
-	NameScatter   = "scatter"
-	NameGather    = "gather"
+	NameReduce  = "reduce"
+	NameScatter = "scatter"
+	NameGather  = "gather"
+	// NameBroadcast named the leader-serial commit's state push. Nothing
+	// emits it since that commit was deleted; the benchmark's trace
+	// accounting still reads the name.
 	NameBroadcast = "broadcast"
 
 	NameRetry       = "retry"

@@ -5,9 +5,9 @@
 // loopback (in-process pipes, zero network) and TCP (real sockets with
 // dial retry/backoff and context-aware reads and writes) — and, on top,
 // RemoteMember and Serve, which adapt the wire to the replica.Member
-// surface so replica.Group's tree all-reduce, sharded commit and
-// broadcast run unchanged whether a follower lives in the same process
-// or behind a socket.
+// surface so replica.Group's tree all-reduce, sharded commit and state
+// handoff run unchanged whether a follower lives in the same process or
+// behind a socket.
 //
 // # Wire format
 //
@@ -42,7 +42,7 @@
 // tag), so a tensor round-trips bit-exactly: no formatting, no rounding,
 // no widening. Every
 // collective that moves floats — gradient export, scatter, state gather,
-// broadcast — is therefore the same pure copy it is in process, and the
+// handoff — is therefore the same pure copy it is in process, and the
 // replica layer's determinism argument (all arithmetic at the tree root,
 // in global microbatch order) survives the wire unchanged.
 package transport
@@ -98,9 +98,9 @@ const (
 	MsgFinish    = 11 // leader→worker: FinishStage(stage)
 	MsgGetState  = 12 // leader→worker: read a stage's post-step state
 	MsgState     = 13 // worker→leader: the stage's state tensors
-	MsgSetState  = 14 // leader→worker: import a stage's state (gather/broadcast)
+	MsgSetState  = 14 // leader→worker: import a stage's state (gather/handoff)
 	MsgSyncEpoch = 15 // leader→worker: align the follower's epoch clock
-	MsgSync      = 16 // leader→worker: align the follower's step clock (broadcast tail)
+	MsgSync      = 16 // leader→worker: align the follower's step clock (handoff tail)
 	MsgAck       = 17 // worker→leader: generic success reply
 	MsgErr       = 18 // worker→leader: failure reply (code + text)
 	MsgBye       = 19 // leader→worker: clean shutdown

@@ -74,7 +74,7 @@ func RejectJoin(ctx context.Context, conn MsgConn, reason string) {
 }
 
 // Welcome admits a parked joiner at a minibatch boundary: it sends the
-// full Spec (the joiner's group position, topology, clocks, commit mode)
+// full Spec (the joiner's group position, topology, clocks, fault tolerance)
 // and waits for MsgJoinOK, returning the member proxy ready for the
 // state handoff. The caller parks it in the replica group — which gives
 // it its stable id — and activates it only after the handoff succeeds.

@@ -16,7 +16,7 @@ import (
 // RemoteMember is the leader-side proxy for a follower replica hosted in
 // another process (or another goroutine, over the loopback transport).
 // It implements replica.Remote: the collective surface replica.Group
-// drives for the reduce, sharded commit and broadcast, plus RunChunk, so
+// drives for the reduce, sharded commit and handoff, plus RunChunk, so
 // the group ships the follower's microbatch chunk to the worker as one
 // message — the worker's pipeline slots are not reachable from here.
 // Every replica.Member method but Stages is exactly one request and its

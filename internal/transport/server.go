@@ -15,7 +15,7 @@ import (
 // for the spec the leader announced — typically core.NewFollower over a
 // task the worker rebuilt from the same seed and options as the leader.
 // It runs after MsgHello, so a spec-dependent configuration (replica id,
-// replica count, commit mode, pinned partition costs) needs no worker
+// replica count, fault tolerance, pinned partition costs) needs no worker
 // flags.
 type Builder func(spec Spec) (replica.Local, error)
 

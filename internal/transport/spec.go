@@ -12,7 +12,7 @@ import (
 // worker must agree on for the distributed curves to stay bit-identical
 // to the in-process ones. The worker rebuilds its follower from its own
 // task and options, then verifies the spec — replica identity, topology,
-// method, technique flags, commit mode, clocks, and a checksum over the
+// method, technique flags, clocks, and a checksum over the
 // leader's initial per-stage state — so a seed, partition or
 // configuration mismatch between the processes fails the handshake
 // instead of silently diverging the curves.
@@ -22,7 +22,7 @@ type Spec struct {
 	Stages   int  // resolved pipeline stage count P
 	Method   int  // core.Method the leader trains with
 	T2       bool // whether Technique 2 state (δ, corrected) is part of stage state
-	Sharded  bool // whether the optimizer commit is replica-sharded
+	Sharded  bool // always true: the replica-sharded commit (workers refuse the leader-serial false an older leader sent)
 	Step     int  // leader's optimizer step clock at handshake (0 for a fresh run)
 	Epoch    int  // leader's epoch clock at handshake
 	// Checksum is StateChecksum over the leader's initial per-stage

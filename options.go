@@ -33,8 +33,6 @@ type settings struct {
 	observer     Observer
 	dialers      []transport.Dialer
 	dialTimeout  time.Duration
-	heartbeat    time.Duration // remote-follower liveness cadence
-	heartbeatSet bool
 	joinAt       int          // earliest leader step to join at (JoinFollower)
 	dtype        tensor.DType // element type model state trains in
 }
@@ -264,9 +262,11 @@ func WithEngine(e Engine) Option {
 // WithReplicas sets the data-parallel replica count R (default 1). With
 // R > 1 the task must implement Replicable (CloneTask): the trainer owns
 // R−1 follower replicas, splits each minibatch's microbatches across
-// them, and commits one shared optimizer step after a deterministic
-// gradient all-reduce, so training curves are bit-identical to a
-// single-replica run of the same global batch. R must not exceed the
+// them, and after a deterministic gradient all-reduce commits one shared
+// optimizer step sharded ZeRO-style across them — each replica steps a
+// contiguous shard of the stages against its own optimizer state, and the
+// stepped weights all-gather back — so training curves are bit-identical
+// to a single-replica run of the same global batch. R must not exceed the
 // microbatch count N. The engine must be replica-aware; the default
 // engine for R > 1 is the replicated engine over Reference inners (see
 // NewReplicatedEngine to choose the inner engine).
@@ -280,36 +280,13 @@ func WithReplicas(r int) Option {
 	}
 }
 
-// WithShardedStep enables (true) or disables (false) the ZeRO-style
-// replica-sharded optimizer commit. When sharded, each replica owns a
-// contiguous shard of the pipeline stages, holds optimizer moment state
-// only for that shard (followers allocate nothing else), and steps it
-// locally after the gradient all-reduce; the stepped weights, T2 state
-// and version pushes all-gather back — so the commit tail no longer runs
-// serially on the leader, while curves stay bit-identical to the
-// leader-serial commit and to single-replica runs. Without this option
-// the commit is sharded automatically whenever WithReplicas(R > 1) is set
-// and the optimizer supports sharding (optim.ShardCloner — SGD and AdamW
-// do). WithShardedStep(true) makes that a requirement: building the
-// trainer fails when replicas < 2 or the optimizer cannot shard.
-func WithShardedStep(on bool) Option {
-	return func(s *settings) error {
-		if on {
-			s.cfg.ShardedStep = core.ShardedStepOn
-		} else {
-			s.cfg.ShardedStep = core.ShardedStepOff
-		}
-		return nil
-	}
-}
-
 // WithTransport makes the trainer's follower replicas remote: instead of
 // building R−1 in-process follower trainers, New dials one worker per
 // follower (in replica order — dialer r−1 hosts replica r) and drives it
 // over the wire transport (internal/transport). Each worker must be
 // running ServeFollower with the same task construction and options as
-// the leader; the handshake verifies topology, method, technique flags,
-// commit mode and a checksum over the initial weights, so a mismatch
+// the leader; the handshake verifies topology, method, technique flags
+// and a checksum over the initial weights, so a mismatch
 // fails New instead of silently diverging the curves. Exactly R−1
 // dialers are required; with no WithReplicas option, R = len(dialers)+1
 // is implied. Training curves stay bit-identical to in-process replicas
@@ -343,18 +320,21 @@ func WithDialTimeout(d time.Duration) Option {
 	}
 }
 
-// WithFaultTolerance makes follower failures survivable in every commit
-// mode: each replica mirrors the full optimizer moment state (stage
-// state carries the moments through every gather and broadcast), so
-// when a follower dies mid-run the leader evicts it, rebuilds the
-// reduce tree and commit plan over the survivors, and replays the
-// interrupted minibatch — with a post-eviction curve bit-identical to a
-// fresh run over the surviving replica count from the same state.
-// Serial-commit (WithShardedStep(false)) groups evict without this
-// option; the sharded commit requires it, because without mirrored
-// moments a dead owner's optimizer shard is simply gone. Requires an
-// optimizer exposing its moment state (optim.Stateful — SGD and AdamW
-// do). Implied by WithCheckpoint under the sharded commit.
+// WithFaultTolerance makes follower failures survivable: each replica
+// mirrors the full optimizer moment state (stage state carries the
+// moments through every gather and handoff), so when a follower dies
+// mid-run the leader evicts it and rebuilds the reduce tree and commit
+// plan over the survivors. A death before the commit's prepare phase
+// replays the interrupted minibatch; a later one — mid-step, or while
+// the gather reads or writes its state — has the leader re-step the dead
+// member's shard itself, bitwise as the owner did, and the minibatch
+// stands. Either way the post-eviction curve is bit-identical to a fresh
+// run over the surviving replica count from the same state. Without it a
+// follower holds only its own shard's moments, so a dead follower ends
+// the run with an error naming it. The optimizer must hold the moment
+// state of every parameter (SGD and AdamW from their ordinary
+// constructors do). With R > 1, implied by WithCheckpoint, WithElastic
+// and StragglerDemote.
 func WithFaultTolerance() Option {
 	return func(s *settings) error {
 		s.cfg.FaultTolerant = true
@@ -372,9 +352,8 @@ func WithFaultTolerance() Option {
 // Because the handed-off member is indistinguishable from one that
 // trained from the start, the post-join curve is bit-identical to a
 // fresh (R+1)-replica run from the handoff state. Requires
-// WithReplicas/WithTransport >= 2 (a running group to grow); under the
-// sharded commit it implies WithFaultTolerance, exactly as eviction
-// does.
+// WithReplicas/WithTransport >= 2 (a running group to grow) and implies
+// WithFaultTolerance: admission reshuffles stage ownership.
 func WithElastic() Option {
 	return func(s *settings) error {
 		s.cfg.Elastic = true
@@ -406,8 +385,8 @@ const (
 // time instead of stalling every minibatch, while curves stay
 // bit-identical to a run over the momentarily-smaller membership.
 // StragglerWait (the default) ignores deadline and misses and disables
-// demotion. Under the sharded commit, demotion implies
-// WithFaultTolerance, exactly as eviction does.
+// demotion. With R > 1, demotion implies WithFaultTolerance: readmission
+// reshuffles stage ownership.
 func WithStragglerPolicy(p StragglerPolicy, deadline time.Duration, misses int) Option {
 	return func(s *settings) error {
 		switch p {
@@ -451,7 +430,8 @@ func WithJoinAt(step int) Option {
 // run exactly where the newest valid checkpoint left it: the data order
 // is a pure function of (seed, epoch), so the resumed curve is
 // bit-identical to the uninterrupted run's from that step on. Followers
-// never checkpoint.
+// never checkpoint. With R > 1 it implies WithFaultTolerance: a restore
+// redistributes the leader's full state, moments included.
 func WithCheckpoint(dir string, every int) Option {
 	return func(s *settings) error {
 		if dir == "" {
@@ -472,8 +452,8 @@ func WithCheckpoint(dir string, every int) Option {
 // missed heartbeats as dead — surfacing a hang as a failure the
 // fault-tolerance layer can evict instead of blocking until the context
 // ends. 0 disables liveness detection. Without this option, liveness
-// detection follows WithFaultTolerance: 1s when fault tolerance is on,
-// off otherwise — a run that cannot evict a dead peer gains nothing
+// detection follows fault tolerance — explicit or implied: 1s when it is
+// on, off otherwise — a run that cannot evict a dead peer gains nothing
 // from declaring one, and a heavily oversubscribed host (many
 // in-process workers per core) can starve the ping goroutine past any
 // fixed window. Fault-tolerant runs on such hosts should widen the
@@ -483,8 +463,7 @@ func WithHeartbeat(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("pipemare: heartbeat must be >= 0, got %v", d)
 		}
-		s.heartbeat = d
-		s.heartbeatSet = true
+		s.cfg.Heartbeat = d
 		return nil
 	}
 }
@@ -567,13 +546,6 @@ func New(task Task, opts ...Option) (*Trainer, error) {
 		} else if s.cfg.Replicas != len(s.dialers)+1 {
 			return nil, fmt.Errorf("pipemare: %d transport dialers for %d replicas; WithTransport needs exactly R-1", len(s.dialers), s.cfg.Replicas)
 		}
-		hb := s.heartbeat
-		if !s.heartbeatSet && s.cfg.FaultTolerant {
-			hb = transport.DefaultHeartbeat
-		}
-		// The trainer announces the resolved cadence in every spec it
-		// builds: to the followers dialed here and to mid-run joiners.
-		s.cfg.Heartbeat = hb
 		s.cfg.Followers = remoteFollowers(s.dialers, s.dialTimeout)
 	}
 	tr, err := core.New(task, opt, s.sched, s.cfg)
@@ -593,6 +565,7 @@ func New(task Task, opts ...Option) (*Trainer, error) {
 func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 	s := &settings{}
 	s.cfg.BatchSize = 32
+	s.cfg.Heartbeat = -1 // core.New resolves it once fault tolerance is known
 	for _, o := range opts {
 		if o == nil {
 			return nil, nil, fmt.Errorf("pipemare: nil Option")

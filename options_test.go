@@ -92,40 +92,6 @@ func TestOptionCrossValidation(t *testing.T) {
 	}
 }
 
-// TestWithShardedStepValidation pins the facade validation of the
-// replica-sharded commit: requiring it without replicas (or with an
-// engine that cannot drive replicas at all) must fail, disabling it must
-// fall back to the leader-serial commit, and the default engages it for
-// R > 1 with a shardable optimizer.
-func TestWithShardedStepValidation(t *testing.T) {
-	if _, err := pipemare.New(newOptionProbeTask(),
-		pipemare.WithShardedStep(true)); err == nil ||
-		!strings.Contains(err.Error(), "replicas") {
-		t.Fatalf("WithShardedStep(true) without WithReplicas: err = %v", err)
-	}
-	if _, err := pipemare.New(newOptionProbeTask(),
-		pipemare.WithReplicas(2), pipemare.WithShardedStep(true),
-		pipemare.WithEngine(pipemare.NewReferenceEngine())); err == nil ||
-		!strings.Contains(err.Error(), "replica-aware") {
-		t.Fatalf("sharded step atop a non-replica-aware engine: err = %v", err)
-	}
-	tr, err := pipemare.New(newOptionProbeTask(),
-		pipemare.WithReplicas(2), pipemare.WithShardedStep(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.ShardedStep() {
-		t.Fatal("WithShardedStep(false) did not disable the sharded commit")
-	}
-	tr, err = pipemare.New(newOptionProbeTask(), pipemare.WithReplicas(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.ShardedStep() {
-		t.Fatal("default (auto) did not shard the commit for R=2 with momentum SGD")
-	}
-}
-
 func TestWithPartitionConfiguresTrainer(t *testing.T) {
 	tr, err := pipemare.New(newOptionProbeTask(),
 		pipemare.WithStages(2),

@@ -66,7 +66,7 @@ func TestTracedRunsMatchReference(t *testing.T) {
 		rec := pipemare.NewTraceRecorder()
 		opts := append(append([]pipemare.Option{}, base...),
 			pipemare.WithTrace(rec),
-			pipemare.WithReplicas(2), pipemare.WithShardedStep(true),
+			pipemare.WithReplicas(2),
 			pipemare.WithEngine(replicatedEngine("reference")))
 		got := runCurve(t, build, 3, 2, opts...)
 		requireIdentical(t, "traced/replicated", ref, got)
@@ -80,7 +80,7 @@ func TestTracedRunsMatchReference(t *testing.T) {
 		rec := pipemare.NewTraceRecorder()
 		leaderOpts := append(append([]pipemare.Option{}, base...),
 			pipemare.WithTrace(rec),
-			pipemare.WithReplicas(2), pipemare.WithShardedStep(true),
+			pipemare.WithReplicas(2),
 			pipemare.WithEngine(replicatedEngine("reference")),
 			pipemare.WithTransport(dialers...))
 		tr, err := pipemare.New(build(), leaderOpts...)

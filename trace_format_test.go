@@ -18,7 +18,7 @@ func TestChromeTraceFormat(t *testing.T) {
 	rec := pipemare.NewTraceRecorder()
 	opts := append(append([]pipemare.Option{}, base...),
 		pipemare.WithTrace(rec),
-		pipemare.WithReplicas(2), pipemare.WithShardedStep(true),
+		pipemare.WithReplicas(2),
 		pipemare.WithEngine(replicatedEngine("reference")))
 	runCurve(t, build, 2, 2, opts...)
 

@@ -49,7 +49,7 @@ func DialTCP(addr string) Dialer { return transport.NewTCPDialer(addr) }
 // or ctx ends. A clean goodbye returns nil.
 //
 // The leader's handshake fixes the follower's replica id, replica count
-// and commit mode, so the same worker invocation serves any slot; a
+// and fault tolerance, so the same worker invocation serves any slot; a
 // WithEngine option selects the engine that drives the worker's
 // microbatch chunks (default Reference). WithTransport is a leader
 // option and is rejected here.
@@ -71,7 +71,9 @@ func ServeFollower(ctx context.Context, lis Listener, task Task, opts ...Option)
 // followerBuilder is the transport.Builder ServeFollower and
 // JoinFollower share: rebuild the local follower trainer from the
 // leader's announced spec, adopting the leader's resolved fault
-// tolerance, commit mode and partition costs.
+// tolerance and partition costs. A spec announcing the leader-serial
+// commit (Sharded false), which only an older leader can send, is refused:
+// this worker trains the replica-sharded commit only.
 func followerBuilder(task Task, s *settings, opt Optimizer) transport.Builder {
 	return func(spec transport.Spec) (replica.Local, error) {
 		fcfg := s.cfg
@@ -83,10 +85,8 @@ func followerBuilder(task Task, s *settings, opt Optimizer) transport.Builder {
 		fcfg.FaultTolerant = spec.FT
 		fcfg.CheckpointDir = ""
 		fcfg.Elastic = false // joining and accepting joins are disjoint roles
-		if spec.Sharded {
-			fcfg.ShardedStep = core.ShardedStepOn
-		} else {
-			fcfg.ShardedStep = core.ShardedStepOff
+		if !spec.Sharded {
+			return nil, fmt.Errorf("leader trains the leader-serial commit; this worker serves the replica-sharded commit only")
 		}
 		if got := int(fcfg.Method); got != spec.Method {
 			return nil, fmt.Errorf("worker trains method %d, leader method %d", got, spec.Method)

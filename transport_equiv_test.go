@@ -45,7 +45,7 @@ func startWorkers(t *testing.T, n int, build func() pipemare.Task, opts func() [
 }
 
 // transportGrid pins satellite coverage for the wire transport: for
-// R ∈ {2, 4} replicas × both inner engines × both commit modes, a leader
+// R ∈ {2, 4} replicas × both inner engines, a leader
 // whose followers live behind the loopback wire — every collective
 // crossing a serialization boundary — must train the all-techniques DNN
 // bit-identically to a single-replica Reference run. The worker processes
@@ -63,42 +63,40 @@ func TestTransportLoopbackMatchesReference(t *testing.T) {
 	rs, inners := replicaGrid()
 	for _, r := range rs {
 		for _, inner := range inners {
-			for _, sharded := range []bool{false, true} {
-				name := fmt.Sprintf("loopback/R=%d/%s/sharded=%t", r, inner, sharded)
-				workerOpts := func() []pipemare.Option {
-					o := append([]pipemare.Option{}, base...)
-					if inner == "concurrent" {
-						o = append(o, pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(2))))
-					}
-					return o
+			name := fmt.Sprintf("loopback/R=%d/%s", r, inner)
+			workerOpts := func() []pipemare.Option {
+				o := append([]pipemare.Option{}, base...)
+				if inner == "concurrent" {
+					o = append(o, pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(2))))
 				}
-				dialers, kill, wait := startWorkers(t, r-1, build, workerOpts)
-				leaderOpts := append(append([]pipemare.Option{}, base...),
-					pipemare.WithReplicas(r), pipemare.WithShardedStep(sharded),
-					pipemare.WithEngine(replicatedEngine(inner)),
-					pipemare.WithTransport(dialers...))
-				tr, err := pipemare.New(build(), leaderOpts...)
-				if err != nil {
-					kill()
-					t.Fatalf("%s: %v", name, err)
-				}
-				if tr.Replicas() != r {
-					t.Fatalf("%s: trainer owns %d replicas, want %d", name, tr.Replicas(), r)
-				}
-				got, err := tr.Run(context.Background(), 3)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := tr.Close(); err != nil {
-					t.Fatalf("%s: close: %v", name, err)
-				}
-				for i, werr := range wait() {
-					if werr != nil {
-						t.Fatalf("%s: worker %d: %v", name, i+1, werr)
-					}
-				}
-				requireIdentical(t, name, ref, got)
+				return o
 			}
+			dialers, kill, wait := startWorkers(t, r-1, build, workerOpts)
+			leaderOpts := append(append([]pipemare.Option{}, base...),
+				pipemare.WithReplicas(r),
+				pipemare.WithEngine(replicatedEngine(inner)),
+				pipemare.WithTransport(dialers...))
+			tr, err := pipemare.New(build(), leaderOpts...)
+			if err != nil {
+				kill()
+				t.Fatalf("%s: %v", name, err)
+			}
+			if tr.Replicas() != r {
+				t.Fatalf("%s: trainer owns %d replicas, want %d", name, tr.Replicas(), r)
+			}
+			got, err := tr.Run(context.Background(), 3)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatalf("%s: close: %v", name, err)
+			}
+			for i, werr := range wait() {
+				if werr != nil {
+					t.Fatalf("%s: worker %d: %v", name, i+1, werr)
+				}
+			}
+			requireIdentical(t, name, ref, got)
 		}
 	}
 }

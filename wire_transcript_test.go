@@ -126,38 +126,12 @@ var wireTranscripts = map[string]string{
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
 		19/-1/0
 	`,
-	"serial/plain/follower": `
-		1/-1/75
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		19/-1/0
-	`,
-	"serial/join/joiner": `
-		23/-1/75 15/-1/4 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4 21/0/95 21/1/95 21/2/95 21/3/95
-		3/-1/25 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		19/-1/0
-	`,
-	"serial/join/follower": `
-		1/-1/75
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		3/-1/33 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		19/-1/0
-	`,
-	"serial/restore/follower": `
-		1/-1/75 15/-1/4 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4 21/0/124 21/1/124 21/2/124 21/3/124
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		3/-1/41 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4
-		19/-1/0
-	`,
 }
 
 // TestWireTranscript pins the leader's side of the session protocol: for
-// an R=2 loopback run of three optimizer steps — sharded and serial
-// commit, each plain, with a third replica joining by live handoff at
-// step 2, and resumed from a checkpoint — the messages the leader sends
+// an R=2 loopback run of three optimizer steps — plain, with a third
+// replica joining by live handoff at step 2, and resumed from a
+// checkpoint — the messages the leader sends
 // each follower are the recorded ones: same types, order, stages and
 // payload lengths. An old worker serves a new leader exactly when this
 // holds, and internal/faults scripts, which count messages by type, keep
@@ -175,62 +149,96 @@ func TestWireTranscript(t *testing.T) {
 			t.Errorf("%s: the leader sent\n%s\nwant\n%s", name, strings.Join(got, " "), strings.Join(want, " "))
 		}
 	}
-	for _, sharded := range []bool{true, false} {
-		mode := "serial"
-		if sharded {
-			mode = "sharded"
-		}
-		for _, kind := range []string{"plain", "join", "restore"} {
-			t.Run(mode+"/"+kind, func(t *testing.T) {
-				follower, joiner := &wireLog{}, &wireLog{}
-				dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
-				dialers[0] = logDialer{dialers[0], follower}
-				opts := with(pipemare.WithReplicas(2), pipemare.WithShardedStep(sharded),
-					pipemare.WithTransport(dialers...))
-				var tr *pipemare.Trainer
-				var err error
-				var jwait func() error
-				switch kind {
-				case "plain":
-					tr, err = pipemare.New(build(), opts...)
-				case "join":
-					tr, err = pipemare.New(build(), append(opts, pipemare.WithElastic())...)
-					if err == nil {
-						var jlis pipemare.Listener
-						jlis, jwait = startJoiner(t, build, with(pipemare.WithJoinAt(2)))
-						acceptAndPark(t, tr, logListener{jlis, joiner})
-					}
-				case "restore":
-					// The head of the run: one epoch on a single replica,
-					// checkpointed every step. The resumed R=2 run pushes
-					// the restored state to its follower, then trains on.
-					dir := t.TempDir()
-					runCurve(t, build, 1, 1, with(pipemare.WithCheckpoint(dir, 1))...)
-					tr, err = pipemare.Restore(dir, build(), append(opts, pipemare.WithCheckpoint(dir, 1))...)
+	for _, kind := range []string{"plain", "join", "restore"} {
+		t.Run("sharded/"+kind, func(t *testing.T) {
+			follower, joiner := &wireLog{}, &wireLog{}
+			dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
+			dialers[0] = logDialer{dialers[0], follower}
+			opts := with(pipemare.WithReplicas(2), pipemare.WithTransport(dialers...))
+			var tr *pipemare.Trainer
+			var err error
+			var jwait func() error
+			switch kind {
+			case "plain":
+				tr, err = pipemare.New(build(), opts...)
+			case "join":
+				tr, err = pipemare.New(build(), append(opts, pipemare.WithElastic())...)
+				if err == nil {
+					var jlis pipemare.Listener
+					jlis, jwait = startJoiner(t, build, with(pipemare.WithJoinAt(2)))
+					acceptAndPark(t, tr, logListener{jlis, joiner})
 				}
-				if err != nil {
-					t.Fatal(err)
+			case "restore":
+				// The head of the run: one epoch on a single replica,
+				// checkpointed every step. The resumed R=2 run pushes the
+				// restored state to its follower, then trains on.
+				dir := t.TempDir()
+				runCurve(t, build, 1, 1, with(pipemare.WithCheckpoint(dir, 1))...)
+				tr, err = pipemare.Restore(dir, build(), append(opts, pipemare.WithCheckpoint(dir, 1))...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Run(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if jwait != nil {
+				if err := jwait(); err != nil {
+					t.Fatalf("joiner: %v", err)
 				}
-				if _, err := tr.Run(context.Background(), 1); err != nil {
-					t.Fatal(err)
+				check("sharded/join/joiner", joiner)
+			}
+			for i, werr := range wait() {
+				if werr != nil {
+					t.Fatalf("worker %d: %v", i+1, werr)
 				}
-				if err := tr.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if jwait != nil {
-					if err := jwait(); err != nil {
-						t.Fatalf("joiner: %v", err)
-					}
-					check(mode+"/join/joiner", joiner)
-				}
-				for i, werr := range wait() {
-					if werr != nil {
-						t.Fatalf("worker %d: %v", i+1, werr)
-					}
-				}
-				check(mode+"/"+kind+"/follower", follower)
-			})
-		}
+			}
+			check("sharded/"+kind+"/follower", follower)
+		})
+	}
+}
+
+// TestWorkerRefusesLeaderSerialCommit pins the one commit on the wire: a
+// Hello or Welcome announcing the leader-serial commit (Spec.Sharded
+// false — what a leader built before that commit was deleted could send)
+// is refused at the handshake with an error saying why, never trained
+// with a commit the worker no longer runs.
+func TestWorkerRefusesLeaderSerialCommit(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 24, 8, 47) }
+	base := ftBase()
+	ctx := context.Background()
+	spec := transport.Spec{Replica: 1, Replicas: 2, Stages: 4, Method: int(pipemare.PipeMare), T2: true}
+	const why = "leader-serial"
+
+	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
+	conn, err := dialers[0].Dial(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.NewRemoteMember(ctx, conn, spec); err == nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("hello with Sharded=false: err = %v, want a refusal naming the %s commit", err, why)
+	}
+	conn.Close()
+	if errs := wait(); errs[0] == nil || !strings.Contains(errs[0].Error(), why) {
+		t.Fatalf("worker: err = %v, want a handshake refusal", errs[0])
+	}
+
+	jlis, jwait := startJoiner(t, build, base)
+	if conn, err = jlis.Accept(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.AcceptJoin(ctx, conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.Welcome(ctx, conn, spec); err == nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("welcome with Sharded=false: err = %v, want a refusal naming the %s commit", err, why)
+	}
+	conn.Close()
+	if err := jwait(); err == nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("joiner: err = %v, want a join refusal", err)
 	}
 }
 
@@ -253,7 +261,7 @@ func TestCheckpointSectionsAreHandoffPayloads(t *testing.T) {
 	joiner := &wireLog{}
 	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
 	jlis, jwait := startJoiner(t, build, with(pipemare.WithJoinAt(2)))
-	tr, err := pipemare.New(build(), with(pipemare.WithReplicas(2), pipemare.WithShardedStep(true),
+	tr, err := pipemare.New(build(), with(pipemare.WithReplicas(2),
 		pipemare.WithFaultTolerance(), pipemare.WithElastic(), pipemare.WithCheckpoint(dir, 1),
 		pipemare.WithTransport(dialers...))...)
 	if err != nil {
