@@ -20,7 +20,7 @@ func smallTranslation() *data.Translation {
 }
 
 func learnableTranslation() *data.Translation {
-	return data.NewTranslation(data.TranslationConfig{Vocab: 13, SrcLen: 6, Train: 1024, Test: 64, Seed: 2})
+	return data.NewTranslation(data.TranslationConfig{Vocab: 13, SrcLen: 6, Train: 1024, Test: 100, Seed: 2})
 }
 
 // pass drives a task's program over one machine the way a two-stage
@@ -235,6 +235,11 @@ func TestTranslationLearnsAndBLEUImproves(t *testing.T) {
 	if after < 15 {
 		t.Fatalf("BLEU after training = %.1f, task should be learnable", after)
 	}
+	// The trained model decodes varied tokens: the K/V-cached decode must
+	// match the full-recompute oracle on it, as trained and cast to float32.
+	checkCachedDecode(t, tr)
+	tr.SetDType(tensor.Float32)
+	checkCachedDecode(t, tr)
 }
 
 func TestTrimEOS(t *testing.T) {

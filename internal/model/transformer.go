@@ -197,54 +197,60 @@ func (t *Translation) BindMicro(m *nn.Machine, idx []int) {
 func (t *Translation) NumTrain() int { return t.ds.TrainSrc.Shape[0] }
 
 // EvalTest greedy-decodes the test set and returns corpus BLEU against the
-// reference translations (content tokens up to EOS). The encoder section
-// of the program runs once per chunk on one machine; the decoder section
-// re-runs per decoding step on a second machine with the memory register
-// re-bound, so the encoder memory stays valid across steps.
+// reference translations (content tokens up to EOS). Per chunk of test
+// pairs, the encoder section of the program runs once on one machine;
+// then each greedy step runs the decoder section on a second machine for
+// one new row per pair (nn.Program.DecodeStep): its input is the previous
+// step's tokens, and the cross-attention keys and values of the encoder
+// memory and the self-attention keys and values of earlier positions come
+// from that machine's K/V cache. The logits are bit-identical to
+// re-running the decoder over every position at every step.
 func (t *Translation) EvalTest() float64 {
+	var cands, refs [][]int
+	t.evalChunks(func(idx []int, mem *tensor.Tensor) {
+		b := len(idx)
+		toks := tensor.New(b, 1) // dataset-style float64 token ids
+		ids := tensor.F64(toks)
+		for i := range ids {
+			ids[i] = data.BOS
+		}
+		pred := make([][]int, b)
+		for pos := 0; pos < t.ds.TgtLen; pos++ {
+			t.decM.ResetRun()
+			t.decM.SetVal(t.rMem, mem)
+			t.decM.SetVal(t.rDst, toks)
+			t.prog.DecodeStep(t.decM, t.encEnd, t.lossAt, t.rDst, pos)
+			logits := t.decM.Val(t.rLogits)
+			for i := range ids {
+				tok := logits.ArgMaxRow(i)
+				pred[i] = append(pred[i], tok)
+				ids[i] = float64(tok)
+			}
+		}
+		for i, ix := range idx {
+			cands = append(cands, trimEOS(pred[i]))
+			refs = append(refs, trimEOS(t.ds.TestLbl[ix]))
+		}
+	})
+	return bleu.Corpus(cands, refs)
+}
+
+// evalChunks runs the encoder section over the test set in chunks of up
+// to 64 pairs, calling fn with each chunk's indices and encoder memory
+// (valid until the next chunk).
+func (t *Translation) evalChunks(fn func(idx []int, mem *tensor.Tensor)) {
 	n := t.ds.TestSrc.Shape[0]
 	const chunk = 64
-	var cands, refs [][]int
 	for s := 0; s < n; s += chunk {
-		e := s + chunk
-		if e > n {
-			e = n
-		}
-		idx := make([]int, e-s)
+		idx := make([]int, min(chunk, n-s))
 		for i := range idx {
 			idx[i] = s + i
 		}
 		t.encM.ResetRun()
 		t.encM.SetVal(t.rSrc, gatherRowsTape(&t.encM.Tape, t.ds.TestSrc, idx))
 		t.prog.ForwardRange(t.encM, 0, t.encEnd)
-		mem := t.encM.Val(t.rMem)
-		b := len(idx)
-		dstT := tensor.New(b, t.ds.TgtLen)
-		dst := tensor.F64(dstT)
-		for i := 0; i < b; i++ {
-			dst[i*t.ds.TgtLen] = data.BOS
-		}
-		pred := make([][]int, b)
-		for step := 0; step < t.ds.TgtLen; step++ {
-			t.decM.ResetRun()
-			t.decM.SetVal(t.rMem, mem)
-			t.decM.SetVal(t.rDst, dstT)
-			t.prog.ForwardRange(t.decM, t.encEnd, t.lossAt)
-			logits := t.decM.Val(t.rLogits)
-			for i := 0; i < b; i++ {
-				tok := logits.ArgMaxRow(i*t.ds.TgtLen + step)
-				pred[i] = append(pred[i], tok)
-				if step+1 < t.ds.TgtLen {
-					dst[i*t.ds.TgtLen+step+1] = float64(tok)
-				}
-			}
-		}
-		for i := 0; i < b; i++ {
-			cands = append(cands, trimEOS(pred[i]))
-			refs = append(refs, trimEOS(t.ds.TestLbl[idx[i]]))
-		}
+		fn(idx, t.encM.Val(t.rMem))
 	}
-	return bleu.Corpus(cands, refs)
 }
 
 // trimEOS cuts a token sequence at the first EOS (exclusive).

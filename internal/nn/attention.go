@@ -37,37 +37,48 @@ func NewAttnCore(d, heads, qLen, kLen int, causal bool) *AttnCore {
 	return &AttnCore{Heads: heads, D: d, QLen: qLen, KLen: kLen, Causal: causal}
 }
 
-// Forward computes softmax(q·kᵀ/√dk)·v per (batch, head): each pair writes
-// its own probs row and its own (head-column) block of y, through one
-// scratch set from the tape.
+// Forward computes softmax(q·kᵀ/√dk)·v per (batch, head) over the full
+// QLen×KLen score matrix of every sequence.
 func (a *AttnCore) Forward(t *Tape, q, k, v *tensor.Tensor) *tensor.Tensor {
-	batch := q.Shape[0] / a.QLen
+	y, probs := a.attend(t, q, k, v, a.QLen, a.KLen, a.KLen)
+	t.Push(attnState{q.Shape[0] / a.QLen, q, k, v, probs})
+	return y
+}
+
+// attend is the attention loop of Forward and of the decode step: per
+// (batch, head) pair, the sequence's qLen query rows attend over its
+// first kLen key/value rows, whose sequences start kStride rows apart in
+// k and v. Each pair writes its own probs row and its own (head-column)
+// block of y, through one scratch set from the tape. A causal core lets
+// query i see keys j ≤ i + kLen − qLen: the last query row sits at the
+// last key row's position.
+func (a *AttnCore) attend(t *Tape, q, k, v *tensor.Tensor, qLen, kLen, kStride int) (y, probs *tensor.Tensor) {
+	batch := q.Shape[0] / qLen
 	dk := a.D / a.Heads
 	scale := 1 / math.Sqrt(float64(dk))
-	y := t.NewTensor(batch*a.QLen, a.D)
-	probs := t.NewTensor(batch*a.Heads, a.QLen*a.KLen)
-	s := t.NewTensor(a.QLen, a.KLen)
-	qh, kh, vh := t.NewTensor(a.QLen, dk), t.NewTensor(a.KLen, dk), t.NewTensor(a.KLen, dk)
-	yh := t.NewTensor(a.QLen, dk)
+	y = t.NewTensor(batch*qLen, a.D)
+	probs = t.NewTensor(batch*a.Heads, qLen*kLen)
+	s := t.NewTensor(qLen, kLen)
+	qh, kh, vh := t.NewTensor(qLen, dk), t.NewTensor(kLen, dk), t.NewTensor(kLen, dk)
+	yh := t.NewTensor(qLen, dk)
 	for idx := 0; idx < batch*a.Heads; idx++ {
 		b, h := idx/a.Heads, idx%a.Heads
-		a.sliceHead(qh, q, b, h, a.QLen)
-		a.sliceHead(kh, k, b, h, a.KLen)
-		a.sliceHead(vh, v, b, h, a.KLen)
+		a.sliceHead(qh, q, b, h, qLen, qLen)
+		a.sliceHead(kh, k, b, h, kLen, kStride)
+		a.sliceHead(vh, v, b, h, kLen, kStride)
 		tensor.MatMulT2Into(s, qh, kh)
 		if s.DType() == tensor.Float32 {
-			attnScaleMask(tensor.F32(s), scale, a.Causal, a.QLen, a.KLen)
+			attnScaleMask(tensor.F32(s), scale, a.Causal, qLen, kLen)
 		} else {
-			attnScaleMask(tensor.F64(s), scale, a.Causal, a.QLen, a.KLen)
+			attnScaleMask(tensor.F64(s), scale, a.Causal, qLen, kLen)
 		}
-		p := probs.RowView(idx, a.QLen, a.KLen)
+		p := probs.RowView(idx, qLen, kLen)
 		tensor.SoftmaxRowsInto(p, s)
 		yh.Zero()
 		tensor.MatMulInto(yh, p, vh)
-		a.scatterHead(y, yh, b, h, a.QLen)
+		a.scatterHead(y, yh, b, h, qLen)
 	}
-	t.Push(attnState{batch, q, k, v, probs})
-	return y
+	return y, probs
 }
 
 // attnScaleMask scales the score matrix in the dtype's native precision
@@ -80,7 +91,7 @@ func attnScaleMask[T tensor.Elem](s []T, scale float64, causal bool, qLen, kLen 
 	if causal {
 		ninf := T(math.Inf(-1))
 		for i := 0; i < qLen; i++ {
-			for j := i + 1; j < kLen; j++ {
+			for j := i + kLen - qLen + 1; j < kLen; j++ {
 				s[i*kLen+j] = ninf
 			}
 		}
@@ -103,10 +114,10 @@ func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tens
 	for idx := 0; idx < st.batch*a.Heads; idx++ {
 		b, h := idx/a.Heads, idx%a.Heads
 		p := st.probs.RowView(idx, a.QLen, a.KLen)
-		a.sliceHead(qh, st.q, b, h, a.QLen)
-		a.sliceHead(kh, st.k, b, h, a.KLen)
-		a.sliceHead(vh, st.v, b, h, a.KLen)
-		a.sliceHead(dyh, dy, b, h, a.QLen)
+		a.sliceHead(qh, st.q, b, h, a.QLen, a.QLen)
+		a.sliceHead(kh, st.k, b, h, a.KLen, a.KLen)
+		a.sliceHead(vh, st.v, b, h, a.KLen, a.KLen)
+		a.sliceHead(dyh, dy, b, h, a.QLen, a.QLen)
 		dvh.Zero()
 		tensor.MatMulT1Into(dvh, p, dyh)
 		tensor.MatMulT2Into(dp, dyh, vh)
@@ -141,19 +152,19 @@ func attnSoftmaxBwd[T tensor.Elem](ds, dp, p []T, qLen, kLen int, scale float64)
 	}
 }
 
-// sliceHead copies the (seqLen, dk) block for batch b and head h out of a
-// (B*seqLen, D) activation.
-func (a *AttnCore) sliceHead(dst, x *tensor.Tensor, b, h, seqLen int) {
+// sliceHead copies the (rows, dk) block for batch b and head h out of a
+// (B*stride, D) activation whose sequences start stride rows apart.
+func (a *AttnCore) sliceHead(dst, x *tensor.Tensor, b, h, rows, stride int) {
 	if x.DType() == tensor.Float32 {
-		sliceHead(tensor.F32(dst), tensor.F32(x), b, h, seqLen, a.D, a.D/a.Heads)
+		sliceHead(tensor.F32(dst), tensor.F32(x), b, h, rows, stride, a.D, a.D/a.Heads)
 	} else {
-		sliceHead(tensor.F64(dst), tensor.F64(x), b, h, seqLen, a.D, a.D/a.Heads)
+		sliceHead(tensor.F64(dst), tensor.F64(x), b, h, rows, stride, a.D, a.D/a.Heads)
 	}
 }
 
-func sliceHead[T tensor.Elem](dst, x []T, b, h, seqLen, d, dk int) {
-	for ti := 0; ti < seqLen; ti++ {
-		src := x[(b*seqLen+ti)*d+h*dk:]
+func sliceHead[T tensor.Elem](dst, x []T, b, h, rows, stride, d, dk int) {
+	for ti := 0; ti < rows; ti++ {
+		src := x[(b*stride+ti)*d+h*dk:]
 		copy(dst[ti*dk:(ti+1)*dk], src[:dk])
 	}
 }

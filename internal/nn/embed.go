@@ -123,19 +123,25 @@ func NewPositionalEncoding(name string, seqLen, d int, rng *rand.Rand) *Position
 
 // Forward adds the position embedding row-cyclically.
 func (p *PositionalEncoding) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
+	return p.forwardRows(t, x, 0, p.SeqLen)
+}
+
+// forwardRows adds position off + i%rows to row i: Forward is (0, SeqLen);
+// a decode step, one row per sequence, is (pos, 1).
+func (p *PositionalEncoding) forwardRows(t *Tape, x *tensor.Tensor, off, rows int) *tensor.Tensor {
 	n, d := x.Shape[0], x.Shape[1]
 	out := t.NewTensor(n, d)
 	if x.DType() == tensor.Float32 {
-		peFwd(tensor.F32(out), tensor.F32(x), tensor.F32(p.W.Data), n, d, p.SeqLen)
+		peFwd(tensor.F32(out), tensor.F32(x), tensor.F32(p.W.Data), n, d, off, rows)
 	} else {
-		peFwd(tensor.F64(out), tensor.F64(x), tensor.F64(p.W.Data), n, d, p.SeqLen)
+		peFwd(tensor.F64(out), tensor.F64(x), tensor.F64(p.W.Data), n, d, off, rows)
 	}
 	return out
 }
 
-func peFwd[T tensor.Elem](out, x, w []T, n, d, seqLen int) {
+func peFwd[T tensor.Elem](out, x, w []T, n, d, off, rows int) {
 	for i := 0; i < n; i++ {
-		ti := i % seqLen
+		ti := off + i%rows
 		for j := 0; j < d; j++ {
 			out[i*d+j] = x[i*d+j] + w[ti*d+j]
 		}

@@ -87,6 +87,59 @@ func (pr *Program) BackwardRange(m *Machine, lo, hi int) {
 	}
 }
 
+// DecodeStep runs ops [lo, hi) of a causal decoder for greedy step pos on
+// one new row per sequence. Register in holds the step's (B, 1) token ids,
+// and every op downstream of it computes B rows: row b is sequence b at
+// position pos. An op not downstream of in projects per-sequence context
+// (an encoder memory): it runs at pos 0 only, into the machine's K/V
+// cache, where the cross-attention cores read it and the causal cores
+// keep the keys and values of the positions before pos.
+//
+// Each output row equals row b·L+pos (L the decoder length) of
+// ForwardRange over the whole sequences, bit for bit: the GEMM
+// accumulates every element from zero in ascending order whatever the
+// rows beside it, and a masked attention term is exp(−∞) = 0, which
+// leaves the softmax sum and the probability-weighted value sum unchanged.
+//
+// Before each step reset m and bind in, plus at pos 0 the context
+// registers; the K/V cache survives ResetRun until the next pos 0.
+func (pr *Program) DecodeStep(m *Machine, lo, hi int, in Reg, pos int) {
+	if pos == 0 {
+		if m.kv == nil {
+			m.kv = make([]*tensor.Tensor, len(m.regs))
+		}
+		m.kvTape.SetDType(m.Tape.dt)
+		m.kvTape.Reset()
+	}
+	step := make([]bool, pr.NumRegs) // registers holding this step's B rows
+	step[in] = true
+	for _, op := range pr.Ops[lo:hi] {
+		switch o := op.(type) {
+		case *ApplyOp:
+			if !step[o.In] { // a projection of the context
+				if pos == 0 {
+					m.kv[o.Out] = o.L.Forward(&m.kvTape, m.Val(o.In))
+				}
+				continue
+			}
+			if pe, ok := o.L.(*PositionalEncoding); ok {
+				m.SetVal(o.Out, pe.forwardRows(&m.Tape, m.Val(o.In), pos, 1))
+			} else {
+				o.Forward(m)
+			}
+			step[o.Out] = true
+		case *AddOp:
+			o.Forward(m)
+			step[o.Out] = true
+		case *AttnCoreOp:
+			o.decode(m, pos)
+			step[o.Out] = true
+		default:
+			panic(fmt.Sprintf("nn: DecodeStep cannot run %T", op))
+		}
+	}
+}
+
 // Machine is the per-microbatch execution state of a Program: the forward
 // register file, the gradient registers and the activation tape. One
 // machine serves one in-flight microbatch; the pipeline hands it from
@@ -97,6 +150,11 @@ type Machine struct {
 	grads  []*tensor.Tensor
 	Labels []int   // loss-op labels, bound per microbatch
 	Loss   float64 // written by the loss op
+
+	// DecodeStep's K/V cache, by register, and its arena: reset at pos 0,
+	// kept across ResetRun.
+	kv     []*tensor.Tensor
+	kvTape Tape
 }
 
 // NewMachine returns a machine with room for the program's registers.
@@ -206,6 +264,29 @@ type AttnCoreOp struct {
 // Forward runs scaled dot-product attention over the projected inputs.
 func (o *AttnCoreOp) Forward(m *Machine) {
 	m.SetVal(o.Out, o.Core.Forward(&m.Tape, m.Val(o.Q), m.Val(o.K), m.Val(o.V)))
+}
+
+// decode runs the core for DecodeStep: the B step queries, one per
+// sequence, attend over keys and values in the machine's K/V cache. A
+// causal core stores its step rows there as position pos of each sequence
+// and attends over positions ≤ pos; a cross core attends over the whole
+// context projected at pos 0.
+func (o *AttnCoreOp) decode(m *Machine, pos int) {
+	a, q := o.Core, m.Val(o.Q)
+	b, kLen := q.Shape[0], a.KLen
+	if a.Causal {
+		if pos == 0 {
+			m.kv[o.K], m.kv[o.V] = m.kvTape.NewTensor(b*a.KLen, a.D), m.kvTape.NewTensor(b*a.KLen, a.D)
+		}
+		k, v := m.Val(o.K), m.Val(o.V)
+		for i := 0; i < b; i++ {
+			tensor.CopyRange(m.kv[o.K], (i*a.KLen+pos)*a.D, k, i*a.D, a.D)
+			tensor.CopyRange(m.kv[o.V], (i*a.KLen+pos)*a.D, v, i*a.D, a.D)
+		}
+		kLen = pos + 1
+	}
+	y, _ := a.attend(&m.Tape, q, m.kv[o.K], m.kv[o.V], 1, kLen, a.KLen)
+	m.SetVal(o.Out, y)
 }
 
 // Backward propagates to the query, key and value registers.

@@ -18,7 +18,9 @@ type Report struct {
 	CommitNs     int64 // Σ commit:* span durations
 	CollectiveNs int64 // Σ reduce/scatter/gather span durations
 	WireNs       int64 // Σ wire-track span durations
-	ControlNs    int64 // Σ control-track span durations (eval, checkpoint writes)
+	ControlNs    int64 // Σ control-track span durations: EvalNs + CkptNs + handoffs
+	EvalNs       int64 // Σ eval span durations (the per-epoch test metric)
+	CkptNs       int64 // Σ checkpoint:write span durations
 	BytesMoved   int64 // Σ bytes over collective + wire spans
 
 	WorkerTracks int // tracks that executed at least one compute span
@@ -76,14 +78,21 @@ func BuildReport(r *Recorder, stageCosts []float64) Report {
 	for _, t := range r.Tracks() {
 		rep.DroppedEvents += t.DroppedEvents()
 		if t.Tid == TidControl {
-			// Control spans (eval, checkpoint writes) run on the trainer's
-			// goroutine between minibatches: they are wall-clock the report
-			// must account for, but never worker capacity.
+			// Control spans (eval, checkpoint writes, handoffs) run on the
+			// trainer's goroutine between minibatches: they are wall-clock
+			// the report must account for, but never worker capacity.
 			for _, ev := range t.Events() {
 				rep.countInstant(ev)
-				if ev.Ph != 'i' {
-					extend(ev)
-					rep.ControlNs += ev.Dur
+				if ev.Ph == 'i' {
+					continue
+				}
+				extend(ev)
+				rep.ControlNs += ev.Dur
+				switch ev.Name {
+				case NameEval:
+					rep.EvalNs += ev.Dur
+				case NameCkptWrite:
+					rep.CkptNs += ev.Dur
 				}
 			}
 			continue
@@ -182,6 +191,7 @@ func (rep Report) Format(w io.Writer, measuredWallNs int64) {
 		d(rep.WallNs), rep.WorkerTracks, rep.Replicas)
 	fmt.Fprintf(w, "  compute %v  commit %v  collectives %v  wire %v  control %v  (%d bytes moved)\n",
 		d(rep.ComputeNs), d(rep.CommitNs), d(rep.CollectiveNs), d(rep.WireNs), d(rep.ControlNs), rep.BytesMoved)
+	fmt.Fprintf(w, "  control: eval %v  checkpoint %v\n", d(rep.EvalNs), d(rep.CkptNs))
 	if len(rep.StageBusyNs) > 0 {
 		fmt.Fprintf(w, "  stage busy:")
 		for st, ns := range rep.StageBusyNs {

@@ -132,6 +132,32 @@ func TestBuildReportAccounting(t *testing.T) {
 	}
 }
 
+// TestReportAttributesControlSpans pins the control track's split: eval
+// and checkpoint writes get their own buckets, an elastic handoff only the
+// control total, and instants none. None of it is worker capacity.
+func TestReportAttributesControlSpans(t *testing.T) {
+	r := New()
+	w0 := r.Track(0, 0, "worker 0")
+	w0.add(Event{Name: NameFwd, Ph: 'X', Ts: 0, Dur: 100, Stage: 0, Micro: 0})
+	ctl := r.Track(0, TidControl, "control")
+	ctl.add(Event{Name: NameCkptWrite, Ph: 'X', Ts: 100, Dur: 7, Stage: -1, Micro: -1})
+	ctl.add(Event{Name: NameEval, Ph: 'X', Ts: 110, Dur: 30, Stage: -1, Micro: -1})
+	ctl.add(Event{Name: NameEpoch, Ph: 'i', Ts: 140, Stage: -1, Micro: -1})
+	ctl.add(Event{Name: NameHandoff, Ph: 'X', Ts: 150, Dur: 50, Stage: -1, Micro: -1})
+	rep := BuildReport(r, nil)
+	if rep.EvalNs != 30 || rep.CkptNs != 7 || rep.ControlNs != 87 {
+		t.Fatalf("eval/ckpt/control = %d/%d/%d, want 30/7/87", rep.EvalNs, rep.CkptNs, rep.ControlNs)
+	}
+	if rep.WallNs != 200 || rep.WorkerTracks != 1 || rep.BubbleFraction != 0.5 {
+		t.Fatalf("wall/tracks/bubble = %d/%d/%v, want 200/1/0.5", rep.WallNs, rep.WorkerTracks, rep.BubbleFraction)
+	}
+	var buf bytes.Buffer
+	rep.Format(&buf, 0)
+	if want := "  control: eval 30ns  checkpoint 7ns\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("report output missing %q:\n%s", want, buf.String())
+	}
+}
+
 func TestWriteChromeShape(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, synthetic()); err != nil {
