@@ -8,7 +8,7 @@
 //	pipemare-bench table1 fig3a  # run selected experiments (quick scale)
 //	pipemare-bench -full table2  # reference-scale run
 //	pipemare-bench all           # every experiment at quick scale
-//	pipemare-bench -engine concurrent table2   # stage-scheduler engine
+//	pipemare-bench -engine concurrent table2   # segment-scheduler engine
 //	pipemare-bench -engine concurrent -workers 2 table2  # cap scheduler workers
 //	pipemare-bench -partition cost table2      # cost-balanced stage split
 //	pipemare-bench -replicas 2 table2          # 2 data-parallel replicas

@@ -6,7 +6,7 @@
 //
 //	pipemare-worker                    # listen on a free port, print it
 //	pipemare-worker -addr :9400        # fixed port
-//	pipemare-worker -engine concurrent # work-stealing chunk engine
+//	pipemare-worker -engine concurrent # work-stealing segment-scheduler engine
 //	pipemare-worker -crash-after 3     # kill -9 itself at its 3rd chunk
 //	pipemare-worker -join :9500        # join a running elastic leader
 //
@@ -65,6 +65,10 @@ func main() {
 	}
 	experiments.DType = dt
 
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "pipemare-worker: -workers must be >= 0, got %d\n", *workers)
+		os.Exit(2)
+	}
 	opts := experiments.EngineBenchOptions(*stages)
 	switch *engineName {
 	case "reference":

@@ -13,11 +13,11 @@ import (
 )
 
 // TestWorkerProcess drives the built binary the way an orchestrator does:
-// bad -engine / -dtype values, and a -workers the reference engine would
-// ignore, are refused with exit 2 before anything listens; a good
-// invocation announces "listening <addr>" on a loopback port, and an
-// ordinary stop (SIGTERM) while it waits for its leader drains it —
-// "drained (signal)", exit 0 — rather than failing it.
+// bad -engine / -dtype values, a negative -workers, and a -workers the
+// reference engine would ignore, are refused with exit 2 before anything
+// listens; a good invocation announces "listening <addr>" on a loopback
+// port, and an ordinary stop (SIGTERM) while it waits for its leader
+// drains it — "drained (signal)", exit 0 — rather than failing it.
 func TestWorkerProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns pipemare-worker")
@@ -28,6 +28,7 @@ func TestWorkerProcess(t *testing.T) {
 	}
 	for _, tc := range []struct{ flags, names string }{
 		{"-engine bogus", "bogus"}, {"-dtype bogus", "bogus"}, {"-workers 2", "-workers"},
+		{"-engine concurrent -workers -3", "-workers must be >= 0, got -3"},
 	} {
 		flags := strings.Fields(tc.flags)
 		var stderr bytes.Buffer

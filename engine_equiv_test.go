@@ -424,6 +424,49 @@ func TestEnginesEquivalentOnDivergenceUnderStealing(t *testing.T) {
 	requireIdentical(t, "stealing-divergence/W=2", ref, conc)
 }
 
+// TestEnginesEquivalentFineGrained pins the paper's fine-grained regime,
+// one stage per weight group (P = 27 here), where the concurrent engine cuts
+// the stages into S = min(P, 4W) multi-stage segments: W ∈ {1, 2, 3, 27}
+// gives S = 4, 8, 12 and 27, with uneven segment sizes. Every PipeMare
+// technique that acts per stage is on, and the recompute climb re-enters
+// segment 0. A diverging run at W = 2 pins the abort path across segment
+// edges.
+func TestEnginesEquivalentFineGrained(t *testing.T) {
+	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
+		Train: 64, Test: 32, Noise: 0.4, Seed: 3})
+	build := func() pipemare.Task { return model.NewResNetMLP(images, 8, 12, 5) }
+	base := []pipemare.Option{
+		pipemare.WithMethod(pipemare.PipeMare), pipemare.WithStages(0),
+		pipemare.WithT1(12), pipemare.WithT2(0.3), pipemare.WithRecompute(2),
+		pipemare.WithBatchSize(16), pipemare.WithMicrobatches(4),
+		pipemare.WithSeed(13),
+	}
+	run := func(eng pipemare.Engine, extra ...pipemare.Option) *pipemare.Run {
+		opts := append(append(append([]pipemare.Option{}, base...), extra...), pipemare.WithEngine(eng))
+		return runCurve(t, build, 3, 1, opts...)
+	}
+	steady := pipemare.WithSchedule(optim.Constant(0.05))
+	ref := run(pipemare.NewReferenceEngine(), steady)
+	if ref.Diverged {
+		t.Fatal("the steady reference run diverged")
+	}
+	if tr, err := pipemare.New(build(), base...); err != nil || tr.Partition().P != 27 {
+		t.Fatalf("want one stage per group, P = 27 (err %v)", err)
+	}
+	for _, w := range append(workersGrid(27), 3) {
+		conc := run(pipemare.NewConcurrentEngine(w), steady)
+		requireIdentical(t, fmt.Sprintf("fine-grained/W=%d", w), ref, conc)
+	}
+
+	diverge := []pipemare.Option{pipemare.WithLossCap(15), pipemare.WithSchedule(optim.Constant(8))}
+	ref = run(pipemare.NewReferenceEngine(), diverge...)
+	if !ref.Diverged {
+		t.Fatal("reference run was expected to diverge")
+	}
+	conc := run(pipemare.NewConcurrentEngine(2), diverge...)
+	requireIdentical(t, "fine-grained-divergence/W=2", ref, conc)
+}
+
 // TestProfilePartitionMode pins the measured-cost path: a profile-mode
 // trainer builds, trains, and its DP split is at least as balanced (under
 // its own measured costs) as the even split; feeding the measured costs

@@ -1,31 +1,38 @@
-// Package concurrent implements the work-stealing stage-scheduler engine:
-// W workers (WithWorkers, default min(P, GOMAXPROCS)) drain per-stage run
-// queues of microbatch slot jobs on the §2 slot schedule — a forward token
-// climbs stage 1→P running each stage's forward slot, an optional
-// recompute token climbs again (Appendix D), and a backward token descends
-// P→1 running each stage's backward slot.
+// Package concurrent implements the work-stealing segment-scheduler
+// engine: W workers (WithWorkers, default min(P, GOMAXPROCS)) drain
+// per-segment run queues of microbatch jobs on the §2 slot schedule — a
+// forward token climbs stage 1→P running each stage's forward slot, an
+// optional recompute token climbs again (Appendix D), and a backward token
+// descends P→1 running each stage's backward slot.
 //
-// A stage is a serialization domain, never a pinned goroutine: each stage
-// owns a FIFO job queue, and an idle worker claims an entire *stage* (the
-// queue's active flag guarantees at most one worker drains a stage at a
-// time), runs its queued slots in order, and releases it. Workers
-// therefore load-balance across stages automatically — with P ≫ cores the
-// engine no longer pays for P mostly-idle goroutines, and a cost-balanced
-// partition (pipeline.PartitionGroupsByCost) keeps the per-stage queues
-// comparably heavy. Up to P microbatch chains are in flight at once — a
-// real fill/drain pipeline.
+// A segment — a run of consecutive stages, never a pinned goroutine — is
+// the serialization domain. The P stages are cut into S = min(P, 4·W)
+// contiguous segments of near-equal size (engine.CommitPlan's split); each
+// segment owns a FIFO job queue, and an idle worker claims an entire
+// segment (the queue's active flag guarantees at most one worker drains a
+// segment at a time), runs each queued job through the segment's stages by
+// direct slot calls — ascending for a climb, descending for the descent —
+// and releases it. A chain therefore crosses a queue only at segment
+// edges: 2(S−1) times per microbatch instead of 2(P−1), which is what
+// makes the fine-grained regime (one stage per weight group, P ≫ W) cheap
+// to schedule. With P ≤ 4·W every segment is one stage. Workers
+// load-balance across segments automatically, and up to P microbatch
+// chains are in flight at once — a real fill/drain pipeline.
 //
 // Determinism is preserved for every worker count because scheduling
-// freedom never reorders a serialization domain: jobs enter a stage's
-// queue in microbatch order (stage 0 from the in-order dispatcher, stage
-// i+1 from stage i's in-order drain), the claiming worker runs them in
-// FIFO order, and the active flag forbids two workers inside one stage —
-// so per-stage per-parameter gradient accumulation is serial in s exactly
-// as in the serial Reference engine. Each slot call installs the weights
-// it reads (engine.Host); the workers also serve as the engine.Pool the
-// trainer's commit shards across, with the stage-partial norms reduced in
-// stage order; and microbatch losses are summed in microbatch order from
-// the result collector. Training curves are therefore bit-identical to Reference for
+// freedom never reorders a serialization domain: jobs enter a segment's
+// queue in microbatch order (segment 0 from the in-order dispatcher,
+// segment g+1 from segment g's in-order drain), the claiming worker runs
+// them in FIFO order and each job through the segment's stages in chain
+// order, and the active flag forbids two workers inside one segment — so
+// every stage sees its slots serially in microbatch order, and
+// per-parameter gradient accumulation is serial in s exactly as in the
+// serial Reference engine. Each slot call installs the weights it reads
+// (engine.Host), so the Table 1 delays stay per stage whatever the cut;
+// the workers also serve as the engine.Pool the trainer's commit shards
+// across, with the stage-partial norms reduced in stage order; and
+// microbatch losses are summed in microbatch order from the result
+// collector. Training curves are therefore bit-identical to Reference for
 // every W ∈ {1..P} — pinned by the equivalence tests at the repository
 // root.
 package concurrent
@@ -41,12 +48,21 @@ import (
 	"pipemare/internal/trace"
 )
 
+// segmentsPerWorker sets the segment count S = min(P, segmentsPerWorker·W).
+// Fewer, longer segments cross fewer queues; more, shorter ones leave
+// stealing more room to balance. On the benchmark's resmlp-fine workload
+// (P = 107, W = 2, a 2-CPU box) samples/s was flat from 1 to 4 segments
+// per worker and fell back toward the one-segment-per-stage rate at 8. 4
+// is the largest value that keeps the gain, and it leaves every pipeline
+// with P ≤ 4·W on one stage per segment.
+const segmentsPerWorker = 4
+
 type jobKind int
 
 const (
-	jobFwd    jobKind = iota // climb: run the stage's forward slot
-	jobRecomp                // climb: run the stage's recompute slot
-	jobBwd                   // descend: run the stage's backward slot
+	jobFwd    jobKind = iota // climb: run the segment's forward slots
+	jobRecomp                // climb: run the segment's recompute slots
+	jobBwd                   // descend: run the segment's backward slots
 	jobCall                  // run fn(k) on the claiming worker and ack (a commit shard)
 )
 
@@ -60,18 +76,18 @@ type job struct {
 	fn   func(i int, tk *trace.Track)
 }
 
-// stageQueue is one stage's FIFO run queue. active marks the stage as
-// claimed by a worker: between the claim and the release only that worker
-// pops jobs, so the stage's slots execute serially in arrival order no
-// matter which workers touch the stage over time.
-type stageQueue struct {
+// segmentQueue is one segment's FIFO run queue. active marks the segment
+// as claimed by a worker: between the claim and the release only that
+// worker pops jobs, so the segment's slots execute serially in arrival
+// order no matter which workers touch the segment over time.
+type segmentQueue struct {
 	mu     sync.Mutex
 	jobs   []job
 	head   int
 	active bool
 }
 
-// Engine is the work-stealing stage-scheduler engine. It implements
+// Engine is the work-stealing segment-scheduler engine. It implements
 // engine.Engine and engine.Lifecycle; a Trainer starts the workers at the
 // beginning of a run and stops them when the run returns. An Engine
 // instance must not be shared by concurrently running trainers.
@@ -79,10 +95,11 @@ type Engine struct {
 	workers int // requested W; 0 = min(P, GOMAXPROCS)
 
 	h       engine.Host
-	p       int // stages, and the number of microbatch chains allowed in flight
-	nw      int // workers actually started
-	queues  []stageQueue
-	ready   chan int // stages with queued work and no claiming worker
+	p       int               // stages, and the number of microbatch chains allowed in flight
+	nw      int               // workers actually started
+	cut     engine.CommitPlan // segment g is the stage range cut.Shard(g)
+	queues  []segmentQueue    // one per segment
+	ready   chan int          // segments with queued work and no claiming worker
 	results chan job
 	acks    chan struct{}
 	aborted atomic.Bool // set on the first bad loss: later chains skip compute
@@ -103,10 +120,11 @@ type Engine struct {
 // Option configures the engine.
 type Option func(*Engine)
 
-// WithWorkers sets W, the number of scheduler workers draining the stage
+// WithWorkers sets W, the number of scheduler workers draining the segment
 // queues (default: min(P, GOMAXPROCS)). Any W produces bit-identical
-// curves; W only changes how many stages make progress simultaneously, so
-// more workers than stages is clamped to P.
+// curves; W only changes how many segments make progress simultaneously
+// (and how finely the stages are cut), so more workers than stages is
+// clamped to P.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n < 0 {
@@ -116,7 +134,7 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// New returns a work-stealing stage-scheduler engine.
+// New returns a work-stealing segment-scheduler engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{}
 	for _, o := range opts {
@@ -143,10 +161,13 @@ func (e *Engine) Start(h engine.Host) {
 		e.nw = runtime.GOMAXPROCS(0)
 	}
 	e.nw = min(e.nw, e.p)
-	e.queues = make([]stageQueue, e.p)
-	// Each stage is "ready" at most once (the active flag), so capacity P
-	// makes every send non-blocking.
-	e.ready = make(chan int, e.p)
+	// S ≥ W, so ParallelFor's W calls each have a queue of their own.
+	segs := min(e.p, segmentsPerWorker*e.nw)
+	e.cut = engine.NewCommitPlan(e.p, segs)
+	e.queues = make([]segmentQueue, segs)
+	// Each segment is "ready" at most once (the active flag), so capacity
+	// S makes every send non-blocking.
+	e.ready = make(chan int, segs)
 	e.results = make(chan job, e.p)
 	e.acks = make(chan struct{}, e.nw)
 	e.losses = make([]float64, 0, e.p)
@@ -179,12 +200,13 @@ func (e *Engine) Stop() {
 	e.running = false
 }
 
-// enqueue appends a job to a stage's queue and, when no worker currently
-// claims the stage, marks it ready. FIFO append order is microbatch order
-// for every producer (the dispatcher and upstream stage drains are both
-// in-order), which is what makes any worker interleaving deterministic.
-func (e *Engine) enqueue(stage int, jb job) {
-	q := &e.queues[stage]
+// enqueue appends a job to a segment's queue and, when no worker
+// currently claims the segment, marks it ready. FIFO append order is
+// microbatch order for every producer (the dispatcher and upstream segment
+// drains are both in-order), which is what makes any worker interleaving
+// deterministic.
+func (e *Engine) enqueue(g int, jb job) {
+	q := &e.queues[g]
 	q.mu.Lock()
 	q.jobs = append(q.jobs, jb)
 	wake := !q.active
@@ -193,28 +215,28 @@ func (e *Engine) enqueue(stage int, jb job) {
 	}
 	q.mu.Unlock()
 	if wake {
-		e.ready <- stage
+		e.ready <- g
 	}
 }
 
-// worker claims ready stages and drains them until the engine stops. w
+// worker claims ready segments and drains them until the engine stops. w
 // is the worker's index: its trace track needs it explicitly (goroutines
 // have no usable id).
 func (e *Engine) worker(w int) {
 	defer e.wg.Done()
-	for i := range e.ready {
-		e.drain(w, i)
+	for g := range e.ready {
+		e.drain(w, g)
 	}
 }
 
-// drain runs the claimed stage's queued jobs in FIFO order until the
+// drain runs the claimed segment's queued jobs in FIFO order until the
 // queue is empty, then releases the claim. While the claim is held this
-// goroutine is the only one touching the stage's installed weight
-// pointers, T2 accumulators, version ring and parameter gradients — the
-// same ownership the goroutine-per-stage design provided, held per burst
-// instead of per run.
-func (e *Engine) drain(w, i int) {
-	q := &e.queues[i]
+// goroutine is the only one touching the segment's stages — their
+// installed weight pointers, T2 accumulators, version rings and parameter
+// gradients — the same ownership the goroutine-per-stage design provided,
+// held per burst instead of per run.
+func (e *Engine) drain(w, g int) {
+	q := &e.queues[g]
 	for {
 		q.mu.Lock()
 		if q.head == len(q.jobs) {
@@ -227,50 +249,54 @@ func (e *Engine) drain(w, i int) {
 		jb := q.jobs[q.head]
 		q.head++
 		q.mu.Unlock()
-		e.process(w, i, jb)
+		e.process(w, g, jb)
 	}
 }
 
-// process executes one job of stage i on worker w, emitting one trace span
-// per executed compute slot.
-func (e *Engine) process(w, i int, jb job) {
-	last := e.p - 1
-	tk := e.tracks[w]
+// process executes one job of segment g on worker w and hands the chain on:
+// to the next segment's queue, or, at the last segment, to the crest or the
+// descent.
+func (e *Engine) process(w, g int, jb job) {
 	switch jb.kind {
-	case jobFwd:
-		if !e.aborted.Load() {
-			t0 := e.rec.Now()
-			jb.loss = e.h.StageForward(jb.s, i)
-			tk.Span(trace.NameFwd, t0, i, jb.s, 0)
+	case jobFwd, jobRecomp:
+		e.climb(w, g, &jb)
+		switch {
+		case g < len(e.queues)-1:
+			e.enqueue(g+1, jb)
+		case jb.kind == jobFwd:
+			e.crest(w, g, jb)
+		default:
+			e.bwd(w, g, jb)
 		}
-		if i < last {
-			e.enqueue(i+1, jb)
-			return
-		}
-		e.crest(w, jb)
-	case jobRecomp:
-		if !e.aborted.Load() {
-			t0 := e.rec.Now()
-			e.h.StageRecompute(jb.s, i)
-			tk.Span(trace.NameRecompute, t0, i, jb.s, 0)
-		}
-		if i < last {
-			e.enqueue(i+1, jb)
-			return
-		}
-		e.bwd(w, i, jb)
 	case jobBwd:
-		e.bwd(w, i, jb)
+		e.bwd(w, g, jb)
 	case jobCall:
-		jb.fn(jb.k, tk)
+		jb.fn(jb.k, e.tracks[w])
 		e.acks <- struct{}{}
 	}
 }
 
-// crest handles the top of a forward climb at the last stage: the loss
+// climb runs the chain's forward (or recompute) slots for segment g's
+// stages in ascending order, emitting one trace span per slot.
+func (e *Engine) climb(w, g int, jb *job) {
+	lo, hi := e.cut.Shard(g)
+	tk := e.tracks[w]
+	for i := lo; i < hi && !e.aborted.Load(); i++ {
+		t0 := e.rec.Now()
+		if jb.kind == jobFwd {
+			jb.loss = e.h.StageForward(jb.s, i)
+			tk.Span(trace.NameFwd, t0, i, jb.s, 0)
+		} else {
+			e.h.StageRecompute(jb.s, i)
+			tk.Span(trace.NameRecompute, t0, i, jb.s, 0)
+		}
+	}
+}
+
+// crest handles the top of a forward climb at the last segment g: the loss
 // check, then either the divergence abort, the recompute climb, or the
 // start of the backward descent.
-func (e *Engine) crest(w int, jb job) {
+func (e *Engine) crest(w, g int, jb job) {
 	if !e.aborted.Load() && e.h.BadLoss(jb.loss) {
 		jb.bad = true
 		e.aborted.Store(true)
@@ -283,25 +309,28 @@ func (e *Engine) crest(w int, jb job) {
 		return
 	}
 	if jb.rec {
-		// With P = 1 this is the queue being drained; the drain picks it up.
+		// With one segment this is the queue being drained; the drain
+		// picks it up.
 		jb.kind = jobRecomp
 		e.enqueue(0, jb)
 		return
 	}
-	e.bwd(w, e.p-1, jb)
+	e.bwd(w, g, jb)
 }
 
-// bwd runs stage i's backward slot for the chain and passes it down; at
-// stage 0 the chain completes.
-func (e *Engine) bwd(w, i int, jb job) {
-	if !e.aborted.Load() {
+// bwd runs the chain's backward slots for segment g's stages in descending
+// order and passes it down; at segment 0 the chain completes.
+func (e *Engine) bwd(w, g int, jb job) {
+	lo, hi := e.cut.Shard(g)
+	tk := e.tracks[w]
+	for i := hi - 1; i >= lo && !e.aborted.Load(); i-- {
 		t0 := e.rec.Now()
 		e.h.StageBackward(jb.s, i)
-		e.tracks[w].Span(trace.NameBwd, t0, i, jb.s, 0)
+		tk.Span(trace.NameBwd, t0, i, jb.s, 0)
 	}
-	if i > 0 {
+	if g > 0 {
 		jb.kind = jobBwd
-		e.enqueue(i-1, jb)
+		e.enqueue(g-1, jb)
 		return
 	}
 	e.h.EndMicro(jb.s)
@@ -309,7 +338,7 @@ func (e *Engine) bwd(w, i int, jb job) {
 }
 
 // Minibatch executes the N microbatch chains with up to P of them
-// overlapping across the stage queues, and restores every stage once they
+// overlapping across the segment queues, and restores every stage once they
 // have drained.
 func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
 	e.Start(h) // a no-op when already running over h
@@ -372,8 +401,8 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 // them (engine.Pool). Valid once the engine has started.
 func (e *Engine) Shards() int { return e.nw }
 
-// ParallelFor runs fn(i, tk) for every shard i as one job on stage queue
-// i — any idle worker claims it, passing its own track — and waits for all
+// ParallelFor runs fn(i, tk) for every shard i as one job on segment
+// queue i — any idle worker claims it, passing its own track — and waits for all
 // acks (engine.Pool). It must only be called with every chain drained,
 // between minibatches.
 func (e *Engine) ParallelFor(fn func(i int, tk *trace.Track)) {

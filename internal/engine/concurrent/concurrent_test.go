@@ -61,26 +61,70 @@ func TestWithWorkersOption(t *testing.T) {
 	e.Stop()
 }
 
+// TestSegmentCut pins the serialization domains: S = min(P, 4W) segments
+// of consecutive stages that are non-empty, within one stage of each other
+// in size, and cover [0, P) in order — and S ≥ W, so every commit shard
+// has a queue of its own.
+func TestSegmentCut(t *testing.T) {
+	for p := 1; p <= 40; p++ {
+		for w := 1; w <= 12; w++ {
+			e := New(WithWorkers(w))
+			e.Start(&stubHost{p: p})
+			segs := len(e.queues)
+			if want := min(p, 4*min(w, p)); segs != want || e.cut.Stages() != p {
+				t.Fatalf("P=%d W=%d: %d segments over %d stages, want %d over %d", p, w, segs, e.cut.Stages(), want, p)
+			}
+			if segs < e.nw {
+				t.Fatalf("P=%d W=%d: %d segments for %d workers", p, w, segs, e.nw)
+			}
+			next := 0
+			for g := 0; g < segs; g++ {
+				lo, hi := e.cut.Shard(g)
+				if lo != next || hi <= lo || hi-lo > p/segs+1 {
+					t.Fatalf("P=%d W=%d: segment %d is [%d, %d) after %d", p, w, g, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != p {
+				t.Fatalf("P=%d W=%d: segments end at %d", p, w, next)
+			}
+			e.Stop()
+		}
+	}
+}
+
 // exclusionHost records, for every stage, whether two slots of that stage
-// ever overlapped in time — the stage-as-serialization-domain invariant —
-// and whether a stage's slots arrived out of microbatch order.
+// ever overlapped in time — the invariant a segment's serialization
+// guarantees for each of its stages — and whether a stage's forward,
+// recompute or backward slots arrived out of microbatch order. rec switches
+// the Appendix D recompute climb on, which re-enters segment 0 from the
+// last segment.
 type exclusionHost struct {
 	p      int
+	rec    bool
 	inSlot []atomic.Int32 // per stage: slots currently executing
 
 	mu         sync.Mutex
 	violations []string
-	lastFwd    []int // per stage: last forward s seen
-	lastBwd    []int // per stage: last backward s seen
+	last       [3][]int // per slot kind (fwd, recompute, bwd), per stage: last s seen
 }
 
 func newExclusionHost(p int) *exclusionHost {
-	h := &exclusionHost{p: p, inSlot: make([]atomic.Int32, p),
-		lastFwd: make([]int, p), lastBwd: make([]int, p)}
-	for i := range h.lastFwd {
-		h.lastFwd[i], h.lastBwd[i] = -1, -1
+	h := &exclusionHost{p: p, inSlot: make([]atomic.Int32, p)}
+	for k := range h.last {
+		h.last[k] = make([]int, p)
 	}
+	h.reset()
 	return h
+}
+
+// reset forgets the last microbatch seen: every minibatch restarts s at 0.
+func (h *exclusionHost) reset() {
+	for k := range h.last {
+		for i := range h.last[k] {
+			h.last[k][i] = -1
+		}
+	}
 }
 
 func (h *exclusionHost) violate(msg string) {
@@ -90,73 +134,72 @@ func (h *exclusionHost) violate(msg string) {
 }
 
 // enter/leave bracket a stage slot, spinning briefly so a scheduler bug
-// that lets two workers into one stage actually overlaps.
+// that lets two workers into one stage actually overlaps. The spin yields
+// rather than sleeps: a sleep this short lasts far longer than asked on a
+// loaded box, and thousands of slots run serially at W = 1.
 func (h *exclusionHost) enter(stage int) {
 	if h.inSlot[stage].Add(1) != 1 {
 		h.violate("two slots of one stage ran concurrently")
 	}
-	time.Sleep(50 * time.Microsecond)
+	for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
+		runtime.Gosched()
+	}
 }
 func (h *exclusionHost) leave(stage int) { h.inSlot[stage].Add(-1) }
 
-func (h *exclusionHost) Stages() int             { return h.p }
-func (h *exclusionHost) Recompute() bool         { return false }
-func (h *exclusionHost) MicroBase() int          { return 0 }
-func (h *exclusionHost) Restore(st int)          { h.enter(st); h.leave(st) }
-func (h *exclusionHost) BeginMicro(int, []int)   {}
-func (h *exclusionHost) StageRecompute(_, _ int) {}
-
-func (h *exclusionHost) StageForward(s, st int) float64 {
+// slot brackets one slot of the given kind, checking its microbatch order.
+func (h *exclusionHost) slot(kind, s, st int) {
 	h.enter(st)
 	defer h.leave(st)
 	h.mu.Lock()
-	if s <= h.lastFwd[st] {
-		h.violations = append(h.violations, "forward slots out of microbatch order")
+	if s <= h.last[kind][st] {
+		h.violations = append(h.violations, []string{"forward", "recompute", "backward"}[kind]+" slots out of microbatch order")
 	}
-	h.lastFwd[st] = s
+	h.last[kind][st] = s
 	h.mu.Unlock()
-	return 0.5
 }
 
-func (h *exclusionHost) StageBackward(s, st int) {
-	h.enter(st)
-	defer h.leave(st)
-	h.mu.Lock()
-	if s <= h.lastBwd[st] {
-		h.violations = append(h.violations, "backward slots out of microbatch order")
-	}
-	h.lastBwd[st] = s
-	h.mu.Unlock()
-}
+func (h *exclusionHost) Stages() int           { return h.p }
+func (h *exclusionHost) Recompute() bool       { return h.rec }
+func (h *exclusionHost) MicroBase() int        { return 0 }
+func (h *exclusionHost) Restore(st int)        { h.enter(st); h.leave(st) }
+func (h *exclusionHost) BeginMicro(int, []int) {}
+
+func (h *exclusionHost) StageForward(s, st int) float64 { h.slot(0, s, st); return 0.5 }
+func (h *exclusionHost) StageRecompute(s, st int)       { h.slot(1, s, st) }
+func (h *exclusionHost) StageBackward(s, st int)        { h.slot(2, s, st) }
 
 func (h *exclusionHost) EndMicro(int)         {}
 func (h *exclusionHost) BadLoss(float64) bool { return false }
 
 // TestStageSlotsNeverOverlap pins the scheduler's core invariant under
-// maximal contention: many workers, many stages, deep overlap — yet no
-// two slots of one stage may ever run concurrently, and each stage's
-// forward/backward sequences stay in microbatch order.
+// maximal contention: many workers, one- and multi-stage segments of
+// uneven sizes (P ∈ {6, 13, 27} cut into min(P, 4W) segments), deep
+// overlap, and the recompute climb on every other minibatch — yet no two
+// slots of one stage may ever run concurrently, and each stage's forward,
+// recompute and backward sequences stay in microbatch order.
 func TestStageSlotsNeverOverlap(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
-	for _, workers := range []int{1, 2, 4, 8} {
-		h := newExclusionHost(6)
-		e := New(WithWorkers(workers))
-		micros := make([][]int, 24)
-		for i := range micros {
-			micros[i] = []int{i}
-		}
-		for mb := 0; mb < 3; mb++ {
-			if _, err := e.Minibatch(context.Background(), h, micros); err != nil {
-				t.Fatal(err)
+	micros := make([][]int, 24)
+	for i := range micros {
+		micros[i] = []int{i}
+	}
+	for _, p := range []int{6, 13, 27} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			h := newExclusionHost(p)
+			e := New(WithWorkers(workers))
+			for mb := 0; mb < 3; mb++ {
+				h.rec = mb%2 == 1
+				if _, err := e.Minibatch(context.Background(), h, micros); err != nil {
+					t.Fatal(err)
+				}
+				h.reset()
 			}
-			for i := range h.lastFwd {
-				h.lastFwd[i], h.lastBwd[i] = -1, -1
+			e.Stop()
+			if len(h.violations) > 0 {
+				t.Fatalf("P=%d W=%d: %d violations, first: %s", p, workers, len(h.violations), h.violations[0])
 			}
-		}
-		e.Stop()
-		if len(h.violations) > 0 {
-			t.Fatalf("W=%d: %d violations, first: %s", workers, len(h.violations), h.violations[0])
 		}
 	}
 }

@@ -12,11 +12,11 @@
 // Two engines exist: Reference (this package) executes every slot on the
 // calling goroutine — it is the original single-goroutine simulator and the
 // semantic ground truth — and internal/engine/concurrent runs a
-// work-stealing pool of W workers over per-stage run queues with up to P
-// microbatches in flight, overlapping the per-stage compute slots like a
-// real fill/drain pipeline. Both produce bit-identical training curves for
-// every worker count; the equivalence is pinned by tests at the repository
-// root.
+// work-stealing pool of W workers over the run queues of segments of
+// consecutive stages with up to P microbatches in flight, overlapping the
+// per-stage compute slots like a real fill/drain pipeline. Both produce
+// bit-identical training curves for every worker count; the equivalence is
+// pinned by tests at the repository root.
 package engine
 
 import (

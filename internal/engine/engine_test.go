@@ -186,10 +186,13 @@ func (f *fakeHost) quiesced(t *testing.T) {
 func engines() map[string]engine.Engine {
 	// The replicated engine degenerates to its inner engine when the host
 	// is not a replica leader (fakeHost is plain), so including it here
-	// pins that passthrough against the full ordering contract.
+	// pins that passthrough against the full ordering contract. One worker
+	// cuts a P ≥ 5 pipeline into 4 segments, so at least one of them spans
+	// two stages whatever GOMAXPROCS is.
 	return map[string]engine.Engine{
 		"reference":             engine.NewReference(),
 		"concurrent":            concurrent.New(),
+		"concurrent(W=1)":       concurrent.New(concurrent.WithWorkers(1)),
 		"replicated(reference)": replicated.New(),
 		"replicated(concurrent)": replicated.New(
 			replicated.WithInner(func() engine.Engine { return concurrent.New() })),

@@ -8,7 +8,7 @@
 //     microbatch-exact Table 1 delays (internal/pipeline, internal/core),
 //     including the GPipe and PipeDream baselines, behind pluggable
 //     execution engines (internal/engine): a single-goroutine Reference
-//     simulator and a work-stealing stage-scheduler engine
+//     simulator and a work-stealing segment-scheduler engine
 //     (internal/engine/concurrent, WithWorkers) with bit-identical
 //     training curves, over even, cost-balanced or profiled stage
 //     partitions (WithPartition);
@@ -112,11 +112,12 @@ const (
 // semantic ground truth every other engine is pinned against.
 func NewReferenceEngine() Engine { return engine.NewReference() }
 
-// NewConcurrentEngine returns the work-stealing stage-scheduler engine:
-// `workers` goroutines (0 = min(P, GOMAXPROCS)) drain per-stage run
-// queues with up to P microbatch chains in flight, committing the
-// optimizer step stage-parallel. Curves are bit-identical to Reference
-// for every worker count; see internal/engine/concurrent.
+// NewConcurrentEngine returns the work-stealing segment-scheduler engine:
+// `workers` goroutines (0 = min(P, GOMAXPROCS)) drain the run queues of
+// min(P, 4·workers) segments of consecutive stages with up to P microbatch
+// chains in flight, committing the optimizer step stage-parallel. Curves
+// are bit-identical to Reference for every worker count; see
+// internal/engine/concurrent.
 func NewConcurrentEngine(workers int) Engine {
 	return concurrent.New(concurrent.WithWorkers(workers))
 }
