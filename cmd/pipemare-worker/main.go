@@ -1,6 +1,6 @@
 // Command pipemare-worker hosts one follower replica of the engine
 // benchmark workload as a standalone process. A pipemare-bench leader
-// (run with -transport tcp) dials it, and the handshake assigns the
+// (run with -transport tcp) dials it, and the leader's hello assigns the
 // replica id, replica count and fault tolerance — the same invocation serves
 // any follower slot.
 //
@@ -55,7 +55,7 @@ func main() {
 	joinAddr := flag.String("join", "", "dial a running elastic leader's join listener at this address instead of serving (mid-run join)")
 	joinAt := flag.Int("join-at", 0, "earliest leader optimizer step to be admitted at (-join only; 0 = next minibatch boundary)")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "dial retry/backoff budget for -join")
-	dtypeName := flag.String("dtype", "float64", "element type model state trains in: float64 | float32; must match the leader's -dtype (the handshake checksum rejects a mismatch)")
+	dtypeName := flag.String("dtype", "float64", "element type model state trains in: float64 | float32; must match the leader's -dtype (the state handoff refuses a mismatch)")
 	flag.Parse()
 
 	dt, err := tensor.ParseDType(*dtypeName)

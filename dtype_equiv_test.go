@@ -98,9 +98,9 @@ func TestFloat32ReplicatedMatchesReference(t *testing.T) {
 
 // TestFloat32TransportLoopbackMatchesReference pins the float32 wire
 // path: a leader with one remote follower behind the loopback transport
-// — every gradient and state gather crossing the dtype-tagged
-// tensor encoding, and the handshake checksum covering the dtype — must
-// train bit-identically to the in-process float32 Reference run.
+// — the launch handoff and every gradient and state gather crossing the
+// dtype-tagged tensor encoding — must train bit-identically to the
+// in-process float32 Reference run.
 func TestFloat32TransportLoopbackMatchesReference(t *testing.T) {
 	build, base := dtypeTransformerBuild()
 	f32 := append(append([]pipemare.Option{}, base...), pipemare.WithDType(pipemare.Float32))

@@ -71,34 +71,52 @@ func startJoiner(t *testing.T, build func() pipemare.Task, opts []pipemare.Optio
 	return lis, func() error { return <-done }
 }
 
-// parkSignal wraps a join listener to tell a test when its joiner is
-// parked: the trainer's accept loop parks one joiner before it calls
-// Accept again, so the second token on calls means the first is parked.
+// parkSignal wraps a join listener to tell a test when the trainer has
+// read a joiner's join request — the last thing the trainer does with a
+// joiner's connection before it parks it.
 type parkSignal struct {
 	pipemare.Listener
-	calls chan struct{} // buffered; one token per Accept call
+	read chan struct{} // buffered; one token per join request read
 }
 
 func (l parkSignal) Accept(ctx context.Context) (transport.MsgConn, error) {
-	select {
-	case l.calls <- struct{}{}:
-	default:
+	conn, err := l.Listener.Accept(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return l.Listener.Accept(ctx)
+	return joinReadSignal{conn, l.read}, nil
+}
+
+// joinReadSignal is an accepted joiner connection that signals when the
+// trainer reads its join request.
+type joinReadSignal struct {
+	transport.MsgConn
+	read chan struct{}
+}
+
+func (c joinReadSignal) Recv(ctx context.Context) (transport.Msg, error) {
+	m, err := c.MsgConn.Recv(ctx)
+	if err == nil && m.Type == transport.MsgJoin {
+		select {
+		case c.read <- struct{}{}:
+		default:
+		}
+	}
+	return m, err
 }
 
 // acceptAndPark hands lis to the trainer's AcceptJoins and returns once
-// the joiner dialing it is parked, so a following Run admits (or rejects)
-// it at the boundary its JoinAt names on any scheduler — not at whichever
-// boundary the joiner's goroutine happened to reach the leader by.
+// the joiner dialing it has been read and is being parked, so a following
+// Run admits (or rejects) it at the boundary its JoinAt names on any
+// scheduler — not at whichever boundary the joiner's goroutine happened
+// to reach the leader by.
 func acceptAndPark(t *testing.T, tr *pipemare.Trainer, lis pipemare.Listener) {
 	t.Helper()
-	calls := make(chan struct{}, 2)
-	if err := tr.AcceptJoins(parkSignal{lis, calls}); err != nil {
+	read := make(chan struct{}, 1)
+	if err := tr.AcceptJoins(parkSignal{lis, read}); err != nil {
 		t.Fatalf("accept joins: %v", err)
 	}
-	<-calls
-	<-calls
+	<-read
 }
 
 // TestJoinMatchesFreshLargerRun is the headline elastic-membership pin:
@@ -396,11 +414,11 @@ func TestChurnCompositions(t *testing.T) {
 	})
 }
 
-// TestJoinRejectsMismatchedShape pins the join handshake's guard rails:
-// a joiner announcing the wrong stage count is rejected with a clean
-// error at its first admission boundary — the run itself never notices —
-// and a joiner parked past the end of training is released with an error
-// when the leader closes.
+// TestJoinRejectsMismatchedShape pins the join's guard rails: a joiner
+// built with the wrong stage count refuses the leader's hello at its first
+// admission boundary and exits with its reason — the run itself never
+// notices — and a joiner parked past the end of training is released with
+// an error when the leader closes.
 func TestJoinRejectsMismatchedShape(t *testing.T) {
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 32) }
 	base := ftBase()
@@ -430,8 +448,8 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 	if joins, _, _ := tr.ElasticStats(); joins != 0 {
 		t.Fatalf("%d joins, want 0", joins)
 	}
-	if err := badWait(); err == nil || !strings.Contains(err.Error(), "rejected") {
-		t.Fatalf("mismatched joiner: err = %v, want a rejection", err)
+	if err := badWait(); err == nil || !strings.Contains(err.Error(), "follower has 2 stages, leader has 4") {
+		t.Fatalf("mismatched joiner: err = %v, want its refusal naming both stage counts", err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -445,6 +463,61 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 		}
 	}
 	requireIdentical(t, "rejected-joins", ref, got)
+}
+
+// TestSilentDialerStallsNoJoiner pins the accept path against a dialer
+// that never sends its join request: a joiner dialling after it is still
+// read, parked and admitted, and once the trainer closes, every goroutine
+// the accept path started — the silent connection's reader included — is
+// gone.
+func TestSilentDialerStallsNoJoiner(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 36) }
+	base := ftBase()
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithReplicas(2), pipemare.WithElastic())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, dial := pipemare.Loopback()
+	read := make(chan struct{}, 1)
+	if err := tr.AcceptJoins(parkSignal{lis, read}); err != nil {
+		t.Fatal(err)
+	}
+	silent, err := dial.Dial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := make(chan error, 1)
+	go func() {
+		joined <- pipemare.JoinFollower(context.Background(), dial, build(),
+			append(append([]pipemare.Option{}, base...), pipemare.WithDialTimeout(5*time.Second))...)
+	}()
+	select {
+	case <-read:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a silent dialer kept the joiner behind it from being read")
+	}
+	if _, err := tr.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if joins, _, _ := tr.ElasticStats(); joins != 1 || tr.Replicas() != 3 {
+		t.Fatalf("%d joins, %d replicas; want the joiner admitted (1 join, 3 replicas)", joins, tr.Replicas())
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-joined; err != nil {
+		t.Fatalf("joiner: %v", err)
+	}
+	silent.Close()
+	lis.Close()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after close, baseline %d — the accept path leaked one", n, baseline)
+	}
 }
 
 // TestCloseDuringCollectiveUnwinds extends the Close contract to a

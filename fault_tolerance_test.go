@@ -141,7 +141,9 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
 	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
 		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 2, Op: faults.Drop},
-		faults.Rule{Dir: faults.Send, Type: transport.MsgSetState, Nth: 3, Op: faults.Drop},
+		// The launch handoff sends the first four (one per stage); the 7th
+		// is the 3rd of training, the step-2 gather's first import.
+		faults.Rule{Dir: faults.Send, Type: transport.MsgSetState, Nth: 7, Op: faults.Drop},
 		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 5, Op: faults.Delay, Delay: 5 * time.Millisecond})}
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
 		pipemare.WithFaultTolerance(),
@@ -171,8 +173,9 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 // message by message: it kills follower replica 1's link on the 2nd
 // message of each type the commit sends — the scatter's epoch sync and
 // gradients, prepare, the step-clock advance, scale, step, finish, the
-// gather's fetch of the owner's state and its push of the others' — at
-// R=3 and R=2, under -race. With fault tolerance every kill is an
+// gather's fetch of the owner's state and its import of the others' — at
+// R=3 and R=2, under -race. The launch handoff sends an epoch sync and one
+// import per stage before training starts, so those rows count past them. With fault tolerance every kill is an
 // eviction (R → R−1) with a curve bit-identical to single-replica
 // Reference: a death up to
 // prepare replays the minibatch, a later one has the leader finish the
@@ -180,19 +183,21 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 // replica — the dead follower held the only copy of its moment shard —
 // and never a hang or a leaked goroutine.
 func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
+	const p = 4 // stages of the quadratic task below
 	phases := []struct {
 		name string
 		typ  byte
+		nth  int
 	}{
-		{"sync-epoch", transport.MsgSyncEpoch},
-		{"scatter", transport.MsgSetGrads},
-		{"prepare", transport.MsgPrepare},
-		{"begin-step", transport.MsgBeginStep},
-		{"scale", transport.MsgScale},
-		{"step", transport.MsgStep},
-		{"finish", transport.MsgFinish},
-		{"gather", transport.MsgGetState},
-		{"broadcast", transport.MsgSetState},
+		{"sync-epoch", transport.MsgSyncEpoch, 1 + 2},
+		{"scatter", transport.MsgSetGrads, 2},
+		{"prepare", transport.MsgPrepare, 2},
+		{"begin-step", transport.MsgBeginStep, 2},
+		{"scale", transport.MsgScale, 2},
+		{"step", transport.MsgStep, 2},
+		{"finish", transport.MsgFinish, 2},
+		{"gather", transport.MsgGetState, 2},
+		{"import", transport.MsgSetState, p + 2},
 	}
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 23) }
 	base := ftBase()
@@ -208,7 +213,7 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 					name += fmt.Sprintf("/R=%d", r)
 				}
 				t.Run(name, func(t *testing.T) {
-					crashOneFollower(t, build, base, ref, ph.typ, r, ft)
+					crashOneFollower(t, build, base, ref, ph.typ, ph.nth, r, ft)
 				})
 			}
 		}
@@ -216,13 +221,13 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 }
 
 // crashOneFollower is one row of TestCrashMidCollectiveNeverDeadlocks: an
-// R-replica loopback run whose replica 1 link dies at the 2nd message of
+// R-replica loopback run whose replica 1 link dies at the nth message of
 // type typ.
-func crashOneFollower(t *testing.T, build func() pipemare.Task, base []pipemare.Option, ref *pipemare.Run, typ byte, r int, ft bool) {
+func crashOneFollower(t *testing.T, build func() pipemare.Task, base []pipemare.Option, ref *pipemare.Run, typ byte, nth, r int, ft bool) {
 	baseline := runtime.NumGoroutine()
 	dialers, _, wait := startWorkers(t, r-1, build, func() []pipemare.Option { return base })
 	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
-		faults.Rule{Dir: faults.Send, Type: typ, Nth: 2, Op: faults.Kill})}
+		faults.Rule{Dir: faults.Send, Type: typ, Nth: nth, Op: faults.Kill})}
 	opts := append(append([]pipemare.Option{}, base...),
 		pipemare.WithReplicas(r), pipemare.WithTransport(dialers...))
 	if ft {
@@ -394,7 +399,7 @@ func TestHeartbeatEvictsHungPeer(t *testing.T) {
 	wait() // the hung worker's serve loop ends in an error by design
 }
 
-// specTail decodes the last two fields of a Hello or Welcome spec — the
+// specTail decodes the last two fields of a hello's spec — the
 // fault-tolerance flag and the heartbeat cadence — from its payload.
 func specTail(payload []byte) (ft bool, heartbeat time.Duration) {
 	c := transport.NewCursor(payload[len(payload)-9:])
@@ -455,12 +460,12 @@ func TestInProcessElasticLeaderWelcomesWithItsHeartbeat(t *testing.T) {
 	if err := jwait(); err != nil {
 		t.Fatalf("joiner: %v", err)
 	}
-	welcomes := joiner.payloads(transport.MsgWelcome)
-	if len(welcomes) != 1 {
-		t.Fatalf("the joiner was sent %d welcomes, want 1", len(welcomes))
+	hellos := joiner.payloads(transport.MsgHello)
+	if len(hellos) != 1 {
+		t.Fatalf("the joiner was sent %d hellos, want 1", len(hellos))
 	}
-	if ft, hb := specTail(welcomes[0]); !ft || hb != 50*time.Millisecond {
-		t.Fatalf("welcome announced FT=%t, heartbeat %v; want FT=true, heartbeat 50ms", ft, hb)
+	if ft, hb := specTail(hellos[0]); !ft || hb != 50*time.Millisecond {
+		t.Fatalf("hello announced FT=%t, heartbeat %v; want FT=true, heartbeat 50ms", ft, hb)
 	}
 }
 

@@ -45,27 +45,19 @@ func (t *Trainer) layoutStages() {
 	}
 }
 
-// spec is the one builder of the handshake spec: what the leader
-// announces to the remote member taking group position `position` of
-// `replicas` — in MsgHello with the checksum of the leader's current
-// per-stage state, which a dial-time follower must reproduce, and in
-// MsgWelcome without one, because a joiner's state is replaced wholesale
-// by the handoff. The wire carries the position (a worker checks it
-// against the replica count); the stable id the group gives the member is
-// leader-side only.
-func (t *Trainer) spec(position, replicas int, checksum bool) transport.Spec {
-	s := transport.Spec{
+// spec is the one builder of the hello spec: what the leader announces to
+// the follower taking group position `position` of `replicas` — every
+// initial follower, in process or dialled, and every joiner. The wire
+// carries the position (a follower checks it against the replica count);
+// the stable id the group gives the member is leader-side only.
+func (t *Trainer) spec(position, replicas int) transport.Spec {
+	return transport.Spec{
 		Replica: position, Replicas: replicas, Stages: t.clock.P,
-		Method: int(t.cfg.Method), T2: t.delta != nil, Sharded: true,
-		Step: t.step, Epoch: t.epoch,
+		Method: int(t.cfg.Method), T2: t.delta != nil,
 		GroupCosts: t.groupCosts,
 		FT:         t.cfg.FaultTolerant,
 		Heartbeat:  t.cfg.Heartbeat,
 	}
-	if checksum {
-		s.Checksum = transport.StateChecksum(host{t}, t.clock.P)
-	}
-	return s
 }
 
 // arm applies the run's tracing and straggler policy to a remote member's
@@ -167,105 +159,64 @@ func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize 
 	return costs
 }
 
-// newFollower clones the leader's task, copies the leader's current
-// (initial) weights into the clone — so the follower's version store
-// seeds with the same version-0 snapshot — and builds the in-process
-// follower trainer for replica r.
-func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
-	ct := rep.CloneTask()
-	var cps []*nn.Param
-	for _, g := range ct.Groups() {
-		cps = append(cps, g.Params...)
+// NewFollower builds follower spec.Replica of spec.Replicas: the one
+// constructor of every follower, whether New clones it in process or a
+// worker process builds it for the leader's hello. A follower is a
+// single-replica trainer over task that never drives itself — its chunks
+// run through the replicated engine's (or the serve loop's) inner engine —
+// and leaves checkpointing and admission to the leader. cfg is the
+// configuration on the follower's side: the leader's own in process, the
+// worker's options remotely; it must agree with the spec on method and T2,
+// and the spec alone decides the replica count, fault tolerance and, for a
+// cost or profile partition, the group costs. The optimizer state is
+// cloned from opt: every moment under fault tolerance (mirrored onto every
+// replica so any survivor can own any stage), else the moments of the
+// follower's own stage shard under the initial commit plan. Its starting
+// weights do not matter: it becomes active only through the leader's state
+// handoff, which also refuses one of another stage layout or dtype.
+func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, spec transport.Spec) (replica.Local, error) {
+	r := spec.Replica
+	switch {
+	case r < 1 || r >= spec.Replicas:
+		return nil, fmt.Errorf("core: follower replica %d out of range [1, %d)", r, spec.Replicas)
+	case int(cfg.Method) != spec.Method:
+		return nil, fmt.Errorf("core: follower trains %v, leader %v", cfg.Method, Method(spec.Method))
+	case (cfg.T2D > 0) != spec.T2:
+		return nil, fmt.Errorf("core: follower T2 %t, leader T2 %t", cfg.T2D > 0, spec.T2)
 	}
-	if len(cps) != len(t.params) {
-		return nil, fmt.Errorf("core: replica %d clone has %d params, leader has %d", r, len(cps), len(t.params))
-	}
-	for i, cp := range cps {
-		if !cp.Data.SameShape(t.params[i].Data) {
-			return nil, fmt.Errorf("core: replica %d clone param %d (%s) shape %v differs from leader's %v",
-				r, i, cp.Name, cp.Data.Shape, t.params[i].Data.Shape)
-		}
-		cp.Data.CopyFrom(t.params[i].Data)
-	}
-	fcfg := t.cfg
-	if fcfg.Partition != pipeline.PartitionEven {
-		// Followers must land on the leader's exact partition: reuse its
-		// (possibly measured) cost vector instead of re-estimating, so a
-		// noisy profile pass cannot skew a follower's stage boundaries.
-		fcfg.GroupCosts = t.groupCosts
-	}
-	return buildFollower(ct, t.opt, t.sched, fcfg, r, t.cfg.Replicas)
-}
-
-// NewFollower builds the standalone worker-process counterpart of the
-// in-process followers New builds for Replicas > 1: a follower trainer
-// for replica r of cfg.Replicas, returned as its local member surface,
-// ready to be served to a remote leader (internal/transport). The caller
-// supplies a task, optimizer and schedule constructed exactly as the
-// leader's — same seeds, same options — which the transport handshake
-// verifies end to end with a checksum over the initial per-stage state.
-// Unlike the in-process path the task is used directly, not cloned: the
-// worker process owns it.
-func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r int) (replica.Local, error) {
-	R := cfg.Replicas
-	if R < 2 {
-		return nil, fmt.Errorf("core: a follower needs Replicas >= 2, got %d", R)
-	}
-	if r < 1 || r >= R {
-		return nil, fmt.Errorf("core: follower replica %d out of range [1, %d)", r, R)
-	}
-	f, err := buildFollower(task, opt, sched, cfg, r, R)
-	if err != nil {
-		return nil, err
-	}
-	return host{f}, nil
-}
-
-// followerConfig derives follower r's configuration from the run's: a
-// follower is a single-replica trainer that never drives itself — its
-// chunks run through the replicated engine's (or the serve loop's) inner
-// engine — and leaves checkpointing, admission and straggler policy to
-// the leader. The shared recorder attributes its events to replica r.
-func followerConfig(cfg Config, r int) Config {
-	cfg.Replicas = 0
-	cfg.Engine = engine.NewReference()
-	cfg.Followers = nil
-	cfg.CheckpointDir = ""
-	cfg.Elastic = false
-	cfg.StragglerDeadline, cfg.StragglerMisses = 0, 0
+	cfg.Replicas, cfg.Engine = 0, nil
+	cfg.FaultTolerant = spec.FT
+	cfg.CheckpointDir, cfg.Elastic = "", false
 	cfg.TraceReplica = r
-	return cfg
-}
-
-// buildFollower builds the follower trainer for replica r of replicas
-// over task, with the optimizer state its role needs, cloned from the
-// run's optimizer opt: full moments under fault tolerance (mirrored onto
-// every replica so any survivor can own any stage), else the moments of
-// its own stage shard under the initial commit plan.
-func buildFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r, replicas int) (*Trainer, error) {
+	if cfg.Partition != pipeline.PartitionEven && len(spec.GroupCosts) > 0 {
+		// Land on the leader's exact stage boundaries: reuse its (possibly
+		// measured) cost vector instead of re-estimating, so a noisy profile
+		// pass cannot skew this follower's partition.
+		cfg.GroupCosts = spec.GroupCosts
+	}
 	var ps []*nn.Param
 	for _, g := range task.Groups() {
 		ps = append(ps, g.Params...)
 	}
 	// The fault-tolerant stage-state layout aliases the live moment
 	// tensors, so the full-state optimizer must exist before the trainer is
-	// built. A shard's bounds come from the follower's own (identical)
-	// stage partition, so the shard optimizer is swapped in afterwards —
-	// safe, because without fault tolerance no stage state aliases it.
+	// built. A shard's bounds come from the follower's own stage partition,
+	// so the shard optimizer is swapped in afterwards — safe, because
+	// without fault tolerance no stage state aliases it.
 	sh := optim.FullShard(len(ps))
-	if !cfg.FaultTolerant {
+	if !spec.FT {
 		sh = optim.Shard{}
 	}
-	f, err := New(task, opt.CloneShard(ps, sh), sched, followerConfig(cfg, r))
+	f, err := New(task, opt.CloneShard(ps, sh), sched, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
 	}
-	if !cfg.FaultTolerant {
-		if lo, hi := engine.NewCommitPlan(f.clock.P, replicas).Shard(r); lo != hi {
+	if !spec.FT {
+		if lo, hi := engine.NewCommitPlan(f.clock.P, spec.Replicas).Shard(r); lo != hi {
 			f.opt = opt.CloneShard(ps, optim.Shard{Lo: f.stageLo[lo], Hi: f.stageHi[hi-1]})
 		}
 	}
-	return f, nil
+	return host{f}, nil
 }
 
 // gammaFromD mirrors quad.GammaFromD for τ_bkwd = 0 without importing the

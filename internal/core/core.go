@@ -103,9 +103,10 @@ type Task interface {
 
 // Replicable is a Task that can produce an architecturally identical
 // fresh instance for data-parallel replication (Config.Replicas > 1).
-// The clone must have the same weight-group structure and parameter
-// shapes; its initial weights are overwritten with the leader's before
-// training starts, so the clone's own initialization does not matter.
+// The clone must have the same weight-group structure, parameter shapes
+// and dtype; its own initialization does not matter, because the launch
+// handoff replaces every tensor it trains from — and refuses, failing New,
+// a clone whose stage layout differs.
 type Replicable interface {
 	Task
 	// CloneTask returns a fresh task instance over the same dataset with
@@ -173,7 +174,8 @@ type Config struct {
 	// trainers — the hook the transport layer uses to connect remote
 	// worker processes (pipemare.WithTransport). New calls it once per
 	// follower, after the leader is fully built, with the resolved
-	// replication environment.
+	// replication environment, and admits each member it returns with the
+	// state handoff.
 	Followers func(r int, env ReplicaEnv) (replica.Member, error)
 
 	// FaultTolerant makes follower failures survivable: every replica
@@ -233,9 +235,9 @@ type Config struct {
 }
 
 // ReplicaEnv is what a Config.Followers factory needs to connect follower
-// r: the leader's replica surface, and the handshake spec a remote side
-// must agree with (Trainer.spec) — replica r's position, the resolved
-// topology, the leader's clocks and the checksum of its initial state.
+// r: the leader's replica surface, and the hello spec a remote side builds
+// its follower from (Trainer.spec) — replica r's position, the resolved
+// topology, method and technique flags, and the fault-tolerance settings.
 type ReplicaEnv struct {
 	Leader replica.Leader
 	Spec   transport.Spec
@@ -316,15 +318,16 @@ type Trainer struct {
 	// Elastic-membership state: parked joiner connections awaiting the
 	// next minibatch boundary (fed by AcceptJoins goroutines, drained on
 	// the run goroutine), the listeners and cancel that release them, and
-	// the handoff clock. joinMu guards closed, pending, joinLis and
-	// joinCtx/joinCancel: Close may run beside the accept loops.
+	// the mid-run admission counters. joinMu guards closed, pending, joinLis
+	// and joinCtx/joinCancel: Close may run beside the accept loops.
 	joinMu     sync.Mutex
 	closed     bool
 	pending    []pendingJoin
 	joinLis    []io.Closer
 	joinCtx    context.Context
 	joinCancel context.CancelFunc
-	handoffNs  int64 // cumulative wall time spent in state handoffs
+	joins      int   // mid-run admissions: joiners and rejoining standbys
+	handoffNs  int64 // their cumulative wall time, hello and handoff
 }
 
 // flight is one in-flight microbatch: its sample indices and its machine
@@ -465,49 +468,42 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	if replicas == 1 {
 		return t, nil
 	}
-	env := ReplicaEnv{Leader: host{t}}
-	if cfg.Followers != nil {
-		env.Spec = t.spec(0, replicas, true) // one state checksum for all R−1 handshakes
-	}
-	var followers []replica.Member
-	// A follower that cannot be connected (or a group that cannot be built)
-	// must not strand the ones already connected: a remote worker would sit
-	// in its serve loop until this process died.
-	fail := func(err error) (*Trainer, error) {
-		for _, m := range followers {
-			if c, ok := m.(io.Closer); ok {
-				c.Close()
-			}
-		}
-		return nil, err
-	}
+	// Every follower enters the way a mid-run joiner does: built or
+	// connected from the spec of its position, parked as a standby, and
+	// activated by the state handoff, so its own starting state never
+	// matters. One that cannot enter fails New, and the group closes every
+	// follower already connected: a remote worker would otherwise sit in
+	// its serve loop until this process died.
+	t.group = replica.NewGroup(host{t}, cfg.FaultTolerant)
 	for r := 1; r < replicas; r++ {
-		var m replica.Member
-		if cfg.Followers != nil {
-			env.Spec.Replica = r
-			if m, err = cfg.Followers(r, env); err != nil {
-				return fail(fmt.Errorf("core: connecting replica %d: %w", r, err))
-			}
-			if m == nil {
-				return fail(fmt.Errorf("core: follower factory returned nil member for replica %d", r))
-			}
-			if rm, ok := m.(*transport.RemoteMember); ok {
-				t.arm(rm)
-			}
-		} else {
-			f, err := t.newFollower(task.(Replicable), r)
-			if err != nil {
-				return nil, err
-			}
-			m = host{f}
+		m, err := t.follower(r, replicas)
+		if err == nil {
+			err = t.enter(m)
 		}
-		followers = append(followers, m)
-	}
-	t.group, err = replica.NewGroup(host{t}, followers, cfg.FaultTolerant)
-	if err != nil {
-		return fail(fmt.Errorf("core: %w", err))
+		if err != nil {
+			t.group.Close()
+			return nil, err
+		}
 	}
 	return t, nil
+}
+
+// follower builds or connects follower r of replicas for the spec of its
+// position: a NewFollower over a clone of the task, or whatever
+// Config.Followers connects.
+func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
+	spec := t.spec(r, replicas)
+	if t.cfg.Followers == nil {
+		return NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, t.cfg, spec)
+	}
+	m, err := t.cfg.Followers(r, ReplicaEnv{Leader: host{t}, Spec: spec})
+	if err != nil {
+		return nil, fmt.Errorf("core: connecting replica %d: %w", r, err)
+	}
+	if m == nil {
+		return nil, fmt.Errorf("core: follower factory returned nil member for replica %d", r)
+	}
+	return m, nil
 }
 
 // Taus returns the per-parameter forward delays in minibatch units.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"pipemare/internal/replica"
@@ -13,26 +14,27 @@ import (
 // Elastic membership: mid-run scale-up. AcceptJoins parks joining
 // worker connections; run() drains the park at minibatch boundaries —
 // the only points with no optimizer state in flight — and admits each
-// joiner with a live state handoff (the same replica.Group.Handoff push
-// a checkpoint restore uses), then activates it in the replica group,
-// which grows the reduce tree and commit plan to R+1. The same boundary
-// also readmits demoted stragglers whose late replies have drained —
-// the group's standbys — by the same two steps. Because a member
-// that has seen the handoff is indistinguishable from one that trained
-// from the start, and the curves are replica-count invariant, a
-// post-join curve is bit-identical to a fresh (R+1)-replica run from
-// the handed-off state.
+// joiner the one way every follower enters (Trainer.enter): the hello,
+// then the live state handoff (the same replica.Group.Handoff push a
+// checkpoint restore uses), then activation in the replica group, which
+// grows the reduce tree and commit plan to R+1. The same boundary also
+// readmits demoted stragglers whose late replies have drained — the
+// group's standbys — by the last two steps. Because a member that has
+// seen the handoff is indistinguishable from one that trained from the
+// start, and the curves are replica-count invariant, a post-join curve is
+// bit-identical to a fresh (R+1)-replica run from the handed-off state.
 
-// welcomeTimeout bounds the admission round-trip with one parked joiner
-// (Welcome send + JoinOK reply + the handoff collectives) so a joiner
-// that dies while parked cannot stall the training loop.
+// welcomeTimeout bounds the leader's wait on one joiner — for its join
+// request, and for its answer to the hello that admits it — so a dialer
+// that never speaks, or a joiner that dies while parked, stalls neither the
+// accept path nor the training loop.
 const welcomeTimeout = 30 * time.Second
 
-// pendingJoin is one parked joiner: its connection and the capability
-// spec it announced.
+// pendingJoin is one parked joiner: its connection and the earliest
+// leader step it asked to be admitted at.
 type pendingJoin struct {
-	conn transport.MsgConn
-	spec transport.JoinSpec
+	conn   transport.MsgConn
+	joinAt int
 }
 
 // AcceptJoins starts accepting mid-run join connections on lis: each
@@ -61,30 +63,35 @@ func (t *Trainer) AcceptJoins(lis transport.Listener) error {
 	return nil
 }
 
-// acceptJoins is the accept-park loop for one listener. It owns nothing
-// but the connection between Accept and park, so a trainer Close (which
-// closes the listener and cancels ctx) unwinds it promptly.
+// acceptJoins is the accept loop for one listener. Each connection's join
+// request is read on a goroutine of its own (park), so a dialer that never
+// sends one holds up no later joiner; a trainer Close (which closes the
+// listener and cancels ctx) unwinds both.
 func (t *Trainer) acceptJoins(ctx context.Context, lis transport.Listener) {
 	for {
 		conn, err := lis.Accept(ctx)
 		if err != nil {
 			return
 		}
-		spec, err := transport.AcceptJoin(ctx, conn)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		t.joinMu.Lock()
-		closed := t.closed
-		if !closed {
-			t.pending = append(t.pending, pendingJoin{conn: conn, spec: spec})
-		}
-		t.joinMu.Unlock()
-		if closed {
-			conn.Close()
-			return
-		}
+		go t.park(ctx, conn)
+	}
+}
+
+// park reads one accepted connection's join request, under welcomeTimeout,
+// and parks the joiner until the boundary it asked for; a connection that
+// sends none in time, or arrives at a closed trainer, is closed.
+func (t *Trainer) park(ctx context.Context, conn transport.MsgConn) {
+	rctx, cancel := context.WithTimeout(ctx, welcomeTimeout)
+	joinAt, err := transport.AcceptJoin(rctx, conn)
+	cancel()
+	t.joinMu.Lock()
+	parked := err == nil && !t.closed
+	if parked {
+		t.pending = append(t.pending, pendingJoin{conn: conn, joinAt: joinAt})
+	}
+	t.joinMu.Unlock()
+	if !parked {
+		conn.Close()
 	}
 }
 
@@ -99,18 +106,27 @@ func (t *Trainer) admitBoundary() {
 		return
 	}
 	for _, id := range t.group.ReadyStandbys() {
+		start := time.Now()
 		if t.admit(id) == nil {
-			t.ctlTrack().Instant(trace.NameRejoin, -1, -1, 0)
+			t.admitted(start, trace.NameRejoin)
 		}
 	}
 	t.admitJoins()
 }
 
-// admitJoins drains the parked-joiner queue: for each joiner whose
-// capabilities match (and whose requested join step has arrived), send
-// the Welcome spec, perform the live state handoff, and grow the
-// replica group. A capability mismatch rejects that joiner without
-// failing the run; joiners ahead of their JoinAt step stay parked.
+// admitted counts one mid-run admission that began at start — ElasticStats
+// reports these, not the followers New admits — and marks it on the
+// control track.
+func (t *Trainer) admitted(start time.Time, name string) {
+	t.joins++
+	t.handoffNs += time.Since(start).Nanoseconds()
+	t.ctlTrack().Instant(name, -1, -1, 0)
+}
+
+// admitJoins drains the parked-joiner queue: every joiner whose requested
+// join step has arrived is admitted (admitOne); the others stay parked. A
+// joiner that cannot be admitted — refused by its own worker, by the
+// replica cap, or by the handoff — is closed without failing the run.
 func (t *Trainer) admitJoins() {
 	t.joinMu.Lock()
 	pend := t.pending
@@ -118,15 +134,13 @@ func (t *Trainer) admitJoins() {
 	t.joinMu.Unlock()
 	var parked []pendingJoin
 	for _, pj := range pend {
-		if pj.spec.JoinAt > t.step {
+		if pj.joinAt > t.step {
 			parked = append(parked, pj)
 			continue
 		}
-		// A joiner that is not admitted was told why (RejectJoin) and its
-		// connection is closed; the run itself continues over the current
-		// members.
+		start := time.Now()
 		if t.admitOne(pj) == nil {
-			t.ctlTrack().Instant(trace.NameJoin, -1, -1, 0)
+			t.admitted(start, trace.NameJoin)
 		}
 	}
 	if len(parked) > 0 {
@@ -136,75 +150,85 @@ func (t *Trainer) admitJoins() {
 	}
 }
 
-// admitOne admits a single parked joiner end to end: capability check,
-// Welcome, handoff, activation. On any failure the connection is closed
-// and an error returned; the caller decides whether the run cares.
+// admitOne admits a single parked joiner at the tail of the group: the
+// hello with the spec of that position — the worker builds its follower,
+// or refuses with its reason — then the entry every follower takes. On
+// any failure the connection is closed and an error returned.
 func (t *Trainer) admitOne(pj pendingJoin) error {
-	reject := func(format string, args ...any) error {
-		err := fmt.Errorf(format, args...)
-		ctx, cancel := context.WithTimeout(context.Background(), welcomeTimeout)
+	pos := t.group.Replicas()
+	ctx, cancel := context.WithTimeout(context.Background(), welcomeTimeout)
+	defer cancel()
+	if pos+1 > t.clock.N {
+		err := fmt.Errorf("%d replicas would exceed the %d microbatches per minibatch", pos+1, t.clock.N)
 		transport.RejectJoin(ctx, pj.conn, err.Error())
-		cancel()
 		pj.conn.Close()
 		return fmt.Errorf("core: rejecting joiner: %w", err)
 	}
-	if pj.spec.Stages != t.clock.P {
-		return reject("joiner has %d stages, leader has %d", pj.spec.Stages, t.clock.P)
-	}
-	if pj.spec.Method != int(t.cfg.Method) {
-		return reject("joiner trains method %d, leader method %d", pj.spec.Method, int(t.cfg.Method))
-	}
-	if pj.spec.T2 != (t.delta != nil) {
-		return reject("joiner T2 %t, leader T2 %t", pj.spec.T2, t.delta != nil)
-	}
-	pos := t.group.Replicas() // the joiner's group position: the tail
-	if pos+1 > t.clock.N {
-		return reject("%d replicas would exceed the %d microbatches per minibatch", pos+1, t.clock.N)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), welcomeTimeout)
-	m, err := transport.Welcome(ctx, pj.conn, t.spec(pos, pos+1, false))
-	cancel()
+	m, err := transport.NewRemoteMember(ctx, pj.conn, t.spec(pos, pos+1))
 	if err != nil {
 		pj.conn.Close()
 		return fmt.Errorf("core: %w", err)
 	}
-	t.arm(m)
+	return t.enter(m)
+}
+
+// enter brings follower m into the run the one way there is: parked in the
+// replica group as a standby — which gives it its stable id — and admitted
+// by the state handoff. New enters every initial follower, in process or
+// dialled, and the boundary every joiner.
+func (t *Trainer) enter(m replica.Member) error {
+	if rm, ok := m.(*transport.RemoteMember); ok {
+		t.arm(rm)
+	}
 	id, err := t.group.Park(m)
 	if err != nil {
-		m.Close()
-		return err
+		if c, ok := m.(io.Closer); ok {
+			c.Close()
+		}
+		return fmt.Errorf("core: %w", err)
 	}
 	return t.admit(id)
 }
 
-// admit performs the timed live state handoff to standby id — a parked
-// joiner or a drained straggler — and applies the boundary's one
-// membership transition: into the active group when the handoff
-// succeeded (growing the reduce tree and commit plan by one), out of the
-// run, closed, when it did not.
+// admit performs the live state handoff to standby id — a follower
+// entering at launch, a joiner, or a drained straggler — and applies the
+// one membership transition that follows: into the active group when the
+// handoff succeeded (growing the reduce tree and commit plan by one), out
+// of the run, closed, when it did not.
 func (t *Trainer) admit(id int) error {
-	start := time.Now()
 	t0 := t.cfg.Trace.Now()
 	to := replica.Active
-	err := t.group.Handoff(id, t.store.History)
+	err := t.handoff(id)
 	if err != nil {
-		err = fmt.Errorf("core: handoff: %w", err)
-		to = replica.Gone
+		err, to = fmt.Errorf("core: handoff: %w", err), replica.Gone
 	} else {
 		t.ctlTrack().Span(trace.NameHandoff, t0, -1, -1, 0)
-		t.handoffNs += time.Since(start).Nanoseconds()
 	}
 	t.group.Transition(id, to)
 	return err
 }
 
-// ElasticStats reports the elastic-membership counters: members
-// admitted mid-run (fresh joins and standby rejoins), stragglers
-// demoted to standby, and the cumulative wall time spent in state
-// handoffs.
+// handoff is Group.Handoff to member id. An in-process follower refuses a
+// stage state of another layout by panicking (checkStage), as a worker's
+// follower does before its serve loop turns the panic into an error reply;
+// here too it becomes the handoff's error, so a CloneTask that built
+// another model fails New instead of crashing it.
+func (t *Trainer) handoff(id int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("replica %d: %v", id, r)
+		}
+	}()
+	return t.group.Handoff(id, t.store.History)
+}
+
+// ElasticStats reports the elastic-membership counters: members admitted
+// mid-run (fresh joins and standby rejoins, not the followers New
+// admits), stragglers demoted to standby, and the cumulative wall time
+// spent admitting them (hello and state handoff).
 func (t *Trainer) ElasticStats() (joins, demotions int, handoffNs int64) {
 	if t.group != nil {
-		joins, demotions, _ = t.group.Stats()
+		demotions = t.group.Demotions()
 	}
-	return joins, demotions, t.handoffNs
+	return t.joins, demotions, t.handoffNs
 }

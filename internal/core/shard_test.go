@@ -57,12 +57,13 @@ func repParams(t *repTask) []*nn.Param {
 // follower trainer in out — the replica group keeps its members to itself.
 func captureFollowers(task Replicable, out *[]*Trainer) func(int, ReplicaEnv) (replica.Member, error) {
 	return func(r int, env ReplicaEnv) (replica.Member, error) {
-		f, err := env.Leader.(host).t.newFollower(task, r)
+		lead := env.Leader.(host).t
+		m, err := NewFollower(task.CloneTask(), lead.opt, lead.sched, lead.cfg, env.Spec)
 		if err != nil {
 			return nil, err
 		}
-		*out = append(*out, f)
-		return host{f}, nil
+		*out = append(*out, m.(host).t)
+		return m, nil
 	}
 }
 
@@ -160,5 +161,29 @@ func TestImpliedFaultToleranceMirrorsMoments(t *testing.T) {
 	if _, err := New(task, optim.NewSGDShard(repParams(task), 0.9, 0, optim.Shard{Hi: 2}), optim.Constant(0.1), cfg); err == nil ||
 		!strings.Contains(err.Error(), "every parameter") {
 		t.Fatalf("fault-tolerant leader over a shard optimizer: err = %v", err)
+	}
+}
+
+// brokenClone is a repTask whose clones build another model: the first
+// parameter of a clone has three elements, not two.
+type brokenClone struct{ *repTask }
+
+func (b brokenClone) CloneTask() Task {
+	c := newRepTask(len(b.groups), b.numTrain)
+	c.groups[0].Params[0] = nn.NewParam("rep", 3)
+	return c
+}
+
+// TestBrokenCloneFailsNew pins the launch handoff's refusal in process: an
+// in-process follower enters like any other, through the state handoff, so
+// a CloneTask whose stage layout differs fails New with an error naming
+// the stage and tensor — not a panic, and not a follower training from
+// state of another shape.
+func TestBrokenCloneFailsNew(t *testing.T) {
+	task := brokenClone{newRepTask(4, 64)}
+	_, err := New(task, optim.NewSGD(repParams(task.repTask), 0.9, 0), optim.Constant(0.1), Config{
+		Stages: 2, BatchSize: 16, MicrobatchSize: 4, Replicas: 2, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "stage 0 tensor 0 shape [2], want [3]") {
+		t.Fatalf("New over a broken clone: err = %v, want the handoff's refusal of stage 0 tensor 0", err)
 	}
 }

@@ -131,11 +131,12 @@ type stubLeader struct {
 func newStubLeader(t *testing.T, p int) *stubLeader {
 	t.Helper()
 	l := &stubLeader{stubMember: &stubMember{p: p}, follower: &stubMember{p: p}}
-	g, err := replica.NewGroup(l, []replica.Member{l.follower}, false)
+	l.group = replica.NewGroup(l, false)
+	id, err := l.group.Park(l.follower)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.group = g
+	l.group.Transition(id, replica.Active)
 	return l
 }
 

@@ -304,8 +304,8 @@ func (w Workload) Target(results ...RunResult) float64 {
 
 // EngineBenchTask builds the engine-benchmark transformer (dim 128, 2+2
 // layers, batch 32, 8 microbatches). Leader and worker processes both
-// call it, so a remote run starts from bit-identical weights on every
-// replica (the transport handshake verifies this with a state checksum).
+// call it, so every replica builds the same model and data; the leader's
+// state handoff then gives each worker the leader's weights.
 func EngineBenchTask() core.Task {
 	ds := data.NewTranslation(data.TranslationConfig{
 		Vocab: 13, SrcLen: 6, Train: 256, Test: 32, Seed: 2})

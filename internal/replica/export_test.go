@@ -26,3 +26,17 @@ func (g *Group) Compute(r int) *Compute { return g.members[r].comp }
 
 // Begin splits a minibatch into the active members' chunks.
 func (g *Group) Begin(ctx context.Context, micros [][]int) [][][]int { return g.begin(ctx, micros) }
+
+// Admit parks each follower and moves it straight to Active: the launch
+// admission without its state handoff, for fixtures whose members start
+// out equal.
+func (g *Group) Admit(ms ...Member) error {
+	for _, m := range ms {
+		id, err := g.Park(m)
+		if err != nil {
+			return err
+		}
+		g.Transition(id, Active)
+	}
+	return nil
+}

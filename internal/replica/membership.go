@@ -1,6 +1,6 @@
 // Membership: who is in the run, and the one transition that changes it.
 //
-//	           join / rejoin                 fatal fault
+//	              handoff                    fatal fault
 //	standby ────────────────▶ active ───────────────────▶ gone
 //	   ▲  │                     │                           ▲
 //	   │  └─────────────────────┼───────────────────────────┘
@@ -9,10 +9,11 @@
 //	          straggler
 //
 // Every member is one record in Group.members with a stable id that is
-// never reused. A fresh joiner is parked as a standby (Park), a straggler
-// is demoted to one; a standby becomes active after a live state handoff
-// (Handoff); an active member whose connection dies — or a standby whose
-// connection died while it sat out — is gone. Transition is the only code
+// never reused. Every follower enters parked as a standby (Park) — at
+// launch and mid-run alike — and a straggler is demoted to one; a standby
+// becomes active after a live state handoff (Handoff); an active member
+// whose connection dies — or a standby whose connection died while it sat
+// out, or whose handoff failed — is gone. Transition is the only code
 // that moves a record: it re-splits positions, re-derives the commit plan
 // over the active members and starts or stops the member's inner engine,
 // whichever edge is taken.
@@ -46,9 +47,9 @@ const (
 	Gone State = iota
 	// Active members hold a position in the reduce tree and commit plan.
 	Active
-	// Standby members are alive and connected but sit out of both: parked
-	// joiners awaiting their handoff, and demoted stragglers draining
-	// their late reply.
+	// Standby members are alive and connected but sit out of both:
+	// followers and joiners awaiting their handoff, and demoted stragglers
+	// draining their late reply.
 	Standby
 )
 
@@ -122,8 +123,9 @@ func (g *Group) enter(m Member) (*member, error) {
 	return rec, nil
 }
 
-// Park adds a freshly welcomed joiner to the table as a standby and
-// returns its id; Handoff and Transition(id, Active) admit it.
+// Park adds a follower — built or connected at launch, or a joiner that
+// has answered the leader's hello — to the table as a standby and returns
+// its id; Handoff and Transition(id, Active) admit it.
 func (g *Group) Park(m Member) (int, error) {
 	rec, err := g.enter(m)
 	if err != nil {
@@ -149,16 +151,10 @@ func (g *Group) Transition(id int, to State) {
 	if i <= 0 {
 		return
 	}
-	m := g.members[i]
-	switch {
-	case to == Active:
-		g.joins++
-	case to == Standby:
+	if to == Standby {
 		g.demotions++
-	case m.state == Active:
-		g.evictions++
 	}
-	g.move(m, to)
+	g.move(g.members[i], to)
 }
 
 func (g *Group) move(m *member, to State) {
@@ -286,11 +282,11 @@ func (g *Group) ResetGrads() {
 // a remote member a wire request — at a time: the epoch clock, every
 // stage's state in the gather layout, the step clock, then each stage's
 // weight-version ring (rings returns its base version and snapshots,
-// oldest to newest). It is both the checkpoint-restore re-synchronization
-// and the live handoff a joiner or a rejoining standby receives: a member
-// that has seen it is indistinguishable from one that trained alongside
-// the leader. A member whose connection fails latches the error and
-// ignores the rest.
+// oldest to newest). It is the one way a follower becomes active — at
+// launch, on a mid-run join, on a straggler's rejoin — and the
+// checkpoint-restore re-synchronization: a member that has seen it is
+// indistinguishable from one that trained alongside the leader. A member
+// whose connection fails latches the error and ignores the rest.
 func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor)) error {
 	m := g.members[g.index(id)]
 	m.SetEpoch(g.lead.Epoch())
@@ -322,7 +318,8 @@ func (g *Group) Resync(rings func(stage int) (int, [][]*tensor.Tensor)) error {
 // ReadyStandbys returns the ids of the standbys that have finished
 // draining and can rejoin, rearmed for readmission. A standby whose
 // connection broke while it sat out is gone: readmission is impossible.
-// Only remote members are ever standbys.
+// Between minibatches every standby is remote: an in-process follower is
+// one only while its trainer is being built.
 func (g *Group) ReadyStandbys() []int {
 	var ready []int
 	for _, m := range slices.Clone(g.members[g.active:]) {
@@ -337,12 +334,8 @@ func (g *Group) ReadyStandbys() []int {
 	return ready
 }
 
-// Stats reports the membership changes over the group's lifetime:
-// members admitted (joins and standby rejoins), stragglers demoted to
-// standby, and active members evicted.
-func (g *Group) Stats() (joins, demotions, evictions int) {
-	return g.joins, g.demotions, g.evictions
-}
+// Demotions reports how many stragglers the group has demoted to standby.
+func (g *Group) Demotions() int { return g.demotions }
 
 // Close closes every remote member's connection, active and standby
 // alike, joining the errors. It only reads the table, so — like the

@@ -314,8 +314,8 @@ func TestMembershipTransitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := &fixture{lead: newFakeMember(p), local: newFakeMember(p), remote: map[int]*fakeRemote{2: newFakeRemote(p), 3: newFakeRemote(p)}}
-			g, err := replica.NewGroup(f.lead, []replica.Member{f.local, f.remote[2], f.remote[3]}, !tc.noFT)
-			if err != nil {
+			g := replica.NewGroup(f.lead, !tc.noFT)
+			if err := g.Admit(f.local, f.remote[2], f.remote[3]); err != nil {
 				t.Fatal(err)
 			}
 			f.g = g
@@ -328,7 +328,7 @@ func TestMembershipTransitions(t *testing.T) {
 			if tc.arm != nil {
 				tc.arm(f)
 			}
-			err = tc.event(f)
+			err := tc.event(f)
 			var me *replica.MemberError
 			switch {
 			case tc.wantAbort != "":
@@ -393,12 +393,13 @@ func TestMembershipTransitions(t *testing.T) {
 	}
 }
 
-// TestNewGroupRefusesUnknownMemberKind pins the entry check: a member
-// that is neither in-process nor remote cannot be driven at all.
+// TestNewGroupRefusesUnknownMemberKind pins the new group's entry check,
+// which every follower passes through (Park): a member that is neither
+// in-process nor remote cannot be driven at all.
 func TestNewGroupRefusesUnknownMemberKind(t *testing.T) {
 	var bare struct{ replica.Member }
 	bare.Member = newFakeMember(2)
-	if _, err := replica.NewGroup(newFakeMember(2), []replica.Member{bare}, false); err == nil {
-		t.Fatal("NewGroup accepted a member that is neither Local nor Remote")
+	if _, err := replica.NewGroup(newFakeMember(2), false).Park(bare); err == nil {
+		t.Fatal("Park accepted a member that is neither Local nor Remote")
 	}
 }

@@ -218,25 +218,22 @@ type Group struct {
 	// WaitGroup barriers ordering the handoffs.
 	rec *trace.Recorder
 
-	joins, demotions, evictions int
+	demotions int
 }
 
-// NewGroup builds the group for a leader and its initial followers, which
-// take ids and positions 1..len(followers). faultTolerant reports the
-// mirrored-moment layout that lets the group survive losing a member.
-func NewGroup(lead Leader, followers []Member, faultTolerant bool) (*Group, error) {
+// NewGroup builds the group of a leader, alone and active under id 0.
+// Followers enter it as every member does, parked as standbys (Park) and
+// admitted by a state handoff — the initial ones take ids 1..R−1 in the
+// order they are parked. faultTolerant reports the mirrored-moment layout
+// that lets the group survive losing a member.
+func NewGroup(lead Leader, faultTolerant bool) *Group {
 	p := lead.Stages()
 	g := &Group{lead: lead, p: p, ft: faultTolerant, owners: make([]int, p),
 		scatter: make([][]*tensor.Tensor, p), sumSqs: make([]float64, p)}
 	g.rec, _ = trace.FromCarrier(lead)
-	for _, m := range append([]Member{lead}, followers...) {
-		rec, err := g.enter(m)
-		if err != nil {
-			return nil, err
-		}
-		g.move(rec, Active)
-	}
-	return g, nil
+	rec, _ := g.enter(lead) // a Leader is Local
+	g.move(rec, Active)
+	return g
 }
 
 // tensorsBytes sums the payload size a tensor list moves (element count

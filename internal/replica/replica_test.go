@@ -177,8 +177,8 @@ func (f *fakeLead) group(t *testing.T) *replica.Group {
 	for _, m := range f.followers {
 		ms = append(ms, m)
 	}
-	g, err := replica.NewGroup(f.fakeMember, ms, false)
-	if err != nil {
+	g := replica.NewGroup(f.fakeMember, false)
+	if err := g.Admit(ms...); err != nil {
 		t.Fatal(err)
 	}
 	return g

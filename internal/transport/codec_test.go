@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"hash/crc32"
 	"runtime"
 	"testing"
 	"time"
@@ -10,15 +9,10 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// stateList is a StateSource over literal per-stage tensor lists.
-type stateList [][]*tensor.Tensor
-
-func (s stateList) StageState(stage int) []*tensor.Tensor { return s[stage] }
-
 // mixedState is five stages of mixed float64/float32 tensors with
 // arch-independent values (one IEEE division each); stage 3 is empty.
-func mixedState() stateList {
-	var s stateList
+func mixedState() [][]*tensor.Tensor {
+	var s [][]*tensor.Tensor
 	for st := 0; st < 5; st++ {
 		a := tensor.NewOf(tensor.Float64, st+1, 2)
 		for i := 0; i < a.Size(); i++ {
@@ -34,36 +28,8 @@ func mixedState() stateList {
 	return s
 }
 
-// TestStateChecksumIsCRCOfEncoding pins what the handshake checksum is —
-// the CRC-32 of each stage's AppendTensors bytes, stage after stage — and
-// that its value is the one the hand-rolled hash it replaced produced
-// (recorded at that commit), so a leader and a worker on either side of
-// the change still agree.
-func TestStateChecksumIsCRCOfEncoding(t *testing.T) {
-	s := mixedState()
-	var enc []byte
-	for st := range s {
-		enc = AppendTensors(enc, s[st])
-	}
-	got := StateChecksum(s, len(s))
-	if want := crc32.ChecksumIEEE(enc); got != want {
-		t.Fatalf("StateChecksum %#08x, CRC-32 of the encoding %#08x", got, want)
-	}
-	if got != parentChecksum {
-		t.Fatalf("StateChecksum %#08x, the previous implementation gave %#08x", got, parentChecksum)
-	}
-	tensor.F32(s[4][1])[2]++
-	if StateChecksum(s, len(s)) == got {
-		t.Fatal("checksum blind to a changed float32 element")
-	}
-}
-
-// parentChecksum is StateChecksum(mixedState()) as computed by the
-// element-by-element CRC loops this implementation replaced.
-const parentChecksum = 0x41d6418f
-
 // FuzzCursor feeds arbitrary bytes to every payload decoder — the tensor
-// list, the ring, the hello spec and the join spec — seeded with real
+// list, the ring, the hello spec and the join request — seeded with real
 // payloads of each. The contract is error or success, never a panic, and
 // never an allocation out of proportion to the input: a corrupt count or
 // dimension must be refused before it sizes a buffer. A tensor list that
@@ -73,9 +39,9 @@ func FuzzCursor(f *testing.F) {
 	f.Add(AppendTensors(nil, s[0]))
 	f.Add(AppendTensors(nil, nil))
 	f.Add(RingMsg(MsgSetRing, 0, 3, [][]*tensor.Tensor{s[1], s[2]}).Payload())
-	f.Add(Spec{Replica: 1, Replicas: 2, Stages: 4, Method: 2, T2: true, Sharded: true, Step: 7, Epoch: 1,
-		Checksum: parentChecksum, GroupCosts: []float64{1, 2.5, 3, 4}, FT: true, Heartbeat: time.Second}.encode())
-	f.Add(JoinSpec{Stages: 4, Method: 2, T2: true, JoinAt: 9}.encode())
+	f.Add(Spec{Replica: 1, Replicas: 2, Stages: 4, Method: 2, T2: true,
+		GroupCosts: []float64{1, 2.5, 3, 4}, FT: true, Heartbeat: time.Second}.encode())
+	f.Add(AppendU32(nil, 9)) // a join request: the step to admit at
 	f.Add([]byte{})
 	// Payloads that cross the wire in several frames: a tensor larger than
 	// one, and a chunk reply's shape — plain prefix, then list after list.
@@ -92,7 +58,7 @@ func FuzzCursor(f *testing.F) {
 		c.Ring()
 		c.Done()
 		decodeSpec(data)
-		decodeJoinSpec(data)
+		decodeJoin(data)
 		runtime.ReadMemStats(&after)
 		// A scalar tensor costs 9 input bytes and one Tensor value; 64
 		// bytes per input byte plus the fuzz worker's own background

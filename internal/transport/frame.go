@@ -15,7 +15,7 @@
 //
 //	offset  size  field
 //	0       2     magic "PM" (0x50 0x4D)
-//	2       1     protocol version (2)
+//	2       1     protocol version (3)
 //	3       1     message type
 //	4       1     flags (bit 0: more chunks of this message follow)
 //	5       1     reserved (0)
@@ -59,8 +59,10 @@ const (
 	frameMagic1 = 0x4D
 	// Version is the protocol version this package speaks. Version 2
 	// added a dtype tag byte to every tensor payload (float32 support);
-	// version-1 peers are rejected rather than mis-decoded.
-	Version = 2
+	// version 3 opened every session with the one MsgHello — no state
+	// checksum, no welcome round trip for joiners. Peers of another version
+	// are rejected rather than mis-decoded.
+	Version = 3
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32
@@ -85,8 +87,8 @@ const (
 // exception: the worker interleaves it with a pending MsgChunkDone as a
 // liveness signal, and the leader consumes it without replying.
 const (
-	MsgHello     = 1  // leader→worker: Spec handshake
-	MsgHelloOK   = 2  // worker→leader: handshake accepted
+	MsgHello     = 1  // leader→worker: the Spec that opens every session (launch or join)
+	MsgHelloOK   = 2  // worker→leader: follower built for the Spec
 	MsgRunChunk  = 3  // leader→worker: run a chunk of microbatches
 	MsgChunkDone = 4  // worker→leader: chunk losses + exported gradients
 	MsgSetGrads  = 5  // leader→worker: overwrite a stage's gradient accumulators
@@ -106,9 +108,7 @@ const (
 	MsgBye       = 19 // leader→worker: clean shutdown
 	MsgPing      = 20 // worker→leader: heartbeat while a chunk computes (no reply)
 	MsgSetRing   = 21 // leader→worker: restore a stage's weight-version ring
-	MsgJoin      = 22 // joiner→leader: mid-run join request (capability spec)
-	MsgWelcome   = 23 // leader→joiner: admission Spec, sent at a minibatch boundary
-	MsgJoinOK    = 24 // joiner→leader: admission spec accepted, entering the serve loop
+	MsgJoin      = 22 // joiner→leader: mid-run join request (earliest step to admit at)
 )
 
 // Error codes carried by MsgErr.

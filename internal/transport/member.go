@@ -63,27 +63,13 @@ type RemoteMember struct {
 	tk  *trace.Track
 }
 
-// NewRemoteMember dials nothing — conn is already established — but runs
-// the handshake: it announces spec, waits for the worker's verdict, and
-// returns the proxy on MsgHelloOK.
+// NewRemoteMember dials nothing — conn is already established, by a
+// launch-time dial or a joiner's — but runs the leader's half of the
+// session's hello: it announces spec, waits for the worker's verdict, and
+// returns the proxy on MsgHelloOK. A refusal is an error carrying the
+// worker's reason. Until the replica group assigns the proxy its stable
+// id (SetID), the announced position labels its errors.
 func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec) (*RemoteMember, error) {
-	m := newMember(conn, spec)
-	resp, err := m.roundTrip(ctx, Msg{Type: MsgHello, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
-	if err != nil {
-		return nil, fmt.Errorf("transport: handshake with replica %d: %w", spec.Replica, err)
-	}
-	if resp.Type != MsgHelloOK {
-		return nil, fmt.Errorf("transport: handshake with replica %d: unexpected reply type %d", spec.Replica, resp.Type)
-	}
-	return m, nil
-}
-
-// newMember builds the proxy without running any handshake — shared by
-// NewRemoteMember (the MsgHello path) and the join admission path, whose
-// handshake (MsgWelcome/MsgJoinOK) the caller runs itself. Until the
-// replica group assigns the proxy its stable id (SetID), the announced
-// position labels handshake errors.
-func newMember(conn MsgConn, spec Spec) *RemoteMember {
 	m := &RemoteMember{
 		conn:    conn,
 		replica: spec.Replica,
@@ -93,7 +79,14 @@ func newMember(conn MsgConn, spec Spec) *RemoteMember {
 		states:  make([][]*tensor.Tensor, spec.Stages),
 	}
 	m.SetID(spec.Replica)
-	return m
+	resp, err := m.roundTrip(ctx, Msg{Type: MsgHello, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
+	if err != nil {
+		return nil, fmt.Errorf("transport: hello to replica %d: %w", spec.Replica, err)
+	}
+	if resp.Type != MsgHelloOK {
+		return nil, fmt.Errorf("transport: hello to replica %d: unexpected reply type %d", spec.Replica, resp.Type)
+	}
+	return m, nil
 }
 
 // SetID implements replica.Remote: the group owns member ids and hands
@@ -162,7 +155,6 @@ var wireNames = [...]string{
 	MsgSyncEpoch: "wire:sync-epoch",
 	MsgSync:      "wire:sync",
 	MsgSetRing:   "wire:set-ring",
-	MsgWelcome:   "wire:welcome",
 }
 
 // wireName maps a request type to its wire-span name.
@@ -252,7 +244,7 @@ func (m *RemoteMember) roundTrip(ctx context.Context, req Msg) (Msg, error) {
 		return Msg{}, err
 	}
 	if resp.Type == MsgErr {
-		return Msg{}, decodeWireErr(resp.Data)
+		return Msg{}, decodeWireErr(resp.Data, "worker")
 	}
 	m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+resp.PayloadLen()))
 	return resp, nil
@@ -336,8 +328,9 @@ func appendWireErr(dst []byte, code uint32, text string) []byte {
 	return append(AppendU32(dst, code), text...)
 }
 
-// decodeWireErr turns a MsgErr payload back into an error.
-func decodeWireErr(data []byte) error {
+// decodeWireErr turns a MsgErr payload from peer ("worker", "leader")
+// back into an error.
+func decodeWireErr(data []byte, peer string) error {
 	c := NewCursor(data)
 	code := c.U32()
 	text := string(c.b)
@@ -347,7 +340,7 @@ func decodeWireErr(data []byte) error {
 	if code == errDiverged {
 		return engine.ErrDiverged
 	}
-	return fmt.Errorf("worker: %s", text)
+	return fmt.Errorf("%s: %s", peer, text)
 }
 
 // RunChunk ships the follower's share of a minibatch to the worker: the
@@ -439,7 +432,7 @@ func (m *RemoteMember) chunkRoundTrip(ctx context.Context, req Msg) (Msg, error)
 				m.misses = 0
 			}
 			if r.msg.Type == MsgErr {
-				return Msg{}, decodeWireErr(r.msg.Data)
+				return Msg{}, decodeWireErr(r.msg.Data, "worker")
 			}
 			m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+r.msg.PayloadLen()))
 			return r.msg, nil

@@ -154,11 +154,9 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{Replica: 1, Replicas: 2, Stages: p, Step: 7, Epoch: 3,
-		Checksum: StateChecksum(leader, p)}
-	m, err := NewRemoteMember(ctx, conn, spec)
+	m, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: p})
 	if err != nil {
-		t.Fatalf("handshake: %v", err)
+		t.Fatalf("hello: %v", err)
 	}
 	stop := func() {
 		m.Close()
@@ -178,13 +176,6 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	const p = 3
 	m, worker, leader, stop := startPair(t, p)
 	defer stop()
-
-	// Handshake applied the leader's clocks.
-	worker.mu.Lock()
-	if worker.step != 7 || worker.epoch != 3 {
-		t.Fatalf("worker clocks %d/%d after handshake, want 7/3", worker.step, worker.epoch)
-	}
-	worker.mu.Unlock()
 
 	// RunChunk: the worker drives the chunk through its Reference engine
 	// and returns per-microbatch losses and per-(micro, stage) gradients.
@@ -259,34 +250,8 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejectsMismatchedState pins the integrity check: a worker
-// whose rebuilt follower hashes differently (wrong seed, task or
-// partition) fails the handshake with a descriptive error instead of
-// silently diverging the curves.
-func TestHandshakeRejectsMismatchedState(t *testing.T) {
-	const p = 2
-	lis, dial := Loopback()
-	defer lis.Close()
-	worker := newWireMember(p)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return worker, nil }, nil)
-	conn, err := dial.Dial(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	leader := newWireMember(p)
-	spec := Spec{Replica: 1, Replicas: 2, Stages: p,
-		Checksum: StateChecksum(leader, p) + 1} // poisoned
-	if _, err := NewRemoteMember(ctx, conn, spec); err == nil ||
-		!strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("handshake err = %v, want a checksum mismatch", err)
-	}
-}
-
 // TestHandshakeRejectsStageMismatch: a worker that resolves a different
-// stage count must be refused.
+// stage count refuses the leader's hello, saying why.
 func TestHandshakeRejectsStageMismatch(t *testing.T) {
 	lis, dial := Loopback()
 	defer lis.Close()
@@ -298,12 +263,9 @@ func TestHandshakeRejectsStageMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	leader := newWireMember(2)
-	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leader, 2)}
-	if _, err := NewRemoteMember(ctx, conn, spec); err == nil ||
+	if _, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: 2}); err == nil ||
 		!strings.Contains(err.Error(), "stages") {
-		t.Fatalf("handshake err = %v, want a stage mismatch", err)
+		t.Fatalf("hello err = %v, want a stage mismatch", err)
 	}
 }
 
@@ -319,7 +281,7 @@ func TestCancelMidCollectiveUnwinds(t *testing.T) {
 	defer lis.Close()
 	ctx := context.Background()
 	go func() {
-		// A worker that completes the handshake, then goes silent.
+		// A worker that answers the hello, then goes silent.
 		conn, err := lis.Accept(ctx)
 		if err != nil {
 			return
@@ -335,10 +297,7 @@ func TestCancelMidCollectiveUnwinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader := newWireMember(2)
-	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leader, 2)}
-	m, err := NewRemoteMember(ctx, conn, spec)
+	m, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,10 +349,7 @@ func TestWorkerDeathMidChunkIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader := newWireMember(2)
-	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leader, 2)}
-	m, err := NewRemoteMember(ctx, conn, spec)
+	m, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,14 +383,12 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	leader := newWireMember(2)
-	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leader, 2)}
+	spec := Spec{Replica: 1, Replicas: 2, Stages: 2}
 	if err := conn.Send(ctx, Msg{Type: MsgHello, Replica: 1, Stage: -1, Data: spec.encode()}); err != nil {
 		t.Fatal(err)
 	}
 	if resp, err := conn.Recv(ctx); err != nil || resp.Type != MsgHelloOK {
-		t.Fatalf("handshake: %v / type %d", err, resp.Type)
+		t.Fatalf("hello: %v / type %d", err, resp.Type)
 	}
 	// A stage index far out of range panics the member; the guard must
 	// turn it into MsgErr.

@@ -11,12 +11,13 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// Builder constructs (or verifies) the worker's local follower member
-// for the spec the leader announced — typically core.NewFollower over a
-// task the worker rebuilt from the same seed and options as the leader.
-// It runs after MsgHello, so a spec-dependent configuration (replica id,
-// replica count, fault tolerance, pinned partition costs) needs no worker
-// flags.
+// Builder constructs the worker's local follower member for the spec the
+// leader announced in MsgHello — core.NewFollower over a task the worker
+// built with the leader's options — or says why it cannot. A
+// spec-dependent configuration (replica id, replica count, fault
+// tolerance, pinned partition costs) therefore needs no worker flags, and
+// the follower's starting state does not matter: the leader's state
+// handoff replaces it.
 type Builder func(spec Spec) (replica.Local, error)
 
 // Serve accepts one leader connection on lis and serves it until the
@@ -33,23 +34,21 @@ func Serve(ctx context.Context, lis Listener, build Builder, inner engine.Engine
 	return ServeConn(ctx, conn, build, inner)
 }
 
-// ServeConn serves one established leader connection (see Serve).
+// ServeConn is the worker's one session function, however the connection
+// came about (Serve accepted it; ServeJoin dialled it and asked to join):
+// it reads the leader's MsgHello, builds the follower its spec asks for and
+// answers MsgHelloOK — or MsgErr with the reason the spec cannot be served,
+// which it also returns — then serves the leader's requests until the
+// goodbye (nil), the connection drops, or ctx ends. The first requests are
+// the leader's state handoff.
 func ServeConn(ctx context.Context, conn MsgConn, build Builder, inner engine.Engine) error {
 	if inner == nil {
 		inner = engine.NewReference()
 	}
 	s := &server{conn: conn, inner: inner}
-	if err := s.handshake(ctx, build); err != nil {
+	if err := s.hello(ctx, build); err != nil {
 		return err
 	}
-	return s.serve(ctx)
-}
-
-// serve runs the post-handshake session body — shared by the MsgHello
-// path (ServeConn) and the join path (ServeJoin): wrap the adopted
-// member for chunk execution, start the inner engine's lifecycle, and
-// enter the request loop.
-func (s *server) serve(ctx context.Context) error {
 	s.comp = replica.NewCompute(s.member)
 	if lc, ok := s.inner.(engine.Lifecycle); ok {
 		lc.Start(s.comp)
@@ -84,62 +83,40 @@ func (s *server) replyErr(ctx context.Context, code uint32, text string) error {
 	return s.reply(ctx, Msg{Type: MsgErr, Stage: -1, Data: appendWireErr(nil, code, text)})
 }
 
-// reject refuses the session in the named phase (handshake, join): the
-// leader is told why, and the same reason is returned.
-func (s *server) reject(ctx context.Context, phase string, err error) error {
-	s.replyErr(ctx, errGeneric, err.Error())
-	return fmt.Errorf("transport: %s: %w", phase, err)
-}
-
-// adopt takes the follower built for the leader's spec into the session:
-// it verifies the stage count (and, for a handshake that carries one, the
-// initial-state checksum) and aligns its clocks.
-func (s *server) adopt(member replica.Local, spec Spec, checksum bool) error {
-	if got := member.Stages(); got != spec.Stages {
-		return fmt.Errorf("follower has %d stages, leader has %d", got, spec.Stages)
-	}
-	if checksum {
-		if got := StateChecksum(member, spec.Stages); got != spec.Checksum {
-			return fmt.Errorf("initial state checksum %#08x differs from leader's %#08x (seed, task or partition mismatch)", got, spec.Checksum)
-		}
-	}
-	s.member = member
-	s.grads = make([][]*tensor.Tensor, spec.Stages)
-	s.states = make([][]*tensor.Tensor, spec.Stages)
-	member.SetStep(spec.Step)
-	member.SetEpoch(spec.Epoch)
-	return nil
-}
-
-// handshake reads MsgHello, builds the follower from the spec, verifies
-// topology and the initial-state checksum, aligns the clocks, and
-// acknowledges. A mismatch is reported to the leader and returned.
-func (s *server) handshake(ctx context.Context, build Builder) error {
+// hello reads the leader's MsgHello and builds the follower its spec asks
+// for, which must have the leader's stage count: the per-stage requests
+// that follow index both pipelines alike. A spec that cannot be served is
+// answered MsgErr with the reason; a MsgErr in place of the hello is a
+// joiner the leader will not admit.
+func (s *server) hello(ctx context.Context, build Builder) error {
 	req, err := s.conn.Recv(ctx)
 	if err != nil {
-		return fmt.Errorf("transport: handshake: %w", err)
+		return fmt.Errorf("transport: hello: %w", err)
 	}
-	if req.Type != MsgHello {
-		return fmt.Errorf("transport: handshake: first message type %d, want hello", req.Type)
+	switch req.Type {
+	case MsgHello:
+	case MsgErr:
+		return fmt.Errorf("transport: hello: %w", decodeWireErr(req.Data, "leader"))
+	default:
+		return fmt.Errorf("transport: hello: first message type %d, want hello", req.Type)
 	}
 	s.replica = req.Replica
 	spec, err := decodeSpec(req.Data)
+	if err == nil {
+		s.hb = spec.Heartbeat
+		s.member, err = build(spec)
+	}
+	if err == nil && s.member.Stages() != spec.Stages {
+		err = fmt.Errorf("follower has %d stages, leader has %d", s.member.Stages(), spec.Stages)
+	}
 	if err != nil {
-		return s.reject(ctx, "handshake", err)
+		s.replyErr(ctx, errGeneric, err.Error())
+		return fmt.Errorf("transport: hello: %w", err)
 	}
-	if spec.Replica < 1 || spec.Replica >= spec.Replicas {
-		return s.reject(ctx, "handshake", fmt.Errorf("replica %d out of range for %d replicas", spec.Replica, spec.Replicas))
-	}
-	s.hb = spec.Heartbeat
-	member, err := build(spec)
-	if err != nil {
-		return s.reject(ctx, "handshake", fmt.Errorf("building follower: %w", err))
-	}
-	if err := s.adopt(member, spec, true); err != nil {
-		return s.reject(ctx, "handshake", err)
-	}
+	s.grads = make([][]*tensor.Tensor, spec.Stages)
+	s.states = make([][]*tensor.Tensor, spec.Stages)
 	if err := s.reply(ctx, Msg{Type: MsgHelloOK, Stage: -1}); err != nil {
-		return fmt.Errorf("transport: handshake: %w", err)
+		return fmt.Errorf("transport: hello: %w", err)
 	}
 	return nil
 }

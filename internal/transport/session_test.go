@@ -1,0 +1,77 @@
+package transport
+
+import (
+	"context"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"pipemare/internal/replica"
+)
+
+// FuzzSession drives the worker's one session function, ServeConn, with
+// arbitrary first messages from the leader's end of a loopback
+// connection — two messages of any type and payload, then a hang-up. The
+// session must refuse or serve and then end within a deadline: it never
+// panics, never serves without a valid hello first, and leaves no
+// goroutine behind.
+func FuzzSession(f *testing.F) {
+	const p = 2
+	hello := Spec{Replica: 1, Replicas: 2, Stages: p, Heartbeat: time.Millisecond}.encode()
+	none := []byte(nil)
+	f.Add(byte(MsgHello), hello, byte(MsgBye), none)
+	f.Add(byte(MsgJoin), AppendU32(nil, 0), byte(MsgHello), hello)
+	f.Add(byte(MsgHello), hello[:len(hello)-3], byte(MsgBye), none)
+	f.Add(byte(MsgHello), Spec{Replica: 1, Replicas: 2, Stages: p + 1}.encode(), byte(MsgBye), none)
+	f.Add(byte(99), []byte{1, 2, 3}, byte(MsgHello), hello)
+	// A chunk from microbatch 0, asynchronous: one microbatch of sample 0.
+	chunk := AppendU32(AppendU32(AppendU32(AppendBool(AppendU32(nil, 0), true), 1), 1), 0)
+	f.Add(byte(MsgHello), hello, byte(MsgRunChunk), chunk)
+	f.Fuzz(func(t *testing.T, typ1 byte, data1 []byte, typ2 byte, data2 []byte) {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		a, b := net.Pipe()
+		leader, worker := NewConn(a), NewConn(b)
+		done := make(chan error, 1)
+		go func() {
+			err := ServeConn(ctx, worker, func(Spec) (replica.Local, error) { return newWireMember(p), nil }, nil)
+			worker.Close()
+			done <- err
+		}()
+		// Read every reply (and heartbeat) until the hang-up, so a worker
+		// reply never blocks on the synchronous pipe.
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for {
+				if _, err := leader.Recv(ctx); err != nil {
+					return
+				}
+			}
+		}()
+		for _, m := range []Msg{{Type: typ1, Stage: -1, Data: data1}, {Type: typ2, Stage: 0, Data: data2}} {
+			if leader.Send(ctx, m) != nil {
+				break
+			}
+		}
+		leader.Close()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the session outlived its connection")
+		}
+		<-drained
+		if typ1 != MsgHello && err == nil {
+			t.Fatalf("first message type %d: the session served without a hello", typ1)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%d goroutines after the session, baseline %d", n, baseline)
+		}
+	})
+}

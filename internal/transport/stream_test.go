@@ -482,7 +482,7 @@ func startBulk(tb testing.TB) (m *RemoteMember, leader *bulkMember, stop func())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m, err = NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: p, Checksum: StateChecksum(leader, p)})
+	m, err = NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: p})
 	if err != nil {
 		tb.Fatal(err)
 	}

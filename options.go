@@ -208,9 +208,10 @@ type DTypeSettable interface {
 // float32 Reference curve bit-for-bit. The task must implement
 // DTypeSettable; the cast happens before the optimizer factory runs, so
 // optimizer moments are allocated in the same dtype. Checkpoints and the
-// wire protocol tag every tensor with its dtype, and the transport
-// handshake checksum covers it, so a leader/worker dtype mismatch fails
-// the handshake instead of diverging.
+// wire protocol tag every tensor with its dtype, and the state handoff
+// that admits every follower refuses a tensor of another dtype by stage
+// and index, so a leader/worker dtype mismatch fails New (or a join)
+// instead of diverging.
 func WithDType(dt DType) Option {
 	return func(s *settings) error {
 		switch dt {
@@ -284,14 +285,19 @@ func WithReplicas(r int) Option {
 // building R−1 in-process follower trainers, New dials one worker per
 // follower (in replica order — dialer r−1 hosts replica r) and drives it
 // over the wire transport (internal/transport). Each worker must be
-// running ServeFollower with the same task construction and options as
-// the leader; the handshake verifies topology, method, technique flags
-// and a checksum over the initial weights, so a mismatch
-// fails New instead of silently diverging the curves. Exactly R−1
-// dialers are required; with no WithReplicas option, R = len(dialers)+1
-// is implied. Training curves stay bit-identical to in-process replicas
-// and to a single-replica run (float64 bits cross the wire verbatim).
-// Close the trainer (Trainer.Close) to release the worker connections.
+// running ServeFollower with the leader's model architecture, dtype and
+// options. New admits every worker exactly as it admits an in-process
+// follower or a mid-run joiner: a hello announcing the follower's position
+// and the run's method and technique flags, which the worker checks
+// against its own, then the state handoff, which replaces every tensor and
+// clock the worker trains from and refuses one of another stage layout or
+// dtype by name — so a mismatch fails New instead of silently diverging
+// the curves, and the worker's own initial weights do not matter. Exactly
+// R−1 dialers are required; with no WithReplicas option, R =
+// len(dialers)+1 is implied. Training curves stay bit-identical to
+// in-process replicas and to a single-replica run (float64 bits cross the
+// wire verbatim). Close the trainer (Trainer.Close) to release the worker
+// connections.
 func WithTransport(dialers ...Dialer) Option {
 	return func(s *settings) error {
 		if len(dialers) == 0 {
@@ -307,7 +313,7 @@ func WithTransport(dialers ...Dialer) Option {
 	}
 }
 
-// WithDialTimeout bounds each WithTransport dial + handshake (default
+// WithDialTimeout bounds each WithTransport dial + hello (default
 // 30s). Dialers retry with backoff inside this budget, so a leader
 // started before its workers converges.
 func WithDialTimeout(d time.Duration) Option {
@@ -611,9 +617,9 @@ func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 }
 
 // remoteFollowers returns the core follower factory for WithTransport:
-// dial worker r's endpoint (with the backoff the dialer implements),
-// announce the spec the trainer resolved for it, and wrap the connection
-// as the leader-side member proxy.
+// dial worker r's endpoint (with the backoff the dialer implements), send
+// the hello with the spec the trainer resolved for it, and wrap the
+// connection as the leader-side member proxy the handoff then admits.
 func remoteFollowers(dialers []transport.Dialer, timeout time.Duration) func(int, core.ReplicaEnv) (replica.Member, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second

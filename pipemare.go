@@ -66,7 +66,9 @@ type (
 	// that stage's op range on the weight version the slot reads.
 	Task = core.Task
 	// Replicable is a Task that can clone itself for data-parallel
-	// replication (WithReplicas).
+	// replication (WithReplicas). A clone's own weights do not matter —
+	// the launch handoff replaces them — but its architecture and dtype
+	// must be the task's.
 	Replicable = core.Replicable
 	// Trainer drives pipeline-parallel training.
 	Trainer = core.Trainer

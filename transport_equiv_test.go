@@ -49,8 +49,8 @@ func startWorkers(t *testing.T, n int, build func() pipemare.Task, opts func() [
 // whose followers live behind the loopback wire — every collective
 // crossing a serialization boundary — must train the all-techniques DNN
 // bit-identically to a single-replica Reference run. The worker processes
-// rebuild the follower from the same task constructor; the handshake
-// checksum proves the builds matched.
+// build the follower from the same task constructor and options; the
+// launch handoff gives it the leader's state.
 func TestTransportLoopbackMatchesReference(t *testing.T) {
 	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
 		Train: 96, Test: 32, Noise: 0.4, Seed: 6})
@@ -98,6 +98,113 @@ func TestTransportLoopbackMatchesReference(t *testing.T) {
 			}
 			requireIdentical(t, name, ref, got)
 		}
+	}
+}
+
+// TestDialledWorkerStartsFromAnyWeights pins that a worker's own initial
+// weights do not matter: its model is built from another seed, and the
+// launch handoff — the one way any follower becomes active — replaces
+// every tensor it trains from, so the R=2 run still trains the
+// single-replica Reference curve bit for bit.
+func TestDialledWorkerStartsFromAnyWeights(t *testing.T) {
+	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
+		Train: 96, Test: 32, Noise: 0.4, Seed: 6})
+	build := func() pipemare.Task { return model.NewResNetMLP(images, 10, 4, 8) }
+	base := append(methodOpts(pipemare.PipeMare),
+		pipemare.WithStages(4),
+		pipemare.WithBatchSize(32), pipemare.WithMicrobatches(8),
+		pipemare.WithSchedule(optim.Constant(0.05)))
+	ref := runCurve(t, build, 2, 1, base...)
+	dialers, kill, wait := startWorkers(t, 1,
+		func() pipemare.Task { return model.NewResNetMLP(images, 10, 4, 9) },
+		func() []pipemare.Option { return base })
+	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+		pipemare.WithTransport(dialers...))...)
+	if err != nil {
+		kill()
+		t.Fatal(err)
+	}
+	got, err := tr.Run(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait()[0]; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	requireIdentical(t, "reseeded-worker", ref, got)
+}
+
+// TestMismatchedWorkerIsRefusedByName pins what replaced the initial-state
+// checksum: a worker that cannot train the leader's state is refused with
+// an error naming what differs — a float64 worker under a float32 leader
+// by the stage and tensor the handoff could not import, a worker of
+// another stage count by both stage counts, which it answers the hello
+// with. At launch New fails, the worker ends with the same reason, and
+// the matching worker admitted before it is released with a goodbye; as
+// a joiner the worker is refused and the run goes on, on the Reference
+// curve, at its replica count.
+func TestMismatchedWorkerIsRefusedByName(t *testing.T) {
+	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
+		Train: 64, Test: 16, Noise: 0.4, Seed: 3})
+	build := func() pipemare.Task { return model.NewResNetMLP(images, 6, 3, 5) }
+	leader := append(methodOpts(pipemare.PipeMare),
+		pipemare.WithStages(4), pipemare.WithDType(pipemare.Float32),
+		pipemare.WithBatchSize(16), pipemare.WithMicrobatches(4),
+		pipemare.WithSchedule(optim.Constant(0.05)))
+	with := func(opts []pipemare.Option, extra ...pipemare.Option) []pipemare.Option {
+		return append(append([]pipemare.Option{}, opts...), extra...)
+	}
+	ref := runCurve(t, build, 1, 1, leader...)
+	for _, tc := range []struct {
+		name, why string
+		worker    []pipemare.Option
+	}{
+		{"dtype", "stage 0 tensor 0 dtype float32, want float64", with(leader, pipemare.WithDType(pipemare.Float64))},
+		{"stages", "follower has 2 stages, leader has 4", with(leader, pipemare.WithStages(2))},
+	} {
+		t.Run(tc.name+"/launch", func(t *testing.T) {
+			good, _, goodWait := startWorkers(t, 1, build, func() []pipemare.Option { return leader })
+			bad, _, badWait := startWorkers(t, 1, build, func() []pipemare.Option { return tc.worker })
+			tr, err := pipemare.New(build(), with(leader, pipemare.WithTransport(good[0], bad[0]))...)
+			if err == nil {
+				tr.Close()
+				t.Fatal("New admitted a mismatched worker")
+			}
+			if !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("New error %q does not say %q", err, tc.why)
+			}
+			if werr := badWait()[0]; werr == nil || !strings.Contains(werr.Error(), tc.why) {
+				t.Fatalf("mismatched worker ended with %v, want its refusal %q", werr, tc.why)
+			}
+			if werr := goodWait()[0]; werr != nil {
+				t.Fatalf("admitted worker ended with %v, want the failed leader's goodbye", werr)
+			}
+		})
+		t.Run(tc.name+"/join", func(t *testing.T) {
+			jlis, jwait := startJoiner(t, build, tc.worker)
+			tr, err := pipemare.New(build(), with(leader, pipemare.WithReplicas(2), pipemare.WithElastic())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acceptAndPark(t, tr, jlis)
+			got, err := tr.Run(context.Background(), 1)
+			if err != nil {
+				t.Fatalf("the run did not go on past a refused joiner: %v", err)
+			}
+			if joins, _, _ := tr.ElasticStats(); joins != 0 || tr.Replicas() != 2 {
+				t.Fatalf("%d joins, %d replicas after a refused joiner; want 0 and 2", joins, tr.Replicas())
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := jwait(); err == nil || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("joiner ended with %v, want its refusal %q", err, tc.why)
+			}
+			requireIdentical(t, tc.name+"/join", ref, got)
+		})
 	}
 }
 

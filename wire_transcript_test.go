@@ -95,32 +95,36 @@ func (l logListener) Accept(ctx context.Context) (transport.MsgConn, error) {
 	return logConn{conn, l.log}, nil
 }
 
-// wireTranscripts is what the leader sent at the parent of the PR that
-// made every replica.Member method one wire request (recorded there with
-// this test and an empty table): "type/stage/payload bytes" per message.
-// Lengths, not float bytes, so the table holds on any GOARCH.
+// wireTranscripts is what the leader sends in each session: "type/stage/
+// payload bytes" per message. Every session opens with the hello, and
+// every follower — dialled at launch or joining — is then admitted by the
+// state handoff (15, P × 14, 16, P × 21) before it trains. The training
+// rows after that are the ones recorded at the parent of the change that
+// made every replica.Member method one wire request. Lengths, not float
+// bytes, so the table holds on any GOARCH.
 var wireTranscripts = map[string]string{
 	"sharded/plain/follower": `
-		1/-1/75
+		1/-1/62 15/-1/4 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/79 14/1/79
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/79 14/1/79
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/79 14/1/79
 		19/-1/0
 	`,
 	"sharded/join/joiner": `
-		23/-1/75 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/95 21/1/95 21/2/95 21/3/95
+		1/-1/62 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/95 21/1/95 21/2/95 21/3/95
 		3/-1/25 15/-1/4 5/3/29 6/3/4 8/-1/0 9/3/8 10/3/0 11/3/0 12/3/0 14/0/104 14/1/104 14/2/104
 		19/-1/0
 	`,
 	"sharded/join/follower": `
-		1/-1/75
+		1/-1/62 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/33 15/-1/4 5/2/29 6/2/4 8/-1/0 9/2/8 10/2/0 11/2/0 12/2/0 14/0/104 14/1/104 14/3/104
 		19/-1/0
 	`,
 	"sharded/restore/follower": `
-		1/-1/75 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/124 21/1/124 21/2/124 21/3/124
+		1/-1/62 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
+		15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/124 21/1/124 21/2/124 21/3/124
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
@@ -131,11 +135,12 @@ var wireTranscripts = map[string]string{
 // TestWireTranscript pins the leader's side of the session protocol: for
 // an R=2 loopback run of three optimizer steps — plain, with a third
 // replica joining by live handoff at step 2, and resumed from a
-// checkpoint — the messages the leader sends
-// each follower are the recorded ones: same types, order, stages and
-// payload lengths. An old worker serves a new leader exactly when this
-// holds, and internal/faults scripts, which count messages by type, keep
-// hitting the message they were written for.
+// checkpoint, whose restore hands the state off once more — the messages
+// the leader sends each follower are the recorded ones: same types, order,
+// stages and payload lengths. An old worker of the same wire version
+// serves a new leader exactly when this holds, and internal/faults
+// scripts, which count messages by type, keep hitting the message they
+// were written for.
 func TestWireTranscript(t *testing.T) {
 	build := func() pipemare.Task { return newQuadTask(4, 24, 8, 41) } // 3 minibatches per epoch
 	base := ftBase()
@@ -198,47 +203,6 @@ func TestWireTranscript(t *testing.T) {
 			}
 			check("sharded/"+kind+"/follower", follower)
 		})
-	}
-}
-
-// TestWorkerRefusesLeaderSerialCommit pins the one commit on the wire: a
-// Hello or Welcome announcing the leader-serial commit (Spec.Sharded
-// false — what a leader built before that commit was deleted could send)
-// is refused at the handshake with an error saying why, never trained
-// with a commit the worker no longer runs.
-func TestWorkerRefusesLeaderSerialCommit(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(4, 24, 8, 47) }
-	base := ftBase()
-	ctx := context.Background()
-	spec := transport.Spec{Replica: 1, Replicas: 2, Stages: 4, Method: int(pipemare.PipeMare), T2: true}
-	const why = "leader-serial"
-
-	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
-	conn, err := dialers[0].Dial(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := transport.NewRemoteMember(ctx, conn, spec); err == nil || !strings.Contains(err.Error(), why) {
-		t.Fatalf("hello with Sharded=false: err = %v, want a refusal naming the %s commit", err, why)
-	}
-	conn.Close()
-	if errs := wait(); errs[0] == nil || !strings.Contains(errs[0].Error(), why) {
-		t.Fatalf("worker: err = %v, want a handshake refusal", errs[0])
-	}
-
-	jlis, jwait := startJoiner(t, build, base)
-	if conn, err = jlis.Accept(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := transport.AcceptJoin(ctx, conn); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := transport.Welcome(ctx, conn, spec); err == nil || !strings.Contains(err.Error(), why) {
-		t.Fatalf("welcome with Sharded=false: err = %v, want a refusal naming the %s commit", err, why)
-	}
-	conn.Close()
-	if err := jwait(); err == nil || !strings.Contains(err.Error(), why) {
-		t.Fatalf("joiner: err = %v, want a join refusal", err)
 	}
 }
 
