@@ -41,7 +41,7 @@ import (
 // config is the validated command line.
 type config struct {
 	full        bool
-	inner       func() pipemare.Engine // -engine concurrent; nil for reference
+	newEngine   func() pipemare.Engine // -engine concurrent; nil for reference
 	workers     int
 	partition   pipemare.PartitionMode
 	replicas    int
@@ -94,11 +94,11 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 	switch *engineName {
 	case "reference":
 	case "concurrent":
-		c.inner = func() pipemare.Engine { return concurrent.New(concurrent.WithWorkers(c.workers)) }
+		c.newEngine = func() pipemare.Engine { return concurrent.New(concurrent.WithWorkers(c.workers)) }
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want reference or concurrent)", *engineName)
 	}
-	if c.workers > 0 && c.inner == nil {
+	if c.workers > 0 && c.newEngine == nil {
 		return nil, errors.New("-workers applies to -engine concurrent")
 	}
 	switch *partitionName {
@@ -169,14 +169,10 @@ func run(c *config) error {
 		return nil
 	}
 	experiments.Partition = c.partition
-	experiments.EngineFactory = c.inner
-	if c.replicas > 1 {
-		// Replication wraps the chosen engine as the per-replica inner.
-		experiments.Replicas = c.replicas
-		experiments.EngineFactory = func() pipemare.Engine { return pipemare.NewReplicatedEngine(c.inner) }
-	}
+	experiments.EngineFactory = c.newEngine
+	experiments.Replicas = c.replicas
 	if c.traceOut != "" {
-		if err := traceRun(c.traceOut, c.inner, c.replicas, c.transport, c.workerBin); err != nil {
+		if err := traceRun(c.traceOut, c.newEngine, c.replicas, c.transport, c.workerBin); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 		return nil
@@ -206,11 +202,10 @@ func run(c *config) error {
 }
 
 // traceRun trains the benchmark workload (P=4) for one traced epoch —
-// replicas > 1 wraps the chosen engine in the replicated engine — writes
-// the recording as Chrome trace-event JSON to path, and prints the
+// every replica running the chosen engine — writes the recording as Chrome trace-event JSON to path, and prints the
 // derived utilization report (per-stage busy time, bubble fraction, MFU)
 // against the measured wall clock.
-func traceRun(path string, inner func() pipemare.Engine, replicas int, transportName, workerBin string) error {
+func traceRun(path string, newEngine func() pipemare.Engine, replicas int, transportName, workerBin string) error {
 	const stages = 4
 	dialers, release, err := startFollowers(transportName, workerBin, stages, replicas-1)
 	if err != nil {
@@ -222,11 +217,8 @@ func traceRun(path string, inner func() pipemare.Engine, replicas int, transport
 		extra = append(extra, pipemare.WithTransport(dialers...))
 	}
 	var eng pipemare.Engine
-	switch {
-	case replicas > 1 && inner != nil:
-		eng = pipemare.NewReplicatedEngine(inner)
-	case inner != nil:
-		eng = inner()
+	if newEngine != nil {
+		eng = newEngine()
 	}
 	tr, err := experiments.NewReplicatedBenchTrainer(stages, replicas, eng, extra...)
 	if err != nil {

@@ -33,7 +33,6 @@ func TestNoExportOnlyTestsCall(t *testing.T) {
 		"pipemare/internal/replica":           true,
 		"pipemare/internal/engine":            true,
 		"pipemare/internal/engine/concurrent": true,
-		"pipemare/internal/engine/replicated": true,
 	}
 	type decl struct{ pkg, name, pos string }
 	var funcs, methods []decl

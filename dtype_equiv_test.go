@@ -89,9 +89,7 @@ func TestFloat32ReplicatedMatchesReference(t *testing.T) {
 	ref := runCurve(t, build, 2, 1, f32...)
 	opts := append(append([]pipemare.Option{}, f32...),
 		pipemare.WithReplicas(2),
-		pipemare.WithEngine(pipemare.NewReplicatedEngine(func() pipemare.Engine {
-			return concurrent.New(concurrent.WithWorkers(2))
-		})))
+		pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(2))))
 	got := runCurve(t, build, 2, 2, opts...)
 	requireIdentical(t, "float32-replicated", ref, got)
 }
@@ -110,7 +108,7 @@ func TestFloat32TransportLoopbackMatchesReference(t *testing.T) {
 	})
 	leaderOpts := append(append([]pipemare.Option{}, f32...),
 		pipemare.WithReplicas(2),
-		pipemare.WithEngine(pipemare.NewReplicatedEngine(nil)),
+		pipemare.WithEngine(pipemare.NewReferenceEngine()),
 		pipemare.WithTransport(dialers...))
 	tr, err := pipemare.New(build(), leaderOpts...)
 	if err != nil {

@@ -550,13 +550,13 @@ func TestProfilePartitionMode(t *testing.T) {
 	requireIdentical(t, "profile-pinned/W=3", ref, conc)
 }
 
-// --- replicated data-parallel engine ---
+// --- data-parallel replication ---
 
-// replicaGrid returns the (replicas, inner-engine) combinations the
+// replicaGrid returns the (replicas, engine) combinations the
 // grid-shaped replicated equivalence tests (MatchesReference,
-// DivergenceAcrossReplicas) cover. CI narrows the
-// grid per matrix job via PIPEMARE_REPLICAS / PIPEMARE_REPLICA_INNER;
-// locally the full grid runs.
+// DivergenceAcrossReplicas) cover: every replica runs the named engine.
+// CI narrows the grid per matrix job via PIPEMARE_REPLICAS /
+// PIPEMARE_REPLICA_INNER; locally the full grid runs.
 func replicaGrid() (rs []int, inners []string) {
 	rs = []int{2, 4}
 	inners = []string{"reference", "concurrent"}
@@ -578,12 +578,13 @@ func replicaGrid() (rs []int, inners []string) {
 	return rs, inners
 }
 
-// replicatedEngine builds the replicated engine over the named inner.
+// replicatedEngine returns the named engine, the one every replica of a
+// replicated run then runs.
 func replicatedEngine(inner string) pipemare.Engine {
 	if inner == "concurrent" {
-		return pipemare.NewReplicatedEngine(func() pipemare.Engine { return concurrent.New() })
+		return concurrent.New()
 	}
-	return pipemare.NewReplicatedEngine(nil)
+	return pipemare.NewReferenceEngine()
 }
 
 // runCurve trains a fresh task under the given options and returns the
@@ -649,13 +650,10 @@ func TestReplicatedEngineMatchesReferenceOnTransformer(t *testing.T) {
 		}),
 		pipemare.WithSchedule(optim.WarmupInvSqrt{Peak: 3e-3, Init: 1e-7, Warmup: 20}))
 	ref := runCurve(t, build, 2, 1, base...)
-	// The inner engines run the new work-stealing scheduler with fewer
-	// workers than stages, so replication composes with stealing.
-	inner := pipemare.NewReplicatedEngine(func() pipemare.Engine {
-		return concurrent.New(concurrent.WithWorkers(2))
-	})
+	// The replicas run the work-stealing scheduler with fewer workers than
+	// stages, so replication composes with stealing.
 	opts := append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(2), pipemare.WithEngine(inner))
+		pipemare.WithReplicas(2), pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(2))))
 	got := runCurve(t, build, 2, 2, opts...)
 	requireIdentical(t, "replicated-transformer/R=2/concurrent-W=2", ref, got)
 }
@@ -715,12 +713,9 @@ func TestReplicatedShardedCommitMatchesReference(t *testing.T) {
 				ws = []int{1, 2}
 			}
 			for _, w := range ws {
-				eng := pipemare.NewReplicatedEngine(nil)
+				eng := pipemare.NewReferenceEngine()
 				if inner == "concurrent" {
-					w := w
-					eng = pipemare.NewReplicatedEngine(func() pipemare.Engine {
-						return concurrent.New(concurrent.WithWorkers(w))
-					})
+					eng = concurrent.New(concurrent.WithWorkers(w))
 				}
 				opts := append(append([]pipemare.Option{}, base...),
 					pipemare.WithReplicas(r), pipemare.WithEngine(eng))
@@ -756,15 +751,15 @@ func TestReplicatedShardedCommitDivergenceAbort(t *testing.T) {
 	for _, r := range rs {
 		opts := append(append([]pipemare.Option{}, base...),
 			pipemare.WithReplicas(r),
-			pipemare.WithEngine(pipemare.NewReplicatedEngine(nil)))
+			pipemare.WithEngine(pipemare.NewReferenceEngine()))
 		got := runCurve(t, build, 4, r, opts...)
 		requireIdentical(t, fmt.Sprintf("sharded-divergence/R=%d", r), ref, got)
 	}
 }
 
-// TestReplicatedEngineSurvivesRepeatedRuns pins the Lifecycle contract for
-// the replicated engine: chunked RunInto calls and a second trainer must
-// restart the replica group cleanly.
+// TestReplicatedEngineSurvivesRepeatedRuns pins the Lifecycle contract
+// under replication: chunked RunInto calls and a second trainer must
+// restart the replica group's engines cleanly.
 func TestReplicatedEngineSurvivesRepeatedRuns(t *testing.T) {
 	eng := replicatedEngine("concurrent")
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
@@ -797,5 +792,25 @@ func TestReplicatedEngineSurvivesRepeatedRuns(t *testing.T) {
 	}
 	if _, err := tr2.Run(context.Background(), 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWithEngineMeansTheSameAtEveryReplicaCount pins that WithEngine names
+// the pipeline engine each replica runs, with no wrapper: two replicas
+// under plain Reference, and under the concurrent engine, train the
+// single-replica Reference curve bit for bit.
+func TestWithEngineMeansTheSameAtEveryReplicaCount(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 31) }
+	base := append(methodOpts(pipemare.PipeMare),
+		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
+		pipemare.WithSchedule(optim.Constant(0.05)))
+	ref := runCurve(t, build, 3, 1, base...)
+	for name, eng := range map[string]pipemare.Engine{
+		"reference":    pipemare.NewReferenceEngine(),
+		"concurrent-2": pipemare.NewConcurrentEngine(2),
+	} {
+		got := runCurve(t, build, 3, 2, append(append([]pipemare.Option{}, base...),
+			pipemare.WithReplicas(2), pipemare.WithEngine(eng))...)
+		requireIdentical(t, "R=2/"+name, ref, got)
 	}
 }

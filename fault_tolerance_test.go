@@ -361,6 +361,34 @@ func TestRestoreLatestSkipsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRestoreLatestReportsAFailedResync pins that RestoreLatest falls back
+// to an older checkpoint only for a file it cannot use: when a follower's
+// link dies during the restore's resync — on the first ring message after
+// the launch handoff's P — the restore fails at once with an error naming
+// the replica, instead of re-applying every older file and then calling
+// the newest, valid one invalid.
+func TestRestoreLatestReportsAFailedResync(t *testing.T) {
+	const p = 4 // stages of the quadratic task below
+	build := func() pipemare.Task { return newQuadTask(p, 32, 8, 29) }
+	dir := t.TempDir()
+	base := append(ftBase(), pipemare.WithCheckpoint(dir, 1))
+	tr1, err := pipemare.New(build(), base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr1.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return ftBase() })
+	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
+		faults.Rule{Dir: faults.Send, Type: transport.MsgSetRing, Nth: p + 1, Op: faults.Kill})}
+	_, err = pipemare.Restore(dir, build(), append(base, pipemare.WithTransport(dialers...))...)
+	if err == nil || !strings.Contains(err.Error(), "replica 1") || strings.Contains(err.Error(), "no valid checkpoint") {
+		t.Fatalf("restore with a follower dying mid-resync: %v; want an error naming replica 1, not an invalid checkpoint", err)
+	}
+	wait() // the killed worker errors by design
+}
+
 // TestHeartbeatEvictsHungPeer pins hung-peer detection: a worker that
 // stops replying without its connection dying is invisible to I/O
 // errors — only the liveness window catches it. With a 10ms heartbeat

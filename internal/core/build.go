@@ -162,11 +162,12 @@ func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize 
 // NewFollower builds follower spec.Replica of spec.Replicas: the one
 // constructor of every follower, whether New clones it in process or a
 // worker process builds it for the leader's hello. A follower is a
-// single-replica trainer over task that never drives itself — its chunks
-// run through the replicated engine's (or the serve loop's) inner engine —
-// and leaves checkpointing and admission to the leader. cfg is the
-// configuration on the follower's side: the leader's own in process, the
-// worker's options remotely; it must agree with the spec on method and T2,
+// single-replica trainer over task that never drives itself — the leader's
+// replica group (or the worker's serve loop) runs its chunks through its
+// own engine, cfg.Engine — and leaves checkpointing and admission to the
+// leader. cfg is the configuration on the follower's side: the leader's
+// own in process, with a clone of the leader's engine, and the worker's
+// options remotely; it must agree with the spec on method and T2,
 // and the spec alone decides the replica count, fault tolerance and, for a
 // cost or profile partition, the group costs. The optimizer state is
 // cloned from opt: every moment under fault tolerance (mirrored onto every
@@ -184,7 +185,7 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 	case (cfg.T2D > 0) != spec.T2:
 		return nil, fmt.Errorf("core: follower T2 %t, leader T2 %t", cfg.T2D > 0, spec.T2)
 	}
-	cfg.Replicas, cfg.Engine = 0, nil
+	cfg.Replicas = 0
 	cfg.FaultTolerant = spec.FT
 	cfg.CheckpointDir, cfg.Elastic = "", false
 	cfg.TraceReplica = r

@@ -132,15 +132,25 @@ func (t *Trainer) writeSections(fw *transport.FrameWriter) error {
 type ckptState struct {
 	step, epoch, micro int
 	optClock           int
+	skip               int // committed minibatches of the epoch to resume
 	stages             [][]*tensor.Tensor
 	ringBase           []int
 	ringSnaps          [][][]*tensor.Tensor
 }
 
-// parseCheckpoint decodes b and validates every section against this
-// trainer's stage layout; what it returns, apply can install without
-// failing.
-func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
+// parseCheckpoint reads the file at path and validates every section
+// against this trainer's stage layout, and the clocks against its epoch
+// length; what it returns, apply installs without another check.
+func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("core: restoring %s: %w", path, err)
+		}
+	}()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
 	// section reads the next section, which must have the given type and
 	// stage.
 	section := func(typ byte, stage int) (*transport.Cursor, error) {
@@ -169,6 +179,18 @@ func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 	}
 	if p != t.clock.P {
 		return nil, fmt.Errorf("checkpoint has %d stages, trainer has %d", p, t.clock.P)
+	}
+	perEpoch := t.task.NumTrain() / t.cfg.BatchSize
+	st.skip = st.step - st.epoch*perEpoch
+	if st.skip == perEpoch {
+		// Checkpoint taken at the last minibatch of an epoch, before the
+		// epoch counter advanced: resume at the next epoch's start. (The
+		// boundary epoch's metric entry belongs to the interrupted run.)
+		st.epoch++
+		st.skip = 0
+	}
+	if st.skip < 0 || st.skip > perEpoch {
+		return nil, fmt.Errorf("checkpoint clocks inconsistent: step %d, epoch %d, %d minibatches per epoch", st.step, st.epoch, perEpoch)
 	}
 	st.stages = make([][]*tensor.Tensor, p)
 	st.ringBase = make([]int, p)
@@ -208,8 +230,10 @@ func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 	return st, nil
 }
 
-// apply installs a parsed checkpoint into the live trainer state.
-func (t *Trainer) apply(st *ckptState) {
+// apply installs a parsed checkpoint into the live trainer state and
+// pushes it to every follower (replica.Group.Resync: epoch and step
+// clocks, full per-stage state, and the weight-version rings).
+func (t *Trainer) apply(st *ckptState) error {
 	for s, state := range t.state {
 		for k, dst := range state {
 			dst.CopyFrom(st.stages[s][k])
@@ -220,32 +244,35 @@ func (t *Trainer) apply(st *ckptState) {
 	t.opt.SetClock(st.optClock)
 	t.epoch = st.epoch
 	t.micro = st.micro
+	t.resumeSkip = st.skip
 	t.diverged = false
+	t.ctlTrack().Instant(trace.NameCkptRestore, -1, -1, 0)
+	if t.group != nil {
+		if err := t.group.Resync(t.store.History); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	return nil
 }
 
 // RestoreFrom restores the trainer from one checkpoint file. The file is
 // parsed and validated completely before any live state changes, so an
 // invalid file leaves the trainer untouched.
 func (t *Trainer) RestoreFrom(path string) error {
-	b, err := os.ReadFile(path)
+	st, err := t.parseCheckpoint(path)
 	if err != nil {
 		return err
 	}
-	st, err := t.parseCheckpoint(b)
-	if err != nil {
-		return fmt.Errorf("core: restoring %s: %w", path, err)
-	}
-	t.apply(st)
-	t.ctlTrack().Instant(trace.NameCkptRestore, -1, -1, 0)
-	return t.syncRestoredFollowers()
+	return t.apply(st)
 }
 
 // RestoreLatest restores the trainer from the newest valid checkpoint in
-// dir (older files are tried in turn when a newer one is corrupt) and
-// returns the restored step. Followers — in-process or remote — are
-// re-synchronized with the restored leader state, including their
-// weight-version rings, so training resumes exactly where the
-// checkpointed run would have continued.
+// dir (older files are tried in turn when a newer one cannot be read or
+// does not fit) and returns the restored step. Followers — in-process or
+// remote — are re-synchronized with the restored leader state, including
+// their weight-version rings, so training resumes exactly where the
+// checkpointed run would have continued; a follower that fails that is
+// the error, not a reason to try an older file.
 func (t *Trainer) RestoreLatest(dir string) (int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, ckptPattern))
 	if err != nil {
@@ -257,39 +284,17 @@ func (t *Trainer) RestoreLatest(dir string) (int, error) {
 	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
 	var lastErr error
 	for _, path := range paths {
-		if err := t.RestoreFrom(path); err != nil {
+		st, err := t.parseCheckpoint(path)
+		if err != nil {
 			lastErr = err
 			continue
+		}
+		if err := t.apply(st); err != nil {
+			return 0, err
 		}
 		return t.step, nil
 	}
 	return 0, fmt.Errorf("core: no valid checkpoint under %s: %w", dir, lastErr)
-}
-
-// syncRestoredFollowers pushes the restored leader state to every
-// follower (replica.Group.Resync: epoch and step clocks, full per-stage
-// state, and the weight-version rings). It also computes how many of the
-// restored epoch's minibatches are already committed, for run() to skip.
-func (t *Trainer) syncRestoredFollowers() error {
-	if t.group != nil {
-		if err := t.group.Resync(t.store.History); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
-	perEpoch := t.task.NumTrain() / t.cfg.BatchSize
-	skip := t.step - t.epoch*perEpoch
-	if skip == perEpoch {
-		// Checkpoint taken at the last minibatch of an epoch, before the
-		// epoch counter advanced: resume at the next epoch's start. (The
-		// boundary epoch's metric entry belongs to the interrupted run.)
-		t.epoch++
-		skip = 0
-	}
-	if skip < 0 || skip > perEpoch {
-		return fmt.Errorf("core: checkpoint clocks inconsistent: step %d, epoch %d, %d minibatches per epoch", t.step, t.epoch, perEpoch)
-	}
-	t.resumeSkip = skip
-	return nil
 }
 
 // epochSeed derives the per-epoch data-order seed: a fixed mix of the

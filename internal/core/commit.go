@@ -46,22 +46,28 @@ func (t *Trainer) minibatch(ctx context.Context, micros [][]int) (float64, error
 	}
 }
 
-// attempt is one try at the minibatch over the current membership: the
-// chains under this epoch's phase, then the group's commit when the
-// trainer leads one, else engine.Commit over this trainer, sharded across
-// the engine's workers when it offers them.
+// attempt is one try at the minibatch over the current membership, under
+// this epoch's phase. A trainer that leads a replica group runs every
+// replica's chunk and the reduce (Group.Minibatch), then the group's
+// commit; otherwise its engine runs the chains and engine.Commit commits
+// over this trainer, sharded across the engine's workers when it offers
+// them.
 func (t *Trainer) attempt(ctx context.Context, micros [][]int) (float64, error) {
-	h := host{t}
 	t.async = !t.synchronous()
-	loss, err := t.eng.Minibatch(ctx, h, micros)
-	if err != nil {
-		return loss, err
-	}
 	if t.group != nil {
+		loss, err := t.group.Minibatch(ctx, micros)
+		if err != nil {
+			return loss, err
+		}
 		if err := t.group.Commit(len(micros)); err != nil {
 			return loss, fmt.Errorf("core: commit: %w", err)
 		}
 		return loss, nil
+	}
+	h := host{t}
+	loss, err := t.eng.Minibatch(ctx, h, micros)
+	if err != nil {
+		return loss, err
 	}
 	pool, _ := t.eng.(engine.Pool)
 	engine.Commit(h, len(micros), pool)

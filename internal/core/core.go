@@ -19,10 +19,14 @@
 // machines, each installing the weight versions it reads — and the
 // configured engine.Engine drives one minibatch's chains at a time through
 // it; the trainer then commits the update (engine.Commit over its
-// engine.Committer surface, or the replica group's commit). A Task is a
-// stage program: every slot executes its stage's op range, so engines can
-// overlap microbatches across stages. Config.Engine selects the engine;
-// nil means the serial Reference engine.
+// engine.Committer surface). A Task is a stage program: every slot
+// executes its stage's op range, so engines can overlap microbatches
+// across stages. Config.Engine selects the engine; nil means the serial
+// Reference engine. With Replicas > 1 the leader runs each minibatch
+// through its replica group instead (replica.Group.Minibatch, then
+// Group.Commit): every replica — the leader with Config.Engine, each
+// in-process follower with a Clone of it — drives its own share of the
+// microbatches through its own engine.
 //
 // The package is laid out by role: this file holds the configuration, the
 // Trainer and its construction; build.go the stage layout, the partition
@@ -41,7 +45,6 @@ import (
 	"time"
 
 	"pipemare/internal/engine"
-	"pipemare/internal/engine/replicated"
 	"pipemare/internal/metrics"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
@@ -164,9 +167,8 @@ type Config struct {
 	Replicas int
 
 	// Engine selects the execution engine; nil means the single-goroutine
-	// Reference engine (or, with Replicas > 1, the replicated engine over
-	// Reference inners). With Replicas > 1 the engine must be
-	// replica-aware (replica.Aware).
+	// Reference engine. With Replicas > 1 it is the engine every replica
+	// runs: the leader this one, each in-process follower a Clone of it.
 	Engine engine.Engine
 
 	// Followers optionally supplies the member surface for follower
@@ -376,19 +378,10 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		if replicas > 1 {
-			eng = replicated.New()
-		} else {
-			eng = engine.NewReference()
-		}
+		eng = engine.NewReference()
 	}
-	if replicas > 1 {
-		if _, ok := eng.(replica.Aware); !ok {
-			return nil, fmt.Errorf("core: engine %q is not replica-aware; use the replicated engine (internal/engine/replicated) to train %d replicas", eng.Name(), replicas)
-		}
-		if _, ok := task.(Replicable); !ok && cfg.Followers == nil {
-			return nil, fmt.Errorf("core: task %T does not implement Replicable; %d-replica training needs CloneTask (or a Followers factory)", task, replicas)
-		}
+	if _, ok := task.(Replicable); !ok && replicas > 1 && cfg.Followers == nil {
+		return nil, fmt.Errorf("core: task %T does not implement Replicable; %d-replica training needs CloneTask (or a Followers factory)", task, replicas)
 	}
 	if cfg.CheckpointDir != "" && cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1
@@ -489,12 +482,14 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 }
 
 // follower builds or connects follower r of replicas for the spec of its
-// position: a NewFollower over a clone of the task, or whatever
-// Config.Followers connects.
+// position: a NewFollower over a clone of the task, running a clone of the
+// leader's engine, or whatever Config.Followers connects.
 func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
 	spec := t.spec(r, replicas)
 	if t.cfg.Followers == nil {
-		return NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, t.cfg, spec)
+		cfg := t.cfg
+		cfg.Engine = t.eng.Clone()
+		return NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, cfg, spec)
 	}
 	m, err := t.cfg.Followers(r, ReplicaEnv{Leader: host{t}, Spec: spec})
 	if err != nil {

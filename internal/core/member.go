@@ -3,13 +3,14 @@ package core
 import (
 	"fmt"
 
+	"pipemare/internal/engine"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 )
 
-// Group returns the trainer's replica group (replica.Leader): nil for a
-// single-replica trainer, and for a follower.
-func (h host) Group() *replica.Group { return h.t.group }
+// Engine returns the engine that runs this trainer's chunks
+// (replica.Local).
+func (h host) Engine() engine.Engine { return h.t.eng }
 
 // Step returns the optimizer step clock (replica.Leader).
 func (h host) Step() int { return h.t.step }

@@ -62,9 +62,10 @@ func liveState(tr *Trainer) []byte {
 // for files that are intact (every frame's CRC holds) but do not fit the
 // trainer: the restore is refused with an error naming what differs, and
 // not one master, δ, moment, ring or clock has changed — the trainer
-// trains on as if the restore had never been tried. The shape case is the
+// trains on as if the restore had never been tried. The shape case is a
 // regression: its first three stages fit, and used to be overwritten
-// before the fourth was looked at.
+// before the fourth was looked at. So is the clocks case: its clocks used
+// to be checked only after the whole state had been applied.
 func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 	ctx := context.Background()
 	trained := func(tr *Trainer) *Trainer {
@@ -80,6 +81,29 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 		}
 		return path
 	}
+	// reframed writes a fitting checkpoint whose meta section has the u32
+	// at byte off (format, step, epoch, micro, stages, optimizer clock)
+	// set to v, under a valid frame CRC.
+	reframed := func(off int, v uint32) string {
+		path := write(trained(restoreProbe(t, tensor.Float64, 1, 1, 1, 1, 1)))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, rest, err := transport.NextMessage(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(meta.Data[off:], transport.AppendU32(nil, v))
+		var b bytes.Buffer
+		if err := transport.NewFrameWriter(&b).WriteMsg(meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b.Bytes(), rest...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	cases := []struct {
 		name    string
 		path    func() string
@@ -91,27 +115,9 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 		{"float32 checkpoint into a float64 trainer", func() string {
 			return write(restoreProbe(t, tensor.Float32, 1, 1, 1, 1, 1))
 		}, "stage 0 tensor 0 dtype float32, want float64"},
-		{"format 2 header", func() string {
-			// A fitting checkpoint whose meta section claims format 2.
-			path := write(trained(restoreProbe(t, tensor.Float64, 1, 1, 1, 1, 1)))
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			meta, rest, err := transport.NextMessage(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			copy(meta.Data, transport.AppendU32(nil, 2))
-			var reframed bytes.Buffer
-			if err := transport.NewFrameWriter(&reframed).WriteMsg(meta); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, append(reframed.Bytes(), rest...), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return path
-		}, "format version 2, want 3"},
+		{"format 2 header", func() string { return reframed(0, 2) }, "format version 2, want 3"},
+		{"epoch 3 after 4 steps", func() string { return reframed(8, 3) },
+			"checkpoint clocks inconsistent: step 4, epoch 3, 4 minibatches per epoch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

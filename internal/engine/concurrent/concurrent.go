@@ -146,6 +146,9 @@ func New(opts ...Option) *Engine {
 // Name identifies the engine.
 func (e *Engine) Name() string { return "concurrent" }
 
+// Clone returns a fresh, unstarted engine with the same WithWorkers.
+func (e *Engine) Clone() engine.Engine { return New(WithWorkers(e.workers)) }
+
 // Start spawns the scheduler workers.
 func (e *Engine) Start(h engine.Host) {
 	if e.running {

@@ -89,9 +89,14 @@ type Host interface {
 // gradients of the N backward passes accumulated; committing them is the
 // caller's next step (Commit). On divergence it returns ErrDiverged, on
 // context cancellation ctx.Err(), the stages restored either way.
+//
+// Every replica of a data-parallel run drives its own pipeline, so each
+// needs an engine of its own: Clone returns one of the same kind and
+// settings, unstarted. A stateless engine may return itself.
 type Engine interface {
 	Name() string
 	Minibatch(ctx context.Context, h Host, micros [][]int) (float64, error)
+	Clone() Engine
 }
 
 // Lifecycle is optionally implemented by engines that keep per-run
@@ -114,6 +119,9 @@ func NewReference() Reference { return Reference{} }
 
 // Name identifies the engine.
 func (Reference) Name() string { return "reference" }
+
+// Clone returns the engine itself: Reference keeps no state.
+func (r Reference) Clone() Engine { return r }
 
 // Minibatch executes the N microbatch chains serially.
 func (Reference) Minibatch(ctx context.Context, h Host, micros [][]int) (float64, error) {

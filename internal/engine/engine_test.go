@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -12,7 +13,6 @@ import (
 
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
-	"pipemare/internal/engine/replicated"
 )
 
 // fakeHost checks the Host ordering contract at call time: a microbatch's
@@ -184,18 +184,57 @@ func (f *fakeHost) quiesced(t *testing.T) {
 }
 
 func engines() map[string]engine.Engine {
-	// The replicated engine degenerates to its inner engine when the host
-	// is not a replica leader (fakeHost is plain), so including it here
-	// pins that passthrough against the full ordering contract. One worker
-	// cuts a P ≥ 5 pipeline into 4 segments, so at least one of them spans
-	// two stages whatever GOMAXPROCS is.
+	// One worker cuts a P ≥ 5 pipeline into 4 segments, so at least one of
+	// them spans two stages whatever GOMAXPROCS is.
 	return map[string]engine.Engine{
-		"reference":             engine.NewReference(),
-		"concurrent":            concurrent.New(),
-		"concurrent(W=1)":       concurrent.New(concurrent.WithWorkers(1)),
-		"replicated(reference)": replicated.New(),
-		"replicated(concurrent)": replicated.New(
-			replicated.WithInner(func() engine.Engine { return concurrent.New() })),
+		"reference":       engine.NewReference(),
+		"concurrent":      concurrent.New(),
+		"concurrent(W=1)": concurrent.New(concurrent.WithWorkers(1)),
+	}
+}
+
+// TestCloneIsAFreshEngineOfTheSameKind pins what every replica of a run
+// relies on: Clone returns an engine of the same name that is not the
+// original (Reference, which keeps no state, may be) and has not started —
+// cloning a running engine starts no goroutine, and the clone runs a
+// minibatch over a host of its own while the original keeps running over
+// another.
+func TestCloneIsAFreshEngineOfTheSameKind(t *testing.T) {
+	for name, eng := range engines() {
+		t.Run(name, func(t *testing.T) {
+			a, b := newFakeHost(5, false, -1), newFakeHost(5, false, -1)
+			lc, stateful := eng.(engine.Lifecycle)
+			if stateful {
+				lc.Start(a)
+				defer lc.Stop()
+			}
+			running := runtime.NumGoroutine()
+			c := eng.Clone()
+			if n := runtime.NumGoroutine(); n != running {
+				t.Fatalf("cloning started %d goroutines", n-running)
+			}
+			if c.Name() != eng.Name() {
+				t.Fatalf("clone is %q, want %q", c.Name(), eng.Name())
+			}
+			if stateful && c == eng {
+				t.Fatal("a stateful engine's clone is the engine itself")
+			}
+			if _, err := c.Minibatch(context.Background(), b, micros(4, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if clc, ok := c.(engine.Lifecycle); ok {
+				clc.Stop()
+			}
+			if _, err := eng.Minibatch(context.Background(), a, micros(4, 2)); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []*fakeHost{a, b} {
+				if len(f.errs) > 0 || f.completed != 4 {
+					t.Fatalf("ordering violations %v, %d of 4 microbatches completed", f.errs, f.completed)
+				}
+				f.quiesced(t)
+			}
+		})
 	}
 }
 

@@ -336,7 +336,7 @@ func EngineBenchOptions(stages int) []pipemare.Option {
 
 // NewReplicatedBenchTrainer builds the PipeMare-method trainer on
 // EngineBenchTask at the given stage and data-parallel replica counts,
-// under eng (nil: the default for that replica count). Extra options
+// every replica running eng (nil: Reference). Extra options
 // (e.g. WithTransport) are appended after the recipe. replicas must not
 // exceed the workload's 8 microbatches.
 func NewReplicatedBenchTrainer(stages, replicas int, eng pipemare.Engine, extra ...pipemare.Option) (*pipemare.Trainer, error) {

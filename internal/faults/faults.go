@@ -27,7 +27,8 @@ const (
 	// Drop discards a send before it reaches the wire and reports a
 	// transient error — the one fault class where a resend is provably
 	// invisible to the peer, so the retry layer recovers with zero curve
-	// deviation.
+	// deviation. It is send-only: a received message has already left the
+	// peer, so NewScript refuses a Recv rule that drops one.
 	Drop Op = iota
 	// Delay sleeps Rule.Delay (context-aware), then proceeds normally.
 	Delay
@@ -80,8 +81,14 @@ type Script struct {
 	fired []bool
 }
 
-// NewScript builds a script from rules.
+// NewScript builds a script from rules. It panics on a Recv rule whose Op
+// is Drop, naming the rule.
 func NewScript(rules ...Rule) *Script {
+	for i, r := range rules {
+		if r.Dir == Recv && r.Op == Drop {
+			panic(fmt.Sprintf("faults: rule %d (Recv, type %d, Nth %d) drops a received message, which already left its peer; Drop is send-only", i, r.Type, r.Nth))
+		}
+	}
 	return &Script{rules: rules, seen: make([]int, len(rules)), fired: make([]bool, len(rules))}
 }
 
@@ -171,8 +178,6 @@ func (c *Conn) Recv(ctx context.Context) (transport.Msg, error) {
 	}
 	if r := c.script.match(Recv, m.Type); r != nil {
 		switch r.Op {
-		case Drop:
-			return transport.Msg{}, fmt.Errorf("faults: dropped received message type %d: %w", m.Type, transport.ErrTransient)
 		case Delay:
 			t := time.NewTimer(r.Delay)
 			defer t.Stop()

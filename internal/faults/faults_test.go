@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ func TestScriptMatchWindows(t *testing.T) {
 		{"Count widens to a run", Rule{Dir: Send, Type: a, Nth: 3, Count: 4}, []int{3, 4, 5, 6}},
 		{"Count -1 never exhausts", Rule{Dir: Send, Type: a, Nth: 8, Count: -1}, []int{8, 9, 10}},
 		{"Nth past the sequence never fires", Rule{Dir: Send, Type: a, Nth: 11}, nil},
-		{"receives count separately from sends", Rule{Dir: Recv, Type: a, Nth: 2, Count: 2}, []int{2, 3}},
+		{"receives count separately from sends", Rule{Dir: Recv, Type: a, Nth: 2, Count: 2, Op: Delay}, []int{2, 3}},
 		{"type 0 matches every type in its direction", Rule{Dir: Send, Nth: 3, Count: 2}, []int{3, 4}},
 	}
 	for _, tc := range cases {
@@ -108,6 +109,21 @@ func TestScriptRulesCountIndependently(t *testing.T) {
 }
 
 func op(o Op) *Op { return &o }
+
+// TestNewScriptRefusesReceiveDrop pins that Drop is send-only: a message
+// already read off the wire has left its peer, so dropping it is no
+// transient fault a resend could hide. NewScript panics naming the rule,
+// and builds a send-side drop as before.
+func TestNewScriptRefusesReceiveDrop(t *testing.T) {
+	NewScript(Rule{Dir: Send, Op: Drop})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "rule 1 (Recv, type 7, Nth 3)") {
+			t.Fatalf("NewScript panicked with %q, want it to name rule 1", msg)
+		}
+	}()
+	NewScript(Rule{Dir: Send, Op: Drop}, Rule{Dir: Recv, Type: 7, Nth: 3, Op: Drop})
+}
 
 // linked returns the two ends of one loopback connection, the dialing end
 // wrapped with the script.

@@ -1,10 +1,6 @@
 package replica
 
-import (
-	"context"
-
-	"pipemare/internal/engine"
-)
+import "pipemare/internal/engine"
 
 // Read-only views of the group for the package's external tests; nothing
 // outside the package needs them.
@@ -23,9 +19,6 @@ func (g *Group) Plan() engine.CommitPlan { return g.plan }
 // Compute returns the compute wrapper of the active member at position r
 // (nil for a remote member).
 func (g *Group) Compute(r int) *Compute { return g.members[r].comp }
-
-// Begin splits a minibatch into the active members' chunks.
-func (g *Group) Begin(ctx context.Context, micros [][]int) [][][]int { return g.begin(ctx, micros) }
 
 // Admit parks each follower and moves it straight to Active: the launch
 // admission without its state handoff, for fixtures whose members start

@@ -15,7 +15,7 @@
 // whose connection dies — or a standby whose connection died while it sat
 // out, or whose handoff failed — is gone. Transition is the only code
 // that moves a record: it re-splits positions, re-derives the commit plan
-// over the active members and starts or stops the member's inner engine,
+// over the active members and starts or stops the member's engine,
 // whichever edge is taken.
 //
 // Determinism survives every edge for one reason: the per-minibatch curve
@@ -68,8 +68,8 @@ type member struct {
 	state State
 
 	remote Remote        // nil for an in-process member
-	comp   *Compute      // in-process: the host wrapper its inner engine drives
-	eng    engine.Engine // in-process: the inner engine, between Start and Stop
+	comp   *Compute      // in-process: the host wrapper its engine drives
+	eng    engine.Engine // in-process: its own engine (Local.Engine)
 	chunk  *chunk        // this member's share of the minibatch in flight
 	track  *trace.Track  // collectives track (nil when tracing is off)
 }
@@ -114,6 +114,7 @@ func (g *Group) enter(m Member) (*member, error) {
 	case Local:
 		rec.comp = newCompute(v, rec.id == 0)
 		rec.chunk = &rec.comp.chunk
+		rec.eng = v.Engine()
 	default:
 		return nil, fmt.Errorf("replica: member %T is neither in-process (Local) nor remote (Remote)", m)
 	}
@@ -140,8 +141,9 @@ func (g *Group) index(id int) int {
 
 // Transition is the group's one membership change: it moves member id to
 // state to. Leaving Active frees the member's position (those above shift
-// down) and stops its inner engine; entering Active appends it at the
-// tail of the reduce tree and starts one; Gone closes its connection.
+// down) and stops its engine; entering Active appends it at the tail of
+// the reduce tree and, during a run, starts it; Gone closes its
+// connection.
 // Every edge re-derives the commit plan over the resulting active
 // members. It must be called with no collective in flight — from the
 // trainer's recovery loop between attempts, or from its
@@ -162,13 +164,13 @@ func (g *Group) move(m *member, to State) {
 	g.members = slices.Delete(g.members, i, i+1)
 	if m.state == Active {
 		g.active--
-		m.setEngine(nil)
+		m.setRunning(false)
 	}
 	switch to {
 	case Active:
 		g.members = slices.Insert(g.members, g.active, m)
 		g.active++
-		m.setEngine(g.inner)
+		m.setRunning(g.running)
 	case Standby:
 		g.members = append(g.members, m)
 	case Gone:
@@ -180,29 +182,21 @@ func (g *Group) move(m *member, to State) {
 	g.plan = engine.NewCommitPlan(g.p, g.active)
 }
 
-// setEngine replaces an in-process member's inner engine: the old one
-// stops, and a new one from the factory (nil for none) starts over the
-// member's compute wrapper. Remote members run their chunks through the
-// inner engine of their own worker process.
-func (m *member) setEngine(inner func() engine.Engine) {
-	if m.comp == nil {
-		return
-	}
-	if lc, ok := m.eng.(engine.Lifecycle); ok {
+// setRunning starts an in-process member's engine over its compute
+// wrapper, or stops it. Remote members run their chunks through the engine
+// of their own worker process.
+func (m *member) setRunning(on bool) {
+	lc, ok := m.eng.(engine.Lifecycle)
+	if ok && on {
+		lc.Start(m.comp)
+	} else if ok {
 		lc.Stop()
-	}
-	m.eng = nil
-	if inner != nil {
-		m.eng = inner()
-		if lc, ok := m.eng.(engine.Lifecycle); ok {
-			lc.Start(m.comp)
-		}
 	}
 }
 
-// run executes the member's chunk: through the inner engine in process,
+// run executes the member's chunk: through its own engine in process,
 // or in one round trip to a remote member, whose returned losses and
-// gradient exports land where Reduce and LossSum read them.
+// gradient exports land where reduce and lossSum read them.
 func (m *member) run(ctx context.Context, micros [][]int) error {
 	if m.remote == nil {
 		_, err := m.eng.Minibatch(ctx, m.comp, micros)

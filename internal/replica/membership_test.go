@@ -131,11 +131,13 @@ func (f *fakeRemote) Close() error {
 
 var _ replica.Remote = (*fakeRemote)(nil)
 
-// driveEngine is an inner engine that drives a compute wrapper's slots
-// the way driveChunk does, or fails with err when it is set.
+// driveEngine is a member's engine that drives its compute wrapper's
+// slots the way driveChunk does, or fails with err when it is set.
 type driveEngine struct{ err error }
 
 func (driveEngine) Name() string { return "drive" }
+
+func (e driveEngine) Clone() engine.Engine { return e }
 
 func (e driveEngine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
 	if e.err != nil {
@@ -175,10 +177,9 @@ func TestMembershipTransitions(t *testing.T) {
 		return ms
 	}
 	attempt := func(f *fixture) error {
-		if err := f.g.RunChunks(context.Background(), micros); err != nil {
+		if _, err := f.g.Minibatch(context.Background(), micros); err != nil {
 			return err
 		}
-		f.g.Reduce()
 		return f.g.Commit(len(micros))
 	}
 	// takenOver is attempt for a member that dies after the prepare phase:
@@ -203,7 +204,7 @@ func TestMembershipTransitions(t *testing.T) {
 	cases := []struct {
 		name       string
 		noFT       bool
-		engineErr  map[int]error // in-process member id → its inner engine's failure
+		engineErr  map[int]error // in-process member id → its engine's failure
 		arm        func(f *fixture)
 		event      func(f *fixture) error
 		subject    int           // member id the case is about
@@ -314,16 +315,13 @@ func TestMembershipTransitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := &fixture{lead: newFakeMember(p), local: newFakeMember(p), remote: map[int]*fakeRemote{2: newFakeRemote(p), 3: newFakeRemote(p)}}
+			f.lead.engErr, f.local.engErr = tc.engineErr[0], tc.engineErr[1]
 			g := replica.NewGroup(f.lead, !tc.noFT)
 			if err := g.Admit(f.local, f.remote[2], f.remote[3]); err != nil {
 				t.Fatal(err)
 			}
 			f.g = g
-			built := 0 // Start builds the in-process members' engines in id order
-			g.Start(func() engine.Engine {
-				built++
-				return driveEngine{err: tc.engineErr[built-1]}
-			})
+			g.Start()
 			defer g.Stop()
 			if tc.arm != nil {
 				tc.arm(f)

@@ -1,10 +1,12 @@
 // Package replica implements the coordination layer for multi-replica
 // data-parallel training: R pipeline replicas (each a full trainer weight
-// partition driven by its own inner execution engine) split a minibatch's
-// microbatches between them, and a deterministic tree all-reduce folds the
-// per-microbatch gradients into the leader replica before one shared
-// optimizer step — the PipeDream-style hybrid of pipeline and data
-// parallelism. The step commits replica-sharded, ZeRO / PipeDream-2BW
+// partition driven by its own copy of the run's execution engine) split a
+// minibatch's microbatches between them, and a deterministic tree
+// all-reduce folds the per-microbatch gradients into the leader replica
+// before one shared optimizer step — the PipeDream-style hybrid of
+// pipeline and data parallelism. The leader trainer runs each minibatch
+// through its Group: Minibatch (every replica's chunk, then the reduce),
+// then Commit. The step commits replica-sharded, ZeRO / PipeDream-2BW
 // style (Group.Commit): an engine.CommitPlan assigns each stage to a
 // replica owner, the leader's reduced gradients scatter to their owners,
 // every owner steps its shard against its local copy of the optimizer
@@ -42,7 +44,7 @@
 // The package also owns what a replica member is and who is in the run.
 // Member is the small contract every replica honours wherever it lives;
 // a member is then either Local (its pipeline runs in this process,
-// through a Compute wrapper and an inner engine) or Remote (it sits
+// through a Compute wrapper and its own engine) or Remote (it sits
 // behind a connection and can therefore fail, straggle, stand by and
 // leave). Group holds the one membership table — a record per member
 // with a stable id — and Group.Transition is the one operation that
@@ -105,13 +107,16 @@ type Member interface {
 }
 
 // Local is a member whose pipeline lives in this process: the
-// engine.Host an inner engine drives through a Compute wrapper, plus the
+// engine.Host its own engine drives through a Compute wrapper, plus the
 // chunk's epoch phase and the two gradient moves that never cross the wire.
 // internal/core's host is the implementation — for the leader, for
 // in-process followers, and for the follower a worker process serves.
 type Local interface {
 	Member
 	engine.Host
+	// Engine returns the engine that runs the member's chunks: its own
+	// trainer's, never shared with another member.
+	Engine() engine.Engine
 	// SetAsync sets the epoch phase of the chunk the member is about to
 	// run: whether its slots install delayed weights. It arrives with the
 	// chunk because a follower never advances its own epoch clock — the
@@ -130,7 +135,7 @@ type Local interface {
 // Remote is a member hosted behind a connection
 // (transport.RemoteMember). Its chunk runs out of process: the group
 // ships it in one RunChunk call — the worker drives it through its own
-// inner engine — and gets back exactly the losses and per-(microbatch,
+// engine — and gets back exactly the losses and per-(microbatch,
 // stage) gradient exports a local follower's Compute would have
 // captured. Its collectives block on I/O, so BindContext binds each
 // minibatch's context to them; its failures are sticky — the first
@@ -153,14 +158,10 @@ type Remote interface {
 	Rearm()
 }
 
-// Leader is the host of a trainer that leads a replica group — what a
-// replicated engine looks for on the engine.Host it is started with, and
-// what the group reads the run's clocks, epoch phase and clip factor from.
+// Leader is the host of a trainer that leads a replica group: what the
+// group reads the run's clocks, epoch phase and clip factor from.
 type Leader interface {
 	Local
-	// Group returns the trainer's replica group, nil when it trains a
-	// single replica.
-	Group() *Group
 	// Step and Epoch read the clocks a member's SetStep and SetEpoch get.
 	Step() int
 	Epoch() int
@@ -173,21 +174,12 @@ type Leader interface {
 	ClipScale(sumSq float64) float64
 }
 
-// Aware marks execution engines that understand the replica surface and
-// drive all R replicas of a Leader host. The trainer refuses a
-// non-replica-aware engine when replication is configured, because such
-// an engine would silently train only the leader.
-type Aware interface {
-	DrivesReplicas()
-}
-
-// Group coordinates one leader and its followers for a replicated
-// execution engine, and is the one place that knows who is in the run: it
-// holds the membership table (membership.go), splits each minibatch into
-// contiguous per-replica chunks, runs every member's chunk, and runs the
-// reduce and the replica-sharded commit.
-// A trainer builds its Group once and keeps it for life; the replicated
-// engine borrows it for each Run.
+// Group coordinates one leader and its followers, and is the one place
+// that knows who is in the run: it holds the membership table
+// (membership.go), splits each minibatch into contiguous per-replica
+// chunks, runs every member's chunk, and runs the reduce and the
+// replica-sharded commit. A trainer builds its Group once and keeps it for
+// life; each Run starts and stops the in-process members' engines.
 type Group struct {
 	lead Leader
 	p    int
@@ -206,7 +198,7 @@ type Group struct {
 	// or the leader for the shard of a follower that died mid-step.
 	owners []int
 
-	inner func() engine.Engine // inner-engine factory; non-nil between Start and Stop
+	running bool // between Start and Stop: active in-process members' engines run
 
 	scatter [][]*tensor.Tensor // per-stage staging for the grad scatter
 	sumSqs  []float64          // per-stage clip-norm partials
@@ -249,18 +241,22 @@ func tensorsBytes(ts []*tensor.Tensor) int64 {
 // Replicas returns R, the number of active members.
 func (g *Group) Replicas() int { return g.active }
 
-// Start gives every active in-process member its own inner engine from
-// the factory, started over the member's compute wrapper; members that
-// become active before Stop get one too.
-func (g *Group) Start(inner func() engine.Engine) {
-	g.inner = inner
+// Start starts every active in-process member's engine over the member's
+// compute wrapper; members that become active before Stop start theirs
+// too.
+func (g *Group) Start() { g.setRunning(true) }
+
+// Stop stops the active in-process members' engines. The group itself —
+// and any standby parked in it — belongs to the trainer and outlives the
+// run.
+func (g *Group) Stop() { g.setRunning(false) }
+
+func (g *Group) setRunning(on bool) {
+	g.running = on
 	for _, m := range g.members[:g.active] {
-		m.setEngine(inner)
+		m.setRunning(on)
 	}
 }
-
-// Stop stops and releases the inner engines: Start with no factory.
-func (g *Group) Stop() { g.Start(nil) }
 
 // begin prepares the group for one minibatch: it splits the N microbatch
 // index sets into R contiguous, ordered chunks (sizes differing by at
@@ -292,13 +288,26 @@ func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
 	return chunks
 }
 
-// RunChunks runs one attempt at the minibatch's compute phase: begin,
-// then every active member's chunk concurrently — in-process members
-// through their inner engine, remote members in one RunChunk round trip.
+// Minibatch runs one attempt at the minibatch's compute phase over the
+// active members and returns its mean microbatch loss, with every
+// follower's gradients folded into the leader (reduce) for the Commit
+// that follows. A member failure the run can survive comes back as a
+// *MemberError for the trainer to apply (see runChunks).
+func (g *Group) Minibatch(ctx context.Context, micros [][]int) (float64, error) {
+	if err := g.runChunks(ctx, micros); err != nil {
+		return 0, err
+	}
+	g.reduce()
+	return g.lossSum() / float64(len(micros)), nil
+}
+
+// runChunks runs begin, then every active member's chunk concurrently —
+// in-process members through their own engine, remote members in one
+// RunChunk round trip.
 //
 // When it returns nil every replica has drained and restored its master
-// weights (the inner-engine contract), and follower stage accumulators
-// are clean because every follower backward slot exports-and-zeroes. A
+// weights (the engine contract), and follower stage accumulators are
+// clean because every follower backward slot exports-and-zeroes. A
 // divergence anywhere matches the serial run — the bad microbatch's loss
 // is computed from identical weights and samples there too — and the
 // leader's partial accumulation is dropped by the trainer. A member
@@ -308,7 +317,7 @@ func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
 // attempt: the other resurfaces on the replay — a second straggler's
 // RunChunk fails fast while it drains, a dead member through its sticky
 // error. The member left with its chunk, so the replay flag is set.
-func (g *Group) RunChunks(ctx context.Context, micros [][]int) error {
+func (g *Group) runChunks(ctx context.Context, micros [][]int) error {
 	chunks := g.begin(ctx, micros)
 	errs := make([]error, g.active)
 	var wg sync.WaitGroup
@@ -344,13 +353,13 @@ func (g *Group) RunChunks(ctx context.Context, micros [][]int) error {
 	return fault
 }
 
-// Reduce performs the deterministic tree all-reduce: a binary-tree gather
+// reduce performs the deterministic tree all-reduce: a binary-tree gather
 // of the followers' ordered per-microbatch gradient lists (rounds of
 // pairwise list handoffs — the communication schedule), then the root
 // fold into the leader's accumulators in global microbatch order. Stages
 // are folded concurrently; within a stage the order is fixed, so the
 // result is bit-identical to serial single-replica accumulation.
-func (g *Group) Reduce() {
+func (g *Group) reduce() {
 	r := g.active
 	t0 := g.rec.Now()
 	// Tree gather: at round d, member m (m ≡ 0 mod 2d) absorbs member
@@ -392,11 +401,11 @@ func (g *Group) Reduce() {
 	}
 }
 
-// Commit commits one shared optimizer step for the minibatch Reduce just
-// folded into the leader, ZeRO / PipeDream-2BW style. The commit plan
-// assigns each stage to a replica owner (contiguous shards, sizes
-// differing by at most one); each owner runs the commit phases for its
-// shard against its own parameter copies and its own copy of the
+// Commit commits one shared optimizer step for the minibatch that
+// Minibatch just folded into the leader, ZeRO / PipeDream-2BW style. The
+// commit plan assigns each stage to a replica owner (contiguous shards,
+// sizes differing by at most one); each owner runs the commit phases for
+// its shard against its own parameter copies and its own copy of the
 // optimizer state, so no replica — leader included — steps more than
 // ⌈P/R⌉ stages.
 //
@@ -404,7 +413,7 @@ func (g *Group) Reduce() {
 // hence to single-replica Reference):
 //
 //  1. The scatter is a pure copy. All gradient arithmetic stayed at the
-//     tree root (Reduce); an owner's accumulator receives the leader's
+//     tree root (reduce); an owner's accumulator receives the leader's
 //     reduced gradient bitwise.
 //  2. Per-stage phase arithmetic is location-independent. PrepareStage,
 //     ScaleStage, StepStage and FinishStage touch only the stage's
@@ -586,10 +595,10 @@ func (g *Group) eachMember(fn func(i int, m *member, lo, hi int)) {
 	wg.Wait()
 }
 
-// LossSum folds the per-microbatch losses in global microbatch order —
+// lossSum folds the per-microbatch losses in global microbatch order —
 // replica chunks are contiguous, so replica order then chunk order is the
 // serial order — and returns the sum (the caller divides by N).
-func (g *Group) LossSum() float64 {
+func (g *Group) lossSum() float64 {
 	sum := 0.0
 	for _, m := range g.members[:g.active] {
 		for _, l := range m.chunk.losses[:m.chunk.n] {
@@ -602,13 +611,13 @@ func (g *Group) LossSum() float64 {
 // chunk is one member's share of the minibatch in flight: where it
 // starts, and the losses and gradient exports it produced — captured by
 // a Compute wrapper for an in-process member, decoded from the RunChunk
-// reply for a remote one — where Reduce and LossSum read them.
+// reply for a remote one — where reduce and lossSum read them.
 type chunk struct {
 	p       int
 	exports bool // followers stage per-microbatch gradients; the leader accumulates in place
 
 	// Per-minibatch state, written by begin before the chunk runs and read
-	// by the inner engine's workers (happens-before via its channels).
+	// by the member engine's workers (happens-before via its channels).
 	start  int // global microbatch counter of the chunk start
 	n      int // chunk length
 	async  bool
@@ -630,12 +639,13 @@ func (c *chunk) begin(start, n int, async bool) {
 	}
 }
 
-// Compute is the per-replica host wrapper a replicated engine hands to
-// that replica's inner engine. Every slot call is the replica's own
-// (the embedded engine.Host); the wrapper frames the chunk (global
-// microbatch base, leader's epoch phase), captures per-microbatch losses,
-// and on followers exports per-(microbatch, stage) gradients. It has no commit surface: an inner engine runs chains only,
-// and the one commit belongs to the group after the all-reduce.
+// Compute is the per-replica host wrapper an in-process replica's engine
+// drives. Every slot call is the replica's own (the embedded
+// engine.Host); the wrapper frames the chunk (global microbatch base,
+// leader's epoch phase), captures per-microbatch losses, and on followers
+// exports per-(microbatch, stage) gradients. It has no commit surface: an
+// engine runs chains only, and the one commit belongs to the group after
+// the all-reduce.
 type Compute struct {
 	engine.Host
 	loc Local
@@ -648,7 +658,7 @@ func newCompute(m Local, leader bool) *Compute {
 
 // NewCompute wraps a follower member for chunk execution outside a
 // Group — the worker-process side of the remote protocol, where the
-// serve loop drives its local follower through an inner engine and ships
+// serve loop drives its local follower through its engine and ships
 // the captured losses and gradient exports back (transport.ServeConn).
 func NewCompute(m Local) *Compute { return newCompute(m, false) }
 
@@ -672,7 +682,7 @@ func (c *Compute) Losses() []float64 { return c.losses[:c.n] }
 func (c *Compute) Grads() [][][]*tensor.Tensor { return c.grads[:c.n] }
 
 // Tracer implements trace.Carrier by delegating to the wrapped member
-// (the follower trainer's host), so an inner engine driving this
+// (the follower trainer's host), so an engine driving this
 // replica's pipeline finds the shared recorder and the replica's index.
 func (c *Compute) Tracer() (*trace.Recorder, int) {
 	return trace.FromCarrier(c.loc)

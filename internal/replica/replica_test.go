@@ -2,11 +2,14 @@ package replica_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"pipemare/internal/engine"
+	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 )
@@ -19,6 +22,7 @@ import (
 // preserve.
 type fakeMember struct {
 	p      int
+	engErr error // what its engine fails with (nil: it drives the chunk)
 	mu     sync.Mutex
 	acc    []float64 // per-stage accumulator
 	synced int       // SetStep calls: one per full-state push from the leader
@@ -44,6 +48,7 @@ func newFakeMember(p int) *fakeMember {
 }
 
 func (f *fakeMember) Stages() int                 { return f.p }
+func (f *fakeMember) Engine() engine.Engine       { return driveEngine{err: f.engErr} }
 func (f *fakeMember) Async() bool                 { return true }
 func (f *fakeMember) Recompute() bool             { return false }
 func (f *fakeMember) MicroBase() int              { return 0 }
@@ -157,9 +162,8 @@ func (f *fakeMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) 
 }
 
 // A fakeMember can lead a group: its clocks read zero.
-func (f *fakeMember) Group() *replica.Group { return nil }
-func (f *fakeMember) Step() int             { return 0 }
-func (f *fakeMember) Epoch() int            { return 0 }
+func (f *fakeMember) Step() int  { return 0 }
+func (f *fakeMember) Epoch() int { return 0 }
 
 var _ replica.Leader = (*fakeMember)(nil)
 
@@ -184,9 +188,9 @@ func (f *fakeLead) group(t *testing.T) *replica.Group {
 	return g
 }
 
-// driveChunk simulates an inner engine running replica r's chunk through
-// its compute wrapper: a forward climb and a backward descent per
-// microbatch, in chain order.
+// driveChunk simulates an engine running replica r's chunk through its
+// compute wrapper: a forward climb and a backward descent per microbatch,
+// in chain order.
 func driveChunk(c *replica.Compute, chunk [][]int, p int) {
 	base := c.MicroBase()
 	for k := range chunk {
@@ -221,23 +225,23 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	for i := range micros {
 		micros[i] = []int{i}
 	}
-	chunks := g.Begin(context.Background(), micros)
+	g.Start()
+	defer g.Stop()
+	loss, err := g.Minibatch(context.Background(), micros)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantSizes := []int{3, 3, 2, 2}
 	start := 0
 	for i, want := range wantSizes {
-		if len(chunks[i]) != want {
-			t.Fatalf("chunk %d has %d microbatches, want %d", i, len(chunks[i]), want)
+		if got := len(g.Compute(i).Losses()); got != want {
+			t.Fatalf("chunk %d has %d microbatches, want %d", i, got, want)
 		}
 		if base := g.Compute(i).MicroBase(); base != start {
 			t.Fatalf("replica %d starts at global microbatch %d, want %d", i, base, start)
 		}
 		start += want
 	}
-
-	for i := 0; i < r; i++ {
-		driveChunk(g.Compute(i), chunks[i], p)
-	}
-	g.Reduce()
 
 	// The leader's direct accumulation holds exactly its own chunk's fold.
 	wantLead := 1.0 + 2 + 3 // s = 0,1,2 → s+1
@@ -258,8 +262,8 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	for s := 0; s < n; s++ {
 		wantLoss += float64(100 + s)
 	}
-	if got := g.LossSum(); got != wantLoss {
-		t.Fatalf("loss sum %g, want %g", got, wantLoss)
+	if wantLoss /= n; loss != wantLoss {
+		t.Fatalf("mean loss %g, want %g", loss, wantLoss)
 	}
 }
 
@@ -278,7 +282,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 		lead.followers = append(lead.followers, newFakeMember(p))
 	}
 	g := lead.group(t)
-	// Stand in for Reduce: the leader holds the fully reduced minibatch
+	// Stand in for the reduce: the leader holds the fully reduced minibatch
 	// gradient, one distinct scalar per stage.
 	for st := 0; st < p; st++ {
 		lead.acc[st] = float64(10 * (st + 1))
@@ -338,7 +342,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 }
 
 // TestComputeSuppressesCommit pins that a compute wrapper has no commit
-// surface at all — an inner engine runs chains, and the one commit is the
+// surface at all — an engine runs chains, and the one commit is the
 // group's, on the leader — and that its framing is the leader's: the
 // chunk's global microbatch base, and the epoch phase pushed into the
 // member.
@@ -346,7 +350,11 @@ func TestComputeSuppressesCommit(t *testing.T) {
 	lead := &fakeLead{fakeMember: newFakeMember(2)}
 	lead.followers = append(lead.followers, newFakeMember(2))
 	g := lead.group(t)
-	g.Begin(context.Background(), [][]int{{0}, {1}})
+	g.Start()
+	defer g.Stop()
+	if _, err := g.Minibatch(context.Background(), [][]int{{0}, {1}}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < 2; r++ {
 		var h engine.Host = g.Compute(r)
 		if _, ok := h.(engine.Committer); ok {
@@ -359,4 +367,89 @@ func TestComputeSuppressesCommit(t *testing.T) {
 	if got := lead.followers[0].asyncSet; got != 1 {
 		t.Fatalf("follower was put in the leader's epoch phase %d times for one chunk, want 1", got)
 	}
+}
+
+// blockingEngine wedges until its context is canceled — a stand-in for a
+// replica whose compute hangs (a stalled worker, a stuck collective).
+type blockingEngine struct{ entered chan struct{} }
+
+func (blockingEngine) Name() string { return "blocking" }
+
+func (b blockingEngine) Clone() engine.Engine { return b }
+
+func (b blockingEngine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
+	close(b.entered)
+	<-ctx.Done()
+	return 0, ctx.Err()
+}
+
+// engineMember is an in-process follower that runs eng.
+type engineMember struct {
+	*fakeMember
+	eng engine.Engine
+}
+
+func (m engineMember) Engine() engine.Engine { return m.eng }
+
+// TestCancelUnwindsBlockedMemberWithoutDeadlock pins that when one
+// replica's compute blocks mid-minibatch, canceling the context unwinds
+// the whole minibatch — the blocked member returns, the fan-in completes,
+// and neither the reduce's fold, the commit nor its gather runs — instead
+// of deadlocking the followers.
+func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
+	lead := newFakeMember(2)
+	blocking := blockingEngine{make(chan struct{})}
+	follower := engineMember{newFakeMember(2), blocking}
+	g := replica.NewGroup(lead, false)
+	if err := g.Admit(follower); err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := g.Minibatch(ctx, [][]int{{0}, {1}})
+		done <- err
+	}()
+	select {
+	case <-blocking.entered: // the follower is wedged mid-minibatch
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower engine never started")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Minibatch error = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Minibatch deadlocked after cancellation with a blocked member")
+	}
+	g.Stop()
+	for name, m := range map[string]*fakeMember{"leader": lead, "follower": follower.fakeMember} {
+		for st := range m.p {
+			if m.prepared[st]+m.stepped[st]+m.finished[st] != 0 || m.beginSteps != 0 {
+				t.Fatalf("%s ran commit phases after cancellation, want none", name)
+			}
+			if len(m.folds[st]) != 0 || m.imported[st] != 0 || m.synced != 0 {
+				t.Fatalf("%s ran a fold, gather or handoff after cancellation, want none", name)
+			}
+		}
+	}
+}
+
+// TestStopWithoutStartIsIdempotent pins that stopping a group whose
+// members' engines never started is a no-op, and so is stopping it twice
+// after a run.
+func TestStopWithoutStartIsIdempotent(t *testing.T) {
+	g := replica.NewGroup(newFakeMember(2), false)
+	if err := g.Admit(engineMember{newFakeMember(2), concurrent.New()}); err != nil {
+		t.Fatal(err)
+	}
+	g.Stop()
+	g.Stop()
+	g.Start()
+	g.Stop()
+	g.Stop()
 }

@@ -3,8 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-
-	"pipemare/internal/engine"
 )
 
 // Mid-run join protocol. A fresh worker dials a *running* leader and asks
@@ -50,9 +48,9 @@ func RejectJoin(ctx context.Context, conn MsgConn, reason string) {
 // (ServeConn) over the connection. The wait for the leader's MsgHello is
 // arbitrarily long — admission happens at a minibatch boundary of the
 // leader's choosing — and bounded only by ctx.
-func ServeJoin(ctx context.Context, conn MsgConn, joinAt int, build Builder, inner engine.Engine) error {
+func ServeJoin(ctx context.Context, conn MsgConn, joinAt int, build Builder) error {
 	if err := conn.Send(ctx, Msg{Type: MsgJoin, Stage: -1, Data: AppendU32(nil, uint32(joinAt))}); err != nil {
 		return fmt.Errorf("transport: join: %w", err)
 	}
-	return ServeConn(ctx, conn, build, inner)
+	return ServeConn(ctx, conn, build)
 }

@@ -345,7 +345,7 @@ func decodeWireErr(data []byte, peer string) error {
 
 // RunChunk ships the follower's share of a minibatch to the worker: the
 // chunk's global microbatch base, the leader's epoch phase, and the
-// sample indices. The worker drives the chunk through its own inner
+// sample indices. The worker drives the chunk through its follower's
 // engine and replies with the per-microbatch losses and the exported
 // per-(microbatch, stage) gradients.
 func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micros [][]int) ([]float64, [][][]*tensor.Tensor, error) {

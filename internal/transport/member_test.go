@@ -44,6 +44,7 @@ func newWireMember(p int) *wireMember {
 }
 
 func (m *wireMember) Stages() int                 { return m.p }
+func (m *wireMember) Engine() engine.Engine       { return engine.NewReference() }
 func (m *wireMember) Recompute() bool             { return false }
 func (m *wireMember) MicroBase() int              { return 0 }
 func (m *wireMember) SetAsync(async bool)         {}
@@ -148,7 +149,7 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return worker, nil }, nil)
+		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return worker, nil })
 	}()
 	conn, err := dial.Dial(ctx)
 	if err != nil {
@@ -257,7 +258,7 @@ func TestHandshakeRejectsStageMismatch(t *testing.T) {
 	defer lis.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(3), nil }, nil)
+	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(3), nil })
 	conn, err := dial.Dial(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +377,7 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(2), nil }, nil)
+		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(2), nil })
 	}()
 	conn, err := dial.Dial(ctx)
 	if err != nil {

@@ -21,17 +21,16 @@ import (
 type Builder func(spec Spec) (replica.Local, error)
 
 // Serve accepts one leader connection on lis and serves it until the
-// leader says goodbye, the connection drops, or ctx ends. inner is the
-// engine that drives the follower's microbatch chunks (nil means the
-// serial Reference engine) — the worker-process counterpart of the
-// replicated engine's per-replica inner engines.
-func Serve(ctx context.Context, lis Listener, build Builder, inner engine.Engine) error {
+// leader says goodbye, the connection drops, or ctx ends. The follower's
+// own engine (replica.Local.Engine) drives its microbatch chunks, as an
+// in-process follower's drives its own.
+func Serve(ctx context.Context, lis Listener, build Builder) error {
 	conn, err := lis.Accept(ctx)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	return ServeConn(ctx, conn, build, inner)
+	return ServeConn(ctx, conn, build)
 }
 
 // ServeConn is the worker's one session function, however the connection
@@ -41,16 +40,13 @@ func Serve(ctx context.Context, lis Listener, build Builder, inner engine.Engine
 // which it also returns — then serves the leader's requests until the
 // goodbye (nil), the connection drops, or ctx ends. The first requests are
 // the leader's state handoff.
-func ServeConn(ctx context.Context, conn MsgConn, build Builder, inner engine.Engine) error {
-	if inner == nil {
-		inner = engine.NewReference()
-	}
-	s := &server{conn: conn, inner: inner}
+func ServeConn(ctx context.Context, conn MsgConn, build Builder) error {
+	s := &server{conn: conn}
 	if err := s.hello(ctx, build); err != nil {
 		return err
 	}
 	s.comp = replica.NewCompute(s.member)
-	if lc, ok := s.inner.(engine.Lifecycle); ok {
+	if lc, ok := s.member.Engine().(engine.Lifecycle); ok {
 		lc.Start(s.comp)
 		defer lc.Stop()
 	}
@@ -59,7 +55,6 @@ func ServeConn(ctx context.Context, conn MsgConn, build Builder, inner engine.En
 
 type server struct {
 	conn   MsgConn
-	inner  engine.Engine
 	member replica.Local
 	comp   *replica.Compute
 
@@ -226,8 +221,8 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 	return Msg{}, fmt.Errorf("unknown request type %d", req.Type)
 }
 
-// runChunk decodes a chunk request, drives it through the inner engine
-// against the follower's compute wrapper, and encodes the losses and
+// runChunk decodes a chunk request, drives it through the follower's
+// engine against its compute wrapper, and encodes the losses and
 // exported gradients back. A diverged chunk replies errDiverged — a
 // normal outcome the leader maps back to engine.ErrDiverged — without
 // ending the session.
@@ -264,7 +259,7 @@ func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
 		go s.ping(pctx, done)
 		stopPing = func() { cancel(); <-done }
 	}
-	_, err := s.inner.Minibatch(ctx, s.comp, micros)
+	_, err := s.member.Engine().Minibatch(ctx, s.comp, micros)
 	stopPing()
 	if err != nil {
 		if errors.Is(err, engine.ErrDiverged) {

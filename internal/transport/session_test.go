@@ -36,7 +36,7 @@ func FuzzSession(f *testing.F) {
 		leader, worker := NewConn(a), NewConn(b)
 		done := make(chan error, 1)
 		go func() {
-			err := ServeConn(ctx, worker, func(Spec) (replica.Local, error) { return newWireMember(p), nil }, nil)
+			err := ServeConn(ctx, worker, func(Spec) (replica.Local, error) { return newWireMember(p), nil })
 			worker.Close()
 			done <- err
 		}()

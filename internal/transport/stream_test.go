@@ -476,7 +476,7 @@ func startBulk(tb testing.TB) (m *RemoteMember, leader *bulkMember, stop func())
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- Serve(ctx, lis, func(Spec) (replica.Local, error) { return worker, nil }, nil)
+		serveDone <- Serve(ctx, lis, func(Spec) (replica.Local, error) { return worker, nil })
 	}()
 	conn, err := dial.Dial(ctx)
 	if err != nil {

@@ -248,8 +248,11 @@ func WithSchedule(sched Schedule) Option {
 }
 
 // WithEngine selects the execution engine (default: the single-goroutine
-// Reference engine; see internal/engine/concurrent for the stage-worker
-// engine).
+// Reference engine; NewConcurrentEngine is the work-stealing
+// segment-scheduler engine). It means the same at every replica count:
+// the pipeline engine each replica runs. With WithReplicas(R > 1) the
+// leader runs e and every in-process follower a clone of it; a remote
+// follower runs the engine of its own ServeFollower options.
 func WithEngine(e Engine) Option {
 	return func(s *settings) error {
 		if e == nil {
@@ -268,9 +271,9 @@ func WithEngine(e Engine) Option {
 // contiguous shard of the stages against its own optimizer state, and the
 // stepped weights all-gather back — so training curves are bit-identical
 // to a single-replica run of the same global batch. R must not exceed the
-// microbatch count N. The engine must be replica-aware; the default
-// engine for R > 1 is the replicated engine over Reference inners (see
-// NewReplicatedEngine to choose the inner engine).
+// microbatch count N. Every replica runs its own copy of the WithEngine
+// engine over its share of the microbatches, so pipeline overlap composes
+// with replication.
 func WithReplicas(r int) Option {
 	return func(s *settings) error {
 		if r < 1 {

@@ -190,16 +190,7 @@ func TestWithReplicasValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Replicable") {
 		t.Fatalf("non-replicable task error = %v, want a Replicable error", err)
 	}
-	// A non-replica-aware engine is refused: it would silently train only
-	// the leader.
-	_, err = pipemare.New(newOptionProbeTask(),
-		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4), pipemare.WithReplicas(2),
-		pipemare.WithEngine(pipemare.NewReferenceEngine()))
-	if err == nil || !strings.Contains(err.Error(), "replica-aware") {
-		t.Fatalf("plain-engine error = %v, want a replica-aware error", err)
-	}
-	// R = 1 is valid with any engine, and R ≤ N with the default
-	// (replicated) engine builds and reports its followers.
+	// R ≤ N with the default engine builds and reports its followers.
 	tr, err := pipemare.New(newOptionProbeTask(),
 		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4), pipemare.WithReplicas(4))
 	if err != nil {

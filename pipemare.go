@@ -12,6 +12,10 @@
 //     (internal/engine/concurrent, WithWorkers) with bit-identical
 //     training curves, over even, cost-balanced or profiled stage
 //     partitions (WithPartition);
+//   - PipeDream-style data parallelism over R pipeline replicas
+//     (WithReplicas), in process or behind a wire transport
+//     (WithTransport), each replica running its own copy of the engine
+//     WithEngine names, with curves bit-identical to one replica;
 //   - the three PipeMare techniques — T1 learning-rate rescheduling,
 //     T2 discrepancy correction, T3 synchronous warmup — plus the
 //     Appendix D recompute delay path and the Appendix E Hogwild! variant;
@@ -46,7 +50,6 @@ import (
 	"pipemare/internal/core"
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
-	"pipemare/internal/engine/replicated"
 	"pipemare/internal/metrics"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
@@ -124,16 +127,16 @@ func NewConcurrentEngine(workers int) Engine {
 	return concurrent.New(concurrent.WithWorkers(workers))
 }
 
-// NewReplicatedEngine returns the multi-replica data-parallel engine for
-// WithReplicas(R > 1): each replica's share of a minibatch runs through
-// its own inner engine built by the factory (nil means Reference), so
-// pipeline overlap composes with replication. Curves stay bit-identical
-// to single-replica Reference runs; see internal/engine/replicated.
+// NewReplicatedEngine returns inner() — or the Reference engine when
+// inner is nil.
+//
+// Deprecated: replication is not an engine. Pass the engine every replica
+// runs to WithEngine directly, at any WithReplicas.
 func NewReplicatedEngine(inner func() Engine) Engine {
 	if inner == nil {
-		return replicated.New()
+		return NewReferenceEngine()
 	}
-	return replicated.New(replicated.WithInner(inner))
+	return inner()
 }
 
 // FwdDelay returns τ_fwd = (2(P−i)+1)/N for 1-indexed stage i (Table 1).

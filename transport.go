@@ -51,9 +51,9 @@ func DialTCP(addr string) Dialer { return transport.NewTCPDialer(addr) }
 //
 // The leader's hello fixes the follower's replica id, replica count
 // and fault tolerance, so the same worker invocation serves any slot; a
-// WithEngine option selects the engine that drives the worker's
-// microbatch chunks (default Reference). WithTransport is a leader
-// option and is rejected here.
+// WithEngine option selects the engine the follower runs its microbatch
+// chunks with (default Reference), as it does for any trainer.
+// WithTransport is a leader option and is rejected here.
 func ServeFollower(ctx context.Context, lis Listener, task Task, opts ...Option) error {
 	s, opt, err := resolveSettings(task, opts)
 	if err != nil {
@@ -62,7 +62,7 @@ func ServeFollower(ctx context.Context, lis Listener, task Task, opts ...Option)
 	if len(s.dialers) > 0 {
 		return fmt.Errorf("pipemare: WithTransport is a leader option; a follower serves, not dials")
 	}
-	return transport.Serve(ctx, lis, followerBuilder(task, s, opt), s.cfg.Engine)
+	return transport.Serve(ctx, lis, followerBuilder(task, s, opt))
 }
 
 // followerBuilder is the transport.Builder ServeFollower and JoinFollower
@@ -107,5 +107,5 @@ func JoinFollower(ctx context.Context, d Dialer, task Task, opts ...Option) erro
 		return err
 	}
 	defer conn.Close()
-	return transport.ServeJoin(ctx, conn, s.joinAt, followerBuilder(task, s, opt), s.cfg.Engine)
+	return transport.ServeJoin(ctx, conn, s.joinAt, followerBuilder(task, s, opt))
 }
