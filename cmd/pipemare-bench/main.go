@@ -29,6 +29,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -54,6 +56,21 @@ type config struct {
 	joinWorker  bool
 	joinListen  string
 	selected    []experiments.Experiment // none: list them
+}
+
+// flagModes lists, for each flag that not every mode reads, the modes
+// that do: experiment runs, -smoke and -trace. Setting one of these flags
+// for a mode that would ignore it is an error.
+var flagModes = map[string][]string{
+	"full":         {"experiments"},
+	"partition":    {"experiments"},
+	"replicas":     {"experiments", "-trace"},
+	"trace":        {"-trace"},
+	"transport":    {"-smoke", "-trace"},
+	"worker":       {"-smoke", "-trace"},
+	"crash-worker": {"-smoke"},
+	"join-worker":  {"-smoke"},
+	"join-listen":  {"-smoke"},
 }
 
 // parseFlags parses and cross-validates the command line; the flag
@@ -116,16 +133,32 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 	if c.replicas < 1 || c.replicas > 8 {
 		return nil, fmt.Errorf("-replicas must be in [1, 8], got %d", c.replicas)
 	}
-	if c.transport != "inproc" && !c.smoke && c.traceOut == "" {
-		return nil, fmt.Errorf("-transport %s applies to -smoke or -trace", c.transport)
+	mode := "experiments"
+	switch {
+	case c.smoke:
+		mode = "-smoke"
+	case c.traceOut != "":
+		mode = "-trace"
 	}
-	if c.crashWorker != 0 && (!c.smoke || c.transport != "tcp" || c.crashWorker < 0) {
+	var unused []string
+	fs.Visit(func(f *flag.Flag) {
+		if modes, ok := flagModes[f.Name]; ok && !slices.Contains(modes, mode) {
+			unused = append(unused, "-"+f.Name)
+		}
+	})
+	if len(unused) > 0 {
+		return nil, fmt.Errorf("%s does not apply to %s", strings.Join(unused, ", "), mode)
+	}
+	if mode != "experiments" && fs.NArg() > 0 {
+		return nil, fmt.Errorf("experiment names do not apply to %s", mode)
+	}
+	if c.crashWorker != 0 && (c.transport != "tcp" || c.crashWorker < 0) {
 		return nil, errors.New("-crash-worker takes a positive chunk ordinal and applies to -smoke -transport tcp")
 	}
 	if c.joinWorker && c.crashWorker == 0 {
 		return nil, errors.New("-join-worker applies to -smoke -transport tcp with -crash-worker N")
 	}
-	if c.joinListen != "" && (!c.smoke || c.joinWorker) {
+	if c.joinListen != "" && c.joinWorker {
 		return nil, errors.New("-join-listen applies to -smoke, without -join-worker")
 	}
 	if names := fs.Args(); len(names) == 1 && names[0] == "all" {
@@ -140,6 +173,23 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 		}
 	}
 	return c, nil
+}
+
+// engine returns a fresh engine of the chosen kind; nil is Reference.
+func (c *config) engine() pipemare.Engine {
+	if c.newEngine == nil {
+		return nil
+	}
+	return c.newEngine()
+}
+
+// engineArgs returns the pipemare-worker flags that select the chosen
+// engine.
+func (c *config) engineArgs() []string {
+	if c.newEngine == nil {
+		return []string{"-engine", "reference"}
+	}
+	return []string{"-engine", "concurrent", "-workers", strconv.Itoa(c.workers)}
 }
 
 func main() {
@@ -157,26 +207,27 @@ func main() {
 	}
 }
 
-// run hands the experiments package the engine, partition, replica count
-// and dtype every workload trains with, then does the one thing the
-// command line asked for: the smoke, the traced epoch, or experiments.
+// run does the one thing the command line asked for: the smoke, the traced
+// epoch, or experiments — for which it hands the experiments package the
+// engine, partition and replica count every workload trains with. Every
+// mode trains in the chosen dtype.
 func run(c *config) error {
 	experiments.DType = c.dtype
 	if c.smoke {
-		if err := smokeRun(c.transport, c.workerBin, c.crashWorker, c.joinWorker, c.joinListen); err != nil {
+		if err := smokeRun(c); err != nil {
 			return fmt.Errorf("smoke: %w", err)
+		}
+		return nil
+	}
+	if c.traceOut != "" {
+		if err := traceRun(c); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
 		return nil
 	}
 	experiments.Partition = c.partition
 	experiments.EngineFactory = c.newEngine
 	experiments.Replicas = c.replicas
-	if c.traceOut != "" {
-		if err := traceRun(c.traceOut, c.newEngine, c.replicas, c.transport, c.workerBin); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		return nil
-	}
 	if len(c.selected) == 0 {
 		fmt.Println("usage: pipemare-bench [-full] <experiment>... | all")
 		fmt.Println("\navailable experiments:")
@@ -202,12 +253,13 @@ func run(c *config) error {
 }
 
 // traceRun trains the benchmark workload (P=4) for one traced epoch —
-// every replica running the chosen engine — writes the recording as Chrome trace-event JSON to path, and prints the
-// derived utilization report (per-stage busy time, bubble fraction, MFU)
-// against the measured wall clock.
-func traceRun(path string, newEngine func() pipemare.Engine, replicas int, transportName, workerBin string) error {
+// every replica running the chosen engine — writes the recording as
+// Chrome trace-event JSON to c.traceOut, and prints the derived
+// utilization report (per-stage busy time, bubble fraction, MFU) against
+// the measured wall clock.
+func traceRun(c *config) error {
 	const stages = 4
-	dialers, release, err := startFollowers(transportName, workerBin, stages, replicas-1)
+	dialers, release, err := startFollowers(c, stages, c.replicas-1)
 	if err != nil {
 		return err
 	}
@@ -216,11 +268,7 @@ func traceRun(path string, newEngine func() pipemare.Engine, replicas int, trans
 	if len(dialers) > 0 {
 		extra = append(extra, pipemare.WithTransport(dialers...))
 	}
-	var eng pipemare.Engine
-	if newEngine != nil {
-		eng = newEngine()
-	}
-	tr, err := experiments.NewReplicatedBenchTrainer(stages, replicas, eng, extra...)
+	tr, err := experiments.NewReplicatedBenchTrainer(stages, c.replicas, c.engine(), extra...)
 	if err != nil {
 		return err
 	}
@@ -234,9 +282,9 @@ func traceRun(path string, newEngine func() pipemare.Engine, replicas int, trans
 		return err
 	}
 	if err := release(); err != nil {
-		return fmt.Errorf("%s follower: %w", transportName, err)
+		return fmt.Errorf("%s follower: %w", c.transport, err)
 	}
-	f, err := os.Create(path)
+	f, err := os.Create(c.traceOut)
 	if err != nil {
 		return err
 	}
@@ -249,21 +297,22 @@ func traceRun(path string, newEngine func() pipemare.Engine, replicas int, trans
 	}
 	rep := pipemare.BuildTraceReport(rec, costs)
 	rep.Format(os.Stdout, wall)
-	fmt.Printf("wrote %s\n", path)
+	fmt.Printf("wrote %s\n", c.traceOut)
 	return nil
 }
 
-// smokeRun trains the benchmark workload for one epoch with R=2 replicas
-// over the chosen transport — the CI end-to-end check that a leader and a
-// real worker process complete training together. It prints the final
-// train loss so the log shows the run actually trained.
+// smokeRun trains the benchmark workload for one epoch with R=2 replicas,
+// each running the chosen engine, over the chosen transport — the CI
+// end-to-end check that a leader and a real worker process complete
+// training together. It prints the final train loss so the log shows the
+// run actually trained.
 //
-// crashWorker > 0 is the kill -9 smoke: the worker process hard-exits
+// c.crashWorker > 0 is the kill -9 smoke: the worker process hard-exits
 // (status 137, no goodbye, no TCP FIN courtesy) upon receiving its
 // crashWorker'th chunk request, and the run only passes if the leader
 // detects the death, evicts the replica and finishes the epoch solo.
 //
-// joinWorker composes the crash smoke with elastic recovery: a
+// c.joinWorker composes the crash smoke with elastic recovery: a
 // replacement pipemare-worker -join process dials the leader's join
 // listener and is admitted — no earlier than two steps past the crash,
 // so the run demonstrably shrinks to R=1 first — via the live state
@@ -271,11 +320,11 @@ func traceRun(path string, newEngine func() pipemare.Engine, replicas int, trans
 // (R=2 again) and the final loss bit-matches an uninterrupted
 // in-process run: kill, eviction and rejoin cost zero curve deviation.
 //
-// joinListen is the interactive variant: the leader accepts joiners on
+// c.joinListen is the interactive variant: the leader accepts joiners on
 // the given TCP address and trains long enough (10 epochs) to run
 // "pipemare-worker -join <addr>" by hand from another terminal; the
 // exit line reports how many joined.
-func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool, joinListen string) error {
+func smokeRun(c *config) error {
 	// The replacement joiner spawns first — it has a task to build and a
 	// dial-with-backoff to win before it can park — and the run trains two
 	// epochs (16 minibatch boundaries), so even a heavily loaded runner
@@ -283,8 +332,8 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 	epochs := 1
 	var jlis pipemare.Listener
 	joinDone := make(chan error, 1)
-	joinAddr := joinListen
-	if joinWorker {
+	joinAddr := c.joinListen
+	if c.joinWorker {
 		joinAddr = "127.0.0.1:0"
 	}
 	if joinAddr != "" {
@@ -295,10 +344,11 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 		jlis = l
 	}
 	switch {
-	case joinWorker:
+	case c.joinWorker:
 		epochs = 2
-		cmd := exec.Command(workerBin, "-join", jlis.Addr(), "-join-at", fmt.Sprint(crashWorker+2),
-			"-stages", "4", "-dtype", experiments.DType.String())
+		args := append([]string{"-join", jlis.Addr(), "-join-at", fmt.Sprint(c.crashWorker + 2),
+			"-stages", "4", "-dtype", experiments.DType.String()}, c.engineArgs()...)
+		cmd := exec.Command(c.workerBin, args...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -313,10 +363,10 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 		fmt.Printf("accepting joiners on %s (pipemare-worker -join %s)\n", jlis.Addr(), jlis.Addr())
 	}
 	var workerArgs []string
-	if crashWorker > 0 {
-		workerArgs = append(workerArgs, "-crash-after", fmt.Sprint(crashWorker))
+	if c.crashWorker > 0 {
+		workerArgs = append(workerArgs, "-crash-after", fmt.Sprint(c.crashWorker))
 	}
-	dialers, release, err := startFollowers(transportName, workerBin, 4, 1, workerArgs...)
+	dialers, release, err := startFollowers(c, 4, 1, workerArgs...)
 	if err != nil {
 		return err
 	}
@@ -324,13 +374,13 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 	if len(dialers) > 0 {
 		extra = append(extra, pipemare.WithTransport(dialers...))
 	}
-	if crashWorker > 0 {
+	if c.crashWorker > 0 {
 		extra = append(extra, pipemare.WithFaultTolerance())
 	}
 	if jlis != nil {
 		extra = append(extra, pipemare.WithElastic())
 	}
-	tr, err := experiments.NewReplicatedBenchTrainer(4, 2, nil, extra...)
+	tr, err := experiments.NewReplicatedBenchTrainer(4, 2, c.engine(), extra...)
 	if err != nil {
 		return err
 	}
@@ -348,16 +398,16 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 	}
 	// A killed worker's exit(137) is the point of the crash smokes; any
 	// other follower must have ended its session cleanly.
-	if err := release(); err != nil && crashWorker == 0 {
-		return fmt.Errorf("%s follower: %w", transportName, err)
+	if err := release(); err != nil && c.crashWorker == 0 {
+		return fmt.Errorf("%s follower: %w", c.transport, err)
 	}
-	if joinListen != "" {
+	if c.joinListen != "" {
 		joins, demotions, handoffNs := tr.ElasticStats()
 		fmt.Printf("smoke ok: R=%d at exit over %s (%d joined mid-run, %d demoted, handoff %.1fms), train loss %.6f\n",
-			tr.Replicas(), transportName, joins, demotions, float64(handoffNs)/1e6, run.Loss[run.Epochs()-1])
+			tr.Replicas(), c.transport, joins, demotions, float64(handoffNs)/1e6, run.Loss[run.Epochs()-1])
 		return nil
 	}
-	if joinWorker {
+	if c.joinWorker {
 		if got := tr.Replicas(); got != 2 {
 			return fmt.Errorf("replacement did not restore R=2: %d replicas at exit", got)
 		}
@@ -385,30 +435,33 @@ func smokeRun(transportName, workerBin string, crashWorker int, joinWorker bool,
 			return fmt.Errorf("elastic run loss %.17g != uninterrupted loss %.17g", got, want)
 		}
 		fmt.Printf("smoke ok: R=2 over %s, worker killed at chunk %d, evicted to R=1, replacement joined, loss matches uninterrupted run (%.6f)\n",
-			transportName, crashWorker, got)
+			c.transport, c.crashWorker, got)
 		return nil
 	}
-	if crashWorker > 0 {
+	if c.crashWorker > 0 {
 		if got := tr.Replicas(); got != 1 {
 			return fmt.Errorf("killed worker was not evicted: %d replicas survive, want 1", got)
 		}
 		fmt.Printf("smoke ok: R=2 over %s, worker killed at chunk %d, evicted to R=1, train loss %.6f\n",
-			transportName, crashWorker, run.Loss[run.Epochs()-1])
+			c.transport, c.crashWorker, run.Loss[run.Epochs()-1])
 		return nil
 	}
-	fmt.Printf("smoke ok: R=2 over %s, train loss %.6f\n", transportName, run.Loss[run.Epochs()-1])
+	fmt.Printf("smoke ok: R=2 over %s, train loss %.6f\n", c.transport, run.Loss[run.Epochs()-1])
 	return nil
 }
 
-// startFollowers launches n follower endpoints for one run and returns
-// the dialers for WithTransport plus a release function to call after
-// Trainer.Close: it reaps the followers and returns the first session
-// error. "inproc" returns no dialers — the trainer builds its followers
-// in-process. workerArgs are passed through to each spawned tcp worker
-// (e.g. -crash-after for the kill -9 smoke).
-func startFollowers(transportName, workerBin string, stages, n int, workerArgs ...string) ([]pipemare.Dialer, func() error, error) {
+// startFollowers launches n follower endpoints of c.transport for one
+// run, each running the chosen engine, and returns the dialers for
+// WithTransport plus a release function to call after Trainer.Close: it
+// reaps the followers and returns the first session error. "inproc"
+// returns no dialers — the trainer builds its followers in-process.
+// workerArgs are passed through to each spawned tcp worker (e.g.
+// -crash-after for the kill -9 smoke). When a spawn fails, every worker
+// already spawned is killed and reaped: nothing will ever dial it.
+func startFollowers(c *config, stages, n int, workerArgs ...string) ([]pipemare.Dialer, func() error, error) {
 	var dialers []pipemare.Dialer
 	var waits []func() error // one per follower: how its session ended
+	var spawned []*os.Process
 	release := func() error {
 		var first error
 		for _, wait := range waits {
@@ -418,31 +471,42 @@ func startFollowers(transportName, workerBin string, stages, n int, workerArgs .
 		}
 		return first
 	}
-	if transportName == "inproc" {
+	fail := func(err error) ([]pipemare.Dialer, func() error, error) {
+		for _, p := range spawned {
+			p.Kill()
+		}
+		release()
+		return nil, nil, err
+	}
+	if c.transport == "inproc" {
 		n = 0
 	}
 	for i := 0; i < n; i++ {
-		if transportName == "loopback" {
+		if c.transport == "loopback" {
 			lis, dial := pipemare.Loopback()
+			opts := experiments.EngineBenchOptions(stages)
+			if eng := c.engine(); eng != nil {
+				opts = append(opts, pipemare.WithEngine(eng))
+			}
 			done := make(chan error, 1)
 			go func() {
-				done <- pipemare.ServeFollower(context.Background(), lis,
-					experiments.EngineBenchTask(), experiments.EngineBenchOptions(stages)...)
+				done <- pipemare.ServeFollower(context.Background(), lis, experiments.EngineBenchTask(), opts...)
 			}()
 			waits = append(waits, func() error { return <-done })
 			dialers = append(dialers, dial)
 			continue
 		}
-		args := append([]string{"-addr", "127.0.0.1:0", "-stages", fmt.Sprint(stages), "-dtype", experiments.DType.String()}, workerArgs...)
-		cmd := exec.Command(workerBin, args...)
+		args := append([]string{"-addr", "127.0.0.1:0", "-stages", fmt.Sprint(stages), "-dtype", experiments.DType.String()}, c.engineArgs()...)
+		cmd := exec.Command(c.workerBin, append(args, workerArgs...)...)
 		cmd.Stderr = os.Stderr
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
-			return nil, nil, err
+			return fail(err)
 		}
 		if err := cmd.Start(); err != nil {
-			return nil, nil, fmt.Errorf("spawning %s: %w", workerBin, err)
+			return fail(fmt.Errorf("spawning %s: %w", c.workerBin, err))
 		}
+		spawned = append(spawned, cmd.Process)
 		waits = append(waits, cmd.Wait)
 		sc := bufio.NewScanner(stdout)
 		addr := ""
@@ -453,9 +517,7 @@ func startFollowers(transportName, workerBin string, stages, n int, workerArgs .
 			}
 		}
 		if addr == "" {
-			cmd.Process.Kill()
-			release()
-			return nil, nil, fmt.Errorf("%s exited without announcing its address", workerBin)
+			return fail(fmt.Errorf("%s exited without announcing its address", c.workerBin))
 		}
 		// Drain the remaining worker output in the background so the
 		// child never blocks on a full pipe.

@@ -10,14 +10,16 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"pipemare"
 	"pipemare/internal/experiments"
 )
 
 // TestParseFlags pins the command line: the three flags of the deleted
-// perf-record path are gone, and every cross-flag rule main enforces
-// still holds.
+// perf-record path are gone, a flag or experiment name the selected mode
+// would ignore is refused, and every cross-flag rule main enforces still
+// holds.
 func TestParseFlags(t *testing.T) {
 	const tcp = "-smoke -transport tcp "
 	for _, tc := range []struct {
@@ -43,6 +45,7 @@ func TestParseFlags(t *testing.T) {
 		{"-replicas 0", false},
 		{"-replicas 9", false},
 		{"-transport udp -smoke", false},
+		{"-transport inproc table1", false},
 
 		{"-transport loopback", false},
 		{"-transport tcp table1", false},
@@ -50,6 +53,16 @@ func TestParseFlags(t *testing.T) {
 		{"-smoke -transport loopback", true},
 		{tcp + "-worker ./w -dtype float32", true},
 		{"-trace t.json -transport loopback -engine concurrent -replicas 2", true},
+		{"-smoke -engine concurrent -workers 2 -dtype float32", true},
+		{"-smoke -full", false},
+		{"-smoke -partition cost", false},
+		{"-smoke -replicas 4", false},
+		{"-smoke table1", false},
+		{"-smoke -trace t.json", false},
+		{"-trace t.json -full", false},
+		{"-trace t.json -partition cost", false},
+		{"-trace t.json table1", false},
+		{"-trace t.json -join-listen 127.0.0.1:0", false},
 
 		{"-crash-worker 3", false},
 		{"-smoke -transport loopback -crash-worker 3", false},
@@ -69,8 +82,92 @@ func TestParseFlags(t *testing.T) {
 }
 
 func TestSmokeLoopback(t *testing.T) {
-	if err := smokeRun("loopback", "", 0, false, ""); err != nil {
+	if err := smokeRun(&config{transport: "loopback"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// buildWorker builds pipemare-worker into dir.
+func buildWorker(t *testing.T, dir string) string {
+	t.Helper()
+	worker := filepath.Join(dir, "pipemare-worker")
+	if out, err := exec.Command("go", "build", "-o", worker, "pipemare/cmd/pipemare-worker").CombinedOutput(); err != nil {
+		t.Fatalf("building pipemare-worker: %v\n%s", err, out)
+	}
+	return worker
+}
+
+// writeScript writes an executable shell script to dir.
+func writeScript(t *testing.T, dir, body string) string {
+	t.Helper()
+	script := filepath.Join(dir, "worker.sh")
+	if err := os.WriteFile(script, []byte("#!/bin/sh\n"+body), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return script
+}
+
+// TestSmokeTCPPassesTheEngine runs the tcp smoke with -engine concurrent
+// -workers 2 through a worker script that records its arguments before it
+// execs the real worker: the spawned follower must be asked for the
+// leader's engine.
+func TestSmokeTCPPassesTheEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns pipemare-worker processes")
+	}
+	dir := t.TempDir()
+	argsFile := filepath.Join(dir, "args")
+	script := writeScript(t, dir, fmt.Sprintf("echo \"$*\" >> %s\nexec %s \"$@\"\n", argsFile, buildWorker(t, dir)))
+	c, err := parseFlags(strings.Fields("-smoke -transport tcp -worker "+script+" -engine concurrent -workers 2"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := smokeRun(c); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(argsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if args := strings.TrimSpace(string(raw)); !strings.Contains(args, "-engine concurrent -workers 2") {
+		t.Fatalf("the worker was spawned with %q, want -engine concurrent -workers 2", args)
+	}
+}
+
+// TestFailedSpawnReapsEarlierWorkers spawns two tcp followers through a
+// script that execs the real worker the first time and exits 1 the
+// second: startFollowers must return an error rather than wait on the
+// first worker, which nothing will dial, and must kill and reap it.
+func TestFailedSpawnReapsEarlierWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns pipemare-worker processes")
+	}
+	dir := t.TempDir()
+	pidFile := filepath.Join(dir, "first.pid")
+	script := writeScript(t, dir, fmt.Sprintf("[ -e %[1]s ] && exit 1\necho $$ > %[1]s\nexec %[2]s \"$@\"\n", pidFile, buildWorker(t, dir)))
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := startFollowers(&config{transport: "tcp", workerBin: script}, 4, 2)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("startFollowers succeeded with a worker that never announced its address")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("startFollowers hung after a failed spawn")
+	}
+	raw, err := os.ReadFile(pidFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Kill(pid, 0); err != syscall.ESRCH {
+		t.Fatalf("the first worker %d outlived the failed spawn (kill -0: %v)", pid, err)
 	}
 }
 
@@ -83,15 +180,12 @@ func TestSmokeTCPKillJoin(t *testing.T) {
 		t.Skip("builds and spawns pipemare-worker processes")
 	}
 	dir := t.TempDir()
-	worker := filepath.Join(dir, "pipemare-worker")
-	if out, err := exec.Command("go", "build", "-o", worker, "pipemare/cmd/pipemare-worker").CombinedOutput(); err != nil {
-		t.Fatalf("building pipemare-worker: %v\n%s", err, out)
-	}
+	worker := buildWorker(t, dir)
 	t.Cleanup(func() { experiments.DType = pipemare.Float64 })
 	for _, dt := range []pipemare.DType{pipemare.Float64, pipemare.Float32} {
 		experiments.DType = dt
 		for _, join := range []bool{false, true} {
-			if err := smokeRun("tcp", worker, 3, join, ""); err != nil {
+			if err := smokeRun(&config{transport: "tcp", workerBin: worker, crashWorker: 3, joinWorker: join}); err != nil {
 				t.Errorf("%s, join-worker=%t: %v", dt, join, err)
 			}
 		}
@@ -101,16 +195,11 @@ func TestSmokeTCPKillJoin(t *testing.T) {
 	// joiner is up) makes smokeRun fail after it spawned the joiner, which
 	// must not outlive it.
 	pidFile := filepath.Join(dir, "joiner.pid")
-	script := filepath.Join(dir, "worker.sh")
-	body := fmt.Sprintf(`#!/bin/sh
-case " $* " in *" -join "*) echo $$ > %[1]s; exec %[2]s "$@";; esac
+	script := writeScript(t, dir, fmt.Sprintf(`case " $* " in *" -join "*) echo $$ > %[1]s; exec %[2]s "$@";; esac
 while [ ! -s %[1]s ]; do sleep 0.05; done
 exit 1
-`, pidFile, worker)
-	if err := os.WriteFile(script, []byte(body), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := smokeRun("tcp", script, 3, true, ""); err == nil {
+`, pidFile, worker))
+	if err := smokeRun(&config{transport: "tcp", workerBin: script, crashWorker: 3, joinWorker: true}); err == nil {
 		t.Fatal("smoke passed with a worker that never serves")
 	}
 	raw, err := os.ReadFile(pidFile)

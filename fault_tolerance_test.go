@@ -171,11 +171,15 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 
 // TestCrashMidCollectiveNeverDeadlocks is the commit's fault contract,
 // message by message: it kills follower replica 1's link on the 2nd
-// message of each type the commit sends — the scatter's epoch sync and
-// gradients, prepare, the step-clock advance, scale, step, finish, the
-// gather's fetch of the owner's state and its import of the others' — at
-// R=3 and R=2, under -race. The launch handoff sends an epoch sync and one
-// import per stage before training starts, so those rows count past them. With fault tolerance every kill is an
+// message of each type the commit sends — the scatter's gradients,
+// prepare, the step-clock advance, the stage step, the gather's fetch of
+// the owner's state and its import of the others' — at R=3 and R=2, under
+// -race. The stage step (scale, update and finish in one message) is cut
+// at three points: the scale row kills the link as the follower receives
+// the step, before it scales; the step row as the leader sends it; the
+// finish row as the follower acks it, after its update and finish ran.
+// The launch handoff sends one import per stage before training starts,
+// so that row counts past them. With fault tolerance every kill is an
 // eviction (R → R−1) with a curve bit-identical to single-replica
 // Reference: a death up to
 // prepare replays the minibatch, a later one has the leader finish the
@@ -185,19 +189,18 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 	const p = 4 // stages of the quadratic task below
 	phases := []struct {
-		name string
-		typ  byte
-		nth  int
+		name     string
+		rule     faults.Rule
+		follower bool // rule runs on the follower's end of the link
 	}{
-		{"sync-epoch", transport.MsgSyncEpoch, 1 + 2},
-		{"scatter", transport.MsgSetGrads, 2},
-		{"prepare", transport.MsgPrepare, 2},
-		{"begin-step", transport.MsgBeginStep, 2},
-		{"scale", transport.MsgScale, 2},
-		{"step", transport.MsgStep, 2},
-		{"finish", transport.MsgFinish, 2},
-		{"gather", transport.MsgGetState, 2},
-		{"import", transport.MsgSetState, p + 2},
+		{"scatter", faults.Rule{Dir: faults.Send, Type: transport.MsgSetGrads, Nth: 2, Op: faults.Kill}, false},
+		{"prepare", faults.Rule{Dir: faults.Send, Type: transport.MsgPrepare, Nth: 2, Op: faults.Kill}, false},
+		{"begin-step", faults.Rule{Dir: faults.Send, Type: transport.MsgBeginStep, Nth: 2, Op: faults.Kill}, false},
+		{"scale", faults.Rule{Dir: faults.Recv, Type: transport.MsgStep, Nth: 2, Op: faults.Kill}, true},
+		{"step", faults.Rule{Dir: faults.Send, Type: transport.MsgStep, Nth: 2, Op: faults.Kill}, false},
+		{"finish", faults.Rule{Dir: faults.Recv, Type: transport.MsgStep, Nth: 2, Op: faults.KillReply}, true},
+		{"gather", faults.Rule{Dir: faults.Send, Type: transport.MsgGetState, Nth: 2, Op: faults.Kill}, false},
+		{"import", faults.Rule{Dir: faults.Send, Type: transport.MsgSetState, Nth: p + 2, Op: faults.Kill}, false},
 	}
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 23) }
 	base := ftBase()
@@ -213,7 +216,7 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 					name += fmt.Sprintf("/R=%d", r)
 				}
 				t.Run(name, func(t *testing.T) {
-					crashOneFollower(t, build, base, ref, ph.typ, ph.nth, r, ft)
+					crashOneFollower(t, build, base, ref, ph.rule, ph.follower, r, ft)
 				})
 			}
 		}
@@ -221,13 +224,19 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 }
 
 // crashOneFollower is one row of TestCrashMidCollectiveNeverDeadlocks: an
-// R-replica loopback run whose replica 1 link dies at the nth message of
-// type typ.
-func crashOneFollower(t *testing.T, build func() pipemare.Task, base []pipemare.Option, ref *pipemare.Run, typ byte, nth, r int, ft bool) {
+// R-replica loopback run whose replica 1 link dies by rule, applied on
+// the follower's end of the link when follower is set and on the
+// leader's otherwise.
+func crashOneFollower(t *testing.T, build func() pipemare.Task, base []pipemare.Option, ref *pipemare.Run, rule faults.Rule, follower bool, r int, ft bool) {
 	baseline := runtime.NumGoroutine()
-	dialers, _, wait := startWorkers(t, r-1, build, func() []pipemare.Option { return base })
-	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
-		faults.Rule{Dir: faults.Send, Type: typ, Nth: nth, Op: faults.Kill})}
+	var workerScript *faults.Script
+	if follower {
+		workerScript = faults.NewScript(rule)
+	}
+	dialers, _, wait := startFaultyWorkers(t, r-1, workerScript, build, func() []pipemare.Option { return base })
+	if !follower {
+		dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(rule)}
+	}
 	opts := append(append([]pipemare.Option{}, base...),
 		pipemare.WithReplicas(r), pipemare.WithTransport(dialers...))
 	if ft {

@@ -231,8 +231,8 @@ func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
 }
 
 // apply installs a parsed checkpoint into the live trainer state and
-// pushes it to every follower (replica.Group.Resync: epoch and step
-// clocks, full per-stage state, and the weight-version rings).
+// pushes it to every follower (replica.Group.Resync: full per-stage state,
+// the step clock and the weight-version rings).
 func (t *Trainer) apply(st *ckptState) error {
 	for s, state := range t.state {
 		for k, dst := range state {

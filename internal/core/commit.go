@@ -83,13 +83,15 @@ func (t *Trainer) synchronous() bool {
 // ratesInto fills out with the per-parameter learning rates of params
 // [lo, hi) at optimizer step `step`: plain schedule while synchronous,
 // T1-rescheduled once asynchronous (with the annealing clock starting at
-// the async switch, so warmup epochs do not consume it). It is pure in the
-// parameter range given the step index and the epoch phase — both frozen
-// for the whole commit — so distinct stages may compute their rates
-// concurrently (the shard-parallel commit).
+// the async switch, so warmup epochs do not consume it). The phase is the
+// minibatch's — attempt sets it on the leader, and it arrives with every
+// follower's chunk (SetAsync) — so a follower never reads an epoch clock.
+// It is pure in the parameter range given the step index and the phase —
+// both frozen for the whole commit — so distinct stages may compute their
+// rates concurrently (the shard-parallel commit).
 func (t *Trainer) ratesInto(out []float64, step, lo, hi int) {
 	k := t.cfg.T1K
-	if t.synchronous() {
+	if !t.async {
 		k = 0
 	}
 	// T1 uses the base schedule at the true step but anneals on async time.
@@ -131,14 +133,6 @@ func (h host) ClipScale(sumSq float64) float64 {
 	return max / norm
 }
 
-// ScaleStage multiplies the stage's gradients by the clip factor.
-func (h host) ScaleStage(stage int, scale float64) {
-	t := h.t
-	for i := t.stageLo[stage]; i < t.stageHi[stage]; i++ {
-		t.params[i].Grad.ScaleInPlace(scale)
-	}
-}
-
 // BeginStep advances the step clocks for the update being committed: the
 // trainer's step counter and the optimizer's (Adam bias-correction) clock.
 // The per-stage rates are computed at the pre-advance step index
@@ -148,23 +142,25 @@ func (h host) BeginStep() {
 	h.t.opt.Advance()
 }
 
-// StepStage applies the optimizer update to the stage's parameter range
-// with that range's (T1) learning rates. Ranges are disjoint and the rate
+// StepStage is the stage's whole update: it multiplies the stage's
+// gradients by the clip factor (when that is not 1), applies the optimizer
+// update to the stage's parameter range with that range's (T1) learning
+// rates, then zeroes the gradients, updates the T2 accumulators and pushes
+// the stage's new weight version. Ranges are disjoint and the rate
 // computation is pure given the step clock BeginStep advanced, so distinct
 // stages step concurrently without any cross-stage arithmetic.
-func (h host) StepStage(stage int) {
+func (h host) StepStage(stage int, scale float64) {
 	t := h.t
 	lo, hi := t.stageLo[stage], t.stageHi[stage]
+	if scale != 1 {
+		for i := lo; i < hi; i++ {
+			t.params[i].Grad.ScaleInPlace(scale)
+		}
+	}
 	lrs := t.stageLRs[stage]
 	t.ratesInto(lrs, t.step-1, lo, hi)
 	t.opt.StepRange(lo, hi, lrs)
-}
-
-// FinishStage zeroes the stage's gradients, updates the stage's T2
-// accumulators, and pushes the stage's new weight version.
-func (h host) FinishStage(stage int) {
-	t := h.t
-	for i := t.stageLo[stage]; i < t.stageHi[stage]; i++ {
+	for i := lo; i < hi; i++ {
 		t.params[i].ZeroGrad()
 		if t.delta != nil {
 			pm := t.params[i]

@@ -19,8 +19,9 @@
 // machines, each installing the weight versions it reads — and the
 // configured engine.Engine drives one minibatch's chains at a time through
 // it; the trainer then commits the update (engine.Commit over its
-// engine.Committer surface). A Task is a stage program: every slot
-// executes its stage's op range, so engines can overlap microbatches
+// engine.Committer surface, one StepStage call per stage, at the learning
+// rates of the minibatch's epoch phase). A Task is a stage program: every
+// slot executes its stage's op range, so engines can overlap microbatches
 // across stages. Config.Engine selects the engine; nil means the serial
 // Reference engine. With Replicas > 1 the leader runs each minibatch
 // through its replica group instead (replica.Group.Minibatch, then
@@ -308,9 +309,9 @@ type Trainer struct {
 
 	observer   Observer
 	micro      int  // global microbatch counter s
-	async      bool // the chunk in flight installs delayed weights (SetAsync)
+	async      bool // the minibatch in flight's phase: delayed installs, T1 rates (attempt, SetAsync)
 	step       int  // optimizer step counter (minibatches committed)
-	epoch      int  // cumulative epochs completed (persists across Run calls)
+	epoch      int  // cumulative epochs completed (persists across Run calls; a leader's only)
 	diverged   bool
 	resumeSkip int // full minibatches to skip in the first epoch after a restore
 

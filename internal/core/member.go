@@ -15,16 +15,14 @@ func (h host) Engine() engine.Engine { return h.t.eng }
 // Step returns the optimizer step clock (replica.Leader).
 func (h host) Step() int { return h.t.step }
 
-// Epoch returns the epoch clock (replica.Leader).
-func (h host) Epoch() int { return h.t.epoch }
-
 // Async reports whether the current epoch runs asynchronously
 // (replica.Leader): not GPipe, and past the T3 warmup epochs.
 func (h host) Async() bool { return !h.t.synchronous() }
 
-// SetAsync sets the epoch phase the next chunk's slots install under
-// (replica.Local). A trainer that drives itself sets its own (attempt); a
-// follower's arrives with each chunk, from its leader.
+// SetAsync sets the epoch phase the next chunk's slots install under and
+// its commit's learning rates follow (replica.Local). A trainer that drives
+// itself sets its own (attempt); a follower's arrives with each chunk,
+// from its leader.
 func (h host) SetAsync(async bool) { h.t.async = async }
 
 // SetStep aligns the step clock with the leader's (replica.Member) — the
@@ -38,11 +36,6 @@ func (t *Trainer) setStep(step int) {
 	t.step = step
 	t.opt.SetClock(step)
 }
-
-// SetEpoch aligns the epoch clock with the leader's (replica.Member), so
-// the commit-phase learning rates (T1 annealing, T3 warmup phase) are
-// computed from the same epoch everywhere.
-func (h host) SetEpoch(epoch int) { h.t.epoch = epoch }
 
 // TakeStageGrads moves the stage's accumulated gradients into bufs and
 // zeroes the accumulators, so the next microbatch accumulates from zero
@@ -96,7 +89,7 @@ func (h host) StageState(stage int) []*tensor.Tensor {
 // ImportStageState copies a stage's post-step state from src (an owner's
 // StageState) into this replica and pushes the stage's next weight
 // version — the gather half of the sharded commit and one stage of a
-// handoff, mirroring the version push the owner's FinishStage did
+// handoff, mirroring the version push the owner's StepStage did
 // so every replica's version queue replays the same history. A src of
 // another layout panics before anything is copied (the serve loop turns
 // that into an error reply).

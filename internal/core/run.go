@@ -37,11 +37,10 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 	if run == nil {
 		run = &metrics.Run{}
 	}
+	// Every engine starts on its first minibatch; the run stops them all.
 	if t.group != nil {
-		t.group.Start()
 		defer t.group.Stop()
 	} else if lc, ok := t.eng.(engine.Lifecycle); ok {
-		lc.Start(host{t})
 		defer lc.Stop()
 	}
 	for e := 0; e < epochs; e++ {

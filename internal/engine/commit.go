@@ -66,10 +66,10 @@ func (pl CommitPlan) OwnerOf(stage int) int {
 }
 
 // Committer is what one update does, per stage: the surface Commit drives,
-// implemented by internal/core.Trainer. PrepareStage, ScaleStage, StepStage
-// and FinishStage touch only the named stage's parameters and state, so
-// they may run for different stages concurrently; ClipScale and BeginStep
-// run once per commit, between them.
+// implemented by internal/core.Trainer. PrepareStage and StepStage touch
+// only the named stage's parameters and state, so they may run for
+// different stages concurrently; ClipScale and BeginStep run once per
+// commit, between them.
 type Committer interface {
 	// Stages returns P, the number of pipeline stages.
 	Stages() int
@@ -86,16 +86,14 @@ type Committer interface {
 	// the update being committed. It runs exactly once per commit, after
 	// every stage is prepared and before any StepStage.
 	BeginStep()
-	// ScaleStage multiplies the stage's gradients by the clip factor.
-	ScaleStage(stage int, scale float64)
-	// StepStage computes the stage's per-parameter learning rates (T1 —
-	// pure in the stage's parameter range given the step clock) and
-	// applies the optimizer update to that range.
-	StepStage(stage int)
-	// FinishStage completes the step for one stage: updates the T2
-	// velocity accumulator and corrected weights, pushes the stage's new
-	// weight version, and zeroes the stage's gradients.
-	FinishStage(stage int)
+	// StepStage is the stage's whole update: it multiplies the stage's
+	// gradients by the clip factor when that is not 1, computes the
+	// stage's per-parameter learning rates (T1 — pure in the stage's
+	// parameter range given the step clock and the epoch phase) and
+	// applies the optimizer update to that range, then updates the T2
+	// velocity accumulator and corrected weights, zeroes the stage's
+	// gradients and pushes the stage's new weight version.
+	StepStage(stage int, scale float64)
 }
 
 // Pool is optionally implemented by engines whose workers can run the
@@ -113,7 +111,7 @@ type Pool interface {
 // Commit executes one full optimizer commit against a committer whose
 // gradients hold a full minibatch of nMicro microbatches: shard-parallel
 // average+snapshot, the stage-ordered clip-norm reduction, one step-clock
-// advance, then shard-parallel scale, optimizer update and finalization.
+// advance, then the shard-parallel stage steps.
 // The stages shard contiguously (CommitPlan) across the pool's workers, or
 // run as one shard on the calling goroutine when pool is nil; the clip
 // partials fold in stage order either way, so the arithmetic is exactly
@@ -147,17 +145,10 @@ func Commit(c Committer, nMicro int, pool Pool) {
 	c.BeginStep()
 	each(func(r int, tk *trace.Track) {
 		lo, hi := plan.Shard(r)
-		phase := func(name string, stage func(st int)) {
-			t0 := tk.Now()
-			for st := lo; st < hi; st++ {
-				stage(st)
-			}
-			tk.Span(name, t0, lo, -1, 0)
+		t0 := tk.Now()
+		for st := lo; st < hi; st++ {
+			c.StepStage(st, scale)
 		}
-		if scale != 1 {
-			phase(trace.NameCommitScale, func(st int) { c.ScaleStage(st, scale) })
-		}
-		phase(trace.NameCommitStep, c.StepStage)
-		phase(trace.NameCommitFinish, c.FinishStage)
+		tk.Span(trace.NameCommitStep, t0, lo, -1, 0)
 	})
 }

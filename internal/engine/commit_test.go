@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -16,17 +17,17 @@ import (
 // count: every stage is prepared exactly once before the clip fold, the
 // fold is the stage-ordered left fold of the partials, the step clock
 // advances exactly once after every prepare and before any stage is
-// scaled or stepped, each stage is scaled (with the folded factor), then
-// stepped, then finished, once each and in that order. The partials are
-// chosen so that any other summation order gives a different float.
+// stepped, and each stage is stepped once, with the folded factor. The
+// partials are chosen so that any other summation order gives a different
+// float.
 type fakeCommitter struct {
-	*fakeHost // the slot surface a pool engine is started over
+	*fakeHost // the slot surface a pool engine runs its minibatch over
 	rec       *trace.Recorder
 
-	mu                                  sync.Mutex
-	prepared, scaled, stepped, finished []int
-	begun                               int
-	clipped                             bool
+	mu                sync.Mutex
+	prepared, stepped []int
+	begun             int
+	clipped           bool
 }
 
 var clipPartials = []float64{1e16, 1, -1e16, 1, 1, 3}
@@ -34,7 +35,7 @@ var clipPartials = []float64{1e16, 1, -1e16, 1, 1, 3}
 func newFakeCommitter() *fakeCommitter {
 	p := len(clipPartials)
 	return &fakeCommitter{fakeHost: newFakeHost(p, false, -1), rec: trace.New(),
-		prepared: make([]int, p), scaled: make([]int, p), stepped: make([]int, p), finished: make([]int, p)}
+		prepared: make([]int, p), stepped: make([]int, p)}
 }
 
 func (f *fakeCommitter) Tracer() (*trace.Recorder, int) { return f.rec, 0 }
@@ -87,34 +88,16 @@ func (f *fakeCommitter) BeginStep() {
 	f.begun++
 }
 
-func (f *fakeCommitter) ScaleStage(stage int, scale float64) {
+func (f *fakeCommitter) StepStage(stage int, scale float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.begun != 1 || f.stepped[stage] != 0 {
-		f.errf("ScaleStage(%d) with %d step-clock advances and %d steps of the stage", stage, f.begun, f.stepped[stage])
+	if f.begun != 1 {
+		f.errf("StepStage(%d) with %d step-clock advances", stage, f.begun)
 	}
 	if scale != 0.5 {
-		f.errf("ScaleStage scale %g, want 0.5", scale)
-	}
-	f.scaled[stage]++
-}
-
-func (f *fakeCommitter) StepStage(stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.begun != 1 || f.scaled[stage] != 1 {
-		f.errf("StepStage(%d) with %d step-clock advances and %d scalings of the stage", stage, f.begun, f.scaled[stage])
+		f.errf("StepStage(%d) scale %g, want the folded 0.5", stage, scale)
 	}
 	f.stepped[stage]++
-}
-
-func (f *fakeCommitter) FinishStage(stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.stepped[stage] != 1 {
-		f.errf("FinishStage(%d) after %d steps of the stage", stage, f.stepped[stage])
-	}
-	f.finished[stage]++
 }
 
 // TestCommitRunsPhasesInOrderForAnyShardCount drives the one commit
@@ -140,7 +123,10 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 			var pool engine.Pool
 			if w > 0 {
 				eng := concurrent.New(concurrent.WithWorkers(w))
-				eng.Start(f)
+				// A minibatch over f starts the workers the commit runs on.
+				if _, err := eng.Minibatch(context.Background(), f, micros(3, 1)); err != nil {
+					t.Fatal(err)
+				}
 				defer eng.Stop()
 				if eng.Shards() != w {
 					t.Fatalf("pool of %d shards, want %d", eng.Shards(), w)
@@ -151,14 +137,16 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 			if len(f.errs) > 0 {
 				t.Fatalf("commit contract violations: %v", f.errs)
 			}
-			if f.begun != 1 || !f.all(f.prepared) || !f.all(f.scaled) || !f.all(f.stepped) || !f.all(f.finished) {
-				t.Fatalf("begun %d, prepared %v, scaled %v, stepped %v, finished %v; want once each",
-					f.begun, f.prepared, f.scaled, f.stepped, f.finished)
+			if f.begun != 1 || !f.all(f.prepared) || !f.all(f.stepped) {
+				t.Fatalf("begun %d, prepared %v, stepped %v; want once each", f.begun, f.prepared, f.stepped)
 			}
 			shards := max(w, 1)
 			spans := map[string]int{}
 			for _, tk := range f.rec.Tracks() {
 				for _, ev := range tk.Events() {
+					if ev.Name == trace.NameFwd || ev.Name == trace.NameBwd {
+						continue // the minibatch that started the pool
+					}
 					if !strings.HasPrefix(ev.Name, "commit:") {
 						t.Fatalf("unexpected %q event during a commit", ev.Name)
 					}
@@ -168,7 +156,7 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 					spans[ev.Name]++
 				}
 			}
-			for _, name := range []string{trace.NameCommitPrepare, trace.NameCommitScale, trace.NameCommitStep, trace.NameCommitFinish} {
+			for _, name := range []string{trace.NameCommitPrepare, trace.NameCommitStep} {
 				if spans[name] != shards {
 					t.Fatalf("%d %s spans, want one per shard (%d): %v", spans[name], name, shards, spans)
 				}

@@ -88,8 +88,8 @@ type segmentQueue struct {
 }
 
 // Engine is the work-stealing segment-scheduler engine. It implements
-// engine.Engine and engine.Lifecycle; a Trainer starts the workers at the
-// beginning of a run and stops them when the run returns. An Engine
+// engine.Engine and engine.Lifecycle: its first Minibatch starts the
+// workers, and a Trainer stops them when the run returns. An Engine
 // instance must not be shared by concurrently running trainers.
 type Engine struct {
 	workers int // requested W; 0 = min(P, GOMAXPROCS)
@@ -149,8 +149,9 @@ func (e *Engine) Name() string { return "concurrent" }
 // Clone returns a fresh, unstarted engine with the same WithWorkers.
 func (e *Engine) Clone() engine.Engine { return New(WithWorkers(e.workers)) }
 
-// Start spawns the scheduler workers.
-func (e *Engine) Start(h engine.Host) {
+// start spawns the scheduler workers over h, first stopping those of
+// another host.
+func (e *Engine) start(h engine.Host) {
 	if e.running {
 		if e.h == h {
 			return
@@ -344,7 +345,7 @@ func (e *Engine) bwd(w, g int, jb job) {
 // overlapping across the segment queues, and restores every stage once they
 // have drained.
 func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
-	e.Start(h) // a no-op when already running over h
+	e.start(h) // a no-op when already running over h
 	e.aborted.Store(false)
 	rec := h.Recompute()
 	base := h.MicroBase()
@@ -401,7 +402,7 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 }
 
 // Shards returns the number of workers: the shard count of a commit run on
-// them (engine.Pool). Valid once the engine has started.
+// them (engine.Pool). Valid once a Minibatch has started the engine.
 func (e *Engine) Shards() int { return e.nw }
 
 // ParallelFor runs fn(i, tk) for every shard i as one job on segment

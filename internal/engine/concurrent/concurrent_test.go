@@ -29,10 +29,25 @@ func TestOptionsAndName(t *testing.T) {
 	}
 }
 
+// TestStopWithoutStartIsANoOp pins the lifecycle: Stop before any
+// Minibatch is a no-op, a Minibatch starts the workers, and a Minibatch
+// after Stop starts them again.
 func TestStopWithoutStartIsANoOp(t *testing.T) {
-	e := New()
+	e := New(WithWorkers(2))
 	e.Stop() // must not panic or wedge
 	e.Stop()
+	for run := 0; run < 2; run++ {
+		if _, err := e.Minibatch(context.Background(), &stubHost{p: 3}, [][]int{{0}, {1}}); err != nil {
+			t.Fatal(err)
+		}
+		if !e.running || e.nw != 2 {
+			t.Fatalf("run %d: running %t with %d workers after a minibatch, want 2 running", run, e.running, e.nw)
+		}
+		e.Stop()
+		if e.running {
+			t.Fatalf("run %d: still running after Stop", run)
+		}
+	}
 }
 
 func TestWithWorkersOption(t *testing.T) {
@@ -44,13 +59,13 @@ func TestWithWorkersOption(t *testing.T) {
 	}
 	// Auto resolves to min(P, GOMAXPROCS); explicit W > P clamps to P.
 	e := New(WithWorkers(64))
-	e.Start(&stubHost{p: 3})
+	e.start(&stubHost{p: 3})
 	if e.nw != 3 {
 		t.Fatalf("started %d workers for P=3, want 3", e.nw)
 	}
 	e.Stop()
 	e = New()
-	e.Start(&stubHost{p: 16})
+	e.start(&stubHost{p: 16})
 	want := runtime.GOMAXPROCS(0)
 	if want > 16 {
 		want = 16
@@ -69,7 +84,7 @@ func TestSegmentCut(t *testing.T) {
 	for p := 1; p <= 40; p++ {
 		for w := 1; w <= 12; w++ {
 			e := New(WithWorkers(w))
-			e.Start(&stubHost{p: p})
+			e.start(&stubHost{p: p})
 			segs := len(e.queues)
 			if want := min(p, 4*min(w, p)); segs != want || e.cut.Stages() != p {
 				t.Fatalf("P=%d W=%d: %d segments over %d stages, want %d over %d", p, w, segs, e.cut.Stages(), want, p)

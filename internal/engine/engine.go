@@ -7,7 +7,8 @@
 // decides *how* those slots are scheduled onto goroutines, and nothing
 // else: which version a slot reads is the trainer's business, and what one
 // update does is the commit executor's (Commit, commit.go), which the
-// trainer runs after the engine has drained a minibatch's chains.
+// trainer runs after the engine has drained a minibatch's chains — one
+// StepStage call per stage.
 //
 // Two engines exist: Reference (this package) executes every slot on the
 // calling goroutine — it is the original single-goroutine simulator and the
@@ -92,7 +93,8 @@ type Host interface {
 //
 // Every replica of a data-parallel run drives its own pipeline, so each
 // needs an engine of its own: Clone returns one of the same kind and
-// settings, unstarted. A stateless engine may return itself.
+// settings, holding no run resources yet. A stateless engine may return
+// itself.
 type Engine interface {
 	Name() string
 	Minibatch(ctx context.Context, h Host, micros [][]int) (float64, error)
@@ -100,11 +102,10 @@ type Engine interface {
 }
 
 // Lifecycle is optionally implemented by engines that keep per-run
-// resources (worker goroutines, kernel parallelism settings). The trainer
-// calls Start before the first minibatch of a Run and Stop when the Run
-// returns.
+// resources (worker goroutines). Such an engine acquires them on its first
+// Minibatch; the trainer calls Stop when a Run returns, and a later
+// Minibatch acquires them afresh.
 type Lifecycle interface {
-	Start(h Host)
 	Stop()
 }
 

@@ -205,8 +205,11 @@ func TestCloneIsAFreshEngineOfTheSameKind(t *testing.T) {
 			a, b := newFakeHost(5, false, -1), newFakeHost(5, false, -1)
 			lc, stateful := eng.(engine.Lifecycle)
 			if stateful {
-				lc.Start(a)
 				defer lc.Stop()
+			}
+			// The original's first minibatch starts it.
+			if _, err := eng.Minibatch(context.Background(), a, micros(4, 2)); err != nil {
+				t.Fatal(err)
 			}
 			running := runtime.NumGoroutine()
 			c := eng.Clone()
@@ -228,9 +231,9 @@ func TestCloneIsAFreshEngineOfTheSameKind(t *testing.T) {
 			if _, err := eng.Minibatch(context.Background(), a, micros(4, 2)); err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range []*fakeHost{a, b} {
-				if len(f.errs) > 0 || f.completed != 4 {
-					t.Fatalf("ordering violations %v, %d of 4 microbatches completed", f.errs, f.completed)
+			for f, want := range map[*fakeHost]int{a: 8, b: 4} {
+				if len(f.errs) > 0 || f.completed != want {
+					t.Fatalf("ordering violations %v, %d of %d microbatches completed", f.errs, f.completed, want)
 				}
 				f.quiesced(t)
 			}

@@ -2,9 +2,10 @@
 // fault-tolerance layer: a Conn wrapper over transport.MsgConn applies
 // deterministic, message-counted rules — drop a send before it reaches
 // the wire (a transient fault the retry layer must absorb), delay it,
-// corrupt it (a fatal decode error on the peer), kill the connection,
-// hang a receive until the heartbeat window expires, or run an
-// arbitrary hook (e.g. os.Exit in a worker, simulating kill -9).
+// corrupt it (a fatal decode error on the peer), kill the connection
+// (at once, or as the reply to a received request goes out), hang a
+// receive until the heartbeat window expires, or run an arbitrary hook
+// (e.g. os.Exit in a worker, simulating kill -9).
 //
 // Rules trigger on the Nth matching message, counted per rule, so a
 // scenario like "kill replica 2's link on its 3rd RunChunk" is one Rule
@@ -44,6 +45,11 @@ const (
 	// Hook runs Rule.Hook, then proceeds normally. A worker-side hook
 	// that calls os.Exit models kill -9 at a precise protocol point.
 	Hook
+	// KillReply lets a received request through, then kills the
+	// connection at the next send — its reply, on a worker's serve loop —
+	// the model of a peer that did the work and died before answering. It
+	// is receive-only, so NewScript refuses a Send rule that uses it.
+	KillReply
 )
 
 // Dir selects which side of the connection a rule watches.
@@ -82,11 +88,14 @@ type Script struct {
 }
 
 // NewScript builds a script from rules. It panics on a Recv rule whose Op
-// is Drop, naming the rule.
+// is Drop or a Send rule whose Op is KillReply, naming the rule.
 func NewScript(rules ...Rule) *Script {
 	for i, r := range rules {
 		if r.Dir == Recv && r.Op == Drop {
 			panic(fmt.Sprintf("faults: rule %d (Recv, type %d, Nth %d) drops a received message, which already left its peer; Drop is send-only", i, r.Type, r.Nth))
+		}
+		if r.Dir == Send && r.Op == KillReply {
+			panic(fmt.Sprintf("faults: rule %d (Send, type %d, Nth %d) kills the reply to a sent message, which the peer sends; KillReply is receive-only", i, r.Type, r.Nth))
 		}
 	}
 	return &Script{rules: rules, seen: make([]int, len(rules)), fired: make([]bool, len(rules))}
@@ -130,6 +139,9 @@ func (s *Script) match(dir Dir, typ byte) *Rule {
 type Conn struct {
 	inner  transport.MsgConn
 	script *Script
+
+	mu        sync.Mutex
+	killReply bool // a KillReply rule fired: the next send kills the link
 }
 
 // Wrap applies script to conn.
@@ -140,6 +152,14 @@ func Wrap(conn transport.MsgConn, script *Script) *Conn {
 // Send applies any matching send-side rule, then forwards to the inner
 // connection.
 func (c *Conn) Send(ctx context.Context, m transport.Msg) error {
+	c.mu.Lock()
+	kill := c.killReply
+	c.killReply = false
+	c.mu.Unlock()
+	if kill {
+		c.inner.Close()
+		return fmt.Errorf("faults: connection killed replying with message type %d", m.Type)
+	}
 	if r := c.script.match(Send, m.Type); r != nil {
 		switch r.Op {
 		case Drop:
@@ -191,6 +211,10 @@ func (c *Conn) Recv(ctx context.Context) (transport.Msg, error) {
 		case Kill:
 			c.inner.Close()
 			return transport.Msg{}, fmt.Errorf("faults: connection killed on received message type %d", m.Type)
+		case KillReply:
+			c.mu.Lock()
+			c.killReply = true
+			c.mu.Unlock()
 		case Hang:
 			<-ctx.Done()
 			return transport.Msg{}, ctx.Err()

@@ -125,6 +125,49 @@ func TestNewScriptRefusesReceiveDrop(t *testing.T) {
 	NewScript(Rule{Dir: Send, Op: Drop}, Rule{Dir: Recv, Type: 7, Nth: 3, Op: Drop})
 }
 
+// TestKillReplyAnswersNothing pins KillReply: the scripted request
+// reaches the wrapped end intact, the reply it then sends kills the link,
+// so the peer's wait for that reply ends in an error, and a Send rule
+// with it is refused by name.
+func TestKillReplyAnswersNothing(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	near, far := linked(t, ctx, NewScript(Rule{Dir: Recv, Type: transport.MsgStep, Nth: 2, Op: KillReply}))
+	// The far end asks twice and reports each wait for a reply; the pipe
+	// is unbuffered, so it runs beside the wrapped end.
+	waits := make(chan error, 2)
+	go func() {
+		for i := 1; i <= 2; i++ {
+			if err := far.Send(ctx, transport.Msg{Type: transport.MsgStep, Stage: int32(i)}); err != nil {
+				waits <- err
+				return
+			}
+			_, err := far.Recv(ctx)
+			waits <- err
+		}
+	}()
+	for i := 1; i <= 2; i++ {
+		req, err := near.Recv(ctx)
+		if err != nil || req.Type != transport.MsgStep || int(req.Stage) != i {
+			t.Fatalf("request %d: got type %d stage %d, err %v", i, req.Type, req.Stage, err)
+		}
+		err = near.Send(ctx, transport.Msg{Type: transport.MsgAck, Stage: req.Stage})
+		if (err != nil) != (i == 2) {
+			t.Fatalf("reply %d: err %v, want one only on the reply to the 2nd request", i, err)
+		}
+		if err := <-waits; (err != nil) != (i == 2) {
+			t.Fatalf("peer's wait for reply %d: err %v, want one only when the link was killed", i, err)
+		}
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "rule 0 (Send, type 10, Nth 1)") {
+			t.Fatalf("NewScript panicked with %q, want it to name rule 0", msg)
+		}
+	}()
+	NewScript(Rule{Dir: Send, Type: transport.MsgStep, Nth: 1, Op: KillReply})
+}
+
 // linked returns the two ends of one loopback connection, the dialing end
 // wrapped with the script.
 func linked(t *testing.T, ctx context.Context, script *Script) (near, far transport.MsgConn) {

@@ -15,8 +15,8 @@
 // whose connection dies — or a standby whose connection died while it sat
 // out, or whose handoff failed — is gone. Transition is the only code
 // that moves a record: it re-splits positions, re-derives the commit plan
-// over the active members and starts or stops the member's engine,
-// whichever edge is taken.
+// over the active members and stops the engine of a member that leaves
+// Active.
 //
 // Determinism survives every edge for one reason: the per-minibatch curve
 // is replica-count-invariant. The reduce is a pure left fold in global
@@ -142,8 +142,7 @@ func (g *Group) index(id int) int {
 // Transition is the group's one membership change: it moves member id to
 // state to. Leaving Active frees the member's position (those above shift
 // down) and stops its engine; entering Active appends it at the tail of
-// the reduce tree and, during a run, starts it; Gone closes its
-// connection.
+// the reduce tree; Gone closes its connection.
 // Every edge re-derives the commit plan over the resulting active
 // members. It must be called with no collective in flight — from the
 // trainer's recovery loop between attempts, or from its
@@ -164,13 +163,12 @@ func (g *Group) move(m *member, to State) {
 	g.members = slices.Delete(g.members, i, i+1)
 	if m.state == Active {
 		g.active--
-		m.setRunning(false)
+		m.stop()
 	}
 	switch to {
 	case Active:
 		g.members = slices.Insert(g.members, g.active, m)
 		g.active++
-		m.setRunning(g.running)
 	case Standby:
 		g.members = append(g.members, m)
 	case Gone:
@@ -182,14 +180,11 @@ func (g *Group) move(m *member, to State) {
 	g.plan = engine.NewCommitPlan(g.p, g.active)
 }
 
-// setRunning starts an in-process member's engine over its compute
-// wrapper, or stops it. Remote members run their chunks through the engine
-// of their own worker process.
-func (m *member) setRunning(on bool) {
-	lc, ok := m.eng.(engine.Lifecycle)
-	if ok && on {
-		lc.Start(m.comp)
-	} else if ok {
+// stop stops an in-process member's engine; its next chunk starts it
+// again. Remote members run their chunks through the engine of their own
+// worker process.
+func (m *member) stop() {
+	if lc, ok := m.eng.(engine.Lifecycle); ok {
 		lc.Stop()
 	}
 }
@@ -273,17 +268,16 @@ func (g *Group) ResetGrads() {
 }
 
 // Handoff pushes the leader's live state to member id, a member call — for
-// a remote member a wire request — at a time: the epoch clock, every
-// stage's state in the gather layout, the step clock, then each stage's
-// weight-version ring (rings returns its base version and snapshots,
-// oldest to newest). It is the one way a follower becomes active — at
-// launch, on a mid-run join, on a straggler's rejoin — and the
-// checkpoint-restore re-synchronization: a member that has seen it is
-// indistinguishable from one that trained alongside the leader. A member
-// whose connection fails latches the error and ignores the rest.
+// a remote member a wire request — at a time: every stage's state in the
+// gather layout, the step clock, then each stage's weight-version ring
+// (rings returns its base version and snapshots, oldest to newest). It is
+// the one way a follower becomes active — at launch, on a mid-run join, on
+// a straggler's rejoin — and the checkpoint-restore re-synchronization: a
+// member that has seen it, and is then framed with the epoch phase of each
+// chunk, is indistinguishable from one that trained alongside the leader.
+// A member whose connection fails latches the error and ignores the rest.
 func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor)) error {
 	m := g.members[g.index(id)]
-	m.SetEpoch(g.lead.Epoch())
 	for st := 0; st < g.p; st++ {
 		m.ImportStageState(st, g.lead.StageState(st))
 	}

@@ -73,9 +73,9 @@ func (f *fakeRemote) PrepareStage(stage, nMicro int) float64 {
 	return f.Member.PrepareStage(stage, nMicro)
 }
 
-func (f *fakeRemote) StepStage(stage int) {
+func (f *fakeRemote) StepStage(stage int, scale float64) {
 	if !f.die("step") {
-		f.Member.StepStage(stage)
+		f.Member.StepStage(stage, scale)
 	}
 }
 
@@ -273,8 +273,8 @@ func TestMembershipTransitions(t *testing.T) {
 				return err
 			}
 			m := f.remote[id].Member.(*fakeMember)
-			if m.epochSyncs != 1 || m.synced != 1 || m.rings != p {
-				return fmt.Errorf("handoff pushed %d epoch syncs, %d full syncs, %d rings; want 1, 1, %d", m.epochSyncs, m.synced, m.rings, p)
+			if m.synced != 1 || m.rings != p {
+				return fmt.Errorf("handoff pushed %d full syncs, %d rings; want 1, %d", m.synced, m.rings, p)
 			}
 			for st, n := range m.imported {
 				if n != 1 {
@@ -321,7 +321,6 @@ func TestMembershipTransitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.g = g
-			g.Start()
 			defer g.Stop()
 			if tc.arm != nil {
 				tc.arm(f)

@@ -10,11 +10,12 @@
 // style (Group.Commit): an engine.CommitPlan assigns each stage to a
 // replica owner, the leader's reduced gradients scatter to their owners,
 // every owner steps its shard against its local copy of the optimizer
-// state, and the stepped weights all-gather back, so the commit tail never
-// runs serially on the leader. Without fault tolerance a follower holds
-// the optimizer moments of its own shard only; with it, every replica
-// mirrors all of them, which is what lets the group lose a member at any
-// point of the commit.
+// state — one StepStage call per stage, under the clip scale and the
+// epoch phase its chunk arrived with — and the stepped weights all-gather
+// back, so the commit tail never runs serially on the leader. Without
+// fault tolerance a follower holds the optimizer moments of its own shard
+// only; with it, every replica mirrors all of them, which is what lets the
+// group lose a member at any point of the commit.
 //
 // # Determinism
 //
@@ -76,14 +77,12 @@ type Member interface {
 	// SetStageGrads overwrites the stage's gradient accumulators with
 	// bufs (a pure copy) — the scatter half of the sharded commit.
 	SetStageGrads(stage int, bufs []*tensor.Tensor)
-	// PrepareStage, ScaleStage, BeginStep, StepStage and FinishStage are
-	// the commit phases of engine.Committer, run by a stage's owner against
-	// its own parameter copies and optimizer state.
+	// PrepareStage, BeginStep and StepStage are the commit phases of
+	// engine.Committer, run by a stage's owner against its own parameter
+	// copies and optimizer state.
 	PrepareStage(stage, nMicro int) float64
-	ScaleStage(stage int, scale float64)
 	BeginStep()
-	StepStage(stage int)
-	FinishStage(stage int)
+	StepStage(stage int, scale float64)
 	// StageState returns the stage's live post-step state tensors
 	// (masters, then T2 δ and corrected when enabled, then the optimizer
 	// moments under the fault-tolerant layout) in a fixed layout; the
@@ -94,10 +93,9 @@ type Member interface {
 	// that stage — the gather half of the sharded commit, and one stage of
 	// a handoff.
 	ImportStageState(stage int, src []*tensor.Tensor)
-	// SetEpoch and SetStep align the member's clocks with the leader's: the
-	// epoch so the commit-phase learning rates (T1/T3 phase) agree on every
-	// owner, the optimizer step as the tail of a handoff.
-	SetEpoch(epoch int)
+	// SetStep aligns the member's optimizer step clock with the leader's:
+	// the tail of a handoff. The epoch phase needs no clock: it arrives
+	// with every chunk.
 	SetStep(step int)
 	// RestoreVersions replaces a stage's weight-version ring wholesale
 	// (base is its oldest version number, snaps the versions oldest to
@@ -118,9 +116,9 @@ type Local interface {
 	// trainer's, never shared with another member.
 	Engine() engine.Engine
 	// SetAsync sets the epoch phase of the chunk the member is about to
-	// run: whether its slots install delayed weights. It arrives with the
-	// chunk because a follower never advances its own epoch clock — the
-	// leader's view is authoritative for all replicas.
+	// run: whether its slots install delayed weights and its commit
+	// T1-reschedules. It arrives with the chunk because a follower keeps no
+	// epoch clock — the leader's view is authoritative for all replicas.
 	SetAsync(async bool)
 	// TakeStageGrads moves the stage's accumulated parameter gradients
 	// into bufs (allocating buffers when bufs is nil) and zeroes the
@@ -159,12 +157,11 @@ type Remote interface {
 }
 
 // Leader is the host of a trainer that leads a replica group: what the
-// group reads the run's clocks, epoch phase and clip factor from.
+// group reads the run's step clock, epoch phase and clip factor from.
 type Leader interface {
 	Local
-	// Step and Epoch read the clocks a member's SetStep and SetEpoch get.
+	// Step reads the clock a member's SetStep gets.
 	Step() int
-	Epoch() int
 	// Async reports whether the current epoch runs asynchronously (false
 	// for GPipe and during T3 warmup epochs): the phase every member's
 	// chunk is framed with.
@@ -179,7 +176,8 @@ type Leader interface {
 // (membership.go), splits each minibatch into contiguous per-replica
 // chunks, runs every member's chunk, and runs the reduce and the
 // replica-sharded commit. A trainer builds its Group once and keeps it for
-// life; each Run starts and stops the in-process members' engines.
+// life; each in-process member's engine starts on its first chunk, and each
+// Run stops them.
 type Group struct {
 	lead Leader
 	p    int
@@ -197,8 +195,6 @@ type Group struct {
 	// owners is the commit in flight's stage→position owner: the plan's,
 	// or the leader for the shard of a follower that died mid-step.
 	owners []int
-
-	running bool // between Start and Stop: active in-process members' engines run
 
 	scatter [][]*tensor.Tensor // per-stage staging for the grad scatter
 	sumSqs  []float64          // per-stage clip-norm partials
@@ -241,20 +237,12 @@ func tensorsBytes(ts []*tensor.Tensor) int64 {
 // Replicas returns R, the number of active members.
 func (g *Group) Replicas() int { return g.active }
 
-// Start starts every active in-process member's engine over the member's
-// compute wrapper; members that become active before Stop start theirs
-// too.
-func (g *Group) Start() { g.setRunning(true) }
-
-// Stop stops the active in-process members' engines. The group itself —
-// and any standby parked in it — belongs to the trainer and outlives the
-// run.
-func (g *Group) Stop() { g.setRunning(false) }
-
-func (g *Group) setRunning(on bool) {
-	g.running = on
+// Stop stops the active in-process members' engines, which their next
+// chunks start again. The group itself — and any standby parked in it —
+// belongs to the trainer and outlives the run.
+func (g *Group) Stop() {
 	for _, m := range g.members[:g.active] {
-		m.setRunning(on)
+		m.stop()
 	}
 }
 
@@ -415,15 +403,15 @@ func (g *Group) reduce() {
 //  1. The scatter is a pure copy. All gradient arithmetic stayed at the
 //     tree root (reduce); an owner's accumulator receives the leader's
 //     reduced gradient bitwise.
-//  2. Per-stage phase arithmetic is location-independent. PrepareStage,
-//     ScaleStage, StepStage and FinishStage touch only the stage's
-//     parameter range, and every input — masters (gather-synced), reduced
-//     gradients (scattered), moment state (stepped only by the owner,
-//     every step, from identical inputs), step clocks (every member
-//     advances once per commit), τ delays and schedules (identical by
-//     construction), the epoch phase (SetEpoch) — is bitwise equal to the
-//     leader's, so the owner performs bitwise the arithmetic the leader
-//     would have.
+//  2. Per-stage phase arithmetic is location-independent. PrepareStage and
+//     StepStage touch only the stage's parameter range, and every input —
+//     masters (gather-synced), reduced gradients (scattered), moment state
+//     (stepped only by the owner, every step, from identical inputs), step
+//     clocks (every member advances once per commit), τ delays and
+//     schedules (identical by construction), the epoch phase (framed with
+//     the member's chunk), the clip scale (an argument) — is bitwise equal
+//     to the leader's, so the owner performs bitwise the arithmetic the
+//     leader would have.
 //  3. Cross-stage reductions keep stage order. The clip-norm partials are
 //     folded st = 0..P−1 on the orchestrator, exactly as engine.Commit
 //     sums them, and the resulting scale is computed once.
@@ -441,15 +429,12 @@ func (g *Group) reduce() {
 func (g *Group) Commit(nMicro int) error {
 	p := g.p
 	ltk := g.members[0].track
-	// Scatter: move the leader's reduced gradients to their owners and
-	// align follower epoch clocks. TakeStageGrads zeroes the leader's
-	// accumulator, so gradient ownership moves wholesale; g.scatter keeps
-	// the reduced gradient until the next commit, for a takeover.
+	// Scatter: move the leader's reduced gradients to their owners.
+	// TakeStageGrads zeroes the leader's accumulator, so gradient ownership
+	// moves wholesale; g.scatter keeps the reduced gradient until the next
+	// commit, for a takeover.
 	t0 := g.rec.Now()
 	var scatterBytes int64
-	for _, m := range g.members[1:g.active] {
-		m.SetEpoch(g.lead.Epoch())
-	}
 	for st := 0; st < p; st++ {
 		if o := g.plan.OwnerOf(st); o != 0 {
 			g.scatter[st] = g.lead.TakeStageGrads(st, g.scatter[st])
@@ -482,11 +467,14 @@ func (g *Group) Commit(nMicro int) error {
 	scale := g.lead.ClipScale(sumSq)
 	// Step: every member advances its step clocks (owners and idle
 	// members alike, keeping the R trainers' step counters and Adam
-	// clocks in lockstep), then owners scale, step and finish their
-	// shards.
+	// clocks in lockstep), then owners step their shards' stages.
 	g.eachMember(func(_ int, m *member, lo, hi int) {
 		m.BeginStep()
-		stepShard(m, lo, hi, scale)
+		t0 := m.track.Now()
+		for st := lo; st < hi; st++ {
+			m.StepStage(st, scale)
+		}
+		m.track.Span(trace.NameCommitStep, t0, lo, -1, 0)
 	})
 	// Gather: every member imports each stage from the owner's post-step
 	// state, in stage order, pushing its own version queue. Owner states
@@ -526,10 +514,11 @@ func (g *Group) Commit(nMicro int) error {
 }
 
 // takeOver finishes, on the leader, the step of every follower of a
-// fault-tolerant group that died after the prepare phase — during scale,
-// step or finish, or while its post-step state was fetched — and makes the
-// leader its shards' owner for the rest of the gather. A member that dies
-// later, during its own import, needs nothing: its shard was fetched.
+// fault-tolerant group that died after the prepare phase — during its
+// step-clock advance or its stage steps, or while its post-step state was
+// fetched — and makes the leader its shards' owner for the rest of the
+// gather. A member that dies later, during its own import, needs nothing:
+// its shard was fetched.
 //
 // The re-step is bitwise the one the dead owner ran (or would have run),
 // because the leader holds everything that step read: its masters, T2
@@ -548,34 +537,16 @@ func (g *Group) takeOver(nMicro int, scale float64, states [][]*tensor.Tensor) {
 			continue
 		}
 		lo, hi := g.plan.Shard(i + 1)
+		t0 := g.rec.Now()
 		for st := lo; st < hi; st++ {
 			g.lead.SetStageGrads(st, g.scatter[st])
 			g.lead.PrepareStage(st, nMicro)
-		}
-		stepShard(g.members[0], lo, hi, scale)
-		for st := lo; st < hi; st++ {
+			g.lead.StepStage(st, scale)
 			g.owners[st] = 0
 			states[st] = g.lead.StageState(st)
 		}
+		g.members[0].track.Span(trace.NameCommitStep, t0, lo, -1, 0)
 	}
-}
-
-// stepShard runs the step phases of stages [lo, hi) on m — scale (when the
-// clip scale is not 1), step, finish — each traced on m's collectives
-// track. BeginStep has already advanced m's clocks.
-func stepShard(m *member, lo, hi int, scale float64) {
-	phase := func(name string, stage func(st int)) {
-		t0 := m.track.Now()
-		for st := lo; st < hi; st++ {
-			stage(st)
-		}
-		m.track.Span(name, t0, lo, -1, 0)
-	}
-	if scale != 1 {
-		phase(trace.NameCommitScale, func(st int) { m.ScaleStage(st, scale) })
-	}
-	phase(trace.NameCommitStep, m.StepStage)
-	phase(trace.NameCommitFinish, m.FinishStage)
 }
 
 // eachMember runs fn concurrently for every active member with its

@@ -33,10 +33,10 @@ type fakeMember struct {
 	state      []float64 // per-stage post-step state (stepped by owner, imported elsewhere)
 	prepared   []int
 	stepped    []int
-	finished   []int
+	scales     []float64 // per-stage clip scale of the last StepStage
+	stepAt     []int     // per-stage step-clock advances seen by the last StepStage
 	imported   []int
 	beginSteps int
-	epochSyncs int // SetEpoch calls
 	asyncSet   int // SetAsync calls
 	rings      int // RestoreVersions calls
 }
@@ -44,7 +44,7 @@ type fakeMember struct {
 func newFakeMember(p int) *fakeMember {
 	return &fakeMember{p: p, acc: make([]float64, p), folds: make([][]float64, p),
 		state: make([]float64, p), prepared: make([]int, p), stepped: make([]int, p),
-		finished: make([]int, p), imported: make([]int, p)}
+		scales: make([]float64, p), stepAt: make([]int, p), imported: make([]int, p)}
 }
 
 func (f *fakeMember) Stages() int                 { return f.p }
@@ -79,8 +79,9 @@ func (f *fakeMember) PrepareStage(stage, nMicro int) float64 {
 	return float64(stage + 1) // distinct partials: checks the stage-ordered fold
 }
 
-func (f *fakeMember) ClipScale(sumSq float64) float64     { return 1 }
-func (f *fakeMember) ScaleStage(stage int, scale float64) {}
+// ClipScale returns a factor that is not 1, so the test sees it handed to
+// every owner's StepStage.
+func (f *fakeMember) ClipScale(sumSq float64) float64 { return 0.25 }
 
 func (f *fakeMember) BeginStep() {
 	f.mu.Lock()
@@ -90,18 +91,14 @@ func (f *fakeMember) BeginStep() {
 
 // StepStage "steps" the stage by publishing the reduced gradient the owner
 // holds into its state scalar, so the gather assertions can check that
-// non-owners receive exactly the owner's post-step value.
-func (f *fakeMember) StepStage(stage int) {
+// non-owners receive exactly the owner's post-step value, and records the
+// clip scale it was handed and the step clock it ran at.
+func (f *fakeMember) StepStage(stage int, scale float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stepped[stage]++
+	f.scales[stage], f.stepAt[stage] = scale, f.beginSteps
 	f.state[stage] = 1000 + f.acc[stage]
-}
-
-func (f *fakeMember) FinishStage(stage int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.finished[stage]++
 	f.acc[stage] = 0
 }
 
@@ -143,12 +140,6 @@ func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	f.state[stage] = src[0].FlatAt(0)
 }
 
-func (f *fakeMember) SetEpoch(int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.epochSyncs++
-}
-
 func (f *fakeMember) SetStep(int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -161,9 +152,8 @@ func (f *fakeMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) 
 	f.rings++
 }
 
-// A fakeMember can lead a group: its clocks read zero.
-func (f *fakeMember) Step() int  { return 0 }
-func (f *fakeMember) Epoch() int { return 0 }
+// A fakeMember can lead a group: its step clock reads zero.
+func (f *fakeMember) Step() int { return 0 }
 
 var _ replica.Leader = (*fakeMember)(nil)
 
@@ -225,7 +215,6 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	for i := range micros {
 		micros[i] = []int{i}
 	}
-	g.Start()
 	defer g.Stop()
 	loss, err := g.Minibatch(context.Background(), micros)
 	if err != nil {
@@ -270,11 +259,13 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 // TestGroupShardedCommitProtocol drives the replica-sharded commit over
 // fake members with an uneven stage count (P=5 across R=3: shards of 2, 2
 // and 1 stages) and checks the ownership contract the determinism claim
-// rests on: every stage is prepared/stepped/finished exactly once, at its
-// owner; the leader's reduced gradient reaches the owner by pure copy
-// (and leaves the leader's accumulator empty); every member advances its
-// step clock exactly once; every non-owner imports exactly the owner's
-// post-step state; and no full-state push runs.
+// rests on: every stage is prepared and stepped exactly once, at its
+// owner, and stepped after the owner's one step-clock advance with the one
+// clip scale the orchestrator computed; the leader's reduced gradient
+// reaches the owner by pure copy (and leaves the leader's accumulator
+// empty); every member advances its step clock exactly once and is sent
+// no other clock; and every non-owner imports exactly the owner's
+// post-step state.
 func TestGroupShardedCommitProtocol(t *testing.T) {
 	const p, r = 5, 3
 	lead := &fakeLead{fakeMember: newFakeMember(p)}
@@ -298,17 +289,21 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 		for i, m := range members {
 			owns := wantOwner[st] == i
 			if owns {
-				if m.prepared[st] != 1 || m.stepped[st] != 1 || m.finished[st] != 1 {
-					t.Fatalf("owner %d of stage %d ran prepare/step/finish %d/%d/%d times, want 1/1/1",
-						i, st, m.prepared[st], m.stepped[st], m.finished[st])
+				if m.prepared[st] != 1 || m.stepped[st] != 1 {
+					t.Fatalf("owner %d of stage %d ran prepare/step %d/%d times, want 1/1",
+						i, st, m.prepared[st], m.stepped[st])
+				}
+				if m.scales[st] != 0.25 || m.stepAt[st] != 1 {
+					t.Fatalf("owner %d stepped stage %d under scale %g after %d step-clock advances, want the orchestrator's 0.25 after 1",
+						i, st, m.scales[st], m.stepAt[st])
 				}
 				if m.imported[st] != 0 {
 					t.Fatalf("owner %d imported its own stage %d", i, st)
 				}
 			} else {
-				if m.prepared[st] != 0 || m.stepped[st] != 0 || m.finished[st] != 0 {
-					t.Fatalf("non-owner %d of stage %d ran commit phases %d/%d/%d times, want none",
-						i, st, m.prepared[st], m.stepped[st], m.finished[st])
+				if m.prepared[st] != 0 || m.stepped[st] != 0 {
+					t.Fatalf("non-owner %d of stage %d ran commit phases %d/%d times, want none",
+						i, st, m.prepared[st], m.stepped[st])
 				}
 				if m.imported[st] != 1 {
 					t.Fatalf("non-owner %d imported stage %d %d times, want 1", i, st, m.imported[st])
@@ -325,11 +320,6 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 		}
 		if m.synced != 0 {
 			t.Fatalf("member %d received a full-state push during the commit", i)
-		}
-	}
-	for i, m := range lead.followers {
-		if m.epochSyncs != 1 {
-			t.Fatalf("follower %d synced its epoch clock %d times, want 1", i+1, m.epochSyncs)
 		}
 	}
 	// The scatter moved gradient ownership wholesale: the leader's
@@ -350,7 +340,6 @@ func TestComputeSuppressesCommit(t *testing.T) {
 	lead := &fakeLead{fakeMember: newFakeMember(2)}
 	lead.followers = append(lead.followers, newFakeMember(2))
 	g := lead.group(t)
-	g.Start()
 	defer g.Stop()
 	if _, err := g.Minibatch(context.Background(), [][]int{{0}, {1}}); err != nil {
 		t.Fatal(err)
@@ -404,7 +393,6 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 	if err := g.Admit(follower); err != nil {
 		t.Fatal(err)
 	}
-	g.Start()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -429,7 +417,7 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 	g.Stop()
 	for name, m := range map[string]*fakeMember{"leader": lead, "follower": follower.fakeMember} {
 		for st := range m.p {
-			if m.prepared[st]+m.stepped[st]+m.finished[st] != 0 || m.beginSteps != 0 {
+			if m.prepared[st]+m.stepped[st] != 0 || m.beginSteps != 0 {
 				t.Fatalf("%s ran commit phases after cancellation, want none", name)
 			}
 			if len(m.folds[st]) != 0 || m.imported[st] != 0 || m.synced != 0 {
@@ -440,8 +428,8 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 }
 
 // TestStopWithoutStartIsIdempotent pins that stopping a group whose
-// members' engines never started is a no-op, and so is stopping it twice
-// after a run.
+// members' engines never started — no chunk has run — is a no-op, and so
+// is stopping it twice after a chunk started them.
 func TestStopWithoutStartIsIdempotent(t *testing.T) {
 	g := replica.NewGroup(newFakeMember(2), false)
 	if err := g.Admit(engineMember{newFakeMember(2), concurrent.New()}); err != nil {
@@ -449,7 +437,9 @@ func TestStopWithoutStartIsIdempotent(t *testing.T) {
 	}
 	g.Stop()
 	g.Stop()
-	g.Start()
+	if _, err := g.Minibatch(context.Background(), [][]int{{0}, {1}}); err != nil {
+		t.Fatal(err)
+	}
 	g.Stop()
 	g.Stop()
 }

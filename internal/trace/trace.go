@@ -59,9 +59,7 @@ const (
 	NameRecompute = "recompute"
 
 	NameCommitPrepare = "commit:prepare"
-	NameCommitScale   = "commit:scale"
 	NameCommitStep    = "commit:step"
-	NameCommitFinish  = "commit:finish"
 
 	NameReduce  = "reduce"
 	NameScatter = "scatter"

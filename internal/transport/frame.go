@@ -15,7 +15,7 @@
 //
 //	offset  size  field
 //	0       2     magic "PM" (0x50 0x4D)
-//	2       1     protocol version (3)
+//	2       1     protocol version (4)
 //	3       1     message type
 //	4       1     flags (bit 0: more chunks of this message follow)
 //	5       1     reserved (0)
@@ -60,9 +60,12 @@ const (
 	// Version is the protocol version this package speaks. Version 2
 	// added a dtype tag byte to every tensor payload (float32 support);
 	// version 3 opened every session with the one MsgHello — no state
-	// checksum, no welcome round trip for joiners. Peers of another version
-	// are rejected rather than mis-decoded.
-	Version = 3
+	// checksum, no welcome round trip for joiners; version 4 made a stage's
+	// step one MsgStep carrying the clip scale, and dropped the scale,
+	// finish and epoch-sync messages (the epoch phase rides with each
+	// chunk). Peers of another version are rejected rather than
+	// mis-decoded.
+	Version = 4
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32
@@ -85,7 +88,8 @@ const (
 // Message types. Requests flow leader→worker; every request has exactly
 // one reply (MsgAck, a typed reply, or MsgErr). MsgPing is the one
 // exception: the worker interleaves it with a pending MsgChunkDone as a
-// liveness signal, and the leader consumes it without replying.
+// liveness signal, and the leader consumes it without replying. The
+// numbers of deleted types (9, 11, 15) are not reused.
 const (
 	MsgHello     = 1  // leader→worker: the Spec that opens every session (launch or join)
 	MsgHelloOK   = 2  // worker→leader: follower built for the Spec
@@ -95,13 +99,10 @@ const (
 	MsgPrepare   = 6  // leader→worker: PrepareStage(stage, nMicro)
 	MsgPrepared  = 7  // worker→leader: the stage's clip-norm partial
 	MsgBeginStep = 8  // leader→worker: advance the step clocks
-	MsgScale     = 9  // leader→worker: ScaleStage(stage, scale)
-	MsgStep      = 10 // leader→worker: StepStage(stage)
-	MsgFinish    = 11 // leader→worker: FinishStage(stage)
+	MsgStep      = 10 // leader→worker: StepStage(stage, scale)
 	MsgGetState  = 12 // leader→worker: read a stage's post-step state
 	MsgState     = 13 // worker→leader: the stage's state tensors
 	MsgSetState  = 14 // leader→worker: import a stage's state (gather/handoff)
-	MsgSyncEpoch = 15 // leader→worker: align the follower's epoch clock
 	MsgSync      = 16 // leader→worker: align the follower's step clock (handoff tail)
 	MsgAck       = 17 // worker→leader: generic success reply
 	MsgErr       = 18 // worker→leader: failure reply (code + text)

@@ -147,12 +147,9 @@ var wireNames = [...]string{
 	MsgSetGrads:  "wire:set-grads",
 	MsgPrepare:   "wire:prepare",
 	MsgBeginStep: "wire:begin-step",
-	MsgScale:     "wire:scale",
 	MsgStep:      "wire:step",
-	MsgFinish:    "wire:finish",
 	MsgGetState:  "wire:get-state",
 	MsgSetState:  "wire:set-state",
-	MsgSyncEpoch: "wire:sync-epoch",
 	MsgSync:      "wire:sync",
 	MsgSetRing:   "wire:set-ring",
 }
@@ -546,19 +543,9 @@ func (m *RemoteMember) BeginStep() {
 	m.call(Msg{Type: MsgBeginStep, Stage: -1}, MsgAck)
 }
 
-// ScaleStage applies the clip factor to the stage's gradients remotely.
-func (m *RemoteMember) ScaleStage(stage int, scale float64) {
-	m.call(m.stageMsg(MsgScale, stage, AppendF64(nil, scale)), MsgAck)
-}
-
-// StepStage applies the optimizer update for the stage remotely.
-func (m *RemoteMember) StepStage(stage int) {
-	m.call(m.stageMsg(MsgStep, stage, nil), MsgAck)
-}
-
-// FinishStage finalizes the stage's step remotely.
-func (m *RemoteMember) FinishStage(stage int) {
-	m.call(m.stageMsg(MsgFinish, stage, nil), MsgAck)
+// StepStage runs the stage's whole update remotely under the clip scale.
+func (m *RemoteMember) StepStage(stage int, scale float64) {
+	m.call(m.stageMsg(MsgStep, stage, AppendF64(nil, scale)), MsgAck)
 }
 
 // StageState fetches the stage's post-step state from the worker into a
@@ -592,11 +579,6 @@ func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
 // leader's.
 func (m *RemoteMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	m.call(RingMsg(MsgSetRing, stage, base, snaps), MsgAck)
-}
-
-// SetEpoch pushes the leader's epoch clock to the worker.
-func (m *RemoteMember) SetEpoch(epoch int) {
-	m.call(Msg{Type: MsgSyncEpoch, Stage: -1, Data: AppendU32(nil, uint32(epoch))}, MsgAck)
 }
 
 // SetStep pushes the leader's step clock to the worker — the tail of a

@@ -24,12 +24,12 @@ type wireMember struct {
 	acc   []float64
 	state []*tensor.Tensor
 	step  int
-	epoch int
 	stall time.Duration // how long each chunk's first forward takes (a straggler)
 	rings map[int]int   // stage → base + snapshot count of the ring last restored
 
 	prepared []int
 	stepped  []int
+	scales   []float64 // the clip scale of each StepStage, in call order
 	imported []int
 }
 
@@ -99,18 +99,16 @@ func (m *wireMember) PrepareStage(stage, nMicro int) float64 {
 	return float64(stage+1) * float64(nMicro)
 }
 
-func (m *wireMember) ClipScale(sumSq float64) float64     { return 1 }
-func (m *wireMember) ScaleStage(stage int, scale float64) {}
-func (m *wireMember) BeginStep()                          {}
+func (m *wireMember) ClipScale(sumSq float64) float64 { return 1 }
+func (m *wireMember) BeginStep()                      {}
 
-func (m *wireMember) StepStage(stage int) {
+func (m *wireMember) StepStage(stage int, scale float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stepped[stage]++
+	m.scales = append(m.scales, scale)
 	m.state[stage].SetFlat(0, 1000+m.acc[stage])
 }
-
-func (m *wireMember) FinishStage(stage int) {}
 
 func (m *wireMember) StageState(stage int) []*tensor.Tensor {
 	m.mu.Lock()
@@ -125,8 +123,7 @@ func (m *wireMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.state[stage].CopyFrom(src[0])
 }
 
-func (m *wireMember) SetStep(step int)   { m.mu.Lock(); m.step = step; m.mu.Unlock() }
-func (m *wireMember) SetEpoch(epoch int) { m.mu.Lock(); m.epoch = epoch; m.mu.Unlock() }
+func (m *wireMember) SetStep(step int) { m.mu.Lock(); m.step = step; m.mu.Unlock() }
 
 func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	m.mu.Lock()
@@ -203,13 +200,16 @@ func TestRemoteMemberProtocol(t *testing.T) {
 		t.Fatalf("PrepareStage partial %g, want 16", got)
 	}
 	m.BeginStep()
-	m.ScaleStage(1, 0.5)
-	m.StepStage(1)
-	m.FinishStage(1)
+	m.StepStage(1, 0.5)
 	st := m.StageState(1)
 	if len(st) != 1 || st[0].FlatAt(0) != 1000+42 {
 		t.Fatalf("StageState %v, want [1042]", st)
 	}
+	worker.mu.Lock()
+	if len(worker.scales) != 1 || worker.scales[0] != 0.5 {
+		t.Fatalf("worker stepped with scales %v, want [0.5]", worker.scales)
+	}
+	worker.mu.Unlock()
 	src := tensor.New(1)
 	src.SetFlat(0, -5)
 	m.ImportStageState(2, []*tensor.Tensor{src})
@@ -219,9 +219,8 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	}
 	worker.mu.Unlock()
 
-	// The full leader-state push, as replica.Group makes it: the epoch
-	// clock, every stage's state, the step clock, every stage's ring.
-	m.SetEpoch(4)
+	// The full leader-state push, as replica.Group makes it: every
+	// stage's state, the step clock, every stage's ring.
 	for s := 0; s < p; s++ {
 		m.ImportStageState(s, leader.StageState(s))
 	}
@@ -231,9 +230,6 @@ func TestRemoteMemberProtocol(t *testing.T) {
 		m.RestoreVersions(s, 5+s, [][]*tensor.Tensor{snap, snap})
 	}
 	worker.mu.Lock()
-	if worker.epoch != 4 {
-		t.Fatalf("worker epoch %d after SetEpoch, want 4", worker.epoch)
-	}
 	if worker.step != 9 {
 		t.Fatalf("worker step %d after the push, want the leader's 9", worker.step)
 	}
@@ -393,7 +389,7 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 	}
 	// A stage index far out of range panics the member; the guard must
 	// turn it into MsgErr.
-	if err := conn.Send(ctx, Msg{Type: MsgStep, Replica: 1, Stage: 99}); err != nil {
+	if err := conn.Send(ctx, Msg{Type: MsgStep, Replica: 1, Stage: 99, Data: AppendF64(nil, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := conn.Recv(ctx)

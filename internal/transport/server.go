@@ -39,7 +39,8 @@ func Serve(ctx context.Context, lis Listener, build Builder) error {
 // answers MsgHelloOK — or MsgErr with the reason the spec cannot be served,
 // which it also returns — then serves the leader's requests until the
 // goodbye (nil), the connection drops, or ctx ends. The first requests are
-// the leader's state handoff.
+// the leader's state handoff. The follower's engine starts on its first
+// chunk and stops when the session ends.
 func ServeConn(ctx context.Context, conn MsgConn, build Builder) error {
 	s := &server{conn: conn}
 	if err := s.hello(ctx, build); err != nil {
@@ -47,7 +48,6 @@ func ServeConn(ctx context.Context, conn MsgConn, build Builder) error {
 	}
 	s.comp = replica.NewCompute(s.member)
 	if lc, ok := s.member.Engine().(engine.Lifecycle); ok {
-		lc.Start(s.comp)
 		defer lc.Stop()
 	}
 	return s.loop(ctx)
@@ -172,18 +172,12 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 	case MsgBeginStep:
 		s.member.BeginStep()
 		return ack, nil
-	case MsgScale:
+	case MsgStep:
 		scale := c.F64()
 		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		s.member.ScaleStage(stage, scale)
-		return ack, nil
-	case MsgStep:
-		s.member.StepStage(stage)
-		return ack, nil
-	case MsgFinish:
-		s.member.FinishStage(stage)
+		s.member.StepStage(stage, scale)
 		return ack, nil
 	case MsgGetState:
 		state := s.member.StageState(stage)
@@ -202,13 +196,6 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 			return Msg{}, err
 		}
 		s.member.RestoreVersions(stage, base, snaps)
-		return ack, nil
-	case MsgSyncEpoch:
-		epoch := c.I32()
-		if err := c.Done(); err != nil {
-			return Msg{}, err
-		}
-		s.member.SetEpoch(epoch)
 		return ack, nil
 	case MsgSync:
 		step := c.I32()

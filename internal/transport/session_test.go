@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,8 +29,12 @@ func FuzzSession(f *testing.F) {
 	// A chunk from microbatch 0, asynchronous: one microbatch of sample 0.
 	chunk := AppendU32(AppendU32(AppendU32(AppendBool(AppendU32(nil, 0), true), 1), 1), 0)
 	f.Add(byte(MsgHello), hello, byte(MsgRunChunk), chunk)
+	// A stage step under clip scale 0.5, whole and with its f64 cut short.
+	step := AppendF64(nil, 0.5)
+	f.Add(byte(MsgHello), hello, byte(MsgStep), step)
+	f.Add(byte(MsgHello), hello, byte(MsgStep), step[:7])
 	f.Fuzz(func(t *testing.T, typ1 byte, data1 []byte, typ2 byte, data2 []byte) {
-		baseline := runtime.NumGoroutine()
+		baseline := packageGoroutines()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		a, b := net.Pipe()
@@ -67,11 +72,20 @@ func FuzzSession(f *testing.F) {
 		if typ1 != MsgHello && err == nil {
 			t.Fatalf("first message type %d: the session served without a hello", typ1)
 		}
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(5 * time.Second); packageGoroutines() > baseline && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
-		if n := runtime.NumGoroutine(); n > baseline {
-			t.Fatalf("%d goroutines after the session, baseline %d", n, baseline)
+		if n := packageGoroutines(); n > baseline {
+			t.Fatalf("%d goroutines this package started are live after the session, baseline %d", n, baseline)
 		}
 	})
+}
+
+// packageGoroutines counts the live goroutines this package's code
+// started: what a session could leave behind. A count of every goroutine
+// would also see the fuzzing engine's own, which come and go between
+// inputs.
+func packageGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "\ncreated by pipemare/internal/transport.")
 }

@@ -12,6 +12,7 @@ import (
 	"pipemare"
 	"pipemare/internal/data"
 	"pipemare/internal/engine/concurrent"
+	"pipemare/internal/faults"
 	"pipemare/internal/model"
 	"pipemare/internal/optim"
 	"pipemare/internal/transport"
@@ -25,11 +26,22 @@ import (
 // in particular must not be shared across worker goroutines.
 func startWorkers(t *testing.T, n int, build func() pipemare.Task, opts func() []pipemare.Option) (dialers []pipemare.Dialer, kill func(), wait func() []error) {
 	t.Helper()
+	return startFaultyWorkers(t, n, nil, build, opts)
+}
+
+// startFaultyWorkers is startWorkers whose first worker, when script is
+// not nil, serves every connection through it: the follower's end of
+// replica 1's link.
+func startFaultyWorkers(t *testing.T, n int, script *faults.Script, build func() pipemare.Task, opts func() []pipemare.Option) (dialers []pipemare.Dialer, kill func(), wait func() []error) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		lis, dial := pipemare.Loopback()
+		if i == 0 && script != nil {
+			lis = &faults.Listener{Inner: lis, Script: script}
+		}
 		dialers = append(dialers, dial)
 		wg.Add(1)
 		go func(i int, lis pipemare.Listener) {

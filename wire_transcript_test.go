@@ -98,36 +98,36 @@ func (l logListener) Accept(ctx context.Context) (transport.MsgConn, error) {
 // wireTranscripts is what the leader sends in each session: "type/stage/
 // payload bytes" per message. Every session opens with the hello, and
 // every follower — dialled at launch or joining — is then admitted by the
-// state handoff (15, P × 14, 16, P × 21) before it trains. The training
-// rows after that are the ones recorded at the parent of the change that
-// made every replica.Member method one wire request. Lengths, not float
-// bytes, so the table holds on any GOARCH.
+// state handoff (P × 14, 16, P × 21) before it trains. In the training
+// rows after that, each stage its follower owns is stepped by one message
+// (10, carrying the f64 clip scale). Lengths, not float bytes, so the
+// table holds on any GOARCH.
 var wireTranscripts = map[string]string{
 	"sharded/plain/follower": `
-		1/-1/62 15/-1/4 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/79 14/1/79
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/79 14/1/79
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/79 14/1/79
+		1/-1/62 14/0/79 14/1/79 14/2/79 14/3/79 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
 		19/-1/0
 	`,
 	"sharded/join/joiner": `
-		1/-1/62 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/95 21/1/95 21/2/95 21/3/95
-		3/-1/25 15/-1/4 5/3/29 6/3/4 8/-1/0 9/3/8 10/3/0 11/3/0 12/3/0 14/0/104 14/1/104 14/2/104
+		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/95 21/1/95 21/2/95 21/3/95
+		3/-1/25 5/3/29 6/3/4 8/-1/0 10/3/8 12/3/0 14/0/104 14/1/104 14/2/104
 		19/-1/0
 	`,
 	"sharded/join/follower": `
-		1/-1/62 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/33 15/-1/4 5/2/29 6/2/4 8/-1/0 9/2/8 10/2/0 11/2/0 12/2/0 14/0/104 14/1/104 14/3/104
+		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
+		3/-1/33 5/2/29 6/2/4 8/-1/0 10/2/8 12/2/0 14/0/104 14/1/104 14/3/104
 		19/-1/0
 	`,
 	"sharded/restore/follower": `
-		1/-1/62 15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
-		15/-1/4 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/124 21/1/124 21/2/124 21/3/124
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 9/2/8 9/3/8 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/41 15/-1/4 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/0 10/3/0 11/2/0 11/3/0 12/2/0 12/3/0 14/0/104 14/1/104
+		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
+		14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/124 21/1/124 21/2/124 21/3/124
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
+		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
 		19/-1/0
 	`,
 }
