@@ -12,8 +12,9 @@ import (
 	"testing"
 )
 
-// TestNoExportOnlyTestsCall keeps the substrate packages — and the
-// optimizer, replica and engine packages — from growing a second API that
+// TestNoExportOnlyTestsCall keeps the substrate packages and every package
+// the trainer is built from — optimizer, replica, engines, pipeline, trace,
+// core, data, metrics, transport, faults — from growing a second API that
 // only their own tests exercise: every exported func or method declared
 // in a watched package must be referenced from some non-test file of the
 // module (benchmark/, cmd/ and examples/ included) other than its own
@@ -33,6 +34,13 @@ func TestNoExportOnlyTestsCall(t *testing.T) {
 		"pipemare/internal/replica":           true,
 		"pipemare/internal/engine":            true,
 		"pipemare/internal/engine/concurrent": true,
+		"pipemare/internal/pipeline":          true,
+		"pipemare/internal/trace":             true,
+		"pipemare/internal/core":              true,
+		"pipemare/internal/data":              true,
+		"pipemare/internal/metrics":           true,
+		"pipemare/internal/transport":         true,
+		"pipemare/internal/faults":            true,
 	}
 	type decl struct{ pkg, name, pos string }
 	var funcs, methods []decl

@@ -123,7 +123,8 @@ func (h host) PrepareStage(stage, nMicro int) float64 {
 }
 
 // ClipScale converts the global gradient sum-of-squares into the clip
-// factor, mirroring nn.ClipGradNorm's edge cases.
+// factor max/norm — 1, no clip, when clipping is off (max <= 0) or the
+// norm is within max, zero or NaN.
 func (h host) ClipScale(sumSq float64) float64 {
 	max := h.t.cfg.ClipNorm
 	norm := math.Sqrt(sumSq)

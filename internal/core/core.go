@@ -3,7 +3,8 @@
 // rescheduling), Technique 2 (discrepancy correction) and Technique 3
 // (synchronous warmup epochs), plus the two baselines it is compared
 // against — GPipe-style synchronous training and PipeDream-style weight
-// stashing — and the recompute delay path of Appendix D.
+// stashing — the recompute delay path of Appendix D, and Appendix E's
+// Hogwild!-style stochastic delays (Config.Hogwild).
 //
 // The trainer simulates the pipeline at microbatch granularity using the
 // timing model of package pipeline: for every microbatch it installs the
@@ -151,6 +152,15 @@ type Config struct {
 	// RecomputeSegments enables the Appendix D recompute delay path with
 	// the given number of gradient-checkpoint segments (0 disables it).
 	RecomputeSegments int
+
+	// Hogwild, when set, replaces Table 1's forward versions with Appendix
+	// E's stochastic per-stage delays: every slot of minibatch k at stage i
+	// reads version max(k − Hogwild.Delay(Seed, k, i, P), 0), T1 reschedules
+	// by the draw's mean delays, and the method still decides the backward
+	// weights (PipeDream: the same stale version). Not valid under GPipe or
+	// with recompute, whose slots never read it, nor with more than one
+	// replica, since a follower's Spec does not carry it.
+	Hogwild *pipeline.Hogwild
 
 	ClipNorm float64 // global gradient-norm clip (0 disables)
 	LossCap  float64 // divergence threshold (0 = 1e6)
@@ -377,6 +387,18 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	if replicas > n {
 		return nil, fmt.Errorf("core: %d replicas exceed the %d microbatches per minibatch (every replica needs at least one)", replicas, n)
 	}
+	if h := cfg.Hogwild; h != nil {
+		switch {
+		case cfg.Method == GPipe || cfg.RecomputeSegments > 0:
+			return nil, fmt.Errorf("core: Hogwild delays need an asynchronous method without recompute, got %v with %d recompute segments", cfg.Method, cfg.RecomputeSegments)
+		case replicas > 1:
+			// A dialled or joining follower is built from the Spec, which
+			// carries no delay rule: it would read Table 1's versions.
+			return nil, fmt.Errorf("core: Hogwild delays need a single replica, got %d", replicas)
+		case h.TauMax < 0 || !(h.MeanScale >= 0):
+			return nil, fmt.Errorf("core: Hogwild delays need TauMax >= 0 and MeanScale >= 0, got %+v", *h)
+		}
+	}
 	eng := cfg.Engine
 	if eng == nil {
 		eng = engine.NewReference()
@@ -431,6 +453,12 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 		t.taus[i] = pipeline.FwdDelay(t.stage1[i], p, n)
 	}
 	keep := (2*p+n)/n + 3
+	if h := cfg.Hogwild; h != nil {
+		for i := range t.params {
+			t.taus[i] = h.Mean(t.stage1[i], p)
+		}
+		keep = h.TauMax + 2
+	}
 	t.store = pipeline.NewVersionStore(part.Stages, keep)
 	t.masters = make([]*tensor.Tensor, len(t.params))
 	for i, pm := range t.params {
@@ -502,7 +530,8 @@ func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
 	return m, nil
 }
 
-// Taus returns the per-parameter forward delays in minibatch units.
+// Taus returns the per-parameter forward delays T1 reschedules by, in
+// minibatch units: Table 1's, or the Hogwild draw's means.
 func (t *Trainer) Taus() []float64 { return t.taus }
 
 // Stages returns the number of pipeline stages.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -238,7 +239,7 @@ func TestPipeMareBackwardSeesMaster(t *testing.T) {
 	cfg := Config{Method: PipeMare, Stages: 5, BatchSize: 8, MicrobatchSize: 2}
 	forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, _ *Trainer, clock pipeline.Clock) {
 		for s, row := range task.bwdSeen {
-			want := float64(clock.BwdVersion(s))
+			want := float64(clock.Minibatch(s))
 			for g, got := range row {
 				if got != want {
 					t.Fatalf("microbatch %d group %d: backward saw %g, want master version %g (τ_bkwd = 0)", s, g, got, want)
@@ -269,11 +270,88 @@ func TestPipeDreamBackwardSeesStashedForwardWeights(t *testing.T) {
 	})
 }
 
+// TestHogwildSeesDrawnVersions is the Appendix E row of the version rule:
+// under Config.Hogwild every slot of minibatch k at stage i — the N = 4
+// microbatches share one draw — reads version max(k − Delay(seed, k, i), 0),
+// forward and (PipeDream) backward alike.
+func TestHogwildSeesDrawnVersions(t *testing.T) {
+	h := &pipeline.Hogwild{TauMax: 6, MeanScale: 0.8}
+	cfg := Config{Method: PipeDream, Stages: 5, BatchSize: 8, MicrobatchSize: 2, Hogwild: h}
+	forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, tr *Trainer, clock pipeline.Clock) {
+		stale := false
+		for s := range task.bwdSeen {
+			k := clock.Minibatch(s)
+			for g := range task.params {
+				want := float64(max(k-h.Delay(tr.cfg.Seed, k, g+1, clock.P), 0))
+				if fwd, bwd := task.fwdSeen[s][g], task.bwdSeen[s][g]; fwd != want || bwd != want {
+					t.Fatalf("microbatch %d stage %d: forward saw %g, backward %g, want the drawn version %g", s, g+1, fwd, bwd, want)
+				}
+				stale = stale || want < float64(k)
+			}
+		}
+		if !stale {
+			t.Fatal("no slot ever read a stale version: the probe checks nothing")
+		}
+	})
+}
+
+// TestHogwildTausExposed pins the T1 half of Appendix E: the trainer
+// reschedules by the draw's mean delays, the first stage's the largest.
+func TestHogwildTausExposed(t *testing.T) {
+	h := &pipeline.Hogwild{TauMax: 10, MeanScale: 0.5}
+	task := newProbeTask(4, 64)
+	tr, err := New(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), Config{
+		Method: PipeDream, BatchSize: 8, MicrobatchSize: 8, Hogwild: h,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, tau := range tr.Taus() {
+		if want := h.Mean(g+1, 4); tau != want {
+			t.Fatalf("τ[%d] = %g, want the stage's mean delay %g", g, tau, want)
+		}
+	}
+	if tr.Taus()[0] != 5 {
+		t.Fatalf("first-stage τ = %g, want MeanScale·TauMax = 5", tr.Taus()[0])
+	}
+}
+
+// TestHogwildConfigValidation pins where the Hogwild rule is refused: under
+// GPipe and with recompute, whose slots would silently not read the draw,
+// and for a delay model with a negative or NaN parameter.
+func TestHogwildConfigValidation(t *testing.T) {
+	task := newProbeTask(4, 64)
+	ok := pipeline.Hogwild{TauMax: 4, MeanScale: 0.5}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		h    pipeline.Hogwild
+		want string
+	}{
+		{"GPipe", Config{Method: GPipe, MicrobatchSize: 8}, ok, "asynchronous method"},
+		{"recompute", Config{Method: PipeMare, MicrobatchSize: 8, RecomputeSegments: 2}, ok, "recompute"},
+		{"replicas", Config{Method: PipeMare, MicrobatchSize: 4, Replicas: 2}, ok, "single replica"},
+		{"negative TauMax", Config{Method: PipeDream, MicrobatchSize: 8}, pipeline.Hogwild{TauMax: -1, MeanScale: 0.5}, "TauMax >= 0"},
+		{"NaN MeanScale", Config{Method: PipeMare, MicrobatchSize: 8}, pipeline.Hogwild{TauMax: 4, MeanScale: math.NaN()}, "MeanScale >= 0"},
+	} {
+		cfg := tc.cfg
+		cfg.BatchSize, cfg.Hogwild = 8, &tc.h
+		if _, err := New(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	for _, m := range []Method{PipeDream, PipeMare} {
+		if _, err := New(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), Config{Method: m, BatchSize: 8, MicrobatchSize: 8, Hogwild: &ok}); err != nil {
+			t.Errorf("%v with Hogwild delays: %v", m, err)
+		}
+	}
+}
+
 func TestGPipeSeesCurrentWeightsEverywhere(t *testing.T) {
 	cfg := Config{Method: GPipe, Stages: 5, BatchSize: 8, MicrobatchSize: 2}
 	forEachEngine(t, cfg, 3, func(t *testing.T, task *probeTask, _ *Trainer, clock pipeline.Clock) {
 		for s := range task.fwdSeen {
-			want := float64(clock.BwdVersion(s)) // = committed updates before s
+			want := float64(clock.Minibatch(s)) // = committed updates before s
 			for g := range task.fwdSeen[s] {
 				if task.fwdSeen[s][g] != want || task.bwdSeen[s][g] != want {
 					t.Fatalf("microbatch %d: GPipe saw fwd %g bwd %g, want synchronous %g",
@@ -311,7 +389,7 @@ func TestRecomputeSeesRecomputeVersions(t *testing.T) {
 							t.Fatalf("microbatch %d stage %d: first climb saw %g, want forward version %g", s, st1, got, want)
 						}
 						want := float64(tr.recompVersion(s, st1, e1))
-						stale = stale || want != float64(clock.BwdVersion(s))
+						stale = stale || want != float64(clock.Minibatch(s))
 						if tc.t2d > 0 {
 							tauR := float64(2*(e1-st1)+1) / float64(clock.N)
 							want -= (tr.taus[g] - tauR) * task.recDelta[s][g]
@@ -322,7 +400,7 @@ func TestRecomputeSeesRecomputeVersions(t *testing.T) {
 						if got := task.actSeen[s][g]; got != task.recSeen[s][g] {
 							t.Fatalf("microbatch %d stage %d: backward ran over %g, the recompute climb read %g", s, st1, got, task.recSeen[s][g])
 						}
-						bwd := float64(clock.BwdVersion(s))
+						bwd := float64(clock.Minibatch(s))
 						switch {
 						case tc.method == PipeDream:
 							bwd = task.actSeen[s][g]
@@ -491,6 +569,30 @@ func TestFirstStageDelayEqualsTable1(t *testing.T) {
 	}
 }
 
+// TestClipScale pins the clip factor's edge cases: no clip (1) when
+// clipping is off, the norm is within the bound, zero or NaN; max/norm
+// otherwise.
+func TestClipScale(t *testing.T) {
+	for _, tc := range []struct {
+		max, sumSq, want float64
+	}{
+		{0, 25, 1},           // clipping off
+		{-1, 25, 1},          // clipping off
+		{10, 25, 1},          // norm 5 below the bound
+		{5, 25, 1},           // norm at the bound
+		{1, 0, 1},            // zero norm
+		{1, math.NaN(), 1},   // NaN norm
+		{1, 25, 0.2},         // norm 5 clipped to 1
+		{2, 16, 0.5},         // norm 4 clipped to 2
+		{3, 100, 3.0 / 10.0}, // norm 10 clipped to 3
+	} {
+		h := host{&Trainer{cfg: Config{ClipNorm: tc.max}}}
+		if got := h.ClipScale(tc.sumSq); got != tc.want {
+			t.Errorf("ClipScale(%g) with ClipNorm %g = %g, want %g", tc.sumSq, tc.max, got, tc.want)
+		}
+	}
+}
+
 func TestT2CorrectionExtrapolatesVelocity(t *testing.T) {
 	// With the counting optimizer every update moves each weight by exactly
 	// +1, so δ converges to 1 and the corrected backward weights approach
@@ -500,7 +602,7 @@ func TestT2CorrectionExtrapolatesVelocity(t *testing.T) {
 	task, tr := probeTrainer(t, PipeMare, stages, stages, batch, micro, 30, 0.135)
 	clock := pipeline.Clock{P: tr.Stages(), N: tr.Microbatches()}
 	last := len(task.bwdSeen) - 1
-	master := float64(clock.BwdVersion(last))
+	master := float64(clock.Minibatch(last))
 	for g, got := range task.bwdSeen[last] {
 		tau := tr.Taus()[g]
 		want := master - tau
@@ -567,7 +669,7 @@ func TestWarmupEpochsRunSynchronously(t *testing.T) {
 	}, 2)
 	microsPerEpoch := 4 * (batch / micro)
 	for s := 0; s < microsPerEpoch; s++ { // first epoch: synchronous
-		want := float64(clock.BwdVersion(s))
+		want := float64(clock.Minibatch(s))
 		for g := range task.fwdSeen[s] {
 			if task.fwdSeen[s][g] != want {
 				t.Fatalf("warmup microbatch %d saw %g, want synchronous %g", s, task.fwdSeen[s][g], want)
@@ -576,7 +678,7 @@ func TestWarmupEpochsRunSynchronously(t *testing.T) {
 	}
 	// Second epoch: stage 1 must now see delayed versions.
 	s := microsPerEpoch + 2*stages // steady-ish state inside epoch 2
-	if task.fwdSeen[s][0] >= float64(clock.BwdVersion(s)) {
+	if task.fwdSeen[s][0] >= float64(clock.Minibatch(s)) {
 		t.Fatal("after warmup, the first stage must see stale weights")
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"pipemare/internal/nn"
 	"pipemare/internal/optim"
+	"pipemare/internal/pipeline"
 	"pipemare/internal/tensor"
 	"pipemare/internal/transport"
 )
@@ -145,5 +148,73 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 	}
 	if string(liveState(tr)) != string(liveState(src)) {
 		t.Fatal("a fitting checkpoint did not restore the writer's state")
+	}
+}
+
+// pullOp is group g's op in a probe task that trains: loss ½(w−1)² over
+// the weight its forward slot read, gradient over the backward weights, so
+// every stale version a slot reads shows in the curve.
+type pullOp struct {
+	t *probeTask
+	g int
+}
+
+func (o pullOp) Forward(m *nn.Machine) {
+	w := o.t.params[o.g].Data.FlatAt(0) - 1
+	m.Loss += 0.5 * w * w
+}
+
+func (o pullOp) Backward(*nn.Machine) {
+	p := o.t.params[o.g]
+	p.Grad.SetFlat(0, p.Grad.FlatAt(0)+p.BwdData().FlatAt(0)-1)
+}
+
+// TestHogwildRestoreResumesBitIdentical: a run under Appendix E's Hogwild
+// delays, restored from a checkpoint taken mid-epoch, retraces the
+// uninterrupted run bit for bit — the draws are a function of (seed,
+// minibatch, stage), and the checkpoint carries the ring of every version
+// they reach back to. The restored run's first epoch is partial, so its
+// loss averages fewer minibatches; its parameter norm, and every later
+// entry, must match exactly.
+func TestHogwildRestoreResumesBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	build := func(dir string) *Trainer {
+		task := sizedProbeTask(32, 1, 1, 1, 1)
+		task.prog = stubProgram(4, func(g int) nn.Op { return pullOp{task, g} })
+		for g, p := range task.params {
+			p.Data.Fill(float64(3 * g))
+		}
+		tr, err := New(task, optim.NewAdamW(task.params, 0.9, 0.98, 1e-9, 1e-2), optim.Constant(0.2), Config{
+			Method: PipeMare, Stages: 4, BatchSize: 4, MicrobatchSize: 2, T1K: 8, T2D: 0.3, Seed: 5,
+			Hogwild:       &pipeline.Hogwild{TauMax: 8, MeanScale: 0.8},
+			CheckpointDir: dir, CheckpointEvery: 12, // 8 minibatches per epoch
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		task.tr = tr
+		return tr
+	}
+	dir := t.TempDir()
+	ref := build(dir)
+	want, err := ref.Run(ctx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := build("")
+	if err := tr.RestoreFrom(filepath.Join(dir, "ckpt-00000012.pm")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tr.Run(ctx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range got.Loss {
+		if got.ParamNorm[e] != want.ParamNorm[e+1] || (e > 0 && got.Loss[e] != want.Loss[e+1]) {
+			t.Fatalf("restored epoch %d: loss %v norm %v, uninterrupted loss %v norm %v", e+2, got.Loss[e], got.ParamNorm[e], want.Loss[e+1], want.ParamNorm[e+1])
+		}
+	}
+	if string(liveState(tr)) != string(liveState(ref)) {
+		t.Fatal("the restored run ended in another state than the uninterrupted one")
 	}
 }

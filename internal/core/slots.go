@@ -41,10 +41,12 @@ const (
 // install is the version rule: it points the stage's parameters at the
 // weights slot (s, stage, kind) reads, and is the only code that does. In
 // a synchronous epoch (GPipe, T3 warmup) every slot reads the live masters
-// Restore left in place. Otherwise (Table 1, Appendix D):
+// Restore left in place. Otherwise (Table 1, Appendices D and E):
 //
 //   - forward weights. A forward slot reads the snapshot delayed by τ_fwd,
-//     version FwdVersion(s, stage). A recompute slot reads the version its
+//     version FwdVersion(s, stage) — under Config.Hogwild, the version
+//     max(k − Delay, 0) drawn for the stage and the slot's minibatch
+//     k = ⌊s/N⌋. A recompute slot reads the version its
 //     segment's delay 2(e−i)+1 reaches back to, recompVersion — T2-corrected
 //     when T2 is on — and with the recompute path on so does the backward
 //     slot, whose activations that climb produced; without it the backward
@@ -60,6 +62,10 @@ func (t *Trainer) install(s, stage int, kind slotKind) {
 	lo := t.stageLo[stage]
 	recomp := kind != slotFwd && t.segEnd1 != nil
 	v, tauR := t.clock.FwdVersion(s, stage+1), 0.0
+	if h := t.cfg.Hogwild; h != nil {
+		k := t.clock.Minibatch(s)
+		v = max(k-h.Delay(t.cfg.Seed, k, stage+1, t.clock.P), 0)
+	}
 	if recomp {
 		st1, e1 := stage+1, t.segEnd1[stage]
 		v, tauR = t.recompVersion(s, st1, e1), float64(2*(e1-st1)+1)/float64(t.clock.N)

@@ -319,24 +319,6 @@ func TestDecoupledBackwardWeights(t *testing.T) {
 	near("dx with Bwd nil (must use forward weights)", dxSync, wantSync)
 }
 
-func TestClipGradNorm(t *testing.T) {
-	p := NewParam("w", 2)
-	p.Grad.SetFlat(0, 3)
-	p.Grad.SetFlat(1, 4) // norm 5
-	pre := ClipGradNorm([]*Param{p}, 1)
-	if math.Abs(pre-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %g, want 5", pre)
-	}
-	if post := GradNorm([]*Param{p}); math.Abs(post-1) > 1e-12 {
-		t.Fatalf("post-clip norm = %g, want 1", post)
-	}
-	// No-op below the threshold.
-	ClipGradNorm([]*Param{p}, 10)
-	if post := GradNorm([]*Param{p}); math.Abs(post-1) > 1e-12 {
-		t.Fatal("clip below threshold must not rescale")
-	}
-}
-
 func TestParamHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := NewParam("a", 2, 3)
@@ -351,7 +333,7 @@ func TestParamHelpers(t *testing.T) {
 	}
 	a.Grad.Fill(2)
 	ZeroGrads([]*Param{a, b})
-	if GradNorm([]*Param{a, b}) != 0 {
+	if a.Grad.SumSq()+b.Grad.SumSq() != 0 {
 		t.Fatal("ZeroGrads must clear gradients")
 	}
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"pipemare/internal/tensor"
-)
+import "pipemare/internal/tensor"
 
 // CrossEntropy computes mean softmax cross-entropy over (N, C) logits with
 // integer labels. Labels equal to Ignore (default -1) are masked out, which
@@ -78,18 +74,4 @@ func ceBwd[T tensor.Elem](out, probs []T, labels []int, ignore, cl int, inv floa
 		}
 		out[i*cl+labels[i]] -= T(inv)
 	}
-}
-
-// ClipGradNorm rescales all gradients so their global L2 norm is at most
-// maxNorm, returning the pre-clip norm. A non-positive maxNorm is a no-op.
-func ClipGradNorm(params []*Param, maxNorm float64) float64 {
-	norm := GradNorm(params)
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 || math.IsNaN(norm) {
-		return norm
-	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		p.Grad.ScaleInPlace(scale)
-	}
-	return norm
 }

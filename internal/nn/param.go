@@ -105,16 +105,6 @@ func ZeroGrads(params []*Param) {
 	}
 }
 
-// GradNorm returns the global L2 norm of all parameter gradients,
-// accumulated in float64 for both dtypes.
-func GradNorm(params []*Param) float64 {
-	s := 0.0
-	for _, p := range params {
-		s += p.Grad.SumSq()
-	}
-	return math.Sqrt(s)
-}
-
 // ParamNorm returns the global L2 norm of all parameter values (forward
 // weights), used for the divergence diagnostics of Figure 7.
 func ParamNorm(params []*Param) float64 {

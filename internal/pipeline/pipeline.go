@@ -225,18 +225,6 @@ func (pt *Partition) StageSizes() []int {
 	return out
 }
 
-// StageOfParam returns, for every parameter in forward order, its
-// (0-indexed) stage.
-func (pt *Partition) StageOfParam() []int {
-	var out []int
-	for s, ps := range pt.Stages {
-		for range ps {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // FwdDelaySlots returns the forward delay in microbatch slots for
 // 1-indexed stage i of a P-stage bubble-free pipeline: 2(P−i)+1 (Table 1).
 func FwdDelaySlots(stage1, p int) int { return 2*(p-stage1) + 1 }
@@ -264,20 +252,48 @@ func (c Clock) FwdVersion(s, stage1 int) int {
 	return num/c.N + 1
 }
 
-// BwdVersion returns the number of updates committed at any stage before
-// the backward slot of global microbatch s (exclusive of the update this
-// microbatch's own minibatch will commit): ⌊s/N⌋. It is stage-independent,
-// which is why PipeMare's backward pass can simply read the live weights.
-func (c Clock) BwdVersion(s int) int { return s / c.N }
-
-// Minibatch returns the minibatch index of global microbatch s.
+// Minibatch returns the minibatch index of global microbatch s: ⌊s/N⌋,
+// which is also the number of updates committed at any stage before its
+// backward slot (exclusive of the update its own minibatch will commit).
+// It is stage-independent, which is why PipeMare's backward pass can
+// simply read the live weights.
 func (c Clock) Minibatch(s int) int { return s / c.N }
 
-// FwdDelayUpdates returns the realized delay, in optimizer updates, between
-// the weights read in the forward slot of microbatch s at stage i and the
-// update that consumes its gradient (update index ⌊s/N⌋+1).
-func (c Clock) FwdDelayUpdates(s, stage1 int) int {
-	return c.Minibatch(s) + 1 - c.FwdVersion(s, stage1)
+// Hogwild is Appendix E's delay model, the Hogwild!-style alternative to
+// the clock's Table 1 versions: every minibatch k, each stage i reads the
+// weights of k − d, where d is drawn from an exponential distribution of
+// mean Mean(i, P), floored and truncated at TauMax — the maximum-entropy
+// delay model of Mitliagkas et al.
+type Hogwild struct {
+	TauMax    int     // truncation of the delay distribution, in updates
+	MeanScale float64 // the first stage's mean delay is MeanScale·TauMax
+}
+
+// Mean returns the mean of stage i's (1-indexed) delay distribution:
+// earlier stages see longer delays, scaled so the first stage's mean is
+// MeanScale·TauMax and the last stage's MeanScale·TauMax/P.
+func (h Hogwild) Mean(stage1, p int) float64 {
+	return h.MeanScale * float64(h.TauMax) * float64(p-stage1+1) / float64(p)
+}
+
+// Delay draws minibatch k's delay at stage i (1-indexed) of P:
+// min(⌊Exp(Mean(i, P))⌋, TauMax). The draw is a pure function of (seed,
+// k, i) — a hash, not an RNG stream — so there is no generator state to
+// checkpoint, hand off or share between the goroutines that read it.
+func (h Hogwild) Delay(seed int64, k, stage1, p int) int {
+	x := mix64(mix64(mix64(uint64(seed))^uint64(k)) ^ uint64(stage1))
+	u := float64(x>>11) / (1 << 53) // uniform in [0, 1)
+	return min(int(-math.Log1p(-u)*h.Mean(stage1, p)), h.TauMax)
+}
+
+// mix64 is one splitmix64 step (golden-ratio increment, then the
+// finalizer): a bijection of uint64 whose every output bit depends on
+// every input bit.
+func mix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
 }
 
 // VersionStore keeps per-stage snapshots of stage weights, indexed by

@@ -104,31 +104,52 @@ func TestFwdDelaySlotsTable1(t *testing.T) {
 	}
 }
 
+// fwdDelayUpdates returns the realized delay, in optimizer updates, between
+// the weights read in the forward slot of microbatch s at stage i and the
+// update that consumes its gradient (update index ⌊s/N⌋+1).
+func fwdDelayUpdates(c Clock, s, stage1 int) int {
+	return c.Minibatch(s) + 1 - c.FwdVersion(s, stage1)
+}
+
 func TestClockSlotDelayMatchesTable1(t *testing.T) {
-	// The realized slot gap T_b − T_f must equal 2(P−i)+1 by construction;
-	// verify via the version functions instead: in steady state, the mean
-	// realized delay in updates over a minibatch's microbatches equals
-	// (2(P−i)+N)/N, i.e. the paper's (2(P−i)+1)/N up to the ≤1-minibatch
-	// accumulation offset, and the *last* microbatch's delay is exactly
-	// ⌈(2(P−i)+1)/N⌉.
+	// FwdVersion's closed form against the package doc's slot model, counted
+	// directly: the forward of microbatch s at stage i runs at slot s+i−1,
+	// and stage i commits minibatch t at slot t·N+N−1+2P−i, so the forward
+	// reads one version per minibatch whose commit slot is at or before it.
+	for p := 1; p <= 12; p++ {
+		for n := 1; n <= 8; n++ {
+			c := Clock{P: p, N: n}
+			for stage1 := 1; stage1 <= p; stage1++ {
+				for s := 0; s < 3*n; s++ {
+					committed := 0
+					for mb := 0; mb*n+n-1+2*p-stage1 <= s+stage1-1; mb++ {
+						committed++
+					}
+					if got := c.FwdVersion(s, stage1); got != committed {
+						t.Fatalf("P=%d N=%d stage %d microbatch %d: FwdVersion %d, slot model %d", p, n, stage1, s, got, committed)
+					}
+				}
+			}
+		}
+	}
+	// In steady state the mean realized delay in updates over a minibatch's
+	// microbatches is (2(P−i)+N)/N — the paper's (2(P−i)+1)/N up to the
+	// ≤1-minibatch accumulation offset — and the last microbatch's delay is
+	// exactly ⌈(2(P−i)+1)/N⌉.
 	c := Clock{P: 6, N: 4}
 	for stage1 := 1; stage1 <= c.P; stage1++ {
 		m := 2 * (c.P - stage1)
-		// Steady state: pick a late minibatch.
 		t0 := 50
 		sum := 0
 		for j := 0; j < c.N; j++ {
-			s := t0*c.N + j
-			sum += c.FwdDelayUpdates(s, stage1)
+			sum += fwdDelayUpdates(c, t0*c.N+j, stage1)
 		}
 		wantMean := float64(m+c.N) / float64(c.N)
 		if got := float64(sum) / float64(c.N); math.Abs(got-wantMean) > 1e-12 {
 			t.Errorf("stage %d: mean delay %g updates, want %g", stage1, got, wantMean)
 		}
-		// Last microbatch of the minibatch: delay ⌈(m+1)/N⌉.
-		s := t0*c.N + c.N - 1
 		want := (m + 1 + c.N - 1) / c.N
-		if got := c.FwdDelayUpdates(s, stage1); got != want {
+		if got := fwdDelayUpdates(c, t0*c.N+c.N-1, stage1); got != want {
 			t.Errorf("stage %d: last-microbatch delay %d, want %d", stage1, got, want)
 		}
 	}
@@ -166,12 +187,80 @@ func TestClockLastStageNearZeroDelay(t *testing.T) {
 	c := Clock{P: 5, N: 4}
 	// Last stage, last microbatch of a minibatch: delay exactly 1 update.
 	s := 10*c.N + c.N - 1
-	if got := c.FwdDelayUpdates(s, c.P); got != 1 {
+	if got := fwdDelayUpdates(c, s, c.P); got != 1 {
 		t.Fatalf("last-stage delay = %d updates, want 1", got)
 	}
 	// Backward version is stage independent and equals ⌊s/N⌋.
-	if got := c.BwdVersion(s); got != 10 {
-		t.Fatalf("BwdVersion = %d, want 10", got)
+	if got := c.Minibatch(s); got != 10 {
+		t.Fatalf("Minibatch = %d, want 10", got)
+	}
+}
+
+func TestHogwildMeanDelayMonotone(t *testing.T) {
+	// Earlier stages must have larger expected delays.
+	h := Hogwild{TauMax: 20, MeanScale: 0.5}
+	p := 10
+	prev := math.Inf(1)
+	for i1 := 1; i1 <= p; i1++ {
+		m := h.Mean(i1, p)
+		if m >= prev {
+			t.Fatalf("mean delay must decrease with stage: stage %d has %g ≥ %g", i1, m, prev)
+		}
+		prev = m
+	}
+	if got := h.Mean(1, 10); math.Abs(got-10) > 1e-12 {
+		t.Fatalf("first-stage mean = %g, want 10", got)
+	}
+}
+
+// TestHogwildDelayDraws pins the draw's contract: a pure function of its
+// arguments, in [0, TauMax], allocation-free, and distributed as the
+// floored, truncated exponential — whose mean is Σ_{d=1}^{TauMax} P(⌊X⌋ ≥ d)
+// = Σ e^{−d/Mean}.
+func TestHogwildDelayDraws(t *testing.T) {
+	for _, h := range []Hogwild{{TauMax: 7, MeanScale: 0.5}, {TauMax: 24, MeanScale: 0.8}, {TauMax: 4, MeanScale: 0.5}} {
+		for stage1 := 1; stage1 <= 5; stage1++ {
+			for k := 0; k < 2000; k++ {
+				d := h.Delay(11, k, stage1, 5)
+				if d < 0 || d > h.TauMax {
+					t.Fatalf("%+v stage %d minibatch %d: delay %d out of [0, %d]", h, stage1, k, d, h.TauMax)
+				}
+				if again := h.Delay(11, k, stage1, 5); again != d {
+					t.Fatalf("%+v stage %d minibatch %d: drew %d, then %d", h, stage1, k, d, again)
+				}
+			}
+		}
+	}
+	// The mean, at Figure 19's first stage (mean 19.2, TauMax 24): there the
+	// truncation keeps the spread small enough that 2% is three standard
+	// errors of a 10k-draw mean.
+	const draws = 10000
+	h := Hogwild{TauMax: 24, MeanScale: 0.8}
+	sum := 0
+	for k := 0; k < draws; k++ {
+		sum += h.Delay(11, k, 1, 5)
+	}
+	want := 0.0
+	for d := 1; d <= h.TauMax; d++ {
+		want += math.Exp(-float64(d) / h.Mean(1, 5))
+	}
+	if got := float64(sum) / draws; math.Abs(got-want) > 0.02*want {
+		t.Errorf("mean delay %.4f over %d draws, want %.4f ± 2%%", got, draws, want)
+	}
+	d := 0
+	if allocs := testing.AllocsPerRun(100, func() { d += h.Delay(3, d, 2, 4) }); allocs != 0 {
+		t.Fatalf("Delay allocates %g times per call", allocs)
+	}
+	// Distinct seeds, minibatches and stages draw independently: the
+	// streams must not coincide.
+	same := 0
+	for k := 0; k < 1000; k++ {
+		if h.Delay(1, k, 1, 4) == h.Delay(2, k, 1, 4) {
+			same++
+		}
+	}
+	if same > 500 {
+		t.Fatalf("seeds 1 and 2 drew the same delay for %d of 1000 minibatches", same)
 	}
 }
 

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -213,17 +212,4 @@ func (rep Report) Format(w io.Writer, measuredWallNs int64) {
 	if rep.DroppedEvents > 0 {
 		fmt.Fprintf(w, "  WARNING: %d events dropped at track caps; totals are partial\n", rep.DroppedEvents)
 	}
-}
-
-// StageOrder returns stages sorted by descending busy time — handy for
-// spotting the measured bottleneck.
-func (rep Report) StageOrder() []int {
-	order := make([]int, len(rep.StageBusyNs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return rep.StageBusyNs[order[a]] > rep.StageBusyNs[order[b]]
-	})
-	return order
 }

@@ -184,16 +184,6 @@ func (r *Recorder) Tracks() []*Track {
 	return out
 }
 
-// Dropped returns the total events discarded across tracks because a
-// track hit its cap. Same quiescence requirement as Tracks.
-func (r *Recorder) Dropped() int {
-	n := 0
-	for _, t := range r.Tracks() {
-		n += t.dropped
-	}
-	return n
-}
-
 // Track is one timeline: a (pid, tid) pair with an append-only event
 // buffer owned by a single writer at a time. A nil *Track no-ops every
 // method, so disabled tracing costs one nil check per emission site.
