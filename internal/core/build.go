@@ -162,8 +162,8 @@ func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize 
 // NewFollower builds follower spec.Replica of spec.Replicas: the one
 // constructor of every follower, whether New clones it in process or a
 // worker process builds it for the leader's hello. A follower is a
-// single-replica trainer over task that never drives itself — the leader's
-// replica group (or the worker's serve loop) runs its chunks through its
+// trainer over task with no replica group: it never drives itself — the
+// leader's group (or the worker's serve loop) runs its chunks through its
 // own engine, cfg.Engine — and leaves checkpointing and admission to the
 // leader. cfg is the configuration on the follower's side: the leader's
 // own in process, with a clone of the leader's engine, and the worker's
@@ -208,7 +208,7 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 	if !spec.FT {
 		sh = optim.Shard{}
 	}
-	f, err := New(task, opt.CloneShard(ps, sh), sched, cfg)
+	f, err := newTrainer(task, opt.CloneShard(ps, sh), sched, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
 	}

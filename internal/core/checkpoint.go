@@ -247,10 +247,8 @@ func (t *Trainer) apply(st *ckptState) error {
 	t.resumeSkip = st.skip
 	t.diverged = false
 	t.ctlTrack().Instant(trace.NameCkptRestore, -1, -1, 0)
-	if t.group != nil {
-		if err := t.group.Resync(t.store.History); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
+	if err := t.group.Resync(t.store.History); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"pipemare/internal/engine"
 	"pipemare/internal/optim"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
@@ -46,46 +45,27 @@ func (t *Trainer) minibatch(ctx context.Context, micros [][]int) (float64, error
 	}
 }
 
-// attempt is one try at the minibatch over the current membership, under
-// this epoch's phase. A trainer that leads a replica group runs every
-// replica's chunk and the reduce (Group.Minibatch), then the group's
-// commit; otherwise its engine runs the chains and engine.Commit commits
-// over this trainer, sharded across the engine's workers when it offers
-// them.
+// attempt is one try at the minibatch over the current membership: the
+// replica group runs every replica's chunk — the leader's too, framed
+// with this epoch's phase (Async) — and the reduce (Group.Minibatch), then
+// the group's commit. A trainer alone is a group of one.
 func (t *Trainer) attempt(ctx context.Context, micros [][]int) (float64, error) {
-	t.async = !t.synchronous()
-	if t.group != nil {
-		loss, err := t.group.Minibatch(ctx, micros)
-		if err != nil {
-			return loss, err
-		}
-		if err := t.group.Commit(len(micros)); err != nil {
-			return loss, fmt.Errorf("core: commit: %w", err)
-		}
-		return loss, nil
-	}
-	h := host{t}
-	loss, err := t.eng.Minibatch(ctx, h, micros)
+	loss, err := t.group.Minibatch(ctx, micros)
 	if err != nil {
 		return loss, err
 	}
-	pool, _ := t.eng.(engine.Pool)
-	engine.Commit(h, len(micros), pool)
+	if err := t.group.Commit(len(micros)); err != nil {
+		return loss, fmt.Errorf("core: commit: %w", err)
+	}
 	return loss, nil
-}
-
-// synchronous reports whether the current epoch runs synchronously
-// (GPipe method, or a T3 warmup epoch).
-func (t *Trainer) synchronous() bool {
-	return t.cfg.Method == GPipe || t.epoch < t.cfg.WarmupEpochs
 }
 
 // ratesInto fills out with the per-parameter learning rates of params
 // [lo, hi) at optimizer step `step`: plain schedule while synchronous,
 // T1-rescheduled once asynchronous (with the annealing clock starting at
 // the async switch, so warmup epochs do not consume it). The phase is the
-// minibatch's — attempt sets it on the leader, and it arrives with every
-// follower's chunk (SetAsync) — so a follower never reads an epoch clock.
+// minibatch's — it arrives with every replica's chunk, the leader's
+// included (SetAsync) — so a follower never reads an epoch clock.
 // It is pure in the parameter range given the step index and the phase —
 // both frozen for the whole commit — so distinct stages may compute their
 // rates concurrently (the shard-parallel commit).

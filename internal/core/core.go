@@ -19,16 +19,16 @@
 // per-stage forward/recompute/backward slots over in-flight microbatch
 // machines, each installing the weight versions it reads — and the
 // configured engine.Engine drives one minibatch's chains at a time through
-// it; the trainer then commits the update (engine.Commit over its
-// engine.Committer surface, one StepStage call per stage, at the learning
-// rates of the minibatch's epoch phase). A Task is a stage program: every
-// slot executes its stage's op range, so engines can overlap microbatches
-// across stages. Config.Engine selects the engine; nil means the serial
-// Reference engine. With Replicas > 1 the leader runs each minibatch
-// through its replica group instead (replica.Group.Minibatch, then
-// Group.Commit): every replica — the leader with Config.Engine, each
-// in-process follower with a Clone of it — drives its own share of the
-// microbatches through its own engine.
+// it. A Task is a stage program: every slot executes its stage's op range,
+// so engines can overlap microbatches across stages. Config.Engine selects
+// the engine; nil means the serial Reference engine. Every trainer New
+// builds leads a replica group — of one unless Replicas > 1 — and runs
+// each minibatch through it (replica.Group.Minibatch, then Group.Commit):
+// every replica — the leader with Config.Engine, each in-process follower
+// with a Clone of it — drives its own share of the microbatches through
+// its own engine, and the commit steps each stage once, one StepStage call
+// per stage at the learning rates of the minibatch's epoch phase, spread
+// over the engine's workers when they offer themselves.
 //
 // The package is laid out by role: this file holds the configuration, the
 // Trainer and its construction; build.go the stage layout, the partition
@@ -303,12 +303,12 @@ type Trainer struct {
 	flows      map[int]*flight
 	freeFlows  []*flight
 
-	// Data-parallel replication state: a leader trainer builds one replica
-	// group over its follower members — in-process follower trainers, or
-	// remote proxies from Config.Followers — and the group alone knows who
-	// is in the run from then on (nil for a single replica). A follower
-	// trainer holds nothing of its leader: state and clocks arrive through
-	// the member surface.
+	// Data-parallel replication state: a trainer New builds leads one
+	// replica group over its follower members — none for a single replica,
+	// else in-process follower trainers or remote proxies from
+	// Config.Followers — and the group alone knows who is in the run from
+	// then on. A follower (NewFollower) has no group and holds nothing of
+	// its leader: state and clocks arrive through the member surface.
 	group *replica.Group
 
 	// state is what each stage is, as one list per stage (layoutStages):
@@ -319,7 +319,7 @@ type Trainer struct {
 
 	observer   Observer
 	micro      int  // global microbatch counter s
-	async      bool // the minibatch in flight's phase: delayed installs, T1 rates (attempt, SetAsync)
+	async      bool // the minibatch in flight's phase: delayed installs, T1 rates (SetAsync)
 	step       int  // optimizer step counter (minibatches committed)
 	epoch      int  // cumulative epochs completed (persists across Run calls; a leader's only)
 	diverged   bool
@@ -350,11 +350,40 @@ type flight struct {
 	m  *nn.Machine
 }
 
-// New validates the configuration and builds a Trainer. The optimizer must
-// have been constructed over exactly the parameters of task.Groups() in
-// order (use Params on the returned trainer's partition, or build the
-// optimizer from the same group traversal).
+// New validates the configuration and builds a Trainer: the leader of a
+// replica group, alone in it unless Replicas > 1. The optimizer must have
+// been constructed over exactly the parameters of task.Groups() in order
+// (use Params on the returned trainer's partition, or build the optimizer
+// from the same group traversal).
 func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Trainer, error) {
+	t, err := newTrainer(task, opt, sched, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Every follower enters the way a mid-run joiner does: built or
+	// connected from the spec of its position, parked as a standby, and
+	// activated by the state handoff, so its own starting state never
+	// matters. One that cannot enter fails New, and the group closes every
+	// follower already connected: a remote worker would otherwise sit in
+	// its serve loop until this process died.
+	t.group = replica.NewGroup(host{t}, t.cfg.FaultTolerant)
+	replicas := max(t.cfg.Replicas, 1)
+	for r := 1; r < replicas; r++ {
+		m, err := t.follower(r, replicas)
+		if err == nil {
+			err = t.enter(m)
+		}
+		if err != nil {
+			t.group.Close()
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// newTrainer is New without the replica group: all a follower is
+// (NewFollower).
+func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Trainer, error) {
 	groups := task.Groups()
 	p := cfg.Stages
 	if p == 0 {
@@ -487,26 +516,6 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	}
 	t.flows = make(map[int]*flight)
 	t.layoutStages()
-	if replicas == 1 {
-		return t, nil
-	}
-	// Every follower enters the way a mid-run joiner does: built or
-	// connected from the spec of its position, parked as a standby, and
-	// activated by the state handoff, so its own starting state never
-	// matters. One that cannot enter fails New, and the group closes every
-	// follower already connected: a remote worker would otherwise sit in
-	// its serve loop until this process died.
-	t.group = replica.NewGroup(host{t}, cfg.FaultTolerant)
-	for r := 1; r < replicas; r++ {
-		m, err := t.follower(r, replicas)
-		if err == nil {
-			err = t.enter(m)
-		}
-		if err != nil {
-			t.group.Close()
-			return nil, err
-		}
-	}
 	return t, nil
 }
 
@@ -574,12 +583,7 @@ func (t *Trainer) Engine() engine.Engine { return t.eng }
 
 // Replicas returns the current data-parallel replica count R: the active
 // members of the replica group (1 when replication is off).
-func (t *Trainer) Replicas() int {
-	if t.group == nil {
-		return 1
-	}
-	return t.group.Replicas()
-}
+func (t *Trainer) Replicas() int { return t.group.Replicas() }
 
 // Close releases the trainer's follower members: a remote transport
 // proxy says goodbye to its worker process and closes the connection;
@@ -610,9 +614,7 @@ func (t *Trainer) Close() error {
 	for _, pj := range pend {
 		pj.conn.Close()
 	}
-	if t.group != nil {
-		errs = append(errs, t.group.Close())
-	}
+	errs = append(errs, t.group.Close())
 	return errors.Join(errs...)
 }
 

@@ -102,9 +102,6 @@ func (t *Trainer) park(ctx context.Context, conn transport.MsgConn) {
 // by construction. A standby that fails its handoff is closed and gone;
 // the run continues over the current members either way.
 func (t *Trainer) admitBoundary() {
-	if t.group == nil {
-		return
-	}
 	for _, id := range t.group.ReadyStandbys() {
 		start := time.Now()
 		if t.admit(id) == nil {
@@ -227,8 +224,5 @@ func (t *Trainer) handoff(id int) (err error) {
 // admits), stragglers demoted to standby, and the cumulative wall time
 // spent admitting them (hello and state handoff).
 func (t *Trainer) ElasticStats() (joins, demotions int, handoffNs int64) {
-	if t.group != nil {
-		demotions = t.group.Demotions()
-	}
-	return t.joins, demotions, t.handoffNs
+	return t.joins, t.group.Demotions(), t.handoffNs
 }

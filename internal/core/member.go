@@ -17,12 +17,13 @@ func (h host) Step() int { return h.t.step }
 
 // Async reports whether the current epoch runs asynchronously
 // (replica.Leader): not GPipe, and past the T3 warmup epochs.
-func (h host) Async() bool { return !h.t.synchronous() }
+func (h host) Async() bool {
+	return h.t.cfg.Method != GPipe && h.t.epoch >= h.t.cfg.WarmupEpochs
+}
 
 // SetAsync sets the epoch phase the next chunk's slots install under and
-// its commit's learning rates follow (replica.Local). A trainer that drives
-// itself sets its own (attempt); a follower's arrives with each chunk,
-// from its leader.
+// its commit's learning rates follow (replica.Local): the leader's Async,
+// framed with every chunk, the leader's own included.
 func (h host) SetAsync(async bool) { h.t.async = async }
 
 // SetStep aligns the step clock with the leader's (replica.Member) — the

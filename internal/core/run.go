@@ -38,11 +38,7 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 		run = &metrics.Run{}
 	}
 	// Every engine starts on its first minibatch; the run stops them all.
-	if t.group != nil {
-		defer t.group.Stop()
-	} else if lc, ok := t.eng.(engine.Lifecycle); ok {
-		defer lc.Stop()
-	}
+	defer t.group.Stop()
 	for e := 0; e < epochs; e++ {
 		if err := ctx.Err(); err != nil {
 			return run, err

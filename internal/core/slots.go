@@ -9,14 +9,14 @@ import (
 	"pipemare/internal/trace"
 )
 
-// host adapts the trainer to engine.Host (this file), engine.Committer
-// (commit.go) and the replica-member surface (member.go) without
-// exporting any of them on Trainer itself.
+// host adapts the trainer to engine.Host (this file) and the replica
+// surface — the commit phases (commit.go) and the rest of replica.Leader
+// (member.go) — without exporting any of them on Trainer itself.
 type host struct{ t *Trainer }
 
-// Tracer implements trace.Carrier: engines, the replica layer and the
-// commit executor discover the run's recorder (and which replica they are
-// computing for) by type-asserting their host against it.
+// Tracer implements trace.Carrier: engines and the replica layer discover
+// the run's recorder (and which replica they are computing for) by
+// type-asserting their host against it.
 func (h host) Tracer() (*trace.Recorder, int) { return h.t.cfg.Trace, h.t.cfg.TraceReplica }
 
 // Stages returns P.

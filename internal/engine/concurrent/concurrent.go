@@ -29,7 +29,7 @@
 // per-parameter gradient accumulation is serial in s exactly as in the
 // serial Reference engine. Each slot call installs the weights it reads
 // (engine.Host), so the Table 1 delays stay per stage whatever the cut;
-// the workers also serve as the engine.Pool the trainer's commit shards
+// the workers also serve as the engine.Pool the commit shards its stages
 // across, with the stage-partial norms reduced in stage order; and
 // microbatch losses are summed in microbatch order from the result
 // collector. Training curves are therefore bit-identical to Reference for

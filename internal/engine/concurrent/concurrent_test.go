@@ -86,8 +86,8 @@ func TestSegmentCut(t *testing.T) {
 			e := New(WithWorkers(w))
 			e.start(&stubHost{p: p})
 			segs := len(e.queues)
-			if want := min(p, 4*min(w, p)); segs != want || e.cut.Stages() != p {
-				t.Fatalf("P=%d W=%d: %d segments over %d stages, want %d over %d", p, w, segs, e.cut.Stages(), want, p)
+			if want := min(p, 4*min(w, p)); segs != want {
+				t.Fatalf("P=%d W=%d: %d segments, want %d", p, w, segs, want)
 			}
 			if segs < e.nw {
 				t.Fatalf("P=%d W=%d: %d segments for %d workers", p, w, segs, e.nw)

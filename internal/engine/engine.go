@@ -5,10 +5,11 @@
 // microbatch slot — forward, recompute-forward, backward — each of which
 // installs the weight versions it reads before it computes. An Engine
 // decides *how* those slots are scheduled onto goroutines, and nothing
-// else: which version a slot reads is the trainer's business, and what one
-// update does is the commit executor's (Commit, commit.go), which the
-// trainer runs after the engine has drained a minibatch's chains — one
-// StepStage call per stage.
+// else: which version a slot reads is the trainer's business, and the
+// update is the commit's (replica.Group.Commit), which runs after the
+// engine has drained a minibatch's chains — on the engine's workers when
+// it lends them (Pool), sharded by the one rule every commit follows
+// (CommitPlan, commit.go).
 //
 // Two engines exist: Reference (this package) executes every slot on the
 // calling goroutine — it is the original single-goroutine simulator and the
@@ -88,7 +89,7 @@ type Host interface {
 // holds the N microbatch index sets — against a Host, returning the mean
 // microbatch loss with every stage restored to its master weights and the
 // gradients of the N backward passes accumulated; committing them is the
-// caller's next step (Commit). On divergence it returns ErrDiverged, on
+// caller's next step. On divergence it returns ErrDiverged, on
 // context cancellation ctx.Err(), the stages restored either way.
 //
 // Every replica of a data-parallel run drives its own pipeline, so each

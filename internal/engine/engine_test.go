@@ -251,7 +251,7 @@ func micros(n, sz int) [][]int {
 
 // TestHostIsTheSlotScheduleAndNothingElse pins the interface's width:
 // what a slot reads (the installs) and what an update does (the commit
-// phases) are the trainer's and the commit executor's, not an engine's.
+// phases) are the trainer's and the replica group's, not an engine's.
 func TestHostIsTheSlotScheduleAndNothingElse(t *testing.T) {
 	h := reflect.TypeOf((*engine.Host)(nil)).Elem()
 	if h.NumMethod() > 10 {

@@ -36,7 +36,6 @@ import (
 
 	"pipemare/internal/engine"
 	"pipemare/internal/tensor"
-	"pipemare/internal/trace"
 )
 
 // State is a member's place in the membership state machine.
@@ -71,7 +70,6 @@ type member struct {
 	comp   *Compute      // in-process: the host wrapper its engine drives
 	eng    engine.Engine // in-process: its own engine (Local.Engine)
 	chunk  *chunk        // this member's share of the minibatch in flight
-	track  *trace.Track  // collectives track (nil when tracing is off)
 }
 
 // ErrStraggler marks a member failure caused by a missed collective
@@ -118,7 +116,6 @@ func (g *Group) enter(m Member) (*member, error) {
 	default:
 		return nil, fmt.Errorf("replica: member %T is neither in-process (Local) nor remote (Remote)", m)
 	}
-	rec.track = g.rec.Track(rec.id, trace.TidCollectives, "collectives")
 	g.nextID++
 	g.members = append(g.members, rec)
 	return rec, nil

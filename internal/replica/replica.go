@@ -4,18 +4,19 @@
 // minibatch's microbatches between them, and a deterministic tree
 // all-reduce folds the per-microbatch gradients into the leader replica
 // before one shared optimizer step — the PipeDream-style hybrid of
-// pipeline and data parallelism. The leader trainer runs each minibatch
-// through its Group: Minibatch (every replica's chunk, then the reduce),
-// then Commit. The step commits replica-sharded, ZeRO / PipeDream-2BW
-// style (Group.Commit): an engine.CommitPlan assigns each stage to a
-// replica owner, the leader's reduced gradients scatter to their owners,
-// every owner steps its shard against its local copy of the optimizer
-// state — one StepStage call per stage, under the clip scale and the
-// epoch phase its chunk arrived with — and the stepped weights all-gather
-// back, so the commit tail never runs serially on the leader. Without
-// fault tolerance a follower holds the optimizer moments of its own shard
-// only; with it, every replica mirrors all of them, which is what lets the
-// group lose a member at any point of the commit.
+// pipeline and data parallelism. A trainer runs each minibatch through
+// its Group — of one when it trains alone: Minibatch (every replica's
+// chunk, then the reduce), then Commit. The step commits replica-sharded,
+// ZeRO / PipeDream-2BW style (Group.Commit): an engine.CommitPlan assigns
+// each stage to a replica owner, the leader's reduced gradients scatter
+// to their owners, every owner steps its shard against its local copy of
+// the optimizer state — one StepStage call per stage, under the clip
+// scale and the epoch phase its chunk arrived with, over its engine's
+// workers when it has them (engine.Pool) — and the stepped weights
+// all-gather back, so the commit tail never runs serially on the leader.
+// Without fault tolerance a follower holds the optimizer moments of its
+// own shard only; with it, every replica mirrors all of them, which is
+// what lets the group lose a member at any point of the commit.
 //
 // # Determinism
 //
@@ -77,9 +78,10 @@ type Member interface {
 	// SetStageGrads overwrites the stage's gradient accumulators with
 	// bufs (a pure copy) — the scatter half of the sharded commit.
 	SetStageGrads(stage int, bufs []*tensor.Tensor)
-	// PrepareStage, BeginStep and StepStage are the commit phases of
-	// engine.Committer, run by a stage's owner against its own parameter
-	// copies and optimizer state.
+	// PrepareStage, BeginStep and StepStage are the commit phases a
+	// stage's owner runs against its own parameter copies and optimizer
+	// state (Group.Commit). The per-stage two touch only their stage, so
+	// distinct stages may run them concurrently.
 	PrepareStage(stage, nMicro int) float64
 	BeginStep()
 	StepStage(stage int, scale float64)
@@ -167,12 +169,12 @@ type Leader interface {
 	// chunk is framed with.
 	Async() bool
 	// ClipScale converts the global gradient sum-of-squares into the
-	// clipping factor (engine.Committer).
+	// clipping factor, once per commit.
 	ClipScale(sumSq float64) float64
 }
 
-// Group coordinates one leader and its followers, and is the one place
-// that knows who is in the run: it holds the membership table
+// Group coordinates one leader and its followers, if any, and is the one
+// place that knows who is in the run: it holds the membership table
 // (membership.go), splits each minibatch into contiguous per-replica
 // chunks, runs every member's chunk, and runs the reduce and the
 // replica-sharded commit. A trainer builds its Group once and keeps it for
@@ -200,13 +202,18 @@ type Group struct {
 	sumSqs  []float64          // per-stage clip-norm partials
 
 	// rec is the leader's trace recorder (nil when tracing is off). Each
-	// member record carries its own collectives track: the orchestrator
+	// member has its own collectives track: the orchestrator
 	// goroutine writes the leader's (reduce, scatter, gather) and each
 	// eachMember goroutine writes only its own member's, with the phases'
 	// WaitGroup barriers ordering the handoffs.
 	rec *trace.Recorder
 
 	demotions int
+}
+
+// track returns member m's collectives track, registered on first use.
+func (g *Group) track(m *member) *trace.Track {
+	return g.rec.Track(m.id, trace.TidCollectives, "collectives")
 }
 
 // NewGroup builds the group of a leader, alone and active under id 0.
@@ -289,9 +296,9 @@ func (g *Group) Minibatch(ctx context.Context, micros [][]int) (float64, error) 
 	return g.lossSum() / float64(len(micros)), nil
 }
 
-// runChunks runs begin, then every active member's chunk concurrently —
-// in-process members through their own engine, remote members in one
-// RunChunk round trip.
+// runChunks runs begin, then every active member's chunk concurrently
+// (eachMember) — in-process members through their own engine, remote
+// members in one RunChunk round trip.
 //
 // When it returns nil every replica has drained and restored its master
 // weights (the engine contract), and follower stage accumulators are
@@ -308,15 +315,7 @@ func (g *Group) Minibatch(ctx context.Context, micros [][]int) (float64, error) 
 func (g *Group) runChunks(ctx context.Context, micros [][]int) error {
 	chunks := g.begin(ctx, micros)
 	errs := make([]error, g.active)
-	var wg sync.WaitGroup
-	wg.Add(g.active)
-	for i, m := range g.members[:g.active] {
-		go func() {
-			defer wg.Done()
-			errs[i] = m.run(ctx, chunks[i])
-		}()
-	}
-	wg.Wait()
+	g.eachMember(func(i int, m *member, _, _ int) { errs[i] = m.run(ctx, chunks[i]) })
 	var fault *MemberError
 	var abort error
 	for i, err := range errs {
@@ -346,9 +345,13 @@ func (g *Group) runChunks(ctx context.Context, micros [][]int) error {
 // pairwise list handoffs — the communication schedule), then the root
 // fold into the leader's accumulators in global microbatch order. Stages
 // are folded concurrently; within a stage the order is fixed, so the
-// result is bit-identical to serial single-replica accumulation.
+// result is bit-identical to serial single-replica accumulation. A group
+// of one has nothing to fold.
 func (g *Group) reduce() {
 	r := g.active
+	if r == 1 {
+		return
+	}
 	t0 := g.rec.Now()
 	// Tree gather: at round d, member m (m ≡ 0 mod 2d) absorbs member
 	// m+d's ordered list. Chunks are contiguous, so concatenation in
@@ -385,7 +388,15 @@ func (g *Group) reduce() {
 				bytes += tensorsBytes(stage)
 			}
 		}
-		g.members[0].track.Span(trace.NameReduce, t0, -1, -1, bytes)
+		g.collective(trace.NameReduce, t0, bytes)
+	}
+}
+
+// collective records a reduce, scatter or gather span on the leader's
+// collectives track when it moved bytes.
+func (g *Group) collective(name string, t0, bytes int64) {
+	if bytes > 0 {
+		g.track(g.members[0]).Span(name, t0, -1, -1, bytes)
 	}
 }
 
@@ -395,10 +406,11 @@ func (g *Group) reduce() {
 // sizes differing by at most one); each owner runs the commit phases for
 // its shard against its own parameter copies and its own copy of the
 // optimizer state, so no replica — leader included — steps more than
-// ⌈P/R⌉ stages.
+// ⌈P/R⌉ stages (runShard). A group of one is a single trainer's commit:
+// the leader owns every stage, and nothing is scattered or gathered.
 //
-// Determinism (bit-identical to engine.Commit on a single replica, and
-// hence to single-replica Reference):
+// Determinism (bit-identical to a single replica, and hence to
+// single-replica Reference):
 //
 //  1. The scatter is a pure copy. All gradient arithmetic stayed at the
 //     tree root (reduce); an owner's accumulator receives the leader's
@@ -413,8 +425,8 @@ func (g *Group) reduce() {
 //     to the leader's, so the owner performs bitwise the arithmetic the
 //     leader would have.
 //  3. Cross-stage reductions keep stage order. The clip-norm partials are
-//     folded st = 0..P−1 on the orchestrator, exactly as engine.Commit
-//     sums them, and the resulting scale is computed once.
+//     folded st = 0..P−1 on the orchestrator, whoever computed them, and
+//     the resulting scale is computed once.
 //  4. The gather is a pure copy. Every member imports each stage it does
 //     not own from the owner's post-step state and pushes its version
 //     queue exactly once per stage, so every replica's version history
@@ -428,7 +440,6 @@ func (g *Group) reduce() {
 // takeOver), and the member leaves without a replay.
 func (g *Group) Commit(nMicro int) error {
 	p := g.p
-	ltk := g.members[0].track
 	// Scatter: move the leader's reduced gradients to their owners.
 	// TakeStageGrads zeroes the leader's accumulator, so gradient ownership
 	// moves wholesale; g.scatter keeps the reduced gradient until the next
@@ -444,15 +455,13 @@ func (g *Group) Commit(nMicro int) error {
 			}
 		}
 	}
-	ltk.Span(trace.NameScatter, t0, -1, -1, scatterBytes)
+	g.collective(trace.NameScatter, t0, scatterBytes)
 	// Prepare: owners average their shard's gradients and report the
 	// per-stage clip partials.
 	g.eachMember(func(_ int, m *member, lo, hi int) {
-		t0 := g.rec.Now()
-		for st := lo; st < hi; st++ {
+		g.runShard(m, lo, hi, trace.NameCommitPrepare, func(st int) {
 			g.sumSqs[st] = m.PrepareStage(st, nMicro)
-		}
-		m.track.Span(trace.NameCommitPrepare, t0, lo, -1, 0)
+		})
 	})
 	if m, err := g.firstFault(); m != nil {
 		// No member has advanced its step clock yet, so a failure up to
@@ -470,11 +479,9 @@ func (g *Group) Commit(nMicro int) error {
 	// clocks in lockstep), then owners step their shards' stages.
 	g.eachMember(func(_ int, m *member, lo, hi int) {
 		m.BeginStep()
-		t0 := m.track.Now()
-		for st := lo; st < hi; st++ {
+		g.runShard(m, lo, hi, trace.NameCommitStep, func(st int) {
 			m.StepStage(st, scale)
-		}
-		m.track.Span(trace.NameCommitStep, t0, lo, -1, 0)
+		})
 	})
 	// Gather: every member imports each stage from the owner's post-step
 	// state, in stage order, pushing its own version queue. Owner states
@@ -491,8 +498,9 @@ func (g *Group) Commit(nMicro int) error {
 	g.takeOver(nMicro, scale, states)
 	var gatherBytes int64
 	if g.rec != nil {
+		// Each stage's state moves to every member but its owner.
 		for _, st := range states {
-			gatherBytes += tensorsBytes(st)
+			gatherBytes += tensorsBytes(st) * int64(g.active-1)
 		}
 	}
 	g.eachMember(func(i int, m *member, _, _ int) {
@@ -502,7 +510,7 @@ func (g *Group) Commit(nMicro int) error {
 			}
 		}
 	})
-	ltk.Span(trace.NameGather, t0, -1, -1, gatherBytes)
+	g.collective(trace.NameGather, t0, gatherBytes)
 	if m, err := g.firstFault(); m != nil {
 		// With fault tolerance every survivor now holds the post-step
 		// state of every stage — the dead member's own shard came from its
@@ -545,25 +553,58 @@ func (g *Group) takeOver(nMicro int, scale float64, states [][]*tensor.Tensor) {
 			g.owners[st] = 0
 			states[st] = g.lead.StageState(st)
 		}
-		g.members[0].track.Span(trace.NameCommitStep, t0, lo, -1, 0)
+		g.track(g.members[0]).Span(trace.NameCommitStep, t0, lo, -1, 0)
 	}
 }
 
 // eachMember runs fn concurrently for every active member with its
-// position and owner shard, waiting for all: one goroutine per replica,
-// each touching only its own trainer's state (plus read-only peers during
-// the gather).
+// position and owner shard, waiting for all: the leader's on the calling
+// goroutine, one goroutine per follower, each touching only its own
+// trainer's state (plus read-only peers during the gather).
 func (g *Group) eachMember(fn func(i int, m *member, lo, hi int)) {
 	var wg sync.WaitGroup
-	wg.Add(g.active)
-	for i, m := range g.members[:g.active] {
+	wg.Add(g.active - 1)
+	for i := 1; i < g.active; i++ {
 		go func() {
 			defer wg.Done()
 			lo, hi := g.plan.Shard(i)
-			fn(i, m, lo, hi)
+			fn(i, g.members[i], lo, hi)
 		}()
 	}
+	lo, hi := g.plan.Shard(0)
+	fn(0, g.members[0], lo, hi)
 	wg.Wait()
+}
+
+// runShard runs commit phase fn over each stage of member m's shard
+// [lo, hi), recorded as a span named name. An in-process member whose
+// engine is an engine.Pool splits the shard across the pool's workers
+// (engine.CommitPlan again), a span per piece on its worker's track; any
+// other member runs it in one call, on its worker 0 track in process and
+// its collectives track when remote.
+func (g *Group) runShard(m *member, lo, hi int, name string, fn func(stage int)) {
+	if pool, ok := m.eng.(engine.Pool); ok && hi > lo {
+		plan := engine.NewCommitPlan(hi-lo, pool.Shards())
+		pool.ParallelFor(func(i int, tk *trace.Track) {
+			a, b := plan.Shard(i)
+			t0 := tk.Now()
+			for st := lo + a; st < lo+b; st++ {
+				fn(st)
+			}
+			tk.Span(name, t0, lo+a, -1, 0)
+		})
+		return
+	}
+	tk := g.track(m)
+	if m.comp != nil {
+		tr, rep := trace.FromCarrier(m.comp)
+		tk = tr.Track(rep, trace.TidWorkerBase, "worker 0")
+	}
+	t0 := tk.Now()
+	for st := lo; st < hi; st++ {
+		fn(st)
+	}
+	tk.Span(name, t0, lo, -1, 0)
 }
 
 // lossSum folds the per-microbatch losses in global microbatch order —

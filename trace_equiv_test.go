@@ -9,6 +9,7 @@ import (
 	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/model"
 	"pipemare/internal/optim"
+	"pipemare/internal/trace"
 )
 
 // traceBase is the all-techniques DNN recipe the equivalence suites pin
@@ -43,6 +44,30 @@ func requireComputeTraced(t *testing.T, name string, rec *pipemare.TraceRecorder
 	}
 }
 
+// requireWorkerTracksOnly asserts the shape of a traced single-replica
+// run: its slots and commit phases land on worker tracks, and it records
+// no collective — a group of one moves nothing.
+func requireWorkerTracksOnly(t *testing.T, name string, rec *pipemare.TraceRecorder) {
+	t.Helper()
+	commits := 0
+	for _, tk := range rec.Tracks() {
+		for _, ev := range tk.Events() {
+			switch {
+			case tk.Tid == trace.TidControl:
+			case tk.Tid >= trace.TidCollectives:
+				t.Fatalf("%s: %q on track %d, want only worker and control tracks", name, ev.Name, tk.Tid)
+			case ev.Name == trace.NameCommitPrepare || ev.Name == trace.NameCommitStep:
+				commits++
+			case ev.Name != trace.NameFwd && ev.Name != trace.NameBwd && ev.Name != trace.NameRecompute:
+				t.Fatalf("%s: %q on worker track %d", name, ev.Name, tk.Tid)
+			}
+		}
+	}
+	if commits == 0 {
+		t.Fatalf("%s: no commit span on a worker track", name)
+	}
+}
+
 // TestTracedRunsMatchReference pins the observability invariant: with
 // tracing enabled — across the concurrent engine, the replica-sharded
 // commit, and the loopback wire — every curve stays bit-identical to the
@@ -52,15 +77,21 @@ func TestTracedRunsMatchReference(t *testing.T) {
 	build, base := traceBase()
 	ref := runCurve(t, build, 3, 1, base...)
 
-	t.Run("concurrent/W=2", func(t *testing.T) {
-		rec := pipemare.NewTraceRecorder()
-		opts := append(append([]pipemare.Option{}, base...),
-			pipemare.WithTrace(rec),
-			pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(2))))
-		got := runCurve(t, build, 3, 1, opts...)
-		requireIdentical(t, "traced/concurrent", ref, got)
-		requireComputeTraced(t, "traced/concurrent", rec, 1)
-	})
+	for name, eng := range map[string]pipemare.Engine{
+		"reference":      pipemare.NewReferenceEngine(),
+		"concurrent/W=2": concurrent.New(concurrent.WithWorkers(2)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := pipemare.NewTraceRecorder()
+			opts := append(append([]pipemare.Option{}, base...),
+				pipemare.WithTrace(rec),
+				pipemare.WithEngine(eng))
+			got := runCurve(t, build, 3, 1, opts...)
+			requireIdentical(t, "traced/"+name, ref, got)
+			requireComputeTraced(t, "traced/"+name, rec, 1)
+			requireWorkerTracksOnly(t, "traced/"+name, rec)
+		})
+	}
 
 	t.Run("replicated/R=2/sharded", func(t *testing.T) {
 		rec := pipemare.NewTraceRecorder()
