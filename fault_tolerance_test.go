@@ -129,46 +129,6 @@ func TestEvictionMatchesFreshSmallerRun(t *testing.T) {
 	}
 }
 
-// TestTransientFaultsRecoverWithZeroDeviation pins the retry layer:
-// send-side drops — the request provably never reached the peer — and
-// delays on the leader→worker link must be absorbed by bounded resends
-// with no eviction and a curve bit-identical to the fault-free
-// reference.
-func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 22) }
-	base := ftBase()
-	ref := runCurve(t, build, 3, 1, base...)
-	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
-	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
-		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 2, Op: faults.Drop},
-		// The launch handoff sends the first four (one per stage); the 7th
-		// is the 3rd of training, the step-2 gather's first import.
-		faults.Rule{Dir: faults.Send, Type: transport.MsgSetState, Nth: 7, Op: faults.Drop},
-		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 5, Op: faults.Delay, Delay: 5 * time.Millisecond})}
-	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithFaultTolerance(),
-		pipemare.WithTransport(dialers...))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Run(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("transient faults were not absorbed: %v", err)
-	}
-	if tr.Replicas() != 2 {
-		t.Fatalf("%d replicas after transient faults, want 2 (no eviction)", tr.Replicas())
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, werr := range wait() {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i+1, werr)
-		}
-	}
-	requireIdentical(t, "transient-faults", ref, got)
-}
-
 // TestCrashMidCollectiveNeverDeadlocks is the commit's fault contract,
 // message by message: it kills follower replica 1's link on the 2nd
 // message of each type the commit sends — the scatter's gradients,

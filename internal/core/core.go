@@ -186,10 +186,11 @@ type Config struct {
 	// replicas 1..Replicas-1 instead of building in-process follower
 	// trainers — the hook the transport layer uses to connect remote
 	// worker processes (pipemare.WithTransport). New calls it once per
-	// follower, after the leader is fully built, with the resolved
-	// replication environment, and admits each member it returns with the
-	// state handoff.
-	Followers func(r int, env ReplicaEnv) (replica.Member, error)
+	// follower, after the leader is fully built, with the hello spec a
+	// remote side builds that follower from (its group position is
+	// spec.Replica), and admits each member it returns with the state
+	// handoff.
+	Followers func(spec transport.Spec) (replica.Member, error)
 
 	// FaultTolerant makes follower failures survivable: every replica
 	// holds the full optimizer moment state, stage state carries the
@@ -245,15 +246,6 @@ type Config struct {
 	// recorder and the right index to in-process followers.
 	Trace        *trace.Recorder
 	TraceReplica int
-}
-
-// ReplicaEnv is what a Config.Followers factory needs to connect follower
-// r: the leader's replica surface, and the hello spec a remote side builds
-// its follower from (Trainer.spec) — replica r's position, the resolved
-// topology, method and technique flags, and the fault-tolerance settings.
-type ReplicaEnv struct {
-	Leader replica.Leader
-	Spec   transport.Spec
 }
 
 // Observer receives the curve after each completed epoch. epoch is the
@@ -529,7 +521,7 @@ func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
 		cfg.Engine = t.eng.Clone()
 		return NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, cfg, spec)
 	}
-	m, err := t.cfg.Followers(r, ReplicaEnv{Leader: host{t}, Spec: spec})
+	m, err := t.cfg.Followers(spec)
 	if err != nil {
 		return nil, fmt.Errorf("core: connecting replica %d: %w", r, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
 	"pipemare/internal/replica"
+	"pipemare/internal/transport"
 )
 
 // repTask is a minimal Replicable task for exercising the replica-sharded
@@ -53,12 +54,12 @@ func repParams(t *repTask) []*nn.Param {
 }
 
 // captureFollowers returns a Config.Followers factory that builds the
-// in-process followers New would have built itself, recording each
-// follower trainer in out — the replica group keeps its members to itself.
-func captureFollowers(task Replicable, out *[]*Trainer) func(int, ReplicaEnv) (replica.Member, error) {
-	return func(r int, env ReplicaEnv) (replica.Member, error) {
-		lead := env.Leader.(host).t
-		m, err := NewFollower(task.CloneTask(), lead.opt, lead.sched, lead.cfg, env.Spec)
+// in-process followers New would have built itself from the leader's
+// optimizer and config, recording each follower trainer in out — the
+// replica group keeps its members to itself.
+func captureFollowers(task Replicable, opt optim.Optimizer, cfg Config, out *[]*Trainer) func(transport.Spec) (replica.Member, error) {
+	return func(spec transport.Spec) (replica.Member, error) {
+		m, err := NewFollower(task.CloneTask(), opt, optim.Constant(0.1), cfg, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -86,10 +87,10 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 	const groups, stages, replicas = 10, 5, 3
 	task := newRepTask(groups, 64)
 	var followers []*Trainer
-	tr, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), Config{
-		Stages: stages, BatchSize: 16, MicrobatchSize: 4, Replicas: replicas, Seed: 1,
-		Followers: captureFollowers(task, &followers),
-	})
+	opt := optim.NewSGD(repParams(task), 0.9, 0)
+	cfg := Config{Stages: stages, BatchSize: 16, MicrobatchSize: 4, Replicas: replicas, Seed: 1}
+	cfg.Followers = captureFollowers(task, opt, cfg, &followers)
+	tr, err := New(task, opt, optim.Constant(0.1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +119,10 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 	// hold no state.
 	task2 := newRepTask(4, 64)
 	var followers2 []*Trainer
-	if _, err := New(task2, optim.NewSGD(repParams(task2), 0.9, 0), optim.Constant(0.1), Config{
-		Stages: 2, BatchSize: 16, MicrobatchSize: 4, Replicas: 4, Seed: 1,
-		Followers: captureFollowers(task2, &followers2),
-	}); err != nil {
+	opt2 := optim.NewSGD(repParams(task2), 0.9, 0)
+	cfg2 := Config{Stages: 2, BatchSize: 16, MicrobatchSize: 4, Replicas: 4, Seed: 1}
+	cfg2.Followers = captureFollowers(task2, opt2, cfg2, &followers2)
+	if _, err := New(task2, opt2, optim.Constant(0.1), cfg2); err != nil {
 		t.Fatal(err)
 	}
 	for r := 2; r <= 3; r++ {
@@ -145,10 +146,11 @@ func TestImpliedFaultToleranceMirrorsMoments(t *testing.T) {
 	} {
 		task := newRepTask(6, 64)
 		var followers []*Trainer
+		opt := optim.NewSGD(repParams(task), 0.9, 0)
 		cfg := base
 		mut(&cfg)
-		cfg.Followers = captureFollowers(task, &followers)
-		if _, err := New(task, optim.NewSGD(repParams(task), 0.9, 0), optim.Constant(0.1), cfg); err != nil {
+		cfg.Followers = captureFollowers(task, opt, cfg, &followers)
+		if _, err := New(task, opt, optim.Constant(0.1), cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if sh := followers[0].opt.StateRange(); sh != optim.FullShard(6) {

@@ -1,11 +1,10 @@
 // Package faults injects scripted transport failures for testing the
 // fault-tolerance layer: a Conn wrapper over transport.MsgConn applies
-// deterministic, message-counted rules — drop a send before it reaches
-// the wire (a transient fault the retry layer must absorb), delay it,
+// deterministic, message-counted rules — delay a message (a straggler),
 // corrupt it (a fatal decode error on the peer), kill the connection
-// (at once, or as the reply to a received request goes out), hang a
-// receive until the heartbeat window expires, or run an arbitrary hook
-// (e.g. os.Exit in a worker, simulating kill -9).
+// (at once, or as the reply to a received request goes out), hang it
+// until the heartbeat window expires, or run an arbitrary hook (e.g.
+// os.Exit in a worker, simulating kill -9).
 //
 // Rules trigger on the Nth matching message, counted per rule, so a
 // scenario like "kill replica 2's link on its 3rd RunChunk" is one Rule
@@ -25,14 +24,8 @@ import (
 type Op int
 
 const (
-	// Drop discards a send before it reaches the wire and reports a
-	// transient error — the one fault class where a resend is provably
-	// invisible to the peer, so the retry layer recovers with zero curve
-	// deviation. It is send-only: a received message has already left the
-	// peer, so NewScript refuses a Recv rule that drops one.
-	Drop Op = iota
 	// Delay sleeps Rule.Delay (context-aware), then proceeds normally.
-	Delay
+	Delay Op = iota
 	// Corrupt truncates the message payload so the peer's decoder fails —
 	// a deterministic fatal fault.
 	Corrupt
@@ -87,13 +80,10 @@ type Script struct {
 	fired []bool
 }
 
-// NewScript builds a script from rules. It panics on a Recv rule whose Op
-// is Drop or a Send rule whose Op is KillReply, naming the rule.
+// NewScript builds a script from rules. It panics on a Send rule whose Op
+// is KillReply, naming the rule.
 func NewScript(rules ...Rule) *Script {
 	for i, r := range rules {
-		if r.Dir == Recv && r.Op == Drop {
-			panic(fmt.Sprintf("faults: rule %d (Recv, type %d, Nth %d) drops a received message, which already left its peer; Drop is send-only", i, r.Type, r.Nth))
-		}
 		if r.Dir == Send && r.Op == KillReply {
 			panic(fmt.Sprintf("faults: rule %d (Send, type %d, Nth %d) kills the reply to a sent message, which the peer sends; KillReply is receive-only", i, r.Type, r.Nth))
 		}
@@ -162,8 +152,6 @@ func (c *Conn) Send(ctx context.Context, m transport.Msg) error {
 	}
 	if r := c.script.match(Send, m.Type); r != nil {
 		switch r.Op {
-		case Drop:
-			return fmt.Errorf("faults: dropped message type %d: %w", m.Type, transport.ErrTransient)
 		case Delay:
 			t := time.NewTimer(r.Delay)
 			defer t.Stop()

@@ -77,7 +77,7 @@ func TestScriptRulesCountIndependently(t *testing.T) {
 	s := NewScript(
 		Rule{Dir: Recv, Type: chunk, Nth: 1, Op: Delay},
 		Rule{Dir: Recv, Type: chunk, Nth: 2, Op: Kill},
-		Rule{Dir: Send, Type: other, Nth: 2, Op: Drop},
+		Rule{Dir: Send, Type: other, Nth: 2, Op: Corrupt},
 	)
 	steps := []struct {
 		dir  Dir
@@ -88,7 +88,7 @@ func TestScriptRulesCountIndependently(t *testing.T) {
 		{Send, other, nil},       // rule 2's first match: counted, not fired
 		{Recv, chunk, nil},       // rule 1's first match
 		{Recv, chunk, op(Kill)},  // rule 1's second
-		{Send, other, op(Drop)},
+		{Send, other, op(Corrupt)},
 		{Recv, chunk, nil}, // every rule exhausted
 		{Send, other, nil},
 	}
@@ -109,21 +109,6 @@ func TestScriptRulesCountIndependently(t *testing.T) {
 }
 
 func op(o Op) *Op { return &o }
-
-// TestNewScriptRefusesReceiveDrop pins that Drop is send-only: a message
-// already read off the wire has left its peer, so dropping it is no
-// transient fault a resend could hide. NewScript panics naming the rule,
-// and builds a send-side drop as before.
-func TestNewScriptRefusesReceiveDrop(t *testing.T) {
-	NewScript(Rule{Dir: Send, Op: Drop})
-	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "rule 1 (Recv, type 7, Nth 3)") {
-			t.Fatalf("NewScript panicked with %q, want it to name rule 1", msg)
-		}
-	}()
-	NewScript(Rule{Dir: Send, Op: Drop}, Rule{Dir: Recv, Type: 7, Nth: 3, Op: Drop})
-}
 
 // TestKillReplyAnswersNothing pins KillReply: the scripted request
 // reaches the wrapped end intact, the reply it then sends kills the link,

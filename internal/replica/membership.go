@@ -60,9 +60,9 @@ type member struct {
 	Member
 	// id is the member's stable identity: the leader is 0, the initial
 	// followers 1..R−1, every later joiner the next unused integer. It is
-	// leader-side only — the trace pid, the "replica N" of error text, the
-	// retry-jitter seed — and unlike a group position it never shifts when
-	// another member leaves and is never handed to a newcomer.
+	// leader-side only — the trace pid and the "replica N" of error text —
+	// and unlike a group position it never shifts when another member
+	// leaves and is never handed to a newcomer.
 	id    int
 	state State
 

@@ -1,8 +1,8 @@
 // Package trace is the run-time event recorder behind pipemare's
 // observability surface: engines, the replica layer, the wire transport
 // and the checkpoint path emit spans (slot executions, commit phases,
-// collectives with byte counts, wire round-trips) and instants (retries,
-// heartbeats, evictions, replays, checkpoint writes/restores) into
+// collectives with byte counts, wire round-trips) and instants
+// (heartbeats, evictions, replays, checkpoint writes/restores) into
 // per-track append-only buffers, and the buffers export as
 // Chrome/Perfetto trace-event JSON (WriteChrome) or reduce to an
 // occupancy Report (bubble fraction, overlap efficiency, MFU).
@@ -69,7 +69,6 @@ const (
 	// accounting still reads the name.
 	NameBroadcast = "broadcast"
 
-	NameRetry       = "retry"
 	NameHeartbeat   = "heartbeat"
 	NameEvict       = "evict"
 	NameReplay      = "replay"

@@ -5,37 +5,25 @@ import (
 	"time"
 )
 
-// Error taxonomy. Every failure a wire operation can surface is either
-// transient — the message never reached the peer, so resending it is
-// safe and changes nothing the peer observed — or fatal, meaning the
-// connection's state is unknown (a reply may be lost mid-protocol) and
-// the member must be evicted or the run aborted. RemoteMember retries
-// transient failures with bounded deterministic backoff; everything
-// else sticks.
-var (
-	// ErrTransient marks a failure where the request provably never left
-	// this process (e.g. an injected drop before the write). Wrap it with
-	// %w; IsTransient classifies.
-	ErrTransient = errors.New("transient transport fault")
+// Error taxonomy. A wire operation fails in one of two ways, and a third
+// is detected rather than returned:
+//
+//   - fatal: any I/O, framing or worker error. Once a request may have
+//     reached the peer its state is unknown, so nothing is resent: the
+//     member latches the error and is evicted, or the run aborts.
+//   - straggler: an armed chunk missed its deadline windows
+//     (replica.ErrStraggler). The peer is alive, so the member is demoted,
+//     not poisoned, and rejoins once its late reply drains.
+//   - hang: a peer that neither replies nor pings within the heartbeat
+//     window (ErrPeerTimeout) is fatal like any other failure.
+//
+// A diverged chunk is not a failure at all: it is a normal reply, mapped
+// back to engine.ErrDiverged.
 
-	// ErrPeerTimeout reports a peer that stopped heartbeating: no reply
-	// and no MsgPing within the heartbeat window. The peer is presumed
-	// hung or dead; the connection is unusable.
-	ErrPeerTimeout = errors.New("transport: peer heartbeat timeout")
-)
-
-// IsTransient reports whether err is safe to retry: the request never
-// reached the wire, so a resend is invisible to the peer.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
-// Retry policy for transient faults: up to retryAttempts resends with
-// exponential backoff from retryBase, plus a small deterministic jitter
-// derived from the member's replica id (no global RNG — retries must
-// not perturb run determinism).
-const (
-	retryAttempts = 3
-	retryBase     = 2 * time.Millisecond
-)
+// ErrPeerTimeout reports a peer that stopped heartbeating: no reply and
+// no MsgPing within the heartbeat window. The peer is presumed hung or
+// dead; the connection is unusable.
+var ErrPeerTimeout = errors.New("transport: peer heartbeat timeout")
 
 // DefaultHeartbeat is the worker→leader liveness interval during chunk
 // compute when the facade doesn't override it. The miss budget is

@@ -29,7 +29,7 @@ import (
 type RemoteMember struct {
 	conn    MsgConn
 	replica int // the group position announced in the handshake (the wire's Replica field)
-	id      int // the member's stable leader-side id (SetID): trace pid, error text, jitter seed
+	id      int // the member's stable leader-side id (SetID): trace pid, error text
 	stages  int
 	hb      time.Duration // heartbeat interval (0 disables the liveness window)
 
@@ -37,7 +37,6 @@ type RemoteMember struct {
 	ctx    context.Context // bound per minibatch (BindContext); Background otherwise
 	err    error           // sticky transport error
 	closed bool
-	jit    uint64 // deterministic retry-jitter state (per-member LCG)
 
 	// Straggler accounting (WithStragglerPolicy). sdl is the per-chunk
 	// collective deadline and sk the consecutive-miss budget; misses
@@ -57,7 +56,7 @@ type RemoteMember struct {
 	scratch []byte
 
 	// tk is the member's wire track on rec (both nil when tracing is
-	// off). Every post-handshake round-trip runs under m.mu, so the track
+	// off). Every post-handshake exchange runs under m.mu, so the track
 	// has a single writer by construction.
 	rec *trace.Recorder
 	tk  *trace.Track
@@ -79,12 +78,8 @@ func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec) (*RemoteMembe
 		states:  make([][]*tensor.Tensor, spec.Stages),
 	}
 	m.SetID(spec.Replica)
-	resp, err := m.roundTrip(ctx, Msg{Type: MsgHello, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
-	if err != nil {
-		return nil, fmt.Errorf("transport: hello to replica %d: %w", spec.Replica, err)
-	}
-	if resp.Type != MsgHelloOK {
-		return nil, fmt.Errorf("transport: hello to replica %d: unexpected reply type %d", spec.Replica, resp.Type)
+	if _, err := m.exchange(ctx, Msg{Type: MsgHello, Stage: -1, Data: spec.encode()}, MsgHelloOK); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -92,12 +87,10 @@ func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec) (*RemoteMembe
 // SetID implements replica.Remote: the group owns member ids and hands
 // the proxy its own when its record enters the table. Unlike the group
 // position on the wire, which a departed member may have held before, the
-// id labels this proxy's wire track and errors for good and seeds its
-// retry jitter.
+// id labels this proxy's wire track and errors for good.
 func (m *RemoteMember) SetID(id int) {
 	m.mu.Lock()
 	m.id = id
-	m.jit = uint64(id)*0x9E3779B97F4A7C15 + 1
 	m.tk = m.rec.Track(id, trace.TidWire, "wire")
 	m.mu.Unlock()
 }
@@ -130,10 +123,10 @@ func (m *RemoteMember) Rearm() {
 
 // SetTracer attaches a trace recorder: once the member has entered the
 // replica group — which opens its wire track under the id it assigns
-// (SetID) — every round-trip is recorded as a span on that track (with
-// the message's payload bytes both ways), transient-send retries and
-// consumed heartbeat pings as instants. Call it once, right after the
-// handshake, before the member is handed to the group.
+// (SetID) — every answered request is recorded as a span on that track
+// (with the message's payload bytes both ways), consumed heartbeat pings
+// as instants. Call it once, right after the handshake, before the
+// member is handed to the group.
 func (m *RemoteMember) SetTracer(rec *trace.Recorder) {
 	m.mu.Lock()
 	m.rec = rec
@@ -211,40 +204,45 @@ func (m *RemoteMember) Close() error {
 	return m.conn.Close()
 }
 
-// send writes one request. Transient failures — the request provably
-// never left this process — retry with bounded exponential backoff and
-// deterministic per-member jitter; a resend after such a failure is
-// invisible to the peer, so the curve is untouched.
-func (m *RemoteMember) send(ctx context.Context, req Msg) error {
-	for attempt := 0; ; attempt++ {
-		err := m.conn.Send(ctx, req)
-		if err == nil || !IsTransient(err) || attempt >= retryAttempts {
-			return err
-		}
-		m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(req.PayloadLen()))
-		if err := m.backoff(ctx, attempt); err != nil {
-			return err
-		}
+// exchange is the proxy's one request path; the caller holds m.mu, or
+// owns the member alone (the hello). It fails fast on the sticky error,
+// sends req once, and waits for the reply — through awaitChunk's deadline
+// windows when req is a chunk and the straggler policy is armed, else
+// through recvReply. It records the answered request as one wire span,
+// then maps a MsgErr reply to its error. A divergence or a straggle
+// passes through without poisoning the member; any other failure, or a
+// reply of another type than want, is latched. Nothing is ever resent:
+// once the request may be on the wire, the peer's state is unknown.
+func (m *RemoteMember) exchange(ctx context.Context, req Msg, want byte) (Msg, error) {
+	if m.err != nil {
+		return Msg{}, m.err
 	}
-}
-
-// roundTrip sends one request and reads its reply without the sticky
-// error machinery (the handshake uses it directly). Any failure after the
-// request is on the wire is final: the peer's state is unknown.
-func (m *RemoteMember) roundTrip(ctx context.Context, req Msg) (Msg, error) {
+	req.Replica = uint16(m.replica)
 	t0 := m.tk.Now()
-	if err := m.send(ctx, req); err != nil {
+	var resp Msg
+	err := m.conn.Send(ctx, req)
+	switch {
+	case err != nil:
+	case req.Type == MsgRunChunk && m.sdl > 0 && m.sk > 0:
+		resp, err = m.awaitChunk(ctx)
+	default:
+		resp, err = m.recvReply(ctx)
+	}
+	if err == nil {
+		m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+resp.PayloadLen()))
+		if resp.Type == MsgErr {
+			err = decodeWireErr(resp.Data, "worker")
+		} else if resp.Type != want {
+			err = fmt.Errorf("reply type %d, want %d", resp.Type, want)
+		}
+	}
+	switch {
+	case err == nil:
+		return resp, nil
+	case errors.Is(err, engine.ErrDiverged) || errors.Is(err, replica.ErrStraggler):
 		return Msg{}, err
 	}
-	resp, err := m.recvReply(ctx)
-	if err != nil {
-		return Msg{}, err
-	}
-	if resp.Type == MsgErr {
-		return Msg{}, decodeWireErr(resp.Data, "worker")
-	}
-	m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+resp.PayloadLen()))
-	return resp, nil
+	return Msg{}, m.latch(fmt.Errorf("%s: %w", wireName(req.Type), err))
 }
 
 // recvReply reads the next reply, consuming interleaved heartbeat pings.
@@ -277,47 +275,75 @@ func (m *RemoteMember) recvReply(ctx context.Context) (Msg, error) {
 	}
 }
 
-// backoff sleeps for the attempt's retry delay (exponential from
-// retryBase, plus deterministic jitter from the member's LCG — no
-// global RNG, so retries cannot perturb run determinism), honoring ctx.
-func (m *RemoteMember) backoff(ctx context.Context, attempt int) error {
-	d := retryBase << attempt
-	m.jit = m.jit*6364136223846793005 + 1442695040888963407
-	d += time.Duration(m.jit>>33) % (d/2 + 1)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+// awaitChunk is the reply wait of a chunk under the straggler policy: the
+// read runs in a helper goroutine and the main flow watches deadline
+// windows of sdl. Each expired window counts one miss (cumulative across
+// chunks; a reply inside its chunk's first window resets the count), and
+// when the count reaches sk the member is handed back to the group for
+// demotion — the error wraps replica.ErrStraggler and does NOT poison the
+// member, because the peer is alive and its late reply still arrives. The
+// helper goroutine stays behind as the drainer: it consumes that late
+// reply, discards it (the minibatch replays without this member), and
+// marks the standby ready to rejoin.
+//
+// The deadline deliberately never cancels the underlying Recv: a
+// cancelled read could lose an already-framed late reply, making both
+// "late but correct" delivery and the drain impossible.
+func (m *RemoteMember) awaitChunk(ctx context.Context) (Msg, error) {
+	ch := make(chan wireReply, 1)
+	go func() {
+		msg, err := m.recvReply(ctx)
+		ch <- wireReply{msg, err}
+	}()
+	for late := false; ; late = true {
+		t := time.NewTimer(m.sdl)
+		select {
+		case r := <-ch:
+			t.Stop()
+			if r.err == nil && !late {
+				m.misses = 0
+			}
+			return r.msg, r.err
+		case <-t.C:
+			m.misses++
+			if m.misses >= m.sk {
+				m.ready, m.draining = false, true
+				go m.drain(ch)
+				return Msg{}, fmt.Errorf("%w: replica %d missed %d consecutive %v deadlines", replica.ErrStraggler, m.id, m.sk, m.sdl)
+			}
+		}
 	}
 }
 
-// call is the request/response engine for member operations: serialized
-// per connection, sticky on transport failure, with the bound context
-// applied to both the write and the read. A diverged reply passes
-// through as engine.ErrDiverged without poisoning the member.
+type wireReply struct {
+	msg Msg
+	err error
+}
+
+// drain runs after a demotion: it waits out the straggler's in-flight
+// reply (the recvReply goroutine awaitChunk left behind), discards the
+// payload — the interrupted minibatch replays over the survivors, so the
+// late result must not be used — and marks the standby ready. A drain
+// that ends in a transport error latches it instead, so the group drops
+// the standby.
+func (m *RemoteMember) drain(ch chan wireReply) {
+	r := <-ch
+	m.mu.Lock()
+	m.draining = false
+	if r.err != nil {
+		m.latch(fmt.Errorf("drain: %w", r.err))
+	} else {
+		m.ready = true
+	}
+	m.mu.Unlock()
+}
+
+// call runs one Member request under the member lock, with the context
+// BindContext bound.
 func (m *RemoteMember) call(req Msg, want byte) (Msg, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return Msg{}, m.err
-	}
-	req.Replica = uint16(m.replica)
-	resp, err := m.roundTrip(m.ctx, req)
-	if err != nil {
-		if errors.Is(err, engine.ErrDiverged) {
-			return Msg{}, err
-		}
-		m.err = fmt.Errorf("transport: replica %d: %w", m.id, err)
-		return Msg{}, m.err
-	}
-	if resp.Type != want {
-		m.err = fmt.Errorf("transport: replica %d: reply type %d to request %d, want %d", m.id, resp.Type, req.Type, want)
-		return Msg{}, m.err
-	}
-	return resp, nil
+	return m.exchange(m.ctx, req, want)
 }
 
 // appendWireErr encodes a MsgErr payload: the error code, then the text.
@@ -348,10 +374,7 @@ func decodeWireErr(data []byte, peer string) error {
 func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micros [][]int) ([]float64, [][][]*tensor.Tensor, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, nil, m.err
-	}
-	if m.draining || m.ready {
+	if m.err == nil && (m.draining || m.ready) {
 		// A late reply from a previous demotion is (or was) still on the
 		// wire and the drainer owns the connection's read side: fail fast
 		// with another straggle instead of racing it. Rearm clears this
@@ -368,107 +391,15 @@ func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micr
 		}
 	}
 	m.scratch = b
-	resp, err := m.chunkRoundTrip(ctx, Msg{Type: MsgRunChunk, Replica: uint16(m.replica), Stage: -1, Data: b})
+	resp, err := m.exchange(ctx, Msg{Type: MsgRunChunk, Stage: -1, Data: b}, MsgChunkDone)
 	if err != nil {
-		if errors.Is(err, engine.ErrDiverged) || errors.Is(err, replica.ErrStraggler) {
-			return nil, nil, err
-		}
-		m.err = fmt.Errorf("transport: replica %d: run chunk: %w", m.id, err)
-		return nil, nil, m.err
-	}
-	if resp.Type != MsgChunkDone {
-		m.err = fmt.Errorf("transport: replica %d: reply type %d to run chunk", m.id, resp.Type)
-		return nil, nil, m.err
+		return nil, nil, err
 	}
 	losses, grads, err := m.decodeChunkDone(resp.Data, len(micros))
 	if err != nil {
-		m.err = fmt.Errorf("transport: replica %d: %w", m.id, err)
-		return nil, nil, m.err
+		return nil, nil, m.latch(err)
 	}
 	return losses, grads, nil
-}
-
-// chunkRoundTrip is roundTrip for the one long-running request. Without
-// a straggler deadline it is roundTrip exactly. With one, the reply wait
-// runs in a helper goroutine and the main flow watches deadline windows
-// of sdl: each expired window counts one miss (cumulative across chunks;
-// a reply inside its chunk's first window resets the count), and when
-// the count reaches sk the member is handed back to the engine for
-// demotion — the error wraps replica.ErrStraggler and does NOT poison
-// the member, because the peer is alive and its late reply still
-// arrives. The helper goroutine stays behind as the drainer: it consumes
-// that late reply, discards it (the minibatch replays without this
-// member), and marks the standby ready to rejoin.
-//
-// The deadline deliberately never cancels the underlying Recv: a
-// cancelled read could lose an already-framed late reply, making both
-// "late but correct" delivery and the drain impossible.
-func (m *RemoteMember) chunkRoundTrip(ctx context.Context, req Msg) (Msg, error) {
-	if m.sdl <= 0 || m.sk <= 0 {
-		return m.roundTrip(ctx, req)
-	}
-	t0 := m.tk.Now()
-	if err := m.send(ctx, req); err != nil {
-		return Msg{}, err
-	}
-	ch := make(chan wireReply, 1)
-	go func() {
-		msg, err := m.recvReply(ctx)
-		ch <- wireReply{msg, err}
-	}()
-	late := false
-	for {
-		t := time.NewTimer(m.sdl)
-		select {
-		case r := <-ch:
-			t.Stop()
-			if r.err != nil {
-				return Msg{}, r.err
-			}
-			if !late {
-				m.misses = 0
-			}
-			if r.msg.Type == MsgErr {
-				return Msg{}, decodeWireErr(r.msg.Data, "worker")
-			}
-			m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+r.msg.PayloadLen()))
-			return r.msg, nil
-		case <-t.C:
-			late = true
-			m.misses++
-			if m.misses >= m.sk {
-				m.ready = false
-				m.draining = true
-				go m.drain(ch)
-				return Msg{}, fmt.Errorf("%w: replica %d missed %d consecutive %v deadlines", replica.ErrStraggler, m.id, m.sk, m.sdl)
-			}
-		}
-	}
-}
-
-type wireReply struct {
-	msg Msg
-	err error
-}
-
-// drain runs after a demotion: it waits out the straggler's in-flight
-// reply (the recvReply goroutine chunkRoundTrip left behind), discards
-// the payload — the interrupted minibatch replays over the survivors, so
-// the late result must not be used — and marks the standby ready. A
-// drain that ends in a transport error latches it instead, so the
-// group drops the standby.
-func (m *RemoteMember) drain(ch chan wireReply) {
-	r := <-ch
-	m.mu.Lock()
-	m.draining = false
-	if r.err != nil {
-		if m.err == nil {
-			m.err = fmt.Errorf("transport: replica %d: drain: %w", m.id, r.err)
-		}
-	} else {
-		m.ready = true
-	}
-	m.mu.Unlock()
 }
 
 func (m *RemoteMember) decodeChunkDone(data []byte, wantK int) ([]float64, [][][]*tensor.Tensor, error) {
@@ -587,11 +518,18 @@ func (m *RemoteMember) SetStep(step int) {
 	m.call(Msg{Type: MsgSync, Stage: -1, Data: AppendU32(nil, uint32(step))}, MsgAck)
 }
 
-func (m *RemoteMember) fail(err error) {
-	m.mu.Lock()
+// latch poisons the member with err unless an earlier error already
+// stuck, and returns the sticky error; the caller holds m.mu.
+func (m *RemoteMember) latch(err error) error {
 	if m.err == nil {
 		m.err = fmt.Errorf("transport: replica %d: %w", m.id, err)
 	}
+	return m.err
+}
+
+func (m *RemoteMember) fail(err error) {
+	m.mu.Lock()
+	m.latch(err)
 	m.mu.Unlock()
 }
 

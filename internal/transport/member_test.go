@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"pipemare/internal/engine"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
+	"pipemare/internal/trace"
 )
 
 // wireMember is a full fake replica.Local with one scalar parameter per
@@ -26,6 +28,10 @@ type wireMember struct {
 	step  int
 	stall time.Duration // how long each chunk's first forward takes (a straggler)
 	rings map[int]int   // stage → base + snapshot count of the ring last restored
+
+	// verdict, when set, is BadLoss: a chunk diverges when it reports
+	// true, and the worker answers it MsgErr when it panics.
+	verdict func() bool
 
 	prepared []int
 	stepped  []int
@@ -70,8 +76,14 @@ func (m *wireMember) StageBackward(s, stage int) {
 	m.acc[stage] += float64(s + 1)
 }
 
-func (m *wireMember) EndMicro(s int)            {}
-func (m *wireMember) BadLoss(loss float64) bool { return false }
+func (m *wireMember) EndMicro(s int) {}
+
+func (m *wireMember) BadLoss(loss float64) bool {
+	m.mu.Lock()
+	verdict := m.verdict
+	m.mu.Unlock()
+	return verdict != nil && verdict()
+}
 
 func (m *wireMember) TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor {
 	m.mu.Lock()
@@ -360,6 +372,93 @@ func TestWorkerDeathMidChunkIsAnError(t *testing.T) {
 	}
 	if m.Err() == nil {
 		t.Fatal("member did not latch the transport error")
+	}
+}
+
+// TestChunkReplyOutcomes pins RunChunk's one reply wait on both of its
+// branches — the plain read, and the straggler policy's deadline windows
+// with the reply inside the first — against each reply a worker gives a
+// chunk: its results, a divergence, or an error. A divergence passes
+// through without poisoning the member, and the next chunk is served; an
+// error latches, naming the replica. Every answered chunk is exactly one
+// wire:chunk span whose bytes are the request's payload plus the reply's.
+func TestChunkReplyOutcomes(t *testing.T) {
+	micros := [][]int{{0}, {1}}
+	const request = 4 + 1 + 4 + 2*(4+4) // base, phase, count, two one-sample microbatches
+	one := []*tensor.Tensor{tensor.New(1)}
+	// Two losses, the gradient-set shape, and one scalar per (microbatch, stage).
+	done := Msg{Data: make([]byte, 4+2*8+4+4), Lists: [][]*tensor.Tensor{one, one, one, one}}.PayloadLen()
+	for _, armed := range []bool{false, true} {
+		for _, reply := range []string{"done", "diverged", "worker error"} {
+			t.Run(fmt.Sprintf("armed=%t/%s", armed, reply), func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				m, worker, _, stop := startPair(t, 2)
+				rec := trace.New()
+				m.SetTracer(rec)
+				m.SetID(3)
+				if armed {
+					m.SetStragglerDeadline(5*time.Second, 1)
+				}
+				var want []int64 // the bytes of each answered chunk's span
+				switch reply {
+				case "done":
+					if _, _, err := m.RunChunk(ctx, 0, true, micros); err != nil {
+						t.Fatal(err)
+					}
+					want = []int64{request + int64(done)}
+				case "diverged":
+					worker.mu.Lock()
+					worker.verdict = func() bool { return true }
+					worker.mu.Unlock()
+					if _, _, err := m.RunChunk(ctx, 0, true, micros); !errors.Is(err, engine.ErrDiverged) {
+						t.Fatalf("diverged chunk returned %v, want engine.ErrDiverged", err)
+					}
+					if err := m.Err(); err != nil {
+						t.Fatalf("a divergence poisoned the member: %v", err)
+					}
+					worker.mu.Lock()
+					worker.verdict = nil
+					worker.mu.Unlock()
+					if losses, _, err := m.RunChunk(ctx, 2, true, micros); err != nil || len(losses) != 2 || losses[1] != 103 {
+						t.Fatalf("chunk after the divergence: losses %v, err %v", losses, err)
+					}
+					want = []int64{request + 4, request + int64(done)}
+				case "worker error":
+					worker.mu.Lock()
+					worker.verdict = func() bool { panic("member broke") }
+					worker.mu.Unlock()
+					_, _, err := m.RunChunk(ctx, 0, true, micros)
+					if err == nil || errors.Is(err, engine.ErrDiverged) || !strings.Contains(err.Error(), "replica 3") ||
+						!strings.Contains(err.Error(), "member broke") {
+						t.Fatalf("failed chunk returned %v, want a worker error naming replica 3", err)
+					}
+					if m.Err() != err {
+						t.Fatalf("member latched %v, want the chunk's error", m.Err())
+					}
+					_, text, _ := strings.Cut(err.Error(), "worker: ")
+					want = []int64{request + 4 + int64(len(text))}
+				}
+				var got []int64
+				for _, tk := range rec.Tracks() {
+					for _, ev := range tk.Events() {
+						if tk.Tid == trace.TidWire && ev.Name == "wire:chunk" {
+							got = append(got, ev.Bytes)
+						}
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("wire:chunk span bytes %v, want %v", got, want)
+				}
+				if reply != "worker error" {
+					stop()
+					return
+				}
+				// The worker ended its session with the error reply, which
+				// stop would report: close the proxy alone.
+				m.Close()
+			})
+		}
 	}
 }
 

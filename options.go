@@ -623,18 +623,18 @@ func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 // dial worker r's endpoint (with the backoff the dialer implements), send
 // the hello with the spec the trainer resolved for it, and wrap the
 // connection as the leader-side member proxy the handoff then admits.
-func remoteFollowers(dialers []transport.Dialer, timeout time.Duration) func(int, core.ReplicaEnv) (replica.Member, error) {
+func remoteFollowers(dialers []transport.Dialer, timeout time.Duration) func(transport.Spec) (replica.Member, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	return func(r int, env core.ReplicaEnv) (replica.Member, error) {
+	return func(spec transport.Spec) (replica.Member, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
-		conn, err := dialers[r-1].Dial(ctx)
+		conn, err := dialers[spec.Replica-1].Dial(ctx)
 		if err != nil {
 			return nil, err
 		}
-		m, err := transport.NewRemoteMember(ctx, conn, env.Spec)
+		m, err := transport.NewRemoteMember(ctx, conn, spec)
 		if err != nil {
 			conn.Close()
 			return nil, err
