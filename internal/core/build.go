@@ -117,16 +117,18 @@ func analyticGroupCosts(task Task, groups []pipeline.ParamGroup) []float64 {
 	return out
 }
 
-// measuredGroupCosts is the profile mode's one-minibatch measurement pass:
-// a warm forward+backward of one microbatch (machine pools and tape arenas
-// reach steady state), then profileRuns timed passes accumulating per-op
-// wall time onto the op's weight group. The gradients the backward halves
-// accumulate are zeroed before training starts. Wall time is inherently
-// noisy, so two builds may profile slightly different costs (and thus
-// partitions); use Config.GroupCosts to pin a measured cost vector when
-// exact reproducibility across trainers is required.
+// measuredGroupCosts is the profile mode's one-minibatch measurement:
+// profileRuns forward+backward passes of one microbatch, each summing
+// per-op wall time onto the op's weight group. A group's cost is its
+// minimum over the passes, so neither the first pass (machine pools and
+// tape arenas still filling) nor one preempted op can make a group look
+// heavy. The gradients the backward halves accumulate are zeroed before
+// training starts. Wall time is inherently noisy, so two builds may
+// profile slightly different costs (and thus partitions); use
+// Config.GroupCosts to pin a measured cost vector when exact
+// reproducibility across trainers is required.
 func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize int) []float64 {
-	const profileRuns = 3
+	const profileRuns = 4
 	prog := task.Program()
 	m := nn.NewMachine(prog.NumRegs)
 	if len(groups) > 0 && len(groups[0].Params) > 0 {
@@ -136,20 +138,17 @@ func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize 
 	for i := range idx {
 		idx[i] = i
 	}
-	costs := make([]float64, len(groups))
-	run := func(c []float64) {
+	costs, pass := make([]float64, len(groups)), make([]float64, len(groups))
+	for r := 0; r < profileRuns; r++ {
+		clear(pass)
 		m.ResetRun()
 		task.BindMicro(m, idx)
-		if c == nil {
-			prog.ForwardRange(m, 0, len(prog.Ops))
-			prog.BackwardRange(m, 0, len(prog.Ops))
-			return
+		prog.MeasureGroupCosts(m, pass)
+		for g, c := range pass {
+			if r == 0 || c < costs[g] {
+				costs[g] = c
+			}
 		}
-		prog.MeasureGroupCosts(m, c)
-	}
-	run(nil)
-	for r := 0; r < profileRuns; r++ {
-		run(costs)
 	}
 	var ps []*nn.Param
 	for _, g := range groups {
@@ -227,23 +226,4 @@ func gammaFromD(d, tauFwd float64) float64 {
 		return 0
 	}
 	return math.Pow(d, 1/tauFwd)
-}
-
-// segmentEnds returns, for each 0-indexed stage, the 1-indexed last stage
-// of its recompute segment, for segments of near-equal length.
-func segmentEnds(p, segments int) []int {
-	if segments > p {
-		segments = p
-	}
-	ends := make([]int, p)
-	for s := 0; s < p; s++ {
-		seg := s * segments / p
-		// Last stage of segment seg is the largest s' with s'·segments/p == seg.
-		end := (seg+1)*p/segments - 1
-		if end >= p {
-			end = p - 1
-		}
-		ends[s] = end + 1 // 1-indexed
-	}
-	return ends
 }

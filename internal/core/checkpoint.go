@@ -215,13 +215,8 @@ func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
 		if err := c.Done(); err != nil {
 			return nil, fmt.Errorf("ring %d: %w", s, err)
 		}
-		if len(st.ringSnaps[s]) == 0 {
-			return nil, fmt.Errorf("ring %d holds no weight version", s)
-		}
-		for _, snap := range st.ringSnaps[s] {
-			if err := checkStage(s, t.masters[t.stageLo[s]:t.stageHi[s]], snap); err != nil {
-				return nil, fmt.Errorf("ring: %w", err)
-			}
+		if err := t.checkRing(s, st.ringSnaps[s]); err != nil {
+			return nil, err
 		}
 	}
 	if _, err := section(ckptEnd, -1); err != nil {

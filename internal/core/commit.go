@@ -84,9 +84,8 @@ func (t *Trainer) warmupSteps() int {
 	return t.cfg.WarmupEpochs * perEpoch
 }
 
-// PrepareStage averages the stage's gradients over the minibatch,
-// snapshots the stage's pre-step weights for T2, and returns the stage's
-// gradient sum-of-squares for clipping.
+// PrepareStage averages the stage's gradients over the minibatch and
+// returns the stage's gradient sum-of-squares for clipping.
 func (h host) PrepareStage(stage, nMicro int) float64 {
 	t := h.t
 	n := float64(nMicro)
@@ -95,9 +94,6 @@ func (h host) PrepareStage(stage, nMicro int) float64 {
 		g := t.params[i].Grad
 		g.DivScalar(n)
 		sumSq += g.SumSq()
-		if t.prev != nil {
-			t.prev[i].CopyFrom(t.params[i].Data)
-		}
 	}
 	return sumSq
 }
@@ -129,7 +125,9 @@ func (h host) BeginStep() {
 // rates, then zeroes the gradients, updates the T2 accumulators and pushes
 // the stage's new weight version. Ranges are disjoint and the rate
 // computation is pure given the step clock BeginStep advanced, so distinct
-// stages step concurrently without any cross-stage arithmetic.
+// stages step concurrently without any cross-stage arithmetic. T2's
+// pre-step weights are the ring's newest version: every change to the
+// masters — a step, an import, a restore — pushes or replaces it.
 func (h host) StepStage(stage int, scale float64) {
 	t := h.t
 	lo, hi := t.stageLo[stage], t.stageHi[stage]
@@ -141,16 +139,17 @@ func (h host) StepStage(stage int, scale float64) {
 	lrs := t.stageLRs[stage]
 	t.ratesInto(lrs, t.step-1, lo, hi)
 	t.opt.StepRange(lo, hi, lrs)
+	prev := t.store.Get(stage, t.store.Latest(stage))
 	for i := lo; i < hi; i++ {
 		t.params[i].ZeroGrad()
 		if t.delta != nil {
 			pm := t.params[i]
 			if pm.Data.DType() == tensor.Float32 {
 				t2Update(tensor.F32(t.delta[i]), tensor.F32(t.corrected[i]),
-					tensor.F32(pm.Data), tensor.F32(t.prev[i]), t.gamma[i], t.taus[i])
+					tensor.F32(pm.Data), tensor.F32(prev[i-lo]), t.gamma[i], t.taus[i])
 			} else {
 				t2Update(tensor.F64(t.delta[i]), tensor.F64(t.corrected[i]),
-					tensor.F64(pm.Data), tensor.F64(t.prev[i]), t.gamma[i], t.taus[i])
+					tensor.F64(pm.Data), tensor.F64(prev[i-lo]), t.gamma[i], t.taus[i])
 			}
 		}
 	}

@@ -32,10 +32,10 @@
 //
 // The package is laid out by role: this file holds the configuration, the
 // Trainer and its construction; build.go the stage layout, the partition
-// and follower construction; slots.go the slot surface and the version
-// rule; commit.go the commit surface and the minibatch loop with its
-// recovery; member.go the replica-member surface; run.go the epoch loop;
-// elastic.go and checkpoint.go the boundary hooks.
+// and follower construction; slots.go the slot surface, which installs
+// the versions pipeline.Clock names; commit.go the commit surface and the
+// minibatch loop with its recovery; member.go the replica-member surface;
+// run.go the epoch loop; elastic.go and checkpoint.go the boundary hooks.
 package core
 
 import (
@@ -263,27 +263,22 @@ type Trainer struct {
 	eng   engine.Engine
 
 	part       *pipeline.Partition
-	groupCosts []float64 // per-group costs the partitioner balanced
-	clock      pipeline.Clock
-	store      *pipeline.VersionStore
-	params     []*nn.Param // in forward order (matches optimizer order)
-	stage1     []int       // 1-indexed stage per param
-	stageLo    []int       // params[stageLo[s]:stageHi[s]] belong to stage s
+	groupCosts []float64              // per-group costs the partitioner balanced
+	clock      pipeline.Clock         // the version rule: which version each slot reads
+	store      *pipeline.VersionStore // per-stage rings of clock.Keep() versions
+	params     []*nn.Param            // in forward order (matches optimizer order)
+	stageLo    []int                  // params[stageLo[s]:stageHi[s]] belong to stage s
 	stageHi    []int
 	stageLRs   [][]float64 // per-stage learning-rate scratch (StepStage)
-	taus       []float64   // per-param τ_fwd in minibatch units
+	taus       []float64   // per-param τ_fwd in minibatch units (clock.Tau)
 	masters    []*tensor.Tensor
 
 	// T2 state: per-param velocity accumulator δ and the materialized
-	// corrected backward weights (master − τ·δ).
+	// corrected backward weights (master − τ·δ). The pre-step weights δ
+	// needs are the ring's newest version.
 	delta     []*tensor.Tensor
 	corrected []*tensor.Tensor
 	gamma     []float64
-	prev      []*tensor.Tensor // master weights before the last update
-
-	// Recompute state: segment end (1-indexed stage) per stage, and the
-	// per-param recompute-corrected buffers.
-	segEnd1 []int
 
 	// Stage execution state: the task's program, the op ranges each stage
 	// owns and the in-flight microbatch machines. The flows map is the only
@@ -455,32 +450,21 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 	t := &Trainer{
 		task: task, opt: opt, sched: sched, cfg: cfg, eng: eng,
 		part: part, groupCosts: costs,
-		clock: pipeline.Clock{P: p, N: n},
+		clock: pipeline.Clock{P: p, N: n, Hogwild: cfg.Hogwild, Seed: cfg.Seed, Segments: cfg.RecomputeSegments},
 	}
 	t.params = part.Params()
 	t.stageLo = make([]int, p)
 	t.stageHi = make([]int, p)
 	t.stageLRs = make([][]float64, p)
 	for s, ps := range part.Stages {
-		t.stageLo[s] = len(t.stage1)
+		t.stageLo[s] = len(t.taus)
 		for range ps {
-			t.stage1 = append(t.stage1, s+1)
+			t.taus = append(t.taus, t.clock.Tau(s+1))
 		}
-		t.stageHi[s] = len(t.stage1)
+		t.stageHi[s] = len(t.taus)
 		t.stageLRs[s] = make([]float64, len(ps))
 	}
-	t.taus = make([]float64, len(t.params))
-	for i := range t.params {
-		t.taus[i] = pipeline.FwdDelay(t.stage1[i], p, n)
-	}
-	keep := (2*p+n)/n + 3
-	if h := cfg.Hogwild; h != nil {
-		for i := range t.params {
-			t.taus[i] = h.Mean(t.stage1[i], p)
-		}
-		keep = h.TauMax + 2
-	}
-	t.store = pipeline.NewVersionStore(part.Stages, keep)
+	t.store = pipeline.NewVersionStore(part.Stages, t.clock.Keep())
 	t.masters = make([]*tensor.Tensor, len(t.params))
 	for i, pm := range t.params {
 		t.masters[i] = pm.Data
@@ -490,17 +474,12 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 		t.delta = make([]*tensor.Tensor, len(t.params))
 		t.corrected = make([]*tensor.Tensor, len(t.params))
 		t.gamma = make([]float64, len(t.params))
-		t.prev = make([]*tensor.Tensor, len(t.params))
 		for i, pm := range t.params {
 			t.delta[i] = tensor.NewLike(pm.Data)
 			t.corrected[i] = pm.Data.Clone()
-			t.prev[i] = pm.Data.Clone()
 			// τ_bkwd = 0 for PipeMare, so γ_i = D^{1/τ_fwd,i}.
 			t.gamma[i] = gammaFromD(cfg.T2D, t.taus[i])
 		}
-	}
-	if cfg.RecomputeSegments > 0 {
-		t.segEnd1 = segmentEnds(p, cfg.RecomputeSegments)
 	}
 	t.prog = task.Program()
 	if t.opLo, t.opHi, err = t.prog.StageRanges(part.StageOf, p); err != nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
@@ -365,7 +367,7 @@ func TestGPipeSeesCurrentWeightsEverywhere(t *testing.T) {
 // TestRecomputeSeesRecomputeVersions is the Appendix D row of the version
 // rule: with recompute segments on, a microbatch's first climb reads the
 // Table 1 forward versions, and its recompute climb and its backward slot
-// both run over recompVersion(s, stage, segEnd) — T2-corrected by
+// both run over the clock's RecompVersion — T2-corrected by
 // (τ_fwd − τ_recomp)·δ when T2 is on — while the backward weights stay the
 // method's (PipeMare: the master, or its T2-corrected copy; PipeDream: the
 // recompute snapshot itself).
@@ -384,14 +386,14 @@ func TestRecomputeSeesRecomputeVersions(t *testing.T) {
 				stale := false
 				for s := range task.bwdSeen {
 					for g := range task.params {
-						st1, e1 := g+1, tr.segEnd1[g]
+						st1 := g + 1
 						if got, want := task.fwdSeen[s][g], float64(clock.FwdVersion(s, st1)); got != want {
 							t.Fatalf("microbatch %d stage %d: first climb saw %g, want forward version %g", s, st1, got, want)
 						}
-						want := float64(tr.recompVersion(s, st1, e1))
-						stale = stale || want != float64(clock.Minibatch(s))
+						v, tauR := tr.clock.RecompVersion(s, st1)
+						want := float64(v)
+						stale = stale || v != clock.Minibatch(s)
 						if tc.t2d > 0 {
-							tauR := float64(2*(e1-st1)+1) / float64(clock.N)
 							want -= (tr.taus[g] - tauR) * task.recDelta[s][g]
 						}
 						if got := task.recSeen[s][g]; math.Abs(got-want) > 1e-12 {
@@ -612,29 +614,6 @@ func TestT2CorrectionExtrapolatesVelocity(t *testing.T) {
 	}
 }
 
-func TestSegmentEnds(t *testing.T) {
-	ends := segmentEnds(8, 2)
-	want := []int{4, 4, 4, 4, 8, 8, 8, 8}
-	for i := range want {
-		if ends[i] != want[i] {
-			t.Fatalf("segmentEnds(8,2) = %v, want %v", ends, want)
-		}
-	}
-	// One segment: everything ends at the last stage.
-	for _, e := range segmentEnds(5, 1) {
-		if e != 5 {
-			t.Fatalf("segmentEnds(5,1) = %v", segmentEnds(5, 1))
-		}
-	}
-	// Segments capped at P.
-	ends = segmentEnds(3, 10)
-	for i, e := range ends {
-		if e != i+1 {
-			t.Fatalf("segmentEnds(3,10) = %v", ends)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	task := newProbeTask(4, 64)
 	opt := &countingOptimizer{ps: task.params}
@@ -733,6 +712,54 @@ func TestPartitionExplicitGroupCosts(t *testing.T) {
 			t.Fatalf("pinned costs gave different partition: %v vs %v",
 				tr.Partition().StageOf, tr2.Partition().StageOf)
 		}
+	}
+}
+
+// stallOp is one group's op in the profile test: every forward call
+// sleeps base, and call number stallAt sleeps stall on top.
+type stallOp struct {
+	calls       int
+	stallAt     int
+	base, stall time.Duration
+}
+
+func (o *stallOp) Forward(*nn.Machine) {
+	o.calls++
+	d := o.base
+	if o.calls == o.stallAt {
+		d += o.stall
+	}
+	time.Sleep(d)
+}
+
+func (o *stallOp) Backward(*nn.Machine) {}
+
+// profileTask runs its program on any machine: the profile pass binds
+// no microbatch the probe could name.
+type profileTask struct{ *probeTask }
+
+func (profileTask) BindMicro(*nn.Machine, []int) {}
+
+// TestProfileIgnoresAPreemptedPass: the profile partition times several
+// passes, and one op stalled in one of them — the third here, as a
+// preemption would — must not make its group the heaviest. Every other
+// group costs 2 ms a pass; the stalled one costs nothing but its one 50 ms
+// stall, which a sum over the passes would count.
+func TestProfileIgnoresAPreemptedPass(t *testing.T) {
+	task := profileTask{newProbeTask(4, 64)}
+	stalled := &stallOp{stallAt: 3, stall: 50 * time.Millisecond}
+	task.prog = stubProgram(4, func(g int) nn.Op {
+		if g == 0 {
+			return stalled
+		}
+		return &stallOp{base: 2 * time.Millisecond}
+	})
+	costs := measuredGroupCosts(task, task.groups, 2)
+	if stalled.calls < stalled.stallAt {
+		t.Fatalf("the stalled op ran %d times: its stall never happened", stalled.calls)
+	}
+	if heaviest := slices.Index(costs, slices.Max(costs)); heaviest == 0 {
+		t.Fatalf("group costs %v: the one stalled pass made group 0 the heaviest", costs)
 	}
 }
 

@@ -108,8 +108,12 @@ func (h host) ImportStageState(stage int, src []*tensor.Tensor) {
 
 // RestoreVersions replaces a stage's weight-version ring
 // (replica.Member) — the restore path for the historical versions the
-// asynchronous methods read.
+// asynchronous methods read. A ring checkRing refuses panics before the
+// old ring is touched (the serve loop turns that into an error reply).
 func (h host) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
+	if err := h.t.checkRing(stage, snaps); err != nil {
+		panic("core: " + err.Error())
+	}
 	h.t.store.RestoreStage(stage, base, snaps)
 }
 
@@ -130,6 +134,22 @@ func checkStage(stage int, dst, src []*tensor.Tensor) error {
 		}
 		if d.DType() != src[k].DType() {
 			return fmt.Errorf("stage %d tensor %d dtype %v, want %v", stage, k, src[k].DType(), d.DType())
+		}
+	}
+	return nil
+}
+
+// checkRing reports whether snaps can replace the stage's version ring:
+// it holds at least one version, and each version has the layout of the
+// stage's masters. Both ring importers — a checkpoint and a handoff — run
+// it before they touch the live ring.
+func (t *Trainer) checkRing(stage int, snaps [][]*tensor.Tensor) error {
+	if len(snaps) == 0 {
+		return fmt.Errorf("ring %d holds no weight version", stage)
+	}
+	for _, snap := range snaps {
+		if err := checkStage(stage, t.masters[t.stageLo[stage]:t.stageHi[stage]], snap); err != nil {
+			return fmt.Errorf("ring: %w", err)
 		}
 	}
 	return nil

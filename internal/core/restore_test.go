@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,6 +149,42 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 	}
 	if string(liveState(tr)) != string(liveState(src)) {
 		t.Fatal("a fitting checkpoint did not restore the writer's state")
+	}
+}
+
+// TestRestoreVersionsRefusesABadRing pins the follower side of a ring
+// handoff (MsgSetRing): a ring with no version, or with a version of
+// another layout, panics — which the serve loop answers with an error
+// reply — naming the stage, before the live ring is replaced, so the
+// follower's rings and state are exactly as before.
+func TestRestoreVersionsRefusesABadRing(t *testing.T) {
+	tr := restoreProbe(t, tensor.Float64, 0, 1, 1, 1, 1)
+	if _, err := tr.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	_, good := tr.store.History(2)
+	for _, tc := range []struct {
+		name    string
+		snaps   [][]*tensor.Tensor
+		wantErr string
+	}{
+		{"empty ring", nil, "ring 2 holds no weight version"},
+		{"mis-shaped snapshot", [][]*tensor.Tensor{good[0], {tensor.New(2)}}, "stage 2 tensor 0 shape [2], want [1]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := liveState(tr)
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.wantErr) {
+						t.Fatalf("RestoreVersions = %v, want a panic containing %q", r, tc.wantErr)
+					}
+				}()
+				host{tr}.RestoreVersions(2, 0, tc.snaps)
+			}()
+			if string(liveState(tr)) != string(before) {
+				t.Fatal("the refused ring replaced live state")
+			}
+		})
 	}
 }
 

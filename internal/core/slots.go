@@ -24,7 +24,7 @@ func (h host) Stages() int { return h.t.clock.P }
 
 // Recompute reports whether the chunk's chains make the Appendix D
 // recompute climb: the path is configured and the epoch asynchronous.
-func (h host) Recompute() bool { return h.t.async && h.t.segEnd1 != nil }
+func (h host) Recompute() bool { return h.t.async && h.t.clock.Segments > 0 }
 
 // MicroBase returns the global microbatch counter for the minibatch start.
 func (h host) MicroBase() int { return h.t.micro }
@@ -38,20 +38,17 @@ const (
 	slotBwd
 )
 
-// install is the version rule: it points the stage's parameters at the
-// weights slot (s, stage, kind) reads, and is the only code that does. In
-// a synchronous epoch (GPipe, T3 warmup) every slot reads the live masters
-// Restore left in place. Otherwise (Table 1, Appendices D and E):
+// install points the stage's parameters at the weights slot (s, stage,
+// kind) reads, and is the only code that does; the clock names the
+// versions. In a synchronous epoch (GPipe, T3 warmup) every slot reads the
+// live masters Restore left in place. Otherwise:
 //
-//   - forward weights. A forward slot reads the snapshot delayed by τ_fwd,
-//     version FwdVersion(s, stage) — under Config.Hogwild, the version
-//     max(k − Delay, 0) drawn for the stage and the slot's minibatch
-//     k = ⌊s/N⌋. A recompute slot reads the version its
-//     segment's delay 2(e−i)+1 reaches back to, recompVersion — T2-corrected
-//     when T2 is on — and with the recompute path on so does the backward
-//     slot, whose activations that climb produced; without it the backward
-//     slot re-reads the forward version (other chains' slots may have
-//     re-pointed the stage since this microbatch's forward ran).
+//   - forward weights. A forward slot reads FwdVersion. A recompute slot
+//     reads RecompVersion, T2-corrected when T2 is on, and with the
+//     recompute path on so does the backward slot, whose activations that
+//     climb produced; without it the backward slot re-reads the forward
+//     version (other chains' slots may have re-pointed the stage since
+//     this microbatch's forward ran).
 //   - backward weights. PipeMare's backward reads the live master
 //     (τ_bkwd = 0), or its T2-corrected copy; PipeDream's falls back to the
 //     stashed forward snapshot (Bwd stays nil).
@@ -60,15 +57,10 @@ func (t *Trainer) install(s, stage int, kind slotKind) {
 		return
 	}
 	lo := t.stageLo[stage]
-	recomp := kind != slotFwd && t.segEnd1 != nil
+	recomp := kind != slotFwd && t.clock.Segments > 0
 	v, tauR := t.clock.FwdVersion(s, stage+1), 0.0
-	if h := t.cfg.Hogwild; h != nil {
-		k := t.clock.Minibatch(s)
-		v = max(k-h.Delay(t.cfg.Seed, k, stage+1, t.clock.P), 0)
-	}
 	if recomp {
-		st1, e1 := stage+1, t.segEnd1[stage]
-		v, tauR = t.recompVersion(s, st1, e1), float64(2*(e1-st1)+1)/float64(t.clock.N)
+		v, tauR = t.clock.RecompVersion(s, stage+1)
 	}
 	snap := t.store.Get(stage, v)
 	for j, pm := range t.part.Stages[stage] {
@@ -88,18 +80,6 @@ func (t *Trainer) install(s, stage int, kind slotKind) {
 			t.params[i].Bwd = bwd[i]
 		}
 	}
-}
-
-// recompVersion returns the number of updates committed at stage i
-// (1-indexed) before the recompute slot of microbatch s for a segment
-// ending at stage e1: the recompute of stage i runs 2(e−i)+1 slots before
-// the gradient is applied.
-func (t *Trainer) recompVersion(s, stage1, e1 int) int {
-	num := s + 2*stage1 - 2*e1 - t.clock.N
-	if num < 0 {
-		return 0
-	}
-	return num/t.clock.N + 1
 }
 
 // Restore points the stage's parameters back at the live master weights

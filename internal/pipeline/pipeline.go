@@ -235,21 +235,66 @@ func FwdDelay(stage1, p, n int) float64 {
 	return float64(FwdDelaySlots(stage1, p)) / float64(n)
 }
 
-// Clock converts global microbatch indices into the weight versions
-// visible at each pipeline slot.
+// Clock is the version rule: it names the weight version each slot of a
+// global microbatch s reads, and is the only code that does — Table 1's
+// forward versions (or Appendix E's, under Hogwild) and Appendix D's
+// recompute versions — plus each stage's τ and the ring depth they need.
 type Clock struct {
 	P int // pipeline stages
 	N int // microbatches per minibatch
+
+	Hogwild  *Hogwild // when set, forward versions are Appendix E's draws from Seed
+	Seed     int64
+	Segments int // Appendix D's recompute segment count (0: no recompute)
 }
 
-// FwdVersion returns the number of optimizer updates committed at
-// (1-indexed) stage i before the forward slot of global microbatch s.
+// FwdVersion returns the version the forward slot of microbatch s reads at
+// (1-indexed) stage i: the number of updates committed there before the
+// slot, or under Hogwild max(k − Delay, 0) for the slot's minibatch k.
 func (c Clock) FwdVersion(s, stage1 int) int {
-	num := s + 2*stage1 - 2*c.P - c.N
-	if num < 0 {
-		return 0
+	if h := c.Hogwild; h != nil {
+		k := c.Minibatch(s)
+		return max(k-h.Delay(c.Seed, k, stage1, c.P), 0)
 	}
-	return num/c.N + 1
+	return max(s+2*(stage1-c.P), 0) / c.N
+}
+
+// RecompVersion returns the version the recompute slot of microbatch s
+// reads at (1-indexed) stage i, and its delay τ_recomp in minibatches: the
+// slot runs 2(e−i)+1 slots before the gradient is applied, e the last
+// stage of i's segment (Appendix D), so it is FwdVersion with e for P.
+func (c Clock) RecompVersion(s, stage1 int) (int, float64) {
+	e1 := c.segmentEnd(stage1)
+	return max(s+2*(stage1-e1), 0) / c.N, float64(2*(e1-stage1)+1) / float64(c.N)
+}
+
+// segmentEnd returns the last stage of (1-indexed) stage i's recompute
+// segment, 0-indexed stage j being in segment ⌊j·S/P⌋ of S = min(Segments, P).
+func (c Clock) segmentEnd(stage1 int) int {
+	segs := min(c.Segments, c.P)
+	seg := (stage1 - 1) * segs / c.P
+	return ((seg+1)*c.P + segs - 1) / segs
+}
+
+// Tau returns (1-indexed) stage i's forward delay in minibatch units, the
+// one T1 reschedules by and T2 extrapolates over: Table 1's (2(P−i)+1)/N,
+// or the mean of the Hogwild draw.
+func (c Clock) Tau(stage1 int) float64 {
+	if h := c.Hogwild; h != nil {
+		return h.Mean(stage1, c.P)
+	}
+	return FwdDelay(stage1, c.P, c.N)
+}
+
+// Keep returns the versions a stage's ring must hold: one more than the
+// deepest lookback of any slot from the ⌊s/N⌋ updates committed when
+// microbatch s runs — ⌈(2P−2)/N⌉+1 (Table 1's first stage; no recompute
+// slot reaches further back), or TauMax+1 under Hogwild.
+func (c Clock) Keep() int {
+	if h := c.Hogwild; h != nil {
+		return h.TauMax + 1
+	}
+	return (2*c.P-2+c.N-1)/c.N + 1
 }
 
 // Minibatch returns the minibatch index of global microbatch s: ⌊s/N⌋,
@@ -298,8 +343,8 @@ func mix64(x uint64) uint64 {
 
 // VersionStore keeps per-stage snapshots of stage weights, indexed by
 // update version. Version 0 is the initial weights; version v is the state
-// after v optimizer updates. Old versions outside the pipeline's maximum
-// lookback window are pruned automatically.
+// after v optimizer updates. Each stage's ring holds its keep most recent
+// versions; older ones are pruned as new ones are pushed.
 type VersionStore struct {
 	stages [][]*nn.Param
 	// snaps[stage][k] is the snapshot for version base+k.
@@ -309,12 +354,10 @@ type VersionStore struct {
 }
 
 // NewVersionStore snapshots the current weights of each stage as version 0.
-// keep is the number of most recent versions retained (must cover the
-// pipeline's maximum lookback, ⌈(2P+N)/N⌉+1).
+// keep is the number of most recent versions retained (at least 1): it
+// must cover the deepest lookback of any slot, Clock.Keep.
 func NewVersionStore(stages [][]*nn.Param, keep int) *VersionStore {
-	if keep < 2 {
-		keep = 2
-	}
+	keep = max(keep, 1)
 	vs := &VersionStore{stages: stages, keep: keep,
 		snaps: make([][][]*tensor.Tensor, len(stages)), base: make([]int, len(stages))}
 	for s := range stages {
@@ -350,15 +393,15 @@ func (vs *VersionStore) Push() {
 func (vs *VersionStore) PushStage(stage int) { vs.push(stage) }
 
 // Get returns the snapshot tensors of the given stage at the given
-// version, clamped to the available window. The returned tensors are owned
-// by the store and must not be mutated.
+// version. The ring must hold that version: one outside it panics, naming
+// the stage and the versions held, since a read the version rule did not
+// provide for is a bug, not a version to substitute. The returned tensors
+// are owned by the store and must not be mutated.
 func (vs *VersionStore) Get(stage, version int) []*tensor.Tensor {
 	k := version - vs.base[stage]
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(vs.snaps[stage]) {
-		k = len(vs.snaps[stage]) - 1
+	if k < 0 || k >= len(vs.snaps[stage]) {
+		panic(fmt.Sprintf("pipeline: stage %d ring holds versions %d..%d, not %d",
+			stage, vs.base[stage], vs.Latest(stage), version))
 	}
 	return vs.snaps[stage][k]
 }

@@ -1,8 +1,11 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +158,140 @@ func TestClockSlotDelayMatchesTable1(t *testing.T) {
 	}
 }
 
+func TestClockRecompVersionMatchesSlotModel(t *testing.T) {
+	// Appendix D's versions against the slot model, counted directly. The
+	// segments cut the stages as ⌊j·S/P⌋ does (0-indexed stage j), and e is
+	// the last stage of stage i's segment. The recompute of microbatch s at
+	// stage i runs at slot s+2P−2e+i−1, its backward at s+2P−i, and stage i
+	// commits minibatch t at slot t·N+N−1+2P−i: the recompute reads one
+	// version per commit at or before its slot, and τ_recomp is the slots
+	// from it to the backward, in minibatches.
+	for p := 1; p <= 12; p++ {
+		for n := 1; n <= 8; n++ {
+			for segs := 1; segs <= p+1; segs++ {
+				c := Clock{P: p, N: n, Segments: segs}
+				cut := min(segs, p)
+				for stage1 := 1; stage1 <= p; stage1++ {
+					e := stage1
+					for e < p && e*cut/p == (stage1-1)*cut/p {
+						e++
+					}
+					for s := 0; s < 3*n+2*p; s++ {
+						slot := s + 2*p - 2*e + stage1 - 1
+						committed := 0
+						for mb := 0; mb*n+n-1+2*p-stage1 <= slot; mb++ {
+							committed++
+						}
+						v, tau := c.RecompVersion(s, stage1)
+						if v != committed {
+							t.Fatalf("P=%d N=%d S=%d stage %d microbatch %d: RecompVersion %d, slot model %d", p, n, segs, stage1, s, v, committed)
+						}
+						if want := float64(s+2*p-stage1-slot) / float64(n); tau != want {
+							t.Fatalf("P=%d N=%d S=%d stage %d: τ_recomp %g, slot model %g", p, n, segs, stage1, tau, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestClockKeepIsTheDeepestLookback(t *testing.T) {
+	// The trainer commits once per minibatch, after its chains, so when any
+	// slot of microbatch s reads, ⌊s/N⌋ updates are committed and the ring
+	// holds versions up to ⌊s/N⌋. Keep must be exactly one more than the
+	// deepest lookback from there over every forward and recompute slot,
+	// and no slot may read a version not yet committed.
+	deepest := func(c Clock, micros int) int {
+		worst := 0
+		read := func(s, v int) {
+			if v < 0 || v > c.Minibatch(s) {
+				t.Fatalf("%+v microbatch %d: reads version %d with %d committed", c, s, v, c.Minibatch(s))
+			}
+			worst = max(worst, c.Minibatch(s)-v)
+		}
+		for s := 0; s < micros; s++ {
+			for stage1 := 1; stage1 <= c.P; stage1++ {
+				read(s, c.FwdVersion(s, stage1))
+				if c.Segments > 0 {
+					v, _ := c.RecompVersion(s, stage1)
+					read(s, v)
+				}
+			}
+		}
+		return worst
+	}
+	for p := 1; p <= 12; p++ {
+		for n := 1; n <= 8; n++ {
+			for segs := 0; segs <= p; segs++ {
+				c := Clock{P: p, N: n, Segments: segs}
+				if got, want := c.Keep(), 1+deepest(c, 4*n+2*p); got != want {
+					t.Fatalf("P=%d N=%d S=%d: Keep %d, deepest lookback + 1 = %d", p, n, segs, got, want)
+				}
+			}
+		}
+	}
+	for _, tauMax := range []int{0, 1, 5} {
+		c := Clock{P: 4, N: 2, Hogwild: &Hogwild{TauMax: tauMax, MeanScale: 2}, Seed: 7}
+		if got, want := c.Keep(), 1+deepest(c, 400*c.N); got != want {
+			t.Fatalf("Hogwild TauMax %d: Keep %d, deepest lookback + 1 = %d", tauMax, got, want)
+		}
+	}
+}
+
+func TestSegmentEnds(t *testing.T) {
+	ends := func(p, segs int) []int {
+		c := Clock{P: p, Segments: segs}
+		out := make([]int, p)
+		for i := range out {
+			out[i] = c.segmentEnd(i + 1)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		p, segs int
+		want    []int
+	}{
+		{8, 2, []int{4, 4, 4, 4, 8, 8, 8, 8}},
+		{5, 1, []int{5, 5, 5, 5, 5}},
+		{3, 10, []int{1, 2, 3}}, // segments capped at P
+		{4, 3, []int{2, 2, 3, 4}},
+	} {
+		if got := ends(tc.p, tc.segs); !slices.Equal(got, tc.want) {
+			t.Errorf("segment ends (P=%d, S=%d) = %v, want %v", tc.p, tc.segs, got, tc.want)
+		}
+	}
+	// fig17's recompute runs: P=107 in 4 segments of 27, 27, 27 and 26.
+	got := ends(107, 4)
+	for i, e := range got {
+		if want := []int{27, 54, 81, 107}[i*4/107]; e != want {
+			t.Fatalf("segment ends (P=107, S=4): stage %d ends at %d, want %d", i+1, e, want)
+		}
+	}
+	// Every stage ends at or after itself, and the segments are contiguous
+	// runs whose sizes differ by at most one.
+	for p := 1; p <= 16; p++ {
+		for segs := 1; segs <= 20; segs++ {
+			got := ends(p, segs)
+			var sizes []int
+			for i, e := range got {
+				if e < i+1 || e > p {
+					t.Fatalf("P=%d S=%d: stage %d ends at %d", p, segs, i+1, e)
+				}
+				if i == 0 || got[i-1] != e {
+					if i > 0 && got[i-1] != i {
+						t.Fatalf("P=%d S=%d: ends %v are not contiguous segments", p, segs, got)
+					}
+					sizes = append(sizes, e-i)
+				}
+			}
+			if len(sizes) != min(p, segs) || slices.Max(sizes)-slices.Min(sizes) > 1 {
+				t.Fatalf("P=%d S=%d: segment sizes %v", p, segs, sizes)
+			}
+		}
+	}
+}
+
 func TestClockVersionsNeverExceedCommitted(t *testing.T) {
 	// The forward version needed by microbatch s must always have been
 	// committed before s is processed sequentially (materialization safety).
@@ -299,13 +436,20 @@ func TestVersionStorePruning(t *testing.T) {
 	if vs.Latest(0) != 10 {
 		t.Fatalf("latest = %d", vs.Latest(0))
 	}
-	// Requests below the window clamp to the oldest retained version (8).
-	if got := vs.Get(0, 0)[0].FlatAt(0); got != 8 {
-		t.Fatalf("clamped old version = %g, want 8", got)
+	// The ring holds versions 8..10; a request outside it panics, naming
+	// the stage and the versions held, rather than substituting one.
+	if got := vs.Get(0, 8)[0].FlatAt(0); got != 8 {
+		t.Fatalf("oldest retained version = %g, want 8", got)
 	}
-	// Requests beyond the newest clamp to the latest.
-	if got := vs.Get(0, 99)[0].FlatAt(0); got != 10 {
-		t.Fatalf("clamped new version = %g, want 10", got)
+	for _, v := range []int{0, 7, 11, 99} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "stage 0 ring holds versions 8..10") {
+					t.Fatalf("Get(0, %d) = %v, want a panic naming the versions held", v, r)
+				}
+			}()
+			vs.Get(0, v)
+		}()
 	}
 }
 

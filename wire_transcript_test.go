@@ -111,7 +111,7 @@ var wireTranscripts = map[string]string{
 		19/-1/0
 	`,
 	"sharded/join/joiner": `
-		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/95 21/1/95 21/2/95 21/3/95
+		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/66 21/1/66 21/2/66 21/3/66
 		3/-1/25 5/3/29 6/3/4 8/-1/0 10/3/8 12/3/0 14/0/104 14/1/104 14/2/104
 		19/-1/0
 	`,
@@ -124,7 +124,7 @@ var wireTranscripts = map[string]string{
 	`,
 	"sharded/restore/follower": `
 		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/37 21/1/37 21/2/37 21/3/37
-		14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/124 21/1/124 21/2/124 21/3/124
+		14/0/104 14/1/104 14/2/104 14/3/104 16/-1/4 21/0/66 21/1/66 21/2/66 21/3/66
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 8/-1/0 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
