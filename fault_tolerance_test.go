@@ -2,6 +2,7 @@ package pipemare_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"pipemare"
 	"pipemare/internal/faults"
+	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/transport"
 )
@@ -132,8 +134,8 @@ func TestEvictionMatchesFreshSmallerRun(t *testing.T) {
 // TestCrashMidCollectiveNeverDeadlocks is the commit's fault contract,
 // message by message: it kills follower replica 1's link on the 2nd
 // message of each type the commit sends — the scatter's gradients,
-// prepare, the step-clock advance, the stage step, the gather's fetch of
-// the owner's state and its import of the others' — at R=3 and R=2, under
+// prepare, the stage step, the gather's fetch of the owner's state and
+// its import of the others' — at R=3 and R=2, under
 // -race. The stage step (scale, update and finish in one message) is cut
 // at three points: the scale row kills the link as the follower receives
 // the step, before it scales; the step row as the leader sends it; the
@@ -155,7 +157,6 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 	}{
 		{"scatter", faults.Rule{Dir: faults.Send, Type: transport.MsgSetGrads, Nth: 2, Op: faults.Kill}, false},
 		{"prepare", faults.Rule{Dir: faults.Send, Type: transport.MsgPrepare, Nth: 2, Op: faults.Kill}, false},
-		{"begin-step", faults.Rule{Dir: faults.Send, Type: transport.MsgBeginStep, Nth: 2, Op: faults.Kill}, false},
 		{"scale", faults.Rule{Dir: faults.Recv, Type: transport.MsgStep, Nth: 2, Op: faults.Kill}, true},
 		{"step", faults.Rule{Dir: faults.Send, Type: transport.MsgStep, Nth: 2, Op: faults.Kill}, false},
 		{"finish", faults.Rule{Dir: faults.Recv, Type: transport.MsgStep, Nth: 2, Op: faults.KillReply}, true},
@@ -275,6 +276,88 @@ func TestCheckpointRestoreResumesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "restored-tail", sliceRun(ref, 3, 6), tail)
+}
+
+// cancelTask is a quadTask whose BindMicro cancels the run's context at
+// its at-th call: a Run interrupted inside the minibatch of the test's
+// choosing.
+type cancelTask struct {
+	*quadTask
+	calls, at int
+	cancel    context.CancelFunc
+}
+
+func (c *cancelTask) BindMicro(m *nn.Machine, idx []int) {
+	if c.calls++; c.calls == c.at {
+		c.cancel()
+	}
+	c.quadTask.BindMicro(m, idx)
+}
+
+// TestCheckpointAfterCancelledRunResumes pins that a Run after a cancel
+// resumes at the first uncommitted minibatch, exactly as a restore at
+// that step does: a run cancelled inside epoch 2's third minibatch and
+// then run on for 3 epochs lands on the uninterrupted run's epoch-2..4
+// parameters and metrics, commits exactly the 16 steps of 4 epochs, and
+// the checkpoint it wrote at step 9 (mid-epoch 3) restores onto the same
+// curve. It is a regression: the resumed Run used to retrain the epoch's
+// committed minibatches, and the checkpoints it then wrote carried step
+// and epoch clocks that disagreed.
+func TestCheckpointAfterCancelledRunResumes(t *testing.T) {
+	build := func() *quadTask { return newQuadTask(4, 32, 8, 5) } // 4 minibatches per epoch
+	base := []pipemare.Option{pipemare.WithMethod(pipemare.PipeMare), pipemare.WithSeed(11),
+		pipemare.WithT1(12), pipemare.WithT2(0.3),
+		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
+		pipemare.WithSchedule(optim.Constant(0.05))}
+	ref := runCurve(t, func() pipemare.Task { return build() }, 4, 1, base...)
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The 27th microbatch is epoch 2's minibatch 2 (0-based): steps 5 and
+	// 6 have committed.
+	task := &cancelTask{quadTask: build(), at: 27, cancel: cancel}
+	tr, err := pipemare.New(task, append(append([]pipemare.Option{}, base...), pipemare.WithCheckpoint(dir, 1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := tr.Run(ctx, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
+	}
+	tail, err := tr.Run(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range tail.Epochs() {
+		if tail.ParamNorm[e] != ref.ParamNorm[e+1] || tail.Metric[e] != ref.Metric[e+1] {
+			t.Fatalf("epoch %d after the cancel: norm %v, metric %v; uninterrupted %v, %v",
+				e+2, tail.ParamNorm[e], tail.Metric[e], ref.ParamNorm[e+1], ref.Metric[e+1])
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.pm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 || filepath.Base(files[len(files)-1]) != "ckpt-00000016.pm" {
+		t.Fatalf("checkpoints %v, want the newest at step 16: 4 epochs commit 16 steps", files)
+	}
+	restored, err := pipemare.New(build(), base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if err := restored.RestoreFrom(filepath.Join(dir, "ckpt-00000009.pm")); err != nil {
+		t.Fatal(err)
+	}
+	run, err := restored.Run(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range run.Epochs() {
+		if run.ParamNorm[e] != ref.ParamNorm[e+2] {
+			t.Fatalf("epoch %d restored from step 9: norm %v, uninterrupted %v", e+3, run.ParamNorm[e], ref.ParamNorm[e+2])
+		}
+	}
 }
 
 // TestRestoreLatestSkipsCorruptCheckpoint pins restore robustness: a

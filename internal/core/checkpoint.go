@@ -15,12 +15,13 @@ import (
 // Checkpointing serializes the leader's complete training state to a
 // file of wire frames (the transport's framed codec: magic, version and
 // CRC per frame), so restore is as bit-exact as a collective. The file is
-// the state handoff written down: after the clocks, one section per stage
+// the state handoff written down: after the meta, one section per stage
 // whose payload is the stage's state list (layoutStages) encoded exactly
 // as MsgSetState carries it under the fault-tolerant layout, then one
 // section per stage whose payload is the MsgSetRing payload of the
 // stage's weight-version ring — the historical versions the asynchronous
-// methods read.
+// methods read. The rings are the clock: their newest version is the step
+// count, from which the epoch and the position within it derive.
 //
 // The batch order is a pure function of (seed, epoch) — run() draws a
 // fresh RNG per epoch — so no RNG state needs to be saved: a restored
@@ -30,7 +31,7 @@ import (
 // Checkpoint section types (frame Header.Type within a checkpoint file —
 // a namespace separate from the live wire protocol).
 const (
-	ckptMeta  = 1 // format version, clocks and stage count
+	ckptMeta  = 1 // format version and stage count
 	ckptStage = 2 // one stage's state: the MsgSetState payload
 	ckptRing  = 3 // one stage's weight-version ring: the MsgSetRing payload
 	ckptEnd   = 4 // end marker: the file was written completely
@@ -39,25 +40,26 @@ const (
 // ckptFormat is the checkpoint format version. Version 2 added the
 // per-tensor dtype tag (float32 support); version 3 made each section's
 // payload the wire message's (one counted tensor list per stage instead
-// of one per kind of state). Files of another version are rejected
-// rather than mis-decoded.
-const ckptFormat = 3
+// of one per kind of state); version 4 dropped the meta's clocks, which
+// the rings carry. Files of another version are rejected rather than
+// mis-decoded.
+const ckptFormat = 4
 
 // ckptPattern matches checkpoint files in a directory; the step number
 // is zero-padded so lexical order is step order.
 const ckptPattern = "ckpt-*.pm"
 
 // maybeCheckpoint writes a checkpoint when one is configured and the
-// step clock hits the cadence. Called by run() after every committed
+// step count hits the cadence. Called by run() after every committed
 // minibatch.
 func (t *Trainer) maybeCheckpoint() error {
-	if t.cfg.CheckpointDir == "" || t.cfg.CheckpointEvery <= 0 || t.step%t.cfg.CheckpointEvery != 0 {
+	if t.cfg.CheckpointDir == "" || t.cfg.CheckpointEvery <= 0 || t.steps()%t.cfg.CheckpointEvery != 0 {
 		return nil
 	}
 	start := time.Now()
 	t0 := t.cfg.Trace.Now()
 	if _, err := t.WriteCheckpoint(t.cfg.CheckpointDir); err != nil {
-		return fmt.Errorf("core: checkpoint at step %d: %w", t.step, err)
+		return fmt.Errorf("core: checkpoint at step %d: %w", t.steps(), err)
 	}
 	t.ctlTrack().Span(trace.NameCkptWrite, t0, -1, -1, 0)
 	t.ckptWrites++
@@ -95,7 +97,7 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 		os.Remove(tmp)
 		return "", err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.pm", t.step))
+	path := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.pm", t.steps()))
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return "", err
@@ -105,10 +107,7 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 
 // writeSections writes the checkpoint's sections, in file order.
 func (t *Trainer) writeSections(fw *transport.FrameWriter) error {
-	meta := transport.AppendU32(nil, ckptFormat)
-	for _, v := range []int{t.step, t.epoch, t.micro, t.clock.P, t.opt.Clock()} {
-		meta = transport.AppendU32(meta, uint32(v))
-	}
+	meta := transport.AppendU32(transport.AppendU32(nil, ckptFormat), uint32(t.clock.P))
 	if err := fw.WriteMsg(transport.Msg{Type: ckptMeta, Stage: -1, Data: meta}); err != nil {
 		return err
 	}
@@ -130,17 +129,15 @@ func (t *Trainer) writeSections(fw *transport.FrameWriter) error {
 // side so a file that does not fit this trainer is rejected before a
 // single live tensor is touched.
 type ckptState struct {
-	step, epoch, micro int
-	optClock           int
-	skip               int // committed minibatches of the epoch to resume
-	stages             [][]*tensor.Tensor
-	ringBase           []int
-	ringSnaps          [][][]*tensor.Tensor
+	stages    [][]*tensor.Tensor
+	ringBase  []int
+	ringSnaps [][][]*tensor.Tensor
 }
 
 // parseCheckpoint reads the file at path and validates every section
-// against this trainer's stage layout, and the clocks against its epoch
-// length; what it returns, apply installs without another check.
+// against this trainer's stage layout, and the rings against each other:
+// they are the clock, so every one must end at the same version. What it
+// returns, apply installs without another check.
 func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
 	defer func() {
 		if err != nil {
@@ -171,27 +168,14 @@ func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
 	if format := c.I32(); format != ckptFormat {
 		return nil, fmt.Errorf("format version %d, want %d", format, ckptFormat)
 	}
-	st := &ckptState{step: c.I32(), epoch: c.I32(), micro: c.I32()}
 	p := c.I32()
-	st.optClock = c.I32()
 	if err := c.Done(); err != nil {
 		return nil, fmt.Errorf("meta: %w", err)
 	}
 	if p != t.clock.P {
 		return nil, fmt.Errorf("checkpoint has %d stages, trainer has %d", p, t.clock.P)
 	}
-	perEpoch := t.task.NumTrain() / t.cfg.BatchSize
-	st.skip = st.step - st.epoch*perEpoch
-	if st.skip == perEpoch {
-		// Checkpoint taken at the last minibatch of an epoch, before the
-		// epoch counter advanced: resume at the next epoch's start. (The
-		// boundary epoch's metric entry belongs to the interrupted run.)
-		st.epoch++
-		st.skip = 0
-	}
-	if st.skip < 0 || st.skip > perEpoch {
-		return nil, fmt.Errorf("checkpoint clocks inconsistent: step %d, epoch %d, %d minibatches per epoch", st.step, st.epoch, perEpoch)
-	}
+	st := &ckptState{}
 	st.stages = make([][]*tensor.Tensor, p)
 	st.ringBase = make([]int, p)
 	st.ringSnaps = make([][][]*tensor.Tensor, p)
@@ -215,8 +199,12 @@ func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
 		if err := c.Done(); err != nil {
 			return nil, fmt.Errorf("ring %d: %w", s, err)
 		}
-		if err := t.checkRing(s, st.ringSnaps[s]); err != nil {
+		if err := t.checkRing(s, st.ringBase[s], st.ringSnaps[s]); err != nil {
 			return nil, err
+		}
+		end := st.ringBase[s] + len(st.ringSnaps[s]) - 1
+		if end0 := st.ringBase[0] + len(st.ringSnaps[0]) - 1; end != end0 {
+			return nil, fmt.Errorf("ring %d ends at version %d, ring 0 at %d", s, end, end0)
 		}
 	}
 	if _, err := section(ckptEnd, -1); err != nil {
@@ -227,7 +215,7 @@ func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
 
 // apply installs a parsed checkpoint into the live trainer state and
 // pushes it to every follower (replica.Group.Resync: full per-stage state,
-// the step clock and the weight-version rings).
+// then the weight-version rings, which carry the step count).
 func (t *Trainer) apply(st *ckptState) error {
 	for s, state := range t.state {
 		for k, dst := range state {
@@ -235,11 +223,6 @@ func (t *Trainer) apply(st *ckptState) error {
 		}
 		t.store.RestoreStage(s, st.ringBase[s], st.ringSnaps[s])
 	}
-	t.step = st.step
-	t.opt.SetClock(st.optClock)
-	t.epoch = st.epoch
-	t.micro = st.micro
-	t.resumeSkip = st.skip
 	t.diverged = false
 	t.ctlTrack().Instant(trace.NameCkptRestore, -1, -1, 0)
 	if err := t.group.Resync(t.store.History); err != nil {
@@ -285,14 +268,14 @@ func (t *Trainer) RestoreLatest(dir string) (int, error) {
 		if err := t.apply(st); err != nil {
 			return 0, err
 		}
-		return t.step, nil
+		return t.steps(), nil
 	}
 	return 0, fmt.Errorf("core: no valid checkpoint under %s: %w", dir, lastErr)
 }
 
 // epochSeed derives the per-epoch data-order seed: a fixed mix of the
 // run seed and the epoch index, so the order is reproducible from the
-// clocks alone (no RNG state to checkpoint).
+// step count alone (no RNG state to checkpoint).
 func epochSeed(seed int64, epoch int) int64 {
 	return seed ^ (int64(epoch)+1)*int64(-0x61C8864680B583EB) // 2^64 / φ, signed
 }

@@ -79,10 +79,7 @@ func (t *Trainer) ratesInto(out []float64, step, lo, hi int) {
 }
 
 // warmupSteps returns the number of optimizer steps spent in T3 warmup.
-func (t *Trainer) warmupSteps() int {
-	perEpoch := t.task.NumTrain() / t.cfg.BatchSize
-	return t.cfg.WarmupEpochs * perEpoch
-}
+func (t *Trainer) warmupSteps() int { return t.cfg.WarmupEpochs * t.perEpoch() }
 
 // PrepareStage averages the stage's gradients over the minibatch and
 // returns the stage's gradient sum-of-squares for clipping.
@@ -110,24 +107,17 @@ func (h host) ClipScale(sumSq float64) float64 {
 	return max / norm
 }
 
-// BeginStep advances the step clocks for the update being committed: the
-// trainer's step counter and the optimizer's (Adam bias-correction) clock.
-// The per-stage rates are computed at the pre-advance step index
-// (StepStage).
-func (h host) BeginStep() {
-	h.t.step++
-	h.t.opt.Advance()
-}
-
 // StepStage is the stage's whole update: it multiplies the stage's
 // gradients by the clip factor (when that is not 1), applies the optimizer
 // update to the stage's parameter range with that range's (T1) learning
 // rates, then zeroes the gradients, updates the T2 accumulators and pushes
-// the stage's new weight version. Ranges are disjoint and the rate
-// computation is pure given the step clock BeginStep advanced, so distinct
-// stages step concurrently without any cross-stage arithmetic. T2's
-// pre-step weights are the ring's newest version: every change to the
-// masters — a step, an import, a restore — pushes or replaces it.
+// the stage's new weight version. The update's step index — for the
+// schedule, T1 and Adam's bias correction alike — is the stage's newest
+// version before the push: the steps committed before this one. Ranges
+// are disjoint and each stage reads only its own ring, so distinct stages
+// step concurrently without any cross-stage arithmetic. T2's pre-step
+// weights are that newest version: every change to the masters — a step,
+// an import, a restore — pushes or replaces it.
 func (h host) StepStage(stage int, scale float64) {
 	t := h.t
 	lo, hi := t.stageLo[stage], t.stageHi[stage]
@@ -137,9 +127,10 @@ func (h host) StepStage(stage int, scale float64) {
 		}
 	}
 	lrs := t.stageLRs[stage]
-	t.ratesInto(lrs, t.step-1, lo, hi)
-	t.opt.StepRange(lo, hi, lrs)
-	prev := t.store.Get(stage, t.store.Latest(stage))
+	step := t.store.Latest(stage)
+	t.ratesInto(lrs, step, lo, hi)
+	t.opt.StepRange(step, lo, hi, lrs)
+	prev := t.store.Get(stage, step)
 	for i := lo; i < hi; i++ {
 		t.params[i].ZeroGrad()
 		if t.delta != nil {

@@ -205,7 +205,7 @@ type Config struct {
 	// connections (Trainer.AcceptJoins), parks each until the next
 	// minibatch boundary — the only point with no collective in flight —
 	// and admits it with a live state handoff (masters, T2 state,
-	// optimizer moments, version rings, clocks), growing the reduce tree
+	// optimizer moments, version rings), growing the reduce tree
 	// and commit plan to R+1. Requires Replicas >= 2 (a running replica
 	// group to grow) and implies FaultTolerant.
 	Elastic bool
@@ -229,9 +229,9 @@ type Config struct {
 	Heartbeat time.Duration
 
 	// CheckpointDir, when non-empty, makes the leader serialize its full
-	// training state (masters, optimizer moments, T2 accumulators, the
-	// per-stage weight-version rings, and the step/epoch/microbatch
-	// clocks) to a CRC'd frame file in that directory every
+	// training state (masters, optimizer moments, T2 accumulators and the
+	// per-stage weight-version rings, whose newest version is the step
+	// count) to a CRC'd frame file in that directory every
 	// CheckpointEvery optimizer steps. Restore with Trainer.RestoreLatest
 	// (or pipemare.Restore). Followers never checkpoint.
 	CheckpointDir   string
@@ -295,7 +295,7 @@ type Trainer struct {
 	// else in-process follower trainers or remote proxies from
 	// Config.Followers — and the group alone knows who is in the run from
 	// then on. A follower (NewFollower) has no group and holds nothing of
-	// its leader: state and clocks arrive through the member surface.
+	// its leader: state and rings arrive through the member surface.
 	group *replica.Group
 
 	// state is what each stage is, as one list per stage (layoutStages):
@@ -304,13 +304,9 @@ type Trainer struct {
 	// ImportStageState): without the moments, unless fault-tolerant.
 	state, gather [][]*tensor.Tensor
 
-	observer   Observer
-	micro      int  // global microbatch counter s
-	async      bool // the minibatch in flight's phase: delayed installs, T1 rates (SetAsync)
-	step       int  // optimizer step counter (minibatches committed)
-	epoch      int  // cumulative epochs completed (persists across Run calls; a leader's only)
-	diverged   bool
-	resumeSkip int // full minibatches to skip in the first epoch after a restore
+	observer Observer
+	async    bool // the minibatch in flight's phase: delayed installs, T1 rates (SetAsync)
+	diverged bool
 
 	ckptWrites int   // checkpoints written
 	ckptNs     int64 // cumulative wall time spent writing them
@@ -519,6 +515,15 @@ func (t *Trainer) Stages() int { return t.clock.P }
 
 // Microbatches returns N, the number of microbatches per minibatch.
 func (t *Trainer) Microbatches() int { return t.clock.N }
+
+// steps returns the optimizer steps committed so far — version v is the
+// weights after v updates, so between commits it is every ring's newest
+// version — and is the run's only clock: the epoch, the position within
+// it, the microbatch base and T3's phase all derive from it.
+func (t *Trainer) steps() int { return t.store.Latest(0) }
+
+// perEpoch returns the minibatches per epoch (the short one is dropped).
+func (t *Trainer) perEpoch() int { return t.task.NumTrain() / t.cfg.BatchSize }
 
 // Diverged reports whether training was aborted on a non-finite or
 // capped loss.

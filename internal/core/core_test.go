@@ -149,11 +149,9 @@ func (o probeOp) Backward(m *nn.Machine) {
 type countingOptimizer struct{ ps []*nn.Param }
 
 func (c *countingOptimizer) Step(lrs []float64) {
-	c.Advance()
-	c.StepRange(0, len(c.ps), lrs)
+	c.StepRange(0, 0, len(c.ps), lrs)
 }
-func (c *countingOptimizer) Advance() {}
-func (c *countingOptimizer) StepRange(lo, hi int, _ []float64) {
+func (c *countingOptimizer) StepRange(_, lo, hi int, _ []float64) {
 	for _, p := range c.ps[lo:hi] {
 		d := tensor.F64(p.Data)
 		for i := range d {
@@ -168,8 +166,6 @@ func (c *countingOptimizer) CloneShard(ps []*nn.Param, _ optim.Shard) optim.Opti
 }
 func (c *countingOptimizer) StateRange() optim.Shard            { return optim.FullShard(len(c.ps)) }
 func (c *countingOptimizer) MomentTensors(int) []*tensor.Tensor { return nil }
-func (c *countingOptimizer) Clock() int                         { return 0 }
-func (c *countingOptimizer) SetClock(int)                       {}
 
 // runProbe trains task under cfg and returns its trainer and timing clock.
 func runProbe(t *testing.T, task *probeTask, cfg Config, epochs int) (*Trainer, pipeline.Clock) {
@@ -526,8 +522,8 @@ func TestDivergedMinibatchIsNotCommitted(t *testing.T) {
 			if !tr.Diverged() {
 				t.Fatal("the bad loss went unnoticed")
 			}
-			if tr.step != good {
-				t.Fatalf("step clock at %d after divergence in minibatch %d, want %d: the bad minibatch was committed", tr.step, good+1, good)
+			if tr.steps() != good {
+				t.Fatalf("step clock at %d after divergence in minibatch %d, want %d: the bad minibatch was committed", tr.steps(), good+1, good)
 			}
 			for g, pm := range task.params {
 				if pm.Data != tr.masters[g] || pm.Bwd != nil || pm.Data.FlatAt(0) != good || tr.store.Latest(g) != good {

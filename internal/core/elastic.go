@@ -131,7 +131,7 @@ func (t *Trainer) admitJoins() {
 	t.joinMu.Unlock()
 	var parked []pendingJoin
 	for _, pj := range pend {
-		if pj.joinAt > t.step {
+		if pj.joinAt > t.steps() {
 			parked = append(parked, pj)
 			continue
 		}

@@ -12,31 +12,16 @@ import (
 // (replica.Local).
 func (h host) Engine() engine.Engine { return h.t.eng }
 
-// Step returns the optimizer step clock (replica.Leader).
-func (h host) Step() int { return h.t.step }
-
 // Async reports whether the current epoch runs asynchronously
-// (replica.Leader): not GPipe, and past the T3 warmup epochs.
+// (replica.Leader): not GPipe, and past the T3 warmup epochs' steps.
 func (h host) Async() bool {
-	return h.t.cfg.Method != GPipe && h.t.epoch >= h.t.cfg.WarmupEpochs
+	return h.t.cfg.Method != GPipe && h.t.steps() >= h.t.warmupSteps()
 }
 
 // SetAsync sets the epoch phase the next chunk's slots install under and
 // its commit's learning rates follow (replica.Local): the leader's Async,
 // framed with every chunk, the leader's own included.
 func (h host) SetAsync(async bool) { h.t.async = async }
-
-// SetStep aligns the step clock with the leader's (replica.Member) — the
-// tail of a handoff (replica.Group.Handoff).
-func (h host) SetStep(step int) { h.t.setStep(step) }
-
-// setStep moves the optimizer step clock, keeping the optimizer's own
-// update counter (AdamW bias correction) in lockstep — the invariant a
-// checkpoint restore or leader sync relies on.
-func (t *Trainer) setStep(step int) {
-	t.step = step
-	t.opt.SetClock(step)
-}
 
 // TakeStageGrads moves the stage's accumulated gradients into bufs and
 // zeroes the accumulators, so the next microbatch accumulates from zero
@@ -108,10 +93,11 @@ func (h host) ImportStageState(stage int, src []*tensor.Tensor) {
 
 // RestoreVersions replaces a stage's weight-version ring
 // (replica.Member) — the restore path for the historical versions the
-// asynchronous methods read. A ring checkRing refuses panics before the
-// old ring is touched (the serve loop turns that into an error reply).
+// asynchronous methods read, and with them the step count. A ring
+// checkRing refuses panics before the old ring is touched (the serve loop
+// turns that into an error reply).
 func (h host) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	if err := h.t.checkRing(stage, snaps); err != nil {
+	if err := h.t.checkRing(stage, base, snaps); err != nil {
 		panic("core: " + err.Error())
 	}
 	h.t.store.RestoreStage(stage, base, snaps)
@@ -140,10 +126,13 @@ func checkStage(stage int, dst, src []*tensor.Tensor) error {
 }
 
 // checkRing reports whether snaps can replace the stage's version ring:
-// it holds at least one version, and each version has the layout of the
-// stage's masters. Both ring importers — a checkpoint and a handoff — run
-// it before they touch the live ring.
-func (t *Trainer) checkRing(stage int, snaps [][]*tensor.Tensor) error {
+// it starts at a version ≥ 0, holds at least one version, and each version
+// has the layout of the stage's masters. Both ring importers — a
+// checkpoint and a handoff — run it before they touch the live ring.
+func (t *Trainer) checkRing(stage, base int, snaps [][]*tensor.Tensor) error {
+	if base < 0 {
+		return fmt.Errorf("ring %d starts at version %d", stage, base)
+	}
 	if len(snaps) == 0 {
 		return fmt.Errorf("ring %d holds no weight version", stage)
 	}

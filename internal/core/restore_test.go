@@ -38,8 +38,8 @@ func restoreProbe(t *testing.T, dt tensor.DType, fill float64, sizes ...int) *Tr
 }
 
 // liveState flattens everything a restore may write — every master, δ,
-// corrected weight and moment, every ring (base, newest version and
-// snapshots) and the clocks — into bytes, so "untouched" is one
+// corrected weight and moment, and every ring (base, newest version —
+// the step count — and snapshots) — into bytes, so "untouched" is one
 // comparison. It walks the trainer's fields itself rather than the stage
 // layout the importer uses.
 func liveState(tr *Trainer) []byte {
@@ -56,9 +56,6 @@ func liveState(tr *Trainer) []byte {
 			b = transport.AppendTensors(b, snap)
 		}
 	}
-	for _, v := range []int{tr.step, tr.epoch, tr.micro, tr.opt.Clock()} {
-		b = transport.AppendU32(b, uint32(v))
-	}
 	return b
 }
 
@@ -68,8 +65,9 @@ func liveState(tr *Trainer) []byte {
 // not one master, δ, moment, ring or clock has changed — the trainer
 // trains on as if the restore had never been tried. The shape case is a
 // regression: its first three stages fit, and used to be overwritten
-// before the fourth was looked at. So is the clocks case: its clocks used
-// to be checked only after the whole state had been applied.
+// before the fourth was looked at. The ring case is the clock's check:
+// the rings carry the step count, so every one must end at the same
+// version.
 func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 	ctx := context.Background()
 	trained := func(tr *Trainer) *Trainer {
@@ -85,25 +83,31 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 		}
 		return path
 	}
-	// reframed writes a fitting checkpoint whose meta section has the u32
-	// at byte off (format, step, epoch, micro, stages, optimizer clock)
-	// set to v, under a valid frame CRC.
-	reframed := func(off int, v uint32) string {
+	// reframed writes a fitting checkpoint whose section sec has the u32
+	// at byte off set to v, under a valid frame CRC. Section 0 is the meta
+	// (format, stages); section 5+s is stage s's ring (base, count, ...).
+	reframed := func(sec, off int, v uint32) string {
 		path := write(trained(restoreProbe(t, tensor.Float64, 1, 1, 1, 1, 1)))
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta, rest, err := transport.NextMessage(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(meta.Data[off:], transport.AppendU32(nil, v))
 		var b bytes.Buffer
-		if err := transport.NewFrameWriter(&b).WriteMsg(meta); err != nil {
-			t.Fatal(err)
+		fw := transport.NewFrameWriter(&b)
+		for i := 0; len(raw) > 0; i++ {
+			m, rest, err := transport.NextMessage(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == sec {
+				copy(m.Data[off:], transport.AppendU32(nil, v))
+			}
+			if err := fw.WriteMsg(m); err != nil {
+				t.Fatal(err)
+			}
+			raw = rest
 		}
-		if err := os.WriteFile(path, append(b.Bytes(), rest...), 0o644); err != nil {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -119,9 +123,9 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 		{"float32 checkpoint into a float64 trainer", func() string {
 			return write(restoreProbe(t, tensor.Float32, 1, 1, 1, 1, 1))
 		}, "stage 0 tensor 0 dtype float32, want float64"},
-		{"format 2 header", func() string { return reframed(0, 2) }, "format version 2, want 3"},
-		{"epoch 3 after 4 steps", func() string { return reframed(8, 3) },
-			"checkpoint clocks inconsistent: step 4, epoch 3, 4 minibatches per epoch"},
+		{"format 2 header", func() string { return reframed(0, 0, 2) }, "format version 2, want 4"},
+		{"ring 3 ends a version early", func() string { return reframed(5+3, 0, 1) },
+			"ring 3 ends at version 3, ring 0 at 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,11 +136,11 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 				t.Fatalf("RestoreFrom = %v, want an error containing %q", err, tc.wantErr)
 			}
 			if string(liveState(tr)) != string(before) {
-				t.Fatalf("the rejected restore changed live state (masters[0] now %v, stage-0 ring latest %d, step %d)",
-					tr.masters[0], tr.store.Latest(0), tr.step)
+				t.Fatalf("the rejected restore changed live state (masters[0] now %v, stage-0 ring latest %d)",
+					tr.masters[0], tr.store.Latest(0))
 			}
-			if _, err := trained(tr).Run(ctx, 1); err != nil || tr.step != 8 {
-				t.Fatalf("after the rejected restore: step %d, err %v; want 8 steps trained", tr.step, err)
+			if _, err := trained(tr).Run(ctx, 1); err != nil || tr.steps() != 8 {
+				t.Fatalf("after the rejected restore: step %d, err %v; want 8 steps trained", tr.steps(), err)
 			}
 		})
 	}

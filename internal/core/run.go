@@ -14,8 +14,9 @@ import (
 )
 
 // Run trains for the given number of epochs under ctx, recording one entry
-// per epoch. Epochs accumulate across calls: warmup (T3) and divergence
-// state persist, so Run can be called repeatedly to continue training.
+// per epoch. Epochs accumulate across calls, and a Run after a cancel, a
+// divergence or a restore resumes at the first uncommitted minibatch (the
+// epoch's loss entry then averages only the minibatches it trained).
 // Training stops early (without error) when a loss diverges — check
 // Run.Diverged — and stops with ctx.Err() when the context is cancelled;
 // the recorded curve up to that point is always returned.
@@ -45,18 +46,15 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 		}
 		epochLoss, batches := 0.0, 0
 		// The batch order is a pure function of (seed, epoch) — no RNG
-		// state survives between epochs — so a restored run replays the
-		// interrupted epoch's order exactly.
-		epochRng := rand.New(rand.NewSource(epochSeed(t.cfg.Seed, t.epoch)))
-		skip := t.resumeSkip
-		t.resumeSkip = 0
+		// state survives between epochs — so a resumed run replays the
+		// epoch's order, skipping the minibatches already committed.
+		epoch, skip := t.steps()/t.perEpoch(), t.steps()%t.perEpoch()
+		epochRng := rand.New(rand.NewSource(epochSeed(t.cfg.Seed, epoch)))
 		for _, batch := range data.Batches(t.task.NumTrain(), t.cfg.BatchSize, epochRng) {
 			if len(batch) < t.cfg.BatchSize {
 				continue // keep N constant; drop the final short batch
 			}
 			if skip > 0 {
-				// Minibatches already committed before the checkpoint this
-				// run restored from; their state is baked in.
 				skip--
 				continue
 			}
@@ -75,7 +73,6 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 				run.Diverged = true
 				return run, nil
 			}
-			t.micro += len(micros)
 			epochLoss += loss
 			batches++
 			if err := t.maybeCheckpoint(); err != nil {
@@ -93,7 +90,6 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 		metric := t.task.EvalTest()
 		ctl.Span(trace.NameEval, t0, -1, -1, 0)
 		run.Record(epochLoss/float64(batches), metric, nn.ParamNorm(t.params))
-		t.epoch++
 		ctl.Instant(trace.NameEpoch, -1, -1, 0)
 		if t.observer != nil {
 			t.observer(run.Epochs(), run)

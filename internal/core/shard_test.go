@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"pipemare/internal/engine"
+	"pipemare/internal/metrics"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
@@ -164,6 +167,64 @@ func TestImpliedFaultToleranceMirrorsMoments(t *testing.T) {
 		!strings.Contains(err.Error(), "every parameter") {
 		t.Fatalf("fault-tolerant leader over a shard optimizer: err = %v", err)
 	}
+}
+
+// TestEveryRingKeepsTheLeadersClock pins the one clock: the step count is
+// every ring's newest version, on every member. An R = 3 fault-tolerant
+// group trains two epochs, and its checkpoint restores into an R = 2
+// group that trains two more; after the restore's handoff and at every
+// epoch end, every ring of every member — leader and in-process
+// followers — ends at the leader's step count, which is 4 per epoch.
+func TestEveryRingKeepsTheLeadersClock(t *testing.T) {
+	const stages = 3
+	build := func(replicas int) (*Trainer, []*Trainer) {
+		task := newRepTask(6, 64) // 4 minibatches per epoch
+		var followers []*Trainer
+		opt := optim.NewAdamW(repParams(task), 0.9, 0.98, 1e-9, 0)
+		cfg := Config{Stages: stages, BatchSize: 16, MicrobatchSize: 4, Replicas: replicas, FaultTolerant: true, Seed: 1}
+		cfg.Followers = captureFollowers(task, opt, cfg, &followers)
+		tr, err := New(task, opt, optim.Constant(0.1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, followers
+	}
+	check := func(when string, tr *Trainer, followers []*Trainer, want int) {
+		t.Helper()
+		if tr.steps() != want {
+			t.Fatalf("%s: the leader is at step %d, want %d", when, tr.steps(), want)
+		}
+		for r, m := range append([]*Trainer{tr}, followers...) {
+			for s := range stages {
+				if got := m.store.Latest(s); got != want {
+					t.Fatalf("%s: replica %d's stage-%d ring ends at version %d, the leader's step count is %d", when, r, s, got, want)
+				}
+			}
+		}
+	}
+	run := func(tr *Trainer, followers []*Trainer, epochs, from int) {
+		t.Helper()
+		tr.Observe(func(epoch int, _ *metrics.Run) {
+			check(fmt.Sprintf("epoch %d", from+epoch), tr, followers, 4*(from+epoch))
+		})
+		if _, err := tr.Run(context.Background(), epochs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr3, followers3 := build(3)
+	defer tr3.Close()
+	run(tr3, followers3, 2, 0)
+	path, err := tr3.WriteCheckpoint(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr2, followers2 := build(2)
+	defer tr2.Close()
+	if err := tr2.RestoreFrom(path); err != nil {
+		t.Fatal(err)
+	}
+	check("after the restore", tr2, followers2, 8)
+	run(tr2, followers2, 2, 2)
 }
 
 // brokenClone is a repTask whose clones build another model: the first

@@ -26,8 +26,9 @@ func (h host) Stages() int { return h.t.clock.P }
 // recompute climb: the path is configured and the epoch asynchronous.
 func (h host) Recompute() bool { return h.t.async && h.t.clock.Segments > 0 }
 
-// MicroBase returns the global microbatch counter for the minibatch start.
-func (h host) MicroBase() int { return h.t.micro }
+// MicroBase returns the global microbatch counter for the minibatch start:
+// N per committed step.
+func (h host) MicroBase() int { return h.t.steps() * h.t.clock.N }
 
 // slotKind names the three slots of a microbatch chain at one stage.
 type slotKind int

@@ -16,12 +16,14 @@ import (
 // one learning rate per parameter so that per-stage rescheduling (T1) can
 // be applied; use UniformLR for a shared rate.
 //
-// The update is shardable: Advance moves the optimizer's step clock (Adam
-// bias correction) exactly once per update, after which StepRange applies
-// the update to any contiguous parameter range. Ranges of one update must
-// be disjoint; distinct ranges may then run concurrently (each parameter's
-// state is touched only by its own range), which is how the engines commit
-// the step stage-parallel. Step ≡ Advance + StepRange over everything.
+// The update is shardable: StepRange applies update number step+1 (Adam
+// bias correction reads it) to any contiguous parameter range. The
+// caller owns the clock — a trainer passes the stage's newest weight
+// version, the count of updates before this one. Ranges of one update
+// must be disjoint; distinct ranges may then run concurrently (each
+// parameter's state is touched only by its own range), which is how the
+// engines commit the step stage-parallel. Step is the standalone update:
+// it counts its own calls and steps every parameter.
 //
 // Its state is shardable and readable too — the surface the replica-sharded
 // commit, fault tolerance and checkpoints are built on. CloneShard builds
@@ -29,20 +31,14 @@ import (
 // replica's parameter copies, in the same order and shapes as Params())
 // holding moment state only for sh; StateRange reports the shard an
 // optimizer holds state for (the full range for the ordinary
-// constructors); MomentTensors returns the live moment tensors of one
-// parameter within it, in a fixed per-optimizer order; and Clock/SetClock
-// expose the step clock Advance moves (0 and a no-op for clockless
-// optimizers), so a restored optimizer resumes with bit-identical bias
-// corrections.
+// constructors); and MomentTensors returns the live moment tensors of one
+// parameter within it, in a fixed per-optimizer order.
 type Optimizer interface {
 	Step(lrs []float64)
-	// Advance moves the step clock for the next update. It must
-	// happen-before every StepRange of that update.
-	Advance()
-	// StepRange applies the just-advanced update to params [lo, hi);
-	// lrs[i] is the learning rate of parameter lo+i. [lo, hi) must lie
-	// within StateRange.
-	StepRange(lo, hi int, lrs []float64)
+	// StepRange applies the (step+1)-th update to params [lo, hi); lrs[i]
+	// is the learning rate of parameter lo+i. [lo, hi) must lie within
+	// StateRange.
+	StepRange(step, lo, hi int, lrs []float64)
 	Params() []*nn.Param
 	// StateCopies reports how many weight-sized buffers the optimizer
 	// holds per parameter including the master weights and the gradient
@@ -51,8 +47,6 @@ type Optimizer interface {
 	CloneShard(params []*nn.Param, sh Shard) Optimizer
 	StateRange() Shard
 	MomentTensors(i int) []*tensor.Tensor
-	Clock() int
-	SetClock(t int)
 }
 
 // UniformLR returns a slice of n copies of lr.
@@ -141,16 +135,12 @@ func (s *SGD) Step(lrs []float64) {
 	if len(lrs) != len(s.ps) {
 		panic(fmt.Sprintf("optim: %d learning rates for %d params", len(lrs), len(s.ps)))
 	}
-	s.Advance()
-	s.StepRange(0, len(s.ps), lrs)
+	s.StepRange(0, 0, len(s.ps), lrs)
 }
 
-// Advance is a no-op: momentum SGD keeps no step clock.
-func (s *SGD) Advance() {}
-
 // StepRange applies the update to params [lo, hi), which must lie within
-// the optimizer's state shard.
-func (s *SGD) StepRange(lo, hi int, lrs []float64) {
+// the optimizer's state shard. Momentum SGD reads no step clock.
+func (s *SGD) StepRange(_, lo, hi int, lrs []float64) {
 	checkRange(s.shard, lo, hi, len(lrs))
 	for i := lo; i < hi; i++ {
 		p := s.ps[i]
@@ -187,12 +177,6 @@ func (s *SGD) MomentTensors(i int) []*tensor.Tensor {
 	return []*tensor.Tensor{s.vel[i-s.shard.Lo]}
 }
 
-// Clock is 0: momentum SGD keeps no step clock.
-func (s *SGD) Clock() int { return 0 }
-
-// SetClock is a no-op (see Clock).
-func (s *SGD) SetClock(int) {}
-
 // StateCopies is 3: master weights, gradient, momentum (the paper's
 // footnote 2 accounting, which makes T2's extra buffer a 33% increase).
 func (s *SGD) StateCopies() int { return 3 }
@@ -208,7 +192,7 @@ type AdamW struct {
 
 	shard Shard
 	m, v  []*tensor.Tensor // moments of params [shard.Lo, shard.Hi), indexed i−shard.Lo
-	t     int
+	t     int              // Step calls so far: the standalone API's clock
 }
 
 // NewAdamW returns an AdamW optimizer with the paper's Transformer betas
@@ -239,27 +223,23 @@ func (a *AdamW) CloneShard(params []*nn.Param, sh Shard) Optimizer {
 // StateRange reports the parameter shard this optimizer holds state for.
 func (a *AdamW) StateRange() Shard { return a.shard }
 
-// Step applies one AdamW update with bias correction.
+// Step applies one AdamW update with bias correction, counting the
+// updates Step has applied.
 func (a *AdamW) Step(lrs []float64) {
 	if len(lrs) != len(a.ps) {
 		panic(fmt.Sprintf("optim: %d learning rates for %d params", len(lrs), len(a.ps)))
 	}
-	a.Advance()
-	a.StepRange(0, len(a.ps), lrs)
+	a.StepRange(a.t, 0, len(a.ps), lrs)
+	a.t++
 }
 
-// Advance moves the Adam step clock; the bias corrections of the next
-// StepRange calls are computed from the advanced clock.
-func (a *AdamW) Advance() { a.t++ }
-
-// StepRange applies the update to params [lo, hi), which must lie within
-// the optimizer's state shard. The bias-correction factors depend only on
-// the (already advanced) step clock, so disjoint ranges of one update are
-// independent.
-func (a *AdamW) StepRange(lo, hi int, lrs []float64) {
+// StepRange applies update step+1 to params [lo, hi), which must lie
+// within the optimizer's state shard. The bias-correction factors depend
+// only on step, so disjoint ranges of one update are independent.
+func (a *AdamW) StepRange(step, lo, hi int, lrs []float64) {
 	checkRange(a.shard, lo, hi, len(lrs))
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	bc1 := 1 - math.Pow(a.Beta1, float64(step+1))
+	bc2 := 1 - math.Pow(a.Beta2, float64(step+1))
 	for i := lo; i < hi; i++ {
 		p := a.ps[i]
 		lr := lrs[i-lo]
@@ -301,12 +281,6 @@ func (a *AdamW) MomentTensors(i int) []*tensor.Tensor {
 	}
 	return []*tensor.Tensor{a.m[i-a.shard.Lo], a.v[i-a.shard.Lo]}
 }
-
-// Clock returns the Adam step clock (bias-correction exponent).
-func (a *AdamW) Clock() int { return a.t }
-
-// SetClock restores the Adam step clock (checkpoint restore).
-func (a *AdamW) SetClock(t int) { a.t = t }
 
 // StateCopies is 4: master weights, gradient, first and second moments.
 func (a *AdamW) StateCopies() int { return 4 }

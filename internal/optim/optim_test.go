@@ -257,8 +257,11 @@ func shardParams(n int) []*nn.Param {
 
 // TestShardedStepMatchesFullStep pins the ZeRO-style split: stepping the
 // full optimizer once must be bit-identical to stepping each shard of a
-// sharded sibling set over the same initial state — the arithmetic the
-// replica-sharded commit distributes across replicas.
+// sharded sibling set over the same state — the arithmetic the
+// replica-sharded commit distributes across replicas. The shards take
+// over the full optimizer's weights and moments after update 5, so
+// StepRange(k, …) must match the (k+1)-th Step from the clock it is
+// given alone.
 func TestShardedStepMatchesFullStep(t *testing.T) {
 	const n = 7
 	builders := []struct {
@@ -286,11 +289,22 @@ func TestShardedStepMatchesFullStep(t *testing.T) {
 		for i := range lrs {
 			lrs[i] = 0.01 * float64(i+1)
 		}
-		for step := 0; step < 3; step++ {
+		const start = 5
+		for range start {
+			full.Step(lrs)
+		}
+		for j, sh := range shards {
+			for i := sh.Lo; i < sh.Hi; i++ {
+				split[i].Data.CopyFrom(ref[i].Data)
+				for k, m := range parts[j].MomentTensors(i) {
+					m.CopyFrom(full.MomentTensors(i)[k])
+				}
+			}
+		}
+		for step := start; step < start+3; step++ {
 			full.Step(lrs)
 			for j, sh := range shards {
-				parts[j].Advance()
-				parts[j].StepRange(sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
+				parts[j].StepRange(step, sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
 			}
 			for i := range ref {
 				if ref[i].Data.FlatAt(0) != split[i].Data.FlatAt(0) {
@@ -332,10 +346,8 @@ func TestShardCloneMatchesOriginal(t *testing.T) {
 	sh := Shard{Lo: 1, Hi: 4}
 	clone := full.CloneShard(clonePs, sh)
 	lrs := []float64{0.01, 0.02, 0.03, 0.04, 0.05}
-	full.Advance()
-	full.StepRange(sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
-	clone.Advance()
-	clone.StepRange(sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
+	full.StepRange(0, sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
+	clone.StepRange(0, sh.Lo, sh.Hi, lrs[sh.Lo:sh.Hi])
 	for i := sh.Lo; i < sh.Hi; i++ {
 		if ps[i].Data.FlatAt(0) != clonePs[i].Data.FlatAt(0) {
 			t.Fatalf("param %d: original %v != clone %v", i, ps[i].Data.FlatAt(0), clonePs[i].Data.FlatAt(0))
@@ -354,5 +366,5 @@ func TestShardOutOfRangePanics(t *testing.T) {
 			t.Fatal("StepRange outside the state shard did not panic")
 		}
 	}()
-	sgd.StepRange(0, 2, []float64{0.1, 0.1})
+	sgd.StepRange(0, 0, 2, []float64{0.1, 0.1})
 }

@@ -20,10 +20,8 @@ var clipPartials = []float64{1e16, 1, -1e16, 1, 1, 3}
 
 // phaseLedger checks the commit contract at call time, across every
 // member of a group: each stage is prepared exactly once before the clip
-// fold, the fold is the stage-ordered left fold of the partials, each
-// member advances its step clock exactly once after the fold and before
-// it steps a stage, and each stage is stepped once, with the folded
-// factor.
+// fold, the fold is the stage-ordered left fold of the partials, and
+// each stage is stepped once, after the fold, with the folded factor.
 type phaseLedger struct {
 	n int // microbatches per minibatch
 
@@ -56,11 +54,10 @@ func once(counts []int) bool {
 // whose events land in rec under replica index id.
 type phaseMember struct {
 	*fakeMember
-	l     *phaseLedger
-	eng   engine.Engine
-	rec   *trace.Recorder
-	id    int
-	begun int // step-clock advances, guarded by l.mu
+	l   *phaseLedger
+	eng engine.Engine
+	rec *trace.Recorder
+	id  int
 }
 
 func newPhaseMember(l *phaseLedger, eng engine.Engine, rec *trace.Recorder, id int) *phaseMember {
@@ -102,22 +99,12 @@ func (m *phaseMember) ClipScale(sumSq float64) float64 {
 	return 0.5
 }
 
-func (m *phaseMember) BeginStep() {
-	l := m.l
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.clipped {
-		l.errf("replica %d: BeginStep before the clip fold", m.id)
-	}
-	m.begun++
-}
-
 func (m *phaseMember) StepStage(stage int, scale float64) {
 	l := m.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if m.begun != 1 {
-		l.errf("replica %d: StepStage(%d) with %d step-clock advances", m.id, stage, m.begun)
+	if !l.clipped {
+		l.errf("replica %d: StepStage(%d) before the clip fold", m.id, stage)
 	}
 	if scale != 0.5 {
 		l.errf("StepStage(%d) scale %g, want the folded 0.5", stage, scale)
@@ -203,11 +190,6 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 			g.Stop()
 			if len(l.errs) > 0 {
 				t.Fatalf("commit contract violations: %v", l.errs)
-			}
-			for _, m := range ms {
-				if m.begun != 1 {
-					t.Fatalf("replica %d advanced its step clock %d times, want once", m.id, m.begun)
-				}
 			}
 			if !once(l.prepared) || !once(l.stepped) {
 				t.Fatalf("prepared %v, stepped %v; want once each", l.prepared, l.stepped)

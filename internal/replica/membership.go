@@ -266,8 +266,9 @@ func (g *Group) ResetGrads() {
 
 // Handoff pushes the leader's live state to member id, a member call — for
 // a remote member a wire request — at a time: every stage's state in the
-// gather layout, the step clock, then each stage's weight-version ring
-// (rings returns its base version and snapshots, oldest to newest). It is
+// gather layout, then each stage's weight-version ring (rings returns its
+// base version and snapshots, oldest to newest), whose newest version is
+// the step count the member resumes at. It is
 // the one way a follower becomes active — at launch, on a mid-run join, on
 // a straggler's rejoin — and the checkpoint-restore re-synchronization: a
 // member that has seen it, and is then framed with the epoch phase of each
@@ -278,7 +279,6 @@ func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor))
 	for st := 0; st < g.p; st++ {
 		m.ImportStageState(st, g.lead.StageState(st))
 	}
-	m.SetStep(g.lead.Step())
 	for st := 0; st < g.p; st++ {
 		base, snaps := rings(st)
 		m.RestoreVersions(st, base, snaps)

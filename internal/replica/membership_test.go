@@ -22,7 +22,7 @@ type fakeRemote struct {
 	replica.Member
 	p      int
 	id     int    // the id the group handed over (SetID)
-	failAt string // "run", "prepare", "step", "state", "sync", "import" or ""
+	failAt string // "run", "prepare", "step", "state", "import" or ""
 	runErr error
 
 	mu     sync.Mutex
@@ -85,12 +85,6 @@ func (f *fakeRemote) StageState(stage int) []*tensor.Tensor {
 		return nil
 	}
 	return f.Member.StageState(stage)
-}
-
-func (f *fakeRemote) SetStep(step int) {
-	if !f.die("sync") {
-		f.Member.SetStep(step)
-	}
 }
 
 func (f *fakeRemote) ImportStageState(stage int, src []*tensor.Tensor) {
@@ -251,8 +245,8 @@ func TestMembershipTransitions(t *testing.T) {
 		}, subject: 2, wantState: replica.Active, wantActive: 4},
 		{name: "standby broken while parked", event: func(f *fixture) error {
 			f.g.Transition(2, replica.Standby)
-			f.remote[2].failAt = "sync"
-			f.remote[2].SetStep(0)
+			f.remote[2].failAt = "import"
+			f.remote[2].ImportStageState(0, nil)
 			if ids := f.g.ReadyStandbys(); len(ids) != 0 {
 				return fmt.Errorf("broken standby reported ready: %v", ids)
 			}
@@ -273,8 +267,8 @@ func TestMembershipTransitions(t *testing.T) {
 				return err
 			}
 			m := f.remote[id].Member.(*fakeMember)
-			if m.synced != 1 || m.rings != p {
-				return fmt.Errorf("handoff pushed %d full syncs, %d rings; want 1, %d", m.synced, m.rings, p)
+			if m.rings != p {
+				return fmt.Errorf("handoff pushed %d rings, want %d", m.rings, p)
 			}
 			for st, n := range m.imported {
 				if n != 1 {
@@ -285,7 +279,7 @@ func TestMembershipTransitions(t *testing.T) {
 		}, subject: 4, wantState: replica.Active, wantActive: 4},
 		{name: "join whose handoff fails", event: func(f *fixture) error {
 			joiner := newFakeRemote(p)
-			joiner.failAt = "sync"
+			joiner.failAt = "import"
 			id, err := f.g.Park(joiner)
 			if err != nil {
 				return err

@@ -51,7 +51,10 @@
 // leave). Group holds the one membership table — a record per member
 // with a stable id — and Group.Transition is the one operation that
 // changes it: eviction, demotion, join and rejoin are its edges
-// (membership.go).
+// (membership.go). A member keeps no step clock of its own: version v of
+// a stage's weights is the state after v updates, so its rings' newest
+// version is the step count, and the handoff that gives it the leader's
+// state and rings gives it the leader's clock too.
 package replica
 
 import (
@@ -78,12 +81,12 @@ type Member interface {
 	// SetStageGrads overwrites the stage's gradient accumulators with
 	// bufs (a pure copy) — the scatter half of the sharded commit.
 	SetStageGrads(stage int, bufs []*tensor.Tensor)
-	// PrepareStage, BeginStep and StepStage are the commit phases a
-	// stage's owner runs against its own parameter copies and optimizer
-	// state (Group.Commit). The per-stage two touch only their stage, so
-	// distinct stages may run them concurrently.
+	// PrepareStage and StepStage are the commit phases a stage's owner
+	// runs against its own parameter copies and optimizer state
+	// (Group.Commit). They touch only their stage, so distinct stages may
+	// run them concurrently. StepStage reads the update's step index from
+	// the stage's own weight-version ring: its newest version.
 	PrepareStage(stage, nMicro int) float64
-	BeginStep()
 	StepStage(stage int, scale float64)
 	// StageState returns the stage's live post-step state tensors
 	// (masters, then T2 δ and corrected when enabled, then the optimizer
@@ -95,14 +98,11 @@ type Member interface {
 	// that stage — the gather half of the sharded commit, and one stage of
 	// a handoff.
 	ImportStageState(stage int, src []*tensor.Tensor)
-	// SetStep aligns the member's optimizer step clock with the leader's:
-	// the tail of a handoff. The epoch phase needs no clock: it arrives
-	// with every chunk.
-	SetStep(step int)
 	// RestoreVersions replaces a stage's weight-version ring wholesale
 	// (base is its oldest version number, snaps the versions oldest to
 	// newest), so historical-version installs after a restore or a
-	// handoff are bit-identical to the leader's.
+	// handoff are bit-identical to the leader's — and so is the step
+	// count, the newest version. The epoch phase arrives with every chunk.
 	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
 }
 
@@ -119,8 +119,8 @@ type Local interface {
 	Engine() engine.Engine
 	// SetAsync sets the epoch phase of the chunk the member is about to
 	// run: whether its slots install delayed weights and its commit
-	// T1-reschedules. It arrives with the chunk because a follower keeps no
-	// epoch clock — the leader's view is authoritative for all replicas.
+	// T1-reschedules. It arrives with the chunk — the leader's view is
+	// authoritative for all replicas.
 	SetAsync(async bool)
 	// TakeStageGrads moves the stage's accumulated parameter gradients
 	// into bufs (allocating buffers when bufs is nil) and zeroes the
@@ -159,11 +159,9 @@ type Remote interface {
 }
 
 // Leader is the host of a trainer that leads a replica group: what the
-// group reads the run's step clock, epoch phase and clip factor from.
+// group reads the run's epoch phase and clip factor from.
 type Leader interface {
 	Local
-	// Step reads the clock a member's SetStep gets.
-	Step() int
 	// Async reports whether the current epoch runs asynchronously (false
 	// for GPipe and during T3 warmup epochs): the phase every member's
 	// chunk is framed with.
@@ -418,8 +416,9 @@ func (g *Group) collective(name string, t0, bytes int64) {
 //  2. Per-stage phase arithmetic is location-independent. PrepareStage and
 //     StepStage touch only the stage's parameter range, and every input —
 //     masters (gather-synced), reduced gradients (scattered), moment state
-//     (stepped only by the owner, every step, from identical inputs), step
-//     clocks (every member advances once per commit), τ delays and
+//     (stepped only by the owner, every step, from identical inputs), the
+//     step index (the stage ring's newest version, which every member
+//     pushes once per stage per commit), τ delays and
 //     schedules (identical by construction), the epoch phase (framed with
 //     the member's chunk), the clip scale (an argument) — is bitwise equal
 //     to the leader's, so the owner performs bitwise the arithmetic the
@@ -435,7 +434,7 @@ func (g *Group) collective(name string, t0, bytes int64) {
 // A member failure surfaces as *MemberError when the member can leave the
 // group (see classify) and as a plain wrapped error otherwise; the group
 // must not commit again after a plain error. Up to the prepare phase no
-// member has advanced a clock, so the minibatch replays. After it, a
+// member has pushed a version, so the minibatch replays. After it, a
 // fault-tolerant group finishes the step without the dead member (see
 // takeOver), and the member leaves without a replay.
 func (g *Group) Commit(nMicro int) error {
@@ -464,9 +463,9 @@ func (g *Group) Commit(nMicro int) error {
 		})
 	})
 	if m, err := g.firstFault(); m != nil {
-		// No member has advanced its step clock yet, so a failure up to
-		// Prepare replays the whole minibatch over the survivors
-		// (ResetGrads first — the scatter moved gradients).
+		// No member has stepped a stage yet, so a failure up to Prepare
+		// replays the whole minibatch over the survivors (ResetGrads
+		// first — the scatter moved gradients).
 		return g.classify(m, err, true)
 	}
 	sumSq := 0.0
@@ -474,11 +473,9 @@ func (g *Group) Commit(nMicro int) error {
 		sumSq += s
 	}
 	scale := g.lead.ClipScale(sumSq)
-	// Step: every member advances its step clocks (owners and idle
-	// members alike, keeping the R trainers' step counters and Adam
-	// clocks in lockstep), then owners step their shards' stages.
+	// Step: owners step their shards' stages, each pushing the stage's
+	// next version.
 	g.eachMember(func(_ int, m *member, lo, hi int) {
-		m.BeginStep()
 		g.runShard(m, lo, hi, trace.NameCommitStep, func(st int) {
 			m.StepStage(st, scale)
 		})
@@ -523,19 +520,18 @@ func (g *Group) Commit(nMicro int) error {
 
 // takeOver finishes, on the leader, the step of every follower of a
 // fault-tolerant group that died after the prepare phase — during its
-// step-clock advance or its stage steps, or while its post-step state was
-// fetched — and makes the leader its shards' owner for the rest of the
-// gather. A member that dies later, during its own import, needs nothing:
-// its shard was fetched.
+// stage steps, or while its post-step state was fetched — and makes the
+// leader its shards' owner for the rest of the gather. A member that dies
+// later, during its own import, needs nothing: its shard was fetched.
 //
 // The re-step is bitwise the one the dead owner ran (or would have run),
 // because the leader holds everything that step read: its masters, T2
-// state and mirrored moments of the shard are still pre-step (nothing has
-// been imported yet), its clocks advanced in this commit's BeginStep, the
-// reduced gradient is still in g.scatter, and the clip scale is the one
-// the orchestrator computed. Without fault tolerance the dead owner's
-// moments are gone and nothing is taken over: its stages stay unimported
-// and the commit ends in a plain error.
+// state, mirrored moments and version ring of the shard are still
+// pre-step (nothing has been imported yet, so each ring's newest version
+// is the step index), the reduced gradient is still in g.scatter, and the
+// clip scale is the one the orchestrator computed. Without fault
+// tolerance the dead owner's moments are gone and nothing is taken over:
+// its stages stay unimported and the commit ends in a plain error.
 func (g *Group) takeOver(nMicro int, scale float64, states [][]*tensor.Tensor) {
 	if !g.ft {
 		return

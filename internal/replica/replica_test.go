@@ -26,26 +26,23 @@ type fakeMember struct {
 	engErr error // what its engine fails with (nil: it drives the chunk)
 	mu     sync.Mutex
 	acc    []float64 // per-stage accumulator
-	synced int       // SetStep calls: one per full-state push from the leader
 	folds  [][]float64
 
 	// Commit recording: per-stage commit-phase call counts and
 	// per-stage "state" scalars for the scatter/gather assertions.
-	state      []float64 // per-stage post-step state (stepped by owner, imported elsewhere)
-	prepared   []int
-	stepped    []int
-	scales     []float64 // per-stage clip scale of the last StepStage
-	stepAt     []int     // per-stage step-clock advances seen by the last StepStage
-	imported   []int
-	beginSteps int
-	asyncSet   int // SetAsync calls
-	rings      int // RestoreVersions calls
+	state    []float64 // per-stage post-step state (stepped by owner, imported elsewhere)
+	prepared []int
+	stepped  []int
+	scales   []float64 // per-stage clip scale of the last StepStage
+	imported []int
+	asyncSet int // SetAsync calls
+	rings    int // RestoreVersions calls: the tail of a handoff
 }
 
 func newFakeMember(p int) *fakeMember {
 	return &fakeMember{p: p, acc: make([]float64, p), folds: make([][]float64, p),
 		state: make([]float64, p), prepared: make([]int, p), stepped: make([]int, p),
-		scales: make([]float64, p), stepAt: make([]int, p), imported: make([]int, p)}
+		scales: make([]float64, p), imported: make([]int, p)}
 }
 
 func (f *fakeMember) Stages() int                 { return f.p }
@@ -84,21 +81,15 @@ func (f *fakeMember) PrepareStage(stage, nMicro int) float64 {
 // every owner's StepStage.
 func (f *fakeMember) ClipScale(sumSq float64) float64 { return 0.25 }
 
-func (f *fakeMember) BeginStep() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.beginSteps++
-}
-
 // StepStage "steps" the stage by publishing the reduced gradient the owner
 // holds into its state scalar, so the gather assertions can check that
 // non-owners receive exactly the owner's post-step value, and records the
-// clip scale it was handed and the step clock it ran at.
+// clip scale it was handed.
 func (f *fakeMember) StepStage(stage int, scale float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stepped[stage]++
-	f.scales[stage], f.stepAt[stage] = scale, f.beginSteps
+	f.scales[stage] = scale
 	f.state[stage] = 1000 + f.acc[stage]
 	f.acc[stage] = 0
 }
@@ -141,20 +132,11 @@ func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	f.state[stage] = src[0].FlatAt(0)
 }
 
-func (f *fakeMember) SetStep(int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.synced++
-}
-
 func (f *fakeMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.rings++
 }
-
-// A fakeMember can lead a group: its step clock reads zero.
-func (f *fakeMember) Step() int { return 0 }
 
 var _ replica.Leader = (*fakeMember)(nil)
 
@@ -261,12 +243,11 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 // fake members with an uneven stage count (P=5 across R=3: shards of 2, 2
 // and 1 stages) and checks the ownership contract the determinism claim
 // rests on: every stage is prepared and stepped exactly once, at its
-// owner, and stepped after the owner's one step-clock advance with the one
-// clip scale the orchestrator computed; the leader's reduced gradient
-// reaches the owner by pure copy (and leaves the leader's accumulator
-// empty); every member advances its step clock exactly once and is sent
-// no other clock; and every non-owner imports exactly the owner's
-// post-step state.
+// owner, and stepped with the one clip scale the orchestrator computed;
+// the leader's reduced gradient reaches the owner by pure copy (and
+// leaves the leader's accumulator empty); no member is sent a ring during
+// the commit; and every non-owner imports exactly the owner's post-step
+// state.
 func TestGroupShardedCommitProtocol(t *testing.T) {
 	const p, r = 5, 3
 	lead := &fakeLead{fakeMember: newFakeMember(p)}
@@ -294,9 +275,9 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 					t.Fatalf("owner %d of stage %d ran prepare/step %d/%d times, want 1/1",
 						i, st, m.prepared[st], m.stepped[st])
 				}
-				if m.scales[st] != 0.25 || m.stepAt[st] != 1 {
-					t.Fatalf("owner %d stepped stage %d under scale %g after %d step-clock advances, want the orchestrator's 0.25 after 1",
-						i, st, m.scales[st], m.stepAt[st])
+				if m.scales[st] != 0.25 {
+					t.Fatalf("owner %d stepped stage %d under scale %g, want the orchestrator's 0.25",
+						i, st, m.scales[st])
 				}
 				if m.imported[st] != 0 {
 					t.Fatalf("owner %d imported its own stage %d", i, st)
@@ -316,10 +297,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 		}
 	}
 	for i, m := range members {
-		if m.beginSteps != 1 {
-			t.Fatalf("member %d advanced its step clock %d times, want exactly 1", i, m.beginSteps)
-		}
-		if m.synced != 0 {
+		if m.rings != 0 {
 			t.Fatalf("member %d received a full-state push during the commit", i)
 		}
 	}
@@ -347,7 +325,7 @@ func TestComputeSuppressesCommit(t *testing.T) {
 	}
 	for r := 0; r < 2; r++ {
 		var h engine.Host = g.Compute(r)
-		for _, phase := range []string{"PrepareStage", "ClipScale", "BeginStep", "StepStage"} {
+		for _, phase := range []string{"PrepareStage", "ClipScale", "StepStage"} {
 			if _, ok := reflect.TypeOf(h).MethodByName(phase); ok {
 				t.Fatalf("replica %d's compute wrapper exposes the commit phase %s", r, phase)
 			}
@@ -420,10 +398,10 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 	g.Stop()
 	for name, m := range map[string]*fakeMember{"leader": lead, "follower": follower.fakeMember} {
 		for st := range m.p {
-			if m.prepared[st]+m.stepped[st] != 0 || m.beginSteps != 0 {
+			if m.prepared[st]+m.stepped[st] != 0 {
 				t.Fatalf("%s ran commit phases after cancellation, want none", name)
 			}
-			if len(m.folds[st]) != 0 || m.imported[st] != 0 || m.synced != 0 {
+			if len(m.folds[st]) != 0 || m.imported[st] != 0 || m.rings != 0 {
 				t.Fatalf("%s ran a fold, gather or handoff after cancellation, want none", name)
 			}
 		}

@@ -63,9 +63,10 @@ const (
 	// checksum, no welcome round trip for joiners; version 4 made a stage's
 	// step one MsgStep carrying the clip scale, and dropped the scale,
 	// finish and epoch-sync messages (the epoch phase rides with each
-	// chunk). Peers of another version are rejected rather than
-	// mis-decoded.
-	Version = 4
+	// chunk); version 5 dropped the step-clock advance and the handoff's
+	// step sync (a member's step count is its rings' newest version).
+	// Peers of another version are rejected rather than mis-decoded.
+	Version = 5
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32
@@ -89,7 +90,7 @@ const (
 // one reply (MsgAck, a typed reply, or MsgErr). MsgPing is the one
 // exception: the worker interleaves it with a pending MsgChunkDone as a
 // liveness signal, and the leader consumes it without replying. The
-// numbers of deleted types (9, 11, 15) are not reused.
+// numbers of deleted types (8, 9, 11, 15, 16) are not reused.
 const (
 	MsgHello     = 1  // leader→worker: the Spec that opens every session (launch or join)
 	MsgHelloOK   = 2  // worker→leader: follower built for the Spec
@@ -98,12 +99,11 @@ const (
 	MsgSetGrads  = 5  // leader→worker: overwrite a stage's gradient accumulators
 	MsgPrepare   = 6  // leader→worker: PrepareStage(stage, nMicro)
 	MsgPrepared  = 7  // worker→leader: the stage's clip-norm partial
-	MsgBeginStep = 8  // leader→worker: advance the step clocks
 	MsgStep      = 10 // leader→worker: StepStage(stage, scale)
 	MsgGetState  = 12 // leader→worker: read a stage's post-step state
 	MsgState     = 13 // worker→leader: the stage's state tensors
 	MsgSetState  = 14 // leader→worker: import a stage's state (gather/handoff)
-	MsgSync      = 16 // leader→worker: align the follower's step clock (handoff tail)
+	MsgSync      = 16 // retired: no request carries it (the benchmark's empty round trip still names it)
 	MsgAck       = 17 // worker→leader: generic success reply
 	MsgErr       = 18 // worker→leader: failure reply (code + text)
 	MsgBye       = 19 // leader→worker: clean shutdown

@@ -135,16 +135,14 @@ func (m *RemoteMember) SetTracer(rec *trace.Recorder) {
 
 // wireNames are the interned wire-span names, indexed by request type.
 var wireNames = [...]string{
-	MsgHello:     "wire:hello",
-	MsgRunChunk:  "wire:chunk",
-	MsgSetGrads:  "wire:set-grads",
-	MsgPrepare:   "wire:prepare",
-	MsgBeginStep: "wire:begin-step",
-	MsgStep:      "wire:step",
-	MsgGetState:  "wire:get-state",
-	MsgSetState:  "wire:set-state",
-	MsgSync:      "wire:sync",
-	MsgSetRing:   "wire:set-ring",
+	MsgHello:    "wire:hello",
+	MsgRunChunk: "wire:chunk",
+	MsgSetGrads: "wire:set-grads",
+	MsgPrepare:  "wire:prepare",
+	MsgStep:     "wire:step",
+	MsgGetState: "wire:get-state",
+	MsgSetState: "wire:set-state",
+	MsgSetRing:  "wire:set-ring",
 }
 
 // wireName maps a request type to its wire-span name.
@@ -469,11 +467,6 @@ func (m *RemoteMember) PrepareStage(stage, nMicro int) float64 {
 	return v
 }
 
-// BeginStep advances the worker replica's step clocks.
-func (m *RemoteMember) BeginStep() {
-	m.call(Msg{Type: MsgBeginStep, Stage: -1}, MsgAck)
-}
-
 // StepStage runs the stage's whole update remotely under the clip scale.
 func (m *RemoteMember) StepStage(stage int, scale float64) {
 	m.call(m.stageMsg(MsgStep, stage, AppendF64(nil, scale)), MsgAck)
@@ -510,12 +503,6 @@ func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
 // leader's.
 func (m *RemoteMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	m.call(RingMsg(MsgSetRing, stage, base, snaps), MsgAck)
-}
-
-// SetStep pushes the leader's step clock to the worker — the tail of a
-// full-state push, after the per-stage MsgSetState imports.
-func (m *RemoteMember) SetStep(step int) {
-	m.call(Msg{Type: MsgSync, Stage: -1, Data: AppendU32(nil, uint32(step))}, MsgAck)
 }
 
 // latch poisons the member with err unless an earlier error already

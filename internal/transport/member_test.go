@@ -25,7 +25,6 @@ type wireMember struct {
 
 	acc   []float64
 	state []*tensor.Tensor
-	step  int
 	stall time.Duration // how long each chunk's first forward takes (a straggler)
 	rings map[int]int   // stage → base + snapshot count of the ring last restored
 
@@ -112,7 +111,6 @@ func (m *wireMember) PrepareStage(stage, nMicro int) float64 {
 }
 
 func (m *wireMember) ClipScale(sumSq float64) float64 { return 1 }
-func (m *wireMember) BeginStep()                      {}
 
 func (m *wireMember) StepStage(stage int, scale float64) {
 	m.mu.Lock()
@@ -134,8 +132,6 @@ func (m *wireMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.imported[stage]++
 	m.state[stage].CopyFrom(src[0])
 }
-
-func (m *wireMember) SetStep(step int) { m.mu.Lock(); m.step = step; m.mu.Unlock() }
 
 func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	m.mu.Lock()
@@ -211,7 +207,6 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	if got := m.PrepareStage(1, 8); got != 2*8 {
 		t.Fatalf("PrepareStage partial %g, want 16", got)
 	}
-	m.BeginStep()
 	m.StepStage(1, 0.5)
 	st := m.StageState(1)
 	if len(st) != 1 || st[0].FlatAt(0) != 1000+42 {
@@ -232,19 +227,15 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	worker.mu.Unlock()
 
 	// The full leader-state push, as replica.Group makes it: every
-	// stage's state, the step clock, every stage's ring.
+	// stage's state, then every stage's ring.
 	for s := 0; s < p; s++ {
 		m.ImportStageState(s, leader.StageState(s))
 	}
-	m.SetStep(9)
 	snap := []*tensor.Tensor{tensor.New(1)}
 	for s := 0; s < p; s++ {
 		m.RestoreVersions(s, 5+s, [][]*tensor.Tensor{snap, snap})
 	}
 	worker.mu.Lock()
-	if worker.step != 9 {
-		t.Fatalf("worker step %d after the push, want the leader's 9", worker.step)
-	}
 	for s := 0; s < p; s++ {
 		if worker.state[s].FlatAt(0) != float64(100*s) {
 			t.Fatalf("pushed stage %d state %g, want the leader's %d", s, worker.state[s].FlatAt(0), 100*s)

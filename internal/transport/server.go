@@ -169,9 +169,6 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 		}
 		sumSq := s.member.PrepareStage(stage, nMicro)
 		return Msg{Type: MsgPrepared, Stage: req.Stage, Data: AppendF64(s.scratch[:0], sumSq)}, nil
-	case MsgBeginStep:
-		s.member.BeginStep()
-		return ack, nil
 	case MsgStep:
 		scale := c.F64()
 		if err := c.Done(); err != nil {
@@ -196,13 +193,6 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 			return Msg{}, err
 		}
 		s.member.RestoreVersions(stage, base, snaps)
-		return ack, nil
-	case MsgSync:
-		step := c.I32()
-		if err := c.Done(); err != nil {
-			return Msg{}, err
-		}
-		s.member.SetStep(step)
 		return ack, nil
 	}
 	return Msg{}, fmt.Errorf("unknown request type %d", req.Type)

@@ -355,9 +355,9 @@ func WithFaultTolerance() Option {
 // Trainer.AcceptJoins with a listener and fresh workers can dial in
 // while training runs (JoinFollower, or pipemare-worker -join). Each
 // joiner is parked until the next minibatch boundary, admitted with a
-// live state handoff — masters, T2 state, optimizer moments, the
-// weight-version rings, and the clocks, the same push a checkpoint
-// restore uses — and the reduce tree and commit plan grow to R+1.
+// live state handoff — masters, T2 state, optimizer moments and the
+// weight-version rings, the same push a checkpoint restore uses — and
+// the reduce tree and commit plan grow to R+1.
 // Because the handed-off member is indistinguishable from one that
 // trained from the start, the post-join curve is bit-identical to a
 // fresh (R+1)-replica run from the handoff state. Requires
@@ -418,8 +418,8 @@ func WithStragglerPolicy(p StragglerPolicy, deadline time.Duration, misses int) 
 	}
 }
 
-// WithJoinAt asks the leader to park this joiner until its optimizer
-// step clock reaches step (JoinFollower only; 0, the default, admits at
+// WithJoinAt asks the leader to park this joiner until the run has committed
+// step optimizer steps (JoinFollower only; 0, the default, admits at
 // the next minibatch boundary). A leader option list ignores it.
 func WithJoinAt(step int) Option {
 	return func(s *settings) error {
@@ -432,8 +432,8 @@ func WithJoinAt(step int) Option {
 }
 
 // WithCheckpoint makes the leader serialize its complete training state
-// — master weights, optimizer moments, T2 accumulators, the per-stage
-// weight-version rings, and the step/epoch/microbatch clocks — to a
+// — master weights, optimizer moments, T2 accumulators and the per-stage
+// weight-version rings, whose newest version is the step count — to a
 // CRC'd frame file under dir every `every` optimizer steps (every <= 1
 // means every step). Restore with pipemare.Restore, which resumes the
 // run exactly where the newest valid checkpoint left it: the data order
