@@ -43,7 +43,7 @@ import (
 // config is the validated command line.
 type config struct {
 	full        bool
-	newEngine   func() pipemare.Engine // -engine concurrent; nil for reference
+	engine      pipemare.Engine // -engine concurrent; nil for reference
 	workers     int
 	partition   pipemare.PartitionMode
 	replicas    int
@@ -111,11 +111,11 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 	switch *engineName {
 	case "reference":
 	case "concurrent":
-		c.newEngine = func() pipemare.Engine { return concurrent.New(concurrent.WithWorkers(c.workers)) }
+		c.engine = concurrent.New(concurrent.WithWorkers(c.workers))
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want reference or concurrent)", *engineName)
 	}
-	if c.workers > 0 && c.newEngine == nil {
+	if c.workers > 0 && c.engine == nil {
 		return nil, errors.New("-workers applies to -engine concurrent")
 	}
 	switch *partitionName {
@@ -175,18 +175,10 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 	return c, nil
 }
 
-// engine returns a fresh engine of the chosen kind; nil is Reference.
-func (c *config) engine() pipemare.Engine {
-	if c.newEngine == nil {
-		return nil
-	}
-	return c.newEngine()
-}
-
 // engineArgs returns the pipemare-worker flags that select the chosen
 // engine.
 func (c *config) engineArgs() []string {
-	if c.newEngine == nil {
+	if c.engine == nil {
 		return []string{"-engine", "reference"}
 	}
 	return []string{"-engine", "concurrent", "-workers", strconv.Itoa(c.workers)}
@@ -226,7 +218,7 @@ func run(c *config) error {
 		return nil
 	}
 	experiments.Partition = c.partition
-	experiments.EngineFactory = c.newEngine
+	experiments.Engine = c.engine
 	experiments.Replicas = c.replicas
 	if len(c.selected) == 0 {
 		fmt.Println("usage: pipemare-bench [-full] <experiment>... | all")
@@ -268,7 +260,7 @@ func traceRun(c *config) error {
 	if len(dialers) > 0 {
 		extra = append(extra, pipemare.WithTransport(dialers...))
 	}
-	tr, err := experiments.NewReplicatedBenchTrainer(stages, c.replicas, c.engine(), extra...)
+	tr, err := experiments.NewReplicatedBenchTrainer(stages, c.replicas, c.engine, extra...)
 	if err != nil {
 		return err
 	}
@@ -380,7 +372,7 @@ func smokeRun(c *config) error {
 	if jlis != nil {
 		extra = append(extra, pipemare.WithElastic())
 	}
-	tr, err := experiments.NewReplicatedBenchTrainer(4, 2, c.engine(), extra...)
+	tr, err := experiments.NewReplicatedBenchTrainer(4, 2, c.engine, extra...)
 	if err != nil {
 		return err
 	}
@@ -485,8 +477,8 @@ func startFollowers(c *config, stages, n int, workerArgs ...string) ([]pipemare.
 		if c.transport == "loopback" {
 			lis, dial := pipemare.Loopback()
 			opts := experiments.EngineBenchOptions(stages)
-			if eng := c.engine(); eng != nil {
-				opts = append(opts, pipemare.WithEngine(eng))
+			if c.engine != nil {
+				opts = append(opts, pipemare.WithEngine(c.engine))
 			}
 			done := make(chan error, 1)
 			go func() {

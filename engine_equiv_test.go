@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"sync"
 	"testing"
 
 	"pipemare"
@@ -263,9 +264,9 @@ func TestEnginesEquivalentOnSplitDivergence(t *testing.T) {
 	requireIdentical(t, "split-divergence", ref, conc)
 }
 
-// TestConcurrentEngineSurvivesRepeatedRuns pins the Lifecycle contract:
-// the same engine instance must restart cleanly across Run calls and
-// trainers.
+// TestConcurrentEngineSurvivesRepeatedRuns pins that an engine is a value:
+// the same engine instance serves chunked Run calls and then a second
+// trainer.
 func TestConcurrentEngineSurvivesRepeatedRuns(t *testing.T) {
 	eng := concurrent.New(concurrent.WithWorkers(2))
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
@@ -286,7 +287,6 @@ func TestConcurrentEngineSurvivesRepeatedRuns(t *testing.T) {
 	if run.Epochs() != 6 {
 		t.Fatalf("chunked runs recorded %d epochs, want 6", run.Epochs())
 	}
-	eng.Stop() // idempotent: already stopped at the end of each Run
 	// The same instance must also serve a second trainer.
 	tr2, err := pipemare.New(build(),
 		pipemare.WithMethod(pipemare.GPipe),
@@ -297,6 +297,62 @@ func TestConcurrentEngineSurvivesRepeatedRuns(t *testing.T) {
 	}
 	if _, err := tr2.Run(context.Background(), 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentEngineServesManyTrainers pins that an engine is a value:
+// one concurrent engine serves chunked RunInto calls at R ∈ {1, 2}, and then
+// an R = 1 and an R = 2 trainer training on it at the same time, each
+// retracing its solo curve bit for bit.
+func TestConcurrentEngineServesManyTrainers(t *testing.T) {
+	eng := concurrent.New(concurrent.WithWorkers(2))
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
+	opts := func(r int) []pipemare.Option {
+		return []pipemare.Option{
+			pipemare.WithMethod(pipemare.PipeMare), pipemare.WithT1(8),
+			pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
+			pipemare.WithReplicas(r),
+			pipemare.WithSeed(3), pipemare.WithEngine(eng),
+			pipemare.WithSchedule(optim.Constant(0.05))}
+	}
+	rs := []int{1, 2}
+	solo := make([]*pipemare.Run, len(rs))
+	for i, r := range rs {
+		tr, err := pipemare.New(build(), opts(r)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = &pipemare.Run{}
+		for k := 0; k < 3; k++ {
+			if _, err := tr.RunInto(context.Background(), 2, solo[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if solo[i].Epochs() != 6 {
+			t.Fatalf("R=%d: chunked runs recorded %d epochs, want 6", r, solo[i].Epochs())
+		}
+	}
+	shared := make([]*pipemare.Run, len(rs))
+	var wg sync.WaitGroup
+	for i, r := range rs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := pipemare.New(build(), opts(r)...)
+			if err == nil {
+				shared[i], err = tr.Run(context.Background(), 6)
+			}
+			if err != nil {
+				t.Errorf("R=%d beside another trainer: %v", r, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, r := range rs {
+		requireIdentical(t, fmt.Sprintf("shared/R=%d", r), solo[i], shared[i])
 	}
 }
 
@@ -726,40 +782,9 @@ func TestReplicatedShardedCommitMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReplicatedShardedCommitDivergenceAbort pins the abort path of the
-// sharded commit: a capped loss in any replica's chunk must cancel the
-// whole commit — no scatter, no shard steps, no gather — leaving every
-// replica's state restored and the recorded curve equal to Reference's
-// divergence curve.
-func TestReplicatedShardedCommitDivergenceAbort(t *testing.T) {
-	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
-		Train: 96, Test: 32, Noise: 0.4, Seed: 8})
-	build := func() pipemare.Task { return model.NewResNetMLP(images, 10, 3, 9) }
-	base := []pipemare.Option{
-		pipemare.WithMethod(pipemare.PipeMare),
-		pipemare.WithStages(4),
-		pipemare.WithBatchSize(16), pipemare.WithMicrobatches(8),
-		pipemare.WithSeed(4), pipemare.WithLossCap(15),
-		pipemare.WithRecompute(2),
-		pipemare.WithSchedule(optim.Constant(8)), // absurd rate: diverges
-	}
-	ref := runCurve(t, build, 4, 1, base...)
-	if !ref.Diverged {
-		t.Fatal("reference run was expected to diverge")
-	}
-	rs, _ := replicaGrid()
-	for _, r := range rs {
-		opts := append(append([]pipemare.Option{}, base...),
-			pipemare.WithReplicas(r),
-			pipemare.WithEngine(pipemare.NewReferenceEngine()))
-		got := runCurve(t, build, 4, r, opts...)
-		requireIdentical(t, fmt.Sprintf("sharded-divergence/R=%d", r), ref, got)
-	}
-}
-
-// TestReplicatedEngineSurvivesRepeatedRuns pins the Lifecycle contract
-// under replication: chunked RunInto calls and a second trainer must
-// restart the replica group's engines cleanly.
+// TestReplicatedEngineSurvivesRepeatedRuns pins the same under
+// replication: chunked RunInto calls and a second trainer run on the one
+// engine value every replica of the group shares.
 func TestReplicatedEngineSurvivesRepeatedRuns(t *testing.T) {
 	eng := replicatedEngine("concurrent")
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }

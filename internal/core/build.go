@@ -162,13 +162,13 @@ func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize 
 // constructor of every follower, whether New clones it in process or a
 // worker process builds it for the leader's hello. A follower is a
 // trainer over task with no replica group: it never drives itself — the
-// leader's group (or the worker's serve loop) runs its chunks through its
-// own engine, cfg.Engine — and leaves checkpointing and admission to the
-// leader. cfg is the configuration on the follower's side: the leader's
-// own in process, with a clone of the leader's engine, and the worker's
-// options remotely; it must agree with the spec on method and T2,
-// and the spec alone decides the replica count, fault tolerance and, for a
-// cost or profile partition, the group costs. The optimizer state is
+// leader's group (or the worker's serve loop) runs its chunks through
+// cfg.Engine — and leaves checkpointing and admission to the leader. cfg
+// is the configuration on the follower's side: the leader's own in
+// process, engine included, and the worker's options remotely; it must
+// agree with the spec on method and T2, and the spec alone decides the
+// replica count, fault tolerance and, for a cost or profile partition,
+// the group costs. The optimizer state is
 // cloned from opt: every moment under fault tolerance (mirrored onto every
 // replica so any survivor can own any stage), else the moments of the
 // follower's own stage shard under the initial commit plan. Its starting

@@ -24,11 +24,10 @@
 // the engine; nil means the serial Reference engine. Every trainer New
 // builds leads a replica group — of one unless Replicas > 1 — and runs
 // each minibatch through it (replica.Group.Minibatch, then Group.Commit):
-// every replica — the leader with Config.Engine, each in-process follower
-// with a Clone of it — drives its own share of the microbatches through
-// its own engine, and the commit steps each stage once, one StepStage call
-// per stage at the learning rates of the minibatch's epoch phase, spread
-// over the engine's workers when they offer themselves.
+// every in-process replica drives its own share of the microbatches
+// through Config.Engine, and the commit steps each stage once, one
+// StepStage call per stage at the learning rates of the minibatch's epoch
+// phase, split into the engine's Workers pieces.
 //
 // The package is laid out by role: this file holds the configuration, the
 // Trainer and its construction; build.go the stage layout, the partition
@@ -178,8 +177,8 @@ type Config struct {
 	Replicas int
 
 	// Engine selects the execution engine; nil means the single-goroutine
-	// Reference engine. With Replicas > 1 it is the engine every replica
-	// runs: the leader this one, each in-process follower a Clone of it.
+	// Reference engine. With Replicas > 1 every in-process replica runs
+	// this one value: an engine holds no run resources.
 	Engine engine.Engine
 
 	// Followers optionally supplies the member surface for follower
@@ -487,13 +486,13 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 }
 
 // follower builds or connects follower r of replicas for the spec of its
-// position: a NewFollower over a clone of the task, running a clone of the
-// leader's engine, or whatever Config.Followers connects.
+// position: a NewFollower over a clone of the task, running the leader's
+// engine, or whatever Config.Followers connects.
 func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
 	spec := t.spec(r, replicas)
 	if t.cfg.Followers == nil {
 		cfg := t.cfg
-		cfg.Engine = t.eng.Clone()
+		cfg.Engine = t.eng
 		return NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, cfg, spec)
 	}
 	m, err := t.cfg.Followers(spec)

@@ -38,8 +38,6 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 	if run == nil {
 		run = &metrics.Run{}
 	}
-	// Every engine starts on its first minibatch; the run stops them all.
-	defer t.group.Stop()
 	for e := 0; e < epochs; e++ {
 		if err := ctx.Err(); err != nil {
 			return run, err

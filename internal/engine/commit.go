@@ -1,17 +1,13 @@
 package engine
 
-import (
-	"fmt"
-
-	"pipemare/internal/trace"
-)
+import "fmt"
 
 // CommitPlan assigns the P stages of an optimizer commit to owners. It is
 // the one sharding rule every commit goes through: the replica group
 // assigns owners to replica members, so each replica steps only its shard
 // against its local copy of the optimizer state (the ZeRO /
-// PipeDream-2BW weight-sharded update), and an owner whose engine is a
-// Pool splits its shard the same way across the pool's workers.
+// PipeDream-2BW weight-sharded update), and an in-process owner splits its
+// shard the same way into its engine's Workers pieces.
 //
 // Shards are contiguous ascending runs of stages whose sizes differ by at
 // most one — the same deterministic rule the replica layer uses to chunk
@@ -60,17 +56,4 @@ func (pl CommitPlan) OwnerOf(stage int) int {
 		}
 	}
 	panic(fmt.Sprintf("engine: stage %d outside the %d-stage commit plan", stage, pl.p))
-}
-
-// Pool is optionally implemented by engines whose workers can run the
-// shards of a commit, between a Minibatch and the next
-// (replica.Group.Commit).
-type Pool interface {
-	// Shards returns how many owner shards a commit splits into: the
-	// number of calls ParallelFor makes.
-	Shards() int
-	// ParallelFor runs fn(i, tk) for every shard i in [0, Shards()) on
-	// the pool's workers and returns when every call has; tk is the trace
-	// track of the worker that ran the call (nil when tracing is off).
-	ParallelFor(fn func(i int, tk *trace.Track))
 }

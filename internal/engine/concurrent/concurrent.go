@@ -29,18 +29,19 @@
 // per-parameter gradient accumulation is serial in s exactly as in the
 // serial Reference engine. Each slot call installs the weights it reads
 // (engine.Host), so the Table 1 delays stay per stage whatever the cut;
-// the workers also serve as the engine.Pool the commit shards its stages
-// across, with the stage-partial norms reduced in stage order; and
-// microbatch losses are summed in microbatch order from the result
+// and microbatch losses are summed in microbatch order from the result
 // collector. Training curves are therefore bit-identical to Reference for
 // every W ∈ {1..P} — pinned by the equivalence tests at the repository
 // root.
+//
+// The queues, channels and workers belong to one Minibatch call: it builds
+// them, and joins the workers before it returns. The Engine itself holds
+// only W, so one value serves any number of trainers and replicas at once.
 package concurrent
 
 import (
 	"context"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -63,17 +64,15 @@ const (
 	jobFwd    jobKind = iota // climb: run the segment's forward slots
 	jobRecomp                // climb: run the segment's recompute slots
 	jobBwd                   // descend: run the segment's backward slots
-	jobCall                  // run fn(k) on the claiming worker and ack (a commit shard)
 )
 
 type job struct {
 	kind jobKind
 	s    int  // global microbatch counter
-	k    int  // index within the minibatch (loss ordering); jobCall: fn's argument
+	k    int  // index within the minibatch (loss ordering)
 	rec  bool // the chain makes the recompute climb
 	loss float64
 	bad  bool
-	fn   func(i int, tk *trace.Track)
 }
 
 // segmentQueue is one segment's FIFO run queue. active marks the segment
@@ -87,34 +86,9 @@ type segmentQueue struct {
 	active bool
 }
 
-// Engine is the work-stealing segment-scheduler engine. It implements
-// engine.Engine and engine.Lifecycle: its first Minibatch starts the
-// workers, and a Trainer stops them when the run returns. An Engine
-// instance must not be shared by concurrently running trainers.
+// Engine is the work-stealing segment-scheduler engine (engine.Engine).
 type Engine struct {
-	workers int // requested W; 0 = min(P, GOMAXPROCS)
-
-	h       engine.Host
-	p       int               // stages, and the number of microbatch chains allowed in flight
-	nw      int               // workers actually started
-	cut     engine.CommitPlan // segment g is the stage range cut.Shard(g)
-	queues  []segmentQueue    // one per segment
-	ready   chan int          // segments with queued work and no claiming worker
-	results chan job
-	acks    chan struct{}
-	aborted atomic.Bool // set on the first bad loss: later chains skip compute
-	wg      sync.WaitGroup
-	running bool
-
-	losses []float64 // per-minibatch scratch, reused across calls
-
-	// rec and tracks carry the run's trace recorder (nil when tracing is
-	// off — every emission no-ops). tracks[w] is worker w's span buffer:
-	// exactly one goroutine (worker w) writes it, so appends need no
-	// locking, and the recorder never influences scheduling — curves are
-	// bit-identical with tracing on or off.
-	rec    *trace.Recorder
-	tracks []*trace.Track
+	workers int // requested W; 0 = GOMAXPROCS
 }
 
 // Option configures the engine.
@@ -146,62 +120,47 @@ func New(opts ...Option) *Engine {
 // Name identifies the engine.
 func (e *Engine) Name() string { return "concurrent" }
 
-// Clone returns a fresh, unstarted engine with the same WithWorkers.
-func (e *Engine) Clone() engine.Engine { return New(WithWorkers(e.workers)) }
-
-// start spawns the scheduler workers over h, first stopping those of
-// another host.
-func (e *Engine) start(h engine.Host) {
-	if e.running {
-		if e.h == h {
-			return
-		}
-		e.Stop()
+// Workers returns the W a p-stage Minibatch starts: WithWorkers, or
+// GOMAXPROCS, clamped to p.
+func (e *Engine) Workers(p int) int {
+	w := e.workers
+	if w == 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	e.h = h
-	e.p = h.Stages()
-	e.nw = e.workers
-	if e.nw == 0 {
-		e.nw = runtime.GOMAXPROCS(0)
-	}
-	e.nw = min(e.nw, e.p)
-	// S ≥ W, so ParallelFor's W calls each have a queue of their own.
-	segs := min(e.p, segmentsPerWorker*e.nw)
-	e.cut = engine.NewCommitPlan(e.p, segs)
-	e.queues = make([]segmentQueue, segs)
-	// Each segment is "ready" at most once (the active flag), so capacity
-	// S makes every send non-blocking.
-	e.ready = make(chan int, segs)
-	e.results = make(chan job, e.p)
-	e.acks = make(chan struct{}, e.nw)
-	e.losses = make([]float64, 0, e.p)
-	rec, rep := trace.FromCarrier(h)
-	e.rec = rec
-	e.tracks = make([]*trace.Track, e.nw)
-	for i := range e.tracks {
-		e.tracks[i] = rec.Track(rep, trace.TidWorkerBase+i, "worker "+strconv.Itoa(i))
-	}
-	e.wg.Add(e.nw)
-	for i := 0; i < e.nw; i++ {
-		go e.worker(i)
-	}
-	e.running = true
+	return min(w, p)
 }
 
-// Stop joins the workers. All queues are empty between minibatches
-// (Minibatch drains every chain, ParallelFor every call, before
-// returning), so closing the ready channel releases every worker.
-func (e *Engine) Stop() {
-	if !e.running {
-		return
+// run is one Minibatch's scheduler: the segment queues its nw workers
+// drain over host h.
+type run struct {
+	h       engine.Host
+	cut     engine.CommitPlan // segment g is the stage range cut.Shard(g)
+	queues  []segmentQueue    // one per segment
+	ready   chan int          // segments with queued work and no claiming worker
+	results chan job
+	aborted atomic.Bool // set on the first bad loss: later chains skip compute
+
+	// tracks[w] is worker w's trace track (nil when tracing is off — every
+	// emission no-ops). Exactly one goroutine (worker w) writes it, so
+	// appends need no locking, and the recorder never influences
+	// scheduling — curves are bit-identical with tracing on or off.
+	tracks []*trace.Track
+}
+
+// newRun cuts h's P stages into S = min(P, 4·nw) segments and builds their
+// queues for nw workers.
+func newRun(h engine.Host, nw int) *run {
+	p := h.Stages()
+	segs := min(p, segmentsPerWorker*nw)
+	r := &run{h: h, cut: engine.NewCommitPlan(p, segs), queues: make([]segmentQueue, segs),
+		// Each segment is "ready" at most once (the active flag), and at
+		// most P chains are in flight, so capacities S and P make every
+		// send non-blocking.
+		ready: make(chan int, segs), results: make(chan job, p), tracks: make([]*trace.Track, nw)}
+	for i := range r.tracks {
+		r.tracks[i] = engine.WorkerTrack(h, i)
 	}
-	close(e.ready)
-	e.wg.Wait()
-	e.queues, e.ready, e.results, e.acks = nil, nil, nil, nil
-	e.losses = nil
-	e.rec, e.tracks = nil, nil
-	e.h = nil
-	e.running = false
+	return r
 }
 
 // enqueue appends a job to a segment's queue and, when no worker
@@ -209,8 +168,8 @@ func (e *Engine) Stop() {
 // microbatch order for every producer (the dispatcher and upstream segment
 // drains are both in-order), which is what makes any worker interleaving
 // deterministic.
-func (e *Engine) enqueue(g int, jb job) {
-	q := &e.queues[g]
+func (r *run) enqueue(g int, jb job) {
+	q := &r.queues[g]
 	q.mu.Lock()
 	q.jobs = append(q.jobs, jb)
 	wake := !q.active
@@ -219,17 +178,7 @@ func (e *Engine) enqueue(g int, jb job) {
 	}
 	q.mu.Unlock()
 	if wake {
-		e.ready <- g
-	}
-}
-
-// worker claims ready segments and drains them until the engine stops. w
-// is the worker's index: its trace track needs it explicitly (goroutines
-// have no usable id).
-func (e *Engine) worker(w int) {
-	defer e.wg.Done()
-	for g := range e.ready {
-		e.drain(w, g)
+		r.ready <- g
 	}
 }
 
@@ -239,8 +188,8 @@ func (e *Engine) worker(w int) {
 // installed weight pointers, T2 accumulators, version rings and parameter
 // gradients — the same ownership the goroutine-per-stage design provided,
 // held per burst instead of per run.
-func (e *Engine) drain(w, g int) {
-	q := &e.queues[g]
+func (r *run) drain(w, g int) {
+	q := &r.queues[g]
 	for {
 		q.mu.Lock()
 		if q.head == len(q.jobs) {
@@ -253,45 +202,42 @@ func (e *Engine) drain(w, g int) {
 		jb := q.jobs[q.head]
 		q.head++
 		q.mu.Unlock()
-		e.process(w, g, jb)
+		r.process(w, g, jb)
 	}
 }
 
 // process executes one job of segment g on worker w and hands the chain on:
 // to the next segment's queue, or, at the last segment, to the crest or the
 // descent.
-func (e *Engine) process(w, g int, jb job) {
+func (r *run) process(w, g int, jb job) {
 	switch jb.kind {
 	case jobFwd, jobRecomp:
-		e.climb(w, g, &jb)
+		r.climb(w, g, &jb)
 		switch {
-		case g < len(e.queues)-1:
-			e.enqueue(g+1, jb)
+		case g < len(r.queues)-1:
+			r.enqueue(g+1, jb)
 		case jb.kind == jobFwd:
-			e.crest(w, g, jb)
+			r.crest(w, g, jb)
 		default:
-			e.bwd(w, g, jb)
+			r.bwd(w, g, jb)
 		}
 	case jobBwd:
-		e.bwd(w, g, jb)
-	case jobCall:
-		jb.fn(jb.k, e.tracks[w])
-		e.acks <- struct{}{}
+		r.bwd(w, g, jb)
 	}
 }
 
 // climb runs the chain's forward (or recompute) slots for segment g's
 // stages in ascending order, emitting one trace span per slot.
-func (e *Engine) climb(w, g int, jb *job) {
-	lo, hi := e.cut.Shard(g)
-	tk := e.tracks[w]
-	for i := lo; i < hi && !e.aborted.Load(); i++ {
-		t0 := e.rec.Now()
+func (r *run) climb(w, g int, jb *job) {
+	lo, hi := r.cut.Shard(g)
+	tk := r.tracks[w]
+	for i := lo; i < hi && !r.aborted.Load(); i++ {
+		t0 := tk.Now()
 		if jb.kind == jobFwd {
-			jb.loss = e.h.StageForward(jb.s, i)
+			jb.loss = r.h.StageForward(jb.s, i)
 			tk.Span(trace.NameFwd, t0, i, jb.s, 0)
 		} else {
-			e.h.StageRecompute(jb.s, i)
+			r.h.StageRecompute(jb.s, i)
 			tk.Span(trace.NameRecompute, t0, i, jb.s, 0)
 		}
 	}
@@ -300,72 +246,87 @@ func (e *Engine) climb(w, g int, jb *job) {
 // crest handles the top of a forward climb at the last segment g: the loss
 // check, then either the divergence abort, the recompute climb, or the
 // start of the backward descent.
-func (e *Engine) crest(w, g int, jb job) {
-	if !e.aborted.Load() && e.h.BadLoss(jb.loss) {
+func (r *run) crest(w, g int, jb job) {
+	if !r.aborted.Load() && r.h.BadLoss(jb.loss) {
 		jb.bad = true
-		e.aborted.Store(true)
+		r.aborted.Store(true)
 	}
-	if e.aborted.Load() {
+	if r.aborted.Load() {
 		// This microbatch diverged, or an earlier one did: the chain ends
 		// without a backward pass; the collector ignores its loss.
-		e.h.EndMicro(jb.s)
-		e.results <- jb
+		r.h.EndMicro(jb.s)
+		r.results <- jb
 		return
 	}
 	if jb.rec {
 		// With one segment this is the queue being drained; the drain
 		// picks it up.
 		jb.kind = jobRecomp
-		e.enqueue(0, jb)
+		r.enqueue(0, jb)
 		return
 	}
-	e.bwd(w, g, jb)
+	r.bwd(w, g, jb)
 }
 
 // bwd runs the chain's backward slots for segment g's stages in descending
 // order and passes it down; at segment 0 the chain completes.
-func (e *Engine) bwd(w, g int, jb job) {
-	lo, hi := e.cut.Shard(g)
-	tk := e.tracks[w]
-	for i := hi - 1; i >= lo && !e.aborted.Load(); i-- {
-		t0 := e.rec.Now()
-		e.h.StageBackward(jb.s, i)
+func (r *run) bwd(w, g int, jb job) {
+	lo, hi := r.cut.Shard(g)
+	tk := r.tracks[w]
+	for i := hi - 1; i >= lo && !r.aborted.Load(); i-- {
+		t0 := tk.Now()
+		r.h.StageBackward(jb.s, i)
 		tk.Span(trace.NameBwd, t0, i, jb.s, 0)
 	}
 	if g > 0 {
 		jb.kind = jobBwd
-		e.enqueue(g-1, jb)
+		r.enqueue(g-1, jb)
 		return
 	}
-	e.h.EndMicro(jb.s)
-	e.results <- jb
+	r.h.EndMicro(jb.s)
+	r.results <- jb
 }
 
 // Minibatch executes the N microbatch chains with up to P of them
-// overlapping across the segment queues, and restores every stage once they
-// have drained.
+// overlapping across the segment queues of a run of its own, restores every
+// stage once they have drained, and joins the run's workers before it
+// returns.
 func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
-	e.start(h) // a no-op when already running over h
-	e.aborted.Store(false)
+	p := h.Stages()
+	nw := e.Workers(p)
+	r := newRun(h, nw)
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for w := 0; w < nw; w++ {
+		go func() {
+			defer wg.Done()
+			for g := range r.ready {
+				r.drain(w, g)
+			}
+		}()
+	}
+	// The chains drain before Minibatch returns, so every queue is empty
+	// and no job is left to enqueue: closing the ready channel releases
+	// every worker.
+	defer func() {
+		close(r.ready)
+		wg.Wait()
+	}()
 	rec := h.Recompute()
 	base := h.MicroBase()
 	n := len(micros)
-	losses := e.losses[:0]
-	for len(losses) < n {
-		losses = append(losses, 0)
-	}
-	e.losses = losses
+	losses := make([]float64, n)
 	dispatched, completed := 0, 0
 	badK := -1
 	var ctxErr error
 	for {
-		for dispatched < n && dispatched-completed < e.p && badK < 0 && ctxErr == nil {
+		for dispatched < n && dispatched-completed < p && badK < 0 && ctxErr == nil {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				break
 			}
 			h.BeginMicro(base+dispatched, micros[dispatched])
-			e.enqueue(0, job{kind: jobFwd, s: base + dispatched, k: dispatched, rec: rec})
+			r.enqueue(0, job{kind: jobFwd, s: base + dispatched, k: dispatched, rec: rec})
 			dispatched++
 		}
 		if completed == dispatched {
@@ -373,7 +334,7 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 				break
 			}
 		}
-		res := <-e.results
+		res := <-r.results
 		completed++
 		losses[res.k] = res.loss
 		if res.bad && badK < 0 {
@@ -385,7 +346,7 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 	// result — so the stages are restored right here, whether the
 	// minibatch goes on to its commit or back to the trainer as a
 	// divergence or cancellation.
-	for i := 0; i < e.p; i++ {
+	for i := 0; i < p; i++ {
 		h.Restore(i)
 	}
 	if ctxErr != nil {
@@ -395,25 +356,8 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 		return 0, engine.ErrDiverged
 	}
 	lossSum := 0.0
-	for _, l := range losses[:n] {
+	for _, l := range losses {
 		lossSum += l
 	}
 	return lossSum / float64(n), nil
-}
-
-// Shards returns the number of workers: the shard count of a commit run on
-// them (engine.Pool). Valid once a Minibatch has started the engine.
-func (e *Engine) Shards() int { return e.nw }
-
-// ParallelFor runs fn(i, tk) for every shard i as one job on segment
-// queue i — any idle worker claims it, passing its own track — and waits for all
-// acks (engine.Pool). It must only be called with every chain drained,
-// between minibatches.
-func (e *Engine) ParallelFor(fn func(i int, tk *trace.Track)) {
-	for i := 0; i < e.nw; i++ {
-		e.enqueue(i, job{kind: jobCall, k: i, fn: fn})
-	}
-	for i := 0; i < e.nw; i++ {
-		<-e.acks
-	}
 }

@@ -2,6 +2,8 @@ package concurrent
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,25 +31,40 @@ func TestOptionsAndName(t *testing.T) {
 	}
 }
 
-// TestStopWithoutStartIsANoOp pins the lifecycle: Stop before any
-// Minibatch is a no-op, a Minibatch starts the workers, and a Minibatch
-// after Stop starts them again.
-func TestStopWithoutStartIsANoOp(t *testing.T) {
+// TestMinibatchJoinsItsWorkers pins that an engine holds no run resources:
+// each Minibatch starts its own workers and joins them before it returns.
+func TestMinibatchJoinsItsWorkers(t *testing.T) {
 	e := New(WithWorkers(2))
-	e.Stop() // must not panic or wedge
-	e.Stop()
-	for run := 0; run < 2; run++ {
+	baseline := runtime.NumGoroutine()
+	for mb := 0; mb < 2; mb++ {
 		if _, err := e.Minibatch(context.Background(), &stubHost{p: 3}, [][]int{{0}, {1}}); err != nil {
 			t.Fatal(err)
 		}
-		if !e.running || e.nw != 2 {
-			t.Fatalf("run %d: running %t with %d workers after a minibatch, want 2 running", run, e.running, e.nw)
-		}
-		e.Stop()
-		if e.running {
-			t.Fatalf("run %d: still running after Stop", run)
+		// wg.Done runs before its goroutine exits: settle briefly.
+		if n := settledGoroutines(baseline); n > baseline {
+			t.Fatalf("minibatch %d: %d goroutines outlive the minibatch", mb, n-baseline)
 		}
 	}
+}
+
+// settledGoroutines polls for up to a second for the goroutine count to
+// fall to baseline, and returns the last count.
+func settledGoroutines(baseline int) int {
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	if n := settledGoroutines(baseline); code == 0 && n > baseline {
+		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
+		code = 1
+	}
+	os.Exit(code)
 }
 
 func TestWithWorkersOption(t *testing.T) {
@@ -58,43 +75,28 @@ func TestWithWorkersOption(t *testing.T) {
 		t.Fatalf("WithWorkers(-2) must clamp to auto, got %d", e.workers)
 	}
 	// Auto resolves to min(P, GOMAXPROCS); explicit W > P clamps to P.
-	e := New(WithWorkers(64))
-	e.start(&stubHost{p: 3})
-	if e.nw != 3 {
-		t.Fatalf("started %d workers for P=3, want 3", e.nw)
+	if n := New(WithWorkers(64)).Workers(3); n != 3 {
+		t.Fatalf("Workers(3) = %d with W=64, want 3", n)
 	}
-	e.Stop()
-	e = New()
-	e.start(&stubHost{p: 16})
-	want := runtime.GOMAXPROCS(0)
-	if want > 16 {
-		want = 16
+	if n, want := New().Workers(16), min(16, runtime.GOMAXPROCS(0)); n != want {
+		t.Fatalf("auto Workers(16) = %d, want min(P, GOMAXPROCS) = %d", n, want)
 	}
-	if e.nw != want {
-		t.Fatalf("auto workers = %d, want min(P, GOMAXPROCS) = %d", e.nw, want)
-	}
-	e.Stop()
 }
 
-// TestSegmentCut pins the serialization domains: S = min(P, 4W) segments
-// of consecutive stages that are non-empty, within one stage of each other
-// in size, and cover [0, P) in order — and S ≥ W, so every commit shard
-// has a queue of its own.
+// TestSegmentCut pins the serialization domains a Minibatch builds: S =
+// min(P, 4W) segments of consecutive stages that are non-empty, within
+// one stage of each other in size, and cover [0, P) in order.
 func TestSegmentCut(t *testing.T) {
 	for p := 1; p <= 40; p++ {
 		for w := 1; w <= 12; w++ {
-			e := New(WithWorkers(w))
-			e.start(&stubHost{p: p})
-			segs := len(e.queues)
+			r := newRun(&stubHost{p: p}, New(WithWorkers(w)).Workers(p))
+			segs := len(r.queues)
 			if want := min(p, 4*min(w, p)); segs != want {
 				t.Fatalf("P=%d W=%d: %d segments, want %d", p, w, segs, want)
 			}
-			if segs < e.nw {
-				t.Fatalf("P=%d W=%d: %d segments for %d workers", p, w, segs, e.nw)
-			}
 			next := 0
 			for g := 0; g < segs; g++ {
-				lo, hi := e.cut.Shard(g)
+				lo, hi := r.cut.Shard(g)
 				if lo != next || hi <= lo || hi-lo > p/segs+1 {
 					t.Fatalf("P=%d W=%d: segment %d is [%d, %d) after %d", p, w, g, lo, hi, next)
 				}
@@ -103,7 +105,6 @@ func TestSegmentCut(t *testing.T) {
 			if next != p {
 				t.Fatalf("P=%d W=%d: segments end at %d", p, w, next)
 			}
-			e.Stop()
 		}
 	}
 }
@@ -211,7 +212,6 @@ func TestStageSlotsNeverOverlap(t *testing.T) {
 				}
 				h.reset()
 			}
-			e.Stop()
 			if len(h.violations) > 0 {
 				t.Fatalf("P=%d W=%d: %d violations, first: %s", p, workers, len(h.violations), h.violations[0])
 			}

@@ -7,9 +7,12 @@
 // decides *how* those slots are scheduled onto goroutines, and nothing
 // else: which version a slot reads is the trainer's business, and the
 // update is the commit's (replica.Group.Commit), which runs after the
-// engine has drained a minibatch's chains — on the engine's workers when
-// it lends them (Pool), sharded by the one rule every commit follows
-// (CommitPlan, commit.go).
+// engine has drained a minibatch's chains, split into Workers pieces by the
+// one rule every commit follows (CommitPlan, commit.go).
+//
+// An engine is a scheduling policy and holds no run resources: whatever
+// goroutines a Minibatch starts, it joins before it returns, so one engine
+// value serves any number of hosts, one after another or at once.
 //
 // Two engines exist: Reference (this package) executes every slot on the
 // calling goroutine — it is the original single-goroutine simulator and the
@@ -24,6 +27,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strconv"
 
 	"pipemare/internal/trace"
 )
@@ -90,24 +94,25 @@ type Host interface {
 // microbatch loss with every stage restored to its master weights and the
 // gradients of the N backward passes accumulated; committing them is the
 // caller's next step. On divergence it returns ErrDiverged, on
-// context cancellation ctx.Err(), the stages restored either way.
-//
-// Every replica of a data-parallel run drives its own pipeline, so each
-// needs an engine of its own: Clone returns one of the same kind and
-// settings, holding no run resources yet. A stateless engine may return
-// itself.
+// context cancellation ctx.Err(), the stages restored either way. Every
+// goroutine a Minibatch starts has exited when it returns, so concurrent
+// calls over distinct hosts are safe: every replica of a data-parallel run
+// drives its own pipeline through the one engine value.
 type Engine interface {
 	Name() string
 	Minibatch(ctx context.Context, h Host, micros [][]int) (float64, error)
-	Clone() Engine
+	// Workers returns how many goroutines the engine runs a p-stage
+	// pipeline's slots on: the number of pieces an in-process owner splits
+	// its commit shard into.
+	Workers(p int) int
 }
 
-// Lifecycle is optionally implemented by engines that keep per-run
-// resources (worker goroutines). Such an engine acquires them on its first
-// Minibatch; the trainer calls Stop when a Run returns, and a later
-// Minibatch acquires them afresh.
-type Lifecycle interface {
-	Stop()
+// WorkerTrack returns the trace track of worker i of the pipeline behind h
+// (nil when tracing is off): where an engine records worker i's slots and
+// the commit its piece of the owner's shard.
+func WorkerTrack(h Host, i int) *trace.Track {
+	tr, rep := trace.FromCarrier(h)
+	return tr.Track(rep, trace.TidWorkerBase+i, "worker "+strconv.Itoa(i))
 }
 
 // Reference is the single-goroutine engine: the paper's Appendix C.4
@@ -122,16 +127,15 @@ func NewReference() Reference { return Reference{} }
 // Name identifies the engine.
 func (Reference) Name() string { return "reference" }
 
-// Clone returns the engine itself: Reference keeps no state.
-func (r Reference) Clone() Engine { return r }
+// Workers returns 1: every slot runs on the calling goroutine.
+func (Reference) Workers(int) int { return 1 }
 
 // Minibatch executes the N microbatch chains serially.
 func (Reference) Minibatch(ctx context.Context, h Host, micros [][]int) (float64, error) {
 	p := h.Stages()
 	rec := h.Recompute()
 	base := h.MicroBase()
-	tr, rep := trace.FromCarrier(h)
-	tk := tr.Track(rep, trace.TidWorkerBase, "worker 0")
+	tk := WorkerTrack(h, 0)
 	defer func() {
 		for st := 0; st < p; st++ {
 			h.Restore(st)
@@ -146,7 +150,7 @@ func (Reference) Minibatch(ctx context.Context, h Host, micros [][]int) (float64
 		h.BeginMicro(s, mb)
 		loss := 0.0
 		for st := 0; st < p; st++ {
-			t0 := tr.Now()
+			t0 := tk.Now()
 			loss = h.StageForward(s, st)
 			tk.Span(trace.NameFwd, t0, st, s, 0)
 		}
@@ -157,13 +161,13 @@ func (Reference) Minibatch(ctx context.Context, h Host, micros [][]int) (float64
 		}
 		if rec {
 			for st := 0; st < p; st++ {
-				t0 := tr.Now()
+				t0 := tk.Now()
 				h.StageRecompute(s, st)
 				tk.Span(trace.NameRecompute, t0, st, s, 0)
 			}
 		}
 		for st := p - 1; st >= 0; st-- {
-			t0 := tr.Now()
+			t0 := tk.Now()
 			h.StageBackward(s, st)
 			tk.Span(trace.NameBwd, t0, st, s, 0)
 		}

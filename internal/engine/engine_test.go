@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
@@ -193,52 +195,61 @@ func engines() map[string]engine.Engine {
 	}
 }
 
-// TestCloneIsAFreshEngineOfTheSameKind pins what every replica of a run
-// relies on: Clone returns an engine of the same name that is not the
-// original (Reference, which keeps no state, may be) and has not started —
-// cloning a running engine starts no goroutine, and the clone runs a
-// minibatch over a host of its own while the original keeps running over
-// another.
-func TestCloneIsAFreshEngineOfTheSameKind(t *testing.T) {
+// TestOneEngineDrivesManyHosts pins what every replica and every trainer
+// of a process relies on: an engine holds no run resources, so one value
+// drives several hosts at once — pipelines of different depths, with and
+// without the recompute climb — each keeping the ordering contract, and
+// every goroutine a Minibatch starts is gone once it returns.
+func TestOneEngineDrivesManyHosts(t *testing.T) {
 	for name, eng := range engines() {
 		t.Run(name, func(t *testing.T) {
-			a, b := newFakeHost(5, false, -1), newFakeHost(5, false, -1)
-			lc, stateful := eng.(engine.Lifecycle)
-			if stateful {
-				defer lc.Stop()
+			baseline := runtime.NumGoroutine()
+			hosts := []*fakeHost{newFakeHost(5, false, -1), newFakeHost(5, true, -1), newFakeHost(3, false, -1)}
+			var wg sync.WaitGroup
+			for _, f := range hosts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for mb := 0; mb < 2; mb++ {
+						if _, err := eng.Minibatch(context.Background(), f, micros(4, 2)); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
 			}
-			// The original's first minibatch starts it.
-			if _, err := eng.Minibatch(context.Background(), a, micros(4, 2)); err != nil {
-				t.Fatal(err)
-			}
-			running := runtime.NumGoroutine()
-			c := eng.Clone()
-			if n := runtime.NumGoroutine(); n != running {
-				t.Fatalf("cloning started %d goroutines", n-running)
-			}
-			if c.Name() != eng.Name() {
-				t.Fatalf("clone is %q, want %q", c.Name(), eng.Name())
-			}
-			if stateful && c == eng {
-				t.Fatal("a stateful engine's clone is the engine itself")
-			}
-			if _, err := c.Minibatch(context.Background(), b, micros(4, 2)); err != nil {
-				t.Fatal(err)
-			}
-			if clc, ok := c.(engine.Lifecycle); ok {
-				clc.Stop()
-			}
-			if _, err := eng.Minibatch(context.Background(), a, micros(4, 2)); err != nil {
-				t.Fatal(err)
-			}
-			for f, want := range map[*fakeHost]int{a: 8, b: 4} {
-				if len(f.errs) > 0 || f.completed != want {
-					t.Fatalf("ordering violations %v, %d of %d microbatches completed", f.errs, f.completed, want)
+			wg.Wait()
+			for i, f := range hosts {
+				if len(f.errs) > 0 || f.completed != 8 {
+					t.Fatalf("host %d: ordering violations %v, %d of 8 microbatches completed", i, f.errs, f.completed)
 				}
 				f.quiesced(t)
 			}
+			// wg.Done runs before its goroutine exits: settle briefly.
+			if n := settledGoroutines(baseline); n > baseline {
+				t.Fatalf("%d goroutines outlive the minibatches", n-baseline)
+			}
 		})
 	}
+}
+
+// settledGoroutines polls for up to a second for the goroutine count to
+// fall to baseline, and returns the last count.
+func settledGoroutines(baseline int) int {
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	if n := settledGoroutines(baseline); code == 0 && n > baseline {
+		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
+		code = 1
+	}
+	os.Exit(code)
 }
 
 func micros(n, sz int) [][]int {
@@ -291,9 +302,6 @@ func TestEnginesHonourHostOrderingContract(t *testing.T) {
 				}
 				f.quiesced(t)
 			}
-			if lc, ok := eng.(engine.Lifecycle); ok {
-				lc.Stop()
-			}
 		})
 	}
 }
@@ -310,9 +318,6 @@ func TestConcurrentEngineOverlapsMicrobatches(t *testing.T) {
 		if _, err := tc.eng.Minibatch(context.Background(), f, micros(8, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if lc, ok := tc.eng.(engine.Lifecycle); ok {
-			lc.Stop()
-		}
 		if len(f.errs) > 0 {
 			t.Fatalf("%s: ordering violations: %v", tc.eng.Name(), f.errs)
 		}
@@ -327,9 +332,6 @@ func TestEnginesReportDivergence(t *testing.T) {
 		t.Run(splitName(name), func(t *testing.T) {
 			f := newFakeHost(3, false, 1)
 			_, err := eng.Minibatch(context.Background(), f, micros(4, 2))
-			if lc, ok := eng.(engine.Lifecycle); ok {
-				lc.Stop()
-			}
 			if !errors.Is(err, engine.ErrDiverged) {
 				t.Fatalf("error = %v, want ErrDiverged", err)
 			}
@@ -354,9 +356,6 @@ func TestEnginesHonourContextCancellation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := newFakeHost(2, false, -1)
 			_, err := eng.Minibatch(ctx, f, micros(2, 2))
-			if lc, ok := eng.(engine.Lifecycle); ok {
-				lc.Stop()
-			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("error = %v, want context.Canceled", err)
 			}

@@ -74,10 +74,6 @@ func (t *table) add(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-func (t *table) addf(format string, cells ...any) {
-	t.rows = append(t.rows, strings.Split(fmt.Sprintf(format, cells...), "|"))
-}
-
 func (t *table) write(w io.Writer) {
 	width := make([]int, len(t.header))
 	for i, h := range t.header {

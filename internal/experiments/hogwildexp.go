@@ -41,10 +41,7 @@ func fig19(w io.Writer, s Scale) {
 		task := classifierWithBlocks(52, 11)
 		cfg := core.Config{
 			Method: sp.method, BatchSize: 64, MicrobatchSize: 64,
-			T1K: sp.t1k, Seed: 11, Hogwild: sp.hogwild,
-		}
-		if EngineFactory != nil {
-			cfg.Engine = EngineFactory()
+			T1K: sp.t1k, Seed: 11, Hogwild: sp.hogwild, Engine: Engine,
 		}
 		sched := optim.StepDecay{Base: 0.05, DropEvery: 30 * 16, Factor: 0.1}
 		tr, err := core.New(task, optim.NewSGD(Params(task), 0.9, 5e-4), sched, cfg)

@@ -15,10 +15,10 @@ import (
 	"pipemare/internal/throughput"
 )
 
-// EngineFactory, when non-nil, supplies the execution engine for every
-// workload run (one fresh engine per run). It is set by pipemare-bench's
-// -engine flag; nil means the default Reference engine.
-var EngineFactory func() pipemare.Engine
+// Engine, when non-nil, is the execution engine every workload run
+// trains with. It is set by pipemare-bench's -engine flag; nil means the
+// default Reference engine.
+var Engine pipemare.Engine
 
 // Replicas, when > 1, runs every workload with that many data-parallel
 // pipeline replicas (pipemare.WithReplicas). It is set by pipemare-bench's
@@ -238,8 +238,8 @@ func (w Workload) Run(spec RunSpec) RunResult {
 	if spec.Recompute > 0 {
 		opts = append(opts, pipemare.WithRecompute(spec.Recompute))
 	}
-	if EngineFactory != nil {
-		opts = append(opts, pipemare.WithEngine(EngineFactory()))
+	if Engine != nil {
+		opts = append(opts, pipemare.WithEngine(Engine))
 	}
 	if Replicas > 1 {
 		opts = append(opts, pipemare.WithReplicas(Replicas))

@@ -187,7 +187,6 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 			const n = 4
 			g, l, ms, rec := phaseGroup(t, n, tc.engs...)
 			step(t, g, n)
-			g.Stop()
 			if len(l.errs) > 0 {
 				t.Fatalf("commit contract violations: %v", l.errs)
 			}

@@ -14,9 +14,8 @@
 // becomes active after a live state handoff (Handoff); an active member
 // whose connection dies — or a standby whose connection died while it sat
 // out, or whose handoff failed — is gone. Transition is the only code
-// that moves a record: it re-splits positions, re-derives the commit plan
-// over the active members and stops the engine of a member that leaves
-// Active.
+// that moves a record: it re-splits positions and re-derives the commit
+// plan over the active members.
 //
 // Determinism survives every edge for one reason: the per-minibatch curve
 // is replica-count-invariant. The reduce is a pure left fold in global
@@ -68,7 +67,7 @@ type member struct {
 
 	remote Remote        // nil for an in-process member
 	comp   *Compute      // in-process: the host wrapper its engine drives
-	eng    engine.Engine // in-process: its own engine (Local.Engine)
+	eng    engine.Engine // in-process: its trainer's engine (Local.Engine)
 	chunk  *chunk        // this member's share of the minibatch in flight
 }
 
@@ -138,11 +137,10 @@ func (g *Group) index(id int) int {
 
 // Transition is the group's one membership change: it moves member id to
 // state to. Leaving Active frees the member's position (those above shift
-// down) and stops its engine; entering Active appends it at the tail of
-// the reduce tree; Gone closes its connection.
-// Every edge re-derives the commit plan over the resulting active
-// members. It must be called with no collective in flight — from the
-// trainer's recovery loop between attempts, or from its
+// down); entering Active appends it at the tail of the reduce tree; Gone
+// closes its connection. Every edge re-derives the commit plan over the
+// resulting active members. It must be called with no collective in
+// flight — from the trainer's recovery loop between attempts, or from its
 // minibatch-boundary hook. The leader never moves.
 func (g *Group) Transition(id int, to State) {
 	i := g.index(id)
@@ -160,7 +158,6 @@ func (g *Group) move(m *member, to State) {
 	g.members = slices.Delete(g.members, i, i+1)
 	if m.state == Active {
 		g.active--
-		m.stop()
 	}
 	switch to {
 	case Active:
@@ -177,16 +174,7 @@ func (g *Group) move(m *member, to State) {
 	g.plan = engine.NewCommitPlan(g.p, g.active)
 }
 
-// stop stops an in-process member's engine; its next chunk starts it
-// again. Remote members run their chunks through the engine of their own
-// worker process.
-func (m *member) stop() {
-	if lc, ok := m.eng.(engine.Lifecycle); ok {
-		lc.Stop()
-	}
-}
-
-// run executes the member's chunk: through its own engine in process,
+// run executes the member's chunk: through its engine in process,
 // or in one round trip to a remote member, whose returned losses and
 // gradient exports land where reduce and lossSum read them.
 func (m *member) run(ctx context.Context, micros [][]int) error {

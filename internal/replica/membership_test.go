@@ -131,7 +131,7 @@ type driveEngine struct{ err error }
 
 func (driveEngine) Name() string { return "drive" }
 
-func (e driveEngine) Clone() engine.Engine { return e }
+func (driveEngine) Workers(int) int { return 1 }
 
 func (e driveEngine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
 	if e.err != nil {
@@ -315,7 +315,6 @@ func TestMembershipTransitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.g = g
-			defer g.Stop()
 			if tc.arm != nil {
 				tc.arm(f)
 			}

@@ -1,6 +1,6 @@
 // Package replica implements the coordination layer for multi-replica
 // data-parallel training: R pipeline replicas (each a full trainer weight
-// partition driven by its own copy of the run's execution engine) split a
+// partition driven by the run's execution engine) split a
 // minibatch's microbatches between them, and a deterministic tree
 // all-reduce folds the per-microbatch gradients into the leader replica
 // before one shared optimizer step — the PipeDream-style hybrid of
@@ -11,8 +11,8 @@
 // each stage to a replica owner, the leader's reduced gradients scatter
 // to their owners, every owner steps its shard against its local copy of
 // the optimizer state — one StepStage call per stage, under the clip
-// scale and the epoch phase its chunk arrived with, over its engine's
-// workers when it has them (engine.Pool) — and the stepped weights
+// scale and the epoch phase its chunk arrived with, split into its
+// engine's Workers pieces in process — and the stepped weights
 // all-gather back, so the commit tail never runs serially on the leader.
 // Without fault tolerance a follower holds the optimizer moments of its
 // own shard only; with it, every replica mirrors all of them, which is
@@ -46,7 +46,7 @@
 // The package also owns what a replica member is and who is in the run.
 // Member is the small contract every replica honours wherever it lives;
 // a member is then either Local (its pipeline runs in this process,
-// through a Compute wrapper and its own engine) or Remote (it sits
+// through a Compute wrapper and the run's engine) or Remote (it sits
 // behind a connection and can therefore fail, straggle, stand by and
 // leave). Group holds the one membership table — a record per member
 // with a stable id — and Group.Transition is the one operation that
@@ -107,15 +107,15 @@ type Member interface {
 }
 
 // Local is a member whose pipeline lives in this process: the
-// engine.Host its own engine drives through a Compute wrapper, plus the
+// engine.Host its engine drives through a Compute wrapper, plus the
 // chunk's epoch phase and the two gradient moves that never cross the wire.
 // internal/core's host is the implementation — for the leader, for
 // in-process followers, and for the follower a worker process serves.
 type Local interface {
 	Member
 	engine.Host
-	// Engine returns the engine that runs the member's chunks: its own
-	// trainer's, never shared with another member.
+	// Engine returns the engine that runs the member's chunks: its
+	// trainer's, which other members may share.
 	Engine() engine.Engine
 	// SetAsync sets the epoch phase of the chunk the member is about to
 	// run: whether its slots install delayed weights and its commit
@@ -176,8 +176,7 @@ type Leader interface {
 // (membership.go), splits each minibatch into contiguous per-replica
 // chunks, runs every member's chunk, and runs the reduce and the
 // replica-sharded commit. A trainer builds its Group once and keeps it for
-// life; each in-process member's engine starts on its first chunk, and each
-// Run stops them.
+// life.
 type Group struct {
 	lead Leader
 	p    int
@@ -242,41 +241,27 @@ func tensorsBytes(ts []*tensor.Tensor) int64 {
 // Replicas returns R, the number of active members.
 func (g *Group) Replicas() int { return g.active }
 
-// Stop stops the active in-process members' engines, which their next
-// chunks start again. The group itself — and any standby parked in it —
-// belongs to the trainer and outlives the run.
-func (g *Group) Stop() {
-	for _, m := range g.members[:g.active] {
-		m.stop()
-	}
-}
-
 // begin prepares the group for one minibatch: it splits the N microbatch
-// index sets into R contiguous, ordered chunks (sizes differing by at
-// most one), snapshots the leader's epoch phase (async) and microbatch
+// index sets into R contiguous, ordered chunks (engine.CommitPlan's
+// split), snapshots the leader's epoch phase (async) and microbatch
 // base, resets the per-replica loss and gradient staging, and binds ctx
 // into remote members so cancellation reaches their blocking I/O. It
 // returns the chunk for each replica.
 func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
 	r := g.active
-	n := len(micros)
 	base := g.lead.MicroBase()
 	async := g.lead.Async()
 	chunks := make([][][]int, r)
-	lo := 0
+	plan := engine.NewCommitPlan(len(micros), r)
 	for i, m := range g.members[:r] {
-		sz := n / r
-		if i < n%r {
-			sz++
-		}
-		chunks[i] = micros[lo : lo+sz]
+		lo, hi := plan.Shard(i)
+		chunks[i] = micros[lo:hi]
 		if m.remote != nil {
-			m.chunk.begin(base+lo, sz, async)
+			m.chunk.begin(base+lo, hi-lo, async)
 			m.remote.BindContext(ctx)
 		} else {
-			m.comp.BeginChunk(base+lo, sz, async)
+			m.comp.BeginChunk(base+lo, hi-lo, async)
 		}
-		lo += sz
 	}
 	return chunks
 }
@@ -295,7 +280,7 @@ func (g *Group) Minibatch(ctx context.Context, micros [][]int) (float64, error) 
 }
 
 // runChunks runs begin, then every active member's chunk concurrently
-// (eachMember) — in-process members through their own engine, remote
+// (eachMember) — in-process members through their engine, remote
 // members in one RunChunk round trip.
 //
 // When it returns nil every replica has drained and restored its master
@@ -573,34 +558,37 @@ func (g *Group) eachMember(fn func(i int, m *member, lo, hi int)) {
 }
 
 // runShard runs commit phase fn over each stage of member m's shard
-// [lo, hi), recorded as a span named name. An in-process member whose
-// engine is an engine.Pool splits the shard across the pool's workers
-// (engine.CommitPlan again), a span per piece on its worker's track; any
-// other member runs it in one call, on its worker 0 track in process and
-// its collectives track when remote.
+// [lo, hi), recorded as a span named name. A remote member runs it in one
+// call, on its collectives track; an in-process member splits the shard
+// (engine.CommitPlan again) into at most its engine's Workers pieces, one
+// goroutine each, a span per piece on worker i's track.
 func (g *Group) runShard(m *member, lo, hi int, name string, fn func(stage int)) {
-	if pool, ok := m.eng.(engine.Pool); ok && hi > lo {
-		plan := engine.NewCommitPlan(hi-lo, pool.Shards())
-		pool.ParallelFor(func(i int, tk *trace.Track) {
-			a, b := plan.Shard(i)
-			t0 := tk.Now()
-			for st := lo + a; st < lo+b; st++ {
-				fn(st)
-			}
-			tk.Span(name, t0, lo+a, -1, 0)
-		})
+	piece := func(tk *trace.Track, a, b int) {
+		t0 := tk.Now()
+		for st := a; st < b; st++ {
+			fn(st)
+		}
+		tk.Span(name, t0, a, -1, 0)
+	}
+	if m.remote != nil {
+		piece(g.track(m), lo, hi)
 		return
 	}
-	tk := g.track(m)
-	if m.comp != nil {
-		tr, rep := trace.FromCarrier(m.comp)
-		tk = tr.Track(rep, trace.TidWorkerBase, "worker 0")
+	if hi == lo {
+		return
 	}
-	t0 := tk.Now()
-	for st := lo; st < hi; st++ {
-		fn(st)
+	n := min(m.eng.Workers(g.p), hi-lo)
+	plan := engine.NewCommitPlan(hi-lo, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			a, b := plan.Shard(i)
+			piece(engine.WorkerTrack(m.comp, i), lo+a, lo+b)
+		}()
 	}
-	tk.Span(name, t0, lo, -1, 0)
+	wg.Wait()
 }
 
 // lossSum folds the per-microbatch losses in global microbatch order —

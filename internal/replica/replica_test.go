@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,21 @@ import (
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 )
+
+// TestMain fails the package when goroutines outlive its tests, after a
+// settle of up to a second.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); code == 0 && n > baseline {
+		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // fakeMember is a minimal in-process replica with one scalar "parameter"
 // per stage. StageBackward "accumulates" the gradient s+1 for microbatch s, so
@@ -198,7 +215,6 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	for i := range micros {
 		micros[i] = []int{i}
 	}
-	defer g.Stop()
 	loss, err := g.Minibatch(context.Background(), micros)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +335,6 @@ func TestComputeSuppressesCommit(t *testing.T) {
 	lead := &fakeLead{fakeMember: newFakeMember(2)}
 	lead.followers = append(lead.followers, newFakeMember(2))
 	g := lead.group(t)
-	defer g.Stop()
 	if _, err := g.Minibatch(context.Background(), [][]int{{0}, {1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +360,7 @@ type blockingEngine struct{ entered chan struct{} }
 
 func (blockingEngine) Name() string { return "blocking" }
 
-func (b blockingEngine) Clone() engine.Engine { return b }
+func (blockingEngine) Workers(int) int { return 1 }
 
 func (b blockingEngine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
 	close(b.entered)
@@ -395,7 +410,6 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Minibatch deadlocked after cancellation with a blocked member")
 	}
-	g.Stop()
 	for name, m := range map[string]*fakeMember{"leader": lead, "follower": follower.fakeMember} {
 		for st := range m.p {
 			if m.prepared[st]+m.stepped[st] != 0 {
@@ -408,19 +422,18 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 	}
 }
 
-// TestStopWithoutStartIsIdempotent pins that stopping a group whose
-// members' engines never started — no chunk has run — is a no-op, and so
-// is stopping it twice after a chunk started them.
-func TestStopWithoutStartIsIdempotent(t *testing.T) {
-	g := replica.NewGroup(newFakeMember(2), false)
-	if err := g.Admit(engineMember{newFakeMember(2), concurrent.New()}); err != nil {
+// TestMembersShareOneEngine pins that an engine holds no run resources:
+// the leader and an in-process follower drive their chunks through one
+// concurrent engine value at once, minibatch after minibatch.
+func TestMembersShareOneEngine(t *testing.T) {
+	eng := concurrent.New()
+	g := replica.NewGroup(engineMember{newFakeMember(2), eng}, false)
+	if err := g.Admit(engineMember{newFakeMember(2), eng}); err != nil {
 		t.Fatal(err)
 	}
-	g.Stop()
-	g.Stop()
-	if _, err := g.Minibatch(context.Background(), [][]int{{0}, {1}}); err != nil {
-		t.Fatal(err)
+	for mb := 0; mb < 2; mb++ {
+		if _, err := g.Minibatch(context.Background(), [][]int{{0}, {1}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	g.Stop()
-	g.Stop()
 }

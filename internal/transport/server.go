@@ -22,8 +22,8 @@ type Builder func(spec Spec) (replica.Local, error)
 
 // Serve accepts one leader connection on lis and serves it until the
 // leader says goodbye, the connection drops, or ctx ends. The follower's
-// own engine (replica.Local.Engine) drives its microbatch chunks, as an
-// in-process follower's drives its own.
+// engine (replica.Local.Engine) drives its microbatch chunks, as an
+// in-process follower's does.
 func Serve(ctx context.Context, lis Listener, build Builder) error {
 	conn, err := lis.Accept(ctx)
 	if err != nil {
@@ -39,17 +39,13 @@ func Serve(ctx context.Context, lis Listener, build Builder) error {
 // answers MsgHelloOK — or MsgErr with the reason the spec cannot be served,
 // which it also returns — then serves the leader's requests until the
 // goodbye (nil), the connection drops, or ctx ends. The first requests are
-// the leader's state handoff. The follower's engine starts on its first
-// chunk and stops when the session ends.
+// the leader's state handoff.
 func ServeConn(ctx context.Context, conn MsgConn, build Builder) error {
 	s := &server{conn: conn}
 	if err := s.hello(ctx, build); err != nil {
 		return err
 	}
 	s.comp = replica.NewCompute(s.member)
-	if lc, ok := s.member.Engine().(engine.Lifecycle); ok {
-		defer lc.Stop()
-	}
 	return s.loop(ctx)
 }
 

@@ -250,8 +250,9 @@ func WithSchedule(sched Schedule) Option {
 // WithEngine selects the execution engine (default: the single-goroutine
 // Reference engine; NewConcurrentEngine is the work-stealing
 // segment-scheduler engine). It means the same at every replica count:
-// the pipeline engine each replica runs. With WithReplicas(R > 1) the
-// leader runs e and every in-process follower a clone of it; a remote
+// the pipeline engine each replica runs. With WithReplicas(R > 1) every
+// in-process replica runs e itself — an engine holds no run resources, so
+// one value also serves any number of trainers at once — and a remote
 // follower runs the engine of its own ServeFollower options.
 func WithEngine(e Engine) Option {
 	return func(s *settings) error {
@@ -271,7 +272,7 @@ func WithEngine(e Engine) Option {
 // contiguous shard of the stages against its own optimizer state, and the
 // stepped weights all-gather back — so training curves are bit-identical
 // to a single-replica run of the same global batch. R must not exceed the
-// microbatch count N. Every replica runs its own copy of the WithEngine
+// microbatch count N. Every in-process replica runs the WithEngine
 // engine over its share of the microbatches, so pipeline overlap composes
 // with replication.
 func WithReplicas(r int) Option {

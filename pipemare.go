@@ -14,8 +14,8 @@
 //     partitions (WithPartition);
 //   - PipeDream-style data parallelism over R pipeline replicas
 //     (WithReplicas), in process or behind a wire transport
-//     (WithTransport), each replica running its own copy of the engine
-//     WithEngine names, with curves bit-identical to one replica;
+//     (WithTransport), each replica running the engine WithEngine
+//     names, with curves bit-identical to one replica;
 //   - the three PipeMare techniques — T1 learning-rate rescheduling,
 //     T2 discrepancy correction, T3 synchronous warmup — plus the
 //     Appendix D recompute delay path and the Appendix E Hogwild! variant;
@@ -120,8 +120,10 @@ func NewReferenceEngine() Engine { return engine.NewReference() }
 // NewConcurrentEngine returns the work-stealing segment-scheduler engine:
 // `workers` goroutines (0 = min(P, GOMAXPROCS)) drain the run queues of
 // min(P, 4·workers) segments of consecutive stages with up to P microbatch
-// chains in flight, committing the optimizer step stage-parallel. Curves
-// are bit-identical to Reference for every worker count; see
+// chains in flight, and the commit splits the optimizer step into as many
+// stage-parallel pieces. Each minibatch starts its workers and joins them
+// before it returns, so one engine may serve any number of trainers at
+// once. Curves are bit-identical to Reference for every worker count; see
 // internal/engine/concurrent.
 func NewConcurrentEngine(workers int) Engine {
 	return concurrent.New(concurrent.WithWorkers(workers))
