@@ -13,14 +13,15 @@ import (
 //	MatMulT2Into  dst  = a · bᵀ    (dst overwritten: zeroed, then +=)
 //
 // Loop nest: jc over columns (NC) → pc over the inner dimension (KC) → ic
-// over the rows (MC) → 4×8 register tiles. The microkernel takes strides,
+// over the rows (MC) → 4×16 register tiles. The microkernel takes strides,
 // so the operands are read where they lie: A is never copied (aᵀ is the
 // same walk with the row and step strides swapped), and a row-major B is
 // read straight out of the tensor. B is copied into an NR-interleaved
 // scratch panel only when the copy does work the strides cannot:
 //
-//   - it is stored transposed (T2, i.e. Linear.Forward's x·Wᵀ): the 8
-//     values of a step lie k apart, and the copy is the transposition;
+//   - it is stored transposed (T2, i.e. Linear.Forward's x·Wᵀ): the 16
+//     values of a step lie k apart, and the copy is the transposition,
+//     moved p-major so each step is one contiguous store;
 //   - m ≥ mcBlock, so at least mcBlock/mrTile = 32 row tiles reuse each
 //     panel: one pass over B then buys unit-stride reads for all of them
 //     (a 512-wide float64 B has a 4 KiB row stride, every step of a tile
@@ -29,14 +30,17 @@ import (
 // The threshold is a reuse count, not a work gate: PipeMare's slots are
 // short products (a microbatch of a few rows through a weight), where a
 // panel copy has two or seven tiles to amortise over and costs more than
-// the multiply. Full tiles go to the microkernel — on amd64 with AVX a
-// hand-written SIMD kernel (microkernel_amd64.s) that vectorizes across
-// the 8 independent output columns using separate multiply and add
-// instructions, NOT fused multiply-add; elsewhere its Go twin — and
-// ragged tiles to one strided scalar tail. (gc does not auto-vectorize,
-// and math.FMA would both change the rounding and crawl on pre-FMA
-// hardware, so this is the only way to beat the scalar FLOP ceiling
-// without giving up determinism.)
+// the multiply. Full tiles go to the microkernel, which vectorizes across
+// the 16 independent output columns using separate multiply and add
+// instructions, NOT fused multiply-add: on amd64 with AVX-512 one
+// hand-written 4×16 kernel (microkernel_amd64.s); with AVX only, the 4×8
+// AVX kernel on each 8-column half of the tile; elsewhere its Go twin on
+// each half. A ragged tile of 8–15 columns still runs the 4×8 kernel on
+// its first eight; the rest, and every tile short of 4 rows, go to one
+// strided scalar tail. (gc does not auto-vectorize, and math.FMA would
+// both change the rounding and crawl on pre-FMA hardware, so this is the
+// only way to beat the scalar FLOP ceiling without giving up
+// determinism.)
 //
 // Determinism: every output element accumulates its a[i,p]·b[p,j]
 // contributions one rounded multiply and one floating-point add at a time
@@ -49,7 +53,7 @@ import (
 // conversion rounds the product, which forbids the compiler from fusing
 // it into the add (gc does on arm64, ppc64le, s390x and riscv64), so the
 // Go kernels round exactly as the assembly does. Hence blocked ≡ naive,
-// bitwise, per dtype, on every GOARCH and with or without AVX — for this
+// bitwise, per dtype, on every GOARCH and at every kernel level — for this
 // file; DESIGN §12 lists the element-wise kernels elsewhere that gc still
 // fuses off amd64.
 //
@@ -61,7 +65,8 @@ import (
 
 const (
 	mrTile  = 4   // register-tile rows
-	nrTile  = 8   // register-tile columns (one or two SIMD vectors)
+	nrTile  = 16  // register-tile columns (one or two AVX-512 vectors)
+	nrHalf  = 8   // the 4×8 AVX and Go kernels' columns: half a tile
 	mcBlock = 128 // row block; from this many rows on, B is copied
 	kcBlock = 256 // inner-dimension panel
 	ncBlock = 512 // column panel (the widest B copy)
@@ -198,9 +203,17 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
 					for ir := ic; ir < iEnd; ir += mrTile {
 						mr := min(mrTile, iEnd-ir)
 						c, at := dst[ir*n+jc+jr:], a[ir*ars+pc*aps:]
-						if mr == mrTile && nr == nrTile {
+						switch {
+						case mr == mrTile && nr == nrTile:
 							microFull(c, n, at, ars, aps, bt, bps, kc)
-						} else {
+						case mr == mrTile && nr >= nrHalf:
+							// 8–15 columns: the first eight still
+							// take the 4×8 kernel.
+							microHalf(c, n, at, ars, aps, bt, bps, kc)
+							if nr > nrHalf {
+								microTail(c[nrHalf:], n, at, ars, aps, bt[nrHalf:], bps, kc, mr, nr-nrHalf)
+							}
+						default:
 							microTail(c, n, at, ars, aps, bt, bps, kc, mr, nr)
 						}
 					}
@@ -216,41 +229,82 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
 // packB copies the kc×nc panel of B at (p0, j0) into NR-interleaved
 // groups: group g holds columns j0+g·NR … p-major, NR values per step, so
 // a tile reads it with unit step stride. A row-major B (stored k×n) moves
-// a row of the group at a time; a transposed one (stored n×k) walks each
-// of the group's columns along its contiguous source row. The lanes past
-// nc in a ragged last group are never read.
+// a row of the group at a time. A transposed one (stored n×k) is the
+// transposition: a full group walks its 16 source rows together (packT),
+// a ragged last group each of its columns along its source row. The lanes
+// past nc in a ragged last group are never read.
 func packB[T Elem](bp, b []T, ldb, j0, nc, p0, kc int, bT bool) {
 	for jr := 0; jr < nc; jr += nrTile {
 		cols := min(nrTile, nc-jr)
 		g := bp[jr*kc : (jr+nrTile)*kc]
-		if !bT {
+		switch {
+		case !bT:
 			for p := 0; p < kc; p++ {
 				copy(g[p*nrTile:p*nrTile+cols], b[(p0+p)*ldb+j0+jr:])
 			}
-			continue
-		}
-		for c := 0; c < cols; c++ {
-			col := b[(j0+jr+c)*ldb+p0:][:kc]
-			for p, v := range col {
-				g[p*nrTile+c] = v
+		case cols == nrTile:
+			packT(g, b[(j0+jr)*ldb+p0:], ldb, kc)
+		default:
+			for c := 0; c < cols; c++ {
+				col := b[(j0+jr+c)*ldb+p0:][:kc]
+				for p, v := range col {
+					g[p*nrTile+c] = v
+				}
 			}
 		}
 	}
 }
 
-// microFull runs a full 4×8 tile over kc ≥ 1 steps: the AVX kernel on
-// amd64 when available, otherwise its Go twin, a row at a time so the 8
-// accumulators fit the scalar register file. Both read A as
-// a[r*ars+p*aps] and B as b[p*bps … +7] and accumulate each element in
-// ascending-p order with a separate, unfused multiply and add, so they
-// are bitwise interchangeable.
+// packT transposes one full group of a transposed B: source row c (ldb
+// apart in src) becomes lane c of every step of g. It holds a cursor on
+// each of the 16 rows and moves the group p-major, so every step is one
+// contiguous 16-wide store rather than 16 stores NR apart.
+func packT[T Elem](g, src []T, ldb, kc int) {
+	r0, r1, r2, r3 := src[:kc], src[ldb:][:kc], src[2*ldb:][:kc], src[3*ldb:][:kc]
+	r4, r5, r6, r7 := src[4*ldb:][:kc], src[5*ldb:][:kc], src[6*ldb:][:kc], src[7*ldb:][:kc]
+	r8, r9, r10, r11 := src[8*ldb:][:kc], src[9*ldb:][:kc], src[10*ldb:][:kc], src[11*ldb:][:kc]
+	r12, r13, r14, r15 := src[12*ldb:][:kc], src[13*ldb:][:kc], src[14*ldb:][:kc], src[15*ldb:][:kc]
+	for p := range r0 {
+		d := g[p*nrTile:][:nrTile]
+		d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+		d[4], d[5], d[6], d[7] = r4[p], r5[p], r6[p], r7[p]
+		d[8], d[9], d[10], d[11] = r8[p], r9[p], r10[p], r11[p]
+		d[12], d[13], d[14], d[15] = r12[p], r13[p], r14[p], r15[p]
+	}
+}
+
+// microFull runs a full 4×16 tile over kc ≥ 1 steps: the AVX-512 kernel
+// on amd64 when available, otherwise microHalf on each 8-column half of
+// the same operands. Every kernel reads A as a[r*ars+p*aps] and B as
+// b[p*bps …] and accumulates each element in ascending-p order with a
+// separate, unfused multiply and add, so they are bitwise interchangeable.
 func microFull[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) {
-	if haveSIMD {
+	if haveAVX512 {
 		// Everything the tile touches, checked here so the assembly needs
 		// no bounds logic.
-		_ = c[3*ldc+7]
+		_ = c[3*ldc+nrTile-1]
 		_ = a[3*ars+(kc-1)*aps]
-		_ = b[(kc-1)*bps+7]
+		_ = b[(kc-1)*bps+nrTile-1]
+		if dtypeOf[T]() == Float64 {
+			kern4x16f64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
+		} else {
+			kern4x16f32(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
+		}
+		return
+	}
+	microHalf(c, ldc, a, ars, aps, b, bps, kc)
+	microHalf(c[nrHalf:], ldc, a, ars, aps, b[nrHalf:], bps, kc)
+}
+
+// microHalf runs a 4×8 tile — the left or right half of a full one, or
+// the first eight columns of a ragged one: the AVX kernel on amd64 when
+// available, otherwise its Go twin, a row at a time so the 8 accumulators
+// fit the scalar register file.
+func microHalf[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) {
+	if haveSIMD {
+		_ = c[3*ldc+nrHalf-1]
+		_ = a[3*ars+(kc-1)*aps]
+		_ = b[(kc-1)*bps+nrHalf-1]
 		if dtypeOf[T]() == Float64 {
 			kern4x8f64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
 		} else {
@@ -281,11 +335,13 @@ func microFull[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) 
 	}
 }
 
-// microTail handles a ragged tile (mr<4 or nr<8) over the same strided
-// operands, a row-axpy per step: each element still takes its terms one
-// unfused multiply and add at a time in ascending p, so it is bitwise
-// interchangeable with a microFull lane. A shape with no full tile is
-// computed here whole.
+// microTail handles what no SIMD tile covers — a tile short of 4 rows, or
+// the columns of a ragged one past its 4×8 kernel (all of them if fewer
+// than 8) — over the same strided operands, a row at a time: four
+// columns at a time in register accumulators, then each column left over
+// in one. Each element still takes its terms one unfused multiply and add
+// at a time in ascending p, so it is bitwise interchangeable with a
+// microFull lane. A shape with no full tile is computed here whole.
 //
 // Not inlined: inside gemm its loop counters spill to the stack, which
 // costs a third of its speed.
@@ -294,12 +350,31 @@ func microFull[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) 
 func microTail[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc, mr, nr int) {
 	for ir := 0; ir < mr; ir++ {
 		crow := c[ir*ldc : ir*ldc+nr]
-		for p := 0; p < kc; p++ {
-			av := a[ir*ars+p*aps]
-			brow := b[p*bps:][:len(crow)]
-			for q, bv := range brow {
-				crow[q] += T(av * bv)
+		q := 0
+		for ; q+4 <= len(crow); q += 4 {
+			cq := crow[q : q+4]
+			c0, c1, c2, c3 := cq[0], cq[1], cq[2], cq[3]
+			ai, bi := ir*ars, q
+			for p := 0; p < kc; p++ {
+				av, bv := a[ai], b[bi:bi+4]
+				c0 += T(av * bv[0])
+				c1 += T(av * bv[1])
+				c2 += T(av * bv[2])
+				c3 += T(av * bv[3])
+				ai += aps
+				bi += bps
 			}
+			cq[0], cq[1], cq[2], cq[3] = c0, c1, c2, c3
+		}
+		for ; q < len(crow); q++ {
+			s := crow[q]
+			ai, bi := ir*ars, q
+			for p := 0; p < kc; p++ {
+				s += T(a[ai] * b[bi])
+				ai += aps
+				bi += bps
+			}
+			crow[q] = s
 		}
 	}
 }

@@ -53,11 +53,13 @@ func bitEqual(t *testing.T, name string, got, want *Tensor) {
 }
 
 // matmulGrid holds (m, k, n) shapes that put every branch of the loop nest
-// on both sides of its boundary: full 4×8 tiles and ragged tails in m and
-// n, shapes with no full tile at all, k across the KC panel boundary (the
-// store/reload of a tile between two p-panels), n across the NC boundary,
-// and m on both sides of mcBlock, where a row-major B goes from being read
-// in place to being copied into the panel.
+// on both sides of its boundary: full 4×16 tiles and ragged tails in m and
+// n, n on both sides of the tile and of its 8-column half (a ragged tile
+// of 8–15 columns runs a 4×8 kernel on its first eight), shapes with no
+// full tile at all, k across the KC panel boundary (the store/reload of a
+// tile between two p-panels), n across the NC boundary, and m on both
+// sides of mcBlock, where a row-major B goes from being read in place to
+// being copied into the panel.
 var matmulGrid = [][3]int{
 	{1, 1, 1},
 	{3, 5, 7},       // no full tile: the tail is the whole product
@@ -80,6 +82,17 @@ var matmulGrid = [][3]int{
 	{128, 300, 24},  // m at mcBlock: B copied
 	{132, 513, 520}, // every block boundary at once, B copied
 	{10, 30, 520},   // n spans two NC panels, B in place
+	{20, 300, 24},   // a tile and a half-tile, k spans two KC panels
+}
+
+func init() {
+	// n straddling the tile (16) and its half (8), from a row tail up to
+	// a transformer microbatch; the vocab head is 28×128×13.
+	for _, m := range []int{1, 3, 4, 28} {
+		for _, n := range []int{8, 13, 15, 16, 17, 24, 31, 33} {
+			matmulGrid = append(matmulGrid, [3]int{m, 2*m + 5, n})
+		}
+	}
 }
 
 // checkGridAgainstNaive runs the three variants over matmulGrid in both
@@ -113,6 +126,41 @@ func checkGridAgainstNaive(t *testing.T) {
 			NaiveMatMulT2Into(want, a, bt)
 			bitEqual(t, name+"MatMulT2", got, want)
 		}
+	}
+}
+
+// kernelLevel is one microkernel level a host may run: the values of the
+// two detection flags on a host of that level.
+type kernelLevel struct {
+	name         string
+	simd, avx512 bool
+}
+
+// kernelLevels lists the levels best first: the 4×16 AVX-512 kernel, the
+// 4×8 AVX kernel on each half of a tile, and the Go twin of the 4×8
+// kernel that every non-AVX and non-amd64 host runs.
+var kernelLevels = []kernelLevel{
+	{"avx512", true, true},
+	{"avx", true, false},
+	{"generic", false, false},
+}
+
+// hostHas reports whether this host can run every kernel the level uses.
+func (l kernelLevel) hostHas() bool {
+	return (!l.simd || haveSIMD) && (!l.avx512 || haveAVX512)
+}
+
+// TestKernelLevelsMatchNaive holds every kernel level this host can run to
+// the naive oracle, bit for bit, on the same grid. A level the host lacks
+// is skipped by name, so the log says which levels ran.
+func TestKernelLevelsMatchNaive(t *testing.T) {
+	for _, l := range kernelLevels {
+		t.Run(l.name, func(t *testing.T) {
+			if !l.hostHas() {
+				t.Skipf("this host cannot run the %s kernels", l.name)
+			}
+			l.run(func() { checkGridAgainstNaive(t) })
+		})
 	}
 }
 
@@ -156,11 +204,11 @@ func TestMatMulAccumulates(t *testing.T) {
 // calling goroutine: no closure, goroutine or WaitGroup under it, so no
 // allocation — at the shapes the workloads run and in the softmax, per
 // dtype. It also pins who copies B: a short row-major product (8×16·16×16,
-// 28×128·128×128, NN and T1) reads both operands in place and never touches
-// the panel pool; T2, and NN from mcBlock rows on, take their panel from
-// the warm pool. The pipeline's stage workers are the only parallelism; a
-// row split growing back under the kernels shows up here as its escaping
-// closures.
+// 28×128·128×128, the vocab head's 28×128·128×13, NN and T1) reads both
+// operands in place and never touches the panel pool; T2, and NN from
+// mcBlock rows on, take their panel from the warm pool. The pipeline's
+// stage workers are the only parallelism; a row split growing back under
+// the kernels shows up here as its escaping closures.
 func TestKernelsAreLeafCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -169,7 +217,7 @@ func TestKernelsAreLeafCalls(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(13))
 	for _, dt := range []DType{Float64, Float32} {
-		for _, d := range [][3]int{{8, 16, 16}, {28, 128, 128}, {128, 128, 128}} {
+		for _, d := range [][3]int{{8, 16, 16}, {28, 128, 128}, {28, 128, 13}, {128, 128, 128}} {
 			m, k, n := d[0], d[1], d[2]
 			a, b := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
 			at, bt := transposed(a), transposed(b)
@@ -237,40 +285,85 @@ func TestIm2ColDtypes(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMulShapes measures the three variants at the shapes the
-// trainers run — a P=107 residual-MLP slot (8×16·16×16), a transformer
-// microbatch through a projection and the two feed-forward halves (28 rows),
-// an im2col-shaped conv product (tall, thin) — and at three cubes, the guard
-// that the large-shape peak holds. Sub-benchmark names read m x k x n.
+// BenchmarkMatMulShapes measures the three variants, at every kernel
+// level the host has, at the shapes the trainers run — a P=107
+// residual-MLP slot (8×16·16×16), a transformer microbatch through a
+// projection, the vocab head and the two feed-forward halves (28 rows), an
+// im2col-shaped conv product (tall, thin) — and at three cubes, the guard
+// that the large-shape peak holds. Sub-benchmark names read
+// level/dtype/m x k x n/variant.
 func BenchmarkMatMulShapes(b *testing.B) {
 	shapes := [][3]int{
-		{8, 16, 16}, {28, 128, 128}, {28, 128, 512}, {28, 512, 128}, {512, 27, 16},
+		{8, 16, 16}, {28, 128, 128}, {28, 128, 13}, {28, 128, 512}, {28, 512, 128}, {512, 27, 16},
 		{128, 128, 128}, {256, 256, 256}, {512, 512, 512},
 	}
-	rng := rand.New(rand.NewSource(1))
-	for _, dt := range []DType{Float64, Float32} {
-		for _, d := range shapes {
-			m, k, n := d[0], d[1], d[2]
-			x, y := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
-			xt, yt := transposed(x), transposed(y)
-			dst := NewOf(dt, m, n)
-			for _, c := range []struct {
-				name string
-				call func()
-			}{
-				{"NN", func() { MatMulInto(dst, x, y) }},
-				{"T1", func() { MatMulT1Into(dst, xt, y) }},
-				{"T2", func() { MatMulT2Into(dst, x, yt) }},
-			} {
-				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", dt, m, k, n, c.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						c.call()
-					}
-					flops := 2 * float64(m) * float64(k) * float64(n)
-					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
+	for _, l := range kernelLevels {
+		if !l.hostHas() {
+			continue
+		}
+		rng := rand.New(rand.NewSource(1))
+		for _, dt := range []DType{Float64, Float32} {
+			for _, d := range shapes {
+				m, k, n := d[0], d[1], d[2]
+				x, y := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
+				xt, yt := transposed(x), transposed(y)
+				dst := NewOf(dt, m, n)
+				for _, c := range []struct {
+					name string
+					call func()
+				}{
+					{"NN", func() { MatMulInto(dst, x, y) }},
+					{"T1", func() { MatMulT1Into(dst, xt, y) }},
+					{"T2", func() { MatMulT2Into(dst, x, yt) }},
+				} {
+					b.Run(fmt.Sprintf("%s/%s/%dx%dx%d/%s", l.name, dt, m, k, n, c.name), func(b *testing.B) {
+						l.run(func() {
+							for i := 0; i < b.N; i++ {
+								c.call()
+							}
+						})
+						flops := 2 * float64(m) * float64(k) * float64(n)
+						b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
 			}
 		}
+	}
+}
+
+// BenchmarkMicrokernel times microFull alone, per kernel level the host
+// has and per dtype, on one L1-resident panel: a full tile over kcBlock
+// steps of a packed B group, with no loop nest around it. Its GFLOP/s is
+// the kernel's measured peak, the ceiling tensor.matmul_*_gflops are read
+// against.
+func BenchmarkMicrokernel(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, l := range kernelLevels {
+		if !l.hostHas() {
+			continue
+		}
+		for _, dt := range []DType{Float64, Float32} {
+			a := randOf(rng, dt, mrTile, kcBlock)
+			bp := randOf(rng, dt, kcBlock, nrTile)
+			c := NewOf(dt, mrTile, nrTile)
+			b.Run(fmt.Sprintf("%s/%s", l.name, dt), func(b *testing.B) {
+				l.run(func() {
+					if dt == Float32 {
+						benchMicroFull(b, F32(c), F32(a), F32(bp))
+					} else {
+						benchMicroFull(b, F64(c), F64(a), F64(bp))
+					}
+				})
+				flops := 2 * float64(mrTile*nrTile*kcBlock)
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+func benchMicroFull[T Elem](b *testing.B, c, a, bp []T) {
+	for i := 0; i < b.N; i++ {
+		microFull(c, nrTile, a, kcBlock, 1, bp, nrTile, kcBlock)
 	}
 }
 

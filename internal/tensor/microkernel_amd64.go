@@ -4,30 +4,46 @@ package tensor
 
 import "unsafe"
 
-// haveSIMD reports whether the AVX microkernels may be used. Detected
-// once at startup: the CPU must support AVX and the OS must have enabled
-// YMM state (XGETBV). The kernels use only AVX1 instructions (VMULPD,
-// VADDPD and memory-operand broadcasts), so AVX2 is not required.
+// haveSIMD reports whether the 4×8 AVX microkernels may be used, and
+// haveAVX512 whether the 4×16 AVX-512F ones may. Both are detected once at
+// startup, with no option to override them:
 //
-// Using or not using the SIMD path never changes results: the kernels
-// perform the same scalar-order multiply-then-add per output element as
-// the generic fallback (no FMA, and the fallback forbids the compiler's
-// fusion), so a cluster mixing AVX and non-AVX hosts still agrees bitwise.
-var haveSIMD = detectAVX()
+//   - AVX: the CPU must support AVX and the OS must have enabled XMM and
+//     YMM state (XCR0 bits 1 and 2). The 4×8 kernels use only AVX1
+//     instructions (VMULP*, VADDP* and memory-operand broadcasts), so
+//     AVX2 is not required.
+//   - AVX-512: AVX as above, CPUID.7.0:EBX[16] (AVX512F), and the OS must
+//     also have enabled opmask and ZMM state (XCR0 bits 5, 6 and 7). The
+//     4×16 kernels use only AVX512F instructions on ZMM registers.
+//
+// Which kernel runs never changes results: every kernel performs the same
+// scalar-order multiply-then-add per output element as the generic
+// fallback (no FMA, and the fallback forbids the compiler's fusion), so a
+// cluster mixing AVX-512, AVX and non-AVX hosts still agrees bitwise.
+var haveSIMD, haveAVX512 = detectAVX()
 
-func detectAVX() bool {
+func detectAVX() (avx, avx512 bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 1 {
-		return false
+		return false, false
 	}
 	_, _, ecx, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+	const osxsave, avxBit = 1 << 27, 1 << 28
+	if ecx&osxsave == 0 || ecx&avxBit == 0 {
+		return false, false
 	}
-	eax, _ := xgetbv()
+	xcr0, _ := xgetbv()
 	// XMM (bit 1) and YMM (bit 2) state must be OS-enabled.
-	return eax&0x6 == 0x6
+	if xcr0&0x6 != 0x6 {
+		return false, false
+	}
+	if maxID < 7 {
+		return true, false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16
+	// Plus opmask (bit 5), upper ZMM0–15 (bit 6) and ZMM16–31 (bit 7).
+	return true, ebx&avx512f != 0 && xcr0&0xE6 == 0xE6
 }
 
 // cpuid executes the CPUID instruction with the given leaf/subleaf.
@@ -48,6 +64,17 @@ func kern4x8f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b uns
 //
 //go:noescape
 func kern4x8f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
+
+// kern4x16f64 is kern4x8f64 on a 4×16 tile in ZMM registers (AVX512F):
+// step p reads the B row b[p·bps … +15].
+//
+//go:noescape
+func kern4x16f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
+
+// kern4x16f32 is the float32 twin of kern4x16f64.
+//
+//go:noescape
+func kern4x16f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
 
 // ptr returns the base address of a non-empty slice for the assembly
 // kernels.

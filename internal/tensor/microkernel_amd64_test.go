@@ -2,17 +2,11 @@
 
 package tensor
 
-import "testing"
-
-// TestGenericKernelMatchesNaive runs the grid with the assembly switched
-// off, so the strided Go twin of the microkernel — what every non-AVX and
-// non-amd64 host executes — is held to the same oracle, bit for bit, as the
-// assembly is in TestBlockedMatchesNaive on the same inputs.
-func TestGenericKernelMatchesNaive(t *testing.T) {
-	if !haveSIMD {
-		t.Skip("no AVX: TestBlockedMatchesNaive already ran the generic kernel")
-	}
-	haveSIMD = false
-	t.Cleanup(func() { haveSIMD = true })
-	checkGridAgainstNaive(t)
+// run calls f with the detection flags set to the level's, then restores
+// the host's.
+func (l kernelLevel) run(f func()) {
+	hostSIMD, hostAVX512 := haveSIMD, haveAVX512
+	haveSIMD, haveAVX512 = l.simd, l.avx512
+	defer func() { haveSIMD, haveAVX512 = hostSIMD, hostAVX512 }()
+	f()
 }
