@@ -159,9 +159,10 @@ func TestGroupNormGradient(t *testing.T) {
 
 // TestLayerKernelsAreLeafCalls is the nn half of the tensor package's
 // TestKernelsAreLeafCalls: on a warm tape the arena serves every buffer,
-// and the normalisation and attention loops run on the calling goroutine
-// with one scratch set, so a forward+backward allocates only the tape's
-// own bookkeeping — the boxed record each Forward pushes, and the view
+// and the normalisation, attention and GELU loops run on the calling
+// goroutine with one scratch set, so a forward+backward allocates only
+// the tape's own bookkeeping — the boxed record each Forward pushes (none
+// for GELU, whose record is the input tensor itself), and the view
 // header (tensor + shape) RowView builds per (batch, head) pair per pass.
 // A row split under these layers shows up as its escaping closures and
 // per-chunk scratch lists.
@@ -181,6 +182,7 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 		ln.Gain.CastTo(dt)
 		ln.Bias.CastTo(dt)
 		attn := NewAttnCore(d, heads, seq, seq, true)
+		gelu := NewGELU()
 		for _, c := range []struct {
 			name string
 			want float64
@@ -188,6 +190,7 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 		}{
 			{"LayerNorm", 1, func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
 			{"AttnCore", 1 + 2*2*batch*heads, func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
+			{"GELU", 0, func() { gelu.Forward(tp, in[0]); gelu.Backward(tp, in[1]) }},
 		} {
 			pass := func() { tp.Reset(); c.run() }
 			pass() // warm the arena

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"pipemare/internal/tensor"
-)
+import "pipemare/internal/tensor"
 
 // Layer is a differentiable module. Forward pushes whatever Backward needs
 // onto the tape; Backward pops it, consumes the upstream gradient dy,
@@ -78,50 +74,23 @@ type GELU struct{}
 // NewGELU returns a GELU layer.
 func NewGELU() *GELU { return &GELU{} }
 
-const geluC = 0.7978845608028654 // sqrt(2/π)
-
-// Forward computes 0.5x(1 + tanh(√(2/π)(x + 0.044715x³))). The tanh is
-// evaluated in float64 for both dtypes; float32 rounds once at the store.
+// Forward computes 0.5x(1 + tanh(√(2/π)(x + 0.044715x³))) =
+// x·σ(2√(2/π)(x + 0.044715x³)) with tensor.GELUInto: evaluated in float64
+// for both dtypes, float32 rounding once at the store.
 func (g *GELU) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	out := t.NewTensor(x.Shape...)
-	if x.DType() == tensor.Float32 {
-		geluFwd(tensor.F32(out), tensor.F32(x))
-	} else {
-		geluFwd(tensor.F64(out), tensor.F64(x))
-	}
+	tensor.GELUInto(out, x)
 	t.Push(x)
 	return out
 }
 
-func geluFwd[T tensor.Elem](out, x []T) {
-	for i, xv := range x {
-		v := float64(xv)
-		u := geluC * (v + float64(0.044715*v*v*v))
-		out[i] = T(0.5 * v * (1 + math.Tanh(u)))
-	}
-}
-
-// Backward computes the GELU derivative times dy.
+// Backward computes the GELU derivative times dy, recomputing the gate
+// from the saved input (tensor.GELUGradInto).
 func (g *GELU) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	x := t.Pop().(*tensor.Tensor)
 	out := t.NewTensor(dy.Shape...)
-	if x.DType() == tensor.Float32 {
-		geluBwd(tensor.F32(out), tensor.F32(dy), tensor.F32(x))
-	} else {
-		geluBwd(tensor.F64(out), tensor.F64(dy), tensor.F64(x))
-	}
+	tensor.GELUGradInto(out, dy, x)
 	return out
-}
-
-func geluBwd[T tensor.Elem](out, dy, x []T) {
-	for i, xv := range x {
-		v := float64(xv)
-		u := geluC * (v + float64(0.044715*v*v*v))
-		th := math.Tanh(u)
-		du := geluC * (1 + float64(3*0.044715*v*v))
-		d := float64(0.5*(1+th)) + float64(0.5*v*(1-float64(th*th))*du)
-		out[i] = T(float64(dy[i]) * d)
-	}
 }
 
 // Params returns nil: GELU has no parameters.

@@ -202,13 +202,13 @@ func TestMatMulAccumulates(t *testing.T) {
 
 // TestKernelsAreLeafCalls pins that a kernel call is a plain loop on the
 // calling goroutine: no closure, goroutine or WaitGroup under it, so no
-// allocation — at the shapes the workloads run and in the softmax, per
-// dtype. It also pins who copies B: a short row-major product (8×16·16×16,
-// 28×128·128×128, the vocab head's 28×128·128×13, NN and T1) reads both
-// operands in place and never touches the panel pool; T2, and NN from
-// mcBlock rows on, take their panel from the warm pool. The pipeline's
-// stage workers are the only parallelism; a row split growing back under
-// the kernels shows up here as its escaping closures.
+// allocation — at the shapes the workloads run and in the softmax and
+// GELU, per dtype. It also pins who copies B: a short row-major product
+// (8×16·16×16, 28×128·128×128, the vocab head's 28×128·128×13, NN and T1)
+// reads both operands in place and never touches the panel pool; T2, and
+// NN from mcBlock rows on, take their panel from the warm pool. The
+// pipeline's stage workers are the only parallelism; a row split growing
+// back under the kernels shows up here as its escaping closures.
 func TestKernelsAreLeafCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -246,8 +246,14 @@ func TestKernelsAreLeafCalls(t *testing.T) {
 		}
 		x := randOf(rng, dt, 64, 128)
 		y := NewLike(x)
-		if allocs := testing.AllocsPerRun(50, func() { SoftmaxRowsInto(y, x) }); allocs != 0 {
-			t.Errorf("%s SoftmaxRowsInto allocated %.1f times per call, want 0", dt, allocs)
+		for name, call := range map[string]func(){
+			"SoftmaxRowsInto": func() { SoftmaxRowsInto(y, x) },
+			"GELUInto":        func() { GELUInto(y, x) },
+			"GELUGradInto":    func() { GELUGradInto(y, x, x) },
+		} {
+			if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
+				t.Errorf("%s %s allocated %.1f times per call, want 0", dt, name, allocs)
+			}
 		}
 	}
 }

@@ -5,8 +5,9 @@ package tensor
 import "unsafe"
 
 // haveSIMD reports whether the 4×8 AVX microkernels may be used, and
-// haveAVX512 whether the 4×16 AVX-512F ones may. Both are detected once at
-// startup, with no option to override them:
+// haveAVX512 whether the 4×16 AVX-512F ones and the eight-lane GELU
+// kernels may. Both are detected once at startup, with no option to
+// override them:
 //
 //   - AVX: the CPU must support AVX and the OS must have enabled XMM and
 //     YMM state (XCR0 bits 1 and 2). The 4×8 kernels use only AVX1
@@ -14,12 +15,18 @@ import "unsafe"
 //     AVX2 is not required.
 //   - AVX-512: AVX as above, CPUID.7.0:EBX[16] (AVX512F), and the OS must
 //     also have enabled opmask and ZMM state (XCR0 bits 5, 6 and 7). The
-//     4×16 kernels use only AVX512F instructions on ZMM registers.
+//     4×16 and GELU kernels use only AVX512F instructions on ZMM and
+//     opmask registers (the GELU kernels also VRNDSCALEPD, VSCALEFPD and
+//     the float32↔float64 conversions).
 //
-// Which kernel runs never changes results: every kernel performs the same
-// scalar-order multiply-then-add per output element as the generic
-// fallback (no FMA, and the fallback forbids the compiler's fusion), so a
-// cluster mixing AVX-512, AVX and non-AVX hosts still agrees bitwise.
+// Which kernel runs never changes results: every GEMM kernel performs the
+// same scalar-order multiply-then-add per output element as the generic
+// fallback, and every GELU kernel lane the same float64 operations as its
+// Go twin (gelu.go) — no FMA, and the Go code forbids the compiler's
+// fusion — so a cluster mixing AVX-512, AVX and non-AVX hosts still agrees
+// bitwise. GELU and the softmax family can promise it because they call
+// neither math.Exp nor math.Tanh, whose amd64 assembly takes an FMA path
+// on FMA hosts (DESIGN §12 lists the math calls still outside it).
 var haveSIMD, haveAVX512 = detectAVX()
 
 func detectAVX() (avx, avx512 bool) {
@@ -75,6 +82,31 @@ func kern4x16f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b un
 //
 //go:noescape
 func kern4x16f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
+
+// geluFwd8f64 writes out[i] = geluAt(x[i]) for i < n, eight lanes at a
+// time in ZMM registers (AVX512F), performing geluAt's float64 operations
+// in its order with no FMA (gelu_amd64.s). n is a positive multiple of 8;
+// bounds are pre-checked by the caller.
+//
+//go:noescape
+func geluFwd8f64(out, x unsafe.Pointer, n int)
+
+// geluFwd8f32 is geluFwd8f64 over float32 storage: each lane widens to
+// float64, and the result rounds once at the store.
+//
+//go:noescape
+func geluFwd8f32(out, x unsafe.Pointer, n int)
+
+// geluBwd8f64 writes out[i] = dy[i]·geluGradAt(x[i]) for i < n, as
+// geluFwd8f64 does geluAt.
+//
+//go:noescape
+func geluBwd8f64(out, dy, x unsafe.Pointer, n int)
+
+// geluBwd8f32 is the float32 twin of geluBwd8f64.
+//
+//go:noescape
+func geluBwd8f32(out, dy, x unsafe.Pointer, n int)
 
 // ptr returns the base address of a non-empty slice for the assembly
 // kernels.

@@ -25,4 +25,10 @@ func kern4x16f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b un
 	panic("tensor: SIMD kernel unavailable")
 }
 
+func geluFwd8f64(out, x unsafe.Pointer, n int) { panic("tensor: SIMD kernel unavailable") }
+func geluFwd8f32(out, x unsafe.Pointer, n int) { panic("tensor: SIMD kernel unavailable") }
+
+func geluBwd8f64(out, dy, x unsafe.Pointer, n int) { panic("tensor: SIMD kernel unavailable") }
+func geluBwd8f32(out, dy, x unsafe.Pointer, n int) { panic("tensor: SIMD kernel unavailable") }
+
 func ptr[T Elem](s []T) unsafe.Pointer { return unsafe.Pointer(&s[0]) }

@@ -277,9 +277,10 @@ func argMaxRow[T Elem](d []T, r, cols int) int {
 // --- softmax family ---
 
 // SoftmaxRowsInto computes the row-wise softmax of a into dst (same
-// shape and dtype). Exponentials are evaluated in float64 for both dtypes
-// and the row sum accumulates in float64; float32 rounds at each store —
-// fixed arithmetic per element, hence deterministic per dtype.
+// shape and dtype). Exponentials are the package's own (expNonPos, the
+// same on every host), evaluated in float64 for both dtypes, and the row
+// sum accumulates in float64; float32 rounds at each store — fixed
+// arithmetic per element, hence deterministic per dtype.
 func SoftmaxRowsInto(dst, a *Tensor) {
 	if a.Rank() != 2 {
 		panic("tensor: SoftmaxRows requires a rank-2 tensor")
@@ -308,7 +309,7 @@ func softmaxRows[T Elem](out, in []T, m, n int) {
 		}
 		s := 0.0
 		for j, v := range row {
-			e := math.Exp(float64(v - mx))
+			e := expDiff(v, mx)
 			orow[j] = T(e)
 			s += e
 		}
@@ -320,7 +321,9 @@ func softmaxRows[T Elem](out, in []T, m, n int) {
 }
 
 // LogSumExpRows returns the log-sum-exp of each row of a 2-D tensor,
-// always as float64 (it feeds the scalar loss path).
+// always as float64. The exponentials are expNonPos, as in the softmax;
+// the final logarithm is math.Log, whose result feeds only the loss value
+// (reported, and compared against the divergence cap), never a gradient.
 func LogSumExpRows(a *Tensor) []float64 {
 	if a.Rank() != 2 {
 		panic("tensor: LogSumExpRows requires a rank-2 tensor")
@@ -346,7 +349,7 @@ func logSumExpRows[T Elem](out []float64, in []T, m, n int) {
 		}
 		s := 0.0
 		for _, v := range row {
-			s += math.Exp(float64(v - mx))
+			s += expDiff(v, mx)
 		}
 		out[i] = float64(mx) + math.Log(s)
 	}

@@ -64,9 +64,12 @@ const (
 	// step one MsgStep carrying the clip scale, and dropped the scale,
 	// finish and epoch-sync messages (the epoch phase rides with each
 	// chunk); version 5 dropped the step-clock advance and the handoff's
-	// step sync (a member's step count is its rings' newest version).
+	// step sync (a member's step count is its rings' newest version);
+	// version 6 has version 5's bytes, but its GELU and softmax round
+	// differently (the trainer's own exp, internal/tensor), so a v5 peer
+	// would train another curve.
 	// Peers of another version are rejected rather than mis-decoded.
-	Version = 5
+	Version = 6
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32
