@@ -57,6 +57,7 @@ func (a *AttnCore) attend(t *Tape, q, k, v *tensor.Tensor, qLen, kLen, kStride i
 	dk := a.D / a.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	y = t.NewTensor(batch*qLen, a.D)
+	y.Zero() // scatterHead adds into it
 	probs = t.NewTensor(batch*a.Heads, qLen*kLen)
 	s := t.NewTensor(qLen, kLen)
 	qh, kh, vh := t.NewTensor(qLen, dk), t.NewTensor(kLen, dk), t.NewTensor(kLen, dk)
@@ -74,7 +75,6 @@ func (a *AttnCore) attend(t *Tape, q, k, v *tensor.Tensor, qLen, kLen, kStride i
 		}
 		p := probs.RowView(idx, qLen, kLen)
 		tensor.SoftmaxRowsInto(p, s)
-		yh.Zero()
 		tensor.MatMulInto(yh, p, vh)
 		a.scatterHead(y, yh, b, h, qLen)
 	}
@@ -107,6 +107,9 @@ func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tens
 	dQ := t.NewTensor(st.batch*a.QLen, a.D)
 	dK := t.NewTensor(st.batch*a.KLen, a.D)
 	dV := t.NewTensor(st.batch*a.KLen, a.D)
+	dQ.Zero() // scatterHead adds into all three
+	dK.Zero()
+	dV.Zero()
 	qh, kh, vh := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh), t.NewTensor(a.KLen, dkh)
 	dyh, dvh := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh)
 	dp, ds := t.NewTensor(a.QLen, a.KLen), t.NewTensor(a.QLen, a.KLen)
@@ -118,7 +121,6 @@ func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tens
 		a.sliceHead(kh, st.k, b, h, a.KLen, a.KLen)
 		a.sliceHead(vh, st.v, b, h, a.KLen, a.KLen)
 		a.sliceHead(dyh, dy, b, h, a.QLen, a.QLen)
-		dvh.Zero()
 		tensor.MatMulT1Into(dvh, p, dyh)
 		tensor.MatMulT2Into(dp, dyh, vh)
 		// Softmax backward: ds = p ⊙ (dp − rowsum(dp ⊙ p)).
@@ -127,9 +129,7 @@ func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tens
 		} else {
 			attnSoftmaxBwd(tensor.F64(ds), tensor.F64(dp), tensor.F64(p), a.QLen, a.KLen, scale)
 		}
-		dqh.Zero()
 		tensor.MatMulInto(dqh, ds, kh)
-		dkhT.Zero()
 		tensor.MatMulT1Into(dkhT, ds, qh)
 		a.scatterHead(dQ, dqh, b, h, a.QLen)
 		a.scatterHead(dK, dkhT, b, h, a.KLen)

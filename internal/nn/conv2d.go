@@ -96,20 +96,15 @@ func (c *Conv2d) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	} else {
 		convGather(tensor.F64(dyr), tensor.F64(dy), st.b, c.OutC, hw)
 	}
-	// dW = dyrᵀ @ cols, shape (outC, inC*K*K).
-	dW := t.NewTensor(c.OutC, c.kCols)
-	tensor.MatMulT1Into(dW, dyr, st.cols)
-	tensor.AddInto(c.W.Grad.Reshape(c.OutC, c.kCols), dW)
+	// dW += dyrᵀ @ cols, shape (outC, inC*K*K), and the bias gradient,
+	// each folded with one add per element (see Param.Grad).
+	tensor.MatMulT1AddInto(c.W.Grad.Reshape(c.OutC, c.kCols), dyr, st.cols)
 	if c.B != nil {
-		// Bias gradient in a temporary, folded with one AddInto per call
-		// (the one-add-per-element accumulation contract, see Param.Grad).
-		db := t.NewTensor(c.OutC)
-		if db.DType() == tensor.Float32 {
-			colSum(tensor.F32(db), tensor.F32(dyr), dyr.Shape[0], c.OutC)
+		if dyr.DType() == tensor.Float32 {
+			foldColSums(tensor.F32(c.B.Grad), tensor.F32(dyr), dyr.Shape[0], c.OutC)
 		} else {
-			colSum(tensor.F64(db), tensor.F64(dyr), dyr.Shape[0], c.OutC)
+			foldColSums(tensor.F64(c.B.Grad), tensor.F64(dyr), dyr.Shape[0], c.OutC)
 		}
-		tensor.AddInto(c.B.Grad, db)
 	}
 	// dcols = dyr @ W_bwd, then scatter back to image space.
 	wb := c.W.BwdData().Reshape(c.OutC, c.kCols)

@@ -61,6 +61,7 @@ func (e *Embedding) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	}
 	uniq := t.Ints(n)
 	dW := t.NewTensor(n, d)
+	dW.Zero() // embScatter adds into it
 	if dy.DType() == tensor.Float32 {
 		k := embScatter(tensor.F32(dW), tensor.F32(dy), st.ids, rowOf, uniq, d)
 		embFold(tensor.F32(e.W.Grad), tensor.F32(dW), uniq, k, d)
@@ -68,7 +69,9 @@ func (e *Embedding) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 		k := embScatter(tensor.F64(dW), tensor.F64(dy), st.ids, rowOf, uniq, d)
 		embFold(tensor.F64(e.W.Grad), tensor.F64(dW), uniq, k, d)
 	}
-	return t.NewTensor(st.inShp...)
+	dx := t.NewTensor(st.inShp...)
+	dx.Zero()
+	return dx
 }
 
 // embScatter compacts dy rows onto per-unique-token rows of dW, returning
@@ -153,6 +156,7 @@ func peFwd[T tensor.Elem](out, x, w []T, n, d, off, rows int) {
 func (p *PositionalEncoding) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	n, d := dy.Shape[0], dy.Shape[1]
 	dW := t.NewTensor(p.W.Data.Shape...)
+	dW.Zero() // peBwd adds into it
 	if dy.DType() == tensor.Float32 {
 		peBwd(tensor.F32(dW), tensor.F32(dy), n, d, p.SeqLen)
 	} else {

@@ -65,7 +65,9 @@ func checkGrad(t *testing.T, label string, x, g *tensor.Tensor, stride int, gt g
 		lo, lm := x.FlatAt(i), loss()
 		x.SetFlat(i, orig)
 		num := (lp - lm) / (hi - lo)
-		if got := g.FlatAt(i); math.Abs(num-got) > gt.tol*(1+math.Abs(num)) {
+		// Written so a NaN on either side fails (the race build's tape
+		// poison turns a buffer read before it is written into NaN).
+		if got := g.FlatAt(i); !(math.Abs(num-got) <= gt.tol*(1+math.Abs(num))) {
 			t.Fatalf("%s grad [%d] = %g, numeric %g", label, i, got, num)
 		}
 	}
@@ -159,10 +161,12 @@ func TestGroupNormGradient(t *testing.T) {
 
 // TestLayerKernelsAreLeafCalls is the nn half of the tensor package's
 // TestKernelsAreLeafCalls: on a warm tape the arena serves every buffer,
-// and the normalisation, attention and GELU loops run on the calling
-// goroutine with one scratch set, so a forward+backward allocates only
-// the tape's own bookkeeping — the boxed record each Forward pushes (none
-// for GELU, whose record is the input tensor itself), and the view
+// and the normalisation, attention, GELU and Linear loops run on the
+// calling goroutine with one scratch set (Linear's weight and bias
+// gradients fold straight into Grad, with no temporary), so a
+// forward+backward allocates only the tape's own bookkeeping — the boxed
+// record each Forward pushes (none for GELU and Linear, whose record is
+// the input tensor itself), and the view
 // header (tensor + shape) RowView builds per (batch, head) pair per pass.
 // A row split under these layers shows up as its escaping closures and
 // per-chunk scratch lists.
@@ -183,6 +187,10 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 		ln.Bias.CastTo(dt)
 		attn := NewAttnCore(d, heads, seq, seq, true)
 		gelu := NewGELU()
+		lin := NewLinear("lin", d, d, true, rng)
+		for _, p := range lin.Params() {
+			p.CastTo(dt)
+		}
 		for _, c := range []struct {
 			name string
 			want float64
@@ -191,6 +199,7 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 			{"LayerNorm", 1, func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
 			{"AttnCore", 1 + 2*2*batch*heads, func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
 			{"GELU", 0, func() { gelu.Forward(tp, in[0]); gelu.Backward(tp, in[1]) }},
+			{"Linear", 0, func() { lin.Forward(tp, in[0]); lin.Backward(tp, in[1]) }},
 		} {
 			pass := func() { tp.Reset(); c.run() }
 			pass() // warm the arena

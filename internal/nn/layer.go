@@ -41,6 +41,8 @@ func reluFwd[T tensor.Elem](out, x []T) {
 	for i, v := range x {
 		if v > 0 {
 			out[i] = v
+		} else {
+			out[i] = 0
 		}
 	}
 }
@@ -61,6 +63,8 @@ func reluBwd[T tensor.Elem](out, dy, x []T) {
 	for i, v := range dy {
 		if x[i] > 0 {
 			out[i] = v
+		} else {
+			out[i] = 0
 		}
 	}
 }

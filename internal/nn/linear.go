@@ -38,13 +38,23 @@ func (l *Linear) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// colSum accumulates the column sums of a (rows, cols) matrix into db,
-// row by row in index order (shared by the Linear and Conv2d bias grads).
-func colSum[T tensor.Elem](db, dy []T, rows, cols int) {
-	for i := 0; i < rows; i++ {
-		row := dy[i*cols : (i+1)*cols]
-		for j := 0; j < cols; j++ {
-			db[j] += row[j]
+// foldColSums adds the column sums of the (rows, cols) matrix dy into the
+// gradient g with one add per element (shared by the Linear and Conv2d
+// bias gradients): per column, the rows summed from +0 in ascending
+// order, then g[j] + s — the bits of summing into a zeroed temporary and
+// folding it with AddInto. Sixteen columns at a time ride in a stack
+// array, so dy is read row by row.
+func foldColSums[T tensor.Elem](g, dy []T, rows, cols int) {
+	for j0 := 0; j0 < cols; j0 += 16 {
+		w := min(16, cols-j0)
+		var s [16]T
+		for i := 0; i < rows; i++ {
+			for j, v := range dy[i*cols+j0 : i*cols+j0+w] {
+				s[j] += v
+			}
+		}
+		for j, v := range s[:w] {
+			g[j0+j] += v
 		}
 	}
 }
@@ -60,23 +70,19 @@ func addBiasRows[T tensor.Elem](out, b []T, rows, cols int) {
 
 // Backward accumulates dW = dyᵀ·x and db = Σrows(dy) into the gradients and
 // returns dx = dy·W computed with the backward weights. Each gradient is
-// formed in a tape temporary and folded with a single AddInto, keeping the
-// one-add-per-element-per-call accumulation contract (see Param.Grad).
+// summed from +0 and folded with one add per element, with no temporary
+// (MatMulT1AddInto, foldColSums): the accumulation contract of Param.Grad.
 func (l *Linear) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	x := t.Pop().(*tensor.Tensor)
 	// Parameter gradients use the saved forward input.
-	dW := t.NewTensor(l.W.Data.Shape...)
-	tensor.MatMulT1Into(dW, dy, x)
-	tensor.AddInto(l.W.Grad, dW)
+	tensor.MatMulT1AddInto(l.W.Grad, dy, x)
 	if l.B != nil {
 		rows, cols := dy.Shape[0], dy.Shape[1]
-		db := t.NewTensor(cols)
-		if db.DType() == tensor.Float32 {
-			colSum(tensor.F32(db), tensor.F32(dy), rows, cols)
+		if dy.DType() == tensor.Float32 {
+			foldColSums(tensor.F32(l.B.Grad), tensor.F32(dy), rows, cols)
 		} else {
-			colSum(tensor.F64(db), tensor.F64(dy), rows, cols)
+			foldColSums(tensor.F64(l.B.Grad), tensor.F64(dy), rows, cols)
 		}
-		tensor.AddInto(l.B.Grad, db)
 	}
 	// Input gradient uses the (possibly delayed) backward weights.
 	dx := t.NewTensor(dy.Shape[0], l.W.Data.Shape[1])

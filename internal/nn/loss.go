@@ -52,6 +52,7 @@ func (c *CrossEntropy) Backward(t *Tape) *tensor.Tensor {
 	st := t.Pop().(ceState)
 	n, cl := st.probs.Shape[0], st.probs.Shape[1]
 	out := t.NewTensor(n, cl)
+	out.Zero() // ceBwd skips the ignored rows
 	if st.count == 0 {
 		return out
 	}

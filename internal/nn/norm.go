@@ -211,6 +211,8 @@ func (gn *GroupNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	b, c, h, w := dy.Shape[0], st.c, st.h, st.w
 	dGain := t.NewTensor(c)
 	dBias := t.NewTensor(c)
+	dGain.Zero() // gnBwd adds into both
+	dBias.Zero()
 	out := t.NewTensor(b, c, h, w)
 	if dy.DType() == tensor.Float32 {
 		gnBwd(tensor.F32(out), tensor.F32(dy), tensor.F32(st.xhat),

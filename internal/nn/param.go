@@ -27,14 +27,18 @@ type Param struct {
 	// Grad accumulates the parameter gradient.
 	//
 	// Accumulation contract: a layer's Backward adds its whole per-call
-	// contribution with exactly ONE floating-point add per element (the
-	// contribution is formed in a scratch buffer first and folded with a
-	// single AddInto). Because each microbatch therefore lands as one add
-	// of a value that does not depend on the accumulator, a gradient
-	// computed into a zeroed buffer and folded in later is bit-identical
-	// to direct accumulation — which is what lets the replica layer
-	// (internal/replica) all-reduce per-microbatch gradients across
-	// data-parallel replicas without perturbing training curves.
+	// contribution with exactly ONE floating-point add per element: the
+	// contribution is summed from +0 apart from the accumulator, then
+	// folded in. The Linear and Conv2d weights fold in registers, in the
+	// GEMM's epilogue (tensor.MatMulT1AddInto), and their biases column
+	// by column (foldColSums); a scatter (the embeddings, GroupNorm) sums
+	// into a tape temporary folded with one AddInto. Because each
+	// microbatch therefore lands as one add of a value that does not
+	// depend on the accumulator, a gradient computed into a zeroed buffer
+	// and folded in later is bit-identical to direct accumulation — which
+	// is what lets the replica layer (internal/replica) all-reduce
+	// per-microbatch gradients across data-parallel replicas without
+	// perturbing training curves.
 	Grad *tensor.Tensor
 }
 

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"pipemare/internal/tensor"
 )
 
@@ -48,25 +50,30 @@ func (t *Tape) Pop() any {
 	return v
 }
 
-// NewTensor returns a zeroed tensor of the given shape backed by the
-// tape's arena. The tensor is valid until the next Reset; it must not
+// NewTensor returns a tensor of the given shape backed by the tape's
+// arena. Its contents are unspecified — a recycled buffer still holds
+// what the previous microbatch wrote there — so the caller writes every
+// element before reading it, or zeroes the tensor first when it adds into
+// it. Under the race detector every tensor handed out, fresh or recycled,
+// is filled with NaN, so a call site that reads before it writes shows in
+// every curve. The tensor is valid until the next Reset; it must not
 // escape the microbatch that allocated it.
 func (t *Tape) NewTensor(shape ...int) *tensor.Tensor {
-	if t.tpos < len(t.tens) {
-		c := t.tens[t.tpos]
-		if c.DType() == t.dt && sameShape(c.Shape, shape) {
-			t.tpos++
-			c.Zero()
-			return c
-		}
+	var c *tensor.Tensor
+	switch {
+	case t.tpos == len(t.tens):
+		c = tensor.NewOf(t.dt, shape...)
+		t.tens = append(t.tens, c)
+	case t.tens[t.tpos].DType() == t.dt && sameShape(t.tens[t.tpos].Shape, shape):
+		c = t.tens[t.tpos]
+	default:
 		c = tensor.NewOf(t.dt, shape...)
 		t.tens[t.tpos] = c
-		t.tpos++
-		return c
 	}
-	c := tensor.NewOf(t.dt, shape...)
-	t.tens = append(t.tens, c)
-	t.tpos = len(t.tens)
+	t.tpos++
+	if raceEnabled {
+		c.Fill(math.NaN())
+	}
 	return c
 }
 

@@ -8,9 +8,15 @@ import (
 // The matmul family is one cache-blocked, register-tiled GEMM shared by
 // all three transpose variants and every shape:
 //
-//	MatMulInto    dst += a · b     (dst zero on entry by contract)
-//	MatMulT1Into  dst += aᵀ · b    (dst zero on entry by contract)
-//	MatMulT2Into  dst  = a · bᵀ    (dst overwritten: zeroed, then +=)
+//	MatMulInto       dst  = a · b
+//	MatMulT1Into     dst  = aᵀ · b
+//	MatMulT2Into     dst  = a · bᵀ
+//	MatMulT1AddInto  dst += aᵀ · b   (one add per element: the fold)
+//
+// The first three ignore what dst holds; none of them asks a caller to
+// zero, fold or copy around it. The kernels own the destination: each
+// takes a C mode (cMode) that starts its accumulators from C or from +0
+// and stores the sum or C + sum.
 //
 // Loop nest: jc over columns (NC) → pc over the inner dimension (KC) → ic
 // over the rows (MC) → 4×16 register tiles. The microkernel takes strides,
@@ -35,20 +41,23 @@ import (
 // instructions, NOT fused multiply-add: on amd64 with AVX-512 one
 // hand-written 4×16 kernel (microkernel_amd64.s); with AVX only, the 4×8
 // AVX kernel on each 8-column half of the tile; elsewhere its Go twin on
-// each half. A ragged tile of 8–15 columns still runs the 4×8 kernel on
-// its first eight; the rest, and every tile short of 4 rows, go to one
-// strided scalar tail. (gc does not auto-vectorize, and math.FMA would
-// both change the rounding and crawl on pre-FMA hardware, so this is the
-// only way to beat the scalar FLOP ceiling without giving up
-// determinism.)
+// each half. Every other tile — short of 4 rows or 16 columns — takes the
+// masked 4×16 edge kernel on AVX-512; elsewhere a ragged tile of 8–15
+// columns still runs the 4×8 kernel on its first eight, and the rest, and
+// every tile short of 4 rows, go to one strided scalar tail. (gc does not
+// auto-vectorize, and math.FMA would both change the rounding and crawl
+// on pre-FMA hardware, so this is the only way to beat the scalar FLOP
+// ceiling without giving up determinism.)
 //
 // Determinism: every output element accumulates its a[i,p]·b[p,j]
 // contributions one rounded multiply and one floating-point add at a time
-// in strictly ascending-p order, starting from the element's current dst
-// value. Blocking only changes *when* each chain segment runs, never its
-// order: the kc panels partition p in ascending runs, register
-// accumulators carry the chain within a panel, and the store/reload
-// between panels is exact. Copying B moves values without arithmetic.
+// in strictly ascending-p order, starting from +0 (the first panel of an
+// overwrite or a fold) or from the partial sum the previous panel stored;
+// a fold then adds the sum to dst once. Blocking only changes *when* each
+// chain segment runs, never its order: the kc panels partition p in
+// ascending runs, register accumulators carry the chain within a panel,
+// and the store/reload between panels is exact. Copying B moves values
+// without arithmetic.
 // Every multiply-add in this file is written acc += T(a*b): the explicit
 // conversion rounds the product, which forbids the compiler from fusing
 // it into the add (gc does on arm64, ppc64le, s390x and riscv64), so the
@@ -72,29 +81,38 @@ const (
 	ncBlock = 512 // column panel (the widest B copy)
 )
 
-// packScratch holds the reusable packed B panel for one gemm call.
-type packScratch[T Elem] struct {
+// scratch is a pooled buffer: the NR-interleaved B panel of one gemm
+// call (packPools, kcBlock×ncBlock), or the m×n sum MatMulT1AddInto forms
+// before its fold when k spans several panels (sumPools).
+type scratch[T Elem] struct {
 	b []T
 }
 
-// packPools is indexed by DType; entries hold *packScratch[float64] or
-// *packScratch[float32] respectively.
-var packPools [2]sync.Pool
+// The pools are indexed by DType; entries hold *scratch[float64] or
+// *scratch[float32] respectively.
+var packPools, sumPools [2]sync.Pool
 
-func getPack[T Elem]() *packScratch[T] {
-	if s, ok := packPools[dtypeOf[T]()].Get().(*packScratch[T]); ok {
-		return s
+// getScratch returns a buffer of n elements from pools, growing a pooled
+// one that is too short. Its contents are unspecified.
+func getScratch[T Elem](pools *[2]sync.Pool, n int) *scratch[T] {
+	s, ok := pools[dtypeOf[T]()].Get().(*scratch[T])
+	if !ok {
+		s = &scratch[T]{}
 	}
-	return &packScratch[T]{b: make([]T, kcBlock*ncBlock)}
+	if cap(s.b) < n {
+		s.b = make([]T, n)
+	}
+	s.b = s.b[:n]
+	return s
 }
 
-func putPack[T Elem](s *packScratch[T]) {
-	packPools[dtypeOf[T]()].Put(s)
+func putScratch[T Elem](pools *[2]sync.Pool, s *scratch[T]) {
+	pools[dtypeOf[T]()].Put(s)
 }
 
-// MatMulInto computes a @ b into dst, which must be an m×n tensor whose
-// elements are zero (freshly allocated or zeroed; tape arenas hand out
-// zeroed buffers). All three tensors must share a dtype.
+// MatMulInto computes dst = a @ b. dst must be an m×n tensor; whatever
+// it holds is ignored and every element overwritten (zeros when k = 0).
+// All three tensors must share a dtype.
 func MatMulInto(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -104,41 +122,42 @@ func MatMulInto(dst, a, b *Tensor) {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v @ %v", a.Shape, b.Shape))
 	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul destination %v, want (%d,%d)", dst.Shape, m, n))
-	}
-	checkDtypes(dst, a, b, "MatMul")
+	checkDst(dst, a, b, m, n, "MatMul")
 	if dst.dt == Float32 {
-		gemm(F32(dst), F32(a), F32(b), m, n, k, false, false, false)
+		gemm(F32(dst), F32(a), F32(b), m, n, k, false, false, cZero)
 	} else {
-		gemm(F64(dst), F64(a), F64(b), m, n, k, false, false, false)
+		gemm(F64(dst), F64(a), F64(b), m, n, k, false, false, cZero)
 	}
 }
 
-// MatMulT1Into computes aᵀ @ b into dst, an m×n tensor whose elements must
-// be zero on entry. All three tensors must share a dtype.
+// MatMulT1Into computes dst = aᵀ @ b, overwriting the m×n dst as
+// MatMulInto does. All three tensors must share a dtype.
 func MatMulT1Into(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulT1 requires rank-2 tensors")
-	}
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT1 inner dimension mismatch %vᵀ @ %v", a.Shape, b.Shape))
-	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulT1 destination %v, want (%d,%d)", dst.Shape, m, n))
-	}
-	checkDtypes(dst, a, b, "MatMulT1")
+	m, n, k := t1Dims(dst, a, b, "MatMulT1")
 	if dst.dt == Float32 {
-		gemm(F32(dst), F32(a), F32(b), m, n, k, true, false, false)
+		gemm(F32(dst), F32(a), F32(b), m, n, k, true, false, cZero)
 	} else {
-		gemm(F64(dst), F64(a), F64(b), m, n, k, true, false, false)
+		gemm(F64(dst), F64(a), F64(b), m, n, k, true, false, cZero)
 	}
 }
 
-// MatMulT2Into computes a @ bᵀ into dst, an m×n tensor. Every element of
-// dst is overwritten. All three tensors must share a dtype.
+// MatMulT1AddInto computes dst += aᵀ @ b with one add per element: the
+// product is summed from +0 and then added to dst, so the result is the
+// bits of MatMulT1Into into a zeroed temporary followed by AddInto — the
+// weight-gradient fold of Param.Grad's contract. For k ≤ kcBlock the
+// kernels form the sum in registers and fold it at the store; a longer k
+// sums into a pooled temporary first, since the sum must outlive a panel.
+func MatMulT1AddInto(dst, a, b *Tensor) {
+	m, n, k := t1Dims(dst, a, b, "MatMulT1Add")
+	if dst.dt == Float32 {
+		gemmFold(F32(dst), F32(a), F32(b), m, n, k)
+	} else {
+		gemmFold(F64(dst), F64(a), F64(b), m, n, k)
+	}
+}
+
+// MatMulT2Into computes dst = a @ bᵀ, overwriting the m×n dst as
+// MatMulInto does. All three tensors must share a dtype.
 func MatMulT2Into(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT2 requires rank-2 tensors")
@@ -148,15 +167,33 @@ func MatMulT2Into(dst, a, b *Tensor) {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT2 inner dimension mismatch %v @ %vᵀ", a.Shape, b.Shape))
 	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulT2 destination %v, want (%d,%d)", dst.Shape, m, n))
-	}
-	checkDtypes(dst, a, b, "MatMulT2")
+	checkDst(dst, a, b, m, n, "MatMulT2")
 	if dst.dt == Float32 {
-		gemm(F32(dst), F32(a), F32(b), m, n, k, false, true, true)
+		gemm(F32(dst), F32(a), F32(b), m, n, k, false, true, cZero)
 	} else {
-		gemm(F64(dst), F64(a), F64(b), m, n, k, false, true, true)
+		gemm(F64(dst), F64(a), F64(b), m, n, k, false, true, cZero)
 	}
+}
+
+// t1Dims checks the operands of aᵀ @ b and returns (m, n, k).
+func t1Dims(dst, a, b *Tensor, op string) (m, n, k int) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		panic("tensor: " + op + " requires rank-2 tensors")
+	}
+	k, m = a.Shape[0], a.Shape[1]
+	k2, n := b.Shape[0], b.Shape[1]
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %vᵀ @ %v", op, a.Shape, b.Shape))
+	}
+	checkDst(dst, a, b, m, n, op)
+	return m, n, k
+}
+
+func checkDst(dst, a, b *Tensor, m, n int, op string) {
+	if dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: %s destination %v, want (%d,%d)", op, dst.Shape, m, n))
+	}
+	checkDtypes(dst, a, b, op)
 }
 
 func checkDtypes(dst, a, b *Tensor, op string) {
@@ -165,29 +202,72 @@ func checkDtypes(dst, a, b *Tensor, op string) {
 	}
 }
 
-// gemm accumulates the m×n product into dst. aT reads A as its transpose
-// (A stored k×m); bT reads B as its transpose (B stored n×k). overwrite
-// zeroes dst before accumulating (the T2 contract).
-func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
+// cMode says what a kernel does with the C tile it is handed; every
+// kernel level takes it after kc.
+type cMode int
+
+const (
+	// cLoad: the accumulators start from C (C += Σ). Only the k-panels
+	// after a call's first use it.
+	cLoad cMode = iota
+	// cZero: they start at +0 and the store overwrites C (C = Σ). The
+	// first add is +0 + a·b, exactly what loading a zeroed C gives.
+	cZero
+	// cFold: they start at +0 and the store writes C + Σ, C the first
+	// operand of the add as in AddInto's dst += src: the bits of a zeroed
+	// temporary folded with one AddInto. Only a single k-panel can fold.
+	cFold
+)
+
+// gemmFold is MatMulT1AddInto on raw slices.
+func gemmFold[T Elem](dst, a, b []T, m, n, k int) {
+	if k <= kcBlock {
+		gemm(dst, a, b, m, n, k, true, false, cFold)
+		return
+	}
+	s := getScratch[T](&sumPools, m*n)
+	gemm(s.b, a, b, m, n, k, true, false, cZero)
+	addInto(dst, s.b)
+	putScratch(&sumPools, s)
+}
+
+// gemm writes the m×n product into dst in the given mode (cZero or, for a
+// single k-panel, cFold). aT reads A as its transpose (A stored k×m); bT
+// reads B as its transpose (B stored n×k).
+func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT bool, mode cMode) {
+	dst = dst[:m*n]
+	if k == 0 {
+		// The empty sum is +0. Folding it still turns a −0 into +0, as
+		// adding a zeroed temporary does.
+		for i := range dst {
+			if mode == cFold {
+				dst[i] += 0
+			} else {
+				dst[i] = 0
+			}
+		}
+		return
+	}
 	ars, aps := k, 1 // A element (i, p) is a[i*ars+p*aps]
 	if aT {
 		ars, aps = 1, m
-	}
-	if overwrite {
-		zero(dst)
 	}
 	ldb := n
 	if bT {
 		ldb = k
 	}
-	var s *packScratch[T] // nil: B is read in place
+	var s *scratch[T] // nil: B is read in place
 	if bT || m >= mcBlock {
-		s = getPack[T]()
+		s = getScratch[T](&packPools, kcBlock*ncBlock)
 	}
 	for jc := 0; jc < n; jc += ncBlock {
 		nc := min(ncBlock, n-jc)
 		for pc := 0; pc < k; pc += kcBlock {
 			kc := min(kcBlock, k-pc)
+			pm := mode
+			if pc > 0 {
+				pm = cLoad
+			}
 			// The tile at column jr reads its B rows from bp[jr*bjs:],
 			// bps apart: in place, or in the NR-interleaved copy.
 			bp, bjs, bps := b[pc*n+jc:], 1, n
@@ -203,18 +283,10 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
 					for ir := ic; ir < iEnd; ir += mrTile {
 						mr := min(mrTile, iEnd-ir)
 						c, at := dst[ir*n+jc+jr:], a[ir*ars+pc*aps:]
-						switch {
-						case mr == mrTile && nr == nrTile:
-							microFull(c, n, at, ars, aps, bt, bps, kc)
-						case mr == mrTile && nr >= nrHalf:
-							// 8–15 columns: the first eight still
-							// take the 4×8 kernel.
-							microHalf(c, n, at, ars, aps, bt, bps, kc)
-							if nr > nrHalf {
-								microTail(c[nrHalf:], n, at, ars, aps, bt[nrHalf:], bps, kc, mr, nr-nrHalf)
-							}
-						default:
-							microTail(c, n, at, ars, aps, bt, bps, kc, mr, nr)
+						if mr == mrTile && nr == nrTile {
+							microFull(c, n, at, ars, aps, bt, bps, kc, pm)
+						} else {
+							microEdge(c, n, at, ars, aps, bt, bps, kc, pm, mr, nr)
 						}
 					}
 				}
@@ -222,7 +294,7 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT, overwrite bool) {
 		}
 	}
 	if s != nil {
-		putPack(s)
+		putScratch(&packPools, s)
 	}
 }
 
@@ -273,12 +345,13 @@ func packT[T Elem](g, src []T, ldb, kc int) {
 	}
 }
 
-// microFull runs a full 4×16 tile over kc ≥ 1 steps: the AVX-512 kernel
-// on amd64 when available, otherwise microHalf on each 8-column half of
-// the same operands. Every kernel reads A as a[r*ars+p*aps] and B as
-// b[p*bps …] and accumulates each element in ascending-p order with a
-// separate, unfused multiply and add, so they are bitwise interchangeable.
-func microFull[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) {
+// microFull runs a full 4×16 tile over kc ≥ 1 steps in C mode mode: the
+// AVX-512 kernel on amd64 when available, otherwise microHalf on each
+// 8-column half of the same operands. Every kernel reads A as
+// a[r*ars+p*aps] and B as b[p*bps …] and accumulates each element in
+// ascending-p order with a separate, unfused multiply and add, so they are
+// bitwise interchangeable.
+func microFull[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int, mode cMode) {
 	if haveAVX512 {
 		// Everything the tile touches, checked here so the assembly needs
 		// no bounds logic.
@@ -286,36 +359,65 @@ func microFull[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) 
 		_ = a[3*ars+(kc-1)*aps]
 		_ = b[(kc-1)*bps+nrTile-1]
 		if dtypeOf[T]() == Float64 {
-			kern4x16f64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
+			kern4x16f64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc, mode)
 		} else {
-			kern4x16f32(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
+			kern4x16f32(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc, mode)
 		}
 		return
 	}
-	microHalf(c, ldc, a, ars, aps, b, bps, kc)
-	microHalf(c[nrHalf:], ldc, a, ars, aps, b[nrHalf:], bps, kc)
+	microHalf(c, ldc, a, ars, aps, b, bps, kc, mode)
+	microHalf(c[nrHalf:], ldc, a, ars, aps, b[nrHalf:], bps, kc, mode)
+}
+
+// microEdge runs any tile of mr ≤ 4 rows by nr ≤ 16 columns — in gemm,
+// every tile short of 4×16 — in C mode mode: on AVX-512 hosts the masked
+// 4×16 kernel, which touches nothing past the tile's rows and columns;
+// elsewhere the 4×8 kernel on the first eight columns of a 4-row tile
+// of 8 or more, and the scalar tail on the rest.
+func microEdge[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int, mode cMode, mr, nr int) {
+	switch {
+	case haveAVX512:
+		_ = c[(mr-1)*ldc+nr-1]
+		_ = a[(mr-1)*ars+(kc-1)*aps]
+		_ = b[(kc-1)*bps+nr-1]
+		if dtypeOf[T]() == Float64 {
+			kern4x16mf64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc, mode, mr, nr)
+		} else {
+			kern4x16mf32(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc, mode, mr, nr)
+		}
+	case mr == mrTile && nr >= nrHalf:
+		microHalf(c, ldc, a, ars, aps, b, bps, kc, mode)
+		if nr > nrHalf {
+			microTail(c[nrHalf:], ldc, a, ars, aps, b[nrHalf:], bps, kc, mode, mr, nr-nrHalf)
+		}
+	default:
+		microTail(c, ldc, a, ars, aps, b, bps, kc, mode, mr, nr)
+	}
 }
 
 // microHalf runs a 4×8 tile — the left or right half of a full one, or
 // the first eight columns of a ragged one: the AVX kernel on amd64 when
 // available, otherwise its Go twin, a row at a time so the 8 accumulators
 // fit the scalar register file.
-func microHalf[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) {
+func microHalf[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int, mode cMode) {
 	if haveSIMD {
 		_ = c[3*ldc+nrHalf-1]
 		_ = a[3*ars+(kc-1)*aps]
 		_ = b[(kc-1)*bps+nrHalf-1]
 		if dtypeOf[T]() == Float64 {
-			kern4x8f64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
+			kern4x8f64(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc, mode)
 		} else {
-			kern4x8f32(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc)
+			kern4x8f32(ptr(c), ldc, ptr(a), ars, aps, ptr(b), bps, kc, mode)
 		}
 		return
 	}
 	for ir := 0; ir < mrTile; ir++ {
 		crow := c[ir*ldc : ir*ldc+8]
-		c0, c1, c2, c3 := crow[0], crow[1], crow[2], crow[3]
-		c4, c5, c6, c7 := crow[4], crow[5], crow[6], crow[7]
+		var c0, c1, c2, c3, c4, c5, c6, c7 T
+		if mode == cLoad {
+			c0, c1, c2, c3 = crow[0], crow[1], crow[2], crow[3]
+			c4, c5, c6, c7 = crow[4], crow[5], crow[6], crow[7]
+		}
 		ai, bi := ir*ars, 0
 		for p := 0; p < kc; p++ {
 			av, bv := a[ai], b[bi:bi+8]
@@ -330,51 +432,82 @@ func microHalf[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int) 
 			ai += aps
 			bi += bps
 		}
+		if mode == cFold {
+			c0, c1, c2, c3 = crow[0]+c0, crow[1]+c1, crow[2]+c2, crow[3]+c3
+			c4, c5, c6, c7 = crow[4]+c4, crow[5]+c5, crow[6]+c6, crow[7]+c7
+		}
 		crow[0], crow[1], crow[2], crow[3] = c0, c1, c2, c3
 		crow[4], crow[5], crow[6], crow[7] = c4, c5, c6, c7
 	}
 }
 
-// microTail handles what no SIMD tile covers — a tile short of 4 rows, or
-// the columns of a ragged one past its 4×8 kernel (all of them if fewer
-// than 8) — over the same strided operands, a row at a time: four
-// columns at a time in register accumulators, then each column left over
-// in one. Each element still takes its terms one unfused multiply and add
-// at a time in ascending p, so it is bitwise interchangeable with a
-// microFull lane. A shape with no full tile is computed here whole.
-//
-// Not inlined: inside gemm its loop counters spill to the stack, which
-// costs a third of its speed.
-//
-//go:noinline
-func microTail[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc, mr, nr int) {
+// microTail handles what no SIMD tile covers on a host without AVX-512 —
+// a tile short of 4 rows, or the columns of a ragged one past its 4×8
+// kernel (all of them if fewer than 8) — over the same strided operands,
+// a row at a time: four columns at a time (dot4), then each column left
+// over (dot1). Each element takes its terms one unfused multiply and add
+// at a time in ascending p, from C or +0 as the mode says, and a fold
+// adds C once at the end, so it is bitwise interchangeable with a
+// microFull lane.
+func microTail[T Elem](c []T, ldc int, a []T, ars, aps int, b []T, bps, kc int, mode cMode, mr, nr int) {
 	for ir := 0; ir < mr; ir++ {
-		crow := c[ir*ldc : ir*ldc+nr]
+		crow, ar := c[ir*ldc:ir*ldc+nr], a[ir*ars:]
 		q := 0
-		for ; q+4 <= len(crow); q += 4 {
+		for ; q+4 <= nr; q += 4 {
 			cq := crow[q : q+4]
-			c0, c1, c2, c3 := cq[0], cq[1], cq[2], cq[3]
-			ai, bi := ir*ars, q
-			for p := 0; p < kc; p++ {
-				av, bv := a[ai], b[bi:bi+4]
-				c0 += T(av * bv[0])
-				c1 += T(av * bv[1])
-				c2 += T(av * bv[2])
-				c3 += T(av * bv[3])
-				ai += aps
-				bi += bps
+			var s0, s1, s2, s3 T
+			if mode == cLoad {
+				s0, s1, s2, s3 = cq[0], cq[1], cq[2], cq[3]
 			}
-			cq[0], cq[1], cq[2], cq[3] = c0, c1, c2, c3
+			s0, s1, s2, s3 = dot4(ar, aps, b[q:], bps, kc, s0, s1, s2, s3)
+			if mode == cFold {
+				s0, s1, s2, s3 = cq[0]+s0, cq[1]+s1, cq[2]+s2, cq[3]+s3
+			}
+			cq[0], cq[1], cq[2], cq[3] = s0, s1, s2, s3
 		}
-		for ; q < len(crow); q++ {
-			s := crow[q]
-			ai, bi := ir*ars, q
-			for p := 0; p < kc; p++ {
-				s += T(a[ai] * b[bi])
-				ai += aps
-				bi += bps
+		for ; q < nr; q++ {
+			var s T
+			if mode == cLoad {
+				s = crow[q]
+			}
+			s = dot1(ar, aps, b[q:], bps, kc, s)
+			if mode == cFold {
+				s = crow[q] + s
 			}
 			crow[q] = s
 		}
 	}
+}
+
+// dot4 adds a[p*aps]·b[p*bps+j] to sj for j < 4, p ascending from 0 to
+// kc−1. Not inlined (nor is dot1): on its own the loop keeps every value
+// in a register, where inside microTail's loops, beside the mode, half of
+// them spilled to the stack and the tail ran 15–60% slower.
+//
+//go:noinline
+func dot4[T Elem](a []T, aps int, b []T, bps, kc int, s0, s1, s2, s3 T) (T, T, T, T) {
+	ai, bi := 0, 0
+	for p := 0; p < kc; p++ {
+		av, bv := a[ai], b[bi:bi+4]
+		s0 += T(av * bv[0])
+		s1 += T(av * bv[1])
+		s2 += T(av * bv[2])
+		s3 += T(av * bv[3])
+		ai += aps
+		bi += bps
+	}
+	return s0, s1, s2, s3
+}
+
+// dot1 is dot4 for one column.
+//
+//go:noinline
+func dot1[T Elem](a []T, aps int, b []T, bps, kc int, s T) T {
+	ai, bi := 0, 0
+	for p := 0; p < kc; p++ {
+		s += T(a[ai] * b[bi])
+		ai += aps
+		bi += bps
+	}
+	return s
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -35,18 +36,20 @@ func transposed(a *Tensor) *Tensor {
 	return out
 }
 
+// bitEqual requires got and want to hold the same bits: −0 differs from
+// +0, and a NaN equals only a NaN with its payload.
 func bitEqual(t *testing.T, name string, got, want *Tensor) {
 	t.Helper()
 	if got.DType() != want.DType() || !got.SameShape(want) {
 		t.Fatalf("%s: shape/dtype mismatch %v vs %v", name, got, want)
 	}
 	for i := range got.data {
-		if got.data[i] != want.data[i] {
+		if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
 			t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.data[i], want.data[i])
 		}
 	}
 	for i := range got.data32 {
-		if got.data32[i] != want.data32[i] {
+		if math.Float32bits(got.data32[i]) != math.Float32bits(want.data32[i]) {
 			t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.data32[i], want.data32[i])
 		}
 	}
@@ -170,45 +173,203 @@ func TestKernelLevelsMatchNaive(t *testing.T) {
 // of matmulGrid.
 func TestBlockedMatchesNaive(t *testing.T) { checkGridAgainstNaive(t) }
 
-// TestMatMulAccumulates pins the += contract of MatMulInto/MatMulT1Into
-// (dst need only be zero by convention; the kernel must accumulate into
-// whatever is there, which the engines' tape reuse relies on), on a ragged
-// shape and on one whose k crosses the KC panel boundary, where the tile
-// is stored and reloaded between panels.
-func TestMatMulAccumulates(t *testing.T) {
-	for _, dt := range []DType{Float64, Float32} {
-		rng := rand.New(rand.NewSource(3))
-		for _, d := range [][3]int{{65, 66, 67}, {21, 300, 35}} {
-			m, k, n := d[0], d[1], d[2]
-			a := randOf(rng, dt, m, k)
-			b := randOf(rng, dt, k, n)
-			seed := randOf(rng, dt, m, n)
+// overwriteShapes are the (m, k, n) shapes the destination-contract tests
+// run: ragged and exact tiles, no full tile, k across one and two KC
+// panel boundaries (the later panels load what the first stored), and
+// k = 0, the empty sum.
+var overwriteShapes = [][3]int{
+	{1, 1, 1}, {3, 5, 7}, {4, 8, 16}, {17, 9, 33}, {28, 128, 13}, {7, 32, 7},
+	{65, 66, 67}, {21, 300, 35}, {13, 513, 19}, {130, 33, 258},
+	{5, 0, 7}, {16, 0, 16},
+}
 
-			got := seed.Clone()
-			MatMulInto(got, a, b)
-			want := seed.Clone()
-			NaiveMatMulInto(want, a, b)
-			bitEqual(t, fmt.Sprintf("%s %dx%dx%d accumulate", dt, m, k, n), got, want)
+// garbage fills t with NaN, ±Inf, ±0 and random values in turn.
+func garbage(rng *rand.Rand, t *Tensor) {
+	for i := 0; i < t.Size(); i++ {
+		t.SetFlat(i, []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, rng.NormFloat64()}[i%6])
+	}
+}
 
-			at := transposed(a)
-			got = seed.Clone()
-			MatMulT1Into(got, at, b)
-			want = seed.Clone()
-			NaiveMatMulT1Into(want, at, b)
-			bitEqual(t, fmt.Sprintf("%s %dx%dx%d accumulate T1", dt, m, k, n), got, want)
+// TestMatMulOverwritesAtEveryKernelLevel pins the overwrite contract:
+// MatMulInto, MatMulT1Into and MatMulT2Into ignore what dst holds — NaN,
+// ±Inf, −0, anything — and leave the bits of the naive product into
+// zeros, at every kernel level the host has.
+func TestMatMulOverwritesAtEveryKernelLevel(t *testing.T) {
+	for _, l := range kernelLevels {
+		t.Run(l.name, func(t *testing.T) {
+			if !l.hostHas() {
+				t.Skipf("this host cannot run the %s kernels", l.name)
+			}
+			l.run(func() {
+				for _, dt := range []DType{Float64, Float32} {
+					rng := rand.New(rand.NewSource(17))
+					for _, d := range overwriteShapes {
+						m, k, n := d[0], d[1], d[2]
+						name := fmt.Sprintf("%s %dx%dx%d ", dt, m, k, n)
+						a, b := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
+						want := NewOf(dt, m, n)
+						NaiveMatMulInto(want, a, b)
+						for _, c := range []struct {
+							name string
+							call func(dst *Tensor)
+						}{
+							{"MatMul", func(dst *Tensor) { MatMulInto(dst, a, b) }},
+							{"MatMulT1", func(dst *Tensor) { MatMulT1Into(dst, transposed(a), b) }},
+							{"MatMulT2", func(dst *Tensor) { MatMulT2Into(dst, a, transposed(b)) }},
+						} {
+							got := NewOf(dt, m, n)
+							garbage(rng, got)
+							c.call(got)
+							bitEqual(t, name+c.name, got, want)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestMatMulT1AddIntoFoldsAtEveryKernelLevel pins the fold: dst += aᵀb
+// leaves exactly the bits of the naive product into a zeroed temporary
+// followed by one AddInto — with dst holding ±0, ±Inf and NaN, operands
+// holding NaN, a row of A all zero (its sums are +0, which turn a −0 in
+// dst into +0), k past one and two KC panels (the pooled temporary) and
+// k = 0 — at every kernel level the host has.
+func TestMatMulT1AddIntoFoldsAtEveryKernelLevel(t *testing.T) {
+	for _, l := range kernelLevels {
+		t.Run(l.name, func(t *testing.T) {
+			if !l.hostHas() {
+				t.Skipf("this host cannot run the %s kernels", l.name)
+			}
+			l.run(func() {
+				for _, dt := range []DType{Float64, Float32} {
+					rng := rand.New(rand.NewSource(19))
+					for _, d := range overwriteShapes {
+						m, k, n := d[0], d[1], d[2]
+						at, b := randOf(rng, dt, k, m), randOf(rng, dt, k, n)
+						for p := 0; p < k; p++ {
+							at.SetFlat(p*m, 0) // row 0 of A
+						}
+						if k > 0 && m*n > 1 {
+							at.SetFlat(at.Size()-1, math.NaN())
+							b.SetFlat(b.Size()/2, math.NaN())
+						}
+						sum := NewOf(dt, m, n)
+						NaiveMatMulT1Into(sum, at, b)
+						got := NewOf(dt, m, n)
+						garbage(rng, got)
+						want := got.Clone()
+						AddInto(want, sum)
+						MatMulT1AddInto(got, at, b)
+						bitEqual(t, fmt.Sprintf("%s %dx%dx%d fold", dt, m, k, n), got, want)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestEdgeKernelLevelsMatchNaive holds microEdge — the masked kernel on
+// AVX-512, the 4×8 kernel and scalar tail elsewhere — to a scalar oracle
+// on every tile shape (mr, nr) in [1,4]×[1,16], and microFull on 4×16,
+// over kc ∈ {1, 7, 32, 256}, in all three C modes, both dtypes and both
+// A walks (row-major and transposed), at every kernel level the host has. The tile sits in a larger C whose other rows and
+// columns must come back untouched: a kernel that writes past mr or nr,
+// or computes a row at or past mr from that row's own A, fails here.
+func TestEdgeKernelLevelsMatchNaive(t *testing.T) {
+	for _, l := range kernelLevels {
+		t.Run(l.name, func(t *testing.T) {
+			if !l.hostHas() {
+				t.Skipf("this host cannot run the %s kernels", l.name)
+			}
+			l.run(func() {
+				rng := rand.New(rand.NewSource(23))
+				for _, dt := range []DType{Float64, Float32} {
+					for _, kc := range []int{1, 7, 32, 256} {
+						a := randOf(rng, dt, mrTile, kc)
+						b := randOf(rng, dt, kc, edgeBps)
+						c := randOf(rng, dt, mrTile, edgeLdc)
+						if dt == Float32 {
+							checkEdgeTiles(t, F32(c), F32(a), F32(b), kc)
+						} else {
+							checkEdgeTiles(t, F64(c), F64(a), F64(b), kc)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// sameBits reports whether x and y hold the same bits.
+func sameBits[T Elem](x, y T) bool {
+	if xf, ok := any(x).(float32); ok {
+		return math.Float32bits(xf) == math.Float32bits(any(y).(float32))
+	}
+	return math.Float64bits(any(x).(float64)) == math.Float64bits(any(y).(float64))
+}
+
+// The edge grid's C row stride and B step stride: wider than a tile, so
+// columns past nr exist in both and must stay unread and unwritten.
+const edgeLdc, edgeBps = nrTile + 3, nrTile + 5
+
+func checkEdgeTiles[T Elem](t *testing.T, c0, a, b []T, kc int) {
+	t.Helper()
+	c, want := make([]T, len(c0)), make([]T, len(c0))
+	for _, walk := range [][2]int{{kc, 1}, {1, mrTile}} {
+		ars, aps := walk[0], walk[1]
+		for mode := cLoad; mode <= cFold; mode++ {
+			for mr := 1; mr <= mrTile; mr++ {
+				for nr := 1; nr <= nrTile; nr++ {
+					copy(want, c0)
+					for r := 0; r < mr; r++ {
+						for j := 0; j < nr; j++ {
+							var s T
+							if mode == cLoad {
+								s = want[r*edgeLdc+j]
+							}
+							for p := 0; p < kc; p++ {
+								s += T(a[r*ars+p*aps] * b[p*edgeBps+j])
+							}
+							if mode == cFold {
+								s = want[r*edgeLdc+j] + s
+							}
+							want[r*edgeLdc+j] = s
+						}
+					}
+					kernels := map[string]func(){"microEdge": func() {
+						microEdge(c, edgeLdc, a, ars, aps, b, edgeBps, kc, mode, mr, nr)
+					}}
+					if mr == mrTile && nr == nrTile {
+						kernels["microFull"] = func() { microFull(c, edgeLdc, a, ars, aps, b, edgeBps, kc, mode) }
+					}
+					for name, run := range kernels {
+						copy(c, c0)
+						run()
+						for i := range c {
+							if !sameBits(c[i], want[i]) {
+								t.Fatalf("%s %T kc=%d ars=%d mode=%d %dx%d tile: C[%d][%d] = %v, want %v",
+									name, c[0], kc, ars, mode, mr, nr, i/edgeLdc, i%edgeLdc, c[i], want[i])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestKernelsAreLeafCalls pins that a kernel call is a plain loop on the
 // calling goroutine: no closure, goroutine or WaitGroup under it, so no
-// allocation — at the shapes the workloads run and in the softmax and
-// GELU, per dtype. It also pins who copies B: a short row-major product
-// (8×16·16×16, 28×128·128×128, the vocab head's 28×128·128×13, NN and T1)
-// reads both operands in place and never touches the panel pool; T2, and
-// NN from mcBlock rows on, take their panel from the warm pool. The
-// pipeline's stage workers are the only parallelism; a row split growing
-// back under the kernels shows up here as its escaping closures.
+// allocation — at the shapes the workloads run (all with k ≤ kcBlock, so
+// MatMulT1AddInto folds in the kernel, with no temporary) and in the
+// softmax and GELU, per dtype. It also pins who copies B: a short
+// row-major product (8×16·16×16, 28×128·128×128, the vocab head's
+// 28×128·128×13, NN, T1 and the T1 fold) reads both operands in place and
+// never touches the panel pool; T2, and NN from mcBlock rows on, take
+// their panel from the warm pool. The pipeline's stage workers are the
+// only parallelism; a row split growing back under the kernels shows up
+// here as its escaping closures.
 func TestKernelsAreLeafCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -229,6 +390,7 @@ func TestKernelsAreLeafCalls(t *testing.T) {
 			}{
 				{"MatMulInto", m >= mcBlock, func() { MatMulInto(dst, a, b) }},
 				{"MatMulT1Into", m >= mcBlock, func() { MatMulT1Into(dst, at, b) }},
+				{"MatMulT1AddInto", m >= mcBlock, func() { MatMulT1AddInto(dst, at, b) }},
 				{"MatMulT2Into", true, func() { MatMulT2Into(dst, a, bt) }},
 			} {
 				for packPools[dt].Get() != nil { // drain the pool
@@ -291,16 +453,19 @@ func TestIm2ColDtypes(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMulShapes measures the three variants, at every kernel
-// level the host has, at the shapes the trainers run — a P=107
-// residual-MLP slot (8×16·16×16), a transformer microbatch through a
-// projection, the vocab head and the two feed-forward halves (28 rows), an
+// BenchmarkMatMulShapes measures the three variants and the T1 fold, at
+// every kernel level the host has, at the shapes the trainers run — a
+// P=107 residual-MLP slot (8×16·16×16), a transformer microbatch through
+// a projection, the vocab head and the two feed-forward halves (28 rows),
+// an attention head's score and value products (7×32·32×7, 7×7·7×32), a
+// Linear's weight gradient (128×28·28×128 and 512×28·28×128 as T1Add), an
 // im2col-shaped conv product (tall, thin) — and at three cubes, the guard
 // that the large-shape peak holds. Sub-benchmark names read
 // level/dtype/m x k x n/variant.
 func BenchmarkMatMulShapes(b *testing.B) {
 	shapes := [][3]int{
-		{8, 16, 16}, {28, 128, 128}, {28, 128, 13}, {28, 128, 512}, {28, 512, 128}, {512, 27, 16},
+		{8, 16, 16}, {28, 128, 128}, {28, 128, 13}, {28, 128, 512}, {28, 512, 128},
+		{7, 32, 7}, {7, 7, 32}, {128, 28, 128}, {512, 28, 128}, {512, 27, 16},
 		{128, 128, 128}, {256, 256, 256}, {512, 512, 512},
 	}
 	for _, l := range kernelLevels {
@@ -320,6 +485,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				}{
 					{"NN", func() { MatMulInto(dst, x, y) }},
 					{"T1", func() { MatMulT1Into(dst, xt, y) }},
+					{"T1Add", func() { MatMulT1AddInto(dst, xt, y) }},
 					{"T2", func() { MatMulT2Into(dst, x, yt) }},
 				} {
 					b.Run(fmt.Sprintf("%s/%s/%dx%dx%d/%s", l.name, dt, m, k, n, c.name), func(b *testing.B) {
@@ -337,11 +503,14 @@ func BenchmarkMatMulShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkMicrokernel times microFull alone, per kernel level the host
-// has and per dtype, on one L1-resident panel: a full tile over kcBlock
-// steps of a packed B group, with no loop nest around it. Its GFLOP/s is
-// the kernel's measured peak, the ceiling tensor.matmul_*_gflops are read
-// against.
+// BenchmarkMicrokernel times one tile alone, per kernel level the host
+// has and per dtype, on one L1-resident panel: a tile over kcBlock steps
+// of a packed B group, with no loop nest around it. The full 4×16 tile's
+// GFLOP/s is the kernel's measured peak, the ceiling
+// tensor.matmul_*_gflops are read against; the 4×7 and 4×13 edge tiles
+// (the masked kernel on AVX-512, the 4×8 kernel and scalar tail
+// elsewhere) are what an attention head and the vocab head run.
+// Sub-benchmark names read level/dtype/mr x nr.
 func BenchmarkMicrokernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, l := range kernelLevels {
@@ -352,24 +521,30 @@ func BenchmarkMicrokernel(b *testing.B) {
 			a := randOf(rng, dt, mrTile, kcBlock)
 			bp := randOf(rng, dt, kcBlock, nrTile)
 			c := NewOf(dt, mrTile, nrTile)
-			b.Run(fmt.Sprintf("%s/%s", l.name, dt), func(b *testing.B) {
-				l.run(func() {
-					if dt == Float32 {
-						benchMicroFull(b, F32(c), F32(a), F32(bp))
-					} else {
-						benchMicroFull(b, F64(c), F64(a), F64(bp))
-					}
+			for _, nr := range []int{nrTile, 7, 13} {
+				b.Run(fmt.Sprintf("%s/%s/%dx%d", l.name, dt, mrTile, nr), func(b *testing.B) {
+					l.run(func() {
+						if dt == Float32 {
+							benchTile(b, F32(c), F32(a), F32(bp), nr)
+						} else {
+							benchTile(b, F64(c), F64(a), F64(bp), nr)
+						}
+					})
+					flops := 2 * float64(mrTile*nr*kcBlock)
+					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 				})
-				flops := 2 * float64(mrTile*nrTile*kcBlock)
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+			}
 		}
 	}
 }
 
-func benchMicroFull[T Elem](b *testing.B, c, a, bp []T) {
+func benchTile[T Elem](b *testing.B, c, a, bp []T, nr int) {
 	for i := 0; i < b.N; i++ {
-		microFull(c, nrTile, a, kcBlock, 1, bp, nrTile, kcBlock)
+		if nr == nrTile {
+			microFull(c, nrTile, a, kcBlock, 1, bp, nrTile, kcBlock, cZero)
+		} else {
+			microEdge(c, nrTile, a, kcBlock, 1, bp, nrTile, kcBlock, cZero, mrTile, nr)
+		}
 	}
 }
 

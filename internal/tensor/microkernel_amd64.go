@@ -5,8 +5,8 @@ package tensor
 import "unsafe"
 
 // haveSIMD reports whether the 4×8 AVX microkernels may be used, and
-// haveAVX512 whether the 4×16 AVX-512F ones and the eight-lane GELU
-// kernels may. Both are detected once at startup, with no option to
+// haveAVX512 whether the 4×16 AVX-512F ones (full and masked edge) and the
+// eight-lane GELU kernels may. Both are detected once at startup, with no option to
 // override them:
 //
 //   - AVX: the CPU must support AVX and the OS must have enabled XMM and
@@ -16,8 +16,9 @@ import "unsafe"
 //   - AVX-512: AVX as above, CPUID.7.0:EBX[16] (AVX512F), and the OS must
 //     also have enabled opmask and ZMM state (XCR0 bits 5, 6 and 7). The
 //     4×16 and GELU kernels use only AVX512F instructions on ZMM and
-//     opmask registers (the GELU kernels also VRNDSCALEPD, VSCALEFPD and
-//     the float32↔float64 conversions).
+//     opmask registers (KMOVW, not the DQ KMOVB; VPXORD/VPXORQ, not the
+//     DQ VXORPS; the GELU kernels also VRNDSCALEPD, VSCALEFPD and the
+//     float32↔float64 conversions).
 //
 // Which kernel runs never changes results: every GEMM kernel performs the
 // same scalar-order multiply-then-add per output element as the generic
@@ -59,29 +60,41 @@ func cpuid(op, op2 uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0.
 func xgetbv() (eax, edx uint32)
 
-// kern4x8f64 accumulates a full 4×8 float64 tile at c (row stride ldc)
-// over kc steps, reading both operands where they lie: step p takes the
-// four A values a[r·ars + p·aps] and the B row b[p·bps … +7]. Strides are
-// in elements; bounds are pre-checked by the caller.
+// kern4x8f64 runs a full 4×8 float64 tile at c (row stride ldc) over kc
+// steps in C mode mode, reading both operands where they lie: step p
+// takes the four A values a[r·ars + p·aps] and the B row b[p·bps … +7].
+// Strides are in elements; bounds are pre-checked by the caller.
 //
 //go:noescape
-func kern4x8f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
+func kern4x8f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode)
 
 // kern4x8f32 is the float32 twin of kern4x8f64.
 //
 //go:noescape
-func kern4x8f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
+func kern4x8f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode)
 
 // kern4x16f64 is kern4x8f64 on a 4×16 tile in ZMM registers (AVX512F):
 // step p reads the B row b[p·bps … +15].
 //
 //go:noescape
-func kern4x16f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
+func kern4x16f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode)
 
 // kern4x16f32 is the float32 twin of kern4x16f64.
 //
 //go:noescape
-func kern4x16f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int)
+func kern4x16f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode)
+
+// kern4x16mf64 is kern4x16f64 on the top-left mr×nr corner of the tile
+// (1 ≤ mr ≤ 4, 1 ≤ nr ≤ 16), under an opmask: it touches no element of
+// C, A or B outside that corner's rows, columns and steps.
+//
+//go:noescape
+func kern4x16mf64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode, mr, nr int)
+
+// kern4x16mf32 is the float32 twin of kern4x16mf64.
+//
+//go:noescape
+func kern4x16mf32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode, mr, nr int)
 
 // geluFwd8f64 writes out[i] = geluAt(x[i]) for i < n, eight lanes at a
 // time in ZMM registers (AVX512F), performing geluAt's float64 operations

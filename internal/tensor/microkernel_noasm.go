@@ -9,19 +9,27 @@ import "unsafe"
 // written acc += T(a*b), which the compiler may not fuse into an FMA.
 const haveSIMD, haveAVX512 = false, false
 
-func kern4x8f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int) {
+func kern4x8f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func kern4x8f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int) {
+func kern4x8f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func kern4x16f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int) {
+func kern4x16f64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func kern4x16f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int) {
+func kern4x16f32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func kern4x16mf64(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode, mr, nr int) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func kern4x16mf32(c unsafe.Pointer, ldc int, a unsafe.Pointer, ars, aps int, b unsafe.Pointer, bps, kc int, mode cMode, mr, nr int) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
