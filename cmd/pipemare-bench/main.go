@@ -338,8 +338,7 @@ func smokeRun(c *config) error {
 	switch {
 	case c.joinWorker:
 		epochs = 2
-		args := append([]string{"-join", jlis.Addr(), "-join-at", fmt.Sprint(c.crashWorker + 2),
-			"-stages", "4", "-dtype", experiments.DType.String()}, c.engineArgs()...)
+		args := append([]string{"-join", jlis.Addr(), "-join-at", fmt.Sprint(c.crashWorker + 2)}, c.engineArgs()...)
 		cmd := exec.Command(c.workerBin, args...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
@@ -488,7 +487,7 @@ func startFollowers(c *config, stages, n int, workerArgs ...string) ([]pipemare.
 			dialers = append(dialers, dial)
 			continue
 		}
-		args := append([]string{"-addr", "127.0.0.1:0", "-stages", fmt.Sprint(stages), "-dtype", experiments.DType.String()}, c.engineArgs()...)
+		args := append([]string{"-addr", "127.0.0.1:0"}, c.engineArgs()...)
 		cmd := exec.Command(c.workerBin, append(args, workerArgs...)...)
 		cmd.Stderr = os.Stderr
 		stdout, err := cmd.StdoutPipe()

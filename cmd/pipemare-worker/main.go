@@ -1,8 +1,8 @@
 // Command pipemare-worker hosts one follower replica of the engine
 // benchmark workload as a standalone process. A pipemare-bench leader
-// (run with -transport tcp) dials it, and the leader's hello assigns the
-// replica id, replica count and fault tolerance — the same invocation serves
-// any follower slot.
+// (run with -transport tcp) dials it, and the leader's hello carries the
+// whole training recipe — stage map, dtype, techniques, replica slot — so
+// the same invocation serves any follower slot.
 //
 //	pipemare-worker                    # listen on a free port, print it
 //	pipemare-worker -addr :9400        # fixed port
@@ -42,34 +42,24 @@ import (
 	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/experiments"
 	"pipemare/internal/faults"
-	"pipemare/internal/tensor"
 	"pipemare/internal/transport"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "TCP address to listen on (port 0 picks a free port)")
-	stages := flag.Int("stages", 4, "pipeline stages; must match the leader's -P")
 	engineName := flag.String("engine", "reference", "chunk execution engine: reference | concurrent")
 	workers := flag.Int("workers", 0, "scheduler workers for the concurrent engine (0 = min(P, GOMAXPROCS))")
 	crashAfter := flag.Int("crash-after", 0, "exit(137) upon receiving the Nth chunk request (fault-injection testing; 0 disables)")
 	joinAddr := flag.String("join", "", "dial a running elastic leader's join listener at this address instead of serving (mid-run join)")
 	joinAt := flag.Int("join-at", 0, "earliest leader optimizer step to be admitted at (-join only; 0 = next minibatch boundary)")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "dial retry/backoff budget for -join")
-	dtypeName := flag.String("dtype", "float64", "element type model state trains in: float64 | float32; must match the leader's -dtype (the state handoff refuses a mismatch)")
 	flag.Parse()
-
-	dt, err := tensor.ParseDType(*dtypeName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipemare-worker: %v\n", err)
-		os.Exit(2)
-	}
-	experiments.DType = dt
 
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "pipemare-worker: -workers must be >= 0, got %d\n", *workers)
 		os.Exit(2)
 	}
-	opts := experiments.EngineBenchOptions(*stages)
+	opts := experiments.EngineBenchOptions(4) // a follower reads only the optimizer and schedule
 	switch *engineName {
 	case "reference":
 	case "concurrent":

@@ -13,7 +13,7 @@ import (
 )
 
 // TestWorkerProcess drives the built binary the way an orchestrator does:
-// bad -engine / -dtype values, a negative -workers, and a -workers the
+// a bad -engine value, a negative -workers, and a -workers the
 // reference engine would ignore, are refused with exit 2 before anything
 // listens; a good invocation announces "listening <addr>" on a loopback
 // port, and an ordinary stop (SIGTERM) while it waits for its leader
@@ -27,7 +27,7 @@ func TestWorkerProcess(t *testing.T) {
 		t.Fatalf("building pipemare-worker: %v\n%s", err, out)
 	}
 	for _, tc := range []struct{ flags, names string }{
-		{"-engine bogus", "bogus"}, {"-dtype bogus", "bogus"}, {"-workers 2", "-workers"},
+		{"-engine bogus", "bogus"}, {"-workers 2", "-workers"},
 		{"-engine concurrent -workers -3", "-workers must be >= 0, got -3"},
 	} {
 		flags := strings.Fields(tc.flags)

@@ -415,7 +415,8 @@ func TestChurnCompositions(t *testing.T) {
 }
 
 // TestJoinRejectsMismatchedShape pins the join's guard rails: a joiner
-// built with the wrong stage count refuses the leader's hello at its first
+// whose model has another architecture — three weight groups, where the
+// leader's stage map covers four — refuses the leader's hello at its first
 // admission boundary and exits with its reason — the run itself never
 // notices — and a joiner parked past the end of training is released with
 // an error when the leader closes.
@@ -424,8 +425,7 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 	base := ftBase()
 	ref := runCurve(t, build, 2, 1, base...)
 	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
-	badLis, badWait := startJoiner(t, build,
-		append(append([]pipemare.Option{}, base...), pipemare.WithStages(2)))
+	badLis, badWait := startJoiner(t, func() pipemare.Task { return newQuadTask(3, 32, 8, 32) }, base)
 	lateLis, lateWait := startJoiner(t, build,
 		append(append([]pipemare.Option{}, base...), pipemare.WithJoinAt(1000)))
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
@@ -448,8 +448,8 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 	if joins, _, _ := tr.ElasticStats(); joins != 0 {
 		t.Fatalf("%d joins, want 0", joins)
 	}
-	if err := badWait(); err == nil || !strings.Contains(err.Error(), "follower has 2 stages, leader has 4") {
-		t.Fatalf("mismatched joiner: err = %v, want its refusal naming both stage counts", err)
+	if err := badWait(); err == nil || !strings.Contains(err.Error(), "a stage map of 4 groups for 3 weight groups") {
+		t.Fatalf("mismatched joiner: err = %v, want its refusal naming both group counts", err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

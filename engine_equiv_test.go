@@ -524,11 +524,10 @@ func TestEnginesEquivalentFineGrained(t *testing.T) {
 }
 
 // TestProfilePartitionMode pins the measured-cost path: a profile-mode
-// trainer builds, trains, and its DP split is at least as balanced (under
-// its own measured costs) as the even split; feeding the measured costs
-// back through WithGroupCosts reproduces the partition exactly and gives
-// bit-identical Reference/concurrent curves — the deterministic way to
-// pin a profiled partition across trainers.
+// trainer builds, measures a positive cost for every stage, and trains.
+// That its split is the DP optimum under its measured costs, and that its
+// followers take that split from the hello rather than profiling their
+// own, is pinned in internal/core (TestFollowerTakesTheLeadersStageMap).
 func TestProfilePartitionMode(t *testing.T) {
 	ds := data.NewTranslation(data.TranslationConfig{Vocab: 11, SrcLen: 5,
 		Train: 64, Test: 16, Seed: 2})
@@ -536,7 +535,7 @@ func TestProfilePartitionMode(t *testing.T) {
 		return model.NewTranslation(ds, model.TransformerConfig{
 			Dim: 16, Heads: 2, EncLayers: 1, DecLayers: 1, Seed: 4})
 	}
-	base := []pipemare.Option{
+	prof, err := pipemare.New(build(),
 		pipemare.WithMethod(pipemare.PipeMare),
 		pipemare.WithStages(8),
 		pipemare.WithBatchSize(16), pipemare.WithMicrobatches(4),
@@ -545,65 +544,21 @@ func TestProfilePartitionMode(t *testing.T) {
 			return optim.NewAdamW(ps, 0.9, 0.98, 1e-9, 1e-4)
 		}),
 		pipemare.WithSchedule(optim.WarmupInvSqrt{Peak: 3e-3, Init: 1e-7, Warmup: 20}),
-	}
-	prof, err := pipemare.New(build(),
-		append(append([]pipemare.Option{}, base...), pipemare.WithPartition(pipemare.PartitionProfile))...)
+		pipemare.WithPartition(pipemare.PartitionProfile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prof.PartitionMode() != pipemare.PartitionProfile {
 		t.Fatalf("mode = %v", prof.PartitionMode())
 	}
-	costs := prof.GroupCosts()
-	for g, c := range costs {
+	for s, c := range prof.StageCosts() {
 		if c <= 0 {
-			t.Fatalf("measured cost of group %d is %g, want > 0", g, c)
+			t.Fatalf("measured cost of stage %d is %g, want > 0", s, c)
 		}
-	}
-	// DP optimality: the profiled split's bottleneck can't exceed even's
-	// under the same measured costs.
-	evenPart, err := pipemare.New(build(), base...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profMax, evenMax := 0.0, 0.0
-	for _, c := range prof.StageCosts() {
-		if c > profMax {
-			profMax = c
-		}
-	}
-	for _, c := range evenPart.Partition().StageCosts(costs) {
-		if c > evenMax {
-			evenMax = c
-		}
-	}
-	if profMax > evenMax {
-		t.Fatalf("profiled bottleneck %g worse than even %g", profMax, evenMax)
 	}
 	if _, err := prof.Run(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-
-	// Pinned measured costs: identical partitions and bit-identical curves
-	// across engines.
-	pinned := append(append([]pipemare.Option{}, base...),
-		pipemare.WithPartition(pipemare.PartitionProfile), pipemare.WithGroupCosts(costs))
-	refTr, err := pipemare.New(build(), append(append([]pipemare.Option{}, pinned...),
-		pipemare.WithEngine(pipemare.NewReferenceEngine()))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g, s := range refTr.Partition().StageOf {
-		if s != prof.Partition().StageOf[g] {
-			t.Fatalf("pinned costs gave different partition: %v vs %v",
-				refTr.Partition().StageOf, prof.Partition().StageOf)
-		}
-	}
-	ref := runCurve(t, build, 2, 1, append(append([]pipemare.Option{}, pinned...),
-		pipemare.WithEngine(pipemare.NewReferenceEngine()))...)
-	conc := runCurve(t, build, 2, 1, append(append([]pipemare.Option{}, pinned...),
-		pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(3))))...)
-	requireIdentical(t, "profile-pinned/W=3", ref, conc)
 }
 
 // --- data-parallel replication ---

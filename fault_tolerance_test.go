@@ -479,11 +479,14 @@ func TestHeartbeatEvictsHungPeer(t *testing.T) {
 	wait() // the hung worker's serve loop ends in an error by design
 }
 
-// specTail decodes the last two fields of a hello's spec — the
-// fault-tolerance flag and the heartbeat cadence — from its payload.
+// specTail decodes the fault-tolerance flag — the recipe's last byte, so
+// the payload's — and the heartbeat cadence, the spec's fourth field, from
+// a hello's payload.
 func specTail(payload []byte) (ft bool, heartbeat time.Duration) {
-	c := transport.NewCursor(payload[len(payload)-9:])
-	return c.Bool(), time.Duration(c.U64())
+	c := transport.NewCursor(payload[len(payload)-1:])
+	ft = c.Bool()
+	c = transport.NewCursor(payload[12:20])
+	return ft, time.Duration(c.U64())
 }
 
 // TestImpliedFaultToleranceAnnouncesDefaultHeartbeat pins that the

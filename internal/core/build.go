@@ -47,16 +47,14 @@ func (t *Trainer) layoutStages() {
 
 // spec is the one builder of the hello spec: what the leader announces to
 // the follower taking group position `position` of `replicas` — every
-// initial follower, in process or dialled, and every joiner. The wire
-// carries the position (a follower checks it against the replica count);
-// the stable id the group gives the member is leader-side only.
+// initial follower, in process or dialled, and every joiner — with the
+// recipe it is built from. The wire carries the position (a follower
+// checks it against the replica count); the member's id is leader-side.
 func (t *Trainer) spec(position, replicas int) transport.Spec {
 	return transport.Spec{
 		Replica: position, Replicas: replicas, Stages: t.clock.P,
-		Method: int(t.cfg.Method), T2: t.delta != nil,
-		GroupCosts: t.groupCosts,
-		FT:         t.cfg.FaultTolerant,
-		Heartbeat:  t.cfg.Heartbeat,
+		Heartbeat: t.cfg.Heartbeat,
+		Recipe:    recipe{cfg: t.cfg, stageOf: t.part.StageOf, dtype: t.masters[0].DType()}.encode(),
 	}
 }
 
@@ -69,41 +67,31 @@ func (t *Trainer) arm(m *transport.RemoteMember) {
 	}
 }
 
-// buildPartition splits the task's weight groups into p stages under the
-// configured partition mode, returning the partition and the per-group
-// cost vector it balanced (the analytic estimate for even mode, so stage
-// imbalance is always reportable).
-func buildPartition(task Task, groups []pipeline.ParamGroup, p int, cfg Config) (*pipeline.Partition, []float64, error) {
-	switch cfg.Partition {
-	case pipeline.PartitionEven:
-		if cfg.GroupCosts != nil {
-			return nil, nil, fmt.Errorf("core: explicit group costs require the cost or profile partition mode")
-		}
-		part, err := pipeline.PartitionGroups(groups, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		return part, analyticGroupCosts(task, groups), nil
-	case pipeline.PartitionCost, pipeline.PartitionProfile:
-		var costs []float64
-		switch {
-		case cfg.GroupCosts != nil:
-			if len(cfg.GroupCosts) != len(groups) {
-				return nil, nil, fmt.Errorf("core: %d group costs for %d weight groups", len(cfg.GroupCosts), len(groups))
-			}
-			costs = append([]float64(nil), cfg.GroupCosts...)
-		case cfg.Partition == pipeline.PartitionProfile:
-			costs = measuredGroupCosts(task, groups, cfg.MicrobatchSize)
-		default:
-			costs = analyticGroupCosts(task, groups)
-		}
-		part, err := pipeline.PartitionGroupsByCost(groups, costs, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		return part, costs, nil
+// buildPartition splits the task's weight groups into stages — by the
+// leader's stage map for a follower, else into cfg's P under its partition
+// mode — returning the partition and the per-group cost vector it balanced
+// (the analytic estimate unless profiled, so stage imbalance is always
+// reportable).
+func buildPartition(task Task, groups []pipeline.ParamGroup, cfg Config, stageOf []int) (part *pipeline.Partition, costs []float64, err error) {
+	p := cfg.Stages
+	if p == 0 {
+		p = len(groups)
 	}
-	return nil, nil, fmt.Errorf("core: unknown partition mode %d", int(cfg.Partition))
+	costs = analyticGroupCosts(task, groups)
+	switch {
+	case stageOf != nil:
+		part, err = pipeline.PartitionByStageOf(groups, stageOf)
+	case cfg.Partition == pipeline.PartitionEven:
+		part, err = pipeline.PartitionGroups(groups, p)
+	case cfg.Partition == pipeline.PartitionProfile:
+		costs = measuredGroupCosts(task, groups, cfg.MicrobatchSize)
+		fallthrough
+	case cfg.Partition == pipeline.PartitionCost:
+		part, err = pipeline.PartitionGroupsByCost(groups, costs, p)
+	default:
+		err = fmt.Errorf("core: unknown partition mode %d", int(cfg.Partition))
+	}
+	return part, costs, err
 }
 
 // analyticGroupCosts is the static cost estimate the cost mode balances:
@@ -124,9 +112,8 @@ func analyticGroupCosts(task Task, groups []pipeline.ParamGroup) []float64 {
 // tape arenas still filling) nor one preempted op can make a group look
 // heavy. The gradients the backward halves accumulate are zeroed before
 // training starts. Wall time is inherently noisy, so two builds may
-// profile slightly different costs (and thus partitions); use
-// Config.GroupCosts to pin a measured cost vector when exact
-// reproducibility across trainers is required.
+// profile slightly different costs (and thus partitions); only the leader
+// profiles, and its followers take its stage map from the hello.
 func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize int) []float64 {
 	const profileRuns = 4
 	prog := task.Program()
@@ -158,60 +145,48 @@ func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize 
 	return costs
 }
 
-// NewFollower builds follower spec.Replica of spec.Replicas: the one
-// constructor of every follower, whether New clones it in process or a
-// worker process builds it for the leader's hello. A follower is a
-// trainer over task with no replica group: it never drives itself — the
-// leader's group (or the worker's serve loop) runs its chunks through
-// cfg.Engine — and leaves checkpointing and admission to the leader. cfg
-// is the configuration on the follower's side: the leader's own in
-// process, engine included, and the worker's options remotely; it must
-// agree with the spec on method and T2, and the spec alone decides the
-// replica count, fault tolerance and, for a cost or profile partition,
-// the group costs. The optimizer state is
-// cloned from opt: every moment under fault tolerance (mirrored onto every
-// replica so any survivor can own any stage), else the moments of the
-// follower's own stage shard under the initial commit plan. Its starting
-// weights do not matter: it becomes active only through the leader's state
-// handoff, which also refuses one of another stage layout or dtype.
-func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, spec transport.Spec) (replica.Local, error) {
+// NewFollower builds follower spec.Replica of spec.Replicas, whether New
+// clones it in process or a worker builds it for the leader's hello: a
+// trainer over task with no replica group, whose chunks the leader's group
+// (or the worker's serve loop) runs through eng (nil: Reference). All else
+// it trains by is the spec's recipe but opt and sched, which have no
+// encoding: the partition is the leader's stage map, and a DTypeSettable
+// task is cast to the leader's dtype before opt is cloned — every moment
+// under fault tolerance, else its own stage shard's. Its starting weights
+// do not matter: the leader's state handoff replaces them, and refuses a
+// follower of another architecture.
+func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, eng engine.Engine, spec transport.Spec) (replica.Local, error) {
 	r := spec.Replica
-	switch {
-	case r < 1 || r >= spec.Replicas:
+	if r < 1 || r >= spec.Replicas {
 		return nil, fmt.Errorf("core: follower replica %d out of range [1, %d)", r, spec.Replicas)
-	case int(cfg.Method) != spec.Method:
-		return nil, fmt.Errorf("core: follower trains %v, leader %v", cfg.Method, Method(spec.Method))
-	case (cfg.T2D > 0) != spec.T2:
-		return nil, fmt.Errorf("core: follower T2 %t, leader T2 %t", cfg.T2D > 0, spec.T2)
 	}
-	cfg.Replicas = 0
-	cfg.FaultTolerant = spec.FT
-	cfg.CheckpointDir, cfg.Elastic = "", false
-	cfg.TraceReplica = r
-	if cfg.Partition != pipeline.PartitionEven && len(spec.GroupCosts) > 0 {
-		// Land on the leader's exact stage boundaries: reuse its (possibly
-		// measured) cost vector instead of re-estimating, so a noisy profile
-		// pass cannot skew this follower's partition.
-		cfg.GroupCosts = spec.GroupCosts
+	rc, err := decodeRecipe(spec.Recipe)
+	if err != nil {
+		return nil, err
 	}
+	if ds, ok := task.(DTypeSettable); ok {
+		ds.SetDType(rc.dtype)
+	}
+	cfg := rc.cfg
+	cfg.Engine, cfg.TraceReplica = eng, r
 	var ps []*nn.Param
 	for _, g := range task.Groups() {
 		ps = append(ps, g.Params...)
 	}
 	// The fault-tolerant stage-state layout aliases the live moment
 	// tensors, so the full-state optimizer must exist before the trainer is
-	// built. A shard's bounds come from the follower's own stage partition,
-	// so the shard optimizer is swapped in afterwards — safe, because
-	// without fault tolerance no stage state aliases it.
+	// built. A shard's bounds come from the stage partition, so the shard
+	// optimizer is swapped in afterwards — safe, because without fault
+	// tolerance no stage state aliases it.
 	sh := optim.FullShard(len(ps))
-	if !spec.FT {
+	if !cfg.FaultTolerant {
 		sh = optim.Shard{}
 	}
-	f, err := newTrainer(task, opt.CloneShard(ps, sh), sched, cfg)
+	f, err := newTrainer(task, opt.CloneShard(ps, sh), sched, cfg, rc.stageOf)
 	if err != nil {
 		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
 	}
-	if !spec.FT {
+	if !cfg.FaultTolerant {
 		if lo, hi := engine.NewCommitPlan(f.clock.P, spec.Replicas).Shard(r); lo != hi {
 			f.opt = opt.CloneShard(ps, optim.Shard{Lo: f.stageLo[lo], Hi: f.stageHi[hi-1]})
 		}

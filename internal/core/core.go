@@ -105,6 +105,12 @@ type Task interface {
 	EvalTest() float64
 }
 
+// DTypeSettable is a Task that can cast its model state to another element
+// type: a follower casts its task to the leader's dtype (NewFollower).
+type DTypeSettable interface {
+	SetDType(dt tensor.DType)
+}
+
 // Replicable is a Task that can produce an architecturally identical
 // fresh instance for data-parallel replication (Config.Replicas > 1).
 // The clone must have the same weight-group structure, parameter shapes
@@ -134,12 +140,6 @@ type Config struct {
 	// deterministic per mode, not across modes.
 	Partition pipeline.PartitionMode
 
-	// GroupCosts optionally supplies explicit per-group costs for the
-	// cost/profile partition modes (e.g. from an offline profiler),
-	// overriding the built-in estimators. Must match the task's group
-	// count; requires a non-even partition mode.
-	GroupCosts []float64
-
 	// T1: learning-rate rescheduling annealing length in optimizer steps
 	// (0 disables T1).
 	T1K int
@@ -157,8 +157,7 @@ type Config struct {
 	// reads version max(k − Hogwild.Delay(Seed, k, i, P), 0), T1 reschedules
 	// by the draw's mean delays, and the method still decides the backward
 	// weights (PipeDream: the same stale version). Not valid under GPipe or
-	// with recompute, whose slots never read it, nor with more than one
-	// replica, since a follower's Spec does not carry it.
+	// with recompute, whose slots never read it.
 	Hogwild *pipeline.Hogwild
 
 	ClipNorm float64 // global gradient-norm clip (0 disables)
@@ -338,7 +337,7 @@ type flight struct {
 // (use Params on the returned trainer's partition, or build the optimizer
 // from the same group traversal).
 func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Trainer, error) {
-	t, err := newTrainer(task, opt, sched, cfg)
+	t, err := newTrainer(task, opt, sched, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -364,23 +363,20 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 }
 
 // newTrainer is New without the replica group: all a follower is
-// (NewFollower).
-func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Trainer, error) {
+// (NewFollower), which passes its leader's stage map.
+func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, stageOf []int) (*Trainer, error) {
 	groups := task.Groups()
-	p := cfg.Stages
-	if p == 0 {
-		p = len(groups)
-	}
 	if cfg.BatchSize <= 0 || cfg.MicrobatchSize <= 0 || cfg.BatchSize%cfg.MicrobatchSize != 0 {
 		return nil, fmt.Errorf("core: batch size %d must be a positive multiple of microbatch size %d", cfg.BatchSize, cfg.MicrobatchSize)
 	}
 	if task.NumTrain() < cfg.BatchSize {
 		return nil, fmt.Errorf("core: training set (%d samples) smaller than one batch (%d)", task.NumTrain(), cfg.BatchSize)
 	}
-	part, costs, err := buildPartition(task, groups, p, cfg)
+	part, costs, err := buildPartition(task, groups, cfg, stageOf)
 	if err != nil {
 		return nil, err
 	}
+	p := part.P
 	n := cfg.BatchSize / cfg.MicrobatchSize
 	if cfg.LossCap == 0 {
 		cfg.LossCap = 1e6
@@ -402,10 +398,6 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 		switch {
 		case cfg.Method == GPipe || cfg.RecomputeSegments > 0:
 			return nil, fmt.Errorf("core: Hogwild delays need an asynchronous method without recompute, got %v with %d recompute segments", cfg.Method, cfg.RecomputeSegments)
-		case replicas > 1:
-			// A dialled or joining follower is built from the Spec, which
-			// carries no delay rule: it would read Table 1's versions.
-			return nil, fmt.Errorf("core: Hogwild delays need a single replica, got %d", replicas)
 		case h.TauMax < 0 || !(h.MeanScale >= 0):
 			return nil, fmt.Errorf("core: Hogwild delays need TauMax >= 0 and MeanScale >= 0, got %+v", *h)
 		}
@@ -491,9 +483,11 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
 	spec := t.spec(r, replicas)
 	if t.cfg.Followers == nil {
-		cfg := t.cfg
-		cfg.Engine = t.eng
-		return NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, cfg, spec)
+		f, err := NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, t.eng, spec)
+		if err == nil {
+			f.(host).t.cfg.Trace = t.cfg.Trace // the process's one recorder
+		}
+		return f, err
 	}
 	m, err := t.cfg.Followers(spec)
 	if err != nil {
@@ -533,17 +527,6 @@ func (t *Trainer) Partition() *pipeline.Partition { return t.part }
 
 // PartitionMode returns the configured partition mode.
 func (t *Trainer) PartitionMode() pipeline.PartitionMode { return t.cfg.Partition }
-
-// GroupCosts returns a copy of the per-group cost vector the partitioner
-// balanced: the analytic estimate (even/cost modes), the measured wall
-// times (profile mode), or the explicitly configured costs. For the cost
-// and profile modes, feeding it back through Config.GroupCosts reproduces
-// this trainer's partition exactly — the escape hatch for pinning a
-// profiled partition. (An even-mode trainer's partition ignores costs by
-// definition; the vector is informational there, for imbalance tracking.)
-func (t *Trainer) GroupCosts() []float64 {
-	return append([]float64(nil), t.groupCosts...)
-}
 
 // StageCosts returns the per-stage cost totals under the active partition.
 func (t *Trainer) StageCosts() []float64 { return t.part.StageCosts(t.groupCosts) }

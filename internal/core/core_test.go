@@ -328,7 +328,6 @@ func TestHogwildConfigValidation(t *testing.T) {
 	}{
 		{"GPipe", Config{Method: GPipe, MicrobatchSize: 8}, ok, "asynchronous method"},
 		{"recompute", Config{Method: PipeMare, MicrobatchSize: 8, RecomputeSegments: 2}, ok, "recompute"},
-		{"replicas", Config{Method: PipeMare, MicrobatchSize: 4, Replicas: 2}, ok, "single replica"},
 		{"negative TauMax", Config{Method: PipeDream, MicrobatchSize: 8}, pipeline.Hogwild{TauMax: -1, MeanScale: 0.5}, "TauMax >= 0"},
 		{"NaN MeanScale", Config{Method: PipeMare, MicrobatchSize: 8}, pipeline.Hogwild{TauMax: 4, MeanScale: math.NaN()}, "MeanScale >= 0"},
 	} {
@@ -676,38 +675,50 @@ func TestPartitionEvenKeepsHistoricalSplit(t *testing.T) {
 		}
 	}
 	// Even mode still reports costs (for imbalance tracking).
-	if len(tr.GroupCosts()) != 6 {
-		t.Fatalf("even mode lost group costs: %v", tr.GroupCosts())
+	if len(tr.groupCosts) != 6 {
+		t.Fatalf("even mode lost group costs: %v", tr.groupCosts)
 	}
 }
 
-func TestPartitionExplicitGroupCosts(t *testing.T) {
-	task := newProbeTask(4, 64)
-	opt := &countingOptimizer{ps: task.params}
-	costs := []float64{9, 1, 1, 1}
-	tr, err := New(task, opt, optim.Constant(0.1), Config{
-		Stages: 2, BatchSize: 8, MicrobatchSize: 2,
-		Partition: pipeline.PartitionCost, GroupCosts: costs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Partition().StageOf; got[0] != 0 || got[1] != 1 || got[2] != 1 || got[3] != 1 {
-		t.Fatalf("explicit-cost StageOf = %v", got)
-	}
-	// Feeding a trainer's GroupCosts back reproduces its partition.
-	tr2, err := New(newProbeTask(4, 64), &countingOptimizer{ps: task.params}, optim.Constant(0.1), Config{
-		Stages: 2, BatchSize: 8, MicrobatchSize: 2,
-		Partition: pipeline.PartitionProfile, GroupCosts: tr.GroupCosts(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := range costs {
-		if tr.Partition().StageOf[g] != tr2.Partition().StageOf[g] {
-			t.Fatalf("pinned costs gave different partition: %v vs %v",
-				tr.Partition().StageOf, tr2.Partition().StageOf)
+// TestFollowerTakesTheLeadersStageMap pins that only a leader partitions:
+// a profile-mode leader measures group 0 as the heaviest and isolates it
+// — a split no even partition makes, and no worse under its measured
+// costs than the even one (the DP's optimality) — and a follower built
+// from its spec, over a task of its own that would profile nothing,
+// lands on the leader's stage map exactly. A follower has no partition
+// mode or stage count of its own to disagree with.
+func TestFollowerTakesTheLeadersStageMap(t *testing.T) {
+	task := profileTask{newProbeTask(4, 64)}
+	task.prog = stubProgram(4, func(g int) nn.Op {
+		if g == 0 {
+			return &stallOp{base: 20 * time.Millisecond}
 		}
+		return &stallOp{base: time.Millisecond}
+	})
+	leader, err := New(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), Config{
+		Stages: 2, BatchSize: 8, MicrobatchSize: 2, Partition: pipeline.PartitionProfile,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := leader.Partition().StageOf
+	if !slices.Equal(want, []int{0, 1, 1, 1}) {
+		t.Fatalf("profiled StageOf = %v, want the heavy group 0 alone", want)
+	}
+	even, err := pipeline.PartitionGroups(task.groups, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof, ev := slices.Max(leader.StageCosts()), slices.Max(even.StageCosts(leader.groupCosts)); prof > ev {
+		t.Fatalf("profiled bottleneck %g worse than even %g under the same measured costs", prof, ev)
+	}
+	other := newProbeTask(4, 64)
+	f, err := NewFollower(other, &countingOptimizer{ps: other.params}, optim.Constant(0.1), nil, leader.spec(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.(host).t.Partition().StageOf; !slices.Equal(got, want) {
+		t.Fatalf("follower StageOf = %v, want the leader's %v", got, want)
 	}
 }
 
@@ -767,15 +778,6 @@ func TestPartitionConfigErrors(t *testing.T) {
 		mut(&cfg)
 		_, err := New(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), cfg)
 		return err
-	}
-	if err := mk(func(c *Config) { c.GroupCosts = []float64{1, 1, 1, 1} }); err == nil {
-		t.Fatal("explicit costs with even mode must fail")
-	}
-	if err := mk(func(c *Config) {
-		c.Partition = pipeline.PartitionCost
-		c.GroupCosts = []float64{1, 1}
-	}); err == nil {
-		t.Fatal("cost length mismatch must fail")
 	}
 	if err := mk(func(c *Config) { c.Partition = pipeline.PartitionMode(99) }); err == nil {
 		t.Fatal("unknown partition mode must fail")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -8,6 +9,9 @@ import (
 
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
+	"pipemare/internal/pipeline"
+	"pipemare/internal/tensor"
+	"pipemare/internal/transport"
 )
 
 // fuzzTrainer builds the small all-techniques trainer the fuzz target
@@ -66,5 +70,56 @@ func FuzzRestoreFrom(f *testing.F) {
 			// A rejected restore must leave the trainer trainable.
 			tr.Run(context.Background(), 1)
 		}
+	})
+}
+
+// FuzzRecipe fuzzes the hello's recipe decoder and the follower built
+// from what it accepts, seeded with a valid recipe per method × dtype (one
+// of them under Hogwild delays) and with recipes a follower must refuse:
+// cut short, an unknown method or dtype, a stage map that goes back, skips
+// a stage or covers another group count, a microbatch size that does not
+// divide the batch. Decoding never panics, a recipe has one encoding —
+// every accepted one re-encodes to its own bytes — and NewFollower over a
+// 6-group task builds a follower or refuses, never panics.
+func FuzzRecipe(f *testing.F) {
+	valid := func(m Method, dt tensor.DType) recipe {
+		return recipe{cfg: Config{Method: m, BatchSize: 8, MicrobatchSize: 2, T1K: 12, T2D: 0.3,
+			WarmupEpochs: 1, RecomputeSegments: 2, LossCap: 1e6, FaultTolerant: m == PipeDream},
+			stageOf: []int{0, 0, 1, 1, 2, 2}, dtype: dt}
+	}
+	for _, m := range []Method{GPipe, PipeDream, PipeMare} {
+		for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+			f.Add(valid(m, dt).encode())
+		}
+	}
+	hog := valid(PipeDream, tensor.Float64)
+	hog.cfg.RecomputeSegments, hog.cfg.Seed = 0, 11
+	hog.cfg.Hogwild = &pipeline.Hogwild{TauMax: 6, MeanScale: 0.8}
+	f.Add(hog.encode())
+	b := hog.encode()
+	f.Add(b[:len(b)-5])
+	for _, mut := range []func(*recipe){
+		func(r *recipe) { r.cfg.Method = 7 },
+		func(r *recipe) { r.dtype = 5 },
+		func(r *recipe) { r.stageOf = []int{0, 1, 0, 1, 2, 2} },
+		func(r *recipe) { r.stageOf = []int{0, 0, 2, 2, 3, 3} },
+		func(r *recipe) { r.stageOf = []int{0, 1, 2, 3} },
+		func(r *recipe) { r.cfg.MicrobatchSize = 3 },
+	} {
+		r := valid(PipeMare, tensor.Float64)
+		mut(&r)
+		f.Add(r.encode())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeRecipe(data)
+		if err != nil {
+			return
+		}
+		if got := r.encode(); !bytes.Equal(got, data) {
+			t.Fatalf("recipe %x re-encodes to %x", data, got)
+		}
+		task := newProbeTask(6, 64)
+		NewFollower(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), nil,
+			transport.Spec{Replica: 1, Replicas: 2, Stages: 3, Recipe: data})
 	})
 }

@@ -58,11 +58,11 @@ func repParams(t *repTask) []*nn.Param {
 
 // captureFollowers returns a Config.Followers factory that builds the
 // in-process followers New would have built itself from the leader's
-// optimizer and config, recording each follower trainer in out — the
+// optimizer, engine and spec, recording each follower trainer in out — the
 // replica group keeps its members to itself.
 func captureFollowers(task Replicable, opt optim.Optimizer, cfg Config, out *[]*Trainer) func(transport.Spec) (replica.Member, error) {
 	return func(spec transport.Spec) (replica.Member, error) {
-		m, err := NewFollower(task.CloneTask(), opt, optim.Constant(0.1), cfg, spec)
+		m, err := NewFollower(task.CloneTask(), opt, optim.Constant(0.1), cfg.Engine, spec)
 		if err != nil {
 			return nil, err
 		}

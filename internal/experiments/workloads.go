@@ -315,7 +315,8 @@ func EngineBenchTask() core.Task {
 
 // EngineBenchOptions returns the EngineBenchTask training recipe —
 // the option set shared by the leader trainer and `pipemare-worker`
-// follower processes (which pass it to ServeFollower).
+// follower processes, which pass it to ServeFollower for its optimizer
+// and schedule (the rest of a follower's recipe is the leader's hello).
 func EngineBenchOptions(stages int) []pipemare.Option {
 	opts := []pipemare.Option{
 		pipemare.WithMethod(pipemare.PipeMare),

@@ -56,13 +56,38 @@ func PartitionGroups(groups []ParamGroup, p int) (*Partition, error) {
 	if p < 1 || p > g {
 		return nil, fmt.Errorf("pipeline: cannot split %d weight groups into %d stages", g, p)
 	}
-	part := &Partition{P: p, Groups: groups, StageOf: make([]int, g), Stages: make([][]*nn.Param, p)}
-	for i, grp := range groups {
-		s := i * p / g
-		part.StageOf[i] = s
-		part.Stages[s] = append(part.Stages[s], grp.Params...)
+	stageOf := make([]int, g)
+	for i := range stageOf {
+		stageOf[i] = i * p / g
 	}
-	return part, nil
+	return partition(groups, stageOf, p), nil
+}
+
+// PartitionByStageOf rebuilds a partition from another's StageOf — a
+// leader's, which a follower receives over the wire — refusing a map that
+// is not one: an entry per group, from stage 0 up, advancing at most one
+// stage per group so every stage is contiguous and non-empty.
+func PartitionByStageOf(groups []ParamGroup, stageOf []int) (*Partition, error) {
+	if len(groups) == 0 || len(stageOf) != len(groups) {
+		return nil, fmt.Errorf("pipeline: a stage map of %d groups for %d weight groups", len(stageOf), len(groups))
+	}
+	prev := 0
+	for g, s := range stageOf {
+		if s != prev && (g == 0 || s != prev+1) {
+			return nil, fmt.Errorf("pipeline: stage map puts group %d on stage %d: stages must run 0, 1, … without a gap", g, s)
+		}
+		prev = s
+	}
+	return partition(groups, append([]int(nil), stageOf...), prev+1), nil
+}
+
+// partition assigns groups to p stages by a valid stage map.
+func partition(groups []ParamGroup, stageOf []int, p int) *Partition {
+	part := &Partition{P: p, Groups: groups, StageOf: stageOf, Stages: make([][]*nn.Param, p)}
+	for i, grp := range groups {
+		part.Stages[stageOf[i]] = append(part.Stages[stageOf[i]], grp.Params...)
+	}
+	return part
 }
 
 // PartitionMode selects how weight groups are split into stages.
@@ -119,12 +144,7 @@ func PartitionGroupsByCost(groups []ParamGroup, costs []float64, p int) (*Partit
 			return nil, fmt.Errorf("pipeline: group %d (%s) has invalid cost %g", i, groups[i].Name, c)
 		}
 	}
-	stageOf := boundaryDP(costs, p)
-	part := &Partition{P: p, Groups: groups, StageOf: stageOf, Stages: make([][]*nn.Param, p)}
-	for i, grp := range groups {
-		part.Stages[stageOf[i]] = append(part.Stages[stageOf[i]], grp.Params...)
-	}
-	return part, nil
+	return partition(groups, boundaryDP(costs, p), p), nil
 }
 
 // boundaryDP solves the linear-partition problem: split costs[0..g) into p

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -89,6 +90,32 @@ func TestPartitionErrors(t *testing.T) {
 	}
 	if _, err := PartitionGroups(mkGroups(1, 1), 0); err == nil {
 		t.Fatal("zero stages must error")
+	}
+}
+
+// TestPartitionByStageOfRebuildsAndRefuses: every even and cost-balanced
+// partition rebuilds from its stage map alone, stages and parameter lists
+// included, and a map that is not a partition — the wrong length, not
+// starting at stage 0, going back, skipping a stage — is refused.
+func TestPartitionByStageOfRebuildsAndRefuses(t *testing.T) {
+	gs := mkGroups(3, 1, 1, 2, 1, 1, 4)
+	for p := 1; p <= len(gs); p++ {
+		even, _ := PartitionGroups(gs, p)
+		cost, _ := PartitionGroupsByCost(gs, []float64{9, 1, 1, 2, 1, 1, 4}, p)
+		for _, want := range []*Partition{even, cost} {
+			got, err := PartitionByStageOf(gs, want.StageOf)
+			if err != nil {
+				t.Fatalf("P=%d: %v", p, err)
+			}
+			if got.P != want.P || !slices.Equal(got.StageOf, want.StageOf) || !reflect.DeepEqual(got.Stages, want.Stages) {
+				t.Fatalf("P=%d: rebuilt %v (P=%d), want %v (P=%d)", p, got.StageOf, got.P, want.StageOf, want.P)
+			}
+		}
+	}
+	for _, bad := range [][]int{nil, {0, 0, 1}, {1, 1, 1, 1, 2, 2, 2}, {0, 1, 0, 1, 2, 2, 2}, {0, 0, 2, 2, 3, 3, 3}, {0, -1, 0, 0, 0, 0, 0}} {
+		if _, err := PartitionByStageOf(gs, bad); err == nil {
+			t.Errorf("stage map %v accepted", bad)
+		}
 	}
 }
 

@@ -39,8 +39,7 @@ func FuzzCursor(f *testing.F) {
 	f.Add(AppendTensors(nil, s[0]))
 	f.Add(AppendTensors(nil, nil))
 	f.Add(RingMsg(MsgSetRing, 0, 3, [][]*tensor.Tensor{s[1], s[2]}).Payload())
-	f.Add(Spec{Replica: 1, Replicas: 2, Stages: 4, Method: 2, T2: true,
-		GroupCosts: []float64{1, 2.5, 3, 4}, FT: true, Heartbeat: time.Second}.encode())
+	f.Add(Spec{Replica: 1, Replicas: 2, Stages: 4, Heartbeat: time.Second, Recipe: []byte{0, 0, 0, 2, 1}}.encode())
 	f.Add(AppendU32(nil, 9)) // a join request: the step to admit at
 	f.Add([]byte{})
 	// Payloads that cross the wire in several frames: a tensor larger than

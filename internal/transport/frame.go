@@ -67,9 +67,11 @@ const (
 	// step sync (a member's step count is its rings' newest version);
 	// version 6 has version 5's bytes, but its GELU and softmax round
 	// differently (the trainer's own exp, internal/tensor), so a v5 peer
-	// would train another curve.
+	// would train another curve; version 7's hello carries the leader's
+	// encoded recipe (Spec.Recipe) in place of the method, T2 flag, group
+	// costs and fault-tolerance flag.
 	// Peers of another version are rejected rather than mis-decoded.
-	Version = 6
+	Version = 7
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32

@@ -250,22 +250,26 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejectsStageMismatch: a worker that resolves a different
-// stage count refuses the leader's hello, saying why.
+// TestHandshakeRejectsStageMismatch: a worker whose builder cannot take
+// the leader's stages — core.NewFollower refuses a stage map that does not
+// fit its task — answers the hello with its reason, and the leader's
+// handshake fails with it.
 func TestHandshakeRejectsStageMismatch(t *testing.T) {
 	lis, dial := Loopback()
 	defer lis.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(3), nil })
+	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) {
+		return nil, fmt.Errorf("%d stages announced for a 3-stage model", spec.Stages)
+	})
 	conn, err := dial.Dial(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	if _, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: 2}); err == nil ||
-		!strings.Contains(err.Error(), "stages") {
-		t.Fatalf("hello err = %v, want a stage mismatch", err)
+		!strings.Contains(err.Error(), "2 stages announced for a 3-stage model") {
+		t.Fatalf("hello err = %v, want the worker's stage refusal", err)
 	}
 }
 

@@ -12,12 +12,9 @@ import (
 )
 
 // Builder constructs the worker's local follower member for the spec the
-// leader announced in MsgHello — core.NewFollower over a task the worker
-// built with the leader's options — or says why it cannot. A
-// spec-dependent configuration (replica id, replica count, fault
-// tolerance, pinned partition costs) therefore needs no worker flags, and
-// the follower's starting state does not matter: the leader's state
-// handoff replaces it.
+// leader announced in MsgHello — core.NewFollower from the spec's recipe
+// — or says why it cannot. What the leader decides thus needs no worker
+// flags, and the leader's state handoff replaces the follower's state.
 type Builder func(spec Spec) (replica.Local, error)
 
 // Serve accepts one leader connection on lis and serves it until the
@@ -75,10 +72,8 @@ func (s *server) replyErr(ctx context.Context, code uint32, text string) error {
 }
 
 // hello reads the leader's MsgHello and builds the follower its spec asks
-// for, which must have the leader's stage count: the per-stage requests
-// that follow index both pipelines alike. A spec that cannot be served is
-// answered MsgErr with the reason; a MsgErr in place of the hello is a
-// joiner the leader will not admit.
+// for. A spec that cannot be served is answered MsgErr with the reason; a
+// MsgErr in place of the hello is a joiner the leader will not admit.
 func (s *server) hello(ctx context.Context, build Builder) error {
 	req, err := s.conn.Recv(ctx)
 	if err != nil {
@@ -97,15 +92,12 @@ func (s *server) hello(ctx context.Context, build Builder) error {
 		s.hb = spec.Heartbeat
 		s.member, err = build(spec)
 	}
-	if err == nil && s.member.Stages() != spec.Stages {
-		err = fmt.Errorf("follower has %d stages, leader has %d", s.member.Stages(), spec.Stages)
-	}
 	if err != nil {
 		s.replyErr(ctx, errGeneric, err.Error())
 		return fmt.Errorf("transport: hello: %w", err)
 	}
-	s.grads = make([][]*tensor.Tensor, spec.Stages)
-	s.states = make([][]*tensor.Tensor, spec.Stages)
+	s.grads = make([][]*tensor.Tensor, s.member.Stages())
+	s.states = make([][]*tensor.Tensor, s.member.Stages())
 	if err := s.reply(ctx, Msg{Type: MsgHelloOK, Stage: -1}); err != nil {
 		return fmt.Errorf("transport: hello: %w", err)
 	}

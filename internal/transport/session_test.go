@@ -19,12 +19,19 @@ import (
 // goroutine behind.
 func FuzzSession(f *testing.F) {
 	const p = 2
-	hello := Spec{Replica: 1, Replicas: 2, Stages: p, Heartbeat: time.Millisecond}.encode()
+	// A v7 hello: the recipe rides as opaque bytes, which the builder
+	// (here a stub) decodes.
+	hello := Spec{Replica: 1, Replicas: 2, Stages: p, Heartbeat: time.Millisecond, Recipe: []byte{0, 0, 0, 2, 1}}.encode()
 	none := []byte(nil)
 	f.Add(byte(MsgHello), hello, byte(MsgBye), none)
 	f.Add(byte(MsgJoin), AppendU32(nil, 0), byte(MsgHello), hello)
 	f.Add(byte(MsgHello), hello[:len(hello)-3], byte(MsgBye), none)
 	f.Add(byte(MsgHello), Spec{Replica: 1, Replicas: 2, Stages: p + 1}.encode(), byte(MsgBye), none)
+	// A recipe length past the payload's end; and a hello announcing more
+	// stages than the member built has, then a state read: the session
+	// sizes its per-stage buffers by the member, not the announcement.
+	f.Add(byte(MsgHello), append(hello[:20:20], 0, 0, 1, 0), byte(MsgBye), none)
+	f.Add(byte(MsgHello), Spec{Replica: 1, Replicas: 2, Stages: p + 1}.encode(), byte(MsgGetState), none)
 	f.Add(byte(99), []byte{1, 2, 3}, byte(MsgHello), hello)
 	// A chunk from microbatch 0, asynchronous: one microbatch of sample 0.
 	chunk := AppendU32(AppendU32(AppendU32(AppendBool(AppendU32(nil, 0), true), 1), 1), 0)

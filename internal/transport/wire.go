@@ -77,8 +77,14 @@ func (c *Cursor) u8() byte {
 	return b[0]
 }
 
-// Bool decodes one byte as a bool.
-func (c *Cursor) Bool() bool { return c.u8() != 0 }
+// Bool decodes one byte, refusing any but 0 and 1: a bool has one encoding.
+func (c *Cursor) Bool() bool {
+	b := c.u8()
+	if b > 1 {
+		c.fail("bool byte %d is neither 0 nor 1", b)
+	}
+	return b == 1
+}
 
 // U32 decodes a big-endian uint32.
 func (c *Cursor) U32() uint32 {

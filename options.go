@@ -114,8 +114,8 @@ func WithMicrobatchSize(sz int) Option {
 // FLOP/byte cost model), or PartitionProfile (bottleneck-minimizing over
 // measured per-group wall time from a one-microbatch profiling pass at
 // build time). The partition determines each parameter's stage and
-// therefore its delay τ_fwd; curves are deterministic per mode (profile
-// mode is deterministic given a cost vector — see WithGroupCosts).
+// therefore its delay τ_fwd; curves are deterministic per mode. Only a
+// leader partitions: a follower takes the leader's stage map.
 func WithPartition(m PartitionMode) Option {
 	return func(s *settings) error {
 		switch m {
@@ -124,22 +124,6 @@ func WithPartition(m PartitionMode) Option {
 			return nil
 		}
 		return fmt.Errorf("pipemare: unknown partition mode %d", int(m))
-	}
-}
-
-// WithGroupCosts supplies explicit per-group costs for the cost/profile
-// partition modes, overriding the built-in estimators — e.g. a cost
-// vector captured from a previous trainer's GroupCosts(), which pins a
-// measured (profile) partition exactly across trainers and processes.
-// The slice length must match the task's weight-group count; it requires
-// WithPartition(PartitionCost) or WithPartition(PartitionProfile).
-func WithGroupCosts(costs []float64) Option {
-	return func(s *settings) error {
-		if len(costs) == 0 {
-			return fmt.Errorf("pipemare: group costs must not be empty")
-		}
-		s.cfg.GroupCosts = append([]float64(nil), costs...)
-		return nil
 	}
 }
 
@@ -192,13 +176,11 @@ func WithRecompute(segments int) Option {
 }
 
 // DTypeSettable is a Task that can cast its model state to a different
-// element type (WithDType). The model tasks in internal/model implement
-// it; a float32 model's parameters are the rounded image of the same
-// float64 initialization, so every replica (local or remote) lands on
-// bit-identical float32 state.
-type DTypeSettable interface {
-	SetDType(dt DType)
-}
+// element type (WithDType; a follower's task, to its leader's). The model
+// tasks in internal/model implement it; a float32 model's parameters are
+// the rounded image of the same float64 initialization, so every replica
+// lands on bit-identical float32 state.
+type DTypeSettable = core.DTypeSettable
 
 // WithDType selects the element type the model trains in: Float64 (the
 // default) or Float32. Float32 halves memory traffic through the
@@ -208,10 +190,10 @@ type DTypeSettable interface {
 // float32 Reference curve bit-for-bit. The task must implement
 // DTypeSettable; the cast happens before the optimizer factory runs, so
 // optimizer moments are allocated in the same dtype. Checkpoints and the
-// wire protocol tag every tensor with its dtype, and the state handoff
-// that admits every follower refuses a tensor of another dtype by stage
-// and index, so a leader/worker dtype mismatch fails New (or a join)
-// instead of diverging.
+// wire protocol tag every tensor with its dtype; a follower trains the
+// leader's dtype (its task must be DTypeSettable when the two differ), and
+// the state handoff that admits every follower refuses a tensor of
+// another dtype by stage and index.
 func WithDType(dt DType) Option {
 	return func(s *settings) error {
 		switch dt {
@@ -289,14 +271,14 @@ func WithReplicas(r int) Option {
 // building R−1 in-process follower trainers, New dials one worker per
 // follower (in replica order — dialer r−1 hosts replica r) and drives it
 // over the wire transport (internal/transport). Each worker must be
-// running ServeFollower with the leader's model architecture, dtype and
-// options. New admits every worker exactly as it admits an in-process
-// follower or a mid-run joiner: a hello announcing the follower's position
-// and the run's method and technique flags, which the worker checks
-// against its own, then the state handoff, which replaces every tensor and
-// clock the worker trains from and refuses one of another stage layout or
-// dtype by name — so a mismatch fails New instead of silently diverging
-// the curves, and the worker's own initial weights do not matter. Exactly
+// running ServeFollower with the leader's model architecture and data.
+// New admits every worker exactly as it admits an in-process follower or
+// a mid-run joiner: a hello announcing the follower's position and the
+// run's resolved recipe, which the worker builds its follower from, then
+// the state handoff, which replaces every tensor and clock the worker
+// trains from and refuses one of another architecture by name — so a
+// mismatch fails New instead of silently diverging the curves, and the
+// worker's own initial weights and recipe options do not matter. Exactly
 // R−1 dialers are required; with no WithReplicas option, R =
 // len(dialers)+1 is implied. Training curves stay bit-identical to
 // in-process replicas and to a single-replica run (float64 bits cross the
@@ -570,8 +552,8 @@ func New(task Task, opts ...Option) (*Trainer, error) {
 
 // resolveSettings applies the options and fills every default, returning
 // the resolved settings and the built optimizer — the shared front half
-// of New and ServeFollower, so a worker process resolving the same
-// option list lands on the same configuration as its leader.
+// of New, ServeFollower and JoinFollower (a follower then takes only its
+// optimizer, schedule, engine and dial settings from them).
 func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 	s := &settings{}
 	s.cfg.BatchSize = 32
@@ -583,6 +565,9 @@ func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 		if err := o(s); err != nil {
 			return nil, nil, err
 		}
+	}
+	if s.dialTimeout == 0 {
+		s.dialTimeout = 30 * time.Second
 	}
 	if s.cfg.MicrobatchSize == 0 {
 		n := s.microbatches
@@ -625,9 +610,6 @@ func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 // the hello with the spec the trainer resolved for it, and wrap the
 // connection as the leader-side member proxy the handoff then admits.
 func remoteFollowers(dialers []transport.Dialer, timeout time.Duration) func(transport.Spec) (replica.Member, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	return func(spec transport.Spec) (replica.Member, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()

@@ -25,7 +25,6 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"microbatches", pipemare.WithMicrobatches(0), "microbatches"},
 		{"microbatchSize", pipemare.WithMicrobatchSize(-2), "microbatch size"},
 		{"partition", pipemare.WithPartition(pipemare.PartitionMode(9)), "partition mode"},
-		{"groupcosts-empty", pipemare.WithGroupCosts(nil), "group costs"},
 		{"t1", pipemare.WithT1(-1), "T1"},
 		{"t2-negative", pipemare.WithT2(-0.1), "T2"},
 		{"t2-above-one", pipemare.WithT2(1.0), "T2"},
@@ -77,26 +76,25 @@ func TestOptionCrossValidation(t *testing.T) {
 	if _, err := pipemare.New(newOptionProbeTask(), pipemare.WithBatchSize(128)); err == nil {
 		t.Fatal("batch larger than the training set must error")
 	}
-	// Explicit group costs require a cost-driven partition mode …
-	if _, err := pipemare.New(newOptionProbeTask(),
-		pipemare.WithGroupCosts([]float64{1, 1, 1, 1})); err == nil ||
-		!strings.Contains(err.Error(), "partition mode") {
-		t.Fatal("group costs without WithPartition(cost|profile) must error")
-	}
-	// … and must match the task's group count.
-	if _, err := pipemare.New(newOptionProbeTask(),
-		pipemare.WithPartition(pipemare.PartitionCost),
-		pipemare.WithGroupCosts([]float64{1, 2})); err == nil ||
-		!strings.Contains(err.Error(), "weight groups") {
-		t.Fatal("group-cost length mismatch must error")
-	}
 }
 
+// glueOp is a weightless op that does nothing: the analytic cost model
+// charges it glue cost all the same.
+type glueOp struct{}
+
+func (glueOp) Forward(*nn.Machine)  {}
+func (glueOp) Backward(*nn.Machine) {}
+
 func TestWithPartitionConfiguresTrainer(t *testing.T) {
-	tr, err := pipemare.New(newOptionProbeTask(),
+	// Ten glue ops ahead of group 0's own make it the heaviest group by far.
+	task := newQuadTask(4, 64, 8, 1)
+	for range 10 {
+		task.prog.Ops = append([]nn.Op{glueOp{}}, task.prog.Ops...)
+		task.prog.GroupOf = append([]int{0}, task.prog.GroupOf...)
+	}
+	tr, err := pipemare.New(task,
 		pipemare.WithStages(2),
-		pipemare.WithPartition(pipemare.PartitionCost),
-		pipemare.WithGroupCosts([]float64{10, 1, 1, 1}))
+		pipemare.WithPartition(pipemare.PartitionCost))
 	if err != nil {
 		t.Fatal(err)
 	}

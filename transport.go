@@ -3,7 +3,6 @@ package pipemare
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pipemare/internal/core"
 	"pipemare/internal/replica"
@@ -39,21 +38,20 @@ func ListenTCP(addr string) (Listener, error) { return transport.ListenTCP(addr)
 func DialTCP(addr string) Dialer { return transport.NewTCPDialer(addr) }
 
 // ServeFollower hosts one follower replica for a remote leader: it
-// accepts a single connection on lis, builds the follower from task and
-// opts for the spec the leader's hello announces, and serves the leader's
-// collectives until the leader says goodbye (Trainer.Close), the
-// connection drops, or ctx ends. A clean goodbye returns nil. task and
-// opts must build the leader's model architecture, dtype and options (the
-// same method and technique flags — the hello checks those — and the same
-// data); the starting weights need not match, because the leader's state
-// handoff replaces every tensor the follower trains from and refuses, by
-// stage and tensor, one of another layout or dtype.
+// accepts a single connection on lis, builds the follower for the spec the
+// leader's hello announces, and serves the leader's collectives until the
+// leader says goodbye (Trainer.Close), the connection drops, or ctx ends. A
+// clean goodbye returns nil.
 //
-// The leader's hello fixes the follower's replica id, replica count
-// and fault tolerance, so the same worker invocation serves any slot; a
-// WithEngine option selects the engine the follower runs its microbatch
-// chunks with (default Reference), as it does for any trainer.
-// WithTransport is a leader option and is rejected here.
+// The worker supplies only task (the leader's architecture over the same
+// data; its starting weights do not matter, the state handoff replaces
+// them), its optimizer and schedule (WithOptimizer, WithSchedule: a
+// factory has no encoding, so a worker with another schedule steps its
+// shard at its own rate) and its engine (WithEngine). Everything else —
+// replica id and count, stage map, batch geometry, method and techniques,
+// loss cap, dtype, fault tolerance — is the leader's recipe from the
+// hello, so one worker invocation serves any slot; its other options are
+// ignored, not checked. WithTransport is a leader option and is rejected.
 func ServeFollower(ctx context.Context, lis Listener, task Task, opts ...Option) error {
 	s, opt, err := resolveSettings(task, opts)
 	if err != nil {
@@ -66,11 +64,11 @@ func ServeFollower(ctx context.Context, lis Listener, task Task, opts ...Option)
 }
 
 // followerBuilder is the transport.Builder ServeFollower and JoinFollower
-// share: core.NewFollower over the worker's task and resolved options for
-// the leader's spec.
+// share: core.NewFollower over the worker's task, optimizer, schedule and
+// engine for the leader's spec.
 func followerBuilder(task Task, s *settings, opt Optimizer) transport.Builder {
 	return func(spec transport.Spec) (replica.Local, error) {
-		return core.NewFollower(task, opt, s.sched, s.cfg, spec)
+		return core.NewFollower(task, opt, s.sched, s.cfg.Engine, spec)
 	}
 }
 
@@ -79,13 +77,15 @@ func followerBuilder(task Task, s *settings, opt Optimizer) transport.Builder {
 // a WithElastic leader), asks to be admitted, and waits — arbitrarily
 // long; admission happens at a minibatch boundary of the leader's
 // choosing, or at the WithJoinAt step — for the leader's hello. From
-// there it is ServeFollower's session: it builds the local follower from
-// the hello's spec, receives the live state handoff, and serves the
-// leader's collectives until the leader says goodbye (a clean goodbye
-// returns nil), the connection drops, or ctx ends. A joiner the leader
-// cannot use returns the reason: its own (another method, T2 flag or
-// stage count), the handoff's (another stage layout or dtype), or the
-// leader's (the replica cap). The dial (with the dialer's backoff) is
+// there it is ServeFollower's session, with ServeFollower's contract: it
+// builds the local follower from the hello's spec and the worker's task,
+// optimizer, schedule and engine (its other recipe options are ignored,
+// not checked), receives the live state handoff, and serves the leader's
+// collectives until the leader says goodbye (a clean goodbye returns nil),
+// the connection drops, or ctx ends. A joiner the leader cannot use
+// returns the reason: its own (a stage map its model does not fit), the
+// handoff's (another architecture) or the leader's (the replica cap). The
+// dial (with the dialer's backoff) is
 // bounded by WithDialTimeout; the wait for admission is bounded only by
 // ctx.
 func JoinFollower(ctx context.Context, d Dialer, task Task, opts ...Option) error {
@@ -96,11 +96,7 @@ func JoinFollower(ctx context.Context, d Dialer, task Task, opts ...Option) erro
 	if len(s.dialers) > 0 {
 		return fmt.Errorf("pipemare: WithTransport is a leader option; a joiner dials its leader directly")
 	}
-	timeout := s.dialTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	dctx, cancel := context.WithTimeout(ctx, timeout)
+	dctx, cancel := context.WithTimeout(ctx, s.dialTimeout)
 	conn, err := d.Dial(dctx)
 	cancel()
 	if err != nil {

@@ -150,13 +150,14 @@ func TestDialledWorkerStartsFromAnyWeights(t *testing.T) {
 }
 
 // TestMismatchedWorkerIsRefusedByName pins what replaced the initial-state
-// checksum: a worker that cannot train the leader's state is refused with
-// an error naming what differs — a float64 worker under a float32 leader
-// by the stage and tensor the handoff could not import, a worker of
-// another stage count by both stage counts, which it answers the hello
-// with. At launch New fails, the worker ends with the same reason, and
-// the matching worker admitted before it is released with a goodbye; as
-// a joiner the worker is refused and the run goes on, on the Reference
+// checksum: a worker that cannot train the leader's state — one whose
+// model has another architecture, here a wider hidden layer — is refused
+// with an error naming what differs, the stage and tensor whose shape the
+// handoff could not import. (A worker whose options name another recipe
+// is no mismatch: it trains the leader's, TestWorkerTrainsTheLeadersRecipe.)
+// At launch New fails, the worker ends with the same reason, and the
+// matching worker admitted before it is released with a goodbye; as a
+// joiner the worker is refused and the run goes on, on the Reference
 // curve, at its replica count.
 func TestMismatchedWorkerIsRefusedByName(t *testing.T) {
 	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
@@ -172,14 +173,14 @@ func TestMismatchedWorkerIsRefusedByName(t *testing.T) {
 	ref := runCurve(t, build, 1, 1, leader...)
 	for _, tc := range []struct {
 		name, why string
-		worker    []pipemare.Option
+		build     func() pipemare.Task
 	}{
-		{"dtype", "stage 0 tensor 0 dtype float32, want float64", with(leader, pipemare.WithDType(pipemare.Float64))},
-		{"stages", "follower has 2 stages, leader has 4", with(leader, pipemare.WithStages(2))},
+		{"architecture", "stage 0 tensor 0 shape [6 16], want [7 16]",
+			func() pipemare.Task { return model.NewResNetMLP(images, 7, 3, 5) }},
 	} {
 		t.Run(tc.name+"/launch", func(t *testing.T) {
 			good, _, goodWait := startWorkers(t, 1, build, func() []pipemare.Option { return leader })
-			bad, _, badWait := startWorkers(t, 1, build, func() []pipemare.Option { return tc.worker })
+			bad, _, badWait := startWorkers(t, 1, tc.build, func() []pipemare.Option { return leader })
 			tr, err := pipemare.New(build(), with(leader, pipemare.WithTransport(good[0], bad[0]))...)
 			if err == nil {
 				tr.Close()
@@ -196,7 +197,7 @@ func TestMismatchedWorkerIsRefusedByName(t *testing.T) {
 			}
 		})
 		t.Run(tc.name+"/join", func(t *testing.T) {
-			jlis, jwait := startJoiner(t, build, tc.worker)
+			jlis, jwait := startJoiner(t, tc.build, leader)
 			tr, err := pipemare.New(build(), with(leader, pipemare.WithReplicas(2), pipemare.WithElastic())...)
 			if err != nil {
 				t.Fatal(err)

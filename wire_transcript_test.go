@@ -104,26 +104,26 @@ func (l logListener) Accept(ctx context.Context) (transport.MsgConn, error) {
 // table holds on any GOARCH.
 var wireTranscripts = map[string]string{
 	"sharded/plain/follower": `
-		1/-1/62 14/0/79 14/1/79 14/2/79 14/3/79 21/0/37 21/1/37 21/2/37 21/3/37
+		1/-1/90 14/0/79 14/1/79 14/2/79 14/3/79 21/0/37 21/1/37 21/2/37 21/3/37
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
 		19/-1/0
 	`,
 	"sharded/join/joiner": `
-		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/66
+		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/66
 		3/-1/25 5/3/29 6/3/4 10/3/8 12/3/0 14/0/104 14/1/104 14/2/104
 		19/-1/0
 	`,
 	"sharded/join/follower": `
-		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
+		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/33 5/2/29 6/2/4 10/2/8 12/2/0 14/0/104 14/1/104 14/3/104
 		19/-1/0
 	`,
 	"sharded/restore/follower": `
-		1/-1/62 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
+		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
 		14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/66
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
 		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
