@@ -189,7 +189,7 @@ func TestStragglerDemoteRejoinZeroDeviation(t *testing.T) {
 		opts := append(append([]pipemare.Option{}, base...),
 			pipemare.WithReplicas(3),
 			pipemare.WithFaultTolerance(), pipemare.WithElastic(),
-			pipemare.WithStragglerPolicy(pipemare.StragglerDemote, 20*time.Millisecond, 2),
+			pipemare.WithStragglerDemotion(20*time.Millisecond, 2),
 			pipemare.WithTransport(dialers...),
 			pipemare.WithObserver(func(epochs int, run *pipemare.Run) {
 				if epochs == 1 {
@@ -374,7 +374,7 @@ func TestChurnCompositions(t *testing.T) {
 		tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
 			pipemare.WithReplicas(3),
 			pipemare.WithFaultTolerance(), pipemare.WithElastic(),
-			pipemare.WithStragglerPolicy(pipemare.StragglerDemote, 20*time.Millisecond, 2),
+			pipemare.WithStragglerDemotion(20*time.Millisecond, 2),
 			pipemare.WithTransport(dialers...),
 			pipemare.WithObserver(func(epochs int, run *pipemare.Run) {
 				if epochs == 1 {
@@ -644,19 +644,14 @@ func TestElasticOptionValidation(t *testing.T) {
 		t.Fatalf("elastic with R=1: err = %v", err)
 	}
 	if _, err := pipemare.New(build(),
-		pipemare.WithStragglerPolicy(pipemare.StragglerDemote, 0, 2)); err == nil ||
+		pipemare.WithStragglerDemotion(0, 2)); err == nil ||
 		!strings.Contains(err.Error(), "straggler") {
 		t.Fatalf("demote policy without a deadline: err = %v", err)
 	}
 	if _, err := pipemare.New(build(),
-		pipemare.WithStragglerPolicy(pipemare.StragglerDemote, time.Second, 0)); err == nil ||
+		pipemare.WithStragglerDemotion(time.Second, 0)); err == nil ||
 		!strings.Contains(err.Error(), "straggler") {
 		t.Fatalf("demote policy without a miss budget: err = %v", err)
-	}
-	if _, err := pipemare.New(build(),
-		pipemare.WithStragglerPolicy(pipemare.StragglerPolicy(99), time.Second, 1)); err == nil ||
-		!strings.Contains(err.Error(), "straggler") {
-		t.Fatalf("unknown straggler policy: err = %v", err)
 	}
 	if _, err := pipemare.New(build(), pipemare.WithJoinAt(-1)); err == nil ||
 		!strings.Contains(err.Error(), "join") {
@@ -664,7 +659,7 @@ func TestElasticOptionValidation(t *testing.T) {
 	}
 	// The wait policy is the default and composes with everything.
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, ftBase()...),
-		pipemare.WithStragglerPolicy(pipemare.StragglerWait, 0, 0))...)
+		pipemare.WithStragglerDemotion(0, 0))...)
 	if err != nil {
 		t.Fatalf("wait policy: %v", err)
 	}

@@ -214,8 +214,8 @@ type Config struct {
 	// is demoted to standby — kept alive, excluded from the reduce tree
 	// and commit plan, its microbatches redistributed — and automatically
 	// readmitted through the join handoff path once its late reply drains.
-	// Zero values disable demotion (the default: wait indefinitely, bar
-	// heartbeat liveness).
+	// The two are both zero or both positive; zero disables demotion (the
+	// default: wait indefinitely, bar heartbeat liveness).
 	StragglerDeadline time.Duration
 	StragglerMisses   int
 
@@ -258,7 +258,6 @@ type Trainer struct {
 	opt   optim.Optimizer
 	sched optim.Schedule
 	cfg   Config
-	eng   engine.Engine
 
 	part       *pipeline.Partition
 	groupCosts []float64              // per-group costs the partitioner balanced
@@ -331,8 +330,10 @@ type flight struct {
 	m  *nn.Machine
 }
 
-// New validates the configuration and builds a Trainer: the leader of a
-// replica group, alone in it unless Replicas > 1. The optimizer must have
+// New builds a Trainer: the leader of a replica group, alone in it unless
+// Replicas > 1. It refuses the first out-of-range cfg field by name — the
+// one rule, Config.check, that every follower's recipe meets too — and a
+// cfg the task, optimizer or partition cannot run. The optimizer must have
 // been constructed over exactly the parameters of task.Groups() in order
 // (use Params on the returned trainer's partition, or build the optimizer
 // from the same group traversal).
@@ -348,9 +349,8 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	// follower already connected: a remote worker would otherwise sit in
 	// its serve loop until this process died.
 	t.group = replica.NewGroup(host{t}, t.cfg.FaultTolerant)
-	replicas := max(t.cfg.Replicas, 1)
-	for r := 1; r < replicas; r++ {
-		m, err := t.follower(r, replicas)
+	for r := 1; r < t.cfg.Replicas; r++ {
+		m, err := t.follower(r, t.cfg.Replicas)
 		if err == nil {
 			err = t.enter(m)
 		}
@@ -362,13 +362,83 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	return t, nil
 }
 
+// check is the one rule for a run's values, leaders (New) and followers
+// (NewFollower, over the leader's decoded recipe) alike: it refuses the
+// first out-of-range field by name and returns c with the defaults a zero
+// leaves open filled in. Refusals that need the task, the optimizer or the
+// partition mode stay with newTrainer and buildPartition.
+func (c Config) check() (Config, error) {
+	var err error
+	switch h := c.Hogwild; {
+	case c.Method < GPipe || c.Method > PipeMare:
+		err = fmt.Errorf("unknown method %d", int(c.Method))
+	case c.Stages < 0:
+		err = fmt.Errorf("stages must be >= 0, got %d", c.Stages)
+	case c.BatchSize <= 0 || c.MicrobatchSize <= 0 || c.BatchSize%c.MicrobatchSize != 0:
+		err = fmt.Errorf("batch size %d must be a positive multiple of microbatch size %d", c.BatchSize, c.MicrobatchSize)
+	case c.T1K < 0:
+		err = fmt.Errorf("T1 annealing steps must be >= 0, got %d", c.T1K)
+	case !(c.T2D >= 0 && c.T2D < 1):
+		err = fmt.Errorf("T2 decay D must be in [0, 1), got %g", c.T2D)
+	case c.WarmupEpochs < 0:
+		err = fmt.Errorf("warmup epochs must be >= 0, got %d", c.WarmupEpochs)
+	case c.RecomputeSegments < 0:
+		err = fmt.Errorf("recompute segments must be >= 0, got %d", c.RecomputeSegments)
+	case !(c.ClipNorm >= 0):
+		err = fmt.Errorf("clip norm must be >= 0, got %g", c.ClipNorm)
+	case !(c.LossCap >= 0):
+		err = fmt.Errorf("loss cap must be >= 0 (0: 1e6), got %g", c.LossCap)
+	case c.Replicas < 0:
+		err = fmt.Errorf("replicas must be >= 0, got %d", c.Replicas)
+	case c.Replicas > c.BatchSize/c.MicrobatchSize:
+		err = fmt.Errorf("%d replicas exceed the %d microbatches per minibatch (every replica needs at least one)", c.Replicas, c.BatchSize/c.MicrobatchSize)
+	case h != nil && (c.Method == GPipe || c.RecomputeSegments > 0):
+		err = fmt.Errorf("Hogwild delays need an asynchronous method without recompute, got %v with %d recompute segments", c.Method, c.RecomputeSegments)
+	case h != nil && (h.TauMax < 0 || !(h.MeanScale >= 0)):
+		err = fmt.Errorf("Hogwild delays need TauMax >= 0 and MeanScale >= 0, got %+v", *h)
+	case c.CheckpointEvery < 0:
+		err = fmt.Errorf("checkpoint cadence must be >= 0, got %d", c.CheckpointEvery)
+	case c.StragglerDeadline < 0 || c.StragglerMisses < 0 || (c.StragglerDeadline > 0) != (c.StragglerMisses > 0):
+		err = fmt.Errorf("straggler deadline %v and straggler misses %d must be both zero or both positive", c.StragglerDeadline, c.StragglerMisses)
+	case c.Elastic && c.Replicas < 2:
+		err = fmt.Errorf("elastic membership needs a running replica group to grow (Replicas >= 2), got %d", c.Replicas)
+	}
+	if err != nil {
+		return c, fmt.Errorf("core: %w", err)
+	}
+	c.Replicas = max(c.Replicas, 1)
+	if c.LossCap == 0 {
+		c.LossCap = 1e6
+	}
+	if c.Engine == nil {
+		c.Engine = engine.NewReference()
+	}
+	if c.CheckpointDir != "" && c.CheckpointEvery == 0 {
+		c.CheckpointEvery = 1
+	}
+	if c.Replicas > 1 && (c.CheckpointDir != "" || c.Elastic || c.StragglerMisses > 0) {
+		// A restore redistributes the leader's full state, and admitting a
+		// joiner or readmitting a straggler reshuffles stage ownership:
+		// each needs the mirrored moments eviction does.
+		c.FaultTolerant = true
+	}
+	if c.Heartbeat < 0 {
+		c.Heartbeat = 0
+		if c.FaultTolerant {
+			c.Heartbeat = transport.DefaultHeartbeat
+		}
+	}
+	return c, nil
+}
+
 // newTrainer is New without the replica group: all a follower is
 // (NewFollower), which passes its leader's stage map.
 func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, stageOf []int) (*Trainer, error) {
-	groups := task.Groups()
-	if cfg.BatchSize <= 0 || cfg.MicrobatchSize <= 0 || cfg.BatchSize%cfg.MicrobatchSize != 0 {
-		return nil, fmt.Errorf("core: batch size %d must be a positive multiple of microbatch size %d", cfg.BatchSize, cfg.MicrobatchSize)
+	cfg, err := cfg.check()
+	if err != nil {
+		return nil, err
 	}
+	groups := task.Groups()
 	if task.NumTrain() < cfg.BatchSize {
 		return nil, fmt.Errorf("core: training set (%d samples) smaller than one batch (%d)", task.NumTrain(), cfg.BatchSize)
 	}
@@ -378,64 +448,18 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 	}
 	p := part.P
 	n := cfg.BatchSize / cfg.MicrobatchSize
-	if cfg.LossCap == 0 {
-		cfg.LossCap = 1e6
-	}
 	if got, want := len(opt.Params()), len(part.Params()); got != want {
 		return nil, fmt.Errorf("core: optimizer has %d params, partition has %d", got, want)
 	}
-	if cfg.Replicas < 0 {
-		return nil, fmt.Errorf("core: replicas must be >= 0, got %d", cfg.Replicas)
+	if _, ok := task.(Replicable); !ok && cfg.Replicas > 1 && cfg.Followers == nil {
+		return nil, fmt.Errorf("core: task %T does not implement Replicable; %d-replica training needs CloneTask (or a Followers factory)", task, cfg.Replicas)
 	}
-	replicas := cfg.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	if replicas > n {
-		return nil, fmt.Errorf("core: %d replicas exceed the %d microbatches per minibatch (every replica needs at least one)", replicas, n)
-	}
-	if h := cfg.Hogwild; h != nil {
-		switch {
-		case cfg.Method == GPipe || cfg.RecomputeSegments > 0:
-			return nil, fmt.Errorf("core: Hogwild delays need an asynchronous method without recompute, got %v with %d recompute segments", cfg.Method, cfg.RecomputeSegments)
-		case h.TauMax < 0 || !(h.MeanScale >= 0):
-			return nil, fmt.Errorf("core: Hogwild delays need TauMax >= 0 and MeanScale >= 0, got %+v", *h)
-		}
-	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = engine.NewReference()
-	}
-	if _, ok := task.(Replicable); !ok && replicas > 1 && cfg.Followers == nil {
-		return nil, fmt.Errorf("core: task %T does not implement Replicable; %d-replica training needs CloneTask (or a Followers factory)", task, replicas)
-	}
-	if cfg.CheckpointDir != "" && cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
-	}
-	if cfg.StragglerMisses > 0 && cfg.StragglerDeadline <= 0 {
-		return nil, fmt.Errorf("core: straggler demotion needs a positive deadline (got %v for %d misses)", cfg.StragglerDeadline, cfg.StragglerMisses)
-	}
-	if cfg.Elastic && replicas < 2 {
-		return nil, fmt.Errorf("core: elastic membership needs a running replica group to grow (Replicas >= 2), got %d", replicas)
-	}
-	if replicas > 1 && (cfg.CheckpointDir != "" || cfg.Elastic || cfg.StragglerMisses > 0) {
-		// A restore redistributes the leader's full state, and admitting a
-		// joiner or readmitting a straggler reshuffles stage ownership:
-		// each needs the mirrored moments eviction does.
-		cfg.FaultTolerant = true
-	}
-	if cfg.Heartbeat < 0 {
-		cfg.Heartbeat = 0
-		if cfg.FaultTolerant {
-			cfg.Heartbeat = transport.DefaultHeartbeat
-		}
-	}
-	if cfg.FaultTolerant && replicas > 1 && opt.StateRange() != optim.FullShard(len(opt.Params())) {
+	if cfg.FaultTolerant && cfg.Replicas > 1 && opt.StateRange() != optim.FullShard(len(opt.Params())) {
 		// The caller's optimizer: the mirrored layout needs every moment.
 		return nil, fmt.Errorf("core: fault-tolerant replication needs an optimizer holding the moment state of every parameter, got one over %+v", opt.StateRange())
 	}
 	t := &Trainer{
-		task: task, opt: opt, sched: sched, cfg: cfg, eng: eng,
+		task: task, opt: opt, sched: sched, cfg: cfg,
 		part: part, groupCosts: costs,
 		clock: pipeline.Clock{P: p, N: n, Hogwild: cfg.Hogwild, Seed: cfg.Seed, Segments: cfg.RecomputeSegments},
 	}
@@ -483,7 +507,7 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
 	spec := t.spec(r, replicas)
 	if t.cfg.Followers == nil {
-		f, err := NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, t.eng, spec)
+		f, err := NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, t.cfg.Engine, spec)
 		if err == nil {
 			f.(host).t.cfg.Trace = t.cfg.Trace // the process's one recorder
 		}
@@ -537,7 +561,7 @@ func (t *Trainer) StageCosts() []float64 { return t.part.StageCosts(t.groupCosts
 func (t *Trainer) StageImbalance() float64 { return pipeline.Imbalance(t.StageCosts()) }
 
 // Engine returns the execution engine driving this trainer.
-func (t *Trainer) Engine() engine.Engine { return t.eng }
+func (t *Trainer) Engine() engine.Engine { return t.cfg.Engine }
 
 // Replicas returns the current data-parallel replica count R: the active
 // members of the replica group (1 when replication is off).

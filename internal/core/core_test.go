@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -16,7 +19,27 @@ import (
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
 	"pipemare/internal/tensor"
+	"pipemare/internal/transport"
 )
+
+// TestMain fails the package when goroutines outlive its tests, after a
+// settle of up to a second. A -fuzz run is exempt: its coordinator leaves
+// os/signal's watcher running.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	if flag.Lookup("test.fuzz").Value.String() != "" {
+		os.Exit(code)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); code == 0 && n > baseline {
+		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // stubProgram compiles one op per weight group: the smallest program whose
 // stage partition is the group partition.
@@ -620,6 +643,52 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(task, opt, optim.Constant(0.1), Config{BatchSize: 0, MicrobatchSize: 2}); err == nil {
 		t.Fatal("zero batch must error")
+	}
+}
+
+// TestConfigCheckNamesTheField pins the one rule for a run's values: each
+// out-of-range field is refused by name, by New for a leader and by
+// NewFollower for a recipe that carries it, so the decoder need not know
+// the ranges.
+func TestConfigCheckNamesTheField(t *testing.T) {
+	base := Config{Method: PipeMare, BatchSize: 8, MicrobatchSize: 2}
+	for _, tc := range []struct {
+		name   string
+		mut    func(*Config)
+		field  string
+		recipe bool // the hello's recipe carries the field
+	}{
+		{"method", func(c *Config) { c.Method = 42 }, "method", true},
+		{"stages", func(c *Config) { c.Stages = -1 }, "stages", false},
+		{"t2-above-one", func(c *Config) { c.T2D = 1.5 }, "T2 decay D", true},
+		{"t2-nan", func(c *Config) { c.T2D = math.NaN() }, "T2 decay D", true},
+		{"t1", func(c *Config) { c.T1K = -1 }, "T1 annealing steps", true},
+		{"warmup", func(c *Config) { c.WarmupEpochs = -1 }, "warmup epochs", true},
+		{"recompute", func(c *Config) { c.RecomputeSegments = -1 }, "recompute segments", true},
+		{"clip", func(c *Config) { c.ClipNorm = -1 }, "clip norm", false},
+		{"losscap", func(c *Config) { c.LossCap = -1 }, "loss cap", true},
+		{"replicas", func(c *Config) { c.Replicas = -1 }, "replicas", false},
+		{"checkpoint-cadence", func(c *Config) { c.CheckpointEvery = -1 }, "checkpoint cadence", false},
+		{"straggler-misses", func(c *Config) { c.StragglerMisses = -1 }, "straggler misses", false},
+		{"straggler-deadline-alone", func(c *Config) { c.StragglerDeadline = time.Second }, "straggler deadline", false},
+		{"straggler-misses-alone", func(c *Config) { c.StragglerMisses = 2 }, "straggler misses", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.mut(&cfg)
+			task := newProbeTask(4, 64)
+			if _, err := New(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("New = %v, want an error naming %q", err, tc.field)
+			}
+			if !tc.recipe {
+				return
+			}
+			spec := transport.Spec{Replica: 1, Replicas: 2, Stages: 2,
+				Recipe: recipe{cfg: cfg, stageOf: []int{0, 0, 1, 1}}.encode()}
+			if _, err := NewFollower(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), nil, spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("NewFollower = %v, want an error naming %q", err, tc.field)
+			}
+		})
 	}
 }
 

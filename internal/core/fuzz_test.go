@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,7 +79,9 @@ func FuzzRestoreFrom(f *testing.F) {
 // of them under Hogwild delays) and with recipes a follower must refuse:
 // cut short, an unknown method or dtype, a stage map that goes back, skips
 // a stage or covers another group count, a microbatch size that does not
-// divide the batch. Decoding never panics, a recipe has one encoding —
+// divide the batch, and values the decoder passes to Config.check (T2's D
+// of 1.5 or NaN, negative warmup, a negative loss cap). Decoding never
+// panics, a recipe has one encoding —
 // every accepted one re-encodes to its own bytes — and NewFollower over a
 // 6-group task builds a follower or refuses, never panics.
 func FuzzRecipe(f *testing.F) {
@@ -105,6 +108,10 @@ func FuzzRecipe(f *testing.F) {
 		func(r *recipe) { r.stageOf = []int{0, 0, 2, 2, 3, 3} },
 		func(r *recipe) { r.stageOf = []int{0, 1, 2, 3} },
 		func(r *recipe) { r.cfg.MicrobatchSize = 3 },
+		func(r *recipe) { r.cfg.T2D = 1.5 },
+		func(r *recipe) { r.cfg.T2D = math.NaN() },
+		func(r *recipe) { r.cfg.WarmupEpochs = -1 },
+		func(r *recipe) { r.cfg.LossCap = -1 },
 	} {
 		r := valid(PipeMare, tensor.Float64)
 		mut(&r)

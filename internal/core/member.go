@@ -10,7 +10,7 @@ import (
 
 // Engine returns the engine that runs this trainer's chunks
 // (replica.Local).
-func (h host) Engine() engine.Engine { return h.t.eng }
+func (h host) Engine() engine.Engine { return h.t.cfg.Engine }
 
 // Async reports whether the current epoch runs asynchronously
 // (replica.Leader): not GPipe, and past the T3 warmup epochs' steps.

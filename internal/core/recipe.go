@@ -37,8 +37,9 @@ func (r recipe) encode() []byte {
 	return transport.AppendBool(b, c.FaultTolerant)
 }
 
-// decodeRecipe decodes a recipe, refusing values no leader sends; the
-// stage map, batch geometry and delay rule newTrainer checks, as a leader's.
+// decodeRecipe decodes a recipe, refusing only malformed bytes and an
+// unknown dtype (not a Config field): the values NewFollower builds from
+// meet Config.check in newTrainer, as a leader's do.
 func decodeRecipe(data []byte) (recipe, error) {
 	cur := transport.NewCursor(data)
 	var r recipe
@@ -57,13 +58,8 @@ func decodeRecipe(data []byte) (recipe, error) {
 	}
 	c.FaultTolerant = cur.Bool()
 	err := cur.Done()
-	switch {
-	case err != nil:
-	case c.Method < GPipe || c.Method > PipeMare || dtype < int(tensor.Float64) || dtype > int(tensor.Float32):
-		err = fmt.Errorf("unknown method %d or dtype %d", int(c.Method), dtype)
-	case min(c.T1K, c.WarmupEpochs, c.RecomputeSegments) < 0 || !(c.T2D >= 0 && c.T2D < 1) || !(c.LossCap > 0):
-		err = fmt.Errorf("T1 steps %d, warmup epochs %d, recompute segments %d, T2 decay %g or loss cap %g out of range",
-			c.T1K, c.WarmupEpochs, c.RecomputeSegments, c.T2D, c.LossCap)
+	if err == nil && (dtype < int(tensor.Float64) || dtype > int(tensor.Float32)) {
+		err = fmt.Errorf("unknown dtype %d", dtype)
 	}
 	if err != nil {
 		return recipe{}, fmt.Errorf("core: bad recipe: %w", err)

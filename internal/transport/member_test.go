@@ -3,7 +3,10 @@ package transport
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +17,25 @@ import (
 	"pipemare/internal/tensor"
 	"pipemare/internal/trace"
 )
+
+// TestMain fails the package when goroutines outlive its tests, after a
+// settle of up to a second. A -fuzz run is exempt: its coordinator leaves
+// os/signal's watcher running.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	if flag.Lookup("test.fuzz").Value.String() != "" {
+		os.Exit(code)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); code == 0 && n > baseline {
+		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // wireMember is a full fake replica.Local with one scalar parameter per
 // stage, for exercising the member/server protocol without a trainer:
@@ -295,7 +317,11 @@ func TestCancelMidCollectiveUnwinds(t *testing.T) {
 			return
 		}
 		conn.Send(ctx, Msg{Type: MsgHelloOK, Stage: -1})
-		select {} // never reply again (goroutine dies with the process)
+		for { // never reply again; m.Close ends the read
+			if _, err := conn.Recv(ctx); err != nil {
+				return
+			}
+		}
 	}()
 	conn, err := NewTCPDialer(lis.Addr()).Dial(ctx)
 	if err != nil {

@@ -23,8 +23,8 @@ type OptimizerFactory func(ps []*nn.Param) Optimizer
 // cumulative count), for streaming metrics while Run executes.
 type Observer = core.Observer
 
-// settings collects everything the options configure before New validates
-// and assembles the trainer.
+// settings collects everything the options configure before New
+// assembles the trainer.
 type settings struct {
 	cfg          core.Config
 	microbatches int // N; resolved against BatchSize at build time
@@ -37,20 +37,19 @@ type settings struct {
 	dtype        tensor.DType // element type model state trains in
 }
 
-// Option configures New. Options validate eagerly: the first failing
-// option aborts New with its error.
+// Option configures New. Most options only set a value: core.New checks
+// every run value once, a leader's and its followers' alike, and refuses
+// the first out of range by name. An option still refuses what core cannot
+// tell from its default — a nil, a zero it does not read as the default —
+// and the first failing option aborts New with its error.
 type Option func(*settings) error
 
 // WithMethod selects GPipe, PipeDream or PipeMare execution
 // (default GPipe).
 func WithMethod(m Method) Option {
 	return func(s *settings) error {
-		switch m {
-		case GPipe, PipeDream, PipeMare:
-			s.cfg.Method = m
-			return nil
-		}
-		return fmt.Errorf("pipemare: unknown method %d", int(m))
+		s.cfg.Method = m
+		return nil
 	}
 }
 
@@ -58,9 +57,6 @@ func WithMethod(m Method) Option {
 // stage per weight group, the paper's fine-grained maximum.
 func WithStages(p int) Option {
 	return func(s *settings) error {
-		if p < 0 {
-			return fmt.Errorf("pipemare: stages must be >= 0, got %d", p)
-		}
 		s.cfg.Stages = p
 		return nil
 	}
@@ -69,9 +65,6 @@ func WithStages(p int) Option {
 // WithBatchSize sets the minibatch size (default 32).
 func WithBatchSize(b int) Option {
 	return func(s *settings) error {
-		if b <= 0 {
-			return fmt.Errorf("pipemare: batch size must be positive, got %d", b)
-		}
 		s.cfg.BatchSize = b
 		return nil
 	}
@@ -97,7 +90,7 @@ func WithMicrobatches(n int) Option {
 // as an alternative to WithMicrobatches.
 func WithMicrobatchSize(sz int) Option {
 	return func(s *settings) error {
-		if sz <= 0 {
+		if sz == 0 { // New reads 0 as "derive it from N"; a negative size is core's to refuse
 			return fmt.Errorf("pipemare: microbatch size must be positive, got %d", sz)
 		}
 		if s.microbatches != 0 {
@@ -118,12 +111,8 @@ func WithMicrobatchSize(sz int) Option {
 // leader partitions: a follower takes the leader's stage map.
 func WithPartition(m PartitionMode) Option {
 	return func(s *settings) error {
-		switch m {
-		case PartitionEven, PartitionCost, PartitionProfile:
-			s.cfg.Partition = m
-			return nil
-		}
-		return fmt.Errorf("pipemare: unknown partition mode %d", int(m))
+		s.cfg.Partition = m
+		return nil
 	}
 }
 
@@ -131,9 +120,6 @@ func WithPartition(m PartitionMode) Option {
 // annealing length in optimizer steps; 0 disables it.
 func WithT1(k int) Option {
 	return func(s *settings) error {
-		if k < 0 {
-			return fmt.Errorf("pipemare: T1 annealing steps must be >= 0, got %d", k)
-		}
 		s.cfg.T1K = k
 		return nil
 	}
@@ -143,9 +129,6 @@ func WithT1(k int) Option {
 // hyperparameter D in (0, 1); 0 disables it.
 func WithT2(d float64) Option {
 	return func(s *settings) error {
-		if d < 0 || d >= 1 {
-			return fmt.Errorf("pipemare: T2 decay D must be in [0, 1), got %g", d)
-		}
 		s.cfg.T2D = d
 		return nil
 	}
@@ -155,9 +138,6 @@ func WithT2(d float64) Option {
 // (GPipe-style) warmup epochs; 0 disables it.
 func WithT3(warmupEpochs int) Option {
 	return func(s *settings) error {
-		if warmupEpochs < 0 {
-			return fmt.Errorf("pipemare: warmup epochs must be >= 0, got %d", warmupEpochs)
-		}
 		s.cfg.WarmupEpochs = warmupEpochs
 		return nil
 	}
@@ -167,9 +147,6 @@ func WithT3(warmupEpochs int) Option {
 // number of gradient-checkpoint segments; 0 disables it.
 func WithRecompute(segments int) Option {
 	return func(s *settings) error {
-		if segments < 0 {
-			return fmt.Errorf("pipemare: recompute segments must be >= 0, got %d", segments)
-		}
 		s.cfg.RecomputeSegments = segments
 		return nil
 	}
@@ -259,7 +236,7 @@ func WithEngine(e Engine) Option {
 // with replication.
 func WithReplicas(r int) Option {
 	return func(s *settings) error {
-		if r < 1 {
+		if r == 0 { // core reads 0 as 1; a negative R is core's to refuse
 			return fmt.Errorf("pipemare: replicas must be >= 1, got %d", r)
 		}
 		s.cfg.Replicas = r
@@ -326,7 +303,7 @@ func WithDialTimeout(d time.Duration) Option {
 // the run with an error naming it. The optimizer must hold the moment
 // state of every parameter (SGD and AdamW from their ordinary
 // constructors do). With R > 1, implied by WithCheckpoint, WithElastic
-// and StragglerDemote.
+// and WithStragglerDemotion.
 func WithFaultTolerance() Option {
 	return func(s *settings) error {
 		s.cfg.FaultTolerant = true
@@ -353,51 +330,22 @@ func WithElastic() Option {
 	}
 }
 
-// StragglerPolicy selects how the leader treats a remote follower that
-// repeatedly misses its per-collective deadline (WithStragglerPolicy).
-type StragglerPolicy int
-
-const (
-	// StragglerWait waits indefinitely (bar heartbeat liveness) — the
-	// default: a slow follower stalls the minibatch but stays a member.
-	StragglerWait StragglerPolicy = iota
-	// StragglerDemote demotes a follower that misses the deadline K
-	// consecutive times to standby: it stays alive and connected but is
-	// excluded from the reduce tree and commit plan (its microbatches
-	// redistribute over the survivors), and it automatically rejoins
-	// through the live-handoff path once its late reply drains.
-	StragglerDemote
-)
-
-// WithStragglerPolicy bounds how long the leader waits on a remote
-// follower's collective reply: under StragglerDemote, a follower that
-// misses `deadline` for `misses` consecutive deadline windows is
-// demoted to standby and later readmitted via the same state handoff a
-// mid-run joiner receives — so a transient slowdown costs bounded wall
-// time instead of stalling every minibatch, while curves stay
-// bit-identical to a run over the momentarily-smaller membership.
-// StragglerWait (the default) ignores deadline and misses and disables
-// demotion. With R > 1, demotion implies WithFaultTolerance: readmission
-// reshuffles stage ownership.
-func WithStragglerPolicy(p StragglerPolicy, deadline time.Duration, misses int) Option {
+// WithStragglerDemotion bounds how long the leader waits on a remote
+// follower's collective reply: a follower that misses `deadline` for
+// `misses` consecutive deadline windows is demoted to standby — kept alive
+// and connected but excluded from the reduce tree and commit plan, its
+// microbatches redistributed over the survivors — and readmitted through
+// the state handoff a mid-run joiner receives once its late reply drains.
+// A transient slowdown then costs bounded wall time instead of stalling
+// every minibatch, while curves stay bit-identical to a run over the
+// momentarily-smaller membership. Without it (or with both values zero)
+// the leader waits indefinitely, bar heartbeat liveness; the two must be
+// both zero or both positive. With R > 1, demotion implies
+// WithFaultTolerance: readmission reshuffles stage ownership.
+func WithStragglerDemotion(deadline time.Duration, misses int) Option {
 	return func(s *settings) error {
-		switch p {
-		case StragglerWait:
-			s.cfg.StragglerDeadline = 0
-			s.cfg.StragglerMisses = 0
-			return nil
-		case StragglerDemote:
-			if deadline <= 0 {
-				return fmt.Errorf("pipemare: straggler deadline must be positive, got %v", deadline)
-			}
-			if misses < 1 {
-				return fmt.Errorf("pipemare: straggler miss count must be >= 1, got %d", misses)
-			}
-			s.cfg.StragglerDeadline = deadline
-			s.cfg.StragglerMisses = misses
-			return nil
-		}
-		return fmt.Errorf("pipemare: unknown straggler policy %d", int(p))
+		s.cfg.StragglerDeadline, s.cfg.StragglerMisses = deadline, misses
+		return nil
 	}
 }
 
@@ -417,7 +365,7 @@ func WithJoinAt(step int) Option {
 // WithCheckpoint makes the leader serialize its complete training state
 // — master weights, optimizer moments, T2 accumulators and the per-stage
 // weight-version rings, whose newest version is the step count — to a
-// CRC'd frame file under dir every `every` optimizer steps (every <= 1
+// CRC'd frame file under dir every `every` optimizer steps (0 or 1
 // means every step). Restore with pipemare.Restore, which resumes the
 // run exactly where the newest valid checkpoint left it: the data order
 // is a pure function of (seed, epoch), so the resumed curve is
@@ -428,9 +376,6 @@ func WithCheckpoint(dir string, every int) Option {
 	return func(s *settings) error {
 		if dir == "" {
 			return fmt.Errorf("pipemare: checkpoint directory must not be empty")
-		}
-		if every < 0 {
-			return fmt.Errorf("pipemare: checkpoint cadence must be >= 0, got %d", every)
 		}
 		s.cfg.CheckpointDir = dir
 		s.cfg.CheckpointEvery = every
@@ -490,9 +435,6 @@ func WithSeed(seed int64) Option {
 // clipping.
 func WithClipNorm(c float64) Option {
 	return func(s *settings) error {
-		if c < 0 {
-			return fmt.Errorf("pipemare: clip norm must be >= 0, got %g", c)
-		}
 		s.cfg.ClipNorm = c
 		return nil
 	}
@@ -501,7 +443,7 @@ func WithClipNorm(c float64) Option {
 // WithLossCap sets the divergence threshold (default 1e6).
 func WithLossCap(c float64) Option {
 	return func(s *settings) error {
-		if c <= 0 {
+		if c == 0 { // core reads 0 as the default; a negative cap is core's to refuse
 			return fmt.Errorf("pipemare: loss cap must be positive, got %g", c)
 		}
 		s.cfg.LossCap = c

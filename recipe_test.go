@@ -41,6 +41,7 @@ func TestWorkerTrainsTheLeadersRecipe(t *testing.T) {
 	with := func(opts []pipemare.Option, extra ...pipemare.Option) []pipemare.Option {
 		return append(append([]pipemare.Option{}, opts...), extra...)
 	}
+	fast := with(base, pipemare.WithSchedule(optim.Constant(1.2)))
 	const epochs = 2
 	for _, row := range []struct {
 		name           string
@@ -51,12 +52,18 @@ func TestWorkerTrainsTheLeadersRecipe(t *testing.T) {
 		{"microbatches", base, with(base, pipemare.WithMicrobatches(2))},
 		{"warmup", base, with(base, pipemare.WithT3(0))},
 		{"recompute", base, with(base, pipemare.WithRecompute(0))},
-		{"losscap", base, with(base, pipemare.WithLossCap(0.01))},
+		// At rate 1.2 the first loss above 3 is a follower's microbatch at
+		// step 7, after the joiner is in: a follower reading its own cap (or
+		// the default) finishes the run the leader's cap ends there.
+		{"losscap", with(fast, pipemare.WithLossCap(3)), fast},
 		{"stages", base, with(base, pipemare.WithStages(2))},
 		{"partition", base, with(base, pipemare.WithPartition(pipemare.PartitionCost))},
 		{"dtype", with(base, pipemare.WithDType(pipemare.Float32)), base},
 	} {
 		ref := runCurve(t, build, epochs, 1, row.leader...)
+		if row.name == "losscap" && !ref.Diverged {
+			t.Fatal("losscap: the leader's cap must end the reference run, or the row checks nothing")
+		}
 		t.Run(row.name+"/inprocess", func(t *testing.T) {
 			requireIdentical(t, row.name, ref, runCurve(t, build, epochs, 2, with(row.leader, pipemare.WithReplicas(2))...))
 		})
