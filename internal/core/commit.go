@@ -88,9 +88,7 @@ func (h host) PrepareStage(stage, nMicro int) float64 {
 	n := float64(nMicro)
 	sumSq := 0.0
 	for i := t.stageLo[stage]; i < t.stageHi[stage]; i++ {
-		g := t.params[i].Grad
-		g.DivScalar(n)
-		sumSq += g.SumSq()
+		sumSq += t.params[i].Grad.DivSumSq(n)
 	}
 	return sumSq
 }
@@ -134,29 +132,8 @@ func (h host) StepStage(stage int, scale float64) {
 	for i := lo; i < hi; i++ {
 		t.params[i].ZeroGrad()
 		if t.delta != nil {
-			pm := t.params[i]
-			if pm.Data.DType() == tensor.Float32 {
-				t2Update(tensor.F32(t.delta[i]), tensor.F32(t.corrected[i]),
-					tensor.F32(pm.Data), tensor.F32(prev[i-lo]), t.gamma[i], t.taus[i])
-			} else {
-				t2Update(tensor.F64(t.delta[i]), tensor.F64(t.corrected[i]),
-					tensor.F64(pm.Data), tensor.F64(prev[i-lo]), t.gamma[i], t.taus[i])
-			}
+			tensor.T2Into(t.delta[i], t.corrected[i], t.params[i].Data, prev[i-lo], t.gamma[i], t.taus[i])
 		}
 	}
 	t.store.PushStage(stage)
-}
-
-// t2Update advances one parameter's T2 discrepancy accumulator in the
-// parameter's own dtype, then refreshes the corrected backward weights:
-// δ ← γδ + (1−γ)(w − w_prev) and u_bkwd = w − (τ_fwd − τ_bkwd)·δ.
-func t2Update[T tensor.Elem](d, c, cur, prev []T, gamma, tau float64) {
-	g := T(gamma)
-	tt := T(tau)
-	for j := range d {
-		d[j] = T(g*d[j]) + T((1-g)*(cur[j]-prev[j]))
-	}
-	for j := range c {
-		c[j] = cur[j] - T(tt*d[j])
-	}
 }

@@ -41,8 +41,11 @@ const (
 
 // install points the stage's parameters at the weights slot (s, stage,
 // kind) reads, and is the only code that does; the clock names the
-// versions. In a synchronous epoch (GPipe, T3 warmup) every slot reads the
-// live masters Restore left in place. Otherwise:
+// versions. It is also the only code that points a parameter at a ring
+// snapshot, so it marks each as one (nn.Param.Install): a Linear packs a
+// marked snapshot's Wᵀ once for all the slots that read it. In a
+// synchronous epoch (GPipe, T3 warmup) every slot reads the live masters
+// Restore left in place. Otherwise:
 //
 //   - forward weights. A forward slot reads FwdVersion. A recompute slot
 //     reads RecompVersion, T2-corrected when T2 is on, and with the
@@ -65,11 +68,12 @@ func (t *Trainer) install(s, stage int, kind slotKind) {
 	}
 	snap := t.store.Get(stage, v)
 	for j, pm := range t.part.Stages[stage] {
-		pm.Data = snap[j]
 		if recomp && t.delta != nil {
 			// u_recomp = w_{t−τr} − (τ_fwd − τ_recomp)·δ.
 			pm.Data = snap[j].Clone()
 			tensor.Axpy(pm.Data, -(t.taus[lo+j] - tauR), t.delta[lo+j])
+		} else {
+			pm.Install(snap[j])
 		}
 	}
 	if t.cfg.Method == PipeMare {
@@ -83,13 +87,13 @@ func (t *Trainer) install(s, stage int, kind slotKind) {
 	}
 }
 
-// Restore points the stage's parameters back at the live master weights
-// and clears the backward decoupling.
+// Restore points the stage's parameters back at the live master weights,
+// clears the backward decoupling and releases the Wᵀ panels the stage's
+// forwards packed, so no panel outlives the minibatch.
 func (h host) Restore(stage int) {
 	t := h.t
 	for i := t.stageLo[stage]; i < t.stageHi[stage]; i++ {
-		t.params[i].Data = t.masters[i]
-		t.params[i].Bwd = nil
+		t.params[i].Restore(t.masters[i])
 	}
 }
 

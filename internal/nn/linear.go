@@ -23,10 +23,16 @@ func NewLinear(name string, in, out int, bias bool, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes x·Wᵀ + b and saves x on the tape.
+// Forward computes x·Wᵀ + b and saves x on the tape. When W reads an
+// installed snapshot, the product reads its Wᵀ panel, packed once per
+// snapshot; otherwise it packs Wᵀ itself.
 func (l *Linear) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	out := t.NewTensor(x.Shape[0], l.W.Data.Shape[0])
-	tensor.MatMulT2Into(out, x, l.W.Data)
+	if pn := l.W.forwardPanel(); pn != nil {
+		tensor.MatMulT2PanelInto(out, x, pn)
+	} else {
+		tensor.MatMulT2Into(out, x, l.W.Data)
+	}
 	if l.B != nil {
 		if out.DType() == tensor.Float32 {
 			addBiasRows(tensor.F32(out), tensor.F32(l.B.Data), out.Shape[0], out.Shape[1])

@@ -40,6 +40,12 @@ type Param struct {
 	// per-microbatch gradients across data-parallel replicas without
 	// perturbing training curves.
 	Grad *tensor.Tensor
+
+	// snap is the immutable weight snapshot Install last pointed Data at.
+	// panel, when non-nil, is Wᵀ packed from panelOf for Linear.Forward;
+	// it lives until Restore (one minibatch of a pipelined run).
+	snap, panelOf *tensor.Tensor
+	panel         *tensor.Panel
 }
 
 // NewParam returns a zero-initialized parameter of the given shape.
@@ -54,6 +60,49 @@ func (p *Param) BwdData() *tensor.Tensor {
 	}
 	return p.Data
 }
+
+// Install points Data at w, an immutable weight snapshot (an entry of a
+// version ring, which nothing writes while a slot may read it), and marks
+// it as one: while Data is still w, a Linear packs Wᵀ on its first forward
+// and reuses the panel (forwardPanel). Data set any other way — a master,
+// a corrected clone — is read as it stands, product by product.
+func (p *Param) Install(w *tensor.Tensor) { p.Data, p.snap = w, w }
+
+// Restore points Data back at master, clears the backward decoupling and
+// returns the panel, if any, to the pack pool.
+func (p *Param) Restore(master *tensor.Tensor) {
+	p.Data, p.Bwd, p.snap = master, nil, nil
+	if p.panel != nil {
+		p.panel.Release()
+		p.panel, p.panelOf = nil, nil
+	}
+}
+
+// forwardPanel returns the Wᵀ panel of Data when Data is the snapshot
+// Install marked, packing it on the first forward that reads that
+// snapshot, and nil otherwise (the product then packs per call). Under
+// the race detector every reuse re-packs and compares (checkPanel).
+func (p *Param) forwardPanel() *tensor.Panel {
+	if p.Data != p.snap {
+		return nil
+	}
+	if p.panel != nil && p.panelOf == p.Data {
+		checkPanel(p)
+		return p.panel
+	}
+	if p.panel != nil {
+		p.panel.Release()
+	}
+	p.panel, p.panelOf = tensor.PackT2(p.Data), p.Data
+	if onPack != nil {
+		onPack(p)
+	}
+	return p.panel
+}
+
+// onPack, when set, is called with the param of every panel forwardPanel
+// packs (a test counts them).
+var onPack func(*Param)
 
 // CastTo converts the parameter's weights, backward weights and gradient
 // accumulator to dt in place (no-op when already that dtype). Casting

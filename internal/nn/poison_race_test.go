@@ -4,6 +4,8 @@ package nn
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"pipemare/internal/tensor"
@@ -34,4 +36,28 @@ func TestTapePoisonsUnderRace(t *testing.T) {
 			tp.Reset()
 		}
 	}
+}
+
+// TestPanelGuardNamesAChangedSnapshot pins the race build's panel check:
+// a Linear reusing the Wᵀ panel of an installed snapshot that was written
+// after the pack panics, naming the weight, rather than multiplying by
+// stale values.
+func TestPanelGuardNamesAChangedSnapshot(t *testing.T) {
+	l := NewLinear("guarded", 5, 3, false, rand.New(rand.NewSource(1)))
+	snap := l.W.Data.Clone()
+	l.W.Install(snap)
+	x := tensor.New(2, 5)
+	x.Fill(1)
+	var tp Tape
+	l.Forward(&tp, x) // packs
+	l.Forward(&tp, x) // reuses, unchanged
+	snap.SetFlat(4, 7)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "guarded.W") {
+			t.Fatalf("reusing a changed snapshot's panel: recovered %q, want a panic naming guarded.W", msg)
+		}
+		l.W.Restore(tensor.New(3, 5))
+	}()
+	l.Forward(&tp, x)
 }

@@ -244,29 +244,7 @@ func (a *AdamW) StepRange(step, lo, hi int, lrs []float64) {
 		p := a.ps[i]
 		lr := lrs[i-lo]
 		m, v := a.m[i-a.shard.Lo], a.v[i-a.shard.Lo]
-		if p.Data.DType() == tensor.Float32 {
-			adamwStep(tensor.F32(p.Data), tensor.F32(p.Grad), tensor.F32(m), tensor.F32(v),
-				a.Beta1, a.Beta2, a.Eps, a.WeightDecay, lr, bc1, bc2)
-		} else {
-			adamwStep(tensor.F64(p.Data), tensor.F64(p.Grad), tensor.F64(m), tensor.F64(v),
-				a.Beta1, a.Beta2, a.Eps, a.WeightDecay, lr, bc1, bc2)
-		}
-	}
-}
-
-// adamwStep applies the bias-corrected AdamW update to one parameter. The
-// per-element arithmetic (including the square root) runs in float64 for
-// both dtypes; float32 rounds once at each moment/weight store.
-func adamwStep[T tensor.Elem](w, g, m, v []T, b1, b2, eps, wd, lr, bc1, bc2 float64) {
-	for j := range w {
-		gr := float64(g[j])
-		mj := float64(b1*float64(m[j])) + float64((1-b1)*gr)
-		vj := float64(b2*float64(v[j])) + float64((1-b2)*gr*gr)
-		m[j] = T(mj)
-		v[j] = T(vj)
-		mh := mj / bc1
-		vh := vj / bc2
-		w[j] = T(float64(w[j]) - float64(lr*(mh/(math.Sqrt(vh)+eps)+float64(wd*float64(w[j])))))
+		tensor.AdamWInto(p.Data, p.Grad, m, v, a.Beta1, a.Beta2, a.Eps, a.WeightDecay, lr, bc1, bc2)
 	}
 }
 

@@ -8,12 +8,13 @@ import (
 // The matmul family is one cache-blocked, register-tiled GEMM shared by
 // all three transpose variants and every shape:
 //
-//	MatMulInto       dst  = a · b
-//	MatMulT1Into     dst  = aᵀ · b
-//	MatMulT2Into     dst  = a · bᵀ
-//	MatMulT1AddInto  dst += aᵀ · b   (one add per element: the fold)
+//	MatMulInto         dst  = a · b
+//	MatMulT1Into       dst  = aᵀ · b
+//	MatMulT2Into       dst  = a · bᵀ
+//	MatMulT1AddInto    dst += aᵀ · b   (one add per element: the fold)
+//	MatMulT2PanelInto  dst  = a · wᵀ   (w packed once, as a Panel: panel.go)
 //
-// The first three ignore what dst holds; none of them asks a caller to
+// All but the fold ignore what dst holds; none of them asks a caller to
 // zero, fold or copy around it. The kernels own the destination: each
 // takes a C mode (cMode) that starts its accumulators from C or from +0
 // and stores the sum or C + sum.
@@ -32,6 +33,9 @@ import (
 //     panel: one pass over B then buys unit-stride reads for all of them
 //     (a 512-wide float64 B has a 4 KiB row stride, every step of a tile
 //     in the same L1 set; 512³ loses a quarter of its rate without this).
+//
+// A Panel is that copy made once for a whole weight, which every product
+// that reads the weight then shares (panel.go).
 //
 // The threshold is a reuse count, not a work gate: PipeMare's slots are
 // short products (a microbatch of a few rows through a weight), where a
@@ -124,9 +128,9 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	checkDst(dst, a, b, m, n, "MatMul")
 	if dst.dt == Float32 {
-		gemm(F32(dst), F32(a), F32(b), m, n, k, false, false, cZero)
+		gemm(F32(dst), F32(a), F32(b), m, n, k, false, false, cZero, false)
 	} else {
-		gemm(F64(dst), F64(a), F64(b), m, n, k, false, false, cZero)
+		gemm(F64(dst), F64(a), F64(b), m, n, k, false, false, cZero, false)
 	}
 }
 
@@ -135,9 +139,9 @@ func MatMulInto(dst, a, b *Tensor) {
 func MatMulT1Into(dst, a, b *Tensor) {
 	m, n, k := t1Dims(dst, a, b, "MatMulT1")
 	if dst.dt == Float32 {
-		gemm(F32(dst), F32(a), F32(b), m, n, k, true, false, cZero)
+		gemm(F32(dst), F32(a), F32(b), m, n, k, true, false, cZero, false)
 	} else {
-		gemm(F64(dst), F64(a), F64(b), m, n, k, true, false, cZero)
+		gemm(F64(dst), F64(a), F64(b), m, n, k, true, false, cZero, false)
 	}
 }
 
@@ -169,9 +173,9 @@ func MatMulT2Into(dst, a, b *Tensor) {
 	}
 	checkDst(dst, a, b, m, n, "MatMulT2")
 	if dst.dt == Float32 {
-		gemm(F32(dst), F32(a), F32(b), m, n, k, false, true, cZero)
+		gemm(F32(dst), F32(a), F32(b), m, n, k, false, true, cZero, false)
 	} else {
-		gemm(F64(dst), F64(a), F64(b), m, n, k, false, true, cZero)
+		gemm(F64(dst), F64(a), F64(b), m, n, k, false, true, cZero, false)
 	}
 }
 
@@ -222,19 +226,21 @@ const (
 // gemmFold is MatMulT1AddInto on raw slices.
 func gemmFold[T Elem](dst, a, b []T, m, n, k int) {
 	if k <= kcBlock {
-		gemm(dst, a, b, m, n, k, true, false, cFold)
+		gemm(dst, a, b, m, n, k, true, false, cFold, false)
 		return
 	}
 	s := getScratch[T](&sumPools, m*n)
-	gemm(s.b, a, b, m, n, k, true, false, cZero)
+	gemm(s.b, a, b, m, n, k, true, false, cZero, false)
 	addInto(dst, s.b)
 	putScratch(&sumPools, s)
 }
 
 // gemm writes the m×n product into dst in the given mode (cZero or, for a
 // single k-panel, cFold). aT reads A as its transpose (A stored k×m); bT
-// reads B as its transpose (B stored n×k).
-func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT bool, mode cMode) {
+// reads B as its transpose (B stored n×k). panel says b is already a
+// whole-matrix panel of such a B (packPanel): each block is read where it
+// lies, and nothing is packed.
+func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT bool, mode cMode, panel bool) {
 	dst = dst[:m*n]
 	if k == 0 {
 		// The empty sum is +0. Folding it still turns a −0 into +0, as
@@ -256,8 +262,8 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT bool, mode cMode) {
 	if bT {
 		ldb = k
 	}
-	var s *scratch[T] // nil: B is read in place
-	if bT || m >= mcBlock {
+	var s *scratch[T] // nil: B is read in place, or from the panel
+	if !panel && (bT || m >= mcBlock) {
 		s = getScratch[T](&packPools, kcBlock*ncBlock)
 	}
 	for jc := 0; jc < n; jc += ncBlock {
@@ -269,9 +275,13 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT bool, mode cMode) {
 				pm = cLoad
 			}
 			// The tile at column jr reads its B rows from bp[jr*bjs:],
-			// bps apart: in place, or in the NR-interleaved copy.
+			// bps apart: in place, or in the NR-interleaved copy — this
+			// call's, or the panel's block.
 			bp, bjs, bps := b[pc*n+jc:], 1, n
-			if s != nil {
+			switch {
+			case panel:
+				bp, bjs, bps = b[panelBlock(jc, nc, pc, k):], kc, nrTile
+			case s != nil:
 				bp, bjs, bps = s.b, kc, nrTile
 				packB(bp, b, ldb, jc, nc, pc, kc, bT)
 			}
@@ -303,8 +313,9 @@ func gemm[T Elem](dst, a, b []T, m, n, k int, aT, bT bool, mode cMode) {
 // a tile reads it with unit step stride. A row-major B (stored k×n) moves
 // a row of the group at a time. A transposed one (stored n×k) is the
 // transposition: a full group walks its 16 source rows together (packT),
-// a ragged last group each of its columns along its source row. The lanes
-// past nc in a ragged last group are never read.
+// a ragged last group each of its columns along its source row, zeroing
+// its lanes past nc (which no kernel reads) so that a panel's bits are a
+// function of B alone.
 func packB[T Elem](bp, b []T, ldb, j0, nc, p0, kc int, bT bool) {
 	for jr := 0; jr < nc; jr += nrTile {
 		cols := min(nrTile, nc-jr)
@@ -322,6 +333,9 @@ func packB[T Elem](bp, b []T, ldb, j0, nc, p0, kc int, bT bool) {
 				for p, v := range col {
 					g[p*nrTile+c] = v
 				}
+			}
+			for p := 0; p < kc; p++ {
+				clear(g[p*nrTile+cols : (p+1)*nrTile])
 			}
 		}
 	}

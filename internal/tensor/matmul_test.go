@@ -453,7 +453,9 @@ func TestIm2ColDtypes(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMulShapes measures the three variants and the T1 fold, at
+// BenchmarkMatMulShapes measures the three variants, the T1 fold and T2
+// from a panel packed beforehand (T2Panel: a forward slot's product once
+// its weight version is packed), at
 // every kernel level the host has, at the shapes the trainers run — a
 // P=107 residual-MLP slot (8×16·16×16), a transformer microbatch through
 // a projection, the vocab head and the two feed-forward halves (28 rows),
@@ -479,6 +481,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				x, y := randOf(rng, dt, m, k), randOf(rng, dt, k, n)
 				xt, yt := transposed(x), transposed(y)
 				dst := NewOf(dt, m, n)
+				pn := PackT2(yt)
 				for _, c := range []struct {
 					name string
 					call func()
@@ -487,6 +490,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 					{"T1", func() { MatMulT1Into(dst, xt, y) }},
 					{"T1Add", func() { MatMulT1AddInto(dst, xt, y) }},
 					{"T2", func() { MatMulT2Into(dst, x, yt) }},
+					{"T2Panel", func() { MatMulT2PanelInto(dst, x, pn) }},
 				} {
 					b.Run(fmt.Sprintf("%s/%s/%dx%dx%d/%s", l.name, dt, m, k, n, c.name), func(b *testing.B) {
 						l.run(func() {
@@ -498,6 +502,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 						b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 					})
 				}
+				pn.Release()
 			}
 		}
 	}

@@ -5,8 +5,8 @@ package tensor
 import "unsafe"
 
 // haveSIMD reports whether the 4×8 AVX microkernels may be used, and
-// haveAVX512 whether the 4×16 AVX-512F ones (full and masked edge) and the
-// eight-lane GELU kernels may. Both are detected once at startup, with no option to
+// haveAVX512 whether the 4×16 AVX-512F ones (full and masked edge), the
+// eight-lane GELU kernels and the commit kernels (AdamW, T2) may. Both are detected once at startup, with no option to
 // override them:
 //
 //   - AVX: the CPU must support AVX and the OS must have enabled XMM and
@@ -15,7 +15,7 @@ import "unsafe"
 //     AVX2 is not required.
 //   - AVX-512: AVX as above, CPUID.7.0:EBX[16] (AVX512F), and the OS must
 //     also have enabled opmask and ZMM state (XCR0 bits 5, 6 and 7). The
-//     4×16 and GELU kernels use only AVX512F instructions on ZMM and
+//     4×16, GELU and commit kernels use only AVX512F instructions on ZMM and
 //     opmask registers (KMOVW, not the DQ KMOVB; VPXORD/VPXORQ, not the
 //     DQ VXORPS; the GELU kernels also VRNDSCALEPD, VSCALEFPD and the
 //     float32↔float64 conversions).
@@ -120,6 +120,32 @@ func geluBwd8f64(out, dy, x unsafe.Pointer, n int)
 //
 //go:noescape
 func geluBwd8f32(out, dy, x unsafe.Pointer, n int)
+
+// adamw8f64 applies adamwStep to w, grad, m, v[0:n], eight float64 lanes at
+// a time in ZMM registers (AVX512F), performing the twin's operations in
+// its order with no FMA (commit_amd64.s). n is a positive multiple of 8;
+// bounds are pre-checked by the caller.
+//
+//go:noescape
+func adamw8f64(w, grad, m, v unsafe.Pointer, n int, k *adamwConsts)
+
+// adamw8f32 is adamw8f64 over float32 storage: each lane widens to
+// float64, and each store rounds once.
+//
+//go:noescape
+func adamw8f32(w, grad, m, v unsafe.Pointer, n int, k *adamwConsts)
+
+// t2x8f64 applies t2Update to d, c, cur, prev[0:n] with omg = 1 − γ,
+// eight float64 lanes at a time, as adamw8f64 does adamwStep.
+//
+//go:noescape
+func t2x8f64(d, c, cur, prev unsafe.Pointer, n int, gamma, omg, tau float64)
+
+// t2x16f32 is t2x8f64 in float32, sixteen lanes at a time; n is a
+// positive multiple of 16.
+//
+//go:noescape
+func t2x16f32(d, c, cur, prev unsafe.Pointer, n int, gamma, omg, tau float32)
 
 // ptr returns the base address of a non-empty slice for the assembly
 // kernels.

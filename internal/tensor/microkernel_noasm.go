@@ -39,4 +39,18 @@ func geluFwd8f32(out, x unsafe.Pointer, n int) { panic("tensor: SIMD kernel unav
 func geluBwd8f64(out, dy, x unsafe.Pointer, n int) { panic("tensor: SIMD kernel unavailable") }
 func geluBwd8f32(out, dy, x unsafe.Pointer, n int) { panic("tensor: SIMD kernel unavailable") }
 
+func adamw8f64(w, grad, m, v unsafe.Pointer, n int, k *adamwConsts) {
+	panic("tensor: SIMD kernel unavailable")
+}
+func adamw8f32(w, grad, m, v unsafe.Pointer, n int, k *adamwConsts) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func t2x8f64(d, c, cur, prev unsafe.Pointer, n int, gamma, omg, tau float64) {
+	panic("tensor: SIMD kernel unavailable")
+}
+func t2x16f32(d, c, cur, prev unsafe.Pointer, n int, gamma, omg, tau float32) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
 func ptr[T Elem](s []T) unsafe.Pointer { return unsafe.Pointer(&s[0]) }

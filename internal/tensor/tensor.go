@@ -206,22 +206,6 @@ func scaleInPlace[T Elem](d []T, s T) {
 	}
 }
 
-// DivScalar divides every element of t by s, preserving the dtype's
-// native division rounding (x/s, not x*(1/s)).
-func (t *Tensor) DivScalar(s float64) {
-	if t.dt == Float32 {
-		divScalar(t.data32, float32(s))
-	} else {
-		divScalar(t.data, s)
-	}
-}
-
-func divScalar[T Elem](d []T, s T) {
-	for i := range d {
-		d[i] /= s
-	}
-}
-
 func checkSame(a, b *Tensor, op string) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.Shape, b.Shape))

@@ -58,7 +58,11 @@ func TestElementwiseOps(t *testing.T) {
 	}{
 		{"AddInto", func(x *Tensor) { AddInto(x, b) }, []float64{5, 7, 9}},
 		{"ScaleInPlace", func(x *Tensor) { x.ScaleInPlace(2) }, []float64{2, 4, 6}},
-		{"DivScalar", func(x *Tensor) { x.DivScalar(2) }, []float64{0.5, 1, 1.5}},
+		{"DivSumSq", func(x *Tensor) {
+			if s := x.DivSumSq(2); s != 3.5 {
+				t.Errorf("DivSumSq returned %g, want 3.5", s)
+			}
+		}, []float64{0.5, 1, 1.5}},
 		{"Fill", func(x *Tensor) { x.Fill(7) }, []float64{7, 7, 7}},
 		{"Zero", func(x *Tensor) { x.Zero() }, []float64{0, 0, 0}},
 	}
