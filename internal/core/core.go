@@ -278,13 +278,17 @@ type Trainer struct {
 	gamma     []float64
 
 	// Stage execution state: the task's program, the op ranges each stage
-	// owns and the in-flight microbatch machines. The flows map is the only
-	// trainer state shared between engine goroutines outside the per-stage
-	// ownership contract, hence its own mutex.
+	// owns and the in-flight microbatch machines: flows[k] is microbatch k
+	// of the minibatch at hand (host.flight). The flows slots and the free
+	// pool are the only trainer state shared between engine goroutines
+	// outside the per-stage ownership contract: BeginMicro and EndMicro
+	// change them under flowMu, and a slot reads its microbatch's entry
+	// without it, ordered after BeginMicro and before EndMicro by the
+	// engine.
 	prog       *nn.Program
 	opLo, opHi []int
 	flowMu     sync.Mutex
-	flows      map[int]*flight
+	flows      []*flight
 	freeFlows  []*flight
 
 	// Data-parallel replication state: a trainer New builds leads one
@@ -496,7 +500,7 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 	if t.opLo, t.opHi, err = t.prog.StageRanges(part.StageOf, p); err != nil {
 		return nil, err
 	}
-	t.flows = make(map[int]*flight)
+	t.flows = make([]*flight, n)
 	t.layoutStages()
 	return t, nil
 }

@@ -110,10 +110,16 @@ func (t *probeTask) BindMicro(m *nn.Machine, _ []int) {
 	}
 	t.tr.flowMu.Lock()
 	defer t.tr.flowMu.Unlock()
-	t.inFlight = max(t.inFlight, len(t.tr.flows))
-	for s, fl := range t.tr.flows {
-		if fl.m == m {
-			m.Labels = append(m.Labels[:0], s)
+	open := 0
+	for _, fl := range t.tr.flows {
+		if fl != nil {
+			open++
+		}
+	}
+	t.inFlight = max(t.inFlight, open)
+	for k, fl := range t.tr.flows {
+		if fl != nil && fl.m == m {
+			m.Labels = append(m.Labels[:0], host{t.tr}.MicroBase()+k)
 			return
 		}
 	}

@@ -117,16 +117,21 @@ func (h host) BeginMicro(s int, mb []int) {
 		}
 	}
 	fl.mb = mb
-	t.flows[s] = fl
+	t.flows[h.slot(s)] = fl
 	t.flowMu.Unlock()
 }
 
-// flight returns microbatch s's in-flight state.
+// slot returns microbatch s's index in the minibatch at hand, its
+// s − MicroBase(): every base is a multiple of N and the minibatch's
+// microbatches are base … base+N−1, so it is s mod N. The slot needs no
+// read of the version store.
+func (h host) slot(s int) int { return s % h.t.clock.N }
+
+// flight returns microbatch s's in-flight state, without taking flowMu:
+// the engine orders every slot of s after BeginMicro(s) and before
+// EndMicro(s), and no other microbatch of the minibatch shares its entry.
 func (h host) flight(s int) *flight {
-	t := h.t
-	t.flowMu.Lock()
-	fl := t.flows[s]
-	t.flowMu.Unlock()
+	fl := h.t.flows[h.slot(s)]
 	if fl == nil {
 		panic(fmt.Sprintf("core: microbatch %d has no in-flight state (missing BeginMicro)", s))
 	}
@@ -175,8 +180,8 @@ func (h host) StageBackward(s, stage int) {
 func (h host) EndMicro(s int) {
 	t := h.t
 	t.flowMu.Lock()
-	if fl := t.flows[s]; fl != nil {
-		delete(t.flows, s)
+	if fl := t.flows[h.slot(s)]; fl != nil {
+		t.flows[h.slot(s)] = nil
 		fl.mb = nil
 		t.freeFlows = append(t.freeFlows, fl)
 	}

@@ -31,7 +31,7 @@ type Classification struct {
 	rLogits nn.Reg
 	lossAt  int // op index of the loss op
 
-	evalM *nn.Machine
+	evalMs []*nn.Machine // one per eval goroutine, built by EvalTest
 
 	trainX, testX *tensor.Tensor // (N, D) or (N, C, H, W) features
 	trainY, testY []int
@@ -52,7 +52,6 @@ func newClassification(b *progBuilder, rIn, rLogits nn.Reg, ce *nn.CrossEntropy,
 	} else {
 		c.trainX, c.testX = d.TrainX, d.TestX
 	}
-	c.evalM = nn.NewMachine(c.prog.NumRegs)
 	return c
 }
 
@@ -152,7 +151,7 @@ func (c *Classification) CloneTask() core.Task {
 // the optimizer sizes its moments off the parameter dtype.
 func (c *Classification) SetDType(dt tensor.DType) {
 	c.dt = dt
-	setProgDType(dt, c.groups, c.prog, c.evalM)
+	setProgDType(dt, c.groups, c.prog, c.evalMs...)
 }
 
 // Program returns the compiled op program (core.Task).
@@ -171,29 +170,33 @@ func (c *Classification) BindMicro(m *nn.Machine, idx []int) {
 // NumTrain returns the training-set size.
 func (c *Classification) NumTrain() int { return len(c.trainY) }
 
-// EvalTest returns test accuracy in percent.
+// EvalTest returns test accuracy in percent. The test rows split over
+// evalWorkers goroutines, each running the forward section on its own
+// machine (forEvalChunks); the correct counts add up in share order.
 func (c *Classification) EvalTest() float64 {
 	n := len(c.testY)
-	const chunk = 256
-	correct := 0
-	for s := 0; s < n; s += chunk {
-		e := s + chunk
-		if e > n {
-			e = n
-		}
-		idx := make([]int, e-s)
-		for i := range idx {
-			idx[i] = s + i
-		}
-		c.evalM.ResetRun()
-		c.evalM.SetVal(c.rIn, gatherRowsTape(&c.evalM.Tape, c.testX, idx))
-		c.prog.ForwardRange(c.evalM, 0, c.lossAt)
-		logits := c.evalM.Val(c.rLogits)
+	w := evalWorkers(n)
+	for len(c.evalMs) < w {
+		m := nn.NewMachine(c.prog.NumRegs)
+		m.Tape.SetDType(c.dt)
+		c.evalMs = append(c.evalMs, m)
+	}
+	correct := make([]int, w)
+	forEvalChunks(n, w, 256, func(g int, idx []int) {
+		m := c.evalMs[g]
+		m.ResetRun()
+		m.SetVal(c.rIn, gatherRowsTape(&m.Tape, c.testX, idx))
+		c.prog.ForwardRange(m, 0, c.lossAt)
+		logits := m.Val(c.rLogits)
 		for i := range idx {
 			if logits.ArgMaxRow(i) == c.testY[idx[i]] {
-				correct++
+				correct[g]++
 			}
 		}
+	})
+	total := 0
+	for _, k := range correct {
+		total += k
 	}
-	return 100 * float64(correct) / float64(n)
+	return 100 * float64(total) / float64(n)
 }

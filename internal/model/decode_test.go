@@ -24,8 +24,10 @@ func checkCachedDecode(t *testing.T, tr *Translation) int {
 	L := tr.ds.TgtLen
 	full := nn.NewMachine(tr.prog.NumRegs)
 	full.Tape.SetDType(tr.dt)
+	e := tr.evalPairs(1)[0]
 	var cands, refs [][]int
-	tr.evalChunks(func(idx []int, mem *tensor.Tensor) {
+	forEvalChunks(tr.ds.TestSrc.Shape[0], 1, 64, func(_ int, idx []int) {
+		mem := tr.encode(e.enc, idx)
 		b := len(idx)
 		dstT, toks := tensor.New(b, L), tensor.New(b, 1)
 		dst := tensor.F64(dstT)
@@ -41,11 +43,11 @@ func checkCachedDecode(t *testing.T, tr *Translation) int {
 			tr.prog.ForwardRange(full, tr.encEnd, tr.lossAt)
 			want := full.Val(tr.rLogits)
 
-			tr.decM.ResetRun()
-			tr.decM.SetVal(tr.rMem, mem)
-			tr.decM.SetVal(tr.rDst, toks)
-			tr.prog.DecodeStep(tr.decM, tr.encEnd, tr.lossAt, tr.rDst, pos)
-			got := tr.decM.Val(tr.rLogits)
+			e.dec.ResetRun()
+			e.dec.SetVal(tr.rMem, mem)
+			e.dec.SetVal(tr.rDst, toks)
+			tr.prog.DecodeStep(e.dec, tr.encEnd, tr.lossAt, tr.rDst, pos)
+			got := e.dec.Val(tr.rLogits)
 
 			v := want.Shape[1]
 			if got.Shape[0] != b || got.Shape[1] != v || got.DType() != want.DType() {

@@ -1,9 +1,13 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
+	"pipemare/internal/bleu"
 	"pipemare/internal/data"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
@@ -360,4 +364,82 @@ func TestModelGroupCostsDriveBalancedPartitions(t *testing.T) {
 	if ib, ie := pipeline.Imbalance(bal.StageCosts(ccosts)), pipeline.Imbalance(even.StageCosts(ccosts)); ib > ie {
 		t.Fatalf("MLP P=5: balanced imbalance %.3f worse than even %.3f", ib, ie)
 	}
+}
+
+// TestEvalTestIsTheSameOnEveryCore holds EvalTest to the same bits at
+// GOMAXPROCS 1 (one machine, whole chunks) and 4 (four shares of the test
+// rows, each fed quarter chunks), then 1 again on the machines the split
+// sized: a row's logits do not depend on the rows beside it, and the
+// counts and candidates fold in test-set order. The test sets are ragged
+// against both splits, and the weights are perturbed far from their
+// initialization so predictions vary from row to row. An untrained
+// transformer scores BLEU 0 whatever it decodes, so its greedy tokens are
+// compared too.
+func TestEvalTestIsTheSameOnEveryCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	img := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4, Train: 8, Test: 301, Noise: 0.4, Seed: 1})
+	ds := data.NewTranslation(data.TranslationConfig{Vocab: 11, SrcLen: 5, Train: 8, Test: 101, Seed: 2})
+	perturb := func(groups []pipeline.ParamGroup) {
+		rng := rand.New(rand.NewSource(11))
+		for _, g := range groups {
+			for _, p := range g.Params {
+				for j := 0; j < p.Size(); j++ {
+					p.Data.SetFlat(j, p.Data.FlatAt(j)+rng.NormFloat64())
+				}
+			}
+		}
+	}
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		for _, c := range []*Classification{NewResNetMLP(img, 16, 3, 5), NewConvNet(img, 4, 1, 2, 6)} {
+			perturb(c.Groups())
+			c.SetDType(dt)
+			var got []float64
+			for _, procs := range []int{1, 4, 1} {
+				runtime.GOMAXPROCS(procs)
+				got = append(got, c.EvalTest())
+			}
+			if got[0] == 0 || got[0] == 100 {
+				t.Fatalf("%s: accuracy %v%%; the comparison needs varied predictions", dt, got[0])
+			}
+			for _, v := range got {
+				if math.Float64bits(v) != math.Float64bits(got[0]) {
+					t.Fatalf("%s: accuracy at GOMAXPROCS 1, 4, 1 = %v", dt, got)
+				}
+			}
+		}
+
+		tr := NewTranslation(ds, TransformerConfig{Dim: 16, Heads: 2, EncLayers: 1, DecLayers: 1, Seed: 3})
+		perturb(tr.Groups())
+		tr.SetDType(dt)
+		var first [][]int
+		distinct := map[string]bool{}
+		for _, procs := range []int{1, 4, 1} {
+			runtime.GOMAXPROCS(procs)
+			cands, _ := tr.greedyTest()
+			if first == nil {
+				first = cands
+				for _, c := range cands {
+					distinct[fmt.Sprint(c)] = true
+				}
+			}
+			if fmt.Sprint(cands) != fmt.Sprint(first) {
+				t.Fatalf("%s: greedy decode at GOMAXPROCS %d differs from GOMAXPROCS 1", dt, procs)
+			}
+			if bleu := tr.EvalTest(); math.Float64bits(bleu) != math.Float64bits(bleuOf(tr, first)) {
+				t.Fatalf("%s: BLEU at GOMAXPROCS %d = %v", dt, procs, bleu)
+			}
+		}
+		if len(distinct) < 10 {
+			t.Fatalf("%s: only %d distinct decoded sequences; the comparison needs varied tokens", dt, len(distinct))
+		}
+	}
+}
+
+// bleuOf scores candidates against the task's test references.
+func bleuOf(tr *Translation, cands [][]int) float64 {
+	refs := make([][]int, len(cands))
+	for i := range refs {
+		refs[i] = trimEOS(tr.ds.TestLbl[i])
+	}
+	return bleu.Corpus(cands, refs)
 }

@@ -1,6 +1,9 @@
 package model
 
 import (
+	"runtime"
+	"sync"
+
 	"pipemare/internal/nn"
 	"pipemare/internal/pipeline"
 	"pipemare/internal/tensor"
@@ -110,4 +113,37 @@ func gatherRowsTape(t *nn.Tape, x *tensor.Tensor, idx []int) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// evalWorkers returns how many goroutines evaluate n test rows: one per
+// P (GOMAXPROCS), and no more than there are rows.
+func evalWorkers(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n)) }
+
+// forEvalChunks splits the n test rows into w contiguous shares and runs
+// share g on a goroutine of its own, calling fn(g, idx) for its rows in
+// ascending chunks of ⌈chunk/w⌉ indices: w machines each fed a w-th of
+// the chunk hold, together, the arenas one machine fed the whole chunk
+// does. It returns when every share has.
+func forEvalChunks(n, w, chunk int, fn func(g int, idx []int)) {
+	size := (chunk + w - 1) / w
+	share := func(g int) {
+		lo, hi := g*n/w, (g+1)*n/w
+		for s := lo; s < hi; s += size {
+			idx := make([]int, min(size, hi-s))
+			for i := range idx {
+				idx[i] = s + i
+			}
+			fn(g, idx)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < w; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			share(g)
+		}()
+	}
+	share(0)
+	wg.Wait()
 }

@@ -32,7 +32,7 @@ type Translation struct {
 	encEnd                    int // op index where the decoder section starts
 	lossAt                    int // op index of the loss op
 
-	encM, decM *nn.Machine
+	evals []evalPair // one per eval goroutine (evalPairs)
 
 	d  int
 	dt tensor.DType
@@ -106,8 +106,6 @@ func NewTranslation(ds *data.Translation, cfg TransformerConfig) *Translation {
 	t.groups = b.groups
 	t.prog = b.build()
 	t.lossAt = len(t.prog.Ops) - 1
-	t.encM = nn.NewMachine(t.prog.NumRegs)
-	t.decM = nn.NewMachine(t.prog.NumRegs)
 	return t
 }
 
@@ -176,7 +174,11 @@ func (t *Translation) CloneTask() core.Task {
 // the optimizer sizes its moments off the parameter dtype.
 func (t *Translation) SetDType(dt tensor.DType) {
 	t.dt = dt
-	setProgDType(dt, t.groups, t.prog, t.encM, t.decM)
+	var ms []*nn.Machine
+	for _, e := range t.evals {
+		ms = append(ms, e.enc, e.dec)
+	}
+	setProgDType(dt, t.groups, t.prog, ms...)
 }
 
 // Program returns the compiled op program (core.Task).
@@ -197,17 +199,29 @@ func (t *Translation) BindMicro(m *nn.Machine, idx []int) {
 func (t *Translation) NumTrain() int { return t.ds.TrainSrc.Shape[0] }
 
 // EvalTest greedy-decodes the test set and returns corpus BLEU against the
-// reference translations (content tokens up to EOS). Per chunk of test
-// pairs, the encoder section of the program runs once on one machine;
-// then each greedy step runs the decoder section on a second machine for
-// one new row per pair (nn.Program.DecodeStep): its input is the previous
-// step's tokens, and the cross-attention keys and values of the encoder
-// memory and the self-attention keys and values of earlier positions come
-// from that machine's K/V cache. The logits are bit-identical to
-// re-running the decoder over every position at every step.
-func (t *Translation) EvalTest() float64 {
-	var cands, refs [][]int
-	t.evalChunks(func(idx []int, mem *tensor.Tensor) {
+// reference translations (content tokens up to EOS). The test pairs split
+// over evalWorkers goroutines (forEvalChunks), each with its own pair of
+// machines. Per chunk of test pairs, the encoder section of the program
+// runs once on the encoder machine; then each greedy step runs the decoder
+// section on the decoder machine for one new row per pair
+// (nn.Program.DecodeStep): its input is the previous step's tokens, and
+// the cross-attention keys and values of the encoder memory and the
+// self-attention keys and values of earlier positions come from that
+// machine's K/V cache. The logits are bit-identical to re-running the
+// decoder over every position at every step, and each pair's to decoding
+// it in any other chunk; the candidates score in test-set order.
+func (t *Translation) EvalTest() float64 { return bleu.Corpus(t.greedyTest()) }
+
+// greedyTest is EvalTest's decode: the candidates and references of the
+// test pairs, in test-set order.
+func (t *Translation) greedyTest() (cands, refs [][]int) {
+	n := t.ds.TestSrc.Shape[0]
+	w := evalWorkers(n)
+	evals := t.evalPairs(w)
+	cands, refs = make([][]int, n), make([][]int, n)
+	forEvalChunks(n, w, 64, func(g int, idx []int) {
+		e := evals[g]
+		mem := t.encode(e.enc, idx)
 		b := len(idx)
 		toks := tensor.New(b, 1) // dataset-style float64 token ids
 		ids := tensor.F64(toks)
@@ -216,11 +230,11 @@ func (t *Translation) EvalTest() float64 {
 		}
 		pred := make([][]int, b)
 		for pos := 0; pos < t.ds.TgtLen; pos++ {
-			t.decM.ResetRun()
-			t.decM.SetVal(t.rMem, mem)
-			t.decM.SetVal(t.rDst, toks)
-			t.prog.DecodeStep(t.decM, t.encEnd, t.lossAt, t.rDst, pos)
-			logits := t.decM.Val(t.rLogits)
+			e.dec.ResetRun()
+			e.dec.SetVal(t.rMem, mem)
+			e.dec.SetVal(t.rDst, toks)
+			t.prog.DecodeStep(e.dec, t.encEnd, t.lossAt, t.rDst, pos)
+			logits := e.dec.Val(t.rLogits)
 			for i := range ids {
 				tok := logits.ArgMaxRow(i)
 				pred[i] = append(pred[i], tok)
@@ -228,29 +242,36 @@ func (t *Translation) EvalTest() float64 {
 			}
 		}
 		for i, ix := range idx {
-			cands = append(cands, trimEOS(pred[i]))
-			refs = append(refs, trimEOS(t.ds.TestLbl[ix]))
+			cands[ix] = trimEOS(pred[i])
+			refs[ix] = trimEOS(t.ds.TestLbl[ix])
 		}
 	})
-	return bleu.Corpus(cands, refs)
+	return cands, refs
 }
 
-// evalChunks runs the encoder section over the test set in chunks of up
-// to 64 pairs, calling fn with each chunk's indices and encoder memory
-// (valid until the next chunk).
-func (t *Translation) evalChunks(fn func(idx []int, mem *tensor.Tensor)) {
-	n := t.ds.TestSrc.Shape[0]
-	const chunk = 64
-	for s := 0; s < n; s += chunk {
-		idx := make([]int, min(chunk, n-s))
-		for i := range idx {
-			idx[i] = s + i
-		}
-		t.encM.ResetRun()
-		t.encM.SetVal(t.rSrc, gatherRowsTape(&t.encM.Tape, t.ds.TestSrc, idx))
-		t.prog.ForwardRange(t.encM, 0, t.encEnd)
-		fn(idx, t.encM.Val(t.rMem))
+// evalPair is one eval goroutine's machines: the encoder's, and the
+// decoder's with its K/V cache.
+type evalPair struct{ enc, dec *nn.Machine }
+
+// evalPairs returns the first w eval pairs, building any missing at the
+// model's dtype.
+func (t *Translation) evalPairs(w int) []evalPair {
+	for len(t.evals) < w {
+		e := evalPair{nn.NewMachine(t.prog.NumRegs), nn.NewMachine(t.prog.NumRegs)}
+		e.enc.Tape.SetDType(t.dt)
+		e.dec.Tape.SetDType(t.dt)
+		t.evals = append(t.evals, e)
 	}
+	return t.evals[:w]
+}
+
+// encode runs the encoder section on m over the indexed test pairs and
+// returns the encoder memory (valid until m's next run).
+func (t *Translation) encode(m *nn.Machine, idx []int) *tensor.Tensor {
+	m.ResetRun()
+	m.SetVal(t.rSrc, gatherRowsTape(&m.Tape, t.ds.TestSrc, idx))
+	t.prog.ForwardRange(m, 0, t.encEnd)
+	return m.Val(t.rMem)
 }
 
 // trimEOS cuts a token sequence at the first EOS (exclusive).

@@ -100,11 +100,7 @@ func (c *Conv2d) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	// each folded with one add per element (see Param.Grad).
 	tensor.MatMulT1AddInto(c.W.Grad.Reshape(c.OutC, c.kCols), dyr, st.cols)
 	if c.B != nil {
-		if dyr.DType() == tensor.Float32 {
-			foldColSums(tensor.F32(c.B.Grad), tensor.F32(dyr), dyr.Shape[0], c.OutC)
-		} else {
-			foldColSums(tensor.F64(c.B.Grad), tensor.F64(dyr), dyr.Shape[0], c.OutC)
-		}
+		tensor.FoldColSums(c.B.Grad, dyr)
 	}
 	// dcols = dyr @ W_bwd, then scatter back to image space.
 	wb := c.W.BwdData().Reshape(c.OutC, c.kCols)

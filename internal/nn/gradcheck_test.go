@@ -161,11 +161,11 @@ func TestGroupNormGradient(t *testing.T) {
 
 // TestLayerKernelsAreLeafCalls is the nn half of the tensor package's
 // TestKernelsAreLeafCalls: on a warm tape the arena serves every buffer,
-// and the normalisation, attention, GELU and Linear loops run on the
+// and the normalisation, attention, GELU, ReLU and Linear loops run on the
 // calling goroutine with one scratch set (Linear's weight and bias
 // gradients fold straight into Grad, with no temporary), so a
 // forward+backward allocates only the tape's own bookkeeping — the boxed
-// record each Forward pushes (none for GELU and Linear, whose record is
+// record each Forward pushes (none for GELU, ReLU and Linear, whose record is
 // the input tensor itself), and the view
 // header (tensor + shape) RowView builds per (batch, head) pair per pass.
 // A row split under these layers shows up as its escaping closures and
@@ -186,7 +186,7 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 		ln.Gain.CastTo(dt)
 		ln.Bias.CastTo(dt)
 		attn := NewAttnCore(d, heads, seq, seq, true)
-		gelu := NewGELU()
+		gelu, relu := NewGELU(), NewReLU()
 		lin := NewLinear("lin", d, d, true, rng)
 		for _, p := range lin.Params() {
 			p.CastTo(dt)
@@ -199,6 +199,7 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 			{"LayerNorm", 1, func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
 			{"AttnCore", 1 + 2*2*batch*heads, func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
 			{"GELU", 0, func() { gelu.Forward(tp, in[0]); gelu.Backward(tp, in[1]) }},
+			{"ReLU", 0, func() { relu.Forward(tp, in[0]); relu.Backward(tp, in[1]) }},
 			{"Linear", 0, func() { lin.Forward(tp, in[0]); lin.Backward(tp, in[1]) }},
 		} {
 			pass := func() { tp.Reset(); c.run() }

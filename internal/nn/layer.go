@@ -25,48 +25,21 @@ type ReLU struct{}
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(x, 0) and saves x for the backward gate.
+// Forward computes max(x, 0) (tensor.ReLUInto) and saves x for the
+// backward gate.
 func (r *ReLU) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	out := t.NewTensor(x.Shape...)
-	if x.DType() == tensor.Float32 {
-		reluFwd(tensor.F32(out), tensor.F32(x))
-	} else {
-		reluFwd(tensor.F64(out), tensor.F64(x))
-	}
+	tensor.ReLUInto(out, x)
 	t.Push(x)
 	return out
 }
 
-func reluFwd[T tensor.Elem](out, x []T) {
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-}
-
-// Backward gates dy by the sign of the forward input.
+// Backward gates dy by the sign of the forward input (tensor.ReLUGradInto).
 func (r *ReLU) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	x := t.Pop().(*tensor.Tensor)
 	out := t.NewTensor(dy.Shape...)
-	if x.DType() == tensor.Float32 {
-		reluBwd(tensor.F32(out), tensor.F32(dy), tensor.F32(x))
-	} else {
-		reluBwd(tensor.F64(out), tensor.F64(dy), tensor.F64(x))
-	}
+	tensor.ReLUGradInto(out, dy, x)
 	return out
-}
-
-func reluBwd[T tensor.Elem](out, dy, x []T) {
-	for i, v := range dy {
-		if x[i] > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
 }
 
 // Params returns nil: ReLU has no parameters.

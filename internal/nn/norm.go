@@ -29,94 +29,26 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 	return ln
 }
 
-// Forward normalizes each row and applies the affine transform. Statistics
-// accumulate in float64 for both dtypes; float32 rounds once at each store.
+// Forward normalizes each row and applies the affine transform
+// (tensor.LayerNormInto). Statistics accumulate in float64 for both
+// dtypes; float32 rounds once at each store.
 func (ln *LayerNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	n, d := x.Shape[0], x.Shape[1]
 	xhat := t.NewTensor(n, d)
 	invStd := t.Floats(n)
 	out := t.NewTensor(n, d)
-	if x.DType() == tensor.Float32 {
-		lnFwd(tensor.F32(out), tensor.F32(xhat), tensor.F32(x),
-			tensor.F32(ln.Gain.Data), tensor.F32(ln.Bias.Data), invStd, n, d, ln.Eps)
-	} else {
-		lnFwd(tensor.F64(out), tensor.F64(xhat), tensor.F64(x),
-			tensor.F64(ln.Gain.Data), tensor.F64(ln.Bias.Data), invStd, n, d, ln.Eps)
-	}
+	tensor.LayerNormInto(out, xhat, x, ln.Gain.Data, ln.Bias.Data, invStd, ln.Eps)
 	t.Push(lnState{xhat, invStd})
 	return out
 }
 
-func lnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, n, d int, eps float64) {
-	for i := 0; i < n; i++ {
-		row := x[i*d : (i+1)*d]
-		mu := 0.0
-		for _, v := range row {
-			mu += float64(v)
-		}
-		mu /= float64(d)
-		va := 0.0
-		for _, v := range row {
-			va += float64((float64(v) - mu) * (float64(v) - mu))
-		}
-		va /= float64(d)
-		is := 1 / math.Sqrt(va+eps)
-		invStd[i] = is
-		for j, v := range row {
-			xh := (float64(v) - mu) * is
-			xhat[i*d+j] = T(xh)
-			out[i*d+j] = T(float64(float64(gain[j])*xh) + float64(bias[j]))
-		}
-	}
-}
-
-// Backward accumulates dγ, dβ and returns dx using the backward gain.
+// Backward accumulates dγ, dβ and returns dx using the backward gain
+// (tensor.LayerNormGradInto).
 func (ln *LayerNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	st := t.Pop().(lnState)
-	n, d := dy.Shape[0], dy.Shape[1]
-	out := t.NewTensor(n, d)
-	if dy.DType() == tensor.Float32 {
-		lnBwd(tensor.F32(out), tensor.F32(dy), tensor.F32(st.xhat),
-			tensor.F32(ln.Gain.BwdData()), tensor.F32(ln.Gain.Grad), tensor.F32(ln.Bias.Grad),
-			st.invStd, n, d)
-	} else {
-		lnBwd(tensor.F64(out), tensor.F64(dy), tensor.F64(st.xhat),
-			tensor.F64(ln.Gain.BwdData()), tensor.F64(ln.Gain.Grad), tensor.F64(ln.Bias.Grad),
-			st.invStd, n, d)
-	}
+	out := t.NewTensor(dy.Shape[0], dy.Shape[1])
+	tensor.LayerNormGradInto(out, dy, st.xhat, ln.Gain.BwdData(), ln.Gain.Grad, ln.Bias.Grad, st.invStd)
 	return out
-}
-
-func lnBwd[T tensor.Elem](out, dy, xhat, gainB, gGrad, bGrad []T, invStd []float64, n, d int) {
-	// dγ_j = Σ_i dy_ij·xhat_ij and dβ_j = Σ_i dy_ij: rows accumulate in
-	// ascending order per column. The sums form in float64 and land on
-	// the gradient with one add per element.
-	for j := 0; j < d; j++ {
-		sg, sb := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			g := float64(dy[i*d+j])
-			sg += float64(g * float64(xhat[i*d+j]))
-			sb += g
-		}
-		gGrad[j] += T(sg)
-		bGrad[j] += T(sb)
-	}
-	for i := 0; i < n; i++ {
-		m1, m2 := 0.0, 0.0
-		for j := 0; j < d; j++ {
-			dx := float64(float64(dy[i*d+j]) * float64(gainB[j]))
-			m1 += dx
-			m2 += float64(dx * float64(xhat[i*d+j]))
-		}
-		m1 /= float64(d)
-		m2 /= float64(d)
-		is := invStd[i]
-		for j := 0; j < d; j++ {
-			xh := float64(xhat[i*d+j])
-			dx := float64(float64(dy[i*d+j]) * float64(gainB[j]))
-			out[i*d+j] = T(is * (dx - m1 - float64(xh*m2)))
-		}
-	}
 }
 
 // Params returns the gain and bias.

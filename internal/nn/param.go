@@ -31,7 +31,7 @@ type Param struct {
 	// contribution is summed from +0 apart from the accumulator, then
 	// folded in. The Linear and Conv2d weights fold in registers, in the
 	// GEMM's epilogue (tensor.MatMulT1AddInto), and their biases column
-	// by column (foldColSums); a scatter (the embeddings, GroupNorm) sums
+	// by column (tensor.FoldColSums); a scatter (the embeddings, GroupNorm) sums
 	// into a tape temporary folded with one AddInto. Because each
 	// microbatch therefore lands as one add of a value that does not
 	// depend on the accumulator, a gradient computed into a zeroed buffer

@@ -77,22 +77,12 @@ func (t *Tape) NewTensor(shape ...int) *tensor.Tensor {
 	return c
 }
 
-// Add returns a + b elementwise in a fresh arena tensor (the residual-join
-// kernel shared by layers and ops).
+// Add returns a + b elementwise in a fresh arena tensor (the residual
+// join shared by layers and ops, tensor.SumInto).
 func (t *Tape) Add(a, b *tensor.Tensor) *tensor.Tensor {
 	out := t.NewTensor(a.Shape...)
-	if out.DType() == tensor.Float32 {
-		addRows(tensor.F32(out), tensor.F32(a), tensor.F32(b))
-	} else {
-		addRows(tensor.F64(out), tensor.F64(a), tensor.F64(b))
-	}
+	tensor.SumInto(out, a, b)
 	return out
-}
-
-func addRows[T tensor.Elem](out, a, b []T) {
-	for i := range out {
-		out[i] = a[i] + b[i]
-	}
 }
 
 // Floats returns a zeroed float scratch slice of length n from the arena.

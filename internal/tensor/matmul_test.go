@@ -363,10 +363,10 @@ func checkEdgeTiles[T Elem](t *testing.T, c0, a, b []T, kc int) {
 // calling goroutine: no closure, goroutine or WaitGroup under it, so no
 // allocation — at the shapes the workloads run (all with k ≤ kcBlock, so
 // MatMulT1AddInto folds in the kernel, with no temporary) and in the
-// softmax and GELU, per dtype. It also pins who copies B: a short
-// row-major product (8×16·16×16, 28×128·128×128, the vocab head's
-// 28×128·128×13, NN, T1 and the T1 fold) reads both operands in place and
-// never touches the panel pool; T2, and NN from mcBlock rows on, take
+// softmax, GELU and the row kernels, per dtype. It also pins who copies
+// B: a short row-major product (8×16·16×16, 28×128·128×128, the vocab
+// head's 28×128·128×13, NN, T1 and the T1 fold) reads both operands in
+// place and never touches the panel pool; T2, and NN from mcBlock rows on, take
 // their panel from the warm pool. The pipeline's stage workers are the
 // only parallelism; a row split growing back under the kernels shows up
 // here as its escaping closures.
@@ -407,11 +407,20 @@ func TestKernelsAreLeafCalls(t *testing.T) {
 			}
 		}
 		x := randOf(rng, dt, 64, 128)
-		y := NewLike(x)
+		y, xhat := NewLike(x), NewLike(x)
+		v, vg := randOf(rng, dt, 128), randOf(rng, dt, 128)
+		invStd := make([]float64, 64)
 		for name, call := range map[string]func(){
-			"SoftmaxRowsInto": func() { SoftmaxRowsInto(y, x) },
-			"GELUInto":        func() { GELUInto(y, x) },
-			"GELUGradInto":    func() { GELUGradInto(y, x, x) },
+			"SoftmaxRowsInto":   func() { SoftmaxRowsInto(y, x) },
+			"GELUInto":          func() { GELUInto(y, x) },
+			"GELUGradInto":      func() { GELUGradInto(y, x, x) },
+			"LayerNormInto":     func() { LayerNormInto(y, xhat, x, v, v, invStd, 1e-5) },
+			"LayerNormGradInto": func() { LayerNormGradInto(y, x, xhat, v, vg, vg, invStd) },
+			"ReLUInto":          func() { ReLUInto(y, x) },
+			"ReLUGradInto":      func() { ReLUGradInto(y, x, x) },
+			"SumInto":           func() { SumInto(y, x, x) },
+			"AddBiasRows":       func() { AddBiasRows(y, v) },
+			"FoldColSums":       func() { FoldColSums(vg, x) },
 		} {
 			if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
 				t.Errorf("%s %s allocated %.1f times per call, want 0", dt, name, allocs)

@@ -6,8 +6,9 @@ import "unsafe"
 
 // haveSIMD reports whether the 4×8 AVX microkernels may be used, and
 // haveAVX512 whether the 4×16 AVX-512F ones (full and masked edge), the
-// eight-lane GELU kernels and the commit kernels (AdamW, T2) may. Both are detected once at startup, with no option to
-// override them:
+// eight-lane GELU kernels, the commit kernels (AdamW, T2) and the row
+// kernels (LayerNorm, ReLU, the one-add row ops) may. Both are detected
+// once at startup, with no option to override them:
 //
 //   - AVX: the CPU must support AVX and the OS must have enabled XMM and
 //     YMM state (XCR0 bits 1 and 2). The 4×8 kernels use only AVX1
@@ -15,10 +16,12 @@ import "unsafe"
 //     AVX2 is not required.
 //   - AVX-512: AVX as above, CPUID.7.0:EBX[16] (AVX512F), and the OS must
 //     also have enabled opmask and ZMM state (XCR0 bits 5, 6 and 7). The
-//     4×16, GELU and commit kernels use only AVX512F instructions on ZMM and
-//     opmask registers (KMOVW, not the DQ KMOVB; VPXORD/VPXORQ, not the
-//     DQ VXORPS; the GELU kernels also VRNDSCALEPD, VSCALEFPD and the
-//     float32↔float64 conversions).
+//     4×16, GELU, commit and row kernels use only AVX512F instructions on
+//     ZMM and opmask registers (KMOVW, not the DQ KMOVB; VPXORD/VPXORQ,
+//     not the DQ VXORPS; masked moves on ZMM only, never the VL forms on
+//     YMM; the GELU kernels also VRNDSCALEPD, VSCALEFPD and the
+//     float32↔float64 conversions, the row kernels the qword-indexed
+//     gathers and VPERMPD).
 //
 // Which kernel runs never changes results: every GEMM kernel performs the
 // same scalar-order multiply-then-add per output element as the generic
@@ -146,6 +149,79 @@ func t2x8f64(d, c, cur, prev unsafe.Pointer, n int, gamma, omg, tau float64)
 //
 //go:noescape
 func t2x16f32(d, c, cur, prev unsafe.Pointer, n int, gamma, omg, tau float32)
+
+// lnFwd8f64 runs lnFwd over all n rows of d columns (n, d ≥ 1) in ZMM
+// registers (AVX512F): the row statistics one float64 lane per row, eight
+// rows at a time, the rest one lane per column, performing the twin's
+// float64 operations in its order with no FMA (rows_amd64.s). Bounds are
+// pre-checked by the caller.
+//
+//go:noescape
+func lnFwd8f64(out, xhat, x, gain, bias, invStd unsafe.Pointer, n, d int, eps float64)
+
+// lnFwd8f32 is lnFwd8f64 over float32 storage: each value widens to
+// float64, and each store rounds once.
+//
+//go:noescape
+func lnFwd8f32(out, xhat, x, gain, bias, invStd unsafe.Pointer, n, d int, eps float64)
+
+// lnBwd8f64 runs lnBwd over all n rows of d columns (n, d ≥ 1), as
+// lnFwd8f64 does lnFwd: dγ and dβ one lane per column, m1 and m2 one lane
+// per row.
+//
+//go:noescape
+func lnBwd8f64(out, dy, xhat, gainB, gGrad, bGrad, invStd unsafe.Pointer, n, d int)
+
+// lnBwd8f32 is the float32 twin of lnBwd8f64.
+//
+//go:noescape
+func lnBwd8f32(out, dy, xhat, gainB, gGrad, bGrad, invStd unsafe.Pointer, n, d int)
+
+// reluFwd8f64 runs reluFwd over n elements, n a positive multiple of 8,
+// and reluFwd16f32 over float32, n a positive multiple of 16.
+//
+//go:noescape
+func reluFwd8f64(out, x unsafe.Pointer, n int)
+
+//go:noescape
+func reluFwd16f32(out, x unsafe.Pointer, n int)
+
+// reluBwd8f64 and reluBwd16f32 run reluBwd as reluFwd8f64 and
+// reluFwd16f32 run reluFwd.
+//
+//go:noescape
+func reluBwd8f64(out, dy, x unsafe.Pointer, n int)
+
+//go:noescape
+func reluBwd16f32(out, dy, x unsafe.Pointer, n int)
+
+// add8f64 and add16f32 run addRows as reluFwd8f64 and reluFwd16f32 run
+// reluFwd.
+//
+//go:noescape
+func add8f64(out, a, b unsafe.Pointer, n int)
+
+//go:noescape
+func add16f32(out, a, b unsafe.Pointer, n int)
+
+// addBias8f64 runs addBiasRows over rows, cols ≥ 1, one lane per column,
+// and addBias16f32 its float32 twin.
+//
+//go:noescape
+func addBias8f64(out, b unsafe.Pointer, rows, cols int)
+
+//go:noescape
+func addBias16f32(out, b unsafe.Pointer, rows, cols int)
+
+// foldCols8f64 runs foldColSums over rows, cols ≥ 1, one lane per column
+// summing its rows in ascending order, and foldCols16f32 its float32
+// twin.
+//
+//go:noescape
+func foldCols8f64(grad, dy unsafe.Pointer, rows, cols int)
+
+//go:noescape
+func foldCols16f32(grad, dy unsafe.Pointer, rows, cols int)
 
 // ptr returns the base address of a non-empty slice for the assembly
 // kernels.
