@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"fmt"
@@ -13,24 +13,9 @@ import (
 	"pipemare/internal/throughput"
 )
 
-func init() {
-	register("table1", "Characterization of pipeline parallel training methods", table1)
-	register("table4", "Activation memory with/without PipeMare Recompute (P=L)", table4)
-	register("table5", "Activation memory of PipeMare across tasks", table5)
-	register("fig1", "Pipelining modes (ASCII schedule)", fig1)
-	register("fig3a", "Quadratic model divergence vs delay", fig3a)
-	register("fig3b", "Step size × delay heatmap for delayed linear regression", fig3b)
-	register("fig5a", "Quadratic model divergence vs discrepancy sensitivity", fig5a)
-	register("fig5b", "Largest eigenvalue vs step size, with/without T2", fig5b)
-	register("fig6", "Per-stage activation footprint of PipeMare Recompute", fig6)
-	register("fig8", "Largest stable step size vs ∆, original vs T2", fig8)
-	register("fig16", "Recompute quadratic model eigenvalues", fig16)
-	register("appendixA3", "GPipe equal-budget throughput optimum", appendixA3)
-}
-
 // table1 prints Table 1 both symbolically and at the paper's reference
 // geometry (first stage, P = 107, N = 8).
-func table1(w io.Writer, _ Scale) {
+func table1(w io.Writer, _ *config) {
 	fmt.Fprintln(w, "Table 1: delays, throughput and weight memory (first stage i=1)")
 	p, n := 107, 8
 	tb := newTable("Method", "tau_fwd", "tau_bkwd", "Throughput", "WeightsMem")
@@ -45,7 +30,7 @@ func table1(w io.Writer, _ Scale) {
 
 // table4 prints the Table 4 asymptotic activation-memory entries at a
 // reference fine-grained geometry.
-func table4(w io.Writer, _ Scale) {
+func table4(w io.Writer, _ *config) {
 	p, n := 107, 8
 	fmt.Fprintf(w, "Table 4: activation memory in units of M (P=L=%d, N=%d)\n", p, n)
 	tb := newTable("Mode", "No recompute", "With recompute")
@@ -55,7 +40,7 @@ func table4(w io.Writer, _ Scale) {
 }
 
 // table5 prints the Table 5 recompute ratios for the paper's stage counts.
-func table5(w io.Writer, _ Scale) {
+func table5(w io.Writer, _ *config) {
 	fmt.Fprintln(w, "Table 5: PipeMare activation memory with recompute (ratio = 1/sqrt(P))")
 	tb := newTable("Dataset", "Stages", "No recompute", "With recompute")
 	for _, c := range []struct {
@@ -69,7 +54,7 @@ func table5(w io.Writer, _ Scale) {
 
 // fig1 renders the three pipelining modes of Figure 1 as ASCII schedules
 // for a 3-stage pipeline.
-func fig1(w io.Writer, _ Scale) {
+func fig1(w io.Writer, _ *config) {
 	fmt.Fprintln(w, "Figure 1: pipelining modes for P=3 (F=forward, B=backward, .=bubble)")
 	fmt.Fprintln(w, "\n(a) Throughput-poor (GPipe, N=3: fill/drain bubbles at minibatch boundary)")
 	fmt.Fprintln(w, "  stage1: F0 F1 F2 .  .  B0 B1 B2 | F3 ...")
@@ -90,7 +75,7 @@ func fig1(w io.Writer, _ Scale) {
 
 // fig3a regenerates Figure 3(a): quadratic trajectories at λ=1, α=0.2 for
 // τ ∈ {0, 5, 10}.
-func fig3a(w io.Writer, _ Scale) {
+func fig3a(w io.Writer, _ *config) {
 	fmt.Fprintln(w, "Figure 3a: quadratic model, lambda=1 alpha=0.2, noise N(0,1)")
 	tb := newTable("tau", "loss@50", "loss@100", "loss@200", "diverged", "Lemma1 bound")
 	for _, tau := range []int{0, 5, 10} {
@@ -104,13 +89,13 @@ func fig3a(w io.Writer, _ Scale) {
 // fig3b regenerates Figure 3(b): final loss of fixed-delay full-batch
 // gradient descent on a cpusmall-like linear regression over an (α, τ)
 // grid, with the Lemma 1 boundary using the largest curvature.
-func fig3b(w io.Writer, s Scale) {
+func fig3b(w io.Writer, c *config) {
 	lrg := data.NewRegression(200, 12, nil, 0.5, 7)
 	lr := &quad.LinearRegression{X: lrg.X, Y: lrg.Y}
 	lam := lr.MaxCurvature()
 	steps := 20000
 	taus := []int{1, 4, 16, 64, 256}
-	if s == Full {
+	if c.full {
 		steps = 200000
 		taus = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
 	}
@@ -144,7 +129,7 @@ func fig3b(w io.Writer, s Scale) {
 
 // fig5a regenerates Figure 5(a): discrepancy-driven divergence at
 // τf=10, τb=6, λ=1, α=0.12.
-func fig5a(w io.Writer, _ Scale) {
+func fig5a(w io.Writer, _ *config) {
 	fmt.Fprintln(w, "Figure 5a: quadratic model with tau_fwd=10, tau_bkwd=6, lambda=1, alpha=0.12")
 	tb := newTable("Delta", "loss@100", "loss@200", "diverged")
 	for _, delta := range []float64{0, 3, 5} {
@@ -158,13 +143,13 @@ func fig5a(w io.Writer, _ Scale) {
 
 // fig5b regenerates Figure 5(b): largest companion eigenvalue vs α for
 // discrepancy with no correction, no discrepancy, and T2 correction.
-func fig5b(w io.Writer, s Scale) {
+func fig5b(w io.Writer, c *config) {
 	tauF, tauB := 10, 6
 	delta := 5.0
 	d := 0.1
 	gamma := quad.GammaFromD(d, float64(tauF), float64(tauB))
 	alphas := []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0}
-	if s == Full {
+	if c.full {
 		alphas = nil
 		for a := 0.01; a <= 1.0; a *= 1.25 {
 			alphas = append(alphas, a)
@@ -184,7 +169,7 @@ func fig5b(w io.Writer, s Scale) {
 
 // fig6 regenerates Figure 6: per-stage cached activations with and without
 // recompute, 16 stages in 4 segments.
-func fig6(w io.Writer, _ Scale) {
+func fig6(w io.Writer, _ *config) {
 	p, s := 16, 4
 	with := memmodel.StageActivationsRecompute(p, s)
 	without := memmodel.StageActivations(p)
@@ -202,11 +187,11 @@ func fig6(w io.Writer, _ Scale) {
 
 // fig8 regenerates Figure 8: largest stable α vs ∆ for the original and
 // T2-corrected quadratic model at τf=40, τb=10.
-func fig8(w io.Writer, s Scale) {
+func fig8(w io.Writer, c *config) {
 	tauF, tauB := 40, 10
 	gamma := quad.GammaTaylor(tauF, tauB)
 	deltas := []float64{-100, -50, -10, 0, 10, 50, 100}
-	if s == Full {
+	if c.full {
 		deltas = []float64{-100, -75, -50, -25, -10, -5, -1, 0, 1, 5, 10, 25, 50, 75, 100}
 	}
 	fmt.Fprintf(w, "Figure 8: largest stable alpha vs Delta (tau_fwd=%d, tau_bkwd=%d, gamma=%.3f)\n", tauF, tauB, gamma)
@@ -234,12 +219,12 @@ func fig8(w io.Writer, s Scale) {
 
 // fig16 regenerates Figure 16: spectral radius vs α for the recompute
 // model with ∆=10, Φ=−5, τ=(10,4,1).
-func fig16(w io.Writer, s Scale) {
+func fig16(w io.Writer, c *config) {
 	tauF, tauB, tauR := 10, 1, 4
 	delta, phi := 10.0, -5.0
 	gamma := quad.GammaFromD(0.1, float64(tauF), float64(tauB))
 	alphas := []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}
-	if s == Full {
+	if c.full {
 		alphas = nil
 		for a := 0.001; a <= 1.0; a *= 1.3 {
 			alphas = append(alphas, a)
@@ -259,7 +244,7 @@ func fig16(w io.Writer, s Scale) {
 }
 
 // appendixA3 prints the equal-budget throughput analysis.
-func appendixA3(w io.Writer, _ Scale) {
+func appendixA3(w io.Writer, _ *config) {
 	a1, t1 := throughput.GPipeOptimal()
 	a2, t2 := throughput.GPipeOptimalRecompute()
 	fmt.Fprintln(w, "Appendix A.3: GPipe throughput relative to PipeMare under equal budgets")

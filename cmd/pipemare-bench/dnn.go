@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"fmt"
@@ -6,58 +6,30 @@ import (
 	"math"
 
 	"pipemare/internal/core"
+	"pipemare/internal/experiments"
 	"pipemare/internal/metrics"
 )
 
-func init() {
-	register("table2", "End-to-end comparison (best metric, speedup, epochs, throughput, memory)", table2)
-	register("table3", "Ablation study of PipeMare techniques", table3)
-	register("fig2", "Impact of pipeline stages (translation)", fig2)
-	register("fig4", "Incremental techniques at 2x stages", fig4)
-	register("fig7", "Divergence analysis: parameter norms and delay discrepancy", fig7)
-	register("fig9", "ImageNet-like and WMT-like training curves", fig9)
-	register("fig10", "Incremental techniques at 1x stages", fig10)
-	register("fig11", "Deeper model (ResNet152-like): T1 vs T1+T2", fig11)
-	register("fig12", "Sensitivity to annealing epochs (T1 K)", fig12)
-	register("fig13", "Sensitivity to discrepancy-correction decay D", fig13)
-	register("fig14", "Sensitivity to warmup epochs (T3)", fig14)
-	register("fig15", "Impact of pipeline stages (classification)", fig15)
-	register("fig17", "Recompute statistical performance (classification)", fig17)
-	register("fig18", "Recompute statistical performance (translation)", fig18)
-}
-
-// scaleEpochs shrinks a reference epoch budget for Quick runs.
-func scaleEpochs(s Scale, epochs int) int {
-	if s == Full {
-		return epochs
-	}
-	e := epochs / 4
-	if e < 6 {
-		e = 6
-	}
-	return e
-}
-
 // table2 regenerates Table 2: PipeDream vs GPipe vs PipeMare on all four
-// workloads (classification only under Quick).
-func table2(w io.Writer, s Scale) {
-	workloads := []Workload{CIFARLike(), IWSLTLike()}
-	if s == Full {
-		workloads = []Workload{CIFARLike(), ImageNetLike(), IWSLTLike(), WMTLike()}
+// workloads (the CIFAR and IWSLT substitutes only at quick scale).
+func table2(w io.Writer, c *config) {
+	workloads := []experiments.Workload{experiments.CIFARLike(), experiments.IWSLTLike()}
+	if c.full {
+		workloads = []experiments.Workload{experiments.CIFARLike(), experiments.ImageNetLike(), experiments.IWSLTLike(), experiments.WMTLike()}
 	}
 	fmt.Fprintln(w, "Table 2: end-to-end comparison")
 	for _, wl := range workloads {
-		epochs := scaleEpochs(s, wl.Epochs)
-		gp := wl.Run(RunSpec{Method: core.GPipe, Epochs: epochs, Seed: 11})
-		pd := wl.Run(RunSpec{Method: core.PipeDream, Epochs: epochs, Seed: 11})
-		pm := wl.Run(RunSpec{Method: core.PipeMare, UseT1: true, UseT2: true, UseT3: true, WarmupEpochs: -1, Epochs: epochs, Seed: 11})
-		target := wl.Target(gp, pd, pm)
-		gpTime := gp.TimeTo(target, core.GPipe, 0)
+		epochs := c.scaleEpochs(wl.Epochs)
+		gp := c.train(wl, runSpec{Method: core.GPipe, Epochs: epochs, Seed: 11})
+		pd := c.train(wl, runSpec{Method: core.PipeDream, Epochs: epochs, Seed: 11})
+		pm := c.train(wl, runSpec{Method: core.PipeMare, UseT1: true, UseT2: true, UseT3: true, WarmupEpochs: -1, Epochs: epochs, Seed: 11})
+		target := paperTarget(wl, gp, pd, pm)
+		gpTime := gp.timeTo(target, core.GPipe, 0)
 		fmt.Fprintf(w, "\n%s  [%s]  stages=%d N=%d target=%.1f\n", wl.Name, wl.Paper, pm.Stages, pm.N, target)
 		tb := newTable("Method", "Best", "Target", "Speedup", "EpochsToTgt", "Throughput", "Weight+Opt Mem")
-		row := func(name string, r RunResult, m core.Method, warm int) {
+		row := func(name string, r runResult, m core.Method, warm int) {
 			e := r.Run.EpochsToTarget(target)
-			tt := r.TimeTo(target, m, warm)
+			tt := r.timeTo(target, m, warm)
 			speed := metrics.Speedup(gpTime, tt)
 			es, ss := "-", "-"
 			if e > 0 {
@@ -82,23 +54,23 @@ func table2(w io.Writer, s Scale) {
 
 // table3 regenerates the Table 3 ablation on the classification and
 // translation workloads.
-func table3(w io.Writer, s Scale) {
+func table3(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Table 3: ablation study of PipeMare")
 	type abl struct {
 		name       string
 		t1, t2, t3 bool
 	}
-	run := func(wl Workload, rows []abl) {
-		epochs := scaleEpochs(s, wl.Epochs)
-		gp := wl.Run(RunSpec{Method: core.GPipe, Epochs: epochs, Seed: 11})
-		results := make([]RunResult, len(rows))
+	run := func(wl experiments.Workload, rows []abl) {
+		epochs := c.scaleEpochs(wl.Epochs)
+		gp := c.train(wl, runSpec{Method: core.GPipe, Epochs: epochs, Seed: 11})
+		results := make([]runResult, len(rows))
 		for i, a := range rows {
-			results[i] = wl.Run(RunSpec{Method: core.PipeMare, UseT1: a.t1, UseT2: a.t2, UseT3: a.t3,
+			results[i] = c.train(wl, runSpec{Method: core.PipeMare, UseT1: a.t1, UseT2: a.t2, UseT3: a.t3,
 				WarmupEpochs: -1, Epochs: epochs, Seed: 11})
 		}
-		all := append([]RunResult{gp}, results...)
-		target := wl.Target(all...)
-		gpTime := gp.TimeTo(target, core.GPipe, 0)
+		all := append([]runResult{gp}, results...)
+		target := paperTarget(wl, all...)
+		gpTime := gp.timeTo(target, core.GPipe, 0)
 		fmt.Fprintf(w, "\n%s  target=%.1f (GPipe best %.1f)\n", wl.Name, target, gp.Run.Best())
 		tb := newTable("Method", "Best", "Speedup", "EpochsToTgt", "Throughput", "Weight+Opt Mem")
 		for i, a := range rows {
@@ -108,7 +80,7 @@ func table3(w io.Writer, s Scale) {
 			if a.t3 {
 				warm = wl.WarmupEpochs
 			}
-			tt := r.TimeTo(target, core.PipeMare, warm)
+			tt := r.timeTo(target, core.PipeMare, warm)
 			es, ss := "-", "-"
 			if e > 0 {
 				es = fmt.Sprint(e)
@@ -124,12 +96,12 @@ func table3(w io.Writer, s Scale) {
 		}
 		tb.write(w)
 	}
-	run(CIFARLike(), []abl{
+	run(experiments.CIFARLike(), []abl{
 		{"T1 only", true, false, false},
 		{"T2 only", false, true, false},
 		{"T1+T2", true, true, false},
 	})
-	run(IWSLTLike(), []abl{
+	run(experiments.IWSLTLike(), []abl{
 		{"T1 only", true, false, false},
 		{"T2 only", false, true, false},
 		{"T1+T2", true, true, false},
@@ -139,8 +111,8 @@ func table3(w io.Writer, s Scale) {
 
 // ablationCurves prints the per-epoch metric for Sync / T1 / T1+T2 /
 // T1+T2+T3 — the Figure 4 and Figure 10 series.
-func ablationCurves(w io.Writer, s Scale, wl Workload, stages int, label string) {
-	epochs := scaleEpochs(s, wl.Epochs)
+func ablationCurves(w io.Writer, c *config, wl experiments.Workload, stages int, label string) {
+	epochs := c.scaleEpochs(wl.Epochs)
 	specs := []struct {
 		name       string
 		method     core.Method
@@ -151,9 +123,9 @@ func ablationCurves(w io.Writer, s Scale, wl Workload, stages int, label string)
 		{"T1+T2", core.PipeMare, true, true, false},
 		{"T1+T2+T3", core.PipeMare, true, true, true},
 	}
-	results := make([]RunResult, len(specs))
+	results := make([]runResult, len(specs))
 	for i, sp := range specs {
-		results[i] = wl.Run(RunSpec{Method: sp.method, Stages: stages, UseT1: sp.t1, UseT2: sp.t2,
+		results[i] = c.train(wl, runSpec{Method: sp.method, Stages: stages, UseT1: sp.t1, UseT2: sp.t2,
 			UseT3: sp.t3, WarmupEpochs: -1, Epochs: epochs, Seed: 11})
 	}
 	fmt.Fprintf(w, "\n%s (%s, stages=%d)\n", label, wl.Name, results[0].Stages)
@@ -182,32 +154,32 @@ func ablationCurves(w io.Writer, s Scale, wl Workload, stages int, label string)
 }
 
 // fig4 runs the ablation at ~2× the fine-grained stage count.
-func fig4(w io.Writer, s Scale) {
+func fig4(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 4: incremental PipeMare techniques at 2x stages")
-	wl := CIFARLike()
-	wl.NewTask = doubleDepthClassifier(wl)
+	wl := experiments.CIFARLike()
+	wl.NewTask = doubleDepthClassifier
 	wl.T1K = wl.T1K * 2
-	ablationCurves(w, s, wl, 0, "classification, 213 weight groups")
-	if s == Full {
-		ablationCurves(w, s, IWSLTLike(), 0, "translation, all weight groups")
+	ablationCurves(w, c, wl, 0, "classification, 213 weight groups")
+	if c.full {
+		ablationCurves(w, c, experiments.IWSLTLike(), 0, "translation, all weight groups")
 	}
 }
 
 // fig10 runs the ablation at the default (1×) stage counts.
-func fig10(w io.Writer, s Scale) {
+func fig10(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 10: incremental PipeMare techniques at 1x stages")
-	ablationCurves(w, s, CIFARLike(), 0, "classification")
-	if s == Full {
-		ablationCurves(w, s, IWSLTLike(), 0, "translation")
+	ablationCurves(w, c, experiments.CIFARLike(), 0, "classification")
+	if c.full {
+		ablationCurves(w, c, experiments.IWSLTLike(), 0, "translation")
 	}
 }
 
 // fig7 regenerates the divergence probes: parameter norm and accuracy for
 // asynchronous training with and without forward/backward discrepancy.
-func fig7(w io.Writer, s Scale) {
+func fig7(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 7: divergence analysis (parameter norm, accuracy)")
-	wl := CIFARLike()
-	epochs := scaleEpochs(s, 40)
+	wl := experiments.CIFARLike()
+	epochs := c.scaleEpochs(40)
 	specs := []struct {
 		name   string
 		method core.Method
@@ -222,9 +194,9 @@ func fig7(w io.Writer, s Scale) {
 	for _, sp := range specs {
 		w2 := wl
 		if sp.deep {
-			w2.NewTask = doubleDepthClassifier(wl)
+			w2.NewTask = doubleDepthClassifier
 		}
-		r := w2.Run(RunSpec{Method: sp.method, Epochs: epochs, Seed: 7})
+		r := c.train(w2, runSpec{Method: sp.method, Epochs: epochs, Seed: 7})
 		n := r.Run.ParamNorm
 		idx5 := 4
 		if idx5 >= len(n) {
@@ -240,24 +212,20 @@ func fig7(w io.Writer, s Scale) {
 
 // doubleDepthClassifier doubles the residual-block count of the
 // classification workload (213 weight groups).
-func doubleDepthClassifier(wl Workload) func(int64) core.Task {
-	return func(seed int64) core.Task {
-		return classifierWithBlocks(105, seed)
-	}
-}
+func doubleDepthClassifier(seed int64) core.Task { return classifierWithBlocks(105, seed) }
 
 // fig9 prints the larger-workload curves for Sync / PipeDream / PipeMare.
-func fig9(w io.Writer, s Scale) {
+func fig9(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 9: ImageNet-like and WMT-like training curves")
-	workloads := []Workload{ImageNetLike()}
-	if s == Full {
-		workloads = append(workloads, WMTLike())
+	workloads := []experiments.Workload{experiments.ImageNetLike()}
+	if c.full {
+		workloads = append(workloads, experiments.WMTLike())
 	}
 	for _, wl := range workloads {
-		epochs := scaleEpochs(s, wl.Epochs)
-		gp := wl.Run(RunSpec{Method: core.GPipe, Epochs: epochs, Seed: 11})
-		pd := wl.Run(RunSpec{Method: core.PipeDream, Epochs: epochs, Seed: 11})
-		pm := wl.Run(RunSpec{Method: core.PipeMare, UseT1: true, UseT2: true, UseT3: true,
+		epochs := c.scaleEpochs(wl.Epochs)
+		gp := c.train(wl, runSpec{Method: core.GPipe, Epochs: epochs, Seed: 11})
+		pd := c.train(wl, runSpec{Method: core.PipeDream, Epochs: epochs, Seed: 11})
+		pm := c.train(wl, runSpec{Method: core.PipeMare, UseT1: true, UseT2: true, UseT3: true,
 			WarmupEpochs: -1, Epochs: epochs, Seed: 11})
 		fmt.Fprintf(w, "\n%s\n", wl.Name)
 		tb := newTable("Epoch", "Sync", "PipeDream", "PipeMare")
@@ -267,7 +235,7 @@ func fig9(w io.Writer, s Scale) {
 		}
 		for e := step - 1; e < epochs; e += step {
 			row := []any{e + 1}
-			for _, r := range []RunResult{gp, pd, pm} {
+			for _, r := range []runResult{gp, pd, pm} {
 				if e < r.Run.Epochs() {
 					row = append(row, fmt.Sprintf("%.1f", r.Run.Metric[e]))
 				} else {
@@ -281,17 +249,17 @@ func fig9(w io.Writer, s Scale) {
 }
 
 // fig11 contrasts T1-only and T1+T2 on a ~151-group model.
-func fig11(w io.Writer, s Scale) {
+func fig11(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 11: deeper classifier (151 weight groups): T1 only vs T1+T2")
-	wl := CIFARLike()
+	wl := experiments.CIFARLike()
 	wl.NewTask = func(seed int64) core.Task { return classifierWithBlocks(74, seed) }
-	epochs := scaleEpochs(s, wl.Epochs)
-	t1 := wl.Run(RunSpec{Method: core.PipeMare, UseT1: true, Epochs: epochs, Seed: 11})
-	t12 := wl.Run(RunSpec{Method: core.PipeMare, UseT1: true, UseT2: true, Epochs: epochs, Seed: 11})
+	epochs := c.scaleEpochs(wl.Epochs)
+	t1 := c.train(wl, runSpec{Method: core.PipeMare, UseT1: true, Epochs: epochs, Seed: 11})
+	t12 := c.train(wl, runSpec{Method: core.PipeMare, UseT1: true, UseT2: true, Epochs: epochs, Seed: 11})
 	tb := newTable("Variant", "Best", "Final norm", "Diverged")
 	for _, r := range []struct {
 		name string
-		r    RunResult
+		r    runResult
 	}{{"T1 only", t1}, {"T1+T2 (D=0.5)", t12}} {
 		n := r.r.Run.ParamNorm
 		tb.add(r.name, fmt.Sprintf("%.1f", r.r.Run.Best()), fmt.Sprintf("%.3g", n[len(n)-1]),
@@ -301,16 +269,16 @@ func fig11(w io.Writer, s Scale) {
 }
 
 // fig12 sweeps the T1 annealing length.
-func fig12(w io.Writer, s Scale) {
+func fig12(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 12: sensitivity to the number of annealing steps K (classification)")
-	wl := CIFARLike()
-	epochs := scaleEpochs(s, wl.Epochs)
+	wl := experiments.CIFARLike()
+	epochs := c.scaleEpochs(wl.Epochs)
 	perEpoch := 16
 	tb := newTable("K (epochs)", "Best", "Final", "Diverged/blown")
 	for _, kEpochs := range []int{5, 20, 30, 60} {
 		w2 := wl
 		w2.T1K = kEpochs * perEpoch
-		r := w2.Run(RunSpec{Method: core.PipeMare, UseT1: true, UseT2: true, Epochs: epochs, Seed: 11})
+		r := c.train(w2, runSpec{Method: core.PipeMare, UseT1: true, UseT2: true, Epochs: epochs, Seed: 11})
 		n := r.Run.ParamNorm
 		last := "-"
 		if !r.Run.Diverged {
@@ -322,15 +290,15 @@ func fig12(w io.Writer, s Scale) {
 }
 
 // fig13 sweeps the discrepancy-correction decay D, including D=0 (T1 only).
-func fig13(w io.Writer, s Scale) {
+func fig13(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 13: sensitivity to correction decay D (classification)")
-	wl := CIFARLike()
-	epochs := scaleEpochs(s, wl.Epochs)
+	wl := experiments.CIFARLike()
+	epochs := c.scaleEpochs(wl.Epochs)
 	tb := newTable("D", "Best", "Final", "Diverged/blown")
 	for _, d := range []float64{0, 0.2, 0.5, 0.7} {
 		w2 := wl
 		w2.T2D = d
-		r := w2.Run(RunSpec{Method: core.PipeMare, UseT1: true, UseT2: d > 0, Epochs: epochs, Seed: 11})
+		r := c.train(w2, runSpec{Method: core.PipeMare, UseT1: true, UseT2: d > 0, Epochs: epochs, Seed: 11})
 		n := r.Run.ParamNorm
 		last := "-"
 		if !r.Run.Diverged {
@@ -343,19 +311,19 @@ func fig13(w io.Writer, s Scale) {
 
 // fig14 sweeps the number of synchronous warmup epochs on the translation
 // workload (T3's tradeoff).
-func fig14(w io.Writer, s Scale) {
+func fig14(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 14: sensitivity to warmup epochs (translation)")
-	wl := IWSLTLike()
-	epochs := scaleEpochs(s, wl.Epochs)
+	wl := experiments.IWSLTLike()
+	epochs := c.scaleEpochs(wl.Epochs)
 	tb := newTable("Warmup epochs", "Best", "EpochsToTgt(best-0.4)", "Amortized throughput")
-	runs := []RunResult{}
+	runs := []runResult{}
 	warms := []int{3, 5, 10}
 	for _, m := range warms {
-		r := wl.Run(RunSpec{Method: core.PipeMare, UseT1: true, UseT2: true, UseT3: true,
+		r := c.train(wl, runSpec{Method: core.PipeMare, UseT1: true, UseT2: true, UseT3: true,
 			WarmupEpochs: m, Epochs: epochs, Seed: 11})
 		runs = append(runs, r)
 	}
-	target := wl.Target(runs...)
+	target := paperTarget(wl, runs...)
 	for i, m := range warms {
 		r := runs[i]
 		e := r.Run.EpochsToTarget(target)
@@ -371,9 +339,9 @@ func fig14(w io.Writer, s Scale) {
 // stageSweep produces the four panels of Figures 2 and 15: normalized
 // throughput, weight+optimizer memory, best metric, and time-to-target as
 // the stage count varies.
-func stageSweep(w io.Writer, s Scale, wl Workload, stages []int, label string) {
+func stageSweep(w io.Writer, c *config, wl experiments.Workload, stages []int, label string) {
 	fmt.Fprintf(w, "%s\n", label)
-	epochs := scaleEpochs(s, wl.Epochs)
+	epochs := c.scaleEpochs(wl.Epochs)
 	type row struct {
 		p                   int
 		thrGP, thrPM        float64
@@ -383,11 +351,11 @@ func stageSweep(w io.Writer, s Scale, wl Workload, stages []int, label string) {
 	}
 	var rows []row
 	for _, p := range stages {
-		gp := wl.Run(RunSpec{Method: core.GPipe, Stages: p, Epochs: epochs, Seed: 11})
-		pd := wl.Run(RunSpec{Method: core.PipeDream, Stages: p, Epochs: epochs, Seed: 11})
-		pm := wl.Run(RunSpec{Method: core.PipeMare, Stages: p, UseT1: true, UseT2: true, UseT3: true,
+		gp := c.train(wl, runSpec{Method: core.GPipe, Stages: p, Epochs: epochs, Seed: 11})
+		pd := c.train(wl, runSpec{Method: core.PipeDream, Stages: p, Epochs: epochs, Seed: 11})
+		pm := c.train(wl, runSpec{Method: core.PipeMare, Stages: p, UseT1: true, UseT2: true, UseT3: true,
 			WarmupEpochs: -1, Epochs: epochs, Seed: 11})
-		target := wl.Target(gp, pd, pm)
+		target := paperTarget(wl, gp, pd, pm)
 		rows = append(rows, row{
 			p: p,
 			// Absolute throughput grows with P for bubble-free methods
@@ -396,8 +364,8 @@ func stageSweep(w io.Writer, s Scale, wl Workload, stages []int, label string) {
 			thrPM: float64(p) * pm.Throughput,
 			memGP: gp.MemRatio, memPD: pd.MemRatio, memPM: pm.MemRatio,
 			bestPM: pm.Run.Best(),
-			ttGP:   gp.TimeTo(target, core.GPipe, 0),
-			ttPM:   pm.TimeTo(target, core.PipeMare, wl.WarmupEpochs),
+			ttGP:   gp.timeTo(target, core.GPipe, 0),
+			ttPM:   pm.timeTo(target, core.PipeMare, wl.WarmupEpochs),
 		})
 	}
 	tb := newTable("Stages", "Thr GPipe", "Thr PipeMare", "Mem GPipe", "Mem PipeDream", "Mem PipeMare",
@@ -418,31 +386,31 @@ func stageSweep(w io.Writer, s Scale, wl Workload, stages []int, label string) {
 }
 
 // fig2 is the translation stage sweep.
-func fig2(w io.Writer, s Scale) {
+func fig2(w io.Writer, c *config) {
 	stages := []int{12, 24, 48}
-	if s == Quick {
+	if !c.full {
 		stages = []int{12, 48}
 	}
-	stageSweep(w, s, IWSLTLike(), stages, "Figure 2: translation workload vs pipeline stages")
+	stageSweep(w, c, experiments.IWSLTLike(), stages, "Figure 2: translation workload vs pipeline stages")
 }
 
 // fig15 is the classification stage sweep.
-func fig15(w io.Writer, s Scale) {
+func fig15(w io.Writer, c *config) {
 	stages := []int{20, 53, 107}
-	if s == Quick {
+	if !c.full {
 		stages = []int{20, 107}
 	}
-	stageSweep(w, s, CIFARLike(), stages, "Figure 15: classification workload vs pipeline stages")
+	stageSweep(w, c, experiments.CIFARLike(), stages, "Figure 15: classification workload vs pipeline stages")
 }
 
 // recomputeCurves runs PipeMare with the recompute delay path for several
 // checkpoint-segment counts.
-func recomputeCurves(w io.Writer, s Scale, wl Workload, segs []int, withT2 bool, label string) {
-	epochs := scaleEpochs(s, wl.Epochs)
+func recomputeCurves(w io.Writer, c *config, wl experiments.Workload, segs []int, withT2 bool, label string) {
+	epochs := c.scaleEpochs(wl.Epochs)
 	fmt.Fprintf(w, "\n%s (T2=%v)\n", label, withT2)
 	tb := newTable("Checkpoints", "Best", "Final", "Diverged/blown")
 	for _, seg := range append([]int{0}, segs...) {
-		r := wl.Run(RunSpec{Method: core.PipeMare, UseT1: true, UseT2: withT2,
+		r := c.train(wl, runSpec{Method: core.PipeMare, UseT1: true, UseT2: withT2,
 			Recompute: seg, Epochs: epochs, Seed: 11})
 		name := "no recompute"
 		if seg > 0 {
@@ -459,27 +427,27 @@ func recomputeCurves(w io.Writer, s Scale, wl Workload, segs []int, withT2 bool,
 }
 
 // fig17 is the classification recompute study.
-func fig17(w io.Writer, s Scale) {
+func fig17(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 17: recompute on the classification workload")
-	wl := CIFARLike()
+	wl := experiments.CIFARLike()
 	segs := []int{2, 4, 17}
-	if s == Quick {
+	if !c.full {
 		segs = []int{4}
 	}
-	recomputeCurves(w, s, wl, segs, false, "T1 only")
-	recomputeCurves(w, s, wl, segs, true, "T1+T2")
+	recomputeCurves(w, c, wl, segs, false, "T1 only")
+	recomputeCurves(w, c, wl, segs, true, "T1+T2")
 }
 
 // fig18 is the translation recompute study.
-func fig18(w io.Writer, s Scale) {
+func fig18(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 18: recompute on the translation workload")
-	wl := IWSLTLike()
+	wl := experiments.IWSLTLike()
 	segs := []int{2, 12}
-	if s == Quick {
+	if !c.full {
 		segs = []int{4}
 	}
-	recomputeCurves(w, s, wl, segs, true, "T1+T2")
-	if s == Full {
-		recomputeCurves(w, s, wl, segs, false, "T1 only")
+	recomputeCurves(w, c, wl, segs, true, "T1+T2")
+	if c.full {
+		recomputeCurves(w, c, wl, segs, false, "T1 only")
 	}
 }

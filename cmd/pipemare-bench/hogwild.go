@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"context"
@@ -10,10 +10,6 @@ import (
 	"pipemare/internal/pipeline"
 )
 
-func init() {
-	register("fig19", "Hogwild!-style asynchrony with and without T1", fig19)
-}
-
 // fig19 regenerates the Appendix E experiment: Hogwild!-style stochastic
 // per-stage delays on the classification workload, comparing synchronous
 // training (GPipe), raw Hogwild!, and Hogwild! with T1 learning-rate
@@ -21,9 +17,9 @@ func init() {
 // trainer's Hogwild version rule (core.Config.Hogwild): minibatch k's
 // forward and backward at a stage both read the version k − d drawn for
 // it.
-func fig19(w io.Writer, s Scale) {
+func fig19(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 19: Hogwild!-style asynchronous training")
-	epochs := scaleEpochs(s, 45)
+	epochs := c.scaleEpochs(45)
 	hogwild := &pipeline.Hogwild{TauMax: 24, MeanScale: 0.8}
 	specs := []struct {
 		name    string
@@ -41,10 +37,10 @@ func fig19(w io.Writer, s Scale) {
 		task := classifierWithBlocks(52, 11)
 		cfg := core.Config{
 			Method: sp.method, BatchSize: 64, MicrobatchSize: 64,
-			T1K: sp.t1k, Seed: 11, Hogwild: sp.hogwild, Engine: Engine,
+			T1K: sp.t1k, Seed: 11, Hogwild: sp.hogwild, Engine: c.engine,
 		}
 		sched := optim.StepDecay{Base: 0.05, DropEvery: 30 * 16, Factor: 0.1}
-		tr, err := core.New(task, optim.NewSGD(Params(task), 0.9, 5e-4), sched, cfg)
+		tr, err := core.New(task, optim.NewSGD(params(task), 0.9, 5e-4), sched, cfg)
 		if err != nil {
 			fmt.Fprintf(w, "error: %v\n", err)
 			return

@@ -2,7 +2,11 @@
 // PipeMare paper's evaluation, smoke-tests distributed training end to
 // end, and records traced epochs. Run with no arguments to list
 // experiments, with experiment names to run them, or with "all" for
-// everything. Performance is measured by `bash benchmark/run.sh`, not here.
+// everything. The regenerators are this command's own files (analytic.go,
+// dnn.go, hogwild.go), built on the training recipes of
+// internal/experiments; it is the only program that links the
+// paper-analysis packages. Performance is measured by
+// `bash benchmark/run.sh`, not here.
 //
 //	pipemare-bench               # list experiments
 //	pipemare-bench table1 fig3a  # run selected experiments (quick scale)
@@ -55,7 +59,7 @@ type config struct {
 	crashWorker int
 	joinWorker  bool
 	joinListen  string
-	selected    []experiments.Experiment // none: list them
+	selected    []experiment // none: list them
 }
 
 // flagModes lists, for each flag that not every mode reads, the modes
@@ -162,10 +166,10 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 		return nil, errors.New("-join-listen applies to -smoke, without -join-worker")
 	}
 	if names := fs.Args(); len(names) == 1 && names[0] == "all" {
-		c.selected = experiments.All()
+		c.selected = experimentList()
 	} else {
 		for _, name := range names {
-			e, ok := experiments.Lookup(name)
+			e, ok := lookup(name)
 			if !ok {
 				return nil, fmt.Errorf("unknown experiment %q (run without arguments to list)", name)
 			}
@@ -200,11 +204,9 @@ func main() {
 }
 
 // run does the one thing the command line asked for: the smoke, the traced
-// epoch, or experiments — for which it hands the experiments package the
-// engine, partition and replica count every workload trains with. Every
-// mode trains in the chosen dtype.
+// epoch, or experiments, which train with the engine, partition and
+// replica count c names. Every mode trains in the chosen dtype.
 func run(c *config) error {
-	experiments.DType = c.dtype
 	if c.smoke {
 		if err := smokeRun(c); err != nil {
 			return fmt.Errorf("smoke: %w", err)
@@ -217,20 +219,13 @@ func run(c *config) error {
 		}
 		return nil
 	}
-	experiments.Partition = c.partition
-	experiments.Engine = c.engine
-	experiments.Replicas = c.replicas
 	if len(c.selected) == 0 {
 		fmt.Println("usage: pipemare-bench [-full] <experiment>... | all")
 		fmt.Println("\navailable experiments:")
-		for _, e := range experiments.All() {
+		for _, e := range experimentList() {
 			fmt.Printf("  %-11s %s\n", e.Name, e.Title)
 		}
 		return nil
-	}
-	scale := experiments.Quick
-	if c.full {
-		scale = experiments.Full
 	}
 	for i, e := range c.selected {
 		if i > 0 {
@@ -238,7 +233,7 @@ func run(c *config) error {
 		}
 		fmt.Printf("=== %s: %s ===\n", e.Name, e.Title)
 		start := time.Now()
-		e.Run(os.Stdout, scale)
+		e.Run(os.Stdout, c)
 		fmt.Printf("--- %s done in %.1fs ---\n", e.Name, time.Since(start).Seconds())
 	}
 	return nil
@@ -260,7 +255,7 @@ func traceRun(c *config) error {
 	if len(dialers) > 0 {
 		extra = append(extra, pipemare.WithTransport(dialers...))
 	}
-	tr, err := experiments.NewReplicatedBenchTrainer(stages, c.replicas, c.engine, extra...)
+	tr, err := c.benchTrainer(stages, c.replicas, c.engine, extra...)
 	if err != nil {
 		return err
 	}
@@ -371,7 +366,7 @@ func smokeRun(c *config) error {
 	if jlis != nil {
 		extra = append(extra, pipemare.WithElastic())
 	}
-	tr, err := experiments.NewReplicatedBenchTrainer(4, 2, c.engine, extra...)
+	tr, err := c.benchTrainer(4, 2, c.engine, extra...)
 	if err != nil {
 		return err
 	}
@@ -409,7 +404,7 @@ func smokeRun(c *config) error {
 		if err := <-joinDone; err != nil {
 			return fmt.Errorf("join worker: %w", err)
 		}
-		ref, err := experiments.NewReplicatedBenchTrainer(4, 2, nil,
+		ref, err := c.benchTrainer(4, 2, nil,
 			pipemare.WithFaultTolerance())
 		if err != nil {
 			return err
@@ -475,7 +470,7 @@ func startFollowers(c *config, stages, n int, workerArgs ...string) ([]pipemare.
 	for i := 0; i < n; i++ {
 		if c.transport == "loopback" {
 			lis, dial := pipemare.Loopback()
-			opts := experiments.EngineBenchOptions(stages)
+			opts := append(experiments.EngineBenchOptions(stages), pipemare.WithDType(c.dtype))
 			if c.engine != nil {
 				opts = append(opts, pipemare.WithEngine(c.engine))
 			}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pipemare"
-	"pipemare/internal/experiments"
 )
 
 // TestParseFlags pins the command line: the three flags of the deleted
@@ -181,11 +180,9 @@ func TestSmokeTCPKillJoin(t *testing.T) {
 	}
 	dir := t.TempDir()
 	worker := buildWorker(t, dir)
-	t.Cleanup(func() { experiments.DType = pipemare.Float64 })
 	for _, dt := range []pipemare.DType{pipemare.Float64, pipemare.Float32} {
-		experiments.DType = dt
 		for _, join := range []bool{false, true} {
-			if err := smokeRun(&config{transport: "tcp", workerBin: worker, crashWorker: 3, joinWorker: join}); err != nil {
+			if err := smokeRun(&config{transport: "tcp", workerBin: worker, dtype: dt, crashWorker: 3, joinWorker: join}); err != nil {
 				t.Errorf("%s, join-worker=%t: %v", dt, join, err)
 			}
 		}

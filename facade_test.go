@@ -7,10 +7,14 @@ import (
 
 	"pipemare"
 	"pipemare/internal/data"
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/model"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 )
+
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestFacadeTrainsEndToEnd(t *testing.T) {
 	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,

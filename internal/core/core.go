@@ -272,9 +272,13 @@ type Trainer struct {
 
 	// T2 state: per-param velocity accumulator δ and the materialized
 	// corrected backward weights (master − τ·δ). The pre-step weights δ
-	// needs are the ring's newest version.
+	// needs are the ring's newest version. With the recompute path on,
+	// recomp[i] is the buffer install writes params[i]'s T2-corrected
+	// recompute weights into: one per parameter serves every slot, because
+	// a stage's slots never overlap and no layer keeps Data on its tape.
 	delta     []*tensor.Tensor
 	corrected []*tensor.Tensor
+	recomp    []*tensor.Tensor
 	gamma     []float64
 
 	// Stage execution state: the task's program, the op ranges each stage
@@ -489,9 +493,15 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 		t.delta = make([]*tensor.Tensor, len(t.params))
 		t.corrected = make([]*tensor.Tensor, len(t.params))
 		t.gamma = make([]float64, len(t.params))
+		if t.clock.Segments > 0 {
+			t.recomp = make([]*tensor.Tensor, len(t.params))
+		}
 		for i, pm := range t.params {
 			t.delta[i] = tensor.NewLike(pm.Data)
 			t.corrected[i] = pm.Data.Clone()
+			if t.recomp != nil {
+				t.recomp[i] = tensor.NewLike(pm.Data)
+			}
 			// τ_bkwd = 0 for PipeMare, so γ_i = D^{1/τ_fwd,i}.
 			t.gamma[i] = gammaFromD(cfg.T2D, t.taus[i])
 		}

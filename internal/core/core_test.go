@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -15,6 +12,7 @@ import (
 
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
@@ -22,24 +20,8 @@ import (
 	"pipemare/internal/transport"
 )
 
-// TestMain fails the package when goroutines outlive its tests, after a
-// settle of up to a second. A -fuzz run is exempt: its coordinator leaves
-// os/signal's watcher running.
-func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
-	code := m.Run()
-	if flag.Lookup("test.fuzz").Value.String() != "" {
-		os.Exit(code)
-	}
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); code == 0 && n > baseline {
-		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
-		code = 1
-	}
-	os.Exit(code)
-}
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // stubProgram compiles one op per weight group: the smallest program whose
 // stage partition is the group partition.
@@ -497,7 +479,7 @@ func TestSlotCallsInstallTheVersionsTheyRead(t *testing.T) {
 		for st := 0; st < 4 && segs > 0; st++ {
 			task.params[st].Data = poison
 			h.StageRecompute(s, st)
-			installed("StageRecompute", st, nil) // a fresh corrected buffer: its value is the probes' business
+			installed("StageRecompute", st, nil) // the stage's corrected recompute buffer: its value is the probes' business
 			if task.params[st].Data == poison {
 				t.Fatalf("segments=%d: StageRecompute(%d, %d) installed nothing", segs, s, st)
 			}
@@ -533,6 +515,41 @@ func TestSlotCallsInstallTheVersionsTheyRead(t *testing.T) {
 			}
 		}
 		h.EndMicro(s)
+	}
+}
+
+// TestWarmRecomputeSlotAllocatesNothing pins that a recompute or backward
+// slot with T2 on writes the T2-corrected recompute weights into the
+// trainer's per-parameter buffer (Trainer.recomp) instead of a fresh clone
+// of the ring entry: once the microbatch's machine is warm, repeating
+// either slot at any stage allocates nothing.
+func TestWarmRecomputeSlotAllocatesNothing(t *testing.T) {
+	task := newProbeTask(4, 32)
+	tr, _ := runProbe(t, task, Config{Method: PipeMare, Stages: 4, BatchSize: 8, MicrobatchSize: 2, T2D: 0.135, RecomputeSegments: 2}, 2)
+	h := host{tr}
+	h.SetAsync(true)
+	s := h.MicroBase()
+	h.BeginMicro(s, []int{0, 1})
+	for st := 0; st < 4; st++ {
+		h.StageForward(s, st)
+	}
+	for st := 0; st < 4; st++ {
+		for _, slot := range []struct {
+			name string
+			run  func()
+		}{
+			{"StageRecompute", func() { h.StageRecompute(s, st) }},
+			{"StageBackward", func() { h.StageBackward(s, st) }},
+		} {
+			slot.run() // warm
+			if allocs := testing.AllocsPerRun(20, slot.run); allocs != 0 {
+				t.Errorf("%s(%d, %d) allocated %.1f times per call, want 0", slot.name, s, st, allocs)
+			}
+		}
+	}
+	h.EndMicro(s)
+	for st := 0; st < 4; st++ {
+		h.Restore(st)
 	}
 }
 

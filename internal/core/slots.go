@@ -69,9 +69,12 @@ func (t *Trainer) install(s, stage int, kind slotKind) {
 	snap := t.store.Get(stage, v)
 	for j, pm := range t.part.Stages[stage] {
 		if recomp && t.delta != nil {
-			// u_recomp = w_{t−τr} − (τ_fwd − τ_recomp)·δ.
-			pm.Data = snap[j].Clone()
-			tensor.Axpy(pm.Data, -(t.taus[lo+j] - tauR), t.delta[lo+j])
+			// u_recomp = w_{t−τr} − (τ_fwd − τ_recomp)·δ, in the
+			// parameter's recompute buffer.
+			u := t.recomp[lo+j]
+			u.CopyFrom(snap[j])
+			tensor.Axpy(u, -(t.taus[lo+j] - tauR), t.delta[lo+j])
+			pm.Data = u
 		} else {
 			pm.Install(snap[j])
 		}

@@ -2,13 +2,13 @@ package concurrent
 
 import (
 	"context"
-	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pipemare/internal/leakcheck"
 )
 
 // stubHost is the minimal Host needed to start workers.
@@ -41,31 +41,14 @@ func TestMinibatchJoinsItsWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		// wg.Done runs before its goroutine exits: settle briefly.
-		if n := settledGoroutines(baseline); n > baseline {
+		if n := leakcheck.Settled(baseline, time.Second); n > baseline {
 			t.Fatalf("minibatch %d: %d goroutines outlive the minibatch", mb, n-baseline)
 		}
 	}
 }
 
-// settledGoroutines polls for up to a second for the goroutine count to
-// fall to baseline, and returns the last count.
-func settledGoroutines(baseline int) int {
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return runtime.NumGoroutine()
-}
-
 // TestMain fails the package when goroutines outlive its tests.
-func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
-	code := m.Run()
-	if n := settledGoroutines(baseline); code == 0 && n > baseline {
-		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
-		code = 1
-	}
-	os.Exit(code)
-}
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestWithWorkersOption(t *testing.T) {
 	if e := New(WithWorkers(3)); e.workers != 3 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -15,6 +14,7 @@ import (
 
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
+	"pipemare/internal/leakcheck"
 )
 
 // fakeHost checks the Host ordering contract at call time: a microbatch's
@@ -225,32 +225,15 @@ func TestOneEngineDrivesManyHosts(t *testing.T) {
 				f.quiesced(t)
 			}
 			// wg.Done runs before its goroutine exits: settle briefly.
-			if n := settledGoroutines(baseline); n > baseline {
+			if n := leakcheck.Settled(baseline, time.Second); n > baseline {
 				t.Fatalf("%d goroutines outlive the minibatches", n-baseline)
 			}
 		})
 	}
 }
 
-// settledGoroutines polls for up to a second for the goroutine count to
-// fall to baseline, and returns the last count.
-func settledGoroutines(baseline int) int {
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return runtime.NumGoroutine()
-}
-
 // TestMain fails the package when goroutines outlive its tests.
-func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
-	code := m.Run()
-	if n := settledGoroutines(baseline); code == 0 && n > baseline {
-		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
-		code = 1
-	}
-	os.Exit(code)
-}
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func micros(n, sz int) [][]int {
 	out := make([][]int, n)

@@ -1,45 +1,18 @@
+// Package experiments holds the training recipes the paper's regenerators
+// (cmd/pipemare-bench), the repository benchmark (benchmark/) and the
+// pipemare-worker process build on: the four substitute workloads of
+// Appendix C.1 and the engine-benchmark transformer. It runs nothing and
+// links no paper analysis.
 package experiments
 
 import (
-	"context"
-	"math"
-
 	"pipemare"
 	"pipemare/internal/core"
 	"pipemare/internal/data"
-	"pipemare/internal/memmodel"
-	"pipemare/internal/metrics"
 	"pipemare/internal/model"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
-	"pipemare/internal/throughput"
 )
-
-// Engine, when non-nil, is the execution engine every workload run
-// trains with. It is set by pipemare-bench's -engine flag; nil means the
-// default Reference engine.
-var Engine pipemare.Engine
-
-// Replicas, when > 1, runs every workload with that many data-parallel
-// pipeline replicas (pipemare.WithReplicas). It is set by pipemare-bench's
-// -replicas flag; curves are bit-identical to single-replica runs, so the
-// experiment tables do not change — only the wall-clock does.
-var Replicas int
-
-// Partition, when not PartitionEven, selects the stage-partition mode for
-// every workload run (pipemare.WithPartition). It is set by
-// pipemare-bench's -partition flag. Unlike the engine/replica hooks it
-// changes each parameter's stage and therefore its delay τ_fwd, so the
-// experiment tables shift with it — it exists to study how the paper's
-// techniques behave under cost-balanced pipeline geometry.
-var Partition pipemare.PartitionMode
-
-// DType, when Float32, trains every workload run (and the engine
-// benchmark) in float32 (pipemare.WithDType). It is set by
-// pipemare-bench's -dtype flag. Each dtype is its own deterministic
-// ground truth, so float32 results are comparable across engines and
-// replica counts but not bit-comparable to float64 runs.
-var DType pipemare.DType
 
 // Workload bundles a task constructor with its training recipe, mirroring
 // the paper's Appendix C.1 hyperparameter tables for the substituted
@@ -62,24 +35,6 @@ type Workload struct {
 	WarmupEpochs   int     // reference T3 warmup epochs
 	ClipNorm       float64
 	TargetSlack    float64 // target = best-across-methods − slack (1.0 acc / 0.4 BLEU)
-}
-
-// Params extracts the parameter list of a task in group order.
-func Params(t core.Task) []*nn.Param {
-	var ps []*nn.Param
-	for _, g := range t.Groups() {
-		ps = append(ps, g.Params...)
-	}
-	return ps
-}
-
-// classifierWithBlocks builds the standard synthetic classification task
-// with a residual MLP of the given block count (2·blocks + 3 weight
-// groups), used by the deeper-model experiments (Figures 4, 7 and 11).
-func classifierWithBlocks(blocks int, seed int64) core.Task {
-	d := data.NewImages(data.ImagesConfig{Classes: 10, C: 3, H: 4, W: 4,
-		Train: 1024, Test: 512, Noise: 0.9, LabelFlip: 0.05, Seed: 1})
-	return model.NewResNetMLP(d, 16, blocks, seed)
 }
 
 // CIFARLike is the CIFAR10/ResNet50 substitute: a 107-group residual MLP
@@ -177,131 +132,6 @@ func WMTLike() Workload {
 	return w
 }
 
-// RunSpec describes one training run of a workload.
-type RunSpec struct {
-	Method       core.Method
-	Stages       int // 0 = one stage per weight group
-	UseT1        bool
-	UseT2        bool
-	WarmupEpochs int // −1 = workload default when UseT3
-	UseT3        bool
-	Epochs       int // 0 = workload default
-	Seed         int64
-	Recompute    int // recompute segments, 0 = off
-}
-
-// RunResult carries a run's curve plus the derived paper metrics.
-type RunResult struct {
-	Run          *metrics.Run
-	Stages       int
-	N            int
-	Throughput   float64 // amortized normalized throughput over the full run
-	WeightOptMem float64 // weight+optimizer memory in units of W
-	MemRatio     float64 // relative to the synchronous base
-	Taus         []float64
-}
-
-// Run executes one configuration of the workload through the public
-// options API.
-func (w Workload) Run(spec RunSpec) RunResult {
-	task := w.NewTask(spec.Seed)
-	var opt optim.Optimizer
-	opts := []pipemare.Option{
-		pipemare.WithMethod(spec.Method),
-		pipemare.WithStages(spec.Stages),
-		pipemare.WithBatchSize(w.BatchSize),
-		pipemare.WithMicrobatchSize(w.MicrobatchSize),
-		pipemare.WithSeed(spec.Seed),
-		pipemare.WithOptimizer(func(ps []*nn.Param) pipemare.Optimizer {
-			opt = w.NewOptimizer(ps)
-			return opt
-		}),
-		pipemare.WithSchedule(w.NewSchedule()),
-	}
-	if w.ClipNorm > 0 {
-		opts = append(opts, pipemare.WithClipNorm(w.ClipNorm))
-	}
-	if spec.UseT1 {
-		opts = append(opts, pipemare.WithT1(w.T1K))
-	}
-	if spec.UseT2 {
-		opts = append(opts, pipemare.WithT2(w.T2D))
-	}
-	warmup := 0
-	if spec.UseT3 {
-		warmup = w.WarmupEpochs
-		if spec.WarmupEpochs >= 0 {
-			warmup = spec.WarmupEpochs
-		}
-		opts = append(opts, pipemare.WithT3(warmup))
-	}
-	if spec.Recompute > 0 {
-		opts = append(opts, pipemare.WithRecompute(spec.Recompute))
-	}
-	if Engine != nil {
-		opts = append(opts, pipemare.WithEngine(Engine))
-	}
-	if Replicas > 1 {
-		opts = append(opts, pipemare.WithReplicas(Replicas))
-	}
-	if Partition != pipemare.PartitionEven {
-		opts = append(opts, pipemare.WithPartition(Partition))
-	}
-	if DType != pipemare.Float64 {
-		opts = append(opts, pipemare.WithDType(DType))
-	}
-	tr, err := pipemare.New(task, opts...)
-	if err != nil {
-		panic(err)
-	}
-	epochs := spec.Epochs
-	if epochs == 0 {
-		epochs = w.Epochs
-	}
-	run, err := tr.Run(context.Background(), epochs)
-	if err != nil {
-		panic(err)
-	}
-
-	res := RunResult{Run: run, Stages: tr.Stages(), N: tr.Microbatches(), Taus: tr.Taus()}
-	ps := Params(task)
-	warm := warmup
-	main := 1.0
-	if spec.Method == core.GPipe {
-		main = throughput.PaperGPipeThroughput
-		warm = 0
-	}
-	res.Throughput = metrics.AmortizedThroughput(run.Epochs(), warm, throughput.PaperGPipeThroughput, main)
-	sizes := tr.Partition().StageSizes()
-	mm := memmodel.Method(spec.Method)
-	res.WeightOptMem = memmodel.WeightOptimizer(mm, opt.StateCopies(), sizes, res.N, spec.UseT2) / float64(nn.TotalSize(ps))
-	base := float64(opt.StateCopies())
-	res.MemRatio = res.WeightOptMem / base
-	return res
-}
-
-// TimeTo returns the normalized time for this run to reach target, using
-// the throughput model (GPipe at 0.3, async at 1.0, warmup epochs at 0.3).
-func (r RunResult) TimeTo(target float64, method core.Method, warmupEpochs int) float64 {
-	e := r.Run.EpochsToTarget(target)
-	if method == core.GPipe {
-		return metrics.TimeToTarget(e, 0, throughput.PaperGPipeThroughput, throughput.PaperGPipeThroughput)
-	}
-	return metrics.TimeToTarget(e, warmupEpochs, throughput.PaperGPipeThroughput, 1.0)
-}
-
-// Target computes the paper's target metric: best across the given runs
-// minus the workload slack.
-func (w Workload) Target(results ...RunResult) float64 {
-	best := 0.0
-	for _, r := range results {
-		if b := r.Run.Best(); b > best {
-			best = b
-		}
-	}
-	return math.Max(best-w.TargetSlack, 0)
-}
-
 // EngineBenchTask builds the engine-benchmark transformer (dim 128, 2+2
 // layers, batch 32, 8 microbatches). Leader and worker processes both
 // call it, so every replica builds the same model and data; the leader's
@@ -317,8 +147,9 @@ func EngineBenchTask() core.Task {
 // the option set shared by the leader trainer and `pipemare-worker`
 // follower processes, which pass it to ServeFollower for its optimizer
 // and schedule (the rest of a follower's recipe is the leader's hello).
+// It trains in float64; a leader appends WithDType for another dtype.
 func EngineBenchOptions(stages int) []pipemare.Option {
-	opts := []pipemare.Option{
+	return []pipemare.Option{
 		pipemare.WithMethod(pipemare.PipeMare),
 		pipemare.WithStages(stages),
 		pipemare.WithBatchSize(32), pipemare.WithMicrobatches(8),
@@ -329,25 +160,4 @@ func EngineBenchOptions(stages int) []pipemare.Option {
 		}),
 		pipemare.WithSchedule(optim.WarmupInvSqrt{Peak: 3e-3, Init: 1e-7, Warmup: 100}),
 	}
-	if DType != pipemare.Float64 {
-		opts = append(opts, pipemare.WithDType(DType))
-	}
-	return opts
-}
-
-// NewReplicatedBenchTrainer builds the PipeMare-method trainer on
-// EngineBenchTask at the given stage and data-parallel replica counts,
-// every replica running eng (nil: Reference). Extra options
-// (e.g. WithTransport) are appended after the recipe. replicas must not
-// exceed the workload's 8 microbatches.
-func NewReplicatedBenchTrainer(stages, replicas int, eng pipemare.Engine, extra ...pipemare.Option) (*pipemare.Trainer, error) {
-	opts := EngineBenchOptions(stages)
-	if replicas > 1 {
-		opts = append(opts, pipemare.WithReplicas(replicas))
-	}
-	if eng != nil {
-		opts = append(opts, pipemare.WithEngine(eng))
-	}
-	opts = append(opts, extra...)
-	return pipemare.New(EngineBenchTask(), opts...)
 }

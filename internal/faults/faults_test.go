@@ -8,9 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/tensor"
 	"pipemare/internal/transport"
 )
+
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestScriptMatchWindows drives Script.match with a fixed message
 // sequence and pins, rule by rule, which messages fire: a rule counts

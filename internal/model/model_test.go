@@ -9,11 +9,15 @@ import (
 
 	"pipemare/internal/bleu"
 	"pipemare/internal/data"
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
 	"pipemare/internal/tensor"
 )
+
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func smallImages() *data.Images {
 	return data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4, Train: 128, Test: 64, Noise: 0.4, Seed: 1})

@@ -5,8 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/tensor"
 )
+
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // projLoss is the scalar test loss L = Σ y ⊙ r for a fixed random r, whose
 // gradient with respect to y is exactly r. The sum runs in float64 over
@@ -93,8 +97,8 @@ func checkLayerGrad(t *testing.T, seed int64, tol64 float64, inputGrad bool, mk 
 			tp.Reset()
 			l.Forward(tp, x)
 			dx := l.Backward(tp, r).Clone() // clone: the tape arena owns the original
-			if len(tp.stack) != 0 {
-				t.Fatalf("%d records left on the tape after forward+backward", len(tp.stack))
+			if n := len(tp.stack) + len(tp.norms); n != 0 {
+				t.Fatalf("%d records left on the tape after forward+backward", n)
 			}
 			loss := func() float64 { return projLoss(l.Forward(newTape(gt.dt), x), r) }
 			if inputGrad {
@@ -165,8 +169,9 @@ func TestGroupNormGradient(t *testing.T) {
 // calling goroutine with one scratch set (Linear's weight and bias
 // gradients fold straight into Grad, with no temporary), so a
 // forward+backward allocates only the tape's own bookkeeping — the boxed
-// record each Forward pushes (none for GELU, ReLU and Linear, whose record is
-// the input tensor itself), and the view
+// record each Forward pushes (none for LayerNorm and GroupNorm, whose
+// record goes on the tape's typed stack, nor for GELU, ReLU and Linear,
+// whose record is the input tensor itself), and the view
 // header (tensor + shape) RowView builds per (batch, head) pair per pass.
 // A row split under these layers shows up as its escaping closures and
 // per-chunk scratch lists.
@@ -181,6 +186,10 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 		for i := range in {
 			in[i] = randTensor(rng, dt, batch*seq, d)
 		}
+		img, dImg := randTensor(rng, dt, batch, 4, 3, 3), randTensor(rng, dt, batch, 4, 3, 3)
+		gn := NewGroupNorm("gn", 4, 2)
+		gn.Gain.CastTo(dt)
+		gn.Bias.CastTo(dt)
 		tp := newTape(dt)
 		ln := NewLayerNorm("ln", d)
 		ln.Gain.CastTo(dt)
@@ -196,7 +205,8 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 			want float64
 			run  func()
 		}{
-			{"LayerNorm", 1, func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
+			{"LayerNorm", 0, func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
+			{"GroupNorm", 0, func() { gn.Forward(tp, img); gn.Backward(tp, dImg) }},
 			{"AttnCore", 1 + 2*2*batch*heads, func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
 			{"GELU", 0, func() { gelu.Forward(tp, in[0]); gelu.Backward(tp, in[1]) }},
 			{"ReLU", 0, func() { relu.Forward(tp, in[0]); relu.Backward(tp, in[1]) }},
@@ -228,8 +238,8 @@ func checkAttnCoreGrad(t *testing.T, seed int64, qLen, kLen int, causal bool) {
 			tp := newTape(gt.dt)
 			core.Forward(tp, q, k, v)
 			dq, dk, dv := core.Backward(tp, r)
-			if len(tp.stack) != 0 {
-				t.Fatalf("%d records left on the tape after forward+backward", len(tp.stack))
+			if n := len(tp.stack) + len(tp.norms); n != 0 {
+				t.Fatalf("%d records left on the tape after forward+backward", n)
 			}
 			loss := func() float64 { return projLoss(core.Forward(newTape(gt.dt), q, k, v), r) }
 			checkGrad(t, "query", q, dq, 3, gt, loss)

@@ -17,11 +17,6 @@ type LayerNorm struct {
 	Eps  float64
 }
 
-type lnState struct {
-	xhat   *tensor.Tensor
-	invStd []float64
-}
-
 // NewLayerNorm returns a LayerNorm over feature dimension d with γ=1, β=0.
 func NewLayerNorm(name string, d int) *LayerNorm {
 	ln := &LayerNorm{Gain: NewParam(name+".g", d), Bias: NewParam(name+".b", d), Eps: 1e-5}
@@ -38,14 +33,14 @@ func (ln *LayerNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	invStd := t.Floats(n)
 	out := t.NewTensor(n, d)
 	tensor.LayerNormInto(out, xhat, x, ln.Gain.Data, ln.Bias.Data, invStd, ln.Eps)
-	t.Push(lnState{xhat, invStd})
+	t.pushNorm(normRecord{xhat: xhat, invStd: invStd})
 	return out
 }
 
 // Backward accumulates dγ, dβ and returns dx using the backward gain
 // (tensor.LayerNormGradInto).
 func (ln *LayerNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	st := t.Pop().(lnState)
+	st := t.popNorm()
 	out := t.NewTensor(dy.Shape[0], dy.Shape[1])
 	tensor.LayerNormGradInto(out, dy, st.xhat, ln.Gain.BwdData(), ln.Gain.Grad, ln.Bias.Grad, st.invStd)
 	return out
@@ -63,12 +58,6 @@ type GroupNorm struct {
 	Bias   *Param // β, shape (C)
 	Groups int
 	Eps    float64
-}
-
-type gnState struct {
-	xhat    *tensor.Tensor
-	invStd  []float64 // per (b, group)
-	c, h, w int
 }
 
 // NewGroupNorm returns a GroupNorm over c channels split into groups.
@@ -97,7 +86,7 @@ func (gn *GroupNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 			tensor.F64(gn.Gain.Data), tensor.F64(gn.Bias.Data), invStd,
 			b, c, h, w, gn.Groups, gn.Eps)
 	}
-	t.Push(gnState{xhat, invStd, c, h, w})
+	t.pushNorm(normRecord{xhat, invStd, c, h, w}) // invStd per (b, group)
 	return out
 }
 
@@ -139,7 +128,7 @@ func gnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, b, c, 
 // AddInto each, keeping the one-add-per-element-per-call accumulation
 // contract (see Param.Grad).
 func (gn *GroupNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	st := t.Pop().(gnState)
+	st := t.popNorm()
 	b, c, h, w := dy.Shape[0], st.c, st.h, st.w
 	dGain := t.NewTensor(c)
 	dBias := t.NewTensor(c)

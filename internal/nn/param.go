@@ -65,7 +65,8 @@ func (p *Param) BwdData() *tensor.Tensor {
 // version ring, which nothing writes while a slot may read it), and marks
 // it as one: while Data is still w, a Linear packs Wᵀ on its first forward
 // and reuses the panel (forwardPanel). Data set any other way — a master,
-// a corrected clone — is read as it stands, product by product.
+// a T2-corrected recompute buffer — is read as it stands, product by
+// product.
 func (p *Param) Install(w *tensor.Tensor) { p.Data, p.snap = w, w }
 
 // Restore points Data back at master, clears the backward decoupling and

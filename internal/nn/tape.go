@@ -24,6 +24,7 @@ import (
 // its own.
 type Tape struct {
 	stack []any
+	norms []normRecord
 
 	dt   tensor.DType
 	tens []*tensor.Tensor
@@ -48,6 +49,26 @@ func (t *Tape) Pop() any {
 	t.stack[n] = nil
 	t.stack = t.stack[:n]
 	return v
+}
+
+// normRecord is what LayerNorm and GroupNorm save for their Backward. It
+// has its own typed stack beside the []any one, so saving it boxes nothing
+// on the heap; the two stacks are each strict, because every layer pushes
+// to one of them and pops in reverse order from the same one.
+type normRecord struct {
+	xhat    *tensor.Tensor
+	invStd  []float64
+	c, h, w int // GroupNorm's channels and spatial size; LayerNorm's are 0
+}
+
+func (t *Tape) pushNorm(r normRecord) { t.norms = append(t.norms, r) }
+
+func (t *Tape) popNorm() normRecord {
+	n := len(t.norms) - 1
+	r := t.norms[n]
+	t.norms[n] = normRecord{}
+	t.norms = t.norms[:n]
+	return r
 }
 
 // NewTensor returns a tensor of the given shape backed by the tape's
@@ -123,13 +144,16 @@ func (t *Tape) Ints(n int) []int {
 	return s
 }
 
-// Reset clears the state stack and rewinds the arenas so their buffers are
-// reused by the next run. Everything previously handed out is invalidated.
+// Reset clears the state stacks and rewinds the arenas so their buffers
+// are reused by the next run. Everything previously handed out is
+// invalidated.
 func (t *Tape) Reset() {
 	for i := range t.stack {
 		t.stack[i] = nil
 	}
 	t.stack = t.stack[:0]
+	clear(t.norms)
+	t.norms = t.norms[:0]
 	t.tpos, t.fpos, t.ipos = 0, 0, 0
 }
 

@@ -4,33 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 )
 
-// TestMain fails the package when goroutines outlive its tests, after a
-// settle of up to a second.
-func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
-	code := m.Run()
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); code == 0 && n > baseline {
-		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
-		code = 1
-	}
-	os.Exit(code)
-}
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // fakeMember is a minimal in-process replica with one scalar "parameter"
 // per stage. StageBackward "accumulates" the gradient s+1 for microbatch s, so

@@ -3,39 +3,21 @@ package transport
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pipemare/internal/engine"
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 	"pipemare/internal/trace"
 )
 
-// TestMain fails the package when goroutines outlive its tests, after a
-// settle of up to a second. A -fuzz run is exempt: its coordinator leaves
-// os/signal's watcher running.
-func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
-	code := m.Run()
-	if flag.Lookup("test.fuzz").Value.String() != "" {
-		os.Exit(code)
-	}
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); code == 0 && n > baseline {
-		fmt.Fprintf(os.Stderr, "%d goroutines outlive the tests\n", n-baseline)
-		code = 1
-	}
-	os.Exit(code)
-}
+// TestMain fails the package when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // wireMember is a full fake replica.Local with one scalar parameter per
 // stage, for exercising the member/server protocol without a trainer:
