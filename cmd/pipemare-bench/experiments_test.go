@@ -159,3 +159,23 @@ func TestExperimentsWriteToWriter(t *testing.T) {
 	// And io.Discard must be usable.
 	e.Run(io.Discard, quick)
 }
+
+// TestFig19HonoursDType pins that fig19 trains in the command line's
+// dtype: its float32 table is not the float64 one.
+func TestFig19HonoursDType(t *testing.T) {
+	table := func(args ...string) string {
+		c, err := parseFlags(args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		fig19(&b, c)
+		if strings.Contains(b.String(), "error") {
+			t.Fatalf("pipemare-bench %v: %s", args, b.String())
+		}
+		return b.String()
+	}
+	if f64, f32 := table("fig19"), table("-dtype", "float32", "fig19"); f64 == f32 {
+		t.Fatalf("-dtype float32 fig19 printed the float64 table:\n%s", f32)
+	}
+}

@@ -16,7 +16,9 @@ import (
 // rescheduling. The Hogwild! rows are PipeDream at N = 1 under the
 // trainer's Hogwild version rule (core.Config.Hogwild): minibatch k's
 // forward and backward at a stage both read the version k − d drawn for
-// it.
+// it. The runs train in the command line's dtype and partition mode; a
+// replica count above one is refused (parseFlags), since a minibatch of
+// one microbatch has nothing to split.
 func fig19(w io.Writer, c *config) {
 	fmt.Fprintln(w, "Figure 19: Hogwild!-style asynchronous training")
 	epochs := c.scaleEpochs(45)
@@ -35,8 +37,9 @@ func fig19(w io.Writer, c *config) {
 	var best []float64
 	for _, sp := range specs {
 		task := classifierWithBlocks(52, 11)
+		task.(core.DTypeSettable).SetDType(c.dtype)
 		cfg := core.Config{
-			Method: sp.method, BatchSize: 64, MicrobatchSize: 64,
+			Method: sp.method, BatchSize: 64, MicrobatchSize: 64, Partition: c.partition,
 			T1K: sp.t1k, Seed: 11, Hogwild: sp.hogwild, Engine: c.engine,
 		}
 		sched := optim.StepDecay{Base: 0.05, DropEvery: 30 * 16, Factor: 0.1}

@@ -176,6 +176,9 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 			c.selected = append(c.selected, e)
 		}
 	}
+	if c.replicas > 1 && slices.ContainsFunc(c.selected, func(e experiment) bool { return e.Name == "fig19" }) {
+		return nil, fmt.Errorf("-replicas %d does not apply to fig19: its minibatch is one microbatch", c.replicas)
+	}
 	return c, nil
 }
 

@@ -33,6 +33,9 @@ func TestParseFlags(t *testing.T) {
 		{"all", true},
 		{"-full -engine concurrent -workers 2 -partition cost -replicas 2 -dtype float32 table1 fig3a", true},
 		{"-partition profile table1", true},
+		{"-dtype float32 -partition cost fig19", true},
+		{"-replicas 2 fig19", false},
+		{"-replicas 2 all", false},
 		{"nosuchexperiment", false},
 		{"all table1", false},
 		{"-workers -1", false},

@@ -3,6 +3,7 @@ package pipemare_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -241,10 +242,29 @@ func TestEnginesEquivalentUnderOverlapStress(t *testing.T) {
 	}
 }
 
+// badMicroTask is a quadTask whose at-th bound microbatch diverges: its
+// machine's loss starts at NaN, and every op adds to it. Stage 0 binds
+// microbatches in order on every engine, once each without recompute.
+type badMicroTask struct {
+	*quadTask
+	binds, at int
+}
+
+func (b *badMicroTask) BindMicro(m *nn.Machine, idx []int) {
+	b.quadTask.BindMicro(m, idx)
+	if b.binds++; b.binds == b.at {
+		m.Loss = math.NaN()
+	}
+}
+
 // TestEnginesEquivalentOnSplitDivergence pins the abort path under
 // overlap: when a microbatch's loss blows past the cap mid-epoch with
 // several stage-split chains in flight, the concurrent engine must drain,
-// restore and record exactly the Reference curve.
+// restore and record exactly the Reference curve. Its second case goes bad
+// inside a stream — at the first microbatch of the third minibatch of the
+// second epoch, with the clip fold on — where chains of the next
+// minibatch may already be in flight: the curve is Reference's at every
+// worker count, and the stream's workers exit (the package's TestMain).
 func TestEnginesEquivalentOnSplitDivergence(t *testing.T) {
 	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
 		Train: 96, Test: 32, Noise: 0.4, Seed: 8})
@@ -262,6 +282,59 @@ func TestEnginesEquivalentOnSplitDivergence(t *testing.T) {
 		t.Fatal("reference run was expected to diverge")
 	}
 	requireIdentical(t, "split-divergence", ref, conc)
+
+	// Four minibatches of N = 4 per epoch: the 25th microbatch opens
+	// epoch 2's third minibatch.
+	badBuild := func() pipemare.Task { return &badMicroTask{quadTask: newQuadTask(4, 32, 8, 5), at: 25} }
+	mid := []pipemare.Option{pipemare.WithMethod(pipemare.PipeMare), pipemare.WithSeed(11),
+		pipemare.WithT1(12), pipemare.WithT2(0.3), pipemare.WithT3(1), pipemare.WithClipNorm(2),
+		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
+		pipemare.WithSchedule(optim.Constant(0.05))}
+	ref = runCurve(t, badBuild, 3, 1, append(append([]pipemare.Option{}, mid...), pipemare.WithEngine(pipemare.NewReferenceEngine()))...)
+	if !ref.Diverged || ref.Epochs() != 2 {
+		t.Fatalf("reference run recorded %d epochs (diverged %v), want epoch 1 and the divergence", ref.Epochs(), ref.Diverged)
+	}
+	for _, w := range workersGrid(4) {
+		conc := runCurve(t, badBuild, 3, 1, append(append([]pipemare.Option{}, mid...), pipemare.WithEngine(pipemare.NewConcurrentEngine(w)))...)
+		requireIdentical(t, fmt.Sprintf("mid-stream-divergence/W=%d", w), ref, conc)
+	}
+}
+
+// TestStreamsMatchReferenceAcrossCuts pins the stream's seams against
+// Reference at every worker count: streams cut short by a checkpoint
+// cadence (3) that does not divide the epoch (4 minibatches), so they
+// start mid-epoch and end mid-epoch; a T3 warm-up epoch, whose
+// synchronous forward slots wait for every earlier commit; the clip fold;
+// the recompute climb; GPipe; and both sides of the in-flight cap
+// min(P, N), at N = 2 and N = 8 over P = 4.
+func TestStreamsMatchReferenceAcrossCuts(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 5) }
+	for _, tc := range []struct {
+		name string
+		opts []pipemare.Option
+	}{
+		{"pipemare/N=4", []pipemare.Option{pipemare.WithMethod(pipemare.PipeMare), pipemare.WithT1(12),
+			pipemare.WithT2(0.3), pipemare.WithT3(1), pipemare.WithClipNorm(2), pipemare.WithRecompute(2),
+			pipemare.WithMicrobatches(4)}},
+		{"pipemare/N=8", []pipemare.Option{pipemare.WithMethod(pipemare.PipeMare), pipemare.WithT2(0.3),
+			pipemare.WithMicrobatches(8)}},
+		{"pipedream/N=2", []pipemare.Option{pipemare.WithMethod(pipemare.PipeDream), pipemare.WithClipNorm(2),
+			pipemare.WithMicrobatches(2)}},
+		{"gpipe/N=4", []pipemare.Option{pipemare.WithMethod(pipemare.GPipe), pipemare.WithClipNorm(2),
+			pipemare.WithMicrobatches(4)}},
+	} {
+		opts := append([]pipemare.Option{pipemare.WithSeed(11), pipemare.WithBatchSize(8),
+			pipemare.WithSchedule(optim.Constant(0.05))}, tc.opts...)
+		curve := func(eng pipemare.Engine) *pipemare.Run {
+			o := append(append([]pipemare.Option{}, opts...), pipemare.WithEngine(eng),
+				pipemare.WithCheckpoint(t.TempDir(), 3))
+			return runCurve(t, build, 4, 1, o...)
+		}
+		ref := curve(pipemare.NewReferenceEngine())
+		for _, w := range workersGrid(4) {
+			requireIdentical(t, fmt.Sprintf("%s/W=%d", tc.name, w), ref, curve(pipemare.NewConcurrentEngine(w)))
+		}
+	}
 }
 
 // TestConcurrentEngineSurvivesRepeatedRuns pins that an engine is a value:
@@ -482,8 +555,8 @@ func TestEnginesEquivalentOnDivergenceUnderStealing(t *testing.T) {
 
 // TestEnginesEquivalentFineGrained pins the paper's fine-grained regime,
 // one stage per weight group (P = 27 here), where the concurrent engine cuts
-// the stages into S = min(P, 4W) multi-stage segments: W ∈ {1, 2, 3, 27}
-// gives S = 4, 8, 12 and 27, with uneven segment sizes. Every PipeMare
+// the stages into S = min(P, 2W) multi-stage segments: W ∈ {1, 2, 3, 27}
+// gives S = 2, 4, 6 and 27, with uneven segment sizes. Every PipeMare
 // technique that acts per stage is on, and the recompute climb re-enters
 // segment 0. A diverging run at W = 2 pins the abort path across segment
 // edges.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"pipemare/internal/optim"
@@ -12,21 +11,24 @@ import (
 	"pipemare/internal/trace"
 )
 
-// minibatch runs one minibatch to its committed update — the engine's
-// chains, then the commit — and returns its mean microbatch loss. A member
-// failure the run can survive (replica.MemberError), from either half, is
-// applied here: the group takes the member out — gone when it died, a
-// standby when it was merely slow, to rejoin through admitBoundary — and
-// the minibatch replays, chains and commit, when its result was lost with
-// the member. The replay is bit-identical to a fresh (R−1)-replica run
-// from the same state (package replica). With admitBoundary this is every
-// membership transition the trainer applies.
-func (t *Trainer) minibatch(ctx context.Context, micros [][]int) (float64, error) {
+// stream runs mbs, the next minibatches of the epoch, to their committed
+// updates through the replica group and returns the mean microbatch loss
+// of each it committed (replica.Group.Stream). A member failure the run
+// can survive (replica.MemberError) is applied here: the group takes the
+// member out — gone when it died, a standby when it was merely slow, to
+// rejoin through admitBoundary — and the minibatch replays, chains and
+// commit, when its result was lost with the member. The replay is
+// bit-identical to a fresh (R−1)-replica run from the same state
+// (package replica). With admitBoundary this is every membership
+// transition the trainer applies.
+func (t *Trainer) stream(ctx context.Context, mbs [][][]int) ([]float64, error) {
+	var losses []float64
 	for {
-		loss, err := t.attempt(ctx, micros)
+		ls, err := t.group.Stream(ctx, mbs)
+		losses = append(losses, ls...)
 		var me *replica.MemberError
 		if !errors.As(err, &me) {
-			return loss, err
+			return losses, err
 		}
 		if me.To == replica.Standby {
 			t.ctlTrack().Instant(trace.NameDemote, -1, -1, 0)
@@ -38,26 +40,12 @@ func (t *Trainer) minibatch(ctx context.Context, micros [][]int) (float64, error
 			// The commit completed before the failure surfaced (the member
 			// died after the prepare phase and the leader took over its
 			// shard) — the minibatch stands, no replay.
-			return loss, nil
+			return losses, nil
 		}
 		t.group.ResetGrads()
 		t.ctlTrack().Instant(trace.NameReplay, -1, -1, 0)
+		mbs = mbs[len(ls):]
 	}
-}
-
-// attempt is one try at the minibatch over the current membership: the
-// replica group runs every replica's chunk — the leader's too, framed
-// with this epoch's phase (Async) — and the reduce (Group.Minibatch), then
-// the group's commit. A trainer alone is a group of one.
-func (t *Trainer) attempt(ctx context.Context, micros [][]int) (float64, error) {
-	loss, err := t.group.Minibatch(ctx, micros)
-	if err != nil {
-		return loss, err
-	}
-	if err := t.group.Commit(len(micros)); err != nil {
-		return loss, fmt.Errorf("core: commit: %w", err)
-	}
-	return loss, nil
 }
 
 // ratesInto fills out with the per-parameter learning rates of params
@@ -105,6 +93,21 @@ func (h host) ClipScale(sumSq float64) float64 {
 	return max / norm
 }
 
+// Lag returns how many of the updates committed before microbatch s's
+// minibatch the stage's forward slot of s does not read (engine.Commit):
+// the minibatch index less the slot's version, 0 in a synchronous epoch,
+// whose slots read the live masters.
+func (h host) Lag(s, stage int) int {
+	t := h.t
+	if !t.async {
+		return 0
+	}
+	return t.clock.Minibatch(s) - t.clock.FwdVersion(s, stage+1)
+}
+
+// Clips reports whether the commit folds a clip scale (engine.Commit).
+func (h host) Clips() bool { return h.t.cfg.ClipNorm > 0 }
+
 // StepStage is the stage's whole update: it multiplies the stage's
 // gradients by the clip factor (when that is not 1), applies the optimizer
 // update to the stage's parameter range with that range's (T1) learning
@@ -115,10 +118,17 @@ func (h host) ClipScale(sumSq float64) float64 {
 // are disjoint and each stage reads only its own ring, so distinct stages
 // step concurrently without any cross-stage arithmetic. T2's pre-step
 // weights are that newest version: every change to the masters — a step,
-// an import, a restore — pushes or replaces it.
+// an import, a restore — pushes or replaces it. It steps the masters
+// wherever the stage's slots left its parameters pointing — a commit job
+// of a stream runs between slots that install versions — and leaves them
+// on the masters for the next slot's install; a Wᵀ panel a forward packed
+// stays valid, since a ring snapshot never changes.
 func (h host) StepStage(stage int, scale float64) {
 	t := h.t
 	lo, hi := t.stageLo[stage], t.stageHi[stage]
+	for i := lo; i < hi; i++ {
+		t.params[i].Data = t.masters[i]
+	}
 	if scale != 1 {
 		for i := lo; i < hi; i++ {
 			t.params[i].Grad.ScaleInPlace(scale)
@@ -132,7 +142,7 @@ func (h host) StepStage(stage int, scale float64) {
 	for i := lo; i < hi; i++ {
 		t.params[i].ZeroGrad()
 		if t.delta != nil {
-			tensor.T2Into(t.delta[i], t.corrected[i], t.params[i].Data, prev[i-lo], t.gamma[i], t.taus[i])
+			tensor.T2Into(t.delta[i], t.corrected[i], t.masters[i], prev[i-lo], t.gamma[i], t.taus[i])
 		}
 	}
 	t.store.PushStage(stage)

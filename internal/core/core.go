@@ -14,27 +14,31 @@
 // boundaries — the same "queue of weights per pipeline stage" simulation
 // the paper describes in Appendix C.4.
 //
-// How a minibatch's slots are scheduled onto goroutines is delegated to a
-// pluggable engine (package engine): the trainer implements engine.Host —
+// How the slots are scheduled onto goroutines is delegated to a pluggable
+// engine (package engine): the trainer implements engine.Host —
 // per-stage forward/recompute/backward slots over in-flight microbatch
-// machines, each installing the weight versions it reads — and the
-// configured engine.Engine drives one minibatch's chains at a time through
-// it. A Task is a stage program: every slot executes its stage's op range,
-// so engines can overlap microbatches across stages. Config.Engine selects
-// the engine; nil means the serial Reference engine. Every trainer New
-// builds leads a replica group — of one unless Replicas > 1 — and runs
-// each minibatch through it (replica.Group.Minibatch, then Group.Commit):
-// every in-process replica drives its own share of the microbatches
-// through Config.Engine, and the commit steps each stage once, one
-// StepStage call per stage at the learning rates of the minibatch's epoch
-// phase, split into the engine's Workers pieces.
+// machines, each installing the weight versions it reads — and
+// engine.Commit, the commit phases and the wait rule (Lag) that let a
+// stream of minibatches flow through the pipeline without draining. A Task
+// is a stage program: every slot executes its stage's op range, so engines
+// can overlap microbatches across stages. Config.Engine selects the
+// engine; nil means the serial Reference engine. Every trainer New builds
+// leads a replica group — of one unless Replicas > 1 — and runs an
+// epoch's minibatches through it (replica.Group.Stream) in streams that
+// end where the run loop needs a drained pipeline: the epoch's end, a due
+// checkpoint, and, for a replicated trainer, every minibatch boundary. A
+// trainer alone commits inside the stream, one StepStage call per stage
+// at the learning rates of the epoch's phase; a replicated one through the
+// group's sharded commit. The engine reads MicroBase, Recompute and the
+// phase once per stream.
 //
 // The package is laid out by role: this file holds the configuration, the
 // Trainer and its construction; build.go the stage layout, the partition
 // and follower construction; slots.go the slot surface, which installs
 // the versions pipeline.Clock names; commit.go the commit surface and the
-// minibatch loop with its recovery; member.go the replica-member surface;
-// run.go the epoch loop; elastic.go and checkpoint.go the boundary hooks.
+// stream loop with its recovery; member.go the replica-member surface;
+// run.go the epoch loop and its stream cuts; elastic.go and checkpoint.go
+// the boundary hooks.
 package core
 
 import (
@@ -282,8 +286,8 @@ type Trainer struct {
 	gamma     []float64
 
 	// Stage execution state: the task's program, the op ranges each stage
-	// owns and the in-flight microbatch machines: flows[k] is microbatch k
-	// of the minibatch at hand (host.flight). The flows slots and the free
+	// owns and the in-flight microbatch machines: flows[s mod N] is
+	// microbatch s while it is in flight (host.flight). The flows slots and the free
 	// pool are the only trainer state shared between engine goroutines
 	// outside the per-stage ownership contract: BeginMicro and EndMicro
 	// change them under flowMu, and a slot reads its microbatch's entry
@@ -310,7 +314,7 @@ type Trainer struct {
 	state, gather [][]*tensor.Tensor
 
 	observer Observer
-	async    bool // the minibatch in flight's phase: delayed installs, T1 rates (SetAsync)
+	async    bool // the stream's phase: delayed installs, T1 rates (SetAsync)
 	diverged bool
 
 	ckptWrites int   // checkpoints written
@@ -331,9 +335,10 @@ type Trainer struct {
 	handoffNs  int64 // their cumulative wall time, hello and handoff
 }
 
-// flight is one in-flight microbatch: its sample indices and its machine
-// (registers, gradients, activation tape).
+// flight is one in-flight microbatch: its global counter, its sample
+// indices and its machine (registers, gradients, activation tape).
 type flight struct {
+	s  int
 	mb []int
 	m  *nn.Machine
 }

@@ -86,6 +86,8 @@ func (t *probeTask) EvalTest() float64             { return 0 }
 
 // BindMicro labels the machine with the microbatch it carries, found in
 // the trainer's in-flight table (the samples themselves are irrelevant).
+// The table's entry names it: in a stream the minibatch of the chain being
+// bound may not be the one the trainer's step count is at.
 func (t *probeTask) BindMicro(m *nn.Machine, _ []int) {
 	if t.tr == nil {
 		panic("probeTask: set tr to the trainer built over the task before it runs")
@@ -99,9 +101,9 @@ func (t *probeTask) BindMicro(m *nn.Machine, _ []int) {
 		}
 	}
 	t.inFlight = max(t.inFlight, open)
-	for k, fl := range t.tr.flows {
+	for _, fl := range t.tr.flows {
 		if fl != nil && fl.m == m {
-			m.Labels = append(m.Labels[:0], host{t.tr}.MicroBase()+k)
+			m.Labels = append(m.Labels[:0], fl.s)
 			return
 		}
 	}

@@ -95,9 +95,10 @@ func (t *Trainer) park(ctx context.Context, conn transport.MsgConn) {
 	}
 }
 
-// admitBoundary is run()'s per-minibatch membership hook: readmit
+// admitBoundary is run()'s stream-boundary membership hook — every
+// minibatch boundary of a replicated trainer — which readmits
 // drained standbys first (they already hold a connection and a built
-// follower), then admit parked joiners. Both run on the run goroutine,
+// follower), then admits parked joiners. Both run on the run goroutine,
 // so membership changes serialize against collectives and checkpoints
 // by construction. A standby that fails its handoff is closed and gone;
 // the run continues over the current members either way.

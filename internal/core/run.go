@@ -34,6 +34,10 @@ func (t *Trainer) ctlTrack() *trace.Track {
 }
 
 // RunInto is Run appending into an existing curve (nil allocates one).
+// An epoch's minibatches run as streams through the pipeline, each up to
+// the next point where the run needs it drained: the epoch's end (its
+// evaluation, and T3's switch), a due checkpoint, and — for a replicated
+// trainer, whose boundary may admit a member — every minibatch.
 func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*metrics.Run, error) {
 	if run == nil {
 		run = &metrics.Run{}
@@ -43,23 +47,15 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 			return run, err
 		}
 		epochLoss, batches := 0.0, 0
-		// The batch order is a pure function of (seed, epoch) — no RNG
-		// state survives between epochs — so a resumed run replays the
-		// epoch's order, skipping the minibatches already committed.
-		epoch, skip := t.steps()/t.perEpoch(), t.steps()%t.perEpoch()
-		epochRng := rand.New(rand.NewSource(epochSeed(t.cfg.Seed, epoch)))
-		for _, batch := range data.Batches(t.task.NumTrain(), t.cfg.BatchSize, epochRng) {
-			if len(batch) < t.cfg.BatchSize {
-				continue // keep N constant; drop the final short batch
+		for mbs := t.epochLeft(); len(mbs) > 0; {
+			losses, err := t.stream(ctx, mbs[:t.streamLen(len(mbs))])
+			for _, l := range losses {
+				epochLoss += l
 			}
-			if skip > 0 {
-				skip--
-				continue
-			}
-			micros := data.Microbatches(batch, t.cfg.MicrobatchSize)
-			loss, err := t.minibatch(ctx, micros)
+			batches += len(losses)
+			mbs = mbs[len(losses):]
 			if err != nil {
-				// Diverged or cancelled mid-minibatch: drop the partial
+				// Diverged or cancelled mid-stream: drop the partial
 				// gradient accumulation so a later Run does not fold it into
 				// its first step.
 				nn.ZeroGrads(t.params)
@@ -71,12 +67,10 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 				run.Diverged = true
 				return run, nil
 			}
-			epochLoss += loss
-			batches++
 			if err := t.maybeCheckpoint(); err != nil {
 				return run, err
 			}
-			// Minibatch-boundary admission: rejoin drained standbys and
+			// Stream-boundary admission: rejoin drained standbys and
 			// admit parked joiners here, on the run goroutine, after the
 			// checkpoint hook — so membership changes never race a
 			// collective or a checkpoint write, and a post-join curve is a
@@ -94,4 +88,38 @@ func (t *Trainer) RunInto(ctx context.Context, epochs int, run *metrics.Run) (*m
 		}
 	}
 	return run, nil
+}
+
+// epochLeft returns the microbatches of the current epoch's minibatches
+// not yet committed. The batch order is a pure function of (seed, epoch)
+// — no RNG state survives between epochs — so a resumed run replays the
+// epoch's order, skipping the minibatches already committed.
+func (t *Trainer) epochLeft() [][][]int {
+	epoch, skip := t.steps()/t.perEpoch(), t.steps()%t.perEpoch()
+	epochRng := rand.New(rand.NewSource(epochSeed(t.cfg.Seed, epoch)))
+	var mbs [][][]int
+	for _, batch := range data.Batches(t.task.NumTrain(), t.cfg.BatchSize, epochRng) {
+		if len(batch) < t.cfg.BatchSize {
+			continue // keep N constant; drop the final short batch
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		mbs = append(mbs, data.Microbatches(batch, t.cfg.MicrobatchSize))
+	}
+	return mbs
+}
+
+// streamLen returns how many of the epoch's next left minibatches the
+// next stream runs: up to the next due checkpoint, and one at a time for
+// a replicated trainer.
+func (t *Trainer) streamLen(left int) int {
+	if t.cfg.Replicas > 1 {
+		return 1
+	}
+	if every := t.cfg.CheckpointEvery; t.cfg.CheckpointDir != "" && every > 0 {
+		left = min(left, every-t.steps()%every)
+	}
+	return left
 }

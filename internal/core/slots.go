@@ -26,8 +26,8 @@ func (h host) Stages() int { return h.t.clock.P }
 // recompute climb: the path is configured and the epoch asynchronous.
 func (h host) Recompute() bool { return h.t.async && h.t.clock.Segments > 0 }
 
-// MicroBase returns the global microbatch counter for the minibatch start:
-// N per committed step.
+// MicroBase returns the global microbatch counter at the start of the
+// stream: N per committed step.
 func (h host) MicroBase() int { return h.t.steps() * h.t.clock.N }
 
 // slotKind names the three slots of a microbatch chain at one stage.
@@ -92,7 +92,7 @@ func (t *Trainer) install(s, stage int, kind slotKind) {
 
 // Restore points the stage's parameters back at the live master weights,
 // clears the backward decoupling and releases the Wᵀ panels the stage's
-// forwards packed, so no panel outlives the minibatch.
+// forwards packed, so no panel outlives the stream.
 func (h host) Restore(stage int) {
 	t := h.t
 	for i := t.stageLo[stage]; i < t.stageHi[stage]; i++ {
@@ -119,23 +119,23 @@ func (h host) BeginMicro(s int, mb []int) {
 			fl.m.Tape.SetDType(t.masters[0].DType())
 		}
 	}
-	fl.mb = mb
+	fl.s, fl.mb = s, mb
 	t.flows[h.slot(s)] = fl
 	t.flowMu.Unlock()
 }
 
-// slot returns microbatch s's index in the minibatch at hand, its
-// s − MicroBase(): every base is a multiple of N and the minibatch's
-// microbatches are base … base+N−1, so it is s mod N. The slot needs no
-// read of the version store.
+// slot returns microbatch s's entry in the in-flight table: s mod N. An
+// engine keeps at most min(P, N) consecutive microbatches in flight, so
+// no two of them share an entry. The slot needs no read of the version
+// store.
 func (h host) slot(s int) int { return s % h.t.clock.N }
 
 // flight returns microbatch s's in-flight state, without taking flowMu:
 // the engine orders every slot of s after BeginMicro(s) and before
-// EndMicro(s), and no other microbatch of the minibatch shares its entry.
+// EndMicro(s), and no other microbatch in flight shares its entry.
 func (h host) flight(s int) *flight {
 	fl := h.t.flows[h.slot(s)]
-	if fl == nil {
+	if fl == nil || fl.s != s {
 		panic(fmt.Sprintf("core: microbatch %d has no in-flight state (missing BeginMicro)", s))
 	}
 	return fl

@@ -1,6 +1,10 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+
+	"pipemare/internal/trace"
+)
 
 // CommitPlan assigns the P stages of an optimizer commit to owners. It is
 // the one sharding rule every commit goes through: the replica group
@@ -56,4 +60,71 @@ func (pl CommitPlan) OwnerOf(stage int) int {
 		}
 	}
 	panic(fmt.Sprintf("engine: stage %d outside the %d-stage commit plan", stage, pl.p))
+}
+
+// Commits runs a stream's commit jobs for an engine: a stage range's
+// PrepareStage calls, each followed at once by the stage's StepStage under
+// scale 1 when the commit does not clip; and for a clipping commit, the
+// stage-ordered fold of the partials and the steps under its scale. A nil
+// *Commits is a stream whose caller commits.
+type Commits struct {
+	c      Commit
+	sumSqs []float64 // per-stage partials of the minibatch being folded; nil: no clip
+}
+
+// NewCommits returns the commit jobs of a p-stage stream over c, nil when
+// c is nil.
+func NewCommits(c Commit, p int) *Commits {
+	if c == nil {
+		return nil
+	}
+	cs := &Commits{c: c}
+	if c.Clips() {
+		cs.sumSqs = make([]float64, p)
+	}
+	return cs
+}
+
+// Clips reports whether the steps wait for the clip fold.
+func (cs *Commits) Clips() bool { return cs != nil && cs.sumSqs != nil }
+
+// Job runs stages [lo, hi)'s commit job for a minibatch of n
+// microbatches, as one span on tk: each stage's PrepareStage, then its
+// StepStage unless the commit clips, in which case the partial waits in
+// the fold for Scale.
+func (cs *Commits) Job(tk *trace.Track, lo, hi, n int) {
+	t0 := tk.Now()
+	for st := lo; st < hi; st++ {
+		sq := cs.c.PrepareStage(st, n)
+		if cs.sumSqs != nil {
+			cs.sumSqs[st] = sq
+		} else {
+			cs.c.StepStage(st, 1)
+		}
+	}
+	name := trace.NameCommitStep
+	if cs.sumSqs != nil {
+		name = trace.NameCommitPrepare
+	}
+	tk.Span(name, t0, lo, -1, 0)
+}
+
+// Scale folds the partials in stage order into the clip factor. Every
+// stage's Job of the minibatch must happen before it.
+func (cs *Commits) Scale() float64 {
+	sum := 0.0
+	for _, sq := range cs.sumSqs {
+		sum += sq
+	}
+	return cs.c.ClipScale(sum)
+}
+
+// Step runs a clipping commit's steps of stages [lo, hi) under scale, as
+// one span on tk.
+func (cs *Commits) Step(tk *trace.Track, lo, hi int, scale float64) {
+	t0 := tk.Now()
+	for st := lo; st < hi; st++ {
+		cs.c.StepStage(st, scale)
+	}
+	tk.Span(trace.NameCommitStep, t0, lo, -1, 0)
 }

@@ -6,44 +6,63 @@
 // descends P→1 running each stage's backward slot.
 //
 // A segment — a run of consecutive stages, never a pinned goroutine — is
-// the serialization domain. The P stages are cut into S = min(P, 4·W)
+// the serialization domain. The P stages are cut into S = min(P, 2·W)
 // contiguous segments of near-equal size (engine.CommitPlan's split); each
-// segment owns a FIFO job queue, and an idle worker claims an entire
-// segment (the queue's active flag guarantees at most one worker drains a
-// segment at a time), runs each queued job through the segment's stages by
+// segment owns a run queue, and an idle worker claims an entire segment
+// (the queue's active flag guarantees at most one worker drains a segment
+// at a time), runs each runnable job through the segment's stages by
 // direct slot calls — ascending for a climb, descending for the descent —
 // and releases it. A chain therefore crosses a queue only at segment
 // edges: 2(S−1) times per microbatch instead of 2(P−1), which is what
 // makes the fine-grained regime (one stage per weight group, P ≫ W) cheap
-// to schedule. With P ≤ 4·W every segment is one stage. Workers
-// load-balance across segments automatically, and up to P microbatch
-// chains are in flight at once — a real fill/drain pipeline.
+// to schedule. With P ≤ 2·W every segment is one stage.
+//
+// The workers live for a stream of minibatches (engine.Engine.Stream) and
+// keep min(P, N) consecutive chains in flight across minibatch
+// boundaries: the worker that completes a chain opens the next. When the
+// stream carries a Commit, the backward job of a minibatch's last
+// microbatch hands its chain on and then runs the segment's commit job
+// (engine.Commits), so the pipeline never drains between minibatches. A
+// job of minibatch k+1 that the wait rule of engine.Commit holds back
+// stays queued while the jobs behind it run: a queue runs its first
+// runnable job, not its first job, so a blocked job never holds back the
+// one of minibatch k it waits on. A clipping commit's fold is the last
+// prepare's, which queues a step job on every segment.
+//
+// An idle worker polls the queues for work for pollFor before it parks:
+// a chain's next job is usually queued within microseconds, and a worker
+// that is already running takes it at once, where a woken one would first
+// wait for the goroutine that woke it to give up its processor.
 //
 // Determinism is preserved for every worker count because scheduling
-// freedom never reorders a serialization domain: jobs enter a segment's
-// queue in microbatch order (segment 0 from the in-order dispatcher,
+// freedom never reorders what a stage computes: jobs enter a segment's
+// queue in microbatch order (segment 0 from the in-order dispatch,
 // segment g+1 from segment g's in-order drain), the claiming worker runs
-// them in FIFO order and each job through the segment's stages in chain
-// order, and the active flag forbids two workers inside one segment — so
-// every stage sees its slots serially in microbatch order, and
-// per-parameter gradient accumulation is serial in s exactly as in the
-// serial Reference engine. Each slot call installs the weights it reads
+// the runnable ones in queue order, each through the segment's stages in
+// chain order, and the active flag forbids two workers inside one
+// segment — so every stage accumulates its backward slots serially in
+// microbatch order exactly as in the serial Reference engine, and commits
+// each minibatch between its last backward slot of that minibatch and its
+// first of the next. Each slot call installs the weights it reads
 // (engine.Host), so the Table 1 delays stay per stage whatever the cut;
-// and microbatch losses are summed in microbatch order from the result
-// collector. Training curves are therefore bit-identical to Reference for
-// every W ∈ {1..P} — pinned by the equivalence tests at the repository
-// root.
+// and microbatch losses are summed in microbatch order. Training curves
+// are therefore bit-identical to Reference for every W ∈ {1..P} — pinned
+// by the equivalence tests at the repository root.
 //
-// The queues, channels and workers belong to one Minibatch call: it builds
-// them, and joins the workers before it returns. The Engine itself holds
-// only W, so one value serves any number of trainers and replicas at once.
+// The queues and workers belong to one Stream call: it builds them, and
+// joins the workers before it returns (the calling goroutine is worker 0).
+// The Engine itself holds only W, so one value serves any number of
+// trainers and replicas at once.
 package concurrent
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/trace"
@@ -52,11 +71,21 @@ import (
 // segmentsPerWorker sets the segment count S = min(P, segmentsPerWorker·W).
 // Fewer, longer segments cross fewer queues; more, shorter ones leave
 // stealing more room to balance. On the benchmark's resmlp-fine workload
-// (P = 107, W = 2, a 2-CPU box) samples/s was flat from 1 to 4 segments
-// per worker and fell back toward the one-segment-per-stage rate at 8. 4
-// is the largest value that keeps the gain, and it leaves every pipeline
-// with P ≤ 4·W on one stage per segment.
-const segmentsPerWorker = 4
+// (P = 107, W = 2, a 2-CPU box, streams that do not drain between
+// minibatches; 6 s timed passes over alternating seeds, 14 runs each at
+// 1 and 2 segments per worker, 10 at 4, 4 at 8) samples/s had medians of
+// about 81–84k at 1 and 2, 74–77k at 4 and 70k at 8; 2 won 8 of 10
+// seed-paired runs against 4. 2 is the larger of the two best values, and it leaves every
+// pipeline with P ≤ 2·W — the benchmark's P = 4 transformers at W = 2 —
+// on one stage per segment.
+const segmentsPerWorker = 2
+
+// pollFor is how long an idle worker polls the queues before it parks.
+// On resmlp-fine (same box and runs as above, 2 segments per worker)
+// samples/s was flat within noise from 0 (park after one look) to
+// 200 µs, with medians of 80.6–86.7k; 50 µs gave the narrowest spread,
+// and polling burns no measurable CPU per sample at that length.
+const pollFor = 50 * time.Microsecond
 
 type jobKind int
 
@@ -64,26 +93,31 @@ const (
 	jobFwd    jobKind = iota // climb: run the segment's forward slots
 	jobRecomp                // climb: run the segment's recompute slots
 	jobBwd                   // descend: run the segment's backward slots
+	jobStep                  // a clipping commit's steps under the folded scale
 )
 
 type job struct {
-	kind jobKind
-	s    int  // global microbatch counter
-	k    int  // index within the minibatch (loss ordering)
-	rec  bool // the chain makes the recompute climb
-	loss float64
-	bad  bool
+	kind  jobKind
+	s     int     // global microbatch counter
+	mb    int     // minibatch index within the stream
+	need  int     // commits of the segment the job waits for (engine.Commit's rule)
+	scale float64 // jobStep: the clip factor
 }
 
-// segmentQueue is one segment's FIFO run queue. active marks the segment
-// as claimed by a worker: between the claim and the release only that
-// worker pops jobs, so the segment's slots execute serially in arrival
-// order no matter which workers touch the segment over time.
+// segmentQueue is one segment's run queue. active marks the segment as
+// claimed by a worker: between the claim and the release only that worker
+// pops jobs, so the segment's slots execute serially no matter which
+// workers touch the segment over time. ready marks a claim no worker has
+// taken up yet.
 type segmentQueue struct {
 	mu     sync.Mutex
 	jobs   []job
-	head   int
 	active bool
+	ready  atomic.Bool
+
+	// committed counts the stream's minibatches the segment has committed.
+	// Only the claiming worker reads or writes it.
+	committed int
 }
 
 // Engine is the work-stealing segment-scheduler engine (engine.Engine).
@@ -120,7 +154,7 @@ func New(opts ...Option) *Engine {
 // Name identifies the engine.
 func (e *Engine) Name() string { return "concurrent" }
 
-// Workers returns the W a p-stage Minibatch starts: WithWorkers, or
+// Workers returns the W a p-stage Stream starts: WithWorkers, or
 // GOMAXPROCS, clamped to p.
 func (e *Engine) Workers(p int) int {
 	w := e.workers
@@ -130,15 +164,47 @@ func (e *Engine) Workers(p int) int {
 	return min(w, p)
 }
 
-// run is one Minibatch's scheduler: the segment queues its nw workers
-// drain over host h.
+// run is one Stream's scheduler: the segment queues its nw workers drain
+// over host h.
 type run struct {
-	h       engine.Host
-	cut     engine.CommitPlan // segment g is the stage range cut.Shard(g)
-	queues  []segmentQueue    // one per segment
-	ready   chan int          // segments with queued work and no claiming worker
-	results chan job
-	aborted atomic.Bool // set on the first bad loss: later chains skip compute
+	h      engine.Host
+	cut    engine.CommitPlan // segment g is the stage range cut.Shard(g)
+	queues []segmentQueue    // one per segment
+
+	// The stream: its minibatches, N, the first microbatch's counter, and
+	// its commit jobs (nil: the caller commits).
+	ctx     context.Context
+	mbs     [][][]int
+	n       int
+	base    int
+	rec     bool
+	c       engine.Commit
+	commits *engine.Commits
+	losses  []float64 // per microbatch of the stream, written by its crest
+
+	// Dispatch: dmu orders BeginMicro and segment 0's enqueue in
+	// microbatch order. The worker that ends a chain opens the next.
+	dmu        sync.Mutex
+	dispatched int
+	ctxErr     error // the cancellation that stopped dispatch
+
+	// abortAt is the first minibatch whose jobs skip their slots and
+	// commits: the first bad loss's, or the cancel's cut. bad records that
+	// a bad loss set it.
+	abortAt atomic.Int64
+	bad     atomic.Bool
+
+	prepared atomic.Int32 // segments that prepared the minibatch a clipping commit folds
+
+	// live counts the chains in flight and the commit jobs not yet run;
+	// the stream is over when it falls to zero, which closes done.
+	live atomic.Int64
+	done chan struct{}
+
+	// idle counts the parked workers; wake carries a token per wake-up,
+	// buffered to W so signal never blocks: at most W workers park.
+	idle atomic.Int32
+	wake chan struct{}
 
 	// tracks[w] is worker w's trace track (nil when tracing is off — every
 	// emission no-ops). Exactly one goroutine (worker w) writes it, so
@@ -147,26 +213,162 @@ type run struct {
 	tracks []*trace.Track
 }
 
-// newRun cuts h's P stages into S = min(P, 4·nw) segments and builds their
+// newRun cuts h's P stages into S = min(P, 2·nw) segments and builds their
 // queues for nw workers.
 func newRun(h engine.Host, nw int) *run {
 	p := h.Stages()
 	segs := min(p, segmentsPerWorker*nw)
 	r := &run{h: h, cut: engine.NewCommitPlan(p, segs), queues: make([]segmentQueue, segs),
-		// Each segment is "ready" at most once (the active flag), and at
-		// most P chains are in flight, so capacities S and P make every
-		// send non-blocking.
-		ready: make(chan int, segs), results: make(chan job, p), tracks: make([]*trace.Track, nw)}
+		done: make(chan struct{}), wake: make(chan struct{}, nw), tracks: make([]*trace.Track, nw)}
 	for i := range r.tracks {
 		r.tracks[i] = engine.WorkerTrack(h, i)
 	}
+	r.abortAt.Store(math.MaxInt64)
 	return r
 }
 
+// Stream runs the stream's chains with up to min(P, N) of them in flight
+// on workers of its own — the calling goroutine and W−1 more — joins
+// them, and restores every stage.
+func (e *Engine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, c engine.Commit) ([]float64, error) {
+	p := h.Stages()
+	nw := e.Workers(p)
+	r := newRun(h, nw)
+	r.ctx, r.mbs, r.c = ctx, mbs, c
+	r.commits = engine.NewCommits(c, p)
+	r.base, r.rec = h.MicroBase(), h.Recompute()
+	total := 0
+	if len(mbs) > 0 {
+		r.n = len(mbs[0])
+		total = len(mbs) * r.n
+	}
+	r.losses = make([]float64, total)
+	for range min(p, r.n) {
+		r.dispatch()
+	}
+	if r.live.Load() > 0 {
+		var wg sync.WaitGroup
+		wg.Add(nw - 1)
+		for w := 1; w < nw; w++ {
+			go func() {
+				defer wg.Done()
+				r.work(w)
+			}()
+		}
+		r.work(0)
+		wg.Wait()
+	}
+	// Every worker has exited — each slot and commit job happens-before
+	// its worker's exit — so the stages are restored right here.
+	for i := 0; i < p; i++ {
+		h.Restore(i)
+	}
+	return r.result()
+}
+
+// result returns the mean loss of every minibatch the stream completed,
+// summed in microbatch order, and why it stopped short, if it did.
+func (r *run) result() ([]float64, error) {
+	done := int(min(r.abortAt.Load(), int64(len(r.mbs))))
+	out := make([]float64, done)
+	for j := range out {
+		sum := 0.0
+		for _, l := range r.losses[j*r.n : (j+1)*r.n] {
+			sum += l
+		}
+		out[j] = sum / float64(r.n)
+	}
+	switch {
+	case r.bad.Load():
+		return out, engine.ErrDiverged
+	case r.ctxErr != nil:
+		return out, r.ctxErr
+	}
+	return out, nil
+}
+
+// dispatch opens the stream's next chain and queues its forward climb at
+// segment 0, unless the stream is spent, stopped, or cancelled — a
+// cancellation cuts the stream at the minibatch of the chain it would
+// have opened.
+func (r *run) dispatch() {
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	if r.dispatched == len(r.losses) {
+		return
+	}
+	mb := r.dispatched / r.n
+	if int64(mb) >= r.abortAt.Load() {
+		return
+	}
+	if err := r.ctx.Err(); err != nil {
+		r.ctxErr = err
+		r.abort(mb)
+		return
+	}
+	s := r.base + r.dispatched
+	r.h.BeginMicro(s, r.mbs[mb][r.dispatched%r.n])
+	r.dispatched++
+	r.live.Add(1)
+	r.enqueue(0, job{kind: jobFwd, s: s, mb: mb, need: r.fwdNeed(0, s, mb)})
+}
+
+// abort stops every job of minibatch mb and later: they skip their slots
+// and commits, and a queue holding one is handed to a worker, since a job
+// its wait rule held back may now run.
+func (r *run) abort(mb int) {
+	for {
+		cur := r.abortAt.Load()
+		if int64(mb) >= cur {
+			return
+		}
+		if r.abortAt.CompareAndSwap(cur, int64(mb)) {
+			break
+		}
+	}
+	for g := range r.queues {
+		q := &r.queues[g]
+		q.mu.Lock()
+		wake := !q.active && len(q.jobs) > 0
+		if wake {
+			q.active = true
+		}
+		q.mu.Unlock()
+		if wake {
+			r.signal(q)
+		}
+	}
+}
+
+// aborted reports whether minibatch mb's jobs skip their work.
+func (r *run) aborted(mb int) bool { return int64(mb) >= r.abortAt.Load() }
+
+// fwdNeed is the commits segment g must have made before microbatch s of
+// minibatch mb climbs it: those that produced the versions its stages'
+// forward slots read.
+func (r *run) fwdNeed(g, s, mb int) int {
+	if r.c == nil {
+		return 0
+	}
+	lo, hi := r.cut.Shard(g)
+	lag := 0
+	for i := lo; i < hi; i++ {
+		if l := r.c.Lag(s, i); i == lo || l < lag {
+			lag = l
+		}
+	}
+	return mb - lag
+}
+
+// runnable reports whether the segment's wait rule lets jb run now.
+func (r *run) runnable(q *segmentQueue, jb *job) bool {
+	return jb.need <= q.committed || r.aborted(jb.mb)
+}
+
 // enqueue appends a job to a segment's queue and, when no worker
-// currently claims the segment, marks it ready. FIFO append order is
-// microbatch order for every producer (the dispatcher and upstream segment
-// drains are both in-order), which is what makes any worker interleaving
+// currently claims the segment, marks it ready. Append order is
+// microbatch order for every producer (the dispatch and upstream segment
+// drains are both in order), which is what makes any worker interleaving
 // deterministic.
 func (r *run) enqueue(g int, jb job) {
 	q := &r.queues[g]
@@ -178,29 +380,110 @@ func (r *run) enqueue(g int, jb job) {
 	}
 	q.mu.Unlock()
 	if wake {
-		r.ready <- g
+		r.signal(q)
 	}
 }
 
-// drain runs the claimed segment's queued jobs in FIFO order until the
-// queue is empty, then releases the claim. While the claim is held this
-// goroutine is the only one touching the segment's stages — their
-// installed weight pointers, T2 accumulators, version rings and parameter
-// gradients — the same ownership the goroutine-per-stage design provided,
-// held per burst instead of per run.
+// signal offers a claimed segment to the workers: a polling worker takes
+// it up from its ready flag, and a parked one is woken for it.
+func (r *run) signal(q *segmentQueue) {
+	q.ready.Store(true)
+	if r.idle.Load() > 0 {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// work is worker w's loop: take up a ready segment, drain it, repeat until
+// the stream is over.
+func (r *run) work(w int) {
+	g := w
+	for {
+		if g = r.claim(g); g < 0 {
+			return
+		}
+		r.drain(w, g)
+		g++
+	}
+}
+
+// claim returns a ready segment, scanning from from, once one is offered;
+// -1 once the stream is over. It polls for pollFor, then parks until a
+// segment is offered.
+func (r *run) claim(from int) int {
+	var t0 time.Time
+	for spin := 0; ; spin++ {
+		if g := r.take(from); g >= 0 {
+			return g
+		}
+		select {
+		case <-r.done:
+			return -1
+		default:
+		}
+		switch {
+		case spin == 0:
+			t0 = time.Now()
+		case time.Since(t0) > pollFor:
+			r.park()
+			spin = -1
+		}
+		runtime.Gosched()
+	}
+}
+
+// take claims the first ready segment from from on, -1 when none is.
+func (r *run) take(from int) int {
+	segs := len(r.queues)
+	for i := 0; i < segs; i++ {
+		g := (from + i) % segs
+		if q := &r.queues[g]; q.ready.Load() && q.ready.CompareAndSwap(true, false) {
+			return g
+		}
+	}
+	return -1
+}
+
+// park sleeps until a segment is offered or the stream ends. It counts
+// itself idle before its last look at the ready flags, and signal sets a
+// flag before it looks at the count, so no offer goes unseen.
+func (r *run) park() {
+	r.idle.Add(1)
+	defer r.idle.Add(-1)
+	for g := range r.queues {
+		if r.queues[g].ready.Load() {
+			return
+		}
+	}
+	select {
+	case <-r.wake:
+	case <-r.done:
+	}
+}
+
+// drain runs the claimed segment's runnable jobs in queue order until none
+// is left, then releases the claim — under the queue's lock, so a job an
+// abort made runnable is either seen here or handed on by abort. While
+// the claim is held this goroutine is the only one touching the segment's
+// stages — their installed weight pointers, T2 accumulators, version
+// rings and parameter gradients.
 func (r *run) drain(w, g int) {
 	q := &r.queues[g]
 	for {
 		q.mu.Lock()
-		if q.head == len(q.jobs) {
-			q.jobs = q.jobs[:0]
-			q.head = 0
+		i := 0
+		for i < len(q.jobs) && !r.runnable(q, &q.jobs[i]) {
+			i++
+		}
+		if i == len(q.jobs) {
 			q.active = false
 			q.mu.Unlock()
 			return
 		}
-		jb := q.jobs[q.head]
-		q.head++
+		jb := q.jobs[i]
+		q.jobs = slices.Delete(q.jobs, i, i+1)
 		q.mu.Unlock()
 		r.process(w, g, jb)
 	}
@@ -208,18 +491,32 @@ func (r *run) drain(w, g int) {
 
 // process executes one job of segment g on worker w and hands the chain on:
 // to the next segment's queue, or, at the last segment, to the crest or the
-// descent.
+// descent. A job of an aborted minibatch ends its chain instead.
 func (r *run) process(w, g int, jb job) {
+	if jb.kind == jobStep {
+		lo, hi := r.cut.Shard(g)
+		r.commits.Step(r.tracks[w], lo, hi, jb.scale)
+		r.queues[g].committed++
+		r.release()
+		return
+	}
+	if r.aborted(jb.mb) {
+		r.finish(jb)
+		return
+	}
 	switch jb.kind {
 	case jobFwd, jobRecomp:
-		r.climb(w, g, &jb)
+		r.climb(w, g, jb)
 		switch {
 		case g < len(r.queues)-1:
+			if jb.kind == jobFwd {
+				jb.need = r.fwdNeed(g+1, jb.s, jb.mb)
+			}
 			r.enqueue(g+1, jb)
 		case jb.kind == jobFwd:
 			r.crest(w, g, jb)
 		default:
-			r.bwd(w, g, jb)
+			r.descend(w, g, jb)
 		}
 	case jobBwd:
 		r.bwd(w, g, jb)
@@ -227,14 +524,15 @@ func (r *run) process(w, g int, jb job) {
 }
 
 // climb runs the chain's forward (or recompute) slots for segment g's
-// stages in ascending order, emitting one trace span per slot.
-func (r *run) climb(w, g int, jb *job) {
+// stages in ascending order, emitting one trace span per slot; the last
+// stage's forward records the microbatch's loss.
+func (r *run) climb(w, g int, jb job) {
 	lo, hi := r.cut.Shard(g)
 	tk := r.tracks[w]
-	for i := lo; i < hi && !r.aborted.Load(); i++ {
+	for i := lo; i < hi; i++ {
 		t0 := tk.Now()
 		if jb.kind == jobFwd {
-			jb.loss = r.h.StageForward(jb.s, i)
+			r.losses[jb.s-r.base] = r.h.StageForward(jb.s, i)
 			tk.Span(trace.NameFwd, t0, i, jb.s, 0)
 		} else {
 			r.h.StageRecompute(jb.s, i)
@@ -247,117 +545,108 @@ func (r *run) climb(w, g int, jb *job) {
 // check, then either the divergence abort, the recompute climb, or the
 // start of the backward descent.
 func (r *run) crest(w, g int, jb job) {
-	if !r.aborted.Load() && r.h.BadLoss(jb.loss) {
-		jb.bad = true
-		r.aborted.Store(true)
-	}
-	if r.aborted.Load() {
-		// This microbatch diverged, or an earlier one did: the chain ends
-		// without a backward pass; the collector ignores its loss.
-		r.h.EndMicro(jb.s)
-		r.results <- jb
+	if r.h.BadLoss(r.losses[jb.s-r.base]) {
+		// This minibatch diverged: it and every later one stop, and the
+		// chain ends without a backward pass.
+		r.bad.Store(true)
+		r.abort(jb.mb)
+		r.finish(jb)
 		return
 	}
-	if jb.rec {
+	if r.rec {
 		// With one segment this is the queue being drained; the drain
 		// picks it up.
-		jb.kind = jobRecomp
+		jb.kind, jb.need = jobRecomp, r.slotNeed(jb.mb)
 		r.enqueue(0, jb)
 		return
 	}
-	r.bwd(w, g, jb)
+	r.descend(w, g, jb)
+}
+
+// slotNeed is the commits a backward or recompute job of minibatch mb
+// waits for: every earlier minibatch's.
+func (r *run) slotNeed(mb int) int {
+	if r.c == nil {
+		return 0
+	}
+	return mb
+}
+
+// descend starts the chain's backward descent at the last segment g: at
+// once when the segment has committed every earlier minibatch and holds
+// no earlier descent, from its queue otherwise, which keeps the segment's
+// backward slots in microbatch order. The segment is claimed, so queueing
+// wakes no one.
+func (r *run) descend(w, g int, jb job) {
+	jb.kind, jb.need = jobBwd, r.slotNeed(jb.mb)
+	q := &r.queues[g]
+	q.mu.Lock()
+	queue := !r.runnable(q, &jb) || slices.ContainsFunc(q.jobs, func(o job) bool { return o.kind == jobBwd })
+	if queue {
+		q.jobs = append(q.jobs, jb)
+	}
+	q.mu.Unlock()
+	if !queue {
+		r.bwd(w, g, jb)
+	}
 }
 
 // bwd runs the chain's backward slots for segment g's stages in descending
-// order and passes it down; at segment 0 the chain completes.
+// order and passes it down; at segment 0 the chain completes. Behind the
+// last microbatch of a minibatch the segment then commits it.
 func (r *run) bwd(w, g int, jb job) {
 	lo, hi := r.cut.Shard(g)
 	tk := r.tracks[w]
-	for i := hi - 1; i >= lo && !r.aborted.Load(); i-- {
+	for i := hi - 1; i >= lo; i-- {
 		t0 := tk.Now()
 		r.h.StageBackward(jb.s, i)
 		tk.Span(trace.NameBwd, t0, i, jb.s, 0)
 	}
-	if g > 0 {
-		jb.kind = jobBwd
-		r.enqueue(g-1, jb)
-		return
+	last := r.commits != nil && (jb.s-r.base)%r.n == r.n-1 && !r.aborted(jb.mb)
+	if last {
+		r.live.Add(1)
 	}
-	r.h.EndMicro(jb.s)
-	r.results <- jb
+	if g > 0 {
+		r.enqueue(g-1, jb)
+	} else {
+		r.finish(jb)
+	}
+	if last {
+		r.commit(w, g, jb.mb)
+	}
 }
 
-// Minibatch executes the N microbatch chains with up to P of them
-// overlapping across the segment queues of a run of its own, restores every
-// stage once they have drained, and joins the run's workers before it
-// returns.
-func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
-	p := h.Stages()
-	nw := e.Workers(p)
-	r := newRun(h, nw)
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func() {
-			defer wg.Done()
-			for g := range r.ready {
-				r.drain(w, g)
-			}
-		}()
-	}
-	// The chains drain before Minibatch returns, so every queue is empty
-	// and no job is left to enqueue: closing the ready channel releases
-	// every worker.
-	defer func() {
-		close(r.ready)
-		wg.Wait()
-	}()
-	rec := h.Recompute()
-	base := h.MicroBase()
-	n := len(micros)
-	losses := make([]float64, n)
-	dispatched, completed := 0, 0
-	badK := -1
-	var ctxErr error
-	for {
-		for dispatched < n && dispatched-completed < p && badK < 0 && ctxErr == nil {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				break
-			}
-			h.BeginMicro(base+dispatched, micros[dispatched])
-			r.enqueue(0, job{kind: jobFwd, s: base + dispatched, k: dispatched, rec: rec})
-			dispatched++
-		}
-		if completed == dispatched {
-			if dispatched == n || badK >= 0 || ctxErr != nil {
-				break
-			}
-		}
-		res := <-r.results
-		completed++
-		losses[res.k] = res.loss
-		if res.bad && badK < 0 {
-			badK = res.k
+// commit runs segment g's commit job of minibatch mb. Without the clip
+// fold it steps the stages too. With it, the last segment to prepare
+// folds the partials and queues the steps on every segment.
+func (r *run) commit(w, g, mb int) {
+	lo, hi := r.cut.Shard(g)
+	r.commits.Job(r.tracks[w], lo, hi, r.n)
+	if !r.commits.Clips() {
+		r.queues[g].committed++
+	} else if segs := int32(len(r.queues)); r.prepared.Add(1) == segs {
+		r.prepared.Store(0)
+		scale := r.commits.Scale()
+		r.live.Add(int64(segs))
+		for g := range r.queues {
+			r.enqueue(g, job{kind: jobStep, mb: mb, scale: scale})
 		}
 	}
+	r.release()
+}
 
-	// Every chain has drained — each slot happens-before its chain's
-	// result — so the stages are restored right here, whether the
-	// minibatch goes on to its commit or back to the trainer as a
-	// divergence or cancellation.
-	for i := 0; i < p; i++ {
-		h.Restore(i)
+// finish ends a chain: it closes the microbatch, opens the stream's next
+// chain, and releases the chain's hold on the stream.
+func (r *run) finish(jb job) {
+	r.h.EndMicro(jb.s)
+	r.dispatch()
+	r.release()
+}
+
+// release drops one chain's or commit job's hold on the stream; the last
+// ends it.
+func (r *run) release() {
+	if r.live.Add(-1) == 0 {
+		close(r.done)
 	}
-	if ctxErr != nil {
-		return 0, ctxErr
-	}
-	if badK >= 0 {
-		return 0, engine.ErrDiverged
-	}
-	lossSum := 0.0
-	for _, l := range losses {
-		lossSum += l
-	}
-	return lossSum / float64(n), nil
 }

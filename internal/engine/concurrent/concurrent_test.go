@@ -31,18 +31,18 @@ func TestOptionsAndName(t *testing.T) {
 	}
 }
 
-// TestMinibatchJoinsItsWorkers pins that an engine holds no run resources:
-// each Minibatch starts its own workers and joins them before it returns.
-func TestMinibatchJoinsItsWorkers(t *testing.T) {
+// TestStreamJoinsItsWorkers pins that an engine holds no run resources:
+// each Stream starts its own workers and joins them before it returns.
+func TestStreamJoinsItsWorkers(t *testing.T) {
 	e := New(WithWorkers(2))
 	baseline := runtime.NumGoroutine()
-	for mb := 0; mb < 2; mb++ {
-		if _, err := e.Minibatch(context.Background(), &stubHost{p: 3}, [][]int{{0}, {1}}); err != nil {
+	for i := 0; i < 2; i++ {
+		if _, err := e.Stream(context.Background(), &stubHost{p: 3}, [][][]int{{{0}, {1}}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		// wg.Done runs before its goroutine exits: settle briefly.
 		if n := leakcheck.Settled(baseline, time.Second); n > baseline {
-			t.Fatalf("minibatch %d: %d goroutines outlive the minibatch", mb, n-baseline)
+			t.Fatalf("stream %d: %d goroutines outlive the stream", i, n-baseline)
 		}
 	}
 }
@@ -66,15 +66,16 @@ func TestWithWorkersOption(t *testing.T) {
 	}
 }
 
-// TestSegmentCut pins the serialization domains a Minibatch builds: S =
-// min(P, 4W) segments of consecutive stages that are non-empty, within
-// one stage of each other in size, and cover [0, P) in order.
+// TestSegmentCut pins the serialization domains a Stream builds: S =
+// min(P, segmentsPerWorker·W) segments of consecutive stages that are
+// non-empty, within one stage of each other in size, and cover [0, P) in
+// order.
 func TestSegmentCut(t *testing.T) {
 	for p := 1; p <= 40; p++ {
 		for w := 1; w <= 12; w++ {
 			r := newRun(&stubHost{p: p}, New(WithWorkers(w)).Workers(p))
 			segs := len(r.queues)
-			if want := min(p, 4*min(w, p)); segs != want {
+			if want := min(p, segmentsPerWorker*min(w, p)); segs != want {
 				t.Fatalf("P=%d W=%d: %d segments, want %d", p, w, segs, want)
 			}
 			next := 0
@@ -92,12 +93,13 @@ func TestSegmentCut(t *testing.T) {
 	}
 }
 
-// exclusionHost records, for every stage, whether two slots of that stage
-// ever overlapped in time — the invariant a segment's serialization
-// guarantees for each of its stages — and whether a stage's forward,
-// recompute or backward slots arrived out of microbatch order. rec switches
-// the Appendix D recompute climb on, which re-enters segment 0 from the
-// last segment.
+// exclusionHost records, for every stage, whether two slots or commit
+// jobs of that stage ever overlapped in time — the invariant a segment's
+// serialization guarantees for each of its stages — and whether a stage's
+// forward, recompute or backward slots arrived out of microbatch order.
+// rec switches the Appendix D recompute climb on, which re-enters segment 0
+// from the last segment. As a Commit it clips, so every step waits for
+// the fold over all stages, and its forward slots lag one commit.
 type exclusionHost struct {
 	p      int
 	rec    bool
@@ -171,12 +173,21 @@ func (h *exclusionHost) StageBackward(s, st int)        { h.slot(2, s, st) }
 func (h *exclusionHost) EndMicro(int)         {}
 func (h *exclusionHost) BadLoss(float64) bool { return false }
 
+func (h *exclusionHost) Lag(int, int) int               { return 1 }
+func (h *exclusionHost) Clips() bool                    { return true }
+func (h *exclusionHost) PrepareStage(st, _ int) float64 { h.enter(st); h.leave(st); return 1 }
+func (h *exclusionHost) ClipScale(float64) float64      { return 1 }
+func (h *exclusionHost) StepStage(st int, _ float64)    { h.enter(st); h.leave(st) }
+
 // TestStageSlotsNeverOverlap pins the scheduler's core invariant under
 // maximal contention: many workers, one- and multi-stage segments of
-// uneven sizes (P ∈ {6, 13, 27} cut into min(P, 4W) segments), deep
+// uneven sizes (P ∈ {6, 13, 27} cut into min(P, segmentsPerWorker·W)
+// segments), deep
 // overlap, and the recompute climb on every other minibatch — yet no two
 // slots of one stage may ever run concurrently, and each stage's forward,
-// recompute and backward sequences stay in microbatch order.
+// recompute and backward sequences stay in microbatch order; and the same
+// over a committing stream of three minibatches, whose commit jobs share
+// their stage's exclusion.
 func TestStageSlotsNeverOverlap(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -190,10 +201,13 @@ func TestStageSlotsNeverOverlap(t *testing.T) {
 			e := New(WithWorkers(workers))
 			for mb := 0; mb < 3; mb++ {
 				h.rec = mb%2 == 1
-				if _, err := e.Minibatch(context.Background(), h, micros); err != nil {
+				if _, err := e.Stream(context.Background(), h, [][][]int{micros}, nil); err != nil {
 					t.Fatal(err)
 				}
 				h.reset()
+			}
+			if _, err := e.Stream(context.Background(), h, [][][]int{micros, micros, micros}, h); err != nil {
+				t.Fatal(err)
 			}
 			if len(h.violations) > 0 {
 				t.Fatalf("P=%d W=%d: %d violations, first: %s", p, workers, len(h.violations), h.violations[0])

@@ -33,6 +33,23 @@ type fakeHost struct {
 	rec   bool
 	badAt int // microbatch index whose loss is "bad" (-1: never)
 
+	// As an engine.Commit (commitHost) it keeps a ledger of the wait rule
+	// with Table 1's lags over N = n: a slot at stage i of minibatch k
+	// finds stage i's commits of every earlier minibatch done (a forward
+	// slot only those that produced its version), a stage prepares only
+	// once all n of its backward slots of the minibatch have run, and
+	// steps once per minibatch, after the fold when clip is set.
+	n        int
+	clip     bool
+	grads    []int // per stage: backward slots since its last step
+	stepped  []int // per stage: minibatches committed
+	prepared []bool
+	folded   bool
+	bwdOf    map[int]int   // backward slots per minibatch
+	ahead    bool          // a slot of minibatch k+1 ran before stage 0 committed k
+	gate     chan struct{} // closed when ahead is set
+	gated    bool          // stage 1's last backward slot of minibatch 0 waits for the gate
+
 	dirty []bool // per stage: a slot ran since the last Restore
 
 	open        map[int]*microState
@@ -54,6 +71,95 @@ type microState struct {
 func newFakeHost(p int, rec bool, badAt int) *fakeHost {
 	return &fakeHost{p: p, rec: rec, badAt: badAt,
 		dirty: make([]bool, p), open: map[int]*microState{}}
+}
+
+// commitHost is a fakeHost that streams minibatches of n microbatches and
+// commits them inside the stream (engine.Commit).
+type commitHost struct{ *fakeHost }
+
+func newCommitHost(p, n int, clip bool, badAt int) commitHost {
+	f := newFakeHost(p, false, badAt)
+	f.n, f.clip = n, clip
+	f.grads, f.stepped, f.prepared = make([]int, p), make([]int, p), make([]bool, p)
+	f.bwdOf, f.gate = map[int]int{}, make(chan struct{})
+	return commitHost{f}
+}
+
+// Lag is Table 1's: the forward slot of s at stage i reads version
+// ⌊max(s + 2(i+1−P), 0)/N⌋.
+func (h commitHost) Lag(s, stage int) int {
+	return s/h.n - max(s+2*(stage+1-h.p), 0)/h.n
+}
+
+func (h commitHost) Clips() bool { return h.clip }
+
+func (h commitHost) PrepareStage(stage, nMicro int) float64 {
+	f := h.fakeHost
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if nMicro != f.n || f.grads[stage] != f.n || f.prepared[stage] {
+		f.errf("PrepareStage(%d, %d) after %d backward slots (prepared %v)", stage, nMicro, f.grads[stage], f.prepared[stage])
+	}
+	f.prepared[stage] = true
+	return 1
+}
+
+func (h commitHost) ClipScale(sumSq float64) float64 {
+	f := h.fakeHost
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.clip || sumSq != float64(f.p) || slices.Contains(f.prepared, false) {
+		f.errf("ClipScale(%g) with prepared %v", sumSq, f.prepared)
+	}
+	f.folded = true
+	return 0.5
+}
+
+func (h commitHost) StepStage(stage int, scale float64) {
+	f := h.fakeHost
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.prepared[stage] || f.clip != f.folded || (f.clip && scale != 0.5) || (!f.clip && scale != 1) {
+		f.errf("StepStage(%d, %g): prepared %v, folded %v", stage, scale, f.prepared[stage], f.folded)
+	}
+	f.prepared[stage] = false
+	f.grads[stage] = 0
+	f.stepped[stage]++
+	if !slices.Contains(f.prepared, true) {
+		f.folded = false
+	}
+}
+
+// StageBackward holds stage 1's last backward slot of minibatch 0, when
+// gated, until a slot of minibatch 1 has run (or five seconds have
+// passed): a pipeline that drains between minibatches cannot get there.
+func (h commitHost) StageBackward(s, stage int) {
+	if h.gated && s == h.n-1 && stage == 1 {
+		select {
+		case <-h.gate:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	h.fakeHost.StageBackward(s, stage)
+}
+
+// waits checks, at a slot of microbatch s at the stage, that the stage has
+// made the commits the wait rule names, and no later one.
+func (f *fakeHost) waits(kind string, s, stage int) {
+	if f.n == 0 {
+		return
+	}
+	k, need := s/f.n, s/f.n
+	if kind == "forward" {
+		need = max(s+2*(stage+1-f.p), 0) / f.n
+	}
+	if got := f.stepped[stage]; got < need || got > k {
+		f.errf("%s slot (%d, %d) after %d commits of the stage, want %d..%d", kind, s, stage, got, need, k)
+	}
+	if k > f.stepped[0] && !f.ahead {
+		f.ahead = true
+		close(f.gate)
+	}
 }
 
 func (f *fakeHost) errf(format string, args ...any) {
@@ -91,6 +197,7 @@ func (f *fakeHost) climb(kind string, s, stage, wantClimbs int) (ms *microState,
 		return nil, false
 	}
 	f.dirty[stage] = true
+	f.waits(kind, s, stage)
 	if ms.climbs != wantClimbs {
 		f.errf("%s slot (%d, %d) after %d completed climbs, want %d", kind, s, stage, ms.climbs, wantClimbs)
 	}
@@ -138,6 +245,11 @@ func (f *fakeHost) StageBackward(s, stage int) {
 		return
 	}
 	f.dirty[stage] = true
+	f.waits("backward", s, stage)
+	if f.n > 0 {
+		f.grads[stage]++
+		f.bwdOf[s/f.n]++
+	}
 	if ms.bwdNext == -1 {
 		wantClimbs := 1
 		if f.rec {
@@ -170,9 +282,9 @@ func (f *fakeHost) EndMicro(s int) {
 
 func (f *fakeHost) BadLoss(loss float64) bool { return loss > 1e6 }
 
-// quiesced reports what must hold when Minibatch returns, whatever it
-// returns — the precondition of the commit that follows: no microbatch in
-// flight and every stage restored since its last slot.
+// quiesced reports what must hold when Stream returns, whatever it
+// returns — the precondition of whatever the trainer does next: no
+// microbatch in flight and every stage restored since its last slot.
 func (f *fakeHost) quiesced(t *testing.T) {
 	t.Helper()
 	if len(f.open) != 0 {
@@ -186,8 +298,8 @@ func (f *fakeHost) quiesced(t *testing.T) {
 }
 
 func engines() map[string]engine.Engine {
-	// One worker cuts a P ≥ 5 pipeline into 4 segments, so at least one of
-	// them spans two stages whatever GOMAXPROCS is.
+	// One worker cuts a P ≥ 5 pipeline into 2 segments, so at least one of
+	// them spans several stages whatever GOMAXPROCS is.
 	return map[string]engine.Engine{
 		"reference":       engine.NewReference(),
 		"concurrent":      concurrent.New(),
@@ -199,7 +311,7 @@ func engines() map[string]engine.Engine {
 // of a process relies on: an engine holds no run resources, so one value
 // drives several hosts at once — pipelines of different depths, with and
 // without the recompute climb — each keeping the ordering contract, and
-// every goroutine a Minibatch starts is gone once it returns.
+// every goroutine a Stream starts is gone once it returns.
 func TestOneEngineDrivesManyHosts(t *testing.T) {
 	for name, eng := range engines() {
 		t.Run(name, func(t *testing.T) {
@@ -211,7 +323,7 @@ func TestOneEngineDrivesManyHosts(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for mb := 0; mb < 2; mb++ {
-						if _, err := eng.Minibatch(context.Background(), f, micros(4, 2)); err != nil {
+						if _, err := eng.Stream(context.Background(), f, [][][]int{micros(4, 2)}, nil); err != nil {
 							t.Error(err)
 						}
 					}
@@ -226,7 +338,7 @@ func TestOneEngineDrivesManyHosts(t *testing.T) {
 			}
 			// wg.Done runs before its goroutine exits: settle briefly.
 			if n := leakcheck.Settled(baseline, time.Second); n > baseline {
-				t.Fatalf("%d goroutines outlive the minibatches", n-baseline)
+				t.Fatalf("%d goroutines outlive the streams", n-baseline)
 			}
 		})
 	}
@@ -270,12 +382,12 @@ func TestEnginesHonourHostOrderingContract(t *testing.T) {
 		t.Run(splitName(name), func(t *testing.T) {
 			for _, rec := range []bool{true, false} {
 				f := newFakeHost(5, rec, -1)
-				loss, err := eng.Minibatch(context.Background(), f, micros(4, 2))
+				losses, err := eng.Stream(context.Background(), f, [][][]int{micros(4, 2)}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if loss != 1.0 {
-					t.Fatalf("mean loss %g, want 1", loss)
+				if len(losses) != 1 || losses[0] != 1.0 {
+					t.Fatalf("mean losses %v, want [1]", losses)
 				}
 				if len(f.errs) > 0 {
 					t.Fatalf("recompute=%v: ordering violations: %v", rec, f.errs)
@@ -298,7 +410,7 @@ func TestConcurrentEngineOverlapsMicrobatches(t *testing.T) {
 		want int
 	}{{concurrent.New(), 4}, {engine.NewReference(), 1}} {
 		f := newFakeHost(4, false, -1)
-		if _, err := tc.eng.Minibatch(context.Background(), f, micros(8, 2)); err != nil {
+		if _, err := tc.eng.Stream(context.Background(), f, [][][]int{micros(8, 2)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(f.errs) > 0 {
@@ -310,11 +422,17 @@ func TestConcurrentEngineOverlapsMicrobatches(t *testing.T) {
 	}
 }
 
+// TestEnginesReportDivergence pins the abort path: in a one-minibatch
+// stream the bad microbatch's chain never reaches a backward slot and the
+// later chains stop; in a committing stream whose third minibatch goes bad
+// at its first microbatch, the two before commit everywhere, and the bad
+// minibatch and the one behind it run no backward slot and push no
+// version.
 func TestEnginesReportDivergence(t *testing.T) {
 	for name, eng := range engines() {
 		t.Run(splitName(name), func(t *testing.T) {
 			f := newFakeHost(3, false, 1)
-			_, err := eng.Minibatch(context.Background(), f, micros(4, 2))
+			_, err := eng.Stream(context.Background(), f, [][][]int{micros(4, 2)}, nil)
 			if !errors.Is(err, engine.ErrDiverged) {
 				t.Fatalf("error = %v, want ErrDiverged", err)
 			}
@@ -329,16 +447,41 @@ func TestEnginesReportDivergence(t *testing.T) {
 			}
 			f.quiesced(t)
 		})
+		t.Run(name+"/stream", func(t *testing.T) {
+			const p, n = 4, 8
+			h := newCommitHost(p, n, false, 2*n)
+			losses, err := eng.Stream(context.Background(), h, [][][]int{micros(n, 1), micros(n, 1), micros(n, 1), micros(n, 1)}, h)
+			if !errors.Is(err, engine.ErrDiverged) || len(losses) != 2 {
+				t.Fatalf("Stream = %v, %v; want two minibatches' losses and ErrDiverged", losses, err)
+			}
+			if len(h.errs) > 0 {
+				t.Fatalf("wait-rule violations: %v", h.errs)
+			}
+			for st, c := range h.stepped {
+				if c != 2 || h.grads[st] != 0 {
+					t.Fatalf("stage %d committed %d minibatches and holds %d backward slots' gradient, want 2 and none", st, c, h.grads[st])
+				}
+			}
+			if h.bwdOf[2]+h.bwdOf[3] != 0 {
+				t.Fatalf("the bad minibatch and the next ran %d and %d backward slots, want none", h.bwdOf[2], h.bwdOf[3])
+			}
+			h.quiesced(t)
+		})
 	}
 }
 
+// TestEnginesHonourContextCancellation pins both cancellation points: a
+// context cancelled before the stream runs no slot at all; one cancelled
+// mid-stream — inside a commit of the second minibatch — stops the stream
+// at the first minibatch it had not opened every chain of: every minibatch
+// before that commits at every stage, and Stream returns their losses.
 func TestEnginesHonourContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, eng := range engines() {
 		t.Run(name, func(t *testing.T) {
 			f := newFakeHost(2, false, -1)
-			_, err := eng.Minibatch(ctx, f, micros(2, 2))
+			_, err := eng.Stream(ctx, f, [][][]int{micros(2, 2)}, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("error = %v, want context.Canceled", err)
 			}
@@ -346,6 +489,108 @@ func TestEnginesHonourContextCancellation(t *testing.T) {
 				t.Fatal("no forward slot may run after cancellation")
 			}
 			f.quiesced(t)
+		})
+		t.Run(name+"/mid-stream", func(t *testing.T) {
+			const p, n = 4, 4
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			h := cancelHost{newCommitHost(p, n, false, -1), cancel}
+			mbs := [][][]int{micros(n, 1), micros(n, 1), micros(n, 1), micros(n, 1), micros(n, 1)}
+			losses, err := eng.Stream(ctx, h, mbs, h)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("error = %v, want context.Canceled", err)
+			}
+			if len(h.errs) > 0 {
+				t.Fatalf("wait-rule violations: %v", h.errs)
+			}
+			for st, c := range h.stepped {
+				if c != len(losses) {
+					t.Fatalf("stage %d committed %d minibatches, Stream returned %d losses", st, c, len(losses))
+				}
+			}
+			if len(losses) < 2 || len(losses) == len(mbs) {
+				t.Fatalf("%d of %d minibatches committed, want the two before the cancel and not all", len(losses), len(mbs))
+			}
+			h.quiesced(t)
+		})
+	}
+}
+
+// cancelHost cancels its stream inside stage 0's step of the second
+// minibatch.
+type cancelHost struct {
+	commitHost
+	cancel context.CancelFunc
+}
+
+func (h cancelHost) StepStage(stage int, scale float64) {
+	h.commitHost.StepStage(stage, scale)
+	if stage == 0 && h.stepped[0] == 2 {
+		h.cancel()
+	}
+}
+
+// TestStreamOverlapsMinibatches pins the point of a stream: on a counting
+// host at P = 4, N = 8, the concurrent engine at W = 2 runs a slot of
+// minibatch k+1 before stage 0 has committed k — stage 1's last backward
+// slot of minibatch 0 is held until one has — while every slot keeps the
+// wait rule, every stage commits every minibatch, and Reference, in
+// program order, keeps the rule too. Under the clip fold, which holds
+// every step of k until stage 0 has prepared it, a job of k+1 that waits
+// on that step must not hold back the jobs of k queued behind it: the
+// stream completes at W ∈ {1, 2, 4}.
+func TestStreamOverlapsMinibatches(t *testing.T) {
+	const p, n, count = 4, 8, 4
+	stream := func(t *testing.T, eng engine.Engine, h commitHost) {
+		t.Helper()
+		mbs := make([][][]int, count)
+		for j := range mbs {
+			mbs[j] = micros(n, 1)
+		}
+		done := make(chan error, 1)
+		go func() {
+			losses, err := eng.Stream(context.Background(), h, mbs, h)
+			if err == nil && len(losses) != count {
+				err = fmt.Errorf("%d losses for %d minibatches", len(losses), count)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("the stream did not complete")
+		}
+		if len(h.errs) > 0 {
+			t.Fatalf("wait-rule violations: %v", h.errs)
+		}
+		for st, c := range h.stepped {
+			if c != count {
+				t.Fatalf("stage %d committed %d minibatches, want %d", st, c, count)
+			}
+		}
+		h.quiesced(t)
+	}
+	t.Run("concurrent/W=2", func(t *testing.T) {
+		h := newCommitHost(p, n, false, -1)
+		h.gated = true
+		stream(t, concurrent.New(concurrent.WithWorkers(2)), h)
+		if !h.ahead {
+			t.Fatal("no slot of minibatch k+1 ran before stage 0 committed k: the stream drained")
+		}
+	})
+	t.Run("reference", func(t *testing.T) {
+		h := newCommitHost(p, n, true, -1)
+		stream(t, engine.NewReference(), h)
+		if h.ahead {
+			t.Fatal("Reference ran a slot of minibatch k+1 before stage 0 committed k")
+		}
+	})
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("clip/W=%d", w), func(t *testing.T) {
+			stream(t, concurrent.New(concurrent.WithWorkers(w)), newCommitHost(p, n, true, -1))
 		})
 	}
 }

@@ -19,10 +19,12 @@ import (
 // An external test package: it drives a real trainer (package core
 // imports nn).
 
-// panelProbe wraps an engine and, after each Minibatch, checks the Wᵀ
-// panels the minibatch packed: per Linear weight, as many as the distinct
+// panelProbe wraps an engine and, after each Stream, checks the Wᵀ
+// panels the stream packed: per Linear weight, as many as the distinct
 // forward versions its stage's forward slots read in an asynchronous
-// minibatch, none in a synchronous one, and none still held.
+// stream — a commit inside the stream leaves the panel of a version the
+// next minibatch still reads — none in a synchronous one, and none still
+// held.
 type panelProbe struct {
 	engine.Engine
 	t         *testing.T
@@ -33,16 +35,17 @@ type panelProbe struct {
 	async     int // asynchronous minibatches checked
 }
 
-func (e *panelProbe) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
+func (e *panelProbe) Stream(ctx context.Context, h engine.Host, mbs [][][]int, c engine.Commit) ([]float64, error) {
 	t := e.t
 	base := h.MicroBase()
 	async := e.asyncFrom >= 0 && base >= e.asyncFrom
-	loss, err := e.Engine.Minibatch(ctx, h, micros)
-	clock := pipeline.Clock{P: h.Stages(), N: len(micros)}
+	losses, err := e.Engine.Stream(ctx, h, mbs, c)
+	n := len(mbs[0])
+	clock := pipeline.Clock{P: h.Stages(), N: n}
 	now := e.counts()
 	for st, params := range e.part().Stages {
 		versions := map[int]bool{}
-		for s := base; s < base+len(micros); s++ {
+		for s := base; s < base+len(mbs)*n; s++ {
 			versions[clock.FwdVersion(s, st+1)] = true
 		}
 		want := 0
@@ -51,34 +54,34 @@ func (e *panelProbe) Minibatch(ctx context.Context, h engine.Host, micros [][]in
 		}
 		for _, p := range params {
 			if nn.HoldsPanel(p) {
-				t.Errorf("minibatch at microbatch %d: %v still holds a panel after Minibatch", base, p)
+				t.Errorf("stream at microbatch %d: %v still holds a panel after Stream", base, p)
 			}
 			if !strings.HasSuffix(p.Name, ".W") {
 				want := 0
 				if got := now[p] - e.seen[p]; got != want {
-					t.Errorf("minibatch at microbatch %d: %v packed %d panels, want none", base, p, got)
+					t.Errorf("stream at microbatch %d: %v packed %d panels, want none", base, p, got)
 				}
 				continue
 			}
 			if got := now[p] - e.seen[p]; got != want {
-				t.Errorf("minibatch at microbatch %d (async %v): stage %d's %v packed %d panels, want %d (versions %v)",
+				t.Errorf("stream at microbatch %d (async %v): stage %d's %v packed %d panels, want %d (versions %v)",
 					base, async, st, p, got, want, versions)
 			}
 		}
 	}
 	e.seen = now
 	if async {
-		e.async++
+		e.async += len(mbs)
 	}
-	return loss, err
+	return losses, err
 }
 
 // TestForwardPacksOncePerVersion pins the panel's lifetime on a PipeMare
 // run at P = 4, N = 8 (a T3 warm-up epoch, then asynchronous epochs with
 // T1 and T2), on the Reference and the concurrent engine: each stage packs
-// each Linear weight once per distinct forward version its minibatch
-// reads (1 or 2 here, not once per slot), no panel outlives the
-// minibatch, and the synchronous epochs, the evaluations between epochs
+// each Linear weight once per distinct forward version its stream reads
+// (not once per slot, nor once per minibatch), no panel outlives the
+// stream, and the synchronous epochs, the evaluations between epochs
 // (the count spans them) and a GPipe run pack none.
 func TestForwardPacksOncePerVersion(t *testing.T) {
 	for _, c := range []struct {

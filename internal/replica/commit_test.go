@@ -135,28 +135,25 @@ func phaseGroup(t *testing.T, n int, engs ...engine.Engine) (*replica.Group, *ph
 	return g, l, ms, rec
 }
 
-// step runs one minibatch of n single-sample microbatches through g and
-// commits it.
+// step streams one minibatch of n single-sample microbatches through g,
+// which commits it.
 func step(t *testing.T, g *replica.Group, n int) {
 	t.Helper()
 	micros := make([][]int, n)
 	for i := range micros {
 		micros[i] = []int{i}
 	}
-	if _, err := g.Minibatch(context.Background(), micros); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Commit(n); err != nil {
+	if _, err := g.Stream(context.Background(), [][][]int{micros}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCommitRunsPhasesInOrderForAnyShardCount drives the one commit,
-// Group.Commit, over a group of one whose engine is Reference (one shard)
-// or the concurrent engine at W ∈ {1, 2, 4} (a shard per worker), and
-// over two replicas that each spread their shard across their own
-// workers: the phase order, the once-per-stage coverage and the
-// stage-ordered clip fold hold for every shard count, the commit spans
+// TestCommitRunsPhasesInOrderForAnyShardCount drives the commit over a
+// group of one — inside its stream, as a job per Reference stage or per
+// concurrent segment at W ∈ {1, 2, 4} (S = min(P, 2W) segments) — and
+// over two replicas that each spread their shard of Group.Commit across
+// their own workers: the phase order, the once-per-stage coverage and the
+// stage-ordered clip fold hold for every piece count, the commit spans
 // keep their names on worker tracks, and a group of one records no
 // collective.
 func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
@@ -177,10 +174,10 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 		engs   []engine.Engine
 		shards int // commit spans per phase, over all members
 	}{
-		{"R=1/reference", []engine.Engine{engine.NewReference()}, 1},
-		{"R=1/concurrent/W=1", []engine.Engine{pooled(1)}, 1},
-		{"R=1/concurrent/W=2", []engine.Engine{pooled(2)}, 2},
-		{"R=1/concurrent/W=4", []engine.Engine{pooled(4)}, 4},
+		{"R=1/reference", []engine.Engine{engine.NewReference()}, 6},
+		{"R=1/concurrent/W=1", []engine.Engine{pooled(1)}, 2},
+		{"R=1/concurrent/W=2", []engine.Engine{pooled(2)}, 4},
+		{"R=1/concurrent/W=4", []engine.Engine{pooled(4)}, 6},
 		{"R=2/concurrent/W=2", []engine.Engine{pooled(2), pooled(2)}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,7 +207,7 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 			}
 			for _, name := range []string{trace.NameCommitPrepare, trace.NameCommitStep} {
 				if spans[name] != tc.shards {
-					t.Fatalf("%d %s spans, want one per shard (%d): %v", spans[name], name, tc.shards, spans)
+					t.Fatalf("%d %s spans, want one per piece (%d): %v", spans[name], name, tc.shards, spans)
 				}
 			}
 		})

@@ -174,12 +174,13 @@ func (g *Group) move(m *member, to State) {
 	g.plan = engine.NewCommitPlan(g.p, g.active)
 }
 
-// run executes the member's chunk: through its engine in process,
-// or in one round trip to a remote member, whose returned losses and
-// gradient exports land where reduce and lossSum read them.
+// run executes the member's chunk: through its engine in process, as a
+// one-minibatch stream the group commits, or in one round trip to a
+// remote member, whose returned losses and gradient exports land where
+// reduce and lossSum read them.
 func (m *member) run(ctx context.Context, micros [][]int) error {
 	if m.remote == nil {
-		_, err := m.eng.Minibatch(ctx, m.comp, micros)
+		_, err := m.eng.Stream(ctx, m.comp, [][][]int{micros}, nil)
 		return err
 	}
 	c := m.chunk

@@ -133,12 +133,12 @@ func (driveEngine) Name() string { return "drive" }
 
 func (driveEngine) Workers(int) int { return 1 }
 
-func (e driveEngine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
+func (e driveEngine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, _ engine.Commit) ([]float64, error) {
 	if e.err != nil {
-		return 0, e.err
+		return nil, e.err
 	}
-	driveChunk(h.(*replica.Compute), micros, h.Stages())
-	return 0, nil
+	driveChunk(h.(*replica.Compute), mbs[0], h.Stages())
+	return []float64{0}, nil
 }
 
 func noRings(int) (int, [][]*tensor.Tensor) { return 0, nil }

@@ -4,10 +4,14 @@
 // minibatch's microbatches between them, and a deterministic tree
 // all-reduce folds the per-microbatch gradients into the leader replica
 // before one shared optimizer step — the PipeDream-style hybrid of
-// pipeline and data parallelism. A trainer runs each minibatch through
-// its Group — of one when it trains alone: Minibatch (every replica's
-// chunk, then the reduce), then Commit. The step commits replica-sharded,
-// ZeRO / PipeDream-2BW style (Group.Commit): an engine.CommitPlan assigns
+// pipeline and data parallelism. A trainer runs its minibatches through
+// its Group (Stream). A group of one — a trainer alone, or a group that
+// evictions have left with only its leader — commits inside its
+// engine's stream: each stage's update is a job in the stage's own
+// serialization domain (engine.Commit), so a stream does not drain
+// between its minibatches. A larger group runs a minibatch at a time: Minibatch
+// (every replica's chunk, then the reduce), then Commit, which commits
+// replica-sharded, ZeRO / PipeDream-2BW style: an engine.CommitPlan assigns
 // each stage to a replica owner, the leader's reduced gradients scatter
 // to their owners, every owner steps its shard against its local copy of
 // the optimizer state — one StepStage call per stage, under the clip
@@ -60,6 +64,7 @@ package replica
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 
@@ -159,16 +164,15 @@ type Remote interface {
 }
 
 // Leader is the host of a trainer that leads a replica group: what the
-// group reads the run's epoch phase and clip factor from.
+// group reads the run's epoch phase and clip factor from, and, for a
+// group of one, the commit its engine runs inside the stream.
 type Leader interface {
 	Local
+	engine.Commit
 	// Async reports whether the current epoch runs asynchronously (false
 	// for GPipe and during T3 warmup epochs): the phase every member's
 	// chunk is framed with.
 	Async() bool
-	// ClipScale converts the global gradient sum-of-squares into the
-	// clipping factor, once per commit.
-	ClipScale(sumSq float64) float64
 }
 
 // Group coordinates one leader and its followers, if any, and is the one
@@ -264,6 +268,34 @@ func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
 		}
 	}
 	return chunks
+}
+
+// Stream runs minibatches — mbs[j] holds minibatch j's microbatch index
+// sets — to their committed updates and returns the mean microbatch loss
+// of each it committed. A group of one is a single trainer: its engine
+// streams every minibatch of mbs through the leader, whose commit runs
+// inside the stream (engine.Commit), so nothing drains between
+// minibatches. A larger group runs only mbs[0], as one attempt: every
+// member's chunk, the reduce (Minibatch), then the replica-sharded commit
+// (Commit). The errors are theirs; a member failure that leaves the
+// commit standing comes back with the minibatch's loss.
+func (g *Group) Stream(ctx context.Context, mbs [][][]int) ([]float64, error) {
+	if g.active == 1 {
+		g.lead.SetAsync(g.lead.Async())
+		return g.members[0].eng.Stream(ctx, g.lead, mbs, g.lead)
+	}
+	loss, err := g.Minibatch(ctx, mbs[0])
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Commit(len(mbs[0])); err != nil {
+		var me *MemberError
+		if errors.As(err, &me) && !me.Replay {
+			return []float64{loss}, err
+		}
+		return nil, fmt.Errorf("replica: commit: %w", err)
+	}
+	return []float64{loss}, nil
 }
 
 // Minibatch runs one attempt at the minibatch's compute phase over the
@@ -389,8 +421,8 @@ func (g *Group) collective(name string, t0, bytes int64) {
 // sizes differing by at most one); each owner runs the commit phases for
 // its shard against its own parameter copies and its own copy of the
 // optimizer state, so no replica — leader included — steps more than
-// ⌈P/R⌉ stages (runShard). A group of one is a single trainer's commit:
-// the leader owns every stage, and nothing is scattered or gathered.
+// ⌈P/R⌉ stages (runShard). A group of one never calls it: it commits
+// inside its stream (Stream).
 //
 // Determinism (bit-identical to a single replica, and hence to
 // single-replica Reference):

@@ -73,6 +73,8 @@ func (f *fakeMember) StageBackward(s, stage int) {
 
 func (f *fakeMember) EndMicro(s int)            {}
 func (f *fakeMember) BadLoss(loss float64) bool { return false }
+func (f *fakeMember) Lag(s, stage int) int      { return 0 }
+func (f *fakeMember) Clips() bool               { return true }
 
 func (f *fakeMember) PrepareStage(stage, nMicro int) float64 {
 	f.mu.Lock()
@@ -349,10 +351,10 @@ func (blockingEngine) Name() string { return "blocking" }
 
 func (blockingEngine) Workers(int) int { return 1 }
 
-func (b blockingEngine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (float64, error) {
+func (b blockingEngine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, _ engine.Commit) ([]float64, error) {
 	close(b.entered)
 	<-ctx.Done()
-	return 0, ctx.Err()
+	return nil, ctx.Err()
 }
 
 // engineMember is an in-process follower that runs eng.

@@ -224,7 +224,7 @@ func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
 		go s.ping(pctx, done)
 		stopPing = func() { cancel(); <-done }
 	}
-	_, err := s.member.Engine().Minibatch(ctx, s.comp, micros)
+	_, err := s.member.Engine().Stream(ctx, s.comp, [][][]int{micros}, nil)
 	stopPing()
 	if err != nil {
 		if errors.Is(err, engine.ErrDiverged) {
