@@ -10,8 +10,8 @@ import (
 // the one sharding rule every commit goes through: the replica group
 // assigns owners to replica members, so each replica steps only its shard
 // against its local copy of the optimizer state (the ZeRO /
-// PipeDream-2BW weight-sharded update), and an in-process owner splits its
-// shard the same way into its engine's Workers pieces.
+// PipeDream-2BW weight-sharded update), and the concurrent engine cuts a
+// pipeline into its segments the same way.
 //
 // Shards are contiguous ascending runs of stages whose sizes differ by at
 // most one — the same deterministic rule the replica layer uses to chunk
@@ -62,11 +62,12 @@ func (pl CommitPlan) OwnerOf(stage int) int {
 	panic(fmt.Sprintf("engine: stage %d outside the %d-stage commit plan", stage, pl.p))
 }
 
-// Commits runs a stream's commit jobs for an engine: a stage range's
-// PrepareStage calls, each followed at once by the stage's StepStage under
-// scale 1 when the commit does not clip; and for a clipping commit, the
-// stage-ordered fold of the partials and the steps under its scale. A nil
-// *Commits is a stream whose caller commits.
+// Commits runs commit jobs: a stage range's PrepareStage calls, each
+// followed at once by the stage's StepStage under scale 1 when the commit
+// does not clip; and for a clipping commit, the stage-ordered fold of the
+// partials and the steps under its scale. An engine runs a stream's commit
+// through it, and a replica group its sharded commit, a job per member's
+// shard. A nil *Commits is a stream whose caller commits.
 type Commits struct {
 	c      Commit
 	sumSqs []float64 // per-stage partials of the minibatch being folded; nil: no clip

@@ -8,14 +8,15 @@
 // A segment — a run of consecutive stages, never a pinned goroutine — is
 // the serialization domain. The P stages are cut into S = min(P, 2·W)
 // contiguous segments of near-equal size (engine.CommitPlan's split); each
-// segment owns a run queue, and an idle worker claims an entire segment
-// (the queue's active flag guarantees at most one worker drains a segment
-// at a time), runs each runnable job through the segment's stages by
-// direct slot calls — ascending for a climb, descending for the descent —
-// and releases it. A chain therefore crosses a queue only at segment
-// edges: 2(S−1) times per microbatch instead of 2(P−1), which is what
-// makes the fine-grained regime (one stage per weight group, P ≫ W) cheap
-// to schedule. With P ≤ 2·W every segment is one stage.
+// segment owns a run queue, and an idle worker takes an entire segment
+// from the run's one ready channel (the queue's active flag guarantees
+// that at most one worker drains a segment at a time), runs each runnable
+// job through the segment's stages by direct slot calls — ascending for a
+// climb, descending for the descent — and releases it. A chain therefore
+// crosses a queue only at segment edges: 2(S−1) times per microbatch
+// instead of 2(P−1), which is what makes the fine-grained regime (one
+// stage per weight group, P ≫ W) cheap to schedule. With P ≤ 2·W every
+// segment is one stage.
 //
 // The workers live for a stream of minibatches (engine.Engine.Stream) and
 // keep min(P, N) consecutive chains in flight across minibatch
@@ -28,11 +29,6 @@
 // runnable job, not its first job, so a blocked job never holds back the
 // one of minibatch k it waits on. A clipping commit's fold is the last
 // prepare's, which queues a step job on every segment.
-//
-// An idle worker polls the queues for work for pollFor before it parks:
-// a chain's next job is usually queued within microseconds, and a worker
-// that is already running takes it at once, where a woken one would first
-// wait for the goroutine that woke it to give up its processor.
 //
 // Determinism is preserved for every worker count because scheduling
 // freedom never reorders what a stage computes: jobs enter a segment's
@@ -62,7 +58,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/trace"
@@ -79,13 +74,6 @@ import (
 // pipeline with P ≤ 2·W — the benchmark's P = 4 transformers at W = 2 —
 // on one stage per segment.
 const segmentsPerWorker = 2
-
-// pollFor is how long an idle worker polls the queues before it parks.
-// On resmlp-fine (same box and runs as above, 2 segments per worker)
-// samples/s was flat within noise from 0 (park after one look) to
-// 200 µs, with medians of 80.6–86.7k; 50 µs gave the narrowest spread,
-// and polling burns no measurable CPU per sample at that length.
-const pollFor = 50 * time.Microsecond
 
 type jobKind int
 
@@ -107,13 +95,11 @@ type job struct {
 // segmentQueue is one segment's run queue. active marks the segment as
 // claimed by a worker: between the claim and the release only that worker
 // pops jobs, so the segment's slots execute serially no matter which
-// workers touch the segment over time. ready marks a claim no worker has
-// taken up yet.
+// workers touch the segment over time.
 type segmentQueue struct {
 	mu     sync.Mutex
 	jobs   []job
 	active bool
-	ready  atomic.Bool
 
 	// committed counts the stream's minibatches the segment has committed.
 	// Only the claiming worker reads or writes it.
@@ -154,9 +140,9 @@ func New(opts ...Option) *Engine {
 // Name identifies the engine.
 func (e *Engine) Name() string { return "concurrent" }
 
-// Workers returns the W a p-stage Stream starts: WithWorkers, or
+// workersFor returns the W a p-stage Stream starts: WithWorkers, or
 // GOMAXPROCS, clamped to p.
-func (e *Engine) Workers(p int) int {
+func (e *Engine) workersFor(p int) int {
 	w := e.workers
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -201,10 +187,9 @@ type run struct {
 	live atomic.Int64
 	done chan struct{}
 
-	// idle counts the parked workers; wake carries a token per wake-up,
-	// buffered to W so signal never blocks: at most W workers park.
-	idle atomic.Int32
-	wake chan struct{}
+	// ready offers claimed segments to the workers, buffered to S: a
+	// segment is offered once per claim, so a send never blocks.
+	ready chan int
 
 	// tracks[w] is worker w's trace track (nil when tracing is off — every
 	// emission no-ops). Exactly one goroutine (worker w) writes it, so
@@ -219,7 +204,7 @@ func newRun(h engine.Host, nw int) *run {
 	p := h.Stages()
 	segs := min(p, segmentsPerWorker*nw)
 	r := &run{h: h, cut: engine.NewCommitPlan(p, segs), queues: make([]segmentQueue, segs),
-		done: make(chan struct{}), wake: make(chan struct{}, nw), tracks: make([]*trace.Track, nw)}
+		done: make(chan struct{}), ready: make(chan int, segs), tracks: make([]*trace.Track, nw)}
 	for i := range r.tracks {
 		r.tracks[i] = engine.WorkerTrack(h, i)
 	}
@@ -232,7 +217,7 @@ func newRun(h engine.Host, nw int) *run {
 // them, and restores every stage.
 func (e *Engine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, c engine.Commit) ([]float64, error) {
 	p := h.Stages()
-	nw := e.Workers(p)
+	nw := e.workersFor(p)
 	r := newRun(h, nw)
 	r.ctx, r.mbs, r.c = ctx, mbs, c
 	r.commits = engine.NewCommits(c, p)
@@ -327,16 +312,7 @@ func (r *run) abort(mb int) {
 		}
 	}
 	for g := range r.queues {
-		q := &r.queues[g]
-		q.mu.Lock()
-		wake := !q.active && len(q.jobs) > 0
-		if wake {
-			q.active = true
-		}
-		q.mu.Unlock()
-		if wake {
-			r.signal(q)
-		}
+		r.enqueue(g)
 	}
 }
 
@@ -365,101 +341,35 @@ func (r *run) runnable(q *segmentQueue, jb *job) bool {
 	return jb.need <= q.committed || r.aborted(jb.mb)
 }
 
-// enqueue appends a job to a segment's queue and, when no worker
-// currently claims the segment, marks it ready. Append order is
-// microbatch order for every producer (the dispatch and upstream segment
-// drains are both in order), which is what makes any worker interleaving
-// deterministic.
-func (r *run) enqueue(g int, jb job) {
+// enqueue appends jobs to a segment's queue and, when the queue holds a
+// job and no worker currently claims the segment, claims it and offers it
+// on ready. Append order is microbatch order for every producer (the
+// dispatch and upstream segment drains are both in order), which is what
+// makes any worker interleaving deterministic.
+func (r *run) enqueue(g int, jbs ...job) {
 	q := &r.queues[g]
 	q.mu.Lock()
-	q.jobs = append(q.jobs, jb)
-	wake := !q.active
+	q.jobs = append(q.jobs, jbs...)
+	wake := !q.active && len(q.jobs) > 0
 	if wake {
 		q.active = true
 	}
 	q.mu.Unlock()
 	if wake {
-		r.signal(q)
+		r.ready <- g
 	}
 }
 
-// signal offers a claimed segment to the workers: a polling worker takes
-// it up from its ready flag, and a parked one is woken for it.
-func (r *run) signal(q *segmentQueue) {
-	q.ready.Store(true)
-	if r.idle.Load() > 0 {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// work is worker w's loop: take up a ready segment, drain it, repeat until
+// work is worker w's loop: take an offered segment, drain it, repeat until
 // the stream is over.
 func (r *run) work(w int) {
-	g := w
 	for {
-		if g = r.claim(g); g < 0 {
-			return
-		}
-		r.drain(w, g)
-		g++
-	}
-}
-
-// claim returns a ready segment, scanning from from, once one is offered;
-// -1 once the stream is over. It polls for pollFor, then parks until a
-// segment is offered.
-func (r *run) claim(from int) int {
-	var t0 time.Time
-	for spin := 0; ; spin++ {
-		if g := r.take(from); g >= 0 {
-			return g
-		}
 		select {
+		case g := <-r.ready:
+			r.drain(w, g)
 		case <-r.done:
-			return -1
-		default:
-		}
-		switch {
-		case spin == 0:
-			t0 = time.Now()
-		case time.Since(t0) > pollFor:
-			r.park()
-			spin = -1
-		}
-		runtime.Gosched()
-	}
-}
-
-// take claims the first ready segment from from on, -1 when none is.
-func (r *run) take(from int) int {
-	segs := len(r.queues)
-	for i := 0; i < segs; i++ {
-		g := (from + i) % segs
-		if q := &r.queues[g]; q.ready.Load() && q.ready.CompareAndSwap(true, false) {
-			return g
-		}
-	}
-	return -1
-}
-
-// park sleeps until a segment is offered or the stream ends. It counts
-// itself idle before its last look at the ready flags, and signal sets a
-// flag before it looks at the count, so no offer goes unseen.
-func (r *run) park() {
-	r.idle.Add(1)
-	defer r.idle.Add(-1)
-	for g := range r.queues {
-		if r.queues[g].ready.Load() {
 			return
 		}
-	}
-	select {
-	case <-r.wake:
-	case <-r.done:
 	}
 }
 

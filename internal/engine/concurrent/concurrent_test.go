@@ -58,11 +58,11 @@ func TestWithWorkersOption(t *testing.T) {
 		t.Fatalf("WithWorkers(-2) must clamp to auto, got %d", e.workers)
 	}
 	// Auto resolves to min(P, GOMAXPROCS); explicit W > P clamps to P.
-	if n := New(WithWorkers(64)).Workers(3); n != 3 {
-		t.Fatalf("Workers(3) = %d with W=64, want 3", n)
+	if n := New(WithWorkers(64)).workersFor(3); n != 3 {
+		t.Fatalf("workersFor(3) = %d with W=64, want 3", n)
 	}
-	if n, want := New().Workers(16), min(16, runtime.GOMAXPROCS(0)); n != want {
-		t.Fatalf("auto Workers(16) = %d, want min(P, GOMAXPROCS) = %d", n, want)
+	if n, want := New().workersFor(16), min(16, runtime.GOMAXPROCS(0)); n != want {
+		t.Fatalf("auto workersFor(16) = %d, want min(P, GOMAXPROCS) = %d", n, want)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestWithWorkersOption(t *testing.T) {
 func TestSegmentCut(t *testing.T) {
 	for p := 1; p <= 40; p++ {
 		for w := 1; w <= 12; w++ {
-			r := newRun(&stubHost{p: p}, New(WithWorkers(w)).Workers(p))
+			r := newRun(&stubHost{p: p}, New(WithWorkers(w)).workersFor(p))
 			segs := len(r.queues)
 			if want := min(p, segmentsPerWorker*min(w, p)); segs != want {
 				t.Fatalf("P=%d W=%d: %d segments, want %d", p, w, segs, want)

@@ -15,8 +15,9 @@
 // right after the stage's last backward slot of the minibatch, so the
 // slots of minibatch k+1 enter while k drains, under the one wait rule
 // Commit states. A replica group of more than one member commits after
-// its reduce (replica.Group), so each member streams one minibatch
-// without a Commit.
+// its reduce, through the same commit jobs (Commits) over each member's
+// shard (replica.Group), so each member streams one minibatch without a
+// Commit.
 //
 // An engine is a scheduling policy and holds no run resources: whatever
 // goroutines a Stream starts, it joins before it returns, so one engine
@@ -154,10 +155,6 @@ type Engine interface {
 	// replica of a data-parallel run drives its own pipeline through the
 	// one engine value.
 	Stream(ctx context.Context, h Host, mbs [][][]int, c Commit) ([]float64, error)
-	// Workers returns how many goroutines the engine runs a p-stage
-	// pipeline's slots on: the number of pieces an in-process owner of a
-	// replica group's commit splits its shard into.
-	Workers(p int) int
 }
 
 // WorkerTrack returns the trace track of worker i of the pipeline behind h
@@ -179,9 +176,6 @@ func NewReference() Reference { return Reference{} }
 
 // Name identifies the engine.
 func (Reference) Name() string { return "reference" }
-
-// Workers returns 1: every slot runs on the calling goroutine.
-func (Reference) Workers(int) int { return 1 }
 
 // Stream executes the minibatches' chains serially, in program order:
 // each stage's commit job right after its backward slot of the

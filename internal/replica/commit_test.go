@@ -2,7 +2,9 @@ package replica_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +24,7 @@ var clipPartials = []float64{1e16, 1, -1e16, 1, 1, 3}
 // member of a group: each stage is prepared exactly once before the clip
 // fold, the fold is the stage-ordered left fold of the partials, and
 // each stage is stepped once, after the fold, with the folded factor.
+// calls logs every phase call in the order the members made them.
 type phaseLedger struct {
 	n int // microbatches per minibatch
 
@@ -29,6 +32,17 @@ type phaseLedger struct {
 	errs              []string
 	prepared, stepped []int
 	clipped           bool
+	calls             []phaseCall
+}
+
+// phaseCall is one commit-phase call: which replica made it, the phase
+// ("prepare", "fold" or "step"), the stage (-1 for the fold) and the
+// step's scale.
+type phaseCall struct {
+	id    int
+	phase string
+	stage int
+	scale float64
 }
 
 func newPhaseLedger(n int) *phaseLedger {
@@ -78,6 +92,7 @@ func (m *phaseMember) PrepareStage(stage, nMicro int) float64 {
 		l.errf("PrepareStage(%d) after the clip fold", stage)
 	}
 	l.prepared[stage]++
+	l.calls = append(l.calls, phaseCall{m.id, "prepare", stage, 0})
 	return clipPartials[stage]
 }
 
@@ -96,6 +111,7 @@ func (m *phaseMember) ClipScale(sumSq float64) float64 {
 		l.errf("ClipScale sum %g, want the stage-ordered fold %g", sumSq, want)
 	}
 	l.clipped = true
+	l.calls = append(l.calls, phaseCall{m.id, "fold", -1, 0})
 	return 0.5
 }
 
@@ -110,6 +126,7 @@ func (m *phaseMember) StepStage(stage int, scale float64) {
 		l.errf("StepStage(%d) scale %g, want the folded 0.5", stage, scale)
 	}
 	l.stepped[stage]++
+	l.calls = append(l.calls, phaseCall{m.id, "step", stage, scale})
 }
 
 var _ replica.Leader = (*phaseMember)(nil)
@@ -151,9 +168,9 @@ func step(t *testing.T, g *replica.Group, n int) {
 // TestCommitRunsPhasesInOrderForAnyShardCount drives the commit over a
 // group of one — inside its stream, as a job per Reference stage or per
 // concurrent segment at W ∈ {1, 2, 4} (S = min(P, 2W) segments) — and
-// over two replicas that each spread their shard of Group.Commit across
-// their own workers: the phase order, the once-per-stage coverage and the
-// stage-ordered clip fold hold for every piece count, the commit spans
+// over two replicas that each run their shard of Group.Commit as one
+// job: the phase order, the once-per-stage coverage and the
+// stage-ordered clip fold hold for every shard count, the commit spans
 // keep their names on worker tracks, and a group of one records no
 // collective.
 func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
@@ -178,7 +195,7 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 		{"R=1/concurrent/W=1", []engine.Engine{pooled(1)}, 2},
 		{"R=1/concurrent/W=2", []engine.Engine{pooled(2)}, 4},
 		{"R=1/concurrent/W=4", []engine.Engine{pooled(4)}, 6},
-		{"R=2/concurrent/W=2", []engine.Engine{pooled(2), pooled(2)}, 4},
+		{"R=2/concurrent/W=2", []engine.Engine{pooled(2), pooled(2)}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 4
@@ -254,6 +271,78 @@ func TestCollectiveBytesCountEveryImporter(t *testing.T) {
 	for _, tk := range rec.Tracks() {
 		if tk.Tid == trace.TidCollectives && len(tk.Events()) > 0 {
 			t.Fatalf("a group of one recorded %d events on its collectives track, first %q", len(tk.Events()), tk.Events()[0].Name)
+		}
+	}
+}
+
+// TestTakeOverRestepsTheDeadShardOnTheLeader fails the follower of a
+// fault-tolerant R = 2 group in its step phase. The leader must then
+// prepare, then step, each stage of the dead shard exactly once — after
+// the fold, under the folded scale, as one prepare and one step span on
+// its collectives track — and the commit must stand: the follower leaves
+// without a replay.
+func TestTakeOverRestepsTheDeadShardOnTheLeader(t *testing.T) {
+	const n = 2
+	l, rec := newPhaseLedger(n), trace.New()
+	lead := newPhaseMember(l, engine.NewReference(), rec, 0)
+	p := len(clipPartials)
+	follower := &fakeRemote{Member: newPhaseMember(l, nil, nil, 1), p: p, failAt: "step"}
+	g := replica.NewGroup(lead, true)
+	if err := g.Admit(follower); err != nil {
+		t.Fatal(err)
+	}
+	_, err := g.Stream(context.Background(), [][][]int{{{0}, {1}}})
+	var me *replica.MemberError
+	if !errors.As(err, &me) || me.ID != follower.id || me.To != replica.Gone || me.Replay {
+		t.Fatalf("commit error %v, want the follower to leave without a replay", err)
+	}
+	lo, hi := g.Plan().Shard(1)
+	fold := slices.IndexFunc(l.calls, func(c phaseCall) bool { return c.phase == "fold" })
+	for st := lo; st < hi; st++ {
+		var prepares, steps []int
+		for i, c := range l.calls[fold+1:] {
+			switch {
+			case c.stage != st:
+			case c.id != 0:
+				t.Fatalf("replica %d called %s(%d) after the fold", c.id, c.phase, st)
+			case c.phase == "prepare":
+				prepares = append(prepares, i)
+			case c.phase == "step":
+				steps = append(steps, i)
+				if c.scale != 0.5 {
+					t.Fatalf("the leader stepped stage %d under %g, want the folded 0.5", st, c.scale)
+				}
+			}
+		}
+		if len(prepares) != 1 || len(steps) != 1 || prepares[0] > steps[0] {
+			t.Fatalf("stage %d: the leader prepared at %v and stepped at %v after the fold, want one prepare, then one step", st, prepares, steps)
+		}
+	}
+	// The contract's one permitted breach is the re-prepare of the dead
+	// shard after the fold.
+	var late []string
+	for st := lo; st < hi; st++ {
+		late = append(late, fmt.Sprintf("PrepareStage(%d) after the clip fold", st))
+	}
+	if !slices.Equal(l.errs, late) {
+		t.Fatalf("commit contract violations %v, want only the takeover's %v", l.errs, late)
+	}
+	if !once(l.stepped) {
+		t.Fatalf("stepped %v, want every stage once", l.stepped)
+	}
+	spans := map[string][]int{}
+	for _, tk := range rec.Tracks() {
+		if tk.Pid == 0 && tk.Tid == trace.TidCollectives {
+			for _, ev := range tk.Events() {
+				if strings.HasPrefix(ev.Name, "commit:") {
+					spans[ev.Name] = append(spans[ev.Name], ev.Stage)
+				}
+			}
+		}
+	}
+	for _, name := range []string{trace.NameCommitPrepare, trace.NameCommitStep} {
+		if !slices.Equal(spans[name], []int{lo}) {
+			t.Fatalf("leader's collectives track holds %s spans at stages %v, want one at %d", name, spans[name], lo)
 		}
 	}
 }

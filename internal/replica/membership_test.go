@@ -131,8 +131,6 @@ type driveEngine struct{ err error }
 
 func (driveEngine) Name() string { return "drive" }
 
-func (driveEngine) Workers(int) int { return 1 }
-
 func (e driveEngine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, _ engine.Commit) ([]float64, error) {
 	if e.err != nil {
 		return nil, e.err

@@ -15,8 +15,8 @@
 // each stage to a replica owner, the leader's reduced gradients scatter
 // to their owners, every owner steps its shard against its local copy of
 // the optimizer state — one StepStage call per stage, under the clip
-// scale and the epoch phase its chunk arrived with, split into its
-// engine's Workers pieces in process — and the stepped weights
+// scale and the epoch phase its chunk arrived with, through the same
+// engine.Commits jobs a group of one runs — and the stepped weights
 // all-gather back, so the commit tail never runs serially on the leader.
 // Without fault tolerance a follower holds the optimizer moments of its
 // own shard only; with it, every replica mirrors all of them, which is
@@ -197,10 +197,11 @@ type Group struct {
 
 	// owners is the commit in flight's stage→position owner: the plan's,
 	// or the leader for the shard of a follower that died mid-step.
-	owners []int
+	// commits runs each stage's phases on its owner (ownerCommit).
+	owners  []int
+	commits *engine.Commits
 
 	scatter [][]*tensor.Tensor // per-stage staging for the grad scatter
-	sumSqs  []float64          // per-stage clip-norm partials
 
 	// rec is the leader's trace recorder (nil when tracing is off). Each
 	// member has its own collectives track: the orchestrator
@@ -225,7 +226,8 @@ func (g *Group) track(m *member) *trace.Track {
 func NewGroup(lead Leader, faultTolerant bool) *Group {
 	p := lead.Stages()
 	g := &Group{lead: lead, p: p, ft: faultTolerant, owners: make([]int, p),
-		scatter: make([][]*tensor.Tensor, p), sumSqs: make([]float64, p)}
+		scatter: make([][]*tensor.Tensor, p)}
+	g.commits = engine.NewCommits(ownerCommit{lead, g}, p)
 	g.rec, _ = trace.FromCarrier(lead)
 	rec, _ := g.enter(lead) // a Leader is Local
 	g.move(rec, Active)
@@ -421,8 +423,10 @@ func (g *Group) collective(name string, t0, bytes int64) {
 // sizes differing by at most one); each owner runs the commit phases for
 // its shard against its own parameter copies and its own copy of the
 // optimizer state, so no replica — leader included — steps more than
-// ⌈P/R⌉ stages (runShard). A group of one never calls it: it commits
-// inside its stream (Stream).
+// ⌈P/R⌉ stages. Each member runs its shard's phases as one
+// engine.Commits job on its own goroutine (eachMember), routed to the
+// owner by ownerCommit. A group of one never calls it: it commits inside
+// its stream (Stream).
 //
 // Determinism (bit-identical to a single replica, and hence to
 // single-replica Reference):
@@ -441,8 +445,8 @@ func (g *Group) collective(name string, t0, bytes int64) {
 //     to the leader's, so the owner performs bitwise the arithmetic the
 //     leader would have.
 //  3. Cross-stage reductions keep stage order. The clip-norm partials are
-//     folded st = 0..P−1 on the orchestrator, whoever computed them, and
-//     the resulting scale is computed once.
+//     folded st = 0..P−1 on the orchestrator (engine.Commits.Scale),
+//     whoever computed them, and the resulting scale is computed once.
 //  4. The gather is a pure copy. Every member imports each stage it does
 //     not own from the owner's post-step state and pushes its version
 //     queue exactly once per stage, so every replica's version history
@@ -456,14 +460,15 @@ func (g *Group) collective(name string, t0, bytes int64) {
 // takeOver), and the member leaves without a replay.
 func (g *Group) Commit(nMicro int) error {
 	p := g.p
-	// Scatter: move the leader's reduced gradients to their owners.
+	// Scatter: move the leader's reduced gradients to the plan's owners.
 	// TakeStageGrads zeroes the leader's accumulator, so gradient ownership
 	// moves wholesale; g.scatter keeps the reduced gradient until the next
 	// commit, for a takeover.
 	t0 := g.rec.Now()
 	var scatterBytes int64
 	for st := 0; st < p; st++ {
-		if o := g.plan.OwnerOf(st); o != 0 {
+		g.owners[st] = g.plan.OwnerOf(st)
+		if o := g.owners[st]; o != 0 {
 			g.scatter[st] = g.lead.TakeStageGrads(st, g.scatter[st])
 			g.members[o].SetStageGrads(st, g.scatter[st])
 			if g.rec != nil {
@@ -475,9 +480,7 @@ func (g *Group) Commit(nMicro int) error {
 	// Prepare: owners average their shard's gradients and report the
 	// per-stage clip partials.
 	g.eachMember(func(_ int, m *member, lo, hi int) {
-		g.runShard(m, lo, hi, trace.NameCommitPrepare, func(st int) {
-			g.sumSqs[st] = m.PrepareStage(st, nMicro)
-		})
+		g.commits.Job(g.commitTrack(m), lo, hi, nMicro)
 	})
 	if m, err := g.firstFault(); m != nil {
 		// No member has stepped a stage yet, so a failure up to Prepare
@@ -485,17 +488,11 @@ func (g *Group) Commit(nMicro int) error {
 		// first — the scatter moved gradients).
 		return g.classify(m, err, true)
 	}
-	sumSq := 0.0
-	for _, s := range g.sumSqs {
-		sumSq += s
-	}
-	scale := g.lead.ClipScale(sumSq)
+	scale := g.commits.Scale()
 	// Step: owners step their shards' stages, each pushing the stage's
 	// next version.
 	g.eachMember(func(_ int, m *member, lo, hi int) {
-		g.runShard(m, lo, hi, trace.NameCommitStep, func(st int) {
-			m.StepStage(st, scale)
-		})
+		g.commits.Step(g.commitTrack(m), lo, hi, scale)
 	})
 	// Gather: every member imports each stage from the owner's post-step
 	// state, in stage order, pushing its own version queue. Owner states
@@ -506,7 +503,6 @@ func (g *Group) Commit(nMicro int) error {
 	t0 = g.rec.Now()
 	states := make([][]*tensor.Tensor, p)
 	for st := 0; st < p; st++ {
-		g.owners[st] = g.plan.OwnerOf(st)
 		states[st] = g.members[g.owners[st]].StageState(st)
 	}
 	g.takeOver(nMicro, scale, states)
@@ -546,9 +542,11 @@ func (g *Group) Commit(nMicro int) error {
 // state, mirrored moments and version ring of the shard are still
 // pre-step (nothing has been imported yet, so each ring's newest version
 // is the step index), the reduced gradient is still in g.scatter, and the
-// clip scale is the one the orchestrator computed. Without fault
-// tolerance the dead owner's moments are gone and nothing is taken over:
-// its stages stay unimported and the commit ends in a plain error.
+// clip scale is the one the orchestrator computed. The re-step runs the
+// commit's own Job and Step on the shard, now owned by the leader, on the
+// leader's collectives track. Without fault tolerance the dead owner's
+// moments are gone and nothing is taken over: its stages stay unimported
+// and the commit ends in a plain error.
 func (g *Group) takeOver(nMicro int, scale float64, states [][]*tensor.Tensor) {
 	if !g.ft {
 		return
@@ -558,16 +556,45 @@ func (g *Group) takeOver(nMicro int, scale float64, states [][]*tensor.Tensor) {
 			continue
 		}
 		lo, hi := g.plan.Shard(i + 1)
-		t0 := g.rec.Now()
 		for st := lo; st < hi; st++ {
 			g.lead.SetStageGrads(st, g.scatter[st])
-			g.lead.PrepareStage(st, nMicro)
-			g.lead.StepStage(st, scale)
 			g.owners[st] = 0
+		}
+		g.commits.Job(g.track(g.members[0]), lo, hi, nMicro)
+		g.commits.Step(g.track(g.members[0]), lo, hi, scale)
+		for st := lo; st < hi; st++ {
 			states[st] = g.lead.StageState(st)
 		}
-		g.track(g.members[0]).Span(trace.NameCommitStep, t0, lo, -1, 0)
 	}
+}
+
+// ownerCommit is the group's commit as engine.Commits runs it: each
+// stage's phases go to the stage's owner (Group.owners), and the clip
+// factor and the wait rule are the leader's. It always folds, because
+// every owner prepares before any steps.
+type ownerCommit struct {
+	Leader
+	g *Group
+}
+
+func (ownerCommit) Clips() bool { return true }
+
+func (o ownerCommit) PrepareStage(stage, nMicro int) float64 {
+	return o.g.members[o.g.owners[stage]].PrepareStage(stage, nMicro)
+}
+
+func (o ownerCommit) StepStage(stage int, scale float64) {
+	o.g.members[o.g.owners[stage]].StepStage(stage, scale)
+}
+
+// commitTrack returns the track member m's commit jobs are recorded on:
+// a remote member's collectives track, or an in-process member's first
+// worker track.
+func (g *Group) commitTrack(m *member) *trace.Track {
+	if m.remote != nil {
+		return g.track(m)
+	}
+	return engine.WorkerTrack(m.comp, 0)
 }
 
 // eachMember runs fn concurrently for every active member with its
@@ -586,40 +613,6 @@ func (g *Group) eachMember(fn func(i int, m *member, lo, hi int)) {
 	}
 	lo, hi := g.plan.Shard(0)
 	fn(0, g.members[0], lo, hi)
-	wg.Wait()
-}
-
-// runShard runs commit phase fn over each stage of member m's shard
-// [lo, hi), recorded as a span named name. A remote member runs it in one
-// call, on its collectives track; an in-process member splits the shard
-// (engine.CommitPlan again) into at most its engine's Workers pieces, one
-// goroutine each, a span per piece on worker i's track.
-func (g *Group) runShard(m *member, lo, hi int, name string, fn func(stage int)) {
-	piece := func(tk *trace.Track, a, b int) {
-		t0 := tk.Now()
-		for st := a; st < b; st++ {
-			fn(st)
-		}
-		tk.Span(name, t0, a, -1, 0)
-	}
-	if m.remote != nil {
-		piece(g.track(m), lo, hi)
-		return
-	}
-	if hi == lo {
-		return
-	}
-	n := min(m.eng.Workers(g.p), hi-lo)
-	plan := engine.NewCommitPlan(hi-lo, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			a, b := plan.Shard(i)
-			piece(engine.WorkerTrack(m.comp, i), lo+a, lo+b)
-		}()
-	}
 	wg.Wait()
 }
 

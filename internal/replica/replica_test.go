@@ -349,8 +349,6 @@ type blockingEngine struct{ entered chan struct{} }
 
 func (blockingEngine) Name() string { return "blocking" }
 
-func (blockingEngine) Workers(int) int { return 1 }
-
 func (b blockingEngine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, _ engine.Commit) ([]float64, error) {
 	close(b.entered)
 	<-ctx.Done()

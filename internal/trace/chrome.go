@@ -65,7 +65,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 			Args: map[string]any{"name": name},
 		})
 
-		evs := append([]Event(nil), t.Events()...)
+		evs := t.Events()
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Ts < evs[j].Ts })
 		for _, ev := range evs {
 			ce := chromeEvent{

@@ -15,11 +15,12 @@
 //     *Recorder or nil *Track, so instrumentation sites pay one nil
 //     check and nothing else. No recorder is allocated unless the user
 //     asked for one via pipemare.WithTrace.
-//   - Allocation-bounded when enabled: each track owns one event slice
-//     that grows to a hard cap (limit events); past the cap events are
-//     counted as dropped, not recorded, so a long run cannot grow
-//     memory without bound. Recording an event is a monotonic clock
-//     read and a struct append — no formatting, no maps, no interfaces.
+//   - Allocation-bounded when enabled: each track records into
+//     fixed-size blocks up to a hard cap (limit events); past the cap
+//     events are counted as dropped, not recorded, so a long run cannot
+//     grow memory without bound. Recording an event is a monotonic clock
+//     read and a struct append to the newest block — no formatting, no
+//     maps, no interfaces, and no copy of the events already recorded.
 //   - Race-free by ownership, not locking: the Recorder's mutex guards
 //     only the track registry. Event appends are unsynchronized because
 //     every track has exactly one writer at a time, with the writer
@@ -37,6 +38,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -117,6 +119,9 @@ func FromCarrier(v any) (*Recorder, int) {
 // saturated track tops out near 16 MiB.
 const DefaultLimit = 1 << 18
 
+// blockEvents is the size of a track's recording block (256 KiB).
+const blockEvents = 4096
+
 // Recorder collects events across tracks against one monotonic time
 // base. The zero value is not usable; construct with New. A nil
 // *Recorder is a valid "tracing off" recorder: every method no-ops.
@@ -188,10 +193,11 @@ func (r *Recorder) Tracks() []*Track {
 // method, so disabled tracing costs one nil check per emission site.
 type Track struct {
 	rec     *Recorder
-	Pid     int    // replica index
-	Tid     int    // worker index or a Tid* constant
-	Name    string // thread_name metadata in the Chrome export
-	events  []Event
+	Pid     int       // replica index
+	Tid     int       // worker index or a Tid* constant
+	Name    string    // thread_name metadata in the Chrome export
+	blocks  [][]Event // full blocks of blockEvents, then the newest
+	n       int       // events recorded
 	dropped int
 }
 
@@ -223,20 +229,26 @@ func (t *Track) Instant(name string, stage, micro int, bytes int64) {
 }
 
 func (t *Track) add(ev Event) {
-	if len(t.events) >= t.rec.limit {
+	if t.n >= t.rec.limit {
 		t.dropped++
 		return
 	}
-	t.events = append(t.events, ev)
+	k := len(t.blocks) - 1
+	if k < 0 || len(t.blocks[k]) == cap(t.blocks[k]) {
+		t.blocks = append(t.blocks, make([]Event, 0, min(blockEvents, t.rec.limit-t.n)))
+		k++
+	}
+	t.blocks[k] = append(t.blocks[k], ev)
+	t.n++
 }
 
-// Events returns the track's recorded events (not a copy). Same
+// Events returns a copy of the track's recorded events, in order. Same
 // quiescence requirement as Recorder.Tracks.
 func (t *Track) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	return slices.Concat(t.blocks...)
 }
 
 // DroppedEvents returns how many events this track discarded at its cap.

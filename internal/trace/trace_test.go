@@ -55,6 +55,39 @@ func TestTrackCapCountsDrops(t *testing.T) {
 	}
 }
 
+// TestTrackRecordsIntoBlocks records three full blocks and a partial one
+// against a cap inside the fourth: the events come back in order, the cap
+// and the drop count hold, and the first block's backing array never
+// moves, so recording never copies what it already holds.
+func TestTrackRecordsIntoBlocks(t *testing.T) {
+	const limit = 3*blockEvents + 100
+	r := NewWithLimit(limit)
+	tk := r.Track(0, 0, "worker 0")
+	tk.Instant(NameEpoch, -1, 0, 0)
+	first := &tk.blocks[0][0]
+	for i := 1; i < limit+7; i++ {
+		tk.Instant(NameEpoch, -1, i, 0)
+		if &tk.blocks[0][0] != first {
+			t.Fatalf("the first block moved at event %d", i)
+		}
+	}
+	if len(tk.blocks) != 4 || len(tk.blocks[3]) != 100 {
+		t.Fatalf("%d blocks, the last holding %d events; want 4, the last 100", len(tk.blocks), len(tk.blocks[len(tk.blocks)-1]))
+	}
+	evs := tk.Events()
+	if len(evs) != limit {
+		t.Fatalf("a track capped at %d holds %d events", limit, len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Micro != i {
+			t.Fatalf("event %d carries micro %d, want the recording order", i, ev.Micro)
+		}
+	}
+	if got := tk.DroppedEvents(); got != 7 {
+		t.Fatalf("dropped = %d, want 7", got)
+	}
+}
+
 func TestTrackRegistryDedupes(t *testing.T) {
 	r := New()
 	a := r.Track(1, TidCollectives, "collectives")

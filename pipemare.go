@@ -119,12 +119,12 @@ func NewReferenceEngine() Engine { return engine.NewReference() }
 
 // NewConcurrentEngine returns the work-stealing segment-scheduler engine:
 // `workers` goroutines (0 = min(P, GOMAXPROCS)) drain the run queues of
-// min(P, 4·workers) segments of consecutive stages with up to P microbatch
-// chains in flight, and the commit splits the optimizer step into as many
-// stage-parallel pieces. Each minibatch starts its workers and joins them
-// before it returns, so one engine may serve any number of trainers at
-// once. Curves are bit-identical to Reference for every worker count; see
-// internal/engine/concurrent.
+// min(P, 2·workers) segments of consecutive stages with up to min(P, N)
+// microbatch chains in flight, and a trainer alone commits each segment
+// as a job in its queue. Each stream of minibatches starts its workers
+// and joins them before it returns, so one engine may serve any number of
+// trainers at once. Curves are bit-identical to Reference for every
+// worker count; see internal/engine/concurrent.
 func NewConcurrentEngine(workers int) Engine {
 	return concurrent.New(concurrent.WithWorkers(workers))
 }
