@@ -228,6 +228,11 @@ func (e *Engine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, c eng
 		total = len(mbs) * r.n
 	}
 	r.losses = make([]float64, total)
+	for g := range r.queues {
+		// A queue holds at most one job per chain in flight and one
+		// clipping step, so it never grows mid-stream.
+		r.queues[g].jobs = make([]job, 0, min(p, r.n)+1)
+	}
 	for range min(p, r.n) {
 		r.dispatch()
 	}

@@ -99,7 +99,8 @@ func setProgDType(dt tensor.DType, groups []pipeline.ParamGroup, prog *nn.Progra
 // truth for inputs (token ids are small integers, so they cast exactly).
 func gatherRowsTape(t *nn.Tape, x *tensor.Tensor, idx []int) *tensor.Tensor {
 	rowLen := x.Size() / x.Shape[0]
-	shape := append([]int{len(idx)}, x.Shape[1:]...)
+	var buf [4]int // the tape copies a shape, so this one stays on the stack
+	shape := append(append(buf[:0], len(idx)), x.Shape[1:]...)
 	out := t.NewTensor(shape...)
 	if out.DType() == x.DType() {
 		for i, ix := range idx {

@@ -48,10 +48,11 @@ func (a *AttnCore) Forward(t *Tape, q, k, v *tensor.Tensor) *tensor.Tensor {
 // attend is the attention loop of Forward and of the decode step: per
 // (batch, head) pair, the sequence's qLen query rows attend over its
 // first kLen key/value rows, whose sequences start kStride rows apart in
-// k and v. Each pair writes its own probs row and its own (head-column)
-// block of y, through one scratch set from the tape. A causal core lets
-// query i see keys j ≤ i + kLen − qLen: the last query row sits at the
-// last key row's position.
+// k and v. Each pair writes its own probs row (a copy of the softmax's
+// scratch p) and its own (head-column) block of y, through one scratch
+// set from the tape. A causal core lets query i see keys
+// j ≤ i + kLen − qLen: the last query row sits at the last key row's
+// position.
 func (a *AttnCore) attend(t *Tape, q, k, v *tensor.Tensor, qLen, kLen, kStride int) (y, probs *tensor.Tensor) {
 	batch := q.Shape[0] / qLen
 	dk := a.D / a.Heads
@@ -59,7 +60,7 @@ func (a *AttnCore) attend(t *Tape, q, k, v *tensor.Tensor, qLen, kLen, kStride i
 	y = t.NewTensor(batch*qLen, a.D)
 	y.Zero() // scatterHead adds into it
 	probs = t.NewTensor(batch*a.Heads, qLen*kLen)
-	s := t.NewTensor(qLen, kLen)
+	s, p := t.NewTensor(qLen, kLen), t.NewTensor(qLen, kLen)
 	qh, kh, vh := t.NewTensor(qLen, dk), t.NewTensor(kLen, dk), t.NewTensor(kLen, dk)
 	yh := t.NewTensor(qLen, dk)
 	for idx := 0; idx < batch*a.Heads; idx++ {
@@ -73,8 +74,8 @@ func (a *AttnCore) attend(t *Tape, q, k, v *tensor.Tensor, qLen, kLen, kStride i
 		} else {
 			attnScaleMask(tensor.F64(s), scale, a.Causal, qLen, kLen)
 		}
-		p := probs.RowView(idx, qLen, kLen)
 		tensor.SoftmaxRowsInto(p, s)
+		tensor.CopyRange(probs, idx*qLen*kLen, p, 0, qLen*kLen)
 		tensor.MatMulInto(yh, p, vh)
 		a.scatterHead(y, yh, b, h, qLen)
 	}
@@ -112,11 +113,11 @@ func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tens
 	dV.Zero()
 	qh, kh, vh := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh), t.NewTensor(a.KLen, dkh)
 	dyh, dvh := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh)
-	dp, ds := t.NewTensor(a.QLen, a.KLen), t.NewTensor(a.QLen, a.KLen)
+	p, dp, ds := t.NewTensor(a.QLen, a.KLen), t.NewTensor(a.QLen, a.KLen), t.NewTensor(a.QLen, a.KLen)
 	dqh, dkhT := t.NewTensor(a.QLen, dkh), t.NewTensor(a.KLen, dkh)
 	for idx := 0; idx < st.batch*a.Heads; idx++ {
 		b, h := idx/a.Heads, idx%a.Heads
-		p := st.probs.RowView(idx, a.QLen, a.KLen)
+		tensor.CopyRange(p, 0, st.probs, idx*a.QLen*a.KLen, a.QLen*a.KLen)
 		a.sliceHead(qh, st.q, b, h, a.QLen, a.QLen)
 		a.sliceHead(kh, st.k, b, h, a.KLen, a.KLen)
 		a.sliceHead(vh, st.v, b, h, a.KLen, a.KLen)

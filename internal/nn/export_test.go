@@ -24,4 +24,4 @@ func CountPanels() (counts func() map[*Param]int, stop func()) {
 }
 
 // HoldsPanel reports whether p holds a Wᵀ panel.
-func HoldsPanel(p *Param) bool { return p.panel != nil }
+func HoldsPanel(p *Param) bool { return p.panelOf != nil }

@@ -97,7 +97,7 @@ func checkLayerGrad(t *testing.T, seed int64, tol64 float64, inputGrad bool, mk 
 			tp.Reset()
 			l.Forward(tp, x)
 			dx := l.Backward(tp, r).Clone() // clone: the tape arena owns the original
-			if n := len(tp.stack) + len(tp.norms); n != 0 {
+			if n := records(tp); n != 0 {
 				t.Fatalf("%d records left on the tape after forward+backward", n)
 			}
 			loss := func() float64 { return projLoss(l.Forward(newTape(gt.dt), x), r) }
@@ -171,10 +171,9 @@ func TestGroupNormGradient(t *testing.T) {
 // forward+backward allocates only the tape's own bookkeeping — the boxed
 // record each Forward pushes (none for LayerNorm and GroupNorm, whose
 // record goes on the tape's typed stack, nor for GELU, ReLU and Linear,
-// whose record is the input tensor itself), and the view
-// header (tensor + shape) RowView builds per (batch, head) pair per pass.
-// A row split under these layers shows up as its escaping closures and
-// per-chunk scratch lists.
+// whose record is the input tensor itself): attention's one. A row split
+// under these layers shows up as its escaping closures and per-chunk
+// scratch lists.
 func TestLayerKernelsAreLeafCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -207,7 +206,7 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 		}{
 			{"LayerNorm", 0, func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
 			{"GroupNorm", 0, func() { gn.Forward(tp, img); gn.Backward(tp, dImg) }},
-			{"AttnCore", 1 + 2*2*batch*heads, func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
+			{"AttnCore", 1, func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
 			{"GELU", 0, func() { gelu.Forward(tp, in[0]); gelu.Backward(tp, in[1]) }},
 			{"ReLU", 0, func() { relu.Forward(tp, in[0]); relu.Backward(tp, in[1]) }},
 			{"Linear", 0, func() { lin.Forward(tp, in[0]); lin.Backward(tp, in[1]) }},
@@ -238,7 +237,7 @@ func checkAttnCoreGrad(t *testing.T, seed int64, qLen, kLen int, causal bool) {
 			tp := newTape(gt.dt)
 			core.Forward(tp, q, k, v)
 			dq, dk, dv := core.Backward(tp, r)
-			if n := len(tp.stack) + len(tp.norms); n != 0 {
+			if n := records(tp); n != 0 {
 				t.Fatalf("%d records left on the tape after forward+backward", n)
 			}
 			loss := func() float64 { return projLoss(core.Forward(newTape(gt.dt), q, k, v), r) }
@@ -278,6 +277,9 @@ func TestGlobalAvgPoolGradient(t *testing.T) {
 	})
 }
 
+// records counts the records on every stack of the tape.
+func records(tp *Tape) int { return len(tp.stack) + len(tp.norms) + len(tp.ces) }
+
 func TestCrossEntropyGradient(t *testing.T) {
 	labels := []int{0, 3, -1, 2, 1} // row 2 ignored
 	for _, gt := range gradTols(1e-6) {
@@ -287,6 +289,9 @@ func TestCrossEntropyGradient(t *testing.T) {
 			tp := newTape(gt.dt)
 			ce.Forward(tp, logits, labels)
 			grad := ce.Backward(tp)
+			if n := records(tp); n != 0 {
+				t.Fatalf("%d records left on the tape after forward+backward", n)
+			}
 			checkGrad(t, "logits", logits, grad, 1, gt, func() float64 {
 				return ce.Forward(newTape(gt.dt), logits, labels)
 			})

@@ -11,12 +11,6 @@ type CrossEntropy struct {
 	Ignore int
 }
 
-type ceState struct {
-	probs  *tensor.Tensor
-	labels []int
-	count  int
-}
-
 // NewCrossEntropy returns a cross-entropy loss that ignores label -1.
 func NewCrossEntropy() *CrossEntropy { return &CrossEntropy{Ignore: -1} }
 
@@ -30,7 +24,8 @@ func (c *CrossEntropy) Forward(t *Tape, logits *tensor.Tensor, labels []int) flo
 	}
 	probs := t.NewTensor(n, cl)
 	tensor.SoftmaxRowsInto(probs, logits)
-	lse := tensor.LogSumExpRows(logits)
+	lse := t.Floats(n)
+	tensor.LogSumExpRowsInto(lse, logits)
 	loss, cnt := 0.0, 0
 	for i := 0; i < n; i++ {
 		if labels[i] == c.Ignore {
@@ -39,7 +34,7 @@ func (c *CrossEntropy) Forward(t *Tape, logits *tensor.Tensor, labels []int) flo
 		loss += lse[i] - logits.FlatAt(i*cl+labels[i])
 		cnt++
 	}
-	t.Push(ceState{probs, labels, cnt})
+	t.pushCE(ceRecord{probs, labels, cnt})
 	if cnt == 0 {
 		return 0
 	}
@@ -49,7 +44,7 @@ func (c *CrossEntropy) Forward(t *Tape, logits *tensor.Tensor, labels []int) flo
 // Backward returns dLoss/dlogits = (softmax − onehot)/count, with ignored
 // rows zeroed.
 func (c *CrossEntropy) Backward(t *Tape) *tensor.Tensor {
-	st := t.Pop().(ceState)
+	st := t.popCE()
 	n, cl := st.probs.Shape[0], st.probs.Shape[1]
 	out := t.NewTensor(n, cl)
 	out.Zero() // ceBwd skips the ignored rows

@@ -42,10 +42,11 @@ type Param struct {
 	Grad *tensor.Tensor
 
 	// snap is the immutable weight snapshot Install last pointed Data at.
-	// panel, when non-nil, is Wᵀ packed from panelOf for Linear.Forward;
-	// it lives until Restore (one minibatch of a pipelined run).
+	// While panelOf is non-nil, panel is Wᵀ packed from it for
+	// Linear.Forward; it lives until Restore (the end of a stream) or
+	// until the ring recycles panelOf (ReleasePanel), whichever is first.
 	snap, panelOf *tensor.Tensor
-	panel         *tensor.Panel
+	panel         tensor.Panel
 }
 
 // NewParam returns a zero-initialized parameter of the given shape.
@@ -73,9 +74,17 @@ func (p *Param) Install(w *tensor.Tensor) { p.Data, p.snap = w, w }
 // returns the panel, if any, to the pack pool.
 func (p *Param) Restore(master *tensor.Tensor) {
 	p.Data, p.Bwd, p.snap = master, nil, nil
-	if p.panel != nil {
+	p.ReleasePanel(p.panelOf)
+}
+
+// ReleasePanel returns the panel packed from w, if p holds one, to the
+// pack pool. A version ring calls it on the snapshot it is about to
+// overwrite with a newer version, so an Install of the recycled tensor
+// packs afresh instead of reading the old version's panel.
+func (p *Param) ReleasePanel(w *tensor.Tensor) {
+	if w != nil && p.panelOf == w {
 		p.panel.Release()
-		p.panel, p.panelOf = nil, nil
+		p.panelOf = nil
 	}
 }
 
@@ -87,18 +96,16 @@ func (p *Param) forwardPanel() *tensor.Panel {
 	if p.Data != p.snap {
 		return nil
 	}
-	if p.panel != nil && p.panelOf == p.Data {
+	if p.panelOf == p.Data {
 		checkPanel(p)
-		return p.panel
+		return &p.panel
 	}
-	if p.panel != nil {
-		p.panel.Release()
-	}
+	p.ReleasePanel(p.panelOf)
 	p.panel, p.panelOf = tensor.PackT2(p.Data), p.Data
 	if onPack != nil {
 		onPack(p)
 	}
-	return p.panel
+	return &p.panel
 }
 
 // onPack, when set, is called with the param of every panel forwardPanel

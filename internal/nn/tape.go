@@ -25,6 +25,7 @@ import (
 type Tape struct {
 	stack []any
 	norms []normRecord
+	ces   []ceRecord
 
 	dt   tensor.DType
 	tens []*tensor.Tensor
@@ -53,8 +54,8 @@ func (t *Tape) Pop() any {
 
 // normRecord is what LayerNorm and GroupNorm save for their Backward. It
 // has its own typed stack beside the []any one, so saving it boxes nothing
-// on the heap; the two stacks are each strict, because every layer pushes
-// to one of them and pops in reverse order from the same one.
+// on the heap; the stacks are each strict, because every layer pushes to
+// one of them and pops in reverse order from the same one.
 type normRecord struct {
 	xhat    *tensor.Tensor
 	invStd  []float64
@@ -68,6 +69,24 @@ func (t *Tape) popNorm() normRecord {
 	r := t.norms[n]
 	t.norms[n] = normRecord{}
 	t.norms = t.norms[:n]
+	return r
+}
+
+// ceRecord is what CrossEntropy saves for its Backward, on a typed stack
+// of its own for the same reason as normRecord.
+type ceRecord struct {
+	probs  *tensor.Tensor
+	labels []int
+	count  int
+}
+
+func (t *Tape) pushCE(r ceRecord) { t.ces = append(t.ces, r) }
+
+func (t *Tape) popCE() ceRecord {
+	n := len(t.ces) - 1
+	r := t.ces[n]
+	t.ces[n] = ceRecord{}
+	t.ces = t.ces[:n]
 	return r
 }
 
@@ -154,6 +173,8 @@ func (t *Tape) Reset() {
 	t.stack = t.stack[:0]
 	clear(t.norms)
 	t.norms = t.norms[:0]
+	clear(t.ces)
+	t.ces = t.ces[:0]
 	t.tpos, t.fpos, t.ipos = 0, 0, 0
 }
 

@@ -364,11 +364,21 @@ func mix64(x uint64) uint64 {
 // VersionStore keeps per-stage snapshots of stage weights, indexed by
 // update version. Version 0 is the initial weights; version v is the state
 // after v optimizer updates. Each stage's ring holds its keep most recent
-// versions; older ones are pruned as new ones are pushed.
+// versions in keep buffers it owns: once the ring is full, a push copies
+// the new version into the buffer of the oldest, which it evicts, so a
+// steady-state push allocates nothing.
+//
+// The recycling rule: every reader of a version is done with it before
+// the push that evicts it. The readers are a slot's install (the clock
+// never names an evicted version, and Get panics on one), T2's pre-step
+// weights (read before the stage's push), and the checkpoint, Resync and
+// Handoff paths (History, between streams). A stage parameter still
+// pointing its Data or Bwd at the buffer a push is about to overwrite
+// breaks the rule, and the push panics, naming it.
 type VersionStore struct {
 	stages [][]*nn.Param
-	// snaps[stage][k] is the snapshot for version base+k.
-	snaps [][][]*tensor.Tensor
+	// rings[stage][k] is the snapshot for version base[stage]+k.
+	rings [][][]*tensor.Tensor
 	base  []int
 	keep  int
 }
@@ -379,24 +389,46 @@ type VersionStore struct {
 func NewVersionStore(stages [][]*nn.Param, keep int) *VersionStore {
 	keep = max(keep, 1)
 	vs := &VersionStore{stages: stages, keep: keep,
-		snaps: make([][][]*tensor.Tensor, len(stages)), base: make([]int, len(stages))}
+		rings: make([][][]*tensor.Tensor, len(stages)), base: make([]int, len(stages))}
 	for s := range stages {
+		vs.rings[s] = make([][]*tensor.Tensor, 0, keep)
 		vs.push(s)
 	}
 	return vs
 }
 
+// push snapshots the stage's current weights as its next version. While
+// the ring holds fewer than keep versions it clones them into a new
+// buffer; after that it evicts the oldest version (and any beyond keep a
+// restore left) and copies into the evicted buffer, first releasing the
+// Wᵀ panel a parameter packed from it.
 func (vs *VersionStore) push(stage int) {
-	snap := make([]*tensor.Tensor, len(vs.stages[stage]))
-	for i, p := range vs.stages[stage] {
-		snap[i] = p.Data.Clone()
+	ring, params := vs.rings[stage], vs.stages[stage]
+	if len(ring) < vs.keep {
+		buf := make([]*tensor.Tensor, len(params))
+		for i, p := range params {
+			buf[i] = p.Data.Clone()
+		}
+		vs.rings[stage] = append(ring, buf)
+		return
 	}
-	vs.snaps[stage] = append(vs.snaps[stage], snap)
-	if len(vs.snaps[stage]) > vs.keep {
-		drop := len(vs.snaps[stage]) - vs.keep
-		vs.snaps[stage] = vs.snaps[stage][drop:]
-		vs.base[stage] += drop
+	buf := ring[0]
+	for i, p := range params {
+		if p.Data == buf[i] || p.Bwd == buf[i] {
+			panic(fmt.Sprintf("pipeline: stage %d: %v still reads version %d, which the push of version %d overwrites",
+				stage, p, vs.base[stage], vs.Latest(stage)+1))
+		}
 	}
+	for i, p := range params {
+		p.ReleasePanel(buf[i])
+		buf[i].CopyFrom(p.Data)
+	}
+	drop := len(ring) - vs.keep + 1
+	n := copy(ring, ring[drop:])
+	ring[n] = buf
+	clear(ring[n+1:]) // no evicted buffer stays reachable
+	vs.rings[stage] = ring[:n+1]
+	vs.base[stage] += drop
 }
 
 // Push snapshots the current (just-updated) weights of every stage as the
@@ -416,41 +448,45 @@ func (vs *VersionStore) PushStage(stage int) { vs.push(stage) }
 // version. The ring must hold that version: one outside it panics, naming
 // the stage and the versions held, since a read the version rule did not
 // provide for is a bug, not a version to substitute. The returned tensors
-// are owned by the store and must not be mutated.
+// are owned by the store, must not be mutated, and hold the version only
+// until the push that evicts it, which overwrites them with a newer one.
 func (vs *VersionStore) Get(stage, version int) []*tensor.Tensor {
 	k := version - vs.base[stage]
-	if k < 0 || k >= len(vs.snaps[stage]) {
+	if k < 0 || k >= len(vs.rings[stage]) {
 		panic(fmt.Sprintf("pipeline: stage %d ring holds versions %d..%d, not %d",
 			stage, vs.base[stage], vs.Latest(stage), version))
 	}
-	return vs.snaps[stage][k]
+	return vs.rings[stage][k]
 }
 
 // Latest returns the most recent version number stored.
 func (vs *VersionStore) Latest(stage int) int {
-	return vs.base[stage] + len(vs.snaps[stage]) - 1
+	return vs.base[stage] + len(vs.rings[stage]) - 1
 }
 
 // History returns a stage's full version ring: the oldest retained
-// version number and the live snapshots, oldest to newest. The tensors
-// are owned by the store — checkpoint writers read, never mutate.
+// version number and the live snapshots, oldest to newest. The slice and
+// the tensors are owned by the store and valid until the stage's next
+// push, which recycles the oldest entry — checkpoint writers and handoffs
+// read them between streams, and never mutate them.
 func (vs *VersionStore) History(stage int) (base int, snaps [][]*tensor.Tensor) {
-	return vs.base[stage], vs.snaps[stage]
+	return vs.base[stage], vs.rings[stage]
 }
 
 // RestoreStage replaces a stage's version ring wholesale with deep
 // copies of snaps (versions base, base+1, ...) — the checkpoint-restore
 // path. Restoring the ring, not just the latest weights, keeps
 // historical-version installs after a resume bit-identical to the
-// checkpointed run's.
+// checkpointed run's. A ring of another length than keep converges to
+// keep buffers over the pushes that follow.
 func (vs *VersionStore) RestoreStage(stage, base int, snaps [][]*tensor.Tensor) {
-	ring := make([][]*tensor.Tensor, len(snaps))
+	ring := make([][]*tensor.Tensor, len(snaps), max(len(snaps), vs.keep))
 	for k, snap := range snaps {
 		ring[k] = make([]*tensor.Tensor, len(snap))
 		for i, t := range snap {
 			ring[k][i] = t.Clone()
 		}
 	}
-	vs.snaps[stage] = ring
+	vs.rings[stage] = ring
 	vs.base[stage] = base
 }

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"pipemare/internal/nn"
+	"pipemare/internal/tensor"
 )
 
 func mkGroups(sizes ...int) []ParamGroup {
@@ -477,6 +478,133 @@ func TestVersionStorePruning(t *testing.T) {
 			}()
 			vs.Get(0, v)
 		}()
+	}
+	// The ring has wrapped three times over; History still runs oldest
+	// to newest.
+	base, snaps := vs.History(0)
+	if base != 8 || len(snaps) != 3 {
+		t.Fatalf("History = base %d, %d snapshots, want base 8, 3", base, len(snaps))
+	}
+	for k, snap := range snaps {
+		if got := snap[0].FlatAt(0); got != float64(8+k) {
+			t.Fatalf("History entry %d = %g, want version %d", k, got, 8+k)
+		}
+	}
+}
+
+// ringBuffers counts the distinct snapshot tensors a stage's ring has
+// handed out through Get since the last reset of seen.
+func ringBuffers(vs *VersionStore, stage int, seen map[*tensor.Tensor]bool) int {
+	for v := vs.base[stage]; v <= vs.Latest(stage); v++ {
+		for _, t := range vs.Get(stage, v) {
+			seen[t] = true
+		}
+	}
+	return len(seen)
+}
+
+// TestVersionStoreRecyclesKeepBuffers pins the ring's storage: over 100
+// pushes each stage's Get hands out exactly keep buffers per parameter —
+// every push past the first keep copies into the buffer it evicts — and
+// every version still reads back the weights pushed as it.
+func TestVersionStoreRecyclesKeepBuffers(t *testing.T) {
+	a, b, c := nn.NewParam("a", 2), nn.NewParam("b", 3), nn.NewParam("c", 1)
+	const keep = 4
+	vs := NewVersionStore([][]*nn.Param{{a, b}, {c}}, keep)
+	seen := []map[*tensor.Tensor]bool{{}, {}}
+	for v := 1; v <= 100; v++ {
+		for _, p := range []*nn.Param{a, b, c} {
+			p.Data.SetFlat(0, float64(v))
+		}
+		vs.Push()
+		for st := range seen {
+			ringBuffers(vs, st, seen[st])
+		}
+		for st := range seen {
+			for u := max(v-keep+1, 0); u <= v; u++ {
+				if got := vs.Get(st, u)[0].FlatAt(0); got != float64(u) {
+					t.Fatalf("after %d pushes: stage %d version %d reads %g", v, st, u, got)
+				}
+			}
+		}
+	}
+	for st, params := range [][]*nn.Param{{a, b}, {c}} {
+		if got, want := len(seen[st]), keep*len(params); got != want {
+			t.Fatalf("stage %d handed out %d buffers over 100 pushes, want %d", st, got, want)
+		}
+	}
+}
+
+// TestVersionStoreRestoredRingConverges pins a restored ring of another
+// length than keep: a shorter one grows by fresh buffers and a longer one
+// evicts its extra versions, and either settles on exactly keep buffers
+// holding the newest keep versions.
+func TestVersionStoreRestoredRingConverges(t *testing.T) {
+	const keep = 3
+	for _, n := range []int{1, keep + 3} {
+		p := nn.NewParam("w", 1)
+		vs := NewVersionStore([][]*nn.Param{{p}}, keep)
+		snaps := make([][]*tensor.Tensor, n)
+		for k := range snaps {
+			snaps[k] = []*tensor.Tensor{tensor.New(1)}
+			snaps[k][0].SetFlat(0, float64(20+k))
+		}
+		vs.RestoreStage(0, 20, snaps)
+		if got := vs.Latest(0); got != 20+n-1 {
+			t.Fatalf("restored ring of %d: latest %d, want %d", n, got, 20+n-1)
+		}
+		seen := map[*tensor.Tensor]bool{}
+		for v := 20 + n; v < 20+n+10; v++ {
+			p.Data.SetFlat(0, float64(v))
+			vs.Push()
+			if v >= 20+n+keep {
+				ringBuffers(vs, 0, seen)
+			}
+		}
+		base, ring := vs.History(0)
+		if len(ring) != keep || base != 20+n+10-keep {
+			t.Fatalf("restored ring of %d: after 10 pushes History holds %d from %d, want %d from %d", n, len(ring), base, keep, 20+n+10-keep)
+		}
+		for k, snap := range ring {
+			if got := snap[0].FlatAt(0); got != float64(base+k) {
+				t.Fatalf("restored ring of %d: entry %d = %g, want %d", n, k, got, base+k)
+			}
+		}
+		if len(seen) != keep {
+			t.Fatalf("restored ring of %d: settled on %d buffers, want %d", n, len(seen), keep)
+		}
+	}
+}
+
+// TestVersionStorePushRefusesALiveReader pins the recycling rule: a push
+// that would overwrite the buffer a stage parameter still reads — as Data
+// or as Bwd — panics, naming the stage, the version and the parameter,
+// and leaves the ring as it was.
+func TestVersionStorePushRefusesALiveReader(t *testing.T) {
+	for _, field := range []string{"Data", "Bwd"} {
+		master := nn.NewParam("blk0.fc.W", 2)
+		vs := NewVersionStore([][]*nn.Param{{master}}, 2)
+		vs.Push() // the ring is full: the next push recycles version 0
+		oldest := vs.Get(0, 0)[0]
+		if field == "Data" {
+			live := master.Data
+			master.Install(oldest)
+			defer func() { master.Restore(live) }()
+		} else {
+			master.Bwd = oldest
+		}
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), "stage 0: blk0.fc.W[2] still reads version 0, which the push of version 2 overwrites") {
+					t.Fatalf("%s on the oldest buffer: push recovered %v, want a panic naming it", field, r)
+				}
+			}()
+			vs.Push()
+		}()
+		if vs.Latest(0) != 1 || vs.Get(0, 0)[0] != oldest {
+			t.Fatalf("%s: the refused push changed the ring", field)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func TestPackedKernelMatchesMatMulT2(t *testing.T) {
 								want, got := NewOf(dt, m, n), NewOf(dt, m, n)
 								got.Fill(math.NaN())
 								MatMulT2Into(want, a, w)
-								MatMulT2PanelInto(got, a, pn)
+								MatMulT2PanelInto(got, a, &pn)
 								sameTensor(t, fmt.Sprintf("%s %dx%d·(%dx%d)ᵀ", dt, m, k, n, k), got, want)
 							}
 							pn.Release()

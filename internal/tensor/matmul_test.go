@@ -499,7 +499,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 					{"T1", func() { MatMulT1Into(dst, xt, y) }},
 					{"T1Add", func() { MatMulT1AddInto(dst, xt, y) }},
 					{"T2", func() { MatMulT2Into(dst, x, yt) }},
-					{"T2Panel", func() { MatMulT2PanelInto(dst, x, pn) }},
+					{"T2Panel", func() { MatMulT2PanelInto(dst, x, &pn) }},
 				} {
 					b.Run(fmt.Sprintf("%s/%s/%dx%dx%d/%s", l.name, dt, m, k, n, c.name), func(b *testing.B) {
 						l.run(func() {

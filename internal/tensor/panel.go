@@ -23,12 +23,13 @@ type Panel struct {
 	s32  *scratch[float32]
 }
 
-// PackT2 packs the rank-2 w into a panel.
-func PackT2(w *Tensor) *Panel {
+// PackT2 packs the rank-2 w into a panel. The panel is a value, so its
+// holder keeps it in place and a pack from a warm pool allocates nothing.
+func PackT2(w *Tensor) Panel {
 	if w.Rank() != 2 {
 		panic("tensor: PackT2 requires a rank-2 tensor")
 	}
-	p := &Panel{n: w.Shape[0], k: w.Shape[1], dt: w.dt}
+	p := Panel{n: w.Shape[0], k: w.Shape[1], dt: w.dt}
 	if w.dt == Float32 {
 		p.s32 = packPanel(w.data32, p.n, p.k)
 	} else {

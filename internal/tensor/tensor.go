@@ -62,22 +62,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 	copy(t.data32, src.data32)
 }
 
-// RowView returns a (rows, cols) view of row r of a rank-2 tensor whose
-// rows hold rows*cols elements. The data is shared with t.
-func (t *Tensor) RowView(r, rows, cols int) *Tensor {
-	n := rows * cols
-	if t.Rank() != 2 || t.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: RowView(%d,%d) of %v", rows, cols, t.Shape))
-	}
-	v := &Tensor{Shape: []int{rows, cols}, dt: t.dt}
-	if t.dt == Float32 {
-		v.data32 = t.data32[r*n : (r+1)*n]
-	} else {
-		v.data = t.data[r*n : (r+1)*n]
-	}
-	return v
-}
-
 // Reshape returns a view of t with a new shape of the same total size.
 // The data is shared with t.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
@@ -304,22 +288,24 @@ func softmaxRows[T Elem](out, in []T, m, n int) {
 	}
 }
 
-// LogSumExpRows returns the log-sum-exp of each row of a 2-D tensor,
-// always as float64. The exponentials are expNonPos, as in the softmax;
-// the final logarithm is math.Log, whose result feeds only the loss value
-// (reported, and compared against the divergence cap), never a gradient.
-func LogSumExpRows(a *Tensor) []float64 {
+// LogSumExpRowsInto writes the log-sum-exp of each row of the 2-D a into
+// out (one float64 per row). The exponentials are expNonPos, as in the
+// softmax; the final logarithm is math.Log, whose result feeds only the
+// loss value (reported, and compared against the divergence cap), never a
+// gradient.
+func LogSumExpRowsInto(out []float64, a *Tensor) {
 	if a.Rank() != 2 {
-		panic("tensor: LogSumExpRows requires a rank-2 tensor")
+		panic("tensor: LogSumExpRowsInto requires a rank-2 tensor")
 	}
 	m, n := a.Shape[0], a.Shape[1]
-	out := make([]float64, m)
+	if len(out) != m {
+		panic(fmt.Sprintf("tensor: LogSumExpRowsInto of %v into %d rows", a.Shape, len(out)))
+	}
 	if a.dt == Float32 {
 		logSumExpRows(out, a.data32, m, n)
 	} else {
 		logSumExpRows(out, a.data, m, n)
 	}
-	return out
 }
 
 func logSumExpRows[T Elem](out []float64, in []T, m, n int) {
