@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pipemare"
+	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/faults"
 	"pipemare/internal/trace"
 	"pipemare/internal/transport"
@@ -412,6 +413,79 @@ func TestChurnCompositions(t *testing.T) {
 		}
 		requireIdentical(t, "demotion-racing-fatal", ref, got)
 	})
+}
+
+// TestChunkZeroHolderChurn moves chunk 0 — the chunk whose member
+// accumulates in place and ships one prefix — from member to member at
+// R = 3 over loopback, on both inner engines. Follower A (position 1)
+// holds it first and straggles on its first reply: it is demoted, the
+// minibatch replays with follower B holding chunk 0, and A's late chunk-0
+// reply drains. A rejoins at the tail (chunk 1) at an epoch-2 boundary;
+// then B, holding chunk 0 again, is killed as the leader reads its reply,
+// and the replay over the survivors hands chunk 0 back to A. Every edge
+// must keep the curve on the single-replica reference — which holds only
+// if A's late chunk-0 run left its accumulators zeroed before it rejoined.
+func TestChunkZeroHolderChurn(t *testing.T) {
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 32) }
+	base := ftBase()
+	ref := runCurve(t, build, 4, 1, base...)
+	for _, inner := range []string{"reference", "concurrent"} {
+		t.Run(inner, func(t *testing.T) {
+			workerOpts := func() []pipemare.Option {
+				o := append([]pipemare.Option{}, base...)
+				if inner == "concurrent" {
+					o = append(o, pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(2))))
+				}
+				return o
+			}
+			dialers, _, wait := startWorkers(t, 2, build, workerOpts)
+			dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
+				faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 1,
+					Op: faults.Delay, Delay: 100 * time.Millisecond})}
+			// B's chunks: minibatch 1 and its replay, minibatches 2–4, then
+			// epoch 2's first (A rejoins after it) and second; its 8th is
+			// epoch 2's third, back on chunk 0 behind the leader.
+			dialers[1] = &faults.Dialer{Inner: dialers[1], Script: faults.NewScript(
+				faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 8, Op: faults.Kill})}
+			tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+				pipemare.WithReplicas(3), pipemare.WithEngine(replicatedEngine(inner)),
+				pipemare.WithFaultTolerance(), pipemare.WithElastic(),
+				pipemare.WithStragglerDemotion(20*time.Millisecond, 2),
+				pipemare.WithTransport(dialers...),
+				pipemare.WithObserver(func(epochs int, run *pipemare.Run) {
+					if epochs == 1 {
+						time.Sleep(400 * time.Millisecond) // A's drain ends in here
+					}
+				}))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got *pipemare.Run
+			err = runWithin(t, 60*time.Second, "chunk-0 churn", func() error {
+				r, err := tr.Run(context.Background(), 4)
+				got = r
+				return err
+			})
+			if err != nil {
+				t.Fatalf("run did not survive the chunk-0 holder's churn: %v", err)
+			}
+			joins, demotions, _ := tr.ElasticStats()
+			if demotions != 1 || joins != 1 || tr.Replicas() != 2 {
+				t.Fatalf("%d demotions, %d joins, %d replicas at the end; want 1, 1 and 2 (B evicted)", demotions, joins, tr.Replicas())
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			errs := wait()
+			if errs[0] != nil {
+				t.Fatalf("worker A: %v", errs[0])
+			}
+			if errs[1] == nil {
+				t.Fatal("killed worker B's serve loop ended without error")
+			}
+			requireIdentical(t, "chunk-0 churn", ref, got)
+		})
+	}
 }
 
 // TestJoinRejectsMismatchedShape pins the join's guard rails: a joiner

@@ -135,13 +135,14 @@ func TestEvictionMatchesFreshSmallerRun(t *testing.T) {
 // message by message: it kills follower replica 1's link on the 2nd
 // message of each type the commit sends — the scatter's gradients,
 // prepare, the stage step, the gather's fetch of the owner's state and
-// its import of the others' — at R=3 and R=2, under
+// its import of the others' — and, before the commit, as the leader reads
+// its 2nd chunk-0 prefix (replica 1 holds chunk 0) — at R=3 and R=2, under
 // -race. The stage step (scale, update and finish in one message) is cut
 // at three points: the scale row kills the link as the follower receives
 // the step, before it scales; the step row as the leader sends it; the
 // finish row as the follower acks it, after its update and finish ran.
-// The launch handoff sends one import per stage before training starts,
-// so that row counts past them. With fault tolerance every kill is an
+// The gather's imports have their own message, so the import row's 2nd
+// is the first gather's 2nd, past the launch handoff. With fault tolerance every kill is an
 // eviction (R → R−1) with a curve bit-identical to single-replica
 // Reference: a death up to
 // prepare replays the minibatch, a later one has the leader finish the
@@ -149,7 +150,6 @@ func TestEvictionMatchesFreshSmallerRun(t *testing.T) {
 // replica — the dead follower held the only copy of its moment shard —
 // and never a hang or a leaked goroutine.
 func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
-	const p = 4 // stages of the quadratic task below
 	phases := []struct {
 		name     string
 		rule     faults.Rule
@@ -161,7 +161,8 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 		{"step", faults.Rule{Dir: faults.Send, Type: transport.MsgStep, Nth: 2, Op: faults.Kill}, false},
 		{"finish", faults.Rule{Dir: faults.Recv, Type: transport.MsgStep, Nth: 2, Op: faults.KillReply}, true},
 		{"gather", faults.Rule{Dir: faults.Send, Type: transport.MsgGetState, Nth: 2, Op: faults.Kill}, false},
-		{"import", faults.Rule{Dir: faults.Send, Type: transport.MsgSetState, Nth: p + 2, Op: faults.Kill}, false},
+		{"import", faults.Rule{Dir: faults.Send, Type: transport.MsgImport, Nth: 2, Op: faults.Kill}, false},
+		{"chunk-0", faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 2, Op: faults.Kill}, false},
 	}
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 23) }
 	base := ftBase()

@@ -41,6 +41,21 @@ func (e *streamTap) Stream(ctx context.Context, h engine.Host, mbs [][][]int, c 
 // at N = 4 microbatches a minibatch: (3 + 2) × 4 = 20.
 const xfmrMarginalAllocs = (3 + 2) * 4
 
+// groupMarginalAllocs bounds what one more minibatch of an in-process
+// R = 2 transformer group allocates beyond xfmrMarginalAllocs. A group
+// of more than one runs each minibatch as an attempt of its own, not
+// inside one long stream, and the attempt's machinery allocates: the
+// epoch's batch split (3), the chunk split and commit plan, a goroutine
+// with its closure and WaitGroup per follower in each of the four phases
+// (chunks, prepare, step, gather) and per stage in the reduce, and each
+// member's one-minibatch stream — 36 measured on the Reference engine.
+// The concurrent engine starts and stops its workers and segment queues
+// for every stream, 26 more over the two members. Nothing scales with a
+// tensor's size: a wire buffer, a gradient export or a GEMM scratch that
+// reallocated per minibatch would add that many per stage, tensor or
+// microbatch.
+var groupMarginalAllocs = map[string]float64{"reference": 40, "concurrent": 70}
+
 // TestSteadyStateMinibatchAllocatesNothing pins that a warm stream's
 // per-minibatch work — every slot, each stage's commit, the version push
 // into the ring — allocates nothing on ResMLP, and on the transformer only
@@ -49,6 +64,10 @@ const xfmrMarginalAllocs = (3 + 2) * 4
 // the concurrent engine, in float64 and float32. What a stream allocates
 // once (its workers, its loss slice) cancels in the difference. The rings
 // have wrapped long before the measurement: the first epoch filled them.
+// An in-process R = 2 group commits each minibatch through the group, one
+// at a time, so there the difference is between two warm epochs, of 32
+// minibatches and of 16, and the group's own per-minibatch machinery is
+// bounded by groupMarginalAllocs.
 func TestSteadyStateMinibatchAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -123,5 +142,43 @@ func TestSteadyStateMinibatchAllocatesNothing(t *testing.T) {
 				})
 			}
 		}
+	}
+	for _, eng := range engines {
+		name := eng().Name()
+		t.Run("transformer/R=2/"+name, func(t *testing.T) {
+			epoch := func(train int) float64 {
+				text := data.NewTranslation(data.TranslationConfig{Vocab: 11, SrcLen: 5, Train: train, Test: 16, Seed: 2})
+				task := model.NewTranslation(text, model.TransformerConfig{Dim: 16, Heads: 2, EncLayers: 1, DecLayers: 1, Seed: 4})
+				var ps []*nn.Param
+				for _, g := range task.Groups() {
+					ps = append(ps, g.Params...)
+				}
+				cfg := tasks[1].cfg
+				cfg.Replicas, cfg.Engine = 2, eng()
+				tr, err := core.New(task, optim.NewAdamW(ps, 0.9, 0.98, 1e-9, 1e-4), optim.Constant(1e-3), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				if _, err := tr.Run(context.Background(), 2); err != nil {
+					t.Fatal(err)
+				}
+				n := math.Inf(1)
+				for range 3 {
+					n = min(n, testing.AllocsPerRun(1, func() {
+						if _, err := tr.Run(context.Background(), 1); err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
+				return n
+			}
+			once, twice := epoch(128), epoch(256)
+			want := xfmrMarginalAllocs + groupMarginalAllocs[name]
+			if got := (twice - once) / 16; got > want {
+				t.Errorf("a warm R = 2 group allocates %.2f times per extra minibatch (%.0f over a 32-minibatch epoch, %.0f over 16), want at most %.0f",
+					got, twice, once, want)
+			}
+		})
 	}
 }

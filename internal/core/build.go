@@ -14,34 +14,40 @@ import (
 )
 
 // layoutStages enumerates what a pipeline stage is, once, in the order
-// every mover of stage state — gather, handoff, checkpoint, restore —
-// ships it: the master weights, then the T2 discrepancy state (δ and the
-// corrected backward weights) when T2 is on, then the optimizer's live
-// moment tensors whenever it holds those of every parameter (a follower
-// outside fault tolerance holds its shard's only). The
-// lists alias the live tensors and are fixed after construction. The
-// gather view stops before the moments unless the run is fault-tolerant,
-// which mirrors them onto every replica.
+// every mover of stage state — handoff, checkpoint, restore — ships it:
+// the master weights, then the T2 discrepancy state (δ and the corrected
+// backward weights) when T2 is on, then the optimizer's live moment
+// tensors whenever it holds those of every parameter (a follower outside
+// fault tolerance holds its shard's only). The lists alias the live
+// tensors and are fixed after construction. The handoff view stops
+// before the moments unless the run is fault-tolerant, which mirrors them
+// onto every replica. The gather view leaves out the T2 state too: every
+// importer computes it (ImportStageState).
 func (t *Trainer) layoutStages() {
 	t.state = make([][]*tensor.Tensor, t.clock.P)
+	t.handoffState = make([][]*tensor.Tensor, t.clock.P)
 	t.gather = make([][]*tensor.Tensor, t.clock.P)
 	for s := range t.state {
 		lo, hi := t.stageLo[s], t.stageHi[s]
+		var moments []*tensor.Tensor
+		if t.opt.StateRange() == optim.FullShard(len(t.params)) {
+			for i := lo; i < hi; i++ {
+				moments = append(moments, t.opt.MomentTensors(i)...)
+			}
+		}
 		list := append([]*tensor.Tensor(nil), t.masters[lo:hi]...)
 		if t.delta != nil {
 			list = append(list, t.delta[lo:hi]...)
 			list = append(list, t.corrected[lo:hi]...)
 		}
 		shared := len(list)
-		if t.opt.StateRange() == optim.FullShard(len(t.params)) {
-			for i := lo; i < hi; i++ {
-				list = append(list, t.opt.MomentTensors(i)...)
-			}
-		}
+		t.state[s] = append(list, moments...)
+		t.gather[s] = t.masters[lo:hi:hi]
 		if t.cfg.FaultTolerant {
-			shared = len(list)
+			shared = len(t.state[s])
+			t.gather[s] = append(t.gather[s], moments...)
 		}
-		t.state[s], t.gather[s] = list, list[:shared:shared]
+		t.handoffState[s] = t.state[s][:shared:shared]
 	}
 }
 

@@ -138,10 +138,21 @@ func (h host) StepStage(stage int, scale float64) {
 	step := t.store.Latest(stage)
 	t.ratesInto(lrs, step, lo, hi)
 	t.opt.StepRange(step, lo, hi, lrs)
-	prev := t.store.Get(stage, step)
 	for i := lo; i < hi; i++ {
 		t.params[i].ZeroGrad()
-		if t.delta != nil {
+	}
+	t.finishStage(stage)
+}
+
+// finishStage is the tail of a stage's step, wherever the new masters
+// came from — the optimizer (StepStage) or the owner (ImportStageState):
+// it updates the T2 accumulators against the pre-step weights, the ring's
+// newest version, and pushes the stage's new weight version.
+func (t *Trainer) finishStage(stage int) {
+	lo, hi := t.stageLo[stage], t.stageHi[stage]
+	if t.delta != nil {
+		prev := t.store.Get(stage, t.store.Latest(stage))
+		for i := lo; i < hi; i++ {
 			tensor.T2Into(t.delta[i], t.corrected[i], t.masters[i], prev[i-lo], t.gamma[i], t.taus[i])
 		}
 	}

@@ -207,7 +207,7 @@ type Config struct {
 	// connections (Trainer.AcceptJoins), parks each until the next
 	// minibatch boundary — the only point with no collective in flight —
 	// and admits it with a live state handoff (masters, T2 state,
-	// optimizer moments, version rings), growing the reduce tree
+	// optimizer moments, version rings), growing the chunk split
 	// and commit plan to R+1. Requires Replicas >= 2 (a running replica
 	// group to grow) and implies FaultTolerant.
 	Elastic bool
@@ -215,7 +215,7 @@ type Config struct {
 	// StragglerDeadline and StragglerMisses configure straggler demotion
 	// for remote followers: a follower whose collective reply misses
 	// StragglerDeadline for StragglerMisses consecutive deadline windows
-	// is demoted to standby — kept alive, excluded from the reduce tree
+	// is demoted to standby — kept alive, excluded from the chunk split
 	// and commit plan, its microbatches redistributed — and automatically
 	// readmitted through the join handoff path once its late reply drains.
 	// The two are both zero or both positive; zero disables demotion (the
@@ -308,10 +308,12 @@ type Trainer struct {
 	group *replica.Group
 
 	// state is what each stage is, as one list per stage (layoutStages):
-	// everything a checkpoint's stage section holds and restores. gather
-	// is the prefix of it the replicas exchange (StageState /
-	// ImportStageState): without the moments, unless fault-tolerant.
-	state, gather [][]*tensor.Tensor
+	// everything a checkpoint's stage section holds and restores.
+	// handoffState is the prefix of it a handoff ships (HandoffState / SetStageState):
+	// without the moments, unless fault-tolerant. gather is what the
+	// commit's gather ships (StageState / ImportStageState): the masters,
+	// and the moments under fault tolerance.
+	state, handoffState, gather [][]*tensor.Tensor
 
 	observer Observer
 	async    bool // the stream's phase: delayed installs, T1 rates (SetAsync)

@@ -17,7 +17,7 @@ import (
 // joiner the one way every follower enters (Trainer.enter): the hello,
 // then the live state handoff (the same replica.Group.Handoff push a
 // checkpoint restore uses), then activation in the replica group, which
-// grows the reduce tree and commit plan to R+1. The same boundary also
+// grows the chunk split and commit plan to R+1. The same boundary also
 // readmits demoted stragglers whose late replies have drained — the
 // group's standbys — by the last two steps. Because a member that has
 // seen the handoff is indistinguishable from one that trained from the
@@ -191,7 +191,7 @@ func (t *Trainer) enter(m replica.Member) error {
 // admit performs the live state handoff to standby id — a follower
 // entering at launch, a joiner, or a drained straggler — and applies the
 // one membership transition that follows: into the active group when the
-// handoff succeeded (growing the reduce tree and commit plan by one), out
+// handoff succeeded (growing the chunk split and commit plan by one), out
 // of the run, closed, when it did not.
 func (t *Trainer) admit(id int) error {
 	t0 := t.cfg.Trace.Now()

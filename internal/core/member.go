@@ -66,29 +66,51 @@ func (h host) SetStageGrads(stage int, bufs []*tensor.Tensor) {
 }
 
 // StageState returns the stage's live post-step state tensors in the
-// gather view of the stage layout (layoutStages). Callers must treat the
-// slice and its tensors as read-only.
+// gather view of the stage layout (layoutStages): the masters, then the
+// moments under fault tolerance. Callers must treat the slice and its
+// tensors as read-only.
 func (h host) StageState(stage int) []*tensor.Tensor {
 	return h.t.gather[stage]
 }
 
-// ImportStageState copies a stage's post-step state from src (an owner's
-// StageState) into this replica and pushes the stage's next weight
-// version — the gather half of the sharded commit and one stage of a
-// handoff, mirroring the version push the owner's StepStage did
-// so every replica's version queue replays the same history. A src of
-// another layout panics before anything is copied (the serve loop turns
-// that into an error reply).
+// ImportStageState copies an owner's StageState into this replica and
+// replays the rest of the owner's StepStage — T2 from this replica's δ
+// and newest weight version, then the push of the stage's next version
+// (finishStage) — the gather half of the sharded commit. Every replica
+// pushes every version and imports every master, so those inputs are
+// bitwise the owner's, and so is the replay. A src of another layout
+// panics before anything is copied (the serve loop turns that into an
+// error reply).
 func (h host) ImportStageState(stage int, src []*tensor.Tensor) {
-	t := h.t
-	dst := t.gather[stage]
+	h.t.copyStage(stage, h.t.gather[stage], src)
+	h.t.finishStage(stage)
+}
+
+// HandoffState returns the stage's whole live state in the handoff view
+// of the stage layout (layoutStages): masters, T2 state, and the moments
+// under fault tolerance (replica.Leader). Read-only, like StageState.
+func (h host) HandoffState(stage int) []*tensor.Tensor {
+	return h.t.handoffState[stage]
+}
+
+// SetStageState copies a leader's HandoffState into this replica and
+// pushes the stage's next weight version — one stage of a handoff, whose
+// ring restore follows. A src of another layout panics before anything is
+// copied.
+func (h host) SetStageState(stage int, src []*tensor.Tensor) {
+	h.t.copyStage(stage, h.t.handoffState[stage], src)
+	h.t.store.PushStage(stage)
+}
+
+// copyStage copies src over the stage's tensors dst after checkStage has
+// passed it, and panics naming the mismatch otherwise.
+func (t *Trainer) copyStage(stage int, dst, src []*tensor.Tensor) {
 	if err := checkStage(stage, dst, src); err != nil {
 		panic("core: " + err.Error())
 	}
 	for k, d := range dst {
 		d.CopyFrom(src[k])
 	}
-	t.store.PushStage(stage)
 }
 
 // RestoreVersions replaces a stage's weight-version ring

@@ -162,6 +162,9 @@ type Engine interface {
 // commit jobs.
 func WorkerTrack(h Host, i int) *trace.Track {
 	tr, rep := trace.FromCarrier(h)
+	if tr == nil {
+		return nil // before building the name, which allocates on every untraced call
+	}
 	return tr.Track(rep, trace.TidWorkerBase+i, "worker "+strconv.Itoa(i))
 }
 

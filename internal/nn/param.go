@@ -71,14 +71,14 @@ func (p *Param) BwdData() *tensor.Tensor {
 func (p *Param) Install(w *tensor.Tensor) { p.Data, p.snap = w, w }
 
 // Restore points Data back at master, clears the backward decoupling and
-// returns the panel, if any, to the pack pool.
+// returns the panel, if any, to the panel pool.
 func (p *Param) Restore(master *tensor.Tensor) {
 	p.Data, p.Bwd, p.snap = master, nil, nil
 	p.ReleasePanel(p.panelOf)
 }
 
 // ReleasePanel returns the panel packed from w, if p holds one, to the
-// pack pool. A version ring calls it on the snapshot it is about to
+// panel pool. A version ring calls it on the snapshot it is about to
 // overwrite with a newer version, so an Install of the recycled tensor
 // packs afresh instead of reading the old version's panel.
 func (p *Param) ReleasePanel(w *tensor.Tensor) {

@@ -43,7 +43,7 @@ type State int
 const (
 	// Gone members are out of the run for good: never admitted, or closed.
 	Gone State = iota
-	// Active members hold a position in the reduce tree and commit plan.
+	// Active members hold a position in the chunk split and commit plan.
 	Active
 	// Standby members are alive and connected but sit out of both:
 	// followers and joiners awaiting their handoff, and demoted stragglers
@@ -74,7 +74,7 @@ type member struct {
 // ErrStraggler marks a member failure caused by a missed collective
 // deadline rather than a broken transport: the member is alive (its
 // heartbeats flow, its reply will still arrive) but too slow to keep in
-// the reduce tree, so it is demoted to standby rather than closed.
+// the chunk split, so it is demoted to standby rather than closed.
 var ErrStraggler = errors.New("replica: collective deadline missed")
 
 // MemberError reports a member failure the run can survive by taking the
@@ -106,10 +106,10 @@ func (g *Group) enter(m Member) (*member, error) {
 	switch v := m.(type) {
 	case Remote:
 		rec.remote = v
-		rec.chunk = &chunk{p: g.p, exports: true}
+		rec.chunk = &chunk{p: g.p}
 		v.SetID(rec.id)
 	case Local:
-		rec.comp = newCompute(v, rec.id == 0)
+		rec.comp = NewCompute(v)
 		rec.chunk = &rec.comp.chunk
 		rec.eng = v.Engine()
 	default:
@@ -137,7 +137,7 @@ func (g *Group) index(id int) int {
 
 // Transition is the group's one membership change: it moves member id to
 // state to. Leaving Active frees the member's position (those above shift
-// down); entering Active appends it at the tail of the reduce tree; Gone
+// down); entering Active appends it after the active members; Gone
 // closes its connection. Every edge re-derives the commit plan over the
 // resulting active members. It must be called with no collective in
 // flight — from the trainer's recovery loop between attempts, or from its
@@ -181,15 +181,16 @@ func (g *Group) move(m *member, to State) {
 func (m *member) run(ctx context.Context, micros [][]int) error {
 	if m.remote == nil {
 		_, err := m.eng.Stream(ctx, m.comp, [][][]int{micros}, nil)
+		m.comp.EndChunk()
 		return err
 	}
 	c := m.chunk
-	losses, grads, err := m.remote.RunChunk(ctx, c.start, c.async, micros)
+	losses, grads, err := m.remote.RunChunk(ctx, c.start, c.async, c.first, micros)
 	if err != nil {
 		return err
 	}
-	if len(losses) != c.n || len(grads) != c.n {
-		return fmt.Errorf("replica: remote chunk returned %d losses and %d gradient exports, want %d", len(losses), len(grads), c.n)
+	if len(losses) != c.n || len(grads) != c.rows() {
+		return fmt.Errorf("replica: remote chunk returned %d losses and %d gradient export rows, want %d and %d", len(losses), len(grads), c.n, c.rows())
 	}
 	copy(c.losses, losses)
 	copy(c.grads, grads)
@@ -237,10 +238,10 @@ func (g *Group) classify(m *member, err error, replay bool) error {
 }
 
 // ResetGrads returns every member's gradient accumulators to zero before
-// a minibatch replays. The leader needs it because its own chunk
-// accumulates in place (a replay would double-count), and a surviving
-// owner needs it because an interrupted scatter may have parked reduced
-// gradients in its accumulators.
+// a minibatch replays. Every chunk leaves its member's accumulators zero
+// (see runChunks), but once the reduce has run they hold gradients: the
+// leader's the reduced minibatch, and a surviving owner's whatever an
+// interrupted scatter parked there.
 func (g *Group) ResetGrads() {
 	for st := 0; st < g.p; st++ {
 		g.scatter[st] = g.lead.TakeStageGrads(st, g.scatter[st])
@@ -254,8 +255,8 @@ func (g *Group) ResetGrads() {
 }
 
 // Handoff pushes the leader's live state to member id, a member call — for
-// a remote member a wire request — at a time: every stage's state in the
-// gather layout, then each stage's weight-version ring (rings returns its
+// a remote member a wire request — at a time: every stage's whole state
+// (Leader.HandoffState), then each stage's weight-version ring (rings returns its
 // base version and snapshots, oldest to newest), whose newest version is
 // the step count the member resumes at. It is
 // the one way a follower becomes active — at launch, on a mid-run join, on
@@ -266,7 +267,7 @@ func (g *Group) ResetGrads() {
 func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor)) error {
 	m := g.members[g.index(id)]
 	for st := 0; st < g.p; st++ {
-		m.ImportStageState(st, g.lead.StageState(st))
+		m.SetStageState(st, g.lead.HandoffState(st))
 	}
 	for st := 0; st < g.p; st++ {
 		base, snaps := rings(st)

@@ -45,7 +45,7 @@ func (f *fakeRemote) die(at string) bool {
 	return f.err != nil
 }
 
-func (f *fakeRemote) RunChunk(ctx context.Context, start int, async bool, micros [][]int) ([]float64, [][][]*tensor.Tensor, error) {
+func (f *fakeRemote) RunChunk(ctx context.Context, start int, async, first bool, micros [][]int) ([]float64, [][][]*tensor.Tensor, error) {
 	if f.runErr != nil {
 		return nil, nil, f.runErr
 	}
@@ -62,6 +62,15 @@ func (f *fakeRemote) RunChunk(ctx context.Context, start int, async bool, micros
 			g.SetFlat(0, float64(start+k+1))
 			grads[k][st] = []*tensor.Tensor{g}
 		}
+	}
+	if first {
+		// Chunk 0 ships its in-place sum: one row.
+		for k := 1; k < len(grads); k++ {
+			for st, g := range grads[k] {
+				tensor.AddInto(grads[0][st][0], g[0])
+			}
+		}
+		grads = grads[:1]
 	}
 	return losses, grads, nil
 }
@@ -90,6 +99,12 @@ func (f *fakeRemote) StageState(stage int) []*tensor.Tensor {
 func (f *fakeRemote) ImportStageState(stage int, src []*tensor.Tensor) {
 	if !f.die("import") {
 		f.Member.ImportStageState(stage, src)
+	}
+}
+
+func (f *fakeRemote) SetStageState(stage int, src []*tensor.Tensor) {
+	if !f.die("import") {
+		f.Member.SetStageState(stage, src)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package replica implements the coordination layer for multi-replica
 // data-parallel training: R pipeline replicas (each a full trainer weight
 // partition driven by the run's execution engine) split a
-// minibatch's microbatches between them, and a deterministic tree
-// all-reduce folds the per-microbatch gradients into the leader replica
-// before one shared optimizer step — the PipeDream-style hybrid of
+// minibatch's microbatches between them, and a deterministic reduce
+// folds their gradients into the leader replica in global microbatch
+// order before one shared optimizer step — the PipeDream-style hybrid of
 // pipeline and data parallelism. A trainer runs its minibatches through
 // its Group (Stream). A group of one — a trainer alone, or a group that
 // evictions have left with only its leader — commits inside its
@@ -16,8 +16,10 @@
 // to their owners, every owner steps its shard against its local copy of
 // the optimizer state — one StepStage call per stage, under the clip
 // scale and the epoch phase its chunk arrived with, through the same
-// engine.Commits jobs a group of one runs — and the stepped weights
-// all-gather back, so the commit tail never runs serially on the leader.
+// engine.Commits jobs a group of one runs — and the stepped masters
+// all-gather back, each importer replaying the rest of the owner's step
+// (T2 and the version push) itself, so the commit tail never runs
+// serially on the leader.
 // Without fault tolerance a follower holds the optimizer moments of its
 // own shard only; with it, every replica mirrors all of them, which is
 // what lets the group lose a member at any point of the commit.
@@ -25,25 +27,29 @@
 // # Determinism
 //
 // The reduction is bit-identical to a single-replica run over the same
-// global microbatch set, for any R. Three properties make that possible:
+// global microbatch set, for any R. Four properties make that possible:
 //
-//  1. Chunks are contiguous and ordered: replica r computes global
-//     microbatches [start_r, start_r+n_r) with start_{r+1} = start_r+n_r,
-//     so concatenating the replicas' per-microbatch gradient lists in
-//     replica order reproduces the global microbatch order.
-//  2. Followers export one gradient per (microbatch, stage), computed
-//     into a zeroed accumulator. By the nn accumulation contract (see
-//     nn.Param.Grad), a layer adds its whole per-call contribution with
-//     exactly one add per element, so the exported value is bitwise the
-//     same scalar a serial run would have added to its running sum.
-//  3. The all-reduce gathers the followers' ordered lists up a binary
-//     tree (a communication schedule with no arithmetic) and performs
-//     every floating-point add at the root: the leader — whose own chunk
-//     is the fold's prefix, accumulated in place — folds the gathered
-//     gradients in global microbatch order, one add per element.
+//  1. Chunks are contiguous and ordered: the followers take them in group
+//     order and the leader takes the last, so chunk c covers global
+//     microbatches [start_c, start_c+n_c) with start_{c+1} = start_c+n_c,
+//     and reading the members in that order reproduces the global
+//     microbatch order.
+//  2. The member holding chunk 0 accumulates in place, as a single
+//     replica does, so its sum over the chunk is bitwise the serial
+//     fold's prefix. It ships that one prefix per stage.
+//  3. Every other member — the leader included — exports one gradient
+//     per (microbatch, stage), computed into a zeroed accumulator. By the
+//     nn accumulation contract (see nn.Param.Grad), a layer adds its
+//     whole per-call contribution with exactly one add per element, so
+//     the exported value is bitwise the same scalar a serial run would
+//     have added to its running sum. The leader's exports never leave its
+//     process.
+//  4. Every floating-point add of the reduce happens at the root: the
+//     leader copies the prefix into its accumulators and folds the other
+//     exports in global microbatch order, one add per element.
 //
 // The fold order is therefore a pure left fold over microbatches 0..N−1
-// regardless of R or tree shape — exactly the serial engine's order.
+// regardless of R — exactly the serial engine's order.
 //
 // # Members and membership
 //
@@ -93,16 +99,20 @@ type Member interface {
 	// the stage's own weight-version ring: its newest version.
 	PrepareStage(stage, nMicro int) float64
 	StepStage(stage int, scale float64)
-	// StageState returns the stage's live post-step state tensors
-	// (masters, then T2 δ and corrected when enabled, then the optimizer
-	// moments under the fault-tolerant layout) in a fixed layout; the
-	// returned tensors are read-only for the gather.
+	// StageState returns what the gather moves of the stage's live
+	// post-step state: the masters, then the optimizer moments under the
+	// fault-tolerant layout. The returned tensors are read-only.
 	StageState(stage int) []*tensor.Tensor
-	// ImportStageState copies a stage's post-step state from the owner's
-	// StageState layout and pushes the replica's next weight version for
-	// that stage — the gather half of the sharded commit, and one stage of
-	// a handoff.
+	// ImportStageState copies an owner's StageState over the stage and
+	// replays the rest of the owner's step — the T2 update from the
+	// member's own δ and its newest weight version, then the push of the
+	// next version — the gather half of the sharded commit. Every member
+	// pushes every version, so those inputs are the owner's.
 	ImportStageState(stage int, src []*tensor.Tensor)
+	// SetStageState overwrites the stage's whole state with src, in the
+	// layout of Leader.HandoffState, and pushes the stage's next weight
+	// version — one stage of a handoff.
+	SetStageState(stage int, src []*tensor.Tensor)
 	// RestoreVersions replaces a stage's weight-version ring wholesale
 	// (base is its oldest version number, snaps the versions oldest to
 	// newest), so historical-version installs after a restore or a
@@ -140,10 +150,11 @@ type Local interface {
 // Remote is a member hosted behind a connection
 // (transport.RemoteMember). Its chunk runs out of process: the group
 // ships it in one RunChunk call — the worker drives it through its own
-// engine — and gets back exactly the losses and per-(microbatch,
-// stage) gradient exports a local follower's Compute would have
-// captured. Its collectives block on I/O, so BindContext binds each
-// minibatch's context to them; its failures are sticky — the first
+// engine — and gets back exactly the losses and gradient exports a local
+// follower's Compute would have captured: one row per microbatch, or,
+// for chunk 0 (first), the one row of its in-place prefix. Its
+// collectives block on I/O, so BindContext binds each minibatch's
+// context to them; its failures are sticky — the first
 // transport error latches, every later operation fails fast, and Err
 // reports it after each collective phase; and it can sit out of the
 // group as a standby: Ready reports that a demoted member's late
@@ -156,7 +167,7 @@ type Remote interface {
 	Member
 	io.Closer
 	SetID(id int)
-	RunChunk(ctx context.Context, start int, async bool, micros [][]int) (losses []float64, grads [][][]*tensor.Tensor, err error)
+	RunChunk(ctx context.Context, start int, async, first bool, micros [][]int) (losses []float64, grads [][][]*tensor.Tensor, err error)
 	BindContext(ctx context.Context)
 	Err() error
 	Ready() bool
@@ -173,6 +184,11 @@ type Leader interface {
 	// for GPipe and during T3 warmup epochs): the phase every member's
 	// chunk is framed with.
 	Async() bool
+	// HandoffState returns the stage's whole live state in the layout a
+	// handoff ships (Member.SetStageState): the masters, then T2 δ and
+	// corrected when enabled, then the optimizer moments under the
+	// fault-tolerant layout. The returned tensors are read-only.
+	HandoffState(stage int) []*tensor.Tensor
 }
 
 // Group coordinates one leader and its followers, if any, and is the one
@@ -249,10 +265,12 @@ func (g *Group) Replicas() int { return g.active }
 
 // begin prepares the group for one minibatch: it splits the N microbatch
 // index sets into R contiguous, ordered chunks (engine.CommitPlan's
-// split), snapshots the leader's epoch phase (async) and microbatch
-// base, resets the per-replica loss and gradient staging, and binds ctx
-// into remote members so cancellation reaches their blocking I/O. It
-// returns the chunk for each replica.
+// split) — the followers take them in group order and the leader the
+// last, so chunk 0, the one that accumulates in place, is never the
+// leader's in a group of more than one — snapshots the leader's epoch
+// phase (async) and microbatch base, resets the per-replica loss and
+// gradient staging, and binds ctx into remote members so cancellation
+// reaches their blocking I/O. It returns the chunk for each replica.
 func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
 	r := g.active
 	base := g.lead.MicroBase()
@@ -260,13 +278,14 @@ func (g *Group) begin(ctx context.Context, micros [][]int) [][][]int {
 	chunks := make([][][]int, r)
 	plan := engine.NewCommitPlan(len(micros), r)
 	for i, m := range g.members[:r] {
-		lo, hi := plan.Shard(i)
+		c := (i + r - 1) % r
+		lo, hi := plan.Shard(c)
 		chunks[i] = micros[lo:hi]
 		if m.remote != nil {
-			m.chunk.begin(base+lo, hi-lo, async)
+			m.chunk.begin(base+lo, hi-lo, async, c == 0)
 			m.remote.BindContext(ctx)
 		} else {
-			m.comp.BeginChunk(base+lo, hi-lo, async)
+			m.comp.BeginChunk(base+lo, hi-lo, async, c == 0)
 		}
 	}
 	return chunks
@@ -318,11 +337,12 @@ func (g *Group) Minibatch(ctx context.Context, micros [][]int) (float64, error) 
 // members in one RunChunk round trip.
 //
 // When it returns nil every replica has drained and restored its master
-// weights (the engine contract), and follower stage accumulators are
-// clean because every follower backward slot exports-and-zeroes. A
+// weights (the engine contract). Whatever it returns, every in-process
+// member's stage accumulators are clean: a backward slot outside chunk 0
+// exports-and-zeroes, and chunk 0's prefix is taken out when the chunk
+// ends (Compute.EndChunk), as a worker does before it replies. A
 // divergence anywhere matches the serial run — the bad microbatch's loss
-// is computed from identical weights and samples there too — and the
-// leader's partial accumulation is dropped by the trainer. A member
+// is computed from identical weights and samples there too. A member
 // failure comes back as *MemberError only when no other member failed in
 // a way that aborts the run (a cancel or a leader failure always does).
 // A straggler outranks a dead member, and either is handled one per
@@ -357,52 +377,38 @@ func (g *Group) runChunks(ctx context.Context, micros [][]int) error {
 	return fault
 }
 
-// reduce performs the deterministic tree all-reduce: a binary-tree gather
-// of the followers' ordered per-microbatch gradient lists (rounds of
-// pairwise list handoffs — the communication schedule), then the root
-// fold into the leader's accumulators in global microbatch order. Stages
-// are folded concurrently; within a stage the order is fixed, so the
-// result is bit-identical to serial single-replica accumulation. A group
-// of one has nothing to fold.
+// reduce folds every member's gradients into the leader's accumulators
+// in global microbatch order: it copies in the prefix of the member
+// holding chunk 0 — group position 1, or the leader alone in a group of
+// one — then folds the exports of the members after it, the leader's
+// own last, one add per element. Stages fold concurrently; within a stage
+// the order is fixed, so the result is bit-identical to serial
+// single-replica accumulation. The reduce's span counts only what crossed
+// a member boundary: the leader's exports never leave its process.
 func (g *Group) reduce() {
 	r := g.active
-	if r == 1 {
-		return
-	}
 	t0 := g.rec.Now()
-	// Tree gather: at round d, member m (m ≡ 0 mod 2d) absorbs member
-	// m+d's ordered list. Chunks are contiguous, so concatenation in
-	// replica order preserves global microbatch order.
-	lists := make([][][][]*tensor.Tensor, r)
-	for i := 1; i < r; i++ {
-		// Full-slice expression: appends during the gather must reallocate
-		// rather than scribble over the member's pooled staging entries.
-		c := g.members[i].chunk
-		lists[i] = c.grads[:c.n:c.n]
-	}
-	for d := 1; d < r; d *= 2 {
-		for m := 0; m+d < r; m += 2 * d {
-			lists[m] = append(lists[m], lists[m+d]...)
-			lists[m+d] = nil
-		}
-	}
-	// Root fold, one goroutine per stage (stages touch disjoint params).
 	var wg sync.WaitGroup
 	wg.Add(g.p)
 	for st := 0; st < g.p; st++ {
 		go func() {
 			defer wg.Done()
-			for _, micro := range lists[0] {
-				g.lead.FoldStageGrads(st, micro[st])
+			g.lead.SetStageGrads(st, g.members[1%r].chunk.grads[0][st])
+			for j := 2; j <= r; j++ {
+				for _, row := range g.members[j%r].chunk.exports() {
+					g.lead.FoldStageGrads(st, row[st])
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	if g.rec != nil {
 		var bytes int64
-		for _, micro := range lists[0] {
-			for _, stage := range micro {
-				bytes += tensorsBytes(stage)
+		for _, m := range g.members[1:r] {
+			for _, row := range m.chunk.exports() {
+				for _, stage := range row {
+					bytes += tensorsBytes(stage)
+				}
 			}
 		}
 		g.collective(trace.NameReduce, t0, bytes)
@@ -447,10 +453,14 @@ func (g *Group) collective(name string, t0, bytes int64) {
 //  3. Cross-stage reductions keep stage order. The clip-norm partials are
 //     folded st = 0..P−1 on the orchestrator (engine.Commits.Scale),
 //     whoever computed them, and the resulting scale is computed once.
-//  4. The gather is a pure copy. Every member imports each stage it does
-//     not own from the owner's post-step state and pushes its version
-//     queue exactly once per stage, so every replica's version history
-//     replays identically.
+//  4. The gather is a pure copy and a replay. Every member imports the
+//     masters (and, under fault tolerance, the moments) of each stage it
+//     does not own from the owner, then replays the rest of the owner's
+//     step: T2 from its own δ and its newest ring version — the owner's
+//     inputs, since every member pushes every version and imports every
+//     master, and every T2 kernel bit-matches its Go twin — and the push
+//     of its version queue, exactly once per stage, so every replica's
+//     version history replays identically.
 //
 // A member failure surfaces as *MemberError when the member can leave the
 // group (see classify) and as a plain wrapped error otherwise; the group
@@ -494,8 +504,8 @@ func (g *Group) Commit(nMicro int) error {
 	g.eachMember(func(_ int, m *member, lo, hi int) {
 		g.commits.Step(g.commitTrack(m), lo, hi, scale)
 	})
-	// Gather: every member imports each stage from the owner's post-step
-	// state, in stage order, pushing its own version queue. Owner states
+	// Gather: every member imports each stage's masters from the owner, in
+	// stage order, and replays the step's tail itself. Owner states
 	// are read once, before the fan-out: for in-process owners that is a
 	// live-tensor read, and for remote owners it fetches the stage exactly
 	// once into a stable buffer that the concurrent importers then only
@@ -508,7 +518,7 @@ func (g *Group) Commit(nMicro int) error {
 	g.takeOver(nMicro, scale, states)
 	var gatherBytes int64
 	if g.rec != nil {
-		// Each stage's state moves to every member but its owner.
+		// Each stage's masters move to every member but its owner.
 		for _, st := range states {
 			gatherBytes += tensorsBytes(st) * int64(g.active-1)
 		}
@@ -617,12 +627,14 @@ func (g *Group) eachMember(fn func(i int, m *member, lo, hi int)) {
 }
 
 // lossSum folds the per-microbatch losses in global microbatch order —
-// replica chunks are contiguous, so replica order then chunk order is the
-// serial order — and returns the sum (the caller divides by N).
+// chunks are contiguous, so chunk order (group position 1 on, then the
+// leader) then order within a chunk is the serial order — and returns the
+// sum (the caller divides by N).
 func (g *Group) lossSum() float64 {
 	sum := 0.0
-	for _, m := range g.members[:g.active] {
-		for _, l := range m.chunk.losses[:m.chunk.n] {
+	for j := 1; j <= g.active; j++ {
+		c := g.members[j%g.active].chunk
+		for _, l := range c.losses[:c.n] {
 			sum += l
 		}
 	}
@@ -634,61 +646,82 @@ func (g *Group) lossSum() float64 {
 // a Compute wrapper for an in-process member, decoded from the RunChunk
 // reply for a remote one — where reduce and lossSum read them.
 type chunk struct {
-	p       int
-	exports bool // followers stage per-microbatch gradients; the leader accumulates in place
+	p int
 
 	// Per-minibatch state, written by begin before the chunk runs and read
 	// by the member engine's workers (happens-before via its channels).
 	start  int // global microbatch counter of the chunk start
 	n      int // chunk length
 	async  bool
+	first  bool // chunk 0: it accumulates in place and exports one prefix
 	losses []float64
-	grads  [][][]*tensor.Tensor // [k][stage][param] exported grads (followers)
+	grads  [][][]*tensor.Tensor // [row][stage][param] exported grads
 }
 
 // begin resets the staging for a chunk of n microbatches starting at
 // global counter start.
-func (c *chunk) begin(start, n int, async bool) {
-	c.start, c.n, c.async = start, n, async
+func (c *chunk) begin(start, n int, async, first bool) {
+	c.start, c.n, c.async, c.first = start, n, async, first
 	for len(c.losses) < n {
 		c.losses = append(c.losses, 0)
 	}
-	if c.exports {
-		for len(c.grads) < n {
-			c.grads = append(c.grads, make([][]*tensor.Tensor, c.p))
-		}
+	for len(c.grads) < c.rows() {
+		c.grads = append(c.grads, make([][]*tensor.Tensor, c.p))
 	}
 }
+
+// rows returns how many gradient export rows the chunk produces: one per
+// microbatch, or chunk 0's one prefix.
+func (c *chunk) rows() int {
+	if c.first {
+		return 1
+	}
+	return c.n
+}
+
+// exports returns the chunk's gradient export rows.
+func (c *chunk) exports() [][][]*tensor.Tensor { return c.grads[:c.rows()] }
 
 // Compute is the per-replica host wrapper an in-process replica's engine
 // drives. Every slot call is the replica's own (the embedded
 // engine.Host); the wrapper frames the chunk (global microbatch base,
-// leader's epoch phase), captures per-microbatch losses, and on followers
-// exports per-(microbatch, stage) gradients. It has no commit surface: an
-// engine runs chains only, and the one commit belongs to the group after
-// the all-reduce.
+// leader's epoch phase), captures per-microbatch losses, and exports the
+// chunk's gradients: per (microbatch, stage), or chunk 0's one prefix
+// per stage. It has no commit surface: an engine runs chains only, and
+// the one commit belongs to the group after the reduce.
 type Compute struct {
 	engine.Host
 	loc Local
 	chunk
 }
 
-func newCompute(m Local, leader bool) *Compute {
-	return &Compute{Host: m, loc: m, chunk: chunk{p: m.Stages(), exports: !leader}}
+// NewCompute wraps a member for chunk execution: in a Group, and outside
+// one on the worker-process side of the remote protocol, where the serve
+// loop drives its local follower through its engine and ships the
+// captured losses and gradient exports back (transport.ServeConn).
+func NewCompute(m Local) *Compute {
+	return &Compute{Host: m, loc: m, chunk: chunk{p: m.Stages()}}
 }
 
-// NewCompute wraps a follower member for chunk execution outside a
-// Group — the worker-process side of the remote protocol, where the
-// serve loop drives its local follower through its engine and ships
-// the captured losses and gradient exports back (transport.ServeConn).
-func NewCompute(m Local) *Compute { return newCompute(m, false) }
-
 // BeginChunk resets the wrapper for a chunk of n microbatches starting
-// at global microbatch counter start, and puts the replica in the leader's
-// epoch phase.
-func (c *Compute) BeginChunk(start, n int, async bool) {
+// at global microbatch counter start, puts the replica in the leader's
+// epoch phase, and says whether the chunk is chunk 0.
+func (c *Compute) BeginChunk(start, n int, async, first bool) {
 	c.loc.SetAsync(async)
-	c.begin(start, n, async)
+	c.begin(start, n, async, first)
+}
+
+// EndChunk closes the chunk once its engine has drained it, whatever the
+// outcome: chunk 0's in-place sum moves out of the stage accumulators
+// into its one export row, so the member's accumulators are zero again
+// before its next chunk — after a failed chunk, or a straggler's late
+// one, too.
+func (c *Compute) EndChunk() {
+	if c.first {
+		for st := 0; st < c.p; st++ {
+			c.grads[0][st] = c.loc.TakeStageGrads(st, c.grads[0][st])
+		}
+	}
 }
 
 // MicroBase returns the global microbatch counter of this replica's
@@ -699,8 +732,8 @@ func (c *Compute) MicroBase() int { return c.start }
 // order.
 func (c *Compute) Losses() []float64 { return c.losses[:c.n] }
 
-// Grads returns the chunk's exported per-(microbatch, stage) gradients.
-func (c *Compute) Grads() [][][]*tensor.Tensor { return c.grads[:c.n] }
+// Grads returns the chunk's gradient exports (EndChunk first).
+func (c *Compute) Grads() [][][]*tensor.Tensor { return c.exports() }
 
 // Tracer implements trace.Carrier by delegating to the wrapped member
 // (the follower trainer's host), so an engine driving this
@@ -719,13 +752,13 @@ func (c *Compute) StageForward(s, stage int) float64 {
 	return loss
 }
 
-// StageBackward runs the replica's backward slot and, on followers,
+// StageBackward runs the replica's backward slot and, outside chunk 0,
 // immediately exports the stage's just-accumulated gradient into the
 // per-microbatch staging area (zeroing the stage accumulator, so the next
 // microbatch again accumulates from zero).
 func (c *Compute) StageBackward(s, stage int) {
 	c.loc.StageBackward(s, stage)
-	if c.exports {
+	if !c.first {
 		k := s - c.start
 		c.grads[k][stage] = c.loc.TakeStageGrads(stage, c.grads[k][stage])
 	}

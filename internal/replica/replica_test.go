@@ -138,6 +138,12 @@ func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	f.state[stage] = src[0].FlatAt(0)
 }
 
+// The handoff's pair records like the gather's: a handoff imports every
+// stage once.
+func (f *fakeMember) HandoffState(stage int) []*tensor.Tensor { return f.StageState(stage) }
+
+func (f *fakeMember) SetStageState(stage int, src []*tensor.Tensor) { f.ImportStageState(stage, src) }
+
 func (f *fakeMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -187,9 +193,11 @@ func driveChunk(c *replica.Compute, chunk [][]int, p int) {
 
 // TestGroupReduceFoldsInGlobalMicrobatchOrder drives a 4-replica group
 // over an unevenly divisible minibatch and checks the contract the
-// bit-identical claim rests on: the leader's own chunk is the untouched
-// fold prefix, and the tree reduction hands the leader every follower
-// microbatch's gradient exactly once, in global microbatch order.
+// bit-identical claim rests on: the followers take the chunks in group
+// order and the leader the last; the first follower's in-place chunk is
+// the fold prefix, copied into the leader's accumulators and taken out of
+// its own; and the reduce then hands the leader every later microbatch's
+// gradient exactly once, in global microbatch order, its own last.
 func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	const p, r, n = 3, 4, 10 // 10 microbatches over 4 replicas: chunks 3,3,2,2
 	lead := &fakeLead{fakeMember: newFakeMember(p)}
@@ -208,11 +216,12 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSizes := []int{3, 3, 2, 2}
+	wantSizes := []int{3, 3, 2, 2} // by chunk
 	start := 0
-	for i, want := range wantSizes {
+	for c, want := range wantSizes {
+		i := (c + 1) % r // the group position holding chunk c
 		if got := len(g.Compute(i).Losses()); got != want {
-			t.Fatalf("chunk %d has %d microbatches, want %d", i, got, want)
+			t.Fatalf("chunk %d has %d microbatches, want %d", c, got, want)
 		}
 		if base := g.Compute(i).MicroBase(); base != start {
 			t.Fatalf("replica %d starts at global microbatch %d, want %d", i, base, start)
@@ -220,14 +229,16 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 		start += want
 	}
 
-	// The leader's direct accumulation holds exactly its own chunk's fold.
-	wantLead := 1.0 + 2 + 3 // s = 0,1,2 → s+1
+	// The leader's accumulators hold exactly chunk 0's fold, and the
+	// follower that accumulated it kept none.
+	wantPrefix := 1.0 + 2 + 3 // s = 0,1,2 → s+1
 	for st := 0; st < p; st++ {
-		if lead.acc[st] != wantLead {
-			t.Fatalf("leader stage %d accumulated %g, want its chunk prefix %g", st, lead.acc[st], wantLead)
+		if lead.acc[st] != wantPrefix || lead.followers[0].acc[st] != 0 {
+			t.Fatalf("stage %d: leader holds %g and chunk 0's follower %g, want the prefix %g and 0",
+				st, lead.acc[st], lead.followers[0].acc[st], wantPrefix)
 		}
 	}
-	// Every stage received the follower microbatches in global order.
+	// Every stage received the later microbatches in global order.
 	for st := 0; st < p; st++ {
 		want := []float64{4, 5, 6, 7, 8, 9, 10} // s+1 for s = 3..9
 		if got := fmt.Sprint(lead.folds[st]); got != fmt.Sprint(want) {
@@ -318,8 +329,8 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 // TestComputeSuppressesCommit pins that a compute wrapper has no commit
 // surface at all — an engine runs chains, and the one commit is the
 // group's, on the leader — and that its framing is the leader's: the
-// chunk's global microbatch base, and the epoch phase pushed into the
-// member.
+// chunk's global microbatch base (the follower's chunk first), and the
+// epoch phase pushed into the member.
 func TestComputeSuppressesCommit(t *testing.T) {
 	lead := &fakeLead{fakeMember: newFakeMember(2)}
 	lead.followers = append(lead.followers, newFakeMember(2))
@@ -334,8 +345,8 @@ func TestComputeSuppressesCommit(t *testing.T) {
 				t.Fatalf("replica %d's compute wrapper exposes the commit phase %s", r, phase)
 			}
 		}
-		if h.MicroBase() != r {
-			t.Fatalf("replica %d's chunk starts at %d, want %d", r, h.MicroBase(), r)
+		if want := 1 - r; h.MicroBase() != want {
+			t.Fatalf("replica %d's chunk starts at %d, want %d", r, h.MicroBase(), want)
 		}
 	}
 	if got := lead.followers[0].asyncSet; got != 1 {

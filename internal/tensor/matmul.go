@@ -86,15 +86,21 @@ const (
 )
 
 // scratch is a pooled buffer: the NR-interleaved B panel of one gemm
-// call (packPools, kcBlock×ncBlock), or the m×n sum MatMulT1AddInto forms
-// before its fold when k spans several panels (sumPools).
+// call (packPools, kcBlock×ncBlock), a weight's whole Wᵀ panel
+// (panelPools), or the m×n sum MatMulT1AddInto forms before its fold when
+// k spans several panels (sumPools).
 type scratch[T Elem] struct {
 	b []T
 }
 
 // The pools are indexed by DType; entries hold *scratch[float64] or
-// *scratch[float32] respectively.
+// *scratch[float32] respectively. Wᵀ panels, whose sizes vary with the
+// weight's shape, are pooled by size class apart from the gemm's
+// fixed-size pack: a Get that draws a buffer too short for it drops the
+// buffer and allocates, so a pool mixing sizes reallocates whenever a
+// smaller buffer comes back first (panelScratch).
 var packPools, sumPools [2]sync.Pool
+var panelPools [64][2]sync.Pool
 
 // getScratch returns a buffer of n elements from pools, growing a pooled
 // one that is too short. Its contents are unspecified.

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Panel is a weight matrix W (n×k, stored as Linear stores it) packed
@@ -13,7 +14,7 @@ import (
 // The panel copies values without arithmetic, so it is exactly the bits
 // packB writes, and a product from it is MatMulT2Into's bit for bit.
 //
-// The buffer comes from the pack pool and goes back with Release. A panel
+// The buffer comes from the panel pool and goes back with Release. A panel
 // does not see later writes to W: its owner keeps it only while W cannot
 // change (nn: while a Param reads one immutable ring snapshot).
 type Panel struct {
@@ -38,14 +39,14 @@ func PackT2(w *Tensor) Panel {
 	return p
 }
 
-// Release returns the panel's buffer to the pack pool. The panel must not
+// Release returns the panel's buffer to the panel pool. The panel must not
 // be used again.
 func (p *Panel) Release() {
 	if p.s32 != nil {
-		putScratch(&packPools, p.s32)
+		putScratch(&panelPools[panelClass(cap(p.s32.b))], p.s32)
 	}
 	if p.s64 != nil {
-		putScratch(&packPools, p.s64)
+		putScratch(&panelPools[panelClass(cap(p.s64.b))], p.s64)
 	}
 	p.s32, p.s64 = nil, nil
 }
@@ -102,7 +103,7 @@ func MatMulT2PanelInto(dst, a *Tensor, p *Panel) {
 // a pooled buffer: the block at (jc, pc) starts at panelBlock(jc, nc, pc,
 // k) and holds packB's groups for it.
 func packPanel[T Elem](w []T, n, k int) *scratch[T] {
-	s := getScratch[T](&packPools, roundNR(n)*k)
+	s := panelScratch[T](roundNR(n) * k)
 	for jc := 0; jc < n; jc += ncBlock {
 		nc := min(ncBlock, n-jc)
 		for pc := 0; pc < k; pc += kcBlock {
@@ -111,6 +112,19 @@ func packPanel[T Elem](w []T, n, k int) *scratch[T] {
 	}
 	return s
 }
+
+// panelScratch returns a pooled buffer of n elements for a panel, from
+// n's size class: every buffer of class c holds 1<<c elements, so a Get
+// never finds one too short for it.
+func panelScratch[T Elem](n int) *scratch[T] {
+	c := panelClass(n)
+	s := getScratch[T](&panelPools[c], 1<<c)
+	s.b = s.b[:n]
+	return s
+}
+
+// panelClass is the size class of a panel of n elements: ⌈log₂ n⌉.
+func panelClass(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
 
 // panelBlock returns where the block of columns [jc, jc+nc) and steps
 // from pc starts in a panel with k steps: the column panels before it

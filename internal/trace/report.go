@@ -22,6 +22,11 @@ type Report struct {
 	CkptNs       int64 // Σ checkpoint:write span durations
 	BytesMoved   int64 // Σ bytes over collective + wire spans
 
+	// The collective spans' bytes by collective: the replicated step's
+	// reduce, scatter and gather. Together with the wire spans' bytes they
+	// make up BytesMoved.
+	ReduceBytes, ScatterBytes, GatherBytes int64
+
 	WorkerTracks int // tracks that executed at least one compute span
 	Replicas     int // distinct replicas among those tracks
 
@@ -120,6 +125,14 @@ func BuildReport(r *Recorder, stageCosts []float64) Report {
 			case ev.Name == NameReduce || ev.Name == NameScatter || ev.Name == NameGather:
 				rep.CollectiveNs += ev.Dur
 				rep.BytesMoved += ev.Bytes
+				switch ev.Name {
+				case NameReduce:
+					rep.ReduceBytes += ev.Bytes
+				case NameScatter:
+					rep.ScatterBytes += ev.Bytes
+				default:
+					rep.GatherBytes += ev.Bytes
+				}
 			default: // commit:* and anything commit-like on a compute track
 				rep.CommitNs += ev.Dur
 			}
@@ -190,6 +203,10 @@ func (rep Report) Format(w io.Writer, measuredWallNs int64) {
 	fmt.Fprintf(w, "  compute %v  commit %v  collectives %v  wire %v  control %v  (%d bytes moved)\n",
 		d(rep.ComputeNs), d(rep.CommitNs), d(rep.CollectiveNs), d(rep.WireNs), d(rep.ControlNs), rep.BytesMoved)
 	fmt.Fprintf(w, "  control: eval %v  checkpoint %v\n", d(rep.EvalNs), d(rep.CkptNs))
+	if rep.ReduceBytes+rep.ScatterBytes+rep.GatherBytes > 0 {
+		fmt.Fprintf(w, "  collective bytes: reduce %d  scatter %d  gather %d\n",
+			rep.ReduceBytes, rep.ScatterBytes, rep.GatherBytes)
+	}
 	if len(rep.StageBusyNs) > 0 {
 		fmt.Fprintf(w, "  stage busy:")
 		for st, ns := range rep.StageBusyNs {

@@ -162,6 +162,30 @@ func TestBuildReportAccounting(t *testing.T) {
 	}
 }
 
+// TestReportSplitsCollectiveBytes pins the collective bytes by name: each
+// of the reduce, scatter and gather spans counts toward its own total and
+// toward BytesMoved with the wire spans' bytes, and Format prints the
+// split.
+func TestReportSplitsCollectiveBytes(t *testing.T) {
+	r := New()
+	col := r.Track(0, TidCollectives, "collectives")
+	col.add(Event{Name: NameReduce, Ph: 'X', Ts: 0, Dur: 30, Stage: -1, Micro: -1, Bytes: 4096})
+	col.add(Event{Name: NameScatter, Ph: 'X', Ts: 30, Dur: 10, Stage: -1, Micro: -1, Bytes: 1024})
+	col.add(Event{Name: NameGather, Ph: 'X', Ts: 40, Dur: 10, Stage: -1, Micro: -1, Bytes: 512})
+	col.add(Event{Name: NameReduce, Ph: 'X', Ts: 50, Dur: 30, Stage: -1, Micro: -1, Bytes: 4096})
+	r.Track(1, TidWire, "wire").add(Event{Name: "wire:chunk", Ph: 'X', Ts: 0, Dur: 30, Stage: -1, Micro: -1, Bytes: 100})
+	rep := BuildReport(r, nil)
+	if rep.ReduceBytes != 8192 || rep.ScatterBytes != 1024 || rep.GatherBytes != 512 || rep.BytesMoved != 9828 {
+		t.Fatalf("reduce/scatter/gather/moved bytes = %d/%d/%d/%d, want 8192/1024/512/9828",
+			rep.ReduceBytes, rep.ScatterBytes, rep.GatherBytes, rep.BytesMoved)
+	}
+	var buf bytes.Buffer
+	rep.Format(&buf, 0)
+	if want := "  collective bytes: reduce 8192  scatter 1024  gather 512\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("report output missing %q:\n%s", want, buf.String())
+	}
+}
+
 // TestReportAttributesControlSpans pins the control track's split: eval
 // and checkpoint writes get their own buckets, an elastic handoff only the
 // control total, and instants none. None of it is worker capacity.

@@ -5,7 +5,7 @@
 // loopback (in-process pipes, zero network) and TCP (real sockets with
 // dial retry/backoff and context-aware reads and writes) — and, on top,
 // RemoteMember and Serve, which adapt the wire to the replica.Member
-// surface so replica.Group's tree all-reduce, sharded commit and state
+// surface so replica.Group's reduce, sharded commit and state
 // handoff run unchanged whether a follower lives in the same process or
 // behind a socket.
 //
@@ -15,7 +15,7 @@
 //
 //	offset  size  field
 //	0       2     magic "PM" (0x50 0x4D)
-//	2       1     protocol version (4)
+//	2       1     protocol version (8)
 //	3       1     message type
 //	4       1     flags (bit 0: more chunks of this message follow)
 //	5       1     reserved (0)
@@ -69,9 +69,13 @@ const (
 	// differently (the trainer's own exp, internal/tensor), so a v5 peer
 	// would train another curve; version 7's hello carries the leader's
 	// encoded recipe (Spec.Recipe) in place of the method, T2 flag, group
-	// costs and fault-tolerance flag.
+	// costs and fault-tolerance flag; version 8's chunk request says
+	// whether it is chunk 0, whose reply carries one in-place prefix in
+	// place of per-microbatch exports, and the commit's gather imports
+	// masters (MsgImport) and replays T2 where version 7 shipped δ and the
+	// corrected weights too (MsgSetState, now the handoff's alone).
 	// Peers of another version are rejected rather than mis-decoded.
-	Version = 7
+	Version = 8
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32
@@ -100,14 +104,14 @@ const (
 	MsgHello     = 1  // leader→worker: the Spec that opens every session (launch or join)
 	MsgHelloOK   = 2  // worker→leader: follower built for the Spec
 	MsgRunChunk  = 3  // leader→worker: run a chunk of microbatches
-	MsgChunkDone = 4  // worker→leader: chunk losses + exported gradients
+	MsgChunkDone = 4  // worker→leader: chunk losses + exported gradients (chunk 0: one prefix)
 	MsgSetGrads  = 5  // leader→worker: overwrite a stage's gradient accumulators
 	MsgPrepare   = 6  // leader→worker: PrepareStage(stage, nMicro)
 	MsgPrepared  = 7  // worker→leader: the stage's clip-norm partial
 	MsgStep      = 10 // leader→worker: StepStage(stage, scale)
-	MsgGetState  = 12 // leader→worker: read a stage's post-step state
+	MsgGetState  = 12 // leader→worker: read a stage's post-step masters (gather)
 	MsgState     = 13 // worker→leader: the stage's state tensors
-	MsgSetState  = 14 // leader→worker: import a stage's state (gather/handoff)
+	MsgSetState  = 14 // leader→worker: overwrite a stage's whole state (handoff)
 	MsgSync      = 16 // retired: no request carries it (the benchmark's empty round trip still names it)
 	MsgAck       = 17 // worker→leader: generic success reply
 	MsgErr       = 18 // worker→leader: failure reply (code + text)
@@ -115,6 +119,7 @@ const (
 	MsgPing      = 20 // worker→leader: heartbeat while a chunk computes (no reply)
 	MsgSetRing   = 21 // leader→worker: restore a stage's weight-version ring
 	MsgJoin      = 22 // joiner→leader: mid-run join request (earliest step to admit at)
+	MsgImport    = 23 // leader→worker: import a stage's post-step masters, replay its T2 tail (gather)
 )
 
 // Error codes carried by MsgErr.

@@ -143,6 +143,7 @@ var wireNames = [...]string{
 	MsgGetState: "wire:get-state",
 	MsgSetState: "wire:set-state",
 	MsgSetRing:  "wire:set-ring",
+	MsgImport:   "wire:import",
 }
 
 // wireName maps a request type to its wire-span name.
@@ -365,11 +366,12 @@ func decodeWireErr(data []byte, peer string) error {
 }
 
 // RunChunk ships the follower's share of a minibatch to the worker: the
-// chunk's global microbatch base, the leader's epoch phase, and the
-// sample indices. The worker drives the chunk through its follower's
-// engine and replies with the per-microbatch losses and the exported
-// per-(microbatch, stage) gradients.
-func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micros [][]int) ([]float64, [][][]*tensor.Tensor, error) {
+// chunk's global microbatch base, the leader's epoch phase, whether it is
+// chunk 0, and the sample indices. The worker drives the chunk through
+// its follower's engine and replies with the per-microbatch losses and
+// the exported gradients: per (microbatch, stage), or chunk 0's one
+// prefix per stage.
+func (m *RemoteMember) RunChunk(ctx context.Context, start int, async, first bool, micros [][]int) ([]float64, [][][]*tensor.Tensor, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err == nil && (m.draining || m.ready) {
@@ -381,6 +383,7 @@ func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micr
 	}
 	b := AppendU32(m.scratch[:0], uint32(start))
 	b = AppendBool(b, async)
+	b = AppendBool(b, first)
 	b = AppendU32(b, uint32(len(micros)))
 	for _, mb := range micros {
 		b = AppendU32(b, uint32(len(mb)))
@@ -393,14 +396,18 @@ func (m *RemoteMember) RunChunk(ctx context.Context, start int, async bool, micr
 	if err != nil {
 		return nil, nil, err
 	}
-	losses, grads, err := m.decodeChunkDone(resp.Data, len(micros))
+	rows := len(micros)
+	if first {
+		rows = 1
+	}
+	losses, grads, err := m.decodeChunkDone(resp.Data, len(micros), rows)
 	if err != nil {
 		return nil, nil, m.latch(err)
 	}
 	return losses, grads, nil
 }
 
-func (m *RemoteMember) decodeChunkDone(data []byte, wantK int) ([]float64, [][][]*tensor.Tensor, error) {
+func (m *RemoteMember) decodeChunkDone(data []byte, wantK, wantRows int) ([]float64, [][][]*tensor.Tensor, error) {
 	c := NewCursor(data)
 	nl := c.Count(8)
 	if cap(m.losses) < nl {
@@ -412,8 +419,8 @@ func (m *RemoteMember) decodeChunkDone(data []byte, wantK int) ([]float64, [][][
 	}
 	k := c.Count(1)
 	p := c.Count(1)
-	if c.err == nil && (nl != wantK || k != wantK || p != m.stages) {
-		return nil, nil, fmt.Errorf("chunk reply shape %d losses/%d micros/%d stages, want %d/%d/%d", nl, k, p, wantK, wantK, m.stages)
+	if c.err == nil && (nl != wantK || k != wantRows || p != m.stages) {
+		return nil, nil, fmt.Errorf("chunk reply shape %d losses/%d gradient rows/%d stages, want %d/%d/%d", nl, k, p, wantK, wantRows, m.stages)
 	}
 	for len(m.grads) < k {
 		m.grads = append(m.grads, make([][]*tensor.Tensor, m.stages))
@@ -472,8 +479,8 @@ func (m *RemoteMember) StepStage(stage int, scale float64) {
 	m.call(m.stageMsg(MsgStep, stage, AppendF64(nil, scale)), MsgAck)
 }
 
-// StageState fetches the stage's post-step state from the worker into a
-// per-stage reuse buffer. replica.Group reads each owner's state from a
+// StageState fetches the stage's post-step masters (and moments under
+// fault tolerance) from the worker into a per-stage reuse buffer. replica.Group reads each owner's state from a
 // single goroutine before fanning it out, so the buffer is never written
 // while an importer reads it. Returns nil after a transport failure.
 func (m *RemoteMember) StageState(stage int) []*tensor.Tensor {
@@ -490,9 +497,16 @@ func (m *RemoteMember) StageState(stage int) []*tensor.Tensor {
 	return m.states[stage]
 }
 
-// ImportStageState ships an owner's post-step stage state to the worker,
-// which imports it and pushes its version queue.
+// ImportStageState ships an owner's post-step masters (and moments under
+// fault tolerance) to the worker, which imports them, replays the step's
+// T2 tail and pushes its version queue.
 func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
+	m.call(m.listMsg(MsgImport, stage, src), MsgAck)
+}
+
+// SetStageState ships one stage of a handoff — the leader's whole stage
+// state — to the worker, which overwrites its own with it.
+func (m *RemoteMember) SetStageState(stage int, src []*tensor.Tensor) {
 	m.call(m.listMsg(MsgSetState, stage, src), MsgAck)
 }
 

@@ -40,6 +40,7 @@ type wireMember struct {
 	stepped  []int
 	scales   []float64 // the clip scale of each StepStage, in call order
 	imported []int
+	handed   int // SetStageState calls: stages a handoff overwrote
 }
 
 func newWireMember(p int) *wireMember {
@@ -137,6 +138,13 @@ func (m *wireMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.state[stage].CopyFrom(src[0])
 }
 
+func (m *wireMember) SetStageState(stage int, src []*tensor.Tensor) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.handed++
+	m.state[stage].CopyFrom(src[0])
+}
+
 func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,7 +197,7 @@ func TestRemoteMemberProtocol(t *testing.T) {
 
 	// RunChunk: the worker drives the chunk through its Reference engine
 	// and returns per-microbatch losses and per-(micro, stage) gradients.
-	losses, grads, err := m.RunChunk(context.Background(), 4, true, [][]int{{0}, {1}})
+	losses, grads, err := m.RunChunk(context.Background(), 4, true, false, [][]int{{0}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +211,31 @@ func TestRemoteMemberProtocol(t *testing.T) {
 			}
 		}
 	}
+
+	// Chunk 0 accumulates in place and ships one prefix per stage, which
+	// leaves the worker's accumulators zero — after a divergence too.
+	_, grads, err = m.RunChunk(context.Background(), 0, true, true, [][]int{{0}, {1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grads) != 1 || grads[0][p-1][0].FlatAt(0) != 1+2+3 {
+		t.Fatalf("chunk 0 shipped %d rows, want one prefix of 6", len(grads))
+	}
+	calls := 0
+	worker.mu.Lock()
+	worker.verdict = func() bool { calls++; return calls == 2 } // after microbatch 0's backward
+	worker.mu.Unlock()
+	if _, _, err := m.RunChunk(context.Background(), 0, true, true, [][]int{{0}, {1}}); !errors.Is(err, engine.ErrDiverged) {
+		t.Fatalf("diverged chunk 0 returned %v, want engine.ErrDiverged", err)
+	}
+	worker.mu.Lock()
+	worker.verdict = nil
+	for st, a := range worker.acc {
+		if a != 0 {
+			t.Fatalf("stage %d accumulator holds %g after chunk 0 ended, want 0", st, a)
+		}
+	}
+	worker.mu.Unlock()
 
 	// Scatter → prepare → step → gather, as the sharded commit would.
 	g := tensor.New(1)
@@ -233,13 +266,16 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	// The full leader-state push, as replica.Group makes it: every
 	// stage's state, then every stage's ring.
 	for s := 0; s < p; s++ {
-		m.ImportStageState(s, leader.StageState(s))
+		m.SetStageState(s, leader.StageState(s))
 	}
 	snap := []*tensor.Tensor{tensor.New(1)}
 	for s := 0; s < p; s++ {
 		m.RestoreVersions(s, 5+s, [][]*tensor.Tensor{snap, snap})
 	}
 	worker.mu.Lock()
+	if worker.handed != p || worker.imported[0] != 0 {
+		t.Fatalf("the handoff overwrote %d stages and imported stage 0 %d times, want %d and 0", worker.handed, worker.imported[0], p)
+	}
 	for s := 0; s < p; s++ {
 		if worker.state[s].FlatAt(0) != float64(100*s) {
 			t.Fatalf("pushed stage %d state %g, want the leader's %d", s, worker.state[s].FlatAt(0), 100*s)
@@ -368,7 +404,7 @@ func TestWorkerDeathMidChunkIsAnError(t *testing.T) {
 	defer m.Close()
 	cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, _, err := m.RunChunk(cctx, 0, true, [][]int{{0}}); err == nil {
+	if _, _, err := m.RunChunk(cctx, 0, true, false, [][]int{{0}}); err == nil {
 		t.Fatal("RunChunk succeeded against a dead worker")
 	} else if errors.Is(err, engine.ErrDiverged) {
 		t.Fatal("a dead worker must not read as divergence")
@@ -387,7 +423,7 @@ func TestWorkerDeathMidChunkIsAnError(t *testing.T) {
 // wire:chunk span whose bytes are the request's payload plus the reply's.
 func TestChunkReplyOutcomes(t *testing.T) {
 	micros := [][]int{{0}, {1}}
-	const request = 4 + 1 + 4 + 2*(4+4) // base, phase, count, two one-sample microbatches
+	const request = 4 + 1 + 1 + 4 + 2*(4+4) // base, phase, chunk-0 flag, count, two one-sample microbatches
 	one := []*tensor.Tensor{tensor.New(1)}
 	// Two losses, the gradient-set shape, and one scalar per (microbatch, stage).
 	done := Msg{Data: make([]byte, 4+2*8+4+4), Lists: [][]*tensor.Tensor{one, one, one, one}}.PayloadLen()
@@ -406,7 +442,7 @@ func TestChunkReplyOutcomes(t *testing.T) {
 				var want []int64 // the bytes of each answered chunk's span
 				switch reply {
 				case "done":
-					if _, _, err := m.RunChunk(ctx, 0, true, micros); err != nil {
+					if _, _, err := m.RunChunk(ctx, 0, true, false, micros); err != nil {
 						t.Fatal(err)
 					}
 					want = []int64{request + int64(done)}
@@ -414,7 +450,7 @@ func TestChunkReplyOutcomes(t *testing.T) {
 					worker.mu.Lock()
 					worker.verdict = func() bool { return true }
 					worker.mu.Unlock()
-					if _, _, err := m.RunChunk(ctx, 0, true, micros); !errors.Is(err, engine.ErrDiverged) {
+					if _, _, err := m.RunChunk(ctx, 0, true, false, micros); !errors.Is(err, engine.ErrDiverged) {
 						t.Fatalf("diverged chunk returned %v, want engine.ErrDiverged", err)
 					}
 					if err := m.Err(); err != nil {
@@ -423,7 +459,7 @@ func TestChunkReplyOutcomes(t *testing.T) {
 					worker.mu.Lock()
 					worker.verdict = nil
 					worker.mu.Unlock()
-					if losses, _, err := m.RunChunk(ctx, 2, true, micros); err != nil || len(losses) != 2 || losses[1] != 103 {
+					if losses, _, err := m.RunChunk(ctx, 2, true, false, micros); err != nil || len(losses) != 2 || losses[1] != 103 {
 						t.Fatalf("chunk after the divergence: losses %v, err %v", losses, err)
 					}
 					want = []int64{request + 4, request + int64(done)}
@@ -431,7 +467,7 @@ func TestChunkReplyOutcomes(t *testing.T) {
 					worker.mu.Lock()
 					worker.verdict = func() bool { panic("member broke") }
 					worker.mu.Unlock()
-					_, _, err := m.RunChunk(ctx, 0, true, micros)
+					_, _, err := m.RunChunk(ctx, 0, true, false, micros)
 					if err == nil || errors.Is(err, engine.ErrDiverged) || !strings.Contains(err.Error(), "replica 3") ||
 						!strings.Contains(err.Error(), "member broke") {
 						t.Fatalf("failed chunk returned %v, want a worker error naming replica 3", err)

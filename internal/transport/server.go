@@ -55,7 +55,8 @@ type server struct {
 	hb      time.Duration // heartbeat interval from the leader's spec (0 = off)
 	micros  [][]int       // RunChunk decode buffer
 	scratch []byte        // reply prefix buffer (a reply's tensors are framed from storage)
-	// Per-stage decode targets of MsgSetGrads and MsgSetState: the member
+	// Per-stage decode targets of MsgSetGrads, and of MsgImport and
+	// MsgSetState (whose layouts both start with the masters): the member
 	// copies out of them before the call returns, so each step's tensors
 	// land in the last step's.
 	grads, states [][]*tensor.Tensor
@@ -168,12 +169,16 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 		state := s.member.StageState(stage)
 		s.lists = append(s.lists[:0], state)
 		return Msg{Type: MsgState, Stage: req.Stage, Lists: s.lists}, nil
-	case MsgSetState:
+	case MsgImport, MsgSetState:
 		s.states[stage] = c.TensorsInto(s.states[stage])
 		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		s.member.ImportStageState(stage, s.states[stage])
+		if req.Type == MsgImport {
+			s.member.ImportStageState(stage, s.states[stage])
+		} else {
+			s.member.SetStageState(stage, s.states[stage])
+		}
 		return ack, nil
 	case MsgSetRing:
 		base, snaps := c.Ring()
@@ -188,12 +193,14 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 
 // runChunk decodes a chunk request, drives it through the follower's
 // engine against its compute wrapper, and encodes the losses and
-// exported gradients back. A diverged chunk replies errDiverged — a
-// normal outcome the leader maps back to engine.ErrDiverged — without
-// ending the session.
+// exported gradients back — per microbatch, or chunk 0's one prefix,
+// which EndChunk takes out of the accumulators whatever the outcome. A
+// diverged chunk replies errDiverged — a normal outcome the leader maps
+// back to engine.ErrDiverged — without ending the session.
 func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
 	start := c.I32()
 	async := c.Bool()
+	first := c.Bool()
 	k := c.Count(4)
 	if cap(s.micros) < k {
 		s.micros = make([][]int, k)
@@ -212,7 +219,7 @@ func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
 	if err := c.Done(); err != nil {
 		return Msg{}, err
 	}
-	s.comp.BeginChunk(start, k, async)
+	s.comp.BeginChunk(start, k, async, first)
 	// While the chunk computes — the one long-running request — a pinger
 	// streams MsgPing so the leader can tell "slow" from "hung". It is
 	// stopped and joined before the reply is encoded: Conn is not safe
@@ -225,6 +232,7 @@ func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
 		stopPing = func() { cancel(); <-done }
 	}
 	_, err := s.member.Engine().Stream(ctx, s.comp, [][][]int{micros}, nil)
+	s.comp.EndChunk()
 	stopPing()
 	if err != nil {
 		if errors.Is(err, engine.ErrDiverged) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pipemare/internal/replica"
+	"pipemare/internal/tensor"
 )
 
 // FuzzSession drives the worker's one session function, ServeConn, with
@@ -19,7 +20,7 @@ import (
 // goroutine behind.
 func FuzzSession(f *testing.F) {
 	const p = 2
-	// A v7 hello: the recipe rides as opaque bytes, which the builder
+	// A hello: the recipe rides as opaque bytes, which the builder
 	// (here a stub) decodes.
 	hello := Spec{Replica: 1, Replicas: 2, Stages: p, Heartbeat: time.Millisecond, Recipe: []byte{0, 0, 0, 2, 1}}.encode()
 	none := []byte(nil)
@@ -33,9 +34,11 @@ func FuzzSession(f *testing.F) {
 	f.Add(byte(MsgHello), append(hello[:20:20], 0, 0, 1, 0), byte(MsgBye), none)
 	f.Add(byte(MsgHello), Spec{Replica: 1, Replicas: 2, Stages: p + 1}.encode(), byte(MsgGetState), none)
 	f.Add(byte(99), []byte{1, 2, 3}, byte(MsgHello), hello)
-	// A chunk from microbatch 0, asynchronous: one microbatch of sample 0.
-	chunk := AppendU32(AppendU32(AppendU32(AppendBool(AppendU32(nil, 0), true), 1), 1), 0)
+	// Chunk 0 from microbatch 0, asynchronous: one microbatch of sample 0.
+	chunk := AppendU32(AppendU32(AppendU32(AppendBool(AppendBool(AppendU32(nil, 0), true), true), 1), 1), 0)
 	f.Add(byte(MsgHello), hello, byte(MsgRunChunk), chunk)
+	// A gather import of one scalar: the stage's masters.
+	f.Add(byte(MsgHello), hello, byte(MsgImport), AppendTensors(nil, []*tensor.Tensor{tensor.New(1)}))
 	// A stage step under clip scale 0.5, whole and with its f64 cut short.
 	step := AppendF64(nil, 0.5)
 	f.Add(byte(MsgHello), hello, byte(MsgStep), step)

@@ -338,7 +338,7 @@ func TestRecvBufferValidUntilNextRecv(t *testing.T) {
 		worker.mu.Lock()
 		worker.stall = 120 * time.Millisecond
 		worker.mu.Unlock()
-		if _, _, err := m.RunChunk(ctx, 0, true, [][]int{{0}, {1}}); !errors.Is(err, replica.ErrStraggler) {
+		if _, _, err := m.RunChunk(ctx, 0, true, false, [][]int{{0}, {1}}); !errors.Is(err, replica.ErrStraggler) {
 			t.Fatalf("slow chunk returned %v, want a straggle", err)
 		}
 		for !m.Ready() {
@@ -353,7 +353,7 @@ func TestRecvBufferValidUntilNextRecv(t *testing.T) {
 		worker.mu.Unlock()
 		// The late reply sits in the reassembly buffer; the next chunk's
 		// reply must replace it, not mix with it.
-		losses, grads, err := m.RunChunk(ctx, 4, true, [][]int{{0}, {1}, {2}})
+		losses, grads, err := m.RunChunk(ctx, 4, true, false, [][]int{{0}, {1}, {2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func startBulk(tb testing.TB) (m *RemoteMember, leader *bulkMember, stop func())
 // gradients back, then per stage a scatter, a state fetch and a state
 // import. It returns the tensor bytes that crossed.
 func wireRound(tb testing.TB, m *RemoteMember, leader *bulkMember, micros [][]int) int {
-	_, grads, err := m.RunChunk(context.Background(), 0, true, micros)
+	_, grads, err := m.RunChunk(context.Background(), 0, true, false, micros)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -292,7 +292,7 @@ func WithDialTimeout(d time.Duration) Option {
 // WithFaultTolerance makes follower failures survivable: each replica
 // mirrors the full optimizer moment state (stage state carries the
 // moments through every gather and handoff), so when a follower dies
-// mid-run the leader evicts it and rebuilds the reduce tree and commit
+// mid-run the leader evicts it and rebuilds the chunk split and commit
 // plan over the survivors. A death before the commit's prepare phase
 // replays the interrupted minibatch; a later one — mid-step, or while
 // the gather reads or writes its state — has the leader re-step the dead
@@ -317,7 +317,7 @@ func WithFaultTolerance() Option {
 // joiner is parked until the next minibatch boundary, admitted with a
 // live state handoff — masters, T2 state, optimizer moments and the
 // weight-version rings, the same push a checkpoint restore uses — and
-// the reduce tree and commit plan grow to R+1.
+// the chunk split and commit plan grow to R+1.
 // Because the handed-off member is indistinguishable from one that
 // trained from the start, the post-join curve is bit-identical to a
 // fresh (R+1)-replica run from the handoff state. Requires
@@ -333,7 +333,7 @@ func WithElastic() Option {
 // WithStragglerDemotion bounds how long the leader waits on a remote
 // follower's collective reply: a follower that misses `deadline` for
 // `misses` consecutive deadline windows is demoted to standby — kept alive
-// and connected but excluded from the reduce tree and commit plan, its
+// and connected but excluded from the chunk split and commit plan, its
 // microbatches redistributed over the survivors — and readmitted through
 // the state handoff a mid-run joiner receives once its late reply drains.
 // A transient slowdown then costs bounded wall time instead of stalling

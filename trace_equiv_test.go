@@ -8,6 +8,7 @@ import (
 	"pipemare/internal/data"
 	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/model"
+	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/trace"
 )
@@ -140,4 +141,63 @@ func TestTracedRunsMatchReference(t *testing.T) {
 			t.Fatalf("loopback trace recorded no wire traffic (%d ns, %d bytes)", rep.WireNs, rep.BytesMoved)
 		}
 	})
+}
+
+// TestReplicatedStepMovesWhatReceiversCannotCompute pins the bytes of one
+// replicated step, collective by collective, on an R = 2 loopback run of
+// the 4-stage quadratic task (one 2-element float64 parameter per stage,
+// 16 bytes) with T2 on and AdamW's two moments per parameter. The
+// follower holds chunk 0 and owns stages 2 and 3, so per step:
+//   - the reduce carries its one in-place prefix, every stage once — the
+//     leader's own per-microbatch exports never cross a member boundary;
+//   - the scatter carries the follower's shard of the reduced gradient;
+//   - the gather carries each stage's masters to the member that does not
+//     own it — never T2's δ and corrected weights, which the importer
+//     replays — plus the moments under fault tolerance.
+func TestReplicatedStepMovesWhatReceiversCannotCompute(t *testing.T) {
+	const stage, p, steps = 16, 4, 8 // bytes per stage parameter; 2 epochs of 4 minibatches
+	build := func() pipemare.Task { return newQuadTask(p, 32, 8, 44) }
+	base := append(ftBase(), pipemare.WithOptimizer(func(ps []*nn.Param) pipemare.Optimizer {
+		return optim.NewAdamW(ps, 0.9, 0.98, 1e-9, 1e-4)
+	}))
+	ref := runCurve(t, build, 2, 1, base...)
+	for _, ft := range []bool{false, true} {
+		name := "plain"
+		gather := int64(p * stage) // each stage's masters, to its one non-owner
+		if ft {
+			name = "fault-tolerant"
+			gather *= 3 // and both moments
+		}
+		t.Run(name, func(t *testing.T) {
+			dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
+			rec := pipemare.NewTraceRecorder()
+			opts := append(append([]pipemare.Option{}, base...), pipemare.WithTrace(rec),
+				pipemare.WithReplicas(2), pipemare.WithTransport(dialers...))
+			if ft {
+				opts = append(opts, pipemare.WithFaultTolerance())
+			}
+			tr, err := pipemare.New(build(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tr.Run(context.Background(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, werr := range wait() {
+				if werr != nil {
+					t.Fatalf("worker %d: %v", i+1, werr)
+				}
+			}
+			requireIdentical(t, name, ref, got)
+			rep := pipemare.BuildTraceReport(rec, nil)
+			want := [3]int64{steps * p * stage, steps * 2 * stage, steps * gather}
+			if got := [3]int64{rep.ReduceBytes, rep.ScatterBytes, rep.GatherBytes}; got != want {
+				t.Fatalf("reduce/scatter/gather moved %v bytes over %d steps, want %v", got, steps, want)
+			}
+		})
+	}
 }

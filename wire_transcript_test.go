@@ -99,35 +99,38 @@ func (l logListener) Accept(ctx context.Context) (transport.MsgConn, error) {
 // payload bytes" per message. Every session opens with the hello, and
 // every follower — dialled at launch or joining — is then admitted by the
 // state handoff (P × 14, P × 21) before it trains. In the training
-// rows after that, each stage its follower owns is stepped by one message
-// (10, carrying the f64 clip scale). Lengths, not float bytes, so the
-// table holds on any GOARCH.
+// rows after that, each chunk (3) says whether it is chunk 0, each stage
+// its follower owns is stepped by one message (10, carrying the f64 clip
+// scale), and each stage it does not own is imported as masters alone
+// (23), plus the moments under fault tolerance — never T2's δ and
+// corrected weights, which the follower replays. Lengths, not float
+// bytes, so the table holds on any GOARCH.
 var wireTranscripts = map[string]string{
 	"sharded/plain/follower": `
 		1/-1/90 14/0/79 14/1/79 14/2/79 14/3/79 21/0/37 21/1/37 21/2/37 21/3/37
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/79 14/1/79
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/29 23/1/29
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/29 23/1/29
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/29 23/1/29
 		19/-1/0
 	`,
 	"sharded/join/joiner": `
 		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/66
-		3/-1/25 5/3/29 6/3/4 10/3/8 12/3/0 14/0/104 14/1/104 14/2/104
+		3/-1/34 5/3/29 6/3/4 10/3/8 12/3/0 23/0/54 23/1/54 23/2/54
 		19/-1/0
 	`,
 	"sharded/join/follower": `
 		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/33 5/2/29 6/2/4 10/2/8 12/2/0 14/0/104 14/1/104 14/3/104
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
+		3/-1/34 5/2/29 6/2/4 10/2/8 12/2/0 23/0/54 23/1/54 23/3/54
 		19/-1/0
 	`,
 	"sharded/restore/follower": `
 		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
 		14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/66
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
-		3/-1/41 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 14/0/104 14/1/104
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
+		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
 		19/-1/0
 	`,
 }
