@@ -73,11 +73,12 @@ func startJoiner(t *testing.T, build func() pipemare.Task, opts []pipemare.Optio
 }
 
 // parkSignal wraps a join listener to tell a test when the trainer has
-// read a joiner's join request — the last thing the trainer does with a
-// joiner's connection before it parks it.
+// parked a joiner: each accepted connection hands the test, when the
+// trainer reads its join request, the request's read context, which the
+// trainer ends only once the joiner is parked (Trainer.park).
 type parkSignal struct {
 	pipemare.Listener
-	read chan struct{} // buffered; one token per join request read
+	read chan (<-chan struct{}) // buffered; the read context's Done of a join request
 }
 
 func (l parkSignal) Accept(ctx context.Context) (transport.MsgConn, error) {
@@ -88,18 +89,18 @@ func (l parkSignal) Accept(ctx context.Context) (transport.MsgConn, error) {
 	return joinReadSignal{conn, l.read}, nil
 }
 
-// joinReadSignal is an accepted joiner connection that signals when the
-// trainer reads its join request.
+// joinReadSignal is an accepted joiner connection that hands over the
+// read context of its join request.
 type joinReadSignal struct {
 	transport.MsgConn
-	read chan struct{}
+	read chan (<-chan struct{})
 }
 
 func (c joinReadSignal) Recv(ctx context.Context) (transport.Msg, error) {
 	m, err := c.MsgConn.Recv(ctx)
 	if err == nil && m.Type == transport.MsgJoin {
 		select {
-		case c.read <- struct{}{}:
+		case c.read <- ctx.Done():
 		default:
 		}
 	}
@@ -107,17 +108,17 @@ func (c joinReadSignal) Recv(ctx context.Context) (transport.Msg, error) {
 }
 
 // acceptAndPark hands lis to the trainer's AcceptJoins and returns once
-// the joiner dialing it has been read and is being parked, so a following
-// Run admits (or rejects) it at the boundary its JoinAt names on any
-// scheduler — not at whichever boundary the joiner's goroutine happened
-// to reach the leader by.
+// the joiner dialing it is parked, so a following Run admits (or rejects)
+// it at the boundary its JoinAt names on any scheduler — not at whichever
+// boundary the joiner's goroutine happened to reach the leader by.
 func acceptAndPark(t *testing.T, tr *pipemare.Trainer, lis pipemare.Listener) {
 	t.Helper()
-	read := make(chan struct{}, 1)
+	read := make(chan (<-chan struct{}), 1)
 	if err := tr.AcceptJoins(parkSignal{lis, read}); err != nil {
 		t.Fatalf("accept joins: %v", err)
 	}
-	<-read
+	parked := <-read
+	<-parked
 }
 
 // TestJoinMatchesFreshLargerRun is the headline elastic-membership pin:
@@ -447,8 +448,12 @@ func TestChunkZeroHolderChurn(t *testing.T) {
 			// epoch 2's third, back on chunk 0 behind the leader.
 			dialers[1] = &faults.Dialer{Inner: dialers[1], Script: faults.NewScript(
 				faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 8, Op: faults.Kill})}
+			eng := pipemare.NewReferenceEngine()
+			if inner == "concurrent" {
+				eng = concurrent.New()
+			}
 			tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-				pipemare.WithReplicas(3), pipemare.WithEngine(replicatedEngine(inner)),
+				pipemare.WithReplicas(3), pipemare.WithEngine(eng),
 				pipemare.WithFaultTolerance(), pipemare.WithElastic(),
 				pipemare.WithStragglerDemotion(20*time.Millisecond, 2),
 				pipemare.WithTransport(dialers...),
@@ -554,7 +559,7 @@ func TestSilentDialerStallsNoJoiner(t *testing.T) {
 		t.Fatal(err)
 	}
 	lis, dial := pipemare.Loopback()
-	read := make(chan struct{}, 1)
+	read := make(chan (<-chan struct{}), 1)
 	if err := tr.AcceptJoins(parkSignal{lis, read}); err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +573,8 @@ func TestSilentDialerStallsNoJoiner(t *testing.T) {
 			append(append([]pipemare.Option{}, base...), pipemare.WithDialTimeout(5*time.Second))...)
 	}()
 	select {
-	case <-read:
+	case parked := <-read:
+		<-parked
 	case <-time.After(10 * time.Second):
 		t.Fatal("a silent dialer kept the joiner behind it from being read")
 	}

@@ -79,11 +79,14 @@ func (t *Trainer) acceptJoins(ctx context.Context, lis transport.Listener) {
 
 // park reads one accepted connection's join request, under welcomeTimeout,
 // and parks the joiner until the boundary it asked for; a connection that
-// sends none in time, or arrives at a closed trainer, is closed.
+// sends none in time, or arrives at a closed trainer, is closed. The
+// context the request is read under ends only after that, so the
+// connection's Recv can tell when its joiner is parked: by the time the
+// context is done, the next minibatch boundary sees the joiner.
 func (t *Trainer) park(ctx context.Context, conn transport.MsgConn) {
 	rctx, cancel := context.WithTimeout(ctx, welcomeTimeout)
+	defer cancel()
 	joinAt, err := transport.AcceptJoin(rctx, conn)
-	cancel()
 	t.joinMu.Lock()
 	parked := err == nil && !t.closed
 	if parked {

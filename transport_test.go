@@ -3,7 +3,6 @@ package pipemare_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +10,6 @@ import (
 
 	"pipemare"
 	"pipemare/internal/data"
-	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/faults"
 	"pipemare/internal/model"
 	"pipemare/internal/optim"
@@ -54,99 +52,6 @@ func startFaultyWorkers(t *testing.T, n int, script *faults.Script, build func()
 		cancel()
 		return errs
 	}
-}
-
-// transportGrid pins satellite coverage for the wire transport: for
-// R ∈ {2, 4} replicas × both inner engines, a leader
-// whose followers live behind the loopback wire — every collective
-// crossing a serialization boundary — must train the all-techniques DNN
-// bit-identically to a single-replica Reference run. The worker processes
-// build the follower from the same task constructor and options; the
-// launch handoff gives it the leader's state.
-func TestTransportLoopbackMatchesReference(t *testing.T) {
-	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
-		Train: 96, Test: 32, Noise: 0.4, Seed: 6})
-	build := func() pipemare.Task { return model.NewResNetMLP(images, 10, 4, 8) }
-	base := append(methodOpts(pipemare.PipeMare),
-		pipemare.WithStages(4),
-		pipemare.WithBatchSize(32), pipemare.WithMicrobatches(8),
-		pipemare.WithSchedule(optim.Constant(0.05)))
-	ref := runCurve(t, build, 3, 1, base...)
-	rs, inners := replicaGrid()
-	for _, r := range rs {
-		for _, inner := range inners {
-			name := fmt.Sprintf("loopback/R=%d/%s", r, inner)
-			workerOpts := func() []pipemare.Option {
-				o := append([]pipemare.Option{}, base...)
-				if inner == "concurrent" {
-					o = append(o, pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(2))))
-				}
-				return o
-			}
-			dialers, kill, wait := startWorkers(t, r-1, build, workerOpts)
-			leaderOpts := append(append([]pipemare.Option{}, base...),
-				pipemare.WithReplicas(r),
-				pipemare.WithEngine(replicatedEngine(inner)),
-				pipemare.WithTransport(dialers...))
-			tr, err := pipemare.New(build(), leaderOpts...)
-			if err != nil {
-				kill()
-				t.Fatalf("%s: %v", name, err)
-			}
-			if tr.Replicas() != r {
-				t.Fatalf("%s: trainer owns %d replicas, want %d", name, tr.Replicas(), r)
-			}
-			got, err := tr.Run(context.Background(), 3)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := tr.Close(); err != nil {
-				t.Fatalf("%s: close: %v", name, err)
-			}
-			for i, werr := range wait() {
-				if werr != nil {
-					t.Fatalf("%s: worker %d: %v", name, i+1, werr)
-				}
-			}
-			requireIdentical(t, name, ref, got)
-		}
-	}
-}
-
-// TestDialledWorkerStartsFromAnyWeights pins that a worker's own initial
-// weights do not matter: its model is built from another seed, and the
-// launch handoff — the one way any follower becomes active — replaces
-// every tensor it trains from, so the R=2 run still trains the
-// single-replica Reference curve bit for bit.
-func TestDialledWorkerStartsFromAnyWeights(t *testing.T) {
-	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
-		Train: 96, Test: 32, Noise: 0.4, Seed: 6})
-	build := func() pipemare.Task { return model.NewResNetMLP(images, 10, 4, 8) }
-	base := append(methodOpts(pipemare.PipeMare),
-		pipemare.WithStages(4),
-		pipemare.WithBatchSize(32), pipemare.WithMicrobatches(8),
-		pipemare.WithSchedule(optim.Constant(0.05)))
-	ref := runCurve(t, build, 2, 1, base...)
-	dialers, kill, wait := startWorkers(t, 1,
-		func() pipemare.Task { return model.NewResNetMLP(images, 10, 4, 9) },
-		func() []pipemare.Option { return base })
-	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithTransport(dialers...))...)
-	if err != nil {
-		kill()
-		t.Fatal(err)
-	}
-	got, err := tr.Run(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wait()[0]; err != nil {
-		t.Fatalf("worker: %v", err)
-	}
-	requireIdentical(t, "reseeded-worker", ref, got)
 }
 
 // TestMismatchedWorkerIsRefusedByName pins what replaced the initial-state
@@ -219,44 +124,6 @@ func TestMismatchedWorkerIsRefusedByName(t *testing.T) {
 			requireIdentical(t, tc.name+"/join", ref, got)
 		})
 	}
-}
-
-// TestTransportDivergencePassesThrough pins the errDiverged wire path: a
-// divergence inside a remote worker's chunk must surface as the normal
-// divergence outcome — the leader records the Reference divergence curve
-// exactly, the worker session stays healthy, and shutdown is clean.
-func TestTransportDivergencePassesThrough(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 7) }
-	base := []pipemare.Option{
-		pipemare.WithMethod(pipemare.PipeMare),
-		pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
-		pipemare.WithSeed(2), pipemare.WithLossCap(10),
-		pipemare.WithSchedule(optim.Constant(5)), // absurd rate: diverges
-	}
-	ref := runCurve(t, build, 4, 1, base...)
-	if !ref.Diverged {
-		t.Fatal("reference run was expected to diverge")
-	}
-	dialers, kill, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
-	defer kill()
-	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithTransport(dialers...))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Run(context.Background(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, werr := range wait() {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i+1, werr)
-		}
-	}
-	requireIdentical(t, "transport-divergence", ref, got)
 }
 
 // TestTransportWorkerDeathSurfacesCleanly pins satellite error surfacing
