@@ -26,7 +26,7 @@ func table2(w io.Writer, c *config) {
 		target := paperTarget(wl, gp, pd, pm)
 		gpTime := gp.timeTo(target, core.GPipe, 0)
 		fmt.Fprintf(w, "\n%s  [%s]  stages=%d N=%d target=%.1f\n", wl.Name, wl.Paper, pm.Stages, pm.N, target)
-		tb := newTable("Method", "Best", "Target", "Speedup", "EpochsToTgt", "Throughput", "Weight+Opt Mem")
+		tb := newTable("Method", "Best", "Target", "Speedup", "EpochsToTgt", "Throughput", "Weight+Opt Mem", "Ring copies")
 		row := func(name string, r runResult, m core.Method, warm int) {
 			e := r.Run.EpochsToTarget(target)
 			tt := r.timeTo(target, m, warm)
@@ -43,7 +43,7 @@ func table2(w io.Writer, c *config) {
 				best += " (div)"
 			}
 			tb.add(name, best, fmt.Sprintf("%.1f", target), ss, es,
-				fmt.Sprintf("%.2fX", r.Throughput), fmt.Sprintf("%.2fX", r.MemRatio))
+				fmt.Sprintf("%.2fX", r.Throughput), fmt.Sprintf("%.2fX", r.MemRatio), fmt.Sprintf("%.2f", r.RingCopies))
 		}
 		row("PipeDream", pd, core.PipeDream, 0)
 		row("GPipe", gp, core.GPipe, 0)
@@ -72,7 +72,7 @@ func table3(w io.Writer, c *config) {
 		target := paperTarget(wl, all...)
 		gpTime := gp.timeTo(target, core.GPipe, 0)
 		fmt.Fprintf(w, "\n%s  target=%.1f (GPipe best %.1f)\n", wl.Name, target, gp.Run.Best())
-		tb := newTable("Method", "Best", "Speedup", "EpochsToTgt", "Throughput", "Weight+Opt Mem")
+		tb := newTable("Method", "Best", "Speedup", "EpochsToTgt", "Throughput", "Weight+Opt Mem", "Ring copies")
 		for i, a := range rows {
 			r := results[i]
 			e := r.Run.EpochsToTarget(target)
@@ -92,7 +92,7 @@ func table3(w io.Writer, c *config) {
 			if r.Run.Diverged {
 				best += " (div)"
 			}
-			tb.add(a.name, best, ss, es, fmt.Sprintf("%.2fX", r.Throughput), fmt.Sprintf("%.2fX", r.MemRatio))
+			tb.add(a.name, best, ss, es, fmt.Sprintf("%.2fX", r.Throughput), fmt.Sprintf("%.2fX", r.MemRatio), fmt.Sprintf("%.2f", r.RingCopies))
 		}
 		tb.write(w)
 	}

@@ -36,6 +36,7 @@ type runResult struct {
 	N          int
 	Throughput float64 // amortized normalized throughput over the full run
 	MemRatio   float64 // weight+optimizer memory relative to the synchronous base
+	RingCopies float64 // weight copies the trainer's version rings hold, measured
 }
 
 // scaleEpochs shrinks a reference epoch budget at quick scale.
@@ -120,6 +121,11 @@ func (c *config) train(w experiments.Workload, spec runSpec) runResult {
 	// Weight+optimizer memory in units of W, over the synchronous base.
 	mem := memmodel.WeightOptimizer(memmodel.Method(spec.Method), opt.StateCopies(), tr.Partition().StageSizes(), res.N, spec.UseT2)
 	res.MemRatio = mem / float64(nn.TotalSize(params(task))) / float64(opt.StateCopies())
+	ring := 0
+	for _, m := range tr.WeightMemory() {
+		ring += m.Ring
+	}
+	res.RingCopies = float64(ring) / float64(nn.TotalSize(params(task)))
 	return res
 }
 

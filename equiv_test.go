@@ -246,6 +246,13 @@ func recipes() []recipe {
 			cells: "W1 W2 W3 W4 W27 jitter-W2 jitter-W4", opts: withOpts(fineOpts, steady)},
 		recipe{name: "fine-diverge", build: resMLP(images(64, 3), 8, 12, 5), epochs: 3, diverges: 1, stages: 27,
 			cells: "W2", opts: withOpts(fineOpts, pipemare.WithLossCap(15), pipemare.WithSchedule(optim.Constant(8)))},
+		// The rate jumps 160-fold at step 4, the first of epoch 2; the loss
+		// crosses the cap at microbatch 24, which opens epoch 2's third
+		// minibatch, deep in the pipeline (every stage's ring past its first
+		// eviction) and with the next minibatch's chains in flight.
+		recipe{name: "fine-late-diverge", build: resMLP(images(64, 3), 8, 12, 5), epochs: 4, diverges: 2, stages: 27,
+			cells: "W1 W2 W4", opts: withOpts(fineOpts, pipemare.WithLossCap(15),
+				pipemare.WithSchedule(optim.StepDecay{Base: 0.05, DropEvery: 4, Factor: 160}))},
 	)
 }
 

@@ -266,7 +266,7 @@ type Trainer struct {
 	part       *pipeline.Partition
 	groupCosts []float64              // per-group costs the partitioner balanced
 	clock      pipeline.Clock         // the version rule: which version each slot reads
-	store      *pipeline.VersionStore // per-stage rings of clock.Keep() versions
+	store      *pipeline.VersionStore // stage s's ring holds clock.Keep(s+1) versions (GPipe: 1)
 	params     []*nn.Param            // in forward order (matches optimizer order)
 	stageLo    []int                  // params[stageLo[s]:stageHi[s]] belong to stage s
 	stageHi    []int
@@ -490,7 +490,14 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 		t.stageHi[s] = len(t.taus)
 		t.stageLRs[s] = make([]float64, len(ps))
 	}
-	t.store = pipeline.NewVersionStore(part.Stages, t.clock.Keep())
+	keep := make([]int, p)
+	for s := range keep {
+		keep[s] = 1 // GPipe never installs a version: it reads the newest
+		if cfg.Method != GPipe {
+			keep[s] = t.clock.Keep(s + 1)
+		}
+	}
+	t.store = pipeline.NewStageVersionStore(part.Stages, keep)
 	t.masters = make([]*tensor.Tensor, len(t.params))
 	for i, pm := range t.params {
 		t.masters[i] = pm.Data
@@ -580,6 +587,49 @@ func (t *Trainer) StageCosts() []float64 { return t.part.StageCosts(t.groupCosts
 // perfectly balanced pipeline; the bottleneck stage caps the concurrent
 // engine's overlap at mean/max of ideal.
 func (t *Trainer) StageImbalance() float64 { return pipeline.Imbalance(t.StageCosts()) }
+
+// StageMemory is what one stage's weight state holds on this trainer, in
+// scalars: the live masters, the version ring's buffers, the optimizer
+// moments this replica keeps, and T2's δ, corrected weights and recompute
+// buffer.
+type StageMemory struct {
+	Masters, Ring, Moments, T2 int
+}
+
+// WeightMemory measures each stage's weight state, the trainer's side of
+// the paper's weight+optimizer memory column. The ring counts the
+// versions it holds now: once it has filled, Clock.Keep of them under an
+// asynchronous method and 1 under GPipe (fewer before, and until its next
+// pushes a restored ring of another length).
+func (t *Trainer) WeightMemory() []StageMemory {
+	size := func(ts []*tensor.Tensor) (n int) {
+		for _, x := range ts {
+			n += x.Size()
+		}
+		return n
+	}
+	shard := t.opt.StateRange()
+	out := make([]StageMemory, t.clock.P)
+	for s := range out {
+		lo, hi := t.stageLo[s], t.stageHi[s]
+		m := &out[s]
+		m.Masters = size(t.masters[lo:hi])
+		_, ring := t.store.History(s)
+		for _, snap := range ring {
+			m.Ring += size(snap)
+		}
+		for i := max(lo, shard.Lo); i < min(hi, shard.Hi); i++ {
+			m.Moments += size(t.opt.MomentTensors(i))
+		}
+		if t.delta != nil {
+			m.T2 = size(t.delta[lo:hi]) + size(t.corrected[lo:hi])
+			if t.recomp != nil {
+				m.T2 += size(t.recomp[lo:hi])
+			}
+		}
+	}
+	return out
+}
 
 // Engine returns the execution engine driving this trainer.
 func (t *Trainer) Engine() engine.Engine { return t.cfg.Engine }

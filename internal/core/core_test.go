@@ -16,6 +16,7 @@ import (
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/pipeline"
+	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
 	"pipemare/internal/transport"
 )
@@ -60,6 +61,7 @@ type probeTask struct {
 	actSeen  [][]float64 // forward weight in place at the backward slot
 	fwdDelta [][]float64 // T2 δ at the forward slot (T2 runs only)
 	recDelta [][]float64 // T2 δ at the recompute slot
+	lookback []int       // per group: deepest newest-pushed minus read version at a forward or recompute slot
 }
 
 func newProbeTask(groups, numTrain int) *probeTask {
@@ -142,6 +144,13 @@ func (o probeOp) Forward(m *nn.Machine) {
 	row[g] = t.params[g].Data.FlatAt(0)
 	if t.tr.delta != nil {
 		t.cell(delta, s)[g] = t.tr.delta[g].FlatAt(0)
+	} else { // a T2-corrected recompute weight is no version number
+		t.mu.Lock()
+		if t.lookback == nil {
+			t.lookback = make([]int, len(t.params))
+		}
+		t.lookback[g] = max(t.lookback[g], t.tr.store.Latest(t.tr.part.StageOf[g])-int(row[g]))
+		t.mu.Unlock()
 	}
 	m.Loss = 0.1
 	if s == t.badMicro {
@@ -244,6 +253,65 @@ func TestPipeMareForwardSeesDelayedVersions(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRingsCoverEveryObservedLookback runs the version rule on every
+// engine, and in process at R = 2, and records at each forward and
+// recompute slot how far behind the stage's newest pushed version the
+// read version is. No stage may look further back than its ring holds,
+// Clock.Keep(stage)−1, or the ring would have evicted the version. A lone
+// Reference trainer, whose every commit lands before the next minibatch's
+// first slot and which runs every microbatch, reaches that bound exactly
+// at each stage; at R = 2 a member runs half of each minibatch's
+// microbatches, and a stage whose deepest lookback falls on the other
+// half's reads only as deep as its own (the test logs those stages).
+func TestRingsCoverEveryObservedLookback(t *testing.T) {
+	for _, segs := range []int{0, 2} {
+		cfg := Config{Method: PipeMare, Stages: 6, BatchSize: 8, MicrobatchSize: 2, RecomputeSegments: segs, Seed: 7}
+		engines := map[string]func() engine.Engine{"reference": func() engine.Engine { return engine.NewReference() }}
+		for _, w := range []int{1, 2, 4} {
+			engines[fmt.Sprintf("concurrent/W=%d", w)] = func() engine.Engine { return concurrent.New(concurrent.WithWorkers(w)) }
+		}
+		for name, eng := range engines {
+			for _, replicas := range []int{1, 2} {
+				t.Run(fmt.Sprintf("segments=%d/%s/R=%d", segs, name, replicas), func(t *testing.T) {
+					cfg := cfg
+					cfg.Engine, cfg.Replicas = eng(), replicas
+					task := newProbeTask(cfg.Stages, 4*cfg.BatchSize)
+					var followers []*probeTask
+					cfg.Followers = func(spec transport.Spec) (replica.Member, error) {
+						clone := newProbeTask(cfg.Stages, 4*cfg.BatchSize)
+						m, err := NewFollower(clone, &countingOptimizer{ps: clone.params}, optim.Constant(0.1), cfg.Engine, spec)
+						if err == nil {
+							clone.tr = m.(host).t
+							followers = append(followers, clone)
+						}
+						return m, err
+					}
+					tr, _ := runProbe(t, task, cfg, 3)
+					defer tr.Close()
+					probes := append([]*probeTask{task}, followers...)
+					if len(probes) != replicas {
+						t.Fatalf("%d probes for %d replicas", len(probes), replicas)
+					}
+					for r, probe := range probes {
+						if len(probe.lookback) != cfg.Stages {
+							t.Fatalf("replica %d recorded %d stages' lookback, want %d", r, len(probe.lookback), cfg.Stages)
+						}
+						for stage, got := range probe.lookback {
+							keep := tr.clock.Keep(stage + 1)
+							if got > keep-1 || (name == "reference" && replicas == 1 && got != keep-1) {
+								t.Fatalf("replica %d stage %d: deepest lookback %d, ring keeps %d", r, stage+1, got, keep)
+							}
+							if got < keep-1 {
+								t.Logf("replica %d stage %d: deepest lookback %d of %d", r, stage+1, got, keep-1)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestPipeMareBackwardSeesMaster(t *testing.T) {

@@ -124,7 +124,9 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 			return write(restoreProbe(t, tensor.Float32, 1, 1, 1, 1, 1))
 		}, "stage 0 tensor 0 dtype float32, want float64"},
 		{"format 2 header", func() string { return reframed(0, 0, 2) }, "format version 2, want 4"},
-		{"ring 3 ends a version early", func() string { return reframed(5+3, 0, 1) },
+		// Ring 3, the last stage's, holds one version (Clock.Keep(4) = 1):
+		// version 4 at base 4. Base 3 ends it at version 3.
+		{"ring 3 ends a version early", func() string { return reframed(5+3, 0, 3) },
 			"ring 3 ends at version 3, ring 0 at 4"},
 	}
 	for _, tc := range cases {

@@ -31,7 +31,9 @@ type Classification struct {
 	rLogits nn.Reg
 	lossAt  int // op index of the loss op
 
-	evalMs []*nn.Machine // one per eval goroutine, built by EvalTest
+	evalMs      []*nn.Machine // one per eval goroutine, built by EvalTest
+	evalCorrect []int         // per eval goroutine: its rows classified right
+	evalChunk   func(g, lo, hi int)
 
 	trainX, testX *tensor.Tensor // (N, D) or (N, C, H, W) features
 	trainY, testY []int
@@ -172,7 +174,9 @@ func (c *Classification) NumTrain() int { return len(c.trainY) }
 
 // EvalTest returns test accuracy in percent. The test rows split over
 // evalWorkers goroutines, each running the forward section on its own
-// machine (forEvalChunks); the correct counts add up in share order.
+// machine (forEvalChunks) with no backward tape (nn.Program.Infer); the
+// correct counts add up in share order. Once its machines are sized, an
+// evaluation on one goroutine allocates nothing.
 func (c *Classification) EvalTest() float64 {
 	n := len(c.testY)
 	w := evalWorkers(n)
@@ -180,23 +184,30 @@ func (c *Classification) EvalTest() float64 {
 		m := nn.NewMachine(c.prog.NumRegs)
 		m.Tape.SetDType(c.dt)
 		c.evalMs = append(c.evalMs, m)
+		c.evalCorrect = append(c.evalCorrect, 0)
 	}
-	correct := make([]int, w)
-	forEvalChunks(n, w, 256, func(g int, idx []int) {
-		m := c.evalMs[g]
-		m.ResetRun()
-		m.SetVal(c.rIn, gatherRowsTape(&m.Tape, c.testX, idx))
-		c.prog.ForwardRange(m, 0, c.lossAt)
-		logits := m.Val(c.rLogits)
-		for i := range idx {
-			if logits.ArgMaxRow(i) == c.testY[idx[i]] {
-				correct[g]++
-			}
-		}
-	})
+	if c.evalChunk == nil {
+		c.evalChunk = c.classify
+	}
+	clear(c.evalCorrect)
+	forEvalChunks(n, w, 256, c.evalChunk)
 	total := 0
-	for _, k := range correct {
+	for _, k := range c.evalCorrect[:w] {
 		total += k
 	}
 	return 100 * float64(total) / float64(n)
+}
+
+// classify counts the test rows [lo, hi) eval machine g classifies right.
+func (c *Classification) classify(g, lo, hi int) {
+	m := c.evalMs[g]
+	m.ResetRun()
+	evalRows(m, c.rIn, c.testX, lo, hi)
+	c.prog.Infer(m, 0, c.lossAt)
+	logits := m.Val(c.rLogits)
+	for i := range hi - lo {
+		if logits.ArgMaxRow(i) == c.testY[lo+i] {
+			c.evalCorrect[g]++
+		}
+	}
 }

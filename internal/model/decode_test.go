@@ -26,9 +26,9 @@ func checkCachedDecode(t *testing.T, tr *Translation) int {
 	full.Tape.SetDType(tr.dt)
 	e := tr.evalPairs(1)[0]
 	var cands, refs [][]int
-	forEvalChunks(tr.ds.TestSrc.Shape[0], 1, 64, func(_ int, idx []int) {
-		mem := tr.encode(e.enc, idx)
-		b := len(idx)
+	forEvalChunks(tr.ds.TestSrc.Shape[0], 1, 64, func(_, lo, hi int) {
+		mem := tr.encode(e.enc, lo, hi)
+		b := hi - lo
 		dstT, toks := tensor.New(b, L), tensor.New(b, 1)
 		dst := tensor.F64(dstT)
 		for i := 0; i < b; i++ {
@@ -58,7 +58,7 @@ func checkCachedDecode(t *testing.T, tr *Translation) int {
 					w, g := want.FlatAt((i*L+pos)*v+j), got.FlatAt(i*v+j)
 					if math.Float64bits(w) != math.Float64bits(g) {
 						t.Fatalf("%s chunk at %d, step %d, pair %d, logit %d: cached %v, full recompute %v",
-							tr.dt, idx[0], pos, i, j, g, w)
+							tr.dt, lo, pos, i, j, g, w)
 					}
 				}
 				tok := want.ArgMaxRow(i*L + pos)
@@ -69,9 +69,9 @@ func checkCachedDecode(t *testing.T, tr *Translation) int {
 				toks.SetFlat(i, float64(tok))
 			}
 		}
-		for i, ix := range idx {
+		for i := range b {
 			cands = append(cands, trimEOS(pred[i]))
-			refs = append(refs, trimEOS(tr.ds.TestLbl[ix]))
+			refs = append(refs, trimEOS(tr.ds.TestLbl[lo+i]))
 		}
 	})
 	oracle := bleu.Corpus(cands, refs)

@@ -447,3 +447,39 @@ func bleuOf(tr *Translation, cands [][]int) float64 {
 	}
 	return bleu.Corpus(cands, refs)
 }
+
+// cifarLike is the benchmark's resmlp-fine model: the 107-group residual
+// MLP of experiments.CIFARLike over its 512 test rows.
+func cifarLike() *Classification {
+	d := data.NewImages(data.ImagesConfig{Classes: 10, C: 3, H: 4, W: 4,
+		Train: 64, Test: 512, Noise: 0.9, LabelFlip: 0.05, Seed: 1})
+	return NewResNetMLP(d, 16, 52, 1)
+}
+
+// TestWarmEvalAllocatesNothing pins that once EvalTest has sized its
+// machines, a second evaluation of the 107-group ResMLP allocates nothing
+// on one goroutine (testing.AllocsPerRun runs at GOMAXPROCS 1): chunks
+// are row ranges, the index lists live on the machines' tapes, Infer
+// rewinds into arenas it already holds, and the counts live on the task.
+func TestWarmEvalAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	c := cifarLike()
+	c.EvalTest()
+	if allocs := testing.AllocsPerRun(3, func() { c.EvalTest() }); allocs != 0 {
+		t.Fatalf("a warm EvalTest allocates %v times", allocs)
+	}
+}
+
+// BenchmarkClassificationEval times EvalTest on the benchmark's
+// resmlp-fine model, the in-tree twin of its eval share:
+//
+//	go test -run NONE -bench ClassificationEval ./internal/model/
+func BenchmarkClassificationEval(b *testing.B) {
+	c := cifarLike()
+	c.EvalTest() // size the machines and arenas
+	for b.Loop() {
+		c.EvalTest()
+	}
+}

@@ -121,30 +121,43 @@ func gatherRowsTape(t *nn.Tape, x *tensor.Tensor, idx []int) *tensor.Tensor {
 func evalWorkers(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n)) }
 
 // forEvalChunks splits the n test rows into w contiguous shares and runs
-// share g on a goroutine of its own, calling fn(g, idx) for its rows in
-// ascending chunks of ⌈chunk/w⌉ indices: w machines each fed a w-th of
-// the chunk hold, together, the arenas one machine fed the whole chunk
-// does. It returns when every share has.
-func forEvalChunks(n, w, chunk int, fn func(g int, idx []int)) {
+// share g on a goroutine of its own, calling fn(g, lo, hi) for its rows
+// in ascending chunks [lo, hi) of ⌈chunk/w⌉ rows: w machines each fed a
+// w-th of the chunk hold, together, the arenas one machine fed the whole
+// chunk does. It returns when every share has; at w = 1 it runs on the
+// caller's goroutine and allocates nothing.
+func forEvalChunks(n, w, chunk int, fn func(g, lo, hi int)) {
 	size := (chunk + w - 1) / w
-	share := func(g int) {
-		lo, hi := g*n/w, (g+1)*n/w
-		for s := lo; s < hi; s += size {
-			idx := make([]int, min(size, hi-s))
-			for i := range idx {
-				idx[i] = s + i
-			}
-			fn(g, idx)
-		}
+	if w == 1 {
+		evalShare(fn, 0, 0, n, size)
+		return
 	}
 	var wg sync.WaitGroup
 	for g := 1; g < w; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			share(g)
+			evalShare(fn, g, g*n/w, (g+1)*n/w, size)
 		}()
 	}
-	share(0)
+	evalShare(fn, 0, 0, n/w, size)
 	wg.Wait()
+}
+
+// evalShare calls fn(g, lo, hi) for the rows [from, to) in ascending
+// chunks of size rows.
+func evalShare(fn func(g, lo, hi int), g, from, to, size int) {
+	for lo := from; lo < to; lo += size {
+		fn(g, lo, min(lo+size, to))
+	}
+}
+
+// evalRows binds test rows [lo, hi) of x into register r of m, through an
+// index list on m's tape.
+func evalRows(m *nn.Machine, r nn.Reg, x *tensor.Tensor, lo, hi int) {
+	idx := m.Tape.Ints(hi - lo)
+	for i := range idx {
+		idx[i] = lo + i
+	}
+	m.SetVal(r, gatherRowsTape(&m.Tape, x, idx))
 }

@@ -219,10 +219,10 @@ func (t *Translation) greedyTest() (cands, refs [][]int) {
 	w := evalWorkers(n)
 	evals := t.evalPairs(w)
 	cands, refs = make([][]int, n), make([][]int, n)
-	forEvalChunks(n, w, 64, func(g int, idx []int) {
+	forEvalChunks(n, w, 64, func(g, lo, hi int) {
 		e := evals[g]
-		mem := t.encode(e.enc, idx)
-		b := len(idx)
+		mem := t.encode(e.enc, lo, hi)
+		b := hi - lo
 		toks := tensor.New(b, 1) // dataset-style float64 token ids
 		ids := tensor.F64(toks)
 		for i := range ids {
@@ -241,9 +241,9 @@ func (t *Translation) greedyTest() (cands, refs [][]int) {
 				ids[i] = float64(tok)
 			}
 		}
-		for i, ix := range idx {
-			cands[ix] = trimEOS(pred[i])
-			refs[ix] = trimEOS(t.ds.TestLbl[ix])
+		for i := range b {
+			cands[lo+i] = trimEOS(pred[i])
+			refs[lo+i] = trimEOS(t.ds.TestLbl[lo+i])
 		}
 	})
 	return cands, refs
@@ -265,12 +265,13 @@ func (t *Translation) evalPairs(w int) []evalPair {
 	return t.evals[:w]
 }
 
-// encode runs the encoder section on m over the indexed test pairs and
-// returns the encoder memory (valid until m's next run).
-func (t *Translation) encode(m *nn.Machine, idx []int) *tensor.Tensor {
+// encode runs the encoder section on m over test pairs [lo, hi), with no
+// backward tape (nn.Program.Infer), and returns the encoder memory (valid
+// until m's next run).
+func (t *Translation) encode(m *nn.Machine, lo, hi int) *tensor.Tensor {
 	m.ResetRun()
-	m.SetVal(t.rSrc, gatherRowsTape(&m.Tape, t.ds.TestSrc, idx))
-	t.prog.ForwardRange(m, 0, t.encEnd)
+	evalRows(m, t.rSrc, t.ds.TestSrc, lo, hi)
+	t.prog.Infer(m, 0, t.encEnd)
 	return m.Val(t.rMem)
 }
 

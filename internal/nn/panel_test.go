@@ -88,9 +88,11 @@ func (e *panelProbe) Stream(ctx context.Context, h engine.Host, mbs [][][]int, c
 // slots reading it (not once per slot, nor once per minibatch), no panel
 // outlives the stream,
 // and the synchronous epochs, the evaluations between epochs (the count
-// spans them) and a GPipe run pack none. At N = 8 the ring keeps 2
-// versions; at N = 2 it keeps 4 and a 16-minibatch stream wraps it four
-// times over. Under Hogwild delays (TauMax 2: a ring of 3) a stage that
+// spans them) and a GPipe run pack none. At N = 8 the first three
+// stages' rings keep 2 versions; at N = 2 the first stage's keeps 4 and a
+// 16-minibatch stream wraps it four times over. The last stage's keeps 1
+// (Clock.Keep), so each of its versions is the buffer the push just
+// recycled. Under Hogwild delays (TauMax 2: a ring of 3) a stage that
 // read version k − 2 at minibatch k reads k + 1 at minibatch k + 1 — the
 // buffer the push of k + 1 just recycled — so a panel the push failed to
 // release would be reused for the wrong version: fewer packs than

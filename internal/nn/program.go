@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"pipemare/internal/tensor"
 )
@@ -36,6 +37,9 @@ type Program struct {
 	Ops     []Op
 	GroupOf []int // op index → weight-group index
 	NumRegs int
+
+	carryOnce sync.Once
+	carry     [][]Reg // Infer's: per op ending a group, the registers live across it
 }
 
 // StageRanges returns, for each of p stages, the half-open op range
@@ -85,6 +89,114 @@ func (pr *Program) BackwardRange(m *Machine, lo, hi int) {
 	for i := hi - 1; i >= lo; i-- {
 		pr.Ops[i].Backward(m)
 	}
+}
+
+// Infer rewinds its tape at a weight-group boundary once the ops since
+// the last rewind have taken inferWindowBytes of it — large enough that a
+// rewind comes every several groups, small enough that an eval machine
+// holds a few of a deep network's groups rather than all of them — and
+// the window is inferCarryRatio times the registers the rewind copies, so
+// that the copies add at most that share to the window's own writes.
+const (
+	inferWindowBytes = 256 << 10
+	inferCarryRatio  = 8
+)
+
+// Infer runs ops [lo, hi) forward on m for a pass no backward follows —
+// an evaluation. Its values are ForwardRange's, bit for bit, but its
+// arena does not grow with the range: at a weight-group boundary, when
+// the window since the last rewind is large enough (inferWindowBytes,
+// inferCarryRatio), it copies the registers live across the boundary —
+// written by then, and read by a later op of the program — into one of
+// the machine's two carry arenas (the other holds the previous rewind's,
+// which the copies may read) and rewinds the tape. Every register an op
+// at or past hi reads — what the caller reads next — therefore survives,
+// valid until m's next run; a register no later op reads may not. A
+// program with an op whose registers Infer cannot name (not one of this
+// file's ops) panics, naming its type.
+func (pr *Program) Infer(m *Machine, lo, hi int) {
+	carries := pr.carries()
+	counted, used := m.Tape.tpos, 0
+	for i := lo; i < hi; i++ {
+		pr.Ops[i].Forward(m)
+		if i+1 == hi || pr.GroupOf[i+1] == pr.GroupOf[i] {
+			continue
+		}
+		for _, x := range m.Tape.tens[counted:m.Tape.tpos] {
+			used += x.Size() * x.DType().Size()
+		}
+		counted = m.Tape.tpos
+		live := 0
+		for _, r := range carries[i] {
+			if v := m.regs[r]; v != nil {
+				live += v.Size() * v.DType().Size()
+			}
+		}
+		if used < inferWindowBytes || used < inferCarryRatio*live {
+			continue
+		}
+		carry := &m.carry[m.carried]
+		carry.Reset()
+		for _, r := range carries[i] {
+			if v := m.regs[r]; v != nil {
+				carry.SetDType(v.DType())
+				c := carry.NewTensor(v.Shape...)
+				c.CopyFrom(v)
+				m.regs[r] = c
+			}
+		}
+		m.carried ^= 1
+		m.Tape.Reset()
+		counted, used = 0, 0
+	}
+}
+
+// carries returns, for each op that ends a weight group, the registers
+// live across that boundary: read by a later op, and written by an op up
+// to it or by none (the caller binds those). It is worked out on first
+// use, and panics on an op whose registers it does not know.
+func (pr *Program) carries() [][]Reg {
+	pr.carryOnce.Do(func() {
+		written, last := make([]int, pr.NumRegs), make([]int, pr.NumRegs)
+		for r := range last {
+			written[r], last[r] = -1, -1
+		}
+		for i, op := range pr.Ops {
+			var in []Reg
+			out := Reg(-1)
+			switch o := op.(type) {
+			case *ApplyOp:
+				in, out = []Reg{o.In}, o.Out
+			case *AddOp:
+				in, out = []Reg{o.A, o.B}, o.Out
+			case *AttnCoreOp:
+				in, out = []Reg{o.Q, o.K, o.V}, o.Out
+			case *LossOp:
+				in = []Reg{o.Logits}
+			default:
+				panic(fmt.Sprintf("nn: Infer cannot run %T", op))
+			}
+			for _, r := range in {
+				last[r] = i
+			}
+			if out >= 0 && written[out] < 0 {
+				written[out] = i
+			}
+		}
+		carries := make([][]Reg, len(pr.Ops))
+		for i := 0; i+1 < len(pr.Ops); i++ {
+			if pr.GroupOf[i+1] == pr.GroupOf[i] {
+				continue
+			}
+			for r := range last {
+				if written[r] <= i && last[r] > i {
+					carries[i] = append(carries[i], Reg(r))
+				}
+			}
+		}
+		pr.carry = carries
+	})
+	return pr.carry
 }
 
 // DecodeStep runs ops [lo, hi) of a causal decoder for greedy step pos on
@@ -155,6 +267,11 @@ type Machine struct {
 	// kept across ResetRun.
 	kv     []*tensor.Tensor
 	kvTape Tape
+
+	// Infer's carry arenas: carry[carried] takes the live registers at the
+	// next rewind, and the other holds those of the last.
+	carry   [2]Tape
+	carried int
 }
 
 // NewMachine returns a machine with room for the program's registers.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -220,4 +221,113 @@ func TestMeasureGroupCosts(t *testing.T) {
 	if !nonZero {
 		t.Fatal("profiling pass did not accumulate gradients")
 	}
+}
+
+// arenaBytes returns the bytes of the tensors a tape's arena holds.
+func arenaBytes(t *Tape) int {
+	n := 0
+	for _, x := range t.tens {
+		n += x.Size() * x.DType().Size()
+	}
+	return n
+}
+
+// TestInferMatchesForwardRange pins Infer to ForwardRange's values, bit
+// for bit, in both dtypes, on a program deep enough that Infer rewinds
+// its tape several times: a residual stack of LN · ReLU · Linear blocks
+// (one weight group each) whose head adds the first block's output back
+// in, so one register is carried across every rewind. The input is wider
+// than the blocks, so a rewound tape's first position re-views a larger
+// buffer. Infer's arenas stay a fraction of ForwardRange's, and a warm
+// Infer allocates nothing.
+func TestInferMatchesForwardRange(t *testing.T) {
+	const rows, in, width, blocks = 64, 96, 64, 24
+	rng := rand.New(rand.NewSource(5))
+	prog := &Program{}
+	op := func(g int, o Op) {
+		prog.Ops = append(prog.Ops, o)
+		prog.GroupOf = append(prog.GroupOf, g)
+	}
+	reg := func() Reg { prog.NumRegs++; return Reg(prog.NumRegs - 1) }
+	rIn, x := reg(), reg()
+	op(0, &ApplyOp{L: NewLinear("stem", in, width, true, rng), In: rIn, Out: x})
+	first := x
+	for b := 0; b < blocks; b++ {
+		h1, h2, f, y := reg(), reg(), reg(), reg()
+		op(b+1, &ApplyOp{L: NewLayerNorm("ln", width), In: x, Out: h1})
+		op(b+1, &ApplyOp{L: NewReLU(), In: h1, Out: h2})
+		op(b+1, &ApplyOp{L: NewLinear("fc", width, width, true, rng), In: h2, Out: f})
+		op(b+1, &AddOp{A: x, B: f, Out: y})
+		x = y
+	}
+	skip, logits := reg(), reg()
+	op(blocks+1, &AddOp{A: x, B: first, Out: skip})
+	op(blocks+1, &ApplyOp{L: NewLinear("head", width, 10, true, rng), In: skip, Out: logits})
+	op(blocks+1, &LossOp{CE: NewCrossEntropy(), Logits: logits})
+	var params []*Param
+	for _, o := range prog.Ops {
+		if a, ok := o.(*ApplyOp); ok {
+			params = append(params, a.L.Params()...)
+		}
+	}
+	input := randTensor(rng, tensor.Float64, rows, in)
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		for _, p := range params {
+			p.CastTo(dt)
+		}
+		input := input.Clone()
+		input.CastTo(dt)
+		run := func(m *Machine, infer bool) *tensor.Tensor {
+			m.ResetRun()
+			x := m.Tape.NewTensor(rows, in)
+			x.CopyFrom(input)
+			m.SetVal(rIn, x)
+			end := len(prog.Ops) - 1 // stop before the loss, as an evaluation does
+			if infer {
+				prog.Infer(m, 0, end)
+			} else {
+				prog.ForwardRange(m, 0, end)
+			}
+			return m.Val(logits)
+		}
+		full, lean := NewMachine(prog.NumRegs), NewMachine(prog.NumRegs)
+		full.Tape.SetDType(dt)
+		lean.Tape.SetDType(dt)
+		want := run(full, false)
+		for pass := 0; pass < 2; pass++ {
+			got := run(lean, true)
+			for i := 0; i < want.Size(); i++ {
+				if math.Float64bits(got.FlatAt(i)) != math.Float64bits(want.FlatAt(i)) {
+					t.Fatalf("%s pass %d: logit %d = %v under Infer, %v under ForwardRange", dt, pass, i, got.FlatAt(i), want.FlatAt(i))
+				}
+			}
+		}
+		fullBytes, leanBytes := arenaBytes(&full.Tape), arenaBytes(&lean.Tape)+arenaBytes(&lean.carry[0])+arenaBytes(&lean.carry[1])
+		if fullBytes < 3*inferWindowBytes || leanBytes > fullBytes/2 {
+			t.Fatalf("%s: Infer's arenas hold %d bytes, ForwardRange's %d: want a range of several windows, and at most half", dt, leanBytes, fullBytes)
+		}
+		// The race detector's sync.Pool drops Puts, so the panel pool allocates.
+		if allocs := testing.AllocsPerRun(3, func() { run(lean, true) }); allocs != 0 && !raceEnabled {
+			t.Fatalf("%s: a warm Infer allocates %v times", dt, allocs)
+		}
+	}
+}
+
+// opaqueOp is an op whose registers Infer cannot name.
+type opaqueOp struct{}
+
+func (opaqueOp) Forward(*Machine)  {}
+func (opaqueOp) Backward(*Machine) {}
+
+// TestInferPanicsOnAnOpItCannotName: Infer has no second path, so a
+// program with an op outside this package's set panics, naming the op,
+// rather than running with the full tape an evaluation would not expect.
+func TestInferPanicsOnAnOpItCannotName(t *testing.T) {
+	prog := &Program{Ops: []Op{opaqueOp{}}, GroupOf: []int{0}}
+	defer func() {
+		if msg, _ := recover().(string); msg != "nn: Infer cannot run nn.opaqueOp" {
+			t.Fatalf("Infer over an opaqueOp panicked with %q", msg)
+		}
+	}()
+	prog.Infer(NewMachine(0), 0, 1)
 }

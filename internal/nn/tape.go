@@ -97,14 +97,17 @@ func (t *Tape) popCE() ceRecord {
 // it. Under the race detector every tensor handed out, fresh or recycled,
 // is filled with NaN, so a call site that reads before it writes shows in
 // every curve. The tensor is valid until the next Reset; it must not
-// escape the microbatch that allocated it.
+// escape the microbatch that allocated it. A position whose buffer is of
+// another shape re-views it when it is large enough (tensor.Resize), so
+// runs whose shapes differ by position — Infer's windows, a decode step's
+// growing keys — settle on buffers of each position's largest request.
 func (t *Tape) NewTensor(shape ...int) *tensor.Tensor {
 	var c *tensor.Tensor
 	switch {
 	case t.tpos == len(t.tens):
 		c = tensor.NewOf(t.dt, shape...)
 		t.tens = append(t.tens, c)
-	case t.tens[t.tpos].DType() == t.dt && sameShape(t.tens[t.tpos].Shape, shape):
+	case t.tens[t.tpos].DType() == t.dt && (sameShape(t.tens[t.tpos].Shape, shape) || t.tens[t.tpos].Resize(shape...)):
 		c = t.tens[t.tpos]
 	default:
 		c = tensor.NewOf(t.dt, shape...)

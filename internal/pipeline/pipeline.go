@@ -306,15 +306,18 @@ func (c Clock) Tau(stage1 int) float64 {
 	return FwdDelay(stage1, c.P, c.N)
 }
 
-// Keep returns the versions a stage's ring must hold: one more than the
-// deepest lookback of any slot from the ⌊s/N⌋ updates committed when
-// microbatch s runs — ⌈(2P−2)/N⌉+1 (Table 1's first stage; no recompute
-// slot reaches further back), or TauMax+1 under Hogwild.
-func (c Clock) Keep() int {
+// Keep returns the versions (1-indexed) stage i's ring must hold: one
+// more than the deepest lookback of any of its slots from the ⌊s/N⌋
+// updates committed when microbatch s runs. A forward slot reads
+// ⌊(s−2(P−i))/N⌋, at most ⌈2(P−i)/N⌉ behind, and a recompute slot reads
+// the same with its segment's last stage for P, never further back; so
+// ⌈2(P−i)/N⌉+1, which is 1 at the last stage. Under Hogwild every stage
+// keeps TauMax+1.
+func (c Clock) Keep(stage1 int) int {
 	if h := c.Hogwild; h != nil {
 		return h.TauMax + 1
 	}
-	return (2*c.P-2+c.N-1)/c.N + 1
+	return (2*(c.P-stage1)+c.N-1)/c.N + 1
 }
 
 // Minibatch returns the minibatch index of global microbatch s: ⌊s/N⌋,
@@ -363,10 +366,12 @@ func mix64(x uint64) uint64 {
 
 // VersionStore keeps per-stage snapshots of stage weights, indexed by
 // update version. Version 0 is the initial weights; version v is the state
-// after v optimizer updates. Each stage's ring holds its keep most recent
-// versions in keep buffers it owns: once the ring is full, a push copies
-// the new version into the buffer of the oldest, which it evicts, so a
-// steady-state push allocates nothing.
+// after v optimizer updates. Stage s's ring holds its keep[s] most recent
+// versions in keep[s] buffers it owns — the depth of that stage's own
+// deepest lookback, Clock.Keep, so a late stage keeps fewer copies than
+// an early one — and once the ring is full, a push copies the new version
+// into the buffer of the oldest, which it evicts, so a steady-state push
+// allocates nothing.
 //
 // The recycling rule: every reader of a version is done with it before
 // the push that evicts it. The readers are a slot's install (the clock
@@ -380,31 +385,42 @@ type VersionStore struct {
 	// rings[stage][k] is the snapshot for version base[stage]+k.
 	rings [][][]*tensor.Tensor
 	base  []int
-	keep  int
+	keep  []int
 }
 
-// NewVersionStore snapshots the current weights of each stage as version 0.
-// keep is the number of most recent versions retained (at least 1): it
-// must cover the deepest lookback of any slot, Clock.Keep.
+// NewVersionStore snapshots the current weights of each stage as version
+// 0, every ring keeping the same keep versions (at least 1).
 func NewVersionStore(stages [][]*nn.Param, keep int) *VersionStore {
-	keep = max(keep, 1)
-	vs := &VersionStore{stages: stages, keep: keep,
+	depths := make([]int, len(stages))
+	for s := range depths {
+		depths[s] = keep
+	}
+	return NewStageVersionStore(stages, depths)
+}
+
+// NewStageVersionStore snapshots the current weights of each stage as
+// version 0. Stage s's ring retains its keep[s] most recent versions (at
+// least 1): that must cover the deepest lookback of the stage's slots,
+// Clock.Keep(s+1).
+func NewStageVersionStore(stages [][]*nn.Param, keep []int) *VersionStore {
+	vs := &VersionStore{stages: stages, keep: make([]int, len(stages)),
 		rings: make([][][]*tensor.Tensor, len(stages)), base: make([]int, len(stages))}
 	for s := range stages {
-		vs.rings[s] = make([][]*tensor.Tensor, 0, keep)
+		vs.keep[s] = max(keep[s], 1)
+		vs.rings[s] = make([][]*tensor.Tensor, 0, vs.keep[s])
 		vs.push(s)
 	}
 	return vs
 }
 
 // push snapshots the stage's current weights as its next version. While
-// the ring holds fewer than keep versions it clones them into a new
+// the ring holds fewer than its keep versions it clones them into a new
 // buffer; after that it evicts the oldest version (and any beyond keep a
 // restore left) and copies into the evicted buffer, first releasing the
 // Wᵀ panel a parameter packed from it.
 func (vs *VersionStore) push(stage int) {
-	ring, params := vs.rings[stage], vs.stages[stage]
-	if len(ring) < vs.keep {
+	ring, params, keep := vs.rings[stage], vs.stages[stage], vs.keep[stage]
+	if len(ring) < keep {
 		buf := make([]*tensor.Tensor, len(params))
 		for i, p := range params {
 			buf[i] = p.Data.Clone()
@@ -423,7 +439,7 @@ func (vs *VersionStore) push(stage int) {
 		p.ReleasePanel(buf[i])
 		buf[i].CopyFrom(p.Data)
 	}
-	drop := len(ring) - vs.keep + 1
+	drop := len(ring) - keep + 1
 	n := copy(ring, ring[drop:])
 	ring[n] = buf
 	clear(ring[n+1:]) // no evicted buffer stays reachable
@@ -477,10 +493,10 @@ func (vs *VersionStore) History(stage int) (base int, snaps [][]*tensor.Tensor) 
 // copies of snaps (versions base, base+1, ...) — the checkpoint-restore
 // path. Restoring the ring, not just the latest weights, keeps
 // historical-version installs after a resume bit-identical to the
-// checkpointed run's. A ring of another length than keep converges to
-// keep buffers over the pushes that follow.
+// checkpointed run's. A ring of another length than the stage's keep
+// converges to keep buffers over the pushes that follow.
 func (vs *VersionStore) RestoreStage(stage, base int, snaps [][]*tensor.Tensor) {
-	ring := make([][]*tensor.Tensor, len(snaps), max(len(snaps), vs.keep))
+	ring := make([][]*tensor.Tensor, len(snaps), max(len(snaps), vs.keep[stage]))
 	for k, snap := range snaps {
 		ring[k] = make([]*tensor.Tensor, len(snap))
 		for i, t := range snap {

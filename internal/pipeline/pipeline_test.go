@@ -227,43 +227,45 @@ func TestClockRecompVersionMatchesSlotModel(t *testing.T) {
 func TestClockKeepIsTheDeepestLookback(t *testing.T) {
 	// The trainer commits once per minibatch, after its chains, so when any
 	// slot of microbatch s reads, ⌊s/N⌋ updates are committed and the ring
-	// holds versions up to ⌊s/N⌋. Keep must be exactly one more than the
-	// deepest lookback from there over every forward and recompute slot,
-	// and no slot may read a version not yet committed.
-	deepest := func(c Clock, micros int) int {
-		worst := 0
-		read := func(s, v int) {
+	// holds versions up to ⌊s/N⌋. Each stage's Keep must be exactly one
+	// more than the deepest lookback from there over that stage's forward
+	// and recompute slots, and no slot may read a version not yet
+	// committed.
+	deepest := func(c Clock, micros int) []int {
+		worst := make([]int, c.P)
+		read := func(s, stage1, v int) {
 			if v < 0 || v > c.Minibatch(s) {
 				t.Fatalf("%+v microbatch %d: reads version %d with %d committed", c, s, v, c.Minibatch(s))
 			}
-			worst = max(worst, c.Minibatch(s)-v)
+			worst[stage1-1] = max(worst[stage1-1], c.Minibatch(s)-v)
 		}
 		for s := 0; s < micros; s++ {
 			for stage1 := 1; stage1 <= c.P; stage1++ {
-				read(s, c.FwdVersion(s, stage1))
+				read(s, stage1, c.FwdVersion(s, stage1))
 				if c.Segments > 0 {
 					v, _ := c.RecompVersion(s, stage1)
-					read(s, v)
+					read(s, stage1, v)
 				}
 			}
 		}
 		return worst
 	}
+	check := func(c Clock, micros int) {
+		for stage, lookback := range deepest(c, micros) {
+			if got, want := c.Keep(stage+1), 1+lookback; got != want {
+				t.Fatalf("%+v stage %d: Keep %d, deepest lookback + 1 = %d", c, stage+1, got, want)
+			}
+		}
+	}
 	for p := 1; p <= 12; p++ {
 		for n := 1; n <= 8; n++ {
 			for segs := 0; segs <= p; segs++ {
-				c := Clock{P: p, N: n, Segments: segs}
-				if got, want := c.Keep(), 1+deepest(c, 4*n+2*p); got != want {
-					t.Fatalf("P=%d N=%d S=%d: Keep %d, deepest lookback + 1 = %d", p, n, segs, got, want)
-				}
+				check(Clock{P: p, N: n, Segments: segs}, 4*n+2*p)
 			}
 		}
 	}
 	for _, tauMax := range []int{0, 1, 5} {
-		c := Clock{P: 4, N: 2, Hogwild: &Hogwild{TauMax: tauMax, MeanScale: 2}, Seed: 7}
-		if got, want := c.Keep(), 1+deepest(c, 400*c.N); got != want {
-			t.Fatalf("Hogwild TauMax %d: Keep %d, deepest lookback + 1 = %d", tauMax, got, want)
-		}
+		check(Clock{P: 4, N: 2, Hogwild: &Hogwild{TauMax: tauMax, MeanScale: 2}, Seed: 7}, 400*2)
 	}
 }
 
@@ -504,13 +506,13 @@ func ringBuffers(vs *VersionStore, stage int, seen map[*tensor.Tensor]bool) int 
 }
 
 // TestVersionStoreRecyclesKeepBuffers pins the ring's storage: over 100
-// pushes each stage's Get hands out exactly keep buffers per parameter —
-// every push past the first keep copies into the buffer it evicts — and
-// every version still reads back the weights pushed as it.
+// pushes each stage's Get hands out exactly its own keep buffers per
+// parameter — every push past the first keep copies into the buffer it
+// evicts — and every version still reads back the weights pushed as it.
 func TestVersionStoreRecyclesKeepBuffers(t *testing.T) {
 	a, b, c := nn.NewParam("a", 2), nn.NewParam("b", 3), nn.NewParam("c", 1)
-	const keep = 4
-	vs := NewVersionStore([][]*nn.Param{{a, b}, {c}}, keep)
+	stages, keep := [][]*nn.Param{{a, b}, {c}}, []int{4, 1}
+	vs := NewStageVersionStore(stages, keep)
 	seen := []map[*tensor.Tensor]bool{{}, {}}
 	for v := 1; v <= 100; v++ {
 		for _, p := range []*nn.Param{a, b, c} {
@@ -519,59 +521,61 @@ func TestVersionStoreRecyclesKeepBuffers(t *testing.T) {
 		vs.Push()
 		for st := range seen {
 			ringBuffers(vs, st, seen[st])
-		}
-		for st := range seen {
-			for u := max(v-keep+1, 0); u <= v; u++ {
+			for u := max(v-keep[st]+1, 0); u <= v; u++ {
 				if got := vs.Get(st, u)[0].FlatAt(0); got != float64(u) {
 					t.Fatalf("after %d pushes: stage %d version %d reads %g", v, st, u, got)
 				}
 			}
 		}
 	}
-	for st, params := range [][]*nn.Param{{a, b}, {c}} {
-		if got, want := len(seen[st]), keep*len(params); got != want {
+	for st, params := range stages {
+		if got, want := len(seen[st]), keep[st]*len(params); got != want {
 			t.Fatalf("stage %d handed out %d buffers over 100 pushes, want %d", st, got, want)
 		}
 	}
 }
 
 // TestVersionStoreRestoredRingConverges pins a restored ring of another
-// length than keep: a shorter one grows by fresh buffers and a longer one
-// evicts its extra versions, and either settles on exactly keep buffers
-// holding the newest keep versions.
+// length than its stage's keep: a shorter one grows by fresh buffers and a
+// longer one evicts its extra versions, and either settles on exactly
+// that stage's keep buffers holding its newest keep versions.
 func TestVersionStoreRestoredRingConverges(t *testing.T) {
-	const keep = 3
-	for _, n := range []int{1, keep + 3} {
-		p := nn.NewParam("w", 1)
-		vs := NewVersionStore([][]*nn.Param{{p}}, keep)
-		snaps := make([][]*tensor.Tensor, n)
-		for k := range snaps {
-			snaps[k] = []*tensor.Tensor{tensor.New(1)}
-			snaps[k][0].SetFlat(0, float64(20+k))
-		}
-		vs.RestoreStage(0, 20, snaps)
-		if got := vs.Latest(0); got != 20+n-1 {
-			t.Fatalf("restored ring of %d: latest %d, want %d", n, got, 20+n-1)
-		}
-		seen := map[*tensor.Tensor]bool{}
-		for v := 20 + n; v < 20+n+10; v++ {
-			p.Data.SetFlat(0, float64(v))
-			vs.Push()
-			if v >= 20+n+keep {
-				ringBuffers(vs, 0, seen)
+	keep := []int{3, 1}
+	for st := range keep {
+		for _, n := range []int{1, keep[st] + 3} {
+			stages := [][]*nn.Param{{nn.NewParam("w0", 1)}, {nn.NewParam("w1", 1)}}
+			p := stages[st][0]
+			vs := NewStageVersionStore(stages, keep)
+			snaps := make([][]*tensor.Tensor, n)
+			for k := range snaps {
+				snaps[k] = []*tensor.Tensor{tensor.New(1)}
+				snaps[k][0].SetFlat(0, float64(20+k))
 			}
-		}
-		base, ring := vs.History(0)
-		if len(ring) != keep || base != 20+n+10-keep {
-			t.Fatalf("restored ring of %d: after 10 pushes History holds %d from %d, want %d from %d", n, len(ring), base, keep, 20+n+10-keep)
-		}
-		for k, snap := range ring {
-			if got := snap[0].FlatAt(0); got != float64(base+k) {
-				t.Fatalf("restored ring of %d: entry %d = %g, want %d", n, k, got, base+k)
+			vs.RestoreStage(st, 20, snaps)
+			if got := vs.Latest(st); got != 20+n-1 {
+				t.Fatalf("stage %d, restored ring of %d: latest %d, want %d", st, n, got, 20+n-1)
 			}
-		}
-		if len(seen) != keep {
-			t.Fatalf("restored ring of %d: settled on %d buffers, want %d", n, len(seen), keep)
+			seen := map[*tensor.Tensor]bool{}
+			for v := 20 + n; v < 20+n+10; v++ {
+				p.Data.SetFlat(0, float64(v))
+				vs.PushStage(st)
+				if v >= 20+n+keep[st] {
+					ringBuffers(vs, st, seen)
+				}
+			}
+			base, ring := vs.History(st)
+			if len(ring) != keep[st] || base != 20+n+10-keep[st] {
+				t.Fatalf("stage %d, restored ring of %d: after 10 pushes History holds %d from %d, want %d from %d",
+					st, n, len(ring), base, keep[st], 20+n+10-keep[st])
+			}
+			for k, snap := range ring {
+				if got := snap[0].FlatAt(0); got != float64(base+k) {
+					t.Fatalf("stage %d, restored ring of %d: entry %d = %g, want %d", st, n, k, got, base+k)
+				}
+			}
+			if len(seen) != keep[st] {
+				t.Fatalf("stage %d, restored ring of %d: settled on %d buffers, want %d", st, n, len(seen), keep[st])
+			}
 		}
 	}
 }

@@ -75,6 +75,35 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), data: t.data, data32: t.data32, dt: t.dt}
 }
 
+// Resize re-views t's storage at a new shape of the same dtype, in place,
+// when its backing slice and shape slice have the capacity: it reports
+// whether it did, and leaves t unchanged when it did not. The elements it
+// keeps are unspecified. Only an owner that hands t out afresh may call
+// it (an arena recycling a buffer): every earlier holder sees the new
+// shape.
+func (t *Tensor) Resize(shape ...int) bool {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if n < 0 || cap(t.Shape) < len(shape) {
+		return false
+	}
+	if t.dt == Float32 {
+		if cap(t.data32) < n {
+			return false
+		}
+		t.data32 = t.data32[:n]
+	} else {
+		if cap(t.data) < n {
+			return false
+		}
+		t.data = t.data[:n]
+	}
+	t.Shape = append(t.Shape[:0], shape...)
+	return true
+}
+
 // Zero sets all elements of t to zero.
 func (t *Tensor) Zero() {
 	if t.dt == Float32 {

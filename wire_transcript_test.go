@@ -98,7 +98,10 @@ func (l logListener) Accept(ctx context.Context) (transport.MsgConn, error) {
 // wireTranscripts is what the leader sends in each session: "type/stage/
 // payload bytes" per message. Every session opens with the hello, and
 // every follower — dialled at launch or joining — is then admitted by the
-// state handoff (P × 14, P × 21) before it trains. In the training
+// state handoff (P × 14, P × 21) before it trains. A ring message (21)
+// carries the stage's own ring, as deep as that stage's lookback: at P = 4,
+// N = 8 stages 0–2 keep 2 versions once a step is in, and the last stage
+// keeps 1, so its message is a version shorter. In the training
 // rows after that, each chunk (3) says whether it is chunk 0, each stage
 // its follower owns is stepped by one message (10, carrying the f64 clip
 // scale), and each stage it does not own is imported as masters alone
@@ -114,7 +117,7 @@ var wireTranscripts = map[string]string{
 		19/-1/0
 	`,
 	"sharded/join/joiner": `
-		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/66
+		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/37
 		3/-1/34 5/3/29 6/3/4 10/3/8 12/3/0 23/0/54 23/1/54 23/2/54
 		19/-1/0
 	`,
@@ -127,7 +130,7 @@ var wireTranscripts = map[string]string{
 	`,
 	"sharded/restore/follower": `
 		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
-		14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/66
+		14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/37
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
