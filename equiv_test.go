@@ -235,8 +235,12 @@ func recipes() []recipe {
 				pipemare.WithBatchSize(16), pipemare.WithMicrobatches(8),
 				pipemare.WithSeed(4), pipemare.WithLossCap(15), pipemare.WithRecompute(2),
 				pipemare.WithSchedule(optim.Constant(8))}}, // absurd rate: diverges
+		// R4: a prefix of one microbatch and three exports to fold after it.
+		// At R = 2 the float64 sums land on the same bits whichever of the
+		// prefix and the leader's exports the reduce folds first; at R = 4
+		// they do not, so this cell pins the reduce's order.
 		recipe{name: "xfmr", build: xfmr, opts: xfmrOpts, epochs: 2, stages: 8,
-			cells: "conc W1 W2 W4 W8 cost-W1 cost-W2 cost-W4 cost-W8 R2-conc-W2"},
+			cells: "conc W1 W2 W4 W8 cost-W1 cost-W2 cost-W4 cost-W8 R2-conc-W2 R4-conc-W2"},
 		recipe{name: "xfmr-f32", build: xfmr, opts: withOpts(xfmrOpts, pipemare.WithDType(pipemare.Float32)),
 			epochs: 2, stages: 8, f64: "xfmr", cells: "W1 W2 W8 R2-conc-W2 loop-R2-ref"},
 		// One stage per weight group, P = 27: the concurrent engine cuts

@@ -41,9 +41,11 @@ const (
 // per-tensor dtype tag (float32 support); version 3 made each section's
 // payload the wire message's (one counted tensor list per stage instead
 // of one per kind of state); version 4 dropped the meta's clocks, which
-// the rings carry. Files of another version are rejected rather than
-// mis-decoded.
-const ckptFormat = 4
+// the rings carry; version 5 writes tensor element blocks little-endian
+// (wire version 9). Files of another version are rejected rather than
+// mis-decoded: a version 4 file's frames carry wire version 8, which the
+// frame reader refuses before the meta is read.
+const ckptFormat = 5
 
 // ckptPattern matches checkpoint files in a directory; the step number
 // is zero-padded so lexical order is step order.

@@ -23,21 +23,24 @@ func (h host) Async() bool {
 // framed with every chunk, the leader's own included.
 func (h host) SetAsync(async bool) { h.t.async = async }
 
-// TakeStageGrads moves the stage's accumulated gradients into bufs and
-// zeroes the accumulators, so the next microbatch accumulates from zero
-// again. Buffers are allocated on first use and recycled by the caller.
+// TakeStageGrads moves the stage's accumulated gradients out by swap: each
+// accumulator trades places with the caller's buffer in bufs, which is
+// zeroed as the stage's new accumulator, so the next microbatch
+// accumulates from zero again and no element is copied. Buffers are
+// allocated on first use (bufs nil); a tensor the caller swaps in must be
+// held by nothing else.
 func (h host) TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor {
-	t := h.t
-	lo, hi := t.stageLo[stage], t.stageHi[stage]
+	ps := h.t.params[h.t.stageLo[stage]:h.t.stageHi[stage]]
 	if bufs == nil {
-		bufs = make([]*tensor.Tensor, hi-lo)
-		for j := range bufs {
-			bufs[j] = tensor.NewLike(t.params[lo+j].Grad)
-		}
+		bufs = make([]*tensor.Tensor, len(ps))
 	}
-	for j, i := 0, lo; i < hi; i, j = i+1, j+1 {
-		bufs[j].CopyFrom(t.params[i].Grad)
-		t.params[i].Grad.Zero()
+	for j, p := range ps {
+		if bufs[j] == nil {
+			bufs[j] = tensor.NewLike(p.Grad)
+		} else {
+			bufs[j].Zero()
+		}
+		p.Grad, bufs[j] = bufs[j], p.Grad
 	}
 	return bufs
 }
@@ -53,15 +56,23 @@ func (h host) FoldStageGrads(stage int, bufs []*tensor.Tensor) {
 	}
 }
 
-// SetStageGrads overwrites the stage's gradient accumulators with bufs —
-// the scatter half of the sharded commit: the leader's fully reduced
-// minibatch gradient moves to the stage's owner as a pure copy, no
-// arithmetic, so the owner's PrepareStage sees bitwise the gradient a
-// single replica would have averaged.
+// SetStageGrads makes bufs the stage's gradient accumulators by swap —
+// the scatter half of the sharded commit, and the reduce's chunk-0
+// prefix: the leader's fully reduced minibatch gradient becomes the
+// owner's accumulator with no arithmetic and no copy, so the owner's
+// PrepareStage sees bitwise the gradient a single replica would have
+// averaged. bufs gets the old accumulators in exchange. A bufs of another
+// layout panics before anything is swapped (the serve loop turns that
+// into an error reply).
 func (h host) SetStageGrads(stage int, bufs []*tensor.Tensor) {
-	t := h.t
-	for j, i := 0, t.stageLo[stage]; i < t.stageHi[stage]; i, j = i+1, j+1 {
-		t.params[i].Grad.CopyFrom(bufs[j])
+	ps := h.t.params[h.t.stageLo[stage]:h.t.stageHi[stage]]
+	for j, p := range ps {
+		if len(bufs) != len(ps) || !p.Grad.SameShape(bufs[j]) || p.Grad.DType() != bufs[j].DType() {
+			panic(fmt.Sprintf("core: stage %d gradients do not fit its %d accumulators", stage, len(ps)))
+		}
+	}
+	for j, p := range ps {
+		p.Grad, bufs[j] = bufs[j], p.Grad
 	}
 }
 

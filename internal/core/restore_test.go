@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,7 +125,23 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 		{"float32 checkpoint into a float64 trainer", func() string {
 			return write(restoreProbe(t, tensor.Float32, 1, 1, 1, 1, 1))
 		}, "stage 0 tensor 0 dtype float32, want float64"},
-		{"format 2 header", func() string { return reframed(0, 0, 2) }, "format version 2, want 4"},
+		{"format 2 header", func() string { return reframed(0, 0, 2) }, "format version 2, want 5"},
+		// A format 4 file's frames carry wire version 8 (big-endian element
+		// blocks): the frame reader refuses its first frame.
+		{"wire version 8 frames", func() string {
+			path := write(restoreProbe(t, tensor.Float64, 1, 1, 1, 1, 1))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 16 + int(binary.BigEndian.Uint32(raw[12:16]))
+			raw[2] = 8
+			binary.BigEndian.PutUint32(raw[n:], crc32.ChecksumIEEE(raw[:n]))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}, "protocol version 8, want 9"},
 		// Ring 3, the last stage's, holds one version (Clock.Keep(4) = 1):
 		// version 4 at base 4. Base 3 ends it at version 3.
 		{"ring 3 ends a version early", func() string { return reframed(5+3, 0, 3) },

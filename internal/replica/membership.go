@@ -242,13 +242,16 @@ func (g *Group) classify(m *member, err error, replay bool) error {
 // (see runChunks), but once the reduce has run they hold gradients: the
 // leader's the reduced minibatch, and a surviving owner's whatever an
 // interrupted scatter parked there.
+//
+// An in-process member's SetStageGrads hands back its old accumulators
+// in exchange, so the staging is zeroed again before each member.
 func (g *Group) ResetGrads() {
 	for st := 0; st < g.p; st++ {
 		g.scatter[st] = g.lead.TakeStageGrads(st, g.scatter[st])
-		for _, t := range g.scatter[st] {
-			t.Zero()
-		}
 		for _, m := range g.members[1:g.active] {
+			for _, t := range g.scatter[st] {
+				t.Zero()
+			}
 			m.SetStageGrads(st, g.scatter[st])
 		}
 	}

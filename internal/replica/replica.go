@@ -45,7 +45,7 @@
 //     have added to its running sum. The leader's exports never leave its
 //     process.
 //  4. Every floating-point add of the reduce happens at the root: the
-//     leader copies the prefix into its accumulators and folds the other
+//     leader swaps the prefix in as its accumulators and folds the other
 //     exports in global microbatch order, one add per element.
 //
 // The fold order is therefore a pure left fold over microbatches 0..N−1
@@ -89,8 +89,12 @@ import (
 type Member interface {
 	// Stages returns P, the number of pipeline stages.
 	Stages() int
-	// SetStageGrads overwrites the stage's gradient accumulators with
-	// bufs (a pure copy) — the scatter half of the sharded commit.
+	// SetStageGrads makes bufs' values the stage's gradient accumulators,
+	// with no arithmetic — the scatter half of the sharded commit. An
+	// in-process member takes bufs' tensors themselves and hands its old
+	// accumulators back in bufs, in exchange; a remote one ships a copy
+	// and leaves bufs as they were. Either way every tensor keeps one
+	// holder.
 	SetStageGrads(stage int, bufs []*tensor.Tensor)
 	// PrepareStage and StepStage are the commit phases a stage's owner
 	// runs against its own parameter copies and optimizer state
@@ -138,9 +142,11 @@ type Local interface {
 	// authoritative for all replicas.
 	SetAsync(async bool)
 	// TakeStageGrads moves the stage's accumulated parameter gradients
-	// into bufs (allocating buffers when bufs is nil) and zeroes the
-	// stage's accumulators. It must only be called from the goroutine
-	// that owns the stage's slots.
+	// out by exchange: the accumulators land in bufs (allocated when bufs
+	// is nil) and bufs' old tensors, zeroed, become the accumulators. No
+	// element is copied, so a tensor swapped in must have no other
+	// holder. It must only be called from the goroutine that owns the
+	// stage's slots.
 	TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor
 	// FoldStageGrads adds previously exported buffers into the stage's
 	// accumulators with exactly one add per element.
@@ -378,7 +384,7 @@ func (g *Group) runChunks(ctx context.Context, micros [][]int) error {
 }
 
 // reduce folds every member's gradients into the leader's accumulators
-// in global microbatch order: it copies in the prefix of the member
+// in global microbatch order: it swaps in the prefix of the member
 // holding chunk 0 — group position 1, or the leader alone in a group of
 // one — then folds the exports of the members after it, the leader's
 // own last, one add per element. Stages fold concurrently; within a stage
@@ -437,9 +443,10 @@ func (g *Group) collective(name string, t0, bytes int64) {
 // Determinism (bit-identical to a single replica, and hence to
 // single-replica Reference):
 //
-//  1. The scatter is a pure copy. All gradient arithmetic stayed at the
-//     tree root (reduce); an owner's accumulator receives the leader's
-//     reduced gradient bitwise.
+//  1. The scatter moves bits without arithmetic: a swap in process, a
+//     copy over the wire. All gradient arithmetic stayed at the tree root
+//     (reduce); an owner's accumulator receives the leader's reduced
+//     gradient bitwise.
 //  2. Per-stage phase arithmetic is location-independent. PrepareStage and
 //     StepStage touch only the stage's parameter range, and every input —
 //     masters (gather-synced), reduced gradients (scattered), moment state
@@ -471,9 +478,10 @@ func (g *Group) collective(name string, t0, bytes int64) {
 func (g *Group) Commit(nMicro int) error {
 	p := g.p
 	// Scatter: move the leader's reduced gradients to the plan's owners.
-	// TakeStageGrads zeroes the leader's accumulator, so gradient ownership
-	// moves wholesale; g.scatter keeps the reduced gradient until the next
-	// commit, for a takeover.
+	// TakeStageGrads swaps them into g.scatter, so gradient ownership moves
+	// wholesale. An in-process owner swaps them on into its accumulators; a
+	// remote owner gets a copy, and g.scatter keeps the reduced gradient
+	// until the next commit, for a takeover (only a remote owner can die).
 	t0 := g.rec.Now()
 	var scatterBytes int64
 	for st := 0; st < p; st++ {
@@ -754,8 +762,9 @@ func (c *Compute) StageForward(s, stage int) float64 {
 
 // StageBackward runs the replica's backward slot and, outside chunk 0,
 // immediately exports the stage's just-accumulated gradient into the
-// per-microbatch staging area (zeroing the stage accumulator, so the next
-// microbatch again accumulates from zero).
+// per-microbatch staging area by swap (the row's old buffer, zeroed,
+// becomes the stage accumulator, so the next microbatch again accumulates
+// from zero).
 func (c *Compute) StageBackward(s, stage int) {
 	c.loc.StageBackward(s, stage)
 	if !c.first {

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // DType identifies a tensor's element type. The zero value is Float64 —
 // the package's historical default — so zero-value construction and every
@@ -74,6 +77,17 @@ func F32(t *Tensor) []float32 {
 		panic("tensor: float32 access to a " + t.dt.String() + " tensor")
 	}
 	return t.data32
+}
+
+// ByteView returns t's element storage as bytes, in the host's byte
+// order: a view, not a copy, so a write through it writes t. On a
+// little-endian host these are the bytes of the wire's element block
+// (internal/transport), which moves a tensor with one copy through it.
+func ByteView(t *Tensor) []byte {
+	if t.dt == Float32 {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t.data32))), 4*len(t.data32))
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t.data))), 8*len(t.data))
 }
 
 // NewOf returns a zero-filled tensor of the given dtype and shape.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,6 +28,30 @@ func TestNewZeroFilled(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("Data[%d] = %g, want 0", i, v)
 		}
+	}
+}
+
+// TestByteViewIsTheStorage pins ByteView as a view: it spans every
+// element at the dtype's width, in the host's byte order, and a write
+// through it is a write to the tensor.
+func TestByteViewIsTheStorage(t *testing.T) {
+	a := filled([]float64{1.5, -2}, 2)
+	v := ByteView(a)
+	if len(v) != a.Bytes() || binary.NativeEndian.Uint64(v[8:]) != math.Float64bits(-2) {
+		t.Fatalf("float64 view %x does not hold the elements", v)
+	}
+	binary.NativeEndian.PutUint64(v, math.Float64bits(3))
+	if a.FlatAt(0) != 3 {
+		t.Fatal("a write through the float64 view did not reach the tensor")
+	}
+	b := NewOf(Float32, 3)
+	F32(b)[2] = 0.25
+	w := ByteView(b)
+	if len(w) != 12 || binary.NativeEndian.Uint32(w[8:]) != math.Float32bits(0.25) {
+		t.Fatalf("float32 view %x does not hold the elements", w)
+	}
+	if len(ByteView(New(0))) != 0 {
+		t.Fatal("an empty tensor's view is not empty")
 	}
 }
 

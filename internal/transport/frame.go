@@ -15,7 +15,7 @@
 //
 //	offset  size  field
 //	0       2     magic "PM" (0x50 0x4D)
-//	2       1     protocol version (8)
+//	2       1     protocol version (9)
 //	3       1     message type
 //	4       1     flags (bit 0: more chunks of this message follow)
 //	5       1     reserved (0)
@@ -37,14 +37,15 @@
 //
 // # Determinism across serialization
 //
-// Payload floats are raw IEEE-754 bit patterns at the tensor's dtype
-// width (math.Float64bits or Float32bits, selected by a per-tensor dtype
-// tag), so a tensor round-trips bit-exactly: no formatting, no rounding,
-// no widening. Every
+// A tensor's elements travel as their IEEE-754 bit patterns at the
+// tensor's dtype width (selected by a per-tensor dtype tag), little-endian
+// — on a little-endian host the storage bytes themselves — so a tensor
+// round-trips bit-exactly: no formatting, no rounding, no widening. Every
 // collective that moves floats — gradient export, scatter, state gather,
-// handoff — is therefore the same pure copy it is in process, and the
-// replica layer's determinism argument (all arithmetic at the tree root,
-// in global microbatch order) survives the wire unchanged.
+// handoff — therefore moves bits without arithmetic, as it does in
+// process, and the replica layer's determinism argument (all arithmetic
+// at the tree root, in global microbatch order) survives the wire
+// unchanged.
 package transport
 
 import (
@@ -73,9 +74,11 @@ const (
 	// whether it is chunk 0, whose reply carries one in-place prefix in
 	// place of per-microbatch exports, and the commit's gather imports
 	// masters (MsgImport) and replays T2 where version 7 shipped δ and the
-	// corrected weights too (MsgSetState, now the handoff's alone).
+	// corrected weights too (MsgSetState, now the handoff's alone);
+	// version 9 writes every tensor's element block little-endian, where
+	// version 8 wrote it big-endian (headers and scalars stay big-endian).
 	// Peers of another version are rejected rather than mis-decoded.
-	Version = 8
+	Version = 9
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32

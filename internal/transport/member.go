@@ -452,7 +452,7 @@ func (m *RemoteMember) listMsg(typ byte, stage int, ts []*tensor.Tensor) Msg {
 }
 
 // SetStageGrads scatters the leader's reduced gradients for one stage to
-// this owner as a pure copy over the wire.
+// this owner as a copy over the wire; bufs keep their tensors.
 func (m *RemoteMember) SetStageGrads(stage int, bufs []*tensor.Tensor) {
 	m.call(m.listMsg(MsgSetGrads, stage, bufs), MsgAck)
 }

@@ -56,9 +56,11 @@ type server struct {
 	micros  [][]int       // RunChunk decode buffer
 	scratch []byte        // reply prefix buffer (a reply's tensors are framed from storage)
 	// Per-stage decode targets of MsgSetGrads, and of MsgImport and
-	// MsgSetState (whose layouts both start with the masters): the member
-	// copies out of them before the call returns, so each step's tensors
-	// land in the last step's.
+	// MsgSetState (whose layouts both start with the masters). The member
+	// swaps a MsgSetGrads' tensors in as its accumulators and hands its
+	// old ones back in their place, and copies out of the states before
+	// the call returns, so each step's tensors land in buffers nothing
+	// else holds.
 	grads, states [][]*tensor.Tensor
 	lists         [][]*tensor.Tensor // a reply's tensor lists (MsgChunkDone: micro-major)
 }

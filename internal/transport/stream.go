@@ -50,15 +50,14 @@ func (fw *FrameWriter) WriteMsg(m Msg) error {
 
 // encoder yields a message's payload in pieces of any size, resuming
 // where the last piece ended — inside the plain prefix, a list's count, a
-// tensor's header or its element block. Whole elements convert from
-// tensor storage directly into the piece; an element that straddles two
-// pieces is encoded aside and carried over.
+// tensor's header or its element block, mid-element included: a block
+// moves from tensor storage straight into the piece (putElems).
 type encoder struct {
-	pend  []byte             // bytes due before anything else: prefix, count, tensor header, carried element
+	pend  []byte             // bytes due before anything else: prefix, count, tensor header
 	lists [][]*tensor.Tensor // the tensor part; lists[0] is next
 	ti    int                // next tensor of lists[0]; -1 before the list's count
-	cur   *tensor.Tensor     // the tensor whose elements are due once pend drains
-	off   int                // next element of cur
+	cur   *tensor.Tensor     // the tensor whose element block is due once pend drains
+	off   int                // next byte of cur's element block
 	small []byte             // backs pend for everything but the prefix
 }
 
@@ -71,17 +70,11 @@ func (e *encoder) fill(dst []byte) {
 			n := copy(dst, e.pend)
 			dst, e.pend = dst[n:], e.pend[n:]
 		case e.cur != nil:
-			es := e.cur.DType().Size()
-			n := min(len(dst)/es, e.cur.Size()-e.off)
-			putElems(dst[:n*es], e.cur, e.off)
-			dst, e.off = dst[n*es:], e.off+n
-			if e.off == e.cur.Size() {
+			n := min(len(dst), e.cur.Bytes()-e.off)
+			putElems(dst[:n], e.cur, e.off)
+			dst, e.off = dst[n:], e.off+n
+			if e.off == e.cur.Bytes() {
 				e.cur = nil
-			} else if len(dst) > 0 {
-				// Fewer than es bytes of room: the element straddles.
-				e.small = slices.Grow(e.small[:0], es)[:es]
-				putElems(e.small, e.cur, e.off)
-				e.pend, e.off = e.small, e.off+1
 			}
 		case e.ti < 0:
 			e.small = AppendU32(e.small[:0], uint32(len(e.lists[0])))

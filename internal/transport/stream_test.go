@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -16,8 +17,9 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// scalarAppendTensor is the element-at-a-time encoder the block codec
-// replaced, kept as its oracle.
+// scalarAppendTensor is the element-at-a-time encoder of the wire's
+// tensor layout — header big-endian, each element's IEEE-754 bits
+// little-endian — kept as the block codec's oracle.
 func scalarAppendTensor(dst []byte, t *tensor.Tensor) []byte {
 	dst = append(dst, byte(t.DType()))
 	dst = AppendU32(dst, uint32(len(t.Shape)))
@@ -26,12 +28,12 @@ func scalarAppendTensor(dst []byte, t *tensor.Tensor) []byte {
 	}
 	if t.DType() == tensor.Float32 {
 		for _, v := range tensor.F32(t) {
-			dst = AppendU32(dst, math.Float32bits(v))
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 		}
 		return dst
 	}
 	for _, v := range tensor.F64(t) {
-		dst = AppendF64(dst, v)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
 }
@@ -172,6 +174,41 @@ func TestBlockCodecMatchesScalarOracle(t *testing.T) {
 	for i := range list {
 		if !sameBits(dec[i], list[i]) {
 			t.Fatalf("list tensor %d: decoded bits differ", i)
+		}
+	}
+}
+
+// TestElementLoopMatchesBulkCopy runs the big-endian host's element
+// loops on this host: for both dtypes, on the awkward bit patterns, each
+// split of the element block in two — at every byte, so every way a
+// frame boundary can cut an element — encodes the bytes the bulk path
+// copies, and the decode loop returns every bit.
+func TestElementLoopMatchesBulkCopy(t *testing.T) {
+	if !littleEndian {
+		t.Skip("the bulk path is the loop on a big-endian host")
+	}
+	rng := rand.New(rand.NewSource(22))
+	for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
+		src := tensor.NewOf(dt, len(awkward64)+3)
+		fillBits(src, rng)
+		want := make([]byte, src.Bytes())
+		putElems(want, src, 0)
+		if !bytes.Equal(want, scalarAppendTensor(nil, src)[tensorLen(src)-src.Bytes():]) {
+			t.Fatalf("%v: the bulk block differs from the scalar oracle", dt)
+		}
+		got := make([]byte, len(want))
+		for cut := 0; cut <= len(want); cut++ {
+			clear(got)
+			putElemsLoop(got[:cut], src, 0)
+			putElemsLoop(got[cut:], src, cut)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v cut at byte %d: the element loop's bytes differ from the bulk copy", dt, cut)
+			}
+		}
+		dec := tensor.NewOf(dt, src.Shape...)
+		getElemsLoop(dec, want)
+		if !sameBits(dec, src) {
+			t.Fatalf("%v: the decode loop lost bits", dt)
 		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// Payload codec: big-endian fixed-width integers and raw IEEE-754 float
-// bits, composed with a panic-free cursor so malformed payloads surface
+// Payload codec: big-endian fixed-width integers and scalar floats, and
+// tensor element blocks as little-endian IEEE-754 bits — a little-endian
+// host's storage bytes, so a block moves as one copy (putElems) —
+// composed with a panic-free cursor so malformed payloads surface
 // as errors (FuzzDecodeFrame covers the frame layer, FuzzCursor the
 // decoders below, which never index past their input). There is one
 // encoder and one decoder, exported because the wire is not their only
@@ -141,10 +143,10 @@ func (c *Cursor) Done() error {
 }
 
 // AppendTensor encodes a tensor: a dtype tag byte, rank, dims, then the
-// raw IEEE-754 bits of the contiguous data at the dtype's width. The tag
-// is what lets a float32 run checkpoint and all-reduce without ever
-// widening to float64 on the wire. dst grows once, by the exact encoded
-// size, and the elements convert as one block.
+// little-endian IEEE-754 bits of the contiguous data at the dtype's
+// width. The tag is what lets a float32 run checkpoint and all-reduce
+// without ever widening to float64 on the wire. dst grows once, by the
+// exact encoded size, and the elements move as one block.
 func AppendTensor(dst []byte, t *tensor.Tensor) []byte {
 	dst = slices.Grow(dst, tensorLen(t))
 	dst = appendTensorHeader(dst, t)
@@ -177,36 +179,58 @@ func appendTensorHeader(dst []byte, t *tensor.Tensor) []byte {
 	return dst
 }
 
-// putElems encodes the len(dst)/width elements of t starting at element
-// off into dst, big-endian — the one element loop behind AppendTensor and
-// the frame encoder (stream.go).
+// littleEndian reports a little-endian host, whose tensor storage bytes
+// are the wire's element block as they lie.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// putElems writes bytes [off, off+len(dst)) of t's element block into
+// dst — the one element path behind AppendTensor and the frame encoder
+// (stream.go), which may cut the block anywhere, mid-element included. On
+// a little-endian host it is one copy of the storage bytes.
 func putElems(dst []byte, t *tensor.Tensor, off int) {
-	if t.DType() == tensor.Float32 {
-		for _, v := range tensor.F32(t)[off : off+len(dst)/4] {
-			binary.BigEndian.PutUint32(dst, math.Float32bits(v))
-			dst = dst[4:]
-		}
+	if littleEndian {
+		copy(dst, tensor.ByteView(t)[off:])
 		return
 	}
-	for _, v := range tensor.F64(t)[off : off+len(dst)/8] {
-		binary.BigEndian.PutUint64(dst, math.Float64bits(v))
-		dst = dst[8:]
+	putElemsLoop(dst, t, off)
+}
+
+// putElemsLoop is putElems element by element, for a big-endian host.
+func putElemsLoop(dst []byte, t *tensor.Tensor, off int) {
+	es := t.DType().Size()
+	var el [8]byte
+	for i, skip := off/es, off%es; len(dst) > 0; i, skip = i+1, 0 {
+		if es == 4 {
+			binary.LittleEndian.PutUint32(el[:], math.Float32bits(tensor.F32(t)[i]))
+		} else {
+			binary.LittleEndian.PutUint64(el[:], math.Float64bits(tensor.F64(t)[i]))
+		}
+		dst = dst[copy(dst, el[skip:es]):]
 	}
 }
 
 // getElems decodes src, a whole element block, into t's storage.
 func getElems(t *tensor.Tensor, src []byte) {
+	if littleEndian {
+		copy(tensor.ByteView(t), src)
+		return
+	}
+	getElemsLoop(t, src)
+}
+
+// getElemsLoop is getElems element by element, for a big-endian host.
+func getElemsLoop(t *tensor.Tensor, src []byte) {
 	if t.DType() == tensor.Float32 {
 		d := tensor.F32(t)[:len(src)/4]
 		for i := range d {
-			d[i] = math.Float32frombits(binary.BigEndian.Uint32(src))
+			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src))
 			src = src[4:]
 		}
 		return
 	}
 	d := tensor.F64(t)[:len(src)/8]
 	for i := range d {
-		d[i] = math.Float64frombits(binary.BigEndian.Uint64(src))
+		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
 		src = src[8:]
 	}
 }
