@@ -3,6 +3,7 @@ package pipemare_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -15,21 +16,27 @@ import (
 	"pipemare/internal/data"
 	"pipemare/internal/engine"
 	"pipemare/internal/engine/concurrent"
+	"pipemare/internal/faults"
+	"pipemare/internal/leakcheck"
 	"pipemare/internal/model"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
 	"pipemare/internal/tensor"
 	"pipemare/internal/trace"
+	"pipemare/internal/transport"
 )
 
 // The equivalence harness. Every engine, worker count, replica count,
-// transport, dtype, partition, stream cut and trace setting must retrace
-// the serial Reference curve bit for bit. TestEquivalence runs that
+// transport, dtype, partition, stream cut, trace setting and membership
+// change must retrace the serial Reference curve bit for bit. TestEquivalence runs that
 // contract as cells TestEquivalence/<recipe>/<placement>: a recipe is a
 // task with its options and the outcome its Reference curve must show, a
 // placement is how a run executes, and each cell trains the recipe under
 // the placement and compares the curve with the recipe's Reference
-// curve, trained once per test process. Select cells with -run, e.g.
+// curve, trained once per test process. A placement may carry a
+// membership script — faults on follower links, a joiner, straggler
+// demotion — and its cell must then also reach the end state the script
+// names, or the error it names. Select cells with -run, e.g.
 //
 //	go test -run '^TestEquivalence$/^dnn-all$/^R2-' .
 //
@@ -60,8 +67,54 @@ type placement struct {
 	cost     bool                   // PartitionCost, against the Reference curve under it
 	ckpt     int                    // checkpoint cadence in minibatches, cutting the streams
 	traced   bool
-	jitter   uint64 // seed of the jitter around the engine; 0: none
-	epochs   int    // a checked prefix of the recipe's epochs; 0: all
+	jitter   uint64      // seed of the jitter around the engine; 0: none
+	epochs   int         // a checked prefix of the recipe's epochs; 0: all
+	script   *membership // nil: no membership change
+}
+
+// membership is a placement's membership script and the end state the
+// run must reach under it. Follower n is replica n, behind loopback link
+// n−1.
+type membership struct {
+	links     map[int][]faults.Rule // rules on the leader's end of follower links, by link
+	worker    []faults.Rule         // rules on follower 1's end of its link
+	ft        bool                  // WithFaultTolerance
+	joinAt    int                   // a joiner parked for this step (WithJoinAt); 0: none
+	heartbeat time.Duration         // WithHeartbeat; 0: not set
+	// demote sets WithElastic and WithStragglerDemotion(20ms, 2), and
+	// pauses 250 ms after epoch 1, so that a demoted member's drain ends
+	// before epoch 2 begins: the scripts hold a reply 100 ms (a delay, or
+	// a hang under a 100 ms liveness window), 60 ms past the demotion.
+	demote bool
+
+	active           int    // replicas at the end; 0: R
+	joins, demotions int    // ElasticStats at the end
+	failed           []int  // followers whose serve loop must end in an error; every other ends nil
+	pids             []int  // a traced run's members that must own their tracks
+	writes           int    // checkpoint writes; 0: not checked
+	err              string // the run must fail naming this, instead of retracing the curve
+}
+
+func (m *membership) options() []pipemare.Option {
+	var opts []pipemare.Option
+	if m.ft {
+		opts = append(opts, pipemare.WithFaultTolerance())
+	}
+	if m.joinAt > 0 || m.demote {
+		opts = append(opts, pipemare.WithElastic())
+	}
+	if m.heartbeat > 0 {
+		opts = append(opts, pipemare.WithHeartbeat(m.heartbeat))
+	}
+	if m.demote {
+		opts = append(opts, pipemare.WithStragglerDemotion(20*time.Millisecond, 2),
+			pipemare.WithObserver(func(epochs int, run *pipemare.Run) {
+				if epochs == 1 {
+					time.Sleep(250 * time.Millisecond)
+				}
+			}))
+	}
+	return opts
 }
 
 func concEngine(w int) func() pipemare.Engine {
@@ -102,7 +155,123 @@ var placements = func() map[string]placement {
 				engine: concEngine(0), workers: concEngine(2)}
 		}
 	}
+	maps.Copy(ps, ftPlacements)
 	return ps
+}()
+
+// ftPlacements are the quad-ft recipe's placements, each a membership
+// script over loopback followers, and ftCells their names in run order.
+var ftPlacements, ftCells = func() (map[string]placement, string) {
+	ps := map[string]placement{}
+	var names []string
+	add := func(name string, r int, p placement, m membership) {
+		p.replicas, p.loopback, p.script = r, true, &m
+		ps[name] = p
+		names = append(names, name)
+	}
+	on := func(dir faults.Dir, typ byte, nth int, op faults.Op) faults.Rule {
+		return faults.Rule{Dir: dir, Type: typ, Nth: nth, Op: op}
+	}
+	// A healthy follower's first chunk reply, held 100 ms: five 20 ms
+	// demotion windows.
+	straggle := faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 1, Op: faults.Delay, Delay: 100 * time.Millisecond}
+
+	// Follower 2's link dies on its 6th chunk (epoch 2, minibatch 2): it
+	// is evicted, the minibatch replays over two, and the curve is a fresh
+	// smaller run's.
+	add("evict", 3, placement{ckpt: 1}, membership{ft: true, active: 2, failed: []int{2}, writes: 16,
+		links: map[int][]faults.Rule{1: {on(faults.Send, transport.MsgRunChunk, 6, faults.Kill)}}})
+	// Follower 1's link dies at the 2nd message of each type the commit
+	// sends, or as the leader reads its 2nd chunk-0 prefix (follower 1
+	// holds chunk 0). The one-message stage step is cut three ways: as the
+	// follower receives it, before it scales (scale); as the leader sends
+	// it (step); as the follower acks it, after it stepped (finish). With
+	// fault tolerance each is an eviction on the curve — a death up to
+	// prepare replays the minibatch, a later one has the leader re-step
+	// the dead shard. Without it each is an error naming the replica,
+	// whose moment shard died with it.
+	for _, c := range []struct {
+		name     string
+		rule     faults.Rule
+		follower bool // the rule runs on the follower's end
+	}{
+		{"scatter", on(faults.Send, transport.MsgSetGrads, 2, faults.Kill), false},
+		{"prepare", on(faults.Send, transport.MsgPrepare, 2, faults.Kill), false},
+		{"scale", on(faults.Recv, transport.MsgStep, 2, faults.Kill), true},
+		{"step", on(faults.Send, transport.MsgStep, 2, faults.Kill), false},
+		{"finish", on(faults.Recv, transport.MsgStep, 2, faults.KillReply), true},
+		{"gather", on(faults.Send, transport.MsgGetState, 2, faults.Kill), false},
+		{"import", on(faults.Send, transport.MsgImport, 2, faults.Kill), false},
+		{"chunk-0", on(faults.Recv, transport.MsgChunkDone, 2, faults.Kill), false},
+	} {
+		for _, r := range []int{3, 2} {
+			m := membership{ft: true, active: r - 1, failed: []int{1}}
+			if c.follower {
+				m.worker = []faults.Rule{c.rule}
+			} else {
+				m.links = map[int][]faults.Rule{0: {c.rule}}
+			}
+			name := fmt.Sprintf("crash-%s-R%d", c.name, r)
+			add(name, r, placement{epochs: 2}, m)
+			m.ft, m.err = false, "replica 1"
+			add(name+"-noft", r, placement{epochs: 2}, m)
+		}
+	}
+	// The leader's read of follower 1's 3rd chunk reply hangs: only the
+	// liveness window of ten 10 ms heartbeats sees it, and evicts.
+	add("hung", 2, placement{epochs: 2}, membership{ft: true, heartbeat: 10 * time.Millisecond, active: 1, failed: []int{1},
+		links: map[int][]faults.Rule{0: {on(faults.Recv, transport.MsgChunkDone, 3, faults.Hang)}}})
+
+	// A third replica joins at step 2 by live handoff; the group grows to
+	// three on the curve.
+	add("join", 2, placement{}, membership{joinAt: 2, active: 3, joins: 1})
+	// A straggling follower is demoted mid-minibatch, the minibatch replays
+	// over two, its late reply drains, and it rejoins at an epoch-2
+	// boundary. The tail follower, or — traced — follower 1, so the
+	// survivor above it shifts down a position and the rejoined member
+	// takes another: each keeps tracks of its own.
+	add("demote-tail", 3, placement{}, membership{demote: true, active: 3, joins: 1, demotions: 1,
+		links: map[int][]faults.Rule{1: {straggle}}})
+	add("demote-non-tail-traced", 3, placement{traced: true}, membership{demote: true, active: 3, joins: 1, demotions: 1,
+		pids: []int{1, 2}, links: map[int][]faults.Rule{0: {straggle}}})
+	// A hung follower is demoted by the deadline windows alone; its drain
+	// then hits the liveness window and latches the timeout, and the next
+	// boundary drops the standby: R = 2 to the end, no rejoin.
+	add("demote-hung", 3, placement{}, membership{demote: true, heartbeat: 10 * time.Millisecond,
+		active: 2, demotions: 1, failed: []int{2},
+		links: map[int][]faults.Rule{1: {on(faults.Recv, transport.MsgChunkDone, 1, faults.Hang)}}})
+	// A follower evicted at its 2nd chunk while a joiner is parked for
+	// step 8: the group shrinks to two, then grows back to three with the
+	// joiner as a fourth member, which traced must not share the survivor's
+	// tracks.
+	evictJoin := func(link int) membership {
+		return membership{ft: true, joinAt: 8, active: 3, joins: 1, failed: []int{link + 1},
+			links: map[int][]faults.Rule{link: {on(faults.Send, transport.MsgRunChunk, 2, faults.Kill)}}}
+	}
+	add("churn-evict-join-tail", 3, placement{}, evictJoin(1))
+	m := evictJoin(0)
+	m.pids = []int{2, 3}
+	add("churn-evict-join-non-tail-traced", 3, placement{traced: true}, m)
+	// A join admitted at a boundary that also writes a checkpoint: it runs
+	// after the write.
+	add("churn-join-ckpt", 2, placement{ckpt: 1}, membership{joinAt: 2, active: 3, joins: 1, writes: 16})
+	// Demotion, rejoin and eviction chain on one link: the rejoined member
+	// dies on its first reply.
+	add("churn-demote-kill", 3, placement{}, membership{demote: true, active: 2, joins: 1, demotions: 1, failed: []int{2},
+		links: map[int][]faults.Rule{1: {straggle, on(faults.Recv, transport.MsgChunkDone, 2, faults.Kill)}}})
+	// Chunk 0 — accumulated in place, shipped as one prefix — moves from
+	// member to member on both inner engines. Follower 1 holds it first and
+	// straggles: demoted, the replay gives chunk 0 to follower 2, and
+	// follower 1's late chunk-0 run drains. Follower 1 rejoins at the tail
+	// at an epoch-2 boundary; follower 2, holding chunk 0 again, is killed
+	// on its 8th reply (epoch 2's third minibatch, counting the replay),
+	// and the replay hands chunk 0 back to follower 1. The curve holds only
+	// if the drained chunk-0 run left its accumulators zero.
+	chunk0 := membership{demote: true, active: 2, joins: 1, demotions: 1, failed: []int{2},
+		links: map[int][]faults.Rule{0: {straggle}, 1: {on(faults.Recv, transport.MsgChunkDone, 8, faults.Kill)}}}
+	add("chunk0-ref", 3, placement{}, chunk0)
+	add("chunk0-conc", 3, placement{engine: concEngine(0), workers: concEngine(2)}, chunk0)
+	return ps, strings.Join(names, " ")
 }()
 
 // withOpts returns opts followed by extra, in a slice of its own.
@@ -215,6 +384,9 @@ func recipes() []recipe {
 				pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4),
 				pipemare.WithSeed(2), pipemare.WithLossCap(10),
 				pipemare.WithSchedule(optim.Constant(5))}}, // absurd rate: diverges
+		// The membership scripts' recipe: four minibatches an epoch, eight
+		// microbatches so three replicas each own a chunk.
+		recipe{name: "quad-ft", build: quad(4, 32, 8, 21), epochs: 4, opts: ftBase(), cells: ftCells},
 		recipe{name: "quad-replicas", build: quad(4, 32, 8, 31), epochs: 3, cells: "R2-ref R2-conc-W2",
 			opts: withOpts(methodOpts(pipemare.PipeMare), pipemare.WithBatchSize(8), pipemare.WithMicrobatches(4), steady)},
 		recipe{name: "dnn-p4", build: resMLP(images(64, 1), 8, 4, 3), epochs: 3, stages: 4,
@@ -332,15 +504,22 @@ func TestEquivalence(t *testing.T) {
 	}
 }
 
-// run trains rc under p and compares the curve with rc's Reference curve,
-// then checks what p promises: R replicas, and for a traced run the
-// tracks it must show.
-func (p placement) run(t *testing.T, rc recipe) {
+// run trains rc under p within 60 s and compares the curve with rc's
+// Reference curve, then checks what p promises: R replicas, the end state
+// of its membership script, every worker's exit, no goroutine left
+// behind, and for a traced run the tracks it must show. It returns the
+// run's checkpoint directory, "" when p writes none.
+func (p placement) run(t *testing.T, rc recipe) (ckptDir string) {
+	baseline := runtime.NumGoroutine()
 	epochs := rc.epochs
 	if p.epochs > 0 {
 		epochs = p.epochs
 	}
 	r := max(p.replicas, 1)
+	m := p.script
+	if m == nil {
+		m = &membership{}
+	}
 	eng := pipemare.NewReferenceEngine()
 	if p.engine != nil {
 		eng = p.engine()
@@ -356,12 +535,20 @@ func (p placement) run(t *testing.T, rc recipe) {
 		opts = append(opts, pipemare.WithPartition(pipemare.PartitionCost))
 	}
 	if p.ckpt > 0 {
-		opts = append(opts, pipemare.WithCheckpoint(t.TempDir(), p.ckpt))
+		ckptDir = t.TempDir()
+		opts = append(opts, pipemare.WithCheckpoint(ckptDir, p.ckpt))
 	}
 	var rec *pipemare.TraceRecorder
 	if p.traced {
 		rec = pipemare.NewTraceRecorder()
 		opts = append(opts, pipemare.WithTrace(rec))
+	}
+	opts = append(opts, m.options()...)
+	workerOpts := func() []pipemare.Option {
+		if p.workers == nil {
+			return rc.opts
+		}
+		return withOpts(rc.opts, pipemare.WithEngine(p.workers()))
 	}
 	var wait func() []error
 	if p.loopback {
@@ -369,26 +556,85 @@ func (p placement) run(t *testing.T, rc recipe) {
 		if p.reseeded {
 			build = rc.reseed
 		}
-		dialers, kill, w := startWorkers(t, r-1, build, func() []pipemare.Option {
-			if p.workers == nil {
-				return rc.opts
-			}
-			return withOpts(rc.opts, pipemare.WithEngine(p.workers()))
-		})
+		var script *faults.Script
+		if m.worker != nil {
+			script = faults.NewScript(m.worker...)
+		}
+		dialers, kill, w := startFaultyWorkers(t, r-1, script, build, workerOpts)
 		defer kill()
 		wait = w
+		for link, rules := range m.links {
+			dialers[link] = &faults.Dialer{Inner: dialers[link], Script: faults.NewScript(rules...)}
+		}
 		opts = append(opts, pipemare.WithTransport(dialers...))
 	}
-	tr, got := train(t, rc.build, epochs, r, opts...)
-	if wait != nil {
-		if err := tr.Close(); err != nil {
-			t.Fatalf("close: %v", err)
+	tr, err := pipemare.New(rc.build(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Replicas() != r {
+		t.Fatalf("trainer owns %d replicas, want %d", tr.Replicas(), r)
+	}
+	jwait := func() error { return nil }
+	if m.joinAt > 0 {
+		var jlis pipemare.Listener
+		jlis, jwait = startJoiner(t, rc.build, withOpts(workerOpts(), pipemare.WithJoinAt(m.joinAt)))
+		acceptAndPark(t, tr, jlis)
+	}
+	// The one failure no membership change may end in is a hang.
+	var got *pipemare.Run
+	done := make(chan error, 1)
+	go func() {
+		run, err := tr.Run(context.Background(), epochs)
+		got = run
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the run neither completed nor errored within 60 s")
+	}
+	switch {
+	case m.err != "" && (err == nil || !strings.Contains(err.Error(), m.err)):
+		t.Fatalf("run ended in %v, want an error naming %q", err, m.err)
+	case m.err == "" && err != nil:
+		t.Fatal(err)
+	case m.err == "":
+		want := r
+		if m.active > 0 {
+			want = m.active
 		}
+		if tr.Replicas() != want {
+			t.Fatalf("%d replicas at the end, want %d", tr.Replicas(), want)
+		}
+		joins, demotions, handoffNs := tr.ElasticStats()
+		if joins != m.joins || demotions != m.demotions || (joins > 0) != (handoffNs > 0) {
+			t.Fatalf("elastic stats (%d joins, %d demotions, %d ns handoff), want %d joins, %d demotions",
+				joins, demotions, handoffNs, m.joins, m.demotions)
+		}
+		if writes, _ := tr.CheckpointStats(); m.writes > 0 && writes != m.writes {
+			t.Fatalf("%d checkpoint writes, want %d", writes, m.writes)
+		}
+	}
+	// A run that failed may leave Close a dead link to report.
+	if err := tr.Close(); err != nil && m.err == "" {
+		t.Fatalf("close: %v", err)
+	}
+	if err := jwait(); err != nil {
+		t.Fatalf("joiner: %v", err)
+	}
+	if wait != nil {
 		for i, err := range wait() {
-			if err != nil {
-				t.Fatalf("worker %d: %v", i+1, err)
+			if failed := slices.Contains(m.failed, i+1); failed != (err != nil) {
+				t.Fatalf("follower %d's serve loop ended in %v; want an error: %t", i+1, err, failed)
 			}
 		}
+	}
+	if n := leakcheck.Settled(baseline, 10*time.Second); n > baseline {
+		t.Fatalf("%d goroutines after close, baseline %d: one leaked", n, baseline)
+	}
+	if m.err != "" {
+		return ckptDir
 	}
 	ref := reference(t, rc, p.cost)
 	if epochs < ref.Epochs() {
@@ -397,7 +643,7 @@ func (p placement) run(t *testing.T, rc recipe) {
 	}
 	requireIdentical(t, t.Name(), ref, got)
 	if rec == nil {
-		return
+		return ckptDir
 	}
 	// Only the leader computes in the recorder's process; a remote
 	// replica shows up as wire traffic instead.
@@ -412,6 +658,16 @@ func (p placement) run(t *testing.T, rc recipe) {
 	if rep := pipemare.BuildTraceReport(rec, nil); p.loopback && (rep.WireNs <= 0 || rep.BytesMoved <= 0) {
 		t.Fatalf("loopback trace recorded no wire traffic (%d ns, %d bytes)", rep.WireNs, rep.BytesMoved)
 	}
+	requireOwnTracks(t, rec, m.pids...)
+	return ckptDir
+}
+
+// sliceRun copies epochs [lo, hi) of a recorded curve, so a resumed
+// run's entries can be compared against the matching reference window
+// with requireIdentical.
+func sliceRun(r *pipemare.Run, lo, hi int) *pipemare.Run {
+	return &pipemare.Run{Loss: r.Loss[lo:hi], Metric: r.Metric[lo:hi],
+		ParamNorm: r.ParamNorm[lo:hi], Diverged: r.Diverged}
 }
 
 // train trains a fresh task under the given options and returns the
@@ -501,6 +757,36 @@ func requireWorkerTracksOnly(t *testing.T, rec *pipemare.TraceRecorder) {
 	}
 	if commits == 0 {
 		t.Fatal("no commit span on a worker track")
+	}
+}
+
+// requireOwnTracks asserts that a traced run gave each of the members
+// pids timelines of its own: a wire track and a collectives track that
+// carry events. It also requires that no member recorded more commit
+// steps than the leader: a member records one per step it is active
+// for, the leader is active for every step, so more means two members
+// wrote one member's tracks.
+func requireOwnTracks(t *testing.T, rec *pipemare.TraceRecorder, pids ...int) {
+	t.Helper()
+	seen := map[[2]int]bool{}
+	commits := map[int]int{}
+	for _, tk := range rec.Tracks() {
+		seen[[2]int{tk.Pid, tk.Tid}] = len(tk.Events()) > 0
+		for _, ev := range tk.Events() {
+			if ev.Name == trace.NameCommitStep {
+				commits[tk.Pid]++
+			}
+		}
+	}
+	for pid, n := range commits {
+		if n > commits[0] {
+			t.Fatalf("replica %d recorded %d commit steps, the leader %d: two members share its tracks", pid, n, commits[0])
+		}
+	}
+	for _, pid := range pids {
+		if !seen[[2]int{pid, trace.TidCollectives}] || !seen[[2]int{pid, trace.TidWire}] {
+			t.Fatalf("replica %d has no collectives or wire events of its own", pid)
+		}
 	}
 }
 

@@ -3,10 +3,8 @@ package pipemare_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -28,214 +26,53 @@ func ftBase() []pipemare.Option {
 		pipemare.WithSchedule(optim.Constant(0.05)))
 }
 
-// sliceRun copies epochs [lo, hi) of a recorded curve, so a resumed
-// run's entries can be compared against the matching reference window
-// with requireIdentical.
-func sliceRun(r *pipemare.Run, lo, hi int) *pipemare.Run {
-	return &pipemare.Run{Loss: r.Loss[lo:hi], Metric: r.Metric[lo:hi],
-		ParamNorm: r.ParamNorm[lo:hi], Diverged: r.Diverged}
-}
-
-// runWithin guards against the one failure mode eviction must never
-// have: a hang. f runs in its own goroutine; a run that neither
-// completes nor errors within d fails the test.
-func runWithin(t *testing.T, d time.Duration, name string, f func() error) error {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- f() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(d):
-		t.Fatalf("%s: neither completed nor errored within %v (deadlock)", name, d)
-		return nil
-	}
-}
-
-// TestEvictionMatchesFreshSmallerRun is the headline fault-tolerance
-// pin: killing follower replica 2's link on its
-// 6th chunk (epoch 2, minibatch 2 of an R=3 loopback run) must evict
-// exactly that replica, replay the interrupted minibatch over the two
-// survivors, and finish training with a curve bit-identical to the
-// fault-free single-replica reference — the determinism invariant makes
-// the post-eviction R=2 group indistinguishable from a run that never
-// had a third replica. A fresh R=2 trainer restored from the checkpoint
-// written just before the faulted minibatch must then retrace the same
-// curve, pinning that "evicted run" ≡ "fresh smaller run from the
-// checkpoint" end to end.
-func TestEvictionMatchesFreshSmallerRun(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 21) }
-	base := ftBase()
-	ref := runCurve(t, build, 4, 1, base...)
-	dir := t.TempDir()
-	dialers, _, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
-	dialers[1] = &faults.Dialer{Inner: dialers[1], Script: faults.NewScript(
-		faults.Rule{Dir: faults.Send, Type: transport.MsgRunChunk, Nth: 6, Op: faults.Kill})}
-	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(3),
-		pipemare.WithFaultTolerance(),
-		pipemare.WithCheckpoint(dir, 1),
-		pipemare.WithTransport(dialers...))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Run(context.Background(), 4)
-	if err != nil {
-		t.Fatalf("run did not survive the eviction: %v", err)
-	}
-	if tr.Replicas() != 2 {
-		t.Fatalf("%d replicas after the fault, want 2 (one evicted)", tr.Replicas())
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	errs := wait()
-	if errs[0] != nil {
-		t.Fatalf("surviving worker: %v", errs[0])
-	}
-	if errs[1] == nil {
-		t.Fatal("killed worker's serve loop ended without error")
-	}
-	requireIdentical(t, "evict", ref, got)
-
-	// The fault hit epoch 2, minibatch 2 — so the step-5 checkpoint
-	// (epoch 2, minibatch 1) predates it. A fresh R=2 trainer restored
-	// from that file resumes mid-epoch: it reruns minibatches 2–4 of
-	// epoch 2 and the remaining epochs. The partial epoch's averaged
-	// loss covers 3 of 4 minibatches (not comparable), but its
-	// end-of-epoch metric and parameter norm — functions of the state
-	// alone — and every later epoch must match the reference exactly.
-	tr2, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(2), pipemare.WithFaultTolerance())...)
-	if err != nil {
-		t.Fatalf("fresh R=2 trainer: %v", err)
-	}
-	if err := tr2.RestoreFrom(filepath.Join(dir, "ckpt-00000005.pm")); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	tail, err := tr2.Run(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("restored run: %v", err)
-	}
-	if tail.Epochs() != 3 {
-		t.Fatalf("restored run recorded %d epochs, want 3", tail.Epochs())
-	}
-	for e := 0; e < 3; e++ {
-		if tail.Metric[e] != ref.Metric[e+1] || tail.ParamNorm[e] != ref.ParamNorm[e+1] {
-			t.Fatalf("restored epoch %d state (metric %v, norm %v) != reference (%v, %v)",
-				e, tail.Metric[e], tail.ParamNorm[e], ref.Metric[e+1], ref.ParamNorm[e+1])
+// TestChurnedRunsCheckpointsRestore restores checkpoints that quad-ft
+// cells wrote while their membership changed. The evict cell's step-5
+// checkpoint (epoch 2, minibatch 1) predates its fault: a fresh R=2
+// trainer restored from it resumes mid-epoch, so "evicted run" ≡ "fresh
+// smaller run from the checkpoint" end to end. It reruns minibatches 2–4
+// of epoch 2, whose averaged loss covers 3 of 4 minibatches and is not
+// comparable, but whose end-of-epoch metric and parameter norm, functions
+// of the state alone, and every later epoch must match the Reference
+// curve. The churn-join-ckpt cell's newest checkpoint, written after the
+// join, restores into a fresh trainer at the final step.
+func TestChurnedRunsCheckpointsRestore(t *testing.T) {
+	rc := recipeNamed(t, "quad-ft")
+	ref := reference(t, rc, false)
+	t.Run("evict", func(t *testing.T) {
+		dir := placements["evict"].run(t, rc)
+		tr, err := pipemare.New(rc.build(), withOpts(rc.opts, pipemare.WithReplicas(2), pipemare.WithFaultTolerance())...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e > 0 && tail.Loss[e] != ref.Loss[e+1] {
-			t.Fatalf("restored epoch %d loss %v != reference %v", e, tail.Loss[e], ref.Loss[e+1])
+		defer tr.Close()
+		if err := tr.RestoreFrom(filepath.Join(dir, "ckpt-00000005.pm")); err != nil {
+			t.Fatalf("restore: %v", err)
 		}
-	}
-}
-
-// TestCrashMidCollectiveNeverDeadlocks is the commit's fault contract,
-// message by message: it kills follower replica 1's link on the 2nd
-// message of each type the commit sends — the scatter's gradients,
-// prepare, the stage step, the gather's fetch of the owner's state and
-// its import of the others' — and, before the commit, as the leader reads
-// its 2nd chunk-0 prefix (replica 1 holds chunk 0) — at R=3 and R=2, under
-// -race. The stage step (scale, update and finish in one message) is cut
-// at three points: the scale row kills the link as the follower receives
-// the step, before it scales; the step row as the leader sends it; the
-// finish row as the follower acks it, after its update and finish ran.
-// The gather's imports have their own message, so the import row's 2nd
-// is the first gather's 2nd, past the launch handoff. With fault tolerance every kill is an
-// eviction (R → R−1) with a curve bit-identical to single-replica
-// Reference: a death up to
-// prepare replays the minibatch, a later one has the leader finish the
-// dead owner's shard. Without it every kill is an error naming the
-// replica — the dead follower held the only copy of its moment shard —
-// and never a hang or a leaked goroutine.
-func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
-	phases := []struct {
-		name     string
-		rule     faults.Rule
-		follower bool // rule runs on the follower's end of the link
-	}{
-		{"scatter", faults.Rule{Dir: faults.Send, Type: transport.MsgSetGrads, Nth: 2, Op: faults.Kill}, false},
-		{"prepare", faults.Rule{Dir: faults.Send, Type: transport.MsgPrepare, Nth: 2, Op: faults.Kill}, false},
-		{"scale", faults.Rule{Dir: faults.Recv, Type: transport.MsgStep, Nth: 2, Op: faults.Kill}, true},
-		{"step", faults.Rule{Dir: faults.Send, Type: transport.MsgStep, Nth: 2, Op: faults.Kill}, false},
-		{"finish", faults.Rule{Dir: faults.Recv, Type: transport.MsgStep, Nth: 2, Op: faults.KillReply}, true},
-		{"gather", faults.Rule{Dir: faults.Send, Type: transport.MsgGetState, Nth: 2, Op: faults.Kill}, false},
-		{"import", faults.Rule{Dir: faults.Send, Type: transport.MsgImport, Nth: 2, Op: faults.Kill}, false},
-		{"chunk-0", faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 2, Op: faults.Kill}, false},
-	}
-	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 23) }
-	base := ftBase()
-	ref := runCurve(t, build, 2, 1, base...)
-	for _, ph := range phases {
-		for _, r := range []int{3, 2} {
-			for _, ft := range []bool{true, false} {
-				name := "sharded/" + ph.name
-				if !ft {
-					name += "/no-ft"
-				}
-				if r != 3 {
-					name += fmt.Sprintf("/R=%d", r)
-				}
-				t.Run(name, func(t *testing.T) {
-					crashOneFollower(t, build, base, ref, ph.rule, ph.follower, r, ft)
-				})
-			}
+		tail, err := tr.Run(context.Background(), 3)
+		if err != nil {
+			t.Fatalf("restored run: %v", err)
 		}
-	}
-}
-
-// crashOneFollower is one row of TestCrashMidCollectiveNeverDeadlocks: an
-// R-replica loopback run whose replica 1 link dies by rule, applied on
-// the follower's end of the link when follower is set and on the
-// leader's otherwise.
-func crashOneFollower(t *testing.T, build func() pipemare.Task, base []pipemare.Option, ref *pipemare.Run, rule faults.Rule, follower bool, r int, ft bool) {
-	baseline := runtime.NumGoroutine()
-	var workerScript *faults.Script
-	if follower {
-		workerScript = faults.NewScript(rule)
-	}
-	dialers, _, wait := startFaultyWorkers(t, r-1, workerScript, build, func() []pipemare.Option { return base })
-	if !follower {
-		dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(rule)}
-	}
-	opts := append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(r), pipemare.WithTransport(dialers...))
-	if ft {
-		opts = append(opts, pipemare.WithFaultTolerance())
-	}
-	tr, err := pipemare.New(build(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got *pipemare.Run
-	err = runWithin(t, 60*time.Second, t.Name(), func() error {
-		run, err := tr.Run(context.Background(), 2)
-		got = run
-		return err
+		if tail.Epochs() != 3 {
+			t.Fatalf("restored run recorded %d epochs, want 3", tail.Epochs())
+		}
+		if tail.Metric[0] != ref.Metric[1] || tail.ParamNorm[0] != ref.ParamNorm[1] {
+			t.Fatalf("restored epoch 2 state (metric %v, norm %v) != reference (%v, %v)",
+				tail.Metric[0], tail.ParamNorm[0], ref.Metric[1], ref.ParamNorm[1])
+		}
+		requireIdentical(t, "restored-tail", sliceRun(ref, 2, 4), sliceRun(tail, 1, 3))
 	})
-	switch {
-	case ft && err != nil:
-		t.Fatalf("fault-tolerant run aborted instead of evicting: %v", err)
-	case ft && tr.Replicas() != r-1:
-		t.Fatalf("run completed with %d replicas — the killed link was not evicted", tr.Replicas())
-	case ft:
-		requireIdentical(t, t.Name(), ref, got)
-	case err == nil:
-		t.Fatalf("run without fault tolerance completed with %d replicas; the dead follower's moments were unrecoverable", tr.Replicas())
-	case !strings.Contains(err.Error(), "replica 1"):
-		t.Fatalf("error %q does not name the failed replica", err)
-	}
-	tr.Close()
-	wait() // the killed worker errors by design; the point is both exit
-	// Every goroutine the run spawned must be gone; poll briefly
-	// for the unwinding to settle.
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Fatalf("%d goroutines after close, baseline %d — a goroutine leaked", n, baseline)
-	}
+	t.Run("churn-join-ckpt", func(t *testing.T) {
+		dir := placements["churn-join-ckpt"].run(t, rc)
+		tr, err := pipemare.New(rc.build(), rc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		if step, err := tr.RestoreLatest(dir); err != nil || step != 16 {
+			t.Fatalf("restore of a post-join checkpoint: step %d, err %v, want 16, nil", step, err)
+		}
+	})
 }
 
 // TestCheckpointRestoreResumesBitIdentical pins the checkpoint/restore
@@ -442,44 +279,6 @@ func TestRestoreLatestReportsAFailedResync(t *testing.T) {
 	wait() // the killed worker errors by design
 }
 
-// TestHeartbeatEvictsHungPeer pins hung-peer detection: a worker that
-// stops replying without its connection dying is invisible to I/O
-// errors — only the liveness window catches it. With a 10ms heartbeat
-// the leader declares the peer dead after 10 silent intervals, evicts
-// it, and finishes training bit-identically to the reference.
-func TestHeartbeatEvictsHungPeer(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 26) }
-	base := ftBase()
-	ref := runCurve(t, build, 2, 1, base...)
-	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return base })
-	// Hang the leader's read of the worker's 3rd chunk reply: the reply
-	// arrives but the link then blocks until the liveness window expires.
-	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
-		faults.Rule{Dir: faults.Recv, Type: transport.MsgChunkDone, Nth: 3, Op: faults.Hang})}
-	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithFaultTolerance(),
-		pipemare.WithHeartbeat(10*time.Millisecond),
-		pipemare.WithTransport(dialers...))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got *pipemare.Run
-	err = runWithin(t, 60*time.Second, "hung-peer", func() error {
-		r, err := tr.Run(context.Background(), 2)
-		got = r
-		return err
-	})
-	if err != nil {
-		t.Fatalf("hung peer was not evicted: %v", err)
-	}
-	if tr.Replicas() != 1 {
-		t.Fatalf("%d replicas after the hang, want 1", tr.Replicas())
-	}
-	requireIdentical(t, "hung-peer", ref, got)
-	tr.Close()
-	wait() // the hung worker's serve loop ends in an error by design
-}
-
 // specTail decodes the fault-tolerance flag — the recipe's last byte, so
 // the payload's — and the heartbeat cadence, the spec's fourth field, from
 // a hello's payload.
@@ -593,22 +392,10 @@ func TestCloseIdempotent(t *testing.T) {
 	wait()
 }
 
-// TestFaultToleranceOptionValidation pins the new options' error paths.
+// TestFaultToleranceOptionValidation pins Restore's error path; the
+// options' own rows are in TestOptionValidationErrors.
 func TestFaultToleranceOptionValidation(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 28) }
-	if _, err := pipemare.New(build(), pipemare.WithCheckpoint("", 1)); err == nil ||
-		!strings.Contains(err.Error(), "checkpoint directory") {
-		t.Fatalf("empty checkpoint dir: err = %v", err)
-	}
-	if _, err := pipemare.New(build(), pipemare.WithCheckpoint(t.TempDir(), -1)); err == nil ||
-		!strings.Contains(err.Error(), "cadence") {
-		t.Fatalf("negative checkpoint cadence: err = %v", err)
-	}
-	if _, err := pipemare.New(build(), pipemare.WithHeartbeat(-time.Second)); err == nil ||
-		!strings.Contains(err.Error(), "heartbeat") {
-		t.Fatalf("negative heartbeat: err = %v", err)
-	}
-	if _, err := pipemare.Restore(t.TempDir(), build(), ftBase()...); err == nil ||
+	if _, err := pipemare.Restore(t.TempDir(), newQuadTask(4, 32, 8, 28), ftBase()...); err == nil ||
 		!strings.Contains(err.Error(), "no checkpoints") {
 		t.Fatalf("restore from empty dir: err = %v", err)
 	}

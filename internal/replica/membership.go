@@ -71,10 +71,12 @@ type member struct {
 	chunk  *chunk        // this member's share of the minibatch in flight
 }
 
-// ErrStraggler marks a member failure caused by a missed collective
-// deadline rather than a broken transport: the member is alive (its
-// heartbeats flow, its reply will still arrive) but too slow to keep in
-// the chunk split, so it is demoted to standby rather than closed.
+// ErrStraggler marks a member failure caused by missed collective
+// deadline windows rather than a broken transport: the member is demoted
+// to standby rather than closed, on the windows alone, whether its
+// heartbeats arrive or not. Its reply may still arrive; if the drain of
+// that reply fails instead (a hung peer hits the liveness window), the
+// standby is dropped at the next boundary.
 var ErrStraggler = errors.New("replica: collective deadline missed")
 
 // MemberError reports a member failure the run can survive by taking the

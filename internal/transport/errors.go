@@ -12,8 +12,9 @@ import (
 //     reached the peer its state is unknown, so nothing is resent: the
 //     member latches the error and is evicted, or the run aborts.
 //   - straggler: an armed chunk missed its deadline windows
-//     (replica.ErrStraggler). The peer is alive, so the member is demoted,
-//     not poisoned, and rejoins once its late reply drains.
+//     (replica.ErrStraggler), whether pings arrived or not. The member is
+//     demoted, not poisoned, and rejoins once its late reply drains; a
+//     drain that fails (a hung peer's ErrPeerTimeout) drops it instead.
 //   - hang: a peer that neither replies nor pings within the heartbeat
 //     window (ErrPeerTimeout) is fatal like any other failure.
 //

@@ -38,7 +38,7 @@ type RemoteMember struct {
 	err    error           // sticky transport error
 	closed bool
 
-	// Straggler accounting (WithStragglerPolicy). sdl is the per-chunk
+	// Straggler accounting (WithStragglerDemotion). sdl is the per-chunk
 	// collective deadline and sk the consecutive-miss budget; misses
 	// counts expired deadline windows across chunks, resetting whenever a
 	// chunk replies within its first window. ready reports that a demoted
@@ -280,10 +280,11 @@ func (m *RemoteMember) recvReply(ctx context.Context) (Msg, error) {
 // chunks; a reply inside its chunk's first window resets the count), and
 // when the count reaches sk the member is handed back to the group for
 // demotion — the error wraps replica.ErrStraggler and does NOT poison the
-// member, because the peer is alive and its late reply still arrives. The
-// helper goroutine stays behind as the drainer: it consumes that late
+// member, whether or not its pings arrive: the late reply may still come.
+// The helper goroutine stays behind as the drainer: it consumes that late
 // reply, discards it (the minibatch replays without this member), and
-// marks the standby ready to rejoin.
+// marks the standby ready to rejoin — or latches the read's error, such
+// as a hung peer's ErrPeerTimeout, and the group drops the standby.
 //
 // The deadline deliberately never cancels the underlying Recv: a
 // cancelled read could lose an already-framed late reply, making both

@@ -2,8 +2,10 @@ package pipemare_test
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"pipemare"
 	"pipemare/internal/nn"
@@ -36,6 +38,12 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"clip", pipemare.WithClipNorm(-1), "clip"},
 		{"losscap", pipemare.WithLossCap(0), "loss cap"},
 		{"observer", pipemare.WithObserver(nil), "observer"},
+		{"checkpoint-dir", pipemare.WithCheckpoint("", 1), "checkpoint directory"},
+		{"checkpoint-cadence", pipemare.WithCheckpoint(os.TempDir(), -1), "cadence"},
+		{"heartbeat", pipemare.WithHeartbeat(-time.Second), "heartbeat"},
+		{"straggler-deadline", pipemare.WithStragglerDemotion(0, 2), "straggler"},
+		{"straggler-misses", pipemare.WithStragglerDemotion(time.Second, 0), "straggler"},
+		{"join-step", pipemare.WithJoinAt(-1), "join"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
