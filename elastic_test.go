@@ -78,6 +78,16 @@ func acceptAndPark(t *testing.T, tr *pipemare.Trainer, lis pipemare.Listener) {
 	<-parked
 }
 
+// TestChurnCompositions runs quad-ft's churn cells: membership changes
+// composing with each other, with checkpoint writes and with a fatal
+// fault, on the Reference curve.
+func TestChurnCompositions(t *testing.T) { runFTTest(t) }
+
+// TestChunkZeroHolderChurn runs quad-ft's chunk-0 cells: chunk 0 moves
+// from member to member through a demotion, a rejoin and an eviction, on
+// both inner engines.
+func TestChunkZeroHolderChurn(t *testing.T) { runFTTest(t) }
+
 // TestJoinRejectsMismatchedShape pins the join's guard rails: a joiner
 // whose model has another architecture — three weight groups, where the
 // leader's stage map covers four — refuses the leader's hello at its first

@@ -160,14 +160,24 @@ var placements = func() map[string]placement {
 }()
 
 // ftPlacements are the quad-ft recipe's placements, each a membership
-// script over loopback followers, and ftCells their names in run order.
-var ftPlacements, ftCells = func() (map[string]placement, string) {
+// script over loopback followers. ftCells names those TestEquivalence runs,
+// in run order; ftTests lists the rest by the test that runs them, each
+// with its subtest name: the crash, churn and chunk-0 cells keep the names
+// of the tests they were written as.
+var ftPlacements, ftCells, ftTests = func() (map[string]placement, string, map[string][][2]string) {
 	ps := map[string]placement{}
 	var names []string
-	add := func(name string, r int, p placement, m membership) {
+	tests := map[string][][2]string{}
+	// add adds a cell; under "Test/sub" it runs as that test's subtest sub,
+	// not under TestEquivalence.
+	add := func(name, under string, r int, p placement, m membership) {
 		p.replicas, p.loopback, p.script = r, true, &m
 		ps[name] = p
-		names = append(names, name)
+		if test, sub, ok := strings.Cut(under, "/"); ok {
+			tests[test] = append(tests[test], [2]string{sub, name})
+		} else {
+			names = append(names, name)
+		}
 	}
 	on := func(dir faults.Dir, typ byte, nth int, op faults.Op) faults.Rule {
 		return faults.Rule{Dir: dir, Type: typ, Nth: nth, Op: op}
@@ -179,7 +189,7 @@ var ftPlacements, ftCells = func() (map[string]placement, string) {
 	// Follower 2's link dies on its 6th chunk (epoch 2, minibatch 2): it
 	// is evicted, the minibatch replays over two, and the curve is a fresh
 	// smaller run's.
-	add("evict", 3, placement{ckpt: 1}, membership{ft: true, active: 2, failed: []int{2}, writes: 16,
+	add("evict", "", 3, placement{ckpt: 1}, membership{ft: true, active: 2, failed: []int{2}, writes: 16,
 		links: map[int][]faults.Rule{1: {on(faults.Send, transport.MsgRunChunk, 6, faults.Kill)}}})
 	// Follower 1's link dies at the 2nd message of each type the commit
 	// sends, or as the leader reads its 2nd chunk-0 prefix (follower 1
@@ -211,33 +221,36 @@ var ftPlacements, ftCells = func() (map[string]placement, string) {
 			} else {
 				m.links = map[int][]faults.Rule{0: {c.rule}}
 			}
-			name := fmt.Sprintf("crash-%s-R%d", c.name, r)
-			add(name, r, placement{epochs: 2}, m)
+			name, under, rs := fmt.Sprintf("crash-%s-R%d", c.name, r), "TestCrashMidCollectiveNeverDeadlocks/sharded/"+c.name, ""
+			if r != 3 {
+				rs = "/R=2"
+			}
+			add(name, under+rs, r, placement{epochs: 2}, m)
 			m.ft, m.err = false, "replica 1"
-			add(name+"-noft", r, placement{epochs: 2}, m)
+			add(name+"-noft", under+"/no-ft"+rs, r, placement{epochs: 2}, m)
 		}
 	}
 	// The leader's read of follower 1's 3rd chunk reply hangs: only the
 	// liveness window of ten 10 ms heartbeats sees it, and evicts.
-	add("hung", 2, placement{epochs: 2}, membership{ft: true, heartbeat: 10 * time.Millisecond, active: 1, failed: []int{1},
+	add("hung", "", 2, placement{epochs: 2}, membership{ft: true, heartbeat: 10 * time.Millisecond, active: 1, failed: []int{1},
 		links: map[int][]faults.Rule{0: {on(faults.Recv, transport.MsgChunkDone, 3, faults.Hang)}}})
 
 	// A third replica joins at step 2 by live handoff; the group grows to
 	// three on the curve.
-	add("join", 2, placement{}, membership{joinAt: 2, active: 3, joins: 1})
+	add("join", "", 2, placement{}, membership{joinAt: 2, active: 3, joins: 1})
 	// A straggling follower is demoted mid-minibatch, the minibatch replays
 	// over two, its late reply drains, and it rejoins at an epoch-2
 	// boundary. The tail follower, or — traced — follower 1, so the
 	// survivor above it shifts down a position and the rejoined member
 	// takes another: each keeps tracks of its own.
-	add("demote-tail", 3, placement{}, membership{demote: true, active: 3, joins: 1, demotions: 1,
+	add("demote-tail", "", 3, placement{}, membership{demote: true, active: 3, joins: 1, demotions: 1,
 		links: map[int][]faults.Rule{1: {straggle}}})
-	add("demote-non-tail-traced", 3, placement{traced: true}, membership{demote: true, active: 3, joins: 1, demotions: 1,
+	add("demote-non-tail-traced", "", 3, placement{traced: true}, membership{demote: true, active: 3, joins: 1, demotions: 1,
 		pids: []int{1, 2}, links: map[int][]faults.Rule{0: {straggle}}})
 	// A hung follower is demoted by the deadline windows alone; its drain
 	// then hits the liveness window and latches the timeout, and the next
 	// boundary drops the standby: R = 2 to the end, no rejoin.
-	add("demote-hung", 3, placement{}, membership{demote: true, heartbeat: 10 * time.Millisecond,
+	add("demote-hung", "", 3, placement{}, membership{demote: true, heartbeat: 10 * time.Millisecond,
 		active: 2, demotions: 1, failed: []int{2},
 		links: map[int][]faults.Rule{1: {on(faults.Recv, transport.MsgChunkDone, 1, faults.Hang)}}})
 	// A follower evicted at its 2nd chunk while a joiner is parked for
@@ -248,16 +261,16 @@ var ftPlacements, ftCells = func() (map[string]placement, string) {
 		return membership{ft: true, joinAt: 8, active: 3, joins: 1, failed: []int{link + 1},
 			links: map[int][]faults.Rule{link: {on(faults.Send, transport.MsgRunChunk, 2, faults.Kill)}}}
 	}
-	add("churn-evict-join-tail", 3, placement{}, evictJoin(1))
+	add("churn-evict-join-tail", "TestChurnCompositions/evict-during-pending-join/tail", 3, placement{}, evictJoin(1))
 	m := evictJoin(0)
 	m.pids = []int{2, 3}
-	add("churn-evict-join-non-tail-traced", 3, placement{traced: true}, m)
+	add("churn-evict-join-non-tail-traced", "TestChurnCompositions/evict-during-pending-join/non-tail-traced", 3, placement{traced: true}, m)
 	// A join admitted at a boundary that also writes a checkpoint: it runs
 	// after the write.
-	add("churn-join-ckpt", 2, placement{ckpt: 1}, membership{joinAt: 2, active: 3, joins: 1, writes: 16})
+	add("churn-join-ckpt", "TestChurnCompositions/join-during-checkpoint", 2, placement{ckpt: 1}, membership{joinAt: 2, active: 3, joins: 1, writes: 16})
 	// Demotion, rejoin and eviction chain on one link: the rejoined member
 	// dies on its first reply.
-	add("churn-demote-kill", 3, placement{}, membership{demote: true, active: 2, joins: 1, demotions: 1, failed: []int{2},
+	add("churn-demote-kill", "TestChurnCompositions/demotion-racing-fatal", 3, placement{}, membership{demote: true, active: 2, joins: 1, demotions: 1, failed: []int{2},
 		links: map[int][]faults.Rule{1: {straggle, on(faults.Recv, transport.MsgChunkDone, 2, faults.Kill)}}})
 	// Chunk 0 — accumulated in place, shipped as one prefix — moves from
 	// member to member on both inner engines. Follower 1 holds it first and
@@ -269,9 +282,9 @@ var ftPlacements, ftCells = func() (map[string]placement, string) {
 	// if the drained chunk-0 run left its accumulators zero.
 	chunk0 := membership{demote: true, active: 2, joins: 1, demotions: 1, failed: []int{2},
 		links: map[int][]faults.Rule{0: {straggle}, 1: {on(faults.Recv, transport.MsgChunkDone, 8, faults.Kill)}}}
-	add("chunk0-ref", 3, placement{}, chunk0)
-	add("chunk0-conc", 3, placement{engine: concEngine(0), workers: concEngine(2)}, chunk0)
-	return ps, strings.Join(names, " ")
+	add("chunk0-ref", "TestChunkZeroHolderChurn/reference", 3, placement{}, chunk0)
+	add("chunk0-conc", "TestChunkZeroHolderChurn/concurrent", 3, placement{engine: concEngine(0), workers: concEngine(2)}, chunk0)
+	return ps, strings.Join(names, " "), tests
 }()
 
 // withOpts returns opts followed by extra, in a slice of its own.
@@ -501,6 +514,19 @@ func TestEquivalence(t *testing.T) {
 	}
 	if cells == 0 {
 		t.Fatal("-run selected no TestEquivalence/<recipe>/<placement> cell")
+	}
+}
+
+// runFTTest runs the quad-ft cells ftTests lists under t's name as t's
+// subtests, against the recipe's cached Reference curve.
+func runFTTest(t *testing.T) {
+	rc := recipeNamed(t, "quad-ft")
+	cells := ftTests[t.Name()]
+	if len(cells) == 0 {
+		t.Fatalf("no quad-ft cell runs under %s", t.Name())
+	}
+	for _, c := range cells {
+		t.Run(c[0], func(t *testing.T) { placements[c[1]].run(t, rc) })
 	}
 }
 

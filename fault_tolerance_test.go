@@ -75,6 +75,12 @@ func TestChurnedRunsCheckpointsRestore(t *testing.T) {
 	})
 }
 
+// TestCrashMidCollectiveNeverDeadlocks runs quad-ft's crash cells: a
+// follower's link dies at each commit message or chunk-0 prefix, at R 3
+// and 2, with fault tolerance (an eviction on the curve) and without (an
+// error naming the replica), never a hang.
+func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) { runFTTest(t) }
+
 // TestCheckpointRestoreResumesBitIdentical pins the checkpoint/restore
 // satellite at an epoch boundary: a run checkpointed every 4 steps (one
 // epoch) for 3 epochs, restored via pipemare.Restore into a fresh
