@@ -249,11 +249,11 @@ func run(c *config) error {
 // the measured wall clock.
 func traceRun(c *config) error {
 	const stages = 4
-	dialers, release, err := startFollowers(c, stages, c.replicas-1)
+	rec := pipemare.NewTraceRecorder()
+	dialers, release, err := startFollowers(c, stages, c.replicas-1, rec)
 	if err != nil {
 		return err
 	}
-	rec := pipemare.NewTraceRecorder()
 	extra := []pipemare.Option{pipemare.WithTrace(rec)}
 	if len(dialers) > 0 {
 		extra = append(extra, pipemare.WithTransport(dialers...))
@@ -267,7 +267,7 @@ func traceRun(c *config) error {
 		return err
 	}
 	wall := time.Since(start).Nanoseconds()
-	costs := tr.StageCosts()
+	costs, arenas := tr.StageCosts(), tr.ArenaMemory()
 	if err := tr.Close(); err != nil {
 		return err
 	}
@@ -287,6 +287,12 @@ func traceRun(c *config) error {
 	}
 	rep := pipemare.BuildTraceReport(rec, costs)
 	rep.Format(os.Stdout, wall)
+	var fwd, bwd, carry int
+	for _, a := range arenas {
+		fwd, bwd, carry = max(fwd, a.Forward), max(bwd, a.Backward), max(carry, a.Carry)
+	}
+	fmt.Printf("leader's tape arenas: %d machines, each at most %.1f KiB forward, %.1f KiB backward, %.1f KiB carry\n",
+		len(arenas), float64(fwd)/1024, float64(bwd)/1024, float64(carry)/1024)
 	fmt.Printf("wrote %s\n", c.traceOut)
 	return nil
 }
@@ -355,7 +361,7 @@ func smokeRun(c *config) error {
 	if c.crashWorker > 0 {
 		workerArgs = append(workerArgs, "-crash-after", fmt.Sprint(c.crashWorker))
 	}
-	dialers, release, err := startFollowers(c, 4, 1, workerArgs...)
+	dialers, release, err := startFollowers(c, 4, 1, nil, workerArgs...)
 	if err != nil {
 		return err
 	}
@@ -444,10 +450,11 @@ func smokeRun(c *config) error {
 // WithTransport plus a release function to call after Trainer.Close: it
 // reaps the followers and returns the first session error. "inproc"
 // returns no dialers — the trainer builds its followers in-process.
-// workerArgs are passed through to each spawned tcp worker (e.g.
-// -crash-after for the kill -9 smoke). When a spawn fails, every worker
-// already spawned is killed and reaped: nothing will ever dial it.
-func startFollowers(c *config, stages, n int, workerArgs ...string) ([]pipemare.Dialer, func() error, error) {
+// A loopback follower records its slots into rec (nil: off), under its
+// replica index. workerArgs are passed through to each spawned tcp worker
+// (e.g. -crash-after for the kill -9 smoke). When a spawn fails, every
+// worker already spawned is killed and reaped: nothing will ever dial it.
+func startFollowers(c *config, stages, n int, rec *pipemare.TraceRecorder, workerArgs ...string) ([]pipemare.Dialer, func() error, error) {
 	var dialers []pipemare.Dialer
 	var waits []func() error // one per follower: how its session ended
 	var spawned []*os.Process
@@ -476,6 +483,9 @@ func startFollowers(c *config, stages, n int, workerArgs ...string) ([]pipemare.
 			opts := append(experiments.EngineBenchOptions(stages), pipemare.WithDType(c.dtype))
 			if c.engine != nil {
 				opts = append(opts, pipemare.WithEngine(c.engine))
+			}
+			if rec != nil {
+				opts = append(opts, pipemare.WithTrace(rec))
 			}
 			done := make(chan error, 1)
 			go func() {

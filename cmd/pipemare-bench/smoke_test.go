@@ -149,7 +149,7 @@ func TestFailedSpawnReapsEarlierWorkers(t *testing.T) {
 	script := writeScript(t, dir, fmt.Sprintf("[ -e %[1]s ] && exit 1\necho $$ > %[1]s\nexec %[2]s \"$@\"\n", pidFile, buildWorker(t, dir)))
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := startFollowers(&config{transport: "tcp", workerBin: script}, 4, 2)
+		_, _, err := startFollowers(&config{transport: "tcp", workerBin: script}, 4, 2, nil)
 		done <- err
 	}()
 	select {

@@ -10,6 +10,7 @@ import (
 	"pipemare/internal/pipeline"
 	"pipemare/internal/replica"
 	"pipemare/internal/tensor"
+	"pipemare/internal/trace"
 	"pipemare/internal/transport"
 )
 
@@ -154,14 +155,15 @@ func measuredGroupCosts(task Task, groups []pipeline.ParamGroup, microbatchSize 
 // NewFollower builds follower spec.Replica of spec.Replicas, whether New
 // clones it in process or a worker builds it for the leader's hello: a
 // trainer over task with no replica group, whose chunks the leader's group
-// (or the worker's serve loop) runs through eng (nil: Reference). All else
+// (or the worker's serve loop) runs through eng (nil: Reference), and
+// whose slots record into rec (nil: off) as replica spec.Replica. All else
 // it trains by is the spec's recipe but opt and sched, which have no
 // encoding: the partition is the leader's stage map, and a DTypeSettable
 // task is cast to the leader's dtype before opt is cloned — every moment
 // under fault tolerance, else its own stage shard's. Its starting weights
 // do not matter: the leader's state handoff replaces them, and refuses a
 // follower of another architecture.
-func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, eng engine.Engine, spec transport.Spec) (replica.Local, error) {
+func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, eng engine.Engine, rec *trace.Recorder, spec transport.Spec) (replica.Local, error) {
 	r := spec.Replica
 	if r < 1 || r >= spec.Replicas {
 		return nil, fmt.Errorf("core: follower replica %d out of range [1, %d)", r, spec.Replicas)
@@ -174,7 +176,7 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, eng engin
 		ds.SetDType(rc.dtype)
 	}
 	cfg := rc.cfg
-	cfg.Engine, cfg.TraceReplica = eng, r
+	cfg.Engine, cfg.Trace, cfg.TraceReplica = eng, rec, r
 	var ps []*nn.Param
 	for _, g := range task.Groups() {
 		ps = append(ps, g.Params...)

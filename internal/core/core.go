@@ -535,11 +535,7 @@ func newTrainer(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config
 func (t *Trainer) follower(r, replicas int) (replica.Member, error) {
 	spec := t.spec(r, replicas)
 	if t.cfg.Followers == nil {
-		f, err := NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, t.cfg.Engine, spec)
-		if err == nil {
-			f.(host).t.cfg.Trace = t.cfg.Trace // the process's one recorder
-		}
-		return f, err
+		return NewFollower(t.task.(Replicable).CloneTask(), t.opt, t.sched, t.cfg.Engine, t.cfg.Trace, spec)
 	}
 	m, err := t.cfg.Followers(spec)
 	if err != nil {
@@ -627,6 +623,28 @@ func (t *Trainer) WeightMemory() []StageMemory {
 				m.T2 += size(t.recomp[lo:hi])
 			}
 		}
+	}
+	return out
+}
+
+// ArenaMemory is what one pooled machine's tape arenas hold, in bytes:
+// the forward's activations and scratch, the backward's temporaries (one
+// window of a few weight groups, nn.Program.BackwardRange) and the two
+// carry arenas that hold the gradients live across the window's rewinds.
+type ArenaMemory struct {
+	Forward, Backward, Carry int
+}
+
+// ArenaMemory measures the tape arenas of the machines the trainer pools
+// for the microbatches in flight, one row per machine: the trainer's side
+// of the paper's activation memory column, beside WeightMemory's weight
+// column. Call it between runs, when every machine is back in the pool.
+func (t *Trainer) ArenaMemory() []ArenaMemory {
+	t.flowMu.Lock()
+	defer t.flowMu.Unlock()
+	out := make([]ArenaMemory, len(t.freeFlows))
+	for i, fl := range t.freeFlows {
+		out[i].Forward, out[i].Backward, out[i].Carry = fl.m.ArenaBytes()
 	}
 	return out
 }

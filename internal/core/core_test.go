@@ -281,7 +281,7 @@ func TestRingsCoverEveryObservedLookback(t *testing.T) {
 					var followers []*probeTask
 					cfg.Followers = func(spec transport.Spec) (replica.Member, error) {
 						clone := newProbeTask(cfg.Stages, 4*cfg.BatchSize)
-						m, err := NewFollower(clone, &countingOptimizer{ps: clone.params}, optim.Constant(0.1), cfg.Engine, spec)
+						m, err := NewFollower(clone, &countingOptimizer{ps: clone.params}, optim.Constant(0.1), cfg.Engine, nil, spec)
 						if err == nil {
 							clone.tr = m.(host).t
 							followers = append(followers, clone)
@@ -778,7 +778,7 @@ func TestConfigCheckNamesTheField(t *testing.T) {
 			}
 			spec := transport.Spec{Replica: 1, Replicas: 2, Stages: 2,
 				Recipe: recipe{cfg: cfg, stageOf: []int{0, 0, 1, 1}}.encode()}
-			if _, err := NewFollower(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), nil, spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+			if _, err := NewFollower(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), nil, nil, spec); err == nil || !strings.Contains(err.Error(), tc.field) {
 				t.Errorf("NewFollower = %v, want an error naming %q", err, tc.field)
 			}
 		})
@@ -875,7 +875,7 @@ func TestFollowerTakesTheLeadersStageMap(t *testing.T) {
 		t.Fatalf("profiled bottleneck %g worse than even %g under the same measured costs", prof, ev)
 	}
 	other := newProbeTask(4, 64)
-	f, err := NewFollower(other, &countingOptimizer{ps: other.params}, optim.Constant(0.1), nil, leader.spec(1, 2))
+	f, err := NewFollower(other, &countingOptimizer{ps: other.params}, optim.Constant(0.1), nil, nil, leader.spec(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

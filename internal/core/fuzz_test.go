@@ -126,7 +126,7 @@ func FuzzRecipe(f *testing.F) {
 			t.Fatalf("recipe %x re-encodes to %x", data, got)
 		}
 		task := newProbeTask(6, 64)
-		NewFollower(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), nil,
+		NewFollower(task, &countingOptimizer{ps: task.params}, optim.Constant(0.1), nil, nil,
 			transport.Spec{Replica: 1, Replicas: 2, Stages: 3, Recipe: data})
 	})
 }

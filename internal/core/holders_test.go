@@ -164,7 +164,7 @@ func TestEveryGradientBufferHasOneHolder(t *testing.T) {
 				lis, dial := transport.Loopback()
 				build := func(spec transport.Spec) (replica.Local, error) {
 					clone := task.CloneTask().(*repTask)
-					m, err := NewFollower(clone, optim.NewSGD(repParams(clone), 0.9, 0), optim.Constant(0.1), nil, spec)
+					m, err := NewFollower(clone, optim.NewSGD(repParams(clone), 0.9, 0), optim.Constant(0.1), nil, nil, spec)
 					if err != nil {
 						return nil, err
 					}

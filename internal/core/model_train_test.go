@@ -145,3 +145,43 @@ func TestDivergenceIsDetected(t *testing.T) {
 		t.Fatal("divergence must be detected and recorded")
 	}
 }
+
+// TestBackwardArenaDoesNotGrowWithDepth pins what a pooled machine's
+// backward holds on the fine-grained ResMLP recipe (width 16, microbatches
+// of 8, one stage per weight group): one window of gradient temporaries,
+// not the whole network's. So the backward's high water, its carry arenas
+// included, is no larger at 107 groups (P = 107) than at 27 (P = 27),
+// while the forward's activations grow with the depth.
+func TestBackwardArenaDoesNotGrowWithDepth(t *testing.T) {
+	d := data.NewImages(data.ImagesConfig{Classes: 10, C: 3, H: 4, W: 4, Train: 128, Test: 16, Noise: 0.9, Seed: 1})
+	arenas := func(blocks int) (fwd, bwd int) {
+		task := model.NewResNetMLP(d, 16, blocks, 2)
+		var ps []*nn.Param
+		for _, g := range task.Groups() {
+			ps = append(ps, g.Params...)
+		}
+		tr, err := core.New(task, optim.NewSGD(ps, 0.9, 5e-4), optim.Constant(0.05), core.Config{
+			Method: core.PipeMare, Stages: 2*blocks + 3, BatchSize: 64, MicrobatchSize: 8, T1K: 480, T2D: 0.5, Seed: 11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Run(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		machines := tr.ArenaMemory()
+		if len(machines) == 0 {
+			t.Fatalf("P = %d: the trainer pools no machine after an epoch", 2*blocks+3)
+		}
+		for _, m := range machines {
+			fwd, bwd = max(fwd, m.Forward), max(bwd, m.Backward+m.Carry)
+		}
+		return fwd, bwd
+	}
+	fwd27, bwd27 := arenas(12)
+	fwd107, bwd107 := arenas(52)
+	if bwd107 > bwd27 || fwd107 < 3*fwd27 {
+		t.Fatalf("a machine's backward holds %d bytes at P = 27 and %d at P = 107, its forward %d and %d: want no growth in the backward, and the forward's with the depth",
+			bwd27, bwd107, fwd27, fwd107)
+	}
+}

@@ -62,7 +62,7 @@ func repParams(t *repTask) []*nn.Param {
 // replica group keeps its members to itself.
 func captureFollowers(task Replicable, opt optim.Optimizer, cfg Config, out *[]*Trainer) func(transport.Spec) (replica.Member, error) {
 	return func(spec transport.Spec) (replica.Member, error) {
-		m, err := NewFollower(task.CloneTask(), opt, optim.Constant(0.1), cfg.Engine, spec)
+		m, err := NewFollower(task.CloneTask(), opt, optim.Constant(0.1), cfg.Engine, nil, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -366,9 +366,11 @@ func (r *run) enqueue(g int, jbs ...job) {
 }
 
 // work is worker w's loop: take an offered segment, drain it, repeat until
-// the stream is over.
+// the stream is over. Before it waits, it readies its track's next trace
+// block, so recording inside a claim does not allocate it.
 func (r *run) work(w int) {
 	for {
+		r.tracks[w].Reserve()
 		select {
 		case g := <-r.ready:
 			r.drain(w, g)

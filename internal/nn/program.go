@@ -39,7 +39,8 @@ type Program struct {
 	NumRegs int
 
 	carryOnce sync.Once
-	carry     [][]Reg // Infer's: per op ending a group, the registers live across it
+	carry     [][]Reg // per op ending a group, the registers live across it
+	opaque    Op      // the first op carries cannot name, if any
 }
 
 // StageRanges returns, for each of p stages, the half-open op range
@@ -79,82 +80,106 @@ func (pr *Program) StageRanges(stageOf []int, p int) (lo, hi []int, err error) {
 
 // ForwardRange executes ops [lo, hi) forward on m.
 func (pr *Program) ForwardRange(m *Machine, lo, hi int) {
+	m.inBwd = false
 	for i := lo; i < hi; i++ {
 		pr.Ops[i].Forward(m)
 	}
 }
 
 // BackwardRange executes ops [lo, hi) backward on m, in reverse order.
+// The first call after a forward marks where the backward starts on m's
+// tape. At each weight-group boundary it passes, it takes Infer's rewind
+// step (Machine.rewind) for the gradients still accumulating — those of
+// registers written at or below the boundary and read above it — down to
+// that mark, never below it, where the forward records the lower ops will
+// pop lie. So a machine holds a window of a few groups' backward
+// temporaries, not the whole network's, across however many calls one
+// backward takes. The gradients are those of a backward without rewinds,
+// bit for bit: later contributions add into a carried copy in the same
+// order. A program with an op carries cannot name never rewinds.
 func (pr *Program) BackwardRange(m *Machine, lo, hi int) {
+	live := pr.carries()
+	if !m.inBwd {
+		m.inBwd, m.bwd, m.since = true, m.Tape.mark(), m.Tape.handed
+	}
 	for i := hi - 1; i >= lo; i-- {
 		pr.Ops[i].Backward(m)
+		if live != nil && i > 0 && pr.GroupOf[i-1] != pr.GroupOf[i] {
+			m.rewind(live[i-1], m.grads, m.bwd)
+		}
 	}
 }
 
-// Infer rewinds its tape at a weight-group boundary once the ops since
-// the last rewind have taken inferWindowBytes of it — large enough that a
-// rewind comes every several groups, small enough that an eval machine
-// holds a few of a deep network's groups rather than all of them — and
-// the window is inferCarryRatio times the registers the rewind copies, so
-// that the copies add at most that share to the window's own writes.
-const (
-	inferWindowBytes = 256 << 10
-	inferCarryRatio  = 8
-)
+// carryRatio is when a pass rewinds its tape at a weight-group boundary:
+// once the tape has handed out carryRatio times the bytes of the values
+// the rewind copies, so that the copies add at most that share to the
+// window's own writes. It is the only rule, so a deep network of small
+// activations rewinds every few groups too.
+const carryRatio = 8
 
 // Infer runs ops [lo, hi) forward on m for a pass no backward follows —
 // an evaluation. Its values are ForwardRange's, bit for bit, but its
-// arena does not grow with the range: at a weight-group boundary, when
-// the window since the last rewind is large enough (inferWindowBytes,
-// inferCarryRatio), it copies the registers live across the boundary —
-// written by then, and read by a later op of the program — into one of
-// the machine's two carry arenas (the other holds the previous rewind's,
-// which the copies may read) and rewinds the tape. Every register an op
-// at or past hi reads — what the caller reads next — therefore survives,
-// valid until m's next run; a register no later op reads may not. A
-// program with an op whose registers Infer cannot name (not one of this
-// file's ops) panics, naming its type.
+// arena does not grow with the range: at each weight-group boundary it
+// takes the rewind step BackwardRange takes (Machine.rewind) for the
+// registers live across the boundary — written by then, and read by a
+// later op of the program — and rewinds the whole tape, records too.
+// Every register an op at or past hi reads — what the caller reads next
+// — therefore survives, valid until m's next run; a register no later op
+// reads may not. A program with an op whose registers Infer cannot name
+// (not one of this file's ops) panics, naming its type.
 func (pr *Program) Infer(m *Machine, lo, hi int) {
-	carries := pr.carries()
-	counted, used := m.Tape.tpos, 0
+	live := pr.carries()
+	if live == nil {
+		panic(fmt.Sprintf("nn: Infer cannot run %T", pr.opaque))
+	}
+	m.since = m.Tape.handed
 	for i := lo; i < hi; i++ {
 		pr.Ops[i].Forward(m)
-		if i+1 == hi || pr.GroupOf[i+1] == pr.GroupOf[i] {
-			continue
+		if i+1 < hi && pr.GroupOf[i+1] != pr.GroupOf[i] && m.rewind(live[i], m.regs, tapeMark{}) {
+			m.Tape.Reset()
 		}
-		for _, x := range m.Tape.tens[counted:m.Tape.tpos] {
-			used += x.Size() * x.DType().Size()
-		}
-		counted = m.Tape.tpos
-		live := 0
-		for _, r := range carries[i] {
-			if v := m.regs[r]; v != nil {
-				live += v.Size() * v.DType().Size()
-			}
-		}
-		if used < inferWindowBytes || used < inferCarryRatio*live {
-			continue
-		}
-		carry := &m.carry[m.carried]
-		carry.Reset()
-		for _, r := range carries[i] {
-			if v := m.regs[r]; v != nil {
-				carry.SetDType(v.DType())
-				c := carry.NewTensor(v.Shape...)
-				c.CopyFrom(v)
-				m.regs[r] = c
-			}
-		}
-		m.carried ^= 1
-		m.Tape.Reset()
-		counted, used = 0, 0
 	}
+}
+
+// rewind is the step both passes take at a weight-group boundary. vals
+// holds the pass's values by register (the forward registers, or the
+// gradients), and live names those a later step still reads. Once the
+// tape has handed out carryRatio times the bytes of the live values since
+// the pass began or last rewound, it copies them into carry[carried] —
+// the other carry arena holds the last rewind's copies, which these
+// copies may read — points vals at the copies, rewinds the tape's arenas
+// to from, and reports true.
+func (m *Machine) rewind(live []Reg, vals []*tensor.Tensor, from tapeMark) bool {
+	n := 0
+	for _, r := range live {
+		if v := vals[r]; v != nil {
+			n += v.Size() * v.DType().Size()
+		}
+	}
+	if m.Tape.handed-m.since < carryRatio*n {
+		return false
+	}
+	carry := &m.carry[m.carried]
+	carry.Reset()
+	for _, r := range live {
+		if v := vals[r]; v != nil {
+			carry.SetDType(v.DType())
+			c := carry.NewTensor(v.Shape...)
+			c.CopyFrom(v)
+			vals[r] = c
+		}
+	}
+	m.carried ^= 1
+	m.Tape.rewind(from)
+	m.since = m.Tape.handed
+	return true
 }
 
 // carries returns, for each op that ends a weight group, the registers
 // live across that boundary: read by a later op, and written by an op up
 // to it or by none (the caller binds those). It is worked out on first
-// use, and panics on an op whose registers it does not know.
+// use. On a program with an op whose registers it does not know it
+// returns nil, and pr.opaque names the op.
 func (pr *Program) carries() [][]Reg {
 	pr.carryOnce.Do(func() {
 		written, last := make([]int, pr.NumRegs), make([]int, pr.NumRegs)
@@ -174,7 +199,8 @@ func (pr *Program) carries() [][]Reg {
 			case *LossOp:
 				in = []Reg{o.Logits}
 			default:
-				panic(fmt.Sprintf("nn: Infer cannot run %T", op))
+				pr.opaque = op
+				return
 			}
 			for _, r := range in {
 				last[r] = i
@@ -268,10 +294,18 @@ type Machine struct {
 	kv     []*tensor.Tensor
 	kvTape Tape
 
-	// Infer's carry arenas: carry[carried] takes the live registers at the
-	// next rewind, and the other holds those of the last.
+	// The rewind state Infer and BackwardRange share (rewind):
+	// carry[carried] takes the live values at the next rewind, and the
+	// other holds those of the last; since is Tape.handed at the pass's
+	// start or last rewind.
 	carry   [2]Tape
 	carried int
+	since   int
+
+	// bwd is where this run's backward starts on the tape, marked by its
+	// first BackwardRange (inBwd); the backward rewinds down to it.
+	bwd   tapeMark
+	inBwd bool
 }
 
 // NewMachine returns a machine with room for the program's registers.
@@ -288,7 +322,25 @@ func (m *Machine) ResetRun() {
 		m.grads[i] = nil
 	}
 	m.Loss = 0
+	m.inBwd = false
 	m.Tape.Reset()
+}
+
+// ArenaBytes reports the bytes m's arenas hold: its tape's below where
+// its last backward started (the forward's activations and scratch), its
+// tape's from there on (the backward's temporaries), and its two carry
+// arenas'. A machine that has run no backward reports its whole tape as
+// the forward's.
+func (m *Machine) ArenaBytes() (fwd, bwd, carry int) {
+	held := m.Tape.held()
+	at := m.bwd
+	if at == (tapeMark{}) {
+		at = held
+	}
+	for i := range m.carry {
+		carry += m.carry[i].bytes(tapeMark{}, m.carry[i].held())
+	}
+	return m.Tape.bytes(tapeMark{}, at), m.Tape.bytes(at, held), carry
 }
 
 // Val returns the value of register r.

@@ -18,7 +18,12 @@ import (
 // buffers that are recycled positionally on Reset. A training step runs
 // the same op sequence with the same shapes every microbatch, so after the
 // first microbatch the arena serves every request from its free list and
-// the hot path stops allocating.
+// the hot path stops allocating. A pass also rewinds the arena at
+// weight-group boundaries, once it has carried the values still live
+// across them: a backward down to where it started, above the forward's
+// records (Program.BackwardRange), an evaluation to the start
+// (Program.Infer). So a machine's arena holds its forward's activations
+// and one window of a few groups' temporaries, not the whole network's.
 //
 // A Tape is not safe for concurrent use; every microbatch in flight owns
 // its own.
@@ -27,13 +32,14 @@ type Tape struct {
 	norms []normRecord
 	ces   []ceRecord
 
-	dt   tensor.DType
-	tens []*tensor.Tensor
-	tpos int
-	flts [][]float64
-	fpos int
-	ints [][]int
-	ipos int
+	dt     tensor.DType
+	tens   []*tensor.Tensor
+	tpos   int
+	handed int // bytes of every tensor NewTensor has handed out
+	flts   [][]float64
+	fpos   int
+	ints   [][]int
+	ipos   int
 }
 
 // SetDType switches the dtype of tensors handed out by NewTensor. Arena
@@ -114,6 +120,7 @@ func (t *Tape) NewTensor(shape ...int) *tensor.Tensor {
 		t.tens[t.tpos] = c
 	}
 	t.tpos++
+	t.handed += c.Size() * t.dt.Size()
 	if raceEnabled {
 		c.Fill(math.NaN())
 	}
@@ -178,7 +185,35 @@ func (t *Tape) Reset() {
 	t.norms = t.norms[:0]
 	clear(t.ces)
 	t.ces = t.ces[:0]
-	t.tpos, t.fpos, t.ipos = 0, 0, 0
+	t.rewind(tapeMark{})
+}
+
+// tapeMark is a position in a tape's three arenas: tensors, floats, ints.
+type tapeMark struct{ t, f, i int }
+
+// mark returns the arenas' next positions.
+func (t *Tape) mark() tapeMark { return tapeMark{t.tpos, t.fpos, t.ipos} }
+
+// held returns the positions past every buffer the arenas hold.
+func (t *Tape) held() tapeMark { return tapeMark{len(t.tens), len(t.flts), len(t.ints)} }
+
+// rewind moves the arenas back to k, so the buffers from k on are handed
+// out again and what they held is invalidated. The record stacks stay.
+func (t *Tape) rewind(k tapeMark) { t.tpos, t.fpos, t.ipos = k.t, k.f, k.i }
+
+// bytes returns the bytes of the arena buffers from position a up to b.
+func (t *Tape) bytes(a, b tapeMark) int {
+	n := 0
+	for _, x := range t.tens[a.t:b.t] {
+		n += x.Size() * x.DType().Size()
+	}
+	for _, s := range t.flts[a.f:b.f] {
+		n += 8 * cap(s)
+	}
+	for _, s := range t.ints[a.i:b.i] {
+		n += 8 * cap(s)
+	}
+	return n
 }
 
 func sameShape(a, b []int) bool {

@@ -197,6 +197,7 @@ type Track struct {
 	Tid     int       // worker index or a Tid* constant
 	Name    string    // thread_name metadata in the Chrome export
 	blocks  [][]Event // full blocks of blockEvents, then the newest
+	spare   []Event   // the block after the newest, readied by Reserve
 	n       int       // events recorded
 	dropped int
 }
@@ -228,6 +229,25 @@ func (t *Track) Instant(name string, stage, micro int, bytes int64) {
 		Stage: stage, Micro: micro, Bytes: bytes})
 }
 
+// Reserve readies the block the track records into once its newest is
+// full, so that a writer about to enter a section that should not
+// allocate pays for it first: after Reserve the track allocates nothing
+// until it has recorded more than a whole block. A no-op on a nil track,
+// and when the block is ready or the cap leaves no room for it.
+func (t *Track) Reserve() {
+	if t == nil || t.spare != nil {
+		return
+	}
+	room := t.rec.limit - t.n
+	if k := len(t.blocks) - 1; k >= 0 {
+		room -= cap(t.blocks[k]) - len(t.blocks[k])
+	}
+	if room > 0 {
+		t.spare = make([]Event, 0, min(blockEvents, room))
+		t.blocks = slices.Grow(t.blocks, 1)
+	}
+}
+
 func (t *Track) add(ev Event) {
 	if t.n >= t.rec.limit {
 		t.dropped++
@@ -235,7 +255,11 @@ func (t *Track) add(ev Event) {
 	}
 	k := len(t.blocks) - 1
 	if k < 0 || len(t.blocks[k]) == cap(t.blocks[k]) {
-		t.blocks = append(t.blocks, make([]Event, 0, min(blockEvents, t.rec.limit-t.n)))
+		b := t.spare
+		if b == nil {
+			b = make([]Event, 0, min(blockEvents, t.rec.limit-t.n))
+		}
+		t.blocks, t.spare = append(t.blocks, b), nil
 		k++
 	}
 	t.blocks[k] = append(t.blocks[k], ev)

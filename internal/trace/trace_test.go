@@ -88,6 +88,43 @@ func TestTrackRecordsIntoBlocks(t *testing.T) {
 	}
 }
 
+// TestReserveTakesTheBlockAllocationOutOfRecording pins what Reserve
+// buys a writer that calls it whenever it goes idle: it then records a
+// whole block of events, across into the next block, allocating nothing.
+// A reserved block still ends at the cap, and at the cap Reserve readies
+// none.
+func TestReserveTakesTheBlockAllocationOutOfRecording(t *testing.T) {
+	const limit = blockEvents + 100
+	r := NewWithLimit(limit)
+	tk := r.Track(0, 0, "worker 0")
+	for i := 0; i < blockEvents/2; i++ {
+		tk.Instant(NameEpoch, -1, i, 0)
+	}
+	idle := true
+	allocs := testing.AllocsPerRun(1, func() {
+		if idle { // AllocsPerRun's unmeasured warm-up call: the writer is idle
+			tk.Reserve()
+			idle = false
+			return
+		}
+		for i := 0; i < blockEvents/2+50; i++ {
+			tk.Instant(NameEpoch, -1, i, 0)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("recording across a reserved block allocates %v times", allocs)
+	}
+	if len(tk.blocks) != 2 || cap(tk.blocks[1]) != 100 {
+		t.Fatalf("%d blocks, the last of capacity %d; want 2, the last of the 100 the cap leaves", len(tk.blocks), cap(tk.blocks[len(tk.blocks)-1]))
+	}
+	for i := 0; i < 60; i++ {
+		tk.Instant(NameEpoch, -1, i, 0)
+	}
+	if tk.Reserve(); tk.spare != nil || len(tk.Events()) != limit || tk.DroppedEvents() != 10 {
+		t.Fatalf("at the cap: a spare block of %d, %d events and %d dropped; want none, %d and 10", cap(tk.spare), len(tk.Events()), tk.DroppedEvents(), limit)
+	}
+}
+
 func TestTrackRegistryDedupes(t *testing.T) {
 	r := New()
 	a := r.Track(1, TidCollectives, "collectives")

@@ -9,6 +9,7 @@ import (
 	"pipemare"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
+	"pipemare/internal/trace"
 )
 
 // TestChromeTraceFormat runs a real R=2 × P=4 sharded-commit training
@@ -82,6 +83,44 @@ func TestChromeTraceFormat(t *testing.T) {
 			t.Errorf("export is missing %q events", want)
 		}
 	}
+}
+
+// TestLoopbackFollowerTracesItsSlots pins that a worker's WithTrace
+// reaches the follower it builds for the leader's hello: in an R = 2 run
+// over a loopback connection, traced on one recorder, replica 1 records
+// its forward and backward slots under pid 1, as many of each as the
+// leader records for its own half of every minibatch.
+func TestLoopbackFollowerTracesItsSlots(t *testing.T) {
+	dnn := recipeNamed(t, "dnn-all")
+	rec := pipemare.NewTraceRecorder()
+	dialers, _, wait := startWorkers(t, 1, dnn.build, func() []pipemare.Option { return withOpts(dnn.opts, pipemare.WithTrace(rec)) })
+	tr, err := pipemare.New(dnn.build(), withOpts(dnn.opts, pipemare.WithTrace(rec), pipemare.WithReplicas(2), pipemare.WithTransport(dialers...))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, werr := range wait() {
+		if werr != nil {
+			t.Fatalf("worker %d: %v", i+1, werr)
+		}
+	}
+	spans := map[[2]any]int{} // (pid, name) → spans
+	for _, tk := range rec.Tracks() {
+		for _, ev := range tk.Events() {
+			spans[[2]any{tk.Pid, ev.Name}]++
+		}
+	}
+	for _, name := range []string{trace.NameFwd, trace.NameBwd} {
+		if n, lead := spans[[2]any{1, name}], spans[[2]any{0, name}]; n == 0 || n != lead {
+			t.Fatalf("replica 1 recorded %d %s spans, the leader %d: want as many, and some", n, name, lead)
+		}
+	}
+	requireOwnTracks(t, rec, 1)
 }
 
 // TestReplicatedStepMovesWhatReceiversCannotCompute pins the bytes of one

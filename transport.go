@@ -64,11 +64,11 @@ func ServeFollower(ctx context.Context, lis Listener, task Task, opts ...Option)
 }
 
 // followerBuilder is the transport.Builder ServeFollower and JoinFollower
-// share: core.NewFollower over the worker's task, optimizer, schedule and
-// engine for the leader's spec.
+// share: core.NewFollower over the worker's task, optimizer, schedule,
+// engine and trace recorder (WithTrace) for the leader's spec.
 func followerBuilder(task Task, s *settings, opt Optimizer) transport.Builder {
 	return func(spec transport.Spec) (replica.Local, error) {
-		return core.NewFollower(task, opt, s.sched, s.cfg.Engine, spec)
+		return core.NewFollower(task, opt, s.sched, s.cfg.Engine, s.cfg.Trace, spec)
 	}
 }
 
