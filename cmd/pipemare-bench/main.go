@@ -217,7 +217,7 @@ func run(c *config) error {
 		return nil
 	}
 	if c.traceOut != "" {
-		if err := traceRun(c); err != nil {
+		if err := traceRun(c, os.Stdout); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 		return nil
@@ -245,9 +245,10 @@ func run(c *config) error {
 // traceRun trains the benchmark workload (P=4) for one traced epoch —
 // every replica running the chosen engine — writes the recording as
 // Chrome trace-event JSON to c.traceOut, and prints the derived
-// utilization report (per-stage busy time, bubble fraction, MFU) against
-// the measured wall clock.
-func traceRun(c *config) error {
+// utilization report (per-stage busy time, bubble fraction, MFU) to w
+// against the measured wall clock. That clock runs from New to Run's end,
+// the interval the trace covers: New's state handoff is its first span.
+func traceRun(c *config, w io.Writer) error {
 	const stages = 4
 	rec := pipemare.NewTraceRecorder()
 	dialers, release, err := startFollowers(c, stages, c.replicas-1, rec)
@@ -258,11 +259,11 @@ func traceRun(c *config) error {
 	if len(dialers) > 0 {
 		extra = append(extra, pipemare.WithTransport(dialers...))
 	}
+	start := time.Now()
 	tr, err := c.benchTrainer(stages, c.replicas, c.engine, extra...)
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	if _, err := tr.Run(context.Background(), 1); err != nil {
 		return err
 	}
@@ -286,14 +287,14 @@ func traceRun(c *config) error {
 		return err
 	}
 	rep := pipemare.BuildTraceReport(rec, costs)
-	rep.Format(os.Stdout, wall)
+	rep.Format(w, wall)
 	var fwd, bwd, carry int
 	for _, a := range arenas {
 		fwd, bwd, carry = max(fwd, a.Forward), max(bwd, a.Backward), max(carry, a.Carry)
 	}
-	fmt.Printf("leader's tape arenas: %d machines, each at most %.1f KiB forward, %.1f KiB backward, %.1f KiB carry\n",
+	fmt.Fprintf(w, "leader's tape arenas: %d machines, each at most %.1f KiB forward, %.1f KiB backward, %.1f KiB carry\n",
 		len(arenas), float64(fwd)/1024, float64(bwd)/1024, float64(carry)/1024)
-	fmt.Printf("wrote %s\n", c.traceOut)
+	fmt.Fprintf(w, "wrote %s\n", c.traceOut)
 	return nil
 }
 

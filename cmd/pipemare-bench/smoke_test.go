@@ -89,6 +89,26 @@ func TestSmokeLoopback(t *testing.T) {
 	}
 }
 
+// TestTraceWallWithinMeasuredWall runs the traced epoch at R = 2 over
+// loopback: the trace's extent, from New's state handoff to the last
+// commit, must lie inside the measured wall, so the accounting line reads
+// at most 100%.
+func TestTraceWallWithinMeasuredWall(t *testing.T) {
+	c, err := parseFlags([]string{"-trace", filepath.Join(t.TempDir(), "t.json"), "-replicas", "2", "-transport", "loopback"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := traceRun(c, &out); err != nil {
+		t.Fatal(err)
+	}
+	_, line, _ := strings.Cut(out.String(), "trace wall is ")
+	var pct float64
+	if _, err := fmt.Sscanf(line, "%f%%", &pct); err != nil || pct > 100 {
+		t.Fatalf("accounting line %q: want a trace wall of at most 100%% of the measured wall\n%s", line, out.String())
+	}
+}
+
 // buildWorker builds pipemare-worker into dir.
 func buildWorker(t *testing.T, dir string) string {
 	t.Helper()

@@ -312,7 +312,7 @@ func TestElasticOptionValidation(t *testing.T) {
 	}
 	// The wait policy is the default and composes with everything.
 	tr, err := pipemare.New(build(), append(append([]pipemare.Option{}, ftBase()...),
-		pipemare.WithStragglerDemotion(0, 0))...)
+		pipemare.WithStragglerDemotion(0))...)
 	if err != nil {
 		t.Fatalf("wait policy: %v", err)
 	}

@@ -81,10 +81,11 @@ type membership struct {
 	ft        bool                  // WithFaultTolerance
 	joinAt    int                   // a joiner parked for this step (WithJoinAt); 0: none
 	heartbeat time.Duration         // WithHeartbeat; 0: not set
-	// demote sets WithElastic and WithStragglerDemotion(20ms, 2), and
-	// pauses 250 ms after epoch 1, so that a demoted member's drain ends
-	// before epoch 2 begins: the scripts hold a reply 100 ms (a delay, or
-	// a hang under a 100 ms liveness window), 60 ms past the demotion.
+	// demote sets WithElastic, WithHeartbeat(20ms) unless heartbeat is
+	// set, and WithStragglerDemotion(2), and pauses 250 ms after epoch 1,
+	// so that a demoted member's drain ends before epoch 2 begins: the
+	// scripts hold a reply 100 ms (a delay, or a hang under a 100 ms
+	// liveness window), 60 ms past the demotion.
 	demote bool
 
 	active           int    // replicas at the end; 0: R
@@ -103,16 +104,16 @@ func (m *membership) options() []pipemare.Option {
 	if m.joinAt > 0 || m.demote {
 		opts = append(opts, pipemare.WithElastic())
 	}
-	if m.heartbeat > 0 {
-		opts = append(opts, pipemare.WithHeartbeat(m.heartbeat))
-	}
 	if m.demote {
-		opts = append(opts, pipemare.WithStragglerDemotion(20*time.Millisecond, 2),
+		opts = append(opts, pipemare.WithHeartbeat(20*time.Millisecond), pipemare.WithStragglerDemotion(2),
 			pipemare.WithObserver(func(epochs int, run *pipemare.Run) {
 				if epochs == 1 {
 					time.Sleep(250 * time.Millisecond)
 				}
 			}))
+	}
+	if m.heartbeat > 0 {
+		opts = append(opts, pipemare.WithHeartbeat(m.heartbeat))
 	}
 	return opts
 }
@@ -247,7 +248,7 @@ var ftPlacements, ftCells, ftTests = func() (map[string]placement, string, map[s
 		links: map[int][]faults.Rule{1: {straggle}}})
 	add("demote-non-tail-traced", "", 3, placement{traced: true}, membership{demote: true, active: 3, joins: 1, demotions: 1,
 		pids: []int{1, 2}, links: map[int][]faults.Rule{0: {straggle}}})
-	// A hung follower is demoted by the deadline windows alone; its drain
+	// A hung follower is demoted by the heartbeat windows alone; its drain
 	// then hits the liveness window and latches the timeout, and the next
 	// boundary drops the standby: R = 2 to the end, no rejoin.
 	add("demote-hung", "", 3, placement{}, membership{demote: true, heartbeat: 10 * time.Millisecond,

@@ -69,9 +69,7 @@ func (t *Trainer) spec(position, replicas int) transport.Spec {
 // proxy, after its handshake and before it enters the replica group.
 func (t *Trainer) arm(m *transport.RemoteMember) {
 	m.SetTracer(t.cfg.Trace) // nil-safe: a nil recorder leaves the wire track off
-	if t.cfg.StragglerMisses > 0 {
-		m.SetStragglerDeadline(t.cfg.StragglerDeadline, t.cfg.StragglerMisses)
-	}
+	m.SetStragglerMisses(t.cfg.StragglerMisses)
 }
 
 // buildPartition splits the task's weight groups into stages — by the

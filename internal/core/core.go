@@ -212,22 +212,21 @@ type Config struct {
 	// group to grow) and implies FaultTolerant.
 	Elastic bool
 
-	// StragglerDeadline and StragglerMisses configure straggler demotion
-	// for remote followers: a follower whose collective reply misses
-	// StragglerDeadline for StragglerMisses consecutive deadline windows
-	// is demoted to standby — kept alive, excluded from the chunk split
-	// and commit plan, its microbatches redistributed — and automatically
-	// readmitted through the join handoff path once its late reply drains.
-	// The two are both zero or both positive; zero disables demotion (the
-	// default: wait indefinitely, bar heartbeat liveness).
-	StragglerDeadline time.Duration
-	StragglerMisses   int
+	// StragglerMisses configures straggler demotion for remote followers:
+	// a follower whose chunk reply misses StragglerMisses consecutive
+	// heartbeat windows is demoted to standby — kept alive, excluded from
+	// the chunk split and commit plan, its microbatches redistributed —
+	// and automatically readmitted through the join handoff path once its
+	// late reply drains. Zero disables demotion (the default: wait
+	// indefinitely, bar heartbeat liveness).
+	StragglerMisses int
 
 	// Heartbeat is the remote-follower liveness cadence
 	// (pipemare.WithHeartbeat), announced to dial-time followers and
-	// joiners alike. New resolves a negative value — the facade's "not
-	// set" — once fault tolerance is resolved: transport.DefaultHeartbeat
-	// when the run is fault-tolerant, 0 (off) otherwise.
+	// joiners alike: the one window of a remote follower's reply wait.
+	// Zero is the default, which New resolves once fault tolerance is
+	// known: transport.DefaultHeartbeat when the run is fault-tolerant,
+	// off otherwise.
 	Heartbeat time.Duration
 
 	// CheckpointDir, when non-empty, makes the leader serialize its full
@@ -413,8 +412,10 @@ func (c Config) check() (Config, error) {
 		err = fmt.Errorf("Hogwild delays need TauMax >= 0 and MeanScale >= 0, got %+v", *h)
 	case c.CheckpointEvery < 0:
 		err = fmt.Errorf("checkpoint cadence must be >= 0, got %d", c.CheckpointEvery)
-	case c.StragglerDeadline < 0 || c.StragglerMisses < 0 || (c.StragglerDeadline > 0) != (c.StragglerMisses > 0):
-		err = fmt.Errorf("straggler deadline %v and straggler misses %d must be both zero or both positive", c.StragglerDeadline, c.StragglerMisses)
+	case c.StragglerMisses < 0:
+		err = fmt.Errorf("straggler misses must be >= 0, got %d", c.StragglerMisses)
+	case c.Heartbeat < 0:
+		err = fmt.Errorf("heartbeat must be >= 0, got %v", c.Heartbeat)
 	case c.Elastic && c.Replicas < 2:
 		err = fmt.Errorf("elastic membership needs a running replica group to grow (Replicas >= 2), got %d", c.Replicas)
 	}
@@ -437,11 +438,8 @@ func (c Config) check() (Config, error) {
 		// each needs the mirrored moments eviction does.
 		c.FaultTolerant = true
 	}
-	if c.Heartbeat < 0 {
-		c.Heartbeat = 0
-		if c.FaultTolerant {
-			c.Heartbeat = transport.DefaultHeartbeat
-		}
+	if c.Heartbeat == 0 && c.FaultTolerant {
+		c.Heartbeat = transport.DefaultHeartbeat
 	}
 	return c, nil
 }

@@ -763,8 +763,7 @@ func TestConfigCheckNamesTheField(t *testing.T) {
 		{"replicas", func(c *Config) { c.Replicas = -1 }, "replicas", false},
 		{"checkpoint-cadence", func(c *Config) { c.CheckpointEvery = -1 }, "checkpoint cadence", false},
 		{"straggler-misses", func(c *Config) { c.StragglerMisses = -1 }, "straggler misses", false},
-		{"straggler-deadline-alone", func(c *Config) { c.StragglerDeadline = time.Second }, "straggler deadline", false},
-		{"straggler-misses-alone", func(c *Config) { c.StragglerMisses = 2 }, "straggler misses", false},
+		{"heartbeat", func(c *Config) { c.Heartbeat = -time.Second }, "heartbeat", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base

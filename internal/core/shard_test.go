@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"pipemare/internal/engine"
 	"pipemare/internal/metrics"
@@ -145,7 +144,7 @@ func TestImpliedFaultToleranceMirrorsMoments(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
 		"checkpoint": func(c *Config) { c.CheckpointDir = t.TempDir() },
 		"elastic":    func(c *Config) { c.Elastic = true },
-		"straggler":  func(c *Config) { c.StragglerDeadline, c.StragglerMisses = time.Second, 2 },
+		"straggler":  func(c *Config) { c.StragglerMisses = 2 },
 	} {
 		task := newRepTask(6, 64)
 		var followers []*Trainer

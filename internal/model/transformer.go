@@ -67,8 +67,9 @@ func NewTranslation(ds *data.Translation, cfg TransformerConfig) *Translation {
 	x := b.apply(b.group("src.emb", srcEmb.Params()), srcEmb, t.rSrc)
 	x = b.apply(b.group("src.pos", srcPos.Params()), srcPos, x)
 	for i := 0; i < cfg.EncLayers; i++ {
-		x = t.buildSelfBlock(b, rng, fmt.Sprintf("enc%d", i), x, cfg, ds.SrcLen, false)
-		x = t.buildFFBlock(b, rng, fmt.Sprintf("enc%d", i), x, cfg.Dim, ff)
+		name := fmt.Sprintf("enc%d", i)
+		x = t.selfBlock(b, rng, name+".ln1", name+".attn", name, x, cfg, ds.SrcLen, false)
+		x = t.buildFFBlockNamed(b, rng, name+".ln2", name, x, cfg.Dim, ff)
 	}
 	t.rMem = x
 	t.encEnd = len(b.ops)
@@ -81,7 +82,7 @@ func NewTranslation(ds *data.Translation, cfg TransformerConfig) *Translation {
 	y = b.apply(b.group("tgt.pos", tgtPos.Params()), tgtPos, y)
 	for i := 0; i < cfg.DecLayers; i++ {
 		name := fmt.Sprintf("dec%d", i)
-		y = t.buildSelfBlockNamed(b, rng, name+".ln1", name+".self", y, cfg, ds.TgtLen, true)
+		y = t.selfBlock(b, rng, name+".ln1", name+".self", name+".self", y, cfg, ds.TgtLen, true)
 		// Cross-attention sub-block: queries from the decoder stream, keys
 		// and values from the encoder memory register.
 		ln2 := nn.NewLayerNorm(name+".ln2", cfg.Dim)
@@ -109,18 +110,9 @@ func NewTranslation(ds *data.Translation, cfg TransformerConfig) *Translation {
 	return t
 }
 
-// buildSelfBlock appends a pre-LN self-attention sub-block x + O(core(Q,K,V))
-// using the encoder group names <name>.ln1 / <name>.{q,k,v,o}.
-func (t *Translation) buildSelfBlock(b *progBuilder, rng *rand.Rand, name string, x nn.Reg, cfg TransformerConfig, seqLen int, causal bool) nn.Reg {
-	return t.selfBlock(b, rng, name+".ln1", name+".attn", name, x, cfg, seqLen, causal)
-}
-
-// buildSelfBlockNamed is buildSelfBlock with decoder-style group names
-// <lnName> / <attnName>.{q,k,v,o}.
-func (t *Translation) buildSelfBlockNamed(b *progBuilder, rng *rand.Rand, lnName, attnName string, x nn.Reg, cfg TransformerConfig, seqLen int, causal bool) nn.Reg {
-	return t.selfBlock(b, rng, lnName, attnName, attnName, x, cfg, seqLen, causal)
-}
-
+// selfBlock appends a pre-LN self-attention sub-block x + O(core(Q,K,V))
+// with group names <lnName> and <groupPrefix>.{q,k,v,o}; attnName names
+// the attention's parameters.
 func (t *Translation) selfBlock(b *progBuilder, rng *rand.Rand, lnName, attnName, groupPrefix string, x nn.Reg, cfg TransformerConfig, seqLen int, causal bool) nn.Reg {
 	ln := nn.NewLayerNorm(lnName, cfg.Dim)
 	attn := nn.NewMultiHeadAttention(attnName, cfg.Dim, cfg.Heads, seqLen, seqLen, causal, rng)
@@ -134,12 +126,8 @@ func (t *Translation) selfBlock(b *progBuilder, rng *rand.Rand, lnName, attnName
 	return b.add(gO, x, o)
 }
 
-// buildFFBlock appends a pre-LN feed-forward sub-block
-// x + FF2(GELU(FF1(LN(x)))) with group names <name>.{ln2,ff1,ff2}.
-func (t *Translation) buildFFBlock(b *progBuilder, rng *rand.Rand, name string, x nn.Reg, d, ff int) nn.Reg {
-	return t.buildFFBlockNamed(b, rng, name+".ln2", name, x, d, ff)
-}
-
+// buildFFBlockNamed appends a pre-LN feed-forward sub-block
+// x + FF2(GELU(FF1(LN(x)))) with group names <lnName> and <name>.{ff1,ff2}.
 func (t *Translation) buildFFBlockNamed(b *progBuilder, rng *rand.Rand, lnName, name string, x nn.Reg, d, ff int) nn.Reg {
 	ln := nn.NewLayerNorm(lnName, d)
 	ff1 := nn.NewLinear(name+".ff1", d, ff, true, rng)

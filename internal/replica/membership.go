@@ -71,13 +71,14 @@ type member struct {
 	chunk  *chunk        // this member's share of the minibatch in flight
 }
 
-// ErrStraggler marks a member failure caused by missed collective
-// deadline windows rather than a broken transport: the member is demoted
-// to standby rather than closed, on the windows alone, whether its
-// heartbeats arrive or not. Its reply may still arrive; if the drain of
-// that reply fails instead (a hung peer hits the liveness window), the
-// standby is dropped at the next boundary.
-var ErrStraggler = errors.New("replica: collective deadline missed")
+// ErrStraggler marks a member failure caused by a chunk reply that
+// missed its budget of consecutive heartbeat windows rather than by a
+// broken transport: the member is demoted to standby rather than closed,
+// on the windows alone, whether its heartbeats arrive or not. Its reply
+// may still arrive; if the drain of that reply fails instead (a peer
+// silent for ten windows is hung), the standby is dropped at the next
+// boundary.
+var ErrStraggler = errors.New("replica: straggler")
 
 // MemberError reports a member failure the run can survive by taking the
 // member out of the group. The trainer's step catches it, applies
@@ -306,8 +307,7 @@ func (g *Group) ReadyStandbys() []int {
 		switch {
 		case m.err() != nil:
 			g.move(m, Gone)
-		case m.remote.Ready():
-			m.remote.Rearm()
+		case m.remote.Rearm():
 			ready = append(ready, m.id)
 		}
 	}

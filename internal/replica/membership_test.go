@@ -118,17 +118,15 @@ func (f *fakeRemote) Err() error {
 	return f.err
 }
 
-func (f *fakeRemote) Ready() bool {
+func (f *fakeRemote) Rearm() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.ready
-}
-
-func (f *fakeRemote) Rearm() {
-	f.mu.Lock()
+	if !f.ready {
+		return false
+	}
 	f.rearms++
 	f.ready = false
-	f.mu.Unlock()
+	return true
 }
 
 func (f *fakeRemote) Close() error {

@@ -163,9 +163,9 @@ type Local interface {
 // context to them; its failures are sticky — the first
 // transport error latches, every later operation fails fast, and Err
 // reports it after each collective phase; and it can sit out of the
-// group as a standby: Ready reports that a demoted member's late
-// in-flight reply has drained, Rearm resets its straggler accounting
-// before readmission. SetID tells the proxy the stable id the group gave
+// group as a standby: Rearm reports that a demoted member's late
+// in-flight reply has drained, resetting its straggler accounting for
+// readmission as it does. SetID tells the proxy the stable id the group gave
 // its record, once, as the record enters the table — the label of its
 // wire track and error text. Only a Remote can leave the group (see
 // Group.Transition): an in-process member has no clean failure point.
@@ -176,8 +176,7 @@ type Remote interface {
 	RunChunk(ctx context.Context, start int, async, first bool, micros [][]int) (losses []float64, grads [][][]*tensor.Tensor, err error)
 	BindContext(ctx context.Context)
 	Err() error
-	Ready() bool
-	Rearm()
+	Rearm() bool
 }
 
 // Leader is the host of a trainer that leads a replica group: what the

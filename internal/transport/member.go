@@ -38,13 +38,12 @@ type RemoteMember struct {
 	err    error           // sticky transport error
 	closed bool
 
-	// Straggler accounting (WithStragglerDemotion). sdl is the per-chunk
-	// collective deadline and sk the consecutive-miss budget; misses
-	// counts expired deadline windows across chunks, resetting whenever a
-	// chunk replies within its first window. ready reports that a demoted
-	// member's late in-flight reply has been drained and discarded, so
-	// the standby can rejoin.
-	sdl      time.Duration
+	// Straggler accounting (WithStragglerDemotion). sk is the budget of
+	// consecutive heartbeat windows a chunk reply may miss; misses counts
+	// missed windows across chunks, resetting whenever a chunk replies
+	// within its first window. ready reports that a demoted member's late
+	// in-flight reply has been drained and discarded, so the standby can
+	// rejoin.
 	sk       int
 	misses   int
 	ready    bool
@@ -95,30 +94,28 @@ func (m *RemoteMember) SetID(id int) {
 	m.mu.Unlock()
 }
 
-// SetStragglerDeadline arms the straggler policy on this member: a chunk
-// whose reply misses k consecutive deadline windows of d demotes the
-// member (RunChunk returns an error wrapping replica.ErrStraggler
-// without poisoning it). d ≤ 0 or k ≤ 0 disables the policy.
-func (m *RemoteMember) SetStragglerDeadline(d time.Duration, k int) {
+// SetStragglerMisses arms the straggler policy on this member: a chunk
+// whose reply misses k consecutive heartbeat windows demotes the member
+// (RunChunk returns an error wrapping replica.ErrStraggler without
+// poisoning it). k ≤ 0, or a session without a heartbeat, disables it.
+func (m *RemoteMember) SetStragglerMisses(k int) {
 	m.mu.Lock()
-	m.sdl, m.sk = d, k
+	m.sk = k
 	m.mu.Unlock()
 }
 
-// Ready reports that a demoted member has drained its late in-flight
-// reply and can rejoin. A member whose drain failed is never ready; its
-// sticky error tells the group to drop it.
-func (m *RemoteMember) Ready() bool {
+// Rearm implements replica.Remote: it reports whether a demoted member
+// has drained its late in-flight reply and can rejoin, and if so resets
+// its straggler accounting for readmission. A member whose drain failed
+// is never ready; its sticky error tells the group to drop it.
+func (m *RemoteMember) Rearm() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ready && !m.draining && m.err == nil
-}
-
-// Rearm resets the straggler accounting before readmission.
-func (m *RemoteMember) Rearm() {
-	m.mu.Lock()
+	if !m.ready || m.err != nil {
+		return false
+	}
 	m.misses, m.ready = 0, false
-	m.mu.Unlock()
+	return true
 }
 
 // SetTracer attaches a trace recorder: once the member has entered the
@@ -205,13 +202,13 @@ func (m *RemoteMember) Close() error {
 
 // exchange is the proxy's one request path; the caller holds m.mu, or
 // owns the member alone (the hello). It fails fast on the sticky error,
-// sends req once, and waits for the reply — through awaitChunk's deadline
-// windows when req is a chunk and the straggler policy is armed, else
-// through recvReply. It records the answered request as one wire span,
-// then maps a MsgErr reply to its error. A divergence or a straggle
-// passes through without poisoning the member; any other failure, or a
-// reply of another type than want, is latched. Nothing is ever resent:
-// once the request may be on the wire, the peer's state is unknown.
+// sends req once, and waits for the reply through awaitReply, with the
+// straggler policy armed when req is a chunk. It records the answered
+// request as one wire span, then maps a MsgErr reply to its error. A
+// divergence or a straggle passes through without poisoning the member;
+// any other failure, or a reply of another type than want, is latched.
+// Nothing is ever resent: once the request may be on the wire, the
+// peer's state is unknown.
 func (m *RemoteMember) exchange(ctx context.Context, req Msg, want byte) (Msg, error) {
 	if m.err != nil {
 		return Msg{}, m.err
@@ -220,12 +217,8 @@ func (m *RemoteMember) exchange(ctx context.Context, req Msg, want byte) (Msg, e
 	t0 := m.tk.Now()
 	var resp Msg
 	err := m.conn.Send(ctx, req)
-	switch {
-	case err != nil:
-	case req.Type == MsgRunChunk && m.sdl > 0 && m.sk > 0:
-		resp, err = m.awaitChunk(ctx)
-	default:
-		resp, err = m.recvReply(ctx)
+	if err == nil {
+		resp, err = m.awaitReply(ctx, req.Type == MsgRunChunk && m.sk > 0)
 	}
 	if err == nil {
 		m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(req.PayloadLen()+resp.PayloadLen()))
@@ -244,75 +237,76 @@ func (m *RemoteMember) exchange(ctx context.Context, req Msg, want byte) (Msg, e
 	return Msg{}, m.latch(fmt.Errorf("%s: %w", wireName(req.Type), err))
 }
 
-// recvReply reads the next reply, consuming interleaved heartbeat pings.
-// With heartbeats enabled, each read runs under a liveness window of
-// heartbeatMisses intervals: a peer that neither replies nor pings
-// within it is declared hung (ErrPeerTimeout) instead of waited on
-// forever.
-func (m *RemoteMember) recvReply(ctx context.Context) (Msg, error) {
-	for {
-		rctx := ctx
-		var cancel context.CancelFunc
-		if m.hb > 0 {
-			rctx, cancel = context.WithTimeout(ctx, m.hb*heartbeatMisses)
-		}
-		resp, err := m.conn.Recv(rctx)
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			if m.hb > 0 && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-				return Msg{}, fmt.Errorf("%w: replica %d silent for %v", ErrPeerTimeout, m.id, m.hb*heartbeatMisses)
-			}
-			return Msg{}, err
-		}
-		if resp.Type == MsgPing {
-			m.tk.Instant(trace.NameHeartbeat, -1, -1, 0)
-			continue
-		}
-		return resp, nil
-	}
-}
-
-// awaitChunk is the reply wait of a chunk under the straggler policy: the
-// read runs in a helper goroutine and the main flow watches deadline
-// windows of sdl. Each expired window counts one miss (cumulative across
-// chunks; a reply inside its chunk's first window resets the count), and
-// when the count reaches sk the member is handed back to the group for
-// demotion — the error wraps replica.ErrStraggler and does NOT poison the
-// member, whether or not its pings arrive: the late reply may still come.
-// The helper goroutine stays behind as the drainer: it consumes that late
-// reply, discards it (the minibatch replays without this member), and
-// marks the standby ready to rejoin — or latches the read's error, such
-// as a hung peer's ErrPeerTimeout, and the group drops the standby.
+// awaitReply is the member's one reply wait. Without a heartbeat it is
+// the plain Recv. With one, a reader goroutine hands up each message —
+// pings, then the reply — and the heartbeat interval is the wait's one
+// window, which two rules count:
 //
-// The deadline deliberately never cancels the underlying Recv: a
-// cancelled read could lose an already-framed late reply, making both
-// "late but correct" delivery and the drain impossible.
-func (m *RemoteMember) awaitChunk(ctx context.Context) (Msg, error) {
-	ch := make(chan wireReply, 1)
+//   - hang: a peer silent (no reply, no ping) for heartbeatMisses windows
+//     is hung. The read is cancelled and the wait returns ErrPeerTimeout
+//     for the caller to latch.
+//   - straggle, when armed: each window a chunk's reply misses is a miss,
+//     counted across chunks and reset by a reply inside its chunk's first
+//     window. At sk misses the wait returns replica.ErrStraggler, pings or
+//     not, without poisoning the member, and carries on as the drain.
+//
+// A straggle never cancels the read: a cancelled read could lose an
+// already-framed late reply, making late delivery and the drain
+// impossible.
+func (m *RemoteMember) awaitReply(ctx context.Context, armed bool) (Msg, error) {
+	if m.hb <= 0 {
+		return m.conn.Recv(ctx)
+	}
+	rctx, cancel := context.WithCancel(ctx)
+	msgs := make(chan wireReply)
 	go func() {
-		msg, err := m.recvReply(ctx)
-		ch <- wireReply{msg, err}
-	}()
-	for late := false; ; late = true {
-		t := time.NewTimer(m.sdl)
-		select {
-		case r := <-ch:
-			t.Stop()
-			if r.err == nil && !late {
-				m.misses = 0
+		for {
+			msg, err := m.conn.Recv(rctx)
+			msgs <- wireReply{msg, err}
+			if err != nil || msg.Type != MsgPing {
+				return
 			}
-			return r.msg, r.err
-		case <-t.C:
-			m.misses++
-			if m.misses >= m.sk {
-				m.ready, m.draining = false, true
-				go m.drain(ch)
-				return Msg{}, fmt.Errorf("%w: replica %d missed %d consecutive %v deadlines", replica.ErrStraggler, m.id, m.sk, m.sdl)
+		}
+	}()
+	tick := time.NewTicker(m.hb)
+	late, heard := false, time.Now() // a window has passed; the last message came
+	var wait func(armed bool) (Msg, error)
+	wait = func(armed bool) (Msg, error) {
+		for {
+			select {
+			case r := <-msgs:
+				if r.err == nil && r.msg.Type == MsgPing {
+					m.tk.Instant(trace.NameHeartbeat, -1, -1, 0)
+					heard = time.Now()
+					continue
+				}
+				tick.Stop()
+				cancel()
+				if armed && r.err == nil && !late {
+					m.misses = 0
+				}
+				return r.msg, r.err
+			case <-tick.C:
+			}
+			late = true
+			if time.Since(heard) >= heartbeatMisses*m.hb {
+				tick.Stop()
+				cancel()
+				// Wait the reader out: its cancelled read ends it.
+				for r := <-msgs; r.err == nil && r.msg.Type == MsgPing; r = <-msgs {
+				}
+				return Msg{}, fmt.Errorf("%w: replica %d silent for %d heartbeats of %v", ErrPeerTimeout, m.id, heartbeatMisses, m.hb)
+			}
+			if armed {
+				if m.misses++; m.misses >= m.sk {
+					m.ready, m.draining = false, true
+					go m.drain(wait)
+					return Msg{}, fmt.Errorf("%w: replica %d missed %d consecutive %v heartbeat windows", replica.ErrStraggler, m.id, m.sk, m.hb)
+				}
 			}
 		}
 	}
+	return wait(armed)
 }
 
 type wireReply struct {
@@ -320,18 +314,17 @@ type wireReply struct {
 	err error
 }
 
-// drain runs after a demotion: it waits out the straggler's in-flight
-// reply (the recvReply goroutine awaitChunk left behind), discards the
-// payload — the interrupted minibatch replays over the survivors, so the
-// late result must not be used — and marks the standby ready. A drain
-// that ends in a transport error latches it instead, so the group drops
-// the standby.
-func (m *RemoteMember) drain(ch chan wireReply) {
-	r := <-ch
+// drain runs after a demotion: it continues the straggler's reply wait
+// (awaitReply), disarmed, discards the late reply — the interrupted
+// minibatch replays over the survivors, so the late result must not be
+// used — and marks the standby ready. A drain that ends in a transport
+// error or a hang latches it instead, so the group drops the standby.
+func (m *RemoteMember) drain(wait func(armed bool) (Msg, error)) {
+	_, err := wait(false)
 	m.mu.Lock()
 	m.draining = false
-	if r.err != nil {
-		m.latch(fmt.Errorf("drain: %w", r.err))
+	if err != nil {
+		m.latch(fmt.Errorf("drain: %w", err))
 	} else {
 		m.ready = true
 	}

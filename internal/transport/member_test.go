@@ -156,9 +156,10 @@ func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) 
 
 var _ replica.Local = (*wireMember)(nil)
 
-// startPair serves a wireMember over loopback and returns the connected
-// leader-side proxy plus the worker's member for inspection.
-func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, func()) {
+// startPair serves a wireMember over loopback under heartbeat hb (0: off)
+// and returns the connected leader-side proxy plus the worker's member
+// for inspection.
+func startPair(t *testing.T, p int, hb time.Duration) (*RemoteMember, *wireMember, *wireMember, func()) {
 	t.Helper()
 	lis, dial := Loopback()
 	worker := newWireMember(p)
@@ -172,7 +173,7 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: p})
+	m, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: p, Heartbeat: hb})
 	if err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -192,7 +193,7 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 // the same arguments and results as a direct call.
 func TestRemoteMemberProtocol(t *testing.T) {
 	const p = 3
-	m, worker, leader, stop := startPair(t, p)
+	m, worker, leader, stop := startPair(t, p, 0)
 	defer stop()
 
 	// RunChunk: the worker drives the chunk through its Reference engine
@@ -415,8 +416,9 @@ func TestWorkerDeathMidChunkIsAnError(t *testing.T) {
 }
 
 // TestChunkReplyOutcomes pins RunChunk's one reply wait on both of its
-// branches — the plain read, and the straggler policy's deadline windows
-// with the reply inside the first — against each reply a worker gives a
+// branches — the plain read without a heartbeat, and the heartbeat's
+// windows under the straggler policy with the reply inside the first —
+// against each reply a worker gives a
 // chunk: its results, a divergence, or an error. A divergence passes
 // through without poisoning the member, and the next chunk is served; an
 // error latches, naming the replica. Every answered chunk is exactly one
@@ -432,12 +434,16 @@ func TestChunkReplyOutcomes(t *testing.T) {
 			t.Run(fmt.Sprintf("armed=%t/%s", armed, reply), func(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()
-				m, worker, _, stop := startPair(t, 2)
+				var hb time.Duration
+				if armed {
+					hb = 5 * time.Second
+				}
+				m, worker, _, stop := startPair(t, 2, hb)
 				rec := trace.New()
 				m.SetTracer(rec)
 				m.SetID(3)
 				if armed {
-					m.SetStragglerDeadline(5*time.Second, 1)
+					m.SetStragglerMisses(1)
 				}
 				var want []int64 // the bytes of each answered chunk's span
 				switch reply {
@@ -496,6 +502,117 @@ func TestChunkReplyOutcomes(t *testing.T) {
 				// The worker ended its session with the error reply, which
 				// stop would report: close the proxy alone.
 				m.Close()
+			})
+		}
+	}
+}
+
+// TestOneWindowRule pins the heartbeat as the one window of a chunk's
+// reply wait, with the straggler policy armed (two windows) or not,
+// against a scripted worker that replies inside the first window, pings
+// through twelve windows before it replies, or goes silent. A first-window
+// reply resets the miss count. A late but pinging worker is demoted after
+// two windows, unlatched, and its drain ends ready; unarmed, its reply is
+// simply late. A silent worker is latched with ErrPeerTimeout after ten
+// windows: in the wait, or — demoted first — in the drain.
+func TestOneWindowRule(t *testing.T) {
+	const hb, k = 20 * time.Millisecond, 2
+	const late = (heartbeatMisses + 2) * hb // past the hang rule, kept alive by pings
+	// One microbatch's loss and one stage's gradient: chunk {{0}} of a
+	// one-stage member.
+	reply := Msg{Type: MsgChunkDone, Stage: -1, Data: AppendU32(AppendU32(AppendF64(AppendU32(nil, 1), 7), 1), 1),
+		Lists: [][]*tensor.Tensor{{tensor.New(1)}}}
+	workers := map[string]func(ctx context.Context, conn MsgConn){
+		"first window": func(ctx context.Context, conn MsgConn) { conn.Send(ctx, reply) },
+		"late, pinging": func(ctx context.Context, conn MsgConn) {
+			for end := time.Now().Add(late); time.Now().Before(end); time.Sleep(hb / 4) {
+				conn.Send(ctx, Msg{Type: MsgPing, Stage: -1})
+			}
+			conn.Send(ctx, reply)
+		},
+		"silent": func(context.Context, MsgConn) {},
+	}
+	for _, armed := range []bool{false, true} {
+		for _, name := range []string{"first window", "late, pinging", "silent"} {
+			t.Run(fmt.Sprintf("armed=%t/%s", armed, name), func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				lis, dial := Loopback()
+				defer lis.Close()
+				served := make(chan struct{})
+				go func() {
+					defer close(served)
+					conn, err := lis.Accept(ctx)
+					if err != nil {
+						return
+					}
+					defer conn.Close()
+					for i := 0; ; i++ {
+						if _, err := conn.Recv(ctx); err != nil {
+							return
+						}
+						switch i {
+						case 0:
+							conn.Send(ctx, Msg{Type: MsgHelloOK, Stage: -1})
+						case 1:
+							workers[name](ctx, conn)
+						}
+					}
+				}()
+				conn, err := dial.Dial(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := NewRemoteMember(ctx, conn, Spec{Replica: 1, Replicas: 2, Stages: 1, Heartbeat: hb})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { m.Close(); <-served }()
+				if armed {
+					m.SetStragglerMisses(k)
+				}
+				if name == "first window" {
+					m.misses = 1 // a straggle of an earlier chunk
+				}
+				start := time.Now()
+				_, _, err = m.RunChunk(ctx, 0, true, false, [][]int{{0}})
+				waited := time.Since(start)
+				switch {
+				case name == "first window":
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := map[bool]int{false: 1, true: 0}[armed]; m.misses != want {
+						t.Fatalf("miss count %d after a first-window reply, want %d", m.misses, want)
+					}
+				case !armed && name == "late, pinging":
+					if err != nil || waited < late {
+						t.Fatalf("late reply after %v: %v, want it, undemoted, after %v", waited, err, late)
+					}
+				case !armed:
+					if !errors.Is(err, ErrPeerTimeout) || m.Err() != err || waited < heartbeatMisses*hb {
+						t.Fatalf("silent worker after %v: %v (latched %v), want a latched ErrPeerTimeout after %v", waited, err, m.Err(), heartbeatMisses*hb)
+					}
+				default:
+					if !errors.Is(err, replica.ErrStraggler) || m.Err() != nil || waited < k*hb {
+						t.Fatalf("straggle after %v: %v (latched %v), want an unlatched ErrStraggler after %v", waited, err, m.Err(), k*hb)
+					}
+					ready := m.Rearm()
+					for ; !ready && m.Err() == nil; ready = m.Rearm() {
+						if ctx.Err() != nil {
+							t.Fatal("the drain did not end")
+						}
+						time.Sleep(time.Millisecond)
+					}
+					drained := time.Since(start)
+					if name == "silent" {
+						if ready || !errors.Is(m.Err(), ErrPeerTimeout) || drained < heartbeatMisses*hb {
+							t.Fatalf("silent worker's drain after %v: ready %t, latched %v; want ErrPeerTimeout after %v", drained, ready, m.Err(), heartbeatMisses*hb)
+						}
+					} else if !ready || m.Err() != nil {
+						t.Fatalf("late worker's drain: ready %t, latched %v; want ready", ready, m.Err())
+					}
+				}
 			})
 		}
 	}

@@ -224,18 +224,17 @@ func (s *server) runChunk(ctx context.Context, c *Cursor) (Msg, error) {
 	s.comp.BeginChunk(start, k, async, first)
 	// While the chunk computes — the one long-running request — a pinger
 	// streams MsgPing so the leader can tell "slow" from "hung". It is
-	// stopped and joined before the reply is encoded: Conn is not safe
-	// for concurrent use, so the pinger must never overlap another Send.
-	stopPing := func() {}
+	// stopped and joined before the chunk's reply, a panic's error reply
+	// included, is sent: Conn is not safe for concurrent use, so the
+	// pinger must never overlap another Send.
 	if s.hb > 0 {
 		pctx, cancel := context.WithCancel(ctx)
 		done := make(chan struct{})
 		go s.ping(pctx, done)
-		stopPing = func() { cancel(); <-done }
+		defer func() { cancel(); <-done }()
 	}
 	_, err := s.member.Engine().Stream(ctx, s.comp, [][][]int{micros}, nil)
 	s.comp.EndChunk()
-	stopPing()
 	if err != nil {
 		if errors.Is(err, engine.ErrDiverged) {
 			data := AppendU32(s.scratch[:0], errDiverged)

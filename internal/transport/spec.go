@@ -19,7 +19,8 @@ type Spec struct {
 	Replicas int // total replica count R
 	Stages   int // resolved pipeline stage count P
 	// Heartbeat is the worker→leader liveness interval during chunk
-	// compute; 0 disables heartbeats.
+	// compute, and the window of the leader's reply wait; 0 disables
+	// heartbeats.
 	Heartbeat time.Duration
 	// Recipe is the leader's encoded training recipe (internal/core).
 	Recipe []byte

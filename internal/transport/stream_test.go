@@ -369,22 +369,21 @@ func TestRecvBufferValidUntilNextRecv(t *testing.T) {
 	})
 
 	t.Run("demote, drain, rearm, next chunk", func(t *testing.T) {
-		m, worker, _, stop := startPair(t, 2)
+		m, worker, _, stop := startPair(t, 2, 15*time.Millisecond)
 		defer stop()
-		m.SetStragglerDeadline(15*time.Millisecond, 1)
+		m.SetStragglerMisses(1)
 		worker.mu.Lock()
 		worker.stall = 120 * time.Millisecond
 		worker.mu.Unlock()
 		if _, _, err := m.RunChunk(ctx, 0, true, false, [][]int{{0}, {1}}); !errors.Is(err, replica.ErrStraggler) {
 			t.Fatalf("slow chunk returned %v, want a straggle", err)
 		}
-		for !m.Ready() {
+		for !m.Rearm() {
 			if err := m.Err(); err != nil || ctx.Err() != nil {
 				t.Fatalf("drain: %v / %v", err, ctx.Err())
 			}
 			time.Sleep(time.Millisecond)
 		}
-		m.Rearm()
 		worker.mu.Lock()
 		worker.stall = 0
 		worker.mu.Unlock()

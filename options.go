@@ -331,20 +331,20 @@ func WithElastic() Option {
 }
 
 // WithStragglerDemotion bounds how long the leader waits on a remote
-// follower's collective reply: a follower that misses `deadline` for
-// `misses` consecutive deadline windows is demoted to standby — kept alive
-// and connected but excluded from the chunk split and commit plan, its
-// microbatches redistributed over the survivors — and readmitted through
-// the state handoff a mid-run joiner receives once its late reply drains.
-// A transient slowdown then costs bounded wall time instead of stalling
-// every minibatch, while curves stay bit-identical to a run over the
-// momentarily-smaller membership. Without it (or with both values zero)
-// the leader waits indefinitely, bar heartbeat liveness; the two must be
-// both zero or both positive. With R > 1, demotion implies
-// WithFaultTolerance: readmission reshuffles stage ownership.
-func WithStragglerDemotion(deadline time.Duration, misses int) Option {
+// follower's chunk reply, counted in heartbeat windows (WithHeartbeat): a
+// follower whose reply misses `misses` consecutive windows is demoted to
+// standby — kept alive and connected but excluded from the chunk split
+// and commit plan, its microbatches redistributed over the survivors —
+// and readmitted through the state handoff a mid-run joiner receives
+// once its late reply drains. A transient slowdown then costs bounded
+// wall time instead of stalling every minibatch, while curves stay
+// bit-identical to a run over the momentarily-smaller membership. Without
+// it (or with zero) the leader waits indefinitely, bar the heartbeat's
+// hang rule. With R > 1, demotion implies WithFaultTolerance:
+// readmission reshuffles stage ownership.
+func WithStragglerDemotion(misses int) Option {
 	return func(s *settings) error {
-		s.cfg.StragglerDeadline, s.cfg.StragglerMisses = deadline, misses
+		s.cfg.StragglerMisses = misses
 		return nil
 	}
 }
@@ -385,16 +385,17 @@ func WithCheckpoint(dir string, every int) Option {
 
 // WithHeartbeat sets the liveness cadence for remote followers
 // (WithTransport): a worker pings its leader at this interval while
-// computing a chunk, and the leader treats a peer silent for ten
-// missed heartbeats as dead — surfacing a hang as a failure the
+// computing a chunk, and the interval is the one window of the leader's
+// wait on a follower's reply. A peer silent — no reply, no ping — for ten
+// windows is treated as dead, surfacing a hang as a failure the
 // fault-tolerance layer can evict instead of blocking until the context
-// ends. 0 disables liveness detection. Without this option, liveness
-// detection follows fault tolerance — explicit or implied: 1s when it is
-// on, off otherwise — a run that cannot evict a dead peer gains nothing
-// from declaring one, and a heavily oversubscribed host (many
-// in-process workers per core) can starve the ping goroutine past any
-// fixed window. Fault-tolerant runs on such hosts should widen the
-// cadence explicitly.
+// ends; a chunk reply that misses WithStragglerDemotion's budget of
+// windows demotes its follower. 0, the default, follows fault tolerance
+// — explicit or implied: 1s when it is on, off otherwise — a run that
+// cannot evict a dead peer gains nothing from declaring one, and a
+// heavily oversubscribed host (many in-process workers per core) can
+// starve the ping goroutine past any fixed window. Fault-tolerant runs on
+// such hosts should widen the cadence explicitly.
 func WithHeartbeat(d time.Duration) Option {
 	return func(s *settings) error {
 		if d < 0 {
@@ -499,7 +500,6 @@ func New(task Task, opts ...Option) (*Trainer, error) {
 func resolveSettings(task Task, opts []Option) (*settings, Optimizer, error) {
 	s := &settings{}
 	s.cfg.BatchSize = 32
-	s.cfg.Heartbeat = -1 // core.New resolves it once fault tolerance is known
 	for _, o := range opts {
 		if o == nil {
 			return nil, nil, fmt.Errorf("pipemare: nil Option")

@@ -41,8 +41,7 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"checkpoint-dir", pipemare.WithCheckpoint("", 1), "checkpoint directory"},
 		{"checkpoint-cadence", pipemare.WithCheckpoint(os.TempDir(), -1), "cadence"},
 		{"heartbeat", pipemare.WithHeartbeat(-time.Second), "heartbeat"},
-		{"straggler-deadline", pipemare.WithStragglerDemotion(0, 2), "straggler"},
-		{"straggler-misses", pipemare.WithStragglerDemotion(time.Second, 0), "straggler"},
+		{"straggler-misses", pipemare.WithStragglerDemotion(-1), "straggler"},
 		{"join-step", pipemare.WithJoinAt(-1), "join"},
 	}
 	for _, c := range cases {
