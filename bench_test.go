@@ -29,13 +29,13 @@ func BenchmarkMatMul64(b *testing.B) {
 
 func BenchmarkIm2ColConv(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(8, 8, 8, 8)
+	x, cols := tensor.New(8, 8, 8, 8), tensor.New(8*8*8, 8*3*3)
 	for i := 0; i < x.Size(); i++ {
 		x.SetFlat(i, rng.NormFloat64())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Im2Col(x, 3, 3, 1, 1)
+		tensor.Im2ColInto(cols, x, 3, 3, 1, 1)
 	}
 }

@@ -115,7 +115,7 @@ func parseFlags(args []string, errOut io.Writer) (*config, error) {
 	switch *engineName {
 	case "reference":
 	case "concurrent":
-		c.engine = concurrent.New(concurrent.WithWorkers(c.workers))
+		c.engine = concurrent.New(c.workers)
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want reference or concurrent)", *engineName)
 	}

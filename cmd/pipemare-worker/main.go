@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"pipemare"
-	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/experiments"
 	"pipemare/internal/faults"
 	"pipemare/internal/transport"
@@ -63,7 +62,7 @@ func main() {
 	switch *engineName {
 	case "reference":
 	case "concurrent":
-		opts = append(opts, pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(*workers))))
+		opts = append(opts, pipemare.WithEngine(pipemare.NewConcurrentEngine(*workers)))
 	default:
 		fmt.Fprintf(os.Stderr, "pipemare-worker: unknown engine %q (want reference or concurrent)\n", *engineName)
 		os.Exit(2)

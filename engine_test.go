@@ -18,7 +18,7 @@ import (
 // the same engine instance serves chunked Run calls and then a second
 // trainer.
 func TestConcurrentEngineSurvivesRepeatedRuns(t *testing.T) {
-	eng := concurrent.New(concurrent.WithWorkers(2))
+	eng := concurrent.New(2)
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
 	tr, err := pipemare.New(build(),
 		pipemare.WithMethod(pipemare.PipeMare), pipemare.WithT1(8),
@@ -55,7 +55,7 @@ func TestConcurrentEngineSurvivesRepeatedRuns(t *testing.T) {
 // an R = 1 and an R = 2 trainer training on it at the same time, each
 // retracing its solo curve bit for bit.
 func TestConcurrentEngineServesManyTrainers(t *testing.T) {
-	eng := concurrent.New(concurrent.WithWorkers(2))
+	eng := concurrent.New(2)
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
 	opts := func(r int) []pipemare.Option {
 		return []pipemare.Option{
@@ -148,7 +148,7 @@ func TestProfilePartitionMode(t *testing.T) {
 // replication: chunked RunInto calls and a second trainer run on the one
 // engine value every replica of the group shares.
 func TestReplicatedEngineSurvivesRepeatedRuns(t *testing.T) {
-	eng := concurrent.New()
+	eng := concurrent.New(0)
 	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 9) }
 	tr, err := pipemare.New(build(),
 		pipemare.WithMethod(pipemare.PipeMare), pipemare.WithT1(8),

@@ -119,7 +119,7 @@ func (m *membership) options() []pipemare.Option {
 }
 
 func concEngine(w int) func() pipemare.Engine {
-	return func() pipemare.Engine { return concurrent.New(concurrent.WithWorkers(w)) }
+	return func() pipemare.Engine { return concurrent.New(w) }
 }
 
 // placements names every placement a recipe may list. "conc" is the
@@ -961,16 +961,22 @@ type quadOp struct {
 // Forward adds the group's loss over the installed forward weights and
 // saves the residuals for the backward slot.
 func (o quadOp) Forward(m *nn.Machine) {
-	m.Tape.Push(o.t.addLoss(&m.Loss, o.g, o.t.train, m.Labels))
+	r := o.t.addLoss(&m.Loss, o.g, o.t.train, m.Labels)
+	saved := m.Tape.NewTensor(2)
+	copy(tensor.F64(saved), r[:])
+	m.Tape.Push(saved)
 }
 
 // Backward accumulates the group's gradient from the saved residuals.
 func (o quadOp) Backward(m *nn.Machine) {
-	r := m.Tape.Pop().([2]float64)
+	r := tensor.F64(m.Tape.Pop())
 	grad := tensor.F64(o.t.params[o.g].Grad)
 	grad[0] += o.t.lambda[o.g] * r[0]
 	grad[1] += o.t.lambda[o.g] * r[1]
 }
+
+// Regs names no register: the op reads its weights and the bound labels.
+func (quadOp) Regs() ([]nn.Reg, nn.Reg) { return nil, -1 }
 
 func (t *quadTask) EvalTest() float64 {
 	idx := make([]int, len(t.test))

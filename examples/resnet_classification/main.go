@@ -12,7 +12,6 @@ import (
 
 	"pipemare"
 	"pipemare/internal/data"
-	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/model"
 	"pipemare/internal/nn"
 	"pipemare/internal/optim"
@@ -53,7 +52,7 @@ func main() {
 	switch *engineName {
 	case "reference":
 	case "concurrent":
-		opts = append(opts, pipemare.WithEngine(concurrent.New(concurrent.WithWorkers(*workers))))
+		opts = append(opts, pipemare.WithEngine(pipemare.NewConcurrentEngine(*workers)))
 	default:
 		panic("unknown engine " + *engineName + " (want reference or concurrent)")
 	}

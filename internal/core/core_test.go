@@ -166,6 +166,9 @@ func (o probeOp) Backward(m *nn.Machine) {
 	t.cell(&t.actSeen, s)[g] = t.params[g].Data.FlatAt(0)
 }
 
+// Regs names no register: the op reads only its group's weights.
+func (probeOp) Regs() ([]nn.Reg, nn.Reg) { return nil, -1 }
+
 // countingOptimizer adds exactly 1 to every weight per step, making weight
 // values equal version numbers. It keeps no moments and no clock.
 type countingOptimizer struct{ ps []*nn.Param }
@@ -217,7 +220,7 @@ func probeTrainer(t *testing.T, method Method, groups, stages, batch, micro, epo
 func probeEngines(p int) map[string]func() engine.Engine {
 	grid := map[string]func() engine.Engine{"reference": func() engine.Engine { return engine.NewReference() }}
 	for _, w := range []int{1, 2, p} {
-		grid[fmt.Sprintf("concurrent/W=%d", w)] = func() engine.Engine { return concurrent.New(concurrent.WithWorkers(w)) }
+		grid[fmt.Sprintf("concurrent/W=%d", w)] = func() engine.Engine { return concurrent.New(w) }
 	}
 	return grid
 }
@@ -270,7 +273,7 @@ func TestRingsCoverEveryObservedLookback(t *testing.T) {
 		cfg := Config{Method: PipeMare, Stages: 6, BatchSize: 8, MicrobatchSize: 2, RecomputeSegments: segs, Seed: 7}
 		engines := map[string]func() engine.Engine{"reference": func() engine.Engine { return engine.NewReference() }}
 		for _, w := range []int{1, 2, 4} {
-			engines[fmt.Sprintf("concurrent/W=%d", w)] = func() engine.Engine { return concurrent.New(concurrent.WithWorkers(w)) }
+			engines[fmt.Sprintf("concurrent/W=%d", w)] = func() engine.Engine { return concurrent.New(w) }
 		}
 		for name, eng := range engines {
 			for _, replicas := range []int{1, 2} {
@@ -900,7 +903,8 @@ func (o *stallOp) Forward(*nn.Machine) {
 	time.Sleep(d)
 }
 
-func (o *stallOp) Backward(*nn.Machine) {}
+func (o *stallOp) Backward(*nn.Machine)     {}
+func (o *stallOp) Regs() ([]nn.Reg, nn.Reg) { return nil, -1 }
 
 // profileTask runs its program on any machine: the profile pass binds
 // no microbatch the probe could name.

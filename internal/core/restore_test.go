@@ -230,6 +230,8 @@ func (o pullOp) Backward(*nn.Machine) {
 	p.Grad.SetFlat(0, p.Grad.FlatAt(0)+p.BwdData().FlatAt(0)-1)
 }
 
+func (pullOp) Regs() ([]nn.Reg, nn.Reg) { return nil, -1 }
+
 // TestHogwildRestoreResumesBitIdentical: a run under Appendix E's Hogwild
 // delays, restored from a checkpoint taken mid-epoch, retraces the
 // uninterrupted run bit for bit — the draws are a function of (seed,

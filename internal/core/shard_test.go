@@ -37,8 +37,9 @@ func newRepTask(groups, numTrain int) *repTask {
 // inertOp reports a constant loss and leaves the gradients alone.
 type inertOp struct{}
 
-func (inertOp) Forward(m *nn.Machine) { m.Loss = 0.1 }
-func (inertOp) Backward(*nn.Machine)  {}
+func (inertOp) Forward(m *nn.Machine)    { m.Loss = 0.1 }
+func (inertOp) Backward(*nn.Machine)     {}
+func (inertOp) Regs() ([]nn.Reg, nn.Reg) { return nil, -1 }
 
 func (t *repTask) Groups() []pipeline.ParamGroup { return t.groups }
 func (t *repTask) NumTrain() int                 { return t.numTrain }

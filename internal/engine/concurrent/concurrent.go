@@ -1,5 +1,5 @@
 // Package concurrent implements the work-stealing segment-scheduler
-// engine: W workers (WithWorkers, default min(P, GOMAXPROCS)) drain
+// engine: W workers (New's argument, default min(P, GOMAXPROCS)) drain
 // per-segment run queues of microbatch jobs on the §2 slot schedule — a
 // forward token climbs stage 1→P running each stage's forward slot, an
 // optional recompute token climbs again (Appendix D), and a backward token
@@ -111,36 +111,17 @@ type Engine struct {
 	workers int // requested W; 0 = GOMAXPROCS
 }
 
-// Option configures the engine.
-type Option func(*Engine)
-
-// WithWorkers sets W, the number of scheduler workers draining the segment
-// queues (default: min(P, GOMAXPROCS)). Any W produces bit-identical
-// curves; W only changes how many segments make progress simultaneously
-// (and how finely the stages are cut), so more workers than stages is
-// clamped to P.
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n < 0 {
-			n = 0
-		}
-		e.workers = n
-	}
-}
-
-// New returns a work-stealing segment-scheduler engine.
-func New(opts ...Option) *Engine {
-	e := &Engine{}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
-}
+// New returns a work-stealing segment-scheduler engine of W = workers
+// scheduler workers draining the segment queues; 0 or less means
+// min(P, GOMAXPROCS). Any W produces bit-identical curves; W only changes
+// how many segments make progress simultaneously (and how finely the
+// stages are cut), so more workers than stages is clamped to P.
+func New(workers int) *Engine { return &Engine{workers: max(workers, 0)} }
 
 // Name identifies the engine.
 func (e *Engine) Name() string { return "concurrent" }
 
-// workersFor returns the W a p-stage Stream starts: WithWorkers, or
+// workersFor returns the W a p-stage Stream starts: New's workers, or
 // GOMAXPROCS, clamped to p.
 func (e *Engine) workersFor(p int) int {
 	w := e.workers

@@ -25,16 +25,10 @@ func (s *stubHost) StageBackward(_, _ int)        {}
 func (s *stubHost) EndMicro(int)                  {}
 func (s *stubHost) BadLoss(float64) bool          { return false }
 
-func TestOptionsAndName(t *testing.T) {
-	if New().Name() != "concurrent" {
-		t.Fatal("engine name wrong")
-	}
-}
-
 // TestStreamJoinsItsWorkers pins that an engine holds no run resources:
 // each Stream starts its own workers and joins them before it returns.
 func TestStreamJoinsItsWorkers(t *testing.T) {
-	e := New(WithWorkers(2))
+	e := New(2)
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
 		if _, err := e.Stream(context.Background(), &stubHost{p: 3}, [][][]int{{{0}, {1}}}, nil); err != nil {
@@ -50,18 +44,21 @@ func TestStreamJoinsItsWorkers(t *testing.T) {
 // TestMain fails the package when goroutines outlive its tests.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
-func TestWithWorkersOption(t *testing.T) {
-	if e := New(WithWorkers(3)); e.workers != 3 {
+func TestNewAndName(t *testing.T) {
+	if New(0).Name() != "concurrent" {
+		t.Fatal("engine name wrong")
+	}
+	if e := New(3); e.workers != 3 {
 		t.Fatalf("workers = %d, want 3", e.workers)
 	}
-	if e := New(WithWorkers(-2)); e.workers != 0 {
-		t.Fatalf("WithWorkers(-2) must clamp to auto, got %d", e.workers)
+	if e := New(-2); e.workers != 0 {
+		t.Fatalf("New(-2) must clamp to auto, got %d", e.workers)
 	}
 	// Auto resolves to min(P, GOMAXPROCS); explicit W > P clamps to P.
-	if n := New(WithWorkers(64)).workersFor(3); n != 3 {
+	if n := New(64).workersFor(3); n != 3 {
 		t.Fatalf("workersFor(3) = %d with W=64, want 3", n)
 	}
-	if n, want := New().workersFor(16), min(16, runtime.GOMAXPROCS(0)); n != want {
+	if n, want := New(0).workersFor(16), min(16, runtime.GOMAXPROCS(0)); n != want {
 		t.Fatalf("auto workersFor(16) = %d, want min(P, GOMAXPROCS) = %d", n, want)
 	}
 }
@@ -73,7 +70,7 @@ func TestWithWorkersOption(t *testing.T) {
 func TestSegmentCut(t *testing.T) {
 	for p := 1; p <= 40; p++ {
 		for w := 1; w <= 12; w++ {
-			r := newRun(&stubHost{p: p}, New(WithWorkers(w)).workersFor(p))
+			r := newRun(&stubHost{p: p}, New(w).workersFor(p))
 			segs := len(r.queues)
 			if want := min(p, segmentsPerWorker*min(w, p)); segs != want {
 				t.Fatalf("P=%d W=%d: %d segments, want %d", p, w, segs, want)
@@ -198,7 +195,7 @@ func TestStageSlotsNeverOverlap(t *testing.T) {
 	for _, p := range []int{6, 13, 27} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			h := newExclusionHost(p)
-			e := New(WithWorkers(workers))
+			e := New(workers)
 			for mb := 0; mb < 3; mb++ {
 				h.rec = mb%2 == 1
 				if _, err := e.Stream(context.Background(), h, [][][]int{micros}, nil); err != nil {

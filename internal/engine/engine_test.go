@@ -302,8 +302,8 @@ func engines() map[string]engine.Engine {
 	// them spans several stages whatever GOMAXPROCS is.
 	return map[string]engine.Engine{
 		"reference":       engine.NewReference(),
-		"concurrent":      concurrent.New(),
-		"concurrent(W=1)": concurrent.New(concurrent.WithWorkers(1)),
+		"concurrent":      concurrent.New(0),
+		"concurrent(W=1)": concurrent.New(1),
 	}
 }
 
@@ -408,7 +408,7 @@ func TestConcurrentEngineOverlapsMicrobatches(t *testing.T) {
 	for _, tc := range []struct {
 		eng  engine.Engine
 		want int
-	}{{concurrent.New(), 4}, {engine.NewReference(), 1}} {
+	}{{concurrent.New(0), 4}, {engine.NewReference(), 1}} {
 		f := newFakeHost(4, false, -1)
 		if _, err := tc.eng.Stream(context.Background(), f, [][][]int{micros(8, 2)}, nil); err != nil {
 			t.Fatal(err)
@@ -576,7 +576,7 @@ func TestStreamOverlapsMinibatches(t *testing.T) {
 	t.Run("concurrent/W=2", func(t *testing.T) {
 		h := newCommitHost(p, n, false, -1)
 		h.gated = true
-		stream(t, concurrent.New(concurrent.WithWorkers(2)), h)
+		stream(t, concurrent.New(2), h)
 		if !h.ahead {
 			t.Fatal("no slot of minibatch k+1 ran before stage 0 committed k: the stream drained")
 		}
@@ -590,7 +590,7 @@ func TestStreamOverlapsMinibatches(t *testing.T) {
 	})
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("clip/W=%d", w), func(t *testing.T) {
-			stream(t, concurrent.New(concurrent.WithWorkers(w)), newCommitHost(p, n, true, -1))
+			stream(t, concurrent.New(w), newCommitHost(p, n, true, -1))
 		})
 	}
 }

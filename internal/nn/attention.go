@@ -41,7 +41,7 @@ func NewAttnCore(d, heads, qLen, kLen int, causal bool) *AttnCore {
 // QLen×KLen score matrix of every sequence.
 func (a *AttnCore) Forward(t *Tape, q, k, v *tensor.Tensor) *tensor.Tensor {
 	y, probs := a.attend(t, q, k, v, a.QLen, a.KLen, a.KLen)
-	t.Push(attnState{q.Shape[0] / a.QLen, q, k, v, probs})
+	t.attns.push(attnState{q.Shape[0] / a.QLen, q, k, v, probs})
 	return y
 }
 
@@ -102,7 +102,7 @@ func attnScaleMask[T tensor.Elem](s []T, scale float64, causal bool, qLen, kLen 
 // Backward backpropagates dy through the attention core, returning the
 // gradients with respect to q, k and v.
 func (a *AttnCore) Backward(t *Tape, dy *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
-	st := t.Pop().(attnState)
+	st := t.attns.pop()
 	dkh := a.D / a.Heads
 	scale := 1 / math.Sqrt(float64(dkh))
 	dQ := t.NewTensor(st.batch*a.QLen, a.D)

@@ -10,12 +10,10 @@ import (
 // implemented via im2col lowering so forward and backward are matrix
 // multiplies against the (possibly decoupled) kernel weights.
 type Conv2d struct {
-	W *Param // kernel, shape (outC, inC, K, K)
+	W *Param // kernel, shape (outC, inC·K·K): one output channel's (inC, K, K) per row
 	B *Param // per-output-channel bias, nil when disabled
 
 	InC, OutC, K, Stride, Pad int
-
-	kCols int // InC*K*K
 }
 
 type convState struct {
@@ -27,9 +25,8 @@ type convState struct {
 // NewConv2d returns a Conv2d with He-initialized kernel weights.
 func NewConv2d(name string, inC, outC, k, stride, pad int, bias bool, rng *rand.Rand) *Conv2d {
 	c := &Conv2d{
-		W:   NewParam(name+".W", outC, inC, k, k),
+		W:   NewParam(name+".W", outC, inC*k*k),
 		InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad,
-		kCols: inC * k * k,
 	}
 	c.W.InitHe(rng, inC*k*k)
 	if bias {
@@ -43,11 +40,11 @@ func (c *Conv2d) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh := tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	ow := tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
-	cols := tensor.Im2Col(x, c.K, c.K, c.Stride, c.Pad)
-	wm := c.W.Data.Reshape(c.OutC, c.kCols)
+	cols := t.NewTensor(b*oh*ow, c.W.Data.Shape[1])
+	tensor.Im2ColInto(cols, x, c.K, c.K, c.Stride, c.Pad)
 	// rows are (b, oy, ox); columns are output channels.
 	res := t.NewTensor(b*oh*ow, c.OutC)
-	tensor.MatMulT2Into(res, cols, wm)
+	tensor.MatMulT2Into(res, cols, c.W.Data)
 	out := t.NewTensor(b, c.OutC, oh, ow)
 	hw := oh * ow
 	if out.DType() == tensor.Float32 {
@@ -63,7 +60,7 @@ func (c *Conv2d) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 		}
 		convScatter(tensor.F64(out), tensor.F64(res), bias, b, c.OutC, hw)
 	}
-	t.Push(convState{cols, b, h, w, oh, ow})
+	t.convs.push(convState{cols, b, h, w, oh, ow})
 	return out
 }
 
@@ -87,7 +84,7 @@ func convScatter[T tensor.Elem](out, res, bias []T, b, outC, hw int) {
 // Backward accumulates kernel/bias gradients from the saved lowered input
 // and returns the input gradient computed with the backward weights.
 func (c *Conv2d) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	st := t.Pop().(convState)
+	st := t.convs.pop()
 	hw := st.oh * st.ow
 	// Rearrange dy (B, outC, OH, OW) into (B*OH*OW, outC) matching cols rows.
 	dyr := t.NewTensor(st.b*hw, c.OutC)
@@ -98,15 +95,16 @@ func (c *Conv2d) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
 	}
 	// dW += dyrᵀ @ cols, shape (outC, inC*K*K), and the bias gradient,
 	// each folded with one add per element (see Param.Grad).
-	tensor.MatMulT1AddInto(c.W.Grad.Reshape(c.OutC, c.kCols), dyr, st.cols)
+	tensor.MatMulT1AddInto(c.W.Grad, dyr, st.cols)
 	if c.B != nil {
 		tensor.FoldColSums(c.B.Grad, dyr)
 	}
 	// dcols = dyr @ W_bwd, then scatter back to image space.
-	wb := c.W.BwdData().Reshape(c.OutC, c.kCols)
-	dcols := t.NewTensor(st.b*hw, c.kCols)
-	tensor.MatMulInto(dcols, dyr, wb)
-	return tensor.Col2Im(dcols, st.b, c.InC, st.h, st.w, c.K, c.K, c.Stride, c.Pad)
+	dcols := t.NewTensor(st.b*hw, c.W.Data.Shape[1])
+	tensor.MatMulInto(dcols, dyr, c.W.BwdData())
+	dx := t.NewTensor(st.b, c.InC, st.h, st.w)
+	tensor.Col2ImInto(dx, dcols, c.K, c.K, c.Stride, c.Pad)
+	return dx
 }
 
 // convGather transposes (B, outC, OH, OW) image-layout gradients into the

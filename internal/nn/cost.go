@@ -69,7 +69,7 @@ func (l *Linear) EstimateCost() Cost {
 // programs that need exact balance should use the profile partition
 // mode, which measures real wall time.
 func (c *Conv2d) EstimateCost() Cost {
-	k := float64(c.kCols) * float64(c.OutC)
+	k := float64(c.W.Data.Size())
 	es := elemBytes(c.W)
 	return Cost{FLOPs: 6 * k, Bytes: 3 * es * k}
 }

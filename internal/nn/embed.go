@@ -41,7 +41,7 @@ func (e *Embedding) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 		ids[i] = id
 		tensor.CopyRange(out, i*d, e.W.Data, id*d, d)
 	}
-	t.Push(embState{ids, inShp})
+	t.embs.push(embState{ids, inShp})
 	return out
 }
 
@@ -52,7 +52,7 @@ func (e *Embedding) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 // microbatch — without touching the O(V·d) untouched remainder of the
 // table.
 func (e *Embedding) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	st := t.Pop().(embState)
+	st := t.embs.pop()
 	v, d := e.W.Data.Shape[0], e.W.Data.Shape[1]
 	n := len(st.ids)
 	rowOf := t.Ints(v)

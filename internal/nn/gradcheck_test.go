@@ -165,15 +165,13 @@ func TestGroupNormGradient(t *testing.T) {
 
 // TestLayerKernelsAreLeafCalls is the nn half of the tensor package's
 // TestKernelsAreLeafCalls: on a warm tape the arena serves every buffer,
-// and the normalisation, attention, GELU, ReLU and Linear loops run on the
-// calling goroutine with one scratch set (Linear's weight and bias
-// gradients fold straight into Grad, with no temporary), so a
-// forward+backward allocates only the tape's own bookkeeping — the boxed
-// record each Forward pushes (none for LayerNorm and GroupNorm, whose
-// record goes on the tape's typed stack, nor for GELU, ReLU and Linear,
-// whose record is the input tensor itself): attention's one. A row split
-// under these layers shows up as its escaping closures and per-chunk
-// scratch lists.
+// every layer's loops run on the calling goroutine with one scratch set
+// (Linear's and Conv2d's weight and bias gradients fold straight into
+// Grad, with no temporary), and each record goes on the tape's stack of
+// its type, so a forward+backward of every layer, and of the loss,
+// allocates nothing. A row split under these layers shows up as its
+// escaping closures and per-chunk scratch lists; a boxed record, as one
+// allocation per Forward.
 func TestLayerKernelsAreLeafCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -186,35 +184,47 @@ func TestLayerKernelsAreLeafCalls(t *testing.T) {
 			in[i] = randTensor(rng, dt, batch*seq, d)
 		}
 		img, dImg := randTensor(rng, dt, batch, 4, 3, 3), randTensor(rng, dt, batch, 4, 3, 3)
-		gn := NewGroupNorm("gn", 4, 2)
-		gn.Gain.CastTo(dt)
-		gn.Bias.CastTo(dt)
+		dPool := randTensor(rng, dt, batch, 4)
+		ids := tensor.New(batch, seq) // token ids are float64 in every dtype
+		for i := 0; i < ids.Size(); i++ {
+			ids.SetFlat(i, float64(rng.Intn(11)))
+		}
+		labels := make([]int, batch*seq)
+		for i := range labels {
+			labels[i] = rng.Intn(d)
+		}
 		tp := newTape(dt)
+		gn := NewGroupNorm("gn", 4, 2)
 		ln := NewLayerNorm("ln", d)
-		ln.Gain.CastTo(dt)
-		ln.Bias.CastTo(dt)
 		attn := NewAttnCore(d, heads, seq, seq, true)
-		gelu, relu := NewGELU(), NewReLU()
+		gelu, relu, gap, ce := NewGELU(), NewReLU(), NewGlobalAvgPool(), NewCrossEntropy()
 		lin := NewLinear("lin", d, d, true, rng)
-		for _, p := range lin.Params() {
-			p.CastTo(dt)
+		emb := NewEmbedding("emb", 11, d, rng)
+		conv := NewConv2d("conv", 4, 4, 3, 1, 1, true, rng)
+		for _, l := range []Layer{gn, ln, lin, emb, conv} {
+			for _, p := range l.Params() {
+				p.CastTo(dt)
+			}
 		}
 		for _, c := range []struct {
 			name string
-			want float64
 			run  func()
 		}{
-			{"LayerNorm", 0, func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
-			{"GroupNorm", 0, func() { gn.Forward(tp, img); gn.Backward(tp, dImg) }},
-			{"AttnCore", 1, func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
-			{"GELU", 0, func() { gelu.Forward(tp, in[0]); gelu.Backward(tp, in[1]) }},
-			{"ReLU", 0, func() { relu.Forward(tp, in[0]); relu.Backward(tp, in[1]) }},
-			{"Linear", 0, func() { lin.Forward(tp, in[0]); lin.Backward(tp, in[1]) }},
+			{"LayerNorm", func() { ln.Forward(tp, in[0]); ln.Backward(tp, in[1]) }},
+			{"GroupNorm", func() { gn.Forward(tp, img); gn.Backward(tp, dImg) }},
+			{"AttnCore", func() { attn.Forward(tp, in[0], in[1], in[2]); attn.Backward(tp, in[3]) }},
+			{"GELU", func() { gelu.Forward(tp, in[0]); gelu.Backward(tp, in[1]) }},
+			{"ReLU", func() { relu.Forward(tp, in[0]); relu.Backward(tp, in[1]) }},
+			{"Linear", func() { lin.Forward(tp, in[0]); lin.Backward(tp, in[1]) }},
+			{"Embedding", func() { emb.Forward(tp, ids); emb.Backward(tp, in[1]) }},
+			{"Conv2d", func() { conv.Forward(tp, img); conv.Backward(tp, dImg) }},
+			{"GlobalAvgPool", func() { gap.Forward(tp, img); gap.Backward(tp, dPool) }},
+			{"CrossEntropy", func() { ce.Forward(tp, in[0], labels); ce.Backward(tp) }},
 		} {
 			pass := func() { tp.Reset(); c.run() }
 			pass() // warm the arena
-			if allocs := testing.AllocsPerRun(20, pass); allocs > c.want {
-				t.Errorf("%s %s forward+backward allocated %.1f times on a warm tape, want at most %.0f", dt, c.name, allocs, c.want)
+			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+				t.Errorf("%s %s forward+backward allocated %.1f times on a warm tape, want 0", dt, c.name, allocs)
 			}
 		}
 	}
@@ -278,7 +288,9 @@ func TestGlobalAvgPoolGradient(t *testing.T) {
 }
 
 // records counts the records on every stack of the tape.
-func records(tp *Tape) int { return len(tp.stack) + len(tp.norms) + len(tp.ces) }
+func records(tp *Tape) int {
+	return len(tp.tensors) + len(tp.norms) + len(tp.ces) + len(tp.convs) + len(tp.gaps) + len(tp.embs) + len(tp.attns)
+}
 
 func TestCrossEntropyGradient(t *testing.T) {
 	labels := []int{0, 3, -1, 2, 1} // row 2 ignored

@@ -36,7 +36,7 @@ func (r *ReLU) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 
 // Backward gates dy by the sign of the forward input (tensor.ReLUGradInto).
 func (r *ReLU) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	x := t.Pop().(*tensor.Tensor)
+	x := t.Pop()
 	out := t.NewTensor(dy.Shape...)
 	tensor.ReLUGradInto(out, dy, x)
 	return out
@@ -64,7 +64,7 @@ func (g *GELU) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 // Backward computes the GELU derivative times dy, recomputing the gate
 // from the saved input (tensor.GELUGradInto).
 func (g *GELU) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	x := t.Pop().(*tensor.Tensor)
+	x := t.Pop()
 	out := t.NewTensor(dy.Shape...)
 	tensor.GELUGradInto(out, dy, x)
 	return out
@@ -91,7 +91,7 @@ func (g *GlobalAvgPool) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	} else {
 		gapFwd(tensor.F64(out), tensor.F64(x), b, c, h*w)
 	}
-	t.Push(gapState{b, c, h, w})
+	t.gaps.push(gapState{b, c, h, w})
 	return out
 }
 
@@ -111,7 +111,7 @@ func gapFwd[T tensor.Elem](out, x []T, b, c, hw int) {
 
 // Backward spreads dy uniformly over the pooled positions.
 func (g *GlobalAvgPool) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	st := t.Pop().(gapState)
+	st := t.gaps.pop()
 	out := t.NewTensor(st.b, st.c, st.h, st.w)
 	if dy.DType() == tensor.Float32 {
 		gapBwd(tensor.F32(out), tensor.F32(dy), st.b, st.c, st.h*st.w)

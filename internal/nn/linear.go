@@ -45,7 +45,7 @@ func (l *Linear) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 // summed from +0 and folded with one add per element, with no temporary
 // (MatMulT1AddInto, FoldColSums): the accumulation contract of Param.Grad.
 func (l *Linear) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	x := t.Pop().(*tensor.Tensor)
+	x := t.Pop()
 	// Parameter gradients use the saved forward input.
 	tensor.MatMulT1AddInto(l.W.Grad, dy, x)
 	if l.B != nil {

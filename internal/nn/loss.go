@@ -34,7 +34,7 @@ func (c *CrossEntropy) Forward(t *Tape, logits *tensor.Tensor, labels []int) flo
 		loss += lse[i] - logits.FlatAt(i*cl+labels[i])
 		cnt++
 	}
-	t.pushCE(ceRecord{probs, labels, cnt})
+	t.ces.push(ceRecord{probs, labels, cnt})
 	if cnt == 0 {
 		return 0
 	}
@@ -44,7 +44,7 @@ func (c *CrossEntropy) Forward(t *Tape, logits *tensor.Tensor, labels []int) flo
 // Backward returns dLoss/dlogits = (softmax − onehot)/count, with ignored
 // rows zeroed.
 func (c *CrossEntropy) Backward(t *Tape) *tensor.Tensor {
-	st := t.popCE()
+	st := t.ces.pop()
 	n, cl := st.probs.Shape[0], st.probs.Shape[1]
 	out := t.NewTensor(n, cl)
 	out.Zero() // ceBwd skips the ignored rows

@@ -33,14 +33,14 @@ func (ln *LayerNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 	invStd := t.Floats(n)
 	out := t.NewTensor(n, d)
 	tensor.LayerNormInto(out, xhat, x, ln.Gain.Data, ln.Bias.Data, invStd, ln.Eps)
-	t.pushNorm(normRecord{xhat: xhat, invStd: invStd})
+	t.norms.push(normRecord{xhat: xhat, invStd: invStd})
 	return out
 }
 
 // Backward accumulates dγ, dβ and returns dx using the backward gain
 // (tensor.LayerNormGradInto).
 func (ln *LayerNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	st := t.popNorm()
+	st := t.norms.pop()
 	out := t.NewTensor(dy.Shape[0], dy.Shape[1])
 	tensor.LayerNormGradInto(out, dy, st.xhat, ln.Gain.BwdData(), ln.Gain.Grad, ln.Bias.Grad, st.invStd)
 	return out
@@ -86,7 +86,7 @@ func (gn *GroupNorm) Forward(t *Tape, x *tensor.Tensor) *tensor.Tensor {
 			tensor.F64(gn.Gain.Data), tensor.F64(gn.Bias.Data), invStd,
 			b, c, h, w, gn.Groups, gn.Eps)
 	}
-	t.pushNorm(normRecord{xhat, invStd, c, h, w}) // invStd per (b, group)
+	t.norms.push(normRecord{xhat, invStd, c, h, w}) // invStd per (b, group)
 	return out
 }
 
@@ -128,7 +128,7 @@ func gnFwd[T tensor.Elem](out, xhat, x, gain, bias []T, invStd []float64, b, c, 
 // AddInto each, keeping the one-add-per-element-per-call accumulation
 // contract (see Param.Grad).
 func (gn *GroupNorm) Backward(t *Tape, dy *tensor.Tensor) *tensor.Tensor {
-	st := t.popNorm()
+	st := t.norms.pop()
 	b, c, h, w := dy.Shape[0], st.c, st.h, st.w
 	dGain := t.NewTensor(c)
 	dBias := t.NewTensor(c)

@@ -106,11 +106,11 @@ func TestForwardPacksOncePerVersion(t *testing.T) {
 		hogwild *pipeline.Hogwild
 	}{
 		{core.PipeMare, engine.NewReference(), 32, nil},
-		{core.PipeMare, concurrent.New(concurrent.WithWorkers(2)), 32, nil},
+		{core.PipeMare, concurrent.New(2), 32, nil},
 		{core.PipeMare, engine.NewReference(), 8, nil},
-		{core.PipeMare, concurrent.New(concurrent.WithWorkers(2)), 8, nil},
+		{core.PipeMare, concurrent.New(2), 8, nil},
 		{core.PipeMare, engine.NewReference(), 8, &pipeline.Hogwild{TauMax: 2, MeanScale: 0.5}},
-		{core.PipeMare, concurrent.New(concurrent.WithWorkers(2)), 8, &pipeline.Hogwild{TauMax: 2, MeanScale: 0.5}},
+		{core.PipeMare, concurrent.New(2), 8, &pipeline.Hogwild{TauMax: 2, MeanScale: 0.5}},
 		{core.GPipe, engine.NewReference(), 32, nil},
 	} {
 		name := fmt.Sprintf("%v/%s", c.method, c.eng.Name())

@@ -23,10 +23,13 @@ type Reg int
 // Op is one step of a compiled network: a unit of forward compute whose
 // weights all belong to one weight group (possibly none). Forward reads
 // and writes machine registers; Backward consumes the output registers'
-// gradients and accumulates input-register gradients.
+// gradients and accumulates input-register gradients. Regs names the
+// registers Forward reads and the one it writes, out = -1 when it writes
+// none: the program's liveness follows from those names alone.
 type Op interface {
 	Forward(m *Machine)
 	Backward(m *Machine)
+	Regs() (in []Reg, out Reg)
 }
 
 // Program is a compiled network: ops in forward order plus, for each op,
@@ -40,7 +43,6 @@ type Program struct {
 
 	carryOnce sync.Once
 	carry     [][]Reg // per op ending a group, the registers live across it
-	opaque    Op      // the first op carries cannot name, if any
 }
 
 // StageRanges returns, for each of p stages, the half-open op range
@@ -96,7 +98,7 @@ func (pr *Program) ForwardRange(m *Machine, lo, hi int) {
 // temporaries, not the whole network's, across however many calls one
 // backward takes. The gradients are those of a backward without rewinds,
 // bit for bit: later contributions add into a carried copy in the same
-// order. A program with an op carries cannot name never rewinds.
+// order.
 func (pr *Program) BackwardRange(m *Machine, lo, hi int) {
 	live := pr.carries()
 	if !m.inBwd {
@@ -104,7 +106,7 @@ func (pr *Program) BackwardRange(m *Machine, lo, hi int) {
 	}
 	for i := hi - 1; i >= lo; i-- {
 		pr.Ops[i].Backward(m)
-		if live != nil && i > 0 && pr.GroupOf[i-1] != pr.GroupOf[i] {
+		if i > 0 && pr.GroupOf[i-1] != pr.GroupOf[i] {
 			m.rewind(live[i-1], m.grads, m.bwd)
 		}
 	}
@@ -125,13 +127,9 @@ const carryRatio = 8
 // later op of the program — and rewinds the whole tape, records too.
 // Every register an op at or past hi reads — what the caller reads next
 // — therefore survives, valid until m's next run; a register no later op
-// reads may not. A program with an op whose registers Infer cannot name
-// (not one of this file's ops) panics, naming its type.
+// reads may not.
 func (pr *Program) Infer(m *Machine, lo, hi int) {
 	live := pr.carries()
-	if live == nil {
-		panic(fmt.Sprintf("nn: Infer cannot run %T", pr.opaque))
-	}
 	m.since = m.Tape.handed
 	for i := lo; i < hi; i++ {
 		pr.Ops[i].Forward(m)
@@ -176,10 +174,9 @@ func (m *Machine) rewind(live []Reg, vals []*tensor.Tensor, from tapeMark) bool 
 }
 
 // carries returns, for each op that ends a weight group, the registers
-// live across that boundary: read by a later op, and written by an op up
-// to it or by none (the caller binds those). It is worked out on first
-// use. On a program with an op whose registers it does not know it
-// returns nil, and pr.opaque names the op.
+// live across that boundary (Op.Regs): read by a later op, and written by
+// an op up to it or by none (the caller binds those). It is worked out on
+// first use.
 func (pr *Program) carries() [][]Reg {
 	pr.carryOnce.Do(func() {
 		written, last := make([]int, pr.NumRegs), make([]int, pr.NumRegs)
@@ -187,21 +184,7 @@ func (pr *Program) carries() [][]Reg {
 			written[r], last[r] = -1, -1
 		}
 		for i, op := range pr.Ops {
-			var in []Reg
-			out := Reg(-1)
-			switch o := op.(type) {
-			case *ApplyOp:
-				in, out = []Reg{o.In}, o.Out
-			case *AddOp:
-				in, out = []Reg{o.A, o.B}, o.Out
-			case *AttnCoreOp:
-				in, out = []Reg{o.Q, o.K, o.V}, o.Out
-			case *LossOp:
-				in = []Reg{o.Logits}
-			default:
-				pr.opaque = op
-				return
-			}
+			in, out := op.Regs()
 			for _, r := range in {
 				last[r] = i
 			}
@@ -405,6 +388,9 @@ func (o *ApplyOp) Backward(m *Machine) {
 	m.AddGradOwned(o.In, dx)
 }
 
+// Regs reads In and writes Out.
+func (o *ApplyOp) Regs() ([]Reg, Reg) { return []Reg{o.In}, o.Out }
+
 // AddOp is a residual join: Out = A + B.
 type AddOp struct {
 	A, B, Out Reg
@@ -423,6 +409,9 @@ func (o *AddOp) Backward(m *Machine) {
 	m.AddGradOwned(o.A, dy)
 	m.AddGrad(o.B, dy)
 }
+
+// Regs reads A and B and writes Out.
+func (o *AddOp) Regs() ([]Reg, Reg) { return []Reg{o.A, o.B}, o.Out }
 
 // AttnCoreOp runs a weightless attention core: Out = core(Q, K, V).
 type AttnCoreOp struct {
@@ -466,6 +455,9 @@ func (o *AttnCoreOp) Backward(m *Machine) {
 	m.AddGradOwned(o.V, dv)
 }
 
+// Regs reads Q, K and V and writes Out.
+func (o *AttnCoreOp) Regs() ([]Reg, Reg) { return []Reg{o.Q, o.K, o.V}, o.Out }
+
 // LossOp computes the scalar training loss from the logits register and
 // the machine's bound labels, writing Machine.Loss. It seeds the backward
 // pass.
@@ -483,3 +475,6 @@ func (o *LossOp) Forward(m *Machine) {
 func (o *LossOp) Backward(m *Machine) {
 	m.AddGradOwned(o.Logits, o.CE.Backward(&m.Tape))
 }
+
+// Regs reads Logits and writes no register: the loss is Machine.Loss.
+func (o *LossOp) Regs() ([]Reg, Reg) { return []Reg{o.Logits}, -1 }

@@ -314,25 +314,6 @@ func TestInferMatchesForwardRange(t *testing.T) {
 	}
 }
 
-// opaqueOp is an op whose registers Infer cannot name.
-type opaqueOp struct{}
-
-func (opaqueOp) Forward(*Machine)  {}
-func (opaqueOp) Backward(*Machine) {}
-
-// TestInferPanicsOnAnOpItCannotName: Infer has no second path, so a
-// program with an op outside this package's set panics, naming the op,
-// rather than running with the full tape an evaluation would not expect.
-func TestInferPanicsOnAnOpItCannotName(t *testing.T) {
-	prog := &Program{Ops: []Op{opaqueOp{}}, GroupOf: []int{0}}
-	defer func() {
-		if msg, _ := recover().(string); msg != "nn: Infer cannot run nn.opaqueOp" {
-			t.Fatalf("Infer over an opaqueOp panicked with %q", msg)
-		}
-	}()
-	prog.Infer(NewMachine(0), 0, 1)
-}
-
 // residualWithMemory builds the program the backward-rewind tests train:
 // a stem (group 0), a memory projection of its output (group 1) that every
 // block reads — the encoder-memory pattern, whose gradient accumulates

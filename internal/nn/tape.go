@@ -14,6 +14,13 @@ import (
 // concurrently in-flight microbatches — each with its own tape — which is
 // what lets the concurrent engine overlap pipeline stages.
 //
+// Every record has a type: each kind lives on a typed stack of its own
+// (a saved input tensor, a norm's, the loss's, a conv's, a pooling's, an
+// embedding's, an attention core's record), so saving one boxes nothing
+// and popping one asserts nothing. Each stack is strict on its own,
+// because every layer pushes to one of them and pops in reverse order
+// from the same one.
+//
 // The tape doubles as a scratch arena: NewTensor, Floats and Ints hand out
 // buffers that are recycled positionally on Reset. A training step runs
 // the same op sequence with the same shapes every microbatch, so after the
@@ -28,9 +35,13 @@ import (
 // A Tape is not safe for concurrent use; every microbatch in flight owns
 // its own.
 type Tape struct {
-	stack []any
-	norms []normRecord
-	ces   []ceRecord
+	tensors stack[*tensor.Tensor]
+	norms   stack[normRecord]
+	ces     stack[ceRecord]
+	convs   stack[convState]
+	gaps    stack[gapState]
+	embs    stack[embState]
+	attns   stack[attnState]
 
 	dt     tensor.DType
 	tens   []*tensor.Tensor
@@ -42,58 +53,47 @@ type Tape struct {
 	ipos   int
 }
 
+// stack is one kind of tape record, last in first out.
+type stack[T any] []T
+
+func (s *stack[T]) push(v T) { *s = append(*s, v) }
+
+func (s *stack[T]) pop() T {
+	n := len(*s) - 1
+	v := (*s)[n]
+	var zero T
+	(*s)[n] = zero
+	*s = (*s)[:n]
+	return v
+}
+
+func (s *stack[T]) reset() {
+	clear(*s)
+	*s = (*s)[:0]
+}
+
 // SetDType switches the dtype of tensors handed out by NewTensor. Arena
 // tensors of the other dtype are dropped on their next positional reuse.
 func (t *Tape) SetDType(dt tensor.DType) { t.dt = dt }
 
-// Push saves v for the matching Pop in the layer's Backward.
-func (t *Tape) Push(v any) { t.stack = append(t.stack, v) }
+// Push saves x for the matching Pop in the op's Backward.
+func (t *Tape) Push(x *tensor.Tensor) { t.tensors.push(x) }
 
-// Pop returns the most recently pushed value.
-func (t *Tape) Pop() any {
-	n := len(t.stack) - 1
-	v := t.stack[n]
-	t.stack[n] = nil
-	t.stack = t.stack[:n]
-	return v
-}
+// Pop returns the most recently pushed tensor.
+func (t *Tape) Pop() *tensor.Tensor { return t.tensors.pop() }
 
-// normRecord is what LayerNorm and GroupNorm save for their Backward. It
-// has its own typed stack beside the []any one, so saving it boxes nothing
-// on the heap; the stacks are each strict, because every layer pushes to
-// one of them and pops in reverse order from the same one.
+// normRecord is what LayerNorm and GroupNorm save for their Backward.
 type normRecord struct {
 	xhat    *tensor.Tensor
 	invStd  []float64
 	c, h, w int // GroupNorm's channels and spatial size; LayerNorm's are 0
 }
 
-func (t *Tape) pushNorm(r normRecord) { t.norms = append(t.norms, r) }
-
-func (t *Tape) popNorm() normRecord {
-	n := len(t.norms) - 1
-	r := t.norms[n]
-	t.norms[n] = normRecord{}
-	t.norms = t.norms[:n]
-	return r
-}
-
-// ceRecord is what CrossEntropy saves for its Backward, on a typed stack
-// of its own for the same reason as normRecord.
+// ceRecord is what CrossEntropy saves for its Backward.
 type ceRecord struct {
 	probs  *tensor.Tensor
 	labels []int
 	count  int
-}
-
-func (t *Tape) pushCE(r ceRecord) { t.ces = append(t.ces, r) }
-
-func (t *Tape) popCE() ceRecord {
-	n := len(t.ces) - 1
-	r := t.ces[n]
-	t.ces[n] = ceRecord{}
-	t.ces = t.ces[:n]
-	return r
 }
 
 // NewTensor returns a tensor of the given shape backed by the tape's
@@ -173,18 +173,17 @@ func (t *Tape) Ints(n int) []int {
 	return s
 }
 
-// Reset clears the state stacks and rewinds the arenas so their buffers
+// Reset clears the record stacks and rewinds the arenas so their buffers
 // are reused by the next run. Everything previously handed out is
 // invalidated.
 func (t *Tape) Reset() {
-	for i := range t.stack {
-		t.stack[i] = nil
-	}
-	t.stack = t.stack[:0]
-	clear(t.norms)
-	t.norms = t.norms[:0]
-	clear(t.ces)
-	t.ces = t.ces[:0]
+	t.tensors.reset()
+	t.norms.reset()
+	t.ces.reset()
+	t.convs.reset()
+	t.gaps.reset()
+	t.embs.reset()
+	t.attns.reset()
 	t.rewind(tapeMark{})
 }
 

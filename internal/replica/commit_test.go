@@ -185,7 +185,7 @@ func TestCommitRunsPhasesInOrderForAnyShardCount(t *testing.T) {
 	if fwd == rev {
 		t.Fatal("the clip partials do not distinguish summation orders")
 	}
-	pooled := func(w int) engine.Engine { return concurrent.New(concurrent.WithWorkers(w)) }
+	pooled := func(w int) engine.Engine { return concurrent.New(w) }
 	for _, tc := range []struct {
 		name   string
 		engs   []engine.Engine

@@ -424,7 +424,7 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 // the leader and an in-process follower drive their chunks through one
 // concurrent engine value at once, minibatch after minibatch.
 func TestMembersShareOneEngine(t *testing.T) {
-	eng := concurrent.New()
+	eng := concurrent.New(0)
 	g := replica.NewGroup(engineMember{newFakeMember(2), eng}, false)
 	if err := g.Admit(engineMember{newFakeMember(2), eng}); err != nil {
 		t.Fatal(err)

@@ -429,8 +429,9 @@ func TestKernelsAreLeafCalls(t *testing.T) {
 	}
 }
 
-// TestIm2ColDtypes pins Im2Col/Col2Im float32 against the float64 path on
-// integer-valued data, where both dtypes are exact.
+// TestIm2ColDtypes pins Im2ColInto/Col2ImInto float32 against the float64
+// path on integer-valued data, where both dtypes are exact, into
+// NaN-filled destinations, which both must overwrite.
 func TestIm2ColDtypes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x64 := New(2, 3, 9, 9)
@@ -440,21 +441,20 @@ func TestIm2ColDtypes(t *testing.T) {
 		x64.SetFlat(i, v)
 		x32.SetFlat(i, v)
 	}
-	c64 := Im2Col(x64, 3, 3, 2, 1)
-	c32 := Im2Col(x32, 3, 3, 2, 1)
-	if c32.DType() != Float32 || !c32.SameShape(c64) {
-		t.Fatalf("Im2Col float32 shape/dtype: %v vs %v", c32, c64)
+	c64, c32 := New(2*5*5, 3*3*3), NewOf(Float32, 2*5*5, 3*3*3)
+	i64, i32 := New(2, 3, 9, 9), NewOf(Float32, 2, 3, 9, 9)
+	for _, d := range []*Tensor{c64, c32, i64, i32} {
+		d.Fill(math.NaN())
 	}
+	Im2ColInto(c64, x64, 3, 3, 2, 1)
+	Im2ColInto(c32, x32, 3, 3, 2, 1)
 	for i := 0; i < c64.Size(); i++ {
 		if c64.FlatAt(i) != c32.FlatAt(i) {
 			t.Fatalf("Im2Col element %d: %v vs %v", i, c64.FlatAt(i), c32.FlatAt(i))
 		}
 	}
-	i64 := Col2Im(c64, 2, 3, 9, 9, 3, 3, 2, 1)
-	i32 := Col2Im(c32, 2, 3, 9, 9, 3, 3, 2, 1)
-	if i32.DType() != Float32 {
-		t.Fatalf("Col2Im dtype: %v", i32.DType())
-	}
+	Col2ImInto(i64, c64, 3, 3, 2, 1)
+	Col2ImInto(i32, c32, 3, 3, 2, 1)
 	for i := 0; i < i64.Size(); i++ {
 		if i64.FlatAt(i) != i32.FlatAt(i) {
 			t.Fatalf("Col2Im element %d: %v vs %v", i, i64.FlatAt(i), i32.FlatAt(i))

@@ -263,13 +263,14 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 			w.data[i] = rng.NormFloat64()
 		}
 		want := naiveConv(x, w, cfg.stride, cfg.pad)
-		cols := Im2Col(x, cfg.k, cfg.k, cfg.stride, cfg.pad)
+		oh := ConvOutSize(cfg.h, cfg.k, cfg.stride, cfg.pad)
+		ow := ConvOutSize(cfg.w, cfg.k, cfg.stride, cfg.pad)
+		cols := New(cfg.b*oh*ow, cfg.c*cfg.k*cfg.k)
+		Im2ColInto(cols, x, cfg.k, cfg.k, cfg.stride, cfg.pad)
 		wm := w.Reshape(cfg.oc, cfg.c*cfg.k*cfg.k)
 		// cols: (B*OH*OW, C*K*K); result rows are (b,oy,ox) and cols oc.
 		res := New(cols.Shape[0], cfg.oc)
 		MatMulT2Into(res, cols, wm)
-		oh := ConvOutSize(cfg.h, cfg.k, cfg.stride, cfg.pad)
-		ow := ConvOutSize(cfg.w, cfg.k, cfg.stride, cfg.pad)
 		for n := 0; n < cfg.b; n++ {
 			for o := 0; o < cfg.oc; o++ {
 				for oy := 0; oy < oh; oy++ {
@@ -295,7 +296,9 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	for i := range x.data {
 		x.data[i] = rng.NormFloat64()
 	}
-	cols := Im2Col(x, k, k, stride, pad)
+	oh, ow := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
+	cols := New(b*oh*ow, c*k*k)
+	Im2ColInto(cols, x, k, k, stride, pad)
 	y := New(cols.Shape...)
 	for i := range y.data {
 		y.data[i] = rng.NormFloat64()
@@ -304,7 +307,8 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	for i := range cols.data {
 		lhs += cols.data[i] * y.data[i]
 	}
-	back := Col2Im(y, b, c, h, w, k, k, stride, pad)
+	back := New(b, c, h, w)
+	Col2ImInto(back, y, k, k, stride, pad)
 	rhs := 0.0
 	for i := range x.data {
 		rhs += x.data[i] * back.data[i]

@@ -134,10 +134,10 @@ type Recorder struct {
 }
 
 // New returns a recorder with the default per-track event cap.
-func New() *Recorder { return NewWithLimit(DefaultLimit) }
+func New() *Recorder { return newWithLimit(DefaultLimit) }
 
-// NewWithLimit returns a recorder capping each track at limit events.
-func NewWithLimit(limit int) *Recorder {
+// newWithLimit returns a recorder capping each track at limit events.
+func newWithLimit(limit int) *Recorder {
 	if limit < 1 {
 		limit = 1
 	}

@@ -42,7 +42,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 }
 
 func TestTrackCapCountsDrops(t *testing.T) {
-	r := NewWithLimit(2)
+	r := newWithLimit(2)
 	tk := r.Track(0, 0, "worker 0")
 	for i := 0; i < 5; i++ {
 		tk.Instant(NameEpoch, -1, -1, 0)
@@ -61,7 +61,7 @@ func TestTrackCapCountsDrops(t *testing.T) {
 // moves, so recording never copies what it already holds.
 func TestTrackRecordsIntoBlocks(t *testing.T) {
 	const limit = 3*blockEvents + 100
-	r := NewWithLimit(limit)
+	r := newWithLimit(limit)
 	tk := r.Track(0, 0, "worker 0")
 	tk.Instant(NameEpoch, -1, 0, 0)
 	first := &tk.blocks[0][0]
@@ -95,7 +95,7 @@ func TestTrackRecordsIntoBlocks(t *testing.T) {
 // none.
 func TestReserveTakesTheBlockAllocationOutOfRecording(t *testing.T) {
 	const limit = blockEvents + 100
-	r := NewWithLimit(limit)
+	r := newWithLimit(limit)
 	tk := r.Track(0, 0, "worker 0")
 	for i := 0; i < blockEvents/2; i++ {
 		tk.Instant(NameEpoch, -1, i, 0)

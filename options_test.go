@@ -89,8 +89,9 @@ func TestOptionCrossValidation(t *testing.T) {
 // charges it glue cost all the same.
 type glueOp struct{}
 
-func (glueOp) Forward(*nn.Machine)  {}
-func (glueOp) Backward(*nn.Machine) {}
+func (glueOp) Forward(*nn.Machine)      {}
+func (glueOp) Backward(*nn.Machine)     {}
+func (glueOp) Regs() ([]nn.Reg, nn.Reg) { return nil, -1 }
 
 func TestWithPartitionConfiguresTrainer(t *testing.T) {
 	// Ten glue ops ahead of group 0's own make it the heaviest group by far.

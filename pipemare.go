@@ -9,7 +9,7 @@
 //     including the GPipe and PipeDream baselines, behind pluggable
 //     execution engines (internal/engine): a single-goroutine Reference
 //     simulator and a work-stealing segment-scheduler engine
-//     (internal/engine/concurrent, WithWorkers) with bit-identical
+//     (internal/engine/concurrent, NewConcurrentEngine) with bit-identical
 //     training curves, over even, cost-balanced or profiled stage
 //     partitions (WithPartition);
 //   - PipeDream-style data parallelism over R pipeline replicas
@@ -126,7 +126,7 @@ func NewReferenceEngine() Engine { return engine.NewReference() }
 // trainers at once. Curves are bit-identical to Reference for every
 // worker count; see internal/engine/concurrent.
 func NewConcurrentEngine(workers int) Engine {
-	return concurrent.New(concurrent.WithWorkers(workers))
+	return concurrent.New(workers)
 }
 
 // NewReplicatedEngine returns inner() — or the Reference engine when
