@@ -44,10 +44,15 @@ func TestStreamJoinsItsWorkers(t *testing.T) {
 // TestMain fails the package when goroutines outlive its tests.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
-func TestNewAndName(t *testing.T) {
+func TestOptionsAndName(t *testing.T) {
 	if New(0).Name() != "concurrent" {
 		t.Fatal("engine name wrong")
 	}
+}
+
+// TestWithWorkersOption pins how New resolves its worker count: negative
+// clamps to auto, and auto or W > P resolve per Stream in workersFor.
+func TestWithWorkersOption(t *testing.T) {
 	if e := New(3); e.workers != 3 {
 		t.Fatalf("workers = %d, want 3", e.workers)
 	}
