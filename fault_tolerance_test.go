@@ -259,7 +259,7 @@ func TestRestoreLatestSkipsCorruptCheckpoint(t *testing.T) {
 
 // TestRestoreLatestReportsAFailedResync pins that RestoreLatest falls back
 // to an older checkpoint only for a file it cannot use: when a follower's
-// link dies during the restore's resync — on the first ring message after
+// link dies during the restore's resync — on the first stage record after
 // the launch handoff's P — the restore fails at once with an error naming
 // the replica, instead of re-applying every older file and then calling
 // the newest, valid one invalid.
@@ -277,7 +277,7 @@ func TestRestoreLatestReportsAFailedResync(t *testing.T) {
 	}
 	dialers, _, wait := startWorkers(t, 1, build, func() []pipemare.Option { return ftBase() })
 	dialers[0] = &faults.Dialer{Inner: dialers[0], Script: faults.NewScript(
-		faults.Rule{Dir: faults.Send, Type: transport.MsgSetRing, Nth: p + 1, Op: faults.Kill})}
+		faults.Rule{Dir: faults.Send, Type: transport.MsgSetState, Nth: p + 1, Op: faults.Kill})}
 	_, err = pipemare.Restore(dir, build(), append(base, pipemare.WithTransport(dialers...))...)
 	if err == nil || !strings.Contains(err.Error(), "replica 1") || strings.Contains(err.Error(), "no valid checkpoint") {
 		t.Fatalf("restore with a follower dying mid-resync: %v; want an error naming replica 1, not an invalid checkpoint", err)

@@ -15,20 +15,23 @@ import (
 )
 
 // layoutStages enumerates what a pipeline stage is, once, in the order
-// every mover of stage state — handoff, checkpoint, restore — ships it:
-// the master weights, then the T2 discrepancy state (δ and the corrected
-// backward weights) when T2 is on, then the optimizer's live moment
-// tensors whenever it holds those of every parameter (a follower outside
-// fault tolerance holds its shard's only). The lists alias the live
-// tensors and are fixed after construction. The handoff view stops
-// before the moments unless the run is fault-tolerant, which mirrors them
-// onto every replica. The gather view leaves out the T2 state too: every
-// importer computes it (ImportStageState).
+// every mover of stage state — handoff, checkpoint, restore — ships it: a
+// stage record is the stage's weight-version ring, then rest: the T2
+// discrepancy δ when T2 is on, then the optimizer's live moment tensors
+// whenever it holds those of every parameter (a follower outside fault
+// tolerance holds its shard's only). The masters are the ring's newest
+// version and the corrected backward weights masters − τ·δ, so a record
+// carries neither: the importer derives both (importStage). The lists alias
+// the live tensors and are fixed after construction. The handoff view of
+// rest stops before the moments unless the run is fault-tolerant, which
+// mirrors them onto every replica. The gather view is the masters, then
+// the moments under fault tolerance: every importer replays δ
+// (ImportStageState).
 func (t *Trainer) layoutStages() {
-	t.state = make([][]*tensor.Tensor, t.clock.P)
-	t.handoffState = make([][]*tensor.Tensor, t.clock.P)
+	t.rest = make([][]*tensor.Tensor, t.clock.P)
+	t.handoffRest = make([][]*tensor.Tensor, t.clock.P)
 	t.gather = make([][]*tensor.Tensor, t.clock.P)
-	for s := range t.state {
+	for s := range t.rest {
 		lo, hi := t.stageLo[s], t.stageHi[s]
 		var moments []*tensor.Tensor
 		if t.opt.StateRange() == optim.FullShard(len(t.params)) {
@@ -36,19 +39,17 @@ func (t *Trainer) layoutStages() {
 				moments = append(moments, t.opt.MomentTensors(i)...)
 			}
 		}
-		list := append([]*tensor.Tensor(nil), t.masters[lo:hi]...)
+		var delta []*tensor.Tensor
 		if t.delta != nil {
-			list = append(list, t.delta[lo:hi]...)
-			list = append(list, t.corrected[lo:hi]...)
+			delta = t.delta[lo:hi:hi]
 		}
-		shared := len(list)
-		t.state[s] = append(list, moments...)
+		t.rest[s] = append(delta, moments...)
+		t.handoffRest[s] = delta
 		t.gather[s] = t.masters[lo:hi:hi]
 		if t.cfg.FaultTolerant {
-			shared = len(t.state[s])
+			t.handoffRest[s] = t.rest[s]
 			t.gather[s] = append(t.gather[s], moments...)
 		}
-		t.handoffState[s] = t.state[s][:shared:shared]
 	}
 }
 

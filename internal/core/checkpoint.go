@@ -16,12 +16,12 @@ import (
 // file of wire frames (the transport's framed codec: magic, version and
 // CRC per frame), so restore is as bit-exact as a collective. The file is
 // the state handoff written down: after the meta, one section per stage
-// whose payload is the stage's state list (layoutStages) encoded exactly
-// as MsgSetState carries it under the fault-tolerant layout, then one
-// section per stage whose payload is the MsgSetRing payload of the
-// stage's weight-version ring — the historical versions the asynchronous
-// methods read. The rings are the clock: their newest version is the step
-// count, from which the epoch and the position within it derive.
+// whose payload is the stage's record (transport.RecordMsg) encoded
+// exactly as MsgSetState carries it under the fault-tolerant layout: the
+// weight-version ring — the historical versions the asynchronous methods
+// read, the newest of them the masters — then rest (layoutStages). The
+// rings are the clock: their newest version is the step count, from which
+// the epoch and the position within it derive.
 //
 // The batch order is a pure function of (seed, epoch) — run() draws a
 // fresh RNG per epoch — so no RNG state needs to be saved: a restored
@@ -29,11 +29,11 @@ import (
 // minibatches the checkpoint already contains.
 
 // Checkpoint section types (frame Header.Type within a checkpoint file —
-// a namespace separate from the live wire protocol).
+// a namespace separate from the live wire protocol). Type 3, format 5's
+// ring section, is retired.
 const (
 	ckptMeta  = 1 // format version and stage count
-	ckptStage = 2 // one stage's state: the MsgSetState payload
-	ckptRing  = 3 // one stage's weight-version ring: the MsgSetRing payload
+	ckptStage = 2 // one stage's record: the MsgSetState payload
 	ckptEnd   = 4 // end marker: the file was written completely
 )
 
@@ -42,10 +42,12 @@ const (
 // payload the wire message's (one counted tensor list per stage instead
 // of one per kind of state); version 4 dropped the meta's clocks, which
 // the rings carry; version 5 writes tensor element blocks little-endian
-// (wire version 9). Files of another version are rejected rather than
-// mis-decoded: a version 4 file's frames carry wire version 8, which the
-// frame reader refuses before the meta is read.
-const ckptFormat = 5
+// (wire version 9); version 6 writes one record section per stage (wire
+// version 10) in place of a state section (masters, δ, corrected
+// weights, moments) and a ring section. Files of another version are
+// rejected rather than mis-decoded: a version 5 file's frames carry wire
+// version 9, which the frame reader refuses before the meta is read.
+const ckptFormat = 6
 
 // ckptPattern matches checkpoint files in a directory; the step number
 // is zero-padded so lexical order is step order.
@@ -113,34 +115,30 @@ func (t *Trainer) writeSections(fw *transport.FrameWriter) error {
 	if err := fw.WriteMsg(transport.Msg{Type: ckptMeta, Stage: -1, Data: meta}); err != nil {
 		return err
 	}
-	for s, state := range t.state {
-		if err := fw.WriteMsg(transport.Msg{Type: ckptStage, Stage: int32(s), Lists: [][]*tensor.Tensor{state}}); err != nil {
-			return err
-		}
-	}
-	for s := range t.state {
+	for s, rest := range t.rest {
 		base, snaps := t.store.History(s)
-		if err := fw.WriteMsg(transport.RingMsg(ckptRing, s, base, snaps)); err != nil {
+		if err := fw.WriteMsg(transport.RecordMsg(ckptStage, s, base, snaps, rest)); err != nil {
 			return err
 		}
 	}
 	return fw.WriteMsg(transport.Msg{Type: ckptEnd, Stage: -1})
 }
 
-// ckptState is a fully parsed and validated checkpoint, staged off to the
-// side so a file that does not fit this trainer is rejected before a
-// single live tensor is touched.
-type ckptState struct {
-	stages    [][]*tensor.Tensor
-	ringBase  []int
-	ringSnaps [][][]*tensor.Tensor
+// stageRecord is one stage's parsed record: its ring's base version and
+// snapshots, oldest to newest, and rest.
+type stageRecord struct {
+	base  int
+	snaps [][]*tensor.Tensor
+	rest  []*tensor.Tensor
 }
 
-// parseCheckpoint reads the file at path and validates every section
-// against this trainer's stage layout, and the rings against each other:
-// they are the clock, so every one must end at the same version. What it
-// returns, apply installs without another check.
-func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
+// parseCheckpoint reads the file at path and validates every stage's
+// record against this trainer's stage layout (checkRecord), and the
+// rings against each other: they are the clock, so every one must end at
+// the same version. It returns the records, staged off to the side so a
+// file that does not fit this trainer is rejected before a single live
+// tensor is touched; apply imports them.
+func (t *Trainer) parseCheckpoint(path string) (_ []stageRecord, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("core: restoring %s: %w", path, err)
@@ -177,57 +175,41 @@ func (t *Trainer) parseCheckpoint(path string) (_ *ckptState, err error) {
 	if p != t.clock.P {
 		return nil, fmt.Errorf("checkpoint has %d stages, trainer has %d", p, t.clock.P)
 	}
-	st := &ckptState{}
-	st.stages = make([][]*tensor.Tensor, p)
-	st.ringBase = make([]int, p)
-	st.ringSnaps = make([][][]*tensor.Tensor, p)
-	for s := range st.stages {
+	recs := make([]stageRecord, p)
+	for s := range recs {
 		if c, err = section(ckptStage, s); err != nil {
 			return nil, err
 		}
-		st.stages[s] = c.TensorsInto(nil)
+		r := &recs[s]
+		r.base, r.snaps, r.rest = c.Record()
 		if err := c.Done(); err != nil {
 			return nil, fmt.Errorf("stage %d: %w", s, err)
 		}
-		if err := checkStage(s, t.state[s], st.stages[s]); err != nil {
+		if err := t.checkRecord(s, r.base, r.snaps, r.rest, t.rest[s]); err != nil {
 			return nil, err
 		}
-	}
-	for s := range st.stages {
-		if c, err = section(ckptRing, s); err != nil {
-			return nil, err
-		}
-		st.ringBase[s], st.ringSnaps[s] = c.Ring()
-		if err := c.Done(); err != nil {
-			return nil, fmt.Errorf("ring %d: %w", s, err)
-		}
-		if err := t.checkRing(s, st.ringBase[s], st.ringSnaps[s]); err != nil {
-			return nil, err
-		}
-		end := st.ringBase[s] + len(st.ringSnaps[s]) - 1
-		if end0 := st.ringBase[0] + len(st.ringSnaps[0]) - 1; end != end0 {
+		end := r.base + len(r.snaps) - 1
+		if end0 := recs[0].base + len(recs[0].snaps) - 1; end != end0 {
 			return nil, fmt.Errorf("ring %d ends at version %d, ring 0 at %d", s, end, end0)
 		}
 	}
 	if _, err := section(ckptEnd, -1); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return recs, nil
 }
 
-// apply installs a parsed checkpoint into the live trainer state and
-// pushes it to every follower (replica.Group.Resync: full per-stage state,
-// then the weight-version rings, which carry the step count).
-func (t *Trainer) apply(st *ckptState) error {
-	for s, state := range t.state {
-		for k, dst := range state {
-			dst.CopyFrom(st.stages[s][k])
-		}
-		t.store.RestoreStage(s, st.ringBase[s], st.ringSnaps[s])
+// apply installs a parsed checkpoint into the live trainer state, one
+// stage record at a time (importStage), and pushes it to every follower
+// (replica.Group.Resync: the same records, whose rings carry the step
+// count).
+func (t *Trainer) apply(recs []stageRecord) error {
+	for s, r := range recs {
+		t.importStage(s, r.base, r.snaps, r.rest, t.rest[s])
 	}
 	t.diverged = false
 	t.ctlTrack().Instant(trace.NameCkptRestore, -1, -1, 0)
-	if err := t.group.Resync(t.store.History); err != nil {
+	if err := t.group.Resync(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
@@ -237,11 +219,11 @@ func (t *Trainer) apply(st *ckptState) error {
 // parsed and validated completely before any live state changes, so an
 // invalid file leaves the trainer untouched.
 func (t *Trainer) RestoreFrom(path string) error {
-	st, err := t.parseCheckpoint(path)
+	recs, err := t.parseCheckpoint(path)
 	if err != nil {
 		return err
 	}
-	return t.apply(st)
+	return t.apply(recs)
 }
 
 // RestoreLatest restores the trainer from the newest valid checkpoint in
@@ -262,12 +244,12 @@ func (t *Trainer) RestoreLatest(dir string) (int, error) {
 	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
 	var lastErr error
 	for _, path := range paths {
-		st, err := t.parseCheckpoint(path)
+		recs, err := t.parseCheckpoint(path)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if err := t.apply(st); err != nil {
+		if err := t.apply(recs); err != nil {
 			return 0, err
 		}
 		return t.steps(), nil

@@ -306,13 +306,14 @@ type Trainer struct {
 	// its leader: state and rings arrive through the member surface.
 	group *replica.Group
 
-	// state is what each stage is, as one list per stage (layoutStages):
-	// everything a checkpoint's stage section holds and restores.
-	// handoffState is the prefix of it a handoff ships (HandoffState / SetStageState):
-	// without the moments, unless fault-tolerant. gather is what the
-	// commit's gather ships (StageState / ImportStageState): the masters,
-	// and the moments under fault tolerance.
-	state, handoffState, gather [][]*tensor.Tensor
+	// rest is what each stage is beyond its weight-version ring, as one
+	// list per stage (layoutStages): what a checkpoint's stage record
+	// holds after the ring. handoffRest is the prefix of it a handoff
+	// ships (HandoffState / SetStageState): without the moments, unless
+	// fault-tolerant. gather is what the commit's gather ships
+	// (StageState / ImportStageState): the masters, and the moments under
+	// fault tolerance.
+	rest, handoffRest, gather [][]*tensor.Tensor
 
 	observer Observer
 	async    bool // the stream's phase: delayed installs, T1 rates (SetAsync)

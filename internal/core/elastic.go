@@ -210,7 +210,7 @@ func (t *Trainer) admit(id int) error {
 }
 
 // handoff is Group.Handoff to member id. An in-process follower refuses a
-// stage state of another layout by panicking (checkStage), as a worker's
+// stage record of another layout by panicking (checkRecord), as a worker's
 // follower does before its serve loop turns the panic into an error reply;
 // here too it becomes the handoff's error, so a CloneTask that built
 // another model fails New instead of crashing it.
@@ -220,7 +220,7 @@ func (t *Trainer) handoff(id int) (err error) {
 			err = fmt.Errorf("replica %d: %v", id, r)
 		}
 	}()
-	return t.group.Handoff(id, t.store.History)
+	return t.group.Handoff(id)
 }
 
 // ElasticStats reports the elastic-membership counters: members admitted

@@ -128,9 +128,9 @@ func (h *heldLocal) ImportStageState(stage int, src []*tensor.Tensor) {
 	h.keep(src)
 }
 
-func (h *heldLocal) SetStageState(stage int, src []*tensor.Tensor) {
-	h.host.SetStageState(stage, src)
-	h.keep(src)
+func (h *heldLocal) SetStageState(stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
+	h.host.SetStageState(stage, base, snaps, rest)
+	h.keep(rest)
 }
 
 // TestEveryGradientBufferHasOneHolder pins the swap's invariant: at R = 2

@@ -93,47 +93,57 @@ func (h host) StageState(stage int) []*tensor.Tensor {
 // panics before anything is copied (the serve loop turns that into an
 // error reply).
 func (h host) ImportStageState(stage int, src []*tensor.Tensor) {
-	h.t.copyStage(stage, h.t.gather[stage], src)
-	h.t.finishStage(stage)
-}
-
-// HandoffState returns the stage's whole live state in the handoff view
-// of the stage layout (layoutStages): masters, T2 state, and the moments
-// under fault tolerance (replica.Leader). Read-only, like StageState.
-func (h host) HandoffState(stage int) []*tensor.Tensor {
-	return h.t.handoffState[stage]
-}
-
-// SetStageState copies a leader's HandoffState into this replica and
-// pushes the stage's next weight version — one stage of a handoff, whose
-// ring restore follows. A src of another layout panics before anything is
-// copied.
-func (h host) SetStageState(stage int, src []*tensor.Tensor) {
-	h.t.copyStage(stage, h.t.handoffState[stage], src)
-	h.t.store.PushStage(stage)
-}
-
-// copyStage copies src over the stage's tensors dst after checkStage has
-// passed it, and panics naming the mismatch otherwise.
-func (t *Trainer) copyStage(stage int, dst, src []*tensor.Tensor) {
+	dst := h.t.gather[stage]
 	if err := checkStage(stage, dst, src); err != nil {
 		panic("core: " + err.Error())
 	}
 	for k, d := range dst {
 		d.CopyFrom(src[k])
 	}
+	h.t.finishStage(stage)
 }
 
-// RestoreVersions replaces a stage's weight-version ring
-// (replica.Member) — the restore path for the historical versions the
-// asynchronous methods read, and with them the step count. A ring
-// checkRing refuses panics before the old ring is touched (the serve loop
-// turns that into an error reply).
-func (h host) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	if err := h.t.checkRing(stage, base, snaps); err != nil {
+// HandoffState returns the stage's record (replica.Leader): its
+// weight-version ring, then rest in the handoff view of the stage layout
+// (layoutStages) — T2's δ, and the moments under fault tolerance.
+// Read-only, like StageState.
+func (h host) HandoffState(stage int) (base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
+	base, snaps = h.t.store.History(stage)
+	return base, snaps, h.t.handoffRest[stage]
+}
+
+// SetStageState imports a leader's HandoffState over this replica's
+// stage (importStage) — one stage of a handoff, and with its ring the
+// step count.
+func (h host) SetStageState(stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
+	h.t.importStage(stage, base, snaps, rest, h.t.handoffRest[stage])
+}
+
+// importStage is the one importer of a stage record — a handoff's
+// (SetStageState) and a checkpoint's (apply). A record checkRecord
+// refuses panics before anything live changes (the serve loop turns that
+// into an error reply). Otherwise it replaces the weight-version ring,
+// copies the ring's newest version over the masters and rest over view,
+// its half of the stage layout, and recomputes the corrected weights as
+// masters − τ·δ, bitwise the T2 update's own expression.
+func (t *Trainer) importStage(stage, base int, snaps [][]*tensor.Tensor, rest, view []*tensor.Tensor) {
+	if err := t.checkRecord(stage, base, snaps, rest, view); err != nil {
 		panic("core: " + err.Error())
 	}
-	h.t.store.RestoreStage(stage, base, snaps)
+	t.store.RestoreStage(stage, base, snaps)
+	lo, hi := t.stageLo[stage], t.stageHi[stage]
+	for j, w := range t.store.Get(stage, t.store.Latest(stage)) {
+		t.masters[lo+j].CopyFrom(w)
+	}
+	for k, d := range view {
+		d.CopyFrom(rest[k])
+	}
+	if t.delta != nil {
+		for i := lo; i < hi; i++ {
+			t.corrected[i].CopyFrom(t.masters[i])
+			tensor.Axpy(t.corrected[i], -t.taus[i], t.delta[i])
+		}
+	}
 }
 
 // The trainer's host satisfies the full replica surface.
@@ -158,11 +168,13 @@ func checkStage(stage int, dst, src []*tensor.Tensor) error {
 	return nil
 }
 
-// checkRing reports whether snaps can replace the stage's version ring:
-// it starts at a version ≥ 0, holds at least one version, and each version
-// has the layout of the stage's masters. Both ring importers — a
-// checkpoint and a handoff — run it before they touch the live ring.
-func (t *Trainer) checkRing(stage, base int, snaps [][]*tensor.Tensor) error {
+// checkRecord reports whether a stage record fits the stage: its ring —
+// starting at a version ≥ 0, holding at least one version, each of the
+// layout of the stage's masters — and its rest against view, the half of
+// the stage layout it overwrites. The importer runs it before it touches
+// anything live, and a checkpoint's parse on every stage before the first
+// is imported.
+func (t *Trainer) checkRecord(stage, base int, snaps [][]*tensor.Tensor, rest, view []*tensor.Tensor) error {
 	if base < 0 {
 		return fmt.Errorf("ring %d starts at version %d", stage, base)
 	}
@@ -173,6 +185,9 @@ func (t *Trainer) checkRing(stage, base int, snaps [][]*tensor.Tensor) error {
 		if err := checkStage(stage, t.masters[t.stageLo[stage]:t.stageHi[stage]], snap); err != nil {
 			return fmt.Errorf("ring: %w", err)
 		}
+	}
+	if err := checkStage(stage, view, rest); err != nil {
+		return fmt.Errorf("rest: %w", err)
 	}
 	return nil
 }

@@ -87,7 +87,8 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 	}
 	// reframed writes a fitting checkpoint whose section sec has the u32
 	// at byte off set to v, under a valid frame CRC. Section 0 is the meta
-	// (format, stages); section 5+s is stage s's ring (base, count, ...).
+	// (format, stages); section 1+s is stage s's record (ring base, ring
+	// count, ...).
 	reframed := func(sec, off int, v uint32) string {
 		path := write(trained(restoreProbe(t, tensor.Float64, 1, 1, 1, 1, 1)))
 		raw, err := os.ReadFile(path)
@@ -125,26 +126,27 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 		{"float32 checkpoint into a float64 trainer", func() string {
 			return write(restoreProbe(t, tensor.Float32, 1, 1, 1, 1, 1))
 		}, "stage 0 tensor 0 dtype float32, want float64"},
-		{"format 2 header", func() string { return reframed(0, 0, 2) }, "format version 2, want 5"},
-		// A format 4 file's frames carry wire version 8 (big-endian element
-		// blocks): the frame reader refuses its first frame.
-		{"wire version 8 frames", func() string {
+		{"format 2 header", func() string { return reframed(0, 0, 2) }, "format version 2, want 6"},
+		{"format 5 header", func() string { return reframed(0, 0, 5) }, "format version 5, want 6"},
+		// A format 5 file's frames carry wire version 9 (a state and a ring
+		// section per stage): the frame reader refuses its first frame.
+		{"wire version 9 frames", func() string {
 			path := write(restoreProbe(t, tensor.Float64, 1, 1, 1, 1, 1))
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := 16 + int(binary.BigEndian.Uint32(raw[12:16]))
-			raw[2] = 8
+			raw[2] = 9
 			binary.BigEndian.PutUint32(raw[n:], crc32.ChecksumIEEE(raw[:n]))
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return path
-		}, "protocol version 8, want 9"},
+		}, "protocol version 9, want 10"},
 		// Ring 3, the last stage's, holds one version (Clock.Keep(4) = 1):
 		// version 4 at base 4. Base 3 ends it at version 3.
-		{"ring 3 ends a version early", func() string { return reframed(5+3, 0, 3) },
+		{"ring 3 ends a version early", func() string { return reframed(1+3, 0, 3) },
 			"ring 3 ends at version 3, ring 0 at 4"},
 	}
 	for _, tc := range cases {
@@ -176,39 +178,53 @@ func TestRestoreRejectedLeavesTrainerUntouched(t *testing.T) {
 	}
 }
 
-// TestRestoreVersionsRefusesABadRing pins the follower side of a ring
-// handoff (MsgSetRing): a ring with no version, or with a version of
-// another layout, panics — which the serve loop answers with an error
-// reply — naming the stage, before the live ring is replaced, so the
-// follower's rings and state are exactly as before.
-func TestRestoreVersionsRefusesABadRing(t *testing.T) {
+// TestSetStageStateRefusesABadRecord pins the follower side of a handoff
+// (MsgSetState): a stage record whose ring holds no version or a version
+// of another layout, or whose rest has another count, shape or dtype,
+// panics — which the serve loop answers with an error reply — naming the
+// stage, before anything live changes, so the follower's rings, masters,
+// δ and moments are exactly as before. The stage's own record imports
+// over it and changes nothing either.
+func TestSetStageStateRefusesABadRecord(t *testing.T) {
 	tr := restoreProbe(t, tensor.Float64, 0, 1, 1, 1, 1)
 	if _, err := tr.Run(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	_, good := tr.store.History(2)
+	base, good, rest := host{tr}.HandoffState(2)
+	if len(rest) != 1 {
+		t.Fatalf("stage 2 hands off %d tensors beside its ring, want δ alone", len(rest))
+	}
 	for _, tc := range []struct {
 		name    string
 		snaps   [][]*tensor.Tensor
+		rest    []*tensor.Tensor
 		wantErr string
 	}{
-		{"empty ring", nil, "ring 2 holds no weight version"},
-		{"mis-shaped snapshot", [][]*tensor.Tensor{good[0], {tensor.New(2)}}, "stage 2 tensor 0 shape [2], want [1]"},
+		{"empty ring", nil, rest, "ring 2 holds no weight version"},
+		{"mis-shaped snapshot", [][]*tensor.Tensor{good[0], {tensor.New(2)}}, rest, "ring: stage 2 tensor 0 shape [2], want [1]"},
+		{"rest of another count", good, []*tensor.Tensor{rest[0], rest[0]}, "rest: stage 2 state has 2 tensors, want 1"},
+		{"rest of another shape", good, []*tensor.Tensor{tensor.New(2)}, "rest: stage 2 tensor 0 shape [2], want [1]"},
+		{"rest of another dtype", good, []*tensor.Tensor{tensor.NewOf(tensor.Float32, 1)}, "rest: stage 2 tensor 0 dtype float32, want float64"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := liveState(tr)
 			func() {
 				defer func() {
 					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.wantErr) {
-						t.Fatalf("RestoreVersions = %v, want a panic containing %q", r, tc.wantErr)
+						t.Fatalf("SetStageState = %v, want a panic containing %q", r, tc.wantErr)
 					}
 				}()
-				host{tr}.RestoreVersions(2, 0, tc.snaps)
+				host{tr}.SetStageState(2, base, tc.snaps, tc.rest)
 			}()
 			if string(liveState(tr)) != string(before) {
-				t.Fatal("the refused ring replaced live state")
+				t.Fatal("the refused record changed live state")
 			}
 		})
+	}
+	before := liveState(tr)
+	host{tr}.SetStageState(2, base, good, rest)
+	if string(liveState(tr)) != string(before) {
+		t.Fatal("importing the stage's own record changed live state")
 	}
 }
 

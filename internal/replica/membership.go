@@ -34,7 +34,6 @@ import (
 	"slices"
 
 	"pipemare/internal/engine"
-	"pipemare/internal/tensor"
 )
 
 // State is a member's place in the membership state machine.
@@ -260,24 +259,20 @@ func (g *Group) ResetGrads() {
 	}
 }
 
-// Handoff pushes the leader's live state to member id, a member call — for
-// a remote member a wire request — at a time: every stage's whole state
-// (Leader.HandoffState), then each stage's weight-version ring (rings returns its
-// base version and snapshots, oldest to newest), whose newest version is
-// the step count the member resumes at. It is
-// the one way a follower becomes active — at launch, on a mid-run join, on
-// a straggler's rejoin — and the checkpoint-restore re-synchronization: a
-// member that has seen it, and is then framed with the epoch phase of each
-// chunk, is indistinguishable from one that trained alongside the leader.
-// A member whose connection fails latches the error and ignores the rest.
-func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor)) error {
+// Handoff pushes the leader's live state to member id, one member call —
+// for a remote member one wire request — per stage: the stage's record
+// (Leader.HandoffState), whose ring's newest version is the step count
+// the member resumes at. It is the one way a follower becomes active — at
+// launch, on a mid-run join, on a straggler's rejoin — and the
+// checkpoint-restore re-synchronization: a member that has seen it, and
+// is then framed with the epoch phase of each chunk, is indistinguishable
+// from one that trained alongside the leader. A member whose connection
+// fails latches the error and ignores the rest.
+func (g *Group) Handoff(id int) error {
 	m := g.members[g.index(id)]
 	for st := 0; st < g.p; st++ {
-		m.SetStageState(st, g.lead.HandoffState(st))
-	}
-	for st := 0; st < g.p; st++ {
-		base, snaps := rings(st)
-		m.RestoreVersions(st, base, snaps)
+		base, snaps, rest := g.lead.HandoffState(st)
+		m.SetStageState(st, base, snaps, rest)
 	}
 	if err := m.err(); err != nil {
 		return fmt.Errorf("replica: syncing state to replica %d: %w", id, err)
@@ -287,9 +282,9 @@ func (g *Group) Handoff(id int, rings func(stage int) (int, [][]*tensor.Tensor))
 
 // Resync hands the leader's state off to every active follower — the
 // second half of a checkpoint restore.
-func (g *Group) Resync(rings func(stage int) (int, [][]*tensor.Tensor)) error {
+func (g *Group) Resync() error {
 	for _, m := range g.members[1:g.active] {
-		if err := g.Handoff(m.id, rings); err != nil {
+		if err := g.Handoff(m.id); err != nil {
 			return err
 		}
 	}

@@ -102,9 +102,9 @@ func (f *fakeRemote) ImportStageState(stage int, src []*tensor.Tensor) {
 	}
 }
 
-func (f *fakeRemote) SetStageState(stage int, src []*tensor.Tensor) {
+func (f *fakeRemote) SetStageState(stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
 	if !f.die("import") {
-		f.Member.SetStageState(stage, src)
+		f.Member.SetStageState(stage, base, snaps, rest)
 	}
 }
 
@@ -152,8 +152,6 @@ func (e driveEngine) Stream(ctx context.Context, h engine.Host, mbs [][][]int, _
 	return []float64{0}, nil
 }
 
-func noRings(int) (int, [][]*tensor.Tensor) { return 0, nil }
-
 // TestMembershipTransitions is the membership state machine as a table:
 // from a four-member fault-tolerant group — leader 0, in-process follower
 // 1, remote followers 2 and 3, one stage each — each event hits one
@@ -200,7 +198,7 @@ func TestMembershipTransitions(t *testing.T) {
 	}
 	// admit is the trainer's boundary hook in miniature.
 	admit := func(f *fixture, id int) error {
-		if err := f.g.Handoff(id, noRings); err != nil {
+		if err := f.g.Handoff(id); err != nil {
 			return err
 		}
 		f.g.Transition(id, replica.Active)
@@ -278,8 +276,8 @@ func TestMembershipTransitions(t *testing.T) {
 				return err
 			}
 			m := f.remote[id].Member.(*fakeMember)
-			if m.rings != p {
-				return fmt.Errorf("handoff pushed %d rings, want %d", m.rings, p)
+			if m.handoffs != p {
+				return fmt.Errorf("handoff pushed %d stage records, want %d", m.handoffs, p)
 			}
 			for st, n := range m.imported {
 				if n != 1 {

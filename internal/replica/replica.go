@@ -113,16 +113,16 @@ type Member interface {
 	// next version — the gather half of the sharded commit. Every member
 	// pushes every version, so those inputs are the owner's.
 	ImportStageState(stage int, src []*tensor.Tensor)
-	// SetStageState overwrites the stage's whole state with src, in the
-	// layout of Leader.HandoffState, and pushes the stage's next weight
-	// version — one stage of a handoff.
-	SetStageState(stage int, src []*tensor.Tensor)
-	// RestoreVersions replaces a stage's weight-version ring wholesale
-	// (base is its oldest version number, snaps the versions oldest to
-	// newest), so historical-version installs after a restore or a
-	// handoff are bit-identical to the leader's — and so is the step
-	// count, the newest version. The epoch phase arrives with every chunk.
-	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
+	// SetStageState overwrites the stage's whole state with a stage
+	// record, Leader.HandoffState's — one stage of a handoff. The
+	// weight-version ring is replaced wholesale (base is its oldest
+	// version number, snaps the versions oldest to newest), so
+	// historical-version installs afterwards are bit-identical to the
+	// leader's, and so is the step count, the newest version; the masters
+	// are that newest version, rest overwrites the rest of the stage, and
+	// what derives from them is recomputed. The epoch phase arrives with
+	// every chunk.
+	SetStageState(stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor)
 }
 
 // Local is a member whose pipeline lives in this process: the
@@ -189,11 +189,12 @@ type Leader interface {
 	// for GPipe and during T3 warmup epochs): the phase every member's
 	// chunk is framed with.
 	Async() bool
-	// HandoffState returns the stage's whole live state in the layout a
-	// handoff ships (Member.SetStageState): the masters, then T2 δ and
-	// corrected when enabled, then the optimizer moments under the
-	// fault-tolerant layout. The returned tensors are read-only.
-	HandoffState(stage int) []*tensor.Tensor
+	// HandoffState returns the stage's record, what a handoff ships
+	// (Member.SetStageState): its weight-version ring — base version and
+	// snapshots, oldest to newest — and rest: T2's δ when enabled, then
+	// the optimizer moments under the fault-tolerant layout. The masters
+	// are the ring's newest version. The returned tensors are read-only.
+	HandoffState(stage int) (base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor)
 }
 
 // Group coordinates one leader and its followers, if any, and is the one

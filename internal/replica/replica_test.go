@@ -40,7 +40,7 @@ type fakeMember struct {
 	scales   []float64 // per-stage clip scale of the last StepStage
 	imported []int
 	asyncSet int // SetAsync calls
-	rings    int // RestoreVersions calls: the tail of a handoff
+	handoffs int // SetStageState calls: stages a handoff overwrote
 }
 
 func newFakeMember(p int) *fakeMember {
@@ -139,15 +139,16 @@ func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 }
 
 // The handoff's pair records like the gather's: a handoff imports every
-// stage once.
-func (f *fakeMember) HandoffState(stage int) []*tensor.Tensor { return f.StageState(stage) }
+// stage once, its record's rest the fake's state, and counts it.
+func (f *fakeMember) HandoffState(stage int) (int, [][]*tensor.Tensor, []*tensor.Tensor) {
+	return 0, nil, f.StageState(stage)
+}
 
-func (f *fakeMember) SetStageState(stage int, src []*tensor.Tensor) { f.ImportStageState(stage, src) }
-
-func (f *fakeMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
+func (f *fakeMember) SetStageState(stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
+	f.ImportStageState(stage, rest)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.rings++
+	f.handoffs++
 }
 
 var _ replica.Leader = (*fakeMember)(nil)
@@ -313,7 +314,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 		}
 	}
 	for i, m := range members {
-		if m.rings != 0 {
+		if m.handoffs != 0 {
 			t.Fatalf("member %d received a full-state push during the commit", i)
 		}
 	}
@@ -413,7 +414,7 @@ func TestCancelUnwindsBlockedMemberWithoutDeadlock(t *testing.T) {
 			if m.prepared[st]+m.stepped[st] != 0 {
 				t.Fatalf("%s ran commit phases after cancellation, want none", name)
 			}
-			if len(m.folds[st]) != 0 || m.imported[st] != 0 || m.rings != 0 {
+			if len(m.folds[st]) != 0 || m.imported[st] != 0 || m.handoffs != 0 {
 				t.Fatalf("%s ran a fold, gather or handoff after cancellation, want none", name)
 			}
 		}

@@ -29,16 +29,17 @@ func mixedState() [][]*tensor.Tensor {
 }
 
 // FuzzCursor feeds arbitrary bytes to every payload decoder — the tensor
-// list, the ring, the hello spec and the join request — seeded with real
-// payloads of each. The contract is error or success, never a panic, and
-// never an allocation out of proportion to the input: a corrupt count or
-// dimension must be refused before it sizes a buffer. A tensor list that
-// decodes re-encodes to the same bytes: there is one codec.
+// list, the stage record, the hello spec and the join request — seeded
+// with real payloads of each. The contract is error or success, never a
+// panic, and never an allocation out of proportion to the input: a
+// corrupt count or dimension must be refused before it sizes a buffer. A
+// tensor list that decodes re-encodes to the same bytes: there is one
+// codec.
 func FuzzCursor(f *testing.F) {
 	s := mixedState()
 	f.Add(AppendTensors(nil, s[0]))
 	f.Add(AppendTensors(nil, nil))
-	f.Add(RingMsg(MsgSetRing, 0, 3, [][]*tensor.Tensor{s[1], s[2]}).Payload())
+	f.Add(RecordMsg(MsgSetState, 0, 3, [][]*tensor.Tensor{s[1], s[2]}, s[0]).Payload())
 	f.Add(Spec{Replica: 1, Replicas: 2, Stages: 4, Heartbeat: time.Second, Recipe: []byte{0, 0, 0, 2, 1}}.encode())
 	f.Add(AppendU32(nil, 9)) // a join request: the step to admit at
 	f.Add([]byte{})
@@ -54,7 +55,7 @@ func FuzzCursor(f *testing.F) {
 		ts := c.TensorsInto(nil)
 		tsErr := c.Done()
 		c = NewCursor(data)
-		c.Ring()
+		c.Record()
 		c.Done()
 		decodeSpec(data)
 		decodeJoin(data)

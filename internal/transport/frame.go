@@ -15,7 +15,7 @@
 //
 //	offset  size  field
 //	0       2     magic "PM" (0x50 0x4D)
-//	2       1     protocol version (9)
+//	2       1     protocol version (10)
 //	3       1     message type
 //	4       1     flags (bit 0: more chunks of this message follow)
 //	5       1     reserved (0)
@@ -76,9 +76,13 @@ const (
 	// masters (MsgImport) and replays T2 where version 7 shipped δ and the
 	// corrected weights too (MsgSetState, now the handoff's alone);
 	// version 9 writes every tensor's element block little-endian, where
-	// version 8 wrote it big-endian (headers and scalars stay big-endian).
+	// version 8 wrote it big-endian (headers and scalars stay big-endian);
+	// version 10 hands a stage off in one message, its stage record
+	// (MsgSetState: the weight-version ring, then T2's δ and the moments),
+	// where version 9 sent the masters, δ, corrected weights and moments,
+	// then the ring in a MsgSetRing (21, retired).
 	// Peers of another version are rejected rather than mis-decoded.
-	Version = 9
+	Version = 10
 
 	headerLen  = 16
 	trailerLen = 4 // CRC-32
@@ -102,7 +106,7 @@ const (
 // one reply (MsgAck, a typed reply, or MsgErr). MsgPing is the one
 // exception: the worker interleaves it with a pending MsgChunkDone as a
 // liveness signal, and the leader consumes it without replying. The
-// numbers of deleted types (8, 9, 11, 15, 16) are not reused.
+// numbers of deleted types (8, 9, 11, 15, 16, 21) are not reused.
 const (
 	MsgHello     = 1  // leader→worker: the Spec that opens every session (launch or join)
 	MsgHelloOK   = 2  // worker→leader: follower built for the Spec
@@ -114,13 +118,12 @@ const (
 	MsgStep      = 10 // leader→worker: StepStage(stage, scale)
 	MsgGetState  = 12 // leader→worker: read a stage's post-step masters (gather)
 	MsgState     = 13 // worker→leader: the stage's state tensors
-	MsgSetState  = 14 // leader→worker: overwrite a stage's whole state (handoff)
+	MsgSetState  = 14 // leader→worker: a stage record, the stage's whole state (handoff)
 	MsgSync      = 16 // retired: no request carries it (the benchmark's empty round trip still names it)
 	MsgAck       = 17 // worker→leader: generic success reply
 	MsgErr       = 18 // worker→leader: failure reply (code + text)
 	MsgBye       = 19 // leader→worker: clean shutdown
 	MsgPing      = 20 // worker→leader: heartbeat while a chunk computes (no reply)
-	MsgSetRing   = 21 // leader→worker: restore a stage's weight-version ring
 	MsgJoin      = 22 // joiner→leader: mid-run join request (earliest step to admit at)
 	MsgImport    = 23 // leader→worker: import a stage's post-step masters, replay its T2 tail (gather)
 )

@@ -139,7 +139,6 @@ var wireNames = [...]string{
 	MsgStep:     "wire:step",
 	MsgGetState: "wire:get-state",
 	MsgSetState: "wire:set-state",
-	MsgSetRing:  "wire:set-ring",
 	MsgImport:   "wire:import",
 }
 
@@ -498,19 +497,10 @@ func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.call(m.listMsg(MsgImport, stage, src), MsgAck)
 }
 
-// SetStageState ships one stage of a handoff — the leader's whole stage
-// state — to the worker, which overwrites its own with it.
-func (m *RemoteMember) SetStageState(stage int, src []*tensor.Tensor) {
-	m.call(m.listMsg(MsgSetState, stage, src), MsgAck)
-}
-
-// RestoreVersions ships a stage's weight-version ring to the worker
-// (checkpoint restore, handoff): the ring's base version number and its
-// snapshots, oldest to newest. The worker replaces its ring wholesale,
-// so historical-version installs afterwards are bit-identical to the
-// leader's.
-func (m *RemoteMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	m.call(RingMsg(MsgSetRing, stage, base, snaps), MsgAck)
+// SetStageState ships one stage of a handoff — the leader's stage
+// record — to the worker, which imports it over its own.
+func (m *RemoteMember) SetStageState(stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
+	m.call(RecordMsg(MsgSetState, stage, base, snaps, rest), MsgAck)
 }
 
 // latch poisons the member with err unless an earlier error already

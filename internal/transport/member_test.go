@@ -30,7 +30,7 @@ type wireMember struct {
 	acc   []float64
 	state []*tensor.Tensor
 	stall time.Duration // how long each chunk's first forward takes (a straggler)
-	rings map[int]int   // stage → base + snapshot count of the ring last restored
+	rings map[int]int   // stage → base + snapshot count of the ring last handed off
 
 	// verdict, when set, is BadLoss: a chunk diverges when it reports
 	// true, and the worker answers it MsgErr when it panics.
@@ -138,16 +138,11 @@ func (m *wireMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.state[stage].CopyFrom(src[0])
 }
 
-func (m *wireMember) SetStageState(stage int, src []*tensor.Tensor) {
+func (m *wireMember) SetStageState(stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.handed++
-	m.state[stage].CopyFrom(src[0])
-}
-
-func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.state[stage].CopyFrom(rest[0])
 	if m.rings == nil {
 		m.rings = map[int]int{}
 	}
@@ -264,14 +259,11 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	}
 	worker.mu.Unlock()
 
-	// The full leader-state push, as replica.Group makes it: every
-	// stage's state, then every stage's ring.
-	for s := 0; s < p; s++ {
-		m.SetStageState(s, leader.StageState(s))
-	}
+	// The full leader-state push, as replica.Group makes it: one stage
+	// record per stage, its ring and then its rest.
 	snap := []*tensor.Tensor{tensor.New(1)}
 	for s := 0; s < p; s++ {
-		m.RestoreVersions(s, 5+s, [][]*tensor.Tensor{snap, snap})
+		m.SetStageState(s, 5+s, [][]*tensor.Tensor{snap, snap}, leader.StageState(s))
 	}
 	worker.mu.Lock()
 	if worker.handed != p || worker.imported[0] != 0 {

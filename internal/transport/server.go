@@ -55,12 +55,12 @@ type server struct {
 	hb      time.Duration // heartbeat interval from the leader's spec (0 = off)
 	micros  [][]int       // RunChunk decode buffer
 	scratch []byte        // reply prefix buffer (a reply's tensors are framed from storage)
-	// Per-stage decode targets of MsgSetGrads, and of MsgImport and
-	// MsgSetState (whose layouts both start with the masters). The member
+	// Per-stage decode targets of MsgSetGrads and MsgImport. The member
 	// swaps a MsgSetGrads' tensors in as its accumulators and hands its
 	// old ones back in their place, and copies out of the states before
 	// the call returns, so each step's tensors land in buffers nothing
-	// else holds.
+	// else holds. A handoff's stage record (MsgSetState) decodes into
+	// tensors of its own: it arrives once per admission, not per step.
 	grads, states [][]*tensor.Tensor
 	lists         [][]*tensor.Tensor // a reply's tensor lists (MsgChunkDone: micro-major)
 }
@@ -171,23 +171,19 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 		state := s.member.StageState(stage)
 		s.lists = append(s.lists[:0], state)
 		return Msg{Type: MsgState, Stage: req.Stage, Lists: s.lists}, nil
-	case MsgImport, MsgSetState:
+	case MsgImport:
 		s.states[stage] = c.TensorsInto(s.states[stage])
 		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		if req.Type == MsgImport {
-			s.member.ImportStageState(stage, s.states[stage])
-		} else {
-			s.member.SetStageState(stage, s.states[stage])
-		}
+		s.member.ImportStageState(stage, s.states[stage])
 		return ack, nil
-	case MsgSetRing:
-		base, snaps := c.Ring()
+	case MsgSetState:
+		base, snaps, rest := c.Record()
 		if err := c.Done(); err != nil {
 			return Msg{}, err
 		}
-		s.member.RestoreVersions(stage, base, snaps)
+		s.member.SetStageState(stage, base, snaps, rest)
 		return ack, nil
 	}
 	return Msg{}, fmt.Errorf("unknown request type %d", req.Type)

@@ -314,21 +314,24 @@ func (c *Cursor) TensorsInto(bufs []*tensor.Tensor) []*tensor.Tensor {
 	return out
 }
 
-// RingMsg builds the message that carries a stage's weight-version ring —
-// MsgSetRing on the wire, a ring section in a checkpoint: the ring's
-// oldest version number and the snapshot count as the plain prefix, then
-// the snapshots, oldest to newest, as the message's tensor lists.
-func RingMsg(typ byte, stage, base int, snaps [][]*tensor.Tensor) Msg {
+// RecordMsg builds the message that carries one stage record — what a
+// stage is, on the wire (MsgSetState, the handoff) and in a checkpoint
+// (its stage section) alike: the weight-version ring's oldest version
+// number and its version count as the plain prefix, then the versions,
+// oldest to newest, then rest — the stage's state beyond its ring — as
+// the message's tensor lists.
+func RecordMsg(typ byte, stage, base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) Msg {
 	prefix := AppendU32(AppendU32(nil, uint32(base)), uint32(len(snaps)))
-	return Msg{Type: typ, Stage: int32(stage), Data: prefix, Lists: snaps}
+	lists := append(snaps[:len(snaps):len(snaps)], rest)
+	return Msg{Type: typ, Stage: int32(stage), Data: prefix, Lists: lists}
 }
 
-// Ring decodes a RingMsg payload.
-func (c *Cursor) Ring() (base int, snaps [][]*tensor.Tensor) {
+// Record decodes a RecordMsg payload.
+func (c *Cursor) Record() (base int, snaps [][]*tensor.Tensor, rest []*tensor.Tensor) {
 	base = c.I32()
 	snaps = make([][]*tensor.Tensor, c.Count(4))
 	for i := range snaps {
 		snaps[i] = c.TensorsInto(nil)
 	}
-	return base, snaps
+	return base, snaps, c.TensorsInto(nil)
 }

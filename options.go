@@ -315,9 +315,9 @@ func WithFaultTolerance() Option {
 // Trainer.AcceptJoins with a listener and fresh workers can dial in
 // while training runs (JoinFollower, or pipemare-worker -join). Each
 // joiner is parked until the next minibatch boundary, admitted with a
-// live state handoff — masters, T2 state, optimizer moments and the
-// weight-version rings, the same push a checkpoint restore uses — and
-// the chunk split and commit plan grow to R+1.
+// live state handoff — each stage's weight-version ring (its newest
+// version the masters), T2's δ and moments, the same push a checkpoint
+// restore uses — and the chunk split and commit plan grow to R+1.
 // Because the handed-off member is indistinguishable from one that
 // trained from the start, the post-join curve is bit-identical to a
 // fresh (R+1)-replica run from the handoff state. Requires
@@ -363,10 +363,10 @@ func WithJoinAt(step int) Option {
 }
 
 // WithCheckpoint makes the leader serialize its complete training state
-// — master weights, optimizer moments, T2 accumulators and the per-stage
-// weight-version rings, whose newest version is the step count — to a
-// CRC'd frame file under dir every `every` optimizer steps (0 or 1
-// means every step). Restore with pipemare.Restore, which resumes the
+// — per stage its weight-version ring, whose newest version is the
+// masters and the step count, T2's δ and the optimizer moments — to a
+// CRC'd frame file under dir every `every` optimizer steps (0 or 1 means
+// every step). Restore with pipemare.Restore, which resumes the
 // run exactly where the newest valid checkpoint left it: the data order
 // is a pure function of (seed, epoch), so the resumed curve is
 // bit-identical to the uninterrupted run's from that step on. Followers

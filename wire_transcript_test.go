@@ -98,10 +98,12 @@ func (l logListener) Accept(ctx context.Context) (transport.MsgConn, error) {
 // wireTranscripts is what the leader sends in each session: "type/stage/
 // payload bytes" per message. Every session opens with the hello, and
 // every follower — dialled at launch or joining — is then admitted by the
-// state handoff (P × 14, P × 21) before it trains. A ring message (21)
-// carries the stage's own ring, as deep as that stage's lookback: at P = 4,
+// state handoff (P × 14) before it trains. A stage record (14) carries
+// the stage's own ring, as deep as that stage's lookback — at P = 4,
 // N = 8 stages 0–2 keep 2 versions once a step is in, and the last stage
-// keeps 1, so its message is a version shorter. In the training
+// keeps 1, so its record is a version shorter — then T2's δ and, under
+// fault tolerance, the moments; never the masters (the ring's newest
+// version) or the corrected weights (masters − τ·δ). In the training
 // rows after that, each chunk (3) says whether it is chunk 0, each stage
 // its follower owns is stepped by one message (10, carrying the f64 clip
 // scale), and each stage it does not own is imported as masters alone
@@ -110,27 +112,27 @@ func (l logListener) Accept(ctx context.Context) (transport.MsgConn, error) {
 // bytes, so the table holds on any GOARCH.
 var wireTranscripts = map[string]string{
 	"sharded/plain/follower": `
-		1/-1/90 14/0/79 14/1/79 14/2/79 14/3/79 21/0/37 21/1/37 21/2/37 21/3/37
+		1/-1/90 14/0/66 14/1/66 14/2/66 14/3/66
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/29 23/1/29
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/29 23/1/29
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/29 23/1/29
 		19/-1/0
 	`,
 	"sharded/join/joiner": `
-		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/37
+		1/-1/90 14/0/120 14/1/120 14/2/120 14/3/91
 		3/-1/34 5/3/29 6/3/4 10/3/8 12/3/0 23/0/54 23/1/54 23/2/54
 		19/-1/0
 	`,
 	"sharded/join/follower": `
-		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
+		1/-1/90 14/0/91 14/1/91 14/2/91 14/3/91
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
 		3/-1/34 5/2/29 6/2/4 10/2/8 12/2/0 23/0/54 23/1/54 23/3/54
 		19/-1/0
 	`,
 	"sharded/restore/follower": `
-		1/-1/90 14/0/104 14/1/104 14/2/104 14/3/104 21/0/37 21/1/37 21/2/37 21/3/37
-		14/0/104 14/1/104 14/2/104 14/3/104 21/0/66 21/1/66 21/2/66 21/3/37
+		1/-1/90 14/0/91 14/1/91 14/2/91 14/3/91
+		14/0/120 14/1/120 14/2/120 14/3/91
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
 		3/-1/42 5/2/29 5/3/29 6/2/4 6/3/4 10/2/8 10/3/8 12/2/0 12/3/0 23/0/54 23/1/54
@@ -216,9 +218,8 @@ func TestWireTranscript(t *testing.T) {
 // handoff" literally. A T2 + AdamW leader under the fault-tolerant layout
 // checkpoints every step and admits a joiner at the step-2 boundary —
 // the checkpoint hook runs first, then the handoff, over the same state.
-// The step-2 file's stage sections must then be, byte for byte, the
-// MsgSetState payloads the joiner was sent, and its ring sections the
-// MsgSetRing payloads.
+// The step-2 file's P stage sections must then be, byte for byte, the P
+// stage records (MsgSetState payloads) the joiner was sent.
 func TestCheckpointSectionsAreHandoffPayloads(t *testing.T) {
 	build := func() pipemare.Task { return newQuadTask(4, 24, 8, 43) }
 	base := append(ftBase(), pipemare.WithOptimizer(func(ps []*nn.Param) pipemare.Optimizer {
@@ -254,12 +255,10 @@ func TestCheckpointSectionsAreHandoffPayloads(t *testing.T) {
 	}
 
 	const p = 4
-	states, rings := joiner.payloads(transport.MsgSetState), joiner.payloads(transport.MsgSetRing)
-	if len(states) < p || len(rings) != p {
-		t.Fatalf("the joiner was sent %d stage states and %d rings, want at least %d and exactly %d", len(states), len(rings), p, p)
+	want := joiner.payloads(transport.MsgSetState)
+	if len(want) != p {
+		t.Fatalf("the joiner was sent %d stage records, want %d", len(want), p)
 	}
-	// The handoff's imports come first; the step-3 gather's follow.
-	want := append(append([][]byte{}, states[:p]...), rings...)
 	raw, err := os.ReadFile(filepath.Join(dir, "ckpt-00000002.pm"))
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +272,8 @@ func TestCheckpointSectionsAreHandoffPayloads(t *testing.T) {
 		if sec, raw, err = transport.NextMessage(raw); err != nil {
 			t.Fatal(err)
 		}
-		if int(sec.Stage) != i%p {
-			t.Fatalf("section %d is for stage %d, want %d", i, sec.Stage, i%p)
+		if sec.Type != 2 || int(sec.Stage) != i {
+			t.Fatalf("section %d is type %d for stage %d, want a stage section (2) for stage %d", i, sec.Type, sec.Stage, i)
 		}
 		if !bytes.Equal(sec.Data, payload) {
 			t.Fatalf("section %d (stage %d, %d bytes) differs from the handoff's payload (%d bytes)", i, sec.Stage, len(sec.Data), len(payload))
@@ -282,6 +281,6 @@ func TestCheckpointSectionsAreHandoffPayloads(t *testing.T) {
 	}
 	end, raw, err := transport.NextMessage(raw)
 	if err != nil || len(end.Data) != 0 || len(raw) != 0 {
-		t.Fatalf("after the %d sections: %d-byte section, %d bytes left, err %v; want the empty end marker and nothing", 2*p, len(end.Data), len(raw), err)
+		t.Fatalf("after the %d sections: %d-byte section, %d bytes left, err %v; want the empty end marker and nothing", p, len(end.Data), len(raw), err)
 	}
 }
